@@ -38,7 +38,10 @@ pub mod queue;
 pub mod sched;
 
 pub use mix::{run_overwrite_read_mix, MixConfig, MixReport};
-pub use multi::{run_small_file_create, ClientSummary, MultiClientConfig, MultiReport, RequestEngine};
+pub use multi::{
+    jittered_think_ns, run_small_file_create, ClientSummary, MultiClientConfig, MultiReport,
+    RequestEngine,
+};
 pub use qos::{FairShare, QosClass, QosSpec, TenantQos};
 pub use queue::{EngineConfig, EngineCore, EngineDisk, ReadHandle, MAINT_OWNER};
 pub use sched::{CLook, Fcfs, IoScheduler, SchedulerKind, Sstf};

@@ -19,7 +19,7 @@ use vfs::{FileSystem, FsResult, Ino};
 use workload::payload;
 use workload::small_files::SmallFileSpec;
 
-use crate::multi::{ClientSummary, MultiReport, RequestEngine};
+use crate::multi::{ClientSummary, MultiReport, RequestEngine, PER_CLIENT_HISTS_MAX};
 
 /// Parameters of an overwrite+read mix run.
 #[derive(Debug, Clone)]
@@ -55,9 +55,6 @@ pub struct MixConfig {
     pub think_ns: u64,
     /// Seed for the deterministic jitter and op mix.
     pub seed: u64,
-    /// Per-client latency histograms are only emitted up to this many
-    /// clients (the aggregate histogram is always emitted).
-    pub per_client_hists_max: usize,
 }
 
 impl MixConfig {
@@ -77,7 +74,6 @@ impl MixConfig {
             scan_ops: 0,
             think_ns: 600_000,
             seed: 0x5EED,
-            per_client_hists_max: 32,
         }
     }
 
@@ -222,7 +218,7 @@ pub fn run_overwrite_read_mix<F: FileSystem>(
     let agg_hist = registry.hist("engine.op_ns");
     let client_hists: Vec<_> = (0..total_clients)
         .map(|c| {
-            (total_clients <= cfg.per_client_hists_max)
+            (total_clients <= PER_CLIENT_HISTS_MAX)
                 .then(|| registry.hist(&format!("engine.c{c:03}.op_ns")))
         })
         .collect();

@@ -79,6 +79,11 @@ impl RequestEngine for Rc<RefCell<EngineCore>> {
     }
 }
 
+/// Per-client latency histograms are emitted only for runs with at most
+/// this many clients (the aggregate histogram is always emitted), to
+/// keep metrics JSON bounded on wide sweeps.
+pub(crate) const PER_CLIENT_HISTS_MAX: usize = 32;
+
 /// Parameters of a multi-client small-file run.
 #[derive(Debug, Clone)]
 pub struct MultiClientConfig {
@@ -93,10 +98,6 @@ pub struct MultiClientConfig {
     pub think_ns: u64,
     /// Seed for the deterministic think-time jitter (±25%).
     pub seed: u64,
-    /// Per-client latency histograms are emitted only when `clients` is
-    /// at most this (the aggregate histogram is always emitted), to keep
-    /// metrics JSON bounded on wide sweeps.
-    pub per_client_hists_max: usize,
 }
 
 impl MultiClientConfig {
@@ -108,7 +109,6 @@ impl MultiClientConfig {
             file_size,
             think_ns: 600_000,
             seed: 0x5EED,
-            per_client_hists_max: 32,
         }
     }
 
@@ -176,8 +176,9 @@ impl MultiReport {
 }
 
 /// Deterministic jittered think time: `mean` ±25%, keyed by
-/// `(seed, client, op)`.
-fn jittered_think_ns(seed: u64, client: usize, op: usize, mean: u64) -> u64 {
+/// `(seed, client, op)`. The closed-loop drivers in this crate and in
+/// `lfs-bench` all pace their clients with it.
+pub fn jittered_think_ns(seed: u64, client: usize, op: usize, mean: u64) -> u64 {
     let mut x = seed
         ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (op as u64 + 1).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -227,7 +228,7 @@ pub fn run_small_file_create<F: FileSystem>(
     let agg_hist = registry.hist("engine.op_ns");
     let client_hists: Vec<_> = (0..cfg.clients)
         .map(|c| {
-            (cfg.clients <= cfg.per_client_hists_max)
+            (cfg.clients <= PER_CLIENT_HISTS_MAX)
                 .then(|| registry.hist(&format!("engine.c{c:03}.op_ns")))
         })
         .collect();

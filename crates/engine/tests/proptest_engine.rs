@@ -261,7 +261,6 @@ fn multi_run(sched: SchedulerKind, clients: usize, files: usize, think_ns: u64, 
         file_size: 700,
         think_ns,
         seed,
-        per_client_hists_max: 32,
     };
     let report = run_small_file_create(&mut fs, &core, &registry, &cfg).unwrap();
     assert_eq!(report.total_ops, (clients * files) as u64);

@@ -1,7 +1,6 @@
 //! FFS configuration.
 
-use block_cache::WritebackPolicy;
-use mem_mgr::CachePolicy;
+use mem_mgr::{CachePolicy, WritebackPolicy};
 
 /// Tunable parameters of an FFS volume.
 #[derive(Debug, Clone)]

@@ -6,7 +6,7 @@
 //! physical writes (the behaviour Figure 4's random-write comparison
 //! exposes).
 
-use block_cache::{BlockKey, Owner};
+use mem_mgr::{BlockKey, Owner};
 use sim_disk::{BlockDevice, CpuCost};
 use vfs::blockmap::{self, BlockPath};
 use vfs::{FsError, FsResult, Ino};

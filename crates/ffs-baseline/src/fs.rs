@@ -3,8 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use block_cache::{BlockKey, Owner};
-use mem_mgr::{CacheReport, MemConfig, MemMgr};
+use mem_mgr::{BlockKey, CacheReport, MemConfig, MemMgr, Owner};
 use sim_disk::{BlockDevice, Clock, CpuCost, CpuModel};
 use vfs::{FileKind, FsError, FsResult, Ino};
 

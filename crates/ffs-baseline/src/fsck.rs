@@ -17,7 +17,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use block_cache::BlockKey;
+use mem_mgr::BlockKey;
 use sim_disk::BlockDevice;
 use vfs::blockmap::{self, NDIRECT};
 use vfs::{FileKind, FsResult, Ino};

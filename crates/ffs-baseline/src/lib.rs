@@ -17,7 +17,7 @@
 //!   (with a sequential-allocation hint) and always rewritten at the same
 //!   address, so random writes stay random at the disk.
 //! * **Delayed data write-back**: file data sits in the same
-//!   [`block_cache::BlockCache`] used by LFS and is written back on age
+//!   [`mem_mgr::MemMgr`] file cache used by LFS and is written back on age
 //!   threshold, cache pressure, or sync — matching the SunOS file cache.
 //! * **Scan-based recovery**: a volume that was not cleanly unmounted is
 //!   repaired at mount by a whole-disk scan (`fsck`), which is what makes

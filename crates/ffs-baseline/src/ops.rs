@@ -295,7 +295,7 @@ impl<D: BlockDevice> FileSystem for Ffs<D> {
                 // Write the file's dirty blocks and inode to their homes.
                 let keys: Vec<_> = fs
                     .cache
-                    .dirty_keys_of(block_cache::Owner::File(ino))
+                    .dirty_keys_of(mem_mgr::Owner::File(ino))
                     .into_iter()
                     .collect();
                 for key in keys {

@@ -1,15 +1,15 @@
 //! Criterion micro-benchmarks for the hot data structures: segment
 //! packing, summary encode/decode, CRC, inode-map operations, and the
-//! block cache. These measure *host* wall time (the virtual clock is
+//! file cache. These measure *host* wall time (the virtual clock is
 //! irrelevant here) and guard against regressions in the simulator's own
 //! overhead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use block_cache::{BlockCache, BlockKey, WritebackPolicy};
 use lfs_core::layout::summary::{BlockKind, ChunkSummary};
 use lfs_core::log::ChunkBuilder;
 use lfs_core::types::{BlockAddr, SegNo};
+use mem_mgr::{BlockKey, MemConfig, MemMgr, WritebackPolicy};
 use vfs::wire::crc32;
 use vfs::Ino;
 
@@ -90,7 +90,7 @@ fn bench_imap(c: &mut Criterion) {
 
 fn bench_cache(c: &mut Criterion) {
     c.bench_function("cache_hit", |b| {
-        let mut cache = BlockCache::new(4096, 1024, WritebackPolicy::paper());
+        let mut cache = MemMgr::new(4096, 1024, MemConfig::shared(WritebackPolicy::paper()));
         let key = BlockKey::file(Ino(1), 0);
         cache.insert_clean(key, vec![0u8; 4096].into_boxed_slice());
         b.iter(|| {
@@ -98,7 +98,7 @@ fn bench_cache(c: &mut Criterion) {
         });
     });
     c.bench_function("cache_insert_evict", |b| {
-        let mut cache = BlockCache::new(4096, 64, WritebackPolicy::paper());
+        let mut cache = MemMgr::new(4096, 64, MemConfig::shared(WritebackPolicy::paper()));
         let block = vec![0u8; 4096].into_boxed_slice();
         let mut index = 0u64;
         b.iter(|| {

@@ -18,7 +18,7 @@
 //! namespace digests, which is the bench's end-to-end correctness
 //! assertion.
 
-use engine::RequestEngine;
+use engine::{jittered_think_ns, RequestEngine};
 use lfs_core::Lfs;
 use sim_disk::BlockDevice;
 use vfs::{FileSystem, FsResult};
@@ -74,19 +74,6 @@ impl PhaseOutcome {
         }
         self.ops as f64 / (self.elapsed_ns as f64 / 1e9)
     }
-}
-
-/// Deterministic jittered think time: `mean` ±25%, keyed by
-/// `(seed, client, op)` — the same generator the interference bench
-/// uses, so phase comparisons see identical offered load.
-fn jittered_think_ns(seed: u64, client: usize, op: usize, mean: u64) -> u64 {
-    let mut x = seed
-        ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (op as u64 + 1).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    mean * (75 + x % 51) / 100
 }
 
 fn slot_path(client: usize, slot: usize) -> String {

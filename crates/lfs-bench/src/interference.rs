@@ -15,7 +15,7 @@
 //! per-operation foreground latencies — collected exactly, for precise
 //! percentiles — expose the interference.
 
-use engine::RequestEngine;
+use engine::{jittered_think_ns, RequestEngine};
 use lfs_core::Lfs;
 use sim_disk::BlockDevice;
 use vfs::{FileSystem, FsResult};
@@ -82,18 +82,6 @@ impl ChurnOutcome {
 /// claiming step: roughly one policy-default read span (32 KB) at WREN
 /// IV sequential bandwidth, plus slack for the occasional seek.
 const CLEANER_READ_SERVICE_NS: u64 = 30_000_000;
-
-/// Deterministic jittered think time (same generator as the engine's
-/// multi-client loop): `mean` ±25%, keyed by `(seed, client, op)`.
-fn jittered_think_ns(seed: u64, client: usize, op: usize, mean: u64) -> u64 {
-    let mut x = seed
-        ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (op as u64 + 1).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    mean * (75 + x % 51) / 100
-}
 
 /// The slot path overwritten by `client` on its `op`-th operation.
 fn slot_path(cfg: &ChurnConfig, client: usize, op: usize) -> String {

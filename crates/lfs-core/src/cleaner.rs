@@ -21,13 +21,13 @@
 //! segments are parked in [`SegState::CleanPending`] and promoted by
 //! [`Lfs::checkpoint`].
 
-use block_cache::BlockKey;
+use mem_mgr::BlockKey;
 use sim_disk::{BlockDevice, CpuCost};
-use vfs::{FsError, FsResult};
+use vfs::FsResult;
 
 use crate::fs::{idx_dchild, CachedInode, Lfs, IDX_DTOP, IDX_SINGLE};
 use crate::layout::inode::inode_block;
-use crate::layout::summary::{self, BlockKind, ChunkSummary};
+use crate::layout::summary::{self, BlockKind};
 use crate::layout::usage_block::SegState;
 use crate::types::{BlockAddr, SegNo};
 
@@ -127,6 +127,11 @@ impl AsyncCleanerPolicy {
     }
 }
 
+/// Candidates whose live fraction exceeds this are skipped ("segments
+/// are cleaned until all segments are either clean or contain at least a
+/// file-system-settable fraction of live blocks").
+const MAX_CANDIDATE_UTILIZATION: f64 = 0.98;
+
 /// Cleaner tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CleanerConfig {
@@ -138,10 +143,6 @@ pub struct CleanerConfig {
     pub activate_below_clean: usize,
     /// Maximum segments processed per cleaning pass.
     pub segments_per_pass: usize,
-    /// Skip candidates whose live fraction exceeds this ("segments are
-    /// cleaned until all segments are either clean or contain at least a
-    /// file-system-settable fraction of live blocks").
-    pub max_candidate_utilization: f64,
     /// Use the §4.3.3 step-1 fast path (summary version number vs inode
     /// map) to classify blocks without walking inodes. Disabled only by
     /// the liveness-fastpath ablation; correctness does not depend on it.
@@ -157,7 +158,6 @@ impl Default for CleanerConfig {
             policy: CleanerPolicy::Greedy,
             activate_below_clean: 4,
             segments_per_pass: 8,
-            max_candidate_utilization: 0.98,
             use_version_fastpath: true,
             run_mode: CleanerRunMode::Sync,
         }
@@ -183,9 +183,7 @@ impl<D: BlockDevice> Lfs<D> {
             .usage
             .segments_in_state(SegState::Dirty)
             .into_iter()
-            .filter(|&seg| {
-                self.usage.utilization(seg) <= self.cfg.cleaner.max_candidate_utilization
-            })
+            .filter(|&seg| self.usage.utilization(seg) <= MAX_CANDIDATE_UTILIZATION)
             .collect();
         match self.cfg.cleaner.policy {
             CleanerPolicy::Greedy => {
@@ -315,73 +313,6 @@ impl<D: BlockDevice> Lfs<D> {
         }
     }
 
-    /// Cleans one segment: phase 1 of §4.3.2 (identify live blocks and
-    /// read them into the cache, dirty). Returns `(blocks, inodes)`
-    /// copied.
-    pub fn clean_segment(&mut self, seg: SegNo) -> FsResult<(u64, u64)> {
-        if self.usage.state(seg) != SegState::Dirty {
-            return Err(FsError::Corrupt("cleaning a non-dirty segment"));
-        }
-        let bs = self.block_size();
-        let seg_blocks = self.sb.seg_blocks as usize;
-        let base = self.sb.seg_block(seg, 0);
-
-        // Read the whole segment in one sequential transfer.
-        let mut image = vec![0u8; seg_blocks * bs];
-        self.dev.annotate("cleaner-read");
-        self.dev.read(self.sector_of(base), &mut image)?;
-        self.obs.cleaner_bytes_read.add(image.len() as u64);
-
-        let mut offset = 0usize;
-        let mut expected_seq: Option<u64> = None;
-        let mut expected_partial = 0u32;
-        let mut live_blocks = 0u64;
-        let mut live_inodes = 0u64;
-
-        while offset + 1 < seg_blocks {
-            let here = BlockAddr(base.0 + offset as u32);
-            let Ok(summary) = ChunkSummary::decode_at(&image[offset * bs..], here) else {
-                break;
-            };
-            match expected_seq {
-                None => {
-                    if summary.partial != 0 {
-                        break;
-                    }
-                    expected_seq = Some(summary.seq);
-                }
-                Some(seq) => {
-                    if summary.seq != seq || summary.partial != expected_partial {
-                        break;
-                    }
-                }
-            }
-            let s = (summary.reserved_blocks as usize)
-                .max(ChunkSummary::summary_blocks(summary.entries.len(), bs));
-            let payload_start = offset + s;
-            if payload_start + summary.entries.len() > seg_blocks {
-                break;
-            }
-            for (i, entry) in summary.entries.iter().enumerate() {
-                let block_off = payload_start + i;
-                let addr = BlockAddr(base.0 + block_off as u32);
-                let data = &image[block_off * bs..(block_off + 1) * bs];
-                let (blocks, inodes) =
-                    self.clean_entry(entry.kind, entry.version, entry.crc, addr, data)?;
-                live_blocks += blocks;
-                live_inodes += inodes;
-            }
-            offset = payload_start + summary.entries.len();
-            expected_partial += 1;
-        }
-
-        self.usage.set_state(seg, SegState::CleanPending);
-        self.obs.segments_cleaned.inc();
-        self.obs.cleaner_blocks_copied.add(live_blocks);
-        self.obs.cleaner_inodes_copied.add(live_inodes);
-        Ok((live_blocks, live_inodes))
-    }
-
     /// Classifies one logged block and relocates it if live.
     ///
     /// `crc` is the block's end-to-end checksum from the summary entry:
@@ -399,7 +330,10 @@ impl<D: BlockDevice> Lfs<D> {
     ) -> FsResult<(u64, u64)> {
         self.charge(CpuCost::MapBlock);
         match kind {
-            BlockKind::Data { ino, bno } => {
+            BlockKind::Data { ino, .. }
+            | BlockKind::IndSingle { ino }
+            | BlockKind::IndDoubleTop { ino }
+            | BlockKind::IndDoubleChild { ino, .. } => {
                 let Ok(entry) = self.imap.get(ino) else {
                     return Ok((0, 0));
                 };
@@ -411,80 +345,33 @@ impl<D: BlockDevice> Lfs<D> {
                 if self.cfg.cleaner.use_version_fastpath && entry.version != version {
                     return Ok((0, 0));
                 }
-                let key = BlockKey::file(ino, bno as u64);
+                let key = file_block_key(kind).expect("a file block kind");
                 if self.cache.is_dirty(key) {
                     // A newer copy is already waiting to be written.
                     return Ok((0, 0));
                 }
                 // Slow path (step 2): is the block still part of the file?
-                if self.map_block(ino, bno as u64)? != addr {
+                if self.current_file_block_addr(kind)? != addr {
                     return Ok((0, 0));
                 }
+                let is_data = matches!(kind, BlockKind::Data { .. });
                 let now = self.now();
                 if self.cache.contains(key) {
                     // Clean cached copy: just re-dirty it.
                     self.cache.get_mut(key, now);
                 } else {
                     if summary::block_checksum(data) != crc {
-                        self.note_unrecoverable("file data block", addr);
+                        let what = if is_data { "file data block" } else { "indirect block" };
+                        self.note_unrecoverable(what, addr);
                         return Ok((0, 0));
                     }
                     self.cache
                         .insert_dirty(key, data.to_vec().into_boxed_slice(), now);
                 }
-                self.charge(CpuCost::Instructions(
-                    CpuCost::CopyKb.instructions() * (data.len() as u64).div_ceil(1024),
-                ));
-                Ok((1, 0))
-            }
-            BlockKind::IndSingle { ino }
-            | BlockKind::IndDoubleTop { ino }
-            | BlockKind::IndDoubleChild { ino, .. } => {
-                let Ok(entry) = self.imap.get(ino) else {
-                    return Ok((0, 0));
-                };
-                if !entry.allocated {
-                    return Ok((0, 0));
-                }
-                if self.cfg.cleaner.use_version_fastpath && entry.version != version {
-                    return Ok((0, 0));
-                }
-                let idx = match kind {
-                    BlockKind::IndSingle { .. } => IDX_SINGLE,
-                    BlockKind::IndDoubleTop { .. } => IDX_DTOP,
-                    BlockKind::IndDoubleChild { outer, .. } => idx_dchild(outer),
-                    _ => unreachable!(),
-                };
-                let key = BlockKey::file(ino, idx);
-                if self.cache.is_dirty(key) {
-                    return Ok((0, 0));
-                }
-                let inode = self.inode(ino)?;
-                let current = match kind {
-                    BlockKind::IndSingle { .. } => inode.single,
-                    BlockKind::IndDoubleTop { .. } => inode.double,
-                    BlockKind::IndDoubleChild { outer, .. } => {
-                        if inode.double.is_nil() {
-                            BlockAddr::NIL
-                        } else {
-                            self.indirect_child_addr(ino, inode.double, outer)?
-                        }
-                    }
-                    _ => unreachable!(),
-                };
-                if current != addr {
-                    return Ok((0, 0));
-                }
-                let now = self.now();
-                if self.cache.contains(key) {
-                    self.cache.get_mut(key, now);
-                } else {
-                    if summary::block_checksum(data) != crc {
-                        self.note_unrecoverable("indirect block", addr);
-                        return Ok((0, 0));
-                    }
-                    self.cache
-                        .insert_dirty(key, data.to_vec().into_boxed_slice(), now);
+                if is_data {
+                    self.charge(CpuCost::Instructions(
+                        CpuCost::CopyKb.instructions() * (data.len() as u64).div_ceil(1024),
+                    ));
                 }
                 Ok((1, 0))
             }
@@ -535,6 +422,26 @@ impl<D: BlockDevice> Lfs<D> {
         }
     }
 
+    /// Where the file currently keeps the data or indirect block a
+    /// summary entry names (`NIL` when it no longer has one, and for the
+    /// metadata kinds). A logged copy is live iff this is its address.
+    pub(crate) fn current_file_block_addr(&mut self, kind: BlockKind) -> FsResult<BlockAddr> {
+        match kind {
+            BlockKind::Data { ino, bno } => self.map_block(ino, bno as u64),
+            BlockKind::IndSingle { ino } => Ok(self.inode(ino)?.single),
+            BlockKind::IndDoubleTop { ino } => Ok(self.inode(ino)?.double),
+            BlockKind::IndDoubleChild { ino, outer } => {
+                let double = self.inode(ino)?.double;
+                if double.is_nil() {
+                    Ok(BlockAddr::NIL)
+                } else {
+                    self.indirect_child_addr(ino, double, outer)
+                }
+            }
+            _ => Ok(BlockAddr::NIL),
+        }
+    }
+
     /// Salvages a corrupt on-disk inode block: every live inode it held
     /// that is still in the in-memory table is re-dirtied (the next flush
     /// rewrites it at a new address). Returns `(recovered, lost)` inode
@@ -556,5 +463,17 @@ impl<D: BlockDevice> Lfs<D> {
             }
         }
         Ok((recovered, lost))
+    }
+}
+
+/// The cache key of the data or indirect block a summary entry names
+/// (`None` for the metadata kinds, which are not cached per file).
+pub(crate) fn file_block_key(kind: BlockKind) -> Option<BlockKey> {
+    match kind {
+        BlockKind::Data { ino, bno } => Some(BlockKey::file(ino, bno as u64)),
+        BlockKind::IndSingle { ino } => Some(BlockKey::file(ino, IDX_SINGLE)),
+        BlockKind::IndDoubleTop { ino } => Some(BlockKey::file(ino, IDX_DTOP)),
+        BlockKind::IndDoubleChild { ino, outer } => Some(BlockKey::file(ino, idx_dchild(outer))),
+        _ => None,
     }
 }

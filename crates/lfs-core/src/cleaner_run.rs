@@ -1,12 +1,14 @@
 //! The incremental, resumable async cleaner (§4.3.4's "clean during
 //! idle periods", driven from outside).
 //!
-//! [`CleanerRun`] decomposes the synchronous clean-on-threshold path
-//! into small steps a host event loop can interleave with foreground
-//! operations: each call to [`Lfs::cleaner_step`] performs one bounded
-//! unit of work — claim or issue one bounded segment read, classify a
-//! bounded number of summary entries, or commit the finished
-//! relocations with a checkpoint — and returns. Cleaner I/O is issued
+//! [`CleanerRun`] cleans in small steps a host event loop can
+//! interleave with foreground operations: each call to
+//! [`Lfs::cleaner_step`] performs one bounded unit of work — claim or
+//! issue one bounded segment read, classify a bounded number of summary
+//! entries, or commit the finished relocations with a checkpoint — and
+//! returns. The synchronous clean-on-threshold path is the same victim
+//! machinery driven inline: [`Lfs::clean_segment`] reads the victim in
+//! one transfer and classifies it without caps. Cleaner I/O is issued
 //! with the device's maintenance class on (see
 //! [`BlockDevice::set_maintenance`]), so on an engine-backed device it
 //! competes in the same request queues as foreground clients while its
@@ -26,11 +28,11 @@
 //! old copies intact or the checkpoint that supersedes them.
 
 use sim_disk::BlockDevice;
-use vfs::FsResult;
+use vfs::{FsError, FsResult};
 
 use crate::cleaner::{AsyncCleanerPolicy, CleanerRunMode};
 use crate::fs::Lfs;
-use crate::layout::summary::ChunkSummary;
+use crate::layout::summary::{ChunkCursor, ChunkSummary};
 use crate::layout::usage_block::SegState;
 use crate::types::{BlockAddr, SegNo};
 
@@ -54,31 +56,14 @@ struct VictimProgress {
     /// Blocks of the image that are valid.
     blocks_read: usize,
     pending_read: Option<PendingRead>,
-    /// Chunk-walk cursor: block offset of the current chunk's summary.
-    offset: usize,
-    /// Entries of the current chunk already classified.
+    /// Where the chunk walk stands in the image.
+    cursor: ChunkCursor,
+    /// The chunk being classified (with its payload's block offset) and
+    /// how many of its entries are done.
+    chunk: Option<(ChunkSummary, usize)>,
     entry_cursor: usize,
-    expected_seq: Option<u64>,
-    expected_partial: u32,
     live_blocks: u64,
     live_inodes: u64,
-}
-
-impl VictimProgress {
-    fn new(seg: SegNo, image_bytes: usize) -> Self {
-        Self {
-            seg,
-            image: vec![0u8; image_bytes],
-            blocks_read: 0,
-            pending_read: None,
-            offset: 0,
-            entry_cursor: 0,
-            expected_seq: None,
-            expected_partial: 0,
-            live_blocks: 0,
-            live_inodes: 0,
-        }
-    }
 }
 
 /// The state of one incremental cleaning run, owned by [`Lfs`] between
@@ -318,12 +303,8 @@ impl<D: BlockDevice> Lfs<D> {
                 run.current = Some(v);
                 return Ok(StepWork::Continue);
             }
-            let done = self.classify_step(&mut v, run.policy.max_step_entries.max(1))?;
-            if done {
-                self.usage.set_state(v.seg, SegState::CleanPending);
-                self.obs.segments_cleaned.inc();
-                self.obs.cleaner_blocks_copied.add(v.live_blocks);
-                self.obs.cleaner_inodes_copied.add(v.live_inodes);
+            if self.classify_step(&mut v, run.policy.max_step_entries.max(1))? {
+                self.finish_victim(&v);
                 run.cleaned += 1;
             } else {
                 run.current = Some(v);
@@ -337,8 +318,7 @@ impl<D: BlockDevice> Lfs<D> {
         }
         match self.pick_async_victim(run) {
             Some(seg) => {
-                let image_bytes = self.sb.seg_blocks as usize * self.block_size();
-                run.current = Some(VictimProgress::new(seg, image_bytes));
+                run.current = Some(self.start_victim(seg));
                 Ok(StepWork::Continue)
             }
             None => Ok(StepWork::Finished),
@@ -386,57 +366,81 @@ impl<D: BlockDevice> Lfs<D> {
     /// stopped. Returns true when the walk is complete.
     fn classify_step(&mut self, v: &mut VictimProgress, max_entries: usize) -> FsResult<bool> {
         let bs = self.block_size();
-        let seg_blocks = self.sb.seg_blocks as usize;
         let base = self.sb.seg_block(v.seg, 0);
         let mut processed = 0usize;
         while processed < max_entries {
-            if v.offset + 1 >= seg_blocks {
-                return Ok(true);
-            }
-            let here = BlockAddr(base.0 + v.offset as u32);
-            let Ok(summary) = ChunkSummary::decode_at(&v.image[v.offset * bs..], here) else {
-                return Ok(true);
-            };
-            if v.entry_cursor == 0 {
-                match v.expected_seq {
-                    None => {
-                        if summary.partial != 0 {
-                            return Ok(true);
-                        }
-                        v.expected_seq = Some(summary.seq);
-                    }
-                    Some(seq) => {
-                        if summary.seq != seq || summary.partial != v.expected_partial {
-                            return Ok(true);
-                        }
-                    }
+            if v.chunk.is_none() {
+                match v.cursor.next_chunk(&v.image[v.cursor.offset() * bs..]) {
+                    Ok(next) => v.chunk = Some(next),
+                    Err(_) => return Ok(true),
                 }
             }
-            let s = (summary.reserved_blocks as usize)
-                .max(ChunkSummary::summary_blocks(summary.entries.len(), bs));
-            let payload_start = v.offset + s;
-            if payload_start + summary.entries.len() > seg_blocks {
-                return Ok(true);
-            }
+            let (summary, payload_start) = v.chunk.as_ref().expect("chunk just ensured");
             while v.entry_cursor < summary.entries.len() && processed < max_entries {
                 let entry = &summary.entries[v.entry_cursor];
                 let block_off = payload_start + v.entry_cursor;
                 let addr = BlockAddr(base.0 + block_off as u32);
-                let data = v.image[block_off * bs..(block_off + 1) * bs].to_vec();
+                let data = &v.image[block_off * bs..(block_off + 1) * bs];
                 let (blocks, inodes) =
-                    self.clean_entry(entry.kind, entry.version, entry.crc, addr, &data)?;
+                    self.clean_entry(entry.kind, entry.version, entry.crc, addr, data)?;
                 v.live_blocks += blocks;
                 v.live_inodes += inodes;
                 v.entry_cursor += 1;
                 processed += 1;
             }
             if v.entry_cursor == summary.entries.len() {
-                v.offset = payload_start + summary.entries.len();
+                v.chunk = None;
                 v.entry_cursor = 0;
-                v.expected_partial += 1;
             }
         }
         Ok(false)
+    }
+
+    /// A victim whose image is still to be read.
+    fn start_victim(&self, seg: SegNo) -> VictimProgress {
+        let bs = self.block_size();
+        let seg_blocks = self.sb.seg_blocks as usize;
+        VictimProgress {
+            seg,
+            image: vec![0u8; seg_blocks * bs],
+            blocks_read: 0,
+            pending_read: None,
+            cursor: ChunkCursor::new(self.sb.seg_block(seg, 0), seg_blocks, bs),
+            chunk: None,
+            entry_cursor: 0,
+            live_blocks: 0,
+            live_inodes: 0,
+        }
+    }
+
+    /// Retires a fully classified victim: every live block is dirty in
+    /// the cache, so the segment waits only for the committing
+    /// checkpoint. Returns `(blocks, inodes)` copied.
+    fn finish_victim(&mut self, v: &VictimProgress) -> (u64, u64) {
+        self.usage.set_state(v.seg, SegState::CleanPending);
+        self.obs.segments_cleaned.inc();
+        self.obs.cleaner_blocks_copied.add(v.live_blocks);
+        self.obs.cleaner_inodes_copied.add(v.live_inodes);
+        (v.live_blocks, v.live_inodes)
+    }
+
+    /// Cleans one segment to completion, inline: phase 1 of §4.3.2
+    /// (identify live blocks and read them into the cache, dirty). The
+    /// synchronous cleaner is the incremental one with the victim read
+    /// in a single transfer and no per-step caps. Returns
+    /// `(blocks, inodes)` copied.
+    pub fn clean_segment(&mut self, seg: SegNo) -> FsResult<(u64, u64)> {
+        if self.usage.state(seg) != SegState::Dirty {
+            return Err(FsError::Corrupt("cleaning a non-dirty segment"));
+        }
+        let mut v = self.start_victim(seg);
+        self.dev.annotate("cleaner-read");
+        self.dev
+            .read(self.sector_of(self.sb.seg_block(seg, 0)), &mut v.image)?;
+        self.obs.cleaner_bytes_read.add(v.image.len() as u64);
+        let done = self.classify_step(&mut v, usize::MAX)?;
+        debug_assert!(done, "an uncapped step walks the whole chain");
+        Ok(self.finish_victim(&v))
     }
 
     /// Chooses the run's next victim within its remaining budget,

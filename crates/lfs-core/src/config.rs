@@ -1,7 +1,6 @@
 //! File-system configuration.
 
-use block_cache::WritebackPolicy;
-use mem_mgr::CachePolicy;
+use mem_mgr::{CachePolicy, WritebackPolicy};
 
 use crate::cleaner::CleanerConfig;
 

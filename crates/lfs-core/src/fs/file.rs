@@ -6,7 +6,7 @@
 //! object (inode or indirect block), which the next flush rewrites at a
 //! new log address.
 
-use block_cache::{BlockKey, Owner};
+use mem_mgr::{BlockKey, Owner};
 use sim_disk::{BlockDevice, CpuCost};
 use vfs::blockmap::{self, BlockPath};
 use vfs::{FsError, FsResult, Ino};

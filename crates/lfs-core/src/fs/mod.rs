@@ -17,8 +17,7 @@ mod tests;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use block_cache::{BlockKey, Owner, WritebackTrigger};
-use mem_mgr::{CacheReport, FlushCause, MemConfig, MemMgr};
+use mem_mgr::{BlockKey, CacheReport, FlushCause, MemConfig, MemMgr, Owner, WritebackTrigger};
 use sim_disk::{BlockDevice, Clock, CpuCost, CpuModel};
 use vfs::{FileKind, FsError, FsResult, Ino};
 

@@ -57,7 +57,7 @@ fn clearing_a_hole_does_not_create_indirect_blocks() {
     assert!(inode.double.is_nil());
     assert!(!fs
         .cache
-        .contains(block_cache::BlockKey::file(ino, IDX_DTOP)));
+        .contains(mem_mgr::BlockKey::file(ino, IDX_DTOP)));
 }
 
 #[test]
@@ -184,14 +184,14 @@ fn reserve_scales_with_cache_and_is_bounded() {
 }
 
 #[test]
-fn meta_block_cache_is_purged_on_segment_reuse() {
+fn cached_meta_blocks_are_purged_on_segment_reuse() {
     let mut fs = fresh();
     // Plant a fake cached inode block in the segment the log will open
     // next, then force a seal into it; the stale entry must be purged.
     let next = fs.usage.next_clean(SegNo(1)).unwrap();
     let addr = fs.sb.seg_block(next, 3);
     fs.cache.insert_clean(
-        block_cache::BlockKey::meta(NS_INODE_BLOCKS, addr.0 as u64),
+        mem_mgr::BlockKey::meta(NS_INODE_BLOCKS, addr.0 as u64),
         vec![0xEE; fs.block_size()].into_boxed_slice(),
     );
     // Seal segments until the planted one becomes active.
@@ -203,7 +203,7 @@ fn meta_block_cache_is_purged_on_segment_reuse() {
     }
     assert!(
         !fs.cache
-            .contains(block_cache::BlockKey::meta(NS_INODE_BLOCKS, addr.0 as u64)),
+            .contains(mem_mgr::BlockKey::meta(NS_INODE_BLOCKS, addr.0 as u64)),
         "stale metadata cache entry survived segment reuse"
     );
 }

@@ -28,7 +28,7 @@
 //! [`Corruption`]: vfs::FsError::Corruption
 //! [`MemMgr::peek`]: mem_mgr::MemMgr::peek
 
-use block_cache::BlockKey;
+use mem_mgr::BlockKey;
 use sim_disk::BlockDevice;
 use vfs::blockmap::{self, NDIRECT};
 use vfs::{FileKind, Ino};

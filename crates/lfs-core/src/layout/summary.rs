@@ -235,7 +235,7 @@ impl ChunkSummary {
     /// rejecting a header whose recorded self-address disagrees — the
     /// signature of a displaced byte-exact copy, which every other
     /// checksum in the chunk would happily accept.
-    pub fn decode_at(bytes: &[u8], expect: BlockAddr) -> FsResult<Self> {
+    fn decode_at(bytes: &[u8], expect: BlockAddr) -> FsResult<Self> {
         let chunk = Self::decode(bytes)?;
         if chunk.addr != expect {
             return Err(FsError::Corrupt("chunk summary at wrong address"));
@@ -288,6 +288,120 @@ impl ChunkSummary {
             reserved_blocks,
             entries,
         })
+    }
+}
+
+/// Why a [`ChunkCursor`] stopped yielding chunks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChainEnd {
+    /// The bytes at the cursor are not a chunk summary written at this
+    /// address: no magic, a failed checksum, too few bytes, or a
+    /// displaced copy of a chunk that belongs elsewhere.
+    Undecodable,
+    /// The segment is used up, or the chunk found here is not the next
+    /// link of this chain (another incarnation's `(seq, partial)`, or a
+    /// payload that would overrun the segment).
+    Ended,
+}
+
+/// The one reader of a segment's chunk chain.
+///
+/// A segment holds the chunks of one incarnation back to back: the
+/// first at block 0 with `partial == 0`, each next one directly after
+/// its predecessor's payload with the same `seq` and the next
+/// `partial`. The cursor owns that rule — the self-address pin, the
+/// `max(reserved_blocks, summary_blocks)` hop from summary to payload,
+/// the payload-inside-the-segment bound and `(seq, partial)`
+/// continuity — so the cleaner, roll-forward, the scrubber and `dumpfs`
+/// cannot disagree about where a chain ends. It does no I/O and never
+/// looks at payload bytes: the caller hands it the bytes starting at
+/// block [`offset`](Self::offset) of the segment (as many as it has;
+/// too few read as [`ChainEnd::Undecodable`]) and checks payload
+/// checksums itself.
+#[derive(Debug, Clone)]
+pub struct ChunkCursor {
+    base: BlockAddr,
+    seg_blocks: usize,
+    block_size: usize,
+    offset: usize,
+    /// The `(seq, partial)` the next chunk must carry. `None` before
+    /// the first chunk of a walk from block 0, which must have
+    /// `partial == 0` and fixes the chain's `seq`.
+    expect: Option<(u64, u32)>,
+}
+
+impl ChunkCursor {
+    /// A walk from block 0 of the segment whose first block is `base`.
+    pub fn new(base: BlockAddr, seg_blocks: usize, block_size: usize) -> Self {
+        Self {
+            base,
+            seg_blocks,
+            block_size,
+            offset: 0,
+            expect: None,
+        }
+    }
+
+    /// A walk resuming mid-segment at a checkpointed log position: the
+    /// next chunk is expected at block `offset` carrying exactly
+    /// `(seq, partial)`.
+    pub fn resume_at(
+        base: BlockAddr,
+        seg_blocks: usize,
+        block_size: usize,
+        offset: usize,
+        seq: u64,
+        partial: u32,
+    ) -> Self {
+        Self {
+            offset,
+            expect: Some((seq, partial)),
+            ..Self::new(base, seg_blocks, block_size)
+        }
+    }
+
+    /// In-segment block offset where the next chunk's summary is
+    /// expected — after the walk ends, the first block past the chain.
+    pub fn offset(&self) -> usize {
+        self.offset
+    }
+
+    /// Validates the chunk whose summary starts at `bytes` (the segment
+    /// contents from block [`offset`](Self::offset) on) and steps past
+    /// it. Yields the summary and the in-segment block offset of its
+    /// first payload block; the payload's `entries.len()` blocks are
+    /// guaranteed to lie inside the segment.
+    pub fn next_chunk(&mut self, bytes: &[u8]) -> Result<(ChunkSummary, usize), ChainEnd> {
+        // A chunk needs a summary block and room to describe something.
+        if self.offset + 1 >= self.seg_blocks {
+            return Err(ChainEnd::Ended);
+        }
+        let here = u32::try_from(self.offset)
+            .ok()
+            .and_then(|off| self.base.0.checked_add(off))
+            .ok_or(ChainEnd::Ended)?;
+        let chunk =
+            ChunkSummary::decode_at(bytes, BlockAddr(here)).map_err(|_| ChainEnd::Undecodable)?;
+        let linked = match self.expect {
+            None => chunk.partial == 0,
+            Some(expect) => (chunk.seq, chunk.partial) == expect,
+        };
+        if !linked {
+            return Err(ChainEnd::Ended);
+        }
+        let summary_blocks = (chunk.reserved_blocks as usize)
+            .max(ChunkSummary::summary_blocks(chunk.entries.len(), self.block_size));
+        let payload_start = self.offset.saturating_add(summary_blocks);
+        let payload_end = payload_start.saturating_add(chunk.entries.len());
+        if payload_end > self.seg_blocks {
+            return Err(ChainEnd::Ended);
+        }
+        self.offset = payload_end;
+        // A segment cannot hold 2^32 chunks, so the wrap is never a
+        // real successor; it only keeps a forged `partial` from
+        // overflowing.
+        self.expect = Some((chunk.seq, chunk.partial.wrapping_add(1)));
+        Ok((chunk, payload_start))
     }
 }
 
@@ -379,6 +493,59 @@ mod tests {
             ChunkSummary::decode_at(&bytes, BlockAddr(summary.addr.0 + 16)),
             Err(FsError::Corrupt("chunk summary at wrong address"))
         );
+    }
+
+    /// Encodes `summary` at block `at` of a 16-block, 512 B-block segment
+    /// image whose block 0 is disk block 320.
+    fn place(image: &mut [u8], at: usize, mut summary: ChunkSummary) {
+        summary.addr = BlockAddr(320 + at as u32);
+        let bytes = summary.encode(512);
+        image[at * 512..][..bytes.len()].copy_from_slice(&bytes);
+    }
+
+    #[test]
+    fn cursor_follows_one_incarnation_and_names_why_it_stopped() {
+        let mut image = vec![0u8; 16 * 512];
+        // Incarnation 42: a 4-entry chunk at block 0 (1 summary block),
+        // then partial 1 at block 5.
+        place(&mut image, 0, ChunkSummary { partial: 0, ..sample() });
+        place(&mut image, 5, ChunkSummary { partial: 1, ..sample() });
+        // What an earlier incarnation left behind at block 10.
+        place(&mut image, 10, ChunkSummary { seq: 41, partial: 2, ..sample() });
+
+        let mut cursor = ChunkCursor::new(BlockAddr(320), 16, 512);
+        let (first, payload) = cursor.next_chunk(&image).unwrap();
+        assert_eq!((first.partial, payload, cursor.offset()), (0, 1, 5));
+        let (second, payload) = cursor.next_chunk(&image[5 * 512..]).unwrap();
+        assert_eq!((second.partial, payload, cursor.offset()), (1, 6, 10));
+        assert_eq!(cursor.next_chunk(&image[10 * 512..]), Err(ChainEnd::Ended));
+
+        // Resuming at a checkpointed position accepts only that position.
+        let resume = |seq, partial| ChunkCursor::resume_at(BlockAddr(320), 16, 512, 5, seq, partial);
+        assert!(resume(42, 1).next_chunk(&image[5 * 512..]).is_ok());
+        assert_eq!(resume(42, 2).next_chunk(&image[5 * 512..]), Err(ChainEnd::Ended));
+        assert_eq!(resume(43, 1).next_chunk(&image[5 * 512..]), Err(ChainEnd::Ended));
+
+        // Bytes that are no chunk at all (or too few of them) say so.
+        let mut cursor = ChunkCursor::resume_at(BlockAddr(320), 16, 512, 12, 42, 2);
+        assert_eq!(cursor.next_chunk(&image[12 * 512..]), Err(ChainEnd::Undecodable));
+        assert_eq!(cursor.next_chunk(&image[..20]), Err(ChainEnd::Undecodable));
+        // A chunk whose payload would run off the segment is not a link.
+        place(&mut image, 12, ChunkSummary { partial: 2, ..sample() });
+        assert_eq!(cursor.next_chunk(&image[12 * 512..]), Err(ChainEnd::Ended));
+        assert_eq!(cursor.offset(), 12, "a refused chunk is not stepped over");
+    }
+
+    /// Found by `chunk_cursor_bounds_forged_headers`: the hand-written
+    /// walkers stepped `partial += 1`, which overflows (a debug-build
+    /// panic) on a checksum-valid chunk claiming the last partial.
+    #[test]
+    fn cursor_steps_past_a_forged_last_partial() {
+        let mut image = vec![0u8; 16 * 512];
+        place(&mut image, 0, ChunkSummary { partial: u32::MAX, ..sample() });
+        let mut cursor = ChunkCursor::resume_at(BlockAddr(320), 16, 512, 0, 42, u32::MAX);
+        assert!(cursor.next_chunk(&image).is_ok());
+        assert_eq!(cursor.next_chunk(&image[5 * 512..]), Err(ChainEnd::Undecodable));
     }
 
     #[test]

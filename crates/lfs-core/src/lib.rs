@@ -18,7 +18,7 @@
 //! | §4.2 inodes & indirect blocks | [`layout::inode`], [`fs`] |
 //! | §4.3.1 segment summary blocks | [`layout::summary`] |
 //! | §4.3.2–4.3.4 segment cleaning | [`cleaner`], [`usage`] |
-//! | §4.3.5 segment write timing | [`block_cache::WritebackPolicy`] + [`fs`] |
+//! | §4.3.5 segment write timing | [`mem_mgr::WritebackPolicy`] + [`fs`] |
 //! | §4.4 checkpoints & crash recovery | [`checkpoint`], [`recovery`] |
 //!
 //! # Quick start
@@ -67,4 +67,4 @@ pub use stats::LfsStats;
 pub use types::{BlockAddr, SegNo};
 
 // Re-export the cache crate under the name used in module docs.
-pub use block_cache;
+pub use mem_mgr;

@@ -7,12 +7,12 @@
 //! implemented here:
 //!
 //! 1. Starting at the checkpointed log position, walk the chunk chain:
-//!    within a segment chunks are validated by `(seq, partial)` continuity,
-//!    the self-address stamped in the (CRC-covered) header — so a displaced
-//!    byte-exact copy of a valid chunk can never be applied — and a CRC
-//!    over their payload (torn writes stop the walk); across segments, the
-//!    successor is the segment whose first chunk carries the next sequence
-//!    number at the right address.
+//!    within a segment [`ChunkCursor`] validates chunks by `(seq, partial)`
+//!    continuity and the self-address stamped in the (CRC-covered) header —
+//!    so a displaced byte-exact copy of a valid chunk can never be applied —
+//!    and this module adds a CRC over their payload (torn writes stop the
+//!    walk); across segments, the successor is the segment whose first
+//!    chunk carries the next sequence number at the right address.
 //! 2. Re-apply metadata: inode blocks found in the tail update the inode
 //!    map (data blocks need no action — the inodes written in the same
 //!    flush point at them); newer inode-map blocks are reloaded wholesale.
@@ -55,7 +55,7 @@ use vfs::{FileKind, FsError, FsResult, Ino};
 use crate::fs::Lfs;
 use crate::layout::imap_block::ImapEntry;
 use crate::layout::inode::inode_block;
-use crate::layout::summary::{self, BlockKind, ChunkSummary};
+use crate::layout::summary::{self, BlockKind, ChunkCursor, ChunkSummary};
 use crate::layout::usage_block::SegState;
 use crate::log::LogPosition;
 use crate::types::{BlockAddr, SegNo, INODE_SIZE};
@@ -70,68 +70,6 @@ pub(crate) fn effective_fanout<D: BlockDevice>(fs: &Lfs<D>) -> usize {
     }
 }
 
-/// One segment's scan result: the validated chunks in log order (each
-/// paired with the absolute in-segment block offset of its first
-/// payload block) and whether the walk ended on a torn payload.
-struct SegmentScan {
-    chunks: Vec<(ChunkSummary, u32)>,
-    torn: bool,
-}
-
-/// Walks the chunk chain inside one segment image, validating but not
-/// applying. `image` covers blocks `[image_base, seg_blocks)` of the
-/// segment at `base`; the first chunk is expected at `image_base` with
-/// `(seq, first_partial)`. Shared by the sequential scan and the
-/// parallel merge, so both validate chunks with literally the same
-/// code.
-fn scan_segment(
-    image: &[u8],
-    image_base: usize,
-    base: BlockAddr,
-    seg_blocks: usize,
-    bs: usize,
-    seq: u64,
-    first_partial: u32,
-) -> SegmentScan {
-    let mut chunks = Vec::new();
-    let mut offset_abs = image_base;
-    let mut partial = first_partial;
-    let mut torn = false;
-    while offset_abs + 1 < seg_blocks {
-        let offset = offset_abs - image_base;
-        // `decode_at` also pins the chunk to this exact address: a
-        // byte-exact copy of some other (valid, CRC-clean) chunk
-        // landing here — e.g. XOR-forged while reconstructing a
-        // parity row a crash tore — must read as end-of-log, not as
-        // applicable history.
-        let here = BlockAddr(base.0 + offset_abs as u32);
-        let Ok(chunk) = ChunkSummary::decode_at(&image[offset * bs..], here) else {
-            break;
-        };
-        if chunk.seq != seq || chunk.partial != partial {
-            break;
-        }
-        let s = (chunk.reserved_blocks as usize)
-            .max(ChunkSummary::summary_blocks(chunk.entries.len(), bs));
-        let payload_start = offset + s;
-        let payload_end = payload_start + chunk.entries.len();
-        if image_base + payload_end > seg_blocks {
-            break;
-        }
-        let payload = &image[payload_start * bs..payload_end * bs];
-        if summary::data_checksum(payload) != chunk.data_crc {
-            // Torn write: the log ends here.
-            torn = true;
-            break;
-        }
-        let payload_abs = (image_base + payload_start) as u32;
-        offset_abs = image_base + payload_end;
-        partial += 1;
-        chunks.push((chunk, payload_abs));
-    }
-    SegmentScan { chunks, torn }
-}
-
 // The windowed async read helper lives in `sim-disk` so the FFS
 // baseline's fanned-out fsck scan can share it.
 pub(crate) use sim_disk::read_batch;
@@ -141,27 +79,38 @@ pub(crate) use sim_disk::read_batch;
 /// held, not raised — the merge surfaces one only when it walks into
 /// the segment that failed, which is the only time the sequential scan
 /// would have issued the read at all.
+///
+/// The sequential scan (fan-out 1) is the *empty* prefetch: nothing was
+/// gathered, so every image and header the merge asks for is read
+/// synchronously at the moment it is needed.
+#[derive(Default)]
 struct TailPrefetch {
     headers: HashMap<SegNo, DiskResult<Vec<u8>>>,
     images: HashMap<SegNo, DiskResult<Vec<u8>>>,
     /// Async reads issued by the gather (for `recovery.parallel_reads`).
     overlapped: u64,
+    /// Spindles that served prefetched segments the merge actually
+    /// consumed (the non-vacuity signal for the equivalence tests).
+    partitions: HashSet<usize>,
 }
 
 impl TailPrefetch {
-    /// The tail image of `seg` (headerless segments were never
-    /// prefetched; the merge cannot ask for one, but fall back to the
-    /// synchronous read rather than trusting that invariant with data).
+    /// Blocks `[offset, seg_blocks)` of `seg` in one sequential
+    /// transfer (for the checkpointed segment this skips everything the
+    /// checkpoint already covers): the gathered image when there is
+    /// one, the synchronous read otherwise.
     fn image<D: BlockDevice>(&mut self, fs: &mut Lfs<D>, seg: SegNo, offset: u32) -> FsResult<Vec<u8>> {
+        let sector = fs.sector_of(fs.sb.seg_block(seg, offset));
         match self.images.remove(&seg) {
-            Some(res) => Ok(res?),
+            Some(res) => {
+                self.partitions.insert(fs.dev.spindle_of(sector));
+                Ok(res?)
+            }
             None => {
-                let bs = fs.block_size();
                 let seg_blocks = fs.superblock().seg_blocks as usize;
-                let start = fs.sb.seg_block(seg, offset);
-                let mut image = vec![0u8; (seg_blocks - offset as usize) * bs];
+                let mut image = vec![0u8; (seg_blocks - offset as usize) * fs.block_size()];
                 fs.dev.annotate("rollforward-read");
-                fs.dev.read(fs.sector_of(start), &mut image)?;
+                fs.dev.read(sector, &mut image)?;
                 Ok(image)
             }
         }
@@ -181,6 +130,9 @@ impl TailPrefetch {
 /// tail segment, all through the async read facade under the
 /// maintenance I/O class with at most `window` requests in flight.
 fn prefetch_tail<D: BlockDevice>(fs: &mut Lfs<D>, window: usize) -> TailPrefetch {
+    if window <= 1 {
+        return TailPrefetch::default();
+    }
     let bs = fs.block_size();
     let seg_blocks = fs.superblock().seg_blocks as usize;
     let nsegments = fs.sb.nsegments;
@@ -253,83 +205,63 @@ fn prefetch_tail<D: BlockDevice>(fs: &mut Lfs<D>, window: usize) -> TailPrefetch
         headers,
         images,
         overlapped: sweep_overlapped + tail_overlapped,
+        partitions: HashSet::new(),
     }
 }
-
 
 /// Runs roll-forward recovery on a freshly checkpoint-mounted file system.
 pub(crate) fn roll_forward<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
     let bs = fs.block_size();
     let seg_blocks = fs.superblock().seg_blocks as usize;
     let fanout = effective_fanout(fs);
-    let mut prefetch = if fanout > 1 {
-        Some(prefetch_tail(fs, fanout))
-    } else {
-        None
-    };
+    let mut prefetch = prefetch_tail(fs, fanout);
     let mut pos = fs.pos;
     let mut applied = 0u64;
     let mut recovered_inodes = 0u64;
-    // Spindles that served segments the merge actually consumed (the
-    // non-vacuity signal for the equivalence tests).
-    let mut partitions: HashSet<usize> = HashSet::new();
     // Segments touched by the recovered tail (must not be reused before
     // the post-recovery checkpoint).
     let mut tail_segments: Vec<SegNo> = Vec::new();
 
     'segments: loop {
-        // Read the unconsumed tail of the current segment in one
-        // sequential transfer (for the checkpointed segment this skips
-        // everything the checkpoint already covers). The parallel path
-        // claims the same bytes from the gather phase's prefetch.
         let image_base = pos.offset as usize;
         if image_base + 1 >= seg_blocks {
             break;
         }
-        let start = fs.sb.seg_block(pos.seg, pos.offset);
         let base = fs.sb.seg_block(pos.seg, 0);
-        let image = match prefetch.as_mut() {
-            Some(p) => {
-                partitions.insert(fs.dev.spindle_of(fs.sector_of(start)));
-                p.image(fs, pos.seg, pos.offset)?
-            }
-            None => {
-                let mut image = vec![0u8; (seg_blocks - image_base) * bs];
-                fs.dev.annotate("rollforward-read");
-                fs.dev.read(fs.sector_of(start), &mut image)?;
-                image
-            }
-        };
+        let image = prefetch.image(fs, pos.seg, pos.offset)?;
 
-        // Walk chunks from the current offset. A sealing chunk's
-        // `next_seg` link tells us where the log continues (§4.3.1's
-        // linked list of segments), so recovery only reads the tail.
-        let scan = scan_segment(&image, image_base, base, seg_blocks, bs, pos.seq, pos.partial);
+        // Walk chunks from the current offset, applying each in log
+        // order. A sealing chunk's `next_seg` link tells us where the
+        // log continues (§4.3.1's linked list of segments), so recovery
+        // only reads the tail.
+        let mut cursor =
+            ChunkCursor::resume_at(base, seg_blocks, bs, image_base, pos.seq, pos.partial);
         let mut next_seg = SegNo::NIL;
-        for (chunk, payload_abs) in &scan.chunks {
-            let off = (*payload_abs as usize - image_base) * bs;
+        while let Ok((chunk, payload_start)) =
+            cursor.next_chunk(&image[(cursor.offset() - image_base) * bs..])
+        {
+            let off = (payload_start - image_base) * bs;
             let payload = &image[off..off + chunk.entries.len() * bs];
-            apply_chunk(fs, chunk, base, *payload_abs, payload, &mut recovered_inodes)?;
+            if summary::data_checksum(payload) != chunk.data_crc {
+                // Torn write: the log ends here.
+                break 'segments;
+            }
+            let payload_start = payload_start as u32;
+            apply_chunk(fs, &chunk, base, payload_start, payload, &mut recovered_inodes)?;
             if tail_segments.last() != Some(&pos.seg) {
                 tail_segments.push(pos.seg);
             }
-            pos.offset = *payload_abs + chunk.entries.len() as u32;
-            pos.partial += 1;
+            pos.offset = payload_start + chunk.entries.len() as u32;
+            pos.partial = chunk.partial.wrapping_add(1);
             applied += 1;
             next_seg = chunk.next_seg;
-        }
-        if scan.torn {
-            break 'segments;
         }
 
         // Follow the chain link. A valid successor's first chunk must
         // carry the next sequence number.
         if next_seg.is_some() && next_seg.0 < fs.sb.nsegments && next_seg != pos.seg {
             let first = fs.sb.seg_block(next_seg, 0);
-            let header = match prefetch.as_mut() {
-                Some(p) => p.header(fs, next_seg)?,
-                None => fs.read_block_raw(first)?,
-            };
+            let header = prefetch.header(fs, next_seg)?;
             if let Ok(head) = ChunkSummary::decode_header_prefix(&header) {
                 if head.addr == first && head.seq == pos.seq + 1 && head.partial == 0 {
                     pos = LogPosition {
@@ -345,10 +277,8 @@ pub(crate) fn roll_forward<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
         break;
     }
 
-    if let Some(p) = &prefetch {
-        fs.obs.recovery_partitions.add(partitions.len() as u64);
-        fs.obs.recovery_parallel_reads.add(p.overlapped);
-    }
+    fs.obs.recovery_partitions.add(prefetch.partitions.len() as u64);
+    fs.obs.recovery_parallel_reads.add(prefetch.overlapped);
 
     // The registry is fresh at mount, so the counters start at zero and
     // `add` records exactly this recovery's work.

@@ -18,12 +18,12 @@
 //!
 //! `lfs-tools verify` runs exactly this pass against an offline image.
 
-use block_cache::BlockKey;
 use sim_disk::BlockDevice;
 use vfs::{FsError, FsResult, Ino};
 
-use crate::fs::{idx_dchild, Lfs, IDX_DTOP, IDX_SINGLE};
-use crate::layout::summary::{self, BlockKind, ChunkSummary};
+use crate::cleaner::file_block_key;
+use crate::fs::Lfs;
+use crate::layout::summary::{self, BlockKind, ChainEnd, ChunkCursor};
 use crate::layout::usage_block::SegState;
 use crate::types::{BlockAddr, SegNo};
 
@@ -167,48 +167,28 @@ impl<D: BlockDevice> Lfs<D> {
                 .collect(),
         };
 
-        let mut offset = 0usize;
-        let mut expected_seq: Option<u64> = None;
-        let mut expected_partial = 0u32;
-        while offset + 1 < seg_blocks {
+        let mut cursor = ChunkCursor::new(base, seg_blocks, bs);
+        loop {
             // Reassemble the summary area from consecutive readable
             // blocks; the decoder takes only what it needs.
             let mut buf: Vec<u8> = Vec::new();
-            let mut cursor = offset;
-            while cursor < seg_blocks {
-                let Some(data) = blocks[cursor].as_ref() else { break };
+            let mut readable = cursor.offset();
+            while readable < seg_blocks {
+                let Some(data) = blocks[readable].as_ref() else { break };
                 buf.extend_from_slice(data);
-                cursor += 1;
+                readable += 1;
             }
-            let truncated = cursor < seg_blocks && blocks[cursor].is_none();
-            let here = BlockAddr(base.0 + offset as u32);
-            let Ok(chunk) = ChunkSummary::decode_at(&buf, here) else {
-                if truncated {
-                    // The summary area itself is unreadable: the rest of
-                    // this segment's chain cannot even be enumerated.
-                    report.unreadable_chunks += 1;
+            let (chunk, payload_start) = match cursor.next_chunk(&buf) {
+                Ok(next) => next,
+                Err(end) => {
+                    if end == ChainEnd::Undecodable && readable < seg_blocks {
+                        // The summary area itself is unreadable: the rest of
+                        // this segment's chain cannot even be enumerated.
+                        report.unreadable_chunks += 1;
+                    }
+                    break;
                 }
-                break;
             };
-            match expected_seq {
-                None => {
-                    if chunk.partial != 0 {
-                        break;
-                    }
-                    expected_seq = Some(chunk.seq);
-                }
-                Some(seq) => {
-                    if chunk.seq != seq || chunk.partial != expected_partial {
-                        break;
-                    }
-                }
-            }
-            let s = (chunk.reserved_blocks as usize)
-                .max(ChunkSummary::summary_blocks(chunk.entries.len(), bs));
-            let payload_start = offset + s;
-            if payload_start + chunk.entries.len() > seg_blocks {
-                break;
-            }
             for (i, entry) in chunk.entries.iter().enumerate() {
                 let block_off = payload_start + i;
                 let addr = BlockAddr(base.0 + block_off as u32);
@@ -233,8 +213,6 @@ impl<D: BlockDevice> Lfs<D> {
                 );
                 self.scrub_recover(entry.kind, addr, report)?;
             }
-            offset = payload_start + chunk.entries.len();
-            expected_partial += 1;
         }
         Ok(())
     }
@@ -256,23 +234,8 @@ impl<D: BlockDevice> Lfs<D> {
     /// live for this pass; the damaged parent surfaces separately.
     fn scrub_is_live(&mut self, kind: BlockKind, version: u32, addr: BlockAddr) -> FsResult<bool> {
         match kind {
-            BlockKind::Data { ino, bno } => {
-                let Ok(entry) = self.imap.get(ino) else {
-                    return Ok(false);
-                };
-                if !entry.allocated || entry.version != version {
-                    return Ok(false);
-                }
-                if self.cache.is_dirty(BlockKey::file(ino, bno as u64)) {
-                    return Ok(false); // A newer copy is pending.
-                }
-                match self.map_block(ino, bno as u64) {
-                    Ok(current) => Ok(current == addr),
-                    Err(FsError::Io(_)) | Err(FsError::Corruption { .. }) => Ok(false),
-                    Err(e) => Err(e),
-                }
-            }
-            BlockKind::IndSingle { ino }
+            BlockKind::Data { ino, .. }
+            | BlockKind::IndSingle { ino }
             | BlockKind::IndDoubleTop { ino }
             | BlockKind::IndDoubleChild { ino, .. } => {
                 let Ok(entry) = self.imap.get(ino) else {
@@ -281,39 +244,14 @@ impl<D: BlockDevice> Lfs<D> {
                 if !entry.allocated || entry.version != version {
                     return Ok(false);
                 }
-                let idx = match kind {
-                    BlockKind::IndSingle { .. } => IDX_SINGLE,
-                    BlockKind::IndDoubleTop { .. } => IDX_DTOP,
-                    BlockKind::IndDoubleChild { outer, .. } => idx_dchild(outer),
-                    _ => unreachable!(),
-                };
-                if self.cache.is_dirty(BlockKey::file(ino, idx)) {
-                    return Ok(false);
+                if self.cache.is_dirty(file_block_key(kind).expect("a file block kind")) {
+                    return Ok(false); // A newer copy is pending.
                 }
-                let inode = match self.inode(ino) {
-                    Ok(inode) => inode,
-                    Err(FsError::Io(_)) | Err(FsError::Corruption { .. }) => return Ok(false),
-                    Err(e) => return Err(e),
-                };
-                let current = match kind {
-                    BlockKind::IndSingle { .. } => inode.single,
-                    BlockKind::IndDoubleTop { .. } => inode.double,
-                    BlockKind::IndDoubleChild { outer, .. } => {
-                        if inode.double.is_nil() {
-                            BlockAddr::NIL
-                        } else {
-                            match self.indirect_child_addr(ino, inode.double, outer) {
-                                Ok(current) => current,
-                                Err(FsError::Io(_)) | Err(FsError::Corruption { .. }) => {
-                                    return Ok(false)
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                    }
-                    _ => unreachable!(),
-                };
-                Ok(current == addr)
+                match self.current_file_block_addr(kind) {
+                    Ok(current) => Ok(current == addr),
+                    Err(FsError::Io(_)) | Err(FsError::Corruption { .. }) => Ok(false),
+                    Err(e) => Err(e),
+                }
             }
             BlockKind::InodeBlock => {
                 let residents: Vec<Ino> = self.imap.allocated_inos().collect();
@@ -342,28 +280,14 @@ impl<D: BlockDevice> Lfs<D> {
     ) -> FsResult<()> {
         let now = self.now();
         match kind {
-            BlockKind::Data { ino, bno } => {
-                let key = BlockKey::file(ino, bno as u64);
+            BlockKind::Data { .. }
+            | BlockKind::IndSingle { .. }
+            | BlockKind::IndDoubleTop { .. }
+            | BlockKind::IndDoubleChild { .. } => {
+                let key = file_block_key(kind).expect("a file block kind");
                 if self.cache.contains(key) {
                     // Re-dirty the cached copy: the next flush rewrites
                     // it at the log head and retires this address.
-                    self.cache.get_mut(key, now);
-                    report.relocated += 1;
-                } else {
-                    report.unrecoverable += 1;
-                }
-            }
-            BlockKind::IndSingle { ino }
-            | BlockKind::IndDoubleTop { ino }
-            | BlockKind::IndDoubleChild { ino, .. } => {
-                let idx = match kind {
-                    BlockKind::IndSingle { .. } => IDX_SINGLE,
-                    BlockKind::IndDoubleTop { .. } => IDX_DTOP,
-                    BlockKind::IndDoubleChild { outer, .. } => idx_dchild(outer),
-                    _ => unreachable!(),
-                };
-                let key = BlockKey::file(ino, idx);
-                if self.cache.contains(key) {
                     self.cache.get_mut(key, now);
                     report.relocated += 1;
                 } else {

@@ -7,9 +7,11 @@ use proptest::prelude::*;
 use lfs_core::layout::checkpoint::CheckpointRegion;
 use lfs_core::layout::imap_block::{self, ImapEntry};
 use lfs_core::layout::inode::{inode_block, Inode};
-use lfs_core::layout::summary::{BlockKind, ChunkSummary, SummaryEntry};
+use lfs_core::layout::summary::{BlockKind, ChunkCursor, ChunkSummary, SummaryEntry, HEADER_SIZE};
 use lfs_core::layout::usage_block::{self, SegState, UsageEntry};
-use lfs_core::types::{BlockAddr, SegNo};
+use lfs_core::log::ChunkBuilder;
+use lfs_core::types::{BlockAddr, SegNo, SUMMARY_ENTRY_SIZE};
+use lfs_core::util::crc32_update;
 use vfs::{FileKind, Ino};
 
 fn addr_strategy() -> impl Strategy<Value = BlockAddr> {
@@ -65,7 +67,148 @@ fn kind_strategy() -> impl Strategy<Value = BlockKind> {
     ]
 }
 
+/// Chunk-chain geometry for the cursor properties: 32 blocks of 512 B.
+const BS: usize = 512;
+const SEG_BLOCKS: usize = 32;
+
+/// Drives `cursor` over `image` (the segment's bytes from block
+/// `image_base` on; it may be short) the way every caller does, and
+/// checks the totality contract: it ends within `SEG_BLOCKS` steps and
+/// every yielded chunk's summary and payload lie inside the segment.
+/// Returns `(chunk offset, summary)` per chunk.
+fn walk(
+    mut cursor: ChunkCursor,
+    image: &[u8],
+    image_base: usize,
+) -> Result<Vec<(usize, ChunkSummary)>, TestCaseError> {
+    let mut chunks = Vec::new();
+    loop {
+        let at = cursor.offset();
+        let from = (at.saturating_sub(image_base) * BS).min(image.len());
+        let Ok((chunk, payload_start)) = cursor.next_chunk(&image[from..]) else {
+            break;
+        };
+        prop_assert!(at < payload_start, "a chunk occupies at least its summary block");
+        prop_assert!(payload_start + chunk.entries.len() <= SEG_BLOCKS);
+        prop_assert_eq!(cursor.offset(), payload_start + chunk.entries.len());
+        chunks.push((at, chunk));
+        prop_assert!(chunks.len() <= SEG_BLOCKS, "the walk must terminate");
+    }
+    Ok(chunks)
+}
+
+/// A segment image written by the real chunk writer: chunks of the
+/// given payload sizes back to back from block 0, as many as fit.
+fn real_segment(base: u32, seq: u64, sizes: &[usize]) -> (Vec<u8>, Vec<(usize, usize)>) {
+    let mut image = vec![0u8; SEG_BLOCKS * BS];
+    let mut built = Vec::new();
+    let mut offset = 0usize;
+    for (partial, &blocks) in sizes.iter().enumerate() {
+        let Some(mut builder) = ChunkBuilder::new(
+            SegNo(0),
+            BlockAddr(base),
+            offset as u32,
+            SEG_BLOCKS - offset,
+            BS,
+        ) else {
+            break;
+        };
+        for bno in 0..blocks.min(builder.remaining()) {
+            let fill = (offset + bno) as u8;
+            builder.add(BlockKind::Data { ino: Ino(7), bno: bno as u32 }, 1, &[fill; BS]);
+        }
+        let chunk = builder.finish(seq, partial as u32, 0, SegNo::NIL);
+        image[offset * BS..][..chunk.bytes.len()].copy_from_slice(&chunk.bytes);
+        built.push((offset, chunk.payload_blocks as usize));
+        offset += chunk.blocks_used as usize;
+    }
+    (image, built)
+}
+
+/// A summary whose checksum is valid but whose header claims an
+/// arbitrary `reserved_blocks` — what a forger (or an XOR-reconstructed
+/// parity row) could leave, and the only way past the CRC to the
+/// cursor's arithmetic.
+fn forged_summary(summary: &ChunkSummary, reserved_blocks: u32) -> Vec<u8> {
+    let mut bytes = summary.encode(BS);
+    bytes[40..44].copy_from_slice(&reserved_blocks.to_le_bytes());
+    let body = HEADER_SIZE..HEADER_SIZE + summary.entries.len() * SUMMARY_ENTRY_SIZE;
+    let crc = crc32_update(crc32_update(0xFFFF_FFFF, &bytes[..44]), &bytes[body]) ^ 0xFFFF_FFFF;
+    bytes[44..48].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
 proptest! {
+    #[test]
+    fn chunk_cursor_is_total_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..SEG_BLOCKS * BS),
+        base in any::<u32>(),
+        resume in proptest::option::of((0usize..SEG_BLOCKS + 2, any::<u64>(), any::<u32>())),
+    ) {
+        let (cursor, image_base) = match resume {
+            None => (ChunkCursor::new(BlockAddr(base), SEG_BLOCKS, BS), 0),
+            Some((offset, seq, partial)) => (
+                ChunkCursor::resume_at(BlockAddr(base), SEG_BLOCKS, BS, offset, seq, partial),
+                offset,
+            ),
+        };
+        walk(cursor, &bytes, image_base)?;
+    }
+
+    #[test]
+    fn chunk_cursor_reads_real_segments_and_survives_bit_flips(
+        base in 0u32..u32::MAX - SEG_BLOCKS as u32,
+        seq in any::<u64>(),
+        sizes in proptest::collection::vec(0usize..7, 1..10),
+        flips in proptest::collection::vec(0usize..SEG_BLOCKS * BS * 8, 1..4),
+    ) {
+        let (mut image, built) = real_segment(base, seq, &sizes);
+        let fresh = || ChunkCursor::new(BlockAddr(base), SEG_BLOCKS, BS);
+        let intact = walk(fresh(), &image, 0)?;
+        let seen: Vec<(usize, usize)> =
+            intact.iter().map(|(at, chunk)| (*at, chunk.entries.len())).collect();
+        prop_assert_eq!(&seen, &built, "the cursor reads back what the writer wrote");
+
+        for bit in flips {
+            image[bit / 8] ^= 1 << (bit % 8);
+        }
+        // Damage can only shorten the chain: whatever is still yielded
+        // is an untouched prefix of the original.
+        let damaged = walk(fresh(), &image, 0)?;
+        prop_assert!(damaged.len() <= intact.len());
+        prop_assert_eq!(&damaged[..], &intact[..damaged.len()]);
+    }
+
+    #[test]
+    fn chunk_cursor_bounds_forged_headers(
+        base in any::<u32>(),
+        at in 0usize..SEG_BLOCKS,
+        seq in any::<u64>(),
+        partial in prop_oneof![Just(u32::MAX), any::<u32>()],
+        reserved in prop_oneof![Just(u32::MAX), Just(0u32), 0u32..40],
+        nentries in 0usize..40,
+    ) {
+        let summary = ChunkSummary {
+            addr: BlockAddr(base.wrapping_add(at as u32)),
+            seq,
+            partial,
+            timestamp_ns: 0,
+            next_seg: SegNo::NIL,
+            data_crc: 0,
+            reserved_blocks: 1,
+            entries: vec![
+                SummaryEntry { kind: BlockKind::InodeBlock, version: 0, crc: 0 };
+                nentries
+            ],
+        };
+        let forged = forged_summary(&summary, reserved);
+        let mut image = vec![0u8; SEG_BLOCKS * BS];
+        let room = (image.len() - at * BS).min(forged.len());
+        image[at * BS..][..room].copy_from_slice(&forged[..room]);
+        let cursor = ChunkCursor::resume_at(BlockAddr(base), SEG_BLOCKS, BS, at, seq, partial);
+        walk(cursor, &image, 0)?;
+    }
+
     #[test]
     fn inode_round_trips(inode in inode_strategy()) {
         let bytes = inode.encode();

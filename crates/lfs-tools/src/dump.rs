@@ -1,8 +1,9 @@
 //! Human-readable dumps of LFS on-disk structures (`dumpfs`).
 
 use lfs_core::layout::checkpoint::CheckpointRegion;
-use lfs_core::layout::summary::{BlockKind, ChunkSummary};
+use lfs_core::layout::summary::{BlockKind, ChunkCursor};
 use lfs_core::layout::superblock::Superblock;
+use lfs_core::types::BlockAddr;
 use sim_disk::BlockDevice;
 use vfs::{FsError, FsResult};
 
@@ -68,29 +69,16 @@ pub fn dump(
         let base = sb.seg_start.0 + seg * sb.seg_blocks;
         let mut image = vec![0u8; sb.seg_blocks as usize * bs];
         disk.read(base as u64 * spb, &mut image)?;
-        let mut offset = 0usize;
+        let mut cursor = ChunkCursor::new(BlockAddr(base), sb.seg_blocks as usize, bs);
         let mut chunks = Vec::new();
-        let mut expected: Option<(u64, u32)> = None;
-        while offset + 1 < sb.seg_blocks as usize {
-            let here = lfs_core::types::BlockAddr(base + offset as u32);
-            let Ok(chunk) = ChunkSummary::decode_at(&image[offset * bs..], here) else {
+        loop {
+            let at = cursor.offset();
+            let Ok((chunk, _)) = cursor.next_chunk(&image[at * bs..]) else {
                 break;
             };
-            match expected {
-                None if chunk.partial != 0 => break,
-                Some((seq, partial)) if chunk.seq != seq || chunk.partial != partial => break,
-                _ => {}
-            }
-            let s = (chunk.reserved_blocks as usize)
-                .max(ChunkSummary::summary_blocks(chunk.entries.len(), bs));
-            let next = offset + s + chunk.entries.len();
-            if next > sb.seg_blocks as usize {
-                break;
-            }
-            expected = Some((chunk.seq, chunk.partial + 1));
-            chunks.push((offset, chunk));
-            offset = next;
+            chunks.push((at, chunk));
         }
+        let offset = cursor.offset();
         if chunks.is_empty() {
             continue;
         }

@@ -1,12 +1,12 @@
 //! Memory-manager configuration.
 
-use block_cache::WritebackPolicy;
+use crate::policy::WritebackPolicy;
 
 /// Which replacement policy the manager runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
-    /// Legacy behaviour: one shared LRU over clean and dirty blocks,
-    /// decision-exact with the original `block-cache` implementation.
+    /// One shared LRU over clean and dirty blocks: the paper's single
+    /// file cache, and what every paper-figure benchmark runs on.
     #[default]
     SharedLru,
     /// Split write buffer / 2Q read cache with the adaptive boundary.
@@ -38,7 +38,7 @@ impl CachePolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushCause {
     /// The dirty pool reached the write-buffer boundary
-    /// ([`WritebackTrigger::CacheFull`](block_cache::WritebackTrigger)).
+    /// ([`WritebackTrigger::CacheFull`](crate::WritebackTrigger)).
     CachePressure,
     /// The oldest dirty block exceeded the age threshold.
     AgeThreshold,
@@ -66,7 +66,7 @@ pub struct MemConfig {
 }
 
 impl MemConfig {
-    /// Legacy shared-LRU configuration.
+    /// Shared-LRU configuration.
     pub fn shared(writeback: WritebackPolicy) -> Self {
         Self {
             policy: CachePolicy::SharedLru,

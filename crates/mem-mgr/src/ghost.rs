@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use block_cache::BlockKey;
+use crate::key::BlockKey;
 
 #[derive(Debug)]
 pub(crate) struct GhostList {

@@ -2,11 +2,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use block_cache::{BlockKey, CacheStats, Owner, WritebackPolicy, WritebackTrigger};
-
 use crate::config::{CachePolicy, FlushCause, MemConfig};
 use crate::ghost::GhostList;
-use crate::report::{CacheReport, ClientUsage};
+use crate::key::{BlockKey, Owner};
+use crate::policy::{WritebackPolicy, WritebackTrigger};
+use crate::report::{CacheReport, CacheStats, ClientUsage};
 
 /// Sentinel index terminating the intrusive lists.
 const NIL: u32 = u32::MAX;
@@ -16,7 +16,7 @@ const TUNE_WINDOW: u32 = 4;
 
 /// Which pool a resident block lives in. Under [`CachePolicy::SharedLru`]
 /// every block (clean or dirty) lives on the `Protected` list, which then
-/// acts as the single legacy LRU.
+/// acts as the single LRU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pool {
     Write,
@@ -183,9 +183,12 @@ impl ClientObs {
 
 /// The split write-buffer / read-cache memory manager.
 ///
-/// See the crate docs for the design. The public surface is a strict
-/// superset of the legacy `block_cache::BlockCache`, so the file systems
-/// swap in behind the same `BlockKey`/`Owner` seams.
+/// See the crate docs for the design. The manager never does I/O
+/// itself: the owning file system reads misses from disk and decides
+/// when (and in what layout) dirty blocks are written back. Dirty blocks
+/// are never evicted — the capacity bound is enforced against *clean*
+/// blocks, and [`MemMgr::writeback_trigger`] tells the file system when
+/// dirtiness itself demands action.
 #[derive(Debug)]
 pub struct MemMgr {
     map: HashMap<BlockKey, u32>,
@@ -195,7 +198,7 @@ pub struct MemMgr {
     write_list: List,
     /// First-touch clean blocks (adaptive); unused under shared LRU.
     probation: List,
-    /// Re-referenced clean blocks (adaptive); the single legacy LRU list
+    /// Re-referenced clean blocks (adaptive); the single LRU list
     /// (clean *and* dirty) under shared LRU.
     protected: List,
     block_size: usize,
@@ -203,9 +206,9 @@ pub struct MemMgr {
     config: MemConfig,
     stats: CacheStats,
     /// Minimum `dirty_since_ns` over all dirty blocks (u64::MAX when
-    /// none). Reset only when the dirty count hits zero — same
-    /// conservative rule as the legacy cache, so the age trigger can fire
-    /// early but never late.
+    /// none). Reset only when the dirty count hits zero — a
+    /// conservative rule, so the age trigger can fire early but never
+    /// late.
     oldest_dirty_ns: u64,
     dirty_count: usize,
     ghost: GhostList,
@@ -214,7 +217,7 @@ pub struct MemMgr {
     boundary_moves: u64,
     flush_eff_millis: u64,
     /// The boundary: dirty blocks at/above this trigger a flush. Under
-    /// shared LRU this is the fixed legacy high-water mark.
+    /// shared LRU this is the fixed dirty high-water mark.
     write_target: usize,
     min_write: usize,
     max_write: usize,
@@ -706,9 +709,9 @@ impl MemMgr {
 
     // ---- inserts -------------------------------------------------------
 
-    /// Shared-LRU eviction, decision-exact with the legacy cache: evict
-    /// least-recently-used *clean* blocks while at capacity; if everything
-    /// is dirty, overflow (the CacheFull trigger tells the FS to flush).
+    /// Shared-LRU eviction: evict least-recently-used *clean* blocks
+    /// while at capacity; if everything is dirty, overflow (the CacheFull
+    /// trigger tells the FS to flush).
     fn shared_evict_for_insert(&mut self) {
         while self.map.len() >= self.capacity_blocks {
             match self.shared_victim() {
@@ -1268,7 +1271,7 @@ mod tests {
     }
 
     #[test]
-    fn writeback_age_trigger_matches_legacy() {
+    fn writeback_triggers_on_age_until_the_dirty_block_leaves() {
         let mut c = MemMgr::new(
             BS,
             100,

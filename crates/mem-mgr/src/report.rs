@@ -1,8 +1,17 @@
 //! Point-in-time cache reports for tools and benches.
 
-use block_cache::CacheStats;
-
 use crate::config::CachePolicy;
+
+/// Aggregate cache counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups that found the block cached.
+    pub hits: u64,
+    /// Lookups that missed.
+    pub misses: u64,
+    /// Clean blocks evicted to make room.
+    pub evictions: u64,
+}
 
 /// Per-client working-set accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -37,7 +46,7 @@ pub struct CacheReport {
     /// Total memory budget in blocks.
     pub capacity_blocks: usize,
     /// Write-buffer boundary: dirty blocks at/above this trigger a flush.
-    /// Under shared LRU this is the legacy dirty high-water mark.
+    /// Under shared LRU this is the fixed dirty high-water mark.
     pub write_target_blocks: usize,
     /// Read-pool budget (capacity minus boundary; the whole capacity
     /// under shared LRU, where clean blocks are only bounded by total).

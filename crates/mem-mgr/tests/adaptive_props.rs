@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use block_cache::{BlockKey, Owner, WritebackPolicy};
+use mem_mgr::{BlockKey, Owner, WritebackPolicy};
 use mem_mgr::{FlushCause, MemConfig, MemMgr};
 use vfs::Ino;
 

@@ -30,28 +30,20 @@ use workload::trace::TraceOp;
 use crate::format::{Trace, TraceError};
 use crate::graph::DepGraph;
 
+/// Op-level aging bound: an eligible record that has waited this long
+/// is dispatched next regardless of QoS.
+const MAX_OP_WAIT_NS: u64 = 50_000_000;
+
+/// Per-tenant latency histograms are emitted only when the trace has at
+/// most this many tenants.
+const PER_TENANT_HISTS_MAX: usize = 32;
+
 /// Replay knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplayConfig {
     /// Arbitrate dispatch (and the disk queue) with the trace's QoS
     /// spec; off = earliest-ready-first and a QoS-free queue.
     pub qos_enabled: bool,
-    /// Op-level aging bound: an eligible record that has waited this
-    /// long is dispatched next regardless of QoS.
-    pub max_op_wait_ns: u64,
-    /// Per-tenant latency histograms are emitted only when the trace
-    /// has at most this many tenants.
-    pub per_tenant_hists_max: usize,
-}
-
-impl Default for ReplayConfig {
-    fn default() -> Self {
-        Self {
-            qos_enabled: false,
-            max_op_wait_ns: 50_000_000,
-            per_tenant_hists_max: 32,
-        }
-    }
 }
 
 impl ReplayConfig {
@@ -158,12 +150,18 @@ impl ReplayReport {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted latency slice.
+/// Nearest-rank percentile of an ascending-sorted latency slice: the
+/// smallest sample with at least `pct` percent of the samples at or
+/// below it (0 for an empty slice).
 pub fn percentile_ns(sorted: &[u64], pct: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
+    // The rank is taken in integers, from `pct` in parts per million:
+    // in floating point 99.9 % of 1000 samples is 999.0000000000001,
+    // whose ceiling is the maximum instead of the 999th sample.
+    let ppm = (pct * 10_000.0).round() as u128;
+    let rank = (ppm * sorted.len() as u128).div_ceil(1_000_000) as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
@@ -189,7 +187,7 @@ pub fn replay<F: FileSystem + ?Sized>(
     let mut fair = cfg.qos_enabled.then(|| FairShare::new(trace.qos.clone()));
 
     let agg_hist = registry.hist("trace.op_ns");
-    let emit_hists = trace.clients <= cfg.per_tenant_hists_max;
+    let emit_hists = trace.clients <= PER_TENANT_HISTS_MAX;
     let tenant_hists: Vec<_> = (0..trace.clients)
         .map(|c| emit_hists.then(|| registry.hist(&format!("trace.t{c:02}.op_ns"))))
         .collect();
@@ -263,7 +261,7 @@ pub fn replay<F: FileSystem + ?Sized>(
                     .copied()
                     .min_by_key(|&i| (ready(i), i))
                     .expect("non-empty eligible set");
-                if now - ready(oldest) >= cfg.max_op_wait_ns {
+                if now - ready(oldest) >= MAX_OP_WAIT_NS {
                     oldest
                 } else {
                     let tenant = fair
@@ -422,6 +420,14 @@ mod tests {
         assert_eq!(percentile_ns(&sorted, 50.0), 20);
         assert_eq!(percentile_ns(&sorted, 99.0), 40);
         assert_eq!(percentile_ns(&[], 99.0), 0);
+        // Hand-computed ranks, including the one floating point got
+        // wrong: 99.9 % of 1000 samples is the 999th, not the maximum.
+        let thousand: Vec<u64> = (1..=1000).collect();
+        assert_eq!(percentile_ns(&thousand, 99.9), 999);
+        assert_eq!(percentile_ns(&thousand, 100.0), 1000);
+        assert_eq!(percentile_ns(&thousand[..100], 99.0), 99);
+        assert_eq!(percentile_ns(&thousand[..100], 0.0), 1);
+        assert_eq!(percentile_ns(&[7], 50.0), 7);
     }
 
     /// Replay drives the model FS through a null engine wrapper: the

@@ -5,9 +5,9 @@
 //! Re-exports the workspace crates so examples and integration tests can
 //! depend on a single package.
 
-pub use block_cache;
 pub use ffs_baseline;
 pub use lfs_core;
+pub use mem_mgr;
 pub use obs;
 pub use sim_disk;
 pub use vfs;
