@@ -21,22 +21,27 @@
 //!   [`CLook`]) that reorder pending requests using disk geometry. The
 //!   engine enforces a bounded-wait (anti-starvation) guarantee *outside*
 //!   the policy: an aged request preempts any policy choice.
-//! * [`multi`] — N closed-loop clients running the `workload`
-//!   small-file generator against one file system, dispatched by an
-//!   event loop that advances virtual time to each client's ready-time.
-//!   Per-client latency histograms, queue-depth gauges, and
-//!   scheduler-decision trace events land in the file system's
-//!   [`obs::Registry`].
+//! * [`driver`] — the one closed-loop host loop (earliest-ready client
+//!   first, virtual time advanced to its ready-time) and the one rule
+//!   for offering background [`Maintenance`] steps in the idle time
+//!   between dispatches.
+//! * [`multi`], [`mix`] — N closed-loop clients running the `workload`
+//!   small-file generator (create, or an overwrite+read mix) against
+//!   one file system on that driver. Per-client latency histograms,
+//!   queue-depth gauges, and scheduler-decision trace events land in
+//!   the file system's [`obs::Registry`].
 //!
 //! Everything is deterministic: same config, same virtual-time results,
 //! byte-identical metrics JSON.
 
+pub mod driver;
 pub mod mix;
 pub mod multi;
 pub mod qos;
 pub mod queue;
 pub mod sched;
 
+pub use driver::{drain, offer, run_closed_loop, IdleWindow, LoopReport, Maintenance, Step, Turn};
 pub use mix::{run_overwrite_read_mix, MixConfig, MixReport};
 pub use multi::{
     jittered_think_ns, run_small_file_create, ClientSummary, MultiClientConfig, MultiReport,

@@ -10,16 +10,17 @@
 //! flush every other client's working set while a scan-resistant cache
 //! confines to the probation pool.
 //!
-//! The event loop is the same earliest-ready-client dispatch as the
-//! create driver, so virtual time remains deterministic and metrics
-//! JSON byte-identical across runs.
+//! The event loop is [`run_closed_loop`], the same earliest-ready-client
+//! dispatch as the create driver, so virtual time remains deterministic
+//! and metrics JSON byte-identical across runs.
 
 use obs::Registry;
 use vfs::{FileSystem, FsResult, Ino};
 use workload::payload;
 use workload::small_files::SmallFileSpec;
 
-use crate::multi::{ClientSummary, MultiReport, RequestEngine, PER_CLIENT_HISTS_MAX};
+use crate::driver::run_closed_loop;
+use crate::multi::{MultiReport, RequestEngine};
 
 /// Parameters of an overwrite+read mix run.
 #[derive(Debug, Clone)]
@@ -112,17 +113,6 @@ impl MixConfig {
         self
     }
 
-    fn total_clients(&self) -> usize {
-        self.clients + self.scanners
-    }
-
-    fn ops_of(&self, client: usize) -> usize {
-        if client < self.clients {
-            self.ops_per_client
-        } else {
-            self.scan_ops
-        }
-    }
 }
 
 /// Outcome of a mix run: the shared [`MultiReport`] plus read/write op
@@ -179,7 +169,7 @@ pub fn run_overwrite_read_mix<F: FileSystem>(
         );
     }
     let clock = core.clock();
-    let total_clients = cfg.total_clients();
+    let total_clients = cfg.clients + cfg.scanners;
 
     // Setup: files exist and are fully written before measurement.
     core.set_client(None);
@@ -215,93 +205,50 @@ pub fn run_overwrite_read_mix<F: FileSystem>(
     // own residency decisions, not setup leftovers.
     fs.drop_caches()?;
 
-    let agg_hist = registry.hist("engine.op_ns");
-    let client_hists: Vec<_> = (0..total_clients)
-        .map(|c| {
-            (total_clients <= PER_CLIENT_HISTS_MAX)
-                .then(|| registry.hist(&format!("engine.c{c:03}.op_ns")))
-        })
-        .collect();
-
-    let start_ns = clock.now_ns();
-    let mut next_ready: Vec<u64> = (0..total_clients)
-        .map(|c| start_ns + jittered_think_ns(cfg.seed, c, 0, cfg.think_ns))
-        .collect();
-    let mut summaries: Vec<ClientSummary> = (0..total_clients)
-        .map(|client| ClientSummary {
-            client,
-            ops: 0,
-            total_latency_ns: 0,
-            max_latency_ns: 0,
-        })
-        .collect();
-
-    let total_ops: usize = (0..total_clients).map(|c| cfg.ops_of(c)).sum();
+    let mut budgets = vec![cfg.ops_per_client; cfg.clients];
+    budgets.resize(total_clients, cfg.scan_ops);
     let mut read_ops = 0u64;
     let mut write_ops = 0u64;
     let mut read_buf = vec![0u8; cfg.file_size.max(cfg.scan_chunk_bytes)];
-    for _ in 0..total_ops {
-        let c = (0..total_clients)
-            .filter(|&c| (summaries[c].ops as usize) < cfg.ops_of(c))
-            .min_by_key(|&c| (next_ready[c], c))
-            .expect("a client still has work");
-        clock.advance_to_ns(next_ready[c]);
-        core.pump()?;
-        core.set_client(Some(c));
-        fs.set_active_client(Some(c as u32));
-
-        let op_index = summaries[c].ops as usize;
-        let before_ns = clock.now_ns();
-        if c < cfg.clients {
-            // Regular client: hot-set read or full-file overwrite.
-            let roll = op_hash(cfg.seed, c, op_index, 0x01) % 1000;
-            if (roll as u32) < cfg.read_permille {
-                let i = (op_hash(cfg.seed, c, op_index, 0x02) % cfg.hot_files as u64) as usize;
-                fs.read_at(files[c][i], 0, &mut read_buf[..cfg.file_size])?;
-                read_ops += 1;
+    let run = run_closed_loop(
+        fs,
+        core,
+        &budgets,
+        |c, op| jittered_think_ns(cfg.seed, c, op, cfg.think_ns),
+        None,
+        |fs, turn| {
+            let (c, op_index) = (turn.client, turn.op);
+            fs.set_active_client(Some(c as u32));
+            if c < cfg.clients {
+                // Regular client: hot-set read or full-file overwrite.
+                let roll = op_hash(cfg.seed, c, op_index, 0x01) % 1000;
+                if (roll as u32) < cfg.read_permille {
+                    let i = (op_hash(cfg.seed, c, op_index, 0x02) % cfg.hot_files as u64) as usize;
+                    fs.read_at(files[c][i], 0, &mut read_buf[..cfg.file_size])?;
+                    read_ops += 1;
+                } else {
+                    let i = (op_hash(cfg.seed, c, op_index, 0x03) % cfg.files_per_client as u64)
+                        as usize;
+                    fs.write_at(files[c][i], 0, &payloads[c])?;
+                    write_ops += 1;
+                }
             } else {
-                let i =
-                    (op_hash(cfg.seed, c, op_index, 0x03) % cfg.files_per_client as u64) as usize;
-                fs.write_at(files[c][i], 0, &payloads[c])?;
-                write_ops += 1;
+                // Scanner: the next sequential chunk, each touched once per
+                // pass over the file.
+                let s = c - cfg.clients;
+                let chunks = (cfg.scan_file_bytes / cfg.scan_chunk_bytes).max(1);
+                let offset = ((op_index % chunks) * cfg.scan_chunk_bytes) as u64;
+                fs.read_at(scan_files[s], offset, &mut read_buf[..cfg.scan_chunk_bytes])?;
+                read_ops += 1;
             }
-        } else {
-            // Scanner: the next sequential chunk, each touched once per
-            // pass over the file.
-            let s = c - cfg.clients;
-            let chunks = (cfg.scan_file_bytes / cfg.scan_chunk_bytes).max(1);
-            let offset = ((op_index % chunks) * cfg.scan_chunk_bytes) as u64;
-            fs.read_at(scan_files[s], offset, &mut read_buf[..cfg.scan_chunk_bytes])?;
-            read_ops += 1;
-        }
-        let after_ns = clock.now_ns();
-        debug_assert!(after_ns >= before_ns, "virtual time went backwards");
-        let latency_ns = after_ns - before_ns;
-
-        agg_hist.record(latency_ns);
-        if let Some(h) = &client_hists[c] {
-            h.record(latency_ns);
-        }
-        summaries[c].ops += 1;
-        summaries[c].total_latency_ns += latency_ns;
-        summaries[c].max_latency_ns = summaries[c].max_latency_ns.max(latency_ns);
-        next_ready[c] = after_ns + jittered_think_ns(cfg.seed, c, op_index + 1, cfg.think_ns);
-    }
+            Ok(())
+        },
+    )?;
 
     core.set_client(None);
     fs.set_active_client(None);
     fs.sync()?;
-
-    let report = MultiReport {
-        clients: total_clients,
-        total_ops: total_ops as u64,
-        elapsed_ns: clock.now_ns() - start_ns,
-        per_client: summaries,
-    };
-    registry.gauge("engine.clients").set(total_clients as u64);
-    registry
-        .gauge("engine.fairness_millis")
-        .set(report.fairness_millis());
+    let report = MultiReport::publish(registry, total_clients, &run, clock.now_ns());
     Ok(MixReport {
         multi: report,
         read_ops,

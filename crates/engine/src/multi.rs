@@ -1,14 +1,11 @@
-//! The multi-client discrete-event loop.
+//! The multi-client small-file create workload.
 //!
 //! N closed-loop clients share one file system mounted on an
-//! [`EngineDisk`]. Each client repeatedly: thinks (a deterministic
-//! jittered delay that does *not* advance the shared clock — clients
-//! overlap), then runs its next operation against the file system, which
-//! advances the clock by the operation's latency (CPU charges plus any
-//! synchronous disk waits). The loop always dispatches the client with
-//! the earliest ready-time, so virtual time is the event horizon of a
-//! real concurrent system — this is the repo's first subsystem where the
-//! clock advances from an event loop rather than straight-line code.
+//! [`EngineDisk`](crate::EngineDisk), dispatched by
+//! [`run_closed_loop`]: each client thinks (a deterministic jittered
+//! delay that does *not* advance the shared clock — clients overlap),
+//! then creates its next file, which advances the clock by the
+//! operation's latency (CPU charges plus any synchronous disk waits).
 //!
 //! The run uses *strong scaling*: a fixed total number of files is split
 //! evenly across clients, so every client count performs identical total
@@ -25,6 +22,7 @@ use vfs::{FileSystem, FsResult};
 use workload::small_files::SmallFileSpec;
 use workload::payload;
 
+use crate::driver::{run_closed_loop, LoopReport};
 use crate::qos::QosSpec;
 use crate::queue::EngineCore;
 
@@ -82,7 +80,7 @@ impl RequestEngine for Rc<RefCell<EngineCore>> {
 /// Per-client latency histograms are emitted only for runs with at most
 /// this many clients (the aggregate histogram is always emitted), to
 /// keep metrics JSON bounded on wide sweeps.
-pub(crate) const PER_CLIENT_HISTS_MAX: usize = 32;
+const PER_CLIENT_HISTS_MAX: usize = 32;
 
 /// Parameters of a multi-client small-file run.
 #[derive(Debug, Clone)]
@@ -146,6 +144,53 @@ pub struct MultiReport {
 }
 
 impl MultiReport {
+    /// Folds a finished closed-loop `run` into a report, recording the
+    /// aggregate (`engine.op_ns`) and per-client (`engine.cNNN.op_ns`)
+    /// latency histograms plus the client-count and fairness gauges.
+    /// `end_ns` is the virtual time the measurement closed.
+    pub(crate) fn publish(
+        registry: &Registry,
+        clients: usize,
+        run: &LoopReport,
+        end_ns: u64,
+    ) -> MultiReport {
+        let agg_hist = registry.hist("engine.op_ns");
+        let client_hists: Vec<_> = (0..clients)
+            .map(|c| {
+                (clients <= PER_CLIENT_HISTS_MAX)
+                    .then(|| registry.hist(&format!("engine.c{c:03}.op_ns")))
+            })
+            .collect();
+        let mut per_client: Vec<ClientSummary> = (0..clients)
+            .map(|client| ClientSummary {
+                client,
+                ops: 0,
+                total_latency_ns: 0,
+                max_latency_ns: 0,
+            })
+            .collect();
+        for &(c, latency_ns) in &run.latencies {
+            agg_hist.record(latency_ns);
+            if let Some(h) = &client_hists[c] {
+                h.record(latency_ns);
+            }
+            per_client[c].ops += 1;
+            per_client[c].total_latency_ns += latency_ns;
+            per_client[c].max_latency_ns = per_client[c].max_latency_ns.max(latency_ns);
+        }
+        let report = MultiReport {
+            clients,
+            total_ops: run.latencies.len() as u64,
+            elapsed_ns: end_ns - run.start_ns,
+            per_client,
+        };
+        registry.gauge("engine.clients").set(clients as u64);
+        registry
+            .gauge("engine.fairness_millis")
+            .set(report.fairness_millis());
+        report
+    }
+
     /// Aggregate throughput in operations per second of virtual time.
     pub fn throughput_ops_per_sec(&self) -> f64 {
         if self.elapsed_ns == 0 {
@@ -225,70 +270,22 @@ pub fn run_small_file_create<F: FileSystem>(
     }
     fs.sync()?;
 
-    let agg_hist = registry.hist("engine.op_ns");
-    let client_hists: Vec<_> = (0..cfg.clients)
-        .map(|c| {
-            (cfg.clients <= PER_CLIENT_HISTS_MAX)
-                .then(|| registry.hist(&format!("engine.c{c:03}.op_ns")))
-        })
-        .collect();
-
-    let start_ns = clock.now_ns();
-    let mut next_ready: Vec<u64> = (0..cfg.clients)
-        .map(|c| start_ns + jittered_think_ns(cfg.seed, c, 0, cfg.think_ns))
-        .collect();
-    let mut summaries: Vec<ClientSummary> = (0..cfg.clients)
-        .map(|client| ClientSummary {
-            client,
-            ops: 0,
-            total_latency_ns: 0,
-            max_latency_ns: 0,
-        })
-        .collect();
-
-    let total_ops = cfg.clients * cfg.files_per_client;
-    for _ in 0..total_ops {
-        // Dispatch the earliest-ready client (ties break on lowest id).
-        let c = (0..cfg.clients)
-            .filter(|&c| (summaries[c].ops as usize) < cfg.files_per_client)
-            .min_by_key(|&c| (next_ready[c], c))
-            .expect("a client still has work");
-        clock.advance_to_ns(next_ready[c]);
-        core.pump()?;
-        core.set_client(Some(c));
-        fs.set_active_client(Some(c as u32));
-
-        let op_index = summaries[c].ops as usize;
-        let before_ns = clock.now_ns();
-        fs.write_file(&specs[c].path(op_index), &payloads[c])?;
-        let after_ns = clock.now_ns();
-        debug_assert!(after_ns >= before_ns, "virtual time went backwards");
-        let latency_ns = after_ns - before_ns;
-
-        agg_hist.record(latency_ns);
-        if let Some(h) = &client_hists[c] {
-            h.record(latency_ns);
-        }
-        summaries[c].ops += 1;
-        summaries[c].total_latency_ns += latency_ns;
-        summaries[c].max_latency_ns = summaries[c].max_latency_ns.max(latency_ns);
-        next_ready[c] = after_ns + jittered_think_ns(cfg.seed, c, op_index + 1, cfg.think_ns);
-    }
+    let run = run_closed_loop(
+        fs,
+        core,
+        &vec![cfg.files_per_client; cfg.clients],
+        |c, op| jittered_think_ns(cfg.seed, c, op, cfg.think_ns),
+        None,
+        |fs, turn| {
+            fs.set_active_client(Some(turn.client as u32));
+            fs.write_file(&specs[turn.client].path(turn.op), &payloads[turn.client])?;
+            Ok(())
+        },
+    )?;
 
     // Close the measurement: drain every queued write.
     core.set_client(None);
     fs.set_active_client(None);
     fs.sync()?;
-
-    let report = MultiReport {
-        clients: cfg.clients,
-        total_ops: total_ops as u64,
-        elapsed_ns: clock.now_ns() - start_ns,
-        per_client: summaries,
-    };
-    registry.gauge("engine.clients").set(cfg.clients as u64);
-    registry
-        .gauge("engine.fairness_millis")
-        .set(report.fairness_millis());
-    Ok(report)
+    Ok(MultiReport::publish(registry, cfg.clients, &run, clock.now_ns()))
 }

@@ -1,9 +1,12 @@
 //! Crash-consistency torture sweep (§4.4).
 //!
 //! For every write index of a scripted workload — times three fault
-//! modes (dropped write, torn write, lost reorder window) — crash, crash
-//! the volume there, remount, and verify the recovered tree against the
-//! durability model. Runs the sweep for both LFS and the FFS baseline.
+//! modes (dropped write, torn write, lost reorder window) — crash the
+//! volume there, remount, and verify the recovered tree against the
+//! durability model. Runs every row of [`lfs_bench::crash_sweep::arms`]:
+//! LFS and the FFS baseline on one disk, then LFS striped, with the
+//! async cleaner, the adaptive cache, parallel recovery and a parity
+//! rebuild in the loop. Exits non-zero on any violation.
 //!
 //! Everything is driven by the virtual clock and seeded fault plans, so
 //! output (table and metrics JSON) is byte-identical across runs.
@@ -11,10 +14,7 @@
 //! Flags: `--smoke` (bounded CI-sized sweep), `--stride N` (test every
 //! N-th crash index).
 
-use lfs_bench::crash_sweep::{
-    sweep, sweep_adaptive, sweep_cleaner, sweep_par_recovery, sweep_rebuild, sweep_striped,
-    SweepFs, SweepMode, SweepSpec,
-};
+use lfs_bench::crash_sweep::{arms, sweep, SweepSpec};
 use lfs_bench::{print_table, MetricsReport, Row};
 
 fn main() {
@@ -43,10 +43,10 @@ fn main() {
     let mut all_clean = true;
     let mut samples = Vec::new();
 
-    for fs in SweepFs::ALL {
-        for mode in SweepMode::ALL {
-            let out = sweep(fs, mode, &spec);
-            let prefix = format!("sweep.{}.{}", fs.name(), mode.name());
+    for arm in arms() {
+        for &mode in arm.modes {
+            let out = sweep(&arm, mode, &spec);
+            let prefix = format!("sweep.{}.{}", arm.prefix, mode.name());
             registry.counter(&format!("{prefix}.crash_points")).add(out.crash_points);
             registry.counter(&format!("{prefix}.recovered")).add(out.recovered);
             registry
@@ -54,7 +54,7 @@ fn main() {
                 .add(out.detected_unmountable);
             registry.counter(&format!("{prefix}.violations")).add(out.violations);
             rows.push(Row::new(
-                format!("{} {}", fs.name(), mode.name()),
+                format!("{} {}", arm.label, mode.name()),
                 vec![
                     out.crash_points.to_string(),
                     out.recovered.to_string(),
@@ -66,151 +66,6 @@ fn main() {
             all_clean &= out.is_clean();
             samples.extend(out.samples);
         }
-    }
-
-    // Striped volume: the same sweep over a 2-spindle round-robin LFS
-    // volume (drop + torn), proving checkpoint recovery is
-    // stripe-agnostic. Reorder windows are a per-disk cache property and
-    // are covered by the single-disk sweep.
-    for mode in [SweepMode::Drop, SweepMode::Torn] {
-        let out = sweep_striped(mode, &spec, 2);
-        let prefix = format!("sweep.lfs_2spindle.{}", mode.name());
-        registry.counter(&format!("{prefix}.crash_points")).add(out.crash_points);
-        registry.counter(&format!("{prefix}.recovered")).add(out.recovered);
-        registry
-            .counter(&format!("{prefix}.detected_unmountable"))
-            .add(out.detected_unmountable);
-        registry.counter(&format!("{prefix}.violations")).add(out.violations);
-        rows.push(Row::new(
-            format!("lfs x2 {}", mode.name()),
-            vec![
-                out.crash_points.to_string(),
-                out.recovered.to_string(),
-                out.detected_unmountable.to_string(),
-                out.violations.to_string(),
-                if out.is_clean() { "yes" } else { "NO" }.to_string(),
-            ],
-        ));
-        all_clean &= out.is_clean();
-        samples.extend(out.samples);
-    }
-
-    // Async cleaner in the loop: the same sweep with an incremental
-    // cleaning run interleaved into the workload, on 1- and 2-spindle
-    // volumes, so crash indices land on mid-run states (relocations in
-    // cache, victims parked clean-pending, the committing checkpoint).
-    // Recovery is held to the strict standard: the crash-safety protocol
-    // says a half-finished run must leave either the old copies intact
-    // or the checkpoint that supersedes them.
-    for spindles in [1usize, 2] {
-        for mode in [SweepMode::Drop, SweepMode::Torn] {
-            let out = sweep_cleaner(mode, &spec, spindles);
-            let prefix = format!("sweep.lfs_cleaner_{spindles}sp.{}", mode.name());
-            registry.counter(&format!("{prefix}.crash_points")).add(out.crash_points);
-            registry.counter(&format!("{prefix}.recovered")).add(out.recovered);
-            registry
-                .counter(&format!("{prefix}.detected_unmountable"))
-                .add(out.detected_unmountable);
-            registry.counter(&format!("{prefix}.violations")).add(out.violations);
-            rows.push(Row::new(
-                format!("lfs clean x{spindles} {}", mode.name()),
-                vec![
-                    out.crash_points.to_string(),
-                    out.recovered.to_string(),
-                    out.detected_unmountable.to_string(),
-                    out.violations.to_string(),
-                    if out.is_clean() { "yes" } else { "NO" }.to_string(),
-                ],
-            ));
-            all_clean &= out.is_clean();
-            samples.extend(out.samples);
-        }
-    }
-
-    // Parallel recovery: the striped crash runs again on a 4-spindle
-    // volume, but every remount recovers with `recovery_fanout = 0`
-    // (ask the device), so the roll-forward's summary sweep and tail
-    // prefetch run fanned out across the spindles. The parallel scan
-    // must be bit-equivalent to the sequential one, so the outcome is
-    // held to the strict single-disk standard.
-    for mode in [SweepMode::Drop, SweepMode::Torn] {
-        let out = sweep_par_recovery(mode, &spec, 4);
-        let prefix = format!("sweep.lfs_par_recovery_4sp.{}", mode.name());
-        registry.counter(&format!("{prefix}.crash_points")).add(out.crash_points);
-        registry.counter(&format!("{prefix}.recovered")).add(out.recovered);
-        registry
-            .counter(&format!("{prefix}.detected_unmountable"))
-            .add(out.detected_unmountable);
-        registry.counter(&format!("{prefix}.violations")).add(out.violations);
-        rows.push(Row::new(
-            format!("lfs par-rec x4 {}", mode.name()),
-            vec![
-                out.crash_points.to_string(),
-                out.recovered.to_string(),
-                out.detected_unmountable.to_string(),
-                out.violations.to_string(),
-                if out.is_clean() { "yes" } else { "NO" }.to_string(),
-            ],
-        ));
-        all_clean &= out.is_clean();
-        samples.extend(out.samples);
-    }
-
-    // Adaptive cache in the loop: the single-disk sweep with the
-    // adaptive memory manager mounted and the write/read boundary
-    // resized after every operation. A resize that dropped a dirty
-    // block instead of flushing it shows up as lost durable data.
-    for mode in [SweepMode::Drop, SweepMode::Torn] {
-        let out = sweep_adaptive(mode, &spec);
-        let prefix = format!("sweep.lfs_adaptive.{}", mode.name());
-        registry.counter(&format!("{prefix}.crash_points")).add(out.crash_points);
-        registry.counter(&format!("{prefix}.recovered")).add(out.recovered);
-        registry
-            .counter(&format!("{prefix}.detected_unmountable"))
-            .add(out.detected_unmountable);
-        registry.counter(&format!("{prefix}.violations")).add(out.violations);
-        rows.push(Row::new(
-            format!("lfs adaptive {}", mode.name()),
-            vec![
-                out.crash_points.to_string(),
-                out.recovered.to_string(),
-                out.detected_unmountable.to_string(),
-                out.violations.to_string(),
-                if out.is_clean() { "yes" } else { "NO" }.to_string(),
-            ],
-        ));
-        all_clean &= out.is_clean();
-        samples.extend(out.samples);
-    }
-
-    // Parity rebuild in the loop: a 4-spindle parity volume loses a
-    // spindle mid-workload and rebuilds the replacement while writes keep
-    // flowing; the crash may land before, during, or after the rebuild.
-    // Remount models a dirty array assembly — drive swap, rebuild from
-    // zero out of the surviving spindles' XOR (segment-aligned metadata
-    // plus seal-on-flush close the write hole; no resync pass) — then
-    // holds recovery to the strict single-disk standard.
-    for mode in [SweepMode::Drop, SweepMode::Torn] {
-        let out = sweep_rebuild(mode, &spec, 4);
-        let prefix = format!("sweep.lfs_rebuild_4sp.{}", mode.name());
-        registry.counter(&format!("{prefix}.crash_points")).add(out.crash_points);
-        registry.counter(&format!("{prefix}.recovered")).add(out.recovered);
-        registry
-            .counter(&format!("{prefix}.detected_unmountable"))
-            .add(out.detected_unmountable);
-        registry.counter(&format!("{prefix}.violations")).add(out.violations);
-        rows.push(Row::new(
-            format!("lfs rebuild x4 {}", mode.name()),
-            vec![
-                out.crash_points.to_string(),
-                out.recovered.to_string(),
-                out.detected_unmountable.to_string(),
-                out.violations.to_string(),
-                if out.is_clean() { "yes" } else { "NO" }.to_string(),
-            ],
-        ));
-        all_clean &= out.is_clean();
-        samples.extend(out.samples);
     }
 
     print_table(

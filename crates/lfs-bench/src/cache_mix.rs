@@ -198,9 +198,6 @@ pub fn run_scan_cell(
     let fsck = fs.fsck().expect("fsck");
     assert!(fsck.is_clean(), "LFS inconsistent after scan run:\n{fsck}");
 
-    if std::env::var("CACHE_MIX_DEBUG").is_ok() {
-        println!("--- {} scanner={}\n{}", policy.as_str(), scanner, fs.cache_report().render());
-    }
     let victim_hit_rate_millis = attributed_rate(&fs, 0..SCAN_VICTIMS as u32);
     registry
         .gauge("scan.victim_hit_rate_millis")

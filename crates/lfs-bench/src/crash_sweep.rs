@@ -17,27 +17,57 @@
 //!   holding (for LFS) bytes some version of that file actually held —
 //!   stale data is an allowed outcome of a crash, fabricated data never.
 //!
-//! All runs use the virtual clock and seeded fault plans, so a sweep's
-//! output is byte-identical across invocations.
+//! **Atomicity is per vfs call, not per script op.** A script write is
+//! `create` (or `truncate(ino, 0)`) followed by `write_at`, and a cache
+//! pressure flush may fall between the two calls, so the empty file is a
+//! state the workload really put on disk. The model therefore records
+//! every version a path held after each vfs call returned — the empty
+//! file, and each prefix should `write_at` ever return short — and a
+//! file touched since the last barrier may come back as any of them.
+//! Files untouched since the barrier are still held to their exact
+//! synced bytes.
+//!
+//! What varies between sweeps — the device, the configs, what the host
+//! interleaves between operations, how strictly contents are checked —
+//! is one row of the [`arms`] table; [`sweep`] is the one loop that runs
+//! a row. All runs use the virtual clock and seeded fault plans, so a
+//! sweep's output is byte-identical across invocations.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use engine::{drain, offer, Maintenance};
 use ffs_baseline::{Ffs, FfsConfig};
 use lfs_core::{AsyncCleanerPolicy, CleanerRunMode, Lfs, LfsConfig};
 use mem_mgr::CachePolicy;
 use sim_disk::{Clock, CrashPlan, DiskGeometry, SimDisk};
-use vfs::{FileKind, FileSystem, FsError};
-use volume::{RebuildPolicy, RebuildProgress, StripedVolume, VolumeConfig, VolumeDisk};
+use vfs::{FileSystem, FsError};
+use volume::{RebuildPolicy, StripedVolume, VolumeConfig, VolumeDisk};
+
+use crate::interference::CleanerTask;
+
+mod model;
+use model::{check_recovery, script, upsert, Barrier, Model, Op, Version};
 
 /// 8 MB tiny-test volume: big enough for the scripted tree, small enough
 /// that thousands of format+replay+remount cycles stay fast.
 const DISK_SECTORS: u64 = 16_384;
 
-/// 2 MB volume for the async-cleaner sweep: small enough that the
+/// 2 MB volume for the async-cleaner rows: small enough that the
 /// incremental cleaner finds real victims during the scripted churn, so
 /// crash points land inside active [`lfs_core::CleanerRun`]s.
 const CLEANER_DISK_SECTORS: u64 = 4_096;
+
+/// Per-spindle capacity of the rebuild row's parity volume: small so
+/// the online rebuild's row writes are a large share of the swept write
+/// range, putting many crash indices mid-rebuild.
+const REBUILD_SPINDLE_SECTORS: u64 = 1_024;
+
+/// The spindle the rebuild row kills. Fixed, so the model run and every
+/// crash run issue identical device-write sequences.
+const REBUILD_DEAD_SPINDLE: usize = 1;
+
+/// Data chunk under the rebuild row's parity-segment policy: 8 KB.
+const REBUILD_CHUNK_BYTES: usize = 8 * 1024;
 
 /// How a crash treats the triggering write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,30 +106,8 @@ impl SweepMode {
     }
 }
 
-/// Which file system a sweep targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepFs {
-    /// The log-structured file system.
-    Lfs,
-    /// The FFS baseline.
-    Ffs,
-}
-
-impl SweepFs {
-    /// Both file systems, in sweep order.
-    pub const ALL: [SweepFs; 2] = [SweepFs::Lfs, SweepFs::Ffs];
-
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SweepFs::Lfs => "lfs",
-            SweepFs::Ffs => "ffs",
-        }
-    }
-}
-
 /// Sweep shape: workload size and crash-index stride.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepSpec {
     /// Number of write/sync phases in the scripted workload.
     pub phases: usize,
@@ -132,313 +140,493 @@ impl SweepSpec {
     }
 }
 
-/// One scripted operation. The script is pure data so the clean modelling
-/// run and every crash run replay exactly the same sequence.
-#[derive(Debug, Clone)]
-enum Op {
-    Mkdir(String),
-    Write(String, Vec<u8>),
-    Unlink(String),
-    Sync,
+/// The mounted file system under test, over whichever device its arm
+/// uses. Everything the sweep needs beyond [`FileSystem`] — the device
+/// write counter (crash indices), the consistency check, the surviving
+/// images — is spelled out here once per variant.
+enum Rig {
+    Lfs(Box<Lfs<SimDisk>>),
+    Ffs(Box<Ffs<SimDisk>>),
+    Striped(Box<Lfs<VolumeDisk>>),
 }
 
-/// Deterministic file contents: phase/index-seeded length and byte fill.
-fn payload(phase: usize, i: usize, salt: usize) -> Vec<u8> {
-    let len = 120 + (phase * 977 + i * 131 + salt * 53) % 3400;
-    let fill = (0x20 + (phase * 31 + i * 7 + salt) % 200) as u8;
-    let mut data = vec![fill; len];
-    // A non-uniform head so torn/rotted prefixes can't masquerade as a
-    // legitimate version of some other file.
-    for (k, b) in data.iter_mut().take(16).enumerate() {
-        *b = b.wrapping_add((k * 17 + phase * 5 + i) as u8);
-    }
-    data
-}
-
-/// Builds the scripted workload: per phase, create a directory of files,
-/// overwrite half of the previous phase's files, delete one, then sync.
-fn script(spec: &SweepSpec) -> Vec<Op> {
-    let mut ops = Vec::new();
-    for p in 0..spec.phases {
-        ops.push(Op::Mkdir(format!("/d{p}")));
-        for i in 0..spec.files_per_phase {
-            ops.push(Op::Write(format!("/d{p}/f{i}"), payload(p, i, 0)));
+impl Rig {
+    fn fs(&mut self) -> &mut dyn FileSystem {
+        match self {
+            Rig::Lfs(fs) => &mut **fs,
+            Rig::Ffs(fs) => &mut **fs,
+            Rig::Striped(fs) => &mut **fs,
         }
-        if p > 0 {
-            for i in 0..spec.files_per_phase / 2 {
-                ops.push(Op::Write(format!("/d{}/f{i}", p - 1), payload(p, i, 1)));
-            }
-            ops.push(Op::Unlink(format!(
-                "/d{}/f{}",
-                p - 1,
-                spec.files_per_phase - 1
-            )));
-        }
-        ops.push(Op::Sync);
     }
-    ops
-}
 
-/// A durability barrier: the device write count when a `sync` returned,
-/// and the file state the file system promised to keep at that point.
-#[derive(Debug, Clone)]
-struct Barrier {
-    writes_done: u64,
-    durable: BTreeMap<String, Vec<u8>>,
-}
+    /// Writes persisted so far. On a volume this counts across all
+    /// spindles in global persist order — the same index space the
+    /// shared crash plan triggers on, so barrier bookkeeping is
+    /// stripe-agnostic.
+    fn disk_writes(&self) -> u64 {
+        match self {
+            Rig::Lfs(fs) => fs.device().stats().writes,
+            Rig::Ffs(fs) => fs.device().stats().writes,
+            Rig::Striped(fs) => fs.device().global_writes(),
+        }
+    }
 
-/// The durability model a clean run produces.
-struct Model {
-    /// Device write count after format, before the workload.
-    format_writes: u64,
-    /// Device write count after the whole workload.
-    total_writes: u64,
-    barriers: Vec<Barrier>,
-    /// Every content each path ever held, in write order.
-    history: BTreeMap<String, Vec<Vec<u8>>>,
-    /// Paths the workload unlinked at some point.
-    deleted: BTreeSet<String>,
-    /// Per path: `barriers.len()` at the moment of its last mutation —
-    /// the first barrier index that fully covers the path's final state.
-    touch: BTreeMap<String, usize>,
-}
-
-/// The little extra the sweep needs beyond [`FileSystem`]: the device
-/// write counter (crash indices) and a mount-consistency check.
-trait Rig: FileSystem {
-    fn disk_writes(&self) -> u64;
     /// Runs the fs's own consistency check; `Ok(None)` = clean,
     /// `Ok(Some(report))` = problems found.
-    fn check_consistency(&mut self) -> Result<Option<String>, FsError>;
-}
-
-impl Rig for Lfs<SimDisk> {
-    fn disk_writes(&self) -> u64 {
-        self.device().stats().writes
-    }
     fn check_consistency(&mut self) -> Result<Option<String>, FsError> {
-        let report = self.fsck()?;
-        Ok((!report.is_clean()).then(|| report.to_string()))
+        let (clean, report) = match self {
+            Rig::Lfs(fs) => fs.fsck().map(|r| (r.is_clean(), r.to_string()))?,
+            Rig::Ffs(fs) => fs.fsck().map(|r| (r.is_clean(), r.to_string()))?,
+            Rig::Striped(fs) => fs.fsck().map(|r| (r.is_clean(), r.to_string()))?,
+        };
+        Ok((!clean).then_some(report))
     }
-}
 
-impl Rig for Ffs<SimDisk> {
-    fn disk_writes(&self) -> u64 {
-        self.device().stats().writes
-    }
-    fn check_consistency(&mut self) -> Result<Option<String>, FsError> {
-        let report = self.fsck()?;
-        Ok((!report.is_clean()).then(|| report.to_string()))
-    }
-}
-
-impl Rig for Lfs<VolumeDisk> {
-    /// Writes persisted across all spindles in global persist order —
-    /// the same index space the volume's shared crash plan triggers on,
-    /// so barrier bookkeeping is stripe-agnostic.
-    fn disk_writes(&self) -> u64 {
-        self.device().global_writes()
-    }
-    fn check_consistency(&mut self) -> Result<Option<String>, FsError> {
-        let report = self.fsck()?;
-        Ok((!report.is_clean()).then(|| report.to_string()))
-    }
-}
-
-/// Create-or-overwrite: the trait's `write_file` refuses existing paths.
-fn upsert<F: Rig>(fs: &mut F, path: &str, data: &[u8]) -> Result<(), FsError> {
-    let ino = match fs.lookup(path) {
-        Ok(ino) => {
-            fs.truncate(ino, 0)?;
-            ino
+    fn into_images(self) -> Vec<Vec<u8>> {
+        match self {
+            Rig::Lfs(fs) => vec![fs.into_device().into_image()],
+            Rig::Ffs(fs) => vec![fs.into_device().into_image()],
+            Rig::Striped(fs) => fs.into_device().into_images(),
         }
-        Err(FsError::NotFound) => fs.create(path)?,
-        Err(e) => return Err(e),
-    };
-    let mut written = 0;
-    while written < data.len() {
-        written += fs.write_at(ino, written as u64, &data[written..])?;
     }
-    Ok(())
+
+    /// Spindle partitions the mount's roll-forward scan was split into.
+    fn recovery_partitions(&self) -> u64 {
+        match self {
+            Rig::Lfs(fs) => fs.stats().recovery_partitions,
+            Rig::Striped(fs) => fs.stats().recovery_partitions,
+            Rig::Ffs(_) => 0,
+        }
+    }
+
+    /// The LFS on a volume, for the hooks that only make sense there.
+    fn striped(&mut self) -> &mut Lfs<VolumeDisk> {
+        match self {
+            Rig::Striped(fs) => fs,
+            _ => panic!("this arm's hook needs an LFS on a striped volume"),
+        }
+    }
 }
 
-/// Executes the script cleanly and records the durability model.
-fn dry_run<F: Rig>(fs: &mut F, ops: &[Op], format_writes: u64) -> Model {
-    let mut model = Model {
-        format_writes,
-        total_writes: 0,
-        barriers: Vec::new(),
-        history: BTreeMap::new(),
-        deleted: BTreeSet::new(),
-        touch: BTreeMap::new(),
+/// What an arm's script runs on.
+#[derive(Debug, Clone)]
+enum Device {
+    /// One bare [`SimDisk`] of [`DISK_SECTORS`].
+    Disk,
+    /// A striped volume of identical spindles.
+    Volume {
+        cfg: VolumeConfig,
+        spindle_sectors: u64,
+    },
+}
+
+impl Device {
+    /// `total_sectors` cut evenly across `spindles` with segment-granular
+    /// round-robin striping: the same logical capacity as one disk, so
+    /// the scripted workload and its durability model are unchanged.
+    fn rr(spindles: usize, total_sectors: u64) -> Self {
+        assert!(
+            spindles >= 1 && total_sectors.is_multiple_of(spindles as u64),
+            "spindle count must divide the test capacity"
+        );
+        Device::Volume {
+            cfg: VolumeConfig::rr_segment(spindles, LfsConfig::small_test().segment_bytes),
+            spindle_sectors: total_sectors / spindles as u64,
+        }
+    }
+}
+
+/// Which file system an arm formats or remounts, and how.
+#[derive(Debug, Clone)]
+enum FsCfg {
+    Lfs(LfsConfig),
+    Ffs(FfsConfig),
+}
+
+/// What the host does around each scripted op. The model run and every
+/// crash run apply the identical rule, so their device write sequences
+/// match up to the crash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Hook {
+    None,
+    /// Resize the adaptive cache's write target after op `i`, marching it
+    /// across its clamp range so resize-triggered flushes and evictions
+    /// fall throughout the script.
+    WobbleBoundary,
+    /// Offer the async cleaner a bounded burst of steps after every op,
+    /// exactly as an event-loop host would between foreground dispatches,
+    /// and finish its in-flight run at the end of the script so the
+    /// committing checkpoint is part of the swept write range.
+    Cleaner,
+    /// Kill a spindle a third of the way in, swap in a blank replacement
+    /// at two thirds, and offer the online rebuild steps after every op
+    /// (drained at the end). The remount models a dirty array assembly:
+    /// see [`Arm::open`].
+    KillAndRebuild,
+}
+
+/// The maintenance task a hook interleaves, with its per-op step burst.
+type HookTask = (Box<dyn Maintenance<Lfs<VolumeDisk>>>, u64);
+
+impl Hook {
+    fn task(self, rig: &mut Rig) -> Option<HookTask> {
+        match self {
+            Hook::Cleaner => Some((Box::new(CleanerTask), 4)),
+            Hook::KillAndRebuild => Some((Box::new(rig.striped().device().clone()), 2)),
+            Hook::None | Hook::WobbleBoundary => None,
+        }
+    }
+}
+
+/// Eager, small-step rebuild pacing: no idle gate (crash runs must be
+/// deterministic, and queue depths vary with where the crash landed)
+/// and two rows per step, so rebuild writes interleave with most of the
+/// remaining workload.
+fn rebuild_policy() -> RebuildPolicy {
+    RebuildPolicy::default()
+        .with_idle_queue_depth(None)
+        .with_max_step_rows(2)
+}
+
+/// How an arm proves it exercised what it exists to cover. A sweep whose
+/// guard fails panics: a workload or config change that routes every
+/// crash point around the interesting states must fail loudly, not pass
+/// vacuously.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Guard {
+    None,
+    /// At least one crash index fell inside a device-write span during
+    /// which the hook's maintenance task had a run in progress.
+    MidTask,
+    /// At least one remount partitioned its roll-forward scan across
+    /// more than one spindle.
+    PartitionedRecovery,
+    /// The cache boundary really moved during the model run — and, on
+    /// the full-size script (where pressure flushes are known to fall
+    /// between the vfs calls of one script write), at least one crash
+    /// point recovered an intermediate version, so the rows that never
+    /// see one are known to pass on schedule, not by an oracle that
+    /// could not have told.
+    BoundaryMoved,
+}
+
+/// One row of the sweep table: everything that distinguishes one
+/// crash-sweep arm from another, as data.
+#[derive(Debug, Clone)]
+pub struct Arm {
+    /// Row label in the printed table (`"<label> <mode>"`).
+    pub label: &'static str,
+    /// Metric prefix: counters are `sweep.<prefix>.<mode>.*`.
+    pub prefix: &'static str,
+    /// Fault modes swept. Reorder windows are a per-disk cache property,
+    /// so only the single-disk rows sweep them.
+    pub modes: &'static [SweepMode],
+    device: Device,
+    format: FsCfg,
+    remount: FsCfg,
+    hook: Hook,
+    /// Every recovered file must hold bytes from its real version
+    /// history. Sound for LFS, whose log never overwrites data in place;
+    /// FFS in-place overwrites legitimately tear, so only its
+    /// untouched-since-barrier files are content-checked.
+    strict_content: bool,
+    /// A refused mount counts as *detected* rather than as a violation.
+    /// True for FFS only: the dual checkpoint regions mean an LFS volume
+    /// must always come back.
+    may_refuse_mount: bool,
+    guard: Guard,
+}
+
+/// The sweep table, in report order. Each row spells out only what sets
+/// it apart from the first.
+pub fn arms() -> Vec<Arm> {
+    let small = LfsConfig::small_test;
+    let lfs = Arm {
+        label: "lfs",
+        prefix: "lfs",
+        modes: &SweepMode::ALL,
+        device: Device::Disk,
+        format: FsCfg::Lfs(small()),
+        remount: FsCfg::Lfs(small()),
+        hook: Hook::None,
+        strict_content: true,
+        may_refuse_mount: false,
+        guard: Guard::None,
     };
-    let mut state: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-    for op in ops {
+    let striped = |spindles, total_sectors| Arm {
+        modes: &[SweepMode::Drop, SweepMode::Torn],
+        device: Device::rr(spindles, total_sectors),
+        ..lfs.clone()
+    };
+
+    // The incremental cleaner always eager: watermarks far above any
+    // reachable clean count and minimal step caps, so the scripted churn
+    // keeps a `CleanerRun` in flight for most of the workload and crash
+    // indices land in every mid-run state (relocations in cache, victims
+    // parked clean-pending, the committing checkpoint).
+    let mut cleaner_cfg = small();
+    cleaner_cfg.cleaner.run_mode = CleanerRunMode::Async(
+        AsyncCleanerPolicy::default()
+            .with_watermarks(1 << 16, 1 << 17)
+            .with_step_caps(2, 4),
+    );
+    let cleaner = |spindles| Arm {
+        format: FsCfg::Lfs(cleaner_cfg.clone()),
+        remount: FsCfg::Lfs(cleaner_cfg.clone()),
+        hook: Hook::Cleaner,
+        guard: Guard::MidTask,
+        ..striped(spindles, CLEANER_DISK_SECTORS)
+    };
+
+    // One segment covers exactly one parity row, so full-segment writes
+    // take the no-read parity fast path; segment-aligned metadata and
+    // seal-on-flush are the layout rules that close the degraded-array
+    // write hole (DESIGN.md §5.5).
+    let rebuild_segment = 3 * REBUILD_CHUNK_BYTES;
+    let rebuild_cfg = small()
+        .with_segment_bytes(rebuild_segment)
+        .with_segment_aligned_metadata()
+        .with_seal_on_flush();
+    let adaptive_cfg = small().with_cache_policy(CachePolicy::Adaptive);
+
+    vec![
+        lfs.clone(),
+        Arm {
+            label: "ffs",
+            prefix: "ffs",
+            format: FsCfg::Ffs(FfsConfig::small_test()),
+            remount: FsCfg::Ffs(FfsConfig::small_test()),
+            strict_content: false,
+            may_refuse_mount: true,
+            ..lfs.clone()
+        },
+        // The same crash plan armed on every spindle with a shared write
+        // index: power fails at the globally N-th write wherever it
+        // lands. Checkpoint recovery must be stripe-agnostic.
+        Arm {
+            label: "lfs x2",
+            prefix: "lfs_2spindle",
+            ..striped(2, DISK_SECTORS)
+        },
+        Arm {
+            label: "lfs clean x1",
+            prefix: "lfs_cleaner_1sp",
+            ..cleaner(1)
+        },
+        Arm {
+            label: "lfs clean x2",
+            prefix: "lfs_cleaner_2sp",
+            ..cleaner(2)
+        },
+        // The striped crash runs again, but every remount recovers with
+        // `recovery_fanout = 0` (ask the device), so the roll-forward's
+        // summary sweep and tail prefetch run fanned out across the
+        // spindles. The parallel scan must be bit-equivalent to the
+        // sequential one.
+        Arm {
+            label: "lfs par-rec x4",
+            prefix: "lfs_par_recovery_4sp",
+            remount: FsCfg::Lfs(small().with_recovery_fanout(0)),
+            guard: Guard::PartitionedRecovery,
+            ..striped(4, DISK_SECTORS)
+        },
+        // The adaptive memory manager in place of the shared LRU, its
+        // boundary resized after every op. Recovery must be
+        // policy-agnostic: the manager only decides *when* dirty blocks
+        // flush, never what the log contains once they do. A resize that
+        // dropped a dirty block instead of flushing it surfaces as lost
+        // durable data.
+        Arm {
+            label: "lfs adaptive",
+            prefix: "lfs_adaptive",
+            modes: &[SweepMode::Drop, SweepMode::Torn],
+            format: FsCfg::Lfs(adaptive_cfg.clone()),
+            remount: FsCfg::Lfs(adaptive_cfg),
+            hook: Hook::WobbleBoundary,
+            guard: Guard::BoundaryMoved,
+            ..lfs.clone()
+        },
+        Arm {
+            label: "lfs rebuild x4",
+            prefix: "lfs_rebuild_4sp",
+            modes: &[SweepMode::Drop, SweepMode::Torn],
+            device: Device::Volume {
+                cfg: VolumeConfig::parity_segment(4, rebuild_segment),
+                spindle_sectors: REBUILD_SPINDLE_SECTORS,
+            },
+            format: FsCfg::Lfs(rebuild_cfg.clone()),
+            remount: FsCfg::Lfs(rebuild_cfg),
+            hook: Hook::KillAndRebuild,
+            guard: Guard::MidTask,
+            ..lfs
+        },
+    ]
+}
+
+/// The row with metric prefix `prefix`.
+pub fn arm(prefix: &str) -> Arm {
+    arms()
+        .into_iter()
+        .find(|a| a.prefix == prefix)
+        .unwrap_or_else(|| panic!("no crash-sweep arm with prefix {prefix}"))
+}
+
+impl Arm {
+    /// Builds the arm's device — blank, or holding the `images` a crashed
+    /// run left — arms `plan` on it, and formats (blank) or remounts
+    /// (images) the arm's file system over it.
+    ///
+    /// A [`Hook::KillAndRebuild`] remount is a dirty array assembly: the
+    /// suspect drive is swapped for a blank and rebuilt from the
+    /// survivors' XOR, whatever instant the crash hit. Its media is stale
+    /// (it stopped persisting at the in-workload kill), so it is never
+    /// read, and no parity resync runs first — the dead spindle's latest
+    /// contents exist *only* in the parity encoding. The layout closes
+    /// the write hole instead (DESIGN.md §5.5).
+    fn open(&self, images: Option<Vec<Vec<u8>>>, plan: Option<CrashPlan>) -> Result<Rig, FsError> {
+        let clock = Clock::new();
+        let remounting = images.is_some();
+        let fs_cfg = if remounting {
+            &self.remount
+        } else {
+            &self.format
+        };
+        match &self.device {
+            Device::Disk => {
+                let geometry = DiskGeometry::tiny_test(DISK_SECTORS);
+                let mut disk = match images {
+                    Some(images) => {
+                        let image = images.into_iter().next().expect("one image per disk");
+                        SimDisk::from_image(geometry, Arc::clone(&clock), image)
+                    }
+                    None => SimDisk::new(geometry, Arc::clone(&clock)),
+                };
+                if let Some(plan) = plan {
+                    disk.arm_crash(plan);
+                }
+                Ok(match (fs_cfg, remounting) {
+                    (FsCfg::Lfs(cfg), false) => Rig::Lfs(Lfs::format(disk, cfg.clone(), clock)?.into()),
+                    (FsCfg::Lfs(cfg), true) => Rig::Lfs(Lfs::mount(disk, cfg.clone(), clock)?.into()),
+                    (FsCfg::Ffs(cfg), false) => Rig::Ffs(Ffs::format(disk, cfg.clone(), clock)?.into()),
+                    (FsCfg::Ffs(cfg), true) => Rig::Ffs(Ffs::mount(disk, cfg.clone(), clock)?.into()),
+                })
+            }
+            Device::Volume {
+                cfg: vol_cfg,
+                spindle_sectors,
+            } => {
+                let FsCfg::Lfs(cfg) = fs_cfg else {
+                    panic!("FFS arms run on a bare disk");
+                };
+                let geometry = DiskGeometry::tiny_test(*spindle_sectors);
+                let mut vol = match images {
+                    Some(images) => StripedVolume::from_images(
+                        geometry,
+                        Arc::clone(&clock),
+                        vol_cfg.clone(),
+                        images,
+                    ),
+                    None => StripedVolume::new(geometry, Arc::clone(&clock), vol_cfg.clone()),
+                };
+                if let Some(plan) = plan {
+                    vol.arm_crash_all(plan);
+                }
+                let dev = VolumeDisk::new(vol.into_shared());
+                if remounting && self.hook == Hook::KillAndRebuild {
+                    dev.kill_spindle(REBUILD_DEAD_SPINDLE);
+                    dev.replace_spindle(REBUILD_DEAD_SPINDLE, rebuild_policy())
+                        .expect("replace a dead spindle");
+                }
+                let fs = if remounting {
+                    Lfs::mount(dev, cfg.clone(), clock)?
+                } else {
+                    Lfs::format(dev, cfg.clone(), clock)?
+                };
+                Ok(Rig::Striped(fs.into()))
+            }
+        }
+    }
+}
+
+/// Replays the script on `rig` with the arm's `hook` applied around every
+/// op, recording the durability model as it goes, and stops at the first
+/// error (on a crash-armed device: the crash — later ops would all fail
+/// against it; the half-built model is of no use then).
+fn run_script(rig: &mut Rig, ops: &[Op], hook: Hook, model: &mut Model) -> Result<(), FsError> {
+    let mut task = hook.task(rig);
+    let task_active = |task: &Option<HookTask>, rig: &mut Rig| {
+        task.as_ref().is_some_and(|(t, _)| t.active(rig.striped()))
+    };
+    let (kill_at, replace_at) = (ops.len() / 3, 2 * ops.len() / 3);
+    for (i, op) in ops.iter().enumerate() {
+        if hook == Hook::KillAndRebuild {
+            let dev = rig.striped().device();
+            if i == kill_at {
+                dev.kill_spindle(REBUILD_DEAD_SPINDLE);
+            }
+            if i == replace_at {
+                dev.replace_spindle(REBUILD_DEAD_SPINDLE, rebuild_policy())
+                    .expect("replace a dead spindle");
+            }
+        }
+        let w0 = rig.disk_writes();
+        let was_active = task_active(&task, rig);
         match op {
             Op::Mkdir(path) => {
-                fs.mkdir(path).expect("model run mkdir");
+                rig.fs().mkdir(path)?;
             }
             Op::Write(path, data) => {
-                upsert(fs, path, data).expect("model run write");
-                state.insert(path.clone(), data.clone());
-                model.history.entry(path.clone()).or_default().push(data.clone());
+                let history = model.history.entry(path.clone()).or_default();
+                upsert(rig.fs(), path, data, |bytes| {
+                    history.push(Version {
+                        bytes: bytes.to_vec(),
+                        whole: bytes.len() == data.len(),
+                    })
+                })?;
+                model.live.insert(path.clone(), data.clone());
                 model.touch.insert(path.clone(), model.barriers.len());
             }
             Op::Unlink(path) => {
-                fs.unlink(path).expect("model run unlink");
-                state.remove(path);
+                rig.fs().unlink(path)?;
+                model.live.remove(path);
                 model.deleted.insert(path.clone());
                 model.touch.insert(path.clone(), model.barriers.len());
             }
             Op::Sync => {
-                fs.sync().expect("model run sync");
+                rig.fs().sync()?;
                 model.barriers.push(Barrier {
-                    writes_done: fs.disk_writes(),
-                    durable: state.clone(),
+                    writes_done: rig.disk_writes(),
+                    durable: model.live.clone(),
                 });
             }
         }
-    }
-    model.total_writes = fs.disk_writes();
-    model
-}
-
-/// Replays the script over a crash-armed volume, stopping at the first
-/// error (the crash). Later ops would all fail against a crashed device.
-fn crash_run<F: Rig>(fs: &mut F, ops: &[Op]) {
-    for op in ops {
-        let r = match op {
-            Op::Mkdir(path) => fs.mkdir(path).map(|_| ()),
-            Op::Write(path, data) => upsert(fs, path, data),
-            Op::Unlink(path) => fs.unlink(path).map(|_| ()),
-            Op::Sync => fs.sync(),
-        };
-        if r.is_err() {
-            return;
-        }
-    }
-}
-
-/// Collects every regular-file path in the recovered tree.
-fn live_files<F: FileSystem>(fs: &mut F) -> Result<BTreeSet<String>, FsError> {
-    let mut out = BTreeSet::new();
-    let mut stack = vec![String::from("/")];
-    while let Some(dir) = stack.pop() {
-        for entry in fs.readdir(&dir)? {
-            let path = if dir == "/" {
-                format!("/{}", entry.name)
-            } else {
-                format!("{dir}/{}", entry.name)
+        if hook == Hook::WobbleBoundary {
+            let Rig::Lfs(fs) = rig else {
+                panic!("the boundary wobble needs an LFS on a bare disk");
             };
-            match entry.kind {
-                FileKind::Regular => {
-                    out.insert(path);
-                }
-                FileKind::Directory => stack.push(path),
-            }
+            fs.set_cache_boundary(4 + (i * 13) % 61);
+        }
+        if let Some((task, burst)) = &mut task {
+            offer(task.as_mut(), rig.striped(), None, *burst)?;
+        }
+        let w1 = rig.disk_writes();
+        if w1 > w0 && (was_active || task_active(&task, rig)) {
+            model.task_spans.push((w0, w1));
         }
     }
-    Ok(out)
+    if let Some((task, _)) = &mut task {
+        let w0 = rig.disk_writes();
+        drain(task.as_mut(), rig.striped())?;
+        if rig.disk_writes() > w0 {
+            model.task_spans.push((w0, rig.disk_writes()));
+        }
+    }
+    Ok(())
 }
 
-/// Checks a recovered volume against the model. `strict_content` demands
-/// every recovered file hold bytes from its real version history (sound
-/// for LFS, whose log never overwrites data in place; FFS in-place
-/// overwrites legitimately tear, so only its untouched-since-barrier
-/// files are content-checked). Returns human-readable violations.
-fn check_recovery<F: Rig>(
-    fs: &mut F,
-    model: &Model,
-    crash_idx: u64,
-    strict_content: bool,
-) -> Vec<String> {
-    let mut problems = Vec::new();
-    match fs.check_consistency() {
-        Ok(None) => {}
-        Ok(Some(report)) => problems.push(format!("fsck unclean: {}", report.trim())),
-        Err(e) => {
-            problems.push(format!("fsck failed: {e}"));
-            return problems;
-        }
-    }
-
-    // The newest barrier wholly persisted before the crash: writes with
-    // index < crash_idx reached the platter, the triggering write did not.
-    let guaranteed = model
-        .barriers
-        .iter()
-        .enumerate()
-        .rev()
-        .find(|(_, b)| b.writes_done <= crash_idx);
-    if let Some((g, barrier)) = guaranteed {
-        for (path, content) in &barrier.durable {
-            let untouched_since = model.touch.get(path).copied().unwrap_or(0) <= g;
-            match fs.read_file(path) {
-                Ok(found) => {
-                    if untouched_since {
-                        if &found != content {
-                            problems.push(format!(
-                                "durability: {path} synced at barrier {g} and never \
-                                 touched again, but came back with {} bytes instead of {}",
-                                found.len(),
-                                content.len()
-                            ));
-                        }
-                    } else if strict_content
-                        && !model.history[path].iter().any(|v| v == &found)
-                    {
-                        problems.push(format!(
-                            "integrity: {path} recovered with bytes matching no \
-                             version the workload ever wrote"
-                        ));
-                    }
-                }
-                Err(FsError::NotFound) => {
-                    let legitimately_gone = !untouched_since && model.deleted.contains(path);
-                    if !legitimately_gone {
-                        problems.push(format!(
-                            "durability: {path} synced at barrier {g} is missing"
-                        ));
-                    }
-                }
-                Err(e) => problems.push(format!("durability: reading {path}: {e}")),
-            }
-        }
-    }
-
-    // No fabricated state: every recovered path must be one the workload
-    // created, and (strict mode) hold a content version it really wrote.
-    match live_files(fs) {
-        Ok(found) => {
-            for path in found {
-                match model.history.get(&path) {
-                    None => problems.push(format!("phantom: {path} was never created")),
-                    Some(versions) if strict_content => match fs.read_file(&path) {
-                        Ok(bytes) => {
-                            if !versions.iter().any(|v| v == &bytes) {
-                                problems.push(format!(
-                                    "integrity: {path} holds bytes matching no real version"
-                                ));
-                            }
-                        }
-                        Err(e) => problems.push(format!("integrity: reading {path}: {e}")),
-                    },
-                    Some(_) => {}
-                }
-            }
-        }
-        Err(e) => problems.push(format!("tree walk failed: {e}")),
-    }
-    problems
-}
-
-/// Aggregated result of one (file system × fault mode) sweep.
-#[derive(Debug, Clone)]
+/// Aggregated result of one (arm × fault mode) sweep.
+#[derive(Debug, Clone, Default)]
 pub struct ModeOutcome {
-    /// Which file system was swept.
-    pub fs: SweepFs,
-    /// Which fault mode was applied.
-    pub mode: SweepMode,
     /// Crash indices exercised.
     pub crash_points: u64,
     /// Remounts that succeeded and recovered to a consistent volume.
@@ -449,953 +637,132 @@ pub struct ModeOutcome {
     /// Model-equivalence violations (silent corruption, lost durable
     /// data, phantom files). Must be zero.
     pub violations: u64,
+    /// Crash points whose recovered tree held an intermediate version of
+    /// some file: a state between the vfs calls of one script write.
+    pub intermediate_recoveries: u64,
     /// First few violation descriptions, for the report.
     pub samples: Vec<String>,
 }
 
 impl ModeOutcome {
     /// True when the sweep found no silent-corruption or durability
-    /// violations (LFS additionally must never refuse to mount).
+    /// violations (a refused mount is one, unless the arm allows it).
     pub fn is_clean(&self) -> bool {
-        self.violations == 0 && (self.fs == SweepFs::Ffs || self.detected_unmountable == 0)
+        self.violations == 0
     }
 }
 
-fn fresh_disk() -> (SimDisk, Arc<Clock>) {
-    let clock = Clock::new();
-    let disk = SimDisk::new(DiskGeometry::tiny_test(DISK_SECTORS), Arc::clone(&clock));
-    (disk, clock)
-}
-
-fn remount_image(image: Vec<u8>) -> (SimDisk, Arc<Clock>) {
-    let clock = Clock::new();
-    let disk = SimDisk::from_image(
-        DiskGeometry::tiny_test(DISK_SECTORS),
-        Arc::clone(&clock),
-        image,
-    );
-    (disk, clock)
-}
-
-/// Same total logical capacity as the single-disk sweep, cut evenly
-/// across spindles with segment-granular round-robin striping, so the
-/// scripted workload and its durability model are identical.
-fn fresh_volume(spindles: usize) -> (StripedVolume, Arc<Clock>) {
-    assert!(
-        spindles >= 1 && DISK_SECTORS.is_multiple_of(spindles as u64),
-        "spindle count must divide the test capacity"
-    );
-    let clock = Clock::new();
-    let cfg = VolumeConfig::rr_segment(spindles, LfsConfig::small_test().segment_bytes);
-    let vol = StripedVolume::new(
-        DiskGeometry::tiny_test(DISK_SECTORS / spindles as u64),
-        Arc::clone(&clock),
-        cfg,
-    );
-    (vol, clock)
-}
-
-fn remount_volume(spindles: usize, images: Vec<Vec<u8>>) -> (StripedVolume, Arc<Clock>) {
-    let clock = Clock::new();
-    let cfg = VolumeConfig::rr_segment(spindles, LfsConfig::small_test().segment_bytes);
-    let vol = StripedVolume::from_images(
-        DiskGeometry::tiny_test(DISK_SECTORS / spindles as u64),
-        Arc::clone(&clock),
-        cfg,
-        images,
-    );
-    (vol, clock)
-}
-
-/// Sweeps LFS on a multi-spindle round-robin volume under one fault
-/// mode: the same crash plan is armed on every spindle with a shared
-/// write index, so power fails at the globally N-th write wherever it
-/// lands. Checkpoint recovery must be stripe-agnostic: the outcome is
-/// held to exactly the single-disk standard (always mounts, never
-/// silently corrupts, strict content checks).
-pub fn sweep_striped(mode: SweepMode, spec: &SweepSpec, spindles: usize) -> ModeOutcome {
+/// Sweeps one arm under one fault mode: crash at every `stride`-th
+/// workload write index — including the writes the arm's hook issues —
+/// remount, and check against the model. Panics if the sweep was
+/// vacuous: no crash points at all, or the arm's guard unmet.
+pub fn sweep(arm: &Arm, mode: SweepMode, spec: &SweepSpec) -> ModeOutcome {
     let ops = script(spec);
 
-    let model = {
-        let (vol, clock) = fresh_volume(spindles);
-        let dev = VolumeDisk::new(vol.into_shared());
-        let mut fs = Lfs::format(dev, LfsConfig::small_test(), clock).expect("format");
-        let format_writes = fs.disk_writes();
-        dry_run(&mut fs, &ops, format_writes)
+    // Clean pass: build the durability model for this arm.
+    let mut model = Model::default();
+    let mut rig = arm.open(None, None).expect("format");
+    model.format_writes = rig.disk_writes();
+    run_script(&mut rig, &ops, arm.hook, &mut model).expect("model run");
+    model.total_writes = rig.disk_writes();
+    let boundary_moves = match &rig {
+        Rig::Lfs(fs) => fs.cache_report().boundary_moves,
+        _ => 0,
     };
+    drop(rig);
 
-    let mut out = ModeOutcome {
-        fs: SweepFs::Lfs,
-        mode,
-        crash_points: 0,
-        recovered: 0,
-        detected_unmountable: 0,
-        violations: 0,
-        samples: Vec::new(),
-    };
-
-    let mut idx = model.format_writes;
-    while idx < model.total_writes {
-        out.crash_points += 1;
-        let (mut vol, clock) = fresh_volume(spindles);
-        vol.arm_crash_all(mode.plan(idx));
-        let dev = VolumeDisk::new(vol.into_shared());
-        let mut fs = Lfs::format(dev, LfsConfig::small_test(), clock).expect("format");
-        crash_run(&mut fs, &ops);
-        let images = fs.into_device().into_images();
-
-        let (vol, clock) = remount_volume(spindles, images);
-        let dev = VolumeDisk::new(vol.into_shared());
-        let problems = match Lfs::mount(dev, LfsConfig::small_test(), clock) {
-            Ok(mut fs) => {
-                out.recovered += 1;
-                check_recovery(&mut fs, &model, idx, true)
-            }
-            Err(e) => {
-                out.detected_unmountable += 1;
-                vec![format!("LFS mount refused after striped crash: {e}")]
-            }
-        };
-        for p in problems {
-            out.violations += 1;
-            if out.samples.len() < 5 {
-                out.samples
-                    .push(format!("{}x{spindles} @{idx}: {p}", mode.name()));
-            }
-        }
-        idx += spec.stride;
-    }
-    out
-}
-
-/// Sweeps LFS on a multi-spindle volume with **parallel recovery** at
-/// the remount: the crash runs are identical to [`sweep_striped`]'s,
-/// but the surviving image is remounted with `recovery_fanout = 0`
-/// (ask the device), so the roll-forward's summary sweep and tail
-/// prefetch run fanned out across the spindles. Recovery must be
-/// bit-equivalent to the sequential scan, so the outcome is held to
-/// exactly the single-disk standard: always mounts, never silently
-/// corrupts, strict content checks. Panics if no remount actually
-/// partitioned its scan across more than one spindle — the sweep
-/// exists to cover the parallel path, so a config change that routes
-/// every remount through the sequential scan must fail loudly, not
-/// pass vacuously.
-pub fn sweep_par_recovery(mode: SweepMode, spec: &SweepSpec, spindles: usize) -> ModeOutcome {
-    assert!(spindles >= 2, "a parallel-recovery sweep needs >= 2 spindles");
-    let ops = script(spec);
-
-    let model = {
-        let (vol, clock) = fresh_volume(spindles);
-        let dev = VolumeDisk::new(vol.into_shared());
-        let mut fs = Lfs::format(dev, LfsConfig::small_test(), clock).expect("format");
-        let format_writes = fs.disk_writes();
-        dry_run(&mut fs, &ops, format_writes)
-    };
-
-    let mut out = ModeOutcome {
-        fs: SweepFs::Lfs,
-        mode,
-        crash_points: 0,
-        recovered: 0,
-        detected_unmountable: 0,
-        violations: 0,
-        samples: Vec::new(),
-    };
-
+    let mut out = ModeOutcome::default();
+    let mut mid_task_points = 0u64;
     let mut max_partitions = 0u64;
     let mut idx = model.format_writes;
     while idx < model.total_writes {
         out.crash_points += 1;
-        let (mut vol, clock) = fresh_volume(spindles);
-        vol.arm_crash_all(mode.plan(idx));
-        let dev = VolumeDisk::new(vol.into_shared());
-        let mut fs = Lfs::format(dev, LfsConfig::small_test(), clock).expect("format");
-        crash_run(&mut fs, &ops);
-        let images = fs.into_device().into_images();
+        if model
+            .task_spans
+            .iter()
+            .any(|&(lo, hi)| idx >= lo && idx < hi)
+        {
+            mid_task_points += 1;
+        }
+        let mut rig = arm.open(None, Some(mode.plan(idx))).expect("format");
+        // The crash surfaces as an error; the image is what matters.
+        let _ = run_script(&mut rig, &ops, arm.hook, &mut Model::default());
+        let images = rig.into_images();
 
-        let (vol, clock) = remount_volume(spindles, images);
-        let dev = VolumeDisk::new(vol.into_shared());
-        let remount_cfg = LfsConfig::small_test().with_recovery_fanout(0);
-        let problems = match Lfs::mount(dev, remount_cfg, clock) {
-            Ok(mut fs) => {
+        let problems = match arm.open(Some(images), None) {
+            Ok(mut rig) => {
                 out.recovered += 1;
-                max_partitions = max_partitions.max(fs.stats().recovery_partitions);
-                check_recovery(&mut fs, &model, idx, true)
-            }
-            Err(e) => {
-                out.detected_unmountable += 1;
-                vec![format!("LFS mount refused after parallel-recovery crash: {e}")]
-            }
-        };
-        for p in problems {
-            out.violations += 1;
-            if out.samples.len() < 5 {
-                out.samples
-                    .push(format!("par-recovery {}x{spindles} @{idx}: {p}", mode.name()));
-            }
-        }
-        idx += spec.stride;
-    }
-    assert!(
-        max_partitions > 1,
-        "parallel-recovery sweep is vacuous: no remount partitioned its \
-         scan across more than one spindle ({} points swept)",
-        out.crash_points
-    );
-    out
-}
-
-/// The small_test config with the incremental cleaner always eager:
-/// watermarks far above any reachable clean count and minimal step caps,
-/// so the scripted churn keeps a [`lfs_core::CleanerRun`] in flight for
-/// most of the workload and crash indices land in every mid-run state.
-fn async_cleaner_cfg() -> LfsConfig {
-    let mut cfg = LfsConfig::small_test();
-    cfg.cleaner.run_mode = CleanerRunMode::Async(
-        AsyncCleanerPolicy::default()
-            .with_watermarks(1 << 16, 1 << 17)
-            .with_step_caps(2, 4),
-    );
-    cfg
-}
-
-fn fresh_cleaner_volume(spindles: usize) -> (StripedVolume, Arc<Clock>) {
-    assert!(
-        spindles >= 1 && CLEANER_DISK_SECTORS.is_multiple_of(spindles as u64),
-        "spindle count must divide the cleaner-sweep capacity"
-    );
-    let clock = Clock::new();
-    let cfg = VolumeConfig::rr_segment(spindles, LfsConfig::small_test().segment_bytes);
-    let vol = StripedVolume::new(
-        DiskGeometry::tiny_test(CLEANER_DISK_SECTORS / spindles as u64),
-        Arc::clone(&clock),
-        cfg,
-    );
-    (vol, clock)
-}
-
-fn remount_cleaner_volume(spindles: usize, images: Vec<Vec<u8>>) -> (StripedVolume, Arc<Clock>) {
-    let clock = Clock::new();
-    let cfg = VolumeConfig::rr_segment(spindles, LfsConfig::small_test().segment_bytes);
-    let vol = StripedVolume::from_images(
-        DiskGeometry::tiny_test(CLEANER_DISK_SECTORS / spindles as u64),
-        Arc::clone(&clock),
-        cfg,
-        images,
-    );
-    (vol, clock)
-}
-
-/// Offers the incremental cleaner a bounded burst of steps, exactly as
-/// an event-loop host would between foreground dispatches. Both the
-/// model run and every crash run use this same rule, so their device
-/// write sequences are identical up to the crash.
-fn pump_cleaner(fs: &mut Lfs<VolumeDisk>) -> Result<(), FsError> {
-    for _ in 0..4 {
-        if !fs.cleaner_wants_step(0) {
-            return Ok(());
-        }
-        fs.cleaner_step()?;
-    }
-    Ok(())
-}
-
-/// Executes the script cleanly with the cleaner interleaved, recording
-/// the durability model plus the device-write spans during which a
-/// cleaning run was active (so the sweep can prove crash points really
-/// landed mid-run).
-fn dry_run_cleaner(
-    fs: &mut Lfs<VolumeDisk>,
-    ops: &[Op],
-    format_writes: u64,
-) -> (Model, Vec<(u64, u64)>) {
-    let mut model = Model {
-        format_writes,
-        total_writes: 0,
-        barriers: Vec::new(),
-        history: BTreeMap::new(),
-        deleted: BTreeSet::new(),
-        touch: BTreeMap::new(),
-    };
-    let mut spans: Vec<(u64, u64)> = Vec::new();
-    let mut state: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-    for op in ops {
-        let w0 = fs.disk_writes();
-        let active_before = fs.cleaner_run_active();
-        match op {
-            Op::Mkdir(path) => {
-                fs.mkdir(path).expect("model run mkdir");
-            }
-            Op::Write(path, data) => {
-                upsert(fs, path, data).expect("model run write");
-                state.insert(path.clone(), data.clone());
-                model.history.entry(path.clone()).or_default().push(data.clone());
-                model.touch.insert(path.clone(), model.barriers.len());
-            }
-            Op::Unlink(path) => {
-                fs.unlink(path).expect("model run unlink");
-                state.remove(path);
-                model.deleted.insert(path.clone());
-                model.touch.insert(path.clone(), model.barriers.len());
-            }
-            Op::Sync => {
-                fs.sync().expect("model run sync");
-                model.barriers.push(Barrier {
-                    writes_done: fs.disk_writes(),
-                    durable: state.clone(),
-                });
-            }
-        }
-        pump_cleaner(fs).expect("model run cleaner step");
-        if active_before || fs.cleaner_run_active() {
-            let w1 = fs.disk_writes();
-            if w1 > w0 {
-                spans.push((w0, w1));
-            }
-        }
-    }
-    // Drain: finish the in-flight run so its committing checkpoint (and
-    // the crash points inside it) are part of the swept write range.
-    let w0 = fs.disk_writes();
-    let was_active = fs.cleaner_run_active();
-    while fs.cleaner_run_active() {
-        fs.cleaner_step().expect("model run drain");
-    }
-    if was_active && fs.disk_writes() > w0 {
-        spans.push((w0, fs.disk_writes()));
-    }
-    model.total_writes = fs.disk_writes();
-    (model, spans)
-}
-
-/// Replays the script with the cleaner interleaved over a crash-armed
-/// volume, stopping at the first error (the crash).
-fn crash_run_cleaner(fs: &mut Lfs<VolumeDisk>, ops: &[Op]) {
-    for op in ops {
-        let r = match op {
-            Op::Mkdir(path) => fs.mkdir(path).map(|_| ()),
-            Op::Write(path, data) => upsert(fs, path, data),
-            Op::Unlink(path) => fs.unlink(path).map(|_| ()),
-            Op::Sync => fs.sync(),
-        };
-        if r.is_err() || pump_cleaner(fs).is_err() {
-            return;
-        }
-    }
-    while fs.cleaner_run_active() {
-        if fs.cleaner_step().is_err() {
-            return;
-        }
-    }
-}
-
-/// Sweeps LFS with the incremental async cleaner interleaved into the
-/// workload: crash at every `stride`-th write index — including the
-/// writes a [`lfs_core::CleanerRun`] issues mid-flight (segment
-/// relocations, parked clean-pending promotions, the committing
-/// checkpoint) — remount, and hold recovery to the strict single-disk
-/// standard. Panics if no crash point landed inside an active run: the
-/// sweep exists to cover exactly those states, so a workload change that
-/// stops the cleaner from running must fail loudly, not pass vacuously.
-pub fn sweep_cleaner(mode: SweepMode, spec: &SweepSpec, spindles: usize) -> ModeOutcome {
-    let ops = script(spec);
-
-    let (model, run_spans) = {
-        let (vol, clock) = fresh_cleaner_volume(spindles);
-        let dev = VolumeDisk::new(vol.into_shared());
-        let mut fs = Lfs::format(dev, async_cleaner_cfg(), clock).expect("format");
-        let format_writes = fs.disk_writes();
-        dry_run_cleaner(&mut fs, &ops, format_writes)
-    };
-
-    let mut out = ModeOutcome {
-        fs: SweepFs::Lfs,
-        mode,
-        crash_points: 0,
-        recovered: 0,
-        detected_unmountable: 0,
-        violations: 0,
-        samples: Vec::new(),
-    };
-
-    let mut mid_run_points = 0u64;
-    let mut idx = model.format_writes;
-    while idx < model.total_writes {
-        out.crash_points += 1;
-        if run_spans.iter().any(|&(lo, hi)| idx >= lo && idx < hi) {
-            mid_run_points += 1;
-        }
-        let (mut vol, clock) = fresh_cleaner_volume(spindles);
-        vol.arm_crash_all(mode.plan(idx));
-        let dev = VolumeDisk::new(vol.into_shared());
-        let mut fs = Lfs::format(dev, async_cleaner_cfg(), clock).expect("format");
-        crash_run_cleaner(&mut fs, &ops);
-        let images = fs.into_device().into_images();
-
-        let (vol, clock) = remount_cleaner_volume(spindles, images);
-        let dev = VolumeDisk::new(vol.into_shared());
-        let problems = match Lfs::mount(dev, async_cleaner_cfg(), clock) {
-            Ok(mut fs) => {
-                out.recovered += 1;
-                check_recovery(&mut fs, &model, idx, true)
-            }
-            Err(e) => {
-                out.detected_unmountable += 1;
-                vec![format!("LFS mount refused after mid-clean crash: {e}")]
-            }
-        };
-        for p in problems {
-            out.violations += 1;
-            if out.samples.len() < 5 {
-                out.samples
-                    .push(format!("cleaner {}x{spindles} @{idx}: {p}", mode.name()));
-            }
-        }
-        idx += spec.stride;
-    }
-    assert!(
-        mid_run_points > 0,
-        "async-cleaner sweep is vacuous: no crash index landed inside an \
-         active cleaning run ({} points swept)",
-        out.crash_points
-    );
-    out
-}
-
-/// The small_test config with the adaptive memory manager in place of
-/// the shared LRU: crash recovery must be policy-agnostic, because the
-/// manager only decides *when* dirty blocks flush, never what the log
-/// contains once they do.
-fn adaptive_cfg() -> LfsConfig {
-    LfsConfig::small_test().with_cache_policy(CachePolicy::Adaptive)
-}
-
-/// Deterministic boundary wobble applied after op `i` of the adaptive
-/// sweep: marches the write target across its clamp range so
-/// resize-triggered flushes and evictions fall throughout the script.
-/// The model run and every crash run apply the identical schedule, so
-/// their device write sequences match up to the crash.
-fn wobble_boundary(fs: &mut Lfs<SimDisk>, i: usize) {
-    fs.set_cache_boundary(4 + (i * 13) % 61);
-}
-
-/// Executes the script cleanly under the adaptive cache with the
-/// boundary wobbled after every op, recording the durability model.
-fn dry_run_adaptive(fs: &mut Lfs<SimDisk>, ops: &[Op], format_writes: u64) -> Model {
-    let mut model = Model {
-        format_writes,
-        total_writes: 0,
-        barriers: Vec::new(),
-        history: BTreeMap::new(),
-        deleted: BTreeSet::new(),
-        touch: BTreeMap::new(),
-    };
-    let mut state: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            Op::Mkdir(path) => {
-                fs.mkdir(path).expect("model run mkdir");
-            }
-            Op::Write(path, data) => {
-                upsert(fs, path, data).expect("model run write");
-                state.insert(path.clone(), data.clone());
-                model.history.entry(path.clone()).or_default().push(data.clone());
-                model.touch.insert(path.clone(), model.barriers.len());
-            }
-            Op::Unlink(path) => {
-                fs.unlink(path).expect("model run unlink");
-                state.remove(path);
-                model.deleted.insert(path.clone());
-                model.touch.insert(path.clone(), model.barriers.len());
-            }
-            Op::Sync => {
-                fs.sync().expect("model run sync");
-                model.barriers.push(Barrier {
-                    writes_done: fs.disk_writes(),
-                    durable: state.clone(),
-                });
-            }
-        }
-        wobble_boundary(fs, i);
-    }
-    model.total_writes = fs.disk_writes();
-    model
-}
-
-/// Replays the script (with the identical boundary wobble) over a
-/// crash-armed volume, stopping at the first error (the crash).
-fn crash_run_adaptive(fs: &mut Lfs<SimDisk>, ops: &[Op]) {
-    for (i, op) in ops.iter().enumerate() {
-        let r = match op {
-            Op::Mkdir(path) => fs.mkdir(path).map(|_| ()),
-            Op::Write(path, data) => upsert(fs, path, data),
-            Op::Unlink(path) => fs.unlink(path).map(|_| ()),
-            Op::Sync => fs.sync(),
-        };
-        if r.is_err() {
-            return;
-        }
-        wobble_boundary(fs, i);
-    }
-}
-
-/// Sweeps LFS with the adaptive memory manager and a boundary resize
-/// after every operation: crash at every `stride`-th write index,
-/// remount (with the adaptive config again), and hold recovery to the
-/// strict single-disk standard. A resize that dropped a dirty block
-/// instead of flushing it surfaces here as lost durable data. Panics if
-/// the boundary never actually moved during the model run — the sweep
-/// exists to cover resize-triggered flushes, so it must not pass
-/// vacuously.
-pub fn sweep_adaptive(mode: SweepMode, spec: &SweepSpec) -> ModeOutcome {
-    let ops = script(spec);
-
-    let model = {
-        let (disk, clock) = fresh_disk();
-        let mut fs = Lfs::format(disk, adaptive_cfg(), clock).expect("format");
-        let format_writes = fs.disk_writes();
-        let model = dry_run_adaptive(&mut fs, &ops, format_writes);
-        assert!(
-            fs.cache_report().boundary_moves > 0,
-            "adaptive sweep is vacuous: the boundary never moved"
-        );
-        model
-    };
-
-    let mut out = ModeOutcome {
-        fs: SweepFs::Lfs,
-        mode,
-        crash_points: 0,
-        recovered: 0,
-        detected_unmountable: 0,
-        violations: 0,
-        samples: Vec::new(),
-    };
-
-    let mut idx = model.format_writes;
-    while idx < model.total_writes {
-        out.crash_points += 1;
-        let (mut disk, clock) = fresh_disk();
-        disk.arm_crash(mode.plan(idx));
-        let mut fs = Lfs::format(disk, adaptive_cfg(), clock).expect("format");
-        crash_run_adaptive(&mut fs, &ops);
-        let image = fs.into_device().into_image();
-
-        let (disk, clock) = remount_image(image);
-        let problems = match Lfs::mount(disk, adaptive_cfg(), clock) {
-            Ok(mut fs) => {
-                out.recovered += 1;
-                check_recovery(&mut fs, &model, idx, true)
-            }
-            Err(e) => {
-                out.detected_unmountable += 1;
-                vec![format!("LFS mount refused after adaptive-cache crash: {e}")]
-            }
-        };
-        for p in problems {
-            out.violations += 1;
-            if out.samples.len() < 5 {
-                out.samples
-                    .push(format!("adaptive {} @{idx}: {p}", mode.name()));
-            }
-        }
-        idx += spec.stride;
-    }
-    out
-}
-
-/// Per-spindle capacity of the rebuild sweep's parity volume: small so
-/// the online rebuild's row writes are a large share of the swept write
-/// range, putting many crash indices mid-rebuild.
-const REBUILD_SPINDLE_SECTORS: u64 = 1_024;
-
-/// The spindle the rebuild sweep kills. Fixed, so the model run and
-/// every crash run issue identical device-write sequences.
-const REBUILD_DEAD_SPINDLE: usize = 1;
-
-/// Data chunk under the rebuild sweep's parity-segment policy: 8 KB.
-const REBUILD_CHUNK_BYTES: usize = 8 * 1024;
-
-/// LFS sized so one segment covers exactly one parity row: full-segment
-/// writes take the no-read parity fast path, as the storage manager
-/// intends. Metadata regions are segment-aligned so each in-place
-/// rewrite target (superblock, checkpoint A, checkpoint B) owns its
-/// stripe rows outright, and flushes seal their segment so no parity
-/// row ever mixes committed chunks with a later append — together the
-/// layout rules that close the degraded-array write hole (see
-/// `sweep_rebuild`).
-fn rebuild_lfs_cfg(spindles: usize) -> LfsConfig {
-    LfsConfig::small_test()
-        .with_segment_bytes((spindles - 1) * REBUILD_CHUNK_BYTES)
-        .with_segment_aligned_metadata()
-        .with_seal_on_flush()
-}
-
-fn rebuild_volume_cfg(spindles: usize) -> VolumeConfig {
-    VolumeConfig::parity_segment(spindles, (spindles - 1) * REBUILD_CHUNK_BYTES)
-}
-
-/// Eager, small-step pacing: no idle gate (crash runs must be
-/// deterministic, and queue depths vary with where the crash landed)
-/// and two rows per step, so rebuild writes interleave with most of the
-/// remaining workload.
-fn rebuild_policy() -> RebuildPolicy {
-    RebuildPolicy::default()
-        .with_idle_queue_depth(None)
-        .with_max_step_rows(2)
-}
-
-fn fresh_rebuild_volume(spindles: usize) -> (StripedVolume, Arc<Clock>) {
-    let clock = Clock::new();
-    let vol = StripedVolume::new(
-        DiskGeometry::tiny_test(REBUILD_SPINDLE_SECTORS),
-        Arc::clone(&clock),
-        rebuild_volume_cfg(spindles),
-    );
-    (vol, clock)
-}
-
-fn remount_rebuild_volume(spindles: usize, images: Vec<Vec<u8>>) -> (StripedVolume, Arc<Clock>) {
-    let clock = Clock::new();
-    let vol = StripedVolume::from_images(
-        DiskGeometry::tiny_test(REBUILD_SPINDLE_SECTORS),
-        Arc::clone(&clock),
-        rebuild_volume_cfg(spindles),
-        images,
-    );
-    (vol, clock)
-}
-
-/// Offers the rebuild a bounded burst of steps between ops, as an
-/// event-loop host would. Used identically by the model run and every
-/// crash run so their write sequences match up to the crash.
-fn pump_rebuild(fs: &Lfs<VolumeDisk>) -> Result<(), vfs::FsError> {
-    for _ in 0..2 {
-        if !fs.device().rebuild_wants_step() {
-            return Ok(());
-        }
-        fs.device().rebuild_step().map_err(FsError::Io)?;
-    }
-    Ok(())
-}
-
-/// Executes the rebuild script — workload with a spindle killed a third
-/// of the way in and a replacement swapped in at two thirds — recording
-/// the durability model plus the device-write spans during which the
-/// online rebuild was copying rows.
-fn dry_run_rebuild(
-    fs: &mut Lfs<VolumeDisk>,
-    ops: &[Op],
-    format_writes: u64,
-) -> (Model, Vec<(u64, u64)>) {
-    let mut model = Model {
-        format_writes,
-        total_writes: 0,
-        barriers: Vec::new(),
-        history: BTreeMap::new(),
-        deleted: BTreeSet::new(),
-        touch: BTreeMap::new(),
-    };
-    let mut spans: Vec<(u64, u64)> = Vec::new();
-    let mut state: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-    let (kill_at, replace_at) = (ops.len() / 3, 2 * ops.len() / 3);
-    for (i, op) in ops.iter().enumerate() {
-        if i == kill_at {
-            fs.device().kill_spindle(REBUILD_DEAD_SPINDLE);
-        }
-        if i == replace_at {
-            fs.device()
-                .replace_spindle(REBUILD_DEAD_SPINDLE, rebuild_policy())
-                .expect("replace a dead spindle");
-        }
-        let w0 = fs.disk_writes();
-        match op {
-            Op::Mkdir(path) => {
-                fs.mkdir(path).expect("model run mkdir");
-            }
-            Op::Write(path, data) => {
-                upsert(fs, path, data).expect("model run write");
-                state.insert(path.clone(), data.clone());
-                model.history.entry(path.clone()).or_default().push(data.clone());
-                model.touch.insert(path.clone(), model.barriers.len());
-            }
-            Op::Unlink(path) => {
-                fs.unlink(path).expect("model run unlink");
-                state.remove(path);
-                model.deleted.insert(path.clone());
-                model.touch.insert(path.clone(), model.barriers.len());
-            }
-            Op::Sync => {
-                fs.sync().expect("model run sync");
-                model.barriers.push(Barrier {
-                    writes_done: fs.disk_writes(),
-                    durable: state.clone(),
-                });
-            }
-        }
-        let active = fs.device().rebuild_remaining_rows().is_some();
-        pump_rebuild(fs).expect("model run rebuild step");
-        if active {
-            let w1 = fs.disk_writes();
-            if w1 > w0 {
-                spans.push((w0, w1));
-            }
-        }
-    }
-    // Drain: finish the rebuild so its tail (and the crash points inside
-    // it) are part of the swept write range.
-    let w0 = fs.disk_writes();
-    let was_active = fs.device().rebuild_remaining_rows().is_some();
-    while fs.device().rebuild_remaining_rows().is_some() {
-        fs.device().rebuild_step().expect("model run drain");
-    }
-    if was_active && fs.disk_writes() > w0 {
-        spans.push((w0, fs.disk_writes()));
-    }
-    model.total_writes = fs.disk_writes();
-    (model, spans)
-}
-
-/// Replays the rebuild script over a crash-armed volume, stopping at
-/// the first error (the crash).
-fn crash_run_rebuild(fs: &mut Lfs<VolumeDisk>, ops: &[Op]) {
-    let (kill_at, replace_at) = (ops.len() / 3, 2 * ops.len() / 3);
-    for (i, op) in ops.iter().enumerate() {
-        if i == kill_at {
-            fs.device().kill_spindle(REBUILD_DEAD_SPINDLE);
-        }
-        if i == replace_at {
-            fs.device()
-                .replace_spindle(REBUILD_DEAD_SPINDLE, rebuild_policy())
-                .expect("replace a dead spindle");
-        }
-        let r = match op {
-            Op::Mkdir(path) => fs.mkdir(path).map(|_| ()),
-            Op::Write(path, data) => upsert(fs, path, data),
-            Op::Unlink(path) => fs.unlink(path).map(|_| ()),
-            Op::Sync => fs.sync(),
-        };
-        if r.is_err() || pump_rebuild(fs).is_err() {
-            return;
-        }
-    }
-    while fs.device().rebuild_remaining_rows().is_some() {
-        if fs.device().rebuild_step().is_err() {
-            return;
-        }
-    }
-}
-
-/// Sweeps LFS on a parity volume through a mid-life spindle death and
-/// online rebuild: crash at every `stride`-th write index — healthy
-/// phase, degraded phase, and *inside the rebuild's own row writes* —
-/// then remount with the bay's drive swapped for a blank, re-run the
-/// rebuild to completion, and hold recovery to the strict single-disk
-/// standard with every read served from the rebuilt platter.
-///
-/// The remount models a dirty array assembly: the suspect drive is
-/// swapped for a blank and rebuilt from the surviving spindles' XOR,
-/// whatever instant the crash hit. No parity resync is run first — and
-/// none would be sound: if the crash landed after the in-workload
-/// spindle death, the dead spindle's latest contents exist *only* in
-/// the parity encoding, so "resyncing" parity from the surviving media
-/// would destroy exactly the bytes the rebuild must reproduce. Instead
-/// the layout itself closes the write hole, by two rules. In-place
-/// rows (`segment_align_metadata`): the only rows LFS ever rewrites in
-/// place are the superblock and the two checkpoint regions, and each
-/// owns its stripe rows outright, so a torn rewrite can stale only the
-/// parity of the region being written — garbling, at worst, that
-/// region's own reconstruction, which its checksum rejects in favour
-/// of the sibling checkpoint. Log rows (`seal_on_flush`): every flush
-/// seals its segment, so no append ever shares a parity row with a
-/// previously committed chunk — a torn row holds only the torn flush's
-/// own uncommitted tail, which roll-forward's per-chunk CRCs and
-/// self-addresses fence. Without the second rule the sweep fails: a
-/// sync that appends into the format flush's still-open segment, torn
-/// at its parity write, leaves the row's XOR stale across the
-/// *committed* inode-map blocks sharing the row, and the rebuild
-/// faithfully reconstructs the lost spindle's garble.
-///
-/// Panics if no crash index landed inside a rebuild write span — the
-/// sweep exists to cover exactly those states, so a workload change
-/// that finishes the rebuild instantly must fail loudly, not pass
-/// vacuously.
-pub fn sweep_rebuild(mode: SweepMode, spec: &SweepSpec, spindles: usize) -> ModeOutcome {
-    assert!(spindles >= 2, "a parity rebuild needs at least 2 spindles");
-    let ops = script(spec);
-
-    let (model, rebuild_spans) = {
-        let (vol, clock) = fresh_rebuild_volume(spindles);
-        let dev = VolumeDisk::new(vol.into_shared());
-        let mut fs = Lfs::format(dev, rebuild_lfs_cfg(spindles), clock).expect("format");
-        let format_writes = fs.disk_writes();
-        dry_run_rebuild(&mut fs, &ops, format_writes)
-    };
-
-    let mut out = ModeOutcome {
-        fs: SweepFs::Lfs,
-        mode,
-        crash_points: 0,
-        recovered: 0,
-        detected_unmountable: 0,
-        violations: 0,
-        samples: Vec::new(),
-    };
-
-    let mut mid_rebuild_points = 0u64;
-    let mut idx = model.format_writes;
-    while idx < model.total_writes {
-        out.crash_points += 1;
-        if rebuild_spans.iter().any(|&(lo, hi)| idx >= lo && idx < hi) {
-            mid_rebuild_points += 1;
-        }
-        let (mut vol, clock) = fresh_rebuild_volume(spindles);
-        vol.arm_crash_all(mode.plan(idx));
-        let dev = VolumeDisk::new(vol.into_shared());
-        let mut fs = Lfs::format(dev, rebuild_lfs_cfg(spindles), clock).expect("format");
-        crash_run_rebuild(&mut fs, &ops);
-        let images = fs.into_device().into_images();
-
-        let (vol, clock) = remount_rebuild_volume(spindles, images);
-        let dev = VolumeDisk::new(vol.into_shared());
-        // Dirty assembly: the operator swaps the suspect drive for a
-        // blank and the volume rebuilds it from parity while mounting
-        // degraded. The dead spindle's media is stale (it stopped
-        // persisting at the in-workload kill), so it is never read —
-        // its logical contents are reconstructed from the survivors.
-        dev.kill_spindle(REBUILD_DEAD_SPINDLE);
-        dev.replace_spindle(REBUILD_DEAD_SPINDLE, rebuild_policy())
-            .expect("replace a dead spindle");
-        let problems = match Lfs::mount(dev, rebuild_lfs_cfg(spindles), clock) {
-            Ok(mut fs) => {
-                out.recovered += 1;
+                max_partitions = max_partitions.max(rig.recovery_partitions());
                 let mut problems = Vec::new();
-                loop {
-                    match fs.device().rebuild_step() {
-                        Ok(RebuildProgress::Completed) | Ok(RebuildProgress::Idle) => break,
-                        Ok(RebuildProgress::Progress { .. }) => {}
-                        Err(e) => {
-                            problems.push(format!("post-crash rebuild failed: {e:?}"));
-                            break;
-                        }
+                if arm.hook == Hook::KillAndRebuild {
+                    // Every read below is served from the rebuilt platter.
+                    let fs = rig.striped();
+                    if let Err(e) = drain(&mut fs.device().clone(), fs) {
+                        problems.push(format!("post-crash rebuild failed: {e:?}"));
                     }
                 }
-                problems.extend(check_recovery(&mut fs, &model, idx, true));
+                let fsck = rig.check_consistency();
+                let (found, intermediate) =
+                    check_recovery(rig.fs(), fsck, &model, idx, arm.strict_content);
+                problems.extend(found);
+                out.intermediate_recoveries += u64::from(intermediate);
                 problems
             }
             Err(e) => {
                 out.detected_unmountable += 1;
-                vec![format!("LFS mount refused after rebuild-sweep crash: {e}")]
+                if arm.may_refuse_mount {
+                    // Failing loudly is detection, not silence.
+                    Vec::new()
+                } else {
+                    vec![format!("mount refused after crash: {e}")]
+                }
             }
         };
         for p in problems {
             out.violations += 1;
             if out.samples.len() < 5 {
                 out.samples
-                    .push(format!("rebuild {}x{spindles} @{idx}: {p}", mode.name()));
+                    .push(format!("{} {} @{idx}: {p}", arm.label, mode.name()));
             }
         }
         idx += spec.stride;
     }
+
+    let row = format!("{} {}", arm.label, mode.name());
     assert!(
-        mid_rebuild_points > 0,
-        "rebuild sweep is vacuous: no crash index landed inside a rebuild \
-         write span ({} points swept)",
-        out.crash_points
+        out.crash_points > 0,
+        "{row}: the script wrote nothing to crash into"
     );
-    out
-}
-
-/// Sweeps one file system under one fault mode: crash at every
-/// `stride`-th workload write index, remount, check against the model.
-pub fn sweep(fs_kind: SweepFs, mode: SweepMode, spec: &SweepSpec) -> ModeOutcome {
-    let ops = script(spec);
-
-    // Clean pass: build the durability model for this file system.
-    let model = match fs_kind {
-        SweepFs::Lfs => {
-            let (disk, clock) = fresh_disk();
-            let mut fs = Lfs::format(disk, LfsConfig::small_test(), clock).expect("format");
-            let format_writes = fs.disk_writes();
-            dry_run(&mut fs, &ops, format_writes)
+    assert_eq!(
+        out.recovered + out.detected_unmountable,
+        out.crash_points,
+        "{row}: every crash point must recover or be detected"
+    );
+    match arm.guard {
+        Guard::None => {}
+        Guard::MidTask => assert!(
+            mid_task_points > 0,
+            "{row} is vacuous: no crash index landed inside an active \
+             maintenance run ({} points swept)",
+            out.crash_points
+        ),
+        Guard::PartitionedRecovery => assert!(
+            max_partitions > 1,
+            "{row} is vacuous: no remount partitioned its scan across more \
+             than one spindle ({} points swept)",
+            out.crash_points
+        ),
+        Guard::BoundaryMoved => {
+            assert!(
+                boundary_moves > 0,
+                "{row} is vacuous: the boundary never moved"
+            );
+            assert!(
+                *spec != SweepSpec::full() || out.intermediate_recoveries > 0,
+                "{row} is vacuous: no crash point recovered an intermediate \
+                 version, so no flush fell between the vfs calls of a write"
+            );
         }
-        SweepFs::Ffs => {
-            let (disk, clock) = fresh_disk();
-            let mut fs = Ffs::format(disk, FfsConfig::small_test(), clock).expect("format");
-            let format_writes = fs.disk_writes();
-            dry_run(&mut fs, &ops, format_writes)
-        }
-    };
-
-    let mut out = ModeOutcome {
-        fs: fs_kind,
-        mode,
-        crash_points: 0,
-        recovered: 0,
-        detected_unmountable: 0,
-        violations: 0,
-        samples: Vec::new(),
-    };
-
-    let mut idx = model.format_writes;
-    while idx < model.total_writes {
-        out.crash_points += 1;
-        let plan = mode.plan(idx);
-        let image = match fs_kind {
-            SweepFs::Lfs => {
-                let (mut disk, clock) = fresh_disk();
-                disk.arm_crash(plan);
-                let mut fs = Lfs::format(disk, LfsConfig::small_test(), clock).expect("format");
-                crash_run(&mut fs, &ops);
-                fs.into_device().into_image()
-            }
-            SweepFs::Ffs => {
-                let (mut disk, clock) = fresh_disk();
-                disk.arm_crash(plan);
-                let mut fs = Ffs::format(disk, FfsConfig::small_test(), clock).expect("format");
-                crash_run(&mut fs, &ops);
-                fs.into_device().into_image()
-            }
-        };
-
-        let problems = match fs_kind {
-            SweepFs::Lfs => {
-                let (disk, clock) = remount_image(image);
-                match Lfs::mount(disk, LfsConfig::small_test(), clock) {
-                    Ok(mut fs) => {
-                        out.recovered += 1;
-                        check_recovery(&mut fs, &model, idx, true)
-                    }
-                    Err(e) => {
-                        // The dual checkpoint regions mean an LFS volume
-                        // must always come back.
-                        out.detected_unmountable += 1;
-                        vec![format!("LFS mount refused after crash: {e}")]
-                    }
-                }
-            }
-            SweepFs::Ffs => {
-                let (disk, clock) = remount_image(image);
-                match Ffs::mount(disk, FfsConfig::small_test(), clock) {
-                    Ok(mut fs) => {
-                        out.recovered += 1;
-                        check_recovery(&mut fs, &model, idx, false)
-                    }
-                    Err(_) => {
-                        // FFS failing loudly is detection, not silence.
-                        out.detected_unmountable += 1;
-                        Vec::new()
-                    }
-                }
-            }
-        };
-        for p in problems {
-            out.violations += 1;
-            if out.samples.len() < 5 {
-                out.samples.push(format!("{} @{idx}: {p}", mode.name()));
-            }
-        }
-        idx += spec.stride;
     }
     out
 }
@@ -1421,18 +788,66 @@ mod tests {
     fn models_agree_on_barrier_count_across_file_systems() {
         let spec = SweepSpec::smoke();
         let ops = script(&spec);
-        let (disk, clock) = fresh_disk();
-        let mut lfs = Lfs::format(disk, LfsConfig::small_test(), clock).unwrap();
-        let w = lfs.disk_writes();
-        let lfs_model = dry_run(&mut lfs, &ops, w);
-        let (disk, clock) = fresh_disk();
-        let mut ffs = Ffs::format(disk, FfsConfig::small_test(), clock).unwrap();
-        let w = ffs.disk_writes();
-        let ffs_model = dry_run(&mut ffs, &ops, w);
-        assert_eq!(lfs_model.barriers.len(), spec.phases);
-        assert_eq!(ffs_model.barriers.len(), spec.phases);
-        // Both runs actually wrote something to crash into.
-        assert!(lfs_model.total_writes > lfs_model.format_writes);
-        assert!(ffs_model.total_writes > ffs_model.format_writes);
+        for prefix in ["lfs", "ffs"] {
+            let arm = arm(prefix);
+            let mut model = Model::default();
+            let mut rig = arm.open(None, None).unwrap();
+            let format_writes = rig.disk_writes();
+            run_script(&mut rig, &ops, arm.hook, &mut model).unwrap();
+            assert_eq!(model.barriers.len(), spec.phases, "{prefix}");
+            // The run actually wrote something to crash into.
+            assert!(rig.disk_writes() > format_writes, "{prefix}");
+        }
+    }
+
+    /// A script write is two vfs calls, and the model says so: every
+    /// written path's history opens with the empty file.
+    #[test]
+    fn the_model_records_the_empty_file_inside_every_write() {
+        let ops = script(&SweepSpec::smoke());
+        let arm = arm("lfs");
+        let mut model = Model::default();
+        run_script(
+            &mut arm.open(None, None).unwrap(),
+            &ops,
+            arm.hook,
+            &mut model,
+        )
+        .unwrap();
+        let writes = ops.iter().filter(|op| matches!(op, Op::Write(..))).count();
+        let (whole, partial): (Vec<_>, Vec<_>) =
+            model.history.values().flatten().partition(|v| v.whole);
+        assert_eq!(whole.len(), writes);
+        assert_eq!(partial.len(), writes, "write_at never returns short here");
+        assert!(partial.iter().all(|v| v.bytes.is_empty()));
+        assert!(model.history.values().all(|vs| !vs[0].whole));
+    }
+
+    /// The table is the single place an arm is defined: metric prefixes
+    /// and labels never collide, and every arm whose sweep function had
+    /// a vacuity guard before the table existed still has one.
+    #[test]
+    fn every_row_is_distinct_and_keeps_its_vacuity_guard() {
+        let arms = arms();
+        let prefixes: std::collections::BTreeSet<_> = arms.iter().map(|a| a.prefix).collect();
+        let labels: std::collections::BTreeSet<_> = arms.iter().map(|a| a.label).collect();
+        assert_eq!(prefixes.len(), arms.len(), "duplicate metric prefix");
+        assert_eq!(labels.len(), arms.len(), "duplicate row label");
+        for (prefix, guard) in [
+            ("lfs_cleaner_1sp", Guard::MidTask),
+            ("lfs_cleaner_2sp", Guard::MidTask),
+            ("lfs_rebuild_4sp", Guard::MidTask),
+            ("lfs_par_recovery_4sp", Guard::PartitionedRecovery),
+            ("lfs_adaptive", Guard::BoundaryMoved),
+        ] {
+            assert_eq!(arm(prefix).guard, guard, "{prefix}");
+        }
+        for arm in &arms {
+            // Only FFS may refuse a mount or skip the strict content check.
+            let ffs = matches!(arm.format, FsCfg::Ffs(_));
+            assert_eq!(arm.may_refuse_mount, ffs, "{}", arm.prefix);
+            assert_eq!(arm.strict_content, !ffs, "{}", arm.prefix);
+            assert!(!arm.modes.is_empty(), "{}", arm.prefix);
+        }
     }
 }

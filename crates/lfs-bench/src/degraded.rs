@@ -18,11 +18,11 @@
 //! namespace digests, which is the bench's end-to-end correctness
 //! assertion.
 
-use engine::{jittered_think_ns, RequestEngine};
+use engine::{drain, jittered_think_ns, run_closed_loop, Maintenance, RequestEngine};
 use lfs_core::Lfs;
 use sim_disk::BlockDevice;
 use vfs::{FileSystem, FsResult};
-use volume::{RebuildProgress, VolumeDisk};
+use volume::VolumeDisk;
 use workload::payload;
 
 use crate::interference::percentile_ns;
@@ -109,11 +109,11 @@ pub fn fill<D: BlockDevice>(
 }
 
 /// Runs one measured phase: `ops_per_phase` read+overwrite operations
-/// dispatched earliest-ready-first across the clients. When
-/// `drive_rebuild` is set, the volume's rebuild is offered a step
-/// before every foreground dispatch (so a backlogged foreground cannot
-/// starve it) plus as many as policy accepts — the idle gate sees the
-/// live queue depth, exactly the async cleaner's contract.
+/// dispatched by [`run_closed_loop`]. When `drive_rebuild` is set, the
+/// volume's rebuild is the loop's maintenance task — offered a step
+/// before every foreground dispatch plus as many as fit in idle time,
+/// its idle gate seeing the live queue depth, exactly the async
+/// cleaner's contract.
 ///
 /// `phase` keys the payload epoch so each phase's overwrites really
 /// change bytes (parity must track them), and the final state is a
@@ -126,92 +126,54 @@ pub fn run_phase(
     drive_rebuild: bool,
 ) -> FsResult<PhaseOutcome> {
     assert!(cfg.clients > 0, "at least one client");
-    let clock = core.clock();
-    let start_ns = clock.now_ns();
     let ops_per_client = cfg.ops_per_phase / cfg.clients;
-    let mut next_ready: Vec<u64> = (0..cfg.clients)
-        .map(|c| start_ns + jittered_think_ns(cfg.seed, c, phase << 16, cfg.think_ns))
-        .collect();
-    let mut done_ops: Vec<usize> = vec![0; cfg.clients];
-    let mut latencies: Vec<u64> = Vec::with_capacity(cfg.clients * ops_per_client);
     let mut read_latencies: Vec<u64> = Vec::with_capacity(cfg.clients * ops_per_client);
-    let mut rebuild_steps = 0u64;
-
-    let total_ops = cfg.clients * ops_per_client;
-    for _ in 0..total_ops {
-        let c = (0..cfg.clients)
-            .filter(|&c| done_ops[c] < ops_per_client)
-            .min_by_key(|&c| (next_ready[c], c))
-            .expect("a client still has work");
-
-        // Offer the rebuild dispatch slots ahead of the foreground op:
-        // one forced offer (its policy still decides), then more only
-        // while virtual time has not reached the next client's turn.
-        if drive_rebuild {
-            let mut forced = false;
-            loop {
-                core.pump()?;
-                if !core.rebuild_wants_step() {
-                    break;
-                }
-                if forced && clock.now_ns() >= next_ready[c] {
-                    break;
-                }
-                match core.rebuild_step()? {
-                    RebuildProgress::Idle => break,
-                    RebuildProgress::Completed => {
-                        rebuild_steps += 1;
-                        break;
-                    }
-                    RebuildProgress::Progress { .. } => rebuild_steps += 1,
-                }
-                forced = true;
+    let mut rebuild = core.clone();
+    let run = run_closed_loop(
+        fs,
+        core,
+        &vec![ops_per_client; cfg.clients],
+        |c, op| jittered_think_ns(cfg.seed, c, (phase << 16) | op, cfg.think_ns),
+        drive_rebuild.then_some((&mut rebuild as &mut dyn Maintenance<_>, None)),
+        |fs, turn| {
+            let (c, op) = (turn.client, turn.op);
+            // Cold reads: without this the paper-sized cache absorbs the
+            // whole live set and no phase would ever touch the media's
+            // read path — the very path whose degradation is measured.
+            fs.drop_caches()?;
+            turn.restart();
+            // Read one slot end-to-end (degraded: XOR reconstruction)...
+            let read_slot = (op + 1) % cfg.slots_per_client;
+            let data = fs.read_file(&slot_path(c, read_slot))?;
+            read_latencies.push(turn.elapsed_ns());
+            assert_eq!(data.len(), cfg.file_size, "slot changed size");
+            // ...then overwrite another (parity from the write buffer).
+            let write_slot = op % cfg.slots_per_client;
+            let epoch = cfg.slots_per_client + phase * ops_per_client + op;
+            let body = slot_payload(cfg, c, epoch);
+            let ino = fs.lookup(&slot_path(c, write_slot))?;
+            fs.truncate(ino, 0)?;
+            let mut written = 0;
+            while written < cfg.file_size {
+                written += fs.write_at(ino, written as u64, &body[written..])?;
             }
-        }
+            core.set_client(None);
+            Ok(())
+        },
+    )?;
 
-        clock.advance_to_ns(next_ready[c]);
-        core.pump()?;
-        core.set_client(Some(c));
-        let op = done_ops[c];
-        // Cold reads: without this the paper-sized cache absorbs the
-        // whole live set and no phase would ever touch the media's
-        // read path — the very path whose degradation is measured.
-        fs.drop_caches()?;
-        let before_ns = clock.now_ns();
-        // Read one slot end-to-end (degraded: XOR reconstruction)...
-        let read_slot = (op + 1) % cfg.slots_per_client;
-        let data = fs.read_file(&slot_path(c, read_slot))?;
-        read_latencies.push(clock.now_ns() - before_ns);
-        assert_eq!(data.len(), cfg.file_size, "slot changed size");
-        // ...then overwrite another (parity from the write buffer).
-        let write_slot = op % cfg.slots_per_client;
-        let epoch = cfg.slots_per_client + phase * ops_per_client + op;
-        let body = slot_payload(cfg, c, epoch);
-        let ino = fs.lookup(&slot_path(c, write_slot))?;
-        fs.truncate(ino, 0)?;
-        let mut written = 0;
-        while written < cfg.file_size {
-            written += fs.write_at(ino, written as u64, &body[written..])?;
-        }
-        let latency_ns = clock.now_ns() - before_ns;
-        latencies.push(latency_ns);
-        done_ops[c] += 1;
-        next_ready[c] = clock.now_ns()
-            + jittered_think_ns(cfg.seed, c, (phase << 16) | (op + 1), cfg.think_ns);
-        core.set_client(None);
-    }
-
-    let elapsed_ns = clock.now_ns() - start_ns;
+    let elapsed_ns = core.clock().now_ns() - run.start_ns;
+    let mut latencies: Vec<u64> = run.latencies.iter().map(|&(_, ns)| ns).collect();
     latencies.sort_unstable();
     read_latencies.sort_unstable();
     Ok(PhaseOutcome {
-        ops: total_ops as u64,
+        ops: latencies.len() as u64,
         elapsed_ns,
         p50_ns: percentile_ns(&latencies, 50.0),
         p99_ns: percentile_ns(&latencies, 99.0),
         read_p50_ns: percentile_ns(&read_latencies, 50.0),
         read_p99_ns: percentile_ns(&read_latencies, 99.0),
-        rebuild_steps,
+        rebuild_steps: run.maintenance_steps,
     })
 }
 
@@ -219,17 +181,7 @@ pub fn run_phase(
 /// measured phase is over) and syncs, leaving the volume healthy.
 pub fn drain_rebuild(fs: &mut Lfs<VolumeDisk>, core: &VolumeDisk) -> FsResult<u64> {
     core.set_client(None);
-    let mut steps = 0u64;
-    while core.rebuild_remaining_rows().is_some() {
-        match core.rebuild_step()? {
-            RebuildProgress::Progress { .. } => steps += 1,
-            RebuildProgress::Completed => {
-                steps += 1;
-                break;
-            }
-            RebuildProgress::Idle => break,
-        }
-    }
+    let steps = drain(&mut core.clone(), fs)?;
     fs.sync()?;
     Ok(steps)
 }

@@ -7,16 +7,16 @@
 //! keep reclaiming space for the log to survive. The driver extends the
 //! `mt_scaling` closed-loop client model with one extra dispatchable
 //! actor: when the file system's cleaner runs in async mode, the loop
-//! offers it a [`lfs_core::Lfs::cleaner_step`] whenever its policy asks
-//! for one ([`lfs_core::Lfs::cleaner_wants_step`], fed the live engine
-//! queue depth so idle-gated policies see foreground pressure), before
-//! the next foreground client becomes ready. Cleaner I/O therefore
+//! ([`engine::run_closed_loop`]) offers it steps as a [`CleanerTask`]
+//! before the next foreground client becomes ready. Cleaner I/O therefore
 //! competes in the same request queues as the foreground clients, and
 //! per-operation foreground latencies — collected exactly, for precise
 //! percentiles — expose the interference.
 
-use engine::{jittered_think_ns, RequestEngine};
-use lfs_core::Lfs;
+use engine::{
+    drain, jittered_think_ns, run_closed_loop, Maintenance, RequestEngine, Step,
+};
+use lfs_core::{CleanerStepOutcome, Lfs};
 use sim_disk::BlockDevice;
 use vfs::{FileSystem, FsResult};
 use workload::payload;
@@ -83,6 +83,35 @@ impl ChurnOutcome {
 /// IV sequential bandwidth, plus slack for the occasional seek.
 const CLEANER_READ_SERVICE_NS: u64 = 30_000_000;
 
+/// The LFS async cleaner as a host-loop maintenance task: its policy
+/// decides whether to take each offer (idle gating sees the live queue
+/// depth), and a step that leaves a segment read in flight asks for the
+/// read's service time to pass before the claiming step, so the read
+/// overlaps foreground work as a real async cleaner's would.
+pub struct CleanerTask;
+
+impl<D: BlockDevice> Maintenance<Lfs<D>> for CleanerTask {
+    fn wants_step(&self, fs: &Lfs<D>, queue_depth: u64) -> bool {
+        fs.cleaner_wants_step(queue_depth)
+    }
+
+    fn step(&mut self, fs: &mut Lfs<D>) -> FsResult<Step> {
+        Ok(match fs.cleaner_step()? {
+            CleanerStepOutcome::Idle => Step::Idle,
+            CleanerStepOutcome::Progress => Step::Progress,
+            CleanerStepOutcome::Completed => Step::Completed,
+        })
+    }
+
+    fn active(&self, fs: &Lfs<D>) -> bool {
+        fs.cleaner_run_active()
+    }
+
+    fn settle_ns(&self, fs: &Lfs<D>) -> Option<u64> {
+        fs.cleaner_read_pending().then_some(CLEANER_READ_SERVICE_NS)
+    }
+}
+
 /// The slot path overwritten by `client` on its `op`-th operation.
 fn slot_path(cfg: &ChurnConfig, client: usize, op: usize) -> String {
     let owned = cfg.total_slots.div_ceil(cfg.clients);
@@ -132,118 +161,47 @@ pub fn run_overwrite_churn<D: BlockDevice>(
     }
     fs.sync()?;
 
-    let agg_hist = fs.obs().hist("interference.fg_op_ns");
-    let start_ns = clock.now_ns();
-    let mut next_ready: Vec<u64> = (0..cfg.clients)
-        .map(|c| start_ns + jittered_think_ns(cfg.seed, c, 0, cfg.think_ns))
-        .collect();
-    let mut done_ops: Vec<usize> = vec![0; cfg.clients];
-    let mut cleaner_ready_ns: u64 = start_ns;
-    let mut step_busy_ns: u64 = 0;
-    let mut fg_busy_ns: u64 = 0;
-    let mut latencies: Vec<u64> = Vec::with_capacity(cfg.clients * cfg.ops_per_client);
-    let mut cleaner_steps = 0u64;
-
-    let total_ops = cfg.clients * cfg.ops_per_client;
-    for _ in 0..total_ops {
-        let c = (0..cfg.clients)
-            .filter(|&c| done_ops[c] < cfg.ops_per_client)
-            .min_by_key(|&c| (next_ready[c], c))
-            .expect("a client still has work");
-
-        // The cleaner competes for dispatch: it is offered one step
-        // ahead of every foreground operation (so a backlogged
-        // foreground cannot starve it), plus as many steps as fit in
-        // genuinely idle time before the next client is due. Its policy
-        // decides whether to take each offer — idle gating sees the
-        // live queue depth. A step that leaves a segment read in flight
-        // sets the cleaner's own ready time: it is not offered another
-        // step until virtual time has covered the read's service, so
-        // the claiming step finds the data complete instead of stalling
-        // dispatch synchronously — the read overlaps foreground work,
-        // as a real async cleaner's would.
-        if cfg.drive_cleaner {
-            let mut forced = false;
-            loop {
-                core.pump()?;
-                if !fs.cleaner_wants_step(core.queue_depth()) {
-                    break;
-                }
-                let now = clock.now_ns();
-                if now < cleaner_ready_ns {
-                    // In-flight read still being serviced: spend idle
-                    // time (never foreground time) waiting on it.
-                    let target = cleaner_ready_ns.min(next_ready[c]);
-                    if target <= now {
-                        break;
-                    }
-                    clock.advance_to_ns(target);
-                    continue;
-                }
-                if forced && now >= next_ready[c] {
-                    break;
-                }
-                core.set_client(Some(cfg.clients));
-                let t0 = clock.now_ns();
-                fs.cleaner_step()?;
-                step_busy_ns += clock.now_ns() - t0;
-                cleaner_steps += 1;
-                forced = true;
-                if fs.cleaner_read_pending() {
-                    cleaner_ready_ns = clock.now_ns() + CLEANER_READ_SERVICE_NS;
-                }
+    let mut cleaner = CleanerTask;
+    let run = run_closed_loop(
+        fs,
+        core,
+        &vec![cfg.ops_per_client; cfg.clients],
+        |c, op| jittered_think_ns(cfg.seed, c, op, cfg.think_ns),
+        cfg.drive_cleaner
+            .then_some((&mut cleaner as &mut dyn Maintenance<_>, Some(cfg.clients))),
+        |fs, turn| {
+            // Overwrite in place: truncate kills every old block (they become
+            // cleanable garbage), the rewrite appends fresh ones at the head.
+            let c = turn.client;
+            let ino = fs.lookup(&slot_path(cfg, c, turn.op))?;
+            fs.truncate(ino, 0)?;
+            let mut written = 0;
+            while written < cfg.file_size {
+                written += fs.write_at(ino, written as u64, &payloads[c][written..])?;
             }
-        }
-
-        clock.advance_to_ns(next_ready[c]);
-        core.pump()?;
-        core.set_client(Some(c));
-        let op = done_ops[c];
-        let before_ns = clock.now_ns();
-        // Overwrite in place: truncate kills every old block (they become
-        // cleanable garbage), the rewrite appends fresh ones at the head.
-        let path = slot_path(cfg, c, op);
-        let ino = fs.lookup(&path)?;
-        fs.truncate(ino, 0)?;
-        let mut written = 0;
-        while written < cfg.file_size {
-            written += fs.write_at(ino, written as u64, &payloads[c][written..])?;
-        }
-        let latency_ns = clock.now_ns() - before_ns;
-        fg_busy_ns += latency_ns;
-        agg_hist.record(latency_ns);
-        latencies.push(latency_ns);
-        done_ops[c] += 1;
-        next_ready[c] = clock.now_ns() + jittered_think_ns(cfg.seed, c, op + 1, cfg.think_ns);
-    }
+            Ok(())
+        },
+    )?;
 
     // Close the measurement: finish the cleaner's in-progress run (so
     // its relocations are committed, not parked), then drain every
     // queued write.
     core.set_client(None);
+    let mut cleaner_steps = run.maintenance_steps;
     if cfg.drive_cleaner {
-        let mut guard = 0u64;
-        while fs.cleaner_run_active() {
-            fs.cleaner_step()?;
-            cleaner_steps += 1;
-            guard += 1;
-            assert!(guard < 1_000_000, "cleaner run failed to terminate");
-        }
+        cleaner_steps += drain(&mut cleaner, fs)?;
     }
     fs.sync()?;
-    let elapsed_ns = clock.now_ns() - start_ns;
-    if std::env::var("CHURN_DEBUG").is_ok() {
-        eprintln!(
-            "churn debug: elapsed {:.1}s fg_busy {:.1}s step_busy {:.1}s",
-            elapsed_ns as f64 / 1e9,
-            fg_busy_ns as f64 / 1e9,
-            step_busy_ns as f64 / 1e9
-        );
-    }
+    let elapsed_ns = clock.now_ns() - run.start_ns;
 
+    let agg_hist = fs.obs().hist("interference.fg_op_ns");
+    let mut latencies: Vec<u64> = run.latencies.iter().map(|&(_, ns)| ns).collect();
+    for &ns in &latencies {
+        agg_hist.record(ns);
+    }
     latencies.sort_unstable();
     Ok(ChurnOutcome {
-        total_ops: total_ops as u64,
+        total_ops: latencies.len() as u64,
         elapsed_ns,
         p50_ns: percentile_ns(&latencies, 50.0),
         p99_ns: percentile_ns(&latencies, 99.0),

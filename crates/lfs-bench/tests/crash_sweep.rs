@@ -4,7 +4,7 @@
 //! a failure.
 
 use ffs_baseline::{Ffs, FfsConfig};
-use lfs_bench::crash_sweep::{sweep, sweep_rebuild, sweep_striped, SweepFs, SweepMode, SweepSpec};
+use lfs_bench::crash_sweep::{arm, sweep, SweepMode, SweepSpec};
 use sim_disk::{Clock, CrashPlan, DiskGeometry, SimDisk};
 use std::sync::Arc;
 use vfs::FileSystem;
@@ -12,7 +12,7 @@ use vfs::FileSystem;
 #[test]
 fn lfs_survives_every_crash_point_in_all_modes() {
     for mode in SweepMode::ALL {
-        let out = sweep(SweepFs::Lfs, mode, &SweepSpec::smoke());
+        let out = sweep(&arm("lfs"), mode, &SweepSpec::smoke());
         assert!(out.crash_points > 10, "{}: too few crash points", mode.name());
         assert_eq!(
             out.recovered,
@@ -33,7 +33,7 @@ fn lfs_survives_every_crash_point_in_all_modes() {
 #[test]
 fn ffs_never_corrupts_silently_in_any_mode() {
     for mode in SweepMode::ALL {
-        let out = sweep(SweepFs::Ffs, mode, &SweepSpec::smoke());
+        let out = sweep(&arm("ffs"), mode, &SweepSpec::smoke());
         assert!(out.crash_points > 20, "{}: too few crash points", mode.name());
         // FFS may refuse a destroyed volume (detection), but any mount it
         // accepts must be consistent and model-equivalent.
@@ -58,7 +58,7 @@ fn ffs_never_corrupts_silently_in_any_mode() {
 #[test]
 fn lfs_survives_every_crash_point_on_a_striped_volume() {
     for mode in [SweepMode::Drop, SweepMode::Torn] {
-        let out = sweep_striped(mode, &SweepSpec::smoke(), 2);
+        let out = sweep(&arm("lfs_2spindle"), mode, &SweepSpec::smoke());
         assert!(out.crash_points > 10, "{}: too few crash points", mode.name());
         assert_eq!(
             out.recovered,
@@ -83,7 +83,7 @@ fn lfs_survives_every_crash_point_on_a_striped_volume() {
 #[test]
 fn lfs_survives_every_crash_point_during_a_parity_rebuild() {
     for mode in [SweepMode::Drop, SweepMode::Torn] {
-        let out = sweep_rebuild(mode, &SweepSpec::smoke(), 4);
+        let out = sweep(&arm("lfs_rebuild_4sp"), mode, &SweepSpec::smoke());
         assert!(out.crash_points > 10, "{}: too few crash points", mode.name());
         assert_eq!(
             out.recovered,
@@ -104,19 +104,47 @@ fn lfs_survives_every_crash_point_during_a_parity_rebuild() {
 /// Rebuild sweeps are as deterministic as the others.
 #[test]
 fn rebuild_sweep_outcomes_are_reproducible() {
-    let a = sweep_rebuild(SweepMode::Torn, &SweepSpec::smoke(), 4);
-    let b = sweep_rebuild(SweepMode::Torn, &SweepSpec::smoke(), 4);
+    let a = sweep(&arm("lfs_rebuild_4sp"), SweepMode::Torn, &SweepSpec::smoke());
+    let b = sweep(&arm("lfs_rebuild_4sp"), SweepMode::Torn, &SweepSpec::smoke());
     assert_eq!(a.crash_points, b.crash_points);
     assert_eq!(a.recovered, b.recovered);
     assert_eq!(a.violations, b.violations);
     assert_eq!(a.samples, b.samples);
 }
 
+/// The full-size adaptive row, which the smoke stride never reached: a
+/// pressure flush inside `create` makes the empty file durable before
+/// the `write_at` that fills it, and the model knows that version.
+/// (Before it did, crash points 6/11/12/19/20/27/28/29/35/36/42 each
+/// reported "bytes matching no real version".) The row's own guard
+/// demands at least one such recovery, so a clean run here is not a
+/// blind one.
+#[test]
+fn full_size_adaptive_row_is_clean_and_sees_intermediate_versions() {
+    for mode in [SweepMode::Drop, SweepMode::Torn] {
+        let out = sweep(&arm("lfs_adaptive"), mode, &SweepSpec::full());
+        assert_eq!(out.recovered, out.crash_points, "{}", mode.name());
+        assert!(
+            out.is_clean(),
+            "{}: {} violations, e.g. {:?}",
+            mode.name(),
+            out.violations,
+            out.samples
+        );
+        assert_eq!(out.intermediate_recoveries, 11, "{}", mode.name());
+    }
+    // The shared-LRU row at the same size passes without ever meeting
+    // one: its flushes fall on the script's own schedule.
+    let shared = sweep(&arm("lfs"), SweepMode::Drop, &SweepSpec::full());
+    assert!(shared.is_clean());
+    assert_eq!(shared.intermediate_recoveries, 0);
+}
+
 /// Striped sweeps are as deterministic as single-disk ones.
 #[test]
 fn striped_sweep_outcomes_are_reproducible() {
-    let a = sweep_striped(SweepMode::Torn, &SweepSpec::smoke(), 2);
-    let b = sweep_striped(SweepMode::Torn, &SweepSpec::smoke(), 2);
+    let a = sweep(&arm("lfs_2spindle"), SweepMode::Torn, &SweepSpec::smoke());
+    let b = sweep(&arm("lfs_2spindle"), SweepMode::Torn, &SweepSpec::smoke());
     assert_eq!(a.crash_points, b.crash_points);
     assert_eq!(a.recovered, b.recovered);
     assert_eq!(a.violations, b.violations);
@@ -126,8 +154,8 @@ fn striped_sweep_outcomes_are_reproducible() {
 /// Sweeps are deterministic: the same spec yields identical outcomes.
 #[test]
 fn sweep_outcomes_are_reproducible() {
-    let a = sweep(SweepFs::Lfs, SweepMode::Torn, &SweepSpec::smoke());
-    let b = sweep(SweepFs::Lfs, SweepMode::Torn, &SweepSpec::smoke());
+    let a = sweep(&arm("lfs"), SweepMode::Torn, &SweepSpec::smoke());
+    let b = sweep(&arm("lfs"), SweepMode::Torn, &SweepSpec::smoke());
     assert_eq!(a.crash_points, b.crash_points);
     assert_eq!(a.recovered, b.recovered);
     assert_eq!(a.violations, b.violations);

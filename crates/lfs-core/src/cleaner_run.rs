@@ -138,6 +138,15 @@ impl<D: BlockDevice> Lfs<D> {
         policy.low_watermark.max(self.reserve_segments + 3)
     }
 
+    /// Whether a new run should start: the clean-plus-pending level is
+    /// under the start threshold, and the last run did not find nothing
+    /// to clean at this same level (until the segment population
+    /// changes, another run won't either).
+    fn run_should_start(&self, policy: &AsyncCleanerPolicy) -> bool {
+        let level = self.clean_and_pending();
+        level < self.effective_low(policy) && self.cleaner_futile_at != Some(level)
+    }
+
     /// The run-stop threshold (hysteresis above the start threshold).
     fn effective_high(&self, policy: &AsyncCleanerPolicy) -> usize {
         policy.high_watermark.max(self.effective_low(policy) + 2)
@@ -177,16 +186,7 @@ impl<D: BlockDevice> Lfs<D> {
                 return false;
             }
         }
-        if self.cleaner_run.is_some() {
-            return true;
-        }
-        let level = self.clean_and_pending();
-        if self.cleaner_futile_at == Some(level) {
-            // The last run found nothing to clean at this level; until
-            // the segment population changes, another run won't either.
-            return false;
-        }
-        level < self.effective_low(&policy)
+        self.cleaner_run.is_some() || self.run_should_start(&policy)
     }
 
     /// Performs one bounded unit of incremental cleaning: start a run if
@@ -203,8 +203,7 @@ impl<D: BlockDevice> Lfs<D> {
             return Ok(CleanerStepOutcome::Idle);
         }
         if self.cleaner_run.is_none() {
-            let level = self.clean_and_pending();
-            if level >= self.effective_low(&policy) || self.cleaner_futile_at == Some(level) {
+            if !self.run_should_start(&policy) {
                 return Ok(CleanerStepOutcome::Idle);
             }
             self.cleaner_run = Some(CleanerRun::new(policy, self.relocation_budget()));

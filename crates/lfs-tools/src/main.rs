@@ -67,7 +67,7 @@ use lfs_tools::image;
 use sim_disk::{BlockDevice, Clock, SimDisk};
 use vfs::FileSystem;
 use volume::{
-    HealthPolicy, HealthState, RebuildPolicy, RebuildProgress, SpindleState, StripePolicyKind,
+    HealthPolicy, HealthState, RebuildPolicy, SpindleState, StripePolicyKind,
     VolumeConfig, VolumeDisk,
 };
 
@@ -345,12 +345,8 @@ fn cmd_rebuild(opts: &Opts) -> Result<(), String> {
         .rebuild()
         .map(|r| r.total_rows())
         .unwrap_or(0);
-    loop {
-        match dev.rebuild_step().map_err(|e| format!("rebuild: {e}"))? {
-            RebuildProgress::Progress { .. } => {}
-            RebuildProgress::Completed => break,
-            RebuildProgress::Idle => return Err("rebuild: no rebuild in progress".into()),
-        }
+    if engine::drain(&mut dev.clone(), &mut ()).map_err(|e| format!("rebuild: {e}"))? == 0 {
+        return Err("rebuild: no rebuild in progress".into());
     }
     let mut settle = dev.clone();
     settle.flush().map_err(|e| format!("rebuild: {e}"))?;

@@ -28,12 +28,13 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use engine::{EngineConfig, EngineCore, RequestEngine};
+use engine::{EngineConfig, EngineCore, Maintenance, RequestEngine, Step};
 use obs::{Counter, Gauge, Registry};
 use sim_disk::{
     check_request, BlockDevice, Clock, CrashPlan, DiskError, DiskGeometry, DiskResult, SimDisk,
     SECTOR_SIZE,
 };
+use vfs::FsResult;
 
 use crate::health::{HealthEvent, HealthMonitor, HealthPolicy, HealthState};
 use crate::policy::{
@@ -1744,23 +1745,6 @@ impl VolumeDisk {
         self.0.borrow().health_state(i)
     }
 
-    /// Whether the rebuild policy allows a step right now (see
-    /// [`StripedVolume::rebuild_wants_step`]).
-    pub fn rebuild_wants_step(&self) -> bool {
-        self.0.borrow().rebuild_wants_step()
-    }
-
-    /// Runs one bounded rebuild step (see
-    /// [`StripedVolume::rebuild_step`]).
-    pub fn rebuild_step(&self) -> DiskResult<RebuildProgress> {
-        self.0.borrow_mut().rebuild_step()
-    }
-
-    /// Chunk rows still missing from an in-flight rebuild, if any.
-    pub fn rebuild_remaining_rows(&self) -> Option<u64> {
-        self.0.borrow().rebuild().map(|r| r.remaining_rows())
-    }
-
     /// Rewrites stale parity from the authoritative data chunks (see
     /// [`StripedVolume::resync_parity`]).
     pub fn resync_parity(&self) -> DiskResult<u64> {
@@ -1816,6 +1800,29 @@ impl BlockDevice for VolumeDisk {
             .first()
             .map(|sub| sub.spindle)
             .unwrap_or(0)
+    }
+}
+
+/// The online rebuild as a host-loop maintenance task (see
+/// [`StripedVolume::rebuild_wants_step`] and
+/// [`StripedVolume::rebuild_step`]). It needs nothing from the host's
+/// context: the handle reaches the volume itself, whose idle gate reads
+/// its own queue depth.
+impl<Cx: ?Sized> Maintenance<Cx> for VolumeDisk {
+    fn wants_step(&self, _cx: &Cx, _queue_depth: u64) -> bool {
+        self.0.borrow().rebuild_wants_step()
+    }
+
+    fn step(&mut self, _cx: &mut Cx) -> FsResult<Step> {
+        Ok(match self.0.borrow_mut().rebuild_step()? {
+            RebuildProgress::Idle => Step::Idle,
+            RebuildProgress::Progress { .. } => Step::Progress,
+            RebuildProgress::Completed => Step::Completed,
+        })
+    }
+
+    fn active(&self, _cx: &Cx) -> bool {
+        self.0.borrow().rebuild().is_some()
     }
 }
 
