@@ -92,10 +92,8 @@ impl Mode {
         }
     }
 
-    fn run_mode(self, spindles: usize) -> CleanerRunMode {
-        let policy = AsyncCleanerPolicy::default()
-            .with_watermarks(9, 12)
-            .with_stripe_spindles(spindles);
+    fn run_mode(self) -> CleanerRunMode {
+        let policy = AsyncCleanerPolicy::default().with_watermarks(9, 12);
         match self {
             Mode::Baseline | Mode::Sync => CleanerRunMode::Sync,
             Mode::AsyncAggr => CleanerRunMode::Async(policy),
@@ -146,7 +144,7 @@ fn run_cell(
     metrics: &mut MetricsReport,
 ) -> Cell {
     let mut cfg = LfsConfig::paper().with_cache_bytes(2 * 1024 * 1024);
-    cfg.cleaner.run_mode = mode.run_mode(spindles);
+    cfg.cleaner.run_mode = mode.run_mode();
     let total_sectors = if mode == Mode::Baseline {
         BASELINE_SECTORS
     } else {

@@ -79,11 +79,6 @@ pub struct AsyncCleanerPolicy {
     /// reports `true` only while the engine queue depth is at or below
     /// this bound (the paper's "clean during idle periods").
     pub idle_queue_depth: Option<u64>,
-    /// Segment-round-robin spindle count of the underlying volume.
-    /// When > 1, victim selection prefers segments living on a spindle
-    /// other than the one the log head is writing, so cleaner reads
-    /// overlap foreground writes instead of queueing behind them.
-    pub stripe_spindles: usize,
 }
 
 impl Default for AsyncCleanerPolicy {
@@ -94,7 +89,6 @@ impl Default for AsyncCleanerPolicy {
             max_step_read_blocks: 8,
             max_step_entries: 32,
             idle_queue_depth: None,
-            stripe_spindles: 1,
         }
     }
 }
@@ -117,12 +111,6 @@ impl AsyncCleanerPolicy {
     /// Builder-style idle-only gating.
     pub fn with_idle_gate(mut self, queue_depth: u64) -> Self {
         self.idle_queue_depth = Some(queue_depth);
-        self
-    }
-
-    /// Builder-style spindle-aware victim preference.
-    pub fn with_stripe_spindles(mut self, spindles: usize) -> Self {
-        self.stripe_spindles = spindles.max(1);
         self
     }
 }

@@ -443,9 +443,9 @@ impl<D: BlockDevice> Lfs<D> {
     }
 
     /// Chooses the run's next victim within its remaining budget,
-    /// preferring (when the volume is striped segment-round-robin) a
-    /// segment on a spindle other than the log head's, so cleaner reads
-    /// overlap foreground writes instead of queueing behind them.
+    /// preferring (when the device has more than one spindle) a segment
+    /// on a spindle other than the log head's, so cleaner reads overlap
+    /// foreground writes instead of queueing behind them.
     fn pick_async_victim(&mut self, run: &mut CleanerRun) -> Option<SegNo> {
         // Packing check: cleaning can only gain segments while the live
         // data occupies more segments than it strictly needs (plus one
@@ -464,37 +464,20 @@ impl<D: BlockDevice> Lfs<D> {
             .into_iter()
             .filter(|&seg| self.usage.get(seg).live_bytes as u64 <= run.budget)
             .collect();
-        let spindles = run.policy.stripe_spindles;
-        let chosen = if spindles > 1 {
-            let head = self.spindle_of_seg(self.pos.seg, spindles);
-            match affordable
-                .iter()
-                .copied()
-                .find(|&seg| self.spindle_of_seg(seg, spindles) != head)
-            {
-                Some(seg) => {
-                    self.obs.async_offspindle_victims.inc();
-                    Some(seg)
-                }
-                None => affordable.first().copied(),
-            }
+        let spindle_of = |seg| self.dev.spindle_of(self.sector_of(self.sb.seg_block(seg, 0)));
+        let off_head = if self.dev.fanout() > 1 {
+            let head = spindle_of(self.pos.seg);
+            affordable.iter().copied().find(|&seg| spindle_of(seg) != head)
         } else {
-            affordable.first().copied()
+            None
         };
+        if off_head.is_some() {
+            self.obs.async_offspindle_victims.inc();
+        }
+        let chosen = off_head.or(affordable.first().copied());
         if let Some(seg) = chosen {
             run.budget -= self.usage.get(seg).live_bytes as u64;
         }
         chosen
-    }
-
-    /// The spindle a segment's blocks live on under segment-granular
-    /// round-robin striping with `spindles` disks.
-    fn spindle_of_seg(&self, seg: SegNo, spindles: usize) -> usize {
-        let sector = self.sector_of(self.sb.seg_block(seg, 0));
-        let chunk_sectors = (self.cfg.stripe_chunk_bytes() / sim_disk::SECTOR_SIZE) as u64;
-        if chunk_sectors == 0 {
-            return 0;
-        }
-        ((sector / chunk_sectors) as usize) % spindles.max(1)
     }
 }
