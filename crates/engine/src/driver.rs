@@ -53,6 +53,8 @@ pub trait Maintenance<Cx: ?Sized> {
 pub struct IdleWindow<'a> {
     /// Pumped before each offer; its queue depth feeds `wants_step`.
     pub engine: &'a dyn RequestEngine,
+    /// The engine's clock.
+    pub clock: &'a Clock,
     /// Client id the task's I/O is submitted as.
     pub client: Option<usize>,
     /// When the next foreground client is due. The first step of a
@@ -90,14 +92,13 @@ pub fn offer<Cx: ?Sized>(
             break;
         }
         if let Some(w) = &mut window {
-            let clock = w.engine.clock();
-            let now = clock.now_ns();
+            let now = w.clock.now_ns();
             if now < *w.settled_at_ns {
                 let target = (*w.settled_at_ns).min(w.deadline_ns);
                 if target <= now {
                     break;
                 }
-                clock.advance_to_ns(target);
+                w.clock.advance_to_ns(target);
                 continue;
             }
             if taken > 0 && now >= w.deadline_ns {
@@ -110,7 +111,7 @@ pub fn offer<Cx: ?Sized>(
         }
         taken += 1;
         if let (Some(w), Some(ns)) = (&mut window, task.settle_ns(cx)) {
-            *w.settled_at_ns = w.engine.clock().now_ns() + ns;
+            *w.settled_at_ns = w.clock.now_ns() + ns;
         }
     }
     Ok(taken)
@@ -197,6 +198,7 @@ pub fn run_closed_loop<Cx: ?Sized>(
         if let Some((task, client)) = &mut maintenance {
             let window = IdleWindow {
                 engine,
+                clock: &clock,
                 client: *client,
                 deadline_ns: next_ready[c],
                 settled_at_ns: &mut settled_at_ns,

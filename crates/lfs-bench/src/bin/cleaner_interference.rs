@@ -100,10 +100,6 @@ impl Mode {
             Mode::AsyncIdle => CleanerRunMode::Async(policy.with_idle_gate(IDLE_GATE)),
         }
     }
-
-    fn drives_cleaner(self) -> bool {
-        matches!(self, Mode::AsyncAggr | Mode::AsyncIdle)
-    }
 }
 
 /// One measured cell.
@@ -163,7 +159,6 @@ fn run_cell(
         file_size: FILE_SIZE,
         think_ns,
         seed: SEED,
-        drive_cleaner: mode.drives_cleaner(),
     };
     let outcome = run_overwrite_churn(&mut fs, &pump, &ccfg).expect("churn run");
     let fsck = fs.fsck().expect("fsck");

@@ -46,23 +46,20 @@ fn main() {
     for arm in arms() {
         for &mode in arm.modes {
             let out = sweep(&arm, mode, &spec);
-            let prefix = format!("sweep.{}.{}", arm.prefix, mode.name());
-            registry.counter(&format!("{prefix}.crash_points")).add(out.crash_points);
-            registry.counter(&format!("{prefix}.recovered")).add(out.recovered);
-            registry
-                .counter(&format!("{prefix}.detected_unmountable"))
-                .add(out.detected_unmountable);
-            registry.counter(&format!("{prefix}.violations")).add(out.violations);
-            rows.push(Row::new(
-                format!("{} {}", arm.label, mode.name()),
-                vec![
-                    out.crash_points.to_string(),
-                    out.recovered.to_string(),
-                    out.detected_unmountable.to_string(),
-                    out.violations.to_string(),
-                    if out.is_clean() { "yes" } else { "NO" }.to_string(),
-                ],
-            ));
+            let counts = [
+                ("crash_points", out.crash_points),
+                ("recovered", out.recovered),
+                ("detected_unmountable", out.detected_unmountable),
+                ("violations", out.violations),
+            ];
+            let mut cells = Vec::new();
+            for (name, count) in counts {
+                let metric = format!("sweep.{}.{}.{name}", arm.prefix, mode.name());
+                registry.counter(&metric).add(count);
+                cells.push(count.to_string());
+            }
+            cells.push(if out.is_clean() { "yes" } else { "NO" }.to_string());
+            rows.push(Row::new(format!("{} {}", arm.label, mode.name()), cells));
             all_clean &= out.is_clean();
             samples.extend(out.samples);
         }

@@ -130,13 +130,13 @@ fn one_run(smoke: bool, fault: bool, metrics: &mut MetricsReport) -> RunResult {
 
     let mut phases: Vec<(&'static str, PhaseOutcome)> = Vec::new();
 
-    let healthy = run_phase(&mut fs, &pump, &cfg, 0, false).expect("healthy phase");
+    let healthy = run_phase(&mut fs, &pump, &cfg, 0).expect("healthy phase");
     phases.push(("healthy", healthy));
 
     if fault {
         pump.kill_spindle(DEAD_SPINDLE);
     }
-    let degraded = run_phase(&mut fs, &pump, &cfg, 1, false).expect("degraded phase");
+    let degraded = run_phase(&mut fs, &pump, &cfg, 1).expect("degraded phase");
     phases.push(("degraded", degraded));
 
     if fault {
@@ -148,7 +148,7 @@ fn one_run(smoke: bool, fault: bool, metrics: &mut MetricsReport) -> RunResult {
         )
         .expect("replace the dead spindle");
     }
-    let rebuilding = run_phase(&mut fs, &pump, &cfg, 2, fault).expect("rebuilding phase");
+    let rebuilding = run_phase(&mut fs, &pump, &cfg, 2).expect("rebuilding phase");
     phases.push(("rebuilding", rebuilding));
 
     let drain_steps = drain_rebuild(&mut fs, &pump).expect("drain rebuild");

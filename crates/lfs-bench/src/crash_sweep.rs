@@ -220,22 +220,6 @@ enum Device {
     },
 }
 
-impl Device {
-    /// `total_sectors` cut evenly across `spindles` with segment-granular
-    /// round-robin striping: the same logical capacity as one disk, so
-    /// the scripted workload and its durability model are unchanged.
-    fn rr(spindles: usize, total_sectors: u64) -> Self {
-        assert!(
-            spindles >= 1 && total_sectors.is_multiple_of(spindles as u64),
-            "spindle count must divide the test capacity"
-        );
-        Device::Volume {
-            cfg: VolumeConfig::rr_segment(spindles, LfsConfig::small_test().segment_bytes),
-            spindle_sectors: total_sectors / spindles as u64,
-        }
-    }
-}
-
 /// Which file system an arm formats or remounts, and how.
 #[derive(Debug, Clone)]
 enum FsCfg {
@@ -353,9 +337,15 @@ pub fn arms() -> Vec<Arm> {
         may_refuse_mount: false,
         guard: Guard::None,
     };
-    let striped = |spindles, total_sectors| Arm {
+    // `total_sectors` cut evenly across the spindles with
+    // segment-granular round-robin striping: the same logical capacity
+    // as one disk, so the script and its durability model are unchanged.
+    let striped = |spindles: usize, total_sectors: u64| Arm {
         modes: &[SweepMode::Drop, SweepMode::Torn],
-        device: Device::rr(spindles, total_sectors),
+        device: Device::Volume {
+            cfg: VolumeConfig::rr_segment(spindles, small().segment_bytes),
+            spindle_sectors: total_sectors / spindles as u64,
+        },
         ..lfs.clone()
     };
 

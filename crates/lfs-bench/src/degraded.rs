@@ -18,7 +18,7 @@
 //! namespace digests, which is the bench's end-to-end correctness
 //! assertion.
 
-use engine::{drain, jittered_think_ns, run_closed_loop, Maintenance, RequestEngine};
+use engine::{drain, jittered_think_ns, run_closed_loop, RequestEngine};
 use lfs_core::Lfs;
 use sim_disk::BlockDevice;
 use vfs::{FileSystem, FsResult};
@@ -109,11 +109,11 @@ pub fn fill<D: BlockDevice>(
 }
 
 /// Runs one measured phase: `ops_per_phase` read+overwrite operations
-/// dispatched by [`run_closed_loop`]. When `drive_rebuild` is set, the
-/// volume's rebuild is the loop's maintenance task — offered a step
-/// before every foreground dispatch plus as many as fit in idle time,
-/// its idle gate seeing the live queue depth, exactly the async
-/// cleaner's contract.
+/// dispatched by [`run_closed_loop`]. The volume's rebuild is the
+/// loop's maintenance task: while one is in progress it is offered a
+/// step before every foreground dispatch plus as many as fit in idle
+/// time, its idle gate seeing the live queue depth — exactly the async
+/// cleaner's contract. With no rebuild in progress it declines.
 ///
 /// `phase` keys the payload epoch so each phase's overwrites really
 /// change bytes (parity must track them), and the final state is a
@@ -123,7 +123,6 @@ pub fn run_phase(
     core: &VolumeDisk,
     cfg: &RebuildBenchConfig,
     phase: usize,
-    drive_rebuild: bool,
 ) -> FsResult<PhaseOutcome> {
     assert!(cfg.clients > 0, "at least one client");
     let ops_per_client = cfg.ops_per_phase / cfg.clients;
@@ -134,7 +133,7 @@ pub fn run_phase(
         core,
         &vec![ops_per_client; cfg.clients],
         |c, op| jittered_think_ns(cfg.seed, c, (phase << 16) | op, cfg.think_ns),
-        drive_rebuild.then_some((&mut rebuild as &mut dyn Maintenance<_>, None)),
+        Some((&mut rebuild, None)),
         |fs, turn| {
             let (c, op) = (turn.client, turn.op);
             // Cold reads: without this the paper-sized cache absorbs the

@@ -242,7 +242,7 @@ pub fn run_arm(spec: &ArmSpec, smoke: bool, metrics: &mut MetricsReport) -> ArmR
     fill(&mut fs, &pump, &cfg).expect("fill");
 
     let mut phases: Vec<(&'static str, PhaseOutcome)> = Vec::new();
-    let healthy = run_phase(&mut fs, &pump, &cfg, 0, false).expect("healthy phase");
+    let healthy = run_phase(&mut fs, &pump, &cfg, 0).expect("healthy phase");
     phases.push(("healthy", healthy));
 
     if spec.fault {
@@ -252,7 +252,7 @@ pub fn run_arm(spec: &ArmSpec, smoke: bool, metrics: &mut MetricsReport) -> ArmR
     // The eviction + hot-spare swap (if any) happens mid-phase, driven
     // purely by the monitor; the driver only offers idle-gated rebuild
     // steps, exactly as the degraded-rebuild bench does.
-    let failslow = run_phase(&mut fs, &pump, &cfg, 1, spec.fault).expect("failslow phase");
+    let failslow = run_phase(&mut fs, &pump, &cfg, 1).expect("failslow phase");
     phases.push(("failslow", failslow));
 
     let drain_steps = drain_rebuild(&mut fs, &pump).expect("drain rebuild");

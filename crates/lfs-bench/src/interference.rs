@@ -13,9 +13,7 @@
 //! per-operation foreground latencies — collected exactly, for precise
 //! percentiles — expose the interference.
 
-use engine::{
-    drain, jittered_think_ns, run_closed_loop, Maintenance, RequestEngine, Step,
-};
+use engine::{drain, jittered_think_ns, run_closed_loop, Maintenance, RequestEngine, Step};
 use lfs_core::{CleanerStepOutcome, Lfs};
 use sim_disk::BlockDevice;
 use vfs::{FileSystem, FsResult};
@@ -38,9 +36,6 @@ pub struct ChurnConfig {
     pub think_ns: u64,
     /// Seed for the deterministic jitter.
     pub seed: u64,
-    /// Offer the async cleaner steps between foreground dispatches.
-    /// Leave false for sync-mode and no-cleaner baselines.
-    pub drive_cleaner: bool,
 }
 
 /// Outcome of one churn run.
@@ -133,7 +128,8 @@ pub fn percentile_ns(sorted: &[u64], pct: f64) -> u64 {
 /// (system-attributed, unmeasured), then `clients * ops_per_client`
 /// measured overwrites dispatched earliest-ready-first, with the async
 /// cleaner offered steps as client id `cfg.clients` whenever its policy
-/// wants one. Ends by draining any in-progress cleaner run and syncing.
+/// wants one (never, in sync mode). Ends by draining any in-progress
+/// cleaner run and syncing.
 pub fn run_overwrite_churn<D: BlockDevice>(
     fs: &mut Lfs<D>,
     core: &impl RequestEngine,
@@ -167,8 +163,7 @@ pub fn run_overwrite_churn<D: BlockDevice>(
         core,
         &vec![cfg.ops_per_client; cfg.clients],
         |c, op| jittered_think_ns(cfg.seed, c, op, cfg.think_ns),
-        cfg.drive_cleaner
-            .then_some((&mut cleaner as &mut dyn Maintenance<_>, Some(cfg.clients))),
+        Some((&mut cleaner, Some(cfg.clients))),
         |fs, turn| {
             // Overwrite in place: truncate kills every old block (they become
             // cleanable garbage), the rewrite appends fresh ones at the head.
@@ -188,9 +183,7 @@ pub fn run_overwrite_churn<D: BlockDevice>(
     // queued write.
     core.set_client(None);
     let mut cleaner_steps = run.maintenance_steps;
-    if cfg.drive_cleaner {
-        cleaner_steps += drain(&mut cleaner, fs)?;
-    }
+    cleaner_steps += drain(&mut cleaner, fs)?;
     fs.sync()?;
     let elapsed_ns = clock.now_ns() - run.start_ns;
 

@@ -89,20 +89,6 @@ impl CleanerRun {
         }
     }
 
-    /// Victims fully cleaned by this run so far.
-    pub fn segments_cleaned(&self) -> usize {
-        self.cleaned
-    }
-
-    /// True while a segment read issued through the device's async read
-    /// facade is still unclaimed. Hosts use this to spend idle time
-    /// letting the disk service the read, so the claiming step finds it
-    /// complete instead of waiting synchronously.
-    pub fn read_pending(&self) -> bool {
-        self.current
-            .as_ref()
-            .is_some_and(|v| v.pending_read.is_some())
-    }
 }
 
 /// What one [`Lfs::cleaner_step`] call did.
@@ -164,10 +150,13 @@ impl<D: BlockDevice> Lfs<D> {
         self.cleaner_run.is_some()
     }
 
-    /// True while the active run has a segment read in flight; see
-    /// [`CleanerRun::read_pending`].
+    /// True while the active run has a segment read, issued through the
+    /// device's async read facade, still unclaimed. Hosts use this to
+    /// spend idle time letting the disk service the read, so the
+    /// claiming step finds it complete instead of waiting synchronously.
     pub fn cleaner_read_pending(&self) -> bool {
-        self.cleaner_run.as_ref().is_some_and(CleanerRun::read_pending)
+        let victim = self.cleaner_run.as_ref().and_then(|run| run.current.as_ref());
+        victim.is_some_and(|v| v.pending_read.is_some())
     }
 
     /// Whether the host should call [`Lfs::cleaner_step`] now.
