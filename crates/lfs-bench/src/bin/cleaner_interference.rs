@@ -33,17 +33,13 @@
 //! `--smoke` runs the CI-sized sweep: modes {baseline, sync, idle} x
 //! clients {1, 8} x 1 spindle, with assertion (a) only.
 
-use std::sync::Arc;
+use std::process::ExitCode;
 
 use lfs_bench::interference::{run_overwrite_churn, ChurnConfig, ChurnOutcome};
-use lfs_bench::{print_table, MetricsReport, Row};
-use lfs_core::{AsyncCleanerPolicy, CleanerRunMode, Lfs, LfsConfig};
-use sim_disk::{Clock, DiskGeometry};
-use volume::{StripedVolume, VolumeConfig, VolumeDisk};
+use lfs_bench::{modern_lfs, print_table, volume_rig, MetricsReport, Row, Verdict};
+use lfs_core::{AsyncCleanerPolicy, CleanerRunMode, LfsConfig};
+use volume::VolumeConfig;
 
-/// Modern-host CPU speed (MIPS): the disks, not the CPU, are the
-/// contended resource.
-const CPU_MIPS: f64 = 1000.0;
 /// Size of every slot file.
 const FILE_SIZE: usize = 64 * 1024;
 /// Live set: 160 slots x 64 KB = 10 MB, ~42% of the churned disk.
@@ -112,19 +108,8 @@ struct Cell {
     offspindle_victims: u64,
 }
 
-fn volume_rig(spindles: usize, total_sectors: u64, chunk_bytes: usize) -> (VolumeDisk, Arc<Clock>) {
-    let clock = Clock::new();
-    let vol = StripedVolume::new(
-        DiskGeometry::wren_iv().with_sectors(total_sectors / spindles as u64),
-        Arc::clone(&clock),
-        VolumeConfig::rr_segment(spindles, chunk_bytes),
-    );
-    (VolumeDisk::new(vol.into_shared()), clock)
-}
-
 /// Sums a per-spindle engine counter across the volume.
-fn engine_sum(registry: &obs::Registry, spindles: usize, suffix: &str) -> u64 {
-    let snap = registry.snapshot();
+fn engine_sum(snap: &obs::Snapshot, spindles: usize, suffix: &str) -> u64 {
     (0..spindles)
         .map(|i| snap.counter(&format!("volume.spindle.{i}.engine.{suffix}")))
         .sum()
@@ -135,9 +120,9 @@ fn run_cell(
     clients: usize,
     spindles: usize,
     total_ops: usize,
-    think_ns: u64,
     churn_sectors: u64,
     metrics: &mut MetricsReport,
+    verdict: &mut Verdict,
 ) -> Cell {
     let mut cfg = LfsConfig::paper().with_cache_bytes(2 * 1024 * 1024);
     cfg.cleaner.run_mode = mode.run_mode();
@@ -146,51 +131,72 @@ fn run_cell(
     } else {
         churn_sectors
     };
-    let (dev, clock) = volume_rig(spindles, total_sectors, cfg.stripe_chunk_bytes());
+    let (dev, clock) = volume_rig(
+        VolumeConfig::rr_segment(spindles, cfg.stripe_chunk_bytes()),
+        total_sectors / spindles as u64,
+        None,
+    );
     let pump = dev.clone();
-    let mut fs = Lfs::format(dev, cfg, clock).expect("format LFS");
-    fs.set_cpu_mips(CPU_MIPS);
-    let registry = fs.obs().clone();
+    let (mut fs, registry) = modern_lfs(dev, cfg, clock);
 
     let ccfg = ChurnConfig {
         clients,
         ops_per_client: total_ops / clients,
         total_slots: TOTAL_SLOTS,
         file_size: FILE_SIZE,
-        think_ns,
+        think_ns: THINK_NS,
         seed: SEED,
     };
     let outcome = run_overwrite_churn(&mut fs, &pump, &ccfg).expect("churn run");
     let fsck = fs.fsck().expect("fsck");
     assert!(fsck.is_clean(), "LFS inconsistent after run:\n{fsck}");
 
+    let label = format!("lfs/{}/s{spindles}/c{clients:03}", mode.name());
     let stats = fs.stats();
-    if mode == Mode::Baseline {
-        assert_eq!(
-            stats.segments_cleaned, 0,
-            "baseline disk must be large enough that cleaning never activates"
-        );
-    } else {
-        assert!(
-            stats.segments_cleaned > 0,
-            "{} cell never cleaned: churn disk too large for the write volume",
-            mode.name()
-        );
+    let snap = registry.snapshot();
+    let maint = engine_sum(&snap, spindles, "io_bytes.maintenance");
+    let total_bytes = maint
+        + engine_sum(&snap, spindles, "io_bytes.client")
+        + engine_sum(&snap, spindles, "io_bytes.system");
+
+    // Each mode really ran in its regime.
+    verdict.guard(
+        snap.hist("interference.fg_op_ns").is_some()
+            && 0 < outcome.p50_ns
+            && outcome.p50_ns <= outcome.p99_ns,
+        format!(
+            "{label}: no coherent foreground latency (p50 {} ns, p99 {} ns)",
+            outcome.p50_ns, outcome.p99_ns
+        ),
+    );
+    let async_steps = snap.counter("cleaner.async.steps");
+    match mode {
+        Mode::Baseline => verdict.guard(
+            stats.segments_cleaned == 0 && outcome.cleaner_steps == 0,
+            format!("{label}: baseline disk must be large enough that cleaning never activates"),
+        ),
+        Mode::Sync => verdict.guard(
+            stats.segments_cleaned > 0 && async_steps == 0,
+            format!("{label}: sync mode must clean, and never through the incremental path"),
+        ),
+        Mode::AsyncAggr | Mode::AsyncIdle => verdict.guard(
+            stats.segments_cleaned > 0
+                && async_steps > 0
+                && snap.counter("cleaner.async.runs_completed") > 0
+                && maint > 0,
+            format!(
+                "{label}: the driven async cleaner must step, complete runs and land its \
+                 I/O in the maintenance class"
+            ),
+        ),
     }
 
-    let maint = engine_sum(&registry, spindles, "io_bytes.maintenance");
-    let total_bytes = maint
-        + engine_sum(&registry, spindles, "io_bytes.client")
-        + engine_sum(&registry, spindles, "io_bytes.system");
     registry.gauge("interference.fg_p50_ns").set(outcome.p50_ns);
     registry.gauge("interference.fg_p99_ns").set(outcome.p99_ns);
     registry
         .gauge("interference.cleaner_steps")
         .set(outcome.cleaner_steps);
-    metrics.add_lfs(
-        &format!("lfs/{}/s{spindles}/c{clients:03}", mode.name()),
-        &fs,
-    );
+    metrics.add_lfs(&label, &fs);
     Cell {
         mode,
         outcome,
@@ -211,50 +217,17 @@ fn print_sweep(title: &str, cells: &[Cell]) {
         "metric",
         &headers,
         &[
-            Row::new(
-                "fg p50 ms",
-                cells
-                    .iter()
-                    .map(|c| format!("{:.3}", c.outcome.p50_ns as f64 / 1e6))
-                    .collect(),
-            ),
-            Row::new(
-                "fg p99 ms",
-                cells
-                    .iter()
-                    .map(|c| format!("{:.3}", c.outcome.p99_ns as f64 / 1e6))
-                    .collect(),
-            ),
-            Row::new(
-                "fg ops/s",
-                cells
-                    .iter()
-                    .map(|c| format!("{:.2}", c.outcome.ops_per_sec()))
-                    .collect(),
-            ),
-            Row::new(
-                "cleaner share %",
-                cells
-                    .iter()
-                    .map(|c| format!("{:.1}", c.cleaner_share * 100.0))
-                    .collect(),
-            ),
-            Row::new(
-                "cleaner steps",
-                cells
-                    .iter()
-                    .map(|c| c.outcome.cleaner_steps.to_string())
-                    .collect(),
-            ),
-            Row::new(
-                "emergency passes",
-                cells.iter().map(|c| c.emergency_passes.to_string()).collect(),
-            ),
+            Row::of("fg p50 ms", cells, |c| format!("{:.3}", c.outcome.p50_ns as f64 / 1e6)),
+            Row::of("fg p99 ms", cells, |c| format!("{:.3}", c.outcome.p99_ns as f64 / 1e6)),
+            Row::of("fg ops/s", cells, |c| format!("{:.2}", c.outcome.ops_per_sec())),
+            Row::of("cleaner share %", cells, |c| format!("{:.1}", c.cleaner_share * 100.0)),
+            Row::of("cleaner steps", cells, |c| c.outcome.cleaner_steps.to_string()),
+            Row::of("emergency passes", cells, |c| c.emergency_passes.to_string()),
         ],
     );
 }
 
-fn main() {
+fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let modes: &[Mode] = if smoke {
         &[Mode::Baseline, Mode::Sync, Mode::AsyncIdle]
@@ -264,13 +237,21 @@ fn main() {
     let total_ops = if smoke { TOTAL_OPS_SMOKE } else { TOTAL_OPS };
 
     let mut metrics = MetricsReport::new("cleaner_interference");
-    let mut failures: Vec<String> = Vec::new();
+    let mut verdict = Verdict::new();
+    for m in modes {
+        verdict.expect_cell("lfs", &format!("lfs/{}/s1/c001", m.name()));
+        verdict.expect_cell("lfs", &format!("lfs/{}/s1/c008", m.name()));
+    }
+    if !smoke {
+        verdict.expect_cell("lfs", "lfs/baseline/s4/c008");
+        verdict.expect_cell("lfs", "lfs/aggr/s4/c008");
+    }
     let mut p99_at_8: Vec<(Mode, u64)> = Vec::new();
 
     for &clients in &[1usize, 8] {
         let cells: Vec<Cell> = modes
             .iter()
-            .map(|&m| run_cell(m, clients, 1, total_ops, THINK_NS, CHURN_SECTORS, &mut metrics))
+            .map(|&m| run_cell(m, clients, 1, total_ops, CHURN_SECTORS, &mut metrics, &mut verdict))
             .collect();
         print_sweep(
             &format!(
@@ -289,11 +270,12 @@ fn main() {
     if let (Some(base), Some(idle)) = (p99_of(Mode::Baseline), p99_of(Mode::AsyncIdle)) {
         let ratio = idle as f64 / base.max(1) as f64;
         println!("\n  idle-gated p99 / baseline p99 @ 8 clients = {ratio:.2}x");
-        if ratio > 1.5 {
-            failures.push(format!(
+        verdict.claim(
+            ratio <= 1.5,
+            format!(
                 "idle-gated cleaning inflated 8-client foreground p99 {ratio:.2}x over baseline (bound: 1.5x)"
-            ));
-        }
+            ),
+        );
     }
 
     if !smoke {
@@ -304,7 +286,7 @@ fn main() {
         // on other spindles.
         let cells: Vec<Cell> = [Mode::Baseline, Mode::AsyncAggr]
             .iter()
-            .map(|&m| run_cell(m, 8, 4, TOTAL_OPS, THINK_NS, CHURN_SECTORS_4SP, &mut metrics))
+            .map(|&m| run_cell(m, 8, 4, TOTAL_OPS, CHURN_SECTORS_4SP, &mut metrics, &mut verdict))
             .collect();
         print_sweep(
             &format!(
@@ -320,15 +302,16 @@ fn main() {
         // no-cleaner foreground throughput.
         let ratio = cells[1].outcome.ops_per_sec() / cells[0].outcome.ops_per_sec();
         println!("  async 4-spindle throughput / baseline = {ratio:.3}");
-        if ratio < 0.90 {
-            failures.push(format!(
+        verdict.claim(
+            ratio >= 0.90,
+            format!(
                 "4-spindle async cleaning kept only {:.1}% of no-cleaner throughput (need >= 90%)",
                 ratio * 100.0
-            ));
-        }
-        assert!(
+            ),
+        );
+        verdict.guard(
             cells[1].offspindle_victims > 0,
-            "spindle-aware victim selection never chose an off-spindle segment"
+            "spindle-aware victim selection never chose an off-spindle segment",
         );
     }
 
@@ -338,12 +321,5 @@ fn main() {
          requests unless cleaning is deferred to idle periods or steered to \
          other spindles."
     );
-    metrics.emit();
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("cleaner_interference: FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
+    verdict.finish(metrics)
 }

@@ -6,7 +6,7 @@
 //! durability model. Runs every row of [`lfs_bench::crash_sweep::arms`]:
 //! LFS and the FFS baseline on one disk, then LFS striped, with the
 //! async cleaner, the adaptive cache, parallel recovery and a parity
-//! rebuild in the loop. Exits non-zero on any violation.
+//! rebuild in the loop. Exits non-zero on any violation or vacuous row.
 //!
 //! Everything is driven by the virtual clock and seeded fault plans, so
 //! output (table and metrics JSON) is byte-identical across runs.
@@ -14,10 +14,12 @@
 //! Flags: `--smoke` (bounded CI-sized sweep), `--stride N` (test every
 //! N-th crash index).
 
-use lfs_bench::crash_sweep::{arms, sweep, SweepSpec};
-use lfs_bench::{print_table, MetricsReport, Row};
+use std::process::ExitCode;
 
-fn main() {
+use lfs_bench::crash_sweep::{arms, sweep, SweepSpec};
+use lfs_bench::{print_table, MetricsReport, Row, Verdict};
+
+fn main() -> ExitCode {
     let mut spec = SweepSpec::full();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -39,8 +41,9 @@ fn main() {
 
     let mut metrics = MetricsReport::new("crash_sweep");
     let registry = obs::Registry::new();
+    let mut verdict = Verdict::new();
+    verdict.expect_cell("-", "sweep");
     let mut rows = Vec::new();
-    let mut all_clean = true;
     let mut samples = Vec::new();
 
     for arm in arms() {
@@ -59,8 +62,15 @@ fn main() {
                 cells.push(count.to_string());
             }
             cells.push(if out.is_clean() { "yes" } else { "NO" }.to_string());
-            rows.push(Row::new(format!("{} {}", arm.label, mode.name()), cells));
-            all_clean &= out.is_clean();
+            let row = format!("{} {}", arm.label, mode.name());
+            verdict.claim(
+                out.violations == 0,
+                format!("{row}: {} violations of the durability model", out.violations),
+            );
+            for (held, what) in out.guards {
+                verdict.guard(held, what);
+            }
+            rows.push(Row::new(row, cells));
             samples.extend(out.samples);
         }
     }
@@ -84,10 +94,5 @@ fn main() {
          mount (detected), LFS must always come back."
     );
     metrics.add_registry("sweep", 0, &registry);
-    metrics.emit();
-
-    if !all_clean {
-        eprintln!("crash sweep found violations");
-        std::process::exit(1);
-    }
+    verdict.finish(metrics)
 }

@@ -11,7 +11,7 @@
 //! monitor + hot spare), `nohedge` (the suffering baseline), and a
 //! never-faulted `control`.
 //!
-//! In-binary assertions, each also recomputable from
+//! In-binary claims, each also recomputable from
 //! `BENCH_fail_slow.json`:
 //!
 //! * (a) hedged fail-slow foreground *read* p99 <= 2x the healthy
@@ -26,17 +26,23 @@
 //!   arm; the control arm saw no eviction and no degraded read.
 //!
 //! Everything runs on the shared virtual clock; `--smoke` shrinks the
-//! op counts for CI and the assertions still run.
+//! op counts for CI and the claims are still judged.
 
+use std::process::ExitCode;
+
+use lfs_bench::degraded::SPINDLES;
 use lfs_bench::fail_slow::{
-    bench_cfg, run_arm, ArmResult, ARMS, HEDGE_DEADLINE_NS, MULTIPLIER_PCT, SPINDLES,
+    bench_cfg, run_arm, spindle_counter_total, ArmResult, ARMS, HEDGE_DEADLINE_NS, MULTIPLIER_PCT,
 };
-use lfs_bench::{print_table, MetricsReport, Row};
+use lfs_bench::{print_table, MetricsReport, Row, Verdict};
 
-fn main() {
+fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut metrics = MetricsReport::new("fail_slow");
-    let mut failures: Vec<String> = Vec::new();
+    let mut verdict = Verdict::new();
+    for name in ["hedged", "nohedge", "control"] {
+        verdict.expect_cell("lfs", &format!("lfs/{name}/s{SPINDLES}"));
+    }
 
     let results: Vec<ArmResult> = ARMS
         .iter()
@@ -48,9 +54,14 @@ fn main() {
             .find(|r| r.spec.name == name)
             .expect("arm present")
     };
+    let evictions = |r: &ArmResult| r.end.counter("volume.health.evictions");
+    let spares_used = |r: &ArmResult| r.end.counter("volume.health.spares_used");
+    let hedges = |r: &ArmResult| spindle_counter_total(&r.end, "hedges");
+    let hedge_wins = |r: &ArmResult| spindle_counter_total(&r.end, "hedge_wins");
     let hedged = arm("hedged");
     let nohedge = arm("nohedge");
     let control = arm("control");
+    let rebuilds_completed = hedged.end.counter("volume.rebuild.runs_completed");
 
     let headers: Vec<&str> = results.iter().map(|r| r.spec.name).collect();
     let cfg = bench_cfg(smoke);
@@ -66,60 +77,23 @@ fn main() {
         "metric",
         &headers,
         &[
-            Row::new(
-                "healthy read p99 ms",
-                results
-                    .iter()
-                    .map(|r| format!("{:.1}", r.phase("healthy").read_p99_ns as f64 / 1e6))
-                    .collect(),
-            ),
-            Row::new(
-                "failslow read p99 ms",
-                results
-                    .iter()
-                    .map(|r| format!("{:.1}", r.phase("failslow").read_p99_ns as f64 / 1e6))
-                    .collect(),
-            ),
-            Row::new(
-                "failslow op p99 ms",
-                results
-                    .iter()
-                    .map(|r| format!("{:.1}", r.phase("failslow").p99_ns as f64 / 1e6))
-                    .collect(),
-            ),
-            Row::new(
-                "failslow ops/s",
-                results
-                    .iter()
-                    .map(|r| format!("{:.2}", r.phase("failslow").ops_per_sec()))
-                    .collect(),
-            ),
-            Row::new(
-                "hedges (wins)",
-                results
-                    .iter()
-                    .map(|r| format!("{} ({})", r.hedges, r.hedge_wins))
-                    .collect(),
-            ),
-            Row::new(
-                "evictions",
-                results.iter().map(|r| r.evictions.to_string()).collect(),
-            ),
-            Row::new(
-                "spares used",
-                results.iter().map(|r| r.spares_used.to_string()).collect(),
-            ),
-            Row::new(
-                "scrub clean",
-                results.iter().map(|r| r.scrub_clean.to_string()).collect(),
-            ),
-            Row::new(
-                "digest",
-                results
-                    .iter()
-                    .map(|r| format!("{:016x}", r.digest))
-                    .collect(),
-            ),
+            Row::of("healthy read p99 ms", &results, |r| {
+                format!("{:.1}", r.run.phase("healthy").read_p99_ns as f64 / 1e6)
+            }),
+            Row::of("failslow read p99 ms", &results, |r| {
+                format!("{:.1}", r.run.phase("failslow").read_p99_ns as f64 / 1e6)
+            }),
+            Row::of("failslow op p99 ms", &results, |r| {
+                format!("{:.1}", r.run.phase("failslow").p99_ns as f64 / 1e6)
+            }),
+            Row::of("failslow ops/s", &results, |r| {
+                format!("{:.2}", r.run.phase("failslow").ops_per_sec())
+            }),
+            Row::of("hedges (wins)", &results, |r| format!("{} ({})", hedges(r), hedge_wins(r))),
+            Row::of("evictions", &results, |r| evictions(r).to_string()),
+            Row::of("spares used", &results, |r| spares_used(r).to_string()),
+            Row::of("scrub clean", &results, |r| r.run.scrub_clean.to_string()),
+            Row::of("digest", &results, |r| format!("{:016x}", r.run.digest)),
         ],
     );
 
@@ -129,80 +103,96 @@ fn main() {
     // (Reads are the shieldable half of an op — a write lands on every
     // spindle and cannot be served from the survivors, so whole-op
     // latency is not the hedge's claim.)
-    let hedged_ratio = hedged.phase("failslow").read_p99_ns as f64
-        / control.phase("failslow").read_p99_ns.max(1) as f64;
+    let hedged_ratio = hedged.run.phase("failslow").read_p99_ns as f64
+        / control.run.phase("failslow").read_p99_ns.max(1) as f64;
     println!(
         "\n  hedged failslow read p99 / control (no-fault) read p99 = {hedged_ratio:.2}x \
          (bound 2.00x)"
     );
-    if hedged_ratio > 2.0 {
-        failures.push(format!(
-            "hedged fail-slow read p99 is {hedged_ratio:.2}x the no-fault control (bound: 2x)"
-        ));
-    }
+    verdict.claim(
+        hedged_ratio <= 2.0,
+        format!("hedged fail-slow read p99 is {hedged_ratio:.2}x the no-fault control (bound: 2x)"),
+    );
 
     // (b) The baseline without hedging is worse — the protection is
     // load-bearing.
-    let baseline_ratio = nohedge.phase("failslow").read_p99_ns as f64
-        / hedged.phase("failslow").read_p99_ns.max(1) as f64;
+    let baseline_ratio = nohedge.run.phase("failslow").read_p99_ns as f64
+        / hedged.run.phase("failslow").read_p99_ns.max(1) as f64;
     println!(
         "  nohedge failslow read p99 / hedged failslow read p99 = {baseline_ratio:.2}x \
          (need > 1.00x)"
     );
-    if nohedge.phase("failslow").read_p99_ns <= hedged.phase("failslow").read_p99_ns {
-        failures.push(format!(
+    verdict.claim(
+        nohedge.run.phase("failslow").read_p99_ns > hedged.run.phase("failslow").read_p99_ns,
+        format!(
             "the no-hedge arm's fail-slow read p99 ({} ns) is not worse than the hedged arm's \
              ({} ns)",
-            nohedge.phase("failslow").read_p99_ns,
-            hedged.phase("failslow").read_p99_ns
-        ));
-    }
+            nohedge.run.phase("failslow").read_p99_ns,
+            hedged.run.phase("failslow").read_p99_ns
+        ),
+    );
 
     // (c) The hedged arm healed itself: one eviction, one spare, one
     // completed rebuild, a clean scrub, and the control's namespace.
-    if hedged.evictions != 1 || hedged.spares_used != 1 || hedged.rebuilds_completed != 1 {
-        failures.push(format!(
+    verdict.claim(
+        evictions(hedged) == 1 && spares_used(hedged) == 1 && rebuilds_completed == 1,
+        format!(
             "self-healing did not converge: {} evictions, {} spares used, {} rebuilds completed \
              (want 1/1/1)",
-            hedged.evictions, hedged.spares_used, hedged.rebuilds_completed
-        ));
-    }
-    if !hedged.scrub_clean {
-        failures.push("post-failover scrub found damage".to_string());
-    }
-    for r in [hedged, nohedge] {
-        if r.digest != control.digest {
-            failures.push(format!(
+            evictions(hedged), spares_used(hedged), rebuilds_completed
+        ),
+    );
+    for r in &results {
+        verdict.claim(
+            r.run.scrub_clean,
+            format!("{}: the post-run scrub found damage", r.spec.name),
+        );
+        verdict.claim(
+            r.run.digest == control.run.digest,
+            format!(
                 "{} namespace digest {:016x} != control {:016x}",
-                r.spec.name, r.digest, control.digest
-            ));
-        }
+                r.spec.name, r.run.digest, control.run.digest
+            ),
+        );
     }
 
-    // Vacuity guards: the mechanisms must actually have been exercised.
-    assert!(
-        hedged.hedges > 0,
-        "no read was ever reported overdue in the hedged arm"
+    // Vacuity guards: every phase measured something, and the
+    // mechanisms must actually have been exercised.
+    for r in &results {
+        for (name, out) in &r.run.phases {
+            verdict.guard(
+                out.ops > 0 && 0 < out.read_p50_ns && out.read_p50_ns <= out.read_p99_ns,
+                format!(
+                    "{}: the {name} phase measured nothing coherent ({} ops, read p50 {} ns, \
+                     p99 {} ns)",
+                    r.spec.name, out.ops, out.read_p50_ns, out.read_p99_ns
+                ),
+            );
+        }
+    }
+    verdict.guard(
+        hedges(hedged) > 0,
+        "no read was ever reported overdue in the hedged arm",
     );
-    assert!(
-        hedged.hedge_wins > 0,
-        "reconstruction never beat the slow spindle in the hedged arm"
+    verdict.guard(
+        hedge_wins(hedged) > 0,
+        "reconstruction never beat the slow spindle in the hedged arm",
     );
-    assert!(
-        hedged.drain_steps + hedged.phase("failslow").rebuild_steps > 0,
-        "the hot-spare rebuild never stepped"
+    verdict.guard(
+        hedged.run.drain_steps + hedged.run.phase("failslow").rebuild_steps > 0,
+        "the hot-spare rebuild never stepped",
     );
-    assert_eq!(
-        control.evictions, 0,
-        "the monitor evicted a spindle on healthy media"
+    verdict.guard(
+        evictions(control) == 0,
+        "the monitor evicted a spindle on healthy media",
     );
-    assert_eq!(
-        control.degraded_reads, 0,
-        "the control arm must never serve a degraded read"
+    verdict.guard(
+        control.end.counter("volume.degraded_reads") == 0,
+        "the control arm must never serve a degraded read",
     );
-    assert_eq!(
-        nohedge.evictions, 0,
-        "the unmonitored arm cannot evict anything"
+    verdict.guard(
+        evictions(nohedge) == 0,
+        "the unmonitored arm cannot evict anything",
     );
 
     println!(
@@ -213,12 +203,5 @@ fn main() {
          signature into an eviction + hot-spare rebuild with no operator in \
          the loop."
     );
-    metrics.emit();
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("fail_slow: FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
+    verdict.finish(metrics)
 }

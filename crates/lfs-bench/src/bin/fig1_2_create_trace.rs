@@ -14,10 +14,13 @@
 //! are sequential and none are synchronous."
 //!
 //! This binary runs the example on both file systems with the disk access
-//! trace enabled and prints every write the device saw.
+//! trace enabled, prints every write the device saw, and claims the two
+//! captions' counts.
+
+use std::process::ExitCode;
 
 use ffs_baseline::{Ffs, FfsConfig};
-use lfs_bench::{ffs_rig, lfs_rig, print_table, MetricsReport, Row};
+use lfs_bench::{ffs_rig, lfs_rig, print_table, MetricsReport, Row, Verdict};
 use lfs_core::{Lfs, LfsConfig};
 use sim_disk::{AccessKind, AccessRecord, BlockDevice, SimDisk};
 use vfs::FileSystem;
@@ -77,8 +80,12 @@ fn rows_for(records: &[AccessRecord]) -> Vec<Row> {
         .collect()
 }
 
+fn sync_writes(records: &[AccessRecord]) -> usize {
+    records.iter().filter(|r| r.sync).count()
+}
+
 fn summarize(name: &str, records: &[AccessRecord]) {
-    let sync = records.iter().filter(|r| r.sync).count();
+    let sync = sync_writes(records);
     let random = records.iter().filter(|r| !r.sequential).count();
     let bytes: u64 = records.iter().map(|r| r.bytes).sum();
     println!(
@@ -87,8 +94,11 @@ fn summarize(name: &str, records: &[AccessRecord]) {
     );
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut metrics = MetricsReport::new("fig1_2_create_trace");
+    let mut verdict = Verdict::new();
+    verdict.expect_cell("ffs", "two_file_create");
+    verdict.expect_cell("lfs", "two_file_create");
     let (mut ffs, _clock) = ffs_rig(FfsConfig::paper().with_block_size(4096));
     let ffs_trace = run_example(
         &mut ffs,
@@ -132,5 +142,13 @@ fn main() {
          (Placement is relative to the previous request: LFS's single chunk\n\
          pays one positioning and then streams — 'one large transfer'.)"
     );
-    metrics.emit();
+    verdict.claim(
+        ffs_trace.len() == 8 && sync_writes(&ffs_trace) == 4,
+        "Figure 1: FFS issues 8 writes, half of them synchronous",
+    );
+    verdict.claim(
+        lfs_trace.len() == 1 && sync_writes(&lfs_trace) == 0,
+        "Figure 2: LFS issues one transfer, not synchronous",
+    );
+    verdict.finish(metrics)
 }

@@ -15,20 +15,20 @@
 //! `--smoke` runs a reduced sweep (for CI): clients {1, 8}, schedulers
 //! {fcfs, clook}, a quarter of the files.
 
-use std::rc::Rc;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-use engine::{run_small_file_create, EngineConfig, EngineCore, EngineDisk, SchedulerKind};
-use ffs_baseline::{Ffs, FfsConfig};
+use engine::{run_small_file_create, EngineConfig, EngineDisk, SchedulerKind};
+use ffs_baseline::FfsConfig;
 use lfs_bench::cache_mix::{run_mix_cell, run_scan_cell, MixCellResult};
-use lfs_bench::{fmt_rate, print_table, MetricsReport, Row};
-use lfs_core::{Lfs, LfsConfig};
+use lfs_bench::{
+    engine_rig, fmt_rate, modern_ffs, modern_lfs, print_table, MetricsReport, Row, Verdict,
+};
+use lfs_core::LfsConfig;
 use mem_mgr::CachePolicy;
-use sim_disk::{Clock, DiskGeometry, SimDisk};
+use sim_disk::Clock;
+use vfs::FileSystem;
 
-/// Modern-drive CPU speed (MIPS): fast enough that the disk, not the
-/// CPU, is the contended resource — the regime §3 argues about.
-const CPU_MIPS: f64 = 1000.0;
 /// Size of each created file.
 const FILE_SIZE: usize = 1024;
 /// Mean per-client think time between operations.
@@ -40,33 +40,47 @@ struct Cell {
     fairness_millis: u64,
 }
 
-fn engine_rig(sched: SchedulerKind) -> (Rc<std::cell::RefCell<EngineCore>>, EngineDisk, Arc<Clock>) {
-    let clock = Clock::new();
-    let disk = SimDisk::new(DiskGeometry::modern(), Arc::clone(&clock));
-    let core = EngineCore::new(disk, EngineConfig::default().with_scheduler(sched)).into_shared();
-    let dev = EngineDisk::new(Rc::clone(&core));
-    (core, dev, clock)
-}
-
-fn run_lfs(
+/// One cell: `clients` closed-loop clients create `total_files` files on
+/// the file system `format` builds over a fresh engine; `record`
+/// snapshots it. The two are the file-system type's ends of the cell —
+/// LFS and FFS share their inherent methods, not a trait.
+fn run_cell<F: FileSystem>(
+    label: &str,
     sched: SchedulerKind,
     clients: usize,
     total_files: usize,
-    metrics: &mut MetricsReport,
+    verdict: &mut Verdict,
+    format: impl FnOnce(EngineDisk, Arc<Clock>) -> (F, obs::Registry),
+    record: impl FnOnce(&mut F),
 ) -> Cell {
-    let (core, dev, clock) = engine_rig(sched);
-    let cfg = LfsConfig::paper()
-        .with_block_size(1024)
-        .with_cache_bytes(1 << 20);
-    let mut fs = Lfs::format(dev, cfg, clock).expect("format LFS");
-    fs.set_cpu_mips(CPU_MIPS);
-    let registry = fs.obs().clone();
+    let (core, dev, clock) = engine_rig(EngineConfig::default().with_scheduler(sched));
+    let (mut fs, registry) = format(dev, clock);
     let mcfg = engine::MultiClientConfig::new(clients, total_files / clients, FILE_SIZE)
         .with_think_ns(THINK_NS);
-    let report = run_small_file_create(&mut fs, &core, &registry, &mcfg).expect("LFS run");
-    let fsck = fs.fsck().expect("fsck");
-    assert!(fsck.is_clean(), "LFS inconsistent after run:\n{fsck}");
-    metrics.add_lfs(&format!("lfs/{}/c{clients:03}", sched.name()), &fs);
+    let report = run_small_file_create(&mut fs, &core, &registry, &mcfg).expect("run");
+    record(&mut fs);
+
+    // The engine really queued, scheduled and measured this cell.
+    let snap = registry.snapshot();
+    verdict.guard(
+        snap.gauge("engine.queue_depth_max") >= 1 && snap.counter("engine.sched_decisions") >= 1,
+        format!("{label}: the engine never queued or scheduled a request"),
+    );
+    verdict.guard(
+        snap.hist("engine.op_ns").is_some(),
+        format!("{label}: no engine.op_ns histogram"),
+    );
+    if clients == 8 {
+        let per_client = snap
+            .hists
+            .iter()
+            .filter(|(name, _)| name.starts_with("engine.c00"))
+            .count();
+        verdict.guard(
+            per_client == 8,
+            format!("{label}: {per_client} per-client latency histograms, expected 8"),
+        );
+    }
     Cell {
         clients,
         throughput: report.throughput_ops_per_sec(),
@@ -74,30 +88,7 @@ fn run_lfs(
     }
 }
 
-fn run_ffs(
-    sched: SchedulerKind,
-    clients: usize,
-    total_files: usize,
-    metrics: &mut MetricsReport,
-) -> Cell {
-    let (core, dev, clock) = engine_rig(sched);
-    let mut fs = Ffs::format(dev, FfsConfig::paper(), clock).expect("format FFS");
-    fs.set_cpu_mips(CPU_MIPS);
-    let registry = fs.obs().clone();
-    let mcfg = engine::MultiClientConfig::new(clients, total_files / clients, FILE_SIZE)
-        .with_think_ns(THINK_NS);
-    let report = run_small_file_create(&mut fs, &core, &registry, &mcfg).expect("FFS run");
-    let fsck = fs.fsck().expect("fsck");
-    assert!(fsck.is_clean(), "FFS inconsistent after run:\n{fsck}");
-    metrics.add_ffs(&format!("ffs/{}/c{clients:03}", sched.name()), &fs);
-    Cell {
-        clients,
-        throughput: report.throughput_ops_per_sec(),
-        fairness_millis: report.fairness_millis(),
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (client_counts, schedulers, total_files): (&[usize], &[SchedulerKind], usize) = if smoke {
         (
@@ -114,41 +105,55 @@ fn main() {
     };
 
     let mut metrics = MetricsReport::new("mt_scaling");
+    let mut verdict = Verdict::new();
     for &sched in schedulers {
-        let lfs_cells: Vec<Cell> = client_counts
-            .iter()
-            .map(|&n| run_lfs(sched, n, total_files, &mut metrics))
-            .collect();
-        let ffs_cells: Vec<Cell> = client_counts
-            .iter()
-            .map(|&n| run_ffs(sched, n, total_files, &mut metrics))
-            .collect();
+        for fs in ["lfs", "ffs"] {
+            for &n in client_counts {
+                verdict.expect_cell(fs, &format!("{fs}/{}/c{n:03}", sched.name()));
+            }
+        }
+        let mut lfs_cells = Vec::new();
+        let mut ffs_cells = Vec::new();
+        for &n in client_counts {
+            let label = format!("lfs/{}/c{n:03}", sched.name());
+            let cfg = LfsConfig::paper()
+                .with_block_size(1024)
+                .with_cache_bytes(1 << 20);
+            lfs_cells.push(run_cell(
+                &label,
+                sched,
+                n,
+                total_files,
+                &mut verdict,
+                |dev, clock| modern_lfs(dev, cfg, clock),
+                |fs| metrics.add_clean_lfs(&label, fs),
+            ));
+        }
+        for &n in client_counts {
+            let label = format!("ffs/{}/c{n:03}", sched.name());
+            ffs_cells.push(run_cell(
+                &label,
+                sched,
+                n,
+                total_files,
+                &mut verdict,
+                |dev, clock| modern_ffs(dev, FfsConfig::paper(), clock),
+                |fs| metrics.add_clean_ffs(&label, fs),
+            ));
+        }
 
         let headers: Vec<String> = client_counts.iter().map(|n| format!("{n} cl")).collect();
-        let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
         print_table(
             &format!(
                 "Multi-client small-file create, {} scheduler ({total_files} files total, files/sec)",
                 sched.name()
             ),
             "fs",
-            &header_refs,
+            &headers,
             &[
-                Row::new(
-                    "LFS",
-                    lfs_cells.iter().map(|c| fmt_rate(c.throughput)).collect(),
-                ),
-                Row::new(
-                    "FFS",
-                    ffs_cells.iter().map(|c| fmt_rate(c.throughput)).collect(),
-                ),
-                Row::new(
-                    "LFS fairness",
-                    lfs_cells
-                        .iter()
-                        .map(|c| format!("{}", c.fairness_millis))
-                        .collect(),
-                ),
+                Row::of("LFS", &lfs_cells, |c| fmt_rate(c.throughput)),
+                Row::of("FFS", &ffs_cells, |c| fmt_rate(c.throughput)),
+                Row::of("LFS fairness", &lfs_cells, |c| c.fairness_millis.to_string()),
             ],
         );
 
@@ -169,62 +174,62 @@ fn main() {
         );
     }
 
-    run_cache_arm(smoke, &mut metrics);
-    metrics.emit();
+    run_cache_arm(smoke, &mut metrics, &mut verdict);
+    verdict.finish(metrics)
 }
 
 /// The memory-manager arm: overwrite+read mix cells sweeping client
 /// count × cache policy × memory budget, plus the streaming-scan
 /// resistance cells. The 256-client pair and the scan/solo ratio carry
-/// in-binary assertions; CI recomputes both from the emitted JSON.
-fn run_cache_arm(smoke: bool, metrics: &mut MetricsReport) {
+/// the arm's two claims.
+fn run_cache_arm(smoke: bool, metrics: &mut MetricsReport, verdict: &mut Verdict) {
     let (mix_clients, budgets): (&[usize], &[usize]) = if smoke {
         (&[256], &[1 << 20])
     } else {
         (&[64, 256, 1024], &[512 * 1024, 1 << 20])
     };
     let policies = [CachePolicy::SharedLru, CachePolicy::Adaptive];
+    for policy in policies.map(CachePolicy::as_str) {
+        for &budget in budgets {
+            for &n in mix_clients {
+                verdict.expect_cell("lfs", &format!("lfs/mix/{policy}/m{}k/c{n:04}", budget / 1024));
+            }
+        }
+        for variant in ["scan", "solo"] {
+            verdict.expect_cell("lfs", &format!("lfs/scan/{policy}/{variant}"));
+        }
+    }
 
     for &budget in budgets {
         let mut cells: Vec<(CachePolicy, Vec<MixCellResult>)> = Vec::new();
         for &policy in &policies {
             let row: Vec<MixCellResult> = mix_clients
                 .iter()
-                .map(|&n| run_mix_cell(policy, n, budget, metrics))
+                .map(|&n| run_mix_cell(policy, n, budget, metrics, verdict))
                 .collect();
             cells.push((policy, row));
         }
 
         let headers: Vec<String> = mix_clients.iter().map(|n| format!("{n} cl")).collect();
-        let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
         let mut rows = Vec::new();
         for (policy, row) in &cells {
-            rows.push(Row::new(
-                format!("{} files/s", policy.as_str()),
-                row.iter().map(|c| fmt_rate(c.ops_per_sec)).collect(),
-            ));
-            rows.push(Row::new(
-                format!("{} hit rate", policy.as_str()),
-                row.iter()
-                    .map(|c| format!("{:.1}%", c.hit_rate_millis as f64 / 10.0))
-                    .collect(),
-            ));
+            rows.push(Row::of(format!("{} files/s", policy.as_str()), row, |c| {
+                fmt_rate(c.ops_per_sec)
+            }));
+            rows.push(Row::of(format!("{} hit rate", policy.as_str()), row, |c| {
+                format!("{:.1}%", c.hit_rate_millis as f64 / 10.0)
+            }));
         }
-        rows.push(Row::new(
-            "adaptive write target",
-            cells[1]
-                .1
-                .iter()
-                .map(|c| format!("{} blk", c.write_target_blocks))
-                .collect(),
-        ));
+        rows.push(Row::of("adaptive write target", &cells[1].1, |c| {
+            format!("{} blk", c.write_target_blocks)
+        }));
         print_table(
             &format!(
                 "Overwrite+read mix, shared-LRU vs adaptive cache ({} KB budget)",
                 budget / 1024
             ),
             "policy",
-            &header_refs,
+            &headers,
             &rows,
         );
 
@@ -238,17 +243,19 @@ fn run_cache_arm(smoke: bool, metrics: &mut MetricsReport) {
                 .expect("256-client cell in sweep");
             let shared = &cells[0].1[at];
             let adaptive = &cells[1].1[at];
-            assert!(
+            verdict.claim(
                 adaptive.ops_per_sec > shared.ops_per_sec,
-                "adaptive cache lost on throughput at 256 clients: {:.0}/s vs {:.0}/s",
-                adaptive.ops_per_sec,
-                shared.ops_per_sec
+                format!(
+                    "adaptive cache lost on throughput at 256 clients: {:.0}/s vs {:.0}/s",
+                    adaptive.ops_per_sec, shared.ops_per_sec
+                ),
             );
-            assert!(
+            verdict.claim(
                 adaptive.hit_rate_millis > shared.hit_rate_millis,
-                "adaptive cache lost on read hit rate at 256 clients: {} vs {} millis",
-                adaptive.hit_rate_millis,
-                shared.hit_rate_millis
+                format!(
+                    "adaptive cache lost on read hit rate at 256 clients: {} vs {} millis",
+                    adaptive.hit_rate_millis, shared.hit_rate_millis
+                ),
             );
             println!(
                 "  256-client acceptance: adaptive {:.0}/s @ {:.1}% beats shared {:.0}/s @ {:.1}%",
@@ -265,8 +272,8 @@ fn run_cache_arm(smoke: bool, metrics: &mut MetricsReport) {
     let mut scan_rows = Vec::new();
     let mut adaptive_ratio_millis = 0u64;
     for &policy in &policies {
-        let solo = run_scan_cell(policy, false, metrics);
-        let scan = run_scan_cell(policy, true, metrics);
+        let solo = run_scan_cell(policy, false, metrics, verdict);
+        let scan = run_scan_cell(policy, true, metrics, verdict);
         let ratio_millis = scan.victim_hit_rate_millis * 1000 / solo.victim_hit_rate_millis.max(1);
         if policy == CachePolicy::Adaptive {
             adaptive_ratio_millis = ratio_millis;
@@ -286,9 +293,11 @@ fn run_cache_arm(smoke: bool, metrics: &mut MetricsReport) {
         &["solo", "with scan", "retained"],
         &scan_rows,
     );
-    assert!(
+    verdict.claim(
         adaptive_ratio_millis >= 700,
-        "scan resistance failed: adaptive victims retained only {:.1}% of their solo hit rate",
-        adaptive_ratio_millis as f64 / 10.0
+        format!(
+            "scan resistance failed: adaptive victims retained only {:.1}% of their solo hit rate",
+            adaptive_ratio_millis as f64 / 10.0
+        ),
     );
 }

@@ -7,7 +7,7 @@
 //! `trace x {lfs, ffs} x spindles {1, 4} x QoS {off, on}` and reporting
 //! per-tenant throughput and latency per cell.
 //!
-//! In-binary assertions (all recomputable from `BENCH_trace_replay.json`):
+//! In-binary claims (all recomputable from `BENCH_trace_replay.json`):
 //!
 //! * **Proportional share** — in the Zipf-churn trace, flooder tenant 1
 //!   carries weight 4 and flooder tenant 2 weight 1; with QoS on, over
@@ -31,9 +31,11 @@
 //! `--smoke` runs the CI-sized sweep: office at 1 and 8 clients plus a
 //! small Zipf-churn trace, 1 spindle only.
 
+use std::process::ExitCode;
+
 use engine::QosClass;
 use lfs_bench::trace_replay::{run_cell, CellResult, FsKind};
-use lfs_bench::{fmt_rate, print_table, MetricsReport, Row};
+use lfs_bench::{fmt_rate, print_table, MetricsReport, Row, Verdict};
 use trace::{by_name, GenSpec, Trace, TRACE_NAMES};
 
 /// Weight given to Zipf flooder tenant 1 (tenant 2 keeps weight 1).
@@ -154,34 +156,35 @@ fn print_tenants(title: &str, case: &TraceCase, cell: &CellResult) {
     );
 }
 
-fn main() {
+fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let spindle_counts: &[usize] = if smoke { &[1] } else { &[1, 4] };
 
     let mut metrics = MetricsReport::new("trace_replay");
-    let mut failures: Vec<String> = Vec::new();
+    let mut verdict = Verdict::new();
 
     for case in cases(smoke) {
         let mut cells: Vec<CellResult> = Vec::new();
         for &spindles in spindle_counts {
             for kind in [FsKind::Lfs, FsKind::Ffs] {
-                for qos in [false, true] {
-                    let cell = run_cell(kind, &case.name, &case.trace, spindles, qos, &mut metrics);
-                    if cell.report.failed_ops != 0 {
-                        failures.push(format!(
-                            "{}: {} operations failed during replay",
-                            cell.label, cell.report.failed_ops
-                        ));
-                    }
-                    if cell.report.dep_violations != 0 {
-                        failures.push(format!(
-                            "{}: {} happens-before violations",
-                            cell.label, cell.report.dep_violations
-                        ));
-                    }
-                    if cell.report.dep_edges_checked == 0 {
-                        failures.push(format!("{}: dependency audit was vacuous", cell.label));
-                    }
+                for qos in ["off", "on"] {
+                    let fs = kind.name();
+                    verdict.expect_cell(fs, &format!("{}/{fs}/s{spindles}/q{qos}", case.name));
+                    let cell =
+                        run_cell(kind, &case.name, &case.trace, spindles, qos == "on", &mut metrics);
+                    let r = &cell.report;
+                    verdict.claim(
+                        r.failed_ops == 0,
+                        format!("{}: {} operations failed during replay", cell.label, r.failed_ops),
+                    );
+                    verdict.claim(
+                        r.dep_violations == 0,
+                        format!("{}: {} happens-before violations", cell.label, r.dep_violations),
+                    );
+                    verdict.guard(
+                        r.dep_edges_checked > 0 && r.total_ops > 0,
+                        format!("{}: replay or its dependency audit was vacuous", cell.label),
+                    );
                     cells.push(cell);
                 }
             }
@@ -192,12 +195,13 @@ fn main() {
         // on every file system, spindle count, and QoS policy.
         let digest0 = cells[0].snapshot_hash;
         for c in &cells[1..] {
-            if c.snapshot_hash != digest0 {
-                failures.push(format!(
+            verdict.claim(
+                c.snapshot_hash == digest0,
+                format!(
                     "{}: namespace digest {:016x} != {}'s {:016x} (replay not equivalent)",
                     c.label, c.snapshot_hash, cells[0].label, digest0
-                ));
-            }
+                ),
+            );
         }
 
         if case.name.starts_with("office") && case.trace.clients > 1 {
@@ -210,12 +214,13 @@ fn main() {
                     fmt_rate(lfs.report.ops_per_sec()),
                     fmt_rate(ffs.report.ops_per_sec()),
                 );
-                if ratio < LFS_FFS_RATIO_MIN {
-                    failures.push(format!(
+                verdict.claim(
+                    ratio >= LFS_FFS_RATIO_MIN,
+                    format!(
                         "{}: LFS only {ratio:.2}x FFS ops/s (need >= {LFS_FFS_RATIO_MIN}x)",
                         case.name
-                    ));
-                }
+                    ),
+                );
             }
         }
 
@@ -223,7 +228,13 @@ fn main() {
             let qon = find(&cells, "zipf/lfs/s1/qon").expect("zipf QoS cell");
             let qoff = find(&cells, "zipf/lfs/s1/qoff").expect("zipf baseline cell");
             print_tenants("zipf tenants, LFS s1, QoS on", &case, qon);
-            debug_assert_eq!(case.trace.qos.tenant(0).class, QosClass::Latency);
+            let qos = &case.trace.qos;
+            verdict.guard(
+                qos.tenant(0).class == QosClass::Latency
+                    && qos.tenant(1).weight == HEAVY_WEIGHT
+                    && qos.tenant(2).weight == 1,
+                "zipf: tenants are not the latency probe and the 4:1 flooder pair",
+            );
 
             // Proportional share over the contended window: weight-4
             // flooder (t1) vs weight-1 flooder (t2).
@@ -233,16 +244,18 @@ fn main() {
                 "  contended share t1/t2: {ratio_on:.2}x with QoS (weight {HEAVY_WEIGHT}), \
                  {ratio_off:.2}x without"
             );
-            if ratio_on < SHARE_RATIO_MIN {
-                failures.push(format!(
+            verdict.claim(
+                ratio_on >= SHARE_RATIO_MIN,
+                format!(
                     "zipf: weighted flooder got only {ratio_on:.2}x the contended bytes \
                      of the 1x flooder (need >= {SHARE_RATIO_MIN}x)"
-                ));
-            }
+                ),
+            );
 
             // Bounded latency class: the probe's p99 under the flood vs
             // the same probe replayed alone.
             let solo_trace = case.trace.filter_client(0);
+            verdict.expect_cell("lfs", "zipf_solo/lfs/s1/qon");
             let solo = run_cell(
                 FsKind::Lfs,
                 "zipf_solo",
@@ -258,12 +271,13 @@ fn main() {
                 flood_p99 as f64 / 1e3,
                 solo_p99 as f64 / 1e3
             );
-            if (flood_p99 as f64) > P99_RATIO_MAX * solo_p99 as f64 {
-                failures.push(format!(
+            verdict.claim(
+                flood_p99 as f64 <= P99_RATIO_MAX * solo_p99 as f64,
+                format!(
                     "zipf: latency-class probe p99 {flood_p99} ns under flood exceeds \
                      {P99_RATIO_MAX}x its solo p99 {solo_p99} ns"
-                ));
-            }
+                ),
+            );
         }
     }
 
@@ -273,12 +287,5 @@ fn main() {
          starving anyone, and determinate traces land every file system in the \
          same final state."
     );
-    metrics.emit();
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("trace_replay: FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
+    verdict.finish(metrics)
 }

@@ -20,22 +20,18 @@
 //!   against.
 //!
 //! Every cell publishes its outcome as `mix.*` / `scan.*` gauges before
-//! snapshotting, so CI recomputes the adaptive-vs-shared and
-//! scan-resistance assertions from `BENCH_mt_scaling.json` alone.
+//! snapshotting, so the adaptive-vs-shared and scan-resistance claims
+//! `mt_scaling` asserts can be re-read from `BENCH_mt_scaling.json`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use engine::{run_overwrite_read_mix, EngineConfig, EngineCore, EngineDisk, MixConfig};
 use lfs_core::{Lfs, LfsConfig};
 use mem_mgr::CachePolicy;
-use sim_disk::{Clock, DiskGeometry, SimDisk};
 
-use crate::MetricsReport;
+use crate::{engine_rig, modern_lfs, MetricsReport, Verdict};
 
-/// Modern-drive CPU speed (MIPS), matching the scaling cells.
-const CPU_MIPS: f64 = 1000.0;
 /// Block size for every cache cell: 1 KB, so each 1 KB file is exactly
 /// one cache block and working-set arithmetic is exact.
 const BLOCK_SIZE: usize = 1024;
@@ -99,24 +95,39 @@ pub struct ScanCellResult {
     pub victim_hit_rate_millis: u64,
 }
 
-fn engine_rig() -> (Rc<RefCell<EngineCore>>, EngineDisk, Arc<Clock>) {
-    let clock = Clock::new();
-    let disk = SimDisk::new(DiskGeometry::modern(), Arc::clone(&clock));
-    let core = EngineCore::new(disk, EngineConfig::default()).into_shared();
-    let dev = EngineDisk::new(Rc::clone(&core));
-    (core, dev, clock)
-}
-
-fn cell_fs(policy: CachePolicy, cache_bytes: usize) -> (Lfs<EngineDisk>, Rc<RefCell<EngineCore>>) {
-    let (core, dev, clock) = engine_rig();
+fn cell_fs(
+    policy: CachePolicy,
+    cache_bytes: usize,
+) -> (Lfs<EngineDisk>, obs::Registry, Rc<RefCell<EngineCore>>) {
+    let (core, dev, clock) = engine_rig(EngineConfig::default());
     let cfg = LfsConfig::paper()
         .with_block_size(BLOCK_SIZE)
         .with_segment_bytes(SEGMENT_BYTES)
         .with_cache_bytes(cache_bytes)
         .with_cache_policy(policy);
-    let mut fs = Lfs::format(dev, cfg, clock).expect("format LFS");
-    fs.set_cpu_mips(CPU_MIPS);
-    (fs, core)
+    let (fs, registry) = modern_lfs(dev, cfg, clock);
+    (fs, registry, core)
+}
+
+/// Vacuity guards every cache cell shares: the memory manager really
+/// served the cell (hits and misses, a write target) and attributed it
+/// to clients (ghost list, per-client hits and residency).
+fn guard_cache_cell(verdict: &mut Verdict, label: &str, snap: &obs::Snapshot) {
+    verdict.guard(
+        snap.counter("cache.hits") > 0 && snap.counter("cache.misses") > 0,
+        format!("{label}: the cache saw no hits or no misses"),
+    );
+    verdict.guard(
+        snap.gauge("cache.write_target_blocks") >= 1,
+        format!("{label}: no write target"),
+    );
+    let has = |list: &[(String, u64)], name: &str| list.iter().any(|(n, _)| n == name);
+    verdict.guard(
+        has(&snap.counters, "cache.ghost_hits")
+            && has(&snap.counters, "cache.client.000.hits")
+            && has(&snap.gauges, "cache.client.000.resident_blocks"),
+        format!("{label}: ghost-hit or per-client cache instruments missing"),
+    );
 }
 
 /// Sums client-attributed hits and misses over a range of client ids.
@@ -138,9 +149,9 @@ pub fn run_mix_cell(
     clients: usize,
     cache_bytes: usize,
     metrics: &mut MetricsReport,
+    verdict: &mut Verdict,
 ) -> MixCellResult {
-    let (mut fs, core) = cell_fs(policy, cache_bytes);
-    let registry = fs.obs().clone();
+    let (mut fs, registry, core) = cell_fs(policy, cache_bytes);
     let cfg = MixConfig::new(clients, FILES_PER_CLIENT, FILE_SIZE)
         .with_read_permille(READ_PERMILLE)
         .with_hot_files(HOT_FILES)
@@ -169,6 +180,7 @@ pub fn run_mix_cell(
         cache_bytes / 1024
     );
     metrics.add_lfs(&label, &fs);
+    guard_cache_cell(verdict, &label, &registry.snapshot());
     MixCellResult {
         label,
         ops_per_sec,
@@ -183,9 +195,9 @@ pub fn run_scan_cell(
     policy: CachePolicy,
     scanner: bool,
     metrics: &mut MetricsReport,
+    verdict: &mut Verdict,
 ) -> ScanCellResult {
-    let (mut fs, core) = cell_fs(policy, SCAN_CACHE_BYTES);
-    let registry = fs.obs().clone();
+    let (mut fs, registry, core) = cell_fs(policy, SCAN_CACHE_BYTES);
     let mut cfg = MixConfig::new(SCAN_VICTIMS, SCAN_VICTIM_FILES, FILE_SIZE)
         .with_read_permille(1000)
         .with_hot_files(SCAN_VICTIM_FILES)
@@ -209,6 +221,7 @@ pub fn run_scan_cell(
         if scanner { "scan" } else { "solo" }
     );
     metrics.add_lfs(&label, &fs);
+    guard_cache_cell(verdict, &label, &registry.snapshot());
     ScanCellResult {
         label,
         victim_hit_rate_millis,

@@ -632,20 +632,25 @@ pub struct ModeOutcome {
     pub intermediate_recoveries: u64,
     /// First few violation descriptions, for the report.
     pub samples: Vec<String>,
+    /// The row's vacuity guards — whether each held, and what it means
+    /// when it does not.
+    pub guards: Vec<(bool, String)>,
 }
 
 impl ModeOutcome {
     /// True when the sweep found no silent-corruption or durability
-    /// violations (a refused mount is one, unless the arm allows it).
+    /// violations (a refused mount is one, unless the arm allows it)
+    /// and was not vacuous.
     pub fn is_clean(&self) -> bool {
-        self.violations == 0
+        self.violations == 0 && self.guards.iter().all(|(held, _)| *held)
     }
 }
 
 /// Sweeps one arm under one fault mode: crash at every `stride`-th
 /// workload write index — including the writes the arm's hook issues —
-/// remount, and check against the model. Panics if the sweep was
-/// vacuous: no crash points at all, or the arm's guard unmet.
+/// remount, and check against the model. A vacuous sweep — no crash
+/// points at all, or the arm's guard unmet — is reported in
+/// [`ModeOutcome::guards`].
 pub fn sweep(arm: &Arm, mode: SweepMode, spec: &SweepSpec) -> ModeOutcome {
     let ops = script(spec);
 
@@ -719,38 +724,43 @@ pub fn sweep(arm: &Arm, mode: SweepMode, spec: &SweepSpec) -> ModeOutcome {
     }
 
     let row = format!("{} {}", arm.label, mode.name());
-    assert!(
+    let mut guard = |held: bool, what: String| out.guards.push((held, format!("{row}{what}")));
+    guard(
         out.crash_points > 0,
-        "{row}: the script wrote nothing to crash into"
+        ": the script wrote nothing to crash into".into(),
     );
-    assert_eq!(
-        out.recovered + out.detected_unmountable,
-        out.crash_points,
-        "{row}: every crash point must recover or be detected"
+    guard(
+        out.recovered + out.detected_unmountable == out.crash_points,
+        ": every crash point must recover or be detected".into(),
     );
     match arm.guard {
         Guard::None => {}
-        Guard::MidTask => assert!(
+        Guard::MidTask => guard(
             mid_task_points > 0,
-            "{row} is vacuous: no crash index landed inside an active \
-             maintenance run ({} points swept)",
-            out.crash_points
+            format!(
+                " is vacuous: no crash index landed inside an active maintenance run \
+                 ({} points swept)",
+                out.crash_points
+            ),
         ),
-        Guard::PartitionedRecovery => assert!(
+        Guard::PartitionedRecovery => guard(
             max_partitions > 1,
-            "{row} is vacuous: no remount partitioned its scan across more \
-             than one spindle ({} points swept)",
-            out.crash_points
+            format!(
+                " is vacuous: no remount partitioned its scan across more than one \
+                 spindle ({} points swept)",
+                out.crash_points
+            ),
         ),
         Guard::BoundaryMoved => {
-            assert!(
+            guard(
                 boundary_moves > 0,
-                "{row} is vacuous: the boundary never moved"
+                " is vacuous: the boundary never moved".into(),
             );
-            assert!(
+            guard(
                 *spec != SweepSpec::full() || out.intermediate_recoveries > 0,
-                "{row} is vacuous: no crash point recovered an intermediate \
-                 version, so no flush fell between the vfs calls of a write"
+                " is vacuous: no crash point recovered an intermediate version, so no \
+                 flush fell between the vfs calls of a write"
+                    .into(),
             );
         }
     }

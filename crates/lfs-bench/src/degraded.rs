@@ -18,14 +18,40 @@
 //! namespace digests, which is the bench's end-to-end correctness
 //! assertion.
 
+use std::sync::Arc;
+
 use engine::{drain, jittered_think_ns, run_closed_loop, RequestEngine};
-use lfs_core::Lfs;
-use sim_disk::BlockDevice;
+use lfs_core::{Lfs, LfsConfig};
+use sim_disk::{BlockDevice, Clock};
+use trace::replay::snapshot;
 use vfs::{FileSystem, FsResult};
 use volume::VolumeDisk;
 use workload::payload;
 
 use crate::interference::percentile_ns;
+use crate::modern_lfs;
+use crate::trace_replay::snapshot_digest;
+
+/// Spindles in the parity array (one of which dies or limps).
+pub const SPINDLES: usize = 4;
+/// LFS segment size; the parity chunk is `SEGMENT / (SPINDLES - 1)`,
+/// so one segment write covers exactly one data row (64 KB chunks keep
+/// a rebuild step's transfer comparable to one foreground op, which is
+/// what lets the idle-gated rebuild hide in think-time gaps).
+pub const SEGMENT_BYTES: usize = 192 * 1024;
+/// Per-spindle size: 16 MB. Logical capacity 48 MB — the run's append
+/// volume fits without sustained cleaning, isolating parity costs.
+pub const SPINDLE_SECTORS: u64 = 32_768;
+
+/// The production layout of the parity subsystem: aligned metadata +
+/// seal-on-flush, the rules that close the parity write hole (see the
+/// crash sweep).
+pub fn parity_lfs_cfg() -> LfsConfig {
+    LfsConfig::paper()
+        .with_segment_bytes(SEGMENT_BYTES)
+        .with_segment_aligned_metadata()
+        .with_seal_on_flush()
+}
 
 /// Parameters shared by every phase of one run.
 #[derive(Debug, Clone)]
@@ -42,6 +68,23 @@ pub struct RebuildBenchConfig {
     pub think_ns: u64,
     /// Seed for the deterministic jitter and payloads.
     pub seed: u64,
+}
+
+impl RebuildBenchConfig {
+    /// The workload of both parity benches: 64 KB slot files, eight per
+    /// client, and a mean think time at which 4 clients offer well
+    /// under one WREN IV's bandwidth, so idle periods exist for a gated
+    /// rebuild. `smoke` shrinks the op counts for CI.
+    pub fn parity(smoke: bool, seed: u64) -> Self {
+        Self {
+            clients: if smoke { 2 } else { 4 },
+            ops_per_phase: if smoke { 48 } else { 96 },
+            slots_per_client: 8,
+            file_size: 64 * 1024,
+            think_ns: 700_000_000,
+            seed,
+        }
+    }
 }
 
 /// Exact latency statistics of one measured phase.
@@ -76,6 +119,85 @@ impl PhaseOutcome {
     }
 }
 
+/// One arm's phase outcomes plus its end-state audit.
+pub struct ArmOutcome {
+    /// `(phase name, outcome)` in execution order.
+    pub phases: Vec<(&'static str, PhaseOutcome)>,
+    /// Rebuild steps drained after the measured phases.
+    pub drain_steps: u64,
+    /// Post-run scrub found no damage.
+    pub scrub_clean: bool,
+    /// Namespace digest after the run.
+    pub digest: u64,
+}
+
+impl ArmOutcome {
+    /// Outcome of the named phase.
+    pub fn phase(&self, name: &str) -> PhaseOutcome {
+        self.phases
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, o)| o)
+            .expect("phase present")
+    }
+}
+
+/// One measured phase: its name, and what happens to the array first
+/// (kill a spindle, swap in a blank, arm a fault; nothing on a control
+/// arm).
+pub type Phase<'a> = (&'static str, &'a dyn Fn(&VolumeDisk));
+
+/// Runs one arm end to end on a fresh parity array (`volume_rig`'s
+/// pair): fill, every phase in order, drain any rebuild, scrub, digest
+/// the namespace. Publishes each phase's statistics as
+/// `<prefix>.<phase>.*` gauges (the read-portion percentiles only with
+/// `read_gauges`) and the audit as `<prefix>.{drain_steps, scrub_clean,
+/// namespace_digest}`, so every claim can be recomputed from the JSON
+/// artifact alone; the caller snapshots the returned file system.
+pub fn run_arm(
+    (dev, clock): (VolumeDisk, Arc<Clock>),
+    lfs_cfg: LfsConfig,
+    cfg: &RebuildBenchConfig,
+    phases: &[Phase],
+    prefix: &str,
+    read_gauges: bool,
+) -> (Lfs<VolumeDisk>, ArmOutcome) {
+    let pump = dev.clone();
+    let (mut fs, registry) = modern_lfs(dev, lfs_cfg, clock);
+    fill(&mut fs, &pump, cfg).expect("fill");
+    let mut outcomes = Vec::new();
+    for (i, (name, before)) in phases.iter().enumerate() {
+        before(&pump);
+        outcomes.push((*name, run_phase(&mut fs, &pump, cfg, i).expect("measured phase")));
+    }
+    let drain_steps = drain_rebuild(&mut fs, &pump).expect("drain rebuild");
+    let scrub_clean = fs.scrub().expect("scrub").is_clean();
+    let digest = snapshot_digest(&snapshot(&mut fs).expect("namespace snapshot"));
+
+    let gauge = |key: String, v: u64| registry.gauge(&format!("{prefix}.{key}")).set(v);
+    for (name, out) in &outcomes {
+        gauge(format!("{name}.ops"), out.ops);
+        gauge(format!("{name}.elapsed_ns"), out.elapsed_ns);
+        gauge(format!("{name}.p50_ns"), out.p50_ns);
+        gauge(format!("{name}.p99_ns"), out.p99_ns);
+        if read_gauges {
+            gauge(format!("{name}.read_p50_ns"), out.read_p50_ns);
+            gauge(format!("{name}.read_p99_ns"), out.read_p99_ns);
+        }
+        gauge(format!("{name}.rebuild_steps"), out.rebuild_steps);
+    }
+    gauge("drain_steps".into(), drain_steps);
+    gauge("scrub_clean".into(), u64::from(scrub_clean));
+    gauge("namespace_digest".into(), digest);
+    let outcome = ArmOutcome {
+        phases: outcomes,
+        drain_steps,
+        scrub_clean,
+        digest,
+    };
+    (fs, outcome)
+}
+
 fn slot_path(client: usize, slot: usize) -> String {
     format!("/d{client:02}/s{slot:04}")
 }
@@ -92,7 +214,7 @@ fn slot_payload(cfg: &RebuildBenchConfig, client: usize, epoch: usize) -> Vec<u8
 
 /// Creates every slot (system-attributed) and syncs, so measurement
 /// starts from a durable, fully populated namespace.
-pub fn fill<D: BlockDevice>(
+fn fill<D: BlockDevice>(
     fs: &mut Lfs<D>,
     core: &impl RequestEngine,
     cfg: &RebuildBenchConfig,
@@ -118,7 +240,7 @@ pub fn fill<D: BlockDevice>(
 /// `phase` keys the payload epoch so each phase's overwrites really
 /// change bytes (parity must track them), and the final state is a
 /// pure function of (config, phase count) — never of timing.
-pub fn run_phase(
+fn run_phase(
     fs: &mut Lfs<VolumeDisk>,
     core: &VolumeDisk,
     cfg: &RebuildBenchConfig,
@@ -178,7 +300,7 @@ pub fn run_phase(
 
 /// Drains an in-flight rebuild to completion (no idle gating — the
 /// measured phase is over) and syncs, leaving the volume healthy.
-pub fn drain_rebuild(fs: &mut Lfs<VolumeDisk>, core: &VolumeDisk) -> FsResult<u64> {
+fn drain_rebuild(fs: &mut Lfs<VolumeDisk>, core: &VolumeDisk) -> FsResult<u64> {
     core.set_client(None);
     let steps = drain(&mut core.clone(), fs)?;
     fs.sync()?;

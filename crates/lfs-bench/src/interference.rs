@@ -63,14 +63,6 @@ impl ChurnOutcome {
         }
         self.total_ops as f64 / (self.elapsed_ns as f64 / 1e9)
     }
-
-    /// Foreground payload bandwidth in MB/s of virtual time.
-    pub fn fg_mb_per_sec(&self, file_size: usize) -> f64 {
-        if self.elapsed_ns == 0 {
-            return 0.0;
-        }
-        (self.total_ops * file_size as u64) as f64 / 1e6 / (self.elapsed_ns as f64 / 1e9)
-    }
 }
 
 /// Idle time granted to an in-flight cleaner segment read before the

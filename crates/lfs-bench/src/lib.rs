@@ -35,6 +35,12 @@
 //! All measurements are **virtual time** from the shared [`sim_disk::Clock`]
 //! driven by the WREN IV disk model and the Sun-4/260 CPU model, so runs
 //! are deterministic.
+//!
+//! The binaries that carry a pass/fail claim (`fig1_2_create_trace` and
+//! the eight extensions from `mt_scaling` down, bar `ext_sustained_use`) judge themselves through
+//! one [`Verdict`]: its exit code is the only judge. `bench-baseline/`
+//! pins their CI-sized rows (stdout and `BENCH_<name>.json` digest) and
+//! `bench-baseline/bench_check.sh` walks that table.
 
 pub mod cache_mix;
 pub mod crash_sweep;
@@ -44,11 +50,16 @@ pub mod interference;
 pub mod recovery_scaling;
 pub mod trace_replay;
 
+use std::cell::RefCell;
+use std::process::ExitCode;
+use std::rc::Rc;
 use std::sync::Arc;
 
+use engine::{EngineConfig, EngineCore, EngineDisk};
 use ffs_baseline::{Ffs, FfsConfig};
 use lfs_core::{Lfs, LfsConfig};
 use sim_disk::{BlockDevice, Clock, DiskGeometry, SimDisk};
+use volume::{StripedVolume, VolumeConfig, VolumeDisk};
 
 /// A freshly formatted LFS on a paper-configuration WREN IV disk.
 pub fn lfs_rig(cfg: LfsConfig) -> (Lfs<SimDisk>, Arc<Clock>) {
@@ -64,6 +75,64 @@ pub fn ffs_rig(cfg: FfsConfig) -> (Ffs<SimDisk>, Arc<Clock>) {
     let disk = SimDisk::new(DiskGeometry::wren_iv(), Arc::clone(&clock));
     let fs = Ffs::format(disk, cfg, Arc::clone(&clock)).expect("format FFS");
     (fs, clock)
+}
+
+/// CPU speed (MIPS) of the modern host the engine and volume benches
+/// run on: fast enough that the disks, not the CPU, are the contended
+/// resource — the regime §3 argues about.
+const MODERN_CPU_MIPS: f64 = 1000.0;
+
+/// Formats an LFS on `dev` for a modern host. Returns it with a handle
+/// on its registry, which the closed-loop drivers publish into while
+/// they hold the file system.
+pub fn modern_lfs<D: BlockDevice>(
+    dev: D,
+    cfg: LfsConfig,
+    clock: Arc<Clock>,
+) -> (Lfs<D>, obs::Registry) {
+    let mut fs = Lfs::format(dev, cfg, clock).expect("format LFS");
+    fs.set_cpu_mips(MODERN_CPU_MIPS);
+    let registry = fs.obs().clone();
+    (fs, registry)
+}
+
+/// Formats an FFS on `dev` for a modern host; see [`modern_lfs`].
+pub fn modern_ffs<D: BlockDevice>(
+    dev: D,
+    cfg: FfsConfig,
+    clock: Arc<Clock>,
+) -> (Ffs<D>, obs::Registry) {
+    let mut fs = Ffs::format(dev, cfg, clock).expect("format FFS");
+    fs.set_cpu_mips(MODERN_CPU_MIPS);
+    let registry = fs.obs().clone();
+    (fs, registry)
+}
+
+/// A modern drive behind a request engine: the shared core (what the
+/// closed-loop drivers pump) and its [`BlockDevice`] handle.
+pub fn engine_rig(cfg: EngineConfig) -> (Rc<RefCell<EngineCore>>, EngineDisk, Arc<Clock>) {
+    let clock = Clock::new();
+    let disk = SimDisk::new(DiskGeometry::modern(), Arc::clone(&clock));
+    let core = EngineCore::new(disk, cfg).into_shared();
+    let dev = EngineDisk::new(Rc::clone(&core));
+    (core, dev, clock)
+}
+
+/// A striped volume of WREN IV spindles, `spindle_sectors` each, behind
+/// its [`BlockDevice`] handle: blank, or revived from the per-spindle
+/// `images` a crashed run left.
+pub fn volume_rig(
+    cfg: VolumeConfig,
+    spindle_sectors: u64,
+    images: Option<Vec<Vec<u8>>>,
+) -> (VolumeDisk, Arc<Clock>) {
+    let clock = Clock::new();
+    let geometry = DiskGeometry::wren_iv().with_sectors(spindle_sectors);
+    let vol = match images {
+        Some(images) => StripedVolume::from_images(geometry, Arc::clone(&clock), cfg, images),
+        None => StripedVolume::new(geometry, Arc::clone(&clock), cfg),
+    };
+    (VolumeDisk::new(vol.into_shared()), clock)
 }
 
 /// Collects labelled registry snapshots over a benchmark's runs and
@@ -93,6 +162,22 @@ impl MetricsReport {
             .add_run(label, "ffs", fs.clock().now_ns(), fs.obs());
     }
 
+    /// Fscks an LFS stack a run has finished with, which must be clean,
+    /// then snapshots it as one run.
+    pub fn add_clean_lfs<D: BlockDevice>(&mut self, label: &str, fs: &mut Lfs<D>) {
+        let fsck = fs.fsck().expect("fsck");
+        assert!(fsck.is_clean(), "LFS inconsistent after {label}:\n{fsck}");
+        self.add_lfs(label, fs);
+    }
+
+    /// Fscks an FFS stack a run has finished with, which must be clean,
+    /// then snapshots it as one run.
+    pub fn add_clean_ffs<D: BlockDevice>(&mut self, label: &str, fs: &mut Ffs<D>) {
+        let fsck = fs.fsck().expect("fsck");
+        assert!(fsck.is_clean(), "FFS inconsistent after {label}:\n{fsck}");
+        self.add_ffs(label, fs);
+    }
+
     /// Snapshots a bare registry (no file system attached).
     pub fn add_registry(&mut self, label: &str, clock_ns: u64, registry: &obs::Registry) {
         self.inner.add_run(label, "-", clock_ns, registry);
@@ -116,6 +201,103 @@ impl MetricsReport {
     }
 }
 
+/// The one judge of a bench run. The binary states its *claims* (what
+/// the paper or the extension promises), its vacuity *guards* (the
+/// regime a claim is about was really exercised) and the *cells* its
+/// report must hold. [`Verdict::finish`] writes the metrics JSON first,
+/// so a failed run still leaves its evidence, then prints every failed
+/// row and returns the process exit code. It reads the report and never
+/// a registry, so the JSON that `bench-baseline/SHA256SUMS` pins is the
+/// same with or without it.
+#[derive(Debug, Clone, Default)]
+pub struct Verdict {
+    claims: usize,
+    guards: usize,
+    cells: Vec<(String, String)>,
+    failed: Vec<String>,
+}
+
+impl Verdict {
+    /// A verdict with nothing stated yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// States a claim under test; `what` is the row printed if it does
+    /// not hold.
+    pub fn claim(&mut self, holds: bool, what: impl Into<String>) {
+        self.claims += 1;
+        if !holds {
+            self.failed.push(format!("claim: {}", what.into()));
+        }
+    }
+
+    /// States a vacuity guard; `what` is the row printed if it does not
+    /// hold.
+    pub fn guard(&mut self, holds: bool, what: impl Into<String>) {
+        self.guards += 1;
+        if !holds {
+            self.failed.push(format!("guard: {}", what.into()));
+        }
+    }
+
+    /// Expects the report to hold a run labelled `label` from file
+    /// system `fs` (`"lfs"`, `"ffs"`, or `"-"` for a bare registry).
+    /// The report must hold exactly the expected cells.
+    pub fn expect_cell(&mut self, fs: &str, label: &str) {
+        self.cells.push((fs.to_string(), label.to_string()));
+    }
+
+    /// Checks the report's cells, writes the report, and returns the
+    /// failed rows.
+    fn settle(mut self, metrics: MetricsReport) -> Vec<String> {
+        let mut want = std::mem::take(&mut self.cells);
+        let mut have: Vec<(String, String)> = metrics
+            .inner
+            .runs
+            .iter()
+            .map(|r| (r.fs.clone(), r.label.clone()))
+            .collect();
+        want.sort();
+        have.sort();
+        if want != have {
+            let missing: Vec<_> = want.iter().filter(|c| !have.contains(c)).collect();
+            let unexpected: Vec<_> = have.iter().filter(|c| !want.contains(c)).collect();
+            self.failed.push(format!(
+                "guard: the report holds {} cells, expected {}: missing {missing:?}, \
+                 unexpected {unexpected:?}",
+                have.len(),
+                want.len()
+            ));
+        }
+        metrics.emit();
+        println!(
+            "verdict: {} claims, {} guards, {} cells: {}",
+            self.claims,
+            self.guards,
+            want.len(),
+            if self.failed.is_empty() { "ok" } else { "FAILED" }
+        );
+        self.failed
+    }
+
+    /// Closes the run: the report is on disk before anything is judged
+    /// aloud, every failed row goes to stderr, and the return value is
+    /// `main`'s.
+    pub fn finish(self, metrics: MetricsReport) -> ExitCode {
+        let name = metrics.inner.name.clone();
+        let failed = self.settle(metrics);
+        for row in &failed {
+            eprintln!("{name}: FAILED {row}");
+        }
+        if failed.is_empty() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
+    }
+}
+
 /// One row of a result table.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -133,10 +315,15 @@ impl Row {
             values,
         }
     }
+
+    /// Builds a row with one cell per item, each rendered by `cell`.
+    pub fn of<T>(label: impl Into<String>, items: &[T], cell: impl Fn(&T) -> String) -> Self {
+        Self::new(label, items.iter().map(cell).collect())
+    }
 }
 
 /// Prints a fixed-width table (the format EXPERIMENTS.md records).
-pub fn print_table(title: &str, first_header: &str, headers: &[&str], rows: &[Row]) {
+pub fn print_table(title: &str, first_header: &str, headers: &[impl AsRef<str>], rows: &[Row]) {
     println!("\n== {title} ==");
     let label_width = rows
         .iter()
@@ -151,7 +338,7 @@ pub fn print_table(title: &str, first_header: &str, headers: &[&str], rows: &[Ro
         .map(|(i, h)| {
             rows.iter()
                 .map(|r| r.values.get(i).map_or(0, |v| v.len()))
-                .chain([h.len()])
+                .chain([h.as_ref().len()])
                 .max()
                 .unwrap_or(8)
                 + 2
@@ -159,7 +346,7 @@ pub fn print_table(title: &str, first_header: &str, headers: &[&str], rows: &[Ro
         .collect();
     print!("{first_header:<label_width$}");
     for (h, w) in headers.iter().zip(&widths) {
-        print!("{h:>w$}");
+        print!("{:>w$}", h.as_ref());
     }
     println!();
     for row in rows {
@@ -198,6 +385,48 @@ mod tests {
         ffs.write_file("/x", b"ffs").unwrap();
         assert_eq!(ffs.read_file("/x").unwrap(), b"ffs");
         assert!(clock.now_ns() > 0);
+    }
+
+    #[test]
+    fn a_failed_verdict_names_every_failed_row_and_still_leaves_its_json() {
+        let dir = std::env::temp_dir().join(format!("lfs_bench_verdict_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::env::set_var("BENCH_OUT_DIR", &dir);
+        let report = || {
+            let mut metrics = MetricsReport::new("verdict_probe");
+            metrics.add_registry("only", 0, &obs::Registry::new());
+            metrics
+        };
+        let mut verdict = Verdict::new();
+        verdict.expect_cell("-", "only");
+        verdict.claim(true, "a claim that holds");
+        verdict.claim(false, "the claim that failed");
+        verdict.guard(false, "the guard that failed");
+
+        let failed = verdict.clone().settle(report());
+        assert_eq!(
+            failed,
+            ["claim: the claim that failed", "guard: the guard that failed"]
+        );
+        let json = dir.join("BENCH_verdict_probe.json");
+        assert!(json.exists(), "a failed verdict must still write its JSON");
+        std::fs::remove_file(&json).unwrap();
+        assert_eq!(verdict.finish(report()), ExitCode::FAILURE);
+        assert!(json.exists());
+
+        // A cell the binary did not announce fails the verdict too.
+        let mut verdict = Verdict::new();
+        verdict.expect_cell("lfs", "other");
+        let failed = verdict.clone().settle(report());
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].contains("missing [(\"lfs\", \"other\")]"), "{failed:?}");
+        assert!(failed[0].contains("unexpected [(\"-\", \"only\")]"), "{failed:?}");
+
+        let mut verdict = Verdict::new();
+        verdict.expect_cell("-", "only");
+        assert_eq!(verdict.finish(report()), ExitCode::SUCCESS);
+        std::env::remove_var("BENCH_OUT_DIR");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -21,9 +21,10 @@ use std::sync::Arc;
 
 use ffs_baseline::{Ffs, FfsConfig};
 use lfs_core::{Lfs, LfsConfig, LfsStats};
-use sim_disk::{Clock, DiskGeometry};
 use vfs::{FileKind, FileSystem};
-use volume::{StripedVolume, VolumeConfig, VolumeDisk};
+use volume::VolumeConfig;
+
+use crate::volume_rig;
 
 /// Sectors per spindle (64 MB each, WREN IV mechanics).
 pub const SPINDLE_SECTORS: u64 = 131_072;
@@ -55,13 +56,6 @@ impl WorkloadSpec {
             file_bytes: 256 * 1024,
         }
     }
-
-    /// The CI-sized workload: the 4-spindle speedup assertion needs the
-    /// same tail-dominates-sweep regime as the full run, so only the
-    /// sweep itself shrinks (spindle count x cells, not bytes).
-    pub fn smoke() -> Self {
-        Self::full()
-    }
 }
 
 /// The LFS configuration under test: paper geometry with checkpoints
@@ -85,27 +79,6 @@ fn lfs_cfg(fanout: usize) -> LfsConfig {
 
 fn volume_cfg(spindles: usize) -> VolumeConfig {
     VolumeConfig::rr_segment(spindles, LfsConfig::paper().segment_bytes)
-}
-
-fn fresh_volume(spindles: usize) -> (VolumeDisk, Arc<Clock>) {
-    let clock = Clock::new();
-    let vol = StripedVolume::new(
-        DiskGeometry::wren_iv().with_sectors(SPINDLE_SECTORS),
-        Arc::clone(&clock),
-        volume_cfg(spindles),
-    );
-    (VolumeDisk::new(vol.into_shared()), clock)
-}
-
-fn remount_volume(spindles: usize, images: Vec<Vec<u8>>) -> (VolumeDisk, Arc<Clock>) {
-    let clock = Clock::new();
-    let vol = StripedVolume::from_images(
-        DiskGeometry::wren_iv().with_sectors(SPINDLE_SECTORS),
-        Arc::clone(&clock),
-        volume_cfg(spindles),
-        images,
-    );
-    (VolumeDisk::new(vol.into_shared()), clock)
 }
 
 /// Runs the scripted workload: `dirs` directories of `files_per_dir`
@@ -166,7 +139,7 @@ pub struct Recovery {
 /// (abandon all in-memory state). Returns the per-spindle images and
 /// the file set at the crash.
 pub fn build_lfs_crash(spindles: usize, spec: &WorkloadSpec) -> (Vec<Vec<u8>>, BTreeSet<String>) {
-    let (dev, clock) = fresh_volume(spindles);
+    let (dev, clock) = volume_rig(volume_cfg(spindles), SPINDLE_SECTORS, None);
     let mut fs = Lfs::format(dev, lfs_cfg(1), clock).expect("format LFS");
     run_workload(&mut fs, spec);
     let at_crash = live_files(&mut fs);
@@ -176,7 +149,7 @@ pub fn build_lfs_crash(spindles: usize, spec: &WorkloadSpec) -> (Vec<Vec<u8>>, B
 /// Remounts an LFS crash image with the given recovery fan-out
 /// (`1` sequential, `0` ask the device) and measures the mount.
 pub fn recover_lfs(spindles: usize, images: Vec<Vec<u8>>, fanout: usize) -> Recovery {
-    let (dev, clock) = remount_volume(spindles, images);
+    let (dev, clock) = volume_rig(volume_cfg(spindles), SPINDLE_SECTORS, Some(images));
     let t0 = clock.now_ns();
     let mut fs = Lfs::mount(dev, lfs_cfg(fanout), Arc::clone(&clock)).expect("recovery mount");
     let mount_ns = clock.now_ns() - t0;
@@ -195,19 +168,16 @@ fn ffs_cfg(fanout: usize) -> FfsConfig {
     FfsConfig::paper().with_fsck_fanout(fanout)
 }
 
+fn ffs_volume_cfg(spindles: usize) -> VolumeConfig {
+    VolumeConfig::rr_segment(spindles, ffs_cfg(1).stripe_chunk_bytes())
+}
+
 /// Builds the FFS crash image for `spindles`: format, workload, crash.
 /// The delayed writes lost at the crash are FFS's loss-window story
 /// (measured by `tbl_s2_recovery`); here only the mount-time scan cost
 /// matters, so the workload fsyncs per directory just like the LFS run.
 pub fn build_ffs_crash(spindles: usize, spec: &WorkloadSpec) -> Vec<Vec<u8>> {
-    let clock = Clock::new();
-    let cfg = VolumeConfig::rr_segment(spindles, ffs_cfg(1).stripe_chunk_bytes());
-    let vol = StripedVolume::new(
-        DiskGeometry::wren_iv().with_sectors(SPINDLE_SECTORS),
-        Arc::clone(&clock),
-        cfg,
-    );
-    let dev = VolumeDisk::new(vol.into_shared());
+    let (dev, clock) = volume_rig(ffs_volume_cfg(spindles), SPINDLE_SECTORS, None);
     let mut fs = Ffs::format(dev, ffs_cfg(1), clock).expect("format FFS");
     run_workload(&mut fs, spec);
     fs.into_device().into_images()
@@ -216,15 +186,7 @@ pub fn build_ffs_crash(spindles: usize, spec: &WorkloadSpec) -> Vec<Vec<u8>> {
 /// Remounts an FFS crash image with the given fsck fan-out and
 /// measures the mount (which runs the whole-volume `fsck_scan`).
 pub fn recover_ffs(spindles: usize, images: Vec<Vec<u8>>, fanout: usize) -> Recovery {
-    let clock = Clock::new();
-    let cfg = VolumeConfig::rr_segment(spindles, ffs_cfg(1).stripe_chunk_bytes());
-    let vol = StripedVolume::from_images(
-        DiskGeometry::wren_iv().with_sectors(SPINDLE_SECTORS),
-        Arc::clone(&clock),
-        cfg,
-        images,
-    );
-    let dev = VolumeDisk::new(vol.into_shared());
+    let (dev, clock) = volume_rig(ffs_volume_cfg(spindles), SPINDLE_SECTORS, Some(images));
     let t0 = clock.now_ns();
     let mut fs = Ffs::mount(dev, ffs_cfg(fanout), Arc::clone(&clock)).expect("fsck mount");
     let mount_ns = clock.now_ns() - t0;
@@ -235,6 +197,28 @@ pub fn recover_ffs(spindles: usize, images: Vec<Vec<u8>>, fanout: usize) -> Reco
         mount_ns,
         files: live_files(&mut fs),
         stats: LfsStats::default(),
+    }
+}
+
+/// Publishes one cell under `recovery_scaling.<fs>.<size>.s<spindles>`:
+/// the sequential and parallel mount times and, for LFS, the parallel
+/// scan's evidence counters.
+pub fn publish_cell(
+    registry: &obs::Registry,
+    fs: &str,
+    size: &str,
+    spindles: usize,
+    seq: &Recovery,
+    par: &Recovery,
+) {
+    let prefix = format!("recovery_scaling.{fs}.{size}.s{spindles}");
+    let publish = |key: &str, value: u64| registry.counter(&format!("{prefix}.{key}")).add(value);
+    publish("seq_ns", seq.mount_ns);
+    publish("par_ns", par.mount_ns);
+    if fs == "lfs" {
+        publish("partitions", par.stats.recovery_partitions);
+        publish("parallel_reads", par.stats.recovery_parallel_reads);
+        publish("prefetched_blocks", par.stats.recovery_prefetched_blocks);
     }
 }
 

@@ -7,22 +7,18 @@
 //! spindle is the degenerate stripe), replays through the volume's
 //! [`engine::RequestEngine`] seam, fscks the result, digests the final
 //! namespace for the cross-fs equivalence check, and publishes the
-//! replay's per-tenant outcome as gauges so CI can recompute the QoS
-//! assertions from the emitted JSON alone.
+//! replay's per-tenant outcome as gauges so the QoS claims the binary
+//! asserts can be re-read from the emitted JSON alone.
 
-use std::sync::Arc;
-
-use ffs_baseline::{Ffs, FfsConfig};
-use lfs_core::{Lfs, LfsConfig};
+use ffs_baseline::FfsConfig;
+use lfs_core::LfsConfig;
 use obs::Registry;
-use sim_disk::{Clock, DiskGeometry};
 use trace::{replay, snapshot, ReplayConfig, ReplayReport, Trace};
-use volume::{StripedVolume, VolumeConfig, VolumeDisk};
+use vfs::FileSystem;
+use volume::{VolumeConfig, VolumeDisk};
 
-use crate::MetricsReport;
+use crate::{modern_ffs, modern_lfs, volume_rig, MetricsReport};
 
-/// Modern-host CPU speed (MIPS): the disks, not the CPU, contend.
-pub const CPU_MIPS: f64 = 1000.0;
 /// Sectors per spindle (64 MB each, Wren IV mechanics).
 const SPINDLE_SECTORS: u64 = 131_072;
 
@@ -57,16 +53,6 @@ pub struct CellResult {
     pub snapshot_hash: u64,
 }
 
-fn volume_rig(spindles: usize, chunk_bytes: usize) -> (VolumeDisk, Arc<Clock>) {
-    let clock = Clock::new();
-    let vol = StripedVolume::new(
-        DiskGeometry::wren_iv().with_sectors(SPINDLE_SECTORS),
-        Arc::clone(&clock),
-        VolumeConfig::rr_segment(spindles, chunk_bytes),
-    );
-    (VolumeDisk::new(vol.into_shared()), clock)
-}
-
 /// FNV-1a digest of a namespace snapshot (kind, size, content hash per
 /// path) — one u64 the JSON report can carry per cell.
 pub fn snapshot_digest(snap: &[(String, vfs::FileKind, u64, u64)]) -> u64 {
@@ -79,8 +65,8 @@ pub fn snapshot_digest(snap: &[(String, vfs::FileKind, u64, u64)]) -> u64 {
 }
 
 /// Publishes the replay outcome as gauges in the cell's registry, so
-/// the `BENCH_trace_replay.json` run carries everything CI needs to
-/// recompute the QoS assertions: per-tenant weight, p99, and
+/// the `BENCH_trace_replay.json` run carries everything the QoS
+/// claims are computed from: per-tenant weight, p99, and
 /// contended-window bytes, plus aggregate throughput and the namespace
 /// digest.
 fn publish_gauges(registry: &Registry, trace: &Trace, report: &ReplayReport, digest: u64) {
@@ -112,7 +98,22 @@ fn publish_gauges(registry: &Registry, trace: &Trace, report: &ReplayReport, dig
     registry.gauge("replay.snapshot_hash").set(digest);
 }
 
-/// Runs one cell: format, replay, snapshot, fsck, publish, record.
+/// Replays `trace` on a freshly formatted `fs` and publishes the
+/// outcome into its registry; the caller fscks and records it.
+fn replay_cell<F: FileSystem>(
+    fs: &mut F,
+    registry: &Registry,
+    pump: &VolumeDisk,
+    trace: &Trace,
+    rcfg: &ReplayConfig,
+) -> (ReplayReport, u64) {
+    let report = replay(fs, pump, registry, trace, rcfg).expect("replay");
+    let digest = snapshot_digest(&snapshot(fs).expect("snapshot"));
+    publish_gauges(registry, trace, &report, digest);
+    (report, digest)
+}
+
+/// Runs one cell: format, replay, snapshot, publish, fsck, record.
 pub fn run_cell(
     kind: FsKind,
     trace_name: &str,
@@ -127,44 +128,32 @@ pub fn run_cell(
         if qos { "on" } else { "off" }
     );
     let rcfg = ReplayConfig::default().with_qos(qos);
-    match kind {
+    let rig = |chunk_bytes| {
+        volume_rig(VolumeConfig::rr_segment(spindles, chunk_bytes), SPINDLE_SECTORS, None)
+    };
+    let (report, snapshot_hash) = match kind {
         FsKind::Lfs => {
             let cfg = LfsConfig::paper();
-            let (dev, clock) = volume_rig(spindles, cfg.stripe_chunk_bytes());
+            let (dev, clock) = rig(cfg.stripe_chunk_bytes());
             let pump = dev.clone();
-            let mut fs = Lfs::format(dev, cfg, clock).expect("format LFS");
-            fs.set_cpu_mips(CPU_MIPS);
-            let registry = fs.obs().clone();
-            let report = replay(&mut fs, &pump, &registry, trace, &rcfg).expect("LFS replay");
-            let digest = snapshot_digest(&snapshot(&mut fs).expect("LFS snapshot"));
-            let fsck = fs.fsck().expect("fsck");
-            assert!(fsck.is_clean(), "LFS inconsistent after {label}:\n{fsck}");
-            publish_gauges(&registry, trace, &report, digest);
-            metrics.add_lfs(&label, &fs);
-            CellResult {
-                label,
-                report,
-                snapshot_hash: digest,
-            }
+            let (mut fs, registry) = modern_lfs(dev, cfg, clock);
+            let out = replay_cell(&mut fs, &registry, &pump, trace, &rcfg);
+            metrics.add_clean_lfs(&label, &mut fs);
+            out
         }
         FsKind::Ffs => {
             let cfg = FfsConfig::paper();
-            let (dev, clock) = volume_rig(spindles, cfg.stripe_chunk_bytes());
+            let (dev, clock) = rig(cfg.stripe_chunk_bytes());
             let pump = dev.clone();
-            let mut fs = Ffs::format(dev, cfg, clock).expect("format FFS");
-            fs.set_cpu_mips(CPU_MIPS);
-            let registry = fs.obs().clone();
-            let report = replay(&mut fs, &pump, &registry, trace, &rcfg).expect("FFS replay");
-            let digest = snapshot_digest(&snapshot(&mut fs).expect("FFS snapshot"));
-            let fsck = fs.fsck().expect("fsck");
-            assert!(fsck.is_clean(), "FFS inconsistent after {label}:\n{fsck}");
-            publish_gauges(&registry, trace, &report, digest);
-            metrics.add_ffs(&label, &fs);
-            CellResult {
-                label,
-                report,
-                snapshot_hash: digest,
-            }
+            let (mut fs, registry) = modern_ffs(dev, cfg, clock);
+            let out = replay_cell(&mut fs, &registry, &pump, trace, &rcfg);
+            metrics.add_clean_ffs(&label, &mut fs);
+            out
         }
+    };
+    CellResult {
+        label,
+        report,
+        snapshot_hash,
     }
 }

@@ -1,13 +1,13 @@
 //! Determinism of the recovery-scaling bench: everything runs on the
 //! shared virtual clock, so two sweeps over the same spec must measure
 //! identical mount times and render byte-identical metrics JSON — the
-//! property CI relies on when it recomputes the speedup assertion from
+//! property `bench-baseline/SHA256SUMS` relies on when it pins
 //! `BENCH_recovery_scaling.json`.
 
-use lfs_bench::recovery_scaling::{build_lfs_crash, recover_lfs, WorkloadSpec};
+use lfs_bench::recovery_scaling::{build_lfs_crash, publish_cell, recover_lfs, WorkloadSpec};
 use lfs_bench::MetricsReport;
 
-/// One miniature sweep (the bench's registry-population logic over a
+/// One miniature sweep (the bench's own cell publication over a
 /// CI-friendly spec), rendered to the JSON document `emit` would write.
 fn sweep_json() -> String {
     let spec = WorkloadSpec {
@@ -22,18 +22,7 @@ fn sweep_json() -> String {
         let par = recover_lfs(n, images, 0);
         assert_eq!(seq.files, at_crash, "s{n}: sequential recovery lost files");
         assert_eq!(seq.files, par.files, "s{n}: parallel recovery diverged");
-        let prefix = format!("recovery_scaling.lfs.large.s{n}");
-        registry.counter(&format!("{prefix}.seq_ns")).add(seq.mount_ns);
-        registry.counter(&format!("{prefix}.par_ns")).add(par.mount_ns);
-        registry
-            .counter(&format!("{prefix}.partitions"))
-            .add(par.stats.recovery_partitions);
-        registry
-            .counter(&format!("{prefix}.parallel_reads"))
-            .add(par.stats.recovery_parallel_reads);
-        registry
-            .counter(&format!("{prefix}.prefetched_blocks"))
-            .add(par.stats.recovery_prefetched_blocks);
+        publish_cell(&registry, "lfs", "large", n, &seq, &par);
     }
     let mut metrics = MetricsReport::new("recovery_scaling");
     metrics.add_registry("scaling", 0, &registry);
@@ -45,11 +34,13 @@ fn recovery_scaling_metrics_json_is_byte_identical_across_runs() {
     let a = sweep_json();
     let b = sweep_json();
     assert_eq!(a, b, "two identical sweeps rendered different JSON");
-    // The schema CI's recompute step reads must be present.
+    // Every key of a cell's schema must be present.
     for key in [
         "recovery_scaling.lfs.large.s1.seq_ns",
         "recovery_scaling.lfs.large.s2.par_ns",
         "recovery_scaling.lfs.large.s2.partitions",
+        "recovery_scaling.lfs.large.s2.parallel_reads",
+        "recovery_scaling.lfs.large.s2.prefetched_blocks",
     ] {
         assert!(a.contains(key), "metrics JSON lost the {key} key");
     }

@@ -91,18 +91,6 @@ impl MemConfig {
         self.policy = policy;
         self
     }
-
-    /// Builder: replaces the flush unit.
-    pub fn with_flush_unit_bytes(mut self, bytes: u64) -> Self {
-        self.flush_unit_bytes = bytes;
-        self
-    }
-
-    /// Builder: replaces the per-client obs cap.
-    pub fn with_per_client_obs_max(mut self, max: u32) -> Self {
-        self.per_client_obs_max = max;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -948,11 +948,6 @@ impl MemMgr {
         self.remove_matching(|k| k.owner == owner);
     }
 
-    /// Removes keys of `owner` with `index >= first_index` (truncation).
-    pub fn remove_owner_from(&mut self, owner: Owner, first_index: u64) {
-        self.remove_matching(|k| k.owner == owner && k.index >= first_index);
-    }
-
     /// Removes keys of `owner` with `lo <= index < hi` (e.g. purging
     /// address-keyed metadata blocks when a disk region is reused).
     pub fn remove_owner_index_range(&mut self, owner: Owner, lo: u64, hi: u64) {
@@ -1001,12 +996,6 @@ impl MemMgr {
     /// Returns dirty keys of a single owner, sorted by index.
     pub fn dirty_keys_of(&self, owner: Owner) -> Vec<BlockKey> {
         self.dirty_keys_matching(|key, _| key.owner == owner)
-    }
-
-    /// Returns dirty keys whose dirty age exceeds the policy threshold.
-    pub fn dirty_keys_older_than(&self, now_ns: u64) -> Vec<BlockKey> {
-        let cutoff = now_ns.saturating_sub(self.config.writeback.age_threshold_ns);
-        self.dirty_keys_matching(|_, slot| slot.dirty_since_ns <= cutoff)
     }
 
     /// Checks whether the file system should start a write-back now:

@@ -46,10 +46,6 @@ enum Op {
     RemoveOwner {
         ino: u8,
     },
-    RemoveOwnerFrom {
-        ino: u8,
-        first: u8,
-    },
     RemoveRange {
         ino: u8,
         lo: u8,
@@ -78,7 +74,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (1u8..5, 0u8..12).prop_map(|(ino, index)| Op::MarkClean { ino, index }),
         (1u8..5, 0u8..12).prop_map(|(ino, index)| Op::Remove { ino, index }),
         (1u8..5).prop_map(|ino| Op::RemoveOwner { ino }),
-        (1u8..5, 0u8..12).prop_map(|(ino, first)| Op::RemoveOwnerFrom { ino, first }),
         (1u8..5, 0u8..12, 0u8..12).prop_map(|(ino, lo, hi)| Op::RemoveRange { ino, lo, hi }),
         Just(Op::DropClean),
     ]
@@ -271,10 +266,6 @@ proptest! {
                     cache.remove_owner(owner(ino));
                     model.retain(|e| e.key.owner != owner(ino));
                 }
-                Op::RemoveOwnerFrom { ino, first } => {
-                    cache.remove_owner_from(owner(ino), first as u64);
-                    model.retain(|e| e.key.owner != owner(ino) || e.key.index < first as u64);
-                }
                 Op::RemoveRange { ino, lo, hi } => {
                     cache.remove_owner_index_range(owner(ino), lo as u64, hi as u64);
                     model.retain(|e| {
@@ -304,13 +295,8 @@ proptest! {
                     model.dirty_keys(|e| e.key.owner == owner(ino))
                 );
             }
-            let age = WritebackPolicy::paper().age_threshold_ns;
             for now in [0u64, 1 << 20, 1 << 34, u64::MAX] {
                 prop_assert_eq!(cache.writeback_trigger(now), model.trigger(now), "at {}", now);
-                prop_assert_eq!(
-                    cache.dirty_keys_older_than(now),
-                    model.dirty_keys(|e| e.dirty_since_ns <= now.saturating_sub(age))
-                );
             }
         }
     }

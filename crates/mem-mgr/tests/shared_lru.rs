@@ -54,7 +54,9 @@ fn get_mut_marks_dirty_once() {
     c.get_mut(k(0), 900).unwrap()[1] = 9;
     assert_eq!(c.dirty_count(), 1);
     // The block has been dirty since the *first* modification.
-    assert_eq!(c.dirty_keys_older_than(500 + 30_000_000_000), vec![k(0)]);
+    let aged = 500 + 30_000_000_000;
+    assert_eq!(c.writeback_trigger(aged - 1), None);
+    assert_eq!(c.writeback_trigger(aged), Some(WritebackTrigger::AgeThreshold));
 }
 
 #[test]
@@ -81,18 +83,6 @@ fn writeback_triggers_on_pressure() {
 }
 
 #[test]
-fn dirty_keys_older_than_uses_threshold() {
-    let mut c = MemMgr::new(
-        BS,
-        100,
-        MemConfig::shared(WritebackPolicy::paper().with_age_secs(1.0)),
-    );
-    c.insert_dirty(k(0), block(0), 0);
-    c.insert_dirty(k(1), block(0), 2_000_000_000);
-    assert_eq!(c.dirty_keys_older_than(2_500_000_000), vec![k(0)]);
-}
-
-#[test]
 fn dirty_keys_are_sorted_and_filtered() {
     let mut c = cache(10);
     c.insert_dirty(BlockKey::file(Ino(2), 1), block(0), 0);
@@ -101,18 +91,6 @@ fn dirty_keys_are_sorted_and_filtered() {
     c.insert_clean(BlockKey::file(Ino(3), 0), block(0));
     assert_eq!(c.dirty_keys(), vec![k(2), k(5), BlockKey::file(Ino(2), 1)]);
     assert_eq!(c.dirty_keys_of(Owner::File(Ino(1))), vec![k(2), k(5)]);
-}
-
-#[test]
-fn remove_owner_from_truncates() {
-    let mut c = cache(10);
-    for i in 0..5 {
-        c.insert_dirty(k(i), block(0), 0);
-    }
-    c.remove_owner_from(Owner::File(Ino(1)), 2);
-    assert!(c.contains(k(1)));
-    assert!(!c.contains(k(2)));
-    assert_eq!((c.len(), c.dirty_count()), (2, 2));
 }
 
 #[test]
