@@ -5,7 +5,8 @@
 # `<binary>.stdout`, and writes a `BENCH_<binary>.json` whose sha256 is
 # the one in `SHA256SUMS`. Every number is virtual time, so any diff is
 # a real change. The JSONs stay in the repo root (gitignored) for CI to
-# upload.
+# upload. Each row's wall seconds and their total go to stderr (stdout
+# is what is diffed): what the pinned matrix costs on the host clock.
 #
 # `--bless` rewrites the stdout files and `SHA256SUMS` from this tree
 # instead of checking them: only after a change whose every moved
@@ -25,13 +26,18 @@ out="$(mktemp)"
 sums="$(mktemp)"
 trap 'rm -f "$out" "$sums"' EXIT
 bad=0
+total=0
 fail() { echo "FAIL $*" >&2; bad=1; }
 while read -r bin flags; do
     case "$bin" in ""|\#*) continue ;; esac
     echo "== $bin $flags" >&2
+    t0=$(date +%s.%N)
     # shellcheck disable=SC2086  # flags are a word list
     cargo run --release --offline --quiet -p lfs-bench --bin "$bin" -- $flags >"$out"
     code=$?
+    wall=$(awk -v a="$t0" -v b="$(date +%s.%N)" 'BEGIN { printf "%.1f", b - a }')
+    total=$(awk -v t="$total" -v w="$wall" 'BEGIN { printf "%.1f", t + w }')
+    echo "   $wall s wall" >&2
     [ "$code" -eq 0 ] || fail "$bin: exit $code"
     json="BENCH_$bin.json"
     if $bless; then
@@ -48,5 +54,6 @@ if $bless; then
     cp "$sums" "$base/SHA256SUMS"
     echo "blessed; review with: git diff $base/" >&2
 fi
+echo "bench_check: $total s wall over all rows" >&2
 [ "$bad" -eq 0 ] && echo "bench_check: all rows ok" >&2
 exit "$bad"

@@ -34,8 +34,8 @@ impl<D: BlockDevice> Ffs<D> {
     }
 
     pub(crate) fn dir_lookup(&mut self, dir: Ino, name: &str) -> FsResult<Option<(Ino, FileKind)>> {
-        let entries = self.dir_entries(dir)?;
-        Ok(dirent::find(&entries, name).map(|e| (e.ino, e.kind)))
+        let stream = self.read_dir_stream(dir)?;
+        dirent::lookup(&stream, name)
     }
 
     /// Appends an entry; returns the modified byte range.

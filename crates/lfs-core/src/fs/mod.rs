@@ -14,7 +14,7 @@ mod ops;
 #[cfg(test)]
 mod tests;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use mem_mgr::{BlockKey, CacheReport, FlushCause, MemConfig, MemMgr, Owner, WritebackTrigger};
@@ -73,7 +73,10 @@ pub struct Lfs<D: BlockDevice> {
     pub(crate) cache: MemMgr,
     pub(crate) imap: Imap,
     pub(crate) usage: UsageTable,
-    pub(crate) inodes: HashMap<Ino, CachedInode>,
+    /// The in-memory inode table, ordered by ino: every walk of it
+    /// (flush order, the table bound's victims) is ascending, hence
+    /// the same in every process.
+    pub(crate) inodes: BTreeMap<Ino, CachedInode>,
     pub(crate) pos: LogPosition,
     pub(crate) cp_serial: u64,
     /// Next checkpoint goes to region B when true.
@@ -196,7 +199,7 @@ impl<D: BlockDevice> Lfs<D> {
             cache,
             imap,
             usage,
-            inodes: HashMap::new(),
+            inodes: BTreeMap::new(),
             pos: LogPosition {
                 seg: SegNo(0),
                 offset: 0,
@@ -472,6 +475,14 @@ impl<D: BlockDevice> Lfs<D> {
         Ok(f(&mut slot.inode))
     }
 
+    /// The inodes with unwritten changes, in ascending ino order.
+    fn dirty_inos(&self) -> impl Iterator<Item = Ino> + '_ {
+        self.inodes
+            .iter()
+            .filter(|(_, cached)| cached.dirty)
+            .map(|(&ino, _)| ino)
+    }
+
     // ------------------------------------------------------------------
     // Usage accounting.
     // ------------------------------------------------------------------
@@ -704,8 +715,8 @@ impl<D: BlockDevice> Lfs<D> {
     fn flush_inner(&mut self, include_imap: bool, include_usage: bool) -> FsResult<()> {
         let mut ctx = FlushCtx::new();
 
-        // Which files have dirty state?
-        let mut owners: Vec<Ino> = self
+        // Which files have dirty state? In ascending ino order.
+        let owners: BTreeSet<Ino> = self
             .cache
             .dirty_keys()
             .into_iter()
@@ -713,15 +724,8 @@ impl<D: BlockDevice> Lfs<D> {
                 Owner::File(ino) => Some(ino),
                 Owner::Meta(_) => None,
             })
+            .chain(self.dirty_inos())
             .collect();
-        owners.extend(
-            self.inodes
-                .iter()
-                .filter(|(_, c)| c.dirty)
-                .map(|(&ino, _)| ino),
-        );
-        owners.sort();
-        owners.dedup();
 
         // Phase 1: data blocks, grouped by file, ascending block index.
         for &ino in &owners {
@@ -792,13 +796,7 @@ impl<D: BlockDevice> Lfs<D> {
         }
 
         // Phase 3: inodes, packed into inode blocks.
-        let mut dirty_inos: Vec<Ino> = self
-            .inodes
-            .iter()
-            .filter(|(_, c)| c.dirty)
-            .map(|(&ino, _)| ino)
-            .collect();
-        dirty_inos.sort();
+        let dirty_inos: Vec<Ino> = self.dirty_inos().collect();
         let per_block = self.sb.inodes_per_block() as usize;
         for group in dirty_inos.chunks(per_block) {
             // Stamp each inode with its current imap version before
@@ -920,21 +918,22 @@ impl<D: BlockDevice> Lfs<D> {
         }
 
         // Bound the in-memory inode table: clean entries reload from the
-        // log via the inode map, so dropping them is free. Evict in
-        // ascending ino order — a stable choice, where dropping in
-        // HashMap iteration order would make the future read pattern
-        // (and thus every timing metric) vary from process to process.
+        // log via the inode map, so dropping them is free. The victims
+        // are the lowest-numbered clean inodes — which ones go decides
+        // the future read pattern (and thus every timing metric), so
+        // the choice must not vary from process to process; the table
+        // is ordered, so they are the first clean entries of a walk
+        // that stops as soon as it has enough.
         let inode_cap = self.cache.capacity_blocks().max(1024);
         if self.inodes.len() > inode_cap {
-            let mut clean: Vec<Ino> = self
+            let victims: Vec<Ino> = self
                 .inodes
                 .iter()
                 .filter(|(_, cached)| !cached.dirty)
                 .map(|(&ino, _)| ino)
+                .take(self.inodes.len() - inode_cap)
                 .collect();
-            clean.sort();
-            clean.truncate(self.inodes.len() - inode_cap);
-            for ino in clean {
+            for ino in victims {
                 self.inodes.remove(&ino);
             }
         }

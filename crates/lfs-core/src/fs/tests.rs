@@ -207,3 +207,58 @@ fn cached_meta_blocks_are_purged_on_segment_reuse() {
         "stale metadata cache entry survived segment reuse"
     );
 }
+
+#[test]
+fn inode_table_bound_drops_exactly_the_lowest_clean_inodes() {
+    let clock = Clock::new();
+    let disk = SimDisk::new(DiskGeometry::tiny_test(32_768), Arc::clone(&clock));
+    let cfg = LfsConfig {
+        max_inodes: 2048,
+        ..LfsConfig::small_test()
+    };
+    let mut fs = Lfs::format(disk, cfg, clock).unwrap();
+    let cap = fs.cache.capacity_blocks().max(1024);
+    let inos: Vec<Ino> = (0..cap + 150)
+        .map(|i| fs.create(&format!("/f{i}")).unwrap())
+        .collect();
+    fs.sync().unwrap();
+
+    // Load every inode the bound dropped on the way back in (nothing
+    // bounds the table until the next operation ends), then dirty a
+    // scattering of them, thickest among the low numbers the bound
+    // would otherwise take first.
+    for &ino in &inos {
+        fs.ensure_inode(ino).unwrap();
+    }
+    for (i, &ino) in inos.iter().enumerate() {
+        if i % 3 == 0 && i < 300 || i % 50 == 7 {
+            fs.with_inode_mut(ino, |inode| inode.mtime_ns += 1).unwrap();
+        }
+    }
+    let before: Vec<(Ino, bool)> = fs.inodes.iter().map(|(&ino, c)| (ino, c.dirty)).collect();
+    assert!(before.len() > cap + 100);
+
+    // The definition the ordered walk replaces: collect every clean
+    // inode, sort, cut to the excess.
+    let mut victims: Vec<Ino> = before
+        .iter()
+        .filter(|(_, dirty)| !dirty)
+        .map(|&(ino, _)| ino)
+        .collect();
+    victims.sort();
+    victims.truncate(before.len() - cap);
+    assert_eq!(victims.len(), before.len() - cap);
+
+    fs.maybe_writeback().unwrap();
+
+    let after: Vec<(Ino, bool)> = fs.inodes.iter().map(|(&ino, c)| (ino, c.dirty)).collect();
+    let expected: Vec<(Ino, bool)> = before
+        .iter()
+        .copied()
+        .filter(|(ino, _)| !victims.contains(ino))
+        .collect();
+    // Exactly the victims went: every dirty inode is still there and
+    // still dirty (so no flush ran underneath the test either).
+    assert_eq!(after, expected);
+    assert_eq!(after.len(), cap);
+}

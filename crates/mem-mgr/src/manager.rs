@@ -1,6 +1,7 @@
 //! The memory manager proper.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::ops::{RangeBounds, RangeInclusive};
 
 use crate::config::{CachePolicy, FlushCause, MemConfig};
 use crate::ghost::GhostList;
@@ -54,6 +55,14 @@ impl List {
             tail: NIL,
             len: 0,
         }
+    }
+}
+
+/// Every key `owner` can have, as a range of the ordered map.
+fn keys_of(owner: Owner) -> RangeInclusive<BlockKey> {
+    BlockKey { owner, index: 0 }..=BlockKey {
+        owner,
+        index: u64::MAX,
     }
 }
 
@@ -191,7 +200,11 @@ impl ClientObs {
 /// dirtiness itself demands action.
 #[derive(Debug)]
 pub struct MemMgr {
-    map: HashMap<BlockKey, u32>,
+    /// Resident blocks by key. Ordered (owner, then index), so one
+    /// owner's blocks are a key range and the per-owner queries —
+    /// several per flushed file, one per unlink, one per sealed
+    /// segment — cost that owner's blocks, not the whole cache.
+    map: BTreeMap<BlockKey, u32>,
     slots: Vec<Option<Slot>>,
     free: Vec<u32>,
     /// Dirty blocks (adaptive mode only).
@@ -253,7 +266,7 @@ impl MemMgr {
             CachePolicy::Adaptive => high_water.clamp(min_write, max_write),
         };
         let mgr = Self {
-            map: HashMap::new(),
+            map: BTreeMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             write_list: List::new(),
@@ -932,26 +945,29 @@ impl MemMgr {
         }
     }
 
-    fn remove_matching(&mut self, matches: impl Fn(&BlockKey) -> bool) {
-        let mut keys: Vec<BlockKey> = self.map.keys().filter(|k| matches(k)).copied().collect();
-        keys.sort();
-        for key in keys {
-            let idx = self.map[&key];
+    /// Removes every resident block and ghost whose key lies in `keys`.
+    fn remove_range(&mut self, keys: impl RangeBounds<BlockKey> + Clone) {
+        let doomed: Vec<u32> = self.map.range(keys.clone()).map(|(_, &idx)| idx).collect();
+        for idx in doomed {
             self.discard_idx(idx);
         }
-        self.ghost.retain(|k| !matches(&k));
+        self.ghost.retain(|k| !keys.contains(&k));
         self.publish_gauges();
     }
 
     /// Removes every block belonging to `owner` (deleted file).
     pub fn remove_owner(&mut self, owner: Owner) {
-        self.remove_matching(|k| k.owner == owner);
+        self.remove_range(keys_of(owner));
     }
 
     /// Removes keys of `owner` with `lo <= index < hi` (e.g. purging
     /// address-keyed metadata blocks when a disk region is reused).
     pub fn remove_owner_index_range(&mut self, owner: Owner, lo: u64, hi: u64) {
-        self.remove_matching(|k| k.owner == owner && k.index >= lo && k.index < hi);
+        // An empty or inverted interval names nothing (and `range`
+        // panics on one).
+        if lo < hi {
+            self.remove_range(BlockKey { owner, index: lo }..BlockKey { owner, index: hi });
+        }
     }
 
     /// Drops all clean blocks and the ghost history (the benchmark
@@ -973,29 +989,23 @@ impl MemMgr {
 
     // ---- dirty-set queries ---------------------------------------------
 
-    fn dirty_keys_matching(&self, matches: impl Fn(&BlockKey, &Slot) -> bool) -> Vec<BlockKey> {
-        let mut keys: Vec<BlockKey> = self
-            .map
-            .iter()
-            .filter(|(key, &idx)| {
-                let slot = self.slots[idx as usize].as_ref().expect("live slot");
-                slot.dirty && matches(key, slot)
-            })
+    fn dirty_keys_in(&self, keys: impl RangeBounds<BlockKey>) -> Vec<BlockKey> {
+        self.map
+            .range(keys)
+            .filter(|(_, &idx)| self.slots[idx as usize].as_ref().expect("live slot").dirty)
             .map(|(&key, _)| key)
-            .collect();
-        keys.sort();
-        keys
+            .collect()
     }
 
     /// Returns the keys of all dirty blocks, sorted for deterministic
     /// write-back order (by owner, then index).
     pub fn dirty_keys(&self) -> Vec<BlockKey> {
-        self.dirty_keys_matching(|_, _| true)
+        self.dirty_keys_in(..)
     }
 
     /// Returns dirty keys of a single owner, sorted by index.
     pub fn dirty_keys_of(&self, owner: Owner) -> Vec<BlockKey> {
-        self.dirty_keys_matching(|key, _| key.owner == owner)
+        self.dirty_keys_in(keys_of(owner))
     }
 
     /// Checks whether the file system should start a write-back now:

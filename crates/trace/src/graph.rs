@@ -7,7 +7,7 @@
 //! mutually independent, so a replay may dispatch a whole set in any
 //! order — which is exactly the freedom a QoS policy arbitrates.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::format::{Trace, TraceError};
 
@@ -22,6 +22,11 @@ pub struct DepGraph {
     pub succs: Vec<Vec<usize>>,
     /// Unfinished-predecessor count, consumed by the replay scheduler.
     indegree: Vec<usize>,
+    /// Records with no unfinished predecessor that have not completed:
+    /// kept in step by [`DepGraph::complete`], so a dispatch costs the
+    /// size of the set (at most one record per client), not a scan of
+    /// the trace.
+    ready: BTreeSet<usize>,
     /// Records not yet marked complete.
     remaining: usize,
 }
@@ -61,8 +66,9 @@ impl DepGraph {
 
         // Kahn's algorithm: if the peel does not consume every record,
         // what is left lies on a cycle.
+        let ready: BTreeSet<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
         let mut degree = indegree.clone();
-        let mut frontier: Vec<usize> = (0..n).filter(|&i| degree[i] == 0).collect();
+        let mut frontier: Vec<usize> = ready.iter().copied().collect();
         let mut peeled = 0usize;
         while let Some(i) = frontier.pop() {
             peeled += 1;
@@ -85,16 +91,16 @@ impl DepGraph {
             preds,
             succs,
             indegree,
+            ready,
             remaining: n,
         })
     }
 
     /// Records whose predecessors have all completed and that have not
-    /// themselves completed: the current maximal parallel process set.
+    /// themselves completed: the current maximal parallel process set,
+    /// in ascending record position.
     pub fn available_set(&self) -> Vec<usize> {
-        (0..self.indegree.len())
-            .filter(|&i| self.indegree[i] == 0)
-            .collect()
+        self.ready.iter().copied().collect()
     }
 
     /// Marks record `i` complete, unblocking its successors.
@@ -102,10 +108,14 @@ impl DepGraph {
         debug_assert_eq!(self.indegree[i], 0, "completing a blocked record");
         // A completed record never reappears in the available set.
         self.indegree[i] = usize::MAX;
+        self.ready.remove(&i);
         self.remaining -= 1;
-        for s in self.succs[i].clone() {
+        for &s in &self.succs[i] {
             if self.indegree[s] != usize::MAX {
                 self.indegree[s] -= 1;
+                if self.indegree[s] == 0 {
+                    self.ready.insert(s);
+                }
             }
         }
     }
@@ -136,6 +146,8 @@ impl DepGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn diamond() -> Trace {
         // Four clients so program order adds no extra edges: a diamond
@@ -169,6 +181,81 @@ mod tests {
         assert_eq!(graph.available_set(), vec![3]);
         graph.complete(3);
         assert_eq!(graph.remaining(), 0);
+    }
+
+    /// What `available_set` used to compute, kept as the reference the
+    /// incremental ready set is held to: scan every record for a zero
+    /// unfinished-predecessor count.
+    fn available_by_scan(graph: &DepGraph) -> Vec<usize> {
+        (0..graph.indegree.len())
+            .filter(|&i| graph.indegree[i] == 0)
+            .collect()
+    }
+
+    /// Completes every record of `trace`, taking the `picks`-chosen
+    /// member of each available set, and holds the ready set to the
+    /// scan before the first and after every `complete`.
+    fn drain_against_scan(trace: &Trace, picks: &[usize]) {
+        let mut graph = DepGraph::build(trace).unwrap();
+        assert_eq!(graph.available_set(), available_by_scan(&graph));
+        let mut step = 0;
+        while graph.remaining() > 0 {
+            let available = graph.available_set();
+            let pick = picks[step % picks.len()] % available.len();
+            graph.complete(available[pick]);
+            assert_eq!(graph.available_set(), available_by_scan(&graph));
+            step += 1;
+        }
+        assert_eq!(step, trace.records.len());
+        assert!(graph.available_set().is_empty());
+    }
+
+    #[test]
+    fn ready_set_equals_the_scan_on_every_generator() {
+        let spec = crate::GenSpec::small(3);
+        for name in crate::TRACE_NAMES {
+            let trace = crate::by_name(name, &spec).unwrap();
+            // Lowest first, highest first, and a wandering choice.
+            for picks in [&[0][..], &[usize::MAX], &[3, 0, 7, 1, 2]] {
+                drain_against_scan(&trace, picks);
+            }
+        }
+    }
+
+    proptest! {
+        /// Random DAGs: every explicit edge points at an earlier
+        /// record, so with program order the graph stays acyclic.
+        #[test]
+        fn ready_set_equals_the_scan_on_random_dags(
+            shape in collection::vec((0usize..4, collection::vec(any::<usize>(), 0..4)), 1..48),
+            picks in collection::vec(any::<usize>(), 1..8),
+        ) {
+            let records = shape
+                .iter()
+                .enumerate()
+                .map(|(i, (client, edges))| {
+                    // Record 0 has no earlier record to point at.
+                    let mut deps: Vec<u64> =
+                        edges.iter().filter_map(|e| e.checked_rem(i)).map(|d| d as u64).collect();
+                    deps.sort_unstable();
+                    deps.dedup();
+                    crate::TraceRecord {
+                        id: i as u64,
+                        client: *client,
+                        think_ns: 0,
+                        deps,
+                        op: workload::trace::TraceOp::Sync,
+                    }
+                })
+                .collect();
+            let trace = Trace {
+                clients: 4,
+                qos: engine::QosSpec::uniform(4),
+                records,
+            };
+            trace.validate().unwrap();
+            drain_against_scan(&trace, &picks);
+        }
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! +--------+------+----------+--------------+
 //! ```
 //!
-//! All integers are little-endian. A directory is read and parsed in its
-//! entirety (office/engineering directories are small, per §3), and
-//! modifications rewrite the suffix of the stream from the edit point, so
-//! an append dirties only the directory's final block.
+//! All integers are little-endian. A directory's stream is read in its
+//! entirety (office/engineering directories are small, per §3) and
+//! decoded by one borrowed-entry scan: [`lookup`] walks it and copies
+//! nothing, while listing, removal and repair collect owned
+//! [`RawEntry`]s from it ([`parse`], [`parse_prefix`]). Modifications rewrite the suffix of the stream
+//! from the edit point, so an append dirties only the directory's final
+//! block.
 
 use crate::error::{FsError, FsResult};
 use crate::types::{FileKind, Ino};
@@ -64,73 +67,88 @@ pub fn encode_entry(out: &mut Vec<u8>, ino: Ino, kind: FileKind, name: &str) {
     out.extend_from_slice(name.as_bytes());
 }
 
+/// Decodes the record at `pos`: its target and its name, borrowed.
+fn decode_at(stream: &[u8], pos: usize) -> FsResult<(Ino, FileKind, &str)> {
+    if stream.len() - pos < ENTRY_HEADER_LEN {
+        return Err(FsError::Corrupt("truncated dirent header"));
+    }
+    let ino = Ino(u32::from_le_bytes(stream[pos..pos + 4].try_into().unwrap()));
+    let kind = kind_from_byte(stream[pos + 4])?;
+    let nlen = u16::from_le_bytes(stream[pos + 5..pos + 7].try_into().unwrap()) as usize;
+    let name_start = pos + ENTRY_HEADER_LEN;
+    if stream.len() - name_start < nlen {
+        return Err(FsError::Corrupt("truncated dirent name"));
+    }
+    let name = std::str::from_utf8(&stream[name_start..name_start + nlen])
+        .map_err(|_| FsError::Corrupt("dirent name is not UTF-8"))?;
+    Ok((ino, kind, name))
+}
+
+/// The one decoder of the entry format: hands each whole record of
+/// `stream`, in order, to `visit` — offset, target, borrowed name — and
+/// returns the bytes those records cover and what ended the scan: the
+/// end of the stream, or the [`FsError::Corrupt`] of the first
+/// truncated or malformed record.
+fn scan<'a>(
+    stream: &'a [u8],
+    mut visit: impl FnMut(usize, Ino, FileKind, &'a str),
+) -> (usize, FsResult<()>) {
+    let mut pos = 0;
+    while pos < stream.len() {
+        match decode_at(stream, pos) {
+            Ok((ino, kind, name)) => {
+                visit(pos, ino, kind, name);
+                pos += ENTRY_HEADER_LEN + name.len();
+            }
+            Err(e) => return (pos, Err(e)),
+        }
+    }
+    (pos, Ok(()))
+}
+
+/// The whole entries of `stream`, owned, with the rest of [`scan`]'s answer.
+fn collect(stream: &[u8]) -> (Vec<RawEntry>, usize, FsResult<()>) {
+    let mut entries = Vec::new();
+    let (valid_len, ended) = scan(stream, |offset, ino, kind, name| {
+        entries.push(RawEntry {
+            offset,
+            ino,
+            kind,
+            name: name.to_string(),
+        })
+    });
+    (entries, valid_len, ended)
+}
+
 /// Parses a full directory stream into entries.
 ///
 /// Returns [`FsError::Corrupt`] on truncated or malformed records.
 pub fn parse(stream: &[u8]) -> FsResult<Vec<RawEntry>> {
-    let mut entries = Vec::new();
-    let mut pos = 0;
-    while pos < stream.len() {
-        if stream.len() - pos < ENTRY_HEADER_LEN {
-            return Err(FsError::Corrupt("truncated dirent header"));
-        }
-        let ino = Ino(u32::from_le_bytes(stream[pos..pos + 4].try_into().unwrap()));
-        let kind = kind_from_byte(stream[pos + 4])?;
-        let nlen = u16::from_le_bytes(stream[pos + 5..pos + 7].try_into().unwrap()) as usize;
-        let name_start = pos + ENTRY_HEADER_LEN;
-        if stream.len() - name_start < nlen {
-            return Err(FsError::Corrupt("truncated dirent name"));
-        }
-        let name = std::str::from_utf8(&stream[name_start..name_start + nlen])
-            .map_err(|_| FsError::Corrupt("dirent name is not UTF-8"))?
-            .to_string();
-        entries.push(RawEntry {
-            offset: pos,
-            ino,
-            kind,
-            name,
-        });
-        pos = name_start + nlen;
-    }
-    Ok(entries)
+    let (entries, _, ended) = collect(stream);
+    ended.map(|()| entries)
 }
 
 /// Parses as many whole entries as possible, returning them along with
 /// the number of stream bytes they cover. Used by repair code to salvage
 /// a directory whose tail was corrupted by a crash.
 pub fn parse_prefix(stream: &[u8]) -> (Vec<RawEntry>, usize) {
-    let mut entries = Vec::new();
-    let mut pos = 0;
-    while pos < stream.len() {
-        if stream.len() - pos < ENTRY_HEADER_LEN {
-            break;
-        }
-        let ino = Ino(u32::from_le_bytes(stream[pos..pos + 4].try_into().unwrap()));
-        let Ok(kind) = kind_from_byte(stream[pos + 4]) else {
-            break;
-        };
-        let nlen = u16::from_le_bytes(stream[pos + 5..pos + 7].try_into().unwrap()) as usize;
-        let name_start = pos + ENTRY_HEADER_LEN;
-        if stream.len() - name_start < nlen {
-            break;
-        }
-        let Ok(name) = std::str::from_utf8(&stream[name_start..name_start + nlen]) else {
-            break;
-        };
-        entries.push(RawEntry {
-            offset: pos,
-            ino,
-            kind,
-            name: name.to_string(),
-        });
-        pos = name_start + nlen;
-    }
-    (entries, pos)
+    let (entries, valid_len, _) = collect(stream);
+    (entries, valid_len)
 }
 
-/// Finds the entry with `name`, if present.
-pub fn find<'a>(entries: &'a [RawEntry], name: &str) -> Option<&'a RawEntry> {
-    entries.iter().find(|e| e.name == name)
+/// Finds the target of the first entry named `name`, copying nothing.
+///
+/// Validates exactly as [`parse`] does: the whole stream is decoded, so
+/// a malformed record anywhere — even after the match — is the same
+/// [`FsError::Corrupt`] `parse` reports.
+pub fn lookup(stream: &[u8], name: &str) -> FsResult<Option<(Ino, FileKind)>> {
+    let mut hit = None;
+    let (_, ended) = scan(stream, |_, ino, kind, entry_name| {
+        if hit.is_none() && entry_name == name {
+            hit = Some((ino, kind));
+        }
+    });
+    ended.map(|()| hit)
 }
 
 /// Serialises a list of entries back into a stream.
@@ -174,10 +192,42 @@ mod tests {
     }
 
     #[test]
-    fn find_locates_by_name() {
-        let entries = parse(&sample()).unwrap();
-        assert_eq!(find(&entries, "beta").unwrap().ino, Ino(3));
-        assert!(find(&entries, "gamma").is_none());
+    fn lookup_locates_by_name() {
+        let stream = sample();
+        assert_eq!(
+            lookup(&stream, "beta"),
+            Ok(Some((Ino(3), FileKind::Directory)))
+        );
+        assert_eq!(lookup(&stream, ""), Ok(Some((Ino(4), FileKind::Regular))));
+        assert_eq!(lookup(&stream, "gamma"), Ok(None));
+    }
+
+    #[test]
+    fn lookup_returns_the_first_match_and_validates_past_it() {
+        let mut stream = sample();
+        encode_entry(&mut stream, Ino(9), FileKind::Regular, "alpha");
+        assert_eq!(
+            lookup(&stream, "alpha"),
+            Ok(Some((Ino(2), FileKind::Regular)))
+        );
+        // A bad record after the hit is still the directory's answer.
+        let last = parse(&stream).unwrap().last().unwrap().offset;
+        stream[last + 4] = 99;
+        assert_eq!(
+            lookup(&stream, "alpha"),
+            Err(FsError::Corrupt("bad dirent kind byte"))
+        );
+    }
+
+    #[test]
+    fn the_scan_ends_at_the_first_bad_record() {
+        let mut stream = sample();
+        stream[ENTRY_HEADER_LEN + 5 + 4] = 99; // second entry's kind byte
+        let mut names = Vec::new();
+        let (valid_len, ended) = scan(&stream, |_, _, _, name| names.push(name));
+        assert_eq!(names, ["alpha"]);
+        assert_eq!(valid_len, ENTRY_HEADER_LEN + 5);
+        assert_eq!(ended, Err(FsError::Corrupt("bad dirent kind byte")));
     }
 
     #[test]

@@ -154,6 +154,65 @@ impl ByteWriter {
     }
 }
 
+/// Lookup tables for one reflected CRC-32 polynomial, sliced by 8:
+/// `[0]` is the classic per-byte table, and `[k][b]` is the register
+/// left by byte `b` followed by `k` zero bytes, so eight input bytes
+/// fold into the register with eight independent lookups.
+type CrcTables = [[u32; 256]; 8];
+
+const fn crc_tables(poly: u32) -> CrcTables {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { poly ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+// Built at compile time: a lazily built table would be paid for inside
+// whichever timed phase first sums a block.
+static IEEE: CrcTables = crc_tables(0xEDB8_8320);
+static CASTAGNOLI: CrcTables = crc_tables(0x82F6_3B78);
+
+/// Folds `data` into the running register `crc`, eight bytes per step
+/// and the tail byte by byte. The result is the bytewise CRC's, so
+/// every on-disk checksum keeps its value.
+fn crc_update(tables: &CrcTables, mut crc: u32, data: &[u8]) -> u32 {
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let low = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = tables[7][(low & 0xFF) as usize]
+            ^ tables[6][((low >> 8) & 0xFF) as usize]
+            ^ tables[5][((low >> 16) & 0xFF) as usize]
+            ^ tables[4][(low >> 24) as usize]
+            ^ tables[3][c[4] as usize]
+            ^ tables[2][c[5] as usize]
+            ^ tables[1][c[6] as usize]
+            ^ tables[0][c[7] as usize];
+    }
+    for &byte in chunks.remainder() {
+        crc = tables[0][((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc
+}
+
 /// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
 pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
@@ -163,27 +222,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 ///
 /// Start from `0xFFFF_FFFF` and XOR the final register with `0xFFFF_FFFF`
 /// (or just call [`crc32`] for one-shot use).
-pub fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        table
-    });
-    for &byte in data {
-        crc = table[((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    crc_update(&IEEE, crc, data)
 }
 
 /// CRC-32C (Castagnoli polynomial, reflected), table-driven.
@@ -199,32 +239,14 @@ pub fn crc32c(data: &[u8]) -> u32 {
 ///
 /// Start from `0xFFFF_FFFF` and XOR the final register with `0xFFFF_FFFF`
 /// (or just call [`crc32c`] for one-shot use).
-pub fn crc32c_update(mut crc: u32, data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0x82F6_3B78 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        table
-    });
-    for &byte in data {
-        crc = table[((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc
+pub fn crc32c_update(crc: u32, data: &[u8]) -> u32 {
+    crc_update(&CASTAGNOLI, crc, data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn reader_round_trips_writer() {
@@ -287,6 +309,83 @@ mod tests {
         assert_eq!(crc32c(b""), 0);
         // The two polynomials disagree on the same input.
         assert_ne!(crc32c(b"123456789"), crc32(b"123456789"));
+    }
+
+    /// The definition the sliced routine replaces, kept as its
+    /// reference: one shift-and-xor per bit, no tables at all.
+    fn crc_bitwise(poly: u32, mut crc: u32, data: &[u8]) -> u32 {
+        for &byte in data {
+            crc ^= byte as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    poly ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc
+    }
+
+    /// The per-byte table walk the sliced routine replaces.
+    fn crc_bytewise(tables: &CrcTables, mut crc: u32, data: &[u8]) -> u32 {
+        for &byte in data {
+            crc = tables[0][((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc
+    }
+
+    const POLYNOMIALS: [(u32, &CrcTables); 2] = [(0xEDB8_8320, &IEEE), (0x82F6_3B78, &CASTAGNOLI)];
+
+    #[test]
+    fn sliced_equals_bytewise_at_every_short_length_and_offset() {
+        // 8 + 67 bytes of a non-repeating pattern: every length that
+        // exercises 0..=8 whole steps plus every tail, from every
+        // alignment of the first byte.
+        let bytes: Vec<u8> = (0..75u32).map(|i| (i * 37 + i / 7) as u8 ^ 0xA5).collect();
+        for (poly, tables) in POLYNOMIALS {
+            for offset in 0..8 {
+                for len in 0..=67 {
+                    let data = &bytes[offset..offset + len];
+                    for seed in [0xFFFF_FFFF, 0, 0x1234_5678] {
+                        let sliced = crc_update(tables, seed, data);
+                        assert_eq!(
+                            sliced,
+                            crc_bytewise(tables, seed, data),
+                            "{poly:#x} {offset}+{len}"
+                        );
+                        assert_eq!(
+                            sliced,
+                            crc_bitwise(poly, seed, data),
+                            "{poly:#x} {offset}+{len}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Feeding the data in pieces split anywhere gives the one-shot
+        /// value, which is the bytewise one.
+        #[test]
+        fn sliced_updates_compose_at_random_split_points(
+            data in proptest::collection::vec(any::<u8>(), 0..600),
+            cuts in proptest::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.push(data.len());
+            cuts.sort_unstable();
+            for (_, tables) in POLYNOMIALS {
+                let mut crc = 0xFFFF_FFFF;
+                let mut from = 0;
+                for &cut in &cuts {
+                    crc = crc_update(tables, crc, &data[from..cut]);
+                    from = cut;
+                }
+                prop_assert_eq!(crc, crc_bytewise(tables, 0xFFFF_FFFF, &data));
+            }
+        }
     }
 
     #[test]

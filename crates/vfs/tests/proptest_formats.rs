@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use vfs::blockmap::{self, BlockPath, NDIRECT};
 use vfs::dirent::{self, RawEntry};
 use vfs::wire::{crc32, ByteReader, ByteWriter};
-use vfs::{FileKind, Ino};
+use vfs::{FileKind, FsError, FsResult, Ino};
 
 fn name_strategy() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-zA-Z0-9_.\\-]{1,40}")
@@ -19,7 +19,102 @@ fn entry_strategy() -> impl Strategy<Value = (u32, bool, String)> {
     (1u32..100_000, any::<bool>(), name_strategy())
 }
 
+/// The hand-written loop `dirent::parse` and `dirent::parse_prefix`
+/// used to be (twice), kept as the reference the borrowed-entry scan
+/// is held to: the whole entries before the first bad record, the
+/// bytes they cover, and what was wrong with that record.
+fn reference_decode(stream: &[u8]) -> (Vec<RawEntry>, usize, Option<FsError>) {
+    let mut entries = Vec::new();
+    let mut pos = 0;
+    let corrupt = |what| Some(FsError::Corrupt(what));
+    while pos < stream.len() {
+        if stream.len() - pos < dirent::ENTRY_HEADER_LEN {
+            return (entries, pos, corrupt("truncated dirent header"));
+        }
+        let ino = Ino(u32::from_le_bytes(stream[pos..pos + 4].try_into().unwrap()));
+        let kind = match stream[pos + 4] {
+            1 => FileKind::Regular,
+            2 => FileKind::Directory,
+            _ => return (entries, pos, corrupt("bad dirent kind byte")),
+        };
+        let nlen = u16::from_le_bytes(stream[pos + 5..pos + 7].try_into().unwrap()) as usize;
+        let name_start = pos + dirent::ENTRY_HEADER_LEN;
+        if stream.len() - name_start < nlen {
+            return (entries, pos, corrupt("truncated dirent name"));
+        }
+        let Ok(name) = std::str::from_utf8(&stream[name_start..name_start + nlen]) else {
+            return (entries, pos, corrupt("dirent name is not UTF-8"));
+        };
+        entries.push(RawEntry {
+            offset: pos,
+            ino,
+            kind,
+            name: name.to_string(),
+        });
+        pos = name_start + nlen;
+    }
+    (entries, pos, None)
+}
+
+/// Holds `parse`, `parse_prefix` and `lookup` to the reference on one
+/// stream: same `Ok`/`Err`, same `Corrupt` message, same salvage, and
+/// the same hit — the first entry with the name, out of a stream that
+/// is valid to its end.
+fn check_against_reference(stream: &[u8], name: &str) -> Result<(), TestCaseError> {
+    let (entries, valid_len, error) = reference_decode(stream);
+    let parsed: FsResult<Vec<RawEntry>> = match &error {
+        Some(e) => Err(e.clone()),
+        None => Ok(entries.clone()),
+    };
+    let hit = parsed.clone().map(|entries| {
+        entries
+            .iter()
+            .find(|e| e.name == name)
+            .map(|e| (e.ino, e.kind))
+    });
+    prop_assert_eq!(dirent::lookup(stream, name), hit);
+    prop_assert_eq!(dirent::parse(stream), parsed);
+    prop_assert_eq!(dirent::parse_prefix(stream), (entries, valid_len));
+    Ok(())
+}
+
 proptest! {
+    /// Arbitrary bytes almost always end in a bad record: the borrowed
+    /// scan reports the corruption the reference loop reports.
+    #[test]
+    fn dirent_scan_agrees_with_reference_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        name in name_strategy(),
+    ) {
+        check_against_reference(&bytes, &name)?;
+    }
+
+    /// On a well-formed stream — with repeated names, so "first match"
+    /// matters — optionally damaged in one byte and cut short, the scan
+    /// and the reference agree on the hit or on the corruption.
+    #[test]
+    fn dirent_scan_agrees_with_reference_on_damaged_streams(
+        entries in proptest::collection::vec((1u32..100_000, any::<bool>(), 0usize..6), 0..16),
+        wanted in 0usize..8,
+        damage in proptest::option::of((any::<usize>(), 1u8..=255)),
+        cut in proptest::option::of(any::<usize>()),
+    ) {
+        let name_of = |n: usize| format!("name-{n}");
+        let mut stream = Vec::new();
+        for (ino, is_dir, n) in &entries {
+            let kind = if *is_dir { FileKind::Directory } else { FileKind::Regular };
+            dirent::encode_entry(&mut stream, Ino(*ino), kind, &name_of(*n));
+        }
+        if let (Some((at, xor)), false) = (damage, stream.is_empty()) {
+            let at = at % stream.len();
+            stream[at] ^= xor;
+        }
+        if let Some(cut) = cut {
+            stream.truncate(cut % (stream.len() + 1));
+        }
+        check_against_reference(&stream, &name_of(wanted))?;
+    }
+
     /// Directory streams round-trip through encode/parse.
     #[test]
     fn dirent_round_trips(entries in proptest::collection::vec(entry_strategy(), 0..30)) {
