@@ -137,3 +137,86 @@ fn clean_flag_tracks_unmount() {
     let fs = Ffs::mount(disk, FfsConfig::small_test(), clock3).unwrap();
     assert_eq!(fs.stats().fsck_scans, 1);
 }
+
+/// Runs `op` and returns the labels of the device writes it issued, in
+/// order, having checked that every one of them was synchronous.
+fn sync_writes_of(
+    fs: &mut Ffs<SimDisk>,
+    what: &str,
+    op: impl FnOnce(&mut Ffs<SimDisk>),
+) -> Vec<&'static str> {
+    fs.device_mut().trace_mut().clear();
+    op(fs);
+    let writes: Vec<_> = fs
+        .device()
+        .trace()
+        .records()
+        .iter()
+        .filter(|r| r.kind == AccessKind::Write)
+        .collect();
+    assert!(
+        writes.iter().all(|r| r.sync),
+        "{what}: every write inside the call is synchronous"
+    );
+    writes.iter().map(|r| r.label).collect()
+}
+
+/// Figure 1 for the whole namespace, not just `creat`: every operation
+/// that changes a directory or a link count writes the blocks it changed
+/// synchronously and in a fixed order — `link` (like `create`) the inode
+/// and then the directory block; `unlink`, `rmdir` and `rename` the
+/// directory block and then the inode. Pins the exact label sequence of
+/// each, and that nothing else reaches the disk inside the call.
+#[test]
+fn namespace_ops_write_inode_and_directory_in_figure_1_order() {
+    let mut fs = fresh();
+    fs.mkdir("/a").unwrap();
+    fs.mkdir("/b").unwrap();
+    // Every directory keeps one entry the script never touches, so each
+    // removal leaves a non-empty directory block behind to write.
+    for keep in ["/a/keep", "/b/keep"] {
+        fs.write_file(keep, b"k").unwrap();
+    }
+    fs.mkdir("/a/sub").unwrap();
+    fs.write_file("/a/one", b"1").unwrap();
+    fs.write_file("/a/two", b"2").unwrap();
+    fs.write_file("/b/victim", b"v").unwrap();
+    fs.sync().unwrap();
+    fs.device_mut().trace_mut().enable();
+
+    assert_eq!(
+        sync_writes_of(&mut fs, "link", |fs| fs.link("/a/one", "/b/alias").unwrap()),
+        ["inode-sync", "dir-sync"]
+    );
+    assert_eq!(
+        sync_writes_of(&mut fs, "unlink, non-last link", |fs| fs
+            .unlink("/a/one")
+            .unwrap()),
+        ["dir-sync", "inode-sync"]
+    );
+    assert_eq!(
+        sync_writes_of(&mut fs, "unlink, last link", |fs| fs
+            .unlink("/b/alias")
+            .unwrap()),
+        ["dir-sync", "inode-sync"]
+    );
+    assert_eq!(
+        sync_writes_of(&mut fs, "rmdir", |fs| fs.rmdir("/a/sub").unwrap()),
+        ["dir-sync", "inode-sync"]
+    );
+    assert_eq!(
+        sync_writes_of(&mut fs, "rename", |fs| fs
+            .rename("/a/two", "/b/moved")
+            .unwrap()),
+        ["dir-sync", "dir-sync"]
+    );
+    // Over an existing file: the target's entry and inode go first, as
+    // an unlink would write them, then the plain rename's two blocks.
+    assert_eq!(
+        sync_writes_of(&mut fs, "rename over a file", |fs| fs
+            .rename("/b/moved", "/b/victim")
+            .unwrap()),
+        ["dir-sync", "inode-sync", "dir-sync", "dir-sync"]
+    );
+    assert_eq!(fs.read_file("/b/victim").unwrap(), b"2");
+}

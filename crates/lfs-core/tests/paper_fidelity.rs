@@ -330,3 +330,47 @@ fn cleaner_preserves_hard_links() {
     assert_eq!(fs.stat(ino).unwrap().nlink, 2);
     assert!(fs.fsck().unwrap().is_clean());
 }
+
+/// Figure 2 for the whole namespace: the operations FFS answers with
+/// synchronous inode and directory writes (`ffs_fidelity.rs` pins which)
+/// reach no device at all under LFS — they change the cache and the
+/// inode map, and the next `sync` carries them out in the log. On a
+/// freshly synced mount no write-back trigger can fire inside a six-op
+/// script, so the count is exactly zero.
+#[test]
+fn namespace_ops_issue_no_device_writes_until_sync() {
+    let (mut fs, _clock) = fs_with(LfsConfig::small_test());
+    fs.mkdir("/a").unwrap();
+    fs.mkdir("/b").unwrap();
+    fs.mkdir("/a/sub").unwrap();
+    fs.write_file("/a/one", b"1").unwrap();
+    fs.write_file("/a/two", b"2").unwrap();
+    fs.write_file("/b/victim", b"v").unwrap();
+    fs.sync().unwrap();
+    let synced = fs.device().stats().writes;
+
+    let script: [(&str, fn(&mut Lfs<SimDisk>)); 6] = [
+        ("link", |fs| fs.link("/a/one", "/b/alias").unwrap()),
+        ("unlink, non-last link", |fs| fs.unlink("/a/one").unwrap()),
+        ("unlink, last link", |fs| fs.unlink("/b/alias").unwrap()),
+        ("rmdir", |fs| fs.rmdir("/a/sub").unwrap()),
+        ("rename", |fs| fs.rename("/a/two", "/b/moved").unwrap()),
+        ("rename over a file", |fs| {
+            fs.rename("/b/moved", "/b/victim").unwrap()
+        }),
+    ];
+    for (what, op) in script {
+        op(&mut fs);
+        assert_eq!(
+            fs.device().stats().writes,
+            synced,
+            "{what} must not write to the device"
+        );
+    }
+    fs.sync().unwrap();
+    assert!(
+        fs.device().stats().writes > synced,
+        "the six changes reach the log at the next sync"
+    );
+    assert_eq!(fs.read_file("/b/victim").unwrap(), b"2");
+}
