@@ -349,7 +349,8 @@ fn namespace_ops_issue_no_device_writes_until_sync() {
     fs.sync().unwrap();
     let synced = fs.device().stats().writes;
 
-    let script: [(&str, fn(&mut Lfs<SimDisk>)); 6] = [
+    type Op = fn(&mut Lfs<SimDisk>);
+    let script: [(&str, Op); 6] = [
         ("link", |fs| fs.link("/a/one", "/b/alias").unwrap()),
         ("unlink, non-last link", |fs| fs.unlink("/a/one").unwrap()),
         ("unlink, last link", |fs| fs.unlink("/b/alias").unwrap()),
