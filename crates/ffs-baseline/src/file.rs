@@ -1,4 +1,6 @@
-//! FFS file data paths: eager block allocation, read/write/truncate.
+//! FFS file data paths: eager block allocation, and the [`NodeStore`]
+//! hooks through which the shared namespace layer reads, writes,
+//! truncates and deletes.
 //!
 //! Unlike LFS, every block receives its permanent disk address at the
 //! moment it is first written into the cache — update-in-place means the
@@ -6,23 +8,18 @@
 //! physical writes (the behaviour Figure 4's random-write comparison
 //! exposes).
 
+use std::ops::Range;
+
 use mem_mgr::{BlockKey, Owner};
-use sim_disk::{BlockDevice, CpuCost};
-use vfs::blockmap::{self, BlockPath};
-use vfs::{FsError, FsResult, Ino};
+use sim_disk::{BlockDevice, CpuCost, CpuModel};
+use vfs::blockmap::{
+    self, idx_dchild, read_ptr, write_ptr, BlockPath, IDX_DCHILD_BASE, IDX_DTOP, IDX_SINGLE,
+};
+use vfs::namespace::{copy_cost, NodeStore, NodeView, OpHists};
+use vfs::{FileKind, FsError, FsResult, Ino};
 
-use crate::fs::{idx_dchild, Ffs, IDX_DTOP, IDX_SINGLE};
-use crate::layout::{FfsAddr, NIL};
-
-fn read_ptr(block: &[u8], slot: usize) -> FfsAddr {
-    let start = slot * 4;
-    u32::from_le_bytes(block[start..start + 4].try_into().unwrap())
-}
-
-fn write_ptr(block: &mut [u8], slot: usize, addr: FfsAddr) {
-    let start = slot * 4;
-    block[start..start + 4].copy_from_slice(&addr.to_le_bytes());
-}
+use crate::fs::{CachedInode, Ffs};
+use crate::layout::{FfsAddr, FfsInode, NIL};
 
 impl<D: BlockDevice> Ffs<D> {
     fn ptrs_per_block(&self) -> usize {
@@ -87,7 +84,7 @@ impl<D: BlockDevice> Ffs<D> {
         } else if idx == IDX_DTOP {
             Ok(inode.double)
         } else {
-            let outer = (idx - crate::fs::IDX_DCHILD_BASE) as usize;
+            let outer = (idx - IDX_DCHILD_BASE) as usize;
             if inode.double == NIL {
                 return Ok(NIL);
             }
@@ -179,138 +176,6 @@ impl<D: BlockDevice> Ffs<D> {
         Ok(Some(self.sb.data_start(cg)))
     }
 
-    /// Fetches one file block through the cache; `None` for a hole.
-    pub(crate) fn file_block(&mut self, ino: Ino, bno: u64) -> FsResult<Option<Vec<u8>>> {
-        let key = BlockKey::file(ino, bno);
-        if let Some(data) = self.cache.get(key) {
-            return Ok(Some(data.to_vec()));
-        }
-        let addr = self.map_block(ino, bno)?;
-        if addr == NIL {
-            return Ok(None);
-        }
-        self.dev.annotate("file-data");
-        let data = self.read_block_raw(addr)?;
-        self.cache
-            .insert_clean(key, data.clone().into_boxed_slice());
-        Ok(Some(data))
-    }
-
-    /// Core read path.
-    pub(crate) fn do_read(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
-        let inode = self.inode(ino)?;
-        if offset >= inode.size {
-            return Ok(0);
-        }
-        let bs = self.block_size() as u64;
-        let want = (buf.len() as u64).min(inode.size - offset) as usize;
-        let mut done = 0usize;
-        while done < want {
-            let pos = offset + done as u64;
-            let bno = pos / bs;
-            let within = (pos % bs) as usize;
-            let n = (bs as usize - within).min(want - done);
-            self.charge(CpuCost::MapBlock);
-            match self.file_block(ino, bno)? {
-                Some(block) => buf[done..done + n].copy_from_slice(&block[within..within + n]),
-                None => buf[done..done + n].fill(0),
-            }
-            self.charge(CpuCost::Instructions(
-                CpuCost::CopyKb.instructions() * (n as u64).div_ceil(1024),
-            ));
-            done += n;
-        }
-        // FFS keeps atime in the inode; updating it dirties the inode
-        // (one of the costs LFS's inode-map design avoids).
-        let now = self.now();
-        self.with_inode_mut(ino, |i| i.atime_ns = now)?;
-        Ok(done)
-    }
-
-    /// Core write path (allocates addresses eagerly).
-    pub(crate) fn do_write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
-        if data.is_empty() {
-            return Ok(0);
-        }
-        let bs = self.block_size() as u64;
-        let end = offset
-            .checked_add(data.len() as u64)
-            .ok_or(FsError::FileTooLarge)?;
-        blockmap::resolve((end - 1) / bs, self.ptrs_per_block()).ok_or(FsError::FileTooLarge)?;
-
-        let now = self.now();
-        let mut done = 0usize;
-        while done < data.len() {
-            let pos = offset + done as u64;
-            let bno = pos / bs;
-            let within = (pos % bs) as usize;
-            let n = (bs as usize - within).min(data.len() - done);
-            self.charge(CpuCost::MapBlock);
-            // Allocate the block's permanent home now.
-            let (_, fresh) = self.map_block_alloc(ino, bno)?;
-            let key = BlockKey::file(ino, bno);
-            if within == 0 && n == bs as usize {
-                let block = data[done..done + n].to_vec().into_boxed_slice();
-                self.cache.insert_dirty(key, block, now);
-            } else {
-                // A freshly allocated block may hold a previous owner's
-                // stale bytes on disk; start from zeros instead.
-                let existing = if fresh {
-                    None
-                } else {
-                    self.file_block(ino, bno)?
-                };
-                let mut block = existing.unwrap_or_else(|| vec![0u8; bs as usize]);
-                block[within..within + n].copy_from_slice(&data[done..done + n]);
-                self.cache.insert_dirty(key, block.into_boxed_slice(), now);
-            }
-            self.charge(CpuCost::Instructions(
-                CpuCost::CopyKb.instructions() * (n as u64).div_ceil(1024),
-            ));
-            done += n;
-        }
-        self.with_inode_mut(ino, |i| {
-            i.size = i.size.max(end);
-            i.mtime_ns = now;
-        })?;
-        Ok(done)
-    }
-
-    /// Core truncate path.
-    pub(crate) fn do_truncate(&mut self, ino: Ino, new_size: u64) -> FsResult<()> {
-        let inode = self.inode(ino)?;
-        let bs = self.block_size() as u64;
-        if new_size < inode.size {
-            let old_blocks = blockmap::blocks_for_size(inode.size, bs as usize);
-            let new_blocks = blockmap::blocks_for_size(new_size, bs as usize);
-            for bno in new_blocks..old_blocks {
-                self.free_data_block(ino, bno)?;
-            }
-            if !new_size.is_multiple_of(bs) {
-                let bno = new_size / bs;
-                if let Some(mut block) = self.file_block(ino, bno)? {
-                    let keep = (new_size % bs) as usize;
-                    block[keep..].fill(0);
-                    let now = self.now();
-                    self.cache.insert_dirty(
-                        BlockKey::file(ino, bno),
-                        block.into_boxed_slice(),
-                        now,
-                    );
-                }
-            }
-            if new_size == 0 {
-                self.free_indirect_blocks(ino)?;
-            }
-        }
-        let now = self.now();
-        self.with_inode_mut(ino, |i| {
-            i.size = new_size;
-            i.mtime_ns = now;
-        })?;
-        Ok(())
-    }
-
     /// Frees one data block and clears its pointer.
     fn free_data_block(&mut self, ino: Ino, bno: u64) -> FsResult<()> {
         let addr = self.map_block(ino, bno)?;
@@ -359,10 +224,184 @@ impl<D: BlockDevice> Ffs<D> {
         }
         Ok(())
     }
+}
 
-    /// Destroys a file whose last link went away. The freed inode slot is
-    /// zeroed on disk synchronously (Figure 1's unlink behaviour).
-    pub(crate) fn destroy_file(&mut self, ino: Ino) -> FsResult<()> {
+/// What FFS puts behind the shared namespace layer.
+impl<D: BlockDevice> NodeStore for Ffs<D> {
+    fn cpu(&self) -> &CpuModel {
+        &self.cpu
+    }
+
+    fn op_hists(&self) -> &OpHists {
+        &self.obs.ops
+    }
+
+    fn block_size(&self) -> usize {
+        self.sb.block_size as usize
+    }
+
+    fn check_writable(&self) -> FsResult<()> {
+        Ok(())
+    }
+
+    fn node(&mut self, ino: Ino) -> FsResult<NodeView> {
+        self.ensure_inode(ino)?;
+        let inode = &self.inodes[&ino].inode;
+        Ok(NodeView {
+            kind: inode.kind,
+            size: inode.size,
+            nlink: inode.nlink,
+        })
+    }
+
+    fn set_nlink(&mut self, ino: Ino, nlink: u16) -> FsResult<()> {
+        self.with_inode_mut(ino, |i| i.nlink = nlink)
+    }
+
+    /// The new inode goes in its parent directory's cylinder group.
+    fn alloc_node(&mut self, parent: Ino, kind: FileKind) -> FsResult<Ino> {
+        let (parent_cg, _) = self.sb.ino_location(parent)?;
+        let ino = self.alloc.alloc_inode(parent_cg)?;
+        let inode = FfsInode::new(ino, kind, self.now());
+        self.inodes.insert(ino, CachedInode { inode, dirty: true });
+        Ok(ino)
+    }
+
+    fn unalloc_node(&mut self, ino: Ino) {
+        self.inodes.remove(&ino);
+        let _ = self.alloc.free_inode(ino);
+    }
+
+    /// This and the next hook are where the paper's §3.1 behaviour
+    /// lives: `create` and `unlink` perform small, random, *synchronous*
+    /// writes of the inode-table block and the directory data block —
+    /// the accesses Figure 1 draws and the reason FFS's small-file
+    /// throughput cannot scale with CPU speed.
+    fn persist_inode(&mut self, ino: Ino) -> FsResult<()> {
+        self.write_inode_to_table(ino, true)
+    }
+
+    fn persist_dir_range(&mut self, dir: Ino, range: Range<u64>) -> FsResult<()> {
+        self.sync_file_range(dir, range.start, range.end)
+    }
+
+    /// FFS keeps atime in the inode; updating it dirties the inode (one
+    /// of the costs LFS's inode-map design avoids).
+    fn touch_atime(&mut self, ino: Ino) -> FsResult<()> {
+        let now = self.now();
+        self.with_inode_mut(ino, |i| i.atime_ns = now)
+    }
+
+    fn after_op(&mut self) -> FsResult<()> {
+        self.maybe_writeback()
+    }
+
+    fn file_block(&mut self, ino: Ino, bno: u64) -> FsResult<Option<Vec<u8>>> {
+        let key = BlockKey::file(ino, bno);
+        if let Some(data) = self.cache.get(key) {
+            return Ok(Some(data.to_vec()));
+        }
+        let addr = self.map_block(ino, bno)?;
+        if addr == NIL {
+            return Ok(None);
+        }
+        self.dev.annotate("file-data");
+        let data = self.read_block_raw(addr)?;
+        self.cache
+            .insert_clean(key, data.clone().into_boxed_slice());
+        Ok(Some(data))
+    }
+
+    /// Allocates each block's permanent home as it is first written.
+    fn do_write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
+        if data.is_empty() {
+            return Ok(0);
+        }
+        let bs = self.block_size() as u64;
+        let end = offset
+            .checked_add(data.len() as u64)
+            .ok_or(FsError::FileTooLarge)?;
+        blockmap::resolve((end - 1) / bs, self.ptrs_per_block()).ok_or(FsError::FileTooLarge)?;
+
+        let now = self.now();
+        let mut done = 0usize;
+        while done < data.len() {
+            let pos = offset + done as u64;
+            let bno = pos / bs;
+            let within = (pos % bs) as usize;
+            let n = (bs as usize - within).min(data.len() - done);
+            self.charge(CpuCost::MapBlock);
+            // Allocate the block's permanent home now.
+            let (_, fresh) = self.map_block_alloc(ino, bno)?;
+            let key = BlockKey::file(ino, bno);
+            if within == 0 && n == bs as usize {
+                let block = data[done..done + n].to_vec().into_boxed_slice();
+                self.cache.insert_dirty(key, block, now);
+            } else {
+                // A freshly allocated block may hold a previous owner's
+                // stale bytes on disk; start from zeros instead.
+                let existing = if fresh {
+                    None
+                } else {
+                    self.file_block(ino, bno)?
+                };
+                let mut block = existing.unwrap_or_else(|| vec![0u8; bs as usize]);
+                block[within..within + n].copy_from_slice(&data[done..done + n]);
+                self.cache.insert_dirty(key, block.into_boxed_slice(), now);
+            }
+            self.charge(copy_cost(n));
+            done += n;
+        }
+        self.with_inode_mut(ino, |i| {
+            i.size = i.size.max(end);
+            i.mtime_ns = now;
+        })?;
+        Ok(done)
+    }
+
+    /// FFS keeps no space budget to exempt directories from: they are
+    /// written like files, each new block getting its home at once.
+    fn do_write_dir(&mut self, dir: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
+        self.do_write(dir, offset, data)
+    }
+
+    fn do_truncate(&mut self, ino: Ino, new_size: u64) -> FsResult<()> {
+        let inode = self.inode(ino)?;
+        let bs = self.block_size() as u64;
+        if new_size < inode.size {
+            let old_blocks = blockmap::blocks_for_size(inode.size, bs as usize);
+            let new_blocks = blockmap::blocks_for_size(new_size, bs as usize);
+            for bno in new_blocks..old_blocks {
+                self.free_data_block(ino, bno)?;
+            }
+            if !new_size.is_multiple_of(bs) {
+                let bno = new_size / bs;
+                if let Some(mut block) = self.file_block(ino, bno)? {
+                    let keep = (new_size % bs) as usize;
+                    block[keep..].fill(0);
+                    let now = self.now();
+                    self.cache.insert_dirty(
+                        BlockKey::file(ino, bno),
+                        block.into_boxed_slice(),
+                        now,
+                    );
+                }
+            }
+            if new_size == 0 {
+                self.free_indirect_blocks(ino)?;
+            }
+        }
+        let now = self.now();
+        self.with_inode_mut(ino, |i| {
+            i.size = new_size;
+            i.mtime_ns = now;
+        })?;
+        Ok(())
+    }
+
+    /// The freed inode slot is zeroed on disk synchronously (Figure 1's
+    /// unlink behaviour).
+    fn destroy_node(&mut self, ino: Ino) -> FsResult<()> {
         self.do_truncate(ino, 0)?;
         self.inodes.remove(&ino);
         self.alloc.free_inode(ino)?;

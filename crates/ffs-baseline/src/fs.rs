@@ -5,6 +5,8 @@ use std::sync::Arc;
 
 use mem_mgr::{BlockKey, CacheReport, MemConfig, MemMgr, Owner};
 use sim_disk::{BlockDevice, Clock, CpuCost, CpuModel};
+use vfs::blockmap::is_data_idx;
+use vfs::namespace::OpHists;
 use vfs::{FileKind, FsError, FsResult, Ino};
 
 use crate::alloc::Allocator;
@@ -13,23 +15,6 @@ use crate::layout::{FfsAddr, FfsInode, FfsSuperblock, INODE_SIZE, NIL};
 
 /// Metadata cache namespace: inode-table and bitmap blocks, by address.
 pub(crate) const NS_META: u32 = 1;
-
-/// Cache-owner index of a file's single-indirect block.
-pub(crate) const IDX_SINGLE: u64 = 1 << 40;
-/// Cache-owner index of a file's double-indirect top block.
-pub(crate) const IDX_DTOP: u64 = (1 << 40) + 1;
-/// Base cache-owner index of second-level indirect blocks.
-pub(crate) const IDX_DCHILD_BASE: u64 = 1 << 41;
-
-/// Cache index of double-indirect child `outer`.
-pub(crate) fn idx_dchild(outer: u32) -> u64 {
-    IDX_DCHILD_BASE + outer as u64
-}
-
-/// Returns true if a file-owner cache index denotes a data block.
-pub(crate) fn is_data_idx(idx: u64) -> bool {
-    idx < IDX_SINGLE
-}
 
 /// An in-memory inode with its dirty flag.
 #[derive(Debug, Clone)]
@@ -69,24 +54,12 @@ pub(crate) struct FfsObs {
     pub bitmap_writes: obs::Counter,
     pub fsck_scans: obs::Counter,
     pub fsck_blocks_scanned: obs::Counter,
-    pub op_lookup: obs::Hist,
-    pub op_create: obs::Hist,
-    pub op_mkdir: obs::Hist,
-    pub op_unlink: obs::Hist,
-    pub op_rmdir: obs::Hist,
-    pub op_rename: obs::Hist,
-    pub op_link: obs::Hist,
-    pub op_read: obs::Hist,
-    pub op_write: obs::Hist,
-    pub op_truncate: obs::Hist,
-    pub op_fsync: obs::Hist,
-    pub op_sync: obs::Hist,
+    pub ops: OpHists,
 }
 
 impl FfsObs {
     pub fn new(registry: obs::Registry) -> Self {
         let c = |name: &str| registry.counter(name);
-        let h = |name: &str| registry.hist(name);
         FfsObs {
             sync_inode_writes: c("ffs.sync_inode_writes"),
             sync_dir_writes: c("ffs.sync_dir_writes"),
@@ -95,18 +68,7 @@ impl FfsObs {
             bitmap_writes: c("ffs.bitmap_writes"),
             fsck_scans: c("fsck.scans"),
             fsck_blocks_scanned: c("fsck.blocks_scanned"),
-            op_lookup: h("op.lookup_ns"),
-            op_create: h("op.create_ns"),
-            op_mkdir: h("op.mkdir_ns"),
-            op_unlink: h("op.unlink_ns"),
-            op_rmdir: h("op.rmdir_ns"),
-            op_rename: h("op.rename_ns"),
-            op_link: h("op.link_ns"),
-            op_read: h("op.read_ns"),
-            op_write: h("op.write_ns"),
-            op_truncate: h("op.truncate_ns"),
-            op_fsync: h("op.fsync_ns"),
-            op_sync: h("op.sync_ns"),
+            ops: OpHists::new(&registry),
             registry,
         }
     }

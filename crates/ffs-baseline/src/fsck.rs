@@ -19,17 +19,12 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use mem_mgr::BlockKey;
 use sim_disk::BlockDevice;
-use vfs::blockmap::{self, NDIRECT};
+use vfs::blockmap::{self, idx_dchild, read_ptr, IDX_DTOP, IDX_SINGLE, NDIRECT};
+use vfs::namespace::{self, NodeStore};
 use vfs::{FileKind, FsResult, Ino};
 
-use crate::fs::{idx_dchild, Ffs, IDX_DTOP, IDX_SINGLE};
+use crate::fs::Ffs;
 use crate::layout::{FfsAddr, FfsInode, INODE_SIZE, NIL};
-
-/// Reads pointer `slot` from an indirect block's raw bytes.
-fn read_ptr(block: &[u8], slot: usize) -> FfsAddr {
-    let start = slot * 4;
-    u32::from_le_bytes(block[start..start + 4].try_into().unwrap())
-}
 
 /// Verification result.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -81,7 +76,7 @@ impl<D: BlockDevice> Ffs<D> {
         if inode.double != NIL {
             out.push(inode.double);
             for outer in 0..bs / 4 {
-                let child = self.indirect_home(ino, crate::fs::idx_dchild(outer as u32))?;
+                let child = self.indirect_home(ino, idx_dchild(outer as u32))?;
                 if child != NIL {
                     out.push(child);
                 }
@@ -101,7 +96,7 @@ impl<D: BlockDevice> Ffs<D> {
         visited.insert(Ino::ROOT);
         queue.push_back((Ino::ROOT, "/".to_string()));
         while let Some((dir, path)) = queue.pop_front() {
-            let entries = match self.dir_entries(dir) {
+            let entries = match namespace::dir_entries(self, dir) {
                 Ok(entries) => entries,
                 Err(e) => {
                     report
@@ -268,9 +263,7 @@ impl<D: BlockDevice> Ffs<D> {
         // in overlapped waves. The passes themselves are untouched — a
         // block the gather could not fetch is re-read serially with
         // the identical error, so the rebuilt state does not change.
-        if fanout > 1 {
-            self.gather_scan_metadata(fanout, &found);
-        }
+        self.gather_scan_metadata(fanout, &found);
         // Pass 2: walk every file's pointer tree to rebuild the block
         // bitmap (reads every indirect block — the expensive part).
         let inos: Vec<Ino> = found.iter().map(|i| i.ino).collect();
@@ -322,8 +315,12 @@ impl<D: BlockDevice> Ffs<D> {
     /// Prefetches the blocks passes 2 and 3 will walk: wave 1 the
     /// indirect roots and direct directory data of every recovered
     /// inode, wave 2 the double-indirect children and each directory's
-    /// single-indirect data span.
+    /// single-indirect data span. A window of one is the sequential
+    /// scan: nothing to overlap, so nothing is gathered.
     fn gather_scan_metadata(&mut self, window: usize, found: &[FfsInode]) {
+        if window <= 1 {
+            return;
+        }
         self.dev.set_maintenance(true);
         let bs = self.block_size();
         let ppb = bs / 4;
@@ -391,7 +388,7 @@ fn salvage_directory<D: BlockDevice>(
     fs: &mut Ffs<D>,
     dir: Ino,
 ) -> FsResult<Vec<vfs::dirent::RawEntry>> {
-    let stream = match fs.read_dir_stream(dir) {
+    let stream = match namespace::read_dir_stream(fs, dir) {
         Ok(stream) => stream,
         // Unreadable outright: empty the directory.
         Err(_) => {
@@ -432,8 +429,7 @@ fn fix_links<D: BlockDevice>(fs: &mut Ffs<D>) -> FsResult<()> {
             }
         }
         for name in dangling {
-            let (_, range) = fs.dir_remove(dir, &name)?;
-            fs.sync_file_range(dir, range.0, range.1)?;
+            namespace::dir_remove(fs, dir, &name)?;
         }
     }
     // Orphans and link counts.
@@ -444,7 +440,7 @@ fn fix_links<D: BlockDevice>(fs: &mut Ffs<D>) -> FsResult<()> {
         }
         match ref_counts.get(&ino) {
             None => {
-                fs.destroy_file(ino)?;
+                fs.destroy_node(ino)?;
             }
             Some(&count) => {
                 let nlink = fs.inode(ino)?.nlink as u32;

@@ -12,7 +12,10 @@
 //! * **Synchronous metadata writes**: `create` and `unlink` write the
 //!   affected inode-table block and directory data block synchronously —
 //!   the "small, non-sequential, and synchronous" accesses of §3.1 and
-//!   Figure 1 that couple application speed to disk latency.
+//!   Figure 1 that couple application speed to disk latency. The
+//!   operations themselves are [`vfs::namespace`], shared with LFS; the
+//!   writes are this crate's `persist_inode` and `persist_dir_range`
+//!   hooks of [`vfs::namespace::NodeStore`], which LFS leaves empty.
 //! * **Update-in-place data**: file blocks are allocated near their inode
 //!   (with a sequential-allocation hint) and always rewritten at the same
 //!   address, so random writes stay random at the disk.
@@ -49,7 +52,6 @@ pub mod fs;
 pub mod fsck;
 pub mod layout;
 
-mod dir;
 #[cfg(test)]
 mod fs_tests;
 mod file;

@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use sim_disk::{BlockDevice, Clock};
+use vfs::namespace::NodeStore;
 use vfs::{FsError, FsResult};
 
 use crate::config::LfsConfig;

@@ -23,9 +23,10 @@
 
 use mem_mgr::BlockKey;
 use sim_disk::{BlockDevice, CpuCost};
+use vfs::blockmap::{idx_dchild, IDX_DTOP, IDX_SINGLE};
 use vfs::FsResult;
 
-use crate::fs::{idx_dchild, CachedInode, Lfs, IDX_DTOP, IDX_SINGLE};
+use crate::fs::{CachedInode, Lfs};
 use crate::layout::inode::inode_block;
 use crate::layout::summary::{self, BlockKind};
 use crate::layout::usage_block::SegState;

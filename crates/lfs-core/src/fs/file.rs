@@ -1,4 +1,5 @@
-//! File data paths: block mapping, read, write, truncate, delete.
+//! File data paths: block mapping, and the [`NodeStore`] hooks through
+//! which the shared namespace layer reads, writes, truncates and deletes.
 //!
 //! The mapping structures are classic UNIX (§4.2.1): twelve direct
 //! pointers, a single-indirect and a double-indirect block. Because LFS
@@ -6,27 +7,19 @@
 //! object (inode or indirect block), which the next flush rewrites at a
 //! new log address.
 
+use std::ops::Range;
+
 use mem_mgr::{BlockKey, Owner};
-use sim_disk::{BlockDevice, CpuCost};
-use vfs::blockmap::{self, BlockPath};
-use vfs::{FsError, FsResult, Ino};
+use sim_disk::{BlockDevice, CpuCost, CpuModel};
+use vfs::blockmap::{
+    self, idx_dchild, read_ptr, write_ptr, BlockPath, IDX_DCHILD_BASE, IDX_DTOP, IDX_SINGLE,
+};
+use vfs::namespace::{copy_cost, NodeStore, NodeView, OpHists};
+use vfs::{FileKind, FsError, FsResult, Ino};
 
-use super::{idx_dchild, Lfs, IDX_DTOP, IDX_SINGLE};
+use super::{CachedInode, Lfs};
+use crate::layout::inode::Inode;
 use crate::types::BlockAddr;
-
-/// Reads pointer `slot` from an indirect block's raw bytes.
-fn read_ptr(block: &[u8], slot: usize) -> BlockAddr {
-    let start = slot * 4;
-    BlockAddr(u32::from_le_bytes(
-        block[start..start + 4].try_into().unwrap(),
-    ))
-}
-
-/// Writes pointer `slot` in an indirect block's raw bytes.
-fn write_ptr(block: &mut [u8], slot: usize, addr: BlockAddr) {
-    let start = slot * 4;
-    block[start..start + 4].copy_from_slice(&addr.0.to_le_bytes());
-}
 
 impl<D: BlockDevice> Lfs<D> {
     /// Ensures the indirect block with cache index `idx` is cached.
@@ -67,7 +60,7 @@ impl<D: BlockDevice> Lfs<D> {
     fn indirect_get(&mut self, ino: Ino, idx: u64, slot: usize) -> BlockAddr {
         let key = BlockKey::file(ino, idx);
         let block = self.cache.get(key).expect("indirect block must be cached");
-        read_ptr(block, slot)
+        BlockAddr(read_ptr(block, slot))
     }
 
     /// Sets pointer `slot` of the cached indirect block `idx`, marking it
@@ -79,8 +72,8 @@ impl<D: BlockDevice> Lfs<D> {
             .cache
             .get_mut(key, now)
             .expect("indirect block must be cached");
-        let old = read_ptr(block, slot);
-        write_ptr(block, slot, addr);
+        let old = BlockAddr(read_ptr(block, slot));
+        write_ptr(block, slot, addr.0);
         old
     }
 
@@ -160,7 +153,7 @@ impl<D: BlockDevice> Lfs<D> {
         } else if idx == IDX_DTOP {
             self.with_inode_mut(ino, |i| std::mem::replace(&mut i.double, addr))
         } else {
-            let outer = (idx - super::IDX_DCHILD_BASE) as usize;
+            let outer = (idx - IDX_DCHILD_BASE) as usize;
             let inode = self.inode(ino)?;
             // The top block must exist if a child does.
             self.ensure_indirect(ino, IDX_DTOP, inode.double, true)?;
@@ -182,9 +175,115 @@ impl<D: BlockDevice> Lfs<D> {
         Ok(self.indirect_get(ino, IDX_DTOP, outer as usize))
     }
 
-    /// Fetches one file block, reading through the cache.
-    /// Returns `None` for a hole.
-    pub(crate) fn file_block(&mut self, ino: Ino, bno: u64) -> FsResult<Option<Vec<u8>>> {
+    /// Retires and forgets all indirect blocks of a file (truncate-to-zero
+    /// and delete paths). Direct/data retirement happens via
+    /// [`Lfs::set_block_ptr`] beforehand.
+    fn free_indirect_blocks(&mut self, ino: Ino) -> FsResult<()> {
+        let bs = self.block_size() as u64;
+        let inode = self.inode(ino)?;
+        if inode.double.is_some() || self.cache.contains(BlockKey::file(ino, IDX_DTOP)) {
+            // Retire each existing child, reading the top block if needed.
+            if self.ensure_indirect(ino, IDX_DTOP, inode.double, false)? {
+                let ppb = self.sb.ptrs_per_block();
+                for outer in 0..ppb {
+                    let child = self.indirect_get(ino, IDX_DTOP, outer);
+                    if child.is_some() {
+                        self.retire(child, bs);
+                    }
+                    self.cache
+                        .remove(BlockKey::file(ino, idx_dchild(outer as u32)));
+                }
+            }
+            self.retire(inode.double, bs);
+            self.cache.remove(BlockKey::file(ino, IDX_DTOP));
+            self.with_inode_mut(ino, |i| i.double = BlockAddr::NIL)?;
+        }
+        if inode.single.is_some() || self.cache.contains(BlockKey::file(ino, IDX_SINGLE)) {
+            self.retire(inode.single, bs);
+            self.cache.remove(BlockKey::file(ino, IDX_SINGLE));
+            self.with_inode_mut(ino, |i| i.single = BlockAddr::NIL)?;
+        }
+        Ok(())
+    }
+}
+
+/// What LFS puts behind the shared namespace layer.
+impl<D: BlockDevice> NodeStore for Lfs<D> {
+    fn cpu(&self) -> &CpuModel {
+        &self.cpu
+    }
+
+    fn op_hists(&self) -> &OpHists {
+        &self.obs.ops
+    }
+
+    fn block_size(&self) -> usize {
+        self.sb.block_size as usize
+    }
+
+    /// Fails with [`FsError::ReadOnly`] if the file system has degraded.
+    fn check_writable(&self) -> FsResult<()> {
+        if self.read_only {
+            Err(FsError::ReadOnly)
+        } else {
+            Ok(())
+        }
+    }
+
+    fn node(&mut self, ino: Ino) -> FsResult<NodeView> {
+        self.ensure_inode(ino)?;
+        let inode = &self.inodes[&ino].inode;
+        Ok(NodeView {
+            kind: inode.kind,
+            size: inode.size,
+            nlink: inode.nlink,
+        })
+    }
+
+    fn set_nlink(&mut self, ino: Ino, nlink: u16) -> FsResult<()> {
+        self.with_inode_mut(ino, |i| i.nlink = nlink)
+    }
+
+    fn alloc_node(&mut self, _parent: Ino, kind: FileKind) -> FsResult<Ino> {
+        self.check_space(self.block_size() as u64)?;
+        let ino = self.imap.allocate()?;
+        let now = self.now();
+        let version = self.imap.get(ino)?.version;
+        let inode = Inode::new(ino, kind, version, now);
+        self.inodes.insert(ino, CachedInode { inode, dirty: true });
+        Ok(ino)
+    }
+
+    fn unalloc_node(&mut self, ino: Ino) {
+        self.inodes.remove(&ino);
+        let _ = self.imap.free(ino);
+    }
+
+    /// Note what is *absent* here and in the next hook compared with the
+    /// FFS baseline: no synchronous metadata writes. `create` and
+    /// `unlink` mutate only the cache and the in-memory inode map;
+    /// everything reaches disk later in segment-sized sequential
+    /// transfers (§4.1, Figure 2).
+    fn persist_inode(&mut self, _ino: Ino) -> FsResult<()> {
+        Ok(())
+    }
+
+    fn persist_dir_range(&mut self, _dir: Ino, _range: Range<u64>) -> FsResult<()> {
+        Ok(())
+    }
+
+    /// Access time lives in the inode map (paper footnote 2), so reads
+    /// never dirty the inode itself.
+    fn touch_atime(&mut self, ino: Ino) -> FsResult<()> {
+        let now = self.now();
+        self.imap.set_atime(ino, now)
+    }
+
+    fn after_op(&mut self) -> FsResult<()> {
+        self.maybe_writeback()
+    }
+
+    fn file_block(&mut self, ino: Ino, bno: u64) -> FsResult<Option<Vec<u8>>> {
         let key = BlockKey::file(ino, bno);
         if let Some(data) = self.cache.get(key) {
             return Ok(Some(data.to_vec()));
@@ -201,52 +300,14 @@ impl<D: BlockDevice> Lfs<D> {
         Ok(Some(data))
     }
 
-    /// Core read path.
-    pub(crate) fn do_read(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
-        let inode = self.inode(ino)?;
-        if offset >= inode.size {
-            return Ok(0);
-        }
-        let bs = self.block_size() as u64;
-        let want = (buf.len() as u64).min(inode.size - offset) as usize;
-        let mut done = 0usize;
-        while done < want {
-            let pos = offset + done as u64;
-            let bno = pos / bs;
-            let within = (pos % bs) as usize;
-            let n = (bs as usize - within).min(want - done);
-            self.charge(CpuCost::MapBlock);
-            match self.file_block(ino, bno)? {
-                Some(block) => buf[done..done + n].copy_from_slice(&block[within..within + n]),
-                None => buf[done..done + n].fill(0),
-            }
-            self.charge(CpuCost::Instructions(
-                CpuCost::CopyKb.instructions() * (n as u64).div_ceil(1024),
-            ));
-            done += n;
-        }
-        // Access time lives in the inode map (paper footnote 2), so reads
-        // never dirty the inode itself.
-        let now = self.now();
-        self.imap.set_atime(ino, now)?;
-        Ok(done)
-    }
-
-    /// Core write path, subject to the free-space budget.
-    pub(crate) fn do_write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
+    fn do_write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
         self.check_space(data.len() as u64 + self.block_size() as u64)?;
-        self.do_write_unchecked(ino, offset, data)
+        self.do_write_dir(ino, offset, data)
     }
 
-    /// Write path without the space check: used for internal directory
-    /// maintenance, which must keep working on a full disk (otherwise
-    /// `unlink` could not free space).
-    pub(crate) fn do_write_unchecked(
-        &mut self,
-        ino: Ino,
-        offset: u64,
-        data: &[u8],
-    ) -> FsResult<usize> {
+    /// The write path proper, without the space check: callers that
+    /// grow the tree (create/mkdir) enforce the space budget themselves.
+    fn do_write_dir(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
         if data.is_empty() {
             return Ok(0);
         }
@@ -257,7 +318,7 @@ impl<D: BlockDevice> Lfs<D> {
         // Reject writes past the mappable range up front.
         blockmap::resolve((end - 1) / bs, self.sb.ptrs_per_block()).ok_or(FsError::FileTooLarge)?;
 
-        let inode = self.inode(ino)?;
+        self.ensure_inode(ino)?;
         let now = self.now();
         let mut done = 0usize;
         while done < data.len() {
@@ -280,21 +341,17 @@ impl<D: BlockDevice> Lfs<D> {
                 block[within..within + n].copy_from_slice(&data[done..done + n]);
                 self.cache.insert_dirty(key, block.into_boxed_slice(), now);
             }
-            self.charge(CpuCost::Instructions(
-                CpuCost::CopyKb.instructions() * (n as u64).div_ceil(1024),
-            ));
+            self.charge(copy_cost(n));
             done += n;
         }
         self.with_inode_mut(ino, |i| {
             i.size = i.size.max(end);
             i.mtime_ns = now;
         })?;
-        let _ = inode;
         Ok(done)
     }
 
-    /// Core truncate path (shrink or zero-extend).
-    pub(crate) fn do_truncate(&mut self, ino: Ino, new_size: u64) -> FsResult<()> {
+    fn do_truncate(&mut self, ino: Ino, new_size: u64) -> FsResult<()> {
         let inode = self.inode(ino)?;
         let bs = self.block_size() as u64;
         if new_size < inode.size {
@@ -334,40 +391,8 @@ impl<D: BlockDevice> Lfs<D> {
         Ok(())
     }
 
-    /// Retires and forgets all indirect blocks of a file (truncate-to-zero
-    /// and delete paths). Direct/data retirement happens via
-    /// [`Lfs::set_block_ptr`] beforehand.
-    fn free_indirect_blocks(&mut self, ino: Ino) -> FsResult<()> {
-        let bs = self.block_size() as u64;
-        let inode = self.inode(ino)?;
-        if inode.double.is_some() || self.cache.contains(BlockKey::file(ino, IDX_DTOP)) {
-            // Retire each existing child, reading the top block if needed.
-            if self.ensure_indirect(ino, IDX_DTOP, inode.double, false)? {
-                let ppb = self.sb.ptrs_per_block();
-                for outer in 0..ppb {
-                    let child = self.indirect_get(ino, IDX_DTOP, outer);
-                    if child.is_some() {
-                        self.retire(child, bs);
-                    }
-                    self.cache
-                        .remove(BlockKey::file(ino, idx_dchild(outer as u32)));
-                }
-            }
-            self.retire(inode.double, bs);
-            self.cache.remove(BlockKey::file(ino, IDX_DTOP));
-            self.with_inode_mut(ino, |i| i.double = BlockAddr::NIL)?;
-        }
-        if inode.single.is_some() || self.cache.contains(BlockKey::file(ino, IDX_SINGLE)) {
-            self.retire(inode.single, bs);
-            self.cache.remove(BlockKey::file(ino, IDX_SINGLE));
-            self.with_inode_mut(ino, |i| i.single = BlockAddr::NIL)?;
-        }
-        Ok(())
-    }
-
-    /// Destroys a file whose last link was removed: retires every block,
-    /// frees the inode, and purges the cache.
-    pub(crate) fn destroy_file(&mut self, ino: Ino) -> FsResult<()> {
+    /// Retires every block, frees the inode, and purges the cache.
+    fn destroy_node(&mut self, ino: Ino) -> FsResult<()> {
         self.do_truncate(ino, 0)?;
         let entry = self.imap.get(ino)?;
         if entry.addr.is_some() {

@@ -7,8 +7,14 @@
 //! blocks, then (at checkpoints) inode-map and usage-table blocks — exactly
 //! the packing §4.1 describes, so that one burst of small file writes
 //! becomes one large sequential disk transfer.
+//!
+//! Directories, path resolution and the file operations are not here:
+//! they are [`vfs::namespace`], shared with the FFS baseline. `file.rs`
+//! holds the block mapping and this file system's
+//! [`vfs::namespace::NodeStore`] hooks (whose two persist hooks do
+//! nothing — Figure 2); `ops.rs` forwards [`vfs::FileSystem`] to the
+//! shared layer and adds `stat`, `fsync` and `sync`.
 
-mod dir;
 mod file;
 mod ops;
 #[cfg(test)]
@@ -19,6 +25,7 @@ use std::sync::Arc;
 
 use mem_mgr::{BlockKey, CacheReport, FlushCause, MemConfig, MemMgr, Owner, WritebackTrigger};
 use sim_disk::{BlockDevice, Clock, CpuCost, CpuModel};
+use vfs::blockmap::{is_data_idx, IDX_DCHILD_BASE, IDX_DTOP, IDX_SINGLE};
 use vfs::{FileKind, FsError, FsResult, Ino};
 
 use crate::config::LfsConfig;
@@ -31,23 +38,6 @@ use crate::log::{ChunkBuilder, LogPosition};
 use crate::stats::{LfsObs, LfsStats};
 use crate::types::{BlockAddr, SegNo, INODE_SIZE};
 use crate::usage::UsageTable;
-
-/// Cache-owner index of a file's single-indirect block.
-pub(crate) const IDX_SINGLE: u64 = 1 << 40;
-/// Cache-owner index of a file's double-indirect top block.
-pub(crate) const IDX_DTOP: u64 = (1 << 40) + 1;
-/// Base cache-owner index of second-level indirect blocks.
-pub(crate) const IDX_DCHILD_BASE: u64 = 1 << 41;
-
-/// Cache index of double-indirect child `outer`.
-pub(crate) fn idx_dchild(outer: u32) -> u64 {
-    IDX_DCHILD_BASE + outer as u64
-}
-
-/// Returns true if a file-owner cache index denotes a data block.
-pub(crate) fn is_data_idx(idx: u64) -> bool {
-    idx < IDX_SINGLE
-}
 
 /// Metadata cache namespace for inode blocks, keyed by disk address.
 pub(crate) const NS_INODE_BLOCKS: u32 = 1;
@@ -304,15 +294,6 @@ impl<D: BlockDevice> Lfs<D> {
     /// Returns true if the file system has degraded to read-only.
     pub fn is_read_only(&self) -> bool {
         self.read_only
-    }
-
-    /// Fails with [`FsError::ReadOnly`] if the file system has degraded.
-    pub(crate) fn check_writable(&self) -> FsResult<()> {
-        if self.read_only {
-            Err(FsError::ReadOnly)
-        } else {
-            Ok(())
-        }
     }
 
     /// Degrades the file system to read-only and records why.

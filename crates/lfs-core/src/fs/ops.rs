@@ -1,251 +1,57 @@
 //! The [`vfs::FileSystem`] implementation for LFS.
 //!
-//! Note what is *absent* here compared with the FFS baseline: no
-//! synchronous metadata writes. `create` and `unlink` mutate only the
-//! cache and the in-memory inode map; everything reaches disk later in
-//! segment-sized sequential transfers (§4.1).
+//! The namespace and data operations are the shared ones of
+//! [`vfs::namespace`], run over this file system's
+//! [`vfs::namespace::NodeStore`] hooks (`fs/file.rs`). What is written
+//! here is what only LFS can answer: `stat` (access time lives in the
+//! inode map), `fsync`/`sync` (a log write or a checkpoint) and the
+//! statistics.
 
 use sim_disk::{BlockDevice, CpuCost};
-use vfs::{DirEntry, FileKind, FileSystem, FsError, FsResult, FsStats, Ino, Metadata};
+use vfs::namespace::{self, NodeStore};
+use vfs::{DirEntry, FileSystem, FsResult, FsStats, Ino, Metadata};
 
-use super::{CachedInode, Lfs};
-use crate::layout::inode::Inode;
-use crate::stats::LfsObs;
-
-impl<D: BlockDevice> Lfs<D> {
-    /// Runs `f` and records its virtual-clock duration in the histogram
-    /// `hist` selects, successful or not — a failed operation still costs
-    /// the time it spent.
-    fn timed<R>(
-        &mut self,
-        hist: fn(&LfsObs) -> &obs::Hist,
-        f: impl FnOnce(&mut Self) -> FsResult<R>,
-    ) -> FsResult<R> {
-        let start = self.now();
-        let result = f(self);
-        let elapsed = self.now().saturating_sub(start);
-        hist(&self.obs).record(elapsed);
-        result
-    }
-
-    /// Creates a file or directory node under `path`.
-    fn create_node(&mut self, path: &str, kind: FileKind) -> FsResult<Ino> {
-        self.check_writable()?;
-        self.charge(CpuCost::CreateFile);
-        let (parent, name) = self.resolve_parent(path)?;
-        vfs::path::validate_name(name)?;
-        if self.dir_lookup(parent, name)?.is_some() {
-            return Err(FsError::AlreadyExists);
-        }
-        self.check_space(self.block_size() as u64)?;
-        let ino = self.imap.allocate()?;
-        let now = self.now();
-        let version = self.imap.get(ino)?.version;
-        let inode = Inode::new(ino, kind, version, now);
-        self.inodes.insert(ino, CachedInode { inode, dirty: true });
-        if let Err(e) = self.dir_insert(parent, name, ino, kind) {
-            // Roll back the allocation on failure (e.g. out of space).
-            self.inodes.remove(&ino);
-            let _ = self.imap.free(ino);
-            return Err(e);
-        }
-        self.maybe_writeback()?;
-        Ok(ino)
-    }
-
-    /// Drops one link; destroys the file when the last link goes.
-    fn drop_link(&mut self, ino: Ino) -> FsResult<()> {
-        let nlink = self.with_inode_mut(ino, |i| {
-            i.nlink -= 1;
-            i.nlink
-        })?;
-        if nlink == 0 {
-            self.destroy_file(ino)?;
-        }
-        Ok(())
-    }
-}
+use super::Lfs;
 
 impl<D: BlockDevice> FileSystem for Lfs<D> {
     fn lookup(&mut self, path: &str) -> FsResult<Ino> {
-        self.timed(
-            |o| &o.op_lookup,
-            |fs| {
-                fs.charge(CpuCost::Syscall);
-                let components = vfs::path::split(path)?;
-                let ino = fs.resolve_components(&components)?;
-                fs.maybe_writeback()?;
-                Ok(ino)
-            },
-        )
+        namespace::lookup(self, path)
     }
 
     fn create(&mut self, path: &str) -> FsResult<Ino> {
-        self.timed(
-            |o| &o.op_create,
-            |fs| fs.create_node(path, FileKind::Regular),
-        )
+        namespace::create(self, path)
     }
 
     fn mkdir(&mut self, path: &str) -> FsResult<Ino> {
-        self.timed(
-            |o| &o.op_mkdir,
-            |fs| fs.create_node(path, FileKind::Directory),
-        )
+        namespace::mkdir(self, path)
     }
 
     fn unlink(&mut self, path: &str) -> FsResult<()> {
-        self.timed(
-            |o| &o.op_unlink,
-            |fs| {
-                fs.check_writable()?;
-                fs.charge(CpuCost::RemoveFile);
-                let (parent, name) = fs.resolve_parent(path)?;
-                let (ino, kind) = fs.dir_lookup(parent, name)?.ok_or(FsError::NotFound)?;
-                if kind == FileKind::Directory {
-                    return Err(FsError::IsADirectory);
-                }
-                fs.dir_remove(parent, name)?;
-                fs.drop_link(ino)?;
-                fs.maybe_writeback()?;
-                Ok(())
-            },
-        )
+        namespace::unlink(self, path)
     }
 
     fn rmdir(&mut self, path: &str) -> FsResult<()> {
-        self.timed(
-            |o| &o.op_rmdir,
-            |fs| {
-                fs.check_writable()?;
-                fs.charge(CpuCost::RemoveFile);
-                let (parent, name) = fs.resolve_parent(path)?;
-                let (ino, kind) = fs.dir_lookup(parent, name)?.ok_or(FsError::NotFound)?;
-                if kind != FileKind::Directory {
-                    return Err(FsError::NotADirectory);
-                }
-                if !fs.dir_entries(ino)?.is_empty() {
-                    return Err(FsError::DirectoryNotEmpty);
-                }
-                fs.dir_remove(parent, name)?;
-                fs.destroy_file(ino)?;
-                fs.maybe_writeback()?;
-                Ok(())
-            },
-        )
+        namespace::rmdir(self, path)
     }
 
     fn rename(&mut self, from: &str, to: &str) -> FsResult<()> {
-        self.timed(
-            |o| &o.op_rename,
-            |fs| {
-                fs.check_writable()?;
-                fs.charge(CpuCost::CreateFile);
-                let from_parts = vfs::path::split(from)?;
-                let to_parts = vfs::path::split(to)?;
-                if from_parts == to_parts {
-                    fs.resolve_components(&from_parts)?;
-                    return Ok(());
-                }
-                if !from_parts.is_empty() && to_parts.starts_with(&from_parts) {
-                    return Err(FsError::InvalidPath);
-                }
-                let (from_parent, from_name) = fs.resolve_parent(from)?;
-                let (to_parent, to_name) = fs.resolve_parent(to)?;
-                vfs::path::validate_name(to_name)?;
-
-                let (src, src_kind) = fs
-                    .dir_lookup(from_parent, from_name)?
-                    .ok_or(FsError::NotFound)?;
-                if let Some((existing, existing_kind)) = fs.dir_lookup(to_parent, to_name)? {
-                    match existing_kind {
-                        FileKind::Directory => return Err(FsError::AlreadyExists),
-                        FileKind::Regular => {
-                            if src_kind == FileKind::Directory {
-                                return Err(FsError::NotADirectory);
-                            }
-                            fs.dir_remove(to_parent, to_name)?;
-                            fs.drop_link(existing)?;
-                        }
-                    }
-                }
-                fs.dir_remove(from_parent, from_name)?;
-                fs.dir_insert(to_parent, to_name, src, src_kind)?;
-                fs.maybe_writeback()?;
-                Ok(())
-            },
-        )
+        namespace::rename(self, from, to)
     }
 
     fn link(&mut self, existing: &str, new: &str) -> FsResult<()> {
-        self.timed(
-            |o| &o.op_link,
-            |fs| {
-                fs.check_writable()?;
-                fs.charge(CpuCost::CreateFile);
-                let components = vfs::path::split(existing)?;
-                let src = fs.resolve_components(&components)?;
-                if fs.inode(src)?.kind == FileKind::Directory {
-                    return Err(FsError::IsADirectory);
-                }
-                let (parent, name) = fs.resolve_parent(new)?;
-                vfs::path::validate_name(name)?;
-                if fs.dir_lookup(parent, name)?.is_some() {
-                    return Err(FsError::AlreadyExists);
-                }
-                fs.dir_insert(parent, name, src, FileKind::Regular)?;
-                fs.with_inode_mut(src, |i| i.nlink += 1)?;
-                fs.maybe_writeback()?;
-                Ok(())
-            },
-        )
+        namespace::link(self, existing, new)
     }
 
     fn read_at(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
-        self.timed(
-            |o| &o.op_read,
-            |fs| {
-                fs.charge(CpuCost::Syscall);
-                if fs.inode(ino)?.kind == FileKind::Directory {
-                    return Err(FsError::IsADirectory);
-                }
-                let n = fs.do_read(ino, offset, buf)?;
-                fs.maybe_writeback()?;
-                Ok(n)
-            },
-        )
+        namespace::read_at(self, ino, offset, buf)
     }
 
     fn write_at(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
-        self.timed(
-            |o| &o.op_write,
-            |fs| {
-                fs.check_writable()?;
-                fs.charge(CpuCost::Syscall);
-                if fs.inode(ino)?.kind == FileKind::Directory {
-                    return Err(FsError::IsADirectory);
-                }
-                let n = fs.do_write(ino, offset, data)?;
-                fs.maybe_writeback()?;
-                Ok(n)
-            },
-        )
+        namespace::write_at(self, ino, offset, data)
     }
 
     fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
-        self.timed(
-            |o| &o.op_truncate,
-            |fs| {
-                fs.check_writable()?;
-                fs.charge(CpuCost::Syscall);
-                if fs.inode(ino)?.kind == FileKind::Directory {
-                    return Err(FsError::IsADirectory);
-                }
-                fs.do_truncate(ino, size)?;
-                fs.maybe_writeback()?;
-                Ok(())
-            },
-        )
+        namespace::truncate(self, ino, size)
     }
 
     fn stat(&mut self, ino: Ino) -> FsResult<Metadata> {
@@ -263,23 +69,13 @@ impl<D: BlockDevice> FileSystem for Lfs<D> {
     }
 
     fn readdir(&mut self, path: &str) -> FsResult<Vec<DirEntry>> {
-        self.charge(CpuCost::Syscall);
-        let components = vfs::path::split(path)?;
-        let dir = self.resolve_components(&components)?;
-        let entries = self.dir_entries(dir)?;
-        Ok(entries
-            .into_iter()
-            .map(|e| DirEntry {
-                name: e.name,
-                ino: e.ino,
-                kind: e.kind,
-            })
-            .collect())
+        namespace::readdir(self, path)
     }
 
     fn fsync(&mut self, ino: Ino) -> FsResult<()> {
-        self.timed(
-            |o| &o.op_fsync,
+        namespace::timed(
+            self,
+            |h| &h.fsync,
             |fs| {
                 fs.check_writable()?;
                 fs.charge(CpuCost::Syscall);
@@ -300,8 +96,9 @@ impl<D: BlockDevice> FileSystem for Lfs<D> {
     }
 
     fn sync(&mut self) -> FsResult<()> {
-        self.timed(
-            |o| &o.op_sync,
+        namespace::timed(
+            self,
+            |h| &h.sync,
             |fs| {
                 fs.check_writable()?;
                 fs.charge(CpuCost::Syscall);

@@ -16,7 +16,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use sim_disk::BlockDevice;
-use vfs::{blockmap, FileKind, FsResult, Ino};
+use vfs::{blockmap, namespace, FileKind, FsResult, Ino};
 
 use crate::fs::Lfs;
 use crate::layout::usage_block::SegState;
@@ -82,10 +82,7 @@ impl<D: BlockDevice> Lfs<D> {
         // phases are untouched: a block the gather could not fetch (or
         // that failed its checksum) is simply re-read serially, so the
         // report is identical to a sequential check's.
-        let fanout = crate::recovery::effective_fanout(self);
-        if fanout > 1 {
-            self.gather_metadata(fanout);
-        }
+        self.gather_metadata(crate::recovery::effective_fanout(self));
         let mut report = FsckReport::default();
         let bs = self.block_size() as u64;
 
@@ -96,7 +93,7 @@ impl<D: BlockDevice> Lfs<D> {
         visited.insert(Ino::ROOT);
         queue.push_back((Ino::ROOT, "/".to_string()));
         while let Some((dir, path)) = queue.pop_front() {
-            let entries = match self.dir_entries(dir) {
+            let entries = match namespace::dir_entries(self, dir) {
                 Ok(entries) => entries,
                 Err(e) => {
                     report

@@ -30,22 +30,14 @@
 
 use mem_mgr::BlockKey;
 use sim_disk::BlockDevice;
-use vfs::blockmap::{self, NDIRECT};
+use vfs::blockmap::{self, idx_dchild, read_ptr, IDX_DTOP, IDX_SINGLE, NDIRECT};
 use vfs::{FileKind, Ino};
 
-use crate::fs::{idx_dchild, Lfs, IDX_DTOP, IDX_SINGLE, NS_INODE_BLOCKS};
+use crate::fs::{Lfs, NS_INODE_BLOCKS};
 use crate::layout::inode::inode_block;
 use crate::layout::summary;
 use crate::recovery::read_batch;
 use crate::types::BlockAddr;
-
-/// Reads pointer `slot` from an indirect block's raw bytes.
-fn read_ptr(block: &[u8], slot: usize) -> BlockAddr {
-    let start = slot * 4;
-    BlockAddr(u32::from_le_bytes(
-        block[start..start + 4].try_into().unwrap(),
-    ))
-}
 
 impl<D: BlockDevice> Lfs<D> {
     /// Prefetches one wave of `(cache key, disk address)` targets with
@@ -85,9 +77,14 @@ impl<D: BlockDevice> Lfs<D> {
     /// about to issue: wave 1 prefetches every allocated inode's inode
     /// block, wave 2 the indirect roots and direct directory data those
     /// inodes point at, wave 3 the double-indirect children and the
-    /// single-indirect span of each directory. Returns the number of
-    /// blocks prefetched (also added to `recovery.prefetched_blocks`).
-    pub(crate) fn gather_metadata(&mut self, window: usize) -> u64 {
+    /// single-indirect span of each directory. The number of blocks
+    /// prefetched is added to `recovery.prefetched_blocks`. A window of
+    /// one is the sequential case: nothing to overlap, so nothing is
+    /// gathered and the serial passes take their misses as they come.
+    pub(crate) fn gather_metadata(&mut self, window: usize) {
+        if window <= 1 {
+            return;
+        }
         self.dev.set_maintenance(true);
         let bs = self.block_size();
         let ppb = self.sb.ptrs_per_block();
@@ -154,7 +151,9 @@ impl<D: BlockDevice> Lfs<D> {
             let Some(block) = self.cache.peek(BlockKey::file(ino, IDX_DTOP)) else {
                 continue;
             };
-            let children: Vec<BlockAddr> = (0..ppb).map(|slot| read_ptr(block, slot)).collect();
+            let children: Vec<BlockAddr> = (0..ppb)
+                .map(|slot| BlockAddr(read_ptr(block, slot)))
+                .collect();
             for (outer, child) in children.into_iter().enumerate() {
                 wave.push((BlockKey::file(ino, idx_dchild(outer as u32)), child));
             }
@@ -165,7 +164,10 @@ impl<D: BlockDevice> Lfs<D> {
             };
             let hi = nblocks.min(NDIRECT as u64 + ppb as u64);
             let spans: Vec<(u64, BlockAddr)> = (NDIRECT as u64..hi)
-                .map(|bno| (bno, read_ptr(block, (bno - NDIRECT as u64) as usize)))
+                .map(|bno| {
+                    let slot = (bno - NDIRECT as u64) as usize;
+                    (bno, BlockAddr(read_ptr(block, slot)))
+                })
                 .collect();
             for (bno, addr) in spans {
                 wave.push((BlockKey::file(ino, bno), addr));
@@ -175,6 +177,5 @@ impl<D: BlockDevice> Lfs<D> {
 
         self.dev.set_maintenance(false);
         self.obs.recovery_prefetched_blocks.add(prefetched);
-        prefetched
     }
 }

@@ -50,6 +50,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use sim_disk::{BlockDevice, DiskResult};
 use vfs::blockmap;
+use vfs::namespace::{self, NodeStore};
 use vfs::{FileKind, FsError, FsResult, Ino};
 
 use crate::fs::Lfs;
@@ -301,9 +302,7 @@ pub(crate) fn roll_forward<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
     // Front-load the metadata misses of the serial repair passes below
     // (directory reconciliation, usage recount) so they overlap across
     // spindles instead of stalling one block at a time.
-    if fanout > 1 {
-        fs.gather_metadata(fanout);
-    }
+    fs.gather_metadata(fanout);
 
     // The recovered tail consumed log space; resume on a fresh segment.
     // The sequence number jumps by `nsegments + 1`: between any two
@@ -398,7 +397,7 @@ pub(crate) fn fix_directories<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
     visited.insert(Ino::ROOT);
 
     while let Some(dir) = queue.pop_front() {
-        let entries = fs.dir_entries(dir)?;
+        let entries = namespace::dir_entries(fs, dir)?;
         let mut dangling: Vec<String> = Vec::new();
         for entry in entries {
             let target_ok = fs.imap.is_allocated(entry.ino)
@@ -416,7 +415,7 @@ pub(crate) fn fix_directories<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
             }
         }
         for name in dangling {
-            fs.dir_remove(dir, &name)?;
+            namespace::dir_remove(fs, dir, &name)?;
         }
     }
 
@@ -429,7 +428,7 @@ pub(crate) fn fix_directories<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
             None => {
                 // Orphan: allocated but unreachable (e.g. an unlink whose
                 // directory update reached the log while the imap did not).
-                fs.destroy_file(ino)?;
+                fs.destroy_node(ino)?;
             }
             Some(&count) => {
                 let nlink = fs.inode(ino)?.nlink as u32;

@@ -7,7 +7,8 @@
 //! visible through the shared metrics registry (and hence the JSON
 //! export).
 
-use obs::{Counter, Hist, Registry};
+use obs::{Counter, Registry};
+use vfs::namespace::OpHists;
 
 /// Counters accumulated by a mounted LFS.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -145,25 +146,13 @@ pub(crate) struct LfsObs {
     pub scrub_bad_blocks: Counter,
     pub scrub_relocated: Counter,
     pub scrub_unrecoverable: Counter,
-    pub op_lookup: Hist,
-    pub op_create: Hist,
-    pub op_mkdir: Hist,
-    pub op_unlink: Hist,
-    pub op_rmdir: Hist,
-    pub op_rename: Hist,
-    pub op_link: Hist,
-    pub op_read: Hist,
-    pub op_write: Hist,
-    pub op_truncate: Hist,
-    pub op_fsync: Hist,
-    pub op_sync: Hist,
+    pub ops: OpHists,
 }
 
 impl LfsObs {
     /// Registers every LFS instrument in `registry`.
     pub fn new(registry: Registry) -> Self {
         let c = |name: &str| registry.counter(name);
-        let h = |name: &str| registry.hist(name);
         LfsObs {
             chunks_written: c("log.chunks_written"),
             partial_chunks: c("log.partial_chunks"),
@@ -198,18 +187,7 @@ impl LfsObs {
             scrub_bad_blocks: c("scrub.bad_blocks"),
             scrub_relocated: c("scrub.relocated"),
             scrub_unrecoverable: c("scrub.unrecoverable"),
-            op_lookup: h("op.lookup_ns"),
-            op_create: h("op.create_ns"),
-            op_mkdir: h("op.mkdir_ns"),
-            op_unlink: h("op.unlink_ns"),
-            op_rmdir: h("op.rmdir_ns"),
-            op_rename: h("op.rename_ns"),
-            op_link: h("op.link_ns"),
-            op_read: h("op.read_ns"),
-            op_write: h("op.write_ns"),
-            op_truncate: h("op.truncate_ns"),
-            op_fsync: h("op.fsync_ns"),
-            op_sync: h("op.sync_ns"),
+            ops: OpHists::new(&registry),
             registry,
         }
     }

@@ -69,6 +69,36 @@ pub fn blocks_for_size(size: u64, block_size: usize) -> u64 {
     size.div_ceil(block_size as u64)
 }
 
+/// Cache index of a file's single-indirect block. Data blocks are keyed
+/// by their file block number, which [`resolve`] bounds far below this.
+pub const IDX_SINGLE: u64 = 1 << 40;
+/// Cache index of a file's double-indirect top block.
+pub const IDX_DTOP: u64 = (1 << 40) + 1;
+/// Base cache index of second-level indirect blocks.
+pub const IDX_DCHILD_BASE: u64 = 1 << 41;
+
+/// Cache index of double-indirect child `outer`.
+pub fn idx_dchild(outer: u32) -> u64 {
+    IDX_DCHILD_BASE + outer as u64
+}
+
+/// Returns true if a file-owner cache index denotes a data block.
+pub fn is_data_idx(idx: u64) -> bool {
+    idx < IDX_SINGLE
+}
+
+/// Reads pointer `slot` from an indirect block's raw bytes.
+pub fn read_ptr(block: &[u8], slot: usize) -> u32 {
+    let start = slot * 4;
+    u32::from_le_bytes(block[start..start + 4].try_into().unwrap())
+}
+
+/// Writes pointer `slot` in an indirect block's raw bytes.
+pub fn write_ptr(block: &mut [u8], slot: usize, addr: u32) {
+    let start = slot * 4;
+    block[start..start + 4].copy_from_slice(&addr.to_le_bytes());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +146,34 @@ mod tests {
         // 4 KB blocks: must comfortably exceed the 100 MB large-file test.
         let max = max_file_size(4096, PPB);
         assert!(max > 4 * 1024 * 1024 * 1024u64);
+    }
+
+    #[test]
+    fn pointers_round_trip_in_their_own_slot() {
+        let mut block = vec![0xFFu8; 4 * PPB];
+        write_ptr(&mut block, 0, 7);
+        write_ptr(&mut block, PPB - 1, 0xDEAD_BEEF);
+        assert_eq!(read_ptr(&block, 0), 7);
+        assert_eq!(read_ptr(&block, PPB - 1), 0xDEAD_BEEF);
+        // Untouched slots keep the NIL fill; neighbours are not clobbered.
+        assert_eq!(read_ptr(&block, 1), u32::MAX);
+        assert_eq!(read_ptr(&block, PPB - 2), u32::MAX);
+        assert_eq!(&block[..4], &7u32.to_le_bytes());
+    }
+
+    #[test]
+    fn cache_index_ranges_do_not_overlap() {
+        // Every mappable data block index is a data index...
+        let last_data = (NDIRECT + PPB + PPB * PPB - 1) as u64;
+        assert!(resolve(last_data, PPB).is_some());
+        assert!(is_data_idx(0) && is_data_idx(last_data));
+        // ...and no indirect block's index is.
+        let last_child = idx_dchild(PPB as u32 - 1);
+        for idx in [IDX_SINGLE, IDX_DTOP, idx_dchild(0), last_child] {
+            assert!(!is_data_idx(idx));
+        }
+        assert!(IDX_SINGLE < IDX_DTOP && IDX_DTOP < idx_dchild(0));
+        assert_eq!(last_child - IDX_DCHILD_BASE, PPB as u64 - 1);
     }
 
     #[test]

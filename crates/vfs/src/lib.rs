@@ -9,20 +9,32 @@
 //!
 //! It also hosts the pieces the two file systems genuinely share:
 //!
+//! * [`namespace`] — the UNIX namespace and file operations themselves:
+//!   directory streams, path walks, `create`/`unlink`/`rename`/`link`,
+//!   the read loop and the per-operation histograms, written once and
+//!   generic over [`namespace::NodeStore`], the hooks in which LFS and
+//!   FFS differ (inode allocation, block placement, and what must be on
+//!   disk when a call returns).
 //! * [`dirent`] — the directory-entry wire format (the paper notes LFS
 //!   keeps "the formats of directories and inodes ... the same as in the
 //!   BSD example").
 //! * [`blockmap`] — direct/single-indirect/double-indirect block-index
-//!   arithmetic for UNIX-style inodes.
+//!   arithmetic for UNIX-style inodes, the indirect-block pointer codec
+//!   and the cache-index ranges of indirect blocks.
 //! * [`path`] — absolute-path parsing and validation.
 //! * [`model::ModelFs`] — an in-memory reference implementation used as the
-//!   oracle in property-based tests.
+//!   oracle in property-based tests. It deliberately does not use
+//!   [`namespace`]: an oracle that shared the code under test would agree
+//!   with its bugs.
 
 pub mod blockmap;
 pub mod dirent;
 pub mod error;
 pub mod fs;
 pub mod model;
+pub mod namespace;
+#[cfg(test)]
+mod namespace_tests;
 pub mod path;
 pub mod types;
 pub mod wire;

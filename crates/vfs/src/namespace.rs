@@ -1,0 +1,557 @@
+//! The UNIX namespace and file operations, written once for both file
+//! systems.
+//!
+//! The paper changes *where blocks go*, not what a file or a directory
+//! is: "the format of inodes and indirect blocks is unchanged" (§4.2.1)
+//! and "the formats of directories and inodes are the same as in the BSD
+//! example" (Figure 2). So everything above block placement — directory
+//! streams, path walks, `create`/`unlink`/`rename`/`link` and the
+//! byte loop of `read` — lives here, generic over [`NodeStore`], the
+//! small set of hooks in which LFS and FFS really differ: how an inode
+//! is allocated and freed, where a block lives, and which changes must
+//! reach the disk before the call returns.
+//!
+//! The functions issue one fixed sequence of CPU charges and hook calls
+//! per operation. FFS's order is the script (Figure 1): `create` and
+//! `link` persist the inode and then the directory block; `unlink`,
+//! `rmdir` and `rename` persist the directory block and then the inode.
+//! LFS implements both persist hooks as no-ops (Figure 2), so the same
+//! script costs it no device access at all.
+//!
+//! A file system implements [`crate::FileSystem`] by forwarding the
+//! operations below and writing `stat`, `fsync`, `sync` and its
+//! statistics itself. [`crate::model::ModelFs`] does not use this
+//! layer: it is the independent oracle these operations are checked
+//! against.
+
+use std::ops::Range;
+
+use obs::{Hist, Registry};
+use sim_disk::{CpuCost, CpuModel};
+
+use crate::dirent::{self, RawEntry};
+use crate::error::{FsError, FsResult};
+use crate::path::{split, split_parent, validate_name};
+use crate::types::{DirEntry, FileKind, Ino};
+
+/// Per-operation latency histograms on the virtual clock. Both file
+/// systems register the same `op.*_ns` names, so LFS and FFS runs
+/// export through one schema.
+#[allow(missing_docs)] // One histogram per `FileSystem` operation, named after it.
+pub struct OpHists {
+    pub lookup: Hist,
+    pub create: Hist,
+    pub mkdir: Hist,
+    pub unlink: Hist,
+    pub rmdir: Hist,
+    pub rename: Hist,
+    pub link: Hist,
+    pub read: Hist,
+    pub write: Hist,
+    pub truncate: Hist,
+    pub fsync: Hist,
+    pub sync: Hist,
+}
+
+impl OpHists {
+    /// Registers the twelve histograms in `registry`.
+    pub fn new(registry: &Registry) -> Self {
+        let h = |name: &str| registry.hist(name);
+        OpHists {
+            lookup: h("op.lookup_ns"),
+            create: h("op.create_ns"),
+            mkdir: h("op.mkdir_ns"),
+            unlink: h("op.unlink_ns"),
+            rmdir: h("op.rmdir_ns"),
+            rename: h("op.rename_ns"),
+            link: h("op.link_ns"),
+            read: h("op.read_ns"),
+            write: h("op.write_ns"),
+            truncate: h("op.truncate_ns"),
+            fsync: h("op.fsync_ns"),
+            sync: h("op.sync_ns"),
+        }
+    }
+}
+
+/// What this layer needs to know about one inode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeView {
+    /// File or directory.
+    pub kind: FileKind,
+    /// Length in bytes.
+    pub size: u64,
+    /// Number of directory entries referring to the inode.
+    pub nlink: u16,
+}
+
+/// The hooks a file system provides to the shared namespace layer:
+/// inodes, their bytes, and what has to be on disk when a call returns.
+///
+/// Nothing here says which file system is calling. Where LFS and FFS
+/// differ, each does its own thing inside the hook — or nothing.
+pub trait NodeStore {
+    /// The CPU model operations are charged to (and, through it, the
+    /// virtual clock they are timed on).
+    fn cpu(&self) -> &CpuModel;
+
+    /// The histograms [`timed`] records into.
+    fn op_hists(&self) -> &OpHists;
+
+    /// File-system block size in bytes.
+    fn block_size(&self) -> usize;
+
+    /// Fails if the file system currently refuses changes. Every
+    /// mutating operation asks first, before it charges anything.
+    fn check_writable(&self) -> FsResult<()>;
+
+    /// Kind, size and link count of `ino`, loading the inode if needed.
+    fn node(&mut self, ino: Ino) -> FsResult<NodeView>;
+
+    /// Sets the link count of `ino` (in memory; see
+    /// [`persist_inode`](NodeStore::persist_inode)).
+    fn set_nlink(&mut self, ino: Ino, nlink: u16) -> FsResult<()>;
+
+    /// Allocates an empty inode of `kind` with one link, for a new
+    /// entry of directory `parent`, after checking there is room for it.
+    fn alloc_node(&mut self, parent: Ino, kind: FileKind) -> FsResult<Ino>;
+
+    /// Takes back an [`alloc_node`](NodeStore::alloc_node) whose
+    /// directory entry could not be written.
+    fn unalloc_node(&mut self, ino: Ino);
+
+    /// Destroys a file or directory that no entry names any more: frees
+    /// its blocks and its inode, and purges it from the cache.
+    fn destroy_node(&mut self, ino: Ino) -> FsResult<()>;
+
+    /// Makes the inode's current state durable before the operation
+    /// returns, if the file system promises that.
+    fn persist_inode(&mut self, ino: Ino) -> FsResult<()>;
+
+    /// Makes bytes `range` of directory `dir` durable before the
+    /// operation returns, if the file system promises that.
+    fn persist_dir_range(&mut self, dir: Ino, range: Range<u64>) -> FsResult<()>;
+
+    /// One block of a file, read through the cache; `None` for a hole.
+    fn file_block(&mut self, ino: Ino, bno: u64) -> FsResult<Option<Vec<u8>>>;
+
+    /// Records that `ino` was just read.
+    fn touch_atime(&mut self, ino: Ino) -> FsResult<()>;
+
+    /// Writes file data into the cache, within the free-space budget.
+    fn do_write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize>;
+
+    /// Writes directory content into the cache. No free-space *budget*
+    /// applies: `unlink` has to rewrite a directory on a disk that is
+    /// over budget, or it could never free space, and `rename`/`link`
+    /// grow the tree by next to nothing.
+    fn do_write_dir(&mut self, dir: Ino, offset: u64, data: &[u8]) -> FsResult<usize>;
+
+    /// Sets a file's or directory's length (shrink or zero-extend).
+    fn do_truncate(&mut self, ino: Ino, size: u64) -> FsResult<()>;
+
+    /// Called last by every operation that succeeded so far, reads
+    /// included: where the file system applies its delayed-write policy.
+    fn after_op(&mut self) -> FsResult<()>;
+}
+
+/// The CPU cost of copying `bytes` bytes between buffers.
+pub fn copy_cost(bytes: usize) -> CpuCost {
+    CpuCost::Instructions(CpuCost::CopyKb.instructions() * (bytes as u64).div_ceil(1024))
+}
+
+/// Runs `f` and records its virtual-clock duration in the histogram
+/// `hist` selects, successful or not — a failed operation still costs
+/// the time it spent.
+pub fn timed<S: NodeStore, R>(
+    fs: &mut S,
+    hist: fn(&OpHists) -> &Hist,
+    f: impl FnOnce(&mut S) -> FsResult<R>,
+) -> FsResult<R> {
+    let start = fs.cpu().clock().now_ns();
+    let result = f(fs);
+    let elapsed = fs.cpu().clock().now_ns().saturating_sub(start);
+    hist(fs.op_hists()).record(elapsed);
+    result
+}
+
+// ----------------------------------------------------------------------
+// Directories and paths.
+//
+// A directory is a file whose content is a stream of [`dirent`]-encoded
+// entries. Appending an entry dirties only the directory's last block;
+// removal rewrites the suffix of the stream from the removal point.
+// ----------------------------------------------------------------------
+
+/// Reads a directory's full entry stream.
+pub fn read_dir_stream<S: NodeStore>(fs: &mut S, dir: Ino) -> FsResult<Vec<u8>> {
+    let node = fs.node(dir)?;
+    if node.kind != FileKind::Directory {
+        return Err(FsError::NotADirectory);
+    }
+    let mut stream = vec![0u8; node.size as usize];
+    let mut read = 0usize;
+    while read < stream.len() {
+        let n = do_read(fs, dir, read as u64, &mut stream[read..])?;
+        if n == 0 {
+            return Err(FsError::Corrupt("directory shorter than its size"));
+        }
+        read += n;
+    }
+    Ok(stream)
+}
+
+/// Parses a directory into entries.
+pub fn dir_entries<S: NodeStore>(fs: &mut S, dir: Ino) -> FsResult<Vec<RawEntry>> {
+    let stream = read_dir_stream(fs, dir)?;
+    dirent::parse(&stream)
+}
+
+/// Finds one entry by name.
+fn dir_lookup<S: NodeStore>(fs: &mut S, dir: Ino, name: &str) -> FsResult<Option<(Ino, FileKind)>> {
+    let stream = read_dir_stream(fs, dir)?;
+    dirent::lookup(&stream, name)
+}
+
+/// Appends an entry and returns the byte range it changed, for the
+/// caller to persist once the inode it names is. The caller must have
+/// checked for duplicates.
+fn dir_insert<S: NodeStore>(
+    fs: &mut S,
+    dir: Ino,
+    name: &str,
+    ino: Ino,
+    kind: FileKind,
+) -> FsResult<Range<u64>> {
+    let size = fs.node(dir)?.size;
+    let mut encoded = Vec::new();
+    dirent::encode_entry(&mut encoded, ino, kind, name);
+    fs.do_write_dir(dir, size, &encoded)?;
+    Ok(size..size + encoded.len() as u64)
+}
+
+/// Removes the entry named `name`, rewriting the stream suffix, and
+/// persists the changed range. Returns the removed entry's target.
+pub fn dir_remove<S: NodeStore>(fs: &mut S, dir: Ino, name: &str) -> FsResult<(Ino, FileKind)> {
+    let entries = dir_entries(fs, dir)?;
+    let index = entries
+        .iter()
+        .position(|e| e.name == name)
+        .ok_or(FsError::NotFound)?;
+    let removed = (entries[index].ino, entries[index].kind);
+    let offset = entries[index].offset as u64;
+    let suffix = dirent::encode_all(&entries[index + 1..]);
+    if !suffix.is_empty() {
+        fs.do_write_dir(dir, offset, &suffix)?;
+    }
+    fs.do_truncate(dir, offset + suffix.len() as u64)?;
+    // Removing the last entry changes no byte that is kept, but the
+    // block it ended in was rewritten (its tail zeroed).
+    fs.persist_dir_range(dir, offset..offset + suffix.len().max(1) as u64)?;
+    Ok(removed)
+}
+
+/// Walks path components from the root.
+fn resolve_components<S: NodeStore>(fs: &mut S, components: &[&str]) -> FsResult<Ino> {
+    let mut current = Ino::ROOT;
+    for part in components {
+        fs.cpu().charge(CpuCost::MapBlock);
+        match dir_lookup(fs, current, part)? {
+            Some((ino, _)) => current = ino,
+            None => return Err(FsError::NotFound),
+        }
+    }
+    Ok(current)
+}
+
+/// Resolves `path`'s parent directory; returns `(parent, final name)`.
+fn resolve_parent<'p, S: NodeStore>(fs: &mut S, path: &'p str) -> FsResult<(Ino, &'p str)> {
+    let (parent_parts, name) = split_parent(path)?;
+    let parent = resolve_components(fs, &parent_parts)?;
+    if fs.node(parent)?.kind != FileKind::Directory {
+        return Err(FsError::NotADirectory);
+    }
+    Ok((parent, name))
+}
+
+// ----------------------------------------------------------------------
+// The operations, one per `FileSystem` method of the same name.
+// ----------------------------------------------------------------------
+
+/// Creates a file or directory node under `path`.
+fn create_node<S: NodeStore>(fs: &mut S, path: &str, kind: FileKind) -> FsResult<Ino> {
+    fs.check_writable()?;
+    fs.cpu().charge(CpuCost::CreateFile);
+    let (parent, name) = resolve_parent(fs, path)?;
+    validate_name(name)?;
+    if dir_lookup(fs, parent, name)?.is_some() {
+        return Err(FsError::AlreadyExists);
+    }
+    let ino = fs.alloc_node(parent, kind)?;
+    let range = match dir_insert(fs, parent, name, ino, kind) {
+        Ok(range) => range,
+        Err(e) => {
+            // E.g. out of space: no entry, so no inode either.
+            fs.unalloc_node(ino);
+            return Err(e);
+        }
+    };
+    fs.persist_inode(ino)?;
+    fs.persist_dir_range(parent, range)?;
+    fs.after_op()?;
+    Ok(ino)
+}
+
+/// Drops one link; destroys the file when the last link goes.
+fn drop_link<S: NodeStore>(fs: &mut S, ino: Ino) -> FsResult<()> {
+    let nlink = fs.node(ino)?.nlink - 1;
+    fs.set_nlink(ino, nlink)?;
+    if nlink == 0 {
+        fs.destroy_node(ino)
+    } else {
+        fs.persist_inode(ino)
+    }
+}
+
+/// Fails with [`FsError::IsADirectory`] unless `ino` is a regular file.
+fn check_regular<S: NodeStore>(fs: &mut S, ino: Ino) -> FsResult<()> {
+    if fs.node(ino)?.kind == FileKind::Directory {
+        return Err(FsError::IsADirectory);
+    }
+    Ok(())
+}
+
+/// [`crate::FileSystem::lookup`].
+pub fn lookup<S: NodeStore>(fs: &mut S, path: &str) -> FsResult<Ino> {
+    timed(
+        fs,
+        |h| &h.lookup,
+        |fs| {
+            fs.cpu().charge(CpuCost::Syscall);
+            let components = split(path)?;
+            let ino = resolve_components(fs, &components)?;
+            fs.after_op()?;
+            Ok(ino)
+        },
+    )
+}
+
+/// [`crate::FileSystem::create`].
+pub fn create<S: NodeStore>(fs: &mut S, path: &str) -> FsResult<Ino> {
+    timed(
+        fs,
+        |h| &h.create,
+        |fs| create_node(fs, path, FileKind::Regular),
+    )
+}
+
+/// [`crate::FileSystem::mkdir`].
+pub fn mkdir<S: NodeStore>(fs: &mut S, path: &str) -> FsResult<Ino> {
+    timed(
+        fs,
+        |h| &h.mkdir,
+        |fs| create_node(fs, path, FileKind::Directory),
+    )
+}
+
+/// [`crate::FileSystem::unlink`].
+pub fn unlink<S: NodeStore>(fs: &mut S, path: &str) -> FsResult<()> {
+    timed(
+        fs,
+        |h| &h.unlink,
+        |fs| {
+            fs.check_writable()?;
+            fs.cpu().charge(CpuCost::RemoveFile);
+            let (parent, name) = resolve_parent(fs, path)?;
+            let (ino, kind) = dir_lookup(fs, parent, name)?.ok_or(FsError::NotFound)?;
+            if kind == FileKind::Directory {
+                return Err(FsError::IsADirectory);
+            }
+            dir_remove(fs, parent, name)?;
+            drop_link(fs, ino)?;
+            fs.after_op()
+        },
+    )
+}
+
+/// [`crate::FileSystem::rmdir`].
+pub fn rmdir<S: NodeStore>(fs: &mut S, path: &str) -> FsResult<()> {
+    timed(
+        fs,
+        |h| &h.rmdir,
+        |fs| {
+            fs.check_writable()?;
+            fs.cpu().charge(CpuCost::RemoveFile);
+            let (parent, name) = resolve_parent(fs, path)?;
+            let (ino, kind) = dir_lookup(fs, parent, name)?.ok_or(FsError::NotFound)?;
+            if kind != FileKind::Directory {
+                return Err(FsError::NotADirectory);
+            }
+            if !dir_entries(fs, ino)?.is_empty() {
+                return Err(FsError::DirectoryNotEmpty);
+            }
+            dir_remove(fs, parent, name)?;
+            fs.destroy_node(ino)?;
+            fs.after_op()
+        },
+    )
+}
+
+/// [`crate::FileSystem::rename`].
+pub fn rename<S: NodeStore>(fs: &mut S, from: &str, to: &str) -> FsResult<()> {
+    timed(
+        fs,
+        |h| &h.rename,
+        |fs| {
+            fs.check_writable()?;
+            fs.cpu().charge(CpuCost::CreateFile);
+            let from_parts = split(from)?;
+            let to_parts = split(to)?;
+            if from_parts == to_parts {
+                resolve_components(fs, &from_parts)?;
+                return Ok(());
+            }
+            if !from_parts.is_empty() && to_parts.starts_with(&from_parts) {
+                return Err(FsError::InvalidPath);
+            }
+            let (from_parent, from_name) = resolve_parent(fs, from)?;
+            let (to_parent, to_name) = resolve_parent(fs, to)?;
+            validate_name(to_name)?;
+
+            let (src, src_kind) =
+                dir_lookup(fs, from_parent, from_name)?.ok_or(FsError::NotFound)?;
+            if let Some((existing, existing_kind)) = dir_lookup(fs, to_parent, to_name)? {
+                match existing_kind {
+                    FileKind::Directory => return Err(FsError::AlreadyExists),
+                    FileKind::Regular => {
+                        if src_kind == FileKind::Directory {
+                            return Err(FsError::NotADirectory);
+                        }
+                        dir_remove(fs, to_parent, to_name)?;
+                        drop_link(fs, existing)?;
+                    }
+                }
+            }
+            dir_remove(fs, from_parent, from_name)?;
+            let range = dir_insert(fs, to_parent, to_name, src, src_kind)?;
+            fs.persist_dir_range(to_parent, range)?;
+            fs.after_op()
+        },
+    )
+}
+
+/// [`crate::FileSystem::link`].
+pub fn link<S: NodeStore>(fs: &mut S, existing: &str, new: &str) -> FsResult<()> {
+    timed(
+        fs,
+        |h| &h.link,
+        |fs| {
+            fs.check_writable()?;
+            fs.cpu().charge(CpuCost::CreateFile);
+            let components = split(existing)?;
+            let src = resolve_components(fs, &components)?;
+            check_regular(fs, src)?;
+            let (parent, name) = resolve_parent(fs, new)?;
+            validate_name(name)?;
+            if dir_lookup(fs, parent, name)?.is_some() {
+                return Err(FsError::AlreadyExists);
+            }
+            let range = dir_insert(fs, parent, name, src, FileKind::Regular)?;
+            let nlink = fs.node(src)?.nlink + 1;
+            fs.set_nlink(src, nlink)?;
+            fs.persist_inode(src)?;
+            fs.persist_dir_range(parent, range)?;
+            fs.after_op()
+        },
+    )
+}
+
+/// [`crate::FileSystem::read_at`].
+pub fn read_at<S: NodeStore>(fs: &mut S, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
+    timed(
+        fs,
+        |h| &h.read,
+        |fs| {
+            fs.cpu().charge(CpuCost::Syscall);
+            check_regular(fs, ino)?;
+            let n = do_read(fs, ino, offset, buf)?;
+            fs.after_op()?;
+            Ok(n)
+        },
+    )
+}
+
+/// [`crate::FileSystem::write_at`].
+pub fn write_at<S: NodeStore>(fs: &mut S, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
+    timed(
+        fs,
+        |h| &h.write,
+        |fs| {
+            fs.check_writable()?;
+            fs.cpu().charge(CpuCost::Syscall);
+            check_regular(fs, ino)?;
+            let n = fs.do_write(ino, offset, data)?;
+            fs.after_op()?;
+            Ok(n)
+        },
+    )
+}
+
+/// [`crate::FileSystem::truncate`].
+pub fn truncate<S: NodeStore>(fs: &mut S, ino: Ino, size: u64) -> FsResult<()> {
+    timed(
+        fs,
+        |h| &h.truncate,
+        |fs| {
+            fs.check_writable()?;
+            fs.cpu().charge(CpuCost::Syscall);
+            check_regular(fs, ino)?;
+            fs.do_truncate(ino, size)?;
+            fs.after_op()
+        },
+    )
+}
+
+/// [`crate::FileSystem::readdir`].
+pub fn readdir<S: NodeStore>(fs: &mut S, path: &str) -> FsResult<Vec<DirEntry>> {
+    fs.cpu().charge(CpuCost::Syscall);
+    let components = split(path)?;
+    let dir = resolve_components(fs, &components)?;
+    let entries = dir_entries(fs, dir)?;
+    Ok(entries
+        .into_iter()
+        .map(|e| DirEntry {
+            name: e.name,
+            ino: e.ino,
+            kind: e.kind,
+        })
+        .collect())
+}
+
+/// Copies a file's (or a directory's) bytes at `offset` into `buf`,
+/// block by block through the cache, zero-filling holes; stops at end
+/// of file. Returns the bytes read.
+fn do_read<S: NodeStore>(fs: &mut S, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
+    let size = fs.node(ino)?.size;
+    if offset >= size {
+        return Ok(0);
+    }
+    let bs = fs.block_size() as u64;
+    let want = (buf.len() as u64).min(size - offset) as usize;
+    let mut done = 0usize;
+    while done < want {
+        let pos = offset + done as u64;
+        let bno = pos / bs;
+        let within = (pos % bs) as usize;
+        let n = (bs as usize - within).min(want - done);
+        fs.cpu().charge(CpuCost::MapBlock);
+        match fs.file_block(ino, bno)? {
+            Some(block) => buf[done..done + n].copy_from_slice(&block[within..within + n]),
+            None => buf[done..done + n].fill(0),
+        }
+        fs.cpu().charge(copy_cost(n));
+        done += n;
+    }
+    fs.touch_atime(ino)?;
+    Ok(done)
+}
