@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use lfs_bench::{print_table, MetricsReport, Row};
-use lfs_core::{Lfs, LfsConfig};
+use lfs_core::{CleanerPolicy, Lfs, LfsConfig};
 use sim_disk::{Clock, DiskGeometry, SimDisk};
 use vfs::FileSystem;
 use workload::{payload, Stopwatch};
@@ -37,6 +37,11 @@ fn run(fullness: f64, metrics: &mut MetricsReport) -> Outcome {
     // Probe beyond the default 88 % utilization cap: this experiment
     // exists to map the danger zone the cap protects against.
     cfg.max_utilization = 0.97;
+    // §5.3's question is asked of the paper's cleaner, so this sweep
+    // keeps the paper's policy; the churn below is uniform, so an
+    // age-aware policy would have no skew to exploit anyway
+    // (`abl_cleaner_policy` is the skewed comparison).
+    cfg.cleaner.policy = CleanerPolicy::Greedy;
     let mut fs = Lfs::format(disk, cfg, Arc::clone(&clock)).unwrap();
 
     // Fill to the target live fraction with 16 KB files.

@@ -30,7 +30,7 @@
 use sim_disk::BlockDevice;
 use vfs::{FsError, FsResult};
 
-use crate::cleaner::{AsyncCleanerPolicy, CleanerRunMode};
+use crate::cleaner::{AsyncCleanerPolicy, CleanerRunMode, VictimReason};
 use crate::fs::Lfs;
 use crate::layout::summary::{ChunkCursor, ChunkSummary};
 use crate::layout::usage_block::SegState;
@@ -51,6 +51,8 @@ struct PendingRead {
 #[derive(Debug)]
 struct VictimProgress {
     seg: SegNo,
+    /// What the policy saw in the segment when cleaning of it began.
+    reason: VictimReason,
     /// The segment image, filled front-to-back by the read steps.
     image: Vec<u8>,
     /// Blocks of the image that are valid.
@@ -113,7 +115,7 @@ enum StepWork {
 impl<D: BlockDevice> Lfs<D> {
     /// Segments currently reusable or awaiting their commit: clean plus
     /// clean-pending.
-    fn clean_and_pending(&self) -> usize {
+    pub(crate) fn clean_and_pending(&self) -> usize {
         self.usage.clean_count() + self.usage.segments_in_state(SegState::CleanPending).len()
     }
 
@@ -390,6 +392,7 @@ impl<D: BlockDevice> Lfs<D> {
         let seg_blocks = self.sb.seg_blocks as usize;
         VictimProgress {
             seg,
+            reason: self.victim_reason(seg, self.now()),
             image: vec![0u8; seg_blocks * bs],
             blocks_read: 0,
             pending_read: None,
@@ -407,6 +410,22 @@ impl<D: BlockDevice> Lfs<D> {
     fn finish_victim(&mut self, v: &VictimProgress) -> (u64, u64) {
         self.usage.set_state(v.seg, SegState::CleanPending);
         self.obs.segments_cleaned.inc();
+        self.obs.registry.event(
+            self.clock.now_ns(),
+            "victim",
+            format!(
+                "seg={} util={:.3} age_ms={} score={:.4e} policy={:?} clean={} pending={} \
+                 live_blocks={}",
+                v.seg.0,
+                v.reason.utilization,
+                v.reason.age_ns / 1_000_000,
+                v.reason.score,
+                self.cfg.cleaner.policy,
+                self.usage.clean_count(),
+                self.usage.segments_in_state(SegState::CleanPending).len(),
+                v.live_blocks,
+            ),
+        );
         self.obs.cleaner_blocks_copied.add(v.live_blocks);
         self.obs.cleaner_inodes_copied.add(v.live_inodes);
         (v.live_blocks, v.live_inodes)

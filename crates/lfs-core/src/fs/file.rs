@@ -348,6 +348,8 @@ impl<D: BlockDevice> NodeStore for Lfs<D> {
             i.size = i.size.max(end);
             i.mtime_ns = now;
         })?;
+        // Freshly written: no longer one of the cleaner's cold survivors.
+        self.relocated.remove(&ino);
         Ok(done)
     }
 
@@ -388,6 +390,7 @@ impl<D: BlockDevice> NodeStore for Lfs<D> {
             i.size = new_size;
             i.mtime_ns = now;
         })?;
+        self.relocated.remove(&ino);
         Ok(())
     }
 

@@ -98,6 +98,10 @@ pub struct Lfs<D: BlockDevice> {
     /// is unchanged, starting another run would spin fruitlessly, so
     /// [`Lfs::cleaner_wants_step`] declines.
     pub(crate) cleaner_futile_at: Option<usize>,
+    /// Files with blocks the cleaner re-dirtied and no user write since:
+    /// survivors, hence probably cold. The next flush writes them ahead
+    /// of fresh data so the two do not share segments.
+    pub(crate) relocated: BTreeSet<Ino>,
 }
 
 /// In-progress chunk state during a flush.
@@ -207,6 +211,7 @@ impl<D: BlockDevice> Lfs<D> {
             read_only: false,
             cleaner_run: None,
             cleaner_futile_at: None,
+            relocated: BTreeSet::new(),
         };
         fs.usage.set_state(SegNo(0), SegState::Active);
         fs
@@ -707,6 +712,21 @@ impl<D: BlockDevice> Lfs<D> {
             })
             .chain(self.dirty_inos())
             .collect();
+        // Age separation: the cleaner's survivors go first, oldest first,
+        // so cold data fills segments of its own and the fresh (hot)
+        // data behind it dies together. With nothing relocated this is
+        // the ascending walk unchanged.
+        let relocated = std::mem::take(&mut self.relocated);
+        let mut survivors = Vec::with_capacity(relocated.len());
+        for &ino in relocated.intersection(&owners) {
+            survivors.push((self.inode(ino)?.mtime_ns, ino));
+        }
+        survivors.sort_unstable();
+        let owners: Vec<Ino> = survivors
+            .into_iter()
+            .map(|(_, ino)| ino)
+            .chain(owners.difference(&relocated).copied())
+            .collect();
 
         // Phase 1: data blocks, grouped by file, ascending block index.
         for &ino in &owners {
@@ -969,15 +989,19 @@ impl<D: BlockDevice> Lfs<D> {
 
     /// The synchronous clean-on-threshold body: several passes sharing
     /// one relocation budget, then the checkpoint that commits them.
+    /// The activation ends at the victim that brings clean + pending
+    /// segments to its target, not at the end of that victim's pass: a
+    /// foreground operation is waiting on it.
     fn clean_threshold_passes(&mut self, activate_below: usize) -> FsResult<()> {
         // Several passes share one relocation budget and one
         // checkpoint: on small segments a per-pass checkpoint would
         // cost more log space than a pass reclaims.
         self.in_maintenance = true;
+        let target = activate_below + 2;
         let mut budget = self.relocation_budget();
         let mut result = Ok(());
         for _ in 0..4 {
-            match self.clean_pass_with_budget(&mut budget) {
+            match self.clean_pass_toward(&mut budget, target) {
                 Ok(outcome) if outcome.segments == 0 => break,
                 Ok(_) => {}
                 Err(e) => {
@@ -985,8 +1009,7 @@ impl<D: BlockDevice> Lfs<D> {
                     break;
                 }
             }
-            let pending = self.usage.segments_in_state(SegState::CleanPending).len();
-            if self.usage.clean_count() + pending >= activate_below + 4 {
+            if self.clean_and_pending() >= target {
                 break;
             }
         }
