@@ -17,10 +17,10 @@
 //!   The queue has a depth knob with backpressure, cross-client write
 //!   coalescing (sector-adjacent pending writes merge into one
 //!   transfer), write absorption, and read-from-queue hits.
-//! * [`sched`] — pluggable I/O schedulers ([`Fcfs`], [`Sstf`],
-//!   [`CLook`]) that reorder pending requests using disk geometry. The
-//!   engine enforces a bounded-wait (anti-starvation) guarantee *outside*
-//!   the policy: an aged request preempts any policy choice.
+//!   The head services the queue oldest-first; [`qos`] narrows the
+//!   pick to the tenant furthest behind its share, and a bounded-wait
+//!   (anti-starvation) check overrides both: an aged request preempts
+//!   any other choice.
 //! * [`driver`] — the one closed-loop host loop (earliest-ready client
 //!   first, virtual time advanced to its ready-time) and the one rule
 //!   for offering background [`Maintenance`] steps in the idle time
@@ -28,7 +28,7 @@
 //! * [`multi`], [`mix`] — N closed-loop clients running the `workload`
 //!   small-file generator (create, or an overwrite+read mix) against
 //!   one file system on that driver. Per-client latency histograms,
-//!   queue-depth gauges, and scheduler-decision trace events land in
+//!   queue-depth gauges, and pick-decision (`sched`) trace events land in
 //!   the file system's [`obs::Registry`].
 //!
 //! Everything is deterministic: same config, same virtual-time results,
@@ -39,7 +39,6 @@ pub mod mix;
 pub mod multi;
 pub mod qos;
 pub mod queue;
-pub mod sched;
 
 pub use driver::{drain, offer, run_closed_loop, IdleWindow, LoopReport, Maintenance, Step, Turn};
 pub use mix::{run_overwrite_read_mix, MixConfig, MixReport};
@@ -49,4 +48,3 @@ pub use multi::{
 };
 pub use qos::{FairShare, QosClass, QosSpec, TenantQos};
 pub use queue::{EngineConfig, EngineCore, EngineDisk, ReadHandle, MAINT_OWNER};
-pub use sched::{CLook, Fcfs, IoScheduler, SchedulerKind, Sstf};

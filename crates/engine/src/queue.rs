@@ -4,14 +4,16 @@
 //! [`EngineCore`] owns the [`SimDisk`] and its pending-request queue.
 //! File systems are generic over [`BlockDevice`], so they mount an
 //! [`EngineDisk`] — a cheap handle onto the shared core — and every
-//! asynchronous write they issue lands in the queue, where the configured
-//! [`IoScheduler`] reorders it, adjacent writes coalesce into one
-//! transfer, and a full queue pushes back on the writer. Synchronous
-//! requests wait (advance the virtual clock) until their own completion,
-//! competing with queued work under the same policy.
+//! asynchronous write they issue lands in the queue, where adjacent
+//! writes coalesce into one transfer and a full queue pushes back on the
+//! writer. The head services the queue oldest-first — an installed QoS
+//! ledger narrows the candidates to the best tenant's requests, and the
+//! bounded-wait aging check overrides both. Synchronous requests wait
+//! (advance the virtual clock) until their own completion, competing
+//! with queued work under the same rule.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -21,27 +23,19 @@ use sim_disk::{
 };
 
 use crate::qos::{FairShare, QosSpec};
-use crate::sched::{IoScheduler, SchedulerKind};
 
 /// Tuning knobs for the request engine.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Scheduling policy for the pending queue.
-    pub scheduler: SchedulerKind,
     /// Maximum pending requests before a submitter is stalled
     /// (backpressure).
     pub queue_depth: usize,
     /// Bounded-wait guarantee: once the oldest pending request has waited
-    /// this long, it is serviced next regardless of the policy
+    /// this long, it is serviced next regardless of QoS
     /// (anti-starvation aging).
     pub max_wait_ns: u64,
     /// Whether adjacent pending writes coalesce into one transfer.
     pub coalesce: bool,
-    /// Largest transfer a coalesced write may grow to, in bytes.
-    pub max_transfer_bytes: u64,
-    /// How many scheduler decisions to record as trace events (the rest
-    /// are counted but not traced, to bound the event ring).
-    pub trace_decisions: u64,
     /// How many times a read failing with a media error
     /// ([`DiskError::Unreadable`]) is retried before the error is
     /// surfaced to the caller. Transient faults recover within their
@@ -68,12 +62,9 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            scheduler: SchedulerKind::Fcfs,
             queue_depth: 32,
             max_wait_ns: 100_000_000,
             coalesce: true,
-            max_transfer_bytes: 1 << 20,
-            trace_decisions: 64,
             read_retries: 3,
             retry_backoff_ns: 1_000_000,
             stripe_boundary_sectors: None,
@@ -83,12 +74,6 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Sets the scheduling policy.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Sets the queue-depth knob.
     pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
         self.queue_depth = queue_depth;
@@ -255,6 +240,13 @@ impl EngineObs {
 /// instead of any foreground client's account.
 pub const MAINT_OWNER: usize = usize::MAX;
 
+/// Largest transfer a coalesced write may grow to, in bytes.
+const MAX_TRANSFER_BYTES: u64 = 1 << 20;
+
+/// How many pick decisions are recorded as `sched` trace events (the
+/// rest are counted but not traced, to bound the event ring).
+const TRACE_DECISIONS: u64 = 64;
+
 /// Ceiling on the retry-backoff exponent: attempt `n` waits
 /// `retry_backoff_ns * 2^min(n, MAX_BACKOFF_SHIFT)`. 2^20 of the 1 ms
 /// default base is ~17 virtual minutes — beyond any plausible media
@@ -272,12 +264,11 @@ enum TrackedRead {
     Queued { id: u64, sector: u64, len: usize },
 }
 
-/// The shared request-engine state: disk, queue policy, and accounting.
+/// The shared request-engine state: disk, queue, and accounting.
 pub struct EngineCore {
     disk: SimDisk,
     clock: Arc<Clock>,
     cfg: EngineConfig,
-    sched: Box<dyn IoScheduler>,
     /// Client currently executing on the (single) virtual CPU; new
     /// submissions are attributed to it.
     current_client: Option<usize>,
@@ -290,13 +281,16 @@ pub struct EngineCore {
     /// Request id → clients credited with it (a coalesced request
     /// carries every contributor).
     owners: BTreeMap<u64, Vec<usize>>,
-    /// Reads serviced in the background (scheduler pick order reached
-    /// them before their submitter waited) hold their payload — or
-    /// their media error — here until claimed by `wait_for`. Only the
-    /// split start/finish API leaves reads pending long enough for
-    /// this to happen, e.g. a striped volume with several pieces
-    /// outstanding on one spindle.
-    unclaimed_reads: BTreeMap<u64, DiskResult<IoCompletion>>,
+    /// Requests serviced in the background (pick order reached them
+    /// before their submitter waited) hold their completion — a read's
+    /// payload or media error, a started sync write's finish time — here
+    /// until claimed by `wait_for`. Only the split start/finish API
+    /// leaves requests pending long enough for this to happen, e.g. a
+    /// striped volume with several pieces outstanding on one spindle.
+    unclaimed: BTreeMap<u64, DiskResult<IoCompletion>>,
+    /// Writes started by `start_sync_write` and not yet finished: the
+    /// only writes whose background completion anyone will claim.
+    awaited_writes: BTreeSet<u64>,
     /// Per-client queue-wait counters, indexed by client id.
     per_client_wait: Vec<Counter>,
     /// Per-client completed-bytes counters, indexed by client id (a
@@ -318,19 +312,18 @@ impl EngineCore {
     /// [`BlockDevice::attach_obs`] when a file system mounts).
     pub fn new(disk: SimDisk, cfg: EngineConfig) -> Self {
         let clock = Arc::clone(disk.clock());
-        let sched = cfg.scheduler.build();
         let obs = EngineObs::from_registry(disk.obs(), "");
         Self {
             disk,
             clock,
             cfg,
-            sched,
             current_client: None,
             maintenance: false,
             tracked_reads: BTreeMap::new(),
             next_read_token: 1,
             owners: BTreeMap::new(),
-            unclaimed_reads: BTreeMap::new(),
+            unclaimed: BTreeMap::new(),
+            awaited_writes: BTreeSet::new(),
             per_client_wait: Vec::new(),
             per_client_bytes: Vec::new(),
             qos: None,
@@ -413,7 +406,8 @@ impl EngineCore {
     /// bookkeeping must not dangle on ids that will never complete.
     pub fn discard_queue(&mut self) {
         self.owners.clear();
-        self.unclaimed_reads.clear();
+        self.unclaimed.clear();
+        self.awaited_writes.clear();
         self.tracked_reads
             .retain(|_, t| matches!(t, TrackedRead::Hit(_)));
         self.obs.queue_depth.set(0);
@@ -450,7 +444,7 @@ impl EngineCore {
     }
 
     /// Installs (or clears, with `None`) a per-client QoS spec. While a
-    /// spec is installed, scheduler picks service latency-class tenants
+    /// spec is installed, queue picks service latency-class tenants
     /// first and divide capacity among bulk tenants by weight; the
     /// bounded-wait aging guarantee still overrides every QoS decision.
     pub fn set_qos(&mut self, spec: Option<QosSpec>) {
@@ -502,25 +496,20 @@ impl EngineCore {
 
     /// Chooses which pending request the head services at time `t`.
     ///
-    /// The bounded-wait guarantee lives here, *outside* the pluggable
-    /// policy: if the oldest eligible request has waited `max_wait_ns`,
-    /// it is chosen unconditionally, so no policy (including QoS) can
-    /// starve a request. Below the aging bound, an installed QoS ledger
-    /// narrows the candidate set to the best tenant's requests —
+    /// The oldest eligible request goes first (ties break on request
+    /// id, never on container order), so without QoS the queue is
+    /// first-come first-served. If the oldest has waited `max_wait_ns`
+    /// it is chosen unconditionally — the bounded-wait guarantee, which
+    /// QoS cannot defeat. Below the aging bound, an installed QoS
+    /// ledger narrows the candidate set to the best tenant's requests —
     /// latency class first, then lowest weighted virtual time — and the
-    /// geometry policy picks among those.
+    /// oldest of those is picked.
     fn pick_id(&mut self, t: u64) -> (u64, bool) {
-        let eligible: Vec<_> = self
-            .disk
-            .pending()
-            .iter()
-            .filter(|p| p.submitted_at_ns() <= t)
-            .collect();
-        debug_assert!(!eligible.is_empty(), "pick_id with no eligible request");
-        let oldest = eligible
-            .iter()
+        let pending = self.disk.pending();
+        let eligible = || pending.iter().filter(move |p| p.submitted_at_ns() <= t);
+        let oldest = eligible()
             .min_by_key(|p| (p.submitted_at_ns(), p.id()))
-            .expect("non-empty");
+            .expect("pick_id with no eligible request");
         if t - oldest.submitted_at_ns() >= self.cfg.max_wait_ns {
             return (oldest.id(), true);
         }
@@ -530,31 +519,29 @@ impl EngineCore {
             // with no foreground owner (system, maintenance) are only
             // picked when no client request is eligible — aging keeps
             // them from starving.
-            let best_owner = eligible
-                .iter()
+            let best_owner = eligible()
                 .flat_map(|p| self.owners.get(&p.id()).into_iter().flatten())
                 .filter(|&&c| c != MAINT_OWNER)
                 .copied()
                 .min_by_key(|&c| fair.key(c));
             if let Some(owner) = best_owner {
-                let owned: Vec<_> = eligible
-                    .iter()
+                let owned = eligible()
                     .filter(|p| {
                         self.owners
                             .get(&p.id())
                             .is_some_and(|os| os.contains(&owner))
                     })
-                    .copied()
-                    .collect();
+                    .min_by_key(|p| (p.submitted_at_ns(), p.id()))
+                    .expect("the best owner owns an eligible request");
                 fair.pick(std::iter::once(owner));
                 self.obs.qos_picks.inc();
-                return (self.sched.pick(self.disk.head(), &owned), false);
+                return (owned.id(), false);
             }
         }
-        (self.sched.pick(self.disk.head(), &eligible), false)
+        (oldest.id(), false)
     }
 
-    /// Services request `id` and runs engine bookkeeping: scheduler
+    /// Services request `id` and runs engine bookkeeping: decision
     /// trace, fairness attribution, and queue gauges.
     fn complete_with_bookkeeping(&mut self, id: u64, sync: bool) -> DiskResult<IoCompletion> {
         let done = match self.disk.complete(id, sync) {
@@ -568,21 +555,21 @@ impl EngineCore {
             }
             Err(e) => {
                 // The disk discarded the queue (crash): owners and any
-                // unclaimed read outcomes are stale.
+                // unclaimed outcomes are stale.
                 self.owners.clear();
-                self.unclaimed_reads.clear();
+                self.unclaimed.clear();
+                self.awaited_writes.clear();
                 return Err(e);
             }
         };
         self.obs.sched_decisions.inc();
-        if self.decisions_traced < self.cfg.trace_decisions {
+        if self.decisions_traced < TRACE_DECISIONS {
             self.decisions_traced += 1;
             self.obs.registry.event(
                 done.finish_ns,
                 "sched",
                 format!(
-                    "policy={} id={} kind={} sector={} bytes={} wait_ns={} seq={}",
-                    self.sched.kind().name(),
+                    "policy=fcfs id={} kind={} sector={} bytes={} wait_ns={} seq={}",
                     done.id,
                     done.kind,
                     done.sector,
@@ -619,7 +606,7 @@ impl EngineCore {
         Ok(done)
     }
 
-    /// Services one scheduler-picked request in the background. The
+    /// Services the next picked request in the background. The
     /// queue must be non-empty. Returns `None` when the pick was a read
     /// that failed with a media error — the error is stashed for its
     /// waiter and the queue moves on.
@@ -677,13 +664,13 @@ impl EngineCore {
     /// Services pending requests until none overlaps `[sector, end)`.
     ///
     /// Submitting a request that overlaps a queued one would let the
-    /// scheduler reorder dependent accesses; draining first keeps the
+    /// queue reorder dependent accesses; draining first keeps the
     /// platter state equal to program order.
     fn drain_overlapping(&mut self, sector: u64, len: usize) -> DiskResult<()> {
         let end = sector + (len / SECTOR_SIZE) as u64;
         let before = self.clock.now_ns();
         let mut cleared_at = before;
-        // Service in scheduler-pick order rather than by targeting the
+        // Service in pick order rather than by targeting the
         // overlapping id: picks respect the bounded-wait aging guarantee,
         // so a stream of dependent drains cannot starve an aged request
         // elsewhere in the queue.
@@ -710,16 +697,16 @@ impl EngineCore {
         Ok(())
     }
 
-    /// Services queued requests (in policy order) until `id` completes,
+    /// Services queued requests (in pick order) until `id` completes,
     /// then advances the clock to its finish: the caller waited for it.
     ///
     /// `id` may already have been serviced in the background (its
-    /// outcome is then claimed from `unclaimed_reads`), and sibling
-    /// reads picked ahead of `id` are stashed there for their own
-    /// waiters rather than discarded.
+    /// outcome is then claimed from `unclaimed`), and siblings picked
+    /// ahead of `id` are stashed there for their own waiters rather
+    /// than discarded.
     fn wait_for(&mut self, id: u64) -> DiskResult<IoCompletion> {
         loop {
-            if let Some(res) = self.unclaimed_reads.remove(&id) {
+            if let Some(res) = self.unclaimed.remove(&id) {
                 let done = res?;
                 self.clock.advance_to_ns(done.finish_ns);
                 return Ok(done);
@@ -730,6 +717,7 @@ impl EngineCore {
                 self.obs.aged_picks.inc();
             }
             if picked == id {
+                self.awaited_writes.remove(&id);
                 let done = self.complete_with_bookkeeping(picked, true)?;
                 self.clock.advance_to_ns(done.finish_ns);
                 return Ok(done);
@@ -745,12 +733,12 @@ impl EngineCore {
     /// the device must chew through first — `busy_until` only covers
     /// work whose service has *started*), plus the request's own
     /// estimate (each including any fail-slow penalty the media would
-    /// charge). Scheduler reordering makes the backlog term an
+    /// charge). QoS reordering makes the backlog term an
     /// estimate, but aging bounds how far reality can drift from
     /// submission order. Deterministic and non-mutating. `None` when
     /// `id` is unknown or already failed.
     pub fn estimated_finish_ns(&self, id: u64) -> Option<u64> {
-        if let Some(res) = self.unclaimed_reads.get(&id) {
+        if let Some(res) = self.unclaimed.get(&id) {
             return res.as_ref().ok().map(|done| done.finish_ns);
         }
         let p = self.disk.pending().iter().find(|p| p.id() == id)?;
@@ -774,7 +762,7 @@ impl EngineCore {
         let Some(deadline) = self.cfg.hedge_deadline_ns else {
             return false;
         };
-        let submitted = if let Some(res) = self.unclaimed_reads.get(&id) {
+        let submitted = if let Some(res) = self.unclaimed.get(&id) {
             match res {
                 Ok(done) => done.submitted_at_ns,
                 Err(_) => return false,
@@ -856,7 +844,7 @@ impl EngineCore {
         overdue
     }
 
-    /// Services queued requests in policy order until `id` completes,
+    /// Services queued requests in pick order until `id` completes,
     /// **without advancing the shared clock** — the device does the work
     /// (its busy horizon moves and later requests queue behind it) but
     /// no caller waits on it. This is how the losing side of a hedged
@@ -864,7 +852,7 @@ impl EngineCore {
     /// while the loser still physically occupies its spindle.
     pub fn drain_read(&mut self, id: u64) -> DiskResult<IoCompletion> {
         loop {
-            if let Some(res) = self.unclaimed_reads.remove(&id) {
+            if let Some(res) = self.unclaimed.remove(&id) {
                 return res;
             }
             let t = self.pick_time().expect("drain_read a request not in the queue");
@@ -880,18 +868,19 @@ impl EngineCore {
     }
 
     /// Services `picked` on behalf of nobody: a completed read (or its
-    /// media error) is stashed for its eventual waiter; writes need no
-    /// delivery. Only fatal errors (crash) propagate.
+    /// media error) or awaited sync write is stashed for its eventual
+    /// waiter; other writes need no delivery. Only fatal errors (crash)
+    /// propagate.
     fn service_background(&mut self, picked: u64) -> DiskResult<Option<IoCompletion>> {
         match self.complete_with_bookkeeping(picked, false) {
             Ok(done) => {
-                if done.data.is_some() {
-                    self.unclaimed_reads.insert(picked, Ok(done.clone()));
+                if done.data.is_some() || self.awaited_writes.remove(&picked) {
+                    self.unclaimed.insert(picked, Ok(done.clone()));
                 }
                 Ok(Some(done))
             }
             Err(e @ DiskError::Unreadable { .. }) => {
-                self.unclaimed_reads.insert(picked, Err(e));
+                self.unclaimed.insert(picked, Err(e));
                 Ok(None)
             }
             Err(e) => Err(e),
@@ -957,7 +946,7 @@ impl EngineCore {
 
     /// Merges queued write `id` with sector-adjacent queued writes (one
     /// merge in each direction), keeping the total transfer under
-    /// `max_transfer_bytes`. Returns the surviving id.
+    /// [`MAX_TRANSFER_BYTES`]. Returns the surviving id.
     fn try_coalesce(&mut self, mut id: u64) -> u64 {
         // Merge a front neighbour (ends where `id` starts).
         let me = self.pending_shape(id);
@@ -965,7 +954,7 @@ impl EngineCore {
             (p.id() != id
                 && p.kind() == AccessKind::Write
                 && p.end_sector() == me.0
-                && p.bytes() + me.2 <= self.cfg.max_transfer_bytes
+                && p.bytes() + me.2 <= MAX_TRANSFER_BYTES
                 && !self.crosses_stripe_boundary(p.sector(), me.1))
                 .then_some(p.id())
         });
@@ -981,7 +970,7 @@ impl EngineCore {
             (p.id() != id
                 && p.kind() == AccessKind::Write
                 && p.sector() == me.1
-                && p.bytes() + me.2 <= self.cfg.max_transfer_bytes
+                && p.bytes() + me.2 <= MAX_TRANSFER_BYTES
                 && !self.crosses_stripe_boundary(me.0, p.end_sector()))
                 .then_some(p.id())
         });
@@ -1047,11 +1036,12 @@ impl EngineCore {
         self.drain_overlapping(sector, buf.len())?;
         let id = self.disk.submit_write(sector, buf)?;
         self.note_submitted(id);
+        self.awaited_writes.insert(id);
         Ok(id)
     }
 
     /// Waits for a write started with [`EngineCore::start_sync_write`]:
-    /// queued requests are serviced in policy order until `id` completes,
+    /// queued requests are serviced in pick order until `id` completes,
     /// and the clock advances to its finish time.
     pub fn finish_write(&mut self, id: u64) -> DiskResult<()> {
         self.wait_for(id)?;
@@ -1188,7 +1178,7 @@ impl EngineCore {
         }
     }
 
-    /// Drains the whole queue (in policy order) and waits for the device
+    /// Drains the whole queue (in pick order) and waits for the device
     /// to go idle: the durability barrier.
     pub fn flush_all(&mut self) -> DiskResult<()> {
         while self.disk.pending_len() > 0 {

@@ -5,12 +5,13 @@
 //! clients, so the engine's bounded-wait aging guarantee must hold for
 //! it and against it:
 //!
-//! * a continuous stream of near-head foreground traffic must not starve
-//!   a far-away maintenance request (the cleaner's segment read always
-//!   happens eventually, so cleaning makes progress under load), and
-//! * a saturating flood of near-head maintenance traffic must not starve
-//!   a far-away foreground request (a backlogged cleaner cannot freeze a
-//!   client out of the disk).
+//! * a continuous stream of foreground traffic, which an installed QoS
+//!   ledger always picks ahead of unowned work, must not starve a
+//!   maintenance request (the cleaner's segment read always happens
+//!   eventually, so cleaning makes progress under load), and
+//! * a saturating flood of maintenance traffic must not starve a
+//!   foreground request (a backlogged cleaner cannot freeze a client
+//!   out of the disk).
 //!
 //! Both directions reuse the aging bound proved for anonymous requests
 //! in `proptest_engine.rs`: worst queue wait <= `max_wait_ns` plus the
@@ -20,23 +21,25 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use engine::{EngineConfig, EngineCore, SchedulerKind};
+use engine::{EngineConfig, EngineCore, QosSpec};
 use sim_disk::{Clock, DiskGeometry, SimDisk, SECTOR_SIZE};
 
 const DEV_SECTORS: u64 = 256;
 
-/// The engine under test: seek-sensitive scheduler, bounded queue,
-/// aging on, coalescing off (so the victim cannot be merged away).
-fn rig(sched: SchedulerKind, max_wait_ns: u64, depth: usize) -> (EngineCore, Arc<Clock>) {
+/// The engine under test: one QoS tenant (so client requests are always
+/// picked ahead of maintenance ones), bounded queue, aging on,
+/// coalescing off (so the victim cannot be merged away).
+fn rig(max_wait_ns: u64, depth: usize) -> (EngineCore, Arc<Clock>) {
     let clock = Clock::new();
     let disk = SimDisk::new(DiskGeometry::tiny_test(DEV_SECTORS), Arc::clone(&clock));
-    let mut cfg = EngineConfig::default()
-        .with_scheduler(sched)
+    let cfg = EngineConfig::default()
         .with_queue_depth(depth)
         .with_max_wait_ns(max_wait_ns)
         .with_coalesce(false);
-    cfg.max_transfer_bytes = 8 * SECTOR_SIZE as u64;
-    (EngineCore::new(disk, cfg), clock)
+    let mut core = EngineCore::new(disk, cfg);
+    core.register_clients(1);
+    core.set_qos(Some(QosSpec::uniform(1)));
+    (core, clock)
 }
 
 /// The aging guarantee for this rig: `max_wait_ns` plus a full queue of
@@ -53,22 +56,19 @@ fn aging_bound(core: &EngineCore, max_wait_ns: u64, depth: usize) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Foreground cannot starve the cleaner: with a near-head client
-    /// stream that a pure seek-order policy would service forever, a
-    /// single far-away maintenance write still completes within the
-    /// aging bound, and its bytes land in the maintenance account (never
-    /// a client's).
+    /// Foreground cannot starve the cleaner: with a client stream that
+    /// the QoS pick alone would service forever, a single maintenance
+    /// write still completes within the aging bound, and its bytes land
+    /// in the maintenance account (never a client's).
     #[test]
     fn foreground_load_cannot_starve_maintenance(
-        sched_ix in 0usize..2,
         near in proptest::collection::vec((0u64..8, 1u8..4, any::<u8>()), 30..100),
         far_sector in 200u64..248,
         step_ns in 20_000u64..120_000,
     ) {
-        let sched = [SchedulerKind::Sstf, SchedulerKind::CLook][sched_ix];
         let max_wait_ns = 1_000_000;
         let depth = 4usize;
-        let (mut core, clock) = rig(sched, max_wait_ns, depth);
+        let (mut core, clock) = rig(max_wait_ns, depth);
         let registry = core.disk().obs().clone();
 
         core.set_client(Some(0));
@@ -89,8 +89,8 @@ proptest! {
         prop_assert_eq!(core.disk().pending_len(), 0);
 
         let bound = aging_bound(&core, max_wait_ns, depth);
-        // The far maintenance write is the only request the scheduler
-        // wants to defer; the worst wait observed is (at least) its wait.
+        // The maintenance write is the only request the QoS pick wants
+        // to defer; the worst wait observed is (at least) its wait.
         let max_wait_seen = registry.gauge("engine.max_queue_wait_ns").get();
         prop_assert!(
             max_wait_seen <= bound,
@@ -112,20 +112,18 @@ proptest! {
         );
     }
 
-    /// The cleaner cannot starve foreground: with a saturating near-head
-    /// maintenance flood, a single far-away client write still completes
-    /// within the aging bound, and its bytes land in the client account.
+    /// The cleaner cannot starve foreground: with a saturating
+    /// maintenance flood, a single client write still completes within
+    /// the aging bound, and its bytes land in the client account.
     #[test]
     fn saturating_maintenance_cannot_starve_foreground(
-        sched_ix in 0usize..2,
         near in proptest::collection::vec((0u64..8, 1u8..4, any::<u8>()), 30..100),
         far_sector in 200u64..248,
         step_ns in 20_000u64..120_000,
     ) {
-        let sched = [SchedulerKind::Sstf, SchedulerKind::CLook][sched_ix];
         let max_wait_ns = 1_000_000;
         let depth = 4usize;
-        let (mut core, clock) = rig(sched, max_wait_ns, depth);
+        let (mut core, clock) = rig(max_wait_ns, depth);
         let registry = core.disk().obs().clone();
 
         core.set_maintenance(true);
@@ -137,7 +135,7 @@ proptest! {
         core.set_maintenance(false);
         core.set_client(Some(0));
         core.submit_async_write(far_sector, &vec![0xEE; SECTOR_SIZE]).unwrap();
-        // The cleaner keeps flooding near-head work.
+        // The cleaner keeps flooding.
         core.set_maintenance(true);
         for (sector, sectors, fill) in near.iter().skip(4) {
             clock.advance_to_ns(clock.now_ns() + step_ns);
@@ -173,13 +171,13 @@ proptest! {
     }
 }
 
-/// Deterministic companion: under SSTF the far maintenance request is
-/// only ever reached by the aging preemption, so the aged-pick counter
-/// must fire — cleaning progress under foreground load is the aging
-/// mechanism, not luck.
+/// Deterministic companion: behind a client stream the maintenance
+/// request is only ever reached by the aging preemption, so the
+/// aged-pick counter must fire — cleaning progress under foreground
+/// load is the aging mechanism, not luck.
 #[test]
-fn aging_rescues_the_cleaner_from_sstf() {
-    let (mut core, clock) = rig(SchedulerKind::Sstf, 2_000_000, 6);
+fn aging_rescues_the_cleaner_from_foreground_picks() {
+    let (mut core, clock) = rig(2_000_000, 6);
     let registry = core.disk().obs().clone();
 
     core.set_client(Some(0));

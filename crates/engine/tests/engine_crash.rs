@@ -1,28 +1,28 @@
 //! Integration of the request engine with the real file systems, and the
 //! reorder-window crash test: LFS checkpoint recovery must survive a
-//! crash that discards writes the scheduler had reordered but not yet
-//! persisted.
+//! crash that discards writes the queue had reordered (QoS narrowing,
+//! coalescing) but not yet persisted.
 
 use std::rc::Rc;
 use std::sync::Arc;
 
-use engine::{EngineConfig, EngineCore, EngineDisk, SchedulerKind};
+use engine::{EngineConfig, EngineCore, EngineDisk, QosClass, QosSpec};
 use ffs_baseline::{Ffs, FfsConfig};
 use lfs_core::{Lfs, LfsConfig};
 use sim_disk::{Clock, CrashPlan, DiskGeometry, DiskError, SimDisk};
 use vfs::{FileSystem, FsError};
 
 /// A fresh engine over an 8 MB tiny-test disk.
-fn engine(sched: SchedulerKind) -> (std::rc::Rc<std::cell::RefCell<EngineCore>>, Arc<Clock>) {
+fn engine() -> (std::rc::Rc<std::cell::RefCell<EngineCore>>, Arc<Clock>) {
     let clock = Clock::new();
     let disk = SimDisk::new(DiskGeometry::tiny_test(16_384), Arc::clone(&clock));
-    let core = EngineCore::new(disk, EngineConfig::default().with_scheduler(sched)).into_shared();
+    let core = EngineCore::new(disk, EngineConfig::default()).into_shared();
     (core, clock)
 }
 
 #[test]
 fn lfs_round_trips_through_the_engine() {
-    let (core, clock) = engine(SchedulerKind::Sstf);
+    let (core, clock) = engine();
     let dev = EngineDisk::new(Rc::clone(&core));
     let mut fs = Lfs::format(dev, LfsConfig::small_test(), clock).unwrap();
 
@@ -45,7 +45,7 @@ fn lfs_round_trips_through_the_engine() {
 
 #[test]
 fn ffs_round_trips_through_the_engine() {
-    let (core, clock) = engine(SchedulerKind::CLook);
+    let (core, clock) = engine();
     let dev = EngineDisk::new(Rc::clone(&core));
     let mut fs = Ffs::format(dev, FfsConfig::small_test(), clock).unwrap();
 
@@ -60,13 +60,14 @@ fn ffs_round_trips_through_the_engine() {
     assert_eq!(core.borrow().disk().pending_len(), 0);
 }
 
-/// The satellite crash test: with SSTF + coalescing reordering queued
-/// writes, a crash that loses the whole reorder window (every write the
-/// scheduler was still holding) must not damage anything the file system
-/// checkpointed before the window opened.
+/// The satellite crash test: with QoS narrowing + coalescing reordering
+/// queued writes (two tenants, one latency-class, alternating files), a
+/// crash that loses the whole reorder window (every write the queue was
+/// still holding) must not damage anything the file system checkpointed
+/// before the window opened.
 #[test]
 fn lfs_checkpoint_recovery_survives_scheduler_reordering() {
-    let (core, clock) = engine(SchedulerKind::Sstf);
+    let (core, clock) = engine();
     let dev = EngineDisk::new(Rc::clone(&core));
     let mut fs = Lfs::format(dev, LfsConfig::small_test(), clock).unwrap();
 
@@ -77,6 +78,11 @@ fn lfs_checkpoint_recovery_survives_scheduler_reordering() {
     }
     fs.sync().unwrap();
     let durable_writes = core.borrow().disk().stats().writes;
+    {
+        let mut eng = core.borrow_mut();
+        eng.register_clients(2);
+        eng.set_qos(Some(QosSpec::uniform(2).with_class(1, QosClass::Latency)));
+    }
 
     // Arm the fault: one persist-order write into batch 2's flush, the
     // disk crashes and the reorder window (every held and still-queued
@@ -87,10 +93,11 @@ fn lfs_checkpoint_recovery_survives_scheduler_reordering() {
         .arm_crash(CrashPlan::reorder_at(durable_writes + 1, 8));
 
     // Batch 2: large enough to overflow the cache and force several
-    // persist-order writes; the crash fires while the scheduler is
+    // persist-order writes; the crash fires while the queue is
     // reordering them.
     let mut crashed = false;
     for i in 0..40 {
+        core.borrow_mut().set_client(Some(i % 2));
         match fs.write_file(&format!("/lost{i:02}"), &vec![0xEE; 2048]) {
             Ok(_) => {}
             Err(FsError::Io(DiskError::Crashed)) => {
@@ -107,6 +114,11 @@ fn lfs_checkpoint_recovery_survives_scheduler_reordering() {
         }
     }
     assert!(crashed, "the armed crash plan never fired");
+    let snap = core.borrow().disk().obs().snapshot();
+    assert!(
+        snap.counter("engine.qos_picks") > 0 && snap.counter("engine.coalesced_writes") > 0,
+        "nothing reordered the queue before the crash"
+    );
 
     // Pull the surviving platter image out through the engine.
     let dev = fs.into_device();
@@ -122,7 +134,7 @@ fn lfs_checkpoint_recovery_survives_scheduler_reordering() {
 
     // Recovery: remount from the image. The checkpoint plus roll-forward
     // must yield a clean file system with every batch-1 file intact,
-    // regardless of what order the scheduler persisted batch-2 writes in.
+    // regardless of what order the queue persisted batch-2 writes in.
     let clock2 = Clock::new();
     let disk2 = SimDisk::from_image(geometry, Arc::clone(&clock2), image);
     let mut fs2 = Lfs::mount(disk2, LfsConfig::small_test(), clock2).unwrap();

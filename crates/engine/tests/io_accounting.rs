@@ -72,7 +72,7 @@ fn class_accounts_cover_every_device_byte() {
     let system = registry.counter("engine.io_bytes.system").get();
     let absorbed = registry.counter("engine.absorbed_bytes").get();
     let read_hits = registry.counter("engine.queue_read_hit_bytes").get();
-    let stats = core.borrow().disk().stats().clone();
+    let stats = core.borrow().disk().stats();
 
     // The run must exercise all three classes, or the identity below
     // could hold vacuously with a mis-tagged account pinned at zero.

@@ -3,9 +3,10 @@
 //! 1. Every request submitted through the engine completes exactly once
 //!    (absorbed and coalesced requests are accounted, not lost), and the
 //!    platter ends up byte-identical to program order.
-//! 2. No scheduling policy can starve a request: the bounded-wait aging
-//!    guarantee caps queue wait at `max_wait_ns` plus the time to drain
-//!    a full queue.
+//! 2. No pick order can starve a request: with a latency-class tenant
+//!    flooding the queue (QoS narrowing is the engine's one reorderer),
+//!    the bounded-wait aging guarantee caps queue wait at `max_wait_ns`
+//!    plus the time to drain a full queue.
 //! 3. The multi-client event loop is deterministic and virtual time is
 //!    monotone across arbitrary client interleavings.
 
@@ -15,7 +16,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use engine::{
-    run_small_file_create, EngineConfig, EngineCore, EngineDisk, MultiClientConfig, SchedulerKind,
+    run_small_file_create, EngineConfig, EngineCore, EngineDisk, MultiClientConfig, QosClass,
+    QosSpec,
 };
 use lfs_core::{Lfs, LfsConfig};
 use sim_disk::{BlockDevice, Clock, DiskGeometry, RamDisk, SimDisk, SECTOR_SIZE};
@@ -54,26 +56,36 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn scheduler(ix: usize) -> SchedulerKind {
-    SchedulerKind::all()[ix % 3]
+/// A two-tenant engine where tenant 0 is latency-class: while it has a
+/// request queued, QoS narrowing never picks tenant 1's — only aging
+/// can. Coalescing is off so the victim cannot be merged away.
+fn latency_flood_rig(max_wait_ns: u64, depth: usize) -> (EngineCore, Arc<Clock>) {
+    let clock = Clock::new();
+    let disk = SimDisk::new(DiskGeometry::tiny_test(DEV_SECTORS), Arc::clone(&clock));
+    let cfg = EngineConfig::default()
+        .with_queue_depth(depth)
+        .with_max_wait_ns(max_wait_ns)
+        .with_coalesce(false);
+    let mut core = EngineCore::new(disk, cfg);
+    core.register_clients(2);
+    core.set_qos(Some(QosSpec::uniform(2).with_class(0, QosClass::Latency)));
+    (core, clock)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Exactly-once completion + program-order platter contents, for every
-    /// scheduler, arbitrary queue depths, and coalescing on or off.
+    /// Exactly-once completion + program-order platter contents, for
+    /// arbitrary queue depths and coalescing on or off.
     #[test]
     fn every_submission_completes_exactly_once(
         ops in proptest::collection::vec(op_strategy(), 1..100),
-        sched_ix in 0usize..3,
         depth in 1usize..24,
         coalesce in any::<bool>(),
     ) {
         let clock = Clock::new();
         let disk = SimDisk::new(DiskGeometry::tiny_test(DEV_SECTORS), Arc::clone(&clock));
         let cfg = EngineConfig::default()
-            .with_scheduler(scheduler(sched_ix))
             .with_queue_depth(depth)
             .with_coalesce(coalesce);
         let mut core = EngineCore::new(disk, cfg);
@@ -152,40 +164,34 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Bounded wait: under SSTF or C-LOOK, a far-away request facing a
-    /// continuous stream of near-head traffic is still serviced within
-    /// `max_wait_ns` plus the time to drain one full queue (the aging
-    /// preemption happens at service boundaries, so up to `depth + 1`
-    /// already-aged requests may drain ahead of the worst victim).
+    /// Bounded wait: a bulk tenant's request facing a continuous stream
+    /// of latency-class traffic (which QoS narrowing always prefers) is
+    /// still serviced within `max_wait_ns` plus the time to drain one
+    /// full queue (the aging preemption happens at service boundaries,
+    /// so up to `depth + 1` already-aged requests may drain ahead of the
+    /// worst victim).
     #[test]
     fn no_scheduler_starves_a_request(
-        sched_ix in 0usize..2,
         near in proptest::collection::vec((0u64..8, 1u8..4, any::<u8>()), 30..100),
         far_sector in 200u64..248,
         step_ns in 20_000u64..120_000,
     ) {
-        let sched = [SchedulerKind::Sstf, SchedulerKind::CLook][sched_ix];
         let max_wait_ns = 1_000_000;
         let depth = 4usize;
-        let clock = Clock::new();
-        let disk = SimDisk::new(DiskGeometry::tiny_test(DEV_SECTORS), Arc::clone(&clock));
-        let mut cfg = EngineConfig::default()
-            .with_scheduler(sched)
-            .with_queue_depth(depth)
-            .with_max_wait_ns(max_wait_ns)
-            .with_coalesce(false);
-        cfg.max_transfer_bytes = 8 * SECTOR_SIZE as u64;
-        let mut core = EngineCore::new(disk, cfg);
+        let (mut core, clock) = latency_flood_rig(max_wait_ns, depth);
         let registry = core.disk().obs().clone();
 
-        // Prime the queue with near-head work, then the far victim, then
-        // keep near-head traffic flowing so a pure-SSTF policy would
-        // never reach the victim.
+        // Prime the queue with latency-class work, then the bulk victim,
+        // then keep latency-class traffic flowing so the QoS pick alone
+        // would never reach the victim.
+        core.set_client(Some(0));
         for (sector, sectors, fill) in near.iter().take(4) {
             let buf = vec![*fill; *sectors as usize * SECTOR_SIZE];
             core.submit_async_write(*sector, &buf).unwrap();
         }
+        core.set_client(Some(1));
         core.submit_async_write(far_sector, &vec![0xFF; SECTOR_SIZE]).unwrap();
+        core.set_client(Some(0));
         for (sector, sectors, fill) in near.iter().skip(4) {
             clock.advance_to_ns(clock.now_ns() + step_ns);
             let buf = vec![*fill; *sectors as usize * SECTOR_SIZE];
@@ -211,28 +217,23 @@ proptest! {
     }
 }
 
-/// Deterministic companion to the starvation property: with SSTF and a
-/// long near-head stream, the far request is only ever reached by the
-/// aging preemption — so the aged-pick counter must fire.
+/// Deterministic companion to the starvation property: with a long
+/// latency-class stream, the bulk tenant's request is only ever reached
+/// by the aging preemption — so the aged-pick counter must fire.
 #[test]
-fn aging_preempts_sstf_for_a_starving_request() {
-    let clock = Clock::new();
-    let disk = SimDisk::new(DiskGeometry::tiny_test(DEV_SECTORS), Arc::clone(&clock));
-    let mut cfg = EngineConfig::default()
-        .with_scheduler(SchedulerKind::Sstf)
-        .with_queue_depth(6)
-        .with_max_wait_ns(2_000_000)
-        .with_coalesce(false);
-    cfg.max_transfer_bytes = 8 * SECTOR_SIZE as u64;
-    let mut core = EngineCore::new(disk, cfg);
+fn aging_preempts_qos_for_a_starving_request() {
+    let (mut core, clock) = latency_flood_rig(2_000_000, 6);
     let registry = core.disk().obs().clone();
 
+    core.set_client(Some(0));
     for i in 0..4u64 {
         core.submit_async_write(i, &vec![0x10; SECTOR_SIZE]).unwrap();
     }
+    core.set_client(Some(1));
     core.submit_async_write(240, &vec![0xFF; SECTOR_SIZE]).unwrap();
-    // 60 more near writes, trickled in: the head stays near sector 0 and
-    // only aging can pull it out to sector 240.
+    core.set_client(Some(0));
+    // 60 more latency-class writes, trickled in: QoS narrowing keeps
+    // picking tenant 0 and only aging can reach tenant 1's request.
     for i in 0..60u64 {
         clock.advance_to_ns(clock.now_ns() + 50_000);
         core.submit_async_write(i % 8, &vec![i as u8; SECTOR_SIZE]).unwrap();
@@ -241,17 +242,43 @@ fn aging_preempts_sstf_for_a_starving_request() {
 
     assert!(
         registry.counter("engine.aged_picks").get() >= 1,
-        "the far request was never rescued by aging"
+        "the bulk request was never rescued by aging"
     );
     assert_eq!(core.disk().pending_len(), 0);
 }
 
+/// A sync write started through the split API may be serviced in the
+/// background before its submitter waits — a later submission's pump
+/// finds the shared clock moved on (another spindle's hazard stall, on a
+/// striped volume). Its completion must stay claimable: `finish_write`
+/// used to panic with "wait_for a request not in the queue".
+#[test]
+fn a_started_sync_write_serviced_in_the_background_stays_claimable() {
+    let clock = Clock::new();
+    let disk = SimDisk::new(DiskGeometry::tiny_test(DEV_SECTORS), Arc::clone(&clock));
+    let mut core = EngineCore::new(disk, EngineConfig::default());
+
+    let first = core.start_sync_write(0, &[0x11; SECTOR_SIZE]).unwrap();
+    clock.advance_to_ns(clock.now_ns() + 50_000_000);
+    let second = core.start_sync_write(64, &[0x22; SECTOR_SIZE]).unwrap();
+    assert_eq!(core.disk().pending_len(), 1, "the pump serviced the first write");
+
+    core.finish_write(first).unwrap();
+    core.finish_write(second).unwrap();
+    assert_eq!(core.disk().pending_len(), 0);
+    let mut buf = [0u8; SECTOR_SIZE];
+    core.do_read(0, &mut buf).unwrap();
+    assert_eq!(buf, [0x11; SECTOR_SIZE]);
+    core.do_read(64, &mut buf).unwrap();
+    assert_eq!(buf, [0x22; SECTOR_SIZE]);
+}
+
 /// Runs the multi-client create loop on a tiny LFS and returns the
 /// debug-formatted report (stable, field-complete) plus elapsed time.
-fn multi_run(sched: SchedulerKind, clients: usize, files: usize, think_ns: u64, seed: u64) -> (String, u64) {
+fn multi_run(clients: usize, files: usize, think_ns: u64, seed: u64) -> (String, u64) {
     let clock = Clock::new();
     let disk = SimDisk::new(DiskGeometry::tiny_test(16_384), Arc::clone(&clock));
-    let core = EngineCore::new(disk, EngineConfig::default().with_scheduler(sched)).into_shared();
+    let core = EngineCore::new(disk, EngineConfig::default()).into_shared();
     let dev = EngineDisk::new(Rc::clone(&core));
     let mut fs = Lfs::format(dev, LfsConfig::small_test(), clock).unwrap();
     let registry = fs.obs().clone();
@@ -272,21 +299,19 @@ fn multi_run(sched: SchedulerKind, clients: usize, files: usize, think_ns: u64, 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
-    /// Arbitrary client interleavings (client count, pacing, seed,
-    /// scheduler) always produce monotone virtual time — the event loop
+    /// Arbitrary client interleavings (client count, pacing, seed)
+    /// always produce monotone virtual time — the event loop
     /// debug-asserts it — and the same inputs twice produce the identical
     /// report: the engine is deterministic end to end.
     #[test]
     fn multi_client_runs_are_deterministic(
-        sched_ix in 0usize..3,
         clients in 1usize..6,
         files in 2usize..6,
         think_ns in 0u64..2_000_000,
         seed in any::<u64>(),
     ) {
-        let sched = scheduler(sched_ix);
-        let (a, elapsed_a) = multi_run(sched, clients, files, think_ns, seed);
-        let (b, _) = multi_run(sched, clients, files, think_ns, seed);
+        let (a, elapsed_a) = multi_run(clients, files, think_ns, seed);
+        let (b, _) = multi_run(clients, files, think_ns, seed);
         prop_assert_eq!(a, b, "two identical runs diverged");
         prop_assert!(elapsed_a > 0, "a real run takes virtual time");
     }

@@ -3,8 +3,7 @@
 //!
 //! 1. **Proportional share** — with two tenants flooding an open-loop
 //!    backlog, completed bytes at the instant the heavy tenant drains
-//!    converge to the configured weight ratio, under every scheduling
-//!    policy.
+//!    converge to the configured weight ratio.
 //! 2. **No starvation** — arbitrary weights never push a light tenant's
 //!    queue wait past the aging bound the QoS-free engine guarantees:
 //!    the aging check runs before the QoS pick, and the SFQ ledger
@@ -16,14 +15,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use engine::{EngineConfig, EngineCore, QosClass, QosSpec, SchedulerKind};
+use engine::{EngineConfig, EngineCore, QosClass, QosSpec};
 use sim_disk::{Clock, DiskGeometry, SimDisk, SECTOR_SIZE};
 
 const DEV_SECTORS: u64 = 4096;
-
-fn scheduler(ix: usize) -> SchedulerKind {
-    SchedulerKind::all()[ix % 3]
-}
 
 /// Pumps in small virtual-time steps until `done` says stop (or the
 /// iteration guard trips), so at most ~one service completes per step
@@ -45,19 +40,17 @@ proptest! {
     /// Two tenants submit equal open-loop backlogs up front; tenant 0
     /// carries `weight`, tenant 1 carries 1. Sampled when tenant 0
     /// drains — while tenant 1 is still backlogged — completed bytes
-    /// obey the weight ratio within 2x slack either way, for every
-    /// scheduler. (End-of-run totals would be equal: a closed backlog
-    /// always completes. The contended window is where shares live.)
+    /// obey the weight ratio within 2x slack either way. (End-of-run
+    /// totals would be equal: a closed backlog always completes. The
+    /// contended window is where shares live.)
     #[test]
     fn weighted_share_converges_to_weight(
-        sched_ix in 0usize..3,
         weight in 2u64..9,
         reqs in 24usize..40,
     ) {
         let clock = Clock::new();
         let disk = SimDisk::new(DiskGeometry::tiny_test(DEV_SECTORS), Arc::clone(&clock));
         let cfg = EngineConfig::default()
-            .with_scheduler(scheduler(sched_ix))
             .with_queue_depth(2 * reqs + 8)
             // Aging off the table: the window under test is shorter
             // than any realistic bound, and we want pure SFQ shares.
@@ -101,28 +94,24 @@ proptest! {
     }
 
     /// The starvation property under QoS: a lone weight-1 victim behind
-    /// a weight-`w` near-head flood is still serviced within the same
-    /// aging bound the QoS-free engine guarantees. The aging check runs
+    /// a weight-`w` flood is still serviced within the same aging bound
+    /// the QoS-free engine guarantees. The aging check runs
     /// before the QoS pick, so no weight assignment can defeat it.
     #[test]
     fn no_weight_assignment_starves_a_tenant(
-        sched_ix in 0usize..2,
         heavy_weight in 1u64..64,
         near in proptest::collection::vec((0u64..8, any::<u8>()), 30..80),
         far_sector in 3000u64..3500,
         step_ns in 20_000u64..120_000,
     ) {
-        let sched = [SchedulerKind::Sstf, SchedulerKind::CLook][sched_ix];
         let max_wait_ns = 1_000_000;
         let depth = 4usize;
         let clock = Clock::new();
         let disk = SimDisk::new(DiskGeometry::tiny_test(DEV_SECTORS), Arc::clone(&clock));
-        let mut cfg = EngineConfig::default()
-            .with_scheduler(sched)
+        let cfg = EngineConfig::default()
             .with_queue_depth(depth)
             .with_max_wait_ns(max_wait_ns)
             .with_coalesce(false);
-        cfg.max_transfer_bytes = 8 * SECTOR_SIZE as u64;
         let mut core = EngineCore::new(disk, cfg);
         let registry = core.disk().obs().clone();
         core.register_clients(2);
@@ -166,7 +155,6 @@ fn latency_class_jumps_a_bulk_backlog() {
     let clock = Clock::new();
     let disk = SimDisk::new(DiskGeometry::tiny_test(DEV_SECTORS), Arc::clone(&clock));
     let cfg = EngineConfig::default()
-        .with_scheduler(SchedulerKind::Sstf)
         .with_queue_depth(64)
         .with_max_wait_ns(60_000_000_000)
         .with_coalesce(false);
@@ -177,8 +165,8 @@ fn latency_class_jumps_a_bulk_backlog() {
         QosSpec::uniform(2).with_class(0, QosClass::Latency),
     ));
 
-    // 40 bulk writes queued; none near the latency target's sector so
-    // SSTF alone would keep the head in the bulk region.
+    // 40 bulk writes queued ahead of the latency request: oldest-first
+    // alone would drain all of them before it.
     core.set_client(Some(1));
     for i in 0..40u64 {
         core.submit_async_write(i * 2, &[0xB1; SECTOR_SIZE]).unwrap();

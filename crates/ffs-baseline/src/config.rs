@@ -1,7 +1,5 @@
 //! FFS configuration.
 
-use mem_mgr::{CachePolicy, WritebackPolicy};
-
 /// Tunable parameters of an FFS volume.
 #[derive(Debug, Clone)]
 pub struct FfsConfig {
@@ -14,11 +12,6 @@ pub struct FfsConfig {
     pub inodes_per_cg: u32,
     /// File-cache capacity in bytes.
     pub cache_bytes: usize,
-    /// Delayed-write policy for file data.
-    pub writeback: WritebackPolicy,
-    /// Memory-manager policy: shared LRU (the classic buffer cache) or
-    /// the adaptive write-buffer / scan-resistant read-cache split.
-    pub cache_policy: CachePolicy,
     /// How many inode-table reads the mount-time fsck scan keeps in
     /// flight. `1` (the default) is the classic sequential scan; `0`
     /// asks the device for its spindle count; larger values fan the
@@ -39,8 +32,6 @@ impl FfsConfig {
             cg_blocks: 2048,
             inodes_per_cg: 2048,
             cache_bytes: 15 * 1024 * 1024,
-            writeback: WritebackPolicy::paper(),
-            cache_policy: CachePolicy::SharedLru,
             fsck_fanout: 1,
         }
     }
@@ -52,8 +43,6 @@ impl FfsConfig {
             cg_blocks: 128,
             inodes_per_cg: 64,
             cache_bytes: 64 * 1024,
-            writeback: WritebackPolicy::paper(),
-            cache_policy: CachePolicy::SharedLru,
             fsck_fanout: 1,
         }
     }
@@ -68,12 +57,6 @@ impl FfsConfig {
     /// Builder-style override of the cache size.
     pub fn with_cache_bytes(mut self, cache_bytes: usize) -> Self {
         self.cache_bytes = cache_bytes;
-        self
-    }
-
-    /// Builder-style override of the memory-manager cache policy.
-    pub fn with_cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.cache_policy = policy;
         self
     }
 

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mem_mgr::{BlockKey, CacheReport, MemConfig, MemMgr, Owner};
+use mem_mgr::{BlockKey, CacheReport, MemConfig, MemMgr, Owner, WritebackPolicy};
 use sim_disk::{BlockDevice, Clock, CpuCost, CpuModel};
 use vfs::blockmap::is_data_idx;
 use vfs::namespace::OpHists;
@@ -168,17 +168,13 @@ impl<D: BlockDevice> Ffs<D> {
         // One metrics registry covers device, cache, and file system.
         let registry = obs::Registry::new();
         dev.attach_obs(&registry);
-        // FFS has no segment-sized flush unit, so the manager tracks no
-        // flush efficiency; the adaptive split still gives the read side
-        // scan resistance when configured.
+        // The classic buffer cache: one shared LRU with the paper's
+        // 30-second delayed write. FFS has no segment-sized flush unit,
+        // so the manager tracks no flush efficiency.
         let mut cache = MemMgr::new(
             sb.block_size as usize,
             (cfg.cache_bytes / sb.block_size as usize).max(8),
-            MemConfig {
-                policy: cfg.cache_policy,
-                writeback: cfg.writeback,
-                ..MemConfig::shared(cfg.writeback)
-            },
+            MemConfig::shared(WritebackPolicy::paper()),
         );
         cache.attach_obs(&registry);
         let alloc = Allocator::new(sb.clone());

@@ -97,7 +97,7 @@ fn allocation_has_cylinder_group_locality() {
 
     // Reading both files back should be dominated by short seeks: all
     // blocks sit in one or two cylinder groups.
-    let before = fs.device().stats().clone();
+    let before = fs.device().stats();
     fs.read_file("/near/a").unwrap();
     fs.read_file("/near/b").unwrap();
     let delta = fs.device().stats().delta_since(&before);

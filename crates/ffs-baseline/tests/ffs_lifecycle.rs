@@ -87,7 +87,7 @@ fn sequential_allocation_gives_contiguous_layout() {
     // Reading it back sequentially after dropping caches should be
     // mostly sequential disk I/O thanks to the allocation hint.
     fs.drop_caches().unwrap();
-    let before = fs.device().stats().clone();
+    let before = fs.device().stats();
     fs.read_file("/seq").unwrap();
     let delta = fs.device().stats().delta_since(&before);
     assert!(

@@ -60,7 +60,7 @@ fn run(fullness: f64, metrics: &mut MetricsReport) -> Outcome {
 
     // Steady-state overwrite churn for a fixed operation budget.
     let rounds = 3_000usize;
-    let io_before = fs.device().stats().clone();
+    let io_before = fs.device().stats();
     let cleaned_before = fs.stats().segments_cleaned;
     let copied_before = fs.stats().cleaner_blocks_copied;
     let data_before = fs.stats().data_blocks_written;

@@ -1,8 +1,8 @@
 //! Multi-client scaling — the §3 concurrency argument under load.
 //!
 //! N closed-loop clients create small files against LFS and FFS through
-//! the request engine, sweeping client count × I/O scheduler. The run is
-//! *strong scaling*: a fixed total file count is split across clients,
+//! the request engine, sweeping client count. The run is *strong
+//! scaling*: a fixed total file count is split across clients,
 //! so every cell performs identical work and throughput differences
 //! measure concurrency alone.
 //!
@@ -12,13 +12,13 @@
 //! synchronous seeks, so one client is already enough to saturate the
 //! seek rate, and more clients only deepen the queue.
 //!
-//! `--smoke` runs a reduced sweep (for CI): clients {1, 8}, schedulers
-//! {fcfs, clook}, a quarter of the files.
+//! `--smoke` runs a reduced sweep (for CI): clients {1, 8}, a quarter
+//! of the files.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use engine::{run_small_file_create, EngineConfig, EngineDisk, SchedulerKind};
+use engine::{run_small_file_create, EngineConfig, EngineDisk};
 use ffs_baseline::FfsConfig;
 use lfs_bench::cache_mix::{run_mix_cell, run_scan_cell, MixCellResult};
 use lfs_bench::{
@@ -33,6 +33,9 @@ use vfs::FileSystem;
 const FILE_SIZE: usize = 1024;
 /// Mean per-client think time between operations.
 const THINK_NS: u64 = 600_000;
+/// The engine's one pick order, as cell labels and table titles name it
+/// (pinned in `bench-baseline/`).
+const SCHED: &str = "fcfs";
 
 struct Cell {
     clients: usize,
@@ -46,14 +49,13 @@ struct Cell {
 /// LFS and FFS share their inherent methods, not a trait.
 fn run_cell<F: FileSystem>(
     label: &str,
-    sched: SchedulerKind,
     clients: usize,
     total_files: usize,
     verdict: &mut Verdict,
     format: impl FnOnce(EngineDisk, Arc<Clock>) -> (F, obs::Registry),
     record: impl FnOnce(&mut F),
 ) -> Cell {
-    let (core, dev, clock) = engine_rig(EngineConfig::default().with_scheduler(sched));
+    let (core, dev, clock) = engine_rig(EngineConfig::default());
     let (mut fs, registry) = format(dev, clock);
     let mcfg = engine::MultiClientConfig::new(clients, total_files / clients, FILE_SIZE)
         .with_think_ns(THINK_NS);
@@ -90,89 +92,75 @@ fn run_cell<F: FileSystem>(
 
 fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (client_counts, schedulers, total_files): (&[usize], &[SchedulerKind], usize) = if smoke {
-        (
-            &[1, 8],
-            &[SchedulerKind::Fcfs, SchedulerKind::CLook],
-            512,
-        )
+    let (client_counts, total_files): (&[usize], usize) = if smoke {
+        (&[1, 8], 512)
     } else {
-        (
-            &[1, 2, 4, 8, 16, 32, 64, 128, 256],
-            &SchedulerKind::all(),
-            2048,
-        )
+        (&[1, 2, 4, 8, 16, 32, 64, 128, 256], 2048)
     };
 
     let mut metrics = MetricsReport::new("mt_scaling");
     let mut verdict = Verdict::new();
-    for &sched in schedulers {
-        for fs in ["lfs", "ffs"] {
-            for &n in client_counts {
-                verdict.expect_cell(fs, &format!("{fs}/{}/c{n:03}", sched.name()));
-            }
-        }
-        let mut lfs_cells = Vec::new();
-        let mut ffs_cells = Vec::new();
+    for fs in ["lfs", "ffs"] {
         for &n in client_counts {
-            let label = format!("lfs/{}/c{n:03}", sched.name());
-            let cfg = LfsConfig::paper()
-                .with_block_size(1024)
-                .with_cache_bytes(1 << 20);
-            lfs_cells.push(run_cell(
-                &label,
-                sched,
-                n,
-                total_files,
-                &mut verdict,
-                |dev, clock| modern_lfs(dev, cfg, clock),
-                |fs| metrics.add_clean_lfs(&label, fs),
-            ));
+            verdict.expect_cell(fs, &format!("{fs}/{SCHED}/c{n:03}"));
         }
-        for &n in client_counts {
-            let label = format!("ffs/{}/c{n:03}", sched.name());
-            ffs_cells.push(run_cell(
-                &label,
-                sched,
-                n,
-                total_files,
-                &mut verdict,
-                |dev, clock| modern_ffs(dev, FfsConfig::paper(), clock),
-                |fs| metrics.add_clean_ffs(&label, fs),
-            ));
-        }
-
-        let headers: Vec<String> = client_counts.iter().map(|n| format!("{n} cl")).collect();
-        print_table(
-            &format!(
-                "Multi-client small-file create, {} scheduler ({total_files} files total, files/sec)",
-                sched.name()
-            ),
-            "fs",
-            &headers,
-            &[
-                Row::of("LFS", &lfs_cells, |c| fmt_rate(c.throughput)),
-                Row::of("FFS", &ffs_cells, |c| fmt_rate(c.throughput)),
-                Row::of("LFS fairness", &lfs_cells, |c| c.fairness_millis.to_string()),
-            ],
-        );
-
-        let lfs_1 = lfs_cells.first().expect("at least one cell");
-        let lfs_peak = lfs_cells
-            .iter()
-            .map(|c| c.throughput)
-            .fold(f64::NEG_INFINITY, f64::max);
-        println!(
-            "  {} summary: LFS 1-client {:.0}/s, peak {:.0}/s ({:.1}x); FFS 1-client {:.0}/s, {}-client {:.0}/s",
-            sched.name(),
-            lfs_1.throughput,
-            lfs_peak,
-            lfs_peak / lfs_1.throughput,
-            ffs_cells.first().expect("cells").throughput,
-            ffs_cells.last().expect("cells").clients,
-            ffs_cells.last().expect("cells").throughput,
-        );
     }
+    let mut lfs_cells = Vec::new();
+    let mut ffs_cells = Vec::new();
+    for &n in client_counts {
+        let label = format!("lfs/{SCHED}/c{n:03}");
+        let cfg = LfsConfig::paper()
+            .with_block_size(1024)
+            .with_cache_bytes(1 << 20);
+        lfs_cells.push(run_cell(
+            &label,
+            n,
+            total_files,
+            &mut verdict,
+            |dev, clock| modern_lfs(dev, cfg, clock),
+            |fs| metrics.add_clean_lfs(&label, fs),
+        ));
+    }
+    for &n in client_counts {
+        let label = format!("ffs/{SCHED}/c{n:03}");
+        ffs_cells.push(run_cell(
+            &label,
+            n,
+            total_files,
+            &mut verdict,
+            |dev, clock| modern_ffs(dev, FfsConfig::paper(), clock),
+            |fs| metrics.add_clean_ffs(&label, fs),
+        ));
+    }
+
+    let headers: Vec<String> = client_counts.iter().map(|n| format!("{n} cl")).collect();
+    print_table(
+        &format!(
+            "Multi-client small-file create, {SCHED} scheduler ({total_files} files total, files/sec)"
+        ),
+        "fs",
+        &headers,
+        &[
+            Row::of("LFS", &lfs_cells, |c| fmt_rate(c.throughput)),
+            Row::of("FFS", &ffs_cells, |c| fmt_rate(c.throughput)),
+            Row::of("LFS fairness", &lfs_cells, |c| c.fairness_millis.to_string()),
+        ],
+    );
+
+    let lfs_1 = lfs_cells.first().expect("at least one cell");
+    let lfs_peak = lfs_cells
+        .iter()
+        .map(|c| c.throughput)
+        .fold(f64::NEG_INFINITY, f64::max);
+    println!(
+        "  {SCHED} summary: LFS 1-client {:.0}/s, peak {:.0}/s ({:.1}x); FFS 1-client {:.0}/s, {}-client {:.0}/s",
+        lfs_1.throughput,
+        lfs_peak,
+        lfs_peak / lfs_1.throughput,
+        ffs_cells.first().expect("cells").throughput,
+        ffs_cells.last().expect("cells").clients,
+        ffs_cells.last().expect("cells").throughput,
+    );
 
     run_cache_arm(smoke, &mut metrics, &mut verdict);
     verdict.finish(metrics)

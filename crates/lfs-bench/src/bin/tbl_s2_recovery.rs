@@ -86,7 +86,7 @@ fn run_lfs(checkpoint_secs: f64, roll_forward: bool, metrics: &mut MetricsReport
     let t0 = clock.now_ns();
     let mut fs2 = Lfs::mount(disk, cfg, Arc::clone(&clock)).expect("recovery mount");
     let recovery_ns = clock.now_ns() - t0;
-    let stats = fs2.device().stats().clone();
+    let stats = fs2.device().stats();
     let report = fs2.fsck().unwrap();
     assert!(
         report.is_clean(),
@@ -127,7 +127,7 @@ fn run_ffs(metrics: &mut MetricsReport) -> Outcome {
     let t0 = clock.now_ns();
     let mut fs2 = Ffs::mount(disk, FfsConfig::paper(), Arc::clone(&clock)).expect("fsck mount");
     let recovery_ns = clock.now_ns() - t0;
-    let stats = fs2.device().stats().clone();
+    let stats = fs2.device().stats();
     assert_eq!(fs2.stats().fsck_scans, 1);
     let report = fs2.fsck().unwrap();
     assert!(report.is_clean(), "FFS inconsistent after fsck:\n{report}");

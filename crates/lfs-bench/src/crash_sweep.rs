@@ -262,14 +262,11 @@ impl Hook {
     }
 }
 
-/// Eager, small-step rebuild pacing: no idle gate (crash runs must be
-/// deterministic, and queue depths vary with where the crash landed)
-/// and two rows per step, so rebuild writes interleave with most of the
-/// remaining workload.
+/// Small-step rebuild pacing: two rows per step, so rebuild writes
+/// interleave with most of the remaining workload. (The sweep offers
+/// steps without an idle window, so the idle gate always sees depth 0.)
 fn rebuild_policy() -> RebuildPolicy {
-    RebuildPolicy::default()
-        .with_idle_queue_depth(None)
-        .with_max_step_rows(2)
+    RebuildPolicy::default().with_max_step_rows(2)
 }
 
 /// How an arm proves it exercised what it exists to cover. A sweep whose

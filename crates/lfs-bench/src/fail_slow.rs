@@ -42,11 +42,6 @@ pub const MULTIPLIER_PCT: u64 = 1000;
 /// Sized several times the WREN IV's worst healthy chunk service
 /// (~75 ms) and well under one 10x-degraded service.
 pub const HEDGE_DEADLINE_NS: u64 = 150_000_000;
-/// Health SLO on service-time inflation, in per-mille of the drive's
-/// mechanical model: sustained 2x is a breach. Healthy media sits at
-/// exactly 1000 whatever the access pattern; the 10x fault sits at
-/// 10000.
-pub const SLO_INFLATION_MILLIS: u64 = 2000;
 /// Deterministic workload seed (distinct from the rebuild bench's).
 const SEED: u64 = 0x51_0E;
 
@@ -99,10 +94,7 @@ pub fn bench_cfg(smoke: bool) -> RebuildBenchConfig {
 /// exactly the window the hedge protects, and this keeps it open long
 /// enough to matter.
 pub fn health_policy() -> HealthPolicy {
-    HealthPolicy::default()
-        .with_slo_inflation_millis(SLO_INFLATION_MILLIS)
-        .with_suspect_after(3)
-        .with_evict_after(16)
+    HealthPolicy::default().with_evict_after(16)
 }
 
 fn rig(spec: &ArmSpec) -> (VolumeDisk, Arc<Clock>) {

@@ -83,8 +83,8 @@ fn volume_cfg(spindles: usize) -> VolumeConfig {
 
 /// Runs the scripted workload: `dirs` directories of `files_per_dir`
 /// files, each `file_bytes` of position-seeded bytes, with an fsync per
-/// directory. For LFS (with `fsync_checkpoints` off, the paper default)
-/// fsync pushes the dirty blocks into sealed log segments *without*
+/// directory. For LFS (with roll-forward on, the paper default) fsync
+/// pushes the dirty blocks into sealed log segments *without*
 /// checkpointing — `sync` would checkpoint and leave roll-forward
 /// nothing to do — so the whole workload stays recoverable tail.
 fn run_workload<F: FileSystem>(fs: &mut F, spec: &WorkloadSpec) {

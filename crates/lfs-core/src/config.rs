@@ -40,10 +40,9 @@ pub struct LfsConfig {
     pub max_utilization: f64,
     /// Whether mount attempts roll-forward past the last checkpoint
     /// (the paper's "ultimately LFS will recover" design, §4.4.1).
+    /// Without it `fsync` forces a checkpoint instead of a log flush,
+    /// so synced data is recoverable either way.
     pub roll_forward: bool,
-    /// Whether `fsync` forces a checkpoint so the synced data is
-    /// recoverable even with `roll_forward` disabled.
-    pub fsync_checkpoints: bool,
     /// Segment-align the fixed metadata regions at format time, so the
     /// superblock and each checkpoint region start on their own
     /// segment boundary (padding the gaps).
@@ -117,7 +116,6 @@ impl LfsConfig {
             cleaner: CleanerConfig::default(),
             max_utilization: 0.88,
             roll_forward: true,
-            fsync_checkpoints: false,
             segment_align_metadata: false,
             seal_on_flush: false,
             recovery_fanout: 1,
@@ -138,7 +136,6 @@ impl LfsConfig {
             cleaner: CleanerConfig::default(),
             max_utilization: 0.88,
             roll_forward: true,
-            fsync_checkpoints: false,
             segment_align_metadata: false,
             seal_on_flush: false,
             recovery_fanout: 1,

@@ -80,7 +80,9 @@ impl<D: BlockDevice> FileSystem for Lfs<D> {
                 fs.check_writable()?;
                 fs.charge(CpuCost::Syscall);
                 fs.ensure_inode(ino)?;
-                if fs.cfg.fsync_checkpoints {
+                if !fs.cfg.roll_forward {
+                    // Checkpoint-only recovery would never see a log
+                    // flush: only a checkpoint makes the fsync durable.
                     fs.checkpoint()?;
                 } else {
                     // §4.3.5 "Sync request": the dirty blocks are pushed to disk.

@@ -246,12 +246,11 @@ fn summary_overhead_is_small_for_bulk_writes() {
     );
 }
 
-/// With `fsync_checkpoints`, a successful fsync is durable even under
-/// checkpoint-only (no roll-forward) recovery.
+/// A successful fsync is durable even under checkpoint-only (no
+/// roll-forward) recovery: without roll-forward, fsync checkpoints.
 #[test]
 fn fsync_checkpoints_makes_fsync_durable_without_rollforward() {
     let mut cfg = LfsConfig::small_test();
-    cfg.fsync_checkpoints = true;
     cfg.roll_forward = false;
     let clock = Clock::new();
     let disk = SimDisk::new(DiskGeometry::tiny_test(16_384), Arc::clone(&clock));
@@ -270,7 +269,7 @@ fn fsync_checkpoints_makes_fsync_durable_without_rollforward() {
     assert_eq!(
         fs.read_file("/precious").unwrap(),
         b"checkpointed by fsync",
-        "fsync_checkpoints must not depend on roll-forward"
+        "fsync durability must not depend on roll-forward"
     );
     assert!(fs.fsck().unwrap().is_clean());
 }

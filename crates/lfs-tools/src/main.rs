@@ -24,8 +24,8 @@
 //! is then a striped array of N disks with one backing image per
 //! spindle, named `<image>.s0`, `<image>.s1`, … — `<image>` itself is
 //! never touched. `--policy` picks the striping policy by its stable
-//! name (`rr-segment`, the default; `interleave`; `parity-segment`;
-//! `parity-rotate`) and `--size-mb` is the size of *each* spindle.
+//! name (`rr-segment`, the default; `interleave`; `parity-segment`)
+//! and `--size-mb` is the size of *each* spindle.
 //!
 //! On a parity policy, `--degraded I` mounts the array with spindle I's
 //! media treated as dead: every read touching it is served by XOR
@@ -150,7 +150,7 @@ fn cli_config(opts: &Opts) -> LfsConfig {
 /// does not split across the parity array's data spindles.
 fn striped_config(opts: &Opts) -> Result<VolumeConfig, String> {
     let chunk = cli_config(opts).stripe_chunk_bytes();
-    // RAID-0/5 stripe unit for the small-chunk policies.
+    // RAID-0 stripe unit.
     const INTERLEAVE_CHUNK: usize = 64 * 1024;
     let n = opts.spindles;
     match opts.policy {
@@ -166,12 +166,6 @@ fn striped_config(opts: &Opts) -> Result<VolumeConfig, String> {
                 ));
             }
             Ok(VolumeConfig::parity_segment(n, chunk))
-        }
-        StripePolicyKind::ParityRotate => {
-            if n < 2 {
-                return Err("parity-rotate needs at least 2 spindles".into());
-            }
-            Ok(VolumeConfig::parity_rotate(n, INTERLEAVE_CHUNK))
         }
     }
 }
@@ -330,15 +324,10 @@ fn cmd_rebuild(opts: &Opts) -> Result<(), String> {
         std::fs::write(lost, []).map_err(|e| e.to_string())?;
     }
     let dev = StripedImages.load(opts)?; // applies the --degraded kill
-    // Offline rebuild: no foreground to yield to, so disable the idle
-    // gate and take big steps.
-    dev.replace_spindle(
-        i,
-        RebuildPolicy::default()
-            .with_idle_queue_depth(None)
-            .with_max_step_rows(64),
-    )
-    .map_err(|e| e.to_string())?;
+    // Offline rebuild: no foreground to yield to, so take big steps
+    // and drain them back to back.
+    dev.replace_spindle(i, RebuildPolicy::default().with_max_step_rows(64))
+        .map_err(|e| e.to_string())?;
     let rows = dev
         .volume()
         .borrow()

@@ -51,18 +51,15 @@ pub enum FlushCause {
 pub struct MemConfig {
     /// Replacement policy.
     pub policy: CachePolicy,
-    /// Write-back triggers (age threshold, dirty high water). Under
-    /// [`CachePolicy::Adaptive`] the high-water fraction only seeds the
-    /// *initial* boundary; the tuner moves it afterwards.
+    /// Write-back age threshold. (The dirty high-water fraction is the
+    /// constant [`DIRTY_HIGH_WATER`](crate::DIRTY_HIGH_WATER); under
+    /// [`CachePolicy::Adaptive`] it only seeds the *initial* boundary
+    /// and the tuner moves it afterwards.)
     pub writeback: WritebackPolicy,
     /// The flush unit in bytes — the segment size for LFS. Flush
     /// efficiency is measured against this; `0` disables the write-side
     /// pressure model (FFS has no segment-sized flush to protect).
     pub flush_unit_bytes: u64,
-    /// Per-client obs instruments (`cache.client.<id>.*`) are only
-    /// published for client ids below this cap; internal accounting is
-    /// kept for every client regardless.
-    pub per_client_obs_max: u32,
 }
 
 impl MemConfig {
@@ -72,7 +69,6 @@ impl MemConfig {
             policy: CachePolicy::SharedLru,
             writeback,
             flush_unit_bytes: 0,
-            per_client_obs_max: 32,
         }
     }
 
@@ -82,7 +78,6 @@ impl MemConfig {
             policy: CachePolicy::Adaptive,
             writeback,
             flush_unit_bytes,
-            per_client_obs_max: 32,
         }
     }
 

@@ -86,5 +86,5 @@ mod report;
 pub use config::{CachePolicy, FlushCause, MemConfig};
 pub use key::{BlockKey, Owner};
 pub use manager::MemMgr;
-pub use policy::{WritebackPolicy, WritebackTrigger};
+pub use policy::{WritebackPolicy, WritebackTrigger, DIRTY_HIGH_WATER};
 pub use report::{CacheReport, CacheStats, ClientUsage};

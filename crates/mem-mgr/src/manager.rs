@@ -6,7 +6,7 @@ use std::ops::{RangeBounds, RangeInclusive};
 use crate::config::{CachePolicy, FlushCause, MemConfig};
 use crate::ghost::GhostList;
 use crate::key::{BlockKey, Owner};
-use crate::policy::{WritebackPolicy, WritebackTrigger};
+use crate::policy::{WritebackPolicy, WritebackTrigger, DIRTY_HIGH_WATER};
 use crate::report::{CacheReport, CacheStats, ClientUsage};
 
 /// Sentinel index terminating the intrusive lists.
@@ -14,6 +14,11 @@ const NIL: u32 = u32::MAX;
 
 /// Flush reports per tuning decision.
 const TUNE_WINDOW: u32 = 4;
+
+/// Per-client obs instruments (`cache.client.<id>.*`) are only published
+/// for client ids below this cap; internal accounting is kept for every
+/// client regardless.
+const PER_CLIENT_OBS_MAX: u32 = 32;
 
 /// Which pool a resident block lives in. Under [`CachePolicy::SharedLru`]
 /// every block (clean or dirty) lives on the `Protected` list, which then
@@ -260,7 +265,7 @@ impl MemMgr {
             .saturating_sub((capacity_blocks / 8).max(1))
             .max(min_write);
         let high_water =
-            ((capacity_blocks as f64 * config.writeback.dirty_high_water) as usize).max(1);
+            ((capacity_blocks as f64 * DIRTY_HIGH_WATER) as usize).max(1);
         let write_target = match config.policy {
             CachePolicy::SharedLru => high_water,
             CachePolicy::Adaptive => high_water.clamp(min_write, max_write),
@@ -386,7 +391,7 @@ impl MemMgr {
     // ---- accounting helpers -------------------------------------------
 
     fn client_obs_handle(&mut self, id: u32) -> Option<&ClientObs> {
-        if id >= self.config.per_client_obs_max {
+        if id >= PER_CLIENT_OBS_MAX {
             return None;
         }
         if !self.client_obs.contains_key(&id) {

@@ -9,25 +9,24 @@ pub enum WritebackTrigger {
     AgeThreshold,
 }
 
+/// Fraction of cache capacity that may be dirty before a write-back is
+/// forced (the "shortage of clean blocks" condition): three quarters.
+pub const DIRTY_HIGH_WATER: f64 = 0.75;
+
 /// Parameters governing when dirty data must leave the cache.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WritebackPolicy {
     /// Dirty blocks older than this (ns) trigger a write-back. The paper's
     /// implementation uses 30 seconds, "much like the delayed write-back
     /// policy of UNIX".
     pub age_threshold_ns: u64,
-    /// Fraction of cache capacity that may be dirty before a write-back is
-    /// forced (the "shortage of clean blocks" condition).
-    pub dirty_high_water: f64,
 }
 
 impl WritebackPolicy {
-    /// The paper's configuration: 30-second age threshold, write-back when
-    /// three quarters of the cache is dirty.
+    /// The paper's configuration: 30-second age threshold.
     pub fn paper() -> Self {
         Self {
             age_threshold_ns: 30 * 1_000_000_000,
-            dirty_high_water: 0.75,
         }
     }
 
@@ -52,7 +51,6 @@ mod tests {
     fn paper_policy_is_thirty_seconds() {
         let policy = WritebackPolicy::paper();
         assert_eq!(policy.age_threshold_ns, 30_000_000_000);
-        assert!(policy.dirty_high_water > 0.0 && policy.dirty_high_water < 1.0);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use proptest::prelude::*;
 
 use mem_mgr::{
     BlockKey, CacheStats, MemConfig, MemMgr, Owner, WritebackPolicy, WritebackTrigger,
+    DIRTY_HIGH_WATER,
 };
 use vfs::Ino;
 
@@ -211,7 +212,7 @@ impl Model {
 
     fn trigger(&self, now: u64) -> Option<WritebackTrigger> {
         let policy = WritebackPolicy::paper();
-        let high_water = (MODEL_CAPACITY as f64 * policy.dirty_high_water) as usize;
+        let high_water = (MODEL_CAPACITY as f64 * DIRTY_HIGH_WATER) as usize;
         if self.dirty_count() >= high_water {
             return Some(WritebackTrigger::CacheFull);
         }

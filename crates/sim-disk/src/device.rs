@@ -126,9 +126,10 @@ pub trait BlockDevice {
 
     /// Completes a read started by [`BlockDevice::start_read_async`],
     /// blocking (advancing the virtual clock) only if the read has not
-    /// finished yet. The token must come from the same device.
+    /// finished yet. The token must come from the same device; a device
+    /// that hands out no tokens rejects the call as operator misuse.
     fn finish_read_async(&mut self, _token: u64) -> DiskResult<Vec<u8>> {
-        Err(DiskError::Crashed)
+        Err(DiskError::Unsupported("no asynchronous read path"))
     }
 
     /// Number of independently seeking spindles behind this device: the

@@ -111,6 +111,18 @@ mod tests {
         assert_eq!(disk.write_count(), 1);
     }
 
+    /// A device with no asynchronous read path hands out no tokens, and
+    /// claiming one anyway is operator misuse — not a power loss.
+    #[test]
+    fn finishing_an_async_read_is_unsupported() {
+        let mut disk = RamDisk::new(8);
+        assert_eq!(disk.start_read_async(0, SECTOR_SIZE), None);
+        assert_eq!(
+            disk.finish_read_async(0),
+            Err(DiskError::Unsupported("no asynchronous read path"))
+        );
+    }
+
     #[test]
     fn rejects_out_of_range() {
         let mut disk = RamDisk::new(2);

@@ -190,7 +190,7 @@ pub struct IoCompletion {
     pub data: Option<Vec<u8>>,
 }
 
-/// Arguments for recording one serviced request into stats/obs/trace.
+/// Arguments for recording one serviced request into obs and the trace.
 struct Serviced {
     kind: AccessKind,
     sector: u64,
@@ -226,7 +226,6 @@ pub struct SimDisk {
     geometry: DiskGeometry,
     clock: Arc<Clock>,
     data: Vec<u8>,
-    stats: IoStats,
     trace: AccessTrace,
     /// Sector where the previous request ended (head position proxy).
     head: u64,
@@ -266,7 +265,6 @@ impl SimDisk {
             geometry,
             clock,
             data: vec![0; bytes],
-            stats: IoStats::default(),
             trace: AccessTrace::default(),
             head: 0,
             busy_until_ns: 0,
@@ -309,19 +307,31 @@ impl SimDisk {
         &self.clock
     }
 
-    /// Returns accumulated I/O statistics.
-    pub fn stats(&self) -> &IoStats {
-        &self.stats
+    /// Accumulated I/O statistics: a view built from the disk's obs
+    /// counters (the one ledger `record_serviced` writes).
+    pub fn stats(&self) -> IoStats {
+        let o = &self.obs;
+        IoStats {
+            reads: o.reads.get(),
+            writes: o.writes.get(),
+            sync_writes: o.sync_writes.get(),
+            seeks: o.seeks.get(),
+            sequential: o.sequential.get(),
+            bytes_read: o.bytes_read.get(),
+            bytes_written: o.bytes_written.get(),
+            busy_ns: o.busy_ns.get(),
+            seek_ns: o.seek_ns.get(),
+            rotation_ns: o.rotation_ns.get(),
+            transfer_ns: o.transfer_ns.get(),
+            stall_ns: o.stall_ns.get(),
+            queue_wait_ns: o.queue_wait_ns.get(),
+            coalesced: o.coalesced.get(),
+        }
     }
 
     /// Returns the registry this disk currently reports into.
     pub fn obs(&self) -> &Registry {
         &self.obs.registry
-    }
-
-    /// Resets accumulated I/O statistics (head position is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = IoStats::default();
     }
 
     /// Returns the access trace.
@@ -532,7 +542,7 @@ impl SimDisk {
         base + self.latency_fault_ns(start_ns, base, sector)
     }
 
-    /// Records one serviced request into stats, obs, and the trace.
+    /// Records one serviced request into obs and the trace.
     ///
     /// This is the **only** place service time enters `busy_ns` and its
     /// decomposition, and it runs exactly once per serviced request — on
@@ -542,39 +552,27 @@ impl SimDisk {
     /// as busy time, so overlapped queueing cannot double-count service.
     fn record_serviced(&mut self, s: Serviced) {
         let service_ns = s.seek_ns + s.rotation_ns + s.transfer_ns + s.stall_ns;
-        self.stats.busy_ns += service_ns;
-        self.stats.seek_ns += s.seek_ns;
-        self.stats.rotation_ns += s.rotation_ns;
-        self.stats.transfer_ns += s.transfer_ns;
-        self.stats.stall_ns += s.stall_ns;
         self.obs.busy_ns.add(service_ns);
         self.obs.seek_ns.add(s.seek_ns);
         self.obs.rotation_ns.add(s.rotation_ns);
         self.obs.transfer_ns.add(s.transfer_ns);
         self.obs.stall_ns.add(s.stall_ns);
         if s.sequential {
-            self.stats.sequential += 1;
             self.obs.sequential.inc();
         } else {
-            self.stats.seeks += 1;
             self.obs.seeks.inc();
         }
         match s.kind {
             AccessKind::Read => {
-                self.stats.reads += 1;
-                self.stats.bytes_read += s.bytes;
                 self.obs.reads.inc();
                 self.obs.bytes_read.add(s.bytes);
                 self.obs.read_lat.record(service_ns);
             }
             AccessKind::Write => {
-                self.stats.writes += 1;
-                self.stats.bytes_written += s.bytes;
                 self.obs.writes.inc();
                 self.obs.bytes_written.add(s.bytes);
                 self.obs.write_lat.record(service_ns);
                 if s.sync {
-                    self.stats.sync_writes += 1;
                     self.obs.sync_writes.inc();
                 }
             }
@@ -758,11 +756,6 @@ impl SimDisk {
         self.pending.len()
     }
 
-    /// Current head position (sector where the last request ended).
-    pub fn head(&self) -> u64 {
-        self.head
-    }
-
     /// Virtual time at which the device becomes idle.
     pub fn busy_until_ns(&self) -> u64 {
         self.busy_until_ns
@@ -804,7 +797,6 @@ impl SimDisk {
             .extend_from_slice(back_req.data.as_deref().expect("write without payload"));
         front_req.bytes += back_req.bytes;
         front_req.submitted_at_ns = front_req.submitted_at_ns.min(back_req.submitted_at_ns);
-        self.stats.coalesced += 1;
         self.obs.coalesced.inc();
     }
 
@@ -894,7 +886,6 @@ impl SimDisk {
             }
         };
 
-        self.stats.queue_wait_ns += wait_ns;
         self.obs.queue_wait_ns.add(wait_ns);
         self.record_serviced(Serviced {
             kind: req.kind,
@@ -1406,6 +1397,8 @@ mod tests {
         assert_eq!(records[1].label, "");
     }
 
+    /// `stats()` is a view of the obs counters: every field reads the
+    /// counter of the same name, before and after a prefixed re-home.
     #[test]
     fn obs_mirrors_stats_and_decomposes_busy_time() {
         let mut disk = small_disk();
@@ -1414,18 +1407,34 @@ mod tests {
         let mut buf = vec![0; SECTOR_SIZE];
         disk.read(7, &mut buf).unwrap();
 
-        let snap = disk.obs().snapshot();
         let stats = disk.stats();
-        assert_eq!(snap.counter("disk.reads"), stats.reads);
-        assert_eq!(snap.counter("disk.writes"), stats.writes);
-        assert_eq!(snap.counter("disk.busy_ns"), stats.busy_ns);
-        // The decomposition is exact, in both reporting paths.
-        assert_eq!(
-            snap.counter("disk.seek_ns")
-                + snap.counter("disk.rotation_ns")
-                + snap.counter("disk.transfer_ns"),
-            snap.counter("disk.busy_ns")
-        );
+        assert_eq!((stats.reads, stats.writes, stats.sync_writes), (1, 2, 1));
+        assert_eq!(stats.bytes_written, 3 * SECTOR_SIZE as u64);
+        assert_eq!(stats.seeks + stats.sequential, stats.total_requests());
+
+        let check = |snap: &obs::Snapshot, prefix: &str, stats: &IoStats| {
+            let c = |name: &str| snap.counter(&format!("{prefix}disk.{name}"));
+            let from_counters = IoStats {
+                reads: c("reads"),
+                writes: c("writes"),
+                sync_writes: c("sync_writes"),
+                seeks: c("seeks"),
+                sequential: c("sequential"),
+                bytes_read: c("bytes_read"),
+                bytes_written: c("bytes_written"),
+                busy_ns: c("busy_ns"),
+                seek_ns: c("seek_ns"),
+                rotation_ns: c("rotation_ns"),
+                transfer_ns: c("transfer_ns"),
+                stall_ns: c("stall_ns"),
+                queue_wait_ns: c("queue_wait_ns"),
+                coalesced: c("coalesced_writes"),
+            };
+            assert_eq!(&from_counters, stats);
+        };
+        let snap = disk.obs().snapshot();
+        check(&snap, "", &stats);
+        // The decomposition is exact.
         assert_eq!(
             stats.seek_ns + stats.rotation_ns + stats.transfer_ns,
             stats.busy_ns
@@ -1436,6 +1445,13 @@ mod tests {
         assert_eq!(read_lat.count, stats.reads);
         assert_eq!(write_lat.count, stats.writes);
         assert_eq!(read_lat.sum + write_lat.sum, stats.busy_ns);
+
+        // Re-homed under a prefix, the view follows the counters.
+        disk.set_metric_prefix("volume.spindle.3.");
+        disk.read(7, &mut buf).unwrap();
+        let stats = disk.stats();
+        assert_eq!(stats.reads, 2);
+        check(&disk.obs().snapshot(), "volume.spindle.3.", &stats);
     }
 
     #[test]

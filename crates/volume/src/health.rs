@@ -17,16 +17,15 @@
 //! request by its degradation factor.
 //!
 //! The [`HealthMonitor`] tracks each spindle's inflation (per-mille
-//! EWMA against [`HealthPolicy::slo_inflation_millis`]) and a sliding
-//! window of media errors, and walks a healthy → suspect → evicted
-//! state machine with hysteresis on both edges:
+//! EWMA against [`SLO_INFLATION_MILLIS`]) and a sliding window of media
+//! errors, and walks a healthy → suspect → evicted state machine with
+//! hysteresis on both edges:
 //!
-//! * A spindle becomes **suspect** after [`HealthPolicy::suspect_after`]
-//!   consecutive breaches (inflation EWMA over the SLO, or too many
-//!   errors in the window).
-//! * A suspect spindle **recovers** after
-//!   [`HealthPolicy::recover_after`] consecutive clean observations —
-//!   a transient stall is forgiven.
+//! * A spindle becomes **suspect** after [`SUSPECT_AFTER`] consecutive
+//!   breaches (inflation EWMA over the SLO, or too many errors in the
+//!   window).
+//! * A suspect spindle **recovers** after [`RECOVER_AFTER`] consecutive
+//!   clean observations — a transient stall is forgiven.
 //! * A suspect spindle that keeps breaching for
 //!   [`HealthPolicy::evict_after`] more observations is **evicted**:
 //!   [`crate::StripedVolume`] kills it and, when a hot spare is
@@ -61,88 +60,41 @@ pub enum HealthEvent {
     Evicted(usize),
 }
 
-/// Thresholds and hysteresis for the health state machine.
+/// EWMA weight of the newest inflation sample, in per-mille: the newest
+/// sample contributes 20%.
+pub const EWMA_ALPHA_MILLIS: u64 = 200;
+/// Inflation SLO, in per-mille of the model-expected service time: the
+/// EWMA breaching this — sustained 2x the mechanical model — is a strike.
+pub const SLO_INFLATION_MILLIS: u64 = 2000;
+/// Length of the sliding per-spindle error window (observations).
+pub const ERROR_WINDOW: usize = 16;
+/// More than this many errors inside the window is a strike even when
+/// inflation looks fine.
+pub const MAX_WINDOW_ERRORS: u32 = 2;
+/// Consecutive strikes to go healthy → suspect.
+pub const SUSPECT_AFTER: u32 = 3;
+/// Consecutive clean observations to go suspect → healthy.
+pub const RECOVER_AFTER: u32 = 8;
+/// Observations before any verdict — the EWMA needs a baseline.
+pub const MIN_OBSERVATIONS: u64 = 8;
+
+/// How long the monitor tolerates a suspect before the drastic step.
 #[derive(Debug, Clone, Copy)]
 pub struct HealthPolicy {
-    /// EWMA weight of the newest inflation sample, in per-mille
-    /// (`200` = the newest sample contributes 20%).
-    pub ewma_alpha_millis: u64,
-    /// Inflation SLO, in per-mille of the model-expected service time:
-    /// the EWMA breaching this is a strike. `2000` = sustained 2x the
-    /// mechanical model.
-    pub slo_inflation_millis: u64,
-    /// Length of the sliding per-spindle error window (observations).
-    pub error_window: usize,
-    /// More than this many errors inside the window is a strike even
-    /// when inflation looks fine.
-    pub max_window_errors: u32,
-    /// Consecutive strikes to go healthy → suspect.
-    pub suspect_after: u32,
     /// Consecutive strikes *while suspect* to go suspect → evicted.
     pub evict_after: u32,
-    /// Consecutive clean observations to go suspect → healthy.
-    pub recover_after: u32,
-    /// Observations before any verdict — the EWMA needs a baseline.
-    pub min_observations: u64,
 }
 
 impl Default for HealthPolicy {
     fn default() -> Self {
-        Self {
-            ewma_alpha_millis: 200,
-            slo_inflation_millis: 2000,
-            error_window: 16,
-            max_window_errors: 2,
-            suspect_after: 3,
-            evict_after: 5,
-            recover_after: 8,
-            min_observations: 8,
-        }
+        Self { evict_after: 5 }
     }
 }
 
 impl HealthPolicy {
-    /// Replaces the EWMA weight of the newest sample (per-mille).
-    pub fn with_ewma_alpha_millis(mut self, millis: u64) -> Self {
-        self.ewma_alpha_millis = millis.min(1000);
-        self
-    }
-
-    /// Replaces the inflation SLO (per-mille of the model-expected
-    /// service time).
-    pub fn with_slo_inflation_millis(mut self, millis: u64) -> Self {
-        self.slo_inflation_millis = millis;
-        self
-    }
-
-    /// Replaces the error window length and its strike threshold.
-    pub fn with_error_window(mut self, window: usize, max_errors: u32) -> Self {
-        self.error_window = window.max(1);
-        self.max_window_errors = max_errors;
-        self
-    }
-
-    /// Replaces the healthy → suspect hysteresis.
-    pub fn with_suspect_after(mut self, strikes: u32) -> Self {
-        self.suspect_after = strikes.max(1);
-        self
-    }
-
     /// Replaces the suspect → evicted hysteresis.
     pub fn with_evict_after(mut self, strikes: u32) -> Self {
         self.evict_after = strikes.max(1);
-        self
-    }
-
-    /// Replaces the suspect → healthy hysteresis.
-    pub fn with_recover_after(mut self, clears: u32) -> Self {
-        self.recover_after = clears.max(1);
-        self
-    }
-
-    /// Replaces the warmup observation count.
-    pub fn with_min_observations(mut self, n: u64) -> Self {
-        self.min_observations = n;
         self
     }
 }
@@ -242,7 +194,7 @@ impl HealthMonitor {
     }
 
     fn ingest(&mut self, i: usize, inflation_millis: u64, error: bool) -> Option<HealthEvent> {
-        let policy = self.policy;
+        let evict_after = self.policy.evict_after;
         let t = &mut self.trackers[i];
         if t.state == HealthState::Evicted {
             return None;
@@ -251,7 +203,7 @@ impl HealthMonitor {
         t.ewma_millis = Some(match t.ewma_millis {
             None => inflation_millis,
             Some(prev) => {
-                let a = policy.ewma_alpha_millis as u128;
+                let a = EWMA_ALPHA_MILLIS as u128;
                 (((inflation_millis as u128) * a + (prev as u128) * (1000 - a)) / 1000) as u64
             }
         });
@@ -259,15 +211,15 @@ impl HealthMonitor {
         if error {
             t.window_errors += 1;
         }
-        while t.errors.len() > policy.error_window {
+        while t.errors.len() > ERROR_WINDOW {
             if t.errors.pop_front() == Some(true) {
                 t.window_errors -= 1;
             }
         }
-        let warmed = t.observations >= policy.min_observations;
+        let warmed = t.observations >= MIN_OBSERVATIONS;
         let breach = warmed
-            && (t.ewma_millis.unwrap_or(0) > policy.slo_inflation_millis
-                || t.window_errors > policy.max_window_errors);
+            && (t.ewma_millis.unwrap_or(0) > SLO_INFLATION_MILLIS
+                || t.window_errors > MAX_WINDOW_ERRORS);
         if breach {
             t.breach_streak += 1;
             t.clear_streak = 0;
@@ -276,17 +228,17 @@ impl HealthMonitor {
             t.breach_streak = 0;
         }
         match t.state {
-            HealthState::Healthy if t.breach_streak >= policy.suspect_after => {
+            HealthState::Healthy if t.breach_streak >= SUSPECT_AFTER => {
                 t.state = HealthState::Suspect;
                 // Eviction counts strikes accumulated *as a suspect*.
                 t.breach_streak = 0;
                 Some(HealthEvent::Suspected(i))
             }
-            HealthState::Suspect if t.breach_streak >= policy.evict_after => {
+            HealthState::Suspect if t.breach_streak >= evict_after => {
                 t.state = HealthState::Evicted;
                 Some(HealthEvent::Evicted(i))
             }
-            HealthState::Suspect if t.clear_streak >= policy.recover_after => {
+            HealthState::Suspect if t.clear_streak >= RECOVER_AFTER => {
                 t.state = HealthState::Healthy;
                 Some(HealthEvent::Recovered(i))
             }
@@ -301,20 +253,37 @@ mod tests {
 
     /// One model-expected unit, for readable observed/expected pairs.
     const EXPECTED: u64 = 1_000_000;
+    /// 5x the model: far enough over the SLO that the 20% EWMA crosses
+    /// it on the second slow sample after a healthy baseline.
+    const SLOW: u64 = 5 * EXPECTED;
 
-    fn quick_policy() -> HealthPolicy {
-        HealthPolicy::default()
-            .with_ewma_alpha_millis(1000) // newest sample only: no smoothing lag
-            .with_slo_inflation_millis(2000)
-            .with_suspect_after(2)
-            .with_evict_after(3)
-            .with_recover_after(2)
-            .with_min_observations(1)
+    fn monitor(spindles: usize) -> HealthMonitor {
+        HealthMonitor::new(spindles, HealthPolicy::default().with_evict_after(3))
+    }
+
+    /// Feeds healthy samples until the warmup is over.
+    fn warm(mon: &mut HealthMonitor, i: usize) {
+        for _ in 0..MIN_OBSERVATIONS {
+            assert_eq!(mon.observe(i, EXPECTED, EXPECTED), None);
+        }
+    }
+
+    /// Feeds slow samples until spindle `i` turns suspect; returns how
+    /// many it took.
+    fn slow_until_suspect(mon: &mut HealthMonitor, i: usize) -> u32 {
+        for n in 1..=32 {
+            match mon.observe(i, SLOW, EXPECTED) {
+                None => {}
+                Some(HealthEvent::Suspected(s)) if s == i => return n,
+                other => panic!("unexpected transition {other:?}"),
+            }
+        }
+        panic!("never suspected");
     }
 
     #[test]
     fn healthy_spindle_never_transitions() {
-        let mut mon = HealthMonitor::new(2, quick_policy());
+        let mut mon = monitor(2);
         for _ in 0..100 {
             assert_eq!(mon.observe(0, EXPECTED, EXPECTED), None);
         }
@@ -325,15 +294,16 @@ mod tests {
 
     #[test]
     fn inflation_breaches_walk_suspect_then_evicted_with_hysteresis() {
-        let mut mon = HealthMonitor::new(1, quick_policy());
-        let slow = 5 * EXPECTED;
-        assert_eq!(mon.observe(0, slow, EXPECTED), None, "one strike is not enough");
-        assert_eq!(mon.observe(0, slow, EXPECTED), Some(HealthEvent::Suspected(0)));
+        let mut mon = monitor(1);
+        warm(&mut mon, 0);
+        // EWMA 1000 → 1800 → 2440: the second slow sample is the first
+        // breach, and suspicion needs SUSPECT_AFTER of them in a row.
+        assert_eq!(slow_until_suspect(&mut mon, 0), 1 + SUSPECT_AFTER);
         assert_eq!(mon.state(0), HealthState::Suspect);
         // Eviction needs evict_after = 3 more strikes from the suspect edge.
-        assert_eq!(mon.observe(0, slow, EXPECTED), None);
-        assert_eq!(mon.observe(0, slow, EXPECTED), None);
-        assert_eq!(mon.observe(0, slow, EXPECTED), Some(HealthEvent::Evicted(0)));
+        assert_eq!(mon.observe(0, SLOW, EXPECTED), None);
+        assert_eq!(mon.observe(0, SLOW, EXPECTED), None);
+        assert_eq!(mon.observe(0, SLOW, EXPECTED), Some(HealthEvent::Evicted(0)));
         assert_eq!(mon.state(0), HealthState::Evicted);
         // Evicted spindles are no longer judged.
         assert_eq!(mon.observe(0, 1, EXPECTED), None);
@@ -344,8 +314,8 @@ mod tests {
     fn inflation_is_judged_relative_to_the_request_shape() {
         // A long request on a healthy drive (expensive but on-model)
         // must not look sicker than a short request served at 5x.
-        let mut mon = HealthMonitor::new(2, quick_policy());
-        for _ in 0..10 {
+        let mut mon = monitor(2);
+        for _ in 0..20 {
             // 100x the absolute latency, but exactly what the model
             // predicts for that request: inflation 1.0x.
             assert_eq!(mon.observe(0, 100 * EXPECTED, 100 * EXPECTED), None);
@@ -353,36 +323,48 @@ mod tests {
         assert_eq!(mon.state(0), HealthState::Healthy);
         // Cheap requests at 5x the model: absolute latency is tiny,
         // inflation is flagrant.
-        mon.observe(1, EXPECTED / 20, EXPECTED / 100);
-        assert_eq!(
-            mon.observe(1, EXPECTED / 20, EXPECTED / 100),
-            Some(HealthEvent::Suspected(1))
-        );
+        let mut suspected = false;
+        for _ in 0..20 {
+            suspected |=
+                mon.observe(1, EXPECTED / 20, EXPECTED / 100) == Some(HealthEvent::Suspected(1));
+        }
+        assert!(suspected);
     }
 
     #[test]
     fn a_transient_stall_is_forgiven() {
-        let mut mon = HealthMonitor::new(1, quick_policy());
-        let slow = 5 * EXPECTED;
-        mon.observe(0, slow, EXPECTED);
-        assert_eq!(mon.observe(0, slow, EXPECTED), Some(HealthEvent::Suspected(0)));
-        assert_eq!(mon.observe(0, EXPECTED, EXPECTED), None);
-        assert_eq!(
-            mon.observe(0, EXPECTED, EXPECTED),
-            Some(HealthEvent::Recovered(0))
-        );
+        // The default eviction hysteresis outlasts the EWMA's decay.
+        let mut mon = HealthMonitor::new(1, HealthPolicy::default());
+        warm(&mut mon, 0);
+        slow_until_suspect(&mut mon, 0);
+        // The EWMA decays back under the SLO (three more strikes on the
+        // way down), then RECOVER_AFTER clean observations in a row
+        // forgive the spindle.
+        let mut recovered_after = None;
+        for n in 1..=32 {
+            if mon.observe(0, EXPECTED, EXPECTED) == Some(HealthEvent::Recovered(0)) {
+                recovered_after = Some(n);
+                break;
+            }
+        }
+        assert!(recovered_after.expect("never recovered") >= RECOVER_AFTER);
         assert_eq!(mon.state(0), HealthState::Healthy);
         // The recovery cleared the strike count: suspicion starts over.
-        assert_eq!(mon.observe(0, slow, EXPECTED), None);
-        assert_eq!(mon.observe(0, slow, EXPECTED), Some(HealthEvent::Suspected(0)));
+        assert!(slow_until_suspect(&mut mon, 0) >= SUSPECT_AFTER);
     }
 
     #[test]
     fn error_rate_breaches_without_inflation() {
-        let policy = quick_policy().with_error_window(4, 1);
+        // Patient enough to watch the errors age out of the window.
+        let policy = HealthPolicy::default().with_evict_after(2 * ERROR_WINDOW as u32);
         let mut mon = HealthMonitor::new(1, policy);
-        assert_eq!(mon.observe_error(0), None, "1 error in window: allowed");
-        assert_eq!(mon.observe_error(0), None, "2 errors: first strike");
+        warm(&mut mon, 0);
+        for n in 1..=MAX_WINDOW_ERRORS {
+            assert_eq!(mon.observe_error(0), None, "{n} errors in window: allowed");
+        }
+        for _ in 1..SUSPECT_AFTER {
+            assert_eq!(mon.observe_error(0), None, "a strike, not yet a streak");
+        }
         assert_eq!(mon.observe_error(0), Some(HealthEvent::Suspected(0)));
         assert_eq!(
             mon.ewma_inflation_millis(0),
@@ -390,7 +372,7 @@ mod tests {
             "errors are inflation-neutral"
         );
         // The window slides: old errors age out and the streak clears.
-        for _ in 0..4 {
+        for _ in 0..ERROR_WINDOW + RECOVER_AFTER as usize {
             mon.observe(0, EXPECTED, EXPECTED);
         }
         assert_eq!(mon.state(0), HealthState::Healthy);
@@ -398,32 +380,28 @@ mod tests {
 
     #[test]
     fn warmup_defers_judgement_and_reset_rearms_it() {
-        let policy = quick_policy().with_min_observations(10);
-        let mut mon = HealthMonitor::new(1, policy);
-        let slow = 5 * EXPECTED;
-        for _ in 0..9 {
-            assert_eq!(mon.observe(0, slow, EXPECTED), None, "still warming up");
+        let mut mon = monitor(1);
+        for _ in 1..MIN_OBSERVATIONS {
+            assert_eq!(mon.observe(0, SLOW, EXPECTED), None, "still warming up");
         }
         assert_eq!(mon.state(0), HealthState::Healthy);
-        mon.observe(0, slow, EXPECTED);
-        assert_eq!(mon.observe(0, slow, EXPECTED), Some(HealthEvent::Suspected(0)));
+        assert_eq!(slow_until_suspect(&mut mon, 0), SUSPECT_AFTER);
         mon.reset(0);
         assert_eq!(mon.state(0), HealthState::Healthy);
         assert_eq!(mon.ewma_inflation_millis(0), 0);
-        for _ in 0..9 {
-            assert_eq!(mon.observe(0, slow, EXPECTED), None, "warmup restarted");
+        for _ in 1..MIN_OBSERVATIONS {
+            assert_eq!(mon.observe(0, SLOW, EXPECTED), None, "warmup restarted");
         }
     }
 
     #[test]
     fn ewma_smooths_with_integer_per_mille_weights() {
-        let policy = HealthPolicy::default().with_ewma_alpha_millis(500);
-        let mut mon = HealthMonitor::new(1, policy);
+        let mut mon = monitor(1);
         mon.observe(0, EXPECTED, EXPECTED);
         assert_eq!(mon.ewma_inflation_millis(0), 1000, "first sample seeds the EWMA");
         mon.observe(0, 2 * EXPECTED, EXPECTED);
-        assert_eq!(mon.ewma_inflation_millis(0), 1500);
+        assert_eq!(mon.ewma_inflation_millis(0), 1200);
         mon.observe(0, 3 * EXPECTED, 2 * EXPECTED);
-        assert_eq!(mon.ewma_inflation_millis(0), 1500);
+        assert_eq!(mon.ewma_inflation_millis(0), 1260);
     }
 }

@@ -11,13 +11,13 @@
 //! already mount, so LFS, FFS, the multi-client engine, and the
 //! crash/fault harnesses run unchanged on 1..N disks.
 //!
-//! Four striping policies are provided (see [`policy`]):
-//! segment-granular round-robin — the natural match for LFS, keeping
-//! each spindle purely sequential — classic RAID-0 block interleave
-//! with a configurable chunk size, and two parity-keeping variants
-//! ([`ParitySegment`], [`ParityRotate`]) that survive the loss of any
-//! one spindle: reads reconstruct by XOR across the survivors and a
-//! swapped-in replacement is rebuilt online (see [`rebuild`]).
+//! One chunked [`StripeLayout`] serves three chunk rules (see
+//! [`policy`]): segment-granular round-robin — the natural match for
+//! LFS, keeping each spindle purely sequential — classic RAID-0 block
+//! interleave with a configurable chunk size, and per-segment parity,
+//! which survives the loss of any one spindle: reads reconstruct by XOR
+//! across the survivors and a swapped-in replacement is rebuilt online
+//! (see [`rebuild`]).
 
 #![warn(missing_docs)]
 
@@ -27,9 +27,6 @@ pub mod rebuild;
 pub mod volume;
 
 pub use health::{HealthEvent, HealthMonitor, HealthPolicy, HealthState};
-pub use policy::{
-    split_request, to_logical, BlockInterleave, ParityRotate, ParitySegment, SegmentRoundRobin,
-    StripePolicy, StripePolicyKind, SubRequest,
-};
+pub use policy::{StripeLayout, StripePolicyKind, SubRequest};
 pub use rebuild::{RebuildPolicy, RebuildProgress, RebuildRun, SpindleState};
 pub use volume::{StripedVolume, VolumeConfig, VolumeDisk};

@@ -1,41 +1,40 @@
-//! Striping policies: how logical sectors map onto spindles.
+//! Striping layouts: how logical sectors map onto spindles.
 //!
-//! The RAID-0 policies are chunked layouts — the logical address space
-//! is cut into fixed-size *stripe units* (chunks) dealt round-robin
-//! across spindles — and differ only in the chunk size:
+//! Every layout is chunked — the logical address space is cut into
+//! fixed-size *stripe units* (chunks) dealt round-robin across spindles
+//! — so a [`StripeLayout`] is two facts: the chunk size and whether each
+//! row keeps a parity chunk. [`StripePolicyKind`] names the chunk rules
+//! callers pick from:
 //!
-//! * [`SegmentRoundRobin`] uses the LFS segment size as the chunk, so a
-//!   whole segment write lands on one spindle and each disk sees the
+//! * `RrSegment` uses the LFS segment size as the chunk, so a whole
+//!   segment write lands on one spindle and each disk sees the
 //!   pure-sequential write pattern §3 of the paper depends on, while
 //!   consecutive segments rotate across spindles.
-//! * [`BlockInterleave`] uses a small configurable chunk (classic
-//!   RAID-0), so one large request fans out across every spindle.
+//! * `Interleave` uses a small chunk (classic RAID-0), so one large
+//!   request fans out across every spindle.
+//! * `ParitySegment` adds single-fault redundancy: each *row* (one
+//!   chunk per spindle at the same physical offset) dedicates one
+//!   rotating spindle to the XOR of the other chunks, and the chunk is
+//!   sized so one full segment write covers a whole data row — the
+//!   volume computes parity straight from the write buffer without ever
+//!   reading old data (the log never pays the RAID-5 read-modify-write
+//!   tax). A smaller chunk under the same layout is classic RAID-5:
+//!   partial rows pay read-modify-write.
 //!
-//! The parity policies add single-fault redundancy: each *row* (one
-//! chunk per spindle at the same physical offset) dedicates one
-//! rotating spindle to the XOR of the other chunks, so any one dead
-//! spindle's contents can be reconstructed from the survivors:
+//! Parity layouts keep the **row-XOR invariant**: for every physical
+//! sector `p`, the XOR of sector `p` across all spindles is zero.
+//! Reconstruction of any physical range on one spindle is then the XOR
+//! of the *same* physical range on every other spindle, with no role
+//! bookkeeping.
 //!
-//! * [`ParitySegment`] is LFS's natural fit — the chunk is sized so one
-//!   full segment write covers a whole data row, letting the volume
-//!   compute parity straight from the write buffer without ever reading
-//!   old data (the log never pays the RAID-5 read-modify-write tax).
-//! * [`ParityRotate`] is classic RAID-5: small chunks, rotating parity,
-//!   read-modify-write on partial rows.
-//!
-//! Both keep the **row-XOR invariant**: for every physical sector `p`,
-//! the XOR of sector `p` across all spindles is zero. Reconstruction of
-//! any physical range on one spindle is then the XOR of the *same*
-//! physical range on every other spindle, with no role bookkeeping.
-//!
-//! [`split_request`] is the request splitter: it cuts a logical request
-//! into per-spindle sub-requests whose union is an exact partition of
-//! the original — no gap, no overlap — which the property tests verify
-//! for arbitrary chunk sizes.
+//! [`StripeLayout::split`] is the request splitter: it cuts a logical
+//! request into per-spindle sub-requests whose union is an exact
+//! partition of the original — no gap, no overlap — which the property
+//! tests verify for arbitrary chunk sizes.
 
 use sim_disk::SECTOR_SIZE;
 
-/// Which striping policy a volume uses.
+/// Which chunk rule a volume stripes by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StripePolicyKind {
     /// Segment-granular round-robin: chunk = LFS segment size.
@@ -45,17 +44,14 @@ pub enum StripePolicyKind {
     /// Per-segment parity: chunk sized so a segment is one data row;
     /// parity rotates and is computed from the write buffer alone.
     ParitySegment,
-    /// RAID-5 rotating parity over small configurable chunks.
-    ParityRotate,
 }
 
 impl StripePolicyKind {
     /// All policies, for sweeps.
-    pub const ALL: [StripePolicyKind; 4] = [
+    pub const ALL: [StripePolicyKind; 3] = [
         StripePolicyKind::RrSegment,
         StripePolicyKind::Interleave,
         StripePolicyKind::ParitySegment,
-        StripePolicyKind::ParityRotate,
     ];
 
     /// Stable name used in bench labels and CLI flags.
@@ -64,7 +60,6 @@ impl StripePolicyKind {
             StripePolicyKind::RrSegment => "rr-segment",
             StripePolicyKind::Interleave => "interleave",
             StripePolicyKind::ParitySegment => "parity-segment",
-            StripePolicyKind::ParityRotate => "parity-rotate",
         }
     }
 
@@ -73,22 +68,9 @@ impl StripePolicyKind {
         Self::ALL.into_iter().find(|k| k.name() == s)
     }
 
-    /// True for policies that dedicate one chunk per row to parity.
+    /// True for the policy that dedicates one chunk per row to parity.
     pub fn is_parity(&self) -> bool {
-        matches!(
-            self,
-            StripePolicyKind::ParitySegment | StripePolicyKind::ParityRotate
-        )
-    }
-
-    /// Smallest spindle count the policy is defined for (parity needs a
-    /// data chunk *and* a parity chunk per row).
-    pub fn min_spindles(&self) -> usize {
-        if self.is_parity() {
-            2
-        } else {
-            1
-        }
+        matches!(self, StripePolicyKind::ParitySegment)
     }
 }
 
@@ -101,36 +83,54 @@ impl std::fmt::Display for StripePolicyKind {
 /// A chunked striping layout.
 ///
 /// Logical chunks are dealt in rows: row `r` of an `n`-spindle volume
-/// holds [`StripePolicy::data_per_row`] logical chunks at physical
+/// holds [`StripeLayout::data_per_row`] logical chunks at physical
 /// chunk-row `r` on their spindles, skipping the row's parity spindle
-/// (if the policy has one). For the RAID-0 policies every spindle
-/// carries data (`data_per_row == n`, no parity) and the mapping
-/// reduces to the classic `chunk % n` / `chunk / n`.
-///
-/// The trait carries the chunk size; the mapping itself is shared by
-/// every policy (provided methods) so the splitter and its inverse stay
-/// consistent by construction.
-pub trait StripePolicy {
-    /// Which policy this is.
-    fn kind(&self) -> StripePolicyKind;
-
+/// (if the layout keeps parity). Without parity every spindle carries
+/// data and the mapping reduces to the classic `chunk % n` /
+/// `chunk / n`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StripeLayout {
     /// Stripe-unit size in sectors.
-    fn chunk_sectors(&self) -> u64;
+    pub chunk_sectors: u64,
+    /// Whether each row dedicates one rotating spindle to the XOR of
+    /// the row's data chunks.
+    pub parity: bool,
+}
 
-    /// Logical (data) chunks per row on an `n`-spindle volume.
-    fn data_per_row(&self, spindles: usize) -> usize {
-        spindles
+impl StripeLayout {
+    /// A layout striping at `chunk_bytes` granularity.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `chunk_bytes` is a positive multiple of the sector
+    /// size.
+    pub fn new(chunk_bytes: usize, parity: bool) -> Self {
+        assert!(
+            chunk_bytes > 0 && chunk_bytes.is_multiple_of(SECTOR_SIZE),
+            "chunk size must be a positive multiple of {SECTOR_SIZE}"
+        );
+        Self {
+            chunk_sectors: (chunk_bytes / SECTOR_SIZE) as u64,
+            parity,
+        }
     }
 
-    /// Spindle holding row `row`'s parity chunk, if the policy keeps
-    /// parity. `None` for the RAID-0 policies.
-    fn parity_spindle(&self, row: u64, spindles: usize) -> Option<usize> {
-        let _ = (row, spindles);
-        None
+    /// Logical (data) chunks per row on an `n`-spindle volume.
+    pub fn data_per_row(&self, spindles: usize) -> usize {
+        spindles - self.parity as usize
+    }
+
+    /// Spindle holding row `row`'s parity chunk, if the layout keeps
+    /// parity: row `r` parks it on spindle `(n - 1) - (r mod n)`, so
+    /// parity load spreads evenly and no spindle is the RAID-4
+    /// bottleneck.
+    pub fn parity_spindle(&self, row: u64, spindles: usize) -> Option<usize> {
+        self.parity
+            .then(|| (spindles - 1) - (row % spindles as u64) as usize)
     }
 
     /// Spindle holding logical chunk `chunk` of an `n`-spindle volume.
-    fn spindle_of_chunk(&self, chunk: u64, spindles: usize) -> usize {
+    pub fn spindle_of_chunk(&self, chunk: u64, spindles: usize) -> usize {
         let dpr = self.data_per_row(spindles) as u64;
         let d = (chunk % dpr) as usize;
         match self.parity_spindle(chunk / dpr, spindles) {
@@ -140,14 +140,14 @@ pub trait StripePolicy {
     }
 
     /// Per-spindle chunk row of logical chunk `chunk`.
-    fn row_of_chunk(&self, chunk: u64, spindles: usize) -> u64 {
+    pub fn row_of_chunk(&self, chunk: u64, spindles: usize) -> u64 {
         chunk / self.data_per_row(spindles) as u64
     }
 
     /// Inverse of the mapping: the logical chunk at `row` on `spindle`.
-    /// For parity policies, `spindle` must hold data in that row — the
-    /// parity chunk has no logical address.
-    fn chunk_at(&self, row: u64, spindle: usize, spindles: usize) -> u64 {
+    /// Under parity, `spindle` must hold data in that row — the parity
+    /// chunk has no logical address.
+    pub fn chunk_at(&self, row: u64, spindle: usize, spindles: usize) -> u64 {
         let d = match self.parity_spindle(row, spindles) {
             Some(p) => {
                 debug_assert_ne!(spindle, p, "parity chunk has no logical address");
@@ -161,174 +161,52 @@ pub trait StripePolicy {
         };
         row * self.data_per_row(spindles) as u64 + d as u64
     }
-}
 
-/// The rotation both parity policies share: row `r` parks parity on
-/// spindle `(n - 1) - (r mod n)`, so parity load spreads evenly and no
-/// spindle is the RAID-4 bottleneck.
-pub(crate) fn rotated_parity_spindle(row: u64, spindles: usize) -> usize {
-    (spindles - 1) - (row % spindles as u64) as usize
-}
-
-/// Whole-segment round-robin: the chunk is the LFS segment, so each
-/// spindle's write stream stays purely sequential.
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentRoundRobin {
-    chunk_sectors: u64,
-}
-
-impl SegmentRoundRobin {
-    /// A policy striping at `segment_bytes` granularity.
+    /// Splits the logical request `[sector, sector + count)` into
+    /// per-spindle sub-requests.
     ///
-    /// # Panics
-    ///
-    /// Panics unless `segment_bytes` is a positive multiple of the
-    /// sector size.
-    pub fn new(segment_bytes: usize) -> Self {
-        assert!(
-            segment_bytes > 0 && segment_bytes.is_multiple_of(SECTOR_SIZE),
-            "segment size must be a positive multiple of {SECTOR_SIZE}"
-        );
-        Self {
-            chunk_sectors: (segment_bytes / SECTOR_SIZE) as u64,
+    /// Pieces are emitted in logical-address order and physically
+    /// contiguous same-spindle neighbours are merged, so a request that
+    /// stays inside one chunk — or a whole-volume scan on one spindle —
+    /// yields a single sub-request. On a 1-spindle volume the mapping is
+    /// the identity and the result is always one sub-request.
+    pub fn split(&self, spindles: usize, sector: u64, count: u64) -> Vec<SubRequest> {
+        let chunk_sectors = self.chunk_sectors;
+        let end = sector + count;
+        let mut subs: Vec<SubRequest> = Vec::new();
+        let mut at = sector;
+        while at < end {
+            let chunk = at / chunk_sectors;
+            let within = at % chunk_sectors;
+            let take = (chunk_sectors - within).min(end - at);
+            let spindle = self.spindle_of_chunk(chunk, spindles);
+            let physical = self.row_of_chunk(chunk, spindles) * chunk_sectors + within;
+            match subs.last_mut() {
+                Some(last)
+                    if last.spindle == spindle && last.sector + last.sectors == physical =>
+                {
+                    last.sectors += take;
+                }
+                _ => subs.push(SubRequest {
+                    spindle,
+                    offset: (at - sector) as usize * SECTOR_SIZE,
+                    sector: physical,
+                    sectors: take,
+                }),
+            }
+            at += take;
         }
-    }
-}
-
-impl StripePolicy for SegmentRoundRobin {
-    fn kind(&self) -> StripePolicyKind {
-        StripePolicyKind::RrSegment
+        subs
     }
 
-    fn chunk_sectors(&self) -> u64 {
-        self.chunk_sectors
-    }
-}
-
-/// Classic RAID-0: small chunks dealt round-robin, so a single large
-/// request spreads across every spindle.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockInterleave {
-    chunk_sectors: u64,
-}
-
-impl BlockInterleave {
-    /// A policy striping at `chunk_bytes` granularity.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `chunk_bytes` is a positive multiple of the sector
-    /// size.
-    pub fn new(chunk_bytes: usize) -> Self {
-        assert!(
-            chunk_bytes > 0 && chunk_bytes.is_multiple_of(SECTOR_SIZE),
-            "chunk size must be a positive multiple of {SECTOR_SIZE}"
-        );
-        Self {
-            chunk_sectors: (chunk_bytes / SECTOR_SIZE) as u64,
-        }
-    }
-}
-
-impl StripePolicy for BlockInterleave {
-    fn kind(&self) -> StripePolicyKind {
-        StripePolicyKind::Interleave
-    }
-
-    fn chunk_sectors(&self) -> u64 {
-        self.chunk_sectors
-    }
-}
-
-/// Per-segment parity: the chunk is sized so one LFS segment write
-/// covers exactly one full data row (`chunk = segment / (n - 1)`), so
-/// parity is computed from the segment buffer alone — the log never
-/// reads old data to update parity. One spindle per row, rotating,
-/// holds the XOR of the row's data chunks.
-#[derive(Debug, Clone, Copy)]
-pub struct ParitySegment {
-    chunk_sectors: u64,
-}
-
-impl ParitySegment {
-    /// A per-segment-parity policy with `chunk_bytes` stripe units
-    /// (callers size the chunk as `segment_bytes / (spindles - 1)`; see
-    /// [`crate::VolumeConfig::parity_segment`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `chunk_bytes` is a positive multiple of the sector
-    /// size.
-    pub fn new(chunk_bytes: usize) -> Self {
-        assert!(
-            chunk_bytes > 0 && chunk_bytes.is_multiple_of(SECTOR_SIZE),
-            "chunk size must be a positive multiple of {SECTOR_SIZE}"
-        );
-        Self {
-            chunk_sectors: (chunk_bytes / SECTOR_SIZE) as u64,
-        }
-    }
-}
-
-impl StripePolicy for ParitySegment {
-    fn kind(&self) -> StripePolicyKind {
-        StripePolicyKind::ParitySegment
-    }
-
-    fn chunk_sectors(&self) -> u64 {
-        self.chunk_sectors
-    }
-
-    fn data_per_row(&self, spindles: usize) -> usize {
-        spindles - 1
-    }
-
-    fn parity_spindle(&self, row: u64, spindles: usize) -> Option<usize> {
-        Some(rotated_parity_spindle(row, spindles))
-    }
-}
-
-/// Classic RAID-5: small chunks with rotating parity. Partial-row
-/// writes pay read-modify-write; full rows are computed from the
-/// buffer like [`ParitySegment`].
-#[derive(Debug, Clone, Copy)]
-pub struct ParityRotate {
-    chunk_sectors: u64,
-}
-
-impl ParityRotate {
-    /// A rotating-parity policy striping at `chunk_bytes` granularity.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `chunk_bytes` is a positive multiple of the sector
-    /// size.
-    pub fn new(chunk_bytes: usize) -> Self {
-        assert!(
-            chunk_bytes > 0 && chunk_bytes.is_multiple_of(SECTOR_SIZE),
-            "chunk size must be a positive multiple of {SECTOR_SIZE}"
-        );
-        Self {
-            chunk_sectors: (chunk_bytes / SECTOR_SIZE) as u64,
-        }
-    }
-}
-
-impl StripePolicy for ParityRotate {
-    fn kind(&self) -> StripePolicyKind {
-        StripePolicyKind::ParityRotate
-    }
-
-    fn chunk_sectors(&self) -> u64 {
-        self.chunk_sectors
-    }
-
-    fn data_per_row(&self, spindles: usize) -> usize {
-        spindles - 1
-    }
-
-    fn parity_spindle(&self, row: u64, spindles: usize) -> Option<usize> {
-        Some(rotated_parity_spindle(row, spindles))
+    /// Maps a physical (per-spindle) sector back to its logical sector
+    /// — the inverse of the mapping [`StripeLayout::split`] applies.
+    /// Used to report errors (e.g. an unreadable sector) in the volume's
+    /// address space.
+    pub fn to_logical(&self, spindles: usize, spindle: usize, physical: u64) -> u64 {
+        let row = physical / self.chunk_sectors;
+        let within = physical % self.chunk_sectors;
+        self.chunk_at(row, spindle, spindles) * self.chunk_sectors + within
     }
 }
 
@@ -352,84 +230,26 @@ impl SubRequest {
     }
 }
 
-/// Splits the logical request `[sector, sector + count)` into
-/// per-spindle sub-requests.
-///
-/// Pieces are emitted in logical-address order and physically
-/// contiguous same-spindle neighbours are merged, so a request that
-/// stays inside one chunk — or a whole-volume scan on one spindle —
-/// yields a single sub-request. On a 1-spindle volume the mapping is
-/// the identity and the result is always one sub-request.
-pub fn split_request(
-    policy: &dyn StripePolicy,
-    spindles: usize,
-    sector: u64,
-    count: u64,
-) -> Vec<SubRequest> {
-    let chunk_sectors = policy.chunk_sectors();
-    let end = sector + count;
-    let mut subs: Vec<SubRequest> = Vec::new();
-    let mut at = sector;
-    while at < end {
-        let chunk = at / chunk_sectors;
-        let within = at % chunk_sectors;
-        let take = (chunk_sectors - within).min(end - at);
-        let spindle = policy.spindle_of_chunk(chunk, spindles);
-        let physical = policy.row_of_chunk(chunk, spindles) * chunk_sectors + within;
-        match subs.last_mut() {
-            Some(last)
-                if last.spindle == spindle && last.sector + last.sectors == physical =>
-            {
-                last.sectors += take;
-            }
-            _ => subs.push(SubRequest {
-                spindle,
-                offset: (at - sector) as usize * SECTOR_SIZE,
-                sector: physical,
-                sectors: take,
-            }),
-        }
-        at += take;
-    }
-    subs
-}
-
-/// Maps a physical (per-spindle) sector back to its logical sector —
-/// the inverse of the mapping [`split_request`] applies. Used to report
-/// errors (e.g. an unreadable sector) in the volume's address space.
-pub fn to_logical(
-    policy: &dyn StripePolicy,
-    spindles: usize,
-    spindle: usize,
-    physical: u64,
-) -> u64 {
-    let chunk_sectors = policy.chunk_sectors();
-    let row = physical / chunk_sectors;
-    let within = physical % chunk_sectors;
-    policy.chunk_at(row, spindle, spindles) * chunk_sectors + within
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn kind_names_round_trip() {
-        assert_eq!(StripePolicyKind::ALL.len(), 4);
+        assert_eq!(StripePolicyKind::ALL.len(), 3);
         for kind in StripePolicyKind::ALL {
             assert_eq!(StripePolicyKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(StripePolicyKind::parse("raid5"), None);
+        assert_eq!(StripePolicyKind::parse("parity-rotate"), None);
         assert!(StripePolicyKind::ParitySegment.is_parity());
-        assert!(StripePolicyKind::ParityRotate.is_parity());
         assert!(!StripePolicyKind::RrSegment.is_parity());
-        assert_eq!(StripePolicyKind::ParityRotate.min_spindles(), 2);
-        assert_eq!(StripePolicyKind::Interleave.min_spindles(), 1);
+        assert!(!StripePolicyKind::Interleave.is_parity());
     }
 
     #[test]
     fn parity_rotation_skips_one_spindle_per_row() {
-        let policy = ParityRotate::new(2 * SECTOR_SIZE);
+        let policy = StripeLayout::new(2 * SECTOR_SIZE, true);
         let n = 3;
         // Row r parks parity on spindle (n-1) - (r % n).
         assert_eq!(policy.parity_spindle(0, n), Some(2));
@@ -451,8 +271,8 @@ mod tests {
     #[test]
     fn parity_chunk_at_inverts_spindle_of_chunk() {
         for policy in [
-            &ParityRotate::new(SECTOR_SIZE) as &dyn StripePolicy,
-            &ParitySegment::new(4 * SECTOR_SIZE),
+            StripeLayout::new(SECTOR_SIZE, true),
+            StripeLayout::new(4 * SECTOR_SIZE, true),
         ] {
             for spindles in 2..=5usize {
                 for chunk in 0..64u64 {
@@ -471,10 +291,10 @@ mod tests {
 
     #[test]
     fn parity_split_partitions_and_inverts() {
-        let policy = ParitySegment::new(2 * SECTOR_SIZE);
+        let policy = StripeLayout::new(2 * SECTOR_SIZE, true);
         for spindles in 2..=4usize {
             for (sector, count) in [(0u64, 1u64), (1, 7), (5, 12), (0, 32)] {
-                let subs = split_request(&policy, spindles, sector, count);
+                let subs = policy.split(spindles, sector, count);
                 // Exact partition: offsets/lengths tile the buffer.
                 let mut at = 0usize;
                 let mut total = 0u64;
@@ -484,7 +304,7 @@ mod tests {
                     total += sub.sectors;
                     // And every piece inverts to its logical position.
                     assert_eq!(
-                        to_logical(&policy, spindles, sub.spindle, sub.sector),
+                        policy.to_logical(spindles, sub.spindle, sub.sector),
                         sector + (sub.offset / SECTOR_SIZE) as u64
                     );
                 }
@@ -495,9 +315,9 @@ mod tests {
 
     #[test]
     fn single_spindle_is_the_identity() {
-        let policy = BlockInterleave::new(4 * SECTOR_SIZE);
+        let policy = StripeLayout::new(4 * SECTOR_SIZE, false);
         for (sector, count) in [(0, 1), (3, 9), (100, 64)] {
-            let subs = split_request(&policy, 1, sector, count);
+            let subs = policy.split(1, sector, count);
             assert_eq!(
                 subs,
                 vec![SubRequest {
@@ -514,8 +334,8 @@ mod tests {
     fn interleave_deals_chunks_round_robin() {
         // 2-sector chunks over 2 spindles: logical 0,1 → s0; 2,3 → s1;
         // 4,5 → s0 row 1; ...
-        let policy = BlockInterleave::new(2 * SECTOR_SIZE);
-        let subs = split_request(&policy, 2, 0, 8);
+        let policy = StripeLayout::new(2 * SECTOR_SIZE, false);
+        let subs = policy.split(2, 0, 8);
         assert_eq!(
             subs,
             vec![
@@ -529,10 +349,10 @@ mod tests {
 
     #[test]
     fn unaligned_request_takes_partial_chunks() {
-        let policy = BlockInterleave::new(4 * SECTOR_SIZE);
+        let policy = StripeLayout::new(4 * SECTOR_SIZE, false);
         // Sectors 3..9 over 2 spindles: 3 (chunk 0, s0), 4..8 (chunk 1,
         // s1), 8 (chunk 2, s0 row 1).
-        let subs = split_request(&policy, 2, 3, 6);
+        let subs = policy.split(2, 3, 6);
         assert_eq!(
             subs,
             vec![
@@ -547,8 +367,8 @@ mod tests {
     fn physically_contiguous_same_spindle_pieces_merge() {
         // 1-sector chunks over 1 spindle degenerate to full merges; over
         // 2 spindles a 4-sector read needs exactly one sub per spindle.
-        let policy = BlockInterleave::new(SECTOR_SIZE);
-        let subs = split_request(&policy, 2, 0, 4);
+        let policy = StripeLayout::new(SECTOR_SIZE, false);
+        let subs = policy.split(2, 0, 4);
         assert_eq!(
             subs,
             vec![
@@ -560,20 +380,20 @@ mod tests {
             "alternating chunks never merge"
         );
 
-        let wide = split_request(&policy, 1, 10, 4);
+        let wide = policy.split(1, 10, 4);
         assert_eq!(wide.len(), 1, "same-spindle contiguous runs merge");
     }
 
     #[test]
     fn to_logical_inverts_the_split() {
-        let policy = SegmentRoundRobin::new(16 * 1024);
-        let chunk = policy.chunk_sectors();
+        let policy = StripeLayout::new(16 * 1024, false);
+        let chunk = policy.chunk_sectors;
         for spindles in 1..=4usize {
             for logical in [0, 1, chunk - 1, chunk, 3 * chunk + 7, 11 * chunk] {
-                let subs = split_request(&policy, spindles, logical, 1);
+                let subs = policy.split(spindles, logical, 1);
                 assert_eq!(subs.len(), 1);
                 assert_eq!(
-                    to_logical(&policy, spindles, subs[0].spindle, subs[0].sector),
+                    policy.to_logical(spindles, subs[0].spindle, subs[0].sector),
                     logical
                 );
             }

@@ -12,7 +12,7 @@
 //! Like [`AsyncCleanerPolicy`](engine docs), the work is an incremental
 //! state machine the *host event loop* drives: it asks
 //! [`crate::StripedVolume::rebuild_wants_step`] whether policy allows a
-//! step right now (idle gate, urgency watermark) and then calls
+//! step right now (the idle gate) and then calls
 //! [`crate::StripedVolume::rebuild_step`] to copy a bounded number of
 //! rows. Foreground requests interleave between steps, so QoS tenants
 //! keep their shares during the rebuild.
@@ -32,30 +32,20 @@ pub enum SpindleState {
 }
 
 /// Governs how aggressively a rebuild competes with foreground I/O —
-/// the rebuild-side mirror of the async cleaner's policy knobs.
+/// the rebuild-side mirror of the async cleaner's policy knobs. The
+/// idle gate itself is fixed: a paced step (one the host *offers*, as
+/// opposed to an `engine::drain` that runs the rebuild out) is taken
+/// only while every spindle queue is empty.
 #[derive(Debug, Clone, Copy)]
 pub struct RebuildPolicy {
     /// Most chunk rows reconstructed per [`RebuildProgress`] step (the
     /// step cap bounding how long the spindles are busy per step).
     pub max_step_rows: usize,
-    /// Idle gate: step only when the volume-wide queue depth is at or
-    /// below this. `None` steps whenever asked (sync-style rebuild).
-    pub idle_queue_depth: Option<u64>,
-    /// Urgency watermark, in thousandths of the spindle still missing:
-    /// while **more** than this fraction remains un-rebuilt the idle
-    /// gate is ignored — a mostly-missing spindle is a wide
-    /// double-fault window, so exposure outranks foreground latency.
-    /// `1000` never overrides the gate; `0` always rebuilds eagerly.
-    pub urgent_remaining_millis: u64,
 }
 
 impl Default for RebuildPolicy {
     fn default() -> Self {
-        Self {
-            max_step_rows: 8,
-            idle_queue_depth: Some(0),
-            urgent_remaining_millis: 1000,
-        }
+        Self { max_step_rows: 8 }
     }
 }
 
@@ -63,18 +53,6 @@ impl RebuildPolicy {
     /// Replaces the per-step row cap.
     pub fn with_max_step_rows(mut self, rows: usize) -> Self {
         self.max_step_rows = rows;
-        self
-    }
-
-    /// Replaces the idle gate (`None` = step whenever asked).
-    pub fn with_idle_queue_depth(mut self, depth: Option<u64>) -> Self {
-        self.idle_queue_depth = depth;
-        self
-    }
-
-    /// Replaces the urgency watermark.
-    pub fn with_urgent_remaining_millis(mut self, millis: u64) -> Self {
-        self.urgent_remaining_millis = millis;
         self
     }
 }
@@ -139,22 +117,10 @@ impl RebuildRun {
         &self.policy
     }
 
-    /// Whether policy allows a step at the given volume queue depth:
-    /// urgent rebuilds ignore the idle gate, paced ones respect it.
+    /// Whether a paced step may run at the given volume queue depth:
+    /// rows remain and the volume is idle (the idle gate).
     pub fn wants_step(&self, queue_depth: u64) -> bool {
-        if self.remaining_rows() == 0 {
-            return false;
-        }
-        let remaining_millis = (self.remaining_rows() * 1000)
-            .checked_div(self.total_rows)
-            .unwrap_or(0);
-        if remaining_millis > self.policy.urgent_remaining_millis {
-            return true;
-        }
-        match self.policy.idle_queue_depth {
-            Some(depth) => queue_depth <= depth,
-            None => true,
-        }
+        self.remaining_rows() > 0 && queue_depth == 0
     }
 
     /// Rolls the cursor back to `row` so a failed row is retried.
@@ -180,22 +146,7 @@ mod tests {
     fn idle_gate_defers_until_the_queue_drains() {
         let run = RebuildRun::new(1, 100, RebuildPolicy::default());
         assert!(run.wants_step(0));
-        assert!(!run.wants_step(3), "default gate wants an empty queue");
-        let eager = RebuildRun::new(1, 100, RebuildPolicy::default().with_idle_queue_depth(None));
-        assert!(eager.wants_step(3));
-    }
-
-    #[test]
-    fn urgency_watermark_overrides_the_idle_gate() {
-        let policy = RebuildPolicy::default().with_urgent_remaining_millis(500);
-        let mut run = RebuildRun::new(0, 10, policy.with_max_step_rows(3));
-        // 100% missing > 50% watermark: steps despite a deep queue.
-        assert!(run.wants_step(100));
-        assert_eq!(run.claim_step(), (0, 3));
-        assert_eq!(run.claim_step(), (3, 3));
-        // 4/10 remaining = 400‰ ≤ 500‰: the idle gate applies again.
-        assert!(!run.wants_step(100));
-        assert!(run.wants_step(0));
+        assert!(!run.wants_step(3), "the gate wants an empty queue");
     }
 
     #[test]

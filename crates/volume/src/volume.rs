@@ -1,10 +1,10 @@
 //! The striped volume: N spindles behind one [`BlockDevice`].
 //!
 //! A [`StripedVolume`] owns one [`EngineCore`] per spindle — each an
-//! independent [`SimDisk`] with its own mechanical model, request
-//! queue, and scheduler instance, all sharing one virtual [`Clock`] —
+//! independent [`SimDisk`] with its own mechanical model and request
+//! queue, all sharing one virtual [`Clock`] —
 //! and fans every logical request out to per-spindle sub-requests
-//! according to a [`StripePolicy`]. A logical request completes only
+//! according to a [`StripeLayout`]. A logical request completes only
 //! when all of its pieces have landed; a partial failure surfaces the
 //! first piece's [`DiskError`], translated back into the volume's
 //! logical address space.
@@ -37,10 +37,7 @@ use sim_disk::{
 use vfs::FsResult;
 
 use crate::health::{HealthEvent, HealthMonitor, HealthPolicy, HealthState};
-use crate::policy::{
-    split_request, to_logical, BlockInterleave, ParityRotate, ParitySegment, SegmentRoundRobin,
-    StripePolicy, StripePolicyKind, SubRequest,
-};
+use crate::policy::{StripeLayout, StripePolicyKind, SubRequest};
 use crate::rebuild::{RebuildPolicy, RebuildProgress, RebuildRun, SpindleState};
 
 /// Parameters of a striped volume.
@@ -55,7 +52,7 @@ pub struct VolumeConfig {
     /// [`StripePolicyKind::RrSegment`], a small power of two for
     /// [`StripePolicyKind::Interleave`].
     pub chunk_bytes: usize,
-    /// Per-spindle engine configuration (scheduler, queue depth, ...).
+    /// Per-spindle engine configuration (queue depth, hedging, ...).
     pub engine: EngineConfig,
 }
 
@@ -104,35 +101,10 @@ impl VolumeConfig {
         }
     }
 
-    /// RAID-5 rotating parity over `spindles` disks with `chunk_bytes`
-    /// stripe units.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `spindles >= 2`.
-    pub fn parity_rotate(spindles: usize, chunk_bytes: usize) -> Self {
-        assert!(spindles >= 2, "parity needs at least 2 spindles");
-        Self {
-            spindles,
-            policy: StripePolicyKind::ParityRotate,
-            chunk_bytes,
-            engine: EngineConfig::default(),
-        }
-    }
-
     /// Replaces the per-spindle engine configuration.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
         self
-    }
-
-    fn build_policy(&self) -> Box<dyn StripePolicy> {
-        match self.policy {
-            StripePolicyKind::RrSegment => Box::new(SegmentRoundRobin::new(self.chunk_bytes)),
-            StripePolicyKind::Interleave => Box::new(BlockInterleave::new(self.chunk_bytes)),
-            StripePolicyKind::ParitySegment => Box::new(ParitySegment::new(self.chunk_bytes)),
-            StripePolicyKind::ParityRotate => Box::new(ParityRotate::new(self.chunk_bytes)),
-        }
     }
 }
 
@@ -262,7 +234,7 @@ struct TrackedVolumeRead {
 /// N independent spindles striped into one logical block device.
 pub struct StripedVolume {
     spindles: Vec<EngineCore>,
-    policy: Box<dyn StripePolicy>,
+    layout: StripeLayout,
     cfg: VolumeConfig,
     clock: Arc<Clock>,
     /// Logical capacity: with several spindles, each disk contributes
@@ -326,24 +298,22 @@ impl StripedVolume {
         images: Option<Vec<Vec<u8>>>,
     ) -> Self {
         assert!(cfg.spindles >= 1, "a volume needs at least one spindle");
+        let layout = StripeLayout::new(cfg.chunk_bytes, cfg.policy.is_parity());
         assert!(
-            cfg.spindles >= cfg.policy.min_spindles(),
-            "{} needs at least {} spindles",
-            cfg.policy.name(),
-            cfg.policy.min_spindles()
+            !layout.parity || cfg.spindles >= 2,
+            "parity needs at least 2 spindles"
         );
-        let policy = cfg.build_policy();
-        let chunk_sectors = policy.chunk_sectors();
+        let chunk_sectors = layout.chunk_sectors;
         // A single spindle is the identity mapping over the whole disk;
         // with several, each contributes only whole stripe units — and
-        // under a parity policy one chunk per row is redundancy, not
+        // under a parity layout one chunk per row is redundancy, not
         // address space.
         let num_sectors = if cfg.spindles == 1 {
             geometry.num_sectors
         } else {
             (geometry.num_sectors / chunk_sectors)
                 * chunk_sectors
-                * policy.data_per_row(cfg.spindles) as u64
+                * layout.data_per_row(cfg.spindles) as u64
         };
         // Per-spindle engines never coalesce across a stripe boundary
         // (two physically adjacent chunks belong to different stripe
@@ -379,7 +349,7 @@ impl StripedVolume {
         let states = vec![SpindleState::Online; cfg.spindles];
         Self {
             spindles,
-            policy,
+            layout,
             cfg,
             clock,
             num_sectors,
@@ -479,7 +449,7 @@ impl StripedVolume {
                 DiskError::Crashed
             }
             DiskError::Unreadable { sector } => DiskError::Unreadable {
-                sector: to_logical(&*self.policy, self.spindles.len(), spindle, sector),
+                sector: self.layout.to_logical(self.spindles.len(), spindle, sector),
             },
             other => other,
         }
@@ -511,12 +481,7 @@ impl StripedVolume {
     }
 
     fn split(&self, sector: u64, count: u64) -> Vec<SubRequest> {
-        split_request(&*self.policy, self.spindles.len(), sector, count)
-    }
-
-    /// True when the volume keeps parity (reads can reconstruct).
-    fn is_parity(&self) -> bool {
-        self.cfg.policy.is_parity()
+        self.layout.split(self.spindles.len(), sector, count)
     }
 
     fn online_count(&self) -> u64 {
@@ -662,7 +627,7 @@ impl StripedVolume {
     /// reconstruct, writes keep parity current) and, if a hot spare is
     /// stocked, the spare is swapped in and the online rebuild starts.
     fn auto_evict(&mut self, i: usize) {
-        if !self.is_parity() || self.states[i] != SpindleState::Online {
+        if !self.layout.parity || self.states[i] != SpindleState::Online {
             return;
         }
         self.obs.health_evictions.inc();
@@ -721,7 +686,7 @@ impl StripedVolume {
         if i >= self.spindles.len() {
             return Err(DiskError::Unsupported("replace_spindle: no such bay"));
         }
-        if !self.is_parity() {
+        if !self.layout.parity {
             return Err(DiskError::Unsupported(
                 "replace_spindle: only parity volumes can rebuild a replacement",
             ));
@@ -733,7 +698,7 @@ impl StripedVolume {
         }
         self.spindles[i].disk_mut().replace_media();
         self.states[i] = SpindleState::Rebuilding;
-        let chunk = self.policy.chunk_sectors();
+        let chunk = self.layout.chunk_sectors;
         let rows = self.spindles[i].disk().num_sectors() / chunk;
         self.rebuild = Some(RebuildRun::new(i, rows, policy));
         self.obs.rebuild_remaining.set(rows);
@@ -747,7 +712,7 @@ impl StripedVolume {
     }
 
     /// Whether the rebuild policy allows a step at the current queue
-    /// depth (idle gate / urgency watermark; see [`RebuildPolicy`]).
+    /// depth (the idle gate; see [`RebuildPolicy`]).
     pub fn rebuild_wants_step(&self) -> bool {
         self.rebuild
             .as_ref()
@@ -771,7 +736,7 @@ impl StripedVolume {
         if rows == 0 {
             return Ok(RebuildProgress::Idle);
         }
-        let chunk = self.policy.chunk_sectors();
+        let chunk = self.layout.chunk_sectors;
         self.set_maintenance(true);
         let mut row_buf = vec![0u8; chunk as usize * SECTOR_SIZE];
         for row in first..first + rows {
@@ -846,7 +811,7 @@ impl StripedVolume {
     /// and overwriting parity there destroys the only copy of the
     /// missing spindle's bytes.
     pub fn resync_parity(&mut self) -> DiskResult<u64> {
-        if !self.is_parity() {
+        if !self.layout.parity {
             return Err(DiskError::Unsupported("resync_parity: not a parity volume"));
         }
         if self.states.iter().any(|s| *s != SpindleState::Online) {
@@ -856,7 +821,7 @@ impl StripedVolume {
             ));
         }
         let n = self.spindles.len();
-        let chunk = self.policy.chunk_sectors();
+        let chunk = self.layout.chunk_sectors;
         let rows = self.spindles[0].disk().num_sectors() / chunk;
         let bytes = chunk as usize * SECTOR_SIZE;
         let mut xor = vec![0u8; bytes];
@@ -865,7 +830,7 @@ impl StripedVolume {
         self.set_maintenance(true);
         for row in 0..rows {
             let sector = row * chunk;
-            let p = self.policy.parity_spindle(row, n).expect("parity volume");
+            let p = self.layout.parity_spindle(row, n).expect("parity volume");
             xor.fill(0);
             let scan = (|| -> DiskResult<()> {
                 for s in (0..n).filter(|&s| s != p) {
@@ -1015,7 +980,7 @@ impl StripedVolume {
         self.obs.reads.inc();
         self.obs.bytes_read.add(buf.len() as u64);
         self.obs.subrequests.add(subs.len() as u64);
-        if self.is_parity() {
+        if self.layout.parity {
             return self.read_parity(&subs, sector, buf);
         }
         if let [sub] = subs.as_slice() {
@@ -1066,7 +1031,7 @@ impl StripedVolume {
         self.obs.writes.inc();
         self.obs.bytes_written.add(buf.len() as u64);
         self.obs.subrequests.add(subs.len() as u64);
-        let result = if self.is_parity() {
+        let result = if self.layout.parity {
             self.write_parity(&subs, sector, buf, sync)
         } else {
             self.write_subs(&subs, buf, sync)
@@ -1366,8 +1331,8 @@ impl StripedVolume {
         sync: bool,
     ) -> DiskResult<()> {
         let n = self.spindles.len();
-        let chunk = self.policy.chunk_sectors();
-        let dpr = self.policy.data_per_row(n);
+        let chunk = self.layout.chunk_sectors;
+        let dpr = self.layout.data_per_row(n);
         let mut rows: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         for (i, sub) in subs.iter().enumerate() {
             let row = sub.sector / chunk;
@@ -1383,9 +1348,9 @@ impl StripedVolume {
         let mut parity_pieces: Vec<(usize, u64, Vec<u8>)> = Vec::new();
         for (&row, idxs) in &rows {
             let p = self
-                .policy
+                .layout
                 .parity_spindle(row, n)
-                .expect("parity policy always parks parity");
+                .expect("parity layout always parks parity");
             if self.states[p] == SpindleState::Dead {
                 // The row's parity chunk died with its spindle: data
                 // writes through unprotected until rebuild re-derives

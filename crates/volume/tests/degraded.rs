@@ -20,7 +20,7 @@ fn parity_volume(spindles: usize) -> (StripedVolume, Arc<Clock>) {
     let vol = StripedVolume::new(
         DiskGeometry::tiny_test(SPINDLE_SECTORS),
         Arc::clone(&clock),
-        VolumeConfig::parity_rotate(spindles, CHUNK_BYTES),
+        VolumeConfig::parity_segment(spindles, CHUNK_BYTES * (spindles - 1)),
     );
     (vol, clock)
 }
@@ -119,9 +119,7 @@ fn rebuild_completes_and_restores_single_fault_tolerance() {
     vol.kill_spindle(1);
     mixed_writes(&mut vol, &mut mirror, 0x70);
 
-    let policy = RebuildPolicy::default()
-        .with_idle_queue_depth(None)
-        .with_max_step_rows(64);
+    let policy = RebuildPolicy::default().with_max_step_rows(64);
     vol.replace_spindle(1, policy).unwrap();
     assert_eq!(vol.spindle_state(1), SpindleState::Rebuilding);
 
@@ -203,7 +201,7 @@ fn rebuild_idle_gate_follows_the_queue_depth() {
 #[test]
 fn double_fault_escapes_with_the_logical_sector() {
     let clock = Clock::new();
-    let cfg = VolumeConfig::parity_rotate(4, CHUNK_BYTES)
+    let cfg = VolumeConfig::parity_segment(4, 3 * CHUNK_BYTES)
         .with_engine(EngineConfig::default().with_read_retries(0));
     let mut vol = StripedVolume::new(
         DiskGeometry::tiny_test(SPINDLE_SECTORS),
@@ -277,7 +275,7 @@ fn dead_parity_spindle_keeps_rows_serving() {
 #[test]
 #[should_panic(expected = "spindles")]
 fn parity_volume_rejects_a_single_spindle() {
-    let _ = VolumeConfig::parity_rotate(1, CHUNK_BYTES);
+    let _ = VolumeConfig::parity_segment(1, CHUNK_BYTES);
 }
 
 /// `resync_parity` rewrites exactly the rows whose XOR went stale —

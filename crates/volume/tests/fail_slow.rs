@@ -32,7 +32,7 @@ fn patterned(fill: u8, sectors: u64) -> Vec<u8> {
 /// A 4-spindle parity volume, filled identically to a flat mirror.
 fn filled_volume(hedge: Option<u64>) -> (StripedVolume, Arc<Clock>, RamDisk) {
     let clock = Clock::new();
-    let mut cfg = VolumeConfig::parity_rotate(4, CHUNK_BYTES);
+    let mut cfg = VolumeConfig::parity_segment(4, 3 * CHUNK_BYTES);
     if let Some(deadline) = hedge {
         cfg = cfg.with_engine(EngineConfig::default().with_hedge_deadline_ns(deadline));
     }
@@ -154,14 +154,7 @@ fn hedged_race_covers_a_direct_read_that_errors() {
 #[test]
 fn health_monitor_auto_evicts_and_hot_spare_rebuild_converges() {
     let (mut vol, _clock, mut mirror) = filled_volume(None);
-    vol.set_health_policy(
-        HealthPolicy::default()
-            .with_ewma_alpha_millis(1000)
-            .with_slo_inflation_millis(3000)
-            .with_suspect_after(2)
-            .with_evict_after(3)
-            .with_min_observations(4),
-    );
+    vol.set_health_policy(HealthPolicy::default().with_evict_after(3));
     vol.set_hot_spares(1);
     arm_fail_slow(&mut vol, SLOW_SPINDLE, 3000);
 
@@ -211,14 +204,7 @@ fn health_monitor_auto_evicts_and_hot_spare_rebuild_converges() {
 #[test]
 fn eviction_without_a_spare_leaves_the_volume_degraded_but_serving() {
     let (mut vol, _clock, mut mirror) = filled_volume(None);
-    vol.set_health_policy(
-        HealthPolicy::default()
-            .with_ewma_alpha_millis(1000)
-            .with_slo_inflation_millis(3000)
-            .with_suspect_after(2)
-            .with_evict_after(3)
-            .with_min_observations(4),
-    );
+    vol.set_health_policy(HealthPolicy::default().with_evict_after(3));
     arm_fail_slow(&mut vol, SLOW_SPINDLE, 3000);
     let mut rounds = 0;
     while vol.spindle_state(SLOW_SPINDLE) == SpindleState::Online {

@@ -24,7 +24,7 @@ fn volume_with_deadline(deadline_ns: u64) -> (StripedVolume, Arc<Clock>) {
     let vol = StripedVolume::new(
         DiskGeometry::tiny_test(SPINDLE_SECTORS),
         Arc::clone(&clock),
-        VolumeConfig::parity_rotate(SPINDLES, CHUNK_BYTES)
+        VolumeConfig::parity_segment(SPINDLES, CHUNK_BYTES * (SPINDLES - 1))
             .with_engine(EngineConfig::default().with_hedge_deadline_ns(deadline_ns)),
     );
     (vol, clock)

@@ -1,40 +1,25 @@
 //! Property test: the request splitter produces an *exact partition*
 //! of every logical request — no gap, no overlap, correct spindle
-//! mapping — for both policies, arbitrary chunk sizes, and arbitrary
-//! spindle counts.
+//! mapping — with and without parity, for arbitrary chunk sizes and
+//! arbitrary spindle counts.
 
 use proptest::prelude::*;
 
 use sim_disk::SECTOR_SIZE;
-use volume::{
-    split_request, to_logical, BlockInterleave, ParityRotate, ParitySegment, SegmentRoundRobin,
-    StripePolicy, StripePolicyKind,
-};
-
-fn policy_for(kind: StripePolicyKind, chunk_sectors: u64) -> Box<dyn StripePolicy> {
-    let chunk_bytes = chunk_sectors as usize * SECTOR_SIZE;
-    match kind {
-        StripePolicyKind::RrSegment => Box::new(SegmentRoundRobin::new(chunk_bytes)),
-        StripePolicyKind::Interleave => Box::new(BlockInterleave::new(chunk_bytes)),
-        StripePolicyKind::ParitySegment => Box::new(ParitySegment::new(chunk_bytes)),
-        StripePolicyKind::ParityRotate => Box::new(ParityRotate::new(chunk_bytes)),
-    }
-}
+use volume::StripeLayout;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     #[test]
     fn sub_requests_are_an_exact_partition_of_the_request(
-        kind_ix in 0usize..2,
         spindles in 1usize..9,
         chunk_sectors in 1u64..65,
         sector in 0u64..10_000,
         count in 1u64..512,
     ) {
-        let kind = StripePolicyKind::ALL[kind_ix];
-        let policy = policy_for(kind, chunk_sectors);
-        let subs = split_request(&*policy, spindles, sector, count);
+        let policy = StripeLayout::new(chunk_sectors as usize * SECTOR_SIZE, false);
+        let subs = policy.split(spindles, sector, count);
 
         // No gap, no overlap in the logical buffer: pieces are emitted
         // in order and their byte ranges tile [0, count * SECTOR_SIZE).
@@ -75,7 +60,7 @@ proptest! {
                     "logical sector {} on the wrong spindle", logical
                 );
                 prop_assert_eq!(
-                    to_logical(&*policy, spindles, sub.spindle, sub.sector + k),
+                    policy.to_logical(spindles, sub.spindle, sub.sector + k),
                     logical,
                     "to_logical does not invert the split"
                 );
@@ -83,20 +68,17 @@ proptest! {
         }
     }
 
-    /// The parity policies partition too — and no data piece ever lands
+    /// A parity layout partitions too — and no data piece ever lands
     /// on its row's parity spindle.
     #[test]
     fn parity_sub_requests_partition_and_avoid_the_parity_spindle(
-        kind_ix in 2usize..4,
         spindles in 2usize..9,
         chunk_sectors in 1u64..65,
         sector in 0u64..10_000,
         count in 1u64..512,
     ) {
-        let kind = StripePolicyKind::ALL[kind_ix];
-        prop_assert!(kind.is_parity());
-        let policy = policy_for(kind, chunk_sectors);
-        let subs = split_request(&*policy, spindles, sector, count);
+        let policy = StripeLayout::new(chunk_sectors as usize * SECTOR_SIZE, true);
+        let subs = policy.split(spindles, sector, count);
 
         // Exact partition of the logical buffer.
         let mut covered = 0usize;
@@ -136,7 +118,7 @@ proptest! {
                     "data written onto row {}'s parity spindle", row
                 );
                 prop_assert_eq!(
-                    to_logical(&*policy, spindles, sub.spindle, physical),
+                    policy.to_logical(spindles, sub.spindle, physical),
                     logical,
                     "to_logical does not invert the split"
                 );

@@ -24,7 +24,6 @@ fn volume(spindles: usize, kind: StripePolicyKind) -> (StripedVolume, Arc<Clock>
         StripePolicyKind::ParitySegment => {
             VolumeConfig::parity_segment(spindles, CHUNK_BYTES * (spindles - 1))
         }
-        StripePolicyKind::ParityRotate => VolumeConfig::parity_rotate(spindles, CHUNK_BYTES),
     };
     let vol = StripedVolume::new(
         DiskGeometry::tiny_test(SPINDLE_SECTORS),

@@ -26,8 +26,10 @@ fn main() {
     fs.sync().unwrap();
     println!("checkpointed /safe/ledger");
 
-    // Phase 2: written to the log (fsync pushes a partial segment), but
-    // after the last checkpoint.
+    // Phase 2: written to the log, but after the last checkpoint. This
+    // file system mounts with roll-forward (the default), so its fsync
+    // pushes a partial segment and trusts roll-forward to find it; a
+    // `roll_forward: false` system would have checkpointed here instead.
     let ino = fs
         .write_file("/safe/journal", b"entry 1\nentry 2\n")
         .unwrap();
@@ -74,6 +76,10 @@ fn main() {
     println!(
         "checkpoint-only recovery keeps what the last checkpoint saw; \n\
          roll-forward also recovers the fsync'd journal from the log tail. \n\
+         (The image was written by a roll-forward system: mounting it \n\
+         checkpoint-only shows what roll-forward buys, not a supported \n\
+         pairing — a system that runs without roll-forward checkpoints \n\
+         on every fsync, so synced always means synced.) \n\
          The cache-only scratch file is gone either way — exactly the \n\
          paper's stated loss window."
     );

@@ -47,7 +47,7 @@ fn main() {
         println!("  {line}");
     }
 
-    let lfs_io = lfs.device().stats().clone();
+    let lfs_io = lfs.device().stats();
 
     // Replay: parse the text back and apply it to FFS.
     let parsed = from_text(&text).unwrap();
@@ -66,7 +66,7 @@ fn main() {
         outcome.failed,
         ffs_secs / lfs_secs
     );
-    let ffs_io = ffs.device().stats().clone();
+    let ffs_io = ffs.device().stats();
     println!(
         "\ndisk traffic   LFS: {:>6} writes ({} sync)   FFS: {:>6} writes ({} sync)",
         lfs_io.writes, lfs_io.sync_writes, ffs_io.writes, ffs_io.sync_writes

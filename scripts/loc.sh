@@ -9,9 +9,39 @@
 #
 # With --per-file, one "total non-test code path" row per file follows
 # the totals (diff two commits' tables to see where lines went).
+#
+# With --knobs, the option and interface counts instead, by the
+# definition `bench-baseline/KNOBS` and its test use (a textual scan of
+# the same files, the offline shims crates/proptest and crates/rand
+# excepted):
+#
+#   fields    `    pub <name>:` lines of every top-level
+#             `pub struct <X>{Config,Policy,Spec} {`
+#   <Enum>    variants of StripePolicyKind, CachePolicy, CleanerPolicy,
+#             CleanerRunMode (one-indent lines that open with a capital)
+#   <Trait>   `fn` items of FileSystem, BlockDevice, NodeStore
+#
 # Runs from any cwd; counts the tree the script sits in.
 set -eu
 cd "$(dirname "$0")/.."
+if [ "${1:-}" = "--knobs" ]; then
+    find crates/*/src src -name '*.rs' | grep -v -e '^crates/proptest/' -e '^crates/rand/' |
+        LC_ALL=C sort | xargs awk '
+    /^pub struct [A-Za-z0-9]*(Config|Policy|Spec) *\{/ { kind = "fields"; structs++; next }
+    /^pub enum (StripePolicyKind|CachePolicy|CleanerPolicy|CleanerRunMode) *\{/ { kind = $3; next }
+    /^pub trait (FileSystem|BlockDevice|NodeStore)[ :<{]/ { kind = $3; sub(/[:<{].*/, "", kind); next }
+    /^\}/ { kind = ""; next }
+    kind == "fields" && /^    pub [a-z_0-9]+:/ { n[kind]++ }
+    kind ~ /Kind$|Policy$|Mode$/ && /^    [A-Z][A-Za-z0-9]*/ { n[kind]++ }
+    kind ~ /^(FileSystem|BlockDevice|NodeStore)$/ && /^    fn / { n[kind]++ }
+    END {
+        printf "fields           %3d  (pub fields of %d *Config/*Policy/*Spec structs)\n", n["fields"], structs
+        split("StripePolicyKind CachePolicy CleanerPolicy CleanerRunMode FileSystem BlockDevice NodeStore", order, " ")
+        for (i = 1; i <= 7; i++) printf "%-16s %3d\n", order[i], n[order[i]]
+    }'
+    printf "KNOBS lines      %3d\n" "$(grep -c '^[A-Za-z]' bench-baseline/KNOBS)"
+    exit 0
+fi
 per_file=0
 [ "${1:-}" = "--per-file" ] && per_file=1
 
