@@ -77,11 +77,6 @@ impl RequestEngine for Rc<RefCell<EngineCore>> {
     }
 }
 
-/// Per-client latency histograms are emitted only for runs with at most
-/// this many clients (the aggregate histogram is always emitted), to
-/// keep metrics JSON bounded on wide sweeps.
-const PER_CLIENT_HISTS_MAX: usize = 32;
-
 /// Parameters of a multi-client small-file run.
 #[derive(Debug, Clone)]
 pub struct MultiClientConfig {
@@ -157,7 +152,7 @@ impl MultiReport {
         let agg_hist = registry.hist("engine.op_ns");
         let client_hists: Vec<_> = (0..clients)
             .map(|c| {
-                (clients <= PER_CLIENT_HISTS_MAX)
+                (clients <= obs::PER_CLIENT_INSTRUMENTS_MAX)
                     .then(|| registry.hist(&format!("engine.c{c:03}.op_ns")))
             })
             .collect();

@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use obs::{Counter, Gauge, Registry};
+use obs::{Counter, Registry};
 use sim_disk::{
     AccessKind, BlockDevice, Clock, DiskError, DiskResult, IoCompletion, SimDisk, SECTOR_SIZE,
 };
@@ -118,120 +118,38 @@ impl EngineConfig {
     }
 }
 
-/// The engine's handles into an [`obs::Registry`].
-#[derive(Debug, Clone)]
-struct EngineObs {
-    registry: Registry,
-    /// Metric-name prefix (e.g. `"volume.spindle.0."`); empty for a
-    /// standalone engine. Keeps per-spindle engines apart when several
-    /// report into one shared registry.
-    prefix: String,
-    queue_depth: Gauge,
-    queue_depth_max: Gauge,
-    max_queue_wait: Gauge,
-    coalesced: Counter,
-    absorbed: Counter,
-    queue_read_hits: Counter,
-    backpressure_stalls: Counter,
-    backpressure_ns: Counter,
-    dep_stalls: Counter,
-    dep_stall_ns: Counter,
-    sched_decisions: Counter,
-    aged_picks: Counter,
-    qos_picks: Counter,
-    retries: Counter,
-    retry_exhausted: Counter,
-    /// Reads whose predicted completion blew the hedge deadline — each
-    /// one a notification that let the owner race a redundant path.
-    hedges: Counter,
-    /// Hedged races the redundant path won (the slow original lost).
-    hedge_wins: Counter,
-    /// Queue wait accumulated by maintenance-class requests (cleaning,
-    /// scrubbing) — the counterpart of the per-client wait counters, so
-    /// maintenance I/O never lands in a foreground client's account.
-    maintenance_wait: Counter,
-    /// Bytes submitted per I/O class. Together with the absorbed and
-    /// queue-read-hit byte counters these partition every submitted byte,
-    /// so `client + maintenance + system == disk transfers + absorbed +
-    /// queue read hits` holds exactly (the accounting regression test).
-    client_bytes: Counter,
-    maintenance_bytes: Counter,
-    system_bytes: Counter,
-    absorbed_bytes: Counter,
-    queue_read_hit_bytes: Counter,
-}
-
-impl EngineObs {
-    fn from_registry(registry: &Registry, prefix: &str) -> Self {
-        let n = |suffix: &str| format!("{prefix}{suffix}");
-        EngineObs {
-            registry: registry.clone(),
-            prefix: prefix.to_string(),
-            queue_depth: registry.gauge(&n("engine.queue_depth")),
-            queue_depth_max: registry.gauge(&n("engine.queue_depth_max")),
-            max_queue_wait: registry.gauge(&n("engine.max_queue_wait_ns")),
-            coalesced: registry.counter(&n("engine.coalesced_writes")),
-            absorbed: registry.counter(&n("engine.absorbed_writes")),
-            queue_read_hits: registry.counter(&n("engine.queue_read_hits")),
-            backpressure_stalls: registry.counter(&n("engine.backpressure_stalls")),
-            backpressure_ns: registry.counter(&n("engine.backpressure_ns")),
-            dep_stalls: registry.counter(&n("engine.dependency_stalls")),
-            dep_stall_ns: registry.counter(&n("engine.dependency_stall_ns")),
-            sched_decisions: registry.counter(&n("engine.sched_decisions")),
-            aged_picks: registry.counter(&n("engine.aged_picks")),
-            qos_picks: registry.counter(&n("engine.qos_picks")),
-            retries: registry.counter(&n("engine.retries")),
-            retry_exhausted: registry.counter(&n("engine.retry_exhausted")),
-            hedges: registry.counter(&n("engine.hedges")),
-            hedge_wins: registry.counter(&n("engine.hedge_wins")),
-            maintenance_wait: registry.counter(&n("engine.maintenance.disk_wait_ns")),
-            client_bytes: registry.counter(&n("engine.io_bytes.client")),
-            maintenance_bytes: registry.counter(&n("engine.io_bytes.maintenance")),
-            system_bytes: registry.counter(&n("engine.io_bytes.system")),
-            absorbed_bytes: registry.counter(&n("engine.absorbed_bytes")),
-            queue_read_hit_bytes: registry.counter(&n("engine.queue_read_hit_bytes")),
-        }
-    }
-
-    fn rehome(&mut self, registry: &Registry) {
-        self.registry = registry.clone();
-        let prefix = self.prefix.clone();
-        let n = |suffix: &str| format!("{prefix}{suffix}");
-        self.queue_depth = registry.adopt_gauge(&n("engine.queue_depth"), &self.queue_depth);
-        self.queue_depth_max =
-            registry.adopt_gauge(&n("engine.queue_depth_max"), &self.queue_depth_max);
-        self.max_queue_wait =
-            registry.adopt_gauge(&n("engine.max_queue_wait_ns"), &self.max_queue_wait);
-        self.coalesced = registry.adopt_counter(&n("engine.coalesced_writes"), &self.coalesced);
-        self.absorbed = registry.adopt_counter(&n("engine.absorbed_writes"), &self.absorbed);
-        self.queue_read_hits =
-            registry.adopt_counter(&n("engine.queue_read_hits"), &self.queue_read_hits);
-        self.backpressure_stalls =
-            registry.adopt_counter(&n("engine.backpressure_stalls"), &self.backpressure_stalls);
-        self.backpressure_ns =
-            registry.adopt_counter(&n("engine.backpressure_ns"), &self.backpressure_ns);
-        self.dep_stalls = registry.adopt_counter(&n("engine.dependency_stalls"), &self.dep_stalls);
-        self.dep_stall_ns =
-            registry.adopt_counter(&n("engine.dependency_stall_ns"), &self.dep_stall_ns);
-        self.sched_decisions =
-            registry.adopt_counter(&n("engine.sched_decisions"), &self.sched_decisions);
-        self.aged_picks = registry.adopt_counter(&n("engine.aged_picks"), &self.aged_picks);
-        self.qos_picks = registry.adopt_counter(&n("engine.qos_picks"), &self.qos_picks);
-        self.retries = registry.adopt_counter(&n("engine.retries"), &self.retries);
-        self.retry_exhausted =
-            registry.adopt_counter(&n("engine.retry_exhausted"), &self.retry_exhausted);
-        self.hedges = registry.adopt_counter(&n("engine.hedges"), &self.hedges);
-        self.hedge_wins = registry.adopt_counter(&n("engine.hedge_wins"), &self.hedge_wins);
-        self.maintenance_wait =
-            registry.adopt_counter(&n("engine.maintenance.disk_wait_ns"), &self.maintenance_wait);
-        self.client_bytes = registry.adopt_counter(&n("engine.io_bytes.client"), &self.client_bytes);
-        self.maintenance_bytes =
-            registry.adopt_counter(&n("engine.io_bytes.maintenance"), &self.maintenance_bytes);
-        self.system_bytes = registry.adopt_counter(&n("engine.io_bytes.system"), &self.system_bytes);
-        self.absorbed_bytes =
-            registry.adopt_counter(&n("engine.absorbed_bytes"), &self.absorbed_bytes);
-        self.queue_read_hit_bytes =
-            registry.adopt_counter(&n("engine.queue_read_hit_bytes"), &self.queue_read_hit_bytes);
+obs::instruments! {
+    /// The engine's handles into its disk's [`obs::Registry`].
+    struct EngineObs {
+        queue_depth, Gauge, "engine.queue_depth", "Requests pending in the queue now.";
+        queue_depth_max, Gauge, "engine.queue_depth_max", "High-water mark of the queue depth.";
+        max_queue_wait, Gauge, "engine.max_queue_wait_ns", "Longest queue wait any request has seen.";
+        coalesced, Counter, "engine.coalesced_writes", "Pending writes merged into an adjacent pending write.";
+        absorbed, Counter, "engine.absorbed_writes", "Writes absorbed by a queued write to the same range.";
+        queue_read_hits, Counter, "engine.queue_read_hits", "Reads served from a queued write's payload.";
+        backpressure_stalls, Counter, "engine.backpressure_stalls", "Submissions stalled by a full queue.";
+        backpressure_ns, Counter, "engine.backpressure_ns", "Virtual time submitters spent stalled on a full queue.";
+        dep_stalls, Counter, "engine.dependency_stalls", "Requests that waited behind an overlapping queued request.";
+        dep_stall_ns, Counter, "engine.dependency_stall_ns", "Virtual time spent in dependency stalls.";
+        sched_decisions, Counter, "engine.sched_decisions", "Queue picks made.";
+        aged_picks, Counter, "engine.aged_picks", "Picks forced by the bounded-wait aging guarantee.";
+        qos_picks, Counter, "engine.qos_picks", "Picks the QoS ledger narrowed.";
+        retries, Counter, "engine.retries", "Reads retried after a media error.";
+        retry_exhausted, Counter, "engine.retry_exhausted", "Reads that failed their whole retry budget.";
+        hedges, Counter, "engine.hedges", "Reads whose predicted completion blew the hedge deadline — each \
+            one a notification that let the owner race a redundant path.";
+        hedge_wins, Counter, "engine.hedge_wins", "Hedged races the redundant path won (the slow original lost).";
+        maintenance_wait, Counter, "engine.maintenance.disk_wait_ns", "Queue wait accumulated by maintenance-class \
+            requests (cleaning, scrubbing) — the counterpart of the per-client wait counters, so \
+            maintenance I/O never lands in a foreground client's account.";
+        client_bytes, Counter, "engine.io_bytes.client", "Bytes submitted by foreground clients. With the other \
+            two classes and the absorbed and queue-read-hit byte counters this partitions every \
+            submitted byte: `client + maintenance + system == disk transfers + absorbed + queue \
+            read hits` holds exactly (the accounting regression test).";
+        maintenance_bytes, Counter, "engine.io_bytes.maintenance", "Bytes submitted by the maintenance class.";
+        system_bytes, Counter, "engine.io_bytes.system", "Bytes submitted with no owner (format, setup).";
+        absorbed_bytes, Counter, "engine.absorbed_bytes", "Bytes of absorbed writes.";
+        queue_read_hit_bytes, Counter, "engine.queue_read_hit_bytes", "Bytes of reads served from the queue.";
     }
 }
 
@@ -307,12 +225,12 @@ pub struct EngineCore {
 }
 
 impl EngineCore {
-    /// Wraps `disk` in a request engine. The engine reports into the
-    /// disk's current registry (re-homed later by
-    /// [`BlockDevice::attach_obs`] when a file system mounts).
+    /// Wraps `disk` in a request engine. The engine registers its
+    /// instruments in the disk's registry, so one mount
+    /// ([`BlockDevice::attach_obs`], when a file system mounts) shows both.
     pub fn new(disk: SimDisk, cfg: EngineConfig) -> Self {
         let clock = Arc::clone(disk.clock());
-        let obs = EngineObs::from_registry(disk.obs(), "");
+        let obs = EngineObs::new(disk.obs());
         Self {
             disk,
             clock,
@@ -426,21 +344,13 @@ impl EngineCore {
     /// Creates per-client queue-wait and completed-bytes counters for
     /// clients `0..n`.
     pub fn register_clients(&mut self, n: usize) {
-        let prefix = &self.obs.prefix;
-        self.per_client_wait = (0..n)
-            .map(|c| {
-                self.obs
-                    .registry
-                    .counter(&format!("{prefix}engine.c{c:03}.disk_wait_ns"))
-            })
-            .collect();
-        self.per_client_bytes = (0..n)
-            .map(|c| {
-                self.obs
-                    .registry
-                    .counter(&format!("{prefix}engine.c{c:03}.io_bytes_done"))
-            })
-            .collect();
+        let per_client = |what: &str| -> Vec<Counter> {
+            (0..n)
+                .map(|c| self.obs.registry.counter(&format!("engine.c{c:03}.{what}")))
+                .collect()
+        };
+        self.per_client_wait = per_client("disk_wait_ns");
+        self.per_client_bytes = per_client("io_bytes_done");
     }
 
     /// Installs (or clears, with `None`) a per-client QoS spec. While a
@@ -454,32 +364,6 @@ impl EngineCore {
     /// The installed QoS ledger, if any (introspection for tests).
     pub fn qos(&self) -> Option<&FairShare> {
         self.qos.as_ref()
-    }
-
-    /// Re-homes the disk's and the engine's instruments into `registry`.
-    pub fn attach_obs(&mut self, registry: &Registry) {
-        self.disk.attach_obs(registry);
-        self.obs.rehome(registry);
-        let prefix = self.obs.prefix.clone();
-        for (c, counter) in self.per_client_wait.iter_mut().enumerate() {
-            *counter =
-                registry.adopt_counter(&format!("{prefix}engine.c{c:03}.disk_wait_ns"), counter);
-        }
-        for (c, counter) in self.per_client_bytes.iter_mut().enumerate() {
-            *counter =
-                registry.adopt_counter(&format!("{prefix}engine.c{c:03}.io_bytes_done"), counter);
-        }
-    }
-
-    /// Re-homes this engine's and its disk's instruments under `prefix`
-    /// (for example `"volume.spindle.0."`) in a fresh private registry,
-    /// carrying accumulated counts. A later [`EngineCore::attach_obs`]
-    /// then lands every instrument in the shared registry under its
-    /// prefixed name, so several spindle engines never collide.
-    pub fn set_metric_prefix(&mut self, prefix: &str) {
-        self.disk.set_metric_prefix(prefix);
-        self.obs.prefix = prefix.to_string();
-        self.obs.rehome(self.disk.obs());
     }
 
     /// The virtual time at which the device next picks a request: it must
@@ -1245,7 +1129,8 @@ impl BlockDevice for EngineDisk {
     }
 
     fn attach_obs(&mut self, registry: &Registry) {
-        self.0.borrow_mut().attach_obs(registry);
+        // The disk's registry holds the engine's instruments too.
+        self.0.borrow_mut().disk.attach_obs(registry);
     }
 
     fn set_maintenance(&mut self, on: bool) {

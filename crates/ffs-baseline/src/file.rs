@@ -233,7 +233,7 @@ impl<D: BlockDevice> NodeStore for Ffs<D> {
     }
 
     fn op_hists(&self) -> &OpHists {
-        &self.obs.ops
+        &self.ops
     }
 
     fn block_size(&self) -> usize {

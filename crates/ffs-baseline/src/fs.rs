@@ -23,66 +23,19 @@ pub(crate) struct CachedInode {
     pub dirty: bool,
 }
 
-/// Operational counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FfsStats {
-    /// Synchronous inode-table block writes (create/unlink/fsync).
-    pub sync_inode_writes: u64,
-    /// Synchronous directory data block writes.
-    pub sync_dir_writes: u64,
-    /// Delayed (asynchronous) data block writes.
-    pub delayed_data_writes: u64,
-    /// Delayed inode-table block writes.
-    pub delayed_inode_writes: u64,
-    /// Bitmap block writes.
-    pub bitmap_writes: u64,
-    /// Whole-volume fsck scans performed at mount.
-    pub fsck_scans: u64,
-    /// Blocks read by mount-time fsck scans.
-    pub fsck_blocks_scanned: u64,
-}
-
-/// Registry-backed instruments: one counter per [`FfsStats`] field plus
-/// the per-operation latency histograms shared with LFS (same `op.*`
-/// names, so LFS and FFS runs export through one schema).
-pub(crate) struct FfsObs {
-    pub registry: obs::Registry,
-    pub sync_inode_writes: obs::Counter,
-    pub sync_dir_writes: obs::Counter,
-    pub delayed_data_writes: obs::Counter,
-    pub delayed_inode_writes: obs::Counter,
-    pub bitmap_writes: obs::Counter,
-    pub fsck_scans: obs::Counter,
-    pub fsck_blocks_scanned: obs::Counter,
-    pub ops: OpHists,
-}
-
-impl FfsObs {
-    pub fn new(registry: obs::Registry) -> Self {
-        let c = |name: &str| registry.counter(name);
-        FfsObs {
-            sync_inode_writes: c("ffs.sync_inode_writes"),
-            sync_dir_writes: c("ffs.sync_dir_writes"),
-            delayed_data_writes: c("ffs.delayed_data_writes"),
-            delayed_inode_writes: c("ffs.delayed_inode_writes"),
-            bitmap_writes: c("ffs.bitmap_writes"),
-            fsck_scans: c("fsck.scans"),
-            fsck_blocks_scanned: c("fsck.blocks_scanned"),
-            ops: OpHists::new(&registry),
-            registry,
-        }
-    }
-
-    pub fn stats(&self) -> FfsStats {
-        FfsStats {
-            sync_inode_writes: self.sync_inode_writes.get(),
-            sync_dir_writes: self.sync_dir_writes.get(),
-            delayed_data_writes: self.delayed_data_writes.get(),
-            delayed_inode_writes: self.delayed_inode_writes.get(),
-            bitmap_writes: self.bitmap_writes.get(),
-            fsck_scans: self.fsck_scans.get(),
-            fsck_blocks_scanned: self.fsck_blocks_scanned.get(),
-        }
+obs::instruments! {
+    /// Registry-backed instruments: one counter per [`FfsStats`] field.
+    pub(crate) struct FfsObs {}
+    /// Operational counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FfsStats {
+        sync_inode_writes, Counter, "ffs.sync_inode_writes", "Synchronous inode-table block writes (create/unlink/fsync).";
+        sync_dir_writes, Counter, "ffs.sync_dir_writes", "Synchronous directory data block writes.";
+        delayed_data_writes, Counter, "ffs.delayed_data_writes", "Delayed (asynchronous) data block writes.";
+        delayed_inode_writes, Counter, "ffs.delayed_inode_writes", "Delayed inode-table block writes.";
+        bitmap_writes, Counter, "ffs.bitmap_writes", "Bitmap block writes.";
+        fsck_scans, Counter, "fsck.scans", "Whole-volume fsck scans performed at mount.";
+        fsck_blocks_scanned, Counter, "fsck.blocks_scanned", "Blocks read by mount-time fsck scans.";
     }
 }
 
@@ -100,6 +53,9 @@ pub struct Ffs<D: BlockDevice> {
     pub(crate) alloc: Allocator,
     pub(crate) inodes: HashMap<Ino, CachedInode>,
     pub(crate) obs: FfsObs,
+    /// Per-operation latency histograms, shared with LFS (same `op.*`
+    /// names, so both export through one schema).
+    pub(crate) ops: OpHists,
     pub(crate) in_maintenance: bool,
 }
 
@@ -187,7 +143,8 @@ impl<D: BlockDevice> Ffs<D> {
             cache,
             alloc,
             inodes: HashMap::new(),
-            obs: FfsObs::new(registry),
+            obs: FfsObs::new(&registry),
+            ops: OpHists::new(&registry),
             in_maintenance: false,
         }
     }

@@ -106,8 +106,14 @@ fn slot_path(cfg: &ChurnConfig, client: usize, op: usize) -> String {
     format!("/d{:02}/s{:04}", client, slot.min(cfg.total_slots - 1))
 }
 
-/// Exact percentile of a latency sample (nearest-rank on the sorted
-/// sample — deterministic, no histogram bucketing error).
+/// Exact percentile of an ascending-sorted latency sample: the sample
+/// at index `round((n - 1) · pct / 100)` — the closest order statistic
+/// to the interpolated position, deterministic, no histogram bucketing
+/// error. **Not** nearest-rank: [`trace::percentile_ns`] reads index
+/// `ceil(n · pct / 100) - 1`, which can sit one sample below this one
+/// (the median of ten samples: 4, here 5) or one above (their p91: 9,
+/// here 8). The pinned p50/p99 cells of each bench depend on the helper
+/// it uses.
 pub fn percentile_ns(sorted: &[u64], pct: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -193,4 +199,23 @@ pub fn run_overwrite_churn<D: BlockDevice>(
         max_ns: *latencies.last().unwrap_or(&0),
         cleaner_steps,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    /// The two percentile helpers, pinned side by side on one sample so
+    /// their difference is stated, not discovered.
+    #[test]
+    fn percentile_helpers_differ_where_stated() {
+        let sorted: Vec<u64> = (1..=10).map(|i| i * 10).collect();
+        let both = |pct| (super::percentile_ns(&sorted, pct), trace::percentile_ns(&sorted, pct));
+        assert_eq!(both(0.0), (10, 10));
+        assert_eq!(both(25.0), (30, 30));
+        assert_eq!(both(50.0), (60, 50), "round(4.5) = index 5; ceil(5.0) = rank 5 = index 4");
+        assert_eq!(both(75.0), (80, 80));
+        assert_eq!(both(90.0), (90, 90));
+        assert_eq!(both(99.0), (100, 100));
+        assert_eq!(both(100.0), (100, 100));
+        assert_eq!(both(91.0), (90, 100), "round(8.19) = index 8; ceil(9.1) = rank 10 = index 9");
+    }
 }

@@ -214,7 +214,7 @@ impl<D: BlockDevice> NodeStore for Lfs<D> {
     }
 
     fn op_hists(&self) -> &OpHists {
-        &self.obs.ops
+        &self.ops
     }
 
     fn block_size(&self) -> usize {

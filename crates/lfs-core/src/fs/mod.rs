@@ -26,6 +26,7 @@ use std::sync::Arc;
 use mem_mgr::{BlockKey, CacheReport, FlushCause, MemConfig, MemMgr, Owner, WritebackTrigger};
 use sim_disk::{BlockDevice, Clock, CpuCost, CpuModel};
 use vfs::blockmap::{is_data_idx, IDX_DCHILD_BASE, IDX_DTOP, IDX_SINGLE};
+use vfs::namespace::OpHists;
 use vfs::{FileKind, FsError, FsResult, Ino};
 
 use crate::config::LfsConfig;
@@ -73,6 +74,7 @@ pub struct Lfs<D: BlockDevice> {
     pub(crate) cp_use_b: bool,
     pub(crate) last_cp_ns: u64,
     pub(crate) obs: LfsObs,
+    pub(crate) ops: OpHists,
     /// Clean segment reserved by the most recent sealing chunk's
     /// `next_seg` link, so the on-disk chain and the allocator agree.
     pub(crate) pending_next_seg: Option<SegNo>,
@@ -161,7 +163,7 @@ impl<D: BlockDevice> Lfs<D> {
     pub(crate) fn fresh(mut dev: D, sb: Superblock, cfg: LfsConfig, clock: Arc<Clock>) -> Self {
         let cpu = CpuModel::sun_4_260(Arc::clone(&clock));
         // One metrics registry covers the whole stack: the device and the
-        // cache re-home their instruments into it so disk, cache, and
+        // cache mount their registries in it so disk, cache, and
         // file-system counters share a single snapshot/export.
         let registry = obs::Registry::new();
         dev.attach_obs(&registry);
@@ -203,7 +205,8 @@ impl<D: BlockDevice> Lfs<D> {
             cp_serial: 0,
             cp_use_b: false,
             last_cp_ns: 0,
-            obs: LfsObs::new(registry),
+            obs: LfsObs::new(&registry),
+            ops: OpHists::new(&registry),
             pending_next_seg: None,
             in_maintenance: false,
             reserve_segments: reserve,

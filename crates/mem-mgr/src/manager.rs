@@ -7,18 +7,13 @@ use crate::config::{CachePolicy, FlushCause, MemConfig};
 use crate::ghost::GhostList;
 use crate::key::{BlockKey, Owner};
 use crate::policy::{WritebackPolicy, WritebackTrigger, DIRTY_HIGH_WATER};
-use crate::report::{CacheReport, CacheStats, ClientUsage};
+use crate::report::{CacheReport, CacheStats, ClientObs, ClientUsage, CoreObs};
 
 /// Sentinel index terminating the intrusive lists.
 const NIL: u32 = u32::MAX;
 
 /// Flush reports per tuning decision.
 const TUNE_WINDOW: u32 = 4;
-
-/// Per-client obs instruments (`cache.client.<id>.*`) are only published
-/// for client ids below this cap; internal accounting is kept for every
-/// client regardless.
-const PER_CLIENT_OBS_MAX: u32 = 32;
 
 /// Which pool a resident block lives in. Under [`CachePolicy::SharedLru`]
 /// every block (clean or dirty) lives on the `Protected` list, which then
@@ -125,76 +120,6 @@ fn unlink(list: &mut List, slots: &mut [Option<Slot>], idx: u32) {
     list.len -= 1;
 }
 
-/// Registry-backed mirrors of the manager's counters and pool gauges.
-#[derive(Debug, Clone, Default)]
-struct CoreObs {
-    hits: obs::Counter,
-    misses: obs::Counter,
-    evictions: obs::Counter,
-    ghost_hits: obs::Counter,
-    promotions: obs::Counter,
-    boundary_moves: obs::Counter,
-    flush_bytes: obs::Counter,
-    flush_chunk_writes: obs::Counter,
-    write_target_blocks: obs::Gauge,
-    read_target_blocks: obs::Gauge,
-    dirty_blocks: obs::Gauge,
-    clean_blocks: obs::Gauge,
-    probation_blocks: obs::Gauge,
-    protected_blocks: obs::Gauge,
-    ghost_blocks: obs::Gauge,
-    flush_eff_millis: obs::Gauge,
-}
-
-impl CoreObs {
-    fn rehome(&mut self, registry: &obs::Registry) {
-        self.hits = registry.adopt_counter("cache.hits", &self.hits);
-        self.misses = registry.adopt_counter("cache.misses", &self.misses);
-        self.evictions = registry.adopt_counter("cache.evictions", &self.evictions);
-        self.ghost_hits = registry.adopt_counter("cache.ghost_hits", &self.ghost_hits);
-        self.promotions = registry.adopt_counter("cache.promotions", &self.promotions);
-        self.boundary_moves = registry.adopt_counter("cache.boundary_moves", &self.boundary_moves);
-        self.flush_bytes = registry.adopt_counter("cache.flush_bytes", &self.flush_bytes);
-        self.flush_chunk_writes =
-            registry.adopt_counter("cache.flush_chunk_writes", &self.flush_chunk_writes);
-        self.write_target_blocks =
-            registry.adopt_gauge("cache.write_target_blocks", &self.write_target_blocks);
-        self.read_target_blocks =
-            registry.adopt_gauge("cache.read_target_blocks", &self.read_target_blocks);
-        self.dirty_blocks = registry.adopt_gauge("cache.dirty_blocks", &self.dirty_blocks);
-        self.clean_blocks = registry.adopt_gauge("cache.clean_blocks", &self.clean_blocks);
-        self.probation_blocks =
-            registry.adopt_gauge("cache.probation_blocks", &self.probation_blocks);
-        self.protected_blocks =
-            registry.adopt_gauge("cache.protected_blocks", &self.protected_blocks);
-        self.ghost_blocks = registry.adopt_gauge("cache.ghost_blocks", &self.ghost_blocks);
-        self.flush_eff_millis =
-            registry.adopt_gauge("cache.flush_eff_millis", &self.flush_eff_millis);
-    }
-}
-
-/// Per-client instrument handles (`cache.client.<id>.*`).
-#[derive(Debug, Clone, Default)]
-struct ClientObs {
-    hits: obs::Counter,
-    misses: obs::Counter,
-    ghost_hits: obs::Counter,
-    resident_blocks: obs::Gauge,
-}
-
-impl ClientObs {
-    fn rehome(&mut self, registry: &obs::Registry, id: u32) {
-        self.hits = registry.adopt_counter(&format!("cache.client.{id:03}.hits"), &self.hits);
-        self.misses = registry.adopt_counter(&format!("cache.client.{id:03}.misses"), &self.misses);
-        self.ghost_hits =
-            registry.adopt_counter(&format!("cache.client.{id:03}.ghost_hits"), &self.ghost_hits);
-        self.resident_blocks = registry.adopt_gauge(
-            &format!("cache.client.{id:03}.resident_blocks"),
-            &self.resident_blocks,
-        );
-    }
-}
-
 /// The split write-buffer / read-cache memory manager.
 ///
 /// See the crate docs for the design. The manager never does I/O
@@ -222,7 +147,6 @@ pub struct MemMgr {
     block_size: usize,
     capacity_blocks: usize,
     config: MemConfig,
-    stats: CacheStats,
     /// Minimum `dirty_since_ns` over all dirty blocks (u64::MAX when
     /// none). Reset only when the dirty count hits zero — a
     /// conservative rule, so the age trigger can fire early but never
@@ -230,10 +154,6 @@ pub struct MemMgr {
     oldest_dirty_ns: u64,
     dirty_count: usize,
     ghost: GhostList,
-    ghost_hits: u64,
-    promotions: u64,
-    boundary_moves: u64,
-    flush_eff_millis: u64,
     /// The boundary: dirty blocks at/above this trigger a flush. Under
     /// shared LRU this is the fixed dirty high-water mark.
     write_target: usize,
@@ -245,8 +165,10 @@ pub struct MemMgr {
     win_waste_chunks: u64,
     active_client: Option<u32>,
     clients: BTreeMap<u32, ClientUsage>,
+    /// Instruments of the clients seen so far, ids below
+    /// [`obs::PER_CLIENT_INSTRUMENTS_MAX`] only; [`ClientUsage`] is kept
+    /// for every client regardless.
     client_obs: BTreeMap<u32, ClientObs>,
-    registry: Option<obs::Registry>,
     obs: CoreObs,
 }
 
@@ -280,7 +202,6 @@ impl MemMgr {
             block_size,
             capacity_blocks,
             config,
-            stats: CacheStats::default(),
             oldest_dirty_ns: u64::MAX,
             dirty_count: 0,
             // ARC-style ghost depth: remember up to twice the resident
@@ -290,10 +211,6 @@ impl MemMgr {
             // second miss. Entries are key-sized — a few per-cent
             // overhead against block-sized residents.
             ghost: GhostList::new(capacity_blocks * 2),
-            ghost_hits: 0,
-            promotions: 0,
-            boundary_moves: 0,
-            flush_eff_millis: 0,
             write_target,
             min_write,
             max_write,
@@ -304,22 +221,16 @@ impl MemMgr {
             active_client: None,
             clients: BTreeMap::new(),
             client_obs: BTreeMap::new(),
-            registry: None,
-            obs: CoreObs::default(),
+            obs: CoreObs::new(&obs::Registry::new()),
         };
         mgr.publish_gauges();
         mgr
     }
 
-    /// Re-homes all instruments into a shared [`obs::Registry`]; counts
-    /// accumulated so far are carried over.
+    /// Mounts the manager's registry in a shared [`obs::Registry`];
+    /// counts accumulated so far come along.
     pub fn attach_obs(&mut self, registry: &obs::Registry) {
-        self.obs.rehome(registry);
-        for (id, cobs) in self.client_obs.iter_mut() {
-            cobs.rehome(registry, *id);
-        }
-        self.registry = Some(registry.clone());
-        self.publish_gauges();
+        registry.mount("", &self.obs.registry);
     }
 
     /// Block size in bytes.
@@ -354,7 +265,7 @@ impl MemMgr {
 
     /// Hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        self.obs.stats()
     }
 
     /// The active write-back policy.
@@ -374,12 +285,12 @@ impl MemMgr {
 
     /// Misses that landed on a ghost entry so far.
     pub fn ghost_hits(&self) -> u64 {
-        self.ghost_hits
+        self.obs.ghost_hits.get()
     }
 
     /// Times the adaptive boundary has moved.
     pub fn boundary_moves(&self) -> u64 {
-        self.boundary_moves
+        self.obs.boundary_moves.get()
     }
 
     /// Sets the client subsequent accesses are attributed to (hit/miss
@@ -391,21 +302,18 @@ impl MemMgr {
     // ---- accounting helpers -------------------------------------------
 
     fn client_obs_handle(&mut self, id: u32) -> Option<&ClientObs> {
-        if id >= PER_CLIENT_OBS_MAX {
+        if id as usize >= obs::PER_CLIENT_INSTRUMENTS_MAX {
             return None;
         }
-        if !self.client_obs.contains_key(&id) {
-            let mut cobs = ClientObs::default();
-            if let Some(registry) = &self.registry {
-                cobs.rehome(registry, id);
-            }
-            self.client_obs.insert(id, cobs);
-        }
-        self.client_obs.get(&id)
+        let registry = &self.obs.registry;
+        Some(self.client_obs.entry(id).or_insert_with(|| {
+            let cobs = ClientObs::new(&obs::Registry::new());
+            registry.mount(&format!("cache.client.{id:03}."), &cobs.registry);
+            cobs
+        }))
     }
 
     fn note_hit(&mut self) {
-        self.stats.hits += 1;
         self.obs.hits.inc();
         if let Some(c) = self.active_client {
             self.clients.entry(c).or_default().hits += 1;
@@ -416,11 +324,9 @@ impl MemMgr {
     }
 
     fn note_miss(&mut self, key: BlockKey) {
-        self.stats.misses += 1;
         self.obs.misses.inc();
         let ghosted = self.config.policy == CachePolicy::Adaptive && self.ghost.lookup(key).is_some();
         if ghosted {
-            self.ghost_hits += 1;
             self.win_ghost_hits += 1;
             self.obs.ghost_hits.inc();
         }
@@ -574,7 +480,6 @@ impl MemMgr {
     fn evict_idx(&mut self, idx: u32) {
         let slot = self.discard_idx(idx);
         debug_assert!(!slot.dirty, "never evict dirty blocks");
-        self.stats.evictions += 1;
         self.obs.evictions.inc();
         if self.config.policy == CachePolicy::Adaptive {
             self.ghost.insert(slot.key, slot.client);
@@ -642,7 +547,6 @@ impl MemMgr {
                         Pool::Probation => {
                             self.unlink_from(pool, idx);
                             self.link_front_to(Pool::Protected, idx);
-                            self.promotions += 1;
                             self.obs.promotions.inc();
                             self.publish_gauges();
                         }
@@ -864,8 +768,7 @@ impl MemMgr {
         if unit == 0 || chunk_writes == 0 {
             return;
         }
-        self.flush_eff_millis = bytes * 1000 / (chunk_writes * unit);
-        self.obs.flush_eff_millis.set(self.flush_eff_millis);
+        self.obs.flush_eff_millis.set(bytes * 1000 / (chunk_writes * unit));
         if self.config.policy != CachePolicy::Adaptive {
             return;
         }
@@ -910,7 +813,6 @@ impl MemMgr {
             self.write_target -= self.step;
         }
         if self.write_target != old {
-            self.boundary_moves += 1;
             self.obs.boundary_moves.inc();
             self.publish_gauges();
         }
@@ -925,7 +827,6 @@ impl MemMgr {
         let clamped = write_blocks.clamp(self.min_write, self.max_write);
         if clamped != self.write_target {
             self.write_target = clamped;
-            self.boundary_moves += 1;
             self.obs.boundary_moves.inc();
             if self.config.policy == CachePolicy::Adaptive {
                 self.enforce_budget();
@@ -1051,11 +952,11 @@ impl MemMgr {
             probation_blocks: probation,
             protected_blocks: protected,
             ghost_blocks: self.ghost.len(),
-            stats: self.stats,
-            ghost_hits: self.ghost_hits,
-            promotions: self.promotions,
-            boundary_moves: self.boundary_moves,
-            flush_eff_millis: self.flush_eff_millis,
+            stats: self.stats(),
+            ghost_hits: self.ghost_hits(),
+            promotions: self.obs.promotions.get(),
+            boundary_moves: self.boundary_moves(),
+            flush_eff_millis: self.obs.flush_eff_millis.get(),
             clients: self.clients.iter().map(|(&id, &u)| (id, u)).collect(),
         }
     }

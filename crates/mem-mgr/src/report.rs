@@ -2,15 +2,45 @@
 
 use crate::config::CachePolicy;
 
-/// Aggregate cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found the block cached.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Clean blocks evicted to make room.
-    pub evictions: u64,
+obs::instruments! {
+    /// The manager's handles into its [`obs::Registry`]: traffic and
+    /// tuner counters plus the pool gauges.
+    #[derive(Debug)]
+    pub(crate) struct CoreObs {
+        ghost_hits, Counter, "cache.ghost_hits", "Misses that landed on a ghost entry.";
+        promotions, Counter, "cache.promotions", "Probation-to-protected promotions.";
+        boundary_moves, Counter, "cache.boundary_moves", "Times the adaptive boundary moved.";
+        flush_bytes, Counter, "cache.flush_bytes", "Bytes the file system reported flushed.";
+        flush_chunk_writes, Counter, "cache.flush_chunk_writes", "Segment-sized device writes those flushes took.";
+        write_target_blocks, Gauge, "cache.write_target_blocks", "Write-buffer boundary in blocks.";
+        read_target_blocks, Gauge, "cache.read_target_blocks", "Read-pool budget in blocks.";
+        dirty_blocks, Gauge, "cache.dirty_blocks", "Current dirty (write-buffer) blocks.";
+        clean_blocks, Gauge, "cache.clean_blocks", "Current clean blocks.";
+        probation_blocks, Gauge, "cache.probation_blocks", "Clean blocks on probation.";
+        protected_blocks, Gauge, "cache.protected_blocks", "Clean blocks in the protected pool.";
+        ghost_blocks, Gauge, "cache.ghost_blocks", "Ghost entries (evicted keys still remembered).";
+        flush_eff_millis, Gauge, "cache.flush_eff_millis", "Last flush efficiency: bytes per segment write, in \
+            milli-units of the flush unit (1000 = perfectly full segments).";
+    }
+    /// Aggregate cache counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        hits, Counter, "cache.hits", "Lookups that found the block cached.";
+        misses, Counter, "cache.misses", "Lookups that missed.";
+        evictions, Counter, "cache.evictions", "Clean blocks evicted to make room.";
+    }
+}
+
+obs::instruments! {
+    /// One client's instruments, in a registry of their own that the
+    /// manager mounts under `cache.client.<id>.`.
+    #[derive(Debug)]
+    pub(crate) struct ClientObs {
+        hits, Counter, "hits", "Lookups by this client that found the block cached.";
+        misses, Counter, "misses", "Lookups by this client that missed.";
+        ghost_hits, Counter, "ghost_hits", "Misses by this client that landed on a ghost entry.";
+        resident_blocks, Gauge, "resident_blocks", "Blocks currently charged to this client.";
+    }
 }
 
 /// Per-client working-set accounting.

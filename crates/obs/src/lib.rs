@@ -24,13 +24,24 @@
 //! once and updates them lock-free (counters/gauges) or under a short
 //! mutex (histograms); the registry itself is only locked at
 //! registration and snapshot time.
+//!
+//! Registries compose. Every layer owns one from birth and declares its
+//! instruments once with [`instruments!`]; attaching a layer to a stack
+//! is [`Registry::mount`], which shows the same handles in the parent
+//! under a prefix — nothing is re-created and nothing is copied.
 
 pub mod json;
 pub mod report;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// The most clients (tenants) a layer publishes per-client instruments
+/// for — `engine.cNNN.*`, `trace.tNN.*`, `cache.client.<id>.*`. Wider
+/// runs keep the aggregates only, so metrics JSON stays bounded on wide
+/// sweeps.
+pub const PER_CLIENT_INSTRUMENTS_MAX: usize = 32;
 
 /// Histogram bucket upper bounds in nanoseconds: a 1-2-5 ladder from 1 µs
 /// to 50 s. A value lands in the first bucket whose bound it does not
@@ -243,15 +254,50 @@ impl EventRing {
 
 #[derive(Debug, Default)]
 struct Inner {
+    /// This registry's instruments and, under their prefixes, those of
+    /// every registry mounted in it.
     counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, Gauge>,
     hists: BTreeMap<String, Hist>,
     events: EventRing,
+    /// Where this registry is mounted: the parent and the name prefix.
+    parent: Option<(Registry, String)>,
 }
 
-/// The per-stack metrics registry. `Clone` is cheap and shares state, so
-/// a file system, its device, and its cache can all hold the same
-/// registry.
+/// Picks one instrument kind's table out of a registry.
+type Table<T> = fn(&mut Inner) -> &mut BTreeMap<String, T>;
+
+/// An instrument kind a [`Registry`] hands out by name; what an
+/// [`instruments!`] line names as its kind.
+pub trait Instrument {
+    /// The instrument registered under `name`, created if new.
+    fn named(registry: &Registry, name: &str) -> Self;
+}
+
+impl Instrument for Counter {
+    fn named(registry: &Registry, name: &str) -> Self {
+        registry.counter(name)
+    }
+}
+
+impl Instrument for Gauge {
+    fn named(registry: &Registry, name: &str) -> Self {
+        registry.gauge(name)
+    }
+}
+
+impl Instrument for Hist {
+    fn named(registry: &Registry, name: &str) -> Self {
+        registry.hist(name)
+    }
+}
+
+/// A layer's metrics registry. `Clone` is cheap and shares state.
+///
+/// A registry [mounted](Registry::mount) in another becomes a window
+/// onto the stack: what it registers shows in every ancestor under the
+/// mount prefixes, its events go to the root's ring, and reading it
+/// (snapshot, events) reads the root.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     inner: Arc<Mutex<Inner>>,
@@ -262,61 +308,116 @@ impl Registry {
         Self::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("registry lock poisoned by an earlier panic")
+    }
+
     /// Returns the counter registered under `name`, creating it if new.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock().unwrap();
-        inner.counters.entry(name.to_string()).or_default().clone()
+        self.get(name, |inner| &mut inner.counters)
     }
 
     /// Returns the gauge registered under `name`, creating it if new.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock().unwrap();
-        inner.gauges.entry(name.to_string()).or_default().clone()
+        self.get(name, |inner| &mut inner.gauges)
     }
 
     /// Returns the histogram registered under `name`, creating it if new.
     pub fn hist(&self, name: &str) -> Hist {
-        let mut inner = self.inner.lock().unwrap();
-        inner.hists.entry(name.to_string()).or_default().clone()
+        self.get(name, |inner| &mut inner.hists)
     }
 
-    /// Re-homes a counter into this registry: any count accumulated on
-    /// `existing` is carried over, and the returned handle is the
-    /// registry's canonical instrument for `name`. Used when a component
-    /// built with a private registry is attached to a shared one.
-    pub fn adopt_counter(&self, name: &str, existing: &Counter) -> Counter {
-        let canonical = self.counter(name);
-        if !Arc::ptr_eq(&canonical.0, &existing.0) {
-            canonical.add(existing.get());
+    fn get<T: Clone + Default>(&self, name: &str, table: Table<T>) -> T {
+        let mut inner = self.lock();
+        if let Some(found) = table(&mut inner).get(name) {
+            return found.clone();
         }
-        canonical
-    }
-
-    /// Re-homes a histogram into this registry (see [`adopt_counter`]).
-    ///
-    /// [`adopt_counter`]: Registry::adopt_counter
-    pub fn adopt_hist(&self, name: &str, existing: &Hist) -> Hist {
-        let canonical = self.hist(name);
-        canonical.merge_from(existing);
-        canonical
-    }
-
-    /// Re-homes a gauge into this registry (see [`adopt_counter`]): the
-    /// canonical gauge takes over the existing gauge's current value.
-    ///
-    /// [`adopt_counter`]: Registry::adopt_counter
-    pub fn adopt_gauge(&self, name: &str, existing: &Gauge) -> Gauge {
-        let canonical = self.gauge(name);
-        if !Arc::ptr_eq(&canonical.0, &existing.0) {
-            canonical.set(existing.get());
+        let cell = T::default();
+        table(&mut inner).insert(name.to_string(), cell.clone());
+        let parent = inner.parent.clone();
+        drop(inner);
+        if let Some((parent, prefix)) = parent {
+            parent.show(&format!("{prefix}{name}"), Some(&cell), table);
         }
-        canonical
+        cell
     }
 
-    /// Appends a structured event to the bounded ring.
+    /// Shows (`Some`) or hides (`None`) one instrument under `name`,
+    /// here and in every ancestor.
+    fn show<T: Clone>(&self, name: &str, cell: Option<&T>, table: Table<T>) {
+        let mut inner = self.lock();
+        match cell {
+            Some(cell) => {
+                let clash = table(&mut inner).insert(name.to_string(), cell.clone());
+                debug_assert!(clash.is_none(), "two instruments named {name}");
+            }
+            None => drop(table(&mut inner).remove(name)),
+        }
+        let parent = inner.parent.clone();
+        drop(inner);
+        if let Some((parent, prefix)) = parent {
+            parent.show(&format!("{prefix}{name}"), cell, table);
+        }
+    }
+
+    /// Shows every instrument of `child` — those it has now, with their
+    /// counts, and those it registers later — in this registry under
+    /// `prefix + name`, and routes the child's later events to this
+    /// stack's root. The handles are shared, never re-created. A
+    /// registry is mounted in one place: mounting it elsewhere moves it
+    /// (the old parent can then be dropped), mounting it where it
+    /// already is does nothing. Two instruments under one name is a
+    /// bug in the caller (debug-asserted; the later mount wins).
+    pub fn mount(&self, prefix: &str, child: &Registry) {
+        debug_assert!(
+            self.chain().all(|at| !Arc::ptr_eq(&at.inner, &child.inner)),
+            "mounting a registry inside itself"
+        );
+        let mut inner = child.lock();
+        let here = |(parent, at): &(Registry, String)| {
+            Arc::ptr_eq(&parent.inner, &self.inner) && at == prefix
+        };
+        if inner.parent.as_ref().is_some_and(here) {
+            return;
+        }
+        let old = inner.parent.replace((self.clone(), prefix.to_string()));
+        let (counters, gauges, hists) =
+            (inner.counters.clone(), inner.gauges.clone(), inner.hists.clone());
+        drop(inner);
+        self.move_in(&old, prefix, counters, |inner| &mut inner.counters);
+        self.move_in(&old, prefix, gauges, |inner| &mut inner.gauges);
+        self.move_in(&old, prefix, hists, |inner| &mut inner.hists);
+    }
+
+    fn move_in<T: Clone>(
+        &self,
+        old: &Option<(Registry, String)>,
+        prefix: &str,
+        cells: BTreeMap<String, T>,
+        table: Table<T>,
+    ) {
+        for (name, cell) in &cells {
+            if let Some((parent, at)) = old {
+                parent.show(&format!("{at}{name}"), None, table);
+            }
+            self.show(&format!("{prefix}{name}"), Some(cell), table);
+        }
+    }
+
+    /// This registry, then the one it is mounted in, and so on up.
+    fn chain(&self) -> impl Iterator<Item = Registry> {
+        let up = |at: &Registry| at.lock().parent.as_ref().map(|(parent, _)| parent.clone());
+        std::iter::successors(Some(self.clone()), up)
+    }
+
+    /// The registry at the top of the mount chain (this one if unmounted).
+    fn root(&self) -> Registry {
+        self.chain().last().expect("the chain starts with this registry")
+    }
+
+    /// Appends a structured event to the stack's (the root's) bounded ring.
     pub fn event(&self, at_ns: u64, kind: &'static str, detail: impl Into<String>) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.events.push(Event {
+        self.root().lock().events.push(Event {
             at_ns,
             kind,
             detail: detail.into(),
@@ -325,17 +426,19 @@ impl Registry {
 
     /// Returns the ring's events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.inner.lock().unwrap().events.in_order()
+        self.root().lock().events.in_order()
     }
 
     /// Number of events evicted from the ring so far.
     pub fn events_dropped(&self) -> u64 {
-        self.inner.lock().unwrap().events.dropped
+        self.root().lock().events.dropped
     }
 
-    /// Takes a point-in-time copy of every instrument and the event ring.
+    /// Takes a point-in-time copy of every instrument in the stack (the
+    /// root's view) and its event ring.
     pub fn snapshot(&self) -> Snapshot {
-        let inner = self.inner.lock().unwrap();
+        let root = self.root();
+        let inner = root.lock();
         Snapshot {
             counters: inner
                 .counters
@@ -370,6 +473,60 @@ impl Registry {
         }
         out
     }
+}
+
+/// Declares a layer's instruments once: one `field, Kind, "metric.name",
+/// "doc";` line each (`Kind` is [`Counter`], [`Gauge`] or [`Hist`]).
+///
+/// The first struct becomes the layer's handle struct — a `registry`
+/// field plus one handle per line of *both* blocks — with `new(&Registry)`
+/// registering every name. The optional second struct is the public
+/// point-in-time view: one `u64` field per line of its own block, built
+/// by the generated `stats()` and subtracted by `delta_since()`. A metric
+/// is added, renamed or dropped by editing its one line; nothing else
+/// lists the instruments.
+#[macro_export]
+macro_rules! instruments {
+    (
+        $(#[$hmeta:meta])* $hvis:vis struct $Handle:ident {
+            $($f:ident, $k:ident, $name:literal, $doc:literal;)*
+        }
+        $($(#[$vmeta:meta])* $vvis:vis struct $View:ident {
+            $($vf:ident, $vk:ident, $vname:literal, $vdoc:literal;)*
+        })?
+    ) => {
+        $(#[$hmeta])*
+        $hvis struct $Handle {
+            /// The registry the instruments are registered in.
+            pub registry: $crate::Registry,
+            $(#[doc = $doc] pub $f: $crate::$k,)*
+            $($(#[doc = $vdoc] pub $vf: $crate::$vk,)*)?
+        }
+        impl $Handle {
+            /// Registers every declared instrument in `registry`.
+            pub fn new(registry: &$crate::Registry) -> Self {
+                Self {
+                    registry: registry.clone(),
+                    $($f: $crate::Instrument::named(registry, $name),)*
+                    $($($vf: $crate::Instrument::named(registry, $vname),)*)?
+                }
+            }
+        }
+        $(
+            $(#[$vmeta])*
+            $vvis struct $View { $(#[doc = $vdoc] pub $vf: u64,)* }
+            impl $Handle {
+                /// The current value of every instrument in the view.
+                pub fn stats(&self) -> $View { $View { $($vf: self.$vf.get(),)* } }
+            }
+            impl $View {
+                /// `self - earlier`, field by field: what one phase counted.
+                pub fn delta_since(&self, earlier: &$View) -> $View {
+                    $View { $($vf: self.$vf - earlier.$vf,)* }
+                }
+            }
+        )?
+    };
 }
 
 /// A point-in-time copy of a whole registry, in deterministic (sorted)
@@ -441,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn adopt_carries_accumulated_values() {
+    fn mount_carries_accumulated_values() {
         let private = Registry::new();
         let counter = private.counter("disk.reads");
         counter.add(7);
@@ -449,17 +606,16 @@ mod tests {
         hist.record(500);
 
         let shared = Registry::new();
-        let counter = shared.adopt_counter("disk.reads", &counter);
-        let hist = shared.adopt_hist("disk.req_ns", &hist);
+        shared.mount("", &private);
         counter.inc();
         hist.record(700);
 
         let snap = shared.snapshot();
         assert_eq!(snap.counter("disk.reads"), 8);
         assert_eq!(snap.hist("disk.req_ns").unwrap().count, 2);
-        // Adopting into the same registry twice must not double-count.
-        let again = shared.adopt_counter("disk.reads", &counter);
-        assert_eq!(again.get(), 8);
+        // Mounting into the same registry twice must not double-count.
+        shared.mount("", &private);
+        assert_eq!(shared.counter("disk.reads").get(), 8);
     }
 
     #[test]

@@ -101,10 +101,10 @@ pub trait BlockDevice {
         self.num_sectors() * crate::SECTOR_SIZE as u64
     }
 
-    /// Re-homes the device's metrics into a shared [`obs::Registry`], so
-    /// one registry covers a whole file-system stack (device + cache +
-    /// file system). Counts accumulated before attachment are carried
-    /// over. Devices without metrics ignore this.
+    /// Mounts the device's metrics in a shared [`obs::Registry`], so one
+    /// registry covers a whole file-system stack (device + cache + file
+    /// system). Counts accumulated before attachment come along.
+    /// Devices without metrics ignore this.
     fn attach_obs(&mut self, _registry: &obs::Registry) {}
 
     /// Marks subsequent requests as maintenance I/O (segment cleaning,

@@ -4,109 +4,14 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use obs::{Counter, Hist, Registry};
+use obs::Registry;
 
 use crate::clock::Clock;
 use crate::device::{check_request, BlockDevice, DiskError, DiskResult};
 use crate::fault::{CrashPlan, FaultMode, MediaFaultPlan, ReadOutcome};
 use crate::geometry::DiskGeometry;
-use crate::stats::{AccessKind, AccessRecord, AccessTrace, IoStats};
+use crate::stats::{AccessKind, AccessRecord, AccessTrace, DiskObs, IoStats};
 use crate::SECTOR_SIZE;
-
-/// The disk's handles into an [`obs::Registry`]: request counts, the
-/// seek / rotation / transfer busy-time decomposition, and per-request
-/// service-time histograms split by direction.
-#[derive(Debug, Clone)]
-struct DiskObs {
-    registry: Registry,
-    /// Metric-name prefix (e.g. `"volume.spindle.0."`). Empty for a
-    /// standalone disk, whose instruments keep their classic `disk.*`
-    /// names. A prefix keeps several disks apart when they all report
-    /// into one shared registry.
-    prefix: String,
-    reads: Counter,
-    writes: Counter,
-    sync_writes: Counter,
-    seeks: Counter,
-    sequential: Counter,
-    bytes_read: Counter,
-    bytes_written: Counter,
-    busy_ns: Counter,
-    seek_ns: Counter,
-    rotation_ns: Counter,
-    transfer_ns: Counter,
-    stall_ns: Counter,
-    queue_wait_ns: Counter,
-    coalesced: Counter,
-    faults_unreadable: Counter,
-    faults_transient: Counter,
-    faults_rot_reads: Counter,
-    faults_cleared: Counter,
-    read_lat: Hist,
-    write_lat: Hist,
-}
-
-impl DiskObs {
-    fn from_registry(registry: &Registry, prefix: &str) -> Self {
-        let n = |suffix: &str| format!("{prefix}{suffix}");
-        DiskObs {
-            registry: registry.clone(),
-            prefix: prefix.to_string(),
-            reads: registry.counter(&n("disk.reads")),
-            writes: registry.counter(&n("disk.writes")),
-            sync_writes: registry.counter(&n("disk.sync_writes")),
-            seeks: registry.counter(&n("disk.seeks")),
-            sequential: registry.counter(&n("disk.sequential")),
-            bytes_read: registry.counter(&n("disk.bytes_read")),
-            bytes_written: registry.counter(&n("disk.bytes_written")),
-            busy_ns: registry.counter(&n("disk.busy_ns")),
-            seek_ns: registry.counter(&n("disk.seek_ns")),
-            rotation_ns: registry.counter(&n("disk.rotation_ns")),
-            transfer_ns: registry.counter(&n("disk.transfer_ns")),
-            stall_ns: registry.counter(&n("disk.stall_ns")),
-            queue_wait_ns: registry.counter(&n("disk.queue_wait_ns")),
-            coalesced: registry.counter(&n("disk.coalesced_writes")),
-            faults_unreadable: registry.counter(&n("faults.unreadable_reads")),
-            faults_transient: registry.counter(&n("faults.transient_errors")),
-            faults_rot_reads: registry.counter(&n("faults.rot_reads")),
-            faults_cleared: registry.counter(&n("faults.cleared_by_write")),
-            read_lat: registry.hist(&n("disk.read_service_ns")),
-            write_lat: registry.hist(&n("disk.write_service_ns")),
-        }
-    }
-
-    /// Re-homes every instrument into `registry` under the current
-    /// prefix, carrying counts over.
-    fn rehome(&mut self, registry: &Registry) {
-        self.registry = registry.clone();
-        let prefix = self.prefix.clone();
-        let n = |suffix: &str| format!("{prefix}{suffix}");
-        self.reads = registry.adopt_counter(&n("disk.reads"), &self.reads);
-        self.writes = registry.adopt_counter(&n("disk.writes"), &self.writes);
-        self.sync_writes = registry.adopt_counter(&n("disk.sync_writes"), &self.sync_writes);
-        self.seeks = registry.adopt_counter(&n("disk.seeks"), &self.seeks);
-        self.sequential = registry.adopt_counter(&n("disk.sequential"), &self.sequential);
-        self.bytes_read = registry.adopt_counter(&n("disk.bytes_read"), &self.bytes_read);
-        self.bytes_written = registry.adopt_counter(&n("disk.bytes_written"), &self.bytes_written);
-        self.busy_ns = registry.adopt_counter(&n("disk.busy_ns"), &self.busy_ns);
-        self.seek_ns = registry.adopt_counter(&n("disk.seek_ns"), &self.seek_ns);
-        self.rotation_ns = registry.adopt_counter(&n("disk.rotation_ns"), &self.rotation_ns);
-        self.transfer_ns = registry.adopt_counter(&n("disk.transfer_ns"), &self.transfer_ns);
-        self.stall_ns = registry.adopt_counter(&n("disk.stall_ns"), &self.stall_ns);
-        self.queue_wait_ns = registry.adopt_counter(&n("disk.queue_wait_ns"), &self.queue_wait_ns);
-        self.coalesced = registry.adopt_counter(&n("disk.coalesced_writes"), &self.coalesced);
-        self.faults_unreadable =
-            registry.adopt_counter(&n("faults.unreadable_reads"), &self.faults_unreadable);
-        self.faults_transient =
-            registry.adopt_counter(&n("faults.transient_errors"), &self.faults_transient);
-        self.faults_rot_reads =
-            registry.adopt_counter(&n("faults.rot_reads"), &self.faults_rot_reads);
-        self.faults_cleared =
-            registry.adopt_counter(&n("faults.cleared_by_write"), &self.faults_cleared);
-        self.read_lat = registry.adopt_hist(&n("disk.read_service_ns"), &self.read_lat);
-        self.write_lat = registry.adopt_hist(&n("disk.write_service_ns"), &self.write_lat);
-    }
-}
 
 /// A request waiting in the device queue, submitted through the
 /// asynchronous [`SimDisk::submit_read`] / [`SimDisk::submit_write`] path.
@@ -277,7 +182,7 @@ impl SimDisk {
             pending: Vec::new(),
             next_io_id: 0,
             held: VecDeque::new(),
-            obs: DiskObs::from_registry(&Registry::new(), ""),
+            obs: DiskObs::new(&Registry::new()),
         }
     }
 
@@ -307,29 +212,14 @@ impl SimDisk {
         &self.clock
     }
 
-    /// Accumulated I/O statistics: a view built from the disk's obs
-    /// counters (the one ledger `record_serviced` writes).
+    /// Accumulated I/O statistics: a view of the disk's obs counters
+    /// (the one ledger `record_serviced` writes).
     pub fn stats(&self) -> IoStats {
-        let o = &self.obs;
-        IoStats {
-            reads: o.reads.get(),
-            writes: o.writes.get(),
-            sync_writes: o.sync_writes.get(),
-            seeks: o.seeks.get(),
-            sequential: o.sequential.get(),
-            bytes_read: o.bytes_read.get(),
-            bytes_written: o.bytes_written.get(),
-            busy_ns: o.busy_ns.get(),
-            seek_ns: o.seek_ns.get(),
-            rotation_ns: o.rotation_ns.get(),
-            transfer_ns: o.transfer_ns.get(),
-            stall_ns: o.stall_ns.get(),
-            queue_wait_ns: o.queue_wait_ns.get(),
-            coalesced: o.coalesced.get(),
-        }
+        self.obs.stats()
     }
 
-    /// Returns the registry this disk currently reports into.
+    /// The disk's registry — once attached, a window onto the whole
+    /// stack it reports into.
     pub fn obs(&self) -> &Registry {
         &self.obs.registry
     }
@@ -359,15 +249,6 @@ impl SimDisk {
     /// request, just like drives sharing a failed power supply.
     pub fn share_write_index(&mut self, counter: Arc<AtomicU64>) {
         self.shared_write_index = Some(counter);
-    }
-
-    /// Re-homes this disk's instruments under `prefix` (for example
-    /// `"volume.spindle.0."`) in a fresh private registry, carrying any
-    /// accumulated counts. Several prefixed disks can then attach to
-    /// one shared registry without their metric names colliding.
-    pub fn set_metric_prefix(&mut self, prefix: &str) {
-        self.obs.prefix = prefix.to_string();
-        self.obs.rehome(&Registry::new());
     }
 
     /// Returns true if the armed crash has triggered.
@@ -1025,7 +906,7 @@ impl BlockDevice for SimDisk {
     }
 
     fn attach_obs(&mut self, registry: &Registry) {
-        self.obs.rehome(registry);
+        registry.mount("", &self.obs.registry);
     }
 }
 
@@ -1398,7 +1279,7 @@ mod tests {
     }
 
     /// `stats()` is a view of the obs counters: every field reads the
-    /// counter of the same name, before and after a prefixed re-home.
+    /// counter of the same name, before and after a prefixed mount.
     #[test]
     fn obs_mirrors_stats_and_decomposes_busy_time() {
         let mut disk = small_disk();
@@ -1446,8 +1327,8 @@ mod tests {
         assert_eq!(write_lat.count, stats.writes);
         assert_eq!(read_lat.sum + write_lat.sum, stats.busy_ns);
 
-        // Re-homed under a prefix, the view follows the counters.
-        disk.set_metric_prefix("volume.spindle.3.");
+        // Mounted under a prefix, the view follows the counters.
+        Registry::new().mount("volume.spindle.3.", disk.obs());
         disk.read(7, &mut buf).unwrap();
         let stats = disk.stats();
         assert_eq!(stats.reads, 2);

@@ -90,43 +90,40 @@ impl AccessTrace {
     }
 }
 
-/// Aggregate I/O statistics for a device.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct IoStats {
-    /// Number of read requests.
-    pub reads: u64,
-    /// Number of write requests.
-    pub writes: u64,
-    /// Number of synchronous writes (caller waited).
-    pub sync_writes: u64,
-    /// Number of requests that required a head seek.
-    pub seeks: u64,
-    /// Number of requests that continued from the previous request's end.
-    pub sequential: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-    /// Bytes written.
-    pub bytes_written: u64,
-    /// Total device busy time in nanoseconds.
-    pub busy_ns: u64,
-    /// Busy time spent moving the head (ns).
-    pub seek_ns: u64,
-    /// Busy time spent waiting for the platter (ns).
-    pub rotation_ns: u64,
-    /// Busy time spent transferring data (ns).
-    pub transfer_ns: u64,
-    /// Busy time charged by an armed fail-slow latency fault (ns) — the
-    /// head held hostage by a sick drive, not by real work. Zero on
-    /// healthy media.
-    pub stall_ns: u64,
-    /// Time requests spent waiting in the device queue before service (ns).
-    ///
-    /// Only the asynchronous submit/complete path accumulates queue wait;
-    /// it is **not** part of [`IoStats::busy_ns`] — a request waiting in
-    /// the queue does not occupy the head.
-    pub queue_wait_ns: u64,
-    /// Number of pending writes merged into an adjacent pending write.
-    pub coalesced: u64,
+obs::instruments! {
+    /// The disk's handles into its [`obs::Registry`]: the [`IoStats`]
+    /// counters plus media-fault counts and per-request service-time
+    /// histograms split by direction.
+    #[derive(Debug)]
+    pub(crate) struct DiskObs {
+        faults_unreadable, Counter, "faults.unreadable_reads", "Reads failed by a latent fault or a dead spindle.";
+        faults_transient, Counter, "faults.transient_errors", "Reads failed by a transient fault (a retry may succeed).";
+        faults_rot_reads, Counter, "faults.rot_reads", "Reads that silently returned rotted sectors.";
+        faults_cleared, Counter, "faults.cleared_by_write", "Faulty sectors remapped by a write.";
+        read_lat, Hist, "disk.read_service_ns", "Service time of each read.";
+        write_lat, Hist, "disk.write_service_ns", "Service time of each write.";
+    }
+    /// Aggregate I/O statistics for a device.
+    #[derive(Debug, Default, Clone, PartialEq, Eq)]
+    pub struct IoStats {
+        reads, Counter, "disk.reads", "Number of read requests.";
+        writes, Counter, "disk.writes", "Number of write requests.";
+        sync_writes, Counter, "disk.sync_writes", "Number of synchronous writes (caller waited).";
+        seeks, Counter, "disk.seeks", "Number of requests that required a head seek.";
+        sequential, Counter, "disk.sequential", "Number of requests that continued from the previous request's end.";
+        bytes_read, Counter, "disk.bytes_read", "Bytes read.";
+        bytes_written, Counter, "disk.bytes_written", "Bytes written.";
+        busy_ns, Counter, "disk.busy_ns", "Total device busy time in nanoseconds.";
+        seek_ns, Counter, "disk.seek_ns", "Busy time spent moving the head (ns).";
+        rotation_ns, Counter, "disk.rotation_ns", "Busy time spent waiting for the platter (ns).";
+        transfer_ns, Counter, "disk.transfer_ns", "Busy time spent transferring data (ns).";
+        stall_ns, Counter, "disk.stall_ns", "Busy time charged by an armed fail-slow latency fault (ns) — the \
+            head held hostage by a sick drive, not by real work. Zero on healthy media.";
+        queue_wait_ns, Counter, "disk.queue_wait_ns", "Time requests spent waiting in the device queue before service \
+            (ns). Only the asynchronous submit/complete path accumulates queue wait; it is **not** part \
+            of [`IoStats::busy_ns`] — a request waiting in the queue does not occupy the head.";
+        coalesced, Counter, "disk.coalesced_writes", "Number of pending writes merged into an adjacent pending write.";
+    }
 }
 
 impl IoStats {
@@ -143,31 +140,6 @@ impl IoStats {
     /// Total bytes moved in either direction.
     pub fn bytes_total(&self) -> u64 {
         self.bytes_read + self.bytes_written
-    }
-
-    /// Returns `self - earlier`, for measuring a phase of an experiment.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `earlier` is not actually earlier.
-    pub fn delta_since(&self, earlier: &IoStats) -> IoStats {
-        debug_assert!(self.total_requests() >= earlier.total_requests());
-        IoStats {
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-            sync_writes: self.sync_writes - earlier.sync_writes,
-            seeks: self.seeks - earlier.seeks,
-            sequential: self.sequential - earlier.sequential,
-            bytes_read: self.bytes_read - earlier.bytes_read,
-            bytes_written: self.bytes_written - earlier.bytes_written,
-            busy_ns: self.busy_ns - earlier.busy_ns,
-            seek_ns: self.seek_ns - earlier.seek_ns,
-            rotation_ns: self.rotation_ns - earlier.rotation_ns,
-            transfer_ns: self.transfer_ns - earlier.transfer_ns,
-            stall_ns: self.stall_ns - earlier.stall_ns,
-            queue_wait_ns: self.queue_wait_ns - earlier.queue_wait_ns,
-            coalesced: self.coalesced - earlier.coalesced,
-        }
     }
 }
 

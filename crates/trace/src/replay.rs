@@ -34,10 +34,6 @@ use crate::graph::DepGraph;
 /// is dispatched next regardless of QoS.
 const MAX_OP_WAIT_NS: u64 = 50_000_000;
 
-/// Per-tenant latency histograms are emitted only when the trace has at
-/// most this many tenants.
-const PER_TENANT_HISTS_MAX: usize = 32;
-
 /// Replay knobs.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayConfig {
@@ -187,7 +183,7 @@ pub fn replay<F: FileSystem + ?Sized>(
     let mut fair = cfg.qos_enabled.then(|| FairShare::new(trace.qos.clone()));
 
     let agg_hist = registry.hist("trace.op_ns");
-    let emit_hists = trace.clients <= PER_TENANT_HISTS_MAX;
+    let emit_hists = trace.clients <= obs::PER_CLIENT_INSTRUMENTS_MAX;
     let tenant_hists: Vec<_> = (0..trace.clients)
         .map(|c| emit_hists.then(|| registry.hist(&format!("trace.t{c:02}.op_ns"))))
         .collect();

@@ -26,7 +26,7 @@
 
 use std::ops::Range;
 
-use obs::{Hist, Registry};
+use obs::Hist;
 use sim_disk::{CpuCost, CpuModel};
 
 use crate::dirent::{self, RawEntry};
@@ -34,43 +34,23 @@ use crate::error::{FsError, FsResult};
 use crate::path::{split, split_parent, validate_name};
 use crate::types::{DirEntry, FileKind, Ino};
 
-/// Per-operation latency histograms on the virtual clock. Both file
-/// systems register the same `op.*_ns` names, so LFS and FFS runs
-/// export through one schema.
-#[allow(missing_docs)] // One histogram per `FileSystem` operation, named after it.
-pub struct OpHists {
-    pub lookup: Hist,
-    pub create: Hist,
-    pub mkdir: Hist,
-    pub unlink: Hist,
-    pub rmdir: Hist,
-    pub rename: Hist,
-    pub link: Hist,
-    pub read: Hist,
-    pub write: Hist,
-    pub truncate: Hist,
-    pub fsync: Hist,
-    pub sync: Hist,
-}
-
-impl OpHists {
-    /// Registers the twelve histograms in `registry`.
-    pub fn new(registry: &Registry) -> Self {
-        let h = |name: &str| registry.hist(name);
-        OpHists {
-            lookup: h("op.lookup_ns"),
-            create: h("op.create_ns"),
-            mkdir: h("op.mkdir_ns"),
-            unlink: h("op.unlink_ns"),
-            rmdir: h("op.rmdir_ns"),
-            rename: h("op.rename_ns"),
-            link: h("op.link_ns"),
-            read: h("op.read_ns"),
-            write: h("op.write_ns"),
-            truncate: h("op.truncate_ns"),
-            fsync: h("op.fsync_ns"),
-            sync: h("op.sync_ns"),
-        }
+obs::instruments! {
+    /// Per-operation latency histograms on the virtual clock. Both file
+    /// systems register the same `op.*_ns` names, so LFS and FFS runs
+    /// export through one schema.
+    pub struct OpHists {
+        lookup, Hist, "op.lookup_ns", "Virtual-clock latency of each `lookup` call.";
+        create, Hist, "op.create_ns", "Virtual-clock latency of each `create` call.";
+        mkdir, Hist, "op.mkdir_ns", "Virtual-clock latency of each `mkdir` call.";
+        unlink, Hist, "op.unlink_ns", "Virtual-clock latency of each `unlink` call.";
+        rmdir, Hist, "op.rmdir_ns", "Virtual-clock latency of each `rmdir` call.";
+        rename, Hist, "op.rename_ns", "Virtual-clock latency of each `rename` call.";
+        link, Hist, "op.link_ns", "Virtual-clock latency of each `link` call.";
+        read, Hist, "op.read_ns", "Virtual-clock latency of each `read` call.";
+        write, Hist, "op.write_ns", "Virtual-clock latency of each `write` call.";
+        truncate, Hist, "op.truncate_ns", "Virtual-clock latency of each `truncate` call.";
+        fsync, Hist, "op.fsync_ns", "Virtual-clock latency of each `fsync` call.";
+        sync, Hist, "op.sync_ns", "Virtual-clock latency of each `sync` call.";
     }
 }
 

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use engine::{EngineConfig, EngineCore, Maintenance, RequestEngine, Step};
-use obs::{Counter, Gauge, Registry};
+use obs::Registry;
 use sim_disk::{
     check_request, BlockDevice, Clock, CrashPlan, DiskError, DiskGeometry, DiskResult, SimDisk,
     SECTOR_SIZE,
@@ -108,104 +108,32 @@ impl VolumeConfig {
     }
 }
 
-/// The volume's aggregate instruments (per-spindle instruments live
-/// under `volume.spindle.<i>.*` via each engine's metric prefix).
-#[derive(Debug, Clone)]
-struct VolumeObs {
-    registry: Registry,
-    reads: Counter,
-    writes: Counter,
-    bytes_read: Counter,
-    bytes_written: Counter,
-    subrequests: Counter,
-    /// Logical reads that needed at least one XOR reconstruction.
-    degraded_reads: Counter,
-    /// Per-piece XOR reconstructions (a degraded read may need several).
-    reconstructions: Counter,
-    rebuild_steps: Counter,
-    rebuild_rows: Counter,
-    rebuild_bytes: Counter,
-    rebuild_completed: Counter,
-    /// Rows whose parity a [`StripedVolume::resync_parity`] scan rewrote.
-    resync_rows_fixed: Counter,
-    /// Hedged races run: a deadline-blown direct read raced against
-    /// XOR reconstruction from the survivors.
-    hedged_reads: Counter,
-    /// Spindles the health monitor marked suspect.
-    health_suspects: Counter,
-    /// Suspect spindles that cleared the SLO and were forgiven.
-    health_recoveries: Counter,
-    /// Spindles the health monitor auto-evicted (fail-slow).
-    health_evictions: Counter,
-    /// Hot spares consumed by automatic failover.
-    health_spares_used: Counter,
-    rebuild_remaining: Gauge,
-    spindles: Gauge,
-    spindles_online: Gauge,
-    balance: Gauge,
-}
-
-impl VolumeObs {
-    fn from_registry(registry: &Registry) -> Self {
-        VolumeObs {
-            registry: registry.clone(),
-            reads: registry.counter("volume.reads"),
-            writes: registry.counter("volume.writes"),
-            bytes_read: registry.counter("volume.bytes_read"),
-            bytes_written: registry.counter("volume.bytes_written"),
-            subrequests: registry.counter("volume.subrequests"),
-            degraded_reads: registry.counter("volume.degraded_reads"),
-            reconstructions: registry.counter("volume.reconstructions"),
-            rebuild_steps: registry.counter("volume.rebuild.steps"),
-            rebuild_rows: registry.counter("volume.rebuild.rows"),
-            rebuild_bytes: registry.counter("volume.rebuild.bytes_written"),
-            rebuild_completed: registry.counter("volume.rebuild.runs_completed"),
-            resync_rows_fixed: registry.counter("volume.resync_rows_fixed"),
-            hedged_reads: registry.counter("volume.hedged_reads"),
-            health_suspects: registry.counter("volume.health.suspects"),
-            health_recoveries: registry.counter("volume.health.recoveries"),
-            health_evictions: registry.counter("volume.health.evictions"),
-            health_spares_used: registry.counter("volume.health.spares_used"),
-            rebuild_remaining: registry.gauge("volume.rebuild.remaining_rows"),
-            spindles: registry.gauge("volume.spindles"),
-            spindles_online: registry.gauge("volume.spindles_online"),
-            balance: registry.gauge("volume.stripe_balance_millis"),
-        }
-    }
-
-    fn rehome(&mut self, registry: &Registry) {
-        self.registry = registry.clone();
-        self.reads = registry.adopt_counter("volume.reads", &self.reads);
-        self.writes = registry.adopt_counter("volume.writes", &self.writes);
-        self.bytes_read = registry.adopt_counter("volume.bytes_read", &self.bytes_read);
-        self.bytes_written = registry.adopt_counter("volume.bytes_written", &self.bytes_written);
-        self.subrequests = registry.adopt_counter("volume.subrequests", &self.subrequests);
-        self.degraded_reads = registry.adopt_counter("volume.degraded_reads", &self.degraded_reads);
-        self.reconstructions =
-            registry.adopt_counter("volume.reconstructions", &self.reconstructions);
-        self.rebuild_steps = registry.adopt_counter("volume.rebuild.steps", &self.rebuild_steps);
-        self.rebuild_rows = registry.adopt_counter("volume.rebuild.rows", &self.rebuild_rows);
-        self.rebuild_bytes =
-            registry.adopt_counter("volume.rebuild.bytes_written", &self.rebuild_bytes);
-        self.rebuild_completed =
-            registry.adopt_counter("volume.rebuild.runs_completed", &self.rebuild_completed);
-        self.resync_rows_fixed =
-            registry.adopt_counter("volume.resync_rows_fixed", &self.resync_rows_fixed);
-        self.hedged_reads = registry.adopt_counter("volume.hedged_reads", &self.hedged_reads);
-        self.health_suspects =
-            registry.adopt_counter("volume.health.suspects", &self.health_suspects);
-        self.health_recoveries =
-            registry.adopt_counter("volume.health.recoveries", &self.health_recoveries);
-        self.health_evictions =
-            registry.adopt_counter("volume.health.evictions", &self.health_evictions);
-        self.health_spares_used =
-            registry.adopt_counter("volume.health.spares_used", &self.health_spares_used);
-        self.rebuild_remaining =
-            registry.adopt_gauge("volume.rebuild.remaining_rows", &self.rebuild_remaining);
-        self.spindles = registry.adopt_gauge("volume.spindles", &self.spindles);
-        self.spindles_online =
-            registry.adopt_gauge("volume.spindles_online", &self.spindles_online);
-        self.balance = registry.adopt_gauge("volume.stripe_balance_millis", &self.balance);
+obs::instruments! {
+    /// The volume's aggregate instruments (each spindle's registry is
+    /// mounted under `volume.spindle.<i>.`).
+    struct VolumeObs {
+        reads, Counter, "volume.reads", "Logical reads.";
+        writes, Counter, "volume.writes", "Logical writes.";
+        bytes_read, Counter, "volume.bytes_read", "Logical bytes read.";
+        bytes_written, Counter, "volume.bytes_written", "Logical bytes written.";
+        subrequests, Counter, "volume.subrequests", "Per-spindle pieces the logical requests split into.";
+        degraded_reads, Counter, "volume.degraded_reads", "Logical reads that needed at least one XOR reconstruction.";
+        reconstructions, Counter, "volume.reconstructions", "Per-piece XOR reconstructions (a degraded read may need several).";
+        rebuild_steps, Counter, "volume.rebuild.steps", "Rebuild steps taken.";
+        rebuild_rows, Counter, "volume.rebuild.rows", "Stripe rows a rebuild regenerated.";
+        rebuild_bytes, Counter, "volume.rebuild.bytes_written", "Bytes a rebuild wrote to the replacement spindle.";
+        rebuild_completed, Counter, "volume.rebuild.runs_completed", "Rebuilds that ran to the last row.";
+        resync_rows_fixed, Counter, "volume.resync_rows_fixed", "Rows whose parity a [`StripedVolume::resync_parity`] scan rewrote.";
+        hedged_reads, Counter, "volume.hedged_reads", "Hedged races run: a deadline-blown direct read raced against \
+            XOR reconstruction from the survivors.";
+        health_suspects, Counter, "volume.health.suspects", "Spindles the health monitor marked suspect.";
+        health_recoveries, Counter, "volume.health.recoveries", "Suspect spindles that cleared the SLO and were forgiven.";
+        health_evictions, Counter, "volume.health.evictions", "Spindles the health monitor auto-evicted (fail-slow).";
+        health_spares_used, Counter, "volume.health.spares_used", "Hot spares consumed by automatic failover.";
+        rebuild_remaining, Gauge, "volume.rebuild.remaining_rows", "Rows the running rebuild still has to regenerate.";
+        spindles, Gauge, "volume.spindles", "Spindles in the array.";
+        spindles_online, Gauge, "volume.spindles_online", "Spindles currently serving requests.";
+        balance, Gauge, "volume.stripe_balance_millis", "Jain fairness of bytes written across online spindles, in thousandths.";
     }
 }
 
@@ -324,8 +252,7 @@ impl StripedVolume {
             engine_cfg = engine_cfg.with_stripe_boundary_sectors(chunk_sectors);
         }
 
-        let registry = Registry::new();
-        let obs = VolumeObs::from_registry(&registry);
+        let obs = VolumeObs::new(&Registry::new());
         let global_writes = Arc::new(AtomicU64::new(0));
         let mut images = images.map(|v| v.into_iter());
         let spindles: Vec<EngineCore> = (0..cfg.spindles)
@@ -337,10 +264,8 @@ impl StripedVolume {
                     None => SimDisk::new(geometry.clone(), Arc::clone(&clock)),
                 };
                 disk.share_write_index(Arc::clone(&global_writes));
-                let mut core = EngineCore::new(disk, engine_cfg.clone());
-                core.set_metric_prefix(&format!("volume.spindle.{i}."));
-                core.attach_obs(&registry);
-                core
+                obs.registry.mount(&format!("volume.spindle.{i}."), disk.obs());
+                EngineCore::new(disk, engine_cfg.clone())
             })
             .collect();
         obs.spindles.set(cfg.spindles as u64);
@@ -392,7 +317,8 @@ impl StripedVolume {
         self.num_sectors
     }
 
-    /// The registry this volume currently reports into.
+    /// The volume's registry — once attached, a window onto the whole
+    /// stack it reports into.
     pub fn obs(&self) -> &Registry {
         &self.obs.registry
     }
@@ -509,9 +435,6 @@ impl StripedVolume {
     /// and rebuilt online with zero operator actions.
     pub fn set_health_policy(&mut self, policy: HealthPolicy) {
         self.health = Some(HealthMonitor::new(self.spindles.len(), policy));
-        for i in 0..self.spindles.len() {
-            self.health_state_gauge(i, HealthState::Healthy);
-        }
     }
 
     /// Stocks `n` blank hot spares for the health monitor's automatic
@@ -546,6 +469,7 @@ impl StripedVolume {
 
     /// Publishes spindle `i`'s health verdict as a gauge
     /// (`volume.health.state.<i>`: 0 healthy, 1 suspect, 2 evicted).
+    /// The gauge first appears when the spindle's verdict first changes.
     fn health_state_gauge(&self, i: usize, state: HealthState) {
         let value = match state {
             HealthState::Healthy => 0,
@@ -1611,14 +1535,6 @@ impl StripedVolume {
         }
     }
 
-    /// Re-homes the volume's aggregate instruments and every spindle's
-    /// prefixed instruments into `registry`.
-    pub fn attach_obs(&mut self, registry: &Registry) {
-        self.obs.rehome(registry);
-        for core in &mut self.spindles {
-            core.attach_obs(registry);
-        }
-    }
 }
 
 /// A cheap [`BlockDevice`] handle onto a shared [`StripedVolume`].
@@ -1739,7 +1655,9 @@ impl BlockDevice for VolumeDisk {
     }
 
     fn attach_obs(&mut self, registry: &Registry) {
-        self.0.borrow_mut().attach_obs(registry);
+        // The volume's registry holds its aggregate instruments and,
+        // mounted under their prefixes, every spindle's.
+        registry.mount("", self.0.borrow().obs());
     }
 
     fn set_maintenance(&mut self, on: bool) {

@@ -20,6 +20,8 @@
 #   <Enum>    variants of StripePolicyKind, CachePolicy, CleanerPolicy,
 #             CleanerRunMode (one-indent lines that open with a capital)
 #   <Trait>   `fn` items of FileSystem, BlockDevice, NodeStore
+#   instruments  `<field>, Counter|Gauge|Hist, "<name>", …` lines of the
+#             `obs::instruments!` declarations — the declared metric names
 #
 # Runs from any cwd; counts the tree the script sits in.
 set -eu
@@ -34,10 +36,12 @@ if [ "${1:-}" = "--knobs" ]; then
     kind == "fields" && /^    pub [a-z_0-9]+:/ { n[kind]++ }
     kind ~ /Kind$|Policy$|Mode$/ && /^    [A-Z][A-Za-z0-9]*/ { n[kind]++ }
     kind ~ /^(FileSystem|BlockDevice|NodeStore)$/ && /^    fn / { n[kind]++ }
+    /^ +[a-z_0-9]+, (Counter|Gauge|Hist), "/ { n["instruments"]++ }
     END {
         printf "fields           %3d  (pub fields of %d *Config/*Policy/*Spec structs)\n", n["fields"], structs
         split("StripePolicyKind CachePolicy CleanerPolicy CleanerRunMode FileSystem BlockDevice NodeStore", order, " ")
         for (i = 1; i <= 7; i++) printf "%-16s %3d\n", order[i], n[order[i]]
+        printf "instruments      %3d\n", n["instruments"]
     }'
     printf "KNOBS lines      %3d\n" "$(grep -c '^[A-Za-z]' bench-baseline/KNOBS)"
     exit 0
