@@ -12,9 +12,7 @@ use std::ops::Range;
 
 use mem_mgr::{BlockKey, Owner};
 use sim_disk::{BlockDevice, CpuCost, CpuModel};
-use vfs::blockmap::{
-    self, idx_dchild, read_ptr, write_ptr, BlockPath, IDX_DCHILD_BASE, IDX_DTOP, IDX_SINGLE,
-};
+use vfs::blockmap::{self, idx_dchild, read_ptr, write_ptr, BlockPath, IDX_DTOP, IDX_SINGLE};
 use vfs::namespace::{copy_cost, NodeStore, NodeView, OpHists};
 use vfs::{FileKind, FsError, FsResult, Ino};
 
@@ -76,61 +74,19 @@ impl<D: BlockDevice> Ffs<D> {
         old
     }
 
-    /// The disk address where an *indirect* block lives.
-    pub(crate) fn indirect_home(&mut self, ino: Ino, idx: u64) -> FsResult<FfsAddr> {
-        let inode = self.inode(ino)?;
-        if idx == IDX_SINGLE {
-            Ok(inode.single)
-        } else if idx == IDX_DTOP {
-            Ok(inode.double)
-        } else {
-            let outer = (idx - IDX_DCHILD_BASE) as usize;
-            if inode.double == NIL {
-                return Ok(NIL);
-            }
-            self.ensure_indirect(ino, IDX_DTOP, inode.double, false, None)?;
-            Ok(self.indirect_get(ino, IDX_DTOP, outer))
-        }
-    }
-
-    /// Resolves file block `bno` to its disk address (NIL for holes).
-    pub(crate) fn map_block(&mut self, ino: Ino, bno: u64) -> FsResult<FfsAddr> {
-        let path = blockmap::resolve(bno, self.ptrs_per_block()).ok_or(FsError::FileTooLarge)?;
-        let inode = self.inode(ino)?;
-        match path {
-            BlockPath::Direct { slot } => Ok(inode.direct[slot]),
-            BlockPath::Single { slot } => {
-                if self.ensure_indirect(ino, IDX_SINGLE, inode.single, false, None)? == NIL {
-                    return Ok(NIL);
-                }
-                Ok(self.indirect_get(ino, IDX_SINGLE, slot))
-            }
-            BlockPath::Double { outer, inner } => {
-                if self.ensure_indirect(ino, IDX_DTOP, inode.double, false, None)? == NIL {
-                    return Ok(NIL);
-                }
-                let child = self.indirect_get(ino, IDX_DTOP, outer);
-                if self.ensure_indirect(ino, idx_dchild(outer as u32), child, false, None)? == NIL {
-                    return Ok(NIL);
-                }
-                Ok(self.indirect_get(ino, idx_dchild(outer as u32), inner))
-            }
-        }
-    }
-
     /// Maps block `bno`, allocating it (and any needed indirect blocks)
     /// if absent. Returns `(address, freshly_allocated)` — a fresh block's
     /// on-disk contents are whatever a previous owner left there, so the
     /// caller must never read them.
     pub(crate) fn map_block_alloc(&mut self, ino: Ino, bno: u64) -> FsResult<(FfsAddr, bool)> {
-        let existing = self.map_block(ino, bno)?;
+        let existing = blockmap::map_block(self, ino, bno)?;
         if existing != NIL {
             return Ok((existing, false));
         }
         // Locality hint: previous block of the file, else the group of
         // the inode itself.
         let hint = if bno > 0 {
-            match self.map_block(ino, bno - 1)? {
+            match blockmap::map_block(self, ino, bno - 1)? {
                 NIL => self.inode_home_hint(ino)?,
                 prev => Some(prev),
             }
@@ -170,6 +126,14 @@ impl<D: BlockDevice> Ffs<D> {
         Ok((addr, true))
     }
 
+    /// Test-only: points direct block `bno` of `ino` at `addr` with no
+    /// accounting, to seed a defect for `fsck` to find.
+    #[doc(hidden)]
+    pub fn set_block_ptr_for_test(&mut self, ino: Ino, bno: u64, addr: u32) {
+        self.with_inode_mut(ino, |i| i.direct[bno as usize] = addr)
+            .expect("a readable inode");
+    }
+
     /// First-block placement hint: the start of the inode's group.
     fn inode_home_hint(&mut self, ino: Ino) -> FsResult<Option<FfsAddr>> {
         let (cg, _) = self.sb.ino_location(ino)?;
@@ -178,22 +142,17 @@ impl<D: BlockDevice> Ffs<D> {
 
     /// Frees one data block and clears its pointer.
     fn free_data_block(&mut self, ino: Ino, bno: u64) -> FsResult<()> {
-        let addr = self.map_block(ino, bno)?;
+        let addr = blockmap::map_block(self, ino, bno)?;
         if addr == NIL {
             return Ok(());
         }
         self.alloc.free_block(addr)?;
         self.cache.remove(BlockKey::file(ino, bno));
         let path = blockmap::resolve(bno, self.ptrs_per_block()).ok_or(FsError::FileTooLarge)?;
-        match path {
-            BlockPath::Direct { slot } => {
-                self.with_inode_mut(ino, |i| i.direct[slot] = NIL)?;
-            }
-            BlockPath::Single { slot } => {
-                self.indirect_set(ino, IDX_SINGLE, slot, NIL);
-            }
-            BlockPath::Double { outer, inner } => {
-                self.indirect_set(ino, idx_dchild(outer as u32), inner, NIL);
+        match path.holder() {
+            (None, slot) => self.with_inode_mut(ino, |i| i.direct[slot] = NIL)?,
+            (Some(idx), slot) => {
+                self.indirect_set(ino, idx, slot, NIL);
             }
         }
         Ok(())
@@ -246,12 +205,7 @@ impl<D: BlockDevice> NodeStore for Ffs<D> {
 
     fn node(&mut self, ino: Ino) -> FsResult<NodeView> {
         self.ensure_inode(ino)?;
-        let inode = &self.inodes[&ino].inode;
-        Ok(NodeView {
-            kind: inode.kind,
-            size: inode.size,
-            nlink: inode.nlink,
-        })
+        Ok(self.inodes[&ino].inode.view())
     }
 
     fn set_nlink(&mut self, ino: Ino, nlink: u16) -> FsResult<()> {
@@ -296,12 +250,20 @@ impl<D: BlockDevice> NodeStore for Ffs<D> {
         self.maybe_writeback()
     }
 
+    /// FFS records no checksums: a loaded block is taken as read.
+    fn indirect_ptr(&mut self, ino: Ino, idx: u64, addr: u32, slot: usize) -> FsResult<u32> {
+        if self.ensure_indirect(ino, idx, addr, false, None)? == NIL {
+            return Ok(NIL);
+        }
+        Ok(self.indirect_get(ino, idx, slot))
+    }
+
     fn file_block(&mut self, ino: Ino, bno: u64) -> FsResult<Option<Vec<u8>>> {
         let key = BlockKey::file(ino, bno);
         if let Some(data) = self.cache.get(key) {
             return Ok(Some(data.to_vec()));
         }
-        let addr = self.map_block(ino, bno)?;
+        let addr = blockmap::map_block(self, ino, bno)?;
         if addr == NIL {
             return Ok(None);
         }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use mem_mgr::{BlockKey, CacheReport, MemConfig, MemMgr, Owner, WritebackPolicy};
 use sim_disk::{BlockDevice, Clock, CpuCost, CpuModel};
-use vfs::blockmap::is_data_idx;
+use vfs::blockmap;
 use vfs::namespace::OpHists;
 use vfs::{FileKind, FsError, FsResult, Ino};
 
@@ -332,7 +332,7 @@ impl<D: BlockDevice> Ffs<D> {
             let Some(data) = self.cache.get(key).map(|d| d.to_vec()) else {
                 continue;
             };
-            let addr = self.map_block(ino, bno)?;
+            let addr = blockmap::map_block(self, ino, bno)?;
             if addr == NIL {
                 return Err(FsError::Corrupt("dirty block without an address"));
             }
@@ -369,11 +369,7 @@ impl<D: BlockDevice> Ffs<D> {
                 .get(key)
                 .expect("dirty block must be cached")
                 .to_vec();
-            let addr = if is_data_idx(key.index) {
-                self.map_block(ino, key.index)?
-            } else {
-                self.indirect_home(ino, key.index)?
-            };
+            let addr = blockmap::block_addr(self, ino, key.index)?;
             if addr == NIL {
                 return Err(FsError::Corrupt("dirty block without an address"));
             }

@@ -34,7 +34,7 @@ fn sequential_blocks_of_a_file_are_nearly_contiguous() {
     let ino = fs.write_file("/seq", &vec![1u8; 10 * 512]).unwrap();
     let mut addrs = Vec::new();
     for bno in 0..10u64 {
-        let addr = fs.map_block(ino, bno).unwrap();
+        let addr = vfs::blockmap::map_block(&mut fs, ino, bno).unwrap();
         assert_ne!(addr, NIL);
         addrs.push(addr);
     }
@@ -53,7 +53,7 @@ fn indirect_blocks_get_disk_homes_eagerly() {
     fs.write_at(ino, 12 * 512, &vec![2u8; 512]).unwrap();
     let inode = fs.inode(ino).unwrap();
     assert_ne!(inode.single, NIL, "indirect block must have a home");
-    assert_ne!(fs.map_block(ino, 12).unwrap(), NIL);
+    assert_ne!(vfs::blockmap::map_block(&mut fs, ino, 12).unwrap(), NIL);
     // And it is a real, allocated data block.
     assert!(fs.superblock().is_data_block(inode.single));
 }

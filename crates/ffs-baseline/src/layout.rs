@@ -11,7 +11,8 @@
 //!
 //! Unlike LFS, every structure has a fixed home and is updated in place.
 
-use vfs::blockmap::NDIRECT;
+use vfs::blockmap::{Roots, NDIRECT};
+use vfs::namespace::NodeView;
 use vfs::wire::{crc32, ByteReader, ByteWriter};
 use vfs::{FileKind, FsError, FsResult, Ino};
 
@@ -228,6 +229,20 @@ impl FfsInode {
             direct: [NIL; NDIRECT],
             single: NIL,
             double: NIL,
+        }
+    }
+
+    /// What the shared namespace and block-map layers see of the inode.
+    pub fn view(&self) -> NodeView {
+        NodeView {
+            kind: self.kind,
+            size: self.size,
+            nlink: self.nlink,
+            roots: Roots {
+                direct: self.direct,
+                single: self.single,
+                double: self.double,
+            },
         }
     }
 

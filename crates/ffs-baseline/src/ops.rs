@@ -8,9 +8,7 @@
 //! statistics.
 
 use sim_disk::{BlockDevice, CpuCost};
-use vfs::blockmap::is_data_idx;
-use vfs::namespace;
-use vfs::{DirEntry, FileSystem, FsResult, FsStats, Ino, Metadata};
+use vfs::{blockmap, namespace, DirEntry, FileSystem, FsResult, FsStats, Ino, Metadata};
 
 use crate::fs::Ffs;
 
@@ -87,11 +85,7 @@ impl<D: BlockDevice> FileSystem for Ffs<D> {
                     .collect();
                 for key in keys {
                     let data = fs.cache.get(key).unwrap().to_vec();
-                    let addr = if is_data_idx(key.index) {
-                        fs.map_block(ino, key.index)?
-                    } else {
-                        fs.indirect_home(ino, key.index)?
-                    };
+                    let addr = blockmap::block_addr(fs, ino, key.index)?;
                     if addr != crate::layout::NIL {
                         fs.dev.annotate("fsync-data");
                         fs.dev.write(fs.sector_of(addr), &data, true)?;

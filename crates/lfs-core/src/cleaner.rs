@@ -21,10 +21,10 @@
 //! segments are parked in [`SegState::CleanPending`] and promoted by
 //! [`Lfs::checkpoint`].
 
-use mem_mgr::BlockKey;
+use mem_mgr::{BlockKey, Owner};
 use sim_disk::{BlockDevice, CpuCost};
-use vfs::blockmap::{idx_dchild, IDX_DTOP, IDX_SINGLE};
-use vfs::FsResult;
+use vfs::blockmap::{self, idx_dchild, IDX_DTOP, IDX_SINGLE};
+use vfs::{FsResult, Ino};
 
 use crate::fs::{CachedInode, Lfs};
 use crate::layout::inode::inode_block;
@@ -377,24 +377,11 @@ impl<D: BlockDevice> Lfs<D> {
             | BlockKind::IndSingle { ino }
             | BlockKind::IndDoubleTop { ino }
             | BlockKind::IndDoubleChild { ino, .. } => {
-                let Ok(entry) = self.imap.get(ino) else {
-                    return Ok((0, 0));
-                };
-                if !entry.allocated {
-                    return Ok((0, 0));
-                }
                 // Fast path (§4.3.3 step 1): version mismatch = dead,
                 // without touching the inode or indirect blocks.
-                if self.cfg.cleaner.use_version_fastpath && entry.version != version {
-                    return Ok((0, 0));
-                }
+                let version = self.cfg.cleaner.use_version_fastpath.then_some(version);
                 let key = file_block_key(kind).expect("a file block kind");
-                if self.cache.is_dirty(key) {
-                    // A newer copy is already waiting to be written.
-                    return Ok((0, 0));
-                }
-                // Slow path (step 2): is the block still part of the file?
-                if self.current_file_block_addr(kind)? != addr {
+                if !self.file_block_is_live(key, version, addr)? {
                     return Ok((0, 0));
                 }
                 let is_data = matches!(kind, BlockKind::Data { .. });
@@ -466,24 +453,32 @@ impl<D: BlockDevice> Lfs<D> {
         }
     }
 
-    /// Where the file currently keeps the data or indirect block a
-    /// summary entry names (`NIL` when it no longer has one, and for the
-    /// metadata kinds). A logged copy is live iff this is its address.
-    pub(crate) fn current_file_block_addr(&mut self, kind: BlockKind) -> FsResult<BlockAddr> {
-        match kind {
-            BlockKind::Data { ino, bno } => self.map_block(ino, bno as u64),
-            BlockKind::IndSingle { ino } => Ok(self.inode(ino)?.single),
-            BlockKind::IndDoubleTop { ino } => Ok(self.inode(ino)?.double),
-            BlockKind::IndDoubleChild { ino, outer } => {
-                let double = self.inode(ino)?.double;
-                if double.is_nil() {
-                    Ok(BlockAddr::NIL)
-                } else {
-                    self.indirect_child_addr(ino, double, outer)
-                }
-            }
-            _ => Ok(BlockAddr::NIL),
+    /// Is the logged copy at `addr` of the file block cached under `key`
+    /// still part of its file? Never looks at the copy's payload. The
+    /// checks run cheapest first: the inode is allocated; its version is
+    /// the logged `version` (when one is given — a mismatch means the
+    /// file was deleted or truncated since); no newer copy is waiting in
+    /// the cache; and (§4.3.3 step 2) the file's pointer tree still
+    /// leads to `addr`.
+    pub(crate) fn file_block_is_live(
+        &mut self,
+        key: BlockKey,
+        version: Option<u32>,
+        addr: BlockAddr,
+    ) -> FsResult<bool> {
+        let Owner::File(ino) = key.owner else {
+            return Ok(false);
+        };
+        let Ok(entry) = self.imap.get(ino) else {
+            return Ok(false);
+        };
+        if !entry.allocated || version.is_some_and(|v| v != entry.version) {
+            return Ok(false);
         }
+        if self.cache.is_dirty(key) {
+            return Ok(false);
+        }
+        Ok(blockmap::block_addr(self, ino, key.index)? == addr.0)
     }
 
     /// Salvages a corrupt on-disk inode block: every live inode it held
@@ -491,7 +486,7 @@ impl<D: BlockDevice> Lfs<D> {
     /// rewrites it at a new address). Returns `(recovered, lost)` inode
     /// counts; the caller decides how to account the losses.
     pub(crate) fn salvage_inode_block(&mut self, addr: BlockAddr) -> FsResult<(u64, u64)> {
-        let residents: Vec<vfs::Ino> = self.imap.allocated_inos().collect();
+        let residents: Vec<Ino> = self.imap.allocated_inos().collect();
         let mut recovered = 0u64;
         let mut lost = 0u64;
         for ino in residents {

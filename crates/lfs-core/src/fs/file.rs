@@ -80,28 +80,7 @@ impl<D: BlockDevice> Lfs<D> {
     /// Resolves a file block index to its current disk address (NIL for a
     /// hole or a block that has never been flushed).
     pub(crate) fn map_block(&mut self, ino: Ino, bno: u64) -> FsResult<BlockAddr> {
-        let ppb = self.sb.ptrs_per_block();
-        let path = blockmap::resolve(bno, ppb).ok_or(FsError::FileTooLarge)?;
-        let inode = self.inode(ino)?;
-        match path {
-            BlockPath::Direct { slot } => Ok(inode.direct[slot]),
-            BlockPath::Single { slot } => {
-                if !self.ensure_indirect(ino, IDX_SINGLE, inode.single, false)? {
-                    return Ok(BlockAddr::NIL);
-                }
-                Ok(self.indirect_get(ino, IDX_SINGLE, slot))
-            }
-            BlockPath::Double { outer, inner } => {
-                if !self.ensure_indirect(ino, IDX_DTOP, inode.double, false)? {
-                    return Ok(BlockAddr::NIL);
-                }
-                let child = self.indirect_get(ino, IDX_DTOP, outer);
-                if !self.ensure_indirect(ino, idx_dchild(outer as u32), child, false)? {
-                    return Ok(BlockAddr::NIL);
-                }
-                Ok(self.indirect_get(ino, idx_dchild(outer as u32), inner))
-            }
-        }
+        blockmap::map_block(self, ino, bno).map(BlockAddr)
     }
 
     /// Records the new disk address of data block `bno`, creating
@@ -161,20 +140,6 @@ impl<D: BlockDevice> Lfs<D> {
         }
     }
 
-    /// Reads slot `outer` of a file's double-indirect top block, loading
-    /// it from `dtop_addr` if not cached (cleaner liveness checks).
-    pub(crate) fn indirect_child_addr(
-        &mut self,
-        ino: Ino,
-        dtop_addr: BlockAddr,
-        outer: u32,
-    ) -> FsResult<BlockAddr> {
-        if !self.ensure_indirect(ino, IDX_DTOP, dtop_addr, false)? {
-            return Ok(BlockAddr::NIL);
-        }
-        Ok(self.indirect_get(ino, IDX_DTOP, outer as usize))
-    }
-
     /// Retires and forgets all indirect blocks of a file (truncate-to-zero
     /// and delete paths). Direct/data retirement happens via
     /// [`Lfs::set_block_ptr`] beforehand.
@@ -232,12 +197,7 @@ impl<D: BlockDevice> NodeStore for Lfs<D> {
 
     fn node(&mut self, ino: Ino) -> FsResult<NodeView> {
         self.ensure_inode(ino)?;
-        let inode = &self.inodes[&ino].inode;
-        Ok(NodeView {
-            kind: inode.kind,
-            size: inode.size,
-            nlink: inode.nlink,
-        })
+        Ok(self.inodes[&ino].inode.view())
     }
 
     fn set_nlink(&mut self, ino: Ino, nlink: u16) -> FsResult<()> {
@@ -281,6 +241,14 @@ impl<D: BlockDevice> NodeStore for Lfs<D> {
 
     fn after_op(&mut self) -> FsResult<()> {
         self.maybe_writeback()
+    }
+
+    /// Loading verifies the block against its recorded checksum.
+    fn indirect_ptr(&mut self, ino: Ino, idx: u64, addr: u32, slot: usize) -> FsResult<u32> {
+        if !self.ensure_indirect(ino, idx, BlockAddr(addr), false)? {
+            return Ok(blockmap::NIL);
+        }
+        Ok(self.indirect_get(ino, idx, slot).0)
     }
 
     fn file_block(&mut self, ino: Ino, bno: u64) -> FsResult<Option<Vec<u8>>> {

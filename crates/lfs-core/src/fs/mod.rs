@@ -602,9 +602,17 @@ impl<D: BlockDevice> Lfs<D> {
     }
 
     /// Test-only mutable access to the usage table.
-    #[cfg(test)]
-    pub(crate) fn usage_mut_for_test(&mut self) -> &mut UsageTable {
+    #[doc(hidden)]
+    pub fn usage_mut_for_test(&mut self) -> &mut UsageTable {
         &mut self.usage
+    }
+
+    /// Test-only: points block `bno` of `ino` at `addr` with no
+    /// accounting, to seed a defect for `fsck` to find.
+    #[doc(hidden)]
+    pub fn set_block_ptr_for_test(&mut self, ino: Ino, bno: u64, addr: u32) {
+        self.set_block_ptr(ino, bno, BlockAddr(addr))
+            .expect("a mappable block of a readable inode");
     }
 
     /// Test-only view of the log position.

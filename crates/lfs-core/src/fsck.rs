@@ -13,45 +13,16 @@
 //! Used by integration and property tests after every scenario, and by
 //! the `lfs-tools` `fsck` command.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use sim_disk::BlockDevice;
-use vfs::{blockmap, namespace, FileKind, FsResult, Ino};
+pub use vfs::namespace::FsckReport;
+use vfs::namespace::{self, Finding};
+use vfs::{blockmap, FsResult, Ino};
 
 use crate::fs::Lfs;
 use crate::layout::usage_block::SegState;
 use crate::types::{BlockAddr, SegNo, INODE_SIZE};
-
-/// The result of a consistency check.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct FsckReport {
-    /// Invariant violations.
-    pub errors: Vec<String>,
-    /// Suspicious but tolerated conditions.
-    pub warnings: Vec<String>,
-}
-
-impl FsckReport {
-    /// Returns true if no errors were found.
-    pub fn is_clean(&self) -> bool {
-        self.errors.is_empty()
-    }
-}
-
-impl std::fmt::Display for FsckReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_clean() && self.warnings.is_empty() {
-            return write!(f, "clean");
-        }
-        for e in &self.errors {
-            writeln!(f, "error: {e}")?;
-        }
-        for w in &self.warnings {
-            writeln!(f, "warning: {w}")?;
-        }
-        Ok(())
-    }
-}
 
 impl<D: BlockDevice> Lfs<D> {
     /// Runs a full consistency check.
@@ -82,62 +53,18 @@ impl<D: BlockDevice> Lfs<D> {
         // phases are untouched: a block the gather could not fetch (or
         // that failed its checksum) is simply re-read serially, so the
         // report is identical to a sequential check's.
-        self.gather_metadata(crate::recovery::effective_fanout(self));
+        let fanout = sim_disk::effective_fanout(self.cfg.recovery_fanout, &self.dev);
+        self.gather_metadata(fanout);
         let mut report = FsckReport::default();
         let bs = self.block_size() as u64;
 
         // Phase 1: walk the directory tree.
-        let mut ref_counts: HashMap<Ino, u32> = HashMap::new();
-        let mut visited: HashSet<Ino> = HashSet::new();
-        let mut queue: VecDeque<(Ino, String)> = VecDeque::new();
-        visited.insert(Ino::ROOT);
-        queue.push_back((Ino::ROOT, "/".to_string()));
-        while let Some((dir, path)) = queue.pop_front() {
-            let entries = match namespace::dir_entries(self, dir) {
-                Ok(entries) => entries,
-                Err(e) => {
-                    report
-                        .errors
-                        .push(format!("unreadable directory {path}: {e}"));
-                    continue;
-                }
-            };
-            for entry in entries {
-                let child_path = format!("{}{}", path, entry.name);
-                if !self.imap.is_allocated(entry.ino) {
-                    report.errors.push(format!(
-                        "dangling entry {child_path} -> unallocated {}",
-                        entry.ino
-                    ));
-                    continue;
-                }
-                let inode = match self.inode(entry.ino) {
-                    Ok(inode) => inode,
-                    Err(e) => {
-                        report
-                            .errors
-                            .push(format!("unreadable inode for {child_path}: {e}"));
-                        continue;
-                    }
-                };
-                if inode.kind != entry.kind {
-                    report.errors.push(format!(
-                        "kind mismatch at {child_path}: entry says {}, inode says {}",
-                        entry.kind, inode.kind
-                    ));
-                }
-                *ref_counts.entry(entry.ino).or_insert(0) += 1;
-                if inode.kind == FileKind::Directory {
-                    if visited.insert(entry.ino) {
-                        queue.push_back((entry.ino, format!("{child_path}/")));
-                    } else {
-                        report
-                            .errors
-                            .push(format!("directory {child_path} has multiple parents"));
-                    }
-                }
-            }
-        }
+        let mut census = namespace::census(
+            self,
+            |fs, ino| fs.imap.is_allocated(ino),
+            namespace::dir_entries,
+            |_| false,
+        )?;
 
         // Phase 2: orphan and link-count checks; block ownership.
         let mut live: Vec<u64> = vec![0; self.sb.nsegments as usize];
@@ -146,26 +73,11 @@ impl<D: BlockDevice> Lfs<D> {
 
         let allocated: Vec<Ino> = self.imap.allocated_inos().collect();
         for ino in allocated {
-            let refs = ref_counts.get(&ino).copied().unwrap_or(0);
-            if ino != Ino::ROOT && refs == 0 {
-                report.errors.push(format!("orphaned inode {ino}"));
+            let Some(node) = census.audit(self, ino) else {
                 continue;
-            }
-            let entry = self.imap.get(ino)?;
-            let inode = match self.inode(ino) {
-                Ok(inode) => inode,
-                Err(e) => {
-                    report.errors.push(format!("unreadable inode {ino}: {e}"));
-                    continue;
-                }
             };
-            if ino != Ino::ROOT && inode.nlink as u32 != refs {
-                report.errors.push(format!(
-                    "{ino}: nlink {} but {} references",
-                    inode.nlink, refs
-                ));
-            }
             // The inode's own slot.
+            let entry = self.imap.get(ino)?;
             if entry.addr.is_some() {
                 self.account(&mut live, entry.addr, INODE_SIZE as u64, &mut report);
                 if !inode_slots.insert((entry.addr, entry.slot)) {
@@ -179,59 +91,25 @@ impl<D: BlockDevice> Lfs<D> {
                     .errors
                     .push(format!("{ino}: allocated, never written, and not dirty"));
             }
-            // Data blocks.
-            let nblocks = blockmap::blocks_for_size(inode.size, bs as usize);
-            for bno in 0..nblocks {
-                let addr = self.map_block(ino, bno)?;
-                if addr.is_some() {
-                    self.claim(&mut claimed, addr, format!("{ino} data {bno}"), &mut report);
-                    self.account(&mut live, addr, bs, &mut report);
+            // Data and indirect blocks; a data block mapped beyond the
+            // file size is a leak.
+            let nblocks = blockmap::blocks_for_size(node.size, bs as usize);
+            blockmap::visit_file_blocks(self, ino, 64, |fs, idx, addr| {
+                let what = blockmap::idx_label(idx);
+                if blockmap::is_data_idx(idx) && idx >= nblocks {
+                    report
+                        .errors
+                        .push(format!("{ino}: {what} mapped beyond size {}", node.size));
+                    return;
                 }
-            }
-            // Blocks mapped beyond the file size are leaks.
-            let ppb = self.sb.ptrs_per_block() as u64;
-            let max_mappable = (blockmap::NDIRECT as u64 + ppb + ppb * ppb).min(nblocks + 64);
-            for bno in nblocks..max_mappable {
-                let addr = self.map_block(ino, bno)?;
-                if addr.is_some() {
-                    report.errors.push(format!(
-                        "{ino}: block {bno} mapped beyond size {}",
-                        inode.size
-                    ));
-                }
-            }
-            // Indirect blocks.
-            if inode.single.is_some() {
-                self.claim(
-                    &mut claimed,
-                    inode.single,
-                    format!("{ino} single"),
-                    &mut report,
-                );
-                self.account(&mut live, inode.single, bs, &mut report);
-            }
-            if inode.double.is_some() {
-                self.claim(
-                    &mut claimed,
-                    inode.double,
-                    format!("{ino} dtop"),
-                    &mut report,
-                );
-                self.account(&mut live, inode.double, bs, &mut report);
-                for outer in 0..self.sb.ptrs_per_block() {
-                    let child = self.indirect_child_addr(ino, inode.double, outer as u32)?;
-                    if child.is_some() {
-                        self.claim(
-                            &mut claimed,
-                            child,
-                            format!("{ino} dchild {outer}"),
-                            &mut report,
-                        );
-                        self.account(&mut live, child, bs, &mut report);
-                    }
-                }
-            }
+                let addr = BlockAddr(addr);
+                fs.claim(&mut claimed, addr, format!("{ino} {what}"), &mut report);
+                fs.account(&mut live, addr, bs, &mut report);
+            })?;
         }
+        report
+            .errors
+            .extend(census.findings.iter().map(Finding::to_string));
 
         // Inode-map and usage-table blocks: checked for unique ownership
         // but not counted live (metadata placement is excluded from the

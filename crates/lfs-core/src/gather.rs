@@ -29,15 +29,21 @@
 //! [`MemMgr::peek`]: mem_mgr::MemMgr::peek
 
 use mem_mgr::BlockKey;
-use sim_disk::BlockDevice;
-use vfs::blockmap::{self, idx_dchild, read_ptr, IDX_DTOP, IDX_SINGLE, NDIRECT};
-use vfs::{FileKind, Ino};
+use sim_disk::{read_batch, BlockDevice};
+use vfs::blockmap::{self, PrefetchTarget};
+use vfs::namespace::NodeView;
+use vfs::Ino;
 
 use crate::fs::{Lfs, NS_INODE_BLOCKS};
 use crate::layout::inode::inode_block;
 use crate::layout::summary;
-use crate::recovery::read_batch;
 use crate::types::BlockAddr;
+
+/// The shared plan's targets as this cache's keys and log addresses.
+fn keyed(wave: Vec<PrefetchTarget>) -> Vec<(BlockKey, BlockAddr)> {
+    let key = |(ino, idx, addr)| (BlockKey::file(ino, idx), BlockAddr(addr));
+    wave.into_iter().map(key).collect()
+}
 
 impl<D: BlockDevice> Lfs<D> {
     /// Prefetches one wave of `(cache key, disk address)` targets with
@@ -75,9 +81,10 @@ impl<D: BlockDevice> Lfs<D> {
 
     /// Fans out the metadata reads the serial recovery/fsck passes are
     /// about to issue: wave 1 prefetches every allocated inode's inode
-    /// block, wave 2 the indirect roots and direct directory data those
-    /// inodes point at, wave 3 the double-indirect children and the
-    /// single-indirect span of each directory. The number of blocks
+    /// block, waves 2 and 3 are [`blockmap`]'s plan over those inodes —
+    /// the indirect roots and direct directory data, then the
+    /// double-indirect children and the single-indirect span of each
+    /// directory. The number of blocks
     /// prefetched is added to `recovery.prefetched_blocks`. A window of
     /// one is the sequential case: nothing to overlap, so nothing is
     /// gathered and the serial passes take their misses as they come.
@@ -85,97 +92,40 @@ impl<D: BlockDevice> Lfs<D> {
         if window <= 1 {
             return;
         }
-        self.dev.set_maintenance(true);
         let bs = self.block_size();
-        let ppb = self.sb.ptrs_per_block();
-        let mut prefetched = 0u64;
 
         // Wave 1: inode blocks, straight off the inode map.
-        let inos: Vec<Ino> = self.imap.allocated_inos().collect();
-        let mut wave: Vec<(BlockKey, BlockAddr)> = Vec::new();
-        for &ino in &inos {
-            if let Ok(entry) = self.imap.get(ino) {
-                if entry.allocated && entry.addr.is_some() {
-                    wave.push((
-                        BlockKey::meta(NS_INODE_BLOCKS, entry.addr.0 as u64),
-                        entry.addr,
-                    ));
-                }
-            }
-        }
-        prefetched += self.gather_wave(window, wave);
+        let homes: Vec<(Ino, BlockKey, BlockAddr, usize)> = self
+            .imap
+            .allocated_inos()
+            .filter_map(|ino| {
+                let entry = self.imap.get(ino).ok()?;
+                let key = BlockKey::meta(NS_INODE_BLOCKS, entry.addr.0 as u64);
+                (entry.allocated && entry.addr.is_some()).then_some((
+                    ino,
+                    key,
+                    entry.addr,
+                    entry.slot as usize,
+                ))
+            })
+            .collect();
+        let wave = homes.iter().map(|&(_, key, addr, _)| (key, addr)).collect();
+        let mut prefetched = self.gather_wave(window, wave);
 
-        // Wave 2: peek the now-cached inode blocks for each inode's
-        // indirect roots and (for directories) direct data blocks. An
-        // inode whose block did not land stays on the serial path.
-        let mut wave: Vec<(BlockKey, BlockAddr)> = Vec::new();
-        let mut dtops: Vec<Ino> = Vec::new();
-        let mut dirs: Vec<(Ino, u64)> = Vec::new();
-        for &ino in &inos {
-            let Ok(entry) = self.imap.get(ino) else {
-                continue;
-            };
-            if !entry.allocated || entry.addr.is_nil() {
-                continue;
-            }
-            let key = BlockKey::meta(NS_INODE_BLOCKS, entry.addr.0 as u64);
-            let Some(block) = self.cache.peek(key) else {
-                continue;
-            };
-            let Ok(Some(inode)) = inode_block::unpack_slot(block, entry.slot as usize) else {
-                continue;
-            };
-            if inode.ino != ino {
-                continue;
-            }
-            wave.push((BlockKey::file(ino, IDX_SINGLE), inode.single));
-            wave.push((BlockKey::file(ino, IDX_DTOP), inode.double));
-            let nblocks = blockmap::blocks_for_size(inode.size, bs);
-            if inode.kind == FileKind::Directory {
-                for bno in 0..nblocks.min(NDIRECT as u64) {
-                    wave.push((BlockKey::file(ino, bno), inode.direct[bno as usize]));
-                }
-                if inode.single.is_some() {
-                    dirs.push((ino, nblocks));
-                }
-            }
-            if inode.double.is_some() {
-                dtops.push(ino);
-            }
-        }
-        prefetched += self.gather_wave(window, wave);
-
-        // Wave 3: second-level pointers now reachable through wave 2.
-        let mut wave: Vec<(BlockKey, BlockAddr)> = Vec::new();
-        for ino in dtops {
-            let Some(block) = self.cache.peek(BlockKey::file(ino, IDX_DTOP)) else {
-                continue;
-            };
-            let children: Vec<BlockAddr> = (0..ppb)
-                .map(|slot| BlockAddr(read_ptr(block, slot)))
-                .collect();
-            for (outer, child) in children.into_iter().enumerate() {
-                wave.push((BlockKey::file(ino, idx_dchild(outer as u32)), child));
-            }
-        }
-        for (ino, nblocks) in dirs {
-            let Some(block) = self.cache.peek(BlockKey::file(ino, IDX_SINGLE)) else {
-                continue;
-            };
-            let hi = nblocks.min(NDIRECT as u64 + ppb as u64);
-            let spans: Vec<(u64, BlockAddr)> = (NDIRECT as u64..hi)
-                .map(|bno| {
-                    let slot = (bno - NDIRECT as u64) as usize;
-                    (bno, BlockAddr(read_ptr(block, slot)))
-                })
-                .collect();
-            for (bno, addr) in spans {
-                wave.push((BlockKey::file(ino, bno), addr));
-            }
-        }
-        prefetched += self.gather_wave(window, wave);
-
-        self.dev.set_maintenance(false);
+        // Waves 2 and 3 follow the shared plan over the inodes whose
+        // block landed; the others stay on the serial path.
+        let nodes: Vec<(Ino, NodeView)> = homes
+            .into_iter()
+            .filter_map(|(ino, key, _, slot)| {
+                let inode = inode_block::unpack_slot(self.cache.peek(key)?, slot).ok()??;
+                (inode.ino == ino).then(|| (ino, inode.view()))
+            })
+            .collect();
+        prefetched += self.gather_wave(window, keyed(blockmap::prefetch_roots(&nodes, bs)));
+        let wave = blockmap::prefetch_children(&nodes, bs, |ino, idx| {
+            self.cache.peek(BlockKey::file(ino, idx))
+        });
+        prefetched += self.gather_wave(window, keyed(wave));
         self.obs.recovery_prefetched_blocks.add(prefetched);
     }
 }

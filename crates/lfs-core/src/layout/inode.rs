@@ -7,7 +7,8 @@
 //! cleaner's fast liveness check, §4.3.3) and the *absence* of an access
 //! time, which lives in the inode map instead (footnote 2).
 
-use vfs::blockmap::NDIRECT;
+use vfs::blockmap::{Roots, NDIRECT};
+use vfs::namespace::NodeView;
 use vfs::{FileKind, FsError, FsResult, Ino};
 
 use crate::types::{BlockAddr, INODE_SIZE};
@@ -52,6 +53,20 @@ impl Inode {
             direct: [BlockAddr::NIL; NDIRECT],
             single: BlockAddr::NIL,
             double: BlockAddr::NIL,
+        }
+    }
+
+    /// What the shared namespace and block-map layers see of the inode.
+    pub fn view(&self) -> NodeView {
+        NodeView {
+            kind: self.kind,
+            size: self.size,
+            nlink: self.nlink,
+            roots: Roots {
+                direct: self.direct.map(|addr| addr.0),
+                single: self.single.0,
+                double: self.double.0,
+            },
         }
     }
 

@@ -46,12 +46,11 @@
 //!
 //! [`recovery_fanout`]: crate::LfsConfig::recovery_fanout
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
-use sim_disk::{BlockDevice, DiskResult};
-use vfs::blockmap;
-use vfs::namespace::{self, NodeStore};
-use vfs::{FileKind, FsError, FsResult, Ino};
+use sim_disk::{read_batch, BlockDevice, DiskResult};
+use vfs::namespace::{self, Finding};
+use vfs::{blockmap, FsError, FsResult, Ino};
 
 use crate::fs::Lfs;
 use crate::layout::imap_block::ImapEntry;
@@ -60,20 +59,6 @@ use crate::layout::summary::{self, BlockKind, ChunkCursor, ChunkSummary};
 use crate::layout::usage_block::SegState;
 use crate::log::LogPosition;
 use crate::types::{BlockAddr, SegNo, INODE_SIZE};
-
-/// The fan-out the recovery path should use on this mount: the
-/// configured value, or the device's spindle count when the
-/// configuration says "ask the device" (`0`).
-pub(crate) fn effective_fanout<D: BlockDevice>(fs: &Lfs<D>) -> usize {
-    match fs.cfg.recovery_fanout {
-        0 => fs.dev.fanout(),
-        n => n,
-    }
-}
-
-// The windowed async read helper lives in `sim-disk` so the FFS
-// baseline's fanned-out fsck scan can share it.
-pub(crate) use sim_disk::read_batch;
 
 /// The gather phase's haul: per-segment first-block headers from the
 /// sweep and full tail images of the candidate segments. Errors are
@@ -128,8 +113,8 @@ impl TailPrefetch {
 
 /// Fans the tail scan out across spindles: sweeps every segment's
 /// summary block, then prefetches the full image of each candidate
-/// tail segment, all through the async read facade under the
-/// maintenance I/O class with at most `window` requests in flight.
+/// tail segment, both through [`read_batch`] with at most `window`
+/// requests in flight.
 fn prefetch_tail<D: BlockDevice>(fs: &mut Lfs<D>, window: usize) -> TailPrefetch {
     if window <= 1 {
         return TailPrefetch::default();
@@ -138,7 +123,6 @@ fn prefetch_tail<D: BlockDevice>(fs: &mut Lfs<D>, window: usize) -> TailPrefetch
     let seg_blocks = fs.superblock().seg_blocks as usize;
     let nsegments = fs.sb.nsegments;
     let cp = fs.pos;
-    fs.dev.set_maintenance(true);
 
     // Phase 1: the summary-block sweep. One block per segment, claimed
     // in segment order; under segment round-robin the requests land on
@@ -201,7 +185,6 @@ fn prefetch_tail<D: BlockDevice>(fs: &mut Lfs<D>, window: usize) -> TailPrefetch
         images.insert(seg, res);
     }
 
-    fs.dev.set_maintenance(false);
     TailPrefetch {
         headers,
         images,
@@ -214,7 +197,7 @@ fn prefetch_tail<D: BlockDevice>(fs: &mut Lfs<D>, window: usize) -> TailPrefetch
 pub(crate) fn roll_forward<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
     let bs = fs.block_size();
     let seg_blocks = fs.superblock().seg_blocks as usize;
-    let fanout = effective_fanout(fs);
+    let fanout = sim_disk::effective_fanout(fs.cfg.recovery_fanout, &fs.dev);
     let mut prefetch = prefetch_tail(fs, fanout);
     let mut pos = fs.pos;
     let mut applied = 0u64;
@@ -388,57 +371,27 @@ fn apply_chunk<D: BlockDevice>(
 }
 
 /// Reconciles the directory tree with the recovered inode map: removes
-/// dangling entries, frees orphans, fixes link counts.
+/// dangling entries (and entries whose inode is of the other kind),
+/// frees orphans — allocated but unreachable, e.g. an unlink whose
+/// directory update reached the log while the imap did not — and fixes
+/// link counts.
 pub(crate) fn fix_directories<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
-    let mut ref_counts: HashMap<Ino, u32> = HashMap::new();
-    let mut visited: HashSet<Ino> = HashSet::new();
-    let mut queue: VecDeque<Ino> = VecDeque::new();
-    queue.push_back(Ino::ROOT);
-    visited.insert(Ino::ROOT);
-
-    while let Some(dir) = queue.pop_front() {
-        let entries = namespace::dir_entries(fs, dir)?;
-        let mut dangling: Vec<String> = Vec::new();
-        for entry in entries {
-            let target_ok = fs.imap.is_allocated(entry.ino)
-                && fs
-                    .inode(entry.ino)
-                    .map(|i| i.kind == entry.kind)
-                    .unwrap_or(false);
-            if !target_ok {
-                dangling.push(entry.name);
-                continue;
-            }
-            *ref_counts.entry(entry.ino).or_insert(0) += 1;
-            if entry.kind == FileKind::Directory && visited.insert(entry.ino) {
-                queue.push_back(entry.ino);
-            }
-        }
-        for name in dangling {
-            namespace::dir_remove(fs, dir, &name)?;
-        }
-    }
-
+    let mut census = namespace::census(
+        fs,
+        |fs, ino| fs.imap.is_allocated(ino),
+        namespace::dir_entries,
+        |finding| {
+            matches!(
+                finding,
+                Finding::Dangling { .. } | Finding::KindMismatch { .. }
+            )
+        },
+    )?;
     let allocated: Vec<Ino> = fs.imap.allocated_inos().collect();
     for ino in allocated {
-        if ino == Ino::ROOT {
-            continue;
-        }
-        match ref_counts.get(&ino) {
-            None => {
-                // Orphan: allocated but unreachable (e.g. an unlink whose
-                // directory update reached the log while the imap did not).
-                fs.destroy_node(ino)?;
-            }
-            Some(&count) => {
-                let nlink = fs.inode(ino)?.nlink as u32;
-                if nlink != count {
-                    fs.with_inode_mut(ino, |i| i.nlink = count as u16)?;
-                }
-            }
-        }
+        census.audit(fs, ino);
     }
-    Ok(())
+    census.repair(fs, |_, _| Ok(()))
 }
 
 /// Recomputes the usage table exactly from the recovered metadata.
@@ -450,39 +403,18 @@ pub(crate) fn recompute_usage<D: BlockDevice>(
     active_override: Option<SegNo>,
 ) -> FsResult<()> {
     let bs = fs.block_size() as u64;
-    let n = fs.sb.nsegments as usize;
-    let mut live = vec![0u64; n];
-    let mut add = |sb: &crate::layout::superblock::Superblock, addr: BlockAddr, bytes: u64| {
-        if let Some((seg, _)) = sb.seg_of(addr) {
+    let mut live = vec![0u64; fs.sb.nsegments as usize];
+    let mut add = |fs: &mut Lfs<D>, addr: BlockAddr, bytes: u64| {
+        if let Some((seg, _)) = fs.sb.seg_of(addr) {
             live[seg.0 as usize] += bytes;
         }
     };
 
-    let sb = fs.sb.clone();
     let allocated: Vec<Ino> = fs.imap.allocated_inos().collect();
     for ino in allocated {
         let entry = fs.imap.get(ino)?;
-        add(&sb, entry.addr, INODE_SIZE as u64);
-        let inode = fs.inode(ino)?;
-        let nblocks = blockmap::blocks_for_size(inode.size, bs as usize);
-        for bno in 0..nblocks {
-            let addr = fs.map_block(ino, bno)?;
-            if addr.is_some() {
-                add(&sb, addr, bs);
-            }
-        }
-        if inode.single.is_some() {
-            add(&sb, inode.single, bs);
-        }
-        if inode.double.is_some() {
-            add(&sb, inode.double, bs);
-            for outer in 0..sb.ptrs_per_block() {
-                let child = fs.indirect_child_addr(ino, inode.double, outer as u32)?;
-                if child.is_some() {
-                    add(&sb, child, bs);
-                }
-            }
-        }
+        add(fs, entry.addr, INODE_SIZE as u64);
+        blockmap::visit_file_blocks(fs, ino, 0, |fs, _, addr| add(fs, BlockAddr(addr), bs))?;
     }
     // Inode-map and usage-table blocks are deliberately not counted;
     // see the flush's phase 4/5.

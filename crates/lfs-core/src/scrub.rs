@@ -90,19 +90,16 @@ impl<D: BlockDevice> Lfs<D> {
         // read falls back to the identical per-block retry path, so
         // every outcome (report, salvage, read-only degradation)
         // matches the sequential walk's.
-        let fanout = crate::recovery::effective_fanout(self);
+        let fanout = sim_disk::effective_fanout(self.cfg.recovery_fanout, &self.dev);
         let mut images: Vec<Option<sim_disk::DiskResult<Vec<u8>>>> = Vec::new();
         if fanout > 1 {
             let bs = self.block_size();
             let seg_blocks = self.sb.seg_blocks as usize;
-            self.dev.set_maintenance(true);
             let reqs: Vec<(u64, usize)> = victims
                 .iter()
                 .map(|&seg| (self.sector_of(self.sb.seg_block(seg, 0)), seg_blocks * bs))
                 .collect();
-            let (results, _) =
-                crate::recovery::read_batch(&mut self.dev, "scrub-read", fanout, &reqs);
-            self.dev.set_maintenance(false);
+            let (results, _) = sim_disk::read_batch(&mut self.dev, "scrub-read", fanout, &reqs);
             images = results.into_iter().map(Some).collect();
         }
         for (i, seg) in victims.iter().enumerate() {
@@ -227,30 +224,21 @@ impl<D: BlockDevice> Lfs<D> {
         None
     }
 
-    /// Is the logged block at `addr` still referenced? Mirrors the
-    /// cleaner's liveness logic, but never touches the block's payload —
-    /// the payload is exactly what cannot be trusted here. Mapping
-    /// failures (the path to the block is itself damaged) count as not
-    /// live for this pass; the damaged parent surfaces separately.
+    /// Is the logged block at `addr` still referenced? Never touches
+    /// the block's payload — the payload is exactly what cannot be
+    /// trusted here. Mapping failures (the path to the block is itself
+    /// damaged) count as not live for this pass; the damaged parent
+    /// surfaces separately.
     fn scrub_is_live(&mut self, kind: BlockKind, version: u32, addr: BlockAddr) -> FsResult<bool> {
         match kind {
-            BlockKind::Data { ino, .. }
-            | BlockKind::IndSingle { ino }
-            | BlockKind::IndDoubleTop { ino }
-            | BlockKind::IndDoubleChild { ino, .. } => {
-                let Ok(entry) = self.imap.get(ino) else {
-                    return Ok(false);
-                };
-                if !entry.allocated || entry.version != version {
-                    return Ok(false);
-                }
-                if self.cache.is_dirty(file_block_key(kind).expect("a file block kind")) {
-                    return Ok(false); // A newer copy is pending.
-                }
-                match self.current_file_block_addr(kind) {
-                    Ok(current) => Ok(current == addr),
+            BlockKind::Data { .. }
+            | BlockKind::IndSingle { .. }
+            | BlockKind::IndDoubleTop { .. }
+            | BlockKind::IndDoubleChild { .. } => {
+                let key = file_block_key(kind).expect("a file block kind");
+                match self.file_block_is_live(key, Some(version), addr) {
                     Err(FsError::Io(_)) | Err(FsError::Corruption { .. }) => Ok(false),
-                    Err(e) => Err(e),
+                    live => live,
                 }
             }
             BlockKind::InodeBlock => {

@@ -159,6 +159,10 @@ pub trait BlockDevice {
 /// back to synchronous reads in place, making `window = 1` (or a plain
 /// disk) byte- and time-identical to a sequential read loop.
 ///
+/// The whole batch runs under the maintenance I/O class
+/// ([`BlockDevice::set_maintenance`]), which is off again on return: a
+/// fanned-out read is recovery, fsck or scrub work, never a client's.
+///
 /// Returns the per-request results in request order, plus how many
 /// reads actually went through the asynchronous path.
 pub fn read_batch<D: BlockDevice + ?Sized>(
@@ -168,6 +172,7 @@ pub fn read_batch<D: BlockDevice + ?Sized>(
     reqs: &[(u64, usize)],
 ) -> (Vec<DiskResult<Vec<u8>>>, u64) {
     let window = window.max(1);
+    dev.set_maintenance(true);
     let mut out: Vec<Option<DiskResult<Vec<u8>>>> = reqs.iter().map(|_| None).collect();
     let mut pending: std::collections::VecDeque<(usize, u64)> = std::collections::VecDeque::new();
     let mut overlapped = 0u64;
@@ -192,10 +197,21 @@ pub fn read_batch<D: BlockDevice + ?Sized>(
             out[idx] = Some(dev.finish_read_async(token));
         }
     }
+    dev.set_maintenance(false);
     (
         out.into_iter().map(|r| r.expect("read_batch slot")).collect(),
         overlapped,
     )
+}
+
+/// The read window a fanned-out maintenance pass uses: the configured
+/// fan-out, or the device's spindle count when the configuration says
+/// "ask the device" (`0`).
+pub fn effective_fanout<D: BlockDevice + ?Sized>(configured: usize, dev: &D) -> usize {
+    match configured {
+        0 => dev.fanout(),
+        n => n,
+    }
 }
 
 /// Validates a request against device capacity and sector alignment.

@@ -60,7 +60,7 @@ pub mod sim;
 pub mod stats;
 
 pub use clock::{Clock, CpuCost, CpuModel};
-pub use device::{check_request, read_batch, BlockDevice, DiskError, DiskResult};
+pub use device::{check_request, effective_fanout, read_batch, BlockDevice, DiskError, DiskResult};
 pub use fault::{CrashPlan, FailSlowProfile, FaultMode, MediaFault, MediaFaultPlan};
 pub use geometry::DiskGeometry;
 pub use ram::RamDisk;

@@ -4,10 +4,34 @@
 //! [`NDIRECT`] direct block pointers, one single-indirect pointer, and one
 //! double-indirect pointer. The paper keeps this format unchanged in LFS
 //! ("the format of inodes and indirect blocks is unchanged", §4.2.1), so the
-//! index arithmetic is shared here.
+//! index arithmetic is shared here — and so is everything that only
+//! *reads* the tree: the resolver [`map_block`], the walk over all of a
+//! file's blocks [`visit_file_blocks`], and the plan of what a fanned-out
+//! maintenance pass should prefetch. They run over [`NodeStore`], whose
+//! [`NodeStore::indirect_ptr`] hook is where a file system loads (and, if
+//! it can, verifies) an indirect block. Changing a pointer stays with each
+//! file system: appending to a log and allocating in place are the two
+//! designs the paper compares.
+
+use crate::namespace::{NodeStore, NodeView};
+use crate::{FileKind, FsError, FsResult, Ino};
 
 /// Number of direct block pointers in an inode.
 pub const NDIRECT: usize = 12;
+
+/// The null block pointer: a hole, or an indirect block never written.
+pub const NIL: u32 = u32::MAX;
+
+/// The roots of an inode's pointer tree, as block addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Roots {
+    /// Direct block pointers.
+    pub direct: [u32; NDIRECT],
+    /// Single-indirect block pointer.
+    pub single: u32,
+    /// Double-indirect (top) block pointer.
+    pub double: u32,
+}
 
 /// Where a file block index lands in the inode's pointer tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +82,18 @@ pub fn resolve(block_index: u64, ptrs_per_block: usize) -> Option<BlockPath> {
     None
 }
 
+impl BlockPath {
+    /// Where the pointer itself is stored: the cache index of the
+    /// indirect block holding it (`None` for the inode) and the slot.
+    pub fn holder(self) -> (Option<u64>, usize) {
+        match self {
+            BlockPath::Direct { slot } => (None, slot),
+            BlockPath::Single { slot } => (Some(IDX_SINGLE), slot),
+            BlockPath::Double { outer, inner } => (Some(idx_dchild(outer as u32)), inner),
+        }
+    }
+}
+
 /// Maximum file size in bytes for the given geometry.
 pub fn max_file_size(block_size: usize, ptrs_per_block: usize) -> u64 {
     let ppb = ptrs_per_block as u64;
@@ -97,6 +133,138 @@ pub fn read_ptr(block: &[u8], slot: usize) -> u32 {
 pub fn write_ptr(block: &mut [u8], slot: usize, addr: u32) {
     let start = slot * 4;
     block[start..start + 4].copy_from_slice(&addr.to_le_bytes());
+}
+
+/// Resolves file block `bno` of `ino` to its current disk address
+/// ([`NIL`] for a hole).
+pub fn map_block<S: NodeStore>(fs: &mut S, ino: Ino, bno: u64) -> FsResult<u32> {
+    let path = resolve(bno, fs.block_size() / 4).ok_or(FsError::FileTooLarge)?;
+    let roots = fs.node(ino)?.roots;
+    match path {
+        BlockPath::Direct { slot } => Ok(roots.direct[slot]),
+        BlockPath::Single { slot } => fs.indirect_ptr(ino, IDX_SINGLE, roots.single, slot),
+        BlockPath::Double { outer, inner } => {
+            let child = fs.indirect_ptr(ino, IDX_DTOP, roots.double, outer)?;
+            fs.indirect_ptr(ino, idx_dchild(outer as u32), child, inner)
+        }
+    }
+}
+
+/// The current disk address of the block `ino` caches under index `idx`
+/// — a data block or any of its indirect blocks ([`NIL`] if it has none).
+pub fn block_addr<S: NodeStore>(fs: &mut S, ino: Ino, idx: u64) -> FsResult<u32> {
+    if is_data_idx(idx) {
+        return map_block(fs, ino, idx);
+    }
+    let roots = fs.node(ino)?.roots;
+    match idx {
+        IDX_SINGLE => Ok(roots.single),
+        IDX_DTOP => Ok(roots.double),
+        _ if roots.double == NIL => Ok(NIL),
+        _ => fs.indirect_ptr(
+            ino,
+            IDX_DTOP,
+            roots.double,
+            (idx - IDX_DCHILD_BASE) as usize,
+        ),
+    }
+}
+
+/// What the block a file caches under `idx` is to that file, for messages:
+/// `data 7`, `single`, `dtop`, `dchild 3`.
+pub fn idx_label(idx: u64) -> String {
+    match idx {
+        IDX_SINGLE => "single".to_string(),
+        IDX_DTOP => "dtop".to_string(),
+        _ if is_data_idx(idx) => format!("data {idx}"),
+        _ => format!("dchild {}", idx - IDX_DCHILD_BASE),
+    }
+}
+
+/// Calls `f(fs, idx, address)` for every block `ino` references, `idx`
+/// being the cache index that says what the block is: its data blocks
+/// in file order, then the single-indirect block, the double-indirect
+/// top block and that block's children. Holes are skipped. `past_eof`
+/// more data blocks are resolved beyond the file's size, for a caller
+/// that checks nothing is mapped there.
+pub fn visit_file_blocks<S: NodeStore>(
+    fs: &mut S,
+    ino: Ino,
+    past_eof: u64,
+    mut f: impl FnMut(&mut S, u64, u32),
+) -> FsResult<()> {
+    let node = fs.node(ino)?;
+    let (bs, ppb) = (fs.block_size(), fs.block_size() / 4);
+    let nblocks = blocks_for_size(node.size, bs);
+    let mappable = max_file_size(bs, ppb) / bs as u64;
+    for bno in 0..nblocks.max((nblocks + past_eof).min(mappable)) {
+        let addr = map_block(fs, ino, bno)?;
+        if addr != NIL {
+            f(fs, bno, addr);
+        }
+    }
+    let Roots { single, double, .. } = node.roots;
+    if single != NIL {
+        f(fs, IDX_SINGLE, single);
+    }
+    if double != NIL {
+        f(fs, IDX_DTOP, double);
+        for outer in 0..ppb {
+            let child = fs.indirect_ptr(ino, IDX_DTOP, double, outer)?;
+            if child != NIL {
+                f(fs, idx_dchild(outer as u32), child);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One block a fanned-out maintenance pass should read ahead: the file,
+/// the cache index to insert it under, and the disk address (possibly
+/// [`NIL`], which the issuer skips).
+pub type PrefetchTarget = (Ino, u64, u32);
+
+/// First prefetch wave over `nodes`: every inode's indirect roots, and
+/// the direct blocks of every directory.
+pub fn prefetch_roots(nodes: &[(Ino, NodeView)], block_size: usize) -> Vec<PrefetchTarget> {
+    let mut wave = Vec::new();
+    for &(ino, node) in nodes {
+        wave.push((ino, IDX_SINGLE, node.roots.single));
+        wave.push((ino, IDX_DTOP, node.roots.double));
+        if node.kind == FileKind::Directory {
+            let direct = blocks_for_size(node.size, block_size).min(NDIRECT as u64);
+            wave.extend((0..direct).map(|bno| (ino, bno, node.roots.direct[bno as usize])));
+        }
+    }
+    wave
+}
+
+/// Second prefetch wave: what the blocks of the first point at — every
+/// double-indirect child, and each directory's single-indirect span.
+/// `peek` looks a block up in the cache without touching its recency;
+/// a root the first wave did not bring in contributes nothing.
+pub fn prefetch_children<'c>(
+    nodes: &[(Ino, NodeView)],
+    block_size: usize,
+    peek: impl Fn(Ino, u64) -> Option<&'c [u8]>,
+) -> Vec<PrefetchTarget> {
+    let ppb = block_size / 4;
+    let mut wave = Vec::new();
+    for &(ino, node) in nodes {
+        if node.roots.double != NIL {
+            if let Some(top) = peek(ino, IDX_DTOP) {
+                wave.extend((0..ppb).map(|o| (ino, idx_dchild(o as u32), read_ptr(top, o))));
+            }
+        }
+        if node.kind == FileKind::Directory && node.roots.single != NIL {
+            if let Some(block) = peek(ino, IDX_SINGLE) {
+                let end = blocks_for_size(node.size, block_size).min((NDIRECT + ppb) as u64);
+                let span = NDIRECT as u64..end;
+                wave.extend(span.map(|bno| (ino, bno, read_ptr(block, bno as usize - NDIRECT))));
+            }
+        }
+    }
+    wave
 }
 
 #[cfg(test)]

@@ -24,11 +24,14 @@
 //! layer: it is the independent oracle these operations are checked
 //! against.
 
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt;
 use std::ops::Range;
 
 use obs::Hist;
 use sim_disk::{CpuCost, CpuModel};
 
+use crate::blockmap::Roots;
 use crate::dirent::{self, RawEntry};
 use crate::error::{FsError, FsResult};
 use crate::path::{split, split_parent, validate_name};
@@ -63,6 +66,8 @@ pub struct NodeView {
     pub size: u64,
     /// Number of directory entries referring to the inode.
     pub nlink: u16,
+    /// Where its pointer tree starts.
+    pub roots: Roots,
 }
 
 /// The hooks a file system provides to the shared namespace layer:
@@ -111,6 +116,13 @@ pub trait NodeStore {
     /// Makes bytes `range` of directory `dir` durable before the
     /// operation returns, if the file system promises that.
     fn persist_dir_range(&mut self, dir: Ino, range: Range<u64>) -> FsResult<()>;
+
+    /// Pointer `slot` of the indirect block `ino` caches under index
+    /// `idx` and keeps at disk address `addr`; [`crate::blockmap::NIL`]
+    /// if there is no such block. A block that is not cached is loaded
+    /// first, checked as far as the file system can check it, and the
+    /// load charged — what [`crate::blockmap`] reads the tree through.
+    fn indirect_ptr(&mut self, ino: Ino, idx: u64, addr: u32, slot: usize) -> FsResult<u32>;
 
     /// One block of a file, read through the cache; `None` for a hole.
     fn file_block(&mut self, ino: Ino, bno: u64) -> FsResult<Option<Vec<u8>>>;
@@ -506,6 +518,254 @@ pub fn readdir<S: NodeStore>(fs: &mut S, path: &str) -> FsResult<Vec<DirEntry>> 
             kind: e.kind,
         })
         .collect())
+}
+
+// ----------------------------------------------------------------------
+// The namespace census: what both `fsck`s report and both mount-time
+// repairs act on.
+// ----------------------------------------------------------------------
+
+/// One disagreement between the directory tree and the inodes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Finding {
+    /// A directory's entries could not be read.
+    UnreadableDir {
+        /// Path of the directory.
+        path: String,
+        /// Why not.
+        error: FsError,
+    },
+    /// An entry names an inode that is not allocated.
+    Dangling {
+        /// Path of the entry.
+        path: String,
+        /// The inode it names.
+        ino: Ino,
+    },
+    /// An allocated inode could not be read.
+    UnreadableInode {
+        /// The entry naming it, or the inode number.
+        at: String,
+        /// Why not.
+        error: FsError,
+    },
+    /// An entry and the inode it names disagree on the kind.
+    KindMismatch {
+        /// Path of the entry.
+        path: String,
+        /// What the entry says.
+        entry: FileKind,
+        /// What the inode says.
+        inode: FileKind,
+    },
+    /// A second entry names a directory that already has a parent.
+    SecondParent {
+        /// Path of the second entry.
+        path: String,
+    },
+    /// An allocated inode no entry names.
+    Orphan {
+        /// The inode.
+        ino: Ino,
+    },
+    /// An inode's link count is not the number of entries naming it.
+    Nlink {
+        /// The inode.
+        ino: Ino,
+        /// Its link count.
+        nlink: u16,
+        /// The entries naming it.
+        refs: u32,
+    },
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Finding::UnreadableDir { path, error } => {
+                write!(f, "unreadable directory {path}: {error}")
+            }
+            Finding::Dangling { path, ino } => {
+                write!(f, "dangling entry {path} -> unallocated {ino}")
+            }
+            Finding::UnreadableInode { at, error } => write!(f, "unreadable inode {at}: {error}"),
+            Finding::KindMismatch { path, entry, inode } => {
+                write!(
+                    f,
+                    "kind mismatch at {path}: entry says {entry}, inode says {inode}"
+                )
+            }
+            Finding::SecondParent { path } => write!(f, "directory {path} has multiple parents"),
+            Finding::Orphan { ino } => write!(f, "orphaned inode {ino}"),
+            Finding::Nlink { ino, nlink, refs } => {
+                write!(f, "{ino}: nlink {nlink} but {refs} references")
+            }
+        }
+    }
+}
+
+/// What a consistency check found.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct FsckReport {
+    /// Invariant violations.
+    pub errors: Vec<String>,
+    /// Suspicious but tolerated conditions.
+    pub warnings: Vec<String>,
+}
+
+impl FsckReport {
+    /// Returns true if no errors were found.
+    pub fn is_clean(&self) -> bool {
+        self.errors.is_empty()
+    }
+}
+
+impl fmt::Display for FsckReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.is_clean() && self.warnings.is_empty() {
+            return write!(f, "clean");
+        }
+        for e in &self.errors {
+            writeln!(f, "error: {e}")?;
+        }
+        for w in &self.warnings {
+            writeln!(f, "warning: {w}")?;
+        }
+        Ok(())
+    }
+}
+
+/// The directory tree as found: who is named how often, and what is wrong.
+#[derive(Debug, Default)]
+pub struct Census {
+    /// How many entries name each inode.
+    refs: HashMap<Ino, u32>,
+    /// Everything found wrong, in the order it was found.
+    pub findings: Vec<Finding>,
+}
+
+/// Walks the directory tree breadth-first from the root and counts the
+/// entries naming each inode. `read_dir` yields a directory's entries
+/// ([`dir_entries`], or a salvaging reader); an entry whose finding
+/// `drops` accepts is removed from its directory and not counted — a
+/// checker drops nothing. Every other entry counts, whatever is wrong
+/// with it; the walk descends by the *inode's* kind.
+pub fn census<S: NodeStore>(
+    fs: &mut S,
+    is_allocated: impl Fn(&S, Ino) -> bool,
+    mut read_dir: impl FnMut(&mut S, Ino) -> FsResult<Vec<RawEntry>>,
+    drops: impl Fn(&Finding) -> bool,
+) -> FsResult<Census> {
+    let mut census = Census::default();
+    let mut visited = HashSet::from([Ino::ROOT]);
+    let mut queue = VecDeque::from([(Ino::ROOT, "/".to_string())]);
+    while let Some((dir, dir_path)) = queue.pop_front() {
+        let entries = match read_dir(fs, dir) {
+            Ok(entries) => entries,
+            Err(error) => {
+                let path = dir_path;
+                census.findings.push(Finding::UnreadableDir { path, error });
+                continue;
+            }
+        };
+        let mut dropped = Vec::new();
+        for RawEntry {
+            name, ino, kind, ..
+        } in entries
+        {
+            // Built only for a finding or a directory to descend into.
+            let path = || format!("{dir_path}{name}");
+            // What is wrong with the entry, and the kind of the inode it
+            // names where that can be read.
+            let (wrong, inode_kind) = if !is_allocated(fs, ino) {
+                (Some(Finding::Dangling { path: path(), ino }), None)
+            } else {
+                match fs.node(ino) {
+                    Err(error) => (Some(Finding::UnreadableInode { at: path(), error }), None),
+                    Ok(node) if node.kind != kind => {
+                        let (path, entry, inode) = (path(), kind, node.kind);
+                        (
+                            Some(Finding::KindMismatch { path, entry, inode }),
+                            Some(inode),
+                        )
+                    }
+                    Ok(node) => (None, Some(node.kind)),
+                }
+            };
+            let drop = wrong.as_ref().is_some_and(&drops);
+            census.findings.extend(wrong);
+            if drop {
+                dropped.push(name);
+                continue;
+            }
+            *census.refs.entry(ino).or_insert(0) += 1;
+            if inode_kind == Some(FileKind::Directory) {
+                if visited.insert(ino) {
+                    queue.push_back((ino, path() + "/"));
+                } else {
+                    census.findings.push(Finding::SecondParent { path: path() });
+                }
+            }
+        }
+        for name in dropped {
+            dir_remove(fs, dir, &name)?;
+        }
+    }
+    Ok(census)
+}
+
+impl Census {
+    /// Holds one allocated inode against the count: an orphan if nothing
+    /// names it, a wrong link count otherwise (the root is exempt from
+    /// both). Returns the inode if it is referenced and readable.
+    pub fn audit<S: NodeStore>(&mut self, fs: &mut S, ino: Ino) -> Option<NodeView> {
+        let refs = self.refs.get(&ino).copied().unwrap_or(0);
+        if ino != Ino::ROOT && refs == 0 {
+            self.findings.push(Finding::Orphan { ino });
+            return None;
+        }
+        match fs.node(ino) {
+            Ok(node) => {
+                if ino != Ino::ROOT && node.nlink as u32 != refs {
+                    let nlink = node.nlink;
+                    self.findings.push(Finding::Nlink { ino, nlink, refs });
+                }
+                Some(node)
+            }
+            Err(error) => {
+                let at = ino.to_string();
+                self.findings.push(Finding::UnreadableInode { at, error });
+                None
+            }
+        }
+    }
+
+    /// Repairs what an audited census found, in the order found: fails
+    /// at anything unreadable (an unread directory's children would all
+    /// look like orphans), destroys orphans, and sets a wrong link count
+    /// to the reference count, calling `fixed` for the inode.
+    pub fn repair<S: NodeStore>(
+        self,
+        fs: &mut S,
+        mut fixed: impl FnMut(&mut S, Ino) -> FsResult<()>,
+    ) -> FsResult<()> {
+        for finding in self.findings {
+            match finding {
+                Finding::UnreadableDir { error, .. } | Finding::UnreadableInode { error, .. } => {
+                    return Err(error)
+                }
+                Finding::Orphan { ino } => fs.destroy_node(ino)?,
+                Finding::Nlink { ino, refs, .. } => {
+                    fs.set_nlink(ino, refs as u16)?;
+                    fixed(fs, ino)?;
+                }
+                Finding::Dangling { .. }
+                | Finding::KindMismatch { .. }
+                | Finding::SecondParent { .. } => {}
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Copies a file's (or a directory's) bytes at `offset` into `buf`,

@@ -7,11 +7,13 @@ use std::ops::Range;
 use obs::Registry;
 use sim_disk::{Clock, CpuModel};
 
-use crate::namespace::{self, NodeStore, NodeView, OpHists};
+use crate::blockmap::{self, Roots, IDX_DTOP, IDX_SINGLE, NDIRECT, NIL};
+use crate::namespace::{self, Finding, NodeStore, NodeView, OpHists};
 use crate::{FileKind, FsError, FsResult, Ino};
 
 /// Small enough that a directory of a few entries spans several blocks.
 const BLOCK: usize = 16;
+const PPB: usize = BLOCK / 4;
 
 struct FakeNode {
     kind: FileKind,
@@ -60,6 +62,25 @@ impl FakeStore {
         entries.into_iter().map(|e| e.name).collect()
     }
 
+    /// The made-up disk address of block `bno` of `ino` (`NIL` past its
+    /// end). The store keeps no pointer blocks: its tree is this rule,
+    /// with the single-indirect block at `bno` 100, the double-indirect
+    /// top at 101 and child `outer` at `110 + outer`.
+    fn addr(&self, ino: Ino, bno: usize) -> u32 {
+        let blocks = self.nodes[&ino].data.len().div_ceil(BLOCK);
+        let held = match bno {
+            100 => blocks > NDIRECT,
+            101 => blocks > NDIRECT + PPB,
+            110.. => blocks > NDIRECT + PPB + (bno - 110) * PPB,
+            _ => bno < blocks,
+        };
+        if held {
+            ino.0 * 1000 + bno as u32
+        } else {
+            NIL
+        }
+    }
+
     fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
         let node = self.nodes.get_mut(&ino).ok_or(FsError::NotFound)?;
         let end = offset as usize + data.len();
@@ -98,6 +119,11 @@ impl NodeStore for FakeStore {
             kind: node.kind,
             size: node.data.len() as u64,
             nlink: node.nlink,
+            roots: Roots {
+                direct: std::array::from_fn(|bno| self.addr(ino, bno)),
+                single: self.addr(ino, 100),
+                double: self.addr(ino, 101),
+            },
         })
     }
 
@@ -139,6 +165,20 @@ impl NodeStore for FakeStore {
         self.calls
             .push(format!("persist_dir_range {dir} {range:?}"));
         Ok(())
+    }
+
+    fn indirect_ptr(&mut self, ino: Ino, idx: u64, addr: u32, slot: usize) -> FsResult<u32> {
+        if addr == NIL {
+            return Ok(NIL);
+        }
+        Ok(match idx {
+            IDX_SINGLE => self.addr(ino, NDIRECT + slot),
+            IDX_DTOP => self.addr(ino, 110 + slot),
+            child => {
+                let outer = (child - blockmap::idx_dchild(0)) as usize;
+                self.addr(ino, NDIRECT + PPB + outer * PPB + slot)
+            }
+        })
     }
 
     fn file_block(&mut self, ino: Ino, bno: u64) -> FsResult<Option<Vec<u8>>> {
@@ -358,4 +398,101 @@ fn every_op_records_its_histogram_on_failure_as_on_success() {
         assert!(!fails(&mut fs, dir), "{what} should fail");
         assert_eq!(hist(&fs.hists).count(), before + 2, "{what}: failure");
     }
+}
+
+#[test]
+fn the_walk_visits_what_the_resolver_resolves() {
+    let mut fs = FakeStore::new();
+    let file = namespace::create(&mut fs, "/f").unwrap();
+    // 27 blocks: all twelve direct, the whole single-indirect block and
+    // eleven under the double-indirect top — two full children, one
+    // part-filled, one absent.
+    namespace::write_at(&mut fs, file, 0, &[7u8; 27 * BLOCK - 3]).unwrap();
+
+    let mut seen = Vec::new();
+    blockmap::visit_file_blocks(&mut fs, file, 8, |_, idx, addr| seen.push((idx, addr))).unwrap();
+    let labels: Vec<String> = seen
+        .iter()
+        .map(|&(idx, _)| blockmap::idx_label(idx))
+        .collect();
+    let mut expected: Vec<String> = (0..27).map(|bno| format!("data {bno}")).collect();
+    expected.extend(["single", "dtop", "dchild 0", "dchild 1", "dchild 2"].map(String::from));
+    assert_eq!(labels, expected);
+    for (idx, addr) in seen {
+        assert_ne!(addr, NIL, "{idx}");
+        assert_eq!(blockmap::block_addr(&mut fs, file, idx), Ok(addr), "{idx}");
+    }
+    // Holes and everything past the end resolve to NIL, up to the last
+    // mappable block and not beyond.
+    let last = (NDIRECT + PPB + PPB * PPB) as u64 - 1;
+    assert_eq!(blockmap::map_block(&mut fs, file, 27), Ok(NIL));
+    assert_eq!(blockmap::map_block(&mut fs, file, last), Ok(NIL));
+    assert_eq!(
+        blockmap::map_block(&mut fs, file, last + 1),
+        Err(FsError::FileTooLarge)
+    );
+    assert_eq!(
+        blockmap::block_addr(&mut fs, file, blockmap::idx_dchild(3)),
+        Ok(NIL)
+    );
+}
+
+#[test]
+fn census_counts_finds_drops_and_repairs() {
+    let mut fs = FakeStore::new();
+    namespace::mkdir(&mut fs, "/d").unwrap();
+    let kept = namespace::create(&mut fs, "/d/kept").unwrap();
+    namespace::link(&mut fs, "/d/kept", "/also").unwrap();
+    let gone = namespace::create(&mut fs, "/d/gone").unwrap();
+    let orphan = namespace::create(&mut fs, "/orphan").unwrap();
+    // Seed: an entry whose inode is gone, an inode whose entry is gone,
+    // and a link count that is one too many.
+    fs.nodes.remove(&gone);
+    namespace::dir_remove(&mut fs, Ino::ROOT, "orphan").unwrap();
+    fs.nodes.get_mut(&kept).unwrap().nlink = 3;
+    let allocated: Vec<Ino> = fs.nodes.keys().copied().collect();
+    let is_allocated = |fs: &FakeStore, ino| fs.nodes.contains_key(&ino);
+
+    // A checker drops nothing and reports everything.
+    let mut census =
+        namespace::census(&mut fs, is_allocated, namespace::dir_entries, |_| false).unwrap();
+    for &ino in &allocated {
+        census.audit(&mut fs, ino);
+    }
+    let found: Vec<String> = census.findings.iter().map(Finding::to_string).collect();
+    assert_eq!(
+        found,
+        [
+            format!("dangling entry /d/gone -> unallocated {gone}"),
+            format!("{kept}: nlink 3 but 2 references"),
+            format!("orphaned inode {orphan}"),
+        ]
+    );
+    assert_eq!(fs.names("/d"), ["kept", "gone"], "a check changes nothing");
+
+    // A repair drops the dangling entry while it walks, then acts on the rest.
+    let drops = |finding: &Finding| matches!(finding, Finding::Dangling { .. });
+    let mut census =
+        namespace::census(&mut fs, is_allocated, namespace::dir_entries, drops).unwrap();
+    for &ino in &allocated {
+        census.audit(&mut fs, ino);
+    }
+    let mut fixed = Vec::new();
+    census
+        .repair(&mut fs, |_, ino| {
+            fixed.push(ino);
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(fixed, [kept]);
+    assert_eq!(fs.names("/d"), ["kept"]);
+    assert_eq!(fs.nodes[&kept].nlink, 2);
+    assert!(!fs.nodes.contains_key(&orphan));
+    let mut census =
+        namespace::census(&mut fs, is_allocated, namespace::dir_entries, |_| false).unwrap();
+    let allocated: Vec<Ino> = fs.nodes.keys().copied().collect();
+    for ino in allocated {
+        census.audit(&mut fs, ino);
+    }
+    assert_eq!(census.findings, []);
 }

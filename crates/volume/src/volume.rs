@@ -907,14 +907,6 @@ impl StripedVolume {
         if self.layout.parity {
             return self.read_parity(&subs, sector, buf);
         }
-        if let [sub] = subs.as_slice() {
-            // One piece: take the engine's combined path, which is
-            // exactly the single-spindle EngineDisk request sequence.
-            return match self.spindles[sub.spindle].do_read(sub.sector, buf) {
-                Ok(()) => Ok(()),
-                Err(e) => Err(self.translate(sub.spindle, e)),
-            };
-        }
         let mut handles = Vec::with_capacity(subs.len());
         for sub in &subs {
             match self.spindles[sub.spindle].start_read(sub.sector, sub.bytes()) {
@@ -1404,13 +1396,6 @@ impl StripedVolume {
                 }
             }
             return Ok(());
-        }
-        if let [sub] = subs {
-            let piece = &buf[sub.offset..sub.offset + sub.bytes()];
-            return match self.spindles[sub.spindle].do_sync_write(sub.sector, piece) {
-                Ok(()) => Ok(()),
-                Err(e) => Err(self.translate(sub.spindle, e)),
-            };
         }
         let mut ids = Vec::with_capacity(subs.len());
         for sub in subs {

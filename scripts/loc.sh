@@ -8,7 +8,9 @@
 #   code      non-test lines that are neither blank nor a `//` comment
 #
 # With --per-file, one "total non-test code path" row per file follows
-# the totals (diff two commits' tables to see where lines went).
+# the totals (diff two commits' tables to see where lines went). With
+# --per-crate, one such row per crates/<name> (and one for the root
+# src) follows instead: which crate a change shrank or grew.
 #
 # With --knobs, the option and interface counts instead, by the
 # definition `bench-baseline/KNOBS` and its test use (a textual scan of
@@ -46,14 +48,19 @@ if [ "${1:-}" = "--knobs" ]; then
     printf "KNOBS lines      %3d\n" "$(grep -c '^[A-Za-z]' bench-baseline/KNOBS)"
     exit 0
 fi
-per_file=0
-[ "${1:-}" = "--per-file" ] && per_file=1
+by=
+[ "${1:-}" = "--per-file" ] && by=file
+[ "${1:-}" = "--per-crate" ] && by=crate
 
-find crates/*/src src -name '*.rs' | LC_ALL=C sort | xargs awk -v per_file="$per_file" '
+find crates/*/src src -name '*.rs' | LC_ALL=C sort | xargs awk -v by="$by" '
+function row(t, n, c, path) { return sprintf("%6d %6d %6d  %s\n", t, n, c, path) }
 function flush_file() {
     if (file == "") return
-    if (per_file) rows = rows sprintf("%6d %6d %6d  %s\n", f_total, f_nontest, f_code, file)
+    if (by == "file") rows = rows row(f_total, f_nontest, f_code, file)
     total += f_total; nontest += f_nontest; code += f_code
+    crate = file; sub(/\/src\/.*/, "", crate); sub(/^src\/.*/, "src", crate)
+    if (!(crate in c_total)) crates[++ncrates] = crate
+    c_total[crate] += f_total; c_nontest[crate] += f_nontest; c_code[crate] += f_code
 }
 FNR == 1 {
     flush_file()
@@ -88,6 +95,10 @@ FNR == 1 {
 }
 END {
     flush_file()
+    if (by == "crate") for (i = 1; i <= ncrates; i++) {
+        c = crates[i]
+        rows = rows row(c_total[c], c_nontest[c], c_code[c], c)
+    }
     printf "total     %6d\nnon-test  %6d\ncode      %6d\n", total, nontest, code
-    if (per_file) printf "\n%6s %6s %6s  %s\n%s", "total", "nontst", "code", "file", rows
+    if (by != "") printf "\n%6s %6s %6s  %s\n%s", "total", "nontst", "code", by, rows
 }'
