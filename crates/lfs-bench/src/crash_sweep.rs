@@ -199,6 +199,23 @@ impl Rig {
         }
     }
 
+    /// Checkpoints taken inside an async cleaner run whose final chunk
+    /// filled its segment. Only those record offset 0: every checkpoint
+    /// writes the usage table, so it ends past a segment's start unless
+    /// that last chunk sealed the segment and opened the one it linked.
+    fn segment_end_checkpoints_mid_clean(&self) -> usize {
+        let Rig::Striped(fs) = self else { return 0 };
+        let mut running = false;
+        let mut seg_end_mid_clean = |e: &obs::Event| {
+            if e.kind == "cleaner_run" {
+                running = e.detail.starts_with("start");
+            }
+            running && e.kind == "checkpoint" && e.detail.ends_with(" offset=0")
+        };
+        let events = fs.obs().events();
+        events.iter().filter(|e| seg_end_mid_clean(e)).count()
+    }
+
     /// The LFS on a volume, for the hooks that only make sense there.
     fn striped(&mut self) -> &mut Lfs<VolumeDisk> {
         match self {
@@ -289,6 +306,10 @@ enum Guard {
     /// see one are known to pass on schedule, not by an oracle that
     /// could not have told.
     BoundaryMoved,
+    /// The model run took, inside an async cleaner run, a checkpoint
+    /// whose final chunk filled its segment: the state whose checkpoint
+    /// once recorded a spent log position roll-forward could not leave.
+    SegmentEndCheckpoint,
 }
 
 /// One row of the sweep table: everything that distinguishes one
@@ -364,6 +385,10 @@ pub fn arms() -> Vec<Arm> {
         guard: Guard::MidTask,
         ..striped(spindles, CLEANER_DISK_SECTORS)
     };
+    // The same on 6 KB segments: the script's checkpoints then land on
+    // segment ends while a cleaner run is in flight (its guard).
+    let seg_end_bytes = 6 * 1024;
+    let seg_end_cfg = cleaner_cfg.clone().with_segment_bytes(seg_end_bytes);
 
     // One segment covers exactly one parity row, so full-segment writes
     // take the no-read parity fast path; segment-aligned metadata and
@@ -404,6 +429,18 @@ pub fn arms() -> Vec<Arm> {
             label: "lfs clean x2",
             prefix: "lfs_cleaner_2sp",
             ..cleaner(2)
+        },
+        Arm {
+            label: "lfs seg-end x1",
+            prefix: "lfs_cleaner_seg_end",
+            device: Device::Volume {
+                cfg: VolumeConfig::rr_segment(1, seg_end_bytes),
+                spindle_sectors: CLEANER_DISK_SECTORS,
+            },
+            format: FsCfg::Lfs(seg_end_cfg.clone()),
+            remount: FsCfg::Lfs(seg_end_cfg),
+            guard: Guard::SegmentEndCheckpoint,
+            ..cleaner(1)
         },
         // The striped crash runs again, but every remount recovers with
         // `recovery_fanout = 0` (ask the device), so the roll-forward's
@@ -661,6 +698,7 @@ pub fn sweep(arm: &Arm, mode: SweepMode, spec: &SweepSpec) -> ModeOutcome {
         Rig::Lfs(fs) => fs.cache_report().boundary_moves,
         _ => 0,
     };
+    let segment_end_checkpoints = rig.segment_end_checkpoints_mid_clean();
     drop(rig);
 
     let mut out = ModeOutcome::default();
@@ -760,6 +798,10 @@ pub fn sweep(arm: &Arm, mode: SweepMode, spec: &SweepSpec) -> ModeOutcome {
                     .into(),
             );
         }
+        Guard::SegmentEndCheckpoint => guard(
+            segment_end_checkpoints > 0,
+            " is vacuous: no checkpoint inside a cleaner run filled its segment".into(),
+        ),
     }
     out
 }
@@ -833,6 +875,7 @@ mod tests {
         for (prefix, guard) in [
             ("lfs_cleaner_1sp", Guard::MidTask),
             ("lfs_cleaner_2sp", Guard::MidTask),
+            ("lfs_cleaner_seg_end", Guard::SegmentEndCheckpoint),
             ("lfs_rebuild_4sp", Guard::MidTask),
             ("lfs_par_recovery_4sp", Guard::PartitionedRecovery),
             ("lfs_adaptive", Guard::BoundaryMoved),

@@ -101,6 +101,27 @@ fn lfs_survives_every_crash_point_during_a_parity_rebuild() {
     }
 }
 
+/// ROADMAP's fence for the end-of-segment checkpoint hole: with the
+/// async cleaner in flight, some checkpoint's final chunk fills its
+/// segment (the row's guard, part of `is_clean`), and every crash point
+/// still recovers to the model.
+#[test]
+fn lfs_survives_every_crash_point_after_a_segment_end_checkpoint() {
+    for mode in [SweepMode::Drop, SweepMode::Torn] {
+        let out = sweep(&arm("lfs_cleaner_seg_end"), mode, &SweepSpec::smoke());
+        assert!(out.crash_points > 5, "{}: too few crash points", mode.name());
+        assert_eq!(out.recovered, out.crash_points, "{}", mode.name());
+        assert!(
+            out.is_clean(),
+            "{}: {} violations, e.g. {:?}; guards {:?}",
+            mode.name(),
+            out.violations,
+            out.samples,
+            out.guards
+        );
+    }
+}
+
 /// Rebuild sweeps are as deterministic as the others.
 #[test]
 fn rebuild_sweep_outcomes_are_reproducible() {

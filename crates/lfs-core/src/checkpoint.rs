@@ -18,7 +18,7 @@ use crate::fs::Lfs;
 use crate::layout::checkpoint::CheckpointRegion;
 use crate::layout::superblock::Superblock;
 use crate::layout::usage_block::SegState;
-use crate::log::LogPosition;
+use crate::log::{plan_chunk, LogPosition};
 use crate::types::BlockAddr;
 
 impl<D: BlockDevice> Lfs<D> {
@@ -125,6 +125,12 @@ impl<D: BlockDevice> Lfs<D> {
             _ => false,
         };
         let cp = CheckpointRegion::newest(a, b)?;
+        // The writer never records a spent log position (a chunk that
+        // leaves no room seals its segment), so this one is forged.
+        let room = fs.sb.seg_blocks.saturating_sub(cp.next_block) as usize;
+        if cp.cur_seg.0 >= fs.sb.nsegments || plan_chunk(room, fs.block_size()).is_none() {
+            return Err(FsError::Corrupt("checkpointed log position has no room"));
+        }
 
         // Load the inode map.
         if cp.imap_addrs.len() != fs.imap.nblocks() || cp.usage_addrs.len() != fs.usage.nblocks() {

@@ -157,7 +157,7 @@ fn budget_skips_victims_that_do_not_fit() {
 fn active_segment_is_never_a_victim() {
     for policy in POLICIES {
         let mut fs = fs_with_policy(policy);
-        let active = fs.log_position_for_test().seg;
+        let active = fs.pos.seg;
         stage(&mut fs, &[(5, 100, 1)]);
         let victims = fs.pick_victims(100);
         assert!(!victims.contains(&active), "{policy:?}");

@@ -36,7 +36,7 @@ use crate::layout::inode::{inode_block, Inode};
 use crate::layout::summary::BlockKind;
 use crate::layout::superblock::Superblock;
 use crate::layout::usage_block::SegState;
-use crate::log::{ChunkBuilder, LogPosition};
+use crate::log::{plan_chunk, ChunkBuilder, LogPosition};
 use crate::stats::{LfsObs, LfsStats};
 use crate::types::{BlockAddr, SegNo, INODE_SIZE};
 use crate::usage::UsageTable;
@@ -78,9 +78,6 @@ pub struct Lfs<D: BlockDevice> {
     pub(crate) ops: OpHists,
     /// The name index directory lookups go through (this mount's only).
     pub(crate) names: NameIndex,
-    /// Clean segment reserved by the most recent sealing chunk's
-    /// `next_seg` link, so the on-disk chain and the allocator agree.
-    pub(crate) pending_next_seg: Option<SegNo>,
     /// Reentrancy guard: automatic write-back is suppressed inside
     /// flush/cleaner/checkpoint work.
     pub(crate) in_maintenance: bool,
@@ -110,26 +107,13 @@ pub struct Lfs<D: BlockDevice> {
 }
 
 /// In-progress chunk state during a flush.
+#[derive(Default)]
 pub(crate) struct FlushCtx {
     builder: Option<ChunkBuilder>,
     /// Set just before the flush's final [`Lfs::emit_chunk`] when
-    /// [`LfsConfig::seal_on_flush`] is on: forces that chunk to stamp a
-    /// `next_seg` link so the forced seal that follows leaves a
-    /// roll-forward-walkable chain.
+    /// [`LfsConfig::seal_on_flush`] is on: forces that chunk to link,
+    /// and so to seal, its segment.
     seal_after: bool,
-    /// Whether any chunk was actually written through this context —
-    /// an empty flush must not burn a segment on a forced seal.
-    wrote: bool,
-}
-
-impl FlushCtx {
-    pub(crate) fn new() -> Self {
-        Self {
-            builder: None,
-            seal_after: false,
-            wrote: false,
-        }
-    }
 }
 
 impl<D: BlockDevice> Lfs<D> {
@@ -211,7 +195,6 @@ impl<D: BlockDevice> Lfs<D> {
             obs: LfsObs::new(&registry),
             ops: OpHists::new(&registry),
             names: NameIndex::new(&registry),
-            pending_next_seg: None,
             in_maintenance: false,
             reserve_segments: reserve,
             block_crc: vec![None; total_blocks],
@@ -491,8 +474,8 @@ impl<D: BlockDevice> Lfs<D> {
     // The segment writer.
     // ------------------------------------------------------------------
 
-    /// Appends one payload block to the current chunk, opening chunks and
-    /// sealing segments as needed. Returns the block's new disk address.
+    /// Appends one payload block to the current chunk, opening and
+    /// emitting chunks as needed. Returns the block's new disk address.
     pub(crate) fn chunk_add(
         &mut self,
         ctx: &mut FlushCtx,
@@ -501,47 +484,40 @@ impl<D: BlockDevice> Lfs<D> {
         data: &[u8],
         live_bytes: u64,
     ) -> FsResult<BlockAddr> {
-        loop {
-            if ctx.builder.is_none() {
-                self.open_chunk(ctx)?;
-            }
-            if ctx.builder.as_ref().unwrap().is_full() {
-                self.emit_chunk(ctx)?;
-                continue;
-            }
-            let builder = ctx.builder.as_mut().unwrap();
-            let addr = builder.add(kind, version, data);
-            let now = self.now();
-            let seg = builder.seg();
-            self.usage.add_live(seg, live_bytes, now);
-            return Ok(addr);
+        if ctx.builder.as_ref().is_some_and(ChunkBuilder::is_full) {
+            self.emit_chunk(ctx)?;
         }
+        let builder = ctx.builder.get_or_insert_with(|| self.open_chunk());
+        let addr = builder.add(kind, version, data);
+        let seg = builder.seg();
+        let now = self.now();
+        self.usage.add_live(seg, live_bytes, now);
+        Ok(addr)
     }
 
-    /// Opens a new chunk at the current log position, sealing the current
-    /// segment first if its tail is too small.
-    fn open_chunk(&mut self, ctx: &mut FlushCtx) -> FsResult<()> {
-        loop {
-            let remaining = (self.sb.seg_blocks - self.pos.offset) as usize;
-            let seg_base = self.sb.seg_block(self.pos.seg, 0);
-            match ChunkBuilder::new(
-                self.pos.seg,
-                seg_base,
-                self.pos.offset,
-                remaining,
-                self.block_size(),
-            ) {
-                Some(builder) => {
-                    ctx.builder = Some(builder);
-                    return Ok(());
-                }
-                None => self.seal_segment()?,
-            }
-        }
+    /// Opens a new chunk at the current log position. There is always
+    /// room for one: mount checks the checkpointed position, and a chunk
+    /// that leaves less seals its segment ([`Lfs::emit_chunk`]).
+    fn open_chunk(&self) -> ChunkBuilder {
+        ChunkBuilder::new(
+            self.pos.seg,
+            self.sb.seg_block(self.pos.seg, 0),
+            self.pos.offset,
+            (self.sb.seg_blocks - self.pos.offset) as usize,
+            self.block_size(),
+        )
+        .expect("a log position always has room for a chunk")
     }
 
     /// Writes the current chunk to disk (one sequential, asynchronous
     /// transfer) and advances the log position.
+    ///
+    /// A chunk after which no further chunk fits — or the final chunk of
+    /// a seal-on-flush flush — links its segment to the next clean one
+    /// (§4.3.1: segments are "formed into a linked list") and opens that
+    /// segment before returning. This is the only place a segment seals,
+    /// so a log position always has room for a chunk and a checkpoint
+    /// records either such a position or the linked segment's start.
     pub(crate) fn emit_chunk(&mut self, ctx: &mut FlushCtx) -> FsResult<()> {
         let Some(builder) = ctx.builder.take() else {
             return Ok(());
@@ -551,28 +527,26 @@ impl<D: BlockDevice> Lfs<D> {
             return Ok(());
         }
         let now = self.now();
-        // If no further chunk fits after this one — or a seal-on-flush
-        // seal is imminent — this chunk seals the segment: record where
-        // the log continues so roll-forward can follow the chain
-        // without scanning the disk (§4.3.1: segments are "formed into
-        // a linked list").
         let offset_after = self.pos.offset + builder.blocks_used();
-        let seals = ctx.seal_after
-            || crate::log::plan_chunk(
-                (self.sb.seg_blocks.saturating_sub(offset_after)) as usize,
-                self.block_size(),
-            )
-            .is_none();
-        let next_seg = if seals {
+        let room_after = (self.sb.seg_blocks - offset_after) as usize;
+        let seals = ctx.seal_after || plan_chunk(room_after, self.block_size()).is_none();
+        let next = if seals {
             let next = self
                 .usage
                 .next_clean(SegNo((self.pos.seg.0 + 1) % self.sb.nsegments));
-            self.pending_next_seg = next;
-            next.unwrap_or(SegNo::NIL)
+            if next.is_none() {
+                // Nowhere to link: refuse before writing. The chunk's blocks
+                // already have addresses in memory, so no checkpoint may
+                // commit them: the mount stops writing.
+                self.set_read_only("no clean segment for the log to link to");
+                return Err(FsError::NoSpace);
+            }
+            next
         } else {
-            SegNo::NIL
+            None
         };
-        let chunk = builder.finish(self.pos.seq, self.pos.partial, now, next_seg);
+        let link = next.unwrap_or(SegNo::NIL);
+        let chunk = builder.finish(self.pos.seq, self.pos.partial, now, link);
         // Remember what every block of this chunk should read back as:
         // summary blocks lose any stale checksum from a previous segment
         // incarnation, payload blocks get the freshly stamped one.
@@ -588,21 +562,19 @@ impl<D: BlockDevice> Lfs<D> {
         self.dev.annotate("log-chunk");
         self.dev
             .write(self.sector_of(chunk.addr), &chunk.bytes, false)?;
-        self.pos.offset += chunk.blocks_used;
-        self.pos.partial += 1;
-        ctx.wrote = true;
         self.obs.chunks_written.inc();
         self.obs.summary_blocks_written.add(chunk.summary_blocks as u64);
-        if self.pos.offset < self.sb.seg_blocks {
+        if offset_after < self.sb.seg_blocks {
             self.obs.partial_chunks.inc();
         }
+        match next {
+            Some(next) => self.seal_segment(next),
+            None => {
+                self.pos.offset = offset_after;
+                self.pos.partial += 1;
+            }
+        }
         Ok(())
-    }
-
-    /// Test-only wrapper around [`Lfs::seal_segment`].
-    #[cfg(test)]
-    pub(crate) fn seal_segment_for_test(&mut self) -> FsResult<()> {
-        self.seal_segment()
     }
 
     /// Test-only mutable access to the usage table.
@@ -619,30 +591,12 @@ impl<D: BlockDevice> Lfs<D> {
             .expect("a mappable block of a readable inode");
     }
 
-    /// Test-only view of the log position.
-    #[cfg(test)]
-    pub(crate) fn log_position_for_test(&self) -> LogPosition {
-        self.pos
-    }
-
-    /// Seals the active segment and opens the next clean one.
-    fn seal_segment(&mut self) -> FsResult<()> {
+    /// Seals the active segment and opens `next`, the clean segment its
+    /// last chunk links to.
+    fn seal_segment(&mut self, next: SegNo) {
         let cur = self.pos.seg;
         self.usage.set_state(cur, SegState::Dirty);
         self.obs.segments_sealed.inc();
-        // Prefer the segment promised by the sealing chunk's next_seg
-        // link, falling back to a fresh scan if it is no longer clean.
-        let promised = self
-            .pending_next_seg
-            .take()
-            .filter(|&seg| self.usage.state(seg) == SegState::Clean);
-        let next = match promised {
-            Some(seg) => seg,
-            None => self
-                .usage
-                .next_clean(SegNo((cur.0 + 1) % self.sb.nsegments))
-                .ok_or(FsError::NoSpace)?,
-        };
         self.usage.set_state(next, SegState::Active);
         self.obs.registry.event(
             self.clock.now_ns(),
@@ -663,7 +617,6 @@ impl<D: BlockDevice> Lfs<D> {
             partial: 0,
             seq: self.pos.seq + 1,
         };
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -714,7 +667,7 @@ impl<D: BlockDevice> Lfs<D> {
     }
 
     fn flush_inner(&mut self, include_imap: bool, include_usage: bool) -> FsResult<()> {
-        let mut ctx = FlushCtx::new();
+        let mut ctx = FlushCtx::default();
 
         // Which files have dirty state? In ascending ino order.
         let owners: BTreeSet<Ino> = self
@@ -885,17 +838,12 @@ impl<D: BlockDevice> Lfs<D> {
             }
         }
 
+        // Seal-on-flush: the final chunk links and seals, so no later
+        // flush appends into a parity row that now holds committed
+        // chunks (see [`LfsConfig::seal_on_flush`]). An empty flush
+        // emits no chunk and seals nothing.
         ctx.seal_after = self.cfg.seal_on_flush;
-        self.emit_chunk(&mut ctx)?;
-        // Seal-on-flush: retire the segment so no later flush appends
-        // into a parity row that now holds committed chunks (see
-        // [`LfsConfig::seal_on_flush`]). The final chunk above stamped
-        // the `next_seg` link this seal will follow. An empty flush
-        // wrote nothing and seals nothing.
-        if self.cfg.seal_on_flush && ctx.wrote {
-            self.seal_segment()?;
-        }
-        Ok(())
+        self.emit_chunk(&mut ctx)
     }
 
     /// Initiates one delayed write-back: packs all dirty blocks into log

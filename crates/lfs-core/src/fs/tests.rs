@@ -76,7 +76,7 @@ fn chunk_add_seals_segments_when_full() {
     let seg_blocks = fs.sb.seg_blocks as usize;
     let bs = fs.block_size();
     let start_seg = fs.pos.seg;
-    let mut ctx = FlushCtx::new();
+    let mut ctx = FlushCtx::default();
     // Write two segments' worth of payload through the chunk machinery.
     let data = vec![0u8; bs];
     for bno in 0..(2 * seg_blocks) as u32 {
@@ -102,10 +102,35 @@ fn emit_chunk_with_empty_builder_is_a_noop() {
     let mut fs = fresh();
     let writes_before = fs.dev.stats().writes;
     let pos_before = fs.pos;
-    let mut ctx = FlushCtx::new();
+    let mut ctx = FlushCtx::default();
     fs.emit_chunk(&mut ctx).unwrap();
     assert_eq!(fs.dev.stats().writes, writes_before);
     assert_eq!(fs.pos, pos_before);
+}
+
+#[test]
+fn a_chunk_with_nowhere_to_link_is_refused_before_it_is_written() {
+    let mut fs = fresh();
+    for s in 0..fs.sb.nsegments {
+        if fs.usage.state(SegNo(s)) == SegState::Clean {
+            fs.usage.set_state(SegNo(s), SegState::Dirty);
+        }
+    }
+    let writes_before = fs.dev.stats().writes;
+    let pos_before = fs.pos;
+    // Fill the rest of the active segment: that chunk must link.
+    let remaining = (fs.sb.seg_blocks - fs.pos.offset) as usize;
+    let (_, capacity) = crate::log::plan_chunk(remaining, fs.block_size()).unwrap();
+    let mut ctx = FlushCtx::default();
+    let data = vec![0u8; fs.block_size()];
+    for bno in 0..capacity as u32 {
+        let kind = crate::layout::summary::BlockKind::Data { ino: Ino(2), bno };
+        fs.chunk_add(&mut ctx, kind, 1, &data, 0).unwrap();
+    }
+    assert_eq!(fs.emit_chunk(&mut ctx), Err(FsError::NoSpace));
+    assert_eq!(fs.dev.stats().writes, writes_before, "refused unwritten");
+    assert_eq!(fs.pos, pos_before);
+    assert!(fs.is_read_only(), "its addresses must never be committed");
 }
 
 #[test]
@@ -116,6 +141,24 @@ fn check_space_reserves_segments() {
     fs.check_space(1024).unwrap();
     // A request larger than the budget is refused up front.
     assert_eq!(fs.check_space(capacity), Err(FsError::NoSpace));
+}
+
+/// Benchmark finding 4 (`NoSpace` at 78 % of `hotcold_churn`'s 64 MB
+/// spindle under a 0.88 cap) is this arithmetic, not a leak: live bytes
+/// stop at the capped log capacity less the reserve plus one segment.
+#[test]
+fn check_space_ceiling_is_the_capped_log_less_reserve_plus_one_segment() {
+    let clock = Clock::new();
+    let disk = SimDisk::new(DiskGeometry::tiny_test(131_072), Arc::clone(&clock));
+    let cfg = LfsConfig::paper().with_cache_bytes(2 * 1024 * 1024);
+    let fs = Lfs::format(disk, cfg, clock).unwrap();
+    assert_eq!(fs.sb.log_capacity_bytes(), 66_060_288, "63 × 1 MB");
+    assert_eq!(fs.reserve_segments, 4);
+    let ceiling = (66_060_288f64 * 0.88) as u64 - 5 * (1 << 20);
+    assert_eq!(ceiling, 52_890_173, "78.8 % of 64 MiB");
+    let headroom = ceiling - fs.usage.total_live_bytes();
+    fs.check_space(headroom).unwrap();
+    assert_eq!(fs.check_space(headroom + 1), Err(FsError::NoSpace));
 }
 
 #[test]
@@ -194,13 +237,8 @@ fn cached_meta_blocks_are_purged_on_segment_reuse() {
         mem_mgr::BlockKey::meta(NS_INODE_BLOCKS, addr.0 as u64),
         vec![0xEE; fs.block_size()].into_boxed_slice(),
     );
-    // Seal segments until the planted one becomes active.
-    let mut guard = 0;
-    while fs.pos.seg != next {
-        fs.seal_segment_for_test().unwrap();
-        guard += 1;
-        assert!(guard < 10_000, "never reached the planted segment");
-    }
+    fs.seal_segment(next);
+    assert_eq!(fs.pos.seg, next);
     assert!(
         !fs.cache
             .contains(mem_mgr::BlockKey::meta(NS_INODE_BLOCKS, addr.0 as u64)),

@@ -145,10 +145,7 @@ fn prefetch_tail<D: BlockDevice>(fs: &mut Lfs<D>, window: usize) -> TailPrefetch
     // visits each segment at most once (a segment's first chunk has one
     // fixed sequence number, and hops strictly increase it). The
     // checkpointed segment's own unconsumed tail joins the batch.
-    let mut tail_reqs: Vec<(SegNo, u32)> = Vec::new();
-    if (cp.offset as usize) + 1 < seg_blocks {
-        tail_reqs.push((cp.seg, cp.offset));
-    }
+    let mut tail_reqs: Vec<(SegNo, u32)> = vec![(cp.seg, cp.offset)];
     for s in 0..nsegments {
         let seg = SegNo(s);
         if seg == cp.seg {
@@ -206,11 +203,10 @@ pub(crate) fn roll_forward<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
     // the post-recovery checkpoint).
     let mut tail_segments: Vec<SegNo> = Vec::new();
 
+    // Every position the walk starts from has room for a chunk: the
+    // checkpointed one (mount checked it) and each segment start.
     'segments: loop {
         let image_base = pos.offset as usize;
-        if image_base + 1 >= seg_blocks {
-            break;
-        }
         let base = fs.sb.seg_block(pos.seg, 0);
         let image = prefetch.image(fs, pos.seg, pos.offset)?;
 

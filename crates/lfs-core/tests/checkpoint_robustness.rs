@@ -4,7 +4,9 @@
 
 use std::sync::Arc;
 
-use lfs_core::{Lfs, LfsConfig};
+use lfs_core::layout::checkpoint::CheckpointRegion;
+use lfs_core::layout::superblock::Superblock;
+use lfs_core::{Lfs, LfsConfig, SegNo};
 use sim_disk::{Clock, DiskGeometry, SimDisk, SECTOR_SIZE};
 use vfs::{FileSystem, FsError};
 
@@ -102,6 +104,44 @@ fn destroying_both_regions_fails_cleanly() {
         Err(e) => panic!("expected Corrupt, got {e}"),
         Ok(_) => panic!("mount must fail when both checkpoint regions are gone"),
     }
+}
+
+/// Re-encodes both checkpoint regions with `forge` applied — their
+/// checksums stay valid, so mount trusts them — and mounts the result.
+fn mount_forged(
+    forge: impl Fn(&Superblock, &mut CheckpointRegion),
+) -> Result<Lfs<SimDisk>, FsError> {
+    let (mut image, cp_a, cp_b, region_bytes) = two_checkpoint_volume();
+    let sb = Superblock::decode(&image[..SECTOR_SIZE]).unwrap();
+    for start in [cp_a, cp_b] {
+        let region = &mut image[start..start + region_bytes];
+        let mut cp = CheckpointRegion::decode(region).unwrap();
+        forge(&sb, &mut cp);
+        region.copy_from_slice(&cp.encode(region_bytes));
+    }
+    mount(image)
+}
+
+#[test]
+fn forged_log_positions_are_corrupt_not_a_panic() {
+    let out_of_range = mount_forged(|sb, cp| cp.cur_seg = SegNo(sb.nsegments));
+    assert!(
+        matches!(out_of_range, Err(FsError::Corrupt(_))),
+        "cur_seg past the last segment: {:?}",
+        out_of_range.err()
+    );
+    // One block short of the end holds no chunk (a summary block and a
+    // payload block), nor does the end itself or anything past it.
+    for spent in [1, 0] {
+        let full = mount_forged(|sb, cp| cp.next_block = sb.seg_blocks - spent);
+        assert!(
+            matches!(full, Err(FsError::Corrupt(_))),
+            "next_block {spent} short of the end: {:?}",
+            full.err()
+        );
+    }
+    let past = mount_forged(|_, cp| cp.next_block = u32::MAX);
+    assert!(matches!(past, Err(FsError::Corrupt(_))), "{:?}", past.err());
 }
 
 #[test]

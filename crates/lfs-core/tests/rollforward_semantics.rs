@@ -150,6 +150,61 @@ fn operations_not_written_back_are_lost_cleanly() {
     assert!(fs.fsck().unwrap().is_clean());
 }
 
+/// Whether the newest checkpoint's own final chunk filled its segment,
+/// read off its `checkpoint` event. A checkpoint always writes the usage
+/// table, so it ends past offset 0 unless that final chunk sealed the
+/// segment and opened the next; a writer that left the position spent
+/// instead records an offset within one block of the end.
+fn last_checkpoint_filled_its_segment(fs: &Lfs<SimDisk>) -> bool {
+    let seg_blocks = fs.superblock().seg_blocks;
+    let event = fs
+        .obs()
+        .events()
+        .into_iter()
+        .rev()
+        .find(|e| e.kind == "checkpoint")
+        .expect("sync takes a checkpoint");
+    let offset: u32 = event
+        .detail
+        .split_whitespace()
+        .find_map(|w| w.strip_prefix("offset="))
+        .and_then(|v| v.parse().ok())
+        .expect("checkpoint events carry the log offset");
+    offset == 0 || offset + 1 >= seg_blocks
+}
+
+/// §4.4's contract at the log position that used to break it: a
+/// checkpoint whose final chunk fills its segment. Each file size shifts
+/// where checkpoints end, so some land on a segment end; a file fsync'd
+/// after such a checkpoint must survive the crash.
+#[test]
+fn fsync_after_a_checkpoint_that_fills_its_segment_survives_a_crash() {
+    const TAIL: &[u8] = b"synced past a segment-end checkpoint";
+    let mut reached = 0;
+    for size in (100..=3_000).step_by(100) {
+        let mut fs = fresh();
+        let filled = (0..40).any(|i| {
+            fs.write_file(&format!("/f{i}"), &vec![i as u8; size])
+                .unwrap();
+            fs.sync().unwrap();
+            last_checkpoint_filled_its_segment(&fs)
+        });
+        if !filled {
+            continue;
+        }
+        reached += 1;
+        let tail = fs.create("/tail").unwrap();
+        fs.write_at(tail, 0, TAIL).unwrap();
+        fs.fsync(tail).unwrap();
+
+        let mut fs = crash_and_recover(fs);
+        let read = fs.read_file("/tail");
+        assert_eq!(read, Ok(TAIL.to_vec()), "size {size}");
+        assert!(fs.fsck().unwrap().is_clean(), "size {size}");
+    }
+    assert!(reached > 0, "no size put a checkpoint on a segment end");
+}
+
 #[test]
 fn recovery_is_idempotent_across_repeated_crashes() {
     let mut fs = fresh();
