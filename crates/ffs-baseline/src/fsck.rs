@@ -34,40 +34,36 @@ impl<D: BlockDevice> Ffs<D> {
     /// agreement, double allocation.
     pub fn fsck(&mut self) -> FsResult<FfsFsckReport> {
         let mut report = FfsFsckReport::default();
-        let mut census = namespace::census(
-            self,
-            |fs, ino| fs.alloc.is_inode_allocated(ino),
-            namespace::dir_entries,
-            |_| false,
-        )?;
-
         // Every allocated inode must be referenced with the right count,
         // and every block claimed exactly once.
         let mut claimed: HashMap<u32, Ino> = HashMap::new();
-        for index in 0..self.sb.max_inodes() {
-            let ino = Ino(index + 1);
-            if !self.alloc.is_inode_allocated(ino) || census.audit(self, ino).is_none() {
-                continue;
-            }
-            blockmap::visit_file_blocks(self, ino, 0, |fs, _, addr| {
-                if !fs.sb.is_data_block(addr) {
-                    report
-                        .errors
-                        .push(format!("{ino} references metadata block {addr}"));
-                    return;
-                }
-                if !fs.alloc.is_block_allocated(addr) {
-                    report
-                        .errors
-                        .push(format!("{ino} references free block {addr}"));
-                }
-                if let Some(previous) = claimed.insert(addr, ino) {
-                    report
-                        .errors
-                        .push(format!("block {addr} claimed by both {previous} and {ino}"));
-                }
-            })?;
-        }
+        let census = namespace::check(
+            self,
+            (0..self.sb.max_inodes()).map(|index| Ino(index + 1)),
+            |fs, ino| fs.alloc.is_inode_allocated(ino),
+            namespace::dir_entries,
+            |_| false,
+            |fs, ino, _| {
+                blockmap::visit_file_blocks(fs, ino, 0, |fs, _, addr| {
+                    if !fs.sb.is_data_block(addr) {
+                        report
+                            .errors
+                            .push(format!("{ino} references metadata block {addr}"));
+                        return;
+                    }
+                    if !fs.alloc.is_block_allocated(addr) {
+                        report
+                            .errors
+                            .push(format!("{ino} references free block {addr}"));
+                    }
+                    if let Some(previous) = claimed.insert(addr, ino) {
+                        report
+                            .errors
+                            .push(format!("block {addr} claimed by both {previous} and {ino}"));
+                    }
+                })
+            },
+        )?;
         report
             .errors
             .extend(census.findings.iter().map(Finding::to_string));
@@ -260,17 +256,13 @@ fn salvage_directory<D: BlockDevice>(
 /// Fixes link counts and removes dangling entries after a scan. A fixed
 /// inode goes back to its table slot with the delayed writes.
 fn fix_links<D: BlockDevice>(fs: &mut Ffs<D>) -> FsResult<()> {
-    let mut census = namespace::census(
+    let census = namespace::check(
         fs,
+        (0..fs.sb.max_inodes()).map(|index| Ino(index + 1)),
         |fs, ino| fs.alloc.is_inode_allocated(ino),
         salvage_directory,
         |finding| matches!(finding, Finding::Dangling { .. }),
+        |_, _, _| Ok(()),
     )?;
-    for index in 0..fs.sb.max_inodes() {
-        let ino = Ino(index + 1);
-        if fs.alloc.is_inode_allocated(ino) {
-            census.audit(fs, ino);
-        }
-    }
     census.repair(fs, |fs, ino| fs.write_inode_to_table(ino, false))
 }

@@ -59,54 +59,50 @@ impl<D: BlockDevice> Lfs<D> {
         let mut report = FsckReport::default();
         let bs = self.block_size() as u64;
 
-        // Phase 1: walk the directory tree.
-        let mut census = namespace::census(
-            self,
-            |fs, ino| fs.imap.is_allocated(ino),
-            namespace::dir_entries,
-            |_| false,
-        )?;
-
-        // Phase 2: orphan and link-count checks; block ownership.
+        // Phase 1: walk the directory tree. Phase 2, per inode: orphan
+        // and link-count checks, then block ownership.
         let mut live: Vec<u64> = vec![0; self.sb.nsegments as usize];
         let mut claimed: HashMap<BlockAddr, String> = HashMap::new();
         let mut inode_slots: HashSet<(BlockAddr, u16)> = HashSet::new();
-
-        for ino in allocated {
-            let Some(node) = census.audit(self, ino) else {
-                continue;
-            };
-            // The inode's own slot.
-            let entry = self.imap.get(ino)?;
-            if entry.addr.is_some() {
-                self.account(&mut live, entry.addr, INODE_SIZE as u64, &mut report);
-                if !inode_slots.insert((entry.addr, entry.slot)) {
-                    report.errors.push(format!(
-                        "{ino}: inode slot {}/{} double-claimed",
-                        entry.addr, entry.slot
-                    ));
-                }
-            } else if !self.inodes.get(&ino).map(|c| c.dirty).unwrap_or(false) {
-                report
-                    .errors
-                    .push(format!("{ino}: allocated, never written, and not dirty"));
-            }
-            // Data and indirect blocks; a data block mapped beyond the
-            // file size is a leak.
-            let nblocks = blockmap::blocks_for_size(node.size, bs as usize);
-            blockmap::visit_file_blocks(self, ino, 64, |fs, idx, addr| {
-                let what = blockmap::idx_label(idx);
-                if blockmap::is_data_idx(idx) && idx >= nblocks {
+        let census = namespace::check(
+            self,
+            allocated,
+            |fs, ino| fs.imap.is_allocated(ino),
+            namespace::dir_entries,
+            |_| false,
+            |fs, ino, node| {
+                // The inode's own slot.
+                let entry = fs.imap.get(ino)?;
+                if entry.addr.is_some() {
+                    fs.account(&mut live, entry.addr, INODE_SIZE as u64, &mut report);
+                    if !inode_slots.insert((entry.addr, entry.slot)) {
+                        report.errors.push(format!(
+                            "{ino}: inode slot {}/{} double-claimed",
+                            entry.addr, entry.slot
+                        ));
+                    }
+                } else if !fs.inodes.get(&ino).map(|c| c.dirty).unwrap_or(false) {
                     report
                         .errors
-                        .push(format!("{ino}: {what} mapped beyond size {}", node.size));
-                    return;
+                        .push(format!("{ino}: allocated, never written, and not dirty"));
                 }
-                let addr = BlockAddr(addr);
-                fs.claim(&mut claimed, addr, format!("{ino} {what}"), &mut report);
-                fs.account(&mut live, addr, bs, &mut report);
-            })?;
-        }
+                // Data and indirect blocks; a data block mapped beyond the
+                // file size is a leak.
+                let nblocks = blockmap::blocks_for_size(node.size, bs as usize);
+                blockmap::visit_file_blocks(fs, ino, 64, |fs, idx, addr| {
+                    let what = blockmap::idx_label(idx);
+                    if blockmap::is_data_idx(idx) && idx >= nblocks {
+                        report
+                            .errors
+                            .push(format!("{ino}: {what} mapped beyond size {}", node.size));
+                        return;
+                    }
+                    let addr = BlockAddr(addr);
+                    fs.claim(&mut claimed, addr, format!("{ino} {what}"), &mut report);
+                    fs.account(&mut live, addr, bs, &mut report);
+                })
+            },
+        )?;
         report
             .errors
             .extend(census.findings.iter().map(Finding::to_string));

@@ -469,12 +469,9 @@ fn repair<D: BlockDevice>(
         None => {
             let drops =
                 |f: &Finding| matches!(f, Finding::Dangling { .. } | Finding::KindMismatch { .. });
-            let mut census = namespace::census(fs, is_allocated, namespace::dir_entries, drops)?;
             let allocated: Vec<Ino> = fs.imap.allocated_inos().collect();
-            for ino in allocated {
-                census.audit(fs, ino);
-            }
-            census
+            let read_dir = namespace::dir_entries;
+            namespace::check(fs, allocated, is_allocated, read_dir, drops, |_, _, _| Ok(()))?
         }
     };
     let findings = census.findings.len();

@@ -26,30 +26,15 @@
 //! answers every request but 10–100× late (weak head, vibration,
 //! firmware retries). A [`FailSlowProfile`] arms a whole-spindle latency
 //! fault — a service-time multiplier that switches on at a virtual
-//! onset time and optionally worsens over time, periodic firmware-style
-//! stalls, and seeded per-request jitter. All of it is a pure function
-//! of the virtual clock, so runs remain byte-identical.
+//! onset time. It is a pure function of the virtual clock, so runs
+//! remain byte-identical.
 
 use std::collections::BTreeMap;
 
-/// Nanoseconds per virtual second, for the worsening slope.
-const NS_PER_SEC: u64 = 1_000_000_000;
-
 /// A deterministic whole-spindle *fail-slow* schedule: the disk keeps
-/// answering, but every request serviced at or after `onset_ns` pays
-/// extra latency. Three independent components compose:
-///
-/// * a **service-time multiplier** (`multiplier_pct`, percent of the
-///   base service time; 100 = unchanged) that optionally **worsens**
-///   by `worsen_pct_per_sec` percentage points per virtual second past
-///   onset — a drive sliding downhill;
-/// * **intermittent stalls**: every `stall_interval_ns` the drive
-///   freezes for `stall_ns` (think internal recovery cycles); a request
-///   whose service would start inside the stall window waits out the
-///   remainder;
-/// * **jitter**: up to `jitter_pct` percent of the base service time,
-///   drawn from a splitmix64 mix of the plan seed, the service start
-///   time, and the sector — deterministic but erratic.
+/// answering, but every request serviced at or after `onset_ns` takes
+/// `multiplier_pct` percent of its healthy service time (100 =
+/// unchanged).
 ///
 /// The extra time is accounted as a distinct `stall` component next to
 /// seek/rotation/transfer, so observability can tell sickness from load.
@@ -57,30 +42,17 @@ const NS_PER_SEC: u64 = 1_000_000_000;
 pub struct FailSlowProfile {
     /// Virtual time at which degradation begins.
     pub onset_ns: u64,
-    /// Service-time multiplier at onset, in percent (100 = healthy).
+    /// Service-time multiplier from onset, in percent (100 = healthy).
     pub multiplier_pct: u64,
-    /// Percentage points added to the multiplier per virtual second
-    /// past onset (0 = stable degradation).
-    pub worsen_pct_per_sec: u64,
-    /// Period of the intermittent stall cycle (0 = no stalls).
-    pub stall_interval_ns: u64,
-    /// Length of the freeze at the start of each stall cycle.
-    pub stall_ns: u64,
-    /// Peak per-request jitter, in percent of base service time.
-    pub jitter_pct: u64,
 }
 
 impl FailSlowProfile {
-    /// A profile that degrades starting at virtual time `onset_ns` with
-    /// no multiplier, stalls, or jitter armed yet — chain the builders.
+    /// A profile that degrades starting at virtual time `onset_ns`, with
+    /// no multiplier armed yet — chain [`Self::with_multiplier_pct`].
     pub fn at(onset_ns: u64) -> Self {
         Self {
             onset_ns,
             multiplier_pct: 100,
-            worsen_pct_per_sec: 0,
-            stall_interval_ns: 0,
-            stall_ns: 0,
-            jitter_pct: 0,
         }
     }
 
@@ -90,66 +62,15 @@ impl FailSlowProfile {
         self
     }
 
-    /// Sets the worsening slope (percentage points per virtual second).
-    pub fn with_worsen_pct_per_sec(mut self, pct: u64) -> Self {
-        self.worsen_pct_per_sec = pct;
-        self
-    }
-
-    /// Arms intermittent stalls: every `interval_ns` the drive freezes
-    /// for `stall_ns`.
-    pub fn with_stalls(mut self, interval_ns: u64, stall_ns: u64) -> Self {
-        self.stall_interval_ns = interval_ns;
-        self.stall_ns = stall_ns.min(interval_ns);
-        self
-    }
-
-    /// Arms seeded per-request jitter up to `pct` percent of the base
-    /// service time.
-    pub fn with_jitter_pct(mut self, pct: u64) -> Self {
-        self.jitter_pct = pct;
-        self
-    }
-
     /// Extra nanoseconds a request pays when its service starts at
-    /// `start_ns`, on top of a healthy `base_service_ns`. Deterministic:
-    /// the same (seed, start, base, sector) always produces the same
-    /// penalty.
-    pub fn extra_ns(&self, seed: u64, start_ns: u64, base_service_ns: u64, sector: u64) -> u64 {
+    /// `start_ns`, on top of a healthy `base_service_ns`.
+    pub fn extra_ns(&self, start_ns: u64, base_service_ns: u64) -> u64 {
         if start_ns < self.onset_ns {
             return 0;
         }
-        let since_onset = start_ns - self.onset_ns;
-        // Multiplier, worsening over time. u128 keeps the arithmetic
-        // exact even for absurd slopes or long runs.
-        let mult_pct = self.multiplier_pct as u128
-            + (self.worsen_pct_per_sec as u128) * (since_onset as u128) / (NS_PER_SEC as u128);
-        let mut extra =
-            ((base_service_ns as u128) * mult_pct.saturating_sub(100) / 100).min(u64::MAX as u128)
-                as u64;
-        // Intermittent stall: a request starting inside the stall window
-        // waits out the remainder of the freeze.
-        if self.stall_interval_ns > 0 {
-            let phase = since_onset % self.stall_interval_ns;
-            if phase < self.stall_ns {
-                extra = extra.saturating_add(self.stall_ns - phase);
-            }
-        }
-        // Seeded jitter.
-        if self.jitter_pct > 0 {
-            let mut z = seed
-                .wrapping_add(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(start_ns.wrapping_mul(0xD6E8_FEB8_6659_FD93))
-                .wrapping_add(sector.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            let pct = z % (self.jitter_pct + 1);
-            extra = extra.saturating_add(
-                ((base_service_ns as u128) * (pct as u128) / 100).min(u64::MAX as u128) as u64,
-            );
-        }
-        extra
+        // u128 keeps the arithmetic exact even for absurd multipliers.
+        let extra_pct = (self.multiplier_pct as u128).saturating_sub(100);
+        ((base_service_ns as u128) * extra_pct / 100).min(u64::MAX as u128) as u64
     }
 }
 
@@ -246,9 +167,9 @@ impl MediaFaultPlan {
 
     /// Extra latency a request pays under the armed fail-slow schedule
     /// when its service starts at `start_ns` (0 when none is armed).
-    pub fn latency_extra_ns(&self, start_ns: u64, base_service_ns: u64, sector: u64) -> u64 {
+    pub fn latency_extra_ns(&self, start_ns: u64, base_service_ns: u64) -> u64 {
         self.fail_slow
-            .map_or(0, |p| p.extra_ns(self.seed, start_ns, base_service_ns, sector))
+            .map_or(0, |p| p.extra_ns(start_ns, base_service_ns))
     }
 
     /// Number of sectors currently carrying a fault.
@@ -494,56 +415,20 @@ mod tests {
     #[test]
     fn fail_slow_is_silent_before_onset_and_multiplies_after() {
         let p = FailSlowProfile::at(1_000).with_multiplier_pct(400);
-        assert_eq!(p.extra_ns(7, 999, 10_000, 0), 0, "healthy before onset");
+        assert_eq!(p.extra_ns(999, 10_000), 0, "healthy before onset");
         // 400%: 3x the base time is added on top.
-        assert_eq!(p.extra_ns(7, 1_000, 10_000, 0), 30_000);
-        assert_eq!(p.extra_ns(7, 5_000, 10_000, 0), 30_000, "stable slope");
-    }
-
-    #[test]
-    fn fail_slow_worsens_over_virtual_time() {
-        let p = FailSlowProfile::at(0)
-            .with_multiplier_pct(200)
-            .with_worsen_pct_per_sec(100);
-        assert_eq!(p.extra_ns(0, 0, 1_000, 0), 1_000, "2x at onset");
-        // Ten virtual seconds later: 200 + 10*100 = 1200% -> 11x extra.
-        assert_eq!(p.extra_ns(0, 10 * 1_000_000_000, 1_000, 0), 11_000);
-    }
-
-    #[test]
-    fn fail_slow_stall_window_charges_the_remainder() {
-        let p = FailSlowProfile::at(0).with_stalls(1_000, 100);
-        assert_eq!(p.extra_ns(0, 0, 0, 0), 100, "start of the freeze");
-        assert_eq!(p.extra_ns(0, 60, 0, 0), 40, "mid-freeze pays the rest");
-        assert_eq!(p.extra_ns(0, 100, 0, 0), 0, "after the freeze");
-        assert_eq!(p.extra_ns(0, 1_020, 0, 0), 80, "the cycle repeats");
-    }
-
-    #[test]
-    fn fail_slow_jitter_is_seeded_and_bounded() {
-        let p = FailSlowProfile::at(0).with_jitter_pct(50);
-        for start in [0u64, 17, 91_234] {
-            let a = p.extra_ns(3, start, 10_000, 5);
-            let b = p.extra_ns(3, start, 10_000, 5);
-            assert_eq!(a, b, "same inputs, same jitter");
-            assert!(a <= 5_000, "jitter bounded by 50% of base");
-        }
-        // Different seeds decorrelate.
-        assert_ne!(
-            p.extra_ns(3, 17, 10_000, 5),
-            p.extra_ns(4, 17, 10_000, 5),
-            "seed changes the draw"
-        );
+        assert_eq!(p.extra_ns(1_000, 10_000), 30_000);
+        assert_eq!(p.extra_ns(5_000, 10_000), 30_000, "constant after onset");
     }
 
     #[test]
     fn plan_routes_latency_through_the_armed_profile() {
         let plan = MediaFaultPlan::new(1)
             .fail_slow(FailSlowProfile::at(500).with_multiplier_pct(300));
-        assert_eq!(plan.latency_extra_ns(0, 1_000, 0), 0);
-        assert_eq!(plan.latency_extra_ns(500, 1_000, 0), 2_000);
+        assert_eq!(plan.latency_extra_ns(0, 1_000), 0);
+        assert_eq!(plan.latency_extra_ns(500, 1_000), 2_000);
         assert!(MediaFaultPlan::new(1).fail_slow_profile().is_none());
-        assert_eq!(MediaFaultPlan::new(1).latency_extra_ns(500, 1_000, 0), 0);
+        assert_eq!(MediaFaultPlan::new(1).latency_extra_ns(500, 1_000), 0);
     }
 
     #[test]

@@ -362,7 +362,7 @@ impl SimDisk {
         let issued_at = self.clock.now_ns();
         let start = self.busy_until_ns.max(issued_at);
         let (seek_ns, rotation_ns, transfer_ns, sequential) = self.service(sector, bytes);
-        let stall_ns = self.latency_fault_ns(start, seek_ns + rotation_ns + transfer_ns, sector);
+        let stall_ns = self.latency_fault_ns(start, seek_ns + rotation_ns + transfer_ns);
         self.busy_until_ns = start + seek_ns + rotation_ns + transfer_ns + stall_ns;
         if sync {
             self.clock.advance_to_ns(self.busy_until_ns);
@@ -384,10 +384,10 @@ impl SimDisk {
 
     /// Extra latency the armed fail-slow schedule charges a request whose
     /// service starts at `start_ns` (0 when none is armed).
-    fn latency_fault_ns(&self, start_ns: u64, base_service_ns: u64, sector: u64) -> u64 {
+    fn latency_fault_ns(&self, start_ns: u64, base_service_ns: u64) -> u64 {
         self.media_faults
             .as_ref()
-            .map_or(0, |p| p.latency_extra_ns(start_ns, base_service_ns, sector))
+            .map_or(0, |p| p.latency_extra_ns(start_ns, base_service_ns))
     }
 
     /// What the mechanical model alone — seek + rotation + transfer
@@ -420,7 +420,7 @@ impl SimDisk {
     /// decisions, and it is exact when the request is serviced next.
     pub fn estimate_service_ns(&self, start_ns: u64, sector: u64, bytes: u64) -> u64 {
         let base = self.estimate_base_service_ns(sector, bytes);
-        base + self.latency_fault_ns(start_ns, base, sector)
+        base + self.latency_fault_ns(start_ns, base)
     }
 
     /// Records one serviced request into obs and the trace.
@@ -745,8 +745,7 @@ impl SimDisk {
         let start_ns = self.busy_until_ns.max(req.submitted_at_ns);
         let wait_ns = start_ns - req.submitted_at_ns;
         let (seek_ns, rotation_ns, transfer_ns, sequential) = self.service(req.sector, req.bytes);
-        let stall_ns =
-            self.latency_fault_ns(start_ns, seek_ns + rotation_ns + transfer_ns, req.sector);
+        let stall_ns = self.latency_fault_ns(start_ns, seek_ns + rotation_ns + transfer_ns);
         let service_ns = seek_ns + rotation_ns + transfer_ns + stall_ns;
         let finish_ns = start_ns + service_ns;
         self.busy_until_ns = finish_ns;
@@ -1238,11 +1237,7 @@ mod tests {
         let mut disk = small_disk();
         disk.write(10, &vec![6; SECTOR_SIZE], true).unwrap();
         disk.inject_media_faults(
-            MediaFaultPlan::new(0)
-                .fail_slow(FailSlowProfile::at(0).with_multiplier_pct(300).with_stalls(
-                    1_000_000_000,
-                    1_000_000,
-                )),
+            MediaFaultPlan::new(0).fail_slow(FailSlowProfile::at(0).with_multiplier_pct(300)),
         );
         let id = disk.submit_read(10, SECTOR_SIZE).unwrap();
         // The estimate sees the same start time complete() will use.

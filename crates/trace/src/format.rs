@@ -17,8 +17,22 @@
 //! Each `op` record carries a unique id, the issuing client, a think
 //! time (client-side delay before the operation becomes runnable), an
 //! explicit happens-before dependency list (`-` for none), and the
-//! operation itself in the [`workload::trace::TraceOp`] line grammar —
-//! so the single-stream format stays a strict subset of this one.
+//! operation itself, one [`TraceOp`] line. Write payloads are regenerated
+//! from a seed ([`workload::payload`]), so traces stay compact:
+//!
+//! ```text
+//! mkdir /a
+//! create /a/f
+//! write /a/f 0 4096 1234     # path offset len payload-seed
+//! read /a/f 0 4096
+//! truncate /a/f 100
+//! rename /a/f /a/g
+//! link /a/g /a/h
+//! unlink /a/h
+//! rmdir /a
+//! sync
+//! fsync /a/g
+//! ```
 //!
 //! Besides the explicit edges, every record has an implicit
 //! happens-before edge from the issuing client's previous record
@@ -27,9 +41,11 @@
 //! malformed input with a typed [`TraceError`], never a panic.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 use engine::{QosClass, QosSpec};
-use workload::trace::TraceOp;
+use vfs::{FileSystem, FsError, FsResult};
+use workload::payload;
 
 use crate::graph::DepGraph;
 
@@ -152,6 +168,169 @@ impl fmt::Display for TraceError {
 }
 
 impl std::error::Error for TraceError {}
+
+/// One traced operation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceOp {
+    /// Create a regular file.
+    Create(String),
+    /// Create a directory.
+    Mkdir(String),
+    /// Remove a file.
+    Unlink(String),
+    /// Remove an empty directory.
+    Rmdir(String),
+    /// Write `len` seeded bytes at `offset`.
+    Write {
+        /// Target path.
+        path: String,
+        /// Byte offset.
+        offset: u64,
+        /// Length in bytes.
+        len: u32,
+        /// Payload seed (regenerated at replay).
+        seed: u64,
+    },
+    /// Read `len` bytes at `offset`.
+    Read {
+        /// Target path.
+        path: String,
+        /// Byte offset.
+        offset: u64,
+        /// Length in bytes.
+        len: u32,
+    },
+    /// Set the file length.
+    Truncate {
+        /// Target path.
+        path: String,
+        /// New size.
+        size: u64,
+    },
+    /// Rename a file or directory.
+    Rename(String, String),
+    /// Create a hard link.
+    Link(String, String),
+    /// Flush everything.
+    Sync,
+    /// Flush one file.
+    Fsync(String),
+}
+
+impl TraceOp {
+    /// Serialises the operation as one trace line.
+    pub fn to_line(&self) -> String {
+        let mut line = String::new();
+        match self {
+            TraceOp::Create(p) => write!(line, "create {p}").unwrap(),
+            TraceOp::Mkdir(p) => write!(line, "mkdir {p}").unwrap(),
+            TraceOp::Unlink(p) => write!(line, "unlink {p}").unwrap(),
+            TraceOp::Rmdir(p) => write!(line, "rmdir {p}").unwrap(),
+            TraceOp::Write {
+                path,
+                offset,
+                len,
+                seed,
+            } => write!(line, "write {path} {offset} {len} {seed}").unwrap(),
+            TraceOp::Read { path, offset, len } => {
+                write!(line, "read {path} {offset} {len}").unwrap()
+            }
+            TraceOp::Truncate { path, size } => write!(line, "truncate {path} {size}").unwrap(),
+            TraceOp::Rename(a, b) => write!(line, "rename {a} {b}").unwrap(),
+            TraceOp::Link(a, b) => write!(line, "link {a} {b}").unwrap(),
+            TraceOp::Sync => write!(line, "sync").unwrap(),
+            TraceOp::Fsync(p) => write!(line, "fsync {p}").unwrap(),
+        }
+        line
+    }
+
+    /// Parses one trace line (comments after `#` and blank lines yield
+    /// `None`).
+    pub fn parse_line(line: &str) -> FsResult<Option<TraceOp>> {
+        let line = line.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            return Ok(None);
+        }
+        let mut fields = line.split_whitespace();
+        let op = fields.next().unwrap();
+        let mut arg = || {
+            fields
+                .next()
+                .ok_or(FsError::Corrupt("trace line missing field"))
+        };
+        let parsed = match op {
+            "create" => TraceOp::Create(arg()?.to_string()),
+            "mkdir" => TraceOp::Mkdir(arg()?.to_string()),
+            "unlink" => TraceOp::Unlink(arg()?.to_string()),
+            "rmdir" => TraceOp::Rmdir(arg()?.to_string()),
+            "write" => TraceOp::Write {
+                path: arg()?.to_string(),
+                offset: op_num(arg()?)?,
+                len: op_num(arg()?)? as u32,
+                seed: op_num(arg()?)?,
+            },
+            "read" => TraceOp::Read {
+                path: arg()?.to_string(),
+                offset: op_num(arg()?)?,
+                len: op_num(arg()?)? as u32,
+            },
+            "truncate" => TraceOp::Truncate {
+                path: arg()?.to_string(),
+                size: op_num(arg()?)?,
+            },
+            "rename" => TraceOp::Rename(arg()?.to_string(), arg()?.to_string()),
+            "link" => TraceOp::Link(arg()?.to_string(), arg()?.to_string()),
+            "sync" => TraceOp::Sync,
+            "fsync" => TraceOp::Fsync(arg()?.to_string()),
+            _ => return Err(FsError::Corrupt("unknown trace operation")),
+        };
+        Ok(Some(parsed))
+    }
+
+    /// Applies the operation to a file system.
+    pub fn apply<F: FileSystem + ?Sized>(&self, fs: &mut F) -> FsResult<()> {
+        match self {
+            TraceOp::Create(p) => fs.create(p).map(|_| ()),
+            TraceOp::Mkdir(p) => fs.mkdir(p).map(|_| ()),
+            TraceOp::Unlink(p) => fs.unlink(p),
+            TraceOp::Rmdir(p) => fs.rmdir(p),
+            TraceOp::Write {
+                path,
+                offset,
+                len,
+                seed,
+            } => {
+                let ino = fs.lookup(path)?;
+                let data = payload(*seed, *len as usize);
+                let mut written = 0usize;
+                while written < data.len() {
+                    written += fs.write_at(ino, offset + written as u64, &data[written..])?;
+                }
+                Ok(())
+            }
+            TraceOp::Read { path, offset, len } => {
+                let ino = fs.lookup(path)?;
+                let mut buf = vec![0u8; *len as usize];
+                fs.read_at(ino, *offset, &mut buf).map(|_| ())
+            }
+            TraceOp::Truncate { path, size } => {
+                let ino = fs.lookup(path)?;
+                fs.truncate(ino, *size)
+            }
+            TraceOp::Rename(a, b) => fs.rename(a, b),
+            TraceOp::Link(a, b) => fs.link(a, b),
+            TraceOp::Sync => fs.sync(),
+            TraceOp::Fsync(p) => {
+                let ino = fs.lookup(p)?;
+                fs.fsync(ino)
+            }
+        }
+    }
+}
+
+fn op_num(s: &str) -> FsResult<u64> {
+    s.parse().map_err(|_| FsError::Corrupt("bad trace number"))
+}
 
 /// One trace record: an operation plus its scheduling envelope.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -500,6 +679,51 @@ op 2 c1 t1000 after 1 read /t0/f 0 0
         );
         let bad_op = "lfs-trace v1\nclients 1\nop 0 c0 t0 after - explode /x\n";
         assert_eq!(Trace::parse(bad_op), Err(TraceError::BadOp { line: 3 }));
+    }
+
+    #[test]
+    fn trace_text_round_trips() {
+        let ops = vec![
+            TraceOp::Mkdir("/d".into()),
+            TraceOp::Create("/d/f".into()),
+            TraceOp::Write {
+                path: "/d/f".into(),
+                offset: 0,
+                len: 512,
+                seed: 7,
+            },
+            TraceOp::Read {
+                path: "/d/f".into(),
+                offset: 100,
+                len: 12,
+            },
+            TraceOp::Truncate {
+                path: "/d/f".into(),
+                size: 9,
+            },
+            TraceOp::Rename("/d/f".into(), "/d/g".into()),
+            TraceOp::Link("/d/g".into(), "/d/h".into()),
+            TraceOp::Fsync("/d/g".into()),
+            TraceOp::Sync,
+            TraceOp::Unlink("/d/h".into()),
+            TraceOp::Rmdir("/x".into()),
+        ];
+        for op in ops {
+            assert_eq!(TraceOp::parse_line(&op.to_line()), Ok(Some(op)));
+        }
+    }
+
+    #[test]
+    fn parser_skips_comments_and_rejects_garbage() {
+        assert_eq!(TraceOp::parse_line("# header"), Ok(None));
+        assert_eq!(TraceOp::parse_line(""), Ok(None));
+        assert_eq!(
+            TraceOp::parse_line("mkdir /a # trailing"),
+            Ok(Some(TraceOp::Mkdir("/a".into())))
+        );
+        assert!(TraceOp::parse_line("explode /a").is_err());
+        assert!(TraceOp::parse_line("write /a zero 1 2").is_err());
+        assert!(TraceOp::parse_line("write /a 1").is_err());
     }
 
     #[test]

@@ -13,9 +13,8 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 use engine::{QosClass, QosSpec};
-use workload::trace::TraceOp;
 
-use crate::format::{Trace, TraceRecord};
+use crate::format::{Trace, TraceOp, TraceRecord};
 
 /// Shared generator parameters.
 #[derive(Debug, Clone)]

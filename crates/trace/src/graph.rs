@@ -244,7 +244,7 @@ mod tests {
                         client: *client,
                         think_ns: 0,
                         deps,
-                        op: workload::trace::TraceOp::Sync,
+                        op: crate::TraceOp::Sync,
                     }
                 })
                 .collect();

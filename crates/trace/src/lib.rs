@@ -6,14 +6,14 @@
 //! Rosenblum & Ousterhout close §4.3.5 with the observation that "the
 //! real test of a file system is its performance over months and years
 //! of use" — microbenchmarks argue, traces decide. This crate is the
-//! repo's trace front door:
+//! repo's one trace format and one replay path:
 //!
 //! * [`format`] — the versioned `lfs-trace v1` text format: per-record
-//!   client id, operation (the `workload::trace` line grammar), think
-//!   time, and explicit happens-before dependency edges, plus per-tenant
-//!   QoS directives. Parsing is total: malformed input yields a typed
-//!   [`TraceError`], never a panic, and dependency cycles are rejected
-//!   up front.
+//!   client id, operation ([`TraceOp`]: its line grammar and how it
+//!   applies to a [`vfs::FileSystem`]), think time, and explicit
+//!   happens-before dependency edges, plus per-tenant QoS directives.
+//!   Parsing is total: malformed input yields a typed [`TraceError`],
+//!   never a panic, and dependency cycles are rejected up front.
 //! * [`graph`] — the dependency graph (explicit edges plus per-client
 //!   program order) and its maximal parallel process sets, following
 //!   `fs-bench`'s trace scheduler.
@@ -33,7 +33,7 @@ pub mod generate;
 pub mod graph;
 pub mod replay;
 
-pub use format::{Trace, TraceError, TraceRecord, FORMAT_VERSION, MAX_CLIENTS};
+pub use format::{Trace, TraceError, TraceOp, TraceRecord, FORMAT_VERSION, MAX_CLIENTS};
 pub use generate::{build_farm, by_name, mail_server, office, zipf_churn, GenSpec, TRACE_NAMES};
 pub use graph::DepGraph;
 pub use replay::{

@@ -25,9 +25,8 @@
 use engine::{FairShare, RequestEngine};
 use obs::Registry;
 use vfs::{FileKind, FileSystem, FsResult};
-use workload::trace::TraceOp;
 
-use crate::format::{Trace, TraceError};
+use crate::format::{Trace, TraceError, TraceOp};
 use crate::graph::DepGraph;
 
 /// Op-level aging bound: an eligible record that has waited this long
@@ -97,7 +96,8 @@ pub struct ReplayReport {
     pub elapsed_ns: u64,
     /// Records dispatched (equals the trace's record count).
     pub total_ops: u64,
-    /// Records whose operation returned an error.
+    /// Records whose operation returned an error, plus one if the
+    /// closing sync failed (so it can exceed `total_ops` by one).
     pub failed_ops: u64,
     /// Happens-before edges verified at dispatch (explicit + program
     /// order) — the vacuity guard for the equivalence suite.
@@ -342,7 +342,7 @@ pub fn replay<F: FileSystem + ?Sized>(
 
     // Close the measurement: everything queued reaches the platter.
     engine.set_client(None);
-    let _ = fs.sync();
+    report.failed_ops += u64::from(fs.sync().is_err());
     engine.set_qos(None);
     report.elapsed_ns = clock.now_ns() - start_ns;
     for t in &mut report.per_tenant {
@@ -409,6 +409,7 @@ mod tests {
     use sim_disk::{Clock, DiskGeometry, SimDisk};
     use std::sync::Arc;
     use vfs::model::ModelFs;
+    use vfs::{DirEntry, FsError, FsStats, Ino, Metadata};
 
     #[test]
     fn percentile_is_nearest_rank() {
@@ -446,6 +447,89 @@ mod tests {
         assert_eq!(report.dep_violations, 0);
         assert!(report.dep_edges_checked > 0, "vacuous dependency audit");
         assert_eq!(report.failed_ops, 0);
+    }
+
+    #[test]
+    fn replay_counts_failures_without_stopping() {
+        let text = "lfs-trace v1\nclients 1\n\
+                    op 0 c0 t0 after - mkdir /a\n\
+                    op 1 c0 t0 after - unlink /missing\n\
+                    op 2 c0 t0 after - create /a/f\n";
+        let trace = Trace::parse(text).unwrap();
+        let (mut fs, core, registry) = rig();
+        let report = replay(&mut fs, &core, &registry, &trace, &ReplayConfig::default()).unwrap();
+        assert_eq!(report.total_ops, 3);
+        assert_eq!(report.failed_ops, 1);
+        assert_eq!(report.per_tenant[0].failed, 1);
+        assert!(fs.lookup("/a/f").is_ok());
+    }
+
+    /// The model, except that `sync` always fails (a full or read-only
+    /// volume at the closing flush).
+    struct FailingSync(ModelFs);
+
+    impl FileSystem for FailingSync {
+        fn lookup(&mut self, path: &str) -> FsResult<Ino> {
+            self.0.lookup(path)
+        }
+        fn create(&mut self, path: &str) -> FsResult<Ino> {
+            self.0.create(path)
+        }
+        fn mkdir(&mut self, path: &str) -> FsResult<Ino> {
+            self.0.mkdir(path)
+        }
+        fn unlink(&mut self, path: &str) -> FsResult<()> {
+            self.0.unlink(path)
+        }
+        fn rmdir(&mut self, path: &str) -> FsResult<()> {
+            self.0.rmdir(path)
+        }
+        fn rename(&mut self, from: &str, to: &str) -> FsResult<()> {
+            self.0.rename(from, to)
+        }
+        fn link(&mut self, existing: &str, new: &str) -> FsResult<()> {
+            self.0.link(existing, new)
+        }
+        fn read_at(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
+            self.0.read_at(ino, offset, buf)
+        }
+        fn write_at(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
+            self.0.write_at(ino, offset, data)
+        }
+        fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
+            self.0.truncate(ino, size)
+        }
+        fn stat(&mut self, ino: Ino) -> FsResult<Metadata> {
+            self.0.stat(ino)
+        }
+        fn readdir(&mut self, path: &str) -> FsResult<Vec<DirEntry>> {
+            self.0.readdir(path)
+        }
+        fn fsync(&mut self, ino: Ino) -> FsResult<()> {
+            self.0.fsync(ino)
+        }
+        fn sync(&mut self) -> FsResult<()> {
+            Err(FsError::NoSpace)
+        }
+        fn drop_caches(&mut self) -> FsResult<()> {
+            self.0.drop_caches()
+        }
+        fn fs_stats(&mut self) -> FsResult<FsStats> {
+            self.0.fs_stats()
+        }
+    }
+
+    #[test]
+    fn a_failed_closing_sync_is_a_failed_op() {
+        let text = "lfs-trace v1\nclients 1\n\
+                    op 0 c0 t0 after - mkdir /a\n\
+                    op 1 c0 t0 after - create /a/f\n";
+        let trace = Trace::parse(text).unwrap();
+        let (fs, core, registry) = rig();
+        let mut fs = FailingSync(fs);
+        let report = replay(&mut fs, &core, &registry, &trace, &ReplayConfig::default()).unwrap();
+        assert_eq!(report.total_ops, 2);
+        assert_eq!(report.failed_ops, 1, "the closing sync failed");
     }
 
     #[test]

@@ -113,3 +113,63 @@ fn parsed_fixture_replays_like_the_generator() {
     let cfg = ReplayConfig::default().with_qos(true);
     assert_eq!(replay_model(&trace, &cfg), replay_model(&reparsed, &cfg));
 }
+
+/// Every one of the 11 operation kinds, on two clients joined by
+/// cross-client `after` edges. No generator emits `rename`, `link`,
+/// `rmdir` or `fsync`, so this is where their `apply` arms run.
+const EVERY_OP: &str = "\
+lfs-trace v1
+clients 2
+op 0 c0 t0 after - mkdir /docs
+op 1 c0 t1000 after - create /docs/draft
+op 2 c0 t1000 after - write /docs/draft 0 6000 7
+op 3 c1 t0 after 2 read /docs/draft 0 6000
+op 4 c1 t1000 after - rename /docs/draft /docs/final
+op 5 c0 t1000 after 4 link /docs/final /shared
+op 6 c0 t1000 after - truncate /shared 1000
+op 7 c1 t1000 after 5 fsync /docs/final
+op 8 c1 t0 after - mkdir /tmp
+op 9 c1 t0 after - create /tmp/scratch
+op 10 c1 t0 after - unlink /tmp/scratch
+op 11 c0 t0 after 10 rmdir /tmp
+op 12 c0 t0 after - write /shared 4096 100 9
+op 13 c1 t0 after 11,12 sync
+";
+
+fn fnv1a(data: &[u8]) -> u64 {
+    data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The tree `EVERY_OP` leaves, written out by hand: `/docs/final` and
+/// `/shared` are one file, seed 7's first 1000 bytes, a hole, then seed
+/// 9's 100 bytes at 4096; the draft name and `/tmp` are gone.
+fn every_op_tree() -> Snapshot {
+    let mut file = workload::payload(7, 6000);
+    file.truncate(1000);
+    file.resize(4096, 0);
+    file.extend(workload::payload(9, 100));
+    let hash = fnv1a(&file);
+    vec![
+        ("/docs".into(), FileKind::Directory, 0, 0),
+        ("/docs/final".into(), FileKind::Regular, 4196, hash),
+        ("/shared".into(), FileKind::Regular, 4196, hash),
+    ]
+}
+
+/// The hand-written trace of every op kind replays, through the one
+/// replay path, to the tree written out above on LFS, FFS and the model.
+#[test]
+fn every_op_kind_replays_to_the_written_out_tree() {
+    let trace = Trace::parse(EVERY_OP).expect("fixture parses");
+    let kinds: std::collections::BTreeSet<String> = (trace.records.iter())
+        .map(|r| r.op.to_line().split(' ').next().unwrap_or("").to_string())
+        .collect();
+    assert_eq!(kinds.len(), 11, "the fixture must hold every op kind: {kinds:?}");
+    let expected = every_op_tree();
+    let cfg = ReplayConfig::default();
+    assert_eq!(replay_model(&trace, &cfg), expected, "model");
+    assert_eq!(replay_lfs(&trace, &cfg), expected, "LFS");
+    assert_eq!(replay_ffs(&trace, &cfg), expected, "FFS");
+}

@@ -750,13 +750,37 @@ fn check_entry<S: NodeStore>(
     }
 }
 
+/// The census and its audit in one pass, what both `fsck`s and both
+/// full repairs run: walks the tree once ([`census`]), then takes each
+/// allocated inode of `inos` in order — its audit first, then
+/// `each(fs, ino, node)` if it is referenced and readable. Interleaving
+/// the two keeps every read in the order a checker makes it.
+pub fn check<S: NodeStore>(
+    fs: &mut S,
+    inos: impl IntoIterator<Item = Ino>,
+    is_allocated: impl Fn(&S, Ino) -> bool,
+    read_dir: impl FnMut(&mut S, Ino) -> FsResult<Vec<RawEntry>>,
+    drops: impl Fn(&Finding) -> bool,
+    mut each: impl FnMut(&mut S, Ino, NodeView) -> FsResult<()>,
+) -> FsResult<Census> {
+    let mut census = census(fs, &is_allocated, read_dir, drops)?;
+    for ino in inos {
+        if is_allocated(fs, ino) {
+            if let Some(node) = census.audit(fs, ino) {
+                each(fs, ino, node)?;
+            }
+        }
+    }
+    Ok(census)
+}
+
 /// Walks the directory tree breadth-first from the root and counts the
 /// entries naming each inode. `read_dir` yields a directory's entries
 /// ([`dir_entries`], or a salvaging reader); an entry whose finding
 /// `drops` accepts is removed from its directory and not counted — a
 /// checker drops nothing. Every other entry counts, whatever is wrong
 /// with it; the walk descends by the *inode's* kind.
-pub fn census<S: NodeStore>(
+fn census<S: NodeStore>(
     fs: &mut S,
     is_allocated: impl Fn(&S, Ino) -> bool,
     mut read_dir: impl FnMut(&mut S, Ino) -> FsResult<Vec<RawEntry>>,
@@ -912,7 +936,7 @@ impl Census {
     /// Holds one allocated inode against the count: an orphan if nothing
     /// names it, a wrong link count otherwise (the root is exempt from
     /// both). Returns the inode if it is referenced and readable.
-    pub fn audit<S: NodeStore>(&mut self, fs: &mut S, ino: Ino) -> Option<NodeView> {
+    fn audit<S: NodeStore>(&mut self, fs: &mut S, ino: Ino) -> Option<NodeView> {
         let refs = self.refs.get(&ino).copied().unwrap_or(0);
         if ino != Ino::ROOT && refs == 0 {
             self.findings.push(Finding::Orphan { ino });

@@ -458,11 +458,16 @@ fn census_counts_finds_drops_and_repairs() {
     let is_allocated = |fs: &FakeStore, ino| fs.nodes.contains_key(&ino);
 
     // A checker drops nothing and reports everything.
-    let mut census =
-        namespace::census(&mut fs, is_allocated, namespace::dir_entries, |_| false).unwrap();
-    for &ino in &allocated {
-        census.audit(&mut fs, ino);
-    }
+    let none = |_: &mut FakeStore, _, _| Ok(());
+    let census = namespace::check(
+        &mut fs,
+        allocated.clone(),
+        is_allocated,
+        namespace::dir_entries,
+        |_| false,
+        none,
+    )
+    .unwrap();
     let found: Vec<String> = census.findings.iter().map(Finding::to_string).collect();
     assert_eq!(
         found,
@@ -476,11 +481,9 @@ fn census_counts_finds_drops_and_repairs() {
 
     // A repair drops the dangling entry while it walks, then acts on the rest.
     let drops = |finding: &Finding| matches!(finding, Finding::Dangling { .. });
-    let mut census =
-        namespace::census(&mut fs, is_allocated, namespace::dir_entries, drops).unwrap();
-    for &ino in &allocated {
-        census.audit(&mut fs, ino);
-    }
+    let census =
+        namespace::check(&mut fs, allocated, is_allocated, namespace::dir_entries, drops, none)
+            .unwrap();
     let mut fixed = Vec::new();
     census
         .repair(&mut fs, |_, ino| {
@@ -492,12 +495,10 @@ fn census_counts_finds_drops_and_repairs() {
     assert_eq!(fs.names("/d"), ["kept"]);
     assert_eq!(fs.nodes[&kept].nlink, 2);
     assert!(!fs.nodes.contains_key(&orphan));
-    let mut census =
-        namespace::census(&mut fs, is_allocated, namespace::dir_entries, |_| false).unwrap();
     let allocated: Vec<Ino> = fs.nodes.keys().copied().collect();
-    for ino in allocated {
-        census.audit(&mut fs, ino);
-    }
+    let census =
+        namespace::check(&mut fs, allocated, is_allocated, namespace::dir_entries, |_| false, none)
+            .unwrap();
     assert_eq!(census.findings, []);
 }
 

@@ -22,7 +22,6 @@ pub mod hotcold;
 pub mod large_file;
 pub mod office;
 pub mod small_files;
-pub mod trace;
 pub mod utilization;
 
 use std::sync::Arc;
