@@ -54,14 +54,16 @@ fn one_run(
 ) -> (ArmOutcome, obs::Snapshot) {
     let kill = |dev: &VolumeDisk| {
         if fault {
-            dev.kill_spindle(DEAD_SPINDLE);
+            dev.volume().borrow_mut().kill_spindle(DEAD_SPINDLE);
         }
     };
     // Idle-gated, one row per step: a step's transfer is one chunk per
     // spindle, small enough to hide in think-time gaps.
     let replace = |dev: &VolumeDisk| {
         if fault {
-            dev.replace_spindle(DEAD_SPINDLE, RebuildPolicy::default().with_max_step_rows(1))
+            dev.volume()
+                .borrow_mut()
+                .replace_spindle(DEAD_SPINDLE, RebuildPolicy::default().with_max_step_rows(1))
                 .expect("replace the dead spindle");
         }
     };

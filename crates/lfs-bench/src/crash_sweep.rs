@@ -167,7 +167,7 @@ impl Rig {
         match self {
             Rig::Lfs(fs) => fs.device().stats().writes,
             Rig::Ffs(fs) => fs.device().stats().writes,
-            Rig::Striped(fs) => fs.device().global_writes(),
+            Rig::Striped(fs) => fs.device().volume().borrow().global_writes(),
         }
     }
 
@@ -559,12 +559,12 @@ impl Arm {
                 if let Some(plan) = plan {
                     vol.arm_crash_all(plan);
                 }
-                let dev = VolumeDisk::new(vol.into_shared());
                 if remounting && self.hook == Hook::KillAndRebuild {
-                    dev.kill_spindle(REBUILD_DEAD_SPINDLE);
-                    dev.replace_spindle(REBUILD_DEAD_SPINDLE, rebuild_policy())
+                    vol.kill_spindle(REBUILD_DEAD_SPINDLE);
+                    vol.replace_spindle(REBUILD_DEAD_SPINDLE, rebuild_policy())
                         .expect("replace a dead spindle");
                 }
+                let dev = VolumeDisk::new(vol.into_shared());
                 let fs = if remounting {
                     Lfs::mount(dev, cfg.clone(), clock)?
                 } else {
@@ -588,12 +588,12 @@ fn run_script(rig: &mut Rig, ops: &[Op], hook: Hook, model: &mut Model) -> Resul
     let (kill_at, replace_at) = (ops.len() / 3, 2 * ops.len() / 3);
     for (i, op) in ops.iter().enumerate() {
         if hook == Hook::KillAndRebuild {
-            let dev = rig.striped().device();
+            let mut vol = rig.striped().device().volume().borrow_mut();
             if i == kill_at {
-                dev.kill_spindle(REBUILD_DEAD_SPINDLE);
+                vol.kill_spindle(REBUILD_DEAD_SPINDLE);
             }
             if i == replace_at {
-                dev.replace_spindle(REBUILD_DEAD_SPINDLE, rebuild_policy())
+                vol.replace_spindle(REBUILD_DEAD_SPINDLE, rebuild_policy())
                     .expect("replace a dead spindle");
             }
         }

@@ -104,15 +104,16 @@ fn rig(spec: &ArmSpec) -> (VolumeDisk, Arc<Clock>) {
     }
     let (dev, clock) = volume_rig(cfg, SPINDLE_SECTORS, None);
     if spec.monitor {
-        dev.set_health_policy(health_policy());
-        dev.set_hot_spares(1);
+        let mut vol = dev.volume().borrow_mut();
+        vol.set_health_policy(health_policy());
+        vol.set_hot_spares(1);
         // Small rebuild steps: the default 8-row step parks ~0.5 MB of
         // maintenance I/O on every survivor, and a foreground read that
         // lands behind one pays most of it — which would hand the tail
         // the bench just rescued from the slow spindle straight to the
         // rebuild. Two rows keeps the spare filling between ops without
         // owning the read path.
-        dev.set_spare_rebuild_policy(RebuildPolicy::default().with_max_step_rows(2));
+        vol.set_spare_rebuild_policy(RebuildPolicy::default().with_max_step_rows(2));
     }
     (dev, clock)
 }

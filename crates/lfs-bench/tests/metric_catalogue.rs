@@ -50,7 +50,9 @@ fn exported_names() -> BTreeSet<String> {
     let cfg = LfsConfig::small_test().with_segment_bytes(24 * 1024);
     let volume = VolumeConfig::parity_segment(SPINDLES, cfg.stripe_chunk_bytes());
     let (dev, clock) = volume_rig(volume, 8_192, None);
-    dev.set_health_policy(HealthPolicy::default());
+    dev.volume()
+        .borrow_mut()
+        .set_health_policy(HealthPolicy::default());
     let pump = dev.clone();
     let (mut fs, registry) = modern_lfs(dev, cfg, clock);
     let multi = MultiClientConfig::new(2, 6, 1024);

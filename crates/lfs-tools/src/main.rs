@@ -224,7 +224,7 @@ fn apply_degraded(opts: &Opts, dev: &VolumeDisk) -> Result<(), String> {
             opts.spindles
         ));
     }
-    dev.kill_spindle(i);
+    dev.volume().borrow_mut().kill_spindle(i);
     Ok(())
 }
 
@@ -242,8 +242,9 @@ fn apply_hot_spares(opts: &Opts, dev: &VolumeDisk) -> Result<(), String> {
             opts.policy
         ));
     }
-    dev.set_health_policy(HealthPolicy::default());
-    dev.set_hot_spares(opts.hot_spares);
+    let mut vol = dev.volume().borrow_mut();
+    vol.set_health_policy(HealthPolicy::default());
+    vol.set_hot_spares(opts.hot_spares);
     Ok(())
 }
 
@@ -326,7 +327,9 @@ fn cmd_rebuild(opts: &Opts) -> Result<(), String> {
     let dev = StripedImages.load(opts)?; // applies the --degraded kill
     // Offline rebuild: no foreground to yield to, so take big steps
     // and drain them back to back.
-    dev.replace_spindle(i, RebuildPolicy::default().with_max_step_rows(64))
+    dev.volume()
+        .borrow_mut()
+        .replace_spindle(i, RebuildPolicy::default().with_max_step_rows(64))
         .map_err(|e| e.to_string())?;
     let rows = dev
         .volume()

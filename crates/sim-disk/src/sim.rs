@@ -335,10 +335,12 @@ impl SimDisk {
         &self.data
     }
 
-    /// Computes the seek / rotation / transfer decomposition for a request
-    /// and updates the head position. Returns
-    /// `(seek_ns, rotation_ns, transfer_ns, was_sequential)`.
-    fn service(&mut self, sector: u64, bytes: u64) -> (u64, u64, u64, bool) {
+    /// The mechanical model, the one place it is computed: the seek /
+    /// rotation / transfer decomposition of a request of `bytes` at
+    /// `sector` from the current head position, as
+    /// `(seek_ns, rotation_ns, transfer_ns, sequential)`. Pure — the
+    /// head does not move.
+    fn mechanics(&self, sector: u64, bytes: u64) -> (u64, u64, u64, bool) {
         let sequential = sector == self.head;
         let (seek, rotation) = if sequential {
             (0, 0)
@@ -349,9 +351,15 @@ impl SimDisk {
                 self.geometry.avg_rotational_latency_ns(),
             )
         };
-        let transfer = self.geometry.transfer_ns(bytes);
+        (seek, rotation, self.geometry.transfer_ns(bytes), sequential)
+    }
+
+    /// [`SimDisk::mechanics`] for a request being serviced: the head
+    /// then moves to the request's end.
+    fn service(&mut self, sector: u64, bytes: u64) -> (u64, u64, u64, bool) {
+        let cost = self.mechanics(sector, bytes);
         self.head = sector + bytes / SECTOR_SIZE as u64;
-        (seek, rotation, transfer, sequential)
+        cost
     }
 
     /// Runs one synchronous-path request through the queue model and
@@ -399,17 +407,8 @@ impl SimDisk {
     /// long random read on a healthy one, but the ratio to this model
     /// can.
     pub fn estimate_base_service_ns(&self, sector: u64, bytes: u64) -> u64 {
-        let sequential = sector == self.head;
-        let (seek, rotation) = if sequential {
-            (0, 0)
-        } else {
-            let distance = sector.abs_diff(self.head);
-            (
-                self.geometry.seek_ns(distance),
-                self.geometry.avg_rotational_latency_ns(),
-            )
-        };
-        seek + rotation + self.geometry.transfer_ns(bytes)
+        let (seek, rotation, transfer, _) = self.mechanics(sector, bytes);
+        seek + rotation + transfer
     }
 
     /// Non-mutating estimate of what servicing a request of `bytes` at

@@ -8,7 +8,7 @@
 //! of use" — microbenchmarks argue, traces decide. This crate is the
 //! repo's one trace format and one replay path:
 //!
-//! * [`format`] — the versioned `lfs-trace v1` text format: per-record
+//! * [`format`](mod@format) — the versioned `lfs-trace v1` text format: per-record
 //!   client id, operation ([`TraceOp`]: its line grammar and how it
 //!   applies to a [`vfs::FileSystem`]), think time, and explicit
 //!   happens-before dependency edges, plus per-tenant QoS directives.
@@ -22,7 +22,7 @@
 //!   (cross-tenant fan-out), build farm (fan-out plus a link-step
 //!   fan-in), and Zipf-skewed hot-file churn (a latency probe under a
 //!   flood).
-//! * [`replay`] — a discrete-event dispatcher that replays a trace
+//! * [`replay`](mod@replay) — a discrete-event dispatcher that replays a trace
 //!   through any [`engine::RequestEngine`]-backed file system on the
 //!   shared virtual clock, arbitrating the eligible set with the same
 //!   [`engine::FairShare`] ledger the disk queue uses when QoS is on,

@@ -751,7 +751,7 @@ fn check_entry<S: NodeStore>(
 }
 
 /// The census and its audit in one pass, what both `fsck`s and both
-/// full repairs run: walks the tree once ([`census`]), then takes each
+/// full repairs run: walks the tree once (`census`), then takes each
 /// allocated inode of `inos` in order — its audit first, then
 /// `each(fs, ino, node)` if it is referenced and readable. Interleaving
 /// the two keeps every read in the order a checker makes it.
@@ -847,7 +847,7 @@ pub type Changed = BTreeMap<Ino, Before>;
 /// An inode's reference count is its link count before, plus the
 /// entries the changed directories gained naming it, less those they
 /// lost. An entry a directory gained, or one naming a changed inode, is
-/// checked as [`census`] checks it, and a dangling or kind-mismatched
+/// checked as `census` checks it, and a dangling or kind-mismatched
 /// one removed. A directory left with no reference takes its entries'
 /// references with it. This equals the full census whenever the tree
 /// was consistent before the changes.

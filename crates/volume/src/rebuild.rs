@@ -9,7 +9,7 @@
 //! I/O through the same per-spindle engine queues the async cleaner
 //! uses.
 //!
-//! Like [`AsyncCleanerPolicy`](engine docs), the work is an incremental
+//! Like `lfs-core`'s `AsyncCleanerPolicy`, the work is an incremental
 //! state machine the *host event loop* drives: it asks
 //! [`crate::StripedVolume::rebuild_wants_step`] whether policy allows a
 //! step right now (the idle gate) and then calls

@@ -3,20 +3,32 @@
 //! A [`StripedVolume`] owns one [`EngineCore`] per spindle — each an
 //! independent [`SimDisk`] with its own mechanical model and request
 //! queue, all sharing one virtual [`Clock`] —
-//! and fans every logical request out to per-spindle sub-requests
-//! according to a [`StripeLayout`]. A logical request completes only
-//! when all of its pieces have landed; a partial failure surfaces the
-//! first piece's [`DiskError`], translated back into the volume's
-//! logical address space.
+//! and fans every logical request out to per-spindle pieces according
+//! to a [`StripeLayout`]. A logical request completes only when all of
+//! its pieces have landed; a partial failure surfaces the first piece's
+//! [`DiskError`], translated back into the volume's logical address
+//! space.
 //!
-//! The overlap that makes striping pay comes from two places:
+//! Each piece mechanic exists once, for every layout:
 //!
-//! * **Asynchronous writes** only push out each spindle's busy horizon,
-//!   so horizons grow in parallel and the final flush waits for the
-//!   *maximum* horizon, not the sum.
-//! * **Synchronous requests** use the engine's split start/finish API:
-//!   every piece is submitted before any is waited on, so the spindles
-//!   service their pieces in overlapped virtual time.
+//! * **One fan-out read.** [`StripedVolume::read`] splits the request,
+//!   starts every piece before finishing any — so the spindles service
+//!   their pieces in overlapped virtual time — and finishes every
+//!   started piece even when one fails. The read half of a parity
+//!   read-modify-write starts and finishes its pieces the same way.
+//! * **One piece writer.** Data pieces and parity chunks go through
+//!   the same loop: asynchronous pieces only push out each spindle's
+//!   busy horizon, so horizons grow in parallel and the final flush
+//!   waits for the *maximum* horizon, not the sum; synchronous pieces
+//!   are all started before any is finished.
+//! * **One survivor XOR.** Reconstruction starts a read on every other
+//!   spindle and XORs the results — the degraded read, the rebuild, and
+//!   the reconstruction side of a hedged race alike.
+//!
+//! One layout predicate decides whether a piece can be reconstructed
+//! instead of read: the volume keeps parity and every other spindle is
+//! online. It gates every hedge and every steer; under RAID-0 it never
+//! holds, and a piece's error is the read's.
 //!
 //! Crash plans arm across all spindles with a shared write index (see
 //! [`SimDisk::share_write_index`]): power fails at the globally N-th
@@ -157,6 +169,37 @@ struct TrackedVolumeRead {
     sector: u64,
     logical: u64,
     len: usize,
+}
+
+/// A read piece between its start and its finish.
+enum Piece {
+    /// Submitted to its spindle.
+    Direct(engine::ReadHandle),
+    /// Not read directly: the spindle serves no reads, or the
+    /// submission failed with this error.
+    Missed(DiskError),
+    /// Steered to reconstruction at submission (the submission-side
+    /// hedge).
+    Steered,
+}
+
+/// How a piece's direct read ended.
+enum Landed {
+    /// The spindle's bytes fill the piece.
+    Direct,
+    /// A hedged race's reconstruction covered a failed direct read.
+    Covered,
+    /// The read failed with this error; the piece is not filled.
+    Failed(DiskError),
+}
+
+/// One per-spindle piece of a logical write.
+struct WritePiece<'a> {
+    spindle: usize,
+    sector: u64,
+    data: &'a [u8],
+    /// A row's parity chunk rather than a piece of the caller's buffer.
+    parity: bool,
 }
 
 /// N independent spindles striped into one logical block device.
@@ -366,14 +409,20 @@ impl StripedVolume {
             .collect()
     }
 
+    /// Latches a crash: the spindles share one power supply, so once
+    /// any reports [`DiskError::Crashed`] every later volume operation
+    /// fails fast. Returns `e` unchanged.
+    fn latch(&mut self, e: DiskError) -> DiskError {
+        if e == DiskError::Crashed {
+            self.crashed = true;
+        }
+        e
+    }
+
     /// Translates a per-spindle error into the volume's address space
     /// and latches the crashed state.
     fn translate(&mut self, spindle: usize, e: DiskError) -> DiskError {
-        match e {
-            DiskError::Crashed => {
-                self.crashed = true;
-                DiskError::Crashed
-            }
+        match self.latch(e) {
             DiskError::Unreadable { sector } => DiskError::Unreadable {
                 sector: self.layout.to_logical(self.spindles.len(), spindle, sector),
             },
@@ -482,24 +531,12 @@ impl StripedVolume {
             .set(value);
     }
 
-    /// Feeds one serviced-request observation (observed vs model-
-    /// expected service time) into the health monitor and applies any
-    /// suspect/recover transition immediately. Evictions are *returned*
-    /// instead of applied, so a read loop can finish its in-flight
-    /// pieces before the volume kills the spindle under them.
-    fn observe_health(&mut self, spindle: usize, observed_ns: u64, expected_ns: u64) -> bool {
-        let Some(monitor) = self.health.as_mut() else {
-            return false;
-        };
-        let event = monitor.observe(spindle, observed_ns, expected_ns);
-        self.apply_health_event(spindle, event)
-    }
-
     /// Applies a health transition, publishing counters, gauges, and
-    /// registry events. Returns true when the verdict is eviction.
-    fn apply_health_event(&mut self, spindle: usize, event: Option<HealthEvent>) -> bool {
+    /// registry events. An eviction is *queued* on `evict` instead of
+    /// applied, so a fan-out can land its in-flight pieces before the
+    /// volume kills the spindle under them.
+    fn apply_health_event(&mut self, event: Option<HealthEvent>, evict: &mut Vec<usize>) {
         match event {
-            None => false,
             Some(HealthEvent::Suspected(i)) => {
                 self.obs.health_suspects.inc();
                 self.health_state_gauge(i, HealthState::Suspect);
@@ -508,7 +545,6 @@ impl StripedVolume {
                     "health",
                     format!("spindle {i} suspect (fail-slow)"),
                 );
-                false
             }
             Some(HealthEvent::Recovered(i)) => {
                 self.obs.health_recoveries.inc();
@@ -518,12 +554,10 @@ impl StripedVolume {
                     "health",
                     format!("spindle {i} recovered"),
                 );
-                false
             }
-            Some(HealthEvent::Evicted(i)) => {
-                debug_assert_eq!(i, spindle);
-                true
-            }
+            Some(HealthEvent::Evicted(i)) if !evict.contains(&i) => evict.push(i),
+            // No verdict, or an eviction already queued.
+            None | Some(HealthEvent::Evicted(_)) => {}
         }
     }
 
@@ -532,19 +566,34 @@ impl StripedVolume {
     /// media signal, independent of queue depth and request shape) into
     /// the health monitor, queueing the spindle on `evict` when the
     /// verdict is eviction. Reads and writes carry the same signal, so
-    /// both paths feed it; callers apply `evict` only once no in-flight
-    /// handle could dangle on the killed queue.
+    /// both paths feed it. Only a parity volume is watched: RAID-0 has
+    /// nowhere to evict to.
     fn feed_health(&mut self, spindle: usize, sector: u64, bytes: u64, evict: &mut Vec<usize>) {
-        if self.health.is_none() || self.states[spindle] != SpindleState::Online {
+        if !self.layout.parity || self.states[spindle] != SpindleState::Online {
             return;
         }
+        let Some(monitor) = self.health.as_mut() else {
+            return;
+        };
         let disk = self.spindles[spindle].disk();
         let start = disk.busy_until_ns().max(self.clock.now_ns());
         let svc = disk.estimate_service_ns(start, sector, bytes);
-        let model = disk.estimate_base_service_ns(sector, bytes);
-        if self.observe_health(spindle, svc, model) && !evict.contains(&spindle) {
-            evict.push(spindle);
+        let event = monitor.observe(spindle, svc, disk.estimate_base_service_ns(sector, bytes));
+        self.apply_health_event(event, evict);
+    }
+
+    /// An error observation is inflation-neutral: it feeds the error
+    /// window at the spindle's current EWMA so a failing-but-fast
+    /// spindle is judged on its errors alone.
+    fn observe_health_error(&mut self, spindle: usize, evict: &mut Vec<usize>) {
+        if !self.layout.parity {
+            return;
         }
+        let Some(monitor) = self.health.as_mut() else {
+            return;
+        };
+        let event = monitor.observe_error(spindle);
+        self.apply_health_event(event, evict);
     }
 
     /// Applies a health eviction: the spindle is killed (reads
@@ -673,10 +722,7 @@ impl StripedVolume {
                 if let Some(run) = self.rebuild.as_mut() {
                     run.rewind_to(row);
                 }
-                if e == DiskError::Crashed {
-                    self.crashed = true;
-                }
-                return Err(e);
+                return Err(self.latch(e));
             }
             self.obs.rebuild_rows.inc();
             self.obs.rebuild_bytes.add(row_buf.len() as u64);
@@ -770,10 +816,7 @@ impl StripedVolume {
             })();
             if let Err(e) = scan {
                 self.set_maintenance(false);
-                if e == DiskError::Crashed {
-                    self.crashed = true;
-                }
-                return Err(e);
+                return Err(self.latch(e));
             }
         }
         self.set_maintenance(false);
@@ -788,29 +831,44 @@ impl StripedVolume {
         Ok(fixed)
     }
 
-    /// XOR-reconstructs physical range `[sector, sector + out.len())`
-    /// of `target` from the same range on every other spindle — valid
-    /// for any mix of data and parity rows, because every parity row
-    /// maintains XOR-across-spindles = 0. Fails if a second spindle is
-    /// unavailable (double fault). Errors come back untranslated.
-    fn reconstruct_range(&mut self, target: usize, sector: u64, out: &mut [u8]) -> DiskResult<()> {
-        let n = self.spindles.len();
-        let others: Vec<usize> = (0..n).filter(|&s| s != target).collect();
-        for &s in &others {
-            if self.states[s] != SpindleState::Online {
-                return Err(DiskError::Unreadable { sector });
-            }
+    /// XORs physical range `[sector, sector + out.len())` of every
+    /// spindle but `target` into `out`: `target`'s content there, for
+    /// any mix of data and parity rows, because every row XORs to zero
+    /// across the spindles. Every survivor's read is started before any
+    /// is finished; `finish` completes one — waiting on it, or draining
+    /// it off the clock for a hedged race. Fails before any I/O when a
+    /// second spindle is unavailable (double fault). Errors come back
+    /// untranslated.
+    fn xor_survivors(
+        &mut self,
+        target: usize,
+        sector: u64,
+        out: &mut [u8],
+        mut finish: impl FnMut(&mut EngineCore, engine::ReadHandle, &mut [u8]) -> DiskResult<()>,
+    ) -> DiskResult<()> {
+        if !self.survivors_online(target) {
+            return Err(DiskError::Unreadable { sector });
         }
-        let mut handles = Vec::with_capacity(others.len());
-        for &s in &others {
-            handles.push(self.spindles[s].start_read(sector, out.len())?);
+        let n = self.spindles.len();
+        let mut started = Vec::with_capacity(n - 1);
+        for s in (0..n).filter(|&s| s != target) {
+            started.push((s, self.spindles[s].start_read(sector, out.len())?));
         }
         out.fill(0);
         let mut tmp = vec![0u8; out.len()];
-        for (&s, h) in others.iter().zip(handles) {
-            self.spindles[s].finish_read(h, sector, &mut tmp)?;
+        for (s, handle) in started {
+            finish(&mut self.spindles[s], handle, &mut tmp)?;
             xor_into(out, &tmp);
         }
+        Ok(())
+    }
+
+    /// XOR-reconstructs `out` for `target` from the survivors, waiting on
+    /// each (see [`StripedVolume::xor_survivors`]).
+    fn reconstruct_range(&mut self, target: usize, sector: u64, out: &mut [u8]) -> DiskResult<()> {
+        self.xor_survivors(target, sector, out, |core, handle, tmp| {
+            core.finish_read(handle, sector, tmp)
+        })?;
         self.obs.reconstructions.inc();
         Ok(())
     }
@@ -828,24 +886,80 @@ impl StripedVolume {
     ) -> DiskResult<()> {
         match self.reconstruct_range(target, sector, out) {
             Ok(()) => Ok(()),
-            Err(DiskError::Crashed) => {
-                self.crashed = true;
-                Err(DiskError::Crashed)
-            }
+            Err(DiskError::Crashed) => Err(self.latch(DiskError::Crashed)),
             Err(_) => Err(DiskError::Unreadable { sector: escape }),
         }
     }
 
-    /// Reads the *current logical* content of physical range
-    /// `[sector, sector + out.len())` on `spindle`: directly when the
-    /// spindle serves reads, by reconstruction when it is dead,
-    /// rebuilding, or the direct read hits unreadable sectors.
+    /// True when `spindle`'s pieces can be XOR-reconstructed instead of
+    /// read: the layout keeps parity and every other spindle serves
+    /// reads. This one predicate gates every hedge and every steer.
+    fn survivors_online(&self, spindle: usize) -> bool {
+        self.layout.parity
+            && self
+                .states
+                .iter()
+                .enumerate()
+                .all(|(s, st)| s == spindle || *st == SpindleState::Online)
+    }
+
+    /// True when reads of `spindle` go to the spindle itself: always
+    /// under RAID-0 (nothing else holds its bytes), and under parity
+    /// only while it is online.
+    fn serves_reads(&self, spindle: usize) -> bool {
+        !self.layout.parity || self.states[spindle] == SpindleState::Online
+    }
+
+    /// Submits a piece's direct read to its spindle. A crash latches and
+    /// aborts; any other failure leaves the piece [`Piece::Missed`].
+    fn start_piece(&mut self, spindle: usize, sector: u64, len: usize) -> DiskResult<Piece> {
+        match self.spindles[spindle].start_read(sector, len) {
+            Ok(handle) => Ok(Piece::Direct(handle)),
+            Err(DiskError::Crashed) => Err(self.latch(DiskError::Crashed)),
+            Err(e) => Ok(Piece::Missed(e)),
+        }
+    }
+
+    /// Finishes a piece's direct read into `out`. The hedge hook: a
+    /// queued read whose predicted latency blows the deadline is raced
+    /// against reconstruction ([`StripedVolume::hedged_race`]) when the
+    /// piece can be reconstructed at all. A crash latches and aborts.
+    fn finish_piece(
+        &mut self,
+        spindle: usize,
+        sector: u64,
+        handle: engine::ReadHandle,
+        out: &mut [u8],
+    ) -> DiskResult<Landed> {
+        let finished = match handle {
+            engine::ReadHandle::Pending(id)
+                if self.survivors_online(spindle) && self.spindles[spindle].hedge_overdue(id) =>
+            {
+                self.hedged_race(spindle, id, sector, out)
+            }
+            handle => self.spindles[spindle]
+                .finish_read(handle, sector, out)
+                .map(|()| false),
+        };
+        match finished {
+            Ok(false) => Ok(Landed::Direct),
+            Ok(true) => Ok(Landed::Covered),
+            Err(DiskError::Crashed) => Err(self.latch(DiskError::Crashed)),
+            Err(e) => Ok(Landed::Failed(e)),
+        }
+    }
+
+    /// The read half of a parity read-modify-write: the *current
+    /// logical* content of physical range `[sector, sector + out.len())`
+    /// on `spindle` — directly when it serves reads, by reconstruction
+    /// when it is dead, rebuilding, or the direct read fails (escaping
+    /// at logical `escape` on a double fault).
     ///
-    /// This is also the read half of a parity read-modify-write, so it
-    /// gets the same hedge protection as [`StripedVolume::read_parity`]:
-    /// without it a fail-slow spindle charges its full degraded service
-    /// to every partial-row *write* (checkpoints, superblocks), which is
-    /// exactly the foreground tail the hedge exists to cap.
+    /// It starts and finishes its piece like the fan-out read, so an
+    /// overdue read is hedged — without that a fail-slow spindle charges
+    /// its full degraded service to every partial-row *write*
+    /// (checkpoints, superblocks). Unlike a foreground read it feeds no
+    /// health observation, steers nothing and counts no degraded read.
     fn read_physical(
         &mut self,
         spindle: usize,
@@ -853,48 +967,38 @@ impl StripedVolume {
         out: &mut [u8],
         escape: u64,
     ) -> DiskResult<()> {
-        if self.states[spindle] == SpindleState::Online {
-            match self.spindles[spindle].start_read(sector, out.len()) {
-                Ok(h) => {
-                    let hedge = match &h {
-                        engine::ReadHandle::Pending(id)
-                            if self.survivors_online(spindle)
-                                && self.spindles[spindle].hedge_overdue(*id) =>
-                        {
-                            Some(*id)
-                        }
-                        _ => None,
-                    };
-                    let finished = match hedge {
-                        Some(id) => self.hedged_race(spindle, id, sector, out).map(|_| ()),
-                        None => self.spindles[spindle].finish_read(h, sector, out),
-                    };
-                    match finished {
-                        Ok(()) => return Ok(()),
-                        Err(DiskError::Crashed) => {
-                            self.crashed = true;
-                            return Err(DiskError::Crashed);
-                        }
-                        Err(DiskError::Unreadable { .. }) => {}
-                        Err(other) => return Err(other),
-                    }
+        if self.serves_reads(spindle) {
+            if let Piece::Direct(handle) = self.start_piece(spindle, sector, out.len())? {
+                if !matches!(
+                    self.finish_piece(spindle, sector, handle, out)?,
+                    Landed::Failed(_)
+                ) {
+                    return Ok(());
                 }
-                Err(DiskError::Crashed) => {
-                    self.crashed = true;
-                    return Err(DiskError::Crashed);
-                }
-                Err(DiskError::Unreadable { .. }) => {}
-                Err(other) => return Err(other),
             }
         }
         self.reconstruct_or_escape(spindle, sector, out, escape)
     }
 
-    /// Reads `buf.len()` bytes at logical `sector`, fanning the request
-    /// out and joining all pieces. Every piece is started before any is
-    /// waited on, so spindles overlap; the first failing piece (in
-    /// logical order) decides the error, but every started piece is
-    /// still finished so no queue is left holding a read.
+    /// Reads `buf.len()` bytes at logical `sector`: split, then the one
+    /// fan-out for every layout. Every piece is started before any is
+    /// finished, so spindles overlap; the first failing piece (in
+    /// logical order) decides the error, and every started piece is
+    /// still finished so no queue is left holding a read. Only a crash
+    /// ends the read early.
+    ///
+    /// A piece its spindle cannot serve — dead or rebuilding, or its
+    /// direct read unreadable — is XOR-reconstructed from the survivors
+    /// under parity; under RAID-0 its error, in logical terms, is the
+    /// piece's. Under parity, with a hedge deadline armed
+    /// ([`EngineConfig::hedge_deadline_ns`]), a piece whose predicted
+    /// latency blows the budget is raced against reconstruction or,
+    /// when the stall is a queued overlapping request, steered to
+    /// reconstruction at submission;
+    /// with health monitoring armed every piece feeds its spindle's
+    /// predicted service time into the [`HealthMonitor`] — evictions it
+    /// decides are applied after the last piece lands, so no in-flight
+    /// handle dangles on a killed spindle.
     pub fn read(&mut self, sector: u64, buf: &mut [u8]) -> DiskResult<()> {
         if self.crashed {
             return Err(DiskError::Crashed);
@@ -904,179 +1008,79 @@ impl StripedVolume {
         self.obs.reads.inc();
         self.obs.bytes_read.add(buf.len() as u64);
         self.obs.subrequests.add(subs.len() as u64);
-        if self.layout.parity {
-            return self.read_parity(&subs, sector, buf);
-        }
-        let mut handles = Vec::with_capacity(subs.len());
+        let mut evict = Vec::new();
+        let mut pieces = Vec::with_capacity(subs.len());
         for sub in &subs {
-            match self.spindles[sub.spindle].start_read(sub.sector, sub.bytes()) {
-                Ok(h) => handles.push(h),
-                Err(e) => return Err(self.translate(sub.spindle, e)),
-            }
-        }
-        let mut first_err: Option<DiskError> = None;
-        for (sub, handle) in subs.iter().zip(handles) {
-            let piece = &mut buf[sub.offset..sub.offset + sub.bytes()];
-            match self.spindles[sub.spindle].finish_read(handle, sub.sector, piece) {
-                Ok(()) => {}
-                Err(e) => {
-                    let e = self.translate(sub.spindle, e);
-                    if e == DiskError::Crashed {
-                        return Err(e);
-                    }
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Writes `buf` at logical `sector`. Synchronous writes submit
-    /// every piece before waiting on any; asynchronous writes go into
-    /// each spindle's queue, pushing out per-spindle busy horizons in
-    /// parallel.
-    pub fn write(&mut self, sector: u64, buf: &[u8], sync: bool) -> DiskResult<()> {
-        if self.crashed {
-            return Err(DiskError::Crashed);
-        }
-        let count = check_request(sector, buf.len(), self.num_sectors)?;
-        let subs = self.split(sector, count);
-        self.obs.writes.inc();
-        self.obs.bytes_written.add(buf.len() as u64);
-        self.obs.subrequests.add(subs.len() as u64);
-        let result = if self.layout.parity {
-            self.write_parity(&subs, sector, buf, sync)
-        } else {
-            self.write_subs(&subs, buf, sync)
-        };
-        self.update_balance();
-        result
-    }
-
-    /// The fan-out read for parity volumes: pieces on healthy spindles
-    /// are read directly (all started before any is waited on); pieces
-    /// on dead or rebuilding spindles — or whose direct read comes back
-    /// unreadable — are served by XOR reconstruction across the
-    /// survivors. Only a double fault escapes, translated to the
-    /// logical sector of the piece that could not be served.
-    ///
-    /// With a hedge deadline armed ([`EngineConfig::hedge_deadline_ns`])
-    /// a piece whose predicted direct latency blows the budget is raced
-    /// against XOR reconstruction ([`StripedVolume::hedged_race`]), and
-    /// with health monitoring armed every piece feeds its spindle's
-    /// predicted service time into the [`HealthMonitor`] — evictions it
-    /// decides are applied after the last piece lands, so no in-flight
-    /// handle dangles on a killed spindle.
-    fn read_parity(&mut self, subs: &[SubRequest], base_sector: u64, buf: &mut [u8]) -> DiskResult<()> {
-        let mut handles: Vec<Option<engine::ReadHandle>> = Vec::with_capacity(subs.len());
-        let mut steered: Vec<bool> = Vec::with_capacity(subs.len());
-        let mut evict: Vec<usize> = Vec::new();
-        for sub in subs {
-            if self.states[sub.spindle] == SpindleState::Online {
-                self.feed_health(sub.spindle, sub.sector, sub.bytes() as u64, &mut evict);
+            let (s, bytes) = (sub.spindle, sub.bytes());
+            let piece = if !self.serves_reads(s) {
+                Piece::Missed(DiskError::Unreadable { sector: sub.sector })
+            } else {
+                self.feed_health(s, sub.sector, bytes as u64, &mut evict);
                 // The submission-side hedge: an overlapping queued
                 // request (a still-in-flight segment write, say) would
                 // stall this read *at submission* — the read-after-write
                 // hazard is paid before the request even has an id, so
-                // the in-queue hedge hook below can never see it. When
-                // the predicted stall blows the deadline and every
-                // survivor is online, skip the direct read entirely and
-                // steer the piece to reconstruction.
-                if self.survivors_online(sub.spindle)
-                    && self.spindles[sub.spindle].submit_hazard_overdue(sub.sector, sub.bytes())
+                // the in-queue hedge hook can never see it. When that
+                // stall blows the deadline, skip the direct read.
+                if self.survivors_online(s)
+                    && self.spindles[s].submit_hazard_overdue(sub.sector, bytes)
                 {
-                    handles.push(None);
-                    steered.push(true);
-                    continue;
-                }
-                match self.spindles[sub.spindle].start_read(sub.sector, sub.bytes()) {
-                    Ok(h) => handles.push(Some(h)),
-                    Err(DiskError::Crashed) => {
-                        self.crashed = true;
-                        return Err(DiskError::Crashed);
+                    Piece::Steered
+                } else {
+                    let piece = self.start_piece(s, sub.sector, bytes)?;
+                    if let Piece::Missed(_) = piece {
+                        self.observe_health_error(s, &mut evict);
                     }
-                    // An unreadable submission routes to reconstruction
-                    // like an unreadable completion would.
-                    Err(DiskError::Unreadable { .. }) => {
-                        if self.observe_health_error(sub.spindle) {
-                            evict.push(sub.spindle);
-                        }
-                        handles.push(None);
-                    }
-                    Err(other) => return Err(other),
+                    piece
                 }
-            } else {
-                handles.push(None);
-            }
-            steered.push(false);
+            };
+            pieces.push(piece);
         }
         let mut degraded = false;
-        let mut first_err: Option<DiskError> = None;
-        for ((sub, handle), was_steered) in subs.iter().zip(handles).zip(steered) {
-            let logical = base_sector + (sub.offset / SECTOR_SIZE) as u64;
-            let piece = &mut buf[sub.offset..sub.offset + sub.bytes()];
-            let served = match handle {
-                Some(h) => {
-                    // The hedge hook: a queued piece whose predicted
-                    // latency blows the deadline is raced against
-                    // reconstruction — but only when every survivor is
-                    // online, otherwise there is nothing to race.
-                    let hedge = match &h {
-                        engine::ReadHandle::Pending(id)
-                            if self.survivors_online(sub.spindle)
-                                && self.spindles[sub.spindle].hedge_overdue(*id) =>
-                        {
-                            Some(*id)
-                        }
-                        _ => None,
-                    };
-                    let finished = match hedge {
-                        Some(id) => self
-                            .hedged_race(sub.spindle, id, sub.sector, piece)
-                            .map(|was_degraded| {
-                                degraded |= was_degraded;
-                            }),
-                        None => self.spindles[sub.spindle].finish_read(h, sub.sector, piece),
-                    };
-                    match finished {
-                        Ok(()) => true,
-                        Err(DiskError::Crashed) => {
-                            self.crashed = true;
-                            return Err(DiskError::Crashed);
-                        }
-                        Err(DiskError::Unreadable { .. }) => {
-                            if self.observe_health_error(sub.spindle) {
-                                evict.push(sub.spindle);
-                            }
-                            false
-                        }
-                        Err(other) => return Err(other),
+        let mut first_err = None;
+        for (sub, piece) in subs.iter().zip(pieces) {
+            let s = sub.spindle;
+            let logical = sector + (sub.offset / SECTOR_SIZE) as u64;
+            let out = &mut buf[sub.offset..sub.offset + sub.bytes()];
+            let missed = match piece {
+                Piece::Direct(handle) => match self.finish_piece(s, sub.sector, handle, out)? {
+                    Landed::Direct => continue,
+                    Landed::Covered => {
+                        degraded = true;
+                        continue;
                     }
-                }
-                None => false,
+                    Landed::Failed(e) => {
+                        self.observe_health_error(s, &mut evict);
+                        Some(e)
+                    }
+                },
+                Piece::Missed(e) => Some(e),
+                Piece::Steered => None,
             };
-            if !served {
-                // A steered piece is a hedge the reconstruction won by
-                // forfeit, not a degraded read: the spindle is healthy
-                // enough to serve, just not worth waiting for.
-                if was_steered {
-                    self.obs.hedged_reads.inc();
-                } else {
-                    degraded = true;
+            let served = match missed {
+                Some(e) if !self.layout.parity => Err(self.translate(s, e)),
+                _ => {
+                    // A steered piece is a hedge the reconstruction won
+                    // by forfeit, not a degraded read: the spindle is
+                    // healthy enough to serve, just not worth waiting for.
+                    let steered = missed.is_none();
+                    if steered {
+                        self.obs.hedged_reads.inc();
+                    } else {
+                        degraded = true;
+                    }
+                    let served = self.reconstruct_or_escape(s, sub.sector, out, logical);
+                    if steered && served.is_ok() {
+                        self.spindles[s].record_hedge_win();
+                    }
+                    served
                 }
-                match self.reconstruct_or_escape(sub.spindle, sub.sector, piece, logical) {
-                    Ok(()) => {
-                        if was_steered {
-                            self.spindles[sub.spindle].record_hedge_win();
-                        }
-                    }
-                    Err(DiskError::Crashed) => return Err(DiskError::Crashed),
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
+            };
+            match served {
+                Ok(()) => {}
+                Err(DiskError::Crashed) => return Err(DiskError::Crashed),
+                Err(e) => {
+                    first_err.get_or_insert(e);
                 }
             }
         }
@@ -1086,31 +1090,46 @@ impl StripedVolume {
         for i in evict {
             self.auto_evict(i);
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// Writes `buf` at logical `sector`: split, add each touched row's
+    /// updated parity chunk, then the one piece writer — synchronous
+    /// writes start every piece before finishing any, asynchronous ones
+    /// go into each spindle's queue, pushing out per-spindle busy
+    /// horizons in parallel. Under parity a piece bound for a dead
+    /// spindle is not written: the row's updated parity absorbs its
+    /// content, so reads reconstruct the new data.
+    pub fn write(&mut self, sector: u64, buf: &[u8], sync: bool) -> DiskResult<()> {
+        if self.crashed {
+            return Err(DiskError::Crashed);
         }
-    }
-
-    /// True when every spindle other than `spindle` serves reads — the
-    /// precondition for racing a reconstruction against a slow direct
-    /// read.
-    fn survivors_online(&self, spindle: usize) -> bool {
-        self.states
-            .iter()
-            .enumerate()
-            .all(|(s, st)| s == spindle || *st == SpindleState::Online)
-    }
-
-    /// An error observation is inflation-neutral: it feeds the error
-    /// window at the spindle's current EWMA so a failing-but-fast
-    /// spindle is judged on its errors alone.
-    fn observe_health_error(&mut self, spindle: usize) -> bool {
-        let Some(monitor) = self.health.as_mut() else {
-            return false;
-        };
-        let event = monitor.observe_error(spindle);
-        self.apply_health_event(spindle, event)
+        let count = check_request(sector, buf.len(), self.num_sectors)?;
+        let subs = self.split(sector, count);
+        self.obs.writes.inc();
+        self.obs.bytes_written.add(buf.len() as u64);
+        self.obs.subrequests.add(subs.len() as u64);
+        let result = self.row_parity(&subs, sector, buf).and_then(|parity| {
+            let data = subs
+                .iter()
+                .filter(|sub| !self.layout.parity || self.states[sub.spindle] != SpindleState::Dead)
+                .map(|sub| WritePiece {
+                    spindle: sub.spindle,
+                    sector: sub.sector,
+                    data: &buf[sub.offset..sub.offset + sub.bytes()],
+                    parity: false,
+                });
+            let parity = parity.iter().map(|(spindle, sector, data)| WritePiece {
+                spindle: *spindle,
+                sector: *sector,
+                data,
+                parity: true,
+            });
+            let pieces: Vec<WritePiece> = data.chain(parity).collect();
+            self.write_pieces(&pieces, sync)
+        });
+        self.update_balance();
+        result
     }
 
     /// Races pending direct read `id` on `spindle` against XOR
@@ -1119,10 +1138,14 @@ impl StripedVolume {
     /// work and later requests queue behind it) — but the caller's
     /// clock advances only to the winner's finish, so the foreground
     /// pays `min(direct, reconstruction)` latency. When both sides
-    /// succeed their bytes are asserted identical and the direct data
-    /// fills `piece`; a failed direct read is covered by the
-    /// reconstruction (returns `true`: the piece was served degraded);
-    /// a failed reconstruction falls back to the direct result.
+    /// succeed the direct data fills `piece`; if the two disagree (the
+    /// spindle's media rotted) the direct bytes are still served —
+    /// exactly what the unhedged read returns, left for the file
+    /// system's checksums to judge — the caller waits for them, and a
+    /// `hedge` event records the divergence. A failed direct read is
+    /// covered by the reconstruction (returns `true`: the piece was
+    /// served degraded); a failed reconstruction falls back to the
+    /// direct result.
     ///
     /// # Errors
     ///
@@ -1137,81 +1160,69 @@ impl StripedVolume {
         piece: &mut [u8],
     ) -> DiskResult<bool> {
         self.obs.hedged_reads.inc();
-        let n = self.spindles.len();
-        let others: Vec<usize> = (0..n).filter(|&s| s != spindle).collect();
-        // Start the reconstruction on every survivor. A survivor that
-        // rejects the submission sinks the reconstruction side; the
-        // started remainder is still drained below so no queue is left
-        // holding a read.
-        let mut recon_handles: Vec<(usize, engine::ReadHandle)> = Vec::with_capacity(others.len());
-        let mut recon_ok = true;
-        for &s in &others {
-            match self.spindles[s].start_read(sector, piece.len()) {
-                Ok(h) => recon_handles.push((s, h)),
-                Err(DiskError::Crashed) => return Err(DiskError::Crashed),
-                Err(_) => {
-                    recon_ok = false;
-                    break;
-                }
-            }
-        }
         // Drain both sides without advancing the shared clock; the
-        // completion timestamps decide the race.
-        let mut survivors: Vec<Vec<u8>> = Vec::with_capacity(recon_handles.len());
+        // completion timestamps decide the race. A failed survivor
+        // sinks the reconstruction, but the rest are still drained so
+        // no queue is left holding a read.
+        let mut recon = vec![0u8; piece.len()];
         let mut recon_finish = self.clock.now_ns();
-        for (s, h) in recon_handles {
-            match h {
-                engine::ReadHandle::Hit(data) => survivors.push(data),
-                engine::ReadHandle::Pending(rid) => match self.spindles[s].drain_read(rid) {
+        let mut recon_ok = true;
+        let drained = self.xor_survivors(spindle, sector, &mut recon, |core, handle, tmp| {
+            match handle {
+                engine::ReadHandle::Hit(data) => tmp.copy_from_slice(&data),
+                engine::ReadHandle::Pending(rid) => match core.drain_read(rid) {
                     Ok(done) => {
                         recon_finish = recon_finish.max(done.finish_ns);
-                        survivors.push(done.data.expect("read without data"));
+                        tmp.copy_from_slice(done.data.as_deref().expect("read without data"));
                     }
                     Err(DiskError::Crashed) => return Err(DiskError::Crashed),
                     Err(_) => recon_ok = false,
                 },
             }
-        }
+            Ok(())
+        });
+        let recon = match drained {
+            Ok(()) if recon_ok => Some(recon),
+            Err(DiskError::Crashed) => return Err(DiskError::Crashed),
+            _ => None,
+        };
         let direct = match self.spindles[spindle].drain_read(id) {
             Ok(done) => Some(done),
             Err(DiskError::Crashed) => return Err(DiskError::Crashed),
             Err(_) => None,
         };
-        let xor = recon_ok.then(|| {
-            let mut xor = vec![0u8; piece.len()];
-            for data in &survivors {
-                xor_into(&mut xor, data);
-            }
-            xor
-        });
-        match (direct, xor) {
-            (Some(done), Some(xor)) => {
+        match (direct, recon) {
+            (Some(done), recon) => {
                 let data = done.data.as_deref().expect("read without data");
-                assert_eq!(
-                    xor, data,
-                    "hedged reconstruction diverged from the direct read"
-                );
-                if recon_finish < done.finish_ns {
-                    self.spindles[spindle].record_hedge_win();
-                    self.obs.reconstructions.inc();
+                let mut finish = done.finish_ns;
+                match recon {
+                    Some(recon) if recon != data => self.obs.registry.event(
+                        self.clock.now_ns(),
+                        "hedge",
+                        format!(
+                            "spindle {spindle} sector={sector}: reconstruction diverged from \
+                             the direct read, serving the direct bytes"
+                        ),
+                    ),
+                    Some(_) if recon_finish < done.finish_ns => {
+                        self.spindles[spindle].record_hedge_win();
+                        self.obs.reconstructions.inc();
+                        finish = recon_finish;
+                    }
+                    // The reconstruction lost, or fell apart: the race
+                    // cost nothing extra.
+                    _ => {}
                 }
-                self.clock.advance_to_ns(recon_finish.min(done.finish_ns));
+                self.clock.advance_to_ns(finish);
                 piece.copy_from_slice(data);
                 Ok(false)
             }
-            (Some(done), None) => {
-                // The reconstruction fell apart; the direct read still
-                // answered — the race just cost nothing extra.
-                self.clock.advance_to_ns(done.finish_ns);
-                piece.copy_from_slice(done.data.as_deref().expect("read without data"));
-                Ok(false)
-            }
-            (None, Some(xor)) => {
+            (None, Some(recon)) => {
                 // The slow spindle also failed the read: the
                 // reconstruction is authoritative — exactly the
                 // degraded path, already paid for.
                 self.clock.advance_to_ns(recon_finish);
-                piece.copy_from_slice(&xor);
+                piece.copy_from_slice(&recon);
                 self.spindles[spindle].record_hedge_win();
                 self.obs.reconstructions.inc();
                 Ok(true)
@@ -1220,11 +1231,11 @@ impl StripedVolume {
         }
     }
 
-    /// The parity-maintaining write. Pieces are grouped by chunk row
-    /// (under a parity policy no sub-request ever spans two rows —
-    /// rotation breaks physical contiguity at every row boundary, so
-    /// the splitter cannot merge across one) and each touched row's
-    /// parity chunk is updated in the same request:
+    /// The parity chunk each row a write touches needs afterwards, as
+    /// `(spindle, physical sector, bytes)`. Pieces are grouped by chunk
+    /// row (under a parity policy no sub-request ever spans two rows —
+    /// rotation breaks physical contiguity at every row boundary, so the
+    /// splitter cannot merge across one):
     ///
     /// - **Full row** (every data chunk covered whole — the normal case
     ///   for LFS segment writes under [`crate::ParitySegment`]): parity
@@ -1232,20 +1243,21 @@ impl StripedVolume {
     /// - **Partial row**: read-modify-write,
     ///   `parity' = parity ⊕ Σ (old ⊕ new)` over the written pieces,
     ///   with any unavailable old content reconstructed from the
-    ///   survivors.
+    ///   survivors ([`StripedVolume::read_physical`]).
     ///
-    /// Pieces bound for a dead spindle are not written — the updated
-    /// parity absorbs their content, so reads reconstruct the new data.
-    /// A dead *parity* spindle leaves its rows unprotected (data writes
-    /// through normally) until rebuild re-derives it. Rebuilding
-    /// spindles are written through so finished rows stay fresh.
-    fn write_parity(
+    /// Every row's parity is computed before any write is issued, so
+    /// RMW reads see pre-request state. A dead *parity* spindle leaves
+    /// its rows unprotected (data writes through normally) until
+    /// rebuild re-derives them. Empty under RAID-0.
+    fn row_parity(
         &mut self,
         subs: &[SubRequest],
         base_sector: u64,
         buf: &[u8],
-        sync: bool,
-    ) -> DiskResult<()> {
+    ) -> DiskResult<Vec<(usize, u64, Vec<u8>)>> {
+        if !self.layout.parity {
+            return Ok(Vec::new());
+        }
         let n = self.spindles.len();
         let chunk = self.layout.chunk_sectors;
         let dpr = self.layout.data_per_row(n);
@@ -1259,8 +1271,6 @@ impl StripedVolume {
             );
             rows.entry(row).or_default().push(i);
         }
-        // Compute every touched row's parity piece before issuing any
-        // write, so RMW reads of old content see pre-request state.
         let mut parity_pieces: Vec<(usize, u64, Vec<u8>)> = Vec::new();
         for (&row, idxs) in &rows {
             let p = self
@@ -1268,9 +1278,6 @@ impl StripedVolume {
                 .parity_spindle(row, n)
                 .expect("parity layout always parks parity");
             if self.states[p] == SpindleState::Dead {
-                // The row's parity chunk died with its spindle: data
-                // writes through unprotected until rebuild re-derives
-                // the chunk from the new contents.
                 continue;
             }
             let row_base = row * chunk;
@@ -1286,9 +1293,6 @@ impl StripedVolume {
                     .all(|&i| subs[i].sector == row_base && subs[i].sectors == chunk);
             let mut parity = vec![0u8; (hi - lo) as usize * SECTOR_SIZE];
             if full_cover {
-                // The LFS fast path: a whole row (one full segment
-                // under ParitySegment) derives parity from the write
-                // buffer alone.
                 for &i in idxs {
                     let sub = &subs[i];
                     xor_into(&mut parity, &buf[sub.offset..sub.offset + sub.bytes()]);
@@ -1312,63 +1316,36 @@ impl StripedVolume {
             }
             parity_pieces.push((p, row_base + lo, parity));
         }
-        // Writes carry the same media-inflation signal reads do, and
-        // they touch every spindle on every flush — feeding them makes
-        // the monitor converge on a limping drive within a handful of
-        // segment writes instead of waiting for reads to land on it.
-        // Evictions are applied only after every started piece has
-        // landed: killing a spindle discards its queue.
-        let mut evict: Vec<usize> = Vec::new();
-        if !sync {
-            for sub in subs {
-                if self.states[sub.spindle] == SpindleState::Dead {
-                    continue;
-                }
-                let piece = &buf[sub.offset..sub.offset + sub.bytes()];
-                self.feed_health(sub.spindle, sub.sector, sub.bytes() as u64, &mut evict);
-                if let Err(e) = self.spindles[sub.spindle].submit_async_write(sub.sector, piece) {
-                    return Err(self.translate(sub.spindle, e));
-                }
-            }
-            for (p, sector, parity) in &parity_pieces {
-                self.feed_health(*p, *sector, parity.len() as u64, &mut evict);
-                if let Err(e) = self.spindles[*p].submit_async_write(*sector, parity) {
-                    return Err(self.translate_parity(e));
-                }
-            }
-            for i in evict {
-                self.auto_evict(i);
-            }
-            return Ok(());
-        }
-        // Sync: start every piece — data and parity — before finishing
-        // any, so the spindles seek in parallel.
-        let mut ids: Vec<(usize, u64, bool)> = Vec::new();
-        for sub in subs {
-            if self.states[sub.spindle] == SpindleState::Dead {
-                continue;
-            }
-            let piece = &buf[sub.offset..sub.offset + sub.bytes()];
-            self.feed_health(sub.spindle, sub.sector, sub.bytes() as u64, &mut evict);
-            match self.spindles[sub.spindle].start_sync_write(sub.sector, piece) {
-                Ok(id) => ids.push((sub.spindle, id, false)),
-                Err(e) => return Err(self.translate(sub.spindle, e)),
+        Ok(parity_pieces)
+    }
+
+    /// The one piece writer. Async pieces go straight into their
+    /// spindles' queues, pushing out per-spindle busy horizons in
+    /// parallel; sync pieces are all started before any is finished, so
+    /// the spindles seek in parallel. Writes carry the same
+    /// media-inflation signal reads do and touch every spindle on every
+    /// flush, so each piece feeds the health monitor; evictions are
+    /// applied only once every piece has landed, since killing a
+    /// spindle discards its queue. A failed piece aborts the write.
+    fn write_pieces(&mut self, pieces: &[WritePiece], sync: bool) -> DiskResult<()> {
+        let mut evict = Vec::new();
+        let mut started = Vec::with_capacity(pieces.len());
+        for p in pieces {
+            self.feed_health(p.spindle, p.sector, p.data.len() as u64, &mut evict);
+            let core = &mut self.spindles[p.spindle];
+            let submitted = if sync {
+                core.start_sync_write(p.sector, p.data)
+                    .map(|id| started.push(id))
+            } else {
+                core.submit_async_write(p.sector, p.data)
+            };
+            if let Err(e) = submitted {
+                return Err(self.piece_error(p, e));
             }
         }
-        for (p, sector, parity) in &parity_pieces {
-            self.feed_health(*p, *sector, parity.len() as u64, &mut evict);
-            match self.spindles[*p].start_sync_write(*sector, parity) {
-                Ok(id) => ids.push((*p, id, true)),
-                Err(e) => return Err(self.translate_parity(e)),
-            }
-        }
-        for (spindle, id, is_parity) in ids {
-            if let Err(e) = self.spindles[spindle].finish_write(id) {
-                return Err(if is_parity {
-                    self.translate_parity(e)
-                } else {
-                    self.translate(spindle, e)
-                });
+        for (p, id) in pieces.iter().zip(started) {
+            if let Err(e) = self.spindles[p.spindle].finish_write(id) {
+                return Err(self.piece_error(p, e));
             }
         }
         for i in evict {
@@ -1377,40 +1354,15 @@ impl StripedVolume {
         Ok(())
     }
 
-    /// Error translation for parity-chunk I/O: crashes latch, anything
-    /// else keeps its physical sector — a parity address has no logical
-    /// equivalent to translate to.
-    fn translate_parity(&mut self, e: DiskError) -> DiskError {
-        if e == DiskError::Crashed {
-            self.crashed = true;
+    /// A write piece's error in the volume's terms: a data piece's
+    /// sector translates to its logical address; a parity chunk's has
+    /// no logical equivalent and keeps its physical sector.
+    fn piece_error(&mut self, piece: &WritePiece, e: DiskError) -> DiskError {
+        if piece.parity {
+            self.latch(e)
+        } else {
+            self.translate(piece.spindle, e)
         }
-        e
-    }
-
-    fn write_subs(&mut self, subs: &[SubRequest], buf: &[u8], sync: bool) -> DiskResult<()> {
-        if !sync {
-            for sub in subs {
-                let piece = &buf[sub.offset..sub.offset + sub.bytes()];
-                if let Err(e) = self.spindles[sub.spindle].submit_async_write(sub.sector, piece) {
-                    return Err(self.translate(sub.spindle, e));
-                }
-            }
-            return Ok(());
-        }
-        let mut ids = Vec::with_capacity(subs.len());
-        for sub in subs {
-            let piece = &buf[sub.offset..sub.offset + sub.bytes()];
-            match self.spindles[sub.spindle].start_sync_write(sub.sector, piece) {
-                Ok(id) => ids.push(id),
-                Err(e) => return Err(self.translate(sub.spindle, e)),
-            }
-        }
-        for (sub, id) in subs.iter().zip(ids) {
-            if let Err(e) = self.spindles[sub.spindle].finish_write(id) {
-                return Err(self.translate(sub.spindle, e));
-            }
-        }
-        Ok(())
     }
 
     /// Drains every spindle's queue and waits for all of them to go
@@ -1541,22 +1493,6 @@ impl VolumeDisk {
         &self.0
     }
 
-    /// Writes persisted so far across all spindles (global persist
-    /// order).
-    pub fn global_writes(&self) -> u64 {
-        self.0.borrow().global_writes()
-    }
-
-    /// True once the volume has crashed.
-    pub fn has_crashed(&self) -> bool {
-        self.0.borrow().has_crashed()
-    }
-
-    /// Arms the same crash plan on every spindle (shared write index).
-    pub fn arm_crash_all(&self, plan: CrashPlan) {
-        self.0.borrow_mut().arm_crash_all(plan);
-    }
-
     /// Consumes the last handle and returns each spindle's surviving
     /// image.
     ///
@@ -1569,52 +1505,6 @@ impl VolumeDisk {
             .expect("into_images: other volume handles still alive")
             .into_inner()
             .into_images()
-    }
-
-    /// Availability of spindle `i` (see [`StripedVolume::spindle_state`]).
-    pub fn spindle_state(&self, i: usize) -> SpindleState {
-        self.0.borrow().spindle_state(i)
-    }
-
-    /// Kills spindle `i` (see [`StripedVolume::kill_spindle`]).
-    pub fn kill_spindle(&self, i: usize) {
-        self.0.borrow_mut().kill_spindle(i);
-    }
-
-    /// Swaps in a replacement and starts the online rebuild (see
-    /// [`StripedVolume::replace_spindle`]).
-    pub fn replace_spindle(&self, i: usize, policy: RebuildPolicy) -> DiskResult<()> {
-        self.0.borrow_mut().replace_spindle(i, policy)
-    }
-
-    /// Arms fail-slow health monitoring (see
-    /// [`StripedVolume::set_health_policy`]).
-    pub fn set_health_policy(&self, policy: HealthPolicy) {
-        self.0.borrow_mut().set_health_policy(policy);
-    }
-
-    /// Stocks hot spares for automatic failover (see
-    /// [`StripedVolume::set_hot_spares`]).
-    pub fn set_hot_spares(&self, n: usize) {
-        self.0.borrow_mut().set_hot_spares(n);
-    }
-
-    /// Sets the rebuild policy used when a hot spare swaps in (see
-    /// [`StripedVolume::set_spare_rebuild_policy`]).
-    pub fn set_spare_rebuild_policy(&self, policy: RebuildPolicy) {
-        self.0.borrow_mut().set_spare_rebuild_policy(policy);
-    }
-
-    /// The health monitor's verdict on spindle `i` (see
-    /// [`StripedVolume::health_state`]).
-    pub fn health_state(&self, i: usize) -> Option<HealthState> {
-        self.0.borrow().health_state(i)
-    }
-
-    /// Rewrites stale parity from the authoritative data chunks (see
-    /// [`StripedVolume::resync_parity`]).
-    pub fn resync_parity(&self) -> DiskResult<u64> {
-        self.0.borrow_mut().resync_parity()
     }
 }
 

@@ -148,6 +148,39 @@ fn hedged_race_covers_a_direct_read_that_errors() {
     assert!(snap.counter("volume.degraded_reads") > 0);
 }
 
+/// A hedged race whose two sides disagree — the slow spindle's media
+/// rotted, so its direct read and the survivors' XOR differ — serves
+/// the direct bytes, exactly what the unhedged read returns (judging
+/// them is the file system's checksums' job), and says so in a `hedge`
+/// event instead of panicking.
+#[test]
+fn a_hedged_race_whose_sides_disagree_serves_the_direct_bytes() {
+    let (mut hedged, _, _) = filled_volume(Some(HEDGE_DEADLINE_NS));
+    let (mut plain, _, _) = filled_volume(None);
+    for vol in [&mut hedged, &mut plain] {
+        let mut plan =
+            MediaFaultPlan::new(0xFA11).fail_slow(FailSlowProfile::at(0).with_multiplier_pct(3000));
+        for s in 0..64 {
+            plan = plan.rot(s);
+        }
+        vol.spindle_mut(SLOW_SPINDLE)
+            .disk_mut()
+            .inject_media_faults(plan);
+    }
+    let mut got = vec![0u8; 64 * SECTOR_SIZE];
+    let mut want = vec![0u8; 64 * SECTOR_SIZE];
+    hedged.read(0, &mut got).unwrap();
+    plain.read(0, &mut want).unwrap();
+    assert_eq!(got, want, "the hedged read must return the unhedged bytes");
+    let events = hedged.obs().snapshot().events;
+    assert!(
+        events
+            .iter()
+            .any(|e| e.kind == "hedge" && e.detail.contains("diverged")),
+        "the disagreement left no hedge event"
+    );
+}
+
 /// The health monitor notices the fail-slow spindle, evicts it, fails
 /// over to the hot spare, and the rebuild converges — with zero
 /// operator actions and no byte ever served wrong.

@@ -155,6 +155,25 @@ fn degraded_read_reports_the_logical_sector() {
     assert_eq!(chunk, patterned(0x77, CHUNK_SECTORS));
 }
 
+/// A RAID-0 read whose piece fails at submission (its spindle is dead)
+/// still finishes every piece it started: the error is the failed
+/// piece's logical sector and no spindle queue is left holding a read.
+#[test]
+fn a_read_failing_at_submission_finishes_its_started_pieces() {
+    let (mut vol, _clock) = volume(3, StripePolicyKind::Interleave);
+    vol.write(0, &patterned(0x5A, 6 * CHUNK_SECTORS), true)
+        .unwrap();
+    vol.kill_spindle(1);
+    let mut buf = vec![0u8; 6 * CHUNK_BYTES];
+    assert_eq!(
+        vol.read(0, &mut buf),
+        Err(DiskError::Unreadable {
+            sector: CHUNK_SECTORS
+        })
+    );
+    assert_eq!(vol.queue_depth(), 0, "a started piece was left queued");
+}
+
 /// A transient fault on one spindle is ridden out by that spindle's
 /// engine retry policy; the joined read succeeds with intact data.
 #[test]
