@@ -11,7 +11,8 @@
 # `--bless` rewrites the stdout files and `SHA256SUMS` from this tree
 # instead of checking them: only after a change whose every moved
 # number is listed and explained; `git diff bench-baseline/` is then the
-# list.
+# list of moved rows, and `scripts/bench_json_diff.sh PARENT.json
+# CHANGE.json` lists a moved row's cells against the parent's JSON.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 unset BENCH_OUT_DIR
@@ -52,7 +53,7 @@ done <"$base/ROWS"
 if $bless; then
     [ "$bad" -eq 0 ] || { echo "not blessing SHA256SUMS: a row failed" >&2; exit 1; }
     cp "$sums" "$base/SHA256SUMS"
-    echo "blessed; review with: git diff $base/" >&2
+    echo "blessed; review with: git diff $base/ and scripts/bench_json_diff.sh" >&2
 fi
 echo "bench_check: $total s wall over all rows" >&2
 [ "$bad" -eq 0 ] && echo "bench_check: all rows ok" >&2

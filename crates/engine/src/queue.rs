@@ -172,16 +172,6 @@ const TRACE_DECISIONS: u64 = 64;
 /// overflowing the shift or the clock.
 const MAX_BACKOFF_SHIFT: u32 = 20;
 
-/// A non-blocking read tracked by token (the
-/// [`BlockDevice::start_read_async`] facade over
-/// [`EngineCore::start_read`]).
-enum TrackedRead {
-    /// Served from a queued write's payload at start time.
-    Hit(Vec<u8>),
-    /// Waiting in the device queue.
-    Queued { id: u64, sector: u64, len: usize },
-}
-
 /// The shared request-engine state: disk, queue, and accounting.
 pub struct EngineCore {
     disk: SimDisk,
@@ -193,8 +183,9 @@ pub struct EngineCore {
     /// When set, new submissions belong to the maintenance class
     /// regardless of `current_client`.
     maintenance: bool,
-    /// Token → in-flight tracked read (the async-read facade).
-    tracked_reads: BTreeMap<u64, TrackedRead>,
+    /// Token → in-flight read of [`EngineDisk`]'s
+    /// [`BlockDevice::start_read_async`] facade.
+    tracked_reads: BTreeMap<u64, ReadHandle>,
     next_read_token: u64,
     /// Request id → clients credited with it (a coalesced request
     /// carries every contributor).
@@ -202,7 +193,7 @@ pub struct EngineCore {
     /// Requests serviced in the background (pick order reached them
     /// before their submitter waited) hold their completion — a read's
     /// payload or media error, a started sync write's finish time — here
-    /// until claimed by `wait_for`. Only the split start/finish API
+    /// until the claim loop takes it. Only the split start/finish API
     /// leaves requests pending long enough for this to happen, e.g. a
     /// striped volume with several pieces outstanding on one spindle.
     unclaimed: BTreeMap<u64, DiskResult<IoCompletion>>,
@@ -327,7 +318,7 @@ impl EngineCore {
         self.unclaimed.clear();
         self.awaited_writes.clear();
         self.tracked_reads
-            .retain(|_, t| matches!(t, TrackedRead::Hit(_)));
+            .retain(|_, h| matches!(h, ReadHandle::Hit(_)));
         self.obs.queue_depth.set(0);
     }
 
@@ -581,33 +572,34 @@ impl EngineCore {
         Ok(())
     }
 
-    /// Services queued requests (in pick order) until `id` completes,
-    /// then advances the clock to its finish: the caller waited for it.
+    /// The claim loop: services queued requests in pick order until
+    /// `id` completes, and hands over its completion.
     ///
     /// `id` may already have been serviced in the background (its
     /// outcome is then claimed from `unclaimed`), and siblings picked
     /// ahead of `id` are stashed there for their own waiters rather
-    /// than discarded.
-    fn wait_for(&mut self, id: u64) -> DiskResult<IoCompletion> {
-        loop {
+    /// than discarded. Only when a caller `waited` is the completion
+    /// tagged sync and the clock advanced to its finish.
+    fn claim(&mut self, id: u64, waited: bool) -> DiskResult<IoCompletion> {
+        let done = loop {
             if let Some(res) = self.unclaimed.remove(&id) {
-                let done = res?;
-                self.clock.advance_to_ns(done.finish_ns);
-                return Ok(done);
+                break res?;
             }
-            let t = self.pick_time().expect("wait_for a request not in the queue");
+            let t = self.pick_time().expect("claim of a request not in the queue");
             let (picked, aged) = self.pick_id(t);
             if aged {
                 self.obs.aged_picks.inc();
             }
             if picked == id {
                 self.awaited_writes.remove(&id);
-                let done = self.complete_with_bookkeeping(picked, true)?;
-                self.clock.advance_to_ns(done.finish_ns);
-                return Ok(done);
+                break self.complete_with_bookkeeping(picked, waited)?;
             }
             self.service_background(picked)?;
+        };
+        if waited {
+            self.clock.advance_to_ns(done.finish_ns);
         }
+        Ok(done)
     }
 
     /// Predicted virtual completion time of request `id`: if it was
@@ -735,20 +727,7 @@ impl EngineCore {
     /// race is drained: the foreground pays only the winner's latency
     /// while the loser still physically occupies its spindle.
     pub fn drain_read(&mut self, id: u64) -> DiskResult<IoCompletion> {
-        loop {
-            if let Some(res) = self.unclaimed.remove(&id) {
-                return res;
-            }
-            let t = self.pick_time().expect("drain_read a request not in the queue");
-            let (picked, aged) = self.pick_id(t);
-            if aged {
-                self.obs.aged_picks.inc();
-            }
-            if picked == id {
-                return self.complete_with_bookkeeping(picked, false);
-            }
-            self.service_background(picked)?;
-        }
+        self.claim(id, false)
     }
 
     /// Services `picked` on behalf of nobody: a completed read (or its
@@ -928,8 +907,7 @@ impl EngineCore {
     /// queued requests are serviced in pick order until `id` completes,
     /// and the clock advances to its finish time.
     pub fn finish_write(&mut self, id: u64) -> DiskResult<()> {
-        self.wait_for(id)?;
-        Ok(())
+        self.claim(id, true).map(|_| ())
     }
 
     /// Performs a read. Reads wholly contained in a queued write are
@@ -938,7 +916,7 @@ impl EngineCore {
     /// waited for.
     pub fn do_read(&mut self, sector: u64, buf: &mut [u8]) -> DiskResult<()> {
         let handle = self.start_read(sector, buf.len())?;
-        self.finish_read(handle, sector, buf)
+        self.finish_read(handle, buf)
     }
 
     /// Starts a read of `len` bytes at `sector` without waiting for it;
@@ -963,29 +941,24 @@ impl EngineCore {
         self.drain_overlapping(sector, len)?;
         let id = self.disk.submit_read(sector, len)?;
         self.note_submitted(id);
-        Ok(ReadHandle::Pending(id))
+        Ok(ReadHandle::Pending { id, sector, len })
     }
 
     /// Finishes a read started with [`EngineCore::start_read`], filling
     /// `buf`. Media errors ([`DiskError::Unreadable`]) are retried with
     /// exponential backoff up to the configured budget; each retry is a
     /// fresh submission (the disk consumed the failed attempt).
-    pub fn finish_read(
-        &mut self,
-        handle: ReadHandle,
-        sector: u64,
-        buf: &mut [u8],
-    ) -> DiskResult<()> {
-        let mut id = match handle {
+    pub fn finish_read(&mut self, handle: ReadHandle, buf: &mut [u8]) -> DiskResult<()> {
+        let (mut id, sector) = match handle {
             ReadHandle::Hit(data) => {
                 buf.copy_from_slice(&data);
                 return Ok(());
             }
-            ReadHandle::Pending(id) => id,
+            ReadHandle::Pending { id, sector, .. } => (id, sector),
         };
         let mut attempt = 0u32;
         loop {
-            match self.wait_for(id) {
+            match self.claim(id, true) {
                 Ok(done) => {
                     buf.copy_from_slice(done.data.as_deref().expect("read without data"));
                     return Ok(());
@@ -1028,40 +1001,6 @@ impl EngineCore {
         }
     }
 
-    /// Starts a token-tracked non-blocking read (the engine side of
-    /// [`BlockDevice::start_read_async`]): the read is submitted to the
-    /// queue and virtual time keeps moving under other traffic until
-    /// [`EngineCore::finish_tracked_read`] claims it — if the device
-    /// serviced it in the background meanwhile, claiming it costs no
-    /// additional time at all.
-    pub fn start_tracked_read(&mut self, sector: u64, len: usize) -> DiskResult<u64> {
-        let handle = self.start_read(sector, len)?;
-        let token = self.next_read_token;
-        self.next_read_token += 1;
-        let entry = match handle {
-            ReadHandle::Hit(data) => TrackedRead::Hit(data),
-            ReadHandle::Pending(id) => TrackedRead::Queued { id, sector, len },
-        };
-        self.tracked_reads.insert(token, entry);
-        Ok(token)
-    }
-
-    /// Completes a read started by [`EngineCore::start_tracked_read`].
-    pub fn finish_tracked_read(&mut self, token: u64) -> DiskResult<Vec<u8>> {
-        match self
-            .tracked_reads
-            .remove(&token)
-            .expect("finish_tracked_read: unknown token")
-        {
-            TrackedRead::Hit(data) => Ok(data),
-            TrackedRead::Queued { id, sector, len } => {
-                let mut buf = vec![0u8; len];
-                self.finish_read(ReadHandle::Pending(id), sector, &mut buf)?;
-                Ok(buf)
-            }
-        }
-    }
-
     /// Drains the whole queue (in pick order) and waits for the device
     /// to go idle: the durability barrier.
     pub fn flush_all(&mut self) -> DiskResult<()> {
@@ -1074,13 +1013,24 @@ impl EngineCore {
     }
 }
 
-/// An in-flight read started with [`EngineCore::start_read`].
+/// An in-flight read started with [`EngineCore::start_read`]: all a
+/// caller keeps of it until [`EngineCore::finish_read`] claims it — an
+/// [`EngineDisk`] async-read token and a striped volume's tracked read
+/// both map straight to one.
 #[derive(Debug)]
 pub enum ReadHandle {
     /// Served from a queued write's payload; no disk request was made.
     Hit(Vec<u8>),
-    /// Submitted to the device queue under this request id.
-    Pending(u64),
+    /// Submitted to the device queue: request `id`, reading `len` bytes
+    /// at `sector` (a media-error retry resubmits that range).
+    Pending {
+        /// The device request id.
+        id: u64,
+        /// First sector read.
+        sector: u64,
+        /// Length in bytes.
+        len: usize,
+    },
 }
 
 /// A cheap [`BlockDevice`] handle onto a shared [`EngineCore`].
@@ -1137,13 +1087,34 @@ impl BlockDevice for EngineDisk {
         self.0.borrow_mut().set_maintenance(on);
     }
 
+    /// The read is submitted to the queue and virtual time keeps moving
+    /// under other traffic until the token is claimed — if the device
+    /// serviced it in the background meanwhile, claiming it costs no
+    /// additional time at all.
     fn start_read_async(&mut self, sector: u64, len: usize) -> Option<u64> {
+        let mut core = self.0.borrow_mut();
         // A submission error (crash) falls back to the synchronous path,
         // which reports it properly.
-        self.0.borrow_mut().start_tracked_read(sector, len).ok()
+        let handle = core.start_read(sector, len).ok()?;
+        let token = core.next_read_token;
+        core.next_read_token += 1;
+        core.tracked_reads.insert(token, handle);
+        Some(token)
     }
 
     fn finish_read_async(&mut self, token: u64) -> DiskResult<Vec<u8>> {
-        self.0.borrow_mut().finish_tracked_read(token)
+        let mut core = self.0.borrow_mut();
+        let handle = core
+            .tracked_reads
+            .remove(&token)
+            .expect("finish_read_async: unknown token");
+        match handle {
+            ReadHandle::Hit(data) => Ok(data),
+            ReadHandle::Pending { len, .. } => {
+                let mut buf = vec![0u8; len];
+                core.finish_read(handle, &mut buf)?;
+                Ok(buf)
+            }
+        }
     }
 }

@@ -37,14 +37,12 @@ fn hedge_never_fires_on_a_healthy_disk_with_a_sane_deadline() {
     core.borrow_mut().config_mut().hedge_deadline_ns = Some(deadline);
 
     let handle = core.borrow_mut().start_read(100, SECTOR_SIZE).unwrap();
-    let ReadHandle::Pending(id) = handle else {
+    let ReadHandle::Pending { id, .. } = handle else {
         panic!("expected a queued read");
     };
     assert!(!core.borrow_mut().hedge_overdue(id));
     let mut buf = vec![0u8; SECTOR_SIZE];
-    core.borrow_mut()
-        .finish_read(ReadHandle::Pending(id), 100, &mut buf)
-        .unwrap();
+    core.borrow_mut().finish_read(handle, &mut buf).unwrap();
     assert_eq!(buf, vec![7; SECTOR_SIZE]);
     let snap = core.borrow().disk().obs().snapshot();
     assert_eq!(snap.counter("engine.hedges"), 0, "vacuity: healthy disk");
@@ -65,7 +63,7 @@ fn hedge_fires_on_a_fail_slow_disk_and_counts_once_per_report() {
     );
 
     let handle = core.borrow_mut().start_read(100, SECTOR_SIZE).unwrap();
-    let ReadHandle::Pending(id) = handle else {
+    let ReadHandle::Pending { id, .. } = handle else {
         panic!("expected a queued read");
     };
     assert!(core.borrow_mut().hedge_overdue(id));
@@ -74,9 +72,7 @@ fn hedge_fires_on_a_fail_slow_disk_and_counts_once_per_report() {
 
     // The original stays in flight and still returns correct bytes.
     let mut buf = vec![0u8; SECTOR_SIZE];
-    core.borrow_mut()
-        .finish_read(ReadHandle::Pending(id), 100, &mut buf)
-        .unwrap();
+    core.borrow_mut().finish_read(handle, &mut buf).unwrap();
     assert_eq!(buf, vec![9; SECTOR_SIZE]);
 }
 
@@ -89,7 +85,7 @@ fn hedge_is_off_without_a_deadline_even_under_fail_slow() {
         MediaFaultPlan::new(0).fail_slow(FailSlowProfile::at(0).with_multiplier_pct(1000)),
     );
     let handle = core.borrow_mut().start_read(50, SECTOR_SIZE).unwrap();
-    let ReadHandle::Pending(id) = handle else {
+    let ReadHandle::Pending { id, .. } = handle else {
         panic!("expected a queued read");
     };
     assert!(!core.borrow_mut().hedge_overdue(id));
@@ -98,9 +94,7 @@ fn hedge_is_off_without_a_deadline_even_under_fail_slow() {
         0
     );
     let mut buf = vec![0u8; SECTOR_SIZE];
-    core.borrow_mut()
-        .finish_read(ReadHandle::Pending(id), 50, &mut buf)
-        .unwrap();
+    core.borrow_mut().finish_read(handle, &mut buf).unwrap();
 }
 
 #[test]
@@ -110,7 +104,7 @@ fn drain_read_completes_without_advancing_the_clock() {
     dev.write(200, &vec![4; SECTOR_SIZE], true).unwrap();
 
     let handle = core.borrow_mut().start_read(200, SECTOR_SIZE).unwrap();
-    let ReadHandle::Pending(id) = handle else {
+    let ReadHandle::Pending { id, .. } = handle else {
         panic!("expected a queued read");
     };
     let predicted = core.borrow().estimated_finish_ns(id).unwrap();
@@ -136,7 +130,7 @@ fn estimated_finish_covers_background_serviced_reads() {
     // background (policy order), parking it in the unclaimed stash.
     let ha = core.borrow_mut().start_read(10, SECTOR_SIZE).unwrap();
     let hb = core.borrow_mut().start_read(20, SECTOR_SIZE).unwrap();
-    let (ReadHandle::Pending(a), ReadHandle::Pending(b)) = (ha, hb) else {
+    let (ReadHandle::Pending { id: a, .. }, ReadHandle::Pending { id: b, .. }) = (ha, hb) else {
         panic!("expected queued reads");
     };
     core.borrow_mut().drain_read(b).unwrap();

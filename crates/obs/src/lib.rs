@@ -174,22 +174,6 @@ impl Hist {
         self.0.lock().unwrap().sum
     }
 
-    /// Folds another histogram's observations into this one.
-    pub fn merge_from(&self, other: &Hist) {
-        if Arc::ptr_eq(&self.0, &other.0) {
-            return;
-        }
-        let other = other.0.lock().unwrap();
-        let mut data = self.0.lock().unwrap();
-        for (slot, n) in data.counts.iter_mut().zip(other.counts.iter()) {
-            *slot += n;
-        }
-        data.count += other.count;
-        data.sum += other.sum;
-        data.min = data.min.min(other.min);
-        data.max = data.max.max(other.max);
-    }
-
     fn snapshot(&self) -> HistSnapshot {
         let data = self.0.lock().unwrap();
         HistSnapshot {

@@ -182,11 +182,6 @@ impl MediaFaultPlan {
         self.faults.is_empty()
     }
 
-    /// The fault (if any) currently armed on `sector`.
-    pub fn fault_at(&self, sector: u64) -> Option<MediaFault> {
-        self.faults.get(&sector).copied()
-    }
-
     /// The deterministic non-zero XOR mask bit-rot applies to every byte
     /// of `sector` (a splitmix64-style mix of seed and sector).
     pub fn rot_mask(&self, sector: u64) -> u8 {

@@ -13,8 +13,9 @@ use crate::geometry::DiskGeometry;
 use crate::stats::{AccessKind, AccessRecord, AccessTrace, DiskObs, IoStats};
 use crate::SECTOR_SIZE;
 
-/// A request waiting in the device queue, submitted through the
-/// asynchronous [`SimDisk::submit_read`] / [`SimDisk::submit_write`] path.
+/// A request in the device queue, submitted with [`SimDisk::submit_read`]
+/// / [`SimDisk::submit_write`] (a [`BlockDevice`] call submits one too and
+/// services it at once).
 ///
 /// A queued request has no effect on the platter, the head, the clock, or
 /// any statistic until [`SimDisk::complete`] services it — an I/O scheduler
@@ -95,20 +96,6 @@ pub struct IoCompletion {
     pub data: Option<Vec<u8>>,
 }
 
-/// Arguments for recording one serviced request into obs and the trace.
-struct Serviced {
-    kind: AccessKind,
-    sector: u64,
-    bytes: u64,
-    sync: bool,
-    issued_at_ns: u64,
-    seek_ns: u64,
-    rotation_ns: u64,
-    transfer_ns: u64,
-    stall_ns: u64,
-    sequential: bool,
-}
-
 /// A disk with a seek + rotation + transfer cost model over a virtual clock.
 ///
 /// The device behaves as a single-server queue. Every request is serviced
@@ -121,11 +108,14 @@ struct Serviced {
 /// * Any other request is **random**: it pays a distance-dependent seek
 ///   plus average rotational latency plus transfer time.
 ///
-/// Synchronous requests (all reads, and writes with `sync = true`) advance
-/// the shared [`Clock`] to their completion time — the caller waits.
-/// Asynchronous writes only push out the device's busy horizon; the virtual
-/// CPU keeps running. [`BlockDevice::flush`] waits for the horizon, which is
-/// how the harness closes a measurement phase.
+/// Every request is serviced by one routine, whether a [`BlockDevice`]
+/// call issued it or a scheduler queued it and claimed it with
+/// [`SimDisk::complete`]; synchronous versus asynchronous only decides
+/// who waits. A synchronous call (every read, and writes with
+/// `sync = true`) advances the shared [`Clock`] to its completion time.
+/// An asynchronous write only pushes out the device's busy horizon; the
+/// virtual CPU keeps running. [`BlockDevice::flush`] waits for the
+/// horizon, which is how the harness closes a measurement phase.
 #[derive(Debug)]
 pub struct SimDisk {
     geometry: DiskGeometry,
@@ -138,9 +128,9 @@ pub struct SimDisk {
     busy_until_ns: u64,
     /// Number of write requests persisted so far (for fault injection).
     ///
-    /// Counts in *persist order*: synchronous-path writes count when
-    /// issued, queued writes count when [`SimDisk::complete`] services
-    /// them.
+    /// Counts in *persist order*: a write counts when it is serviced —
+    /// a [`BlockDevice`] call's write at once, a queued write when
+    /// [`SimDisk::complete`] reaches it.
     write_index: u64,
     /// When set, crash plans index into this *shared* write counter
     /// instead of the per-disk one, so a multi-spindle volume can arm
@@ -213,7 +203,7 @@ impl SimDisk {
     }
 
     /// Accumulated I/O statistics: a view of the disk's obs counters
-    /// (the one ledger `record_serviced` writes).
+    /// (the one ledger the service routine writes).
     pub fn stats(&self) -> IoStats {
         self.obs.stats()
     }
@@ -362,34 +352,6 @@ impl SimDisk {
         cost
     }
 
-    /// Runs one synchronous-path request through the queue model and
-    /// updates accounting. The caller is charged from *now*: service
-    /// starts once the device is idle, and synchronous requests advance
-    /// the clock to completion.
-    fn account(&mut self, kind: AccessKind, sector: u64, bytes: u64, sync: bool) -> (u64, bool) {
-        let issued_at = self.clock.now_ns();
-        let start = self.busy_until_ns.max(issued_at);
-        let (seek_ns, rotation_ns, transfer_ns, sequential) = self.service(sector, bytes);
-        let stall_ns = self.latency_fault_ns(start, seek_ns + rotation_ns + transfer_ns);
-        self.busy_until_ns = start + seek_ns + rotation_ns + transfer_ns + stall_ns;
-        if sync {
-            self.clock.advance_to_ns(self.busy_until_ns);
-        }
-        self.record_serviced(Serviced {
-            kind,
-            sector,
-            bytes,
-            sync,
-            issued_at_ns: issued_at,
-            seek_ns,
-            rotation_ns,
-            transfer_ns,
-            stall_ns,
-            sequential,
-        });
-        (seek_ns + rotation_ns + transfer_ns + stall_ns, sequential)
-    }
-
     /// Extra latency the armed fail-slow schedule charges a request whose
     /// service starts at `start_ns` (0 when none is armed).
     fn latency_fault_ns(&self, start_ns: u64, base_service_ns: u64) -> u64 {
@@ -420,55 +382,6 @@ impl SimDisk {
     pub fn estimate_service_ns(&self, start_ns: u64, sector: u64, bytes: u64) -> u64 {
         let base = self.estimate_base_service_ns(sector, bytes);
         base + self.latency_fault_ns(start_ns, base)
-    }
-
-    /// Records one serviced request into obs and the trace.
-    ///
-    /// This is the **only** place service time enters `busy_ns` and its
-    /// decomposition, and it runs exactly once per serviced request — on
-    /// the synchronous path when the request is issued, on the
-    /// submit/complete path when the request is completed. Queue wait is
-    /// accounted separately ([`IoStats::queue_wait_ns`]) and never counts
-    /// as busy time, so overlapped queueing cannot double-count service.
-    fn record_serviced(&mut self, s: Serviced) {
-        let service_ns = s.seek_ns + s.rotation_ns + s.transfer_ns + s.stall_ns;
-        self.obs.busy_ns.add(service_ns);
-        self.obs.seek_ns.add(s.seek_ns);
-        self.obs.rotation_ns.add(s.rotation_ns);
-        self.obs.transfer_ns.add(s.transfer_ns);
-        self.obs.stall_ns.add(s.stall_ns);
-        if s.sequential {
-            self.obs.sequential.inc();
-        } else {
-            self.obs.seeks.inc();
-        }
-        match s.kind {
-            AccessKind::Read => {
-                self.obs.reads.inc();
-                self.obs.bytes_read.add(s.bytes);
-                self.obs.read_lat.record(service_ns);
-            }
-            AccessKind::Write => {
-                self.obs.writes.inc();
-                self.obs.bytes_written.add(s.bytes);
-                self.obs.write_lat.record(service_ns);
-                if s.sync {
-                    self.obs.sync_writes.inc();
-                }
-            }
-        }
-
-        let label = std::mem::take(&mut self.next_label);
-        self.trace.record(AccessRecord {
-            kind: s.kind,
-            sector: s.sector,
-            bytes: s.bytes,
-            sync: s.sync,
-            sequential: s.sequential,
-            issued_at_ns: s.issued_at_ns,
-            service_ns,
-            label,
-        });
     }
 
     /// Evaluates the armed crash plan against the write that is about to
@@ -577,7 +490,7 @@ impl SimDisk {
         }
     }
 
-    // --- Asynchronous submit/complete path ------------------------------
+    // --- The request lifecycle: submit, then serve ----------------------
 
     /// Queues a read of `bytes` bytes at `sector` without servicing it.
     ///
@@ -700,20 +613,42 @@ impl SimDisk {
         req.data.as_mut().expect("write without payload").copy_from_slice(buf);
     }
 
-    /// Services queued request `id`: the head seeks to it, the payload
-    /// moves, and the request is accounted exactly once.
-    ///
-    /// Service starts when the device is free **and** the request has
-    /// been submitted (`start = max(busy_until, submitted_at)`); the gap
-    /// between submission and start is queue wait, which accumulates in
-    /// [`IoStats::queue_wait_ns`] — never in busy time. The clock is
-    /// *not* advanced: the caller decides whether anyone waited. `sync`
-    /// only tags the completion for statistics and tracing.
+    /// Services queued request `id` through the disk's one service
+    /// routine (the one every [`BlockDevice`] call uses): the head seeks
+    /// to it, the payload moves, and the request is accounted exactly
+    /// once. The clock is *not* advanced: the caller decides whether
+    /// anyone waited. `sync` only tags the completion for statistics and
+    /// tracing.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not a queued request.
     pub fn complete(&mut self, id: u64, sync: bool) -> DiskResult<IoCompletion> {
+        self.serve(id, sync, None)
+    }
+
+    /// The one service routine. Every request is serviced here exactly
+    /// once — a scheduler's queued request when it calls
+    /// [`SimDisk::complete`], a [`BlockDevice`] call's request the moment
+    /// it is submitted. Synchronous versus asynchronous is only about who
+    /// waits: this routine never touches the clock.
+    ///
+    /// Service starts when the device is free **and** the request has
+    /// been submitted (`start = max(busy_until, submitted_at)`); the gap
+    /// is queue wait, which accumulates in [`IoStats::queue_wait_ns`] —
+    /// never in busy time. This is the only place service time enters
+    /// `busy_ns` and its seek / rotation / transfer / stall
+    /// decomposition, so overlapped queueing cannot double-count it.
+    ///
+    /// A write first meets the crash plan (a crash lands only the torn
+    /// prefix) and clears the media faults it covers; with `hold` set —
+    /// an asynchronous write under an armed [`FaultMode::ReorderWindow`]
+    /// of that many writes — its payload goes to the volatile cache
+    /// instead of the platter. A read consumes its media-fault attempt,
+    /// returns rotted bytes as rotted, and sees data the volatile cache
+    /// still holds. The head travels even to an unreadable sector, so the
+    /// request is accounted before that error surfaces.
+    fn serve(&mut self, id: u64, sync: bool, hold: Option<usize>) -> DiskResult<IoCompletion> {
         if self.crashed {
             return Err(DiskError::Crashed);
         }
@@ -722,23 +657,23 @@ impl SimDisk {
             .iter()
             .position(|p| p.id == id)
             .expect("complete: unknown io id");
-        let req = self.pending.remove(pos);
+        let mut req = self.pending.remove(pos);
+        let count = req.bytes / SECTOR_SIZE as u64;
 
         let media = match req.kind {
             AccessKind::Write => {
                 self.dead_check(req.sector)?;
                 if let Some(persisted) = self.crash_check(req.sector, req.bytes as usize) {
-                    let start = req.sector as usize * SECTOR_SIZE;
+                    // Power failed mid-request; the caller observes an error.
                     let data = req.data.as_deref().expect("write without payload");
-                    self.data[start..start + persisted].copy_from_slice(&data[..persisted]);
+                    self.persist(req.sector, &data[..persisted]);
                     return Err(DiskError::Crashed);
                 }
-                self.media_write_clear(req.sector, req.bytes / SECTOR_SIZE as u64);
+                // An accepted write remaps its sectors: media faults clear.
+                self.media_write_clear(req.sector, count);
                 Ok(Vec::new())
             }
-            // The attempt consumes a transient failure even though the
-            // request is accounted below before the error surfaces.
-            AccessKind::Read => self.media_read_check(req.sector, req.bytes / SECTOR_SIZE as u64),
+            AccessKind::Read => self.media_read_check(req.sector, count),
         };
 
         let start_ns = self.busy_until_ns.max(req.submitted_at_ns);
@@ -749,40 +684,86 @@ impl SimDisk {
         let finish_ns = start_ns + service_ns;
         self.busy_until_ns = finish_ns;
 
-        let offset = req.sector as usize * SECTOR_SIZE;
-        let data = match req.kind {
-            AccessKind::Write => {
-                let payload = req.data.as_deref().expect("write without payload");
-                self.data[offset..offset + payload.len()].copy_from_slice(payload);
+        let data = match req.data.take() {
+            Some(payload) => {
+                match hold {
+                    // The drive acks (and is charged) now, but the payload
+                    // stays off the platter until it ages out of the
+                    // window or a flush drains it.
+                    Some(window) => {
+                        self.held.push_back((req.sector, payload));
+                        while self.held.len() > window {
+                            let (sector, data) = self.held.pop_front().expect("non-empty");
+                            self.persist(sector, &data);
+                        }
+                    }
+                    None => self.persist(req.sector, &payload),
+                }
                 None
             }
-            AccessKind::Read => {
+            None => {
+                let offset = req.sector as usize * SECTOR_SIZE;
                 let mut out = self.data[offset..offset + req.bytes as usize].to_vec();
                 if let Ok(rotted) = &media {
+                    // Bit-rot lives on the platter, so it applies before
+                    // the volatile-cache overlay: held data is pristine.
                     self.apply_rot(req.sector, &mut out, rotted);
+                }
+                // Overlaid in FIFO order so later held writes win.
+                for (held_sector, held) in &self.held {
+                    let held_start = *held_sector as usize * SECTOR_SIZE;
+                    let lo = offset.max(held_start);
+                    let hi = (offset + out.len()).min(held_start + held.len());
+                    if lo < hi {
+                        out[lo - offset..hi - offset]
+                            .copy_from_slice(&held[lo - held_start..hi - held_start]);
+                    }
                 }
                 Some(out)
             }
         };
 
         self.obs.queue_wait_ns.add(wait_ns);
-        self.record_serviced(Serviced {
+        self.obs.busy_ns.add(service_ns);
+        self.obs.seek_ns.add(seek_ns);
+        self.obs.rotation_ns.add(rotation_ns);
+        self.obs.transfer_ns.add(transfer_ns);
+        self.obs.stall_ns.add(stall_ns);
+        if sequential {
+            self.obs.sequential.inc();
+        } else {
+            self.obs.seeks.inc();
+        }
+        match req.kind {
+            AccessKind::Read => {
+                self.obs.reads.inc();
+                self.obs.bytes_read.add(req.bytes);
+                self.obs.read_lat.record(service_ns);
+            }
+            AccessKind::Write => {
+                self.obs.writes.inc();
+                self.obs.bytes_written.add(req.bytes);
+                self.obs.write_lat.record(service_ns);
+                if sync {
+                    self.obs.sync_writes.inc();
+                }
+            }
+        }
+        let label = std::mem::take(&mut self.next_label);
+        self.trace.record(AccessRecord {
             kind: req.kind,
             sector: req.sector,
             bytes: req.bytes,
             sync,
-            issued_at_ns: req.submitted_at_ns,
-            seek_ns,
-            rotation_ns,
-            transfer_ns,
-            stall_ns,
             sequential,
+            issued_at_ns: req.submitted_at_ns,
+            service_ns,
+            label,
         });
 
         // The head travelled and the attempt was accounted; only now
         // does an unreadable sector surface to the caller.
         media?;
-
         Ok(IoCompletion {
             id: req.id,
             kind: req.kind,
@@ -797,6 +778,28 @@ impl SimDisk {
             data,
         })
     }
+
+    /// Serves a [`BlockDevice`] call's just-submitted request and, when
+    /// the caller waits (`sync`), advances the clock to its finish — past
+    /// a failed read too, whose head travel the caller sat through.
+    fn serve_direct(
+        &mut self,
+        id: u64,
+        sync: bool,
+        hold: Option<usize>,
+    ) -> DiskResult<IoCompletion> {
+        let res = self.serve(id, sync, hold);
+        if sync && !matches!(res, Err(DiskError::Crashed)) {
+            self.clock.advance_to_ns(self.busy_until_ns);
+        }
+        res
+    }
+
+    /// Puts `data` on the platter at `sector`.
+    fn persist(&mut self, sector: u64, data: &[u8]) {
+        let start = sector as usize * SECTOR_SIZE;
+        self.data[start..start + data.len()].copy_from_slice(data);
+    }
 }
 
 impl BlockDevice for SimDisk {
@@ -805,80 +808,25 @@ impl BlockDevice for SimDisk {
     }
 
     fn read(&mut self, sector: u64, buf: &mut [u8]) -> DiskResult<()> {
-        if self.crashed {
-            return Err(DiskError::Crashed);
-        }
-        let count = check_request(sector, buf.len(), self.geometry.num_sectors)?;
-        let media = self.media_read_check(sector, count);
-        let start = sector as usize * SECTOR_SIZE;
-        buf.copy_from_slice(&self.data[start..start + buf.len()]);
-        if let Ok(rotted) = &media {
-            // Bit-rot lives on the platter, so it applies before the
-            // volatile-cache overlay: held data is still pristine.
-            self.apply_rot(sector, buf, rotted);
-        }
-        // The volatile write cache serves reads of data it still holds
-        // (overlay in FIFO order so later writes win).
-        let read_range = start..start + buf.len();
-        for (held_sector, held_data) in &self.held {
-            let held_start = *held_sector as usize * SECTOR_SIZE;
-            let held_range = held_start..held_start + held_data.len();
-            let lo = read_range.start.max(held_range.start);
-            let hi = read_range.end.min(held_range.end);
-            if lo < hi {
-                buf[lo - read_range.start..hi - read_range.start]
-                    .copy_from_slice(&held_data[lo - held_range.start..hi - held_range.start]);
-            }
-        }
-        // Reads are always synchronous: the caller needs the data. The
-        // head travels to the bad sector even when the read fails, so
-        // the request is accounted before any media error surfaces.
-        self.account(AccessKind::Read, sector, buf.len() as u64, true);
-        media.map(|_| ())
+        let id = self.submit_read(sector, buf.len())?;
+        // Reads are always synchronous: the caller needs the data.
+        let done = self.serve_direct(id, true, None)?;
+        buf.copy_from_slice(done.data.as_deref().expect("read without data"));
+        Ok(())
     }
 
     fn write(&mut self, sector: u64, buf: &[u8], sync: bool) -> DiskResult<()> {
-        if self.crashed {
-            return Err(DiskError::Crashed);
-        }
-        check_request(sector, buf.len(), self.geometry.num_sectors)?;
-        self.dead_check(sector)?;
-
-        if let Some(persisted) = self.crash_check(sector, buf.len()) {
-            // Power failed mid-request; the caller observes an error.
-            let start = sector as usize * SECTOR_SIZE;
-            self.data[start..start + persisted].copy_from_slice(&buf[..persisted]);
-            return Err(DiskError::Crashed);
-        }
-        // An accepted write remaps its sectors: media faults clear.
-        self.media_write_clear(sector, buf.len() as u64 / SECTOR_SIZE as u64);
-
-        if let Some(CrashPlan {
-            mode: FaultMode::ReorderWindow { window },
-            ..
-        }) = self.crash_plan
-        {
-            if !sync {
-                // Volatile write cache: the drive acks (and is charged)
-                // now, but the payload stays off the platter until it
-                // ages out of the window or a flush drains it.
-                self.account(AccessKind::Write, sector, buf.len() as u64, false);
-                self.held.push_back((sector, buf.to_vec()));
-                while self.held.len() > window {
-                    let (held_sector, held_data) = self.held.pop_front().expect("non-empty");
-                    let start = held_sector as usize * SECTOR_SIZE;
-                    self.data[start..start + held_data.len()].copy_from_slice(&held_data);
-                }
-                return Ok(());
-            }
-            // Synchronous writes are force-unit-access: they persist
-            // immediately, without draining older held writes.
-        }
-
-        let start = sector as usize * SECTOR_SIZE;
-        self.data[start..start + buf.len()].copy_from_slice(buf);
-        self.account(AccessKind::Write, sector, buf.len() as u64, sync);
-        Ok(())
+        let id = self.submit_write(sector, buf)?;
+        // Synchronous writes are force-unit-access: they persist at once,
+        // without draining older held writes.
+        let hold = match self.crash_plan {
+            Some(CrashPlan {
+                mode: FaultMode::ReorderWindow { window },
+                ..
+            }) if !sync => Some(window),
+            _ => None,
+        };
+        self.serve_direct(id, sync, hold).map(|_| ())
     }
 
     fn flush(&mut self) -> DiskResult<()> {
@@ -892,8 +840,7 @@ impl BlockDevice for SimDisk {
             self.complete(id, false)?;
         }
         while let Some((sector, data)) = self.held.pop_front() {
-            let start = sector as usize * SECTOR_SIZE;
-            self.data[start..start + data.len()].copy_from_slice(&data);
+            self.persist(sector, &data);
         }
         self.clock.advance_to_ns(self.busy_until_ns);
         Ok(())
@@ -932,6 +879,8 @@ mod tests {
         disk.write(10, &vec![0x5A; SECTOR_SIZE], true).unwrap();
         disk.kill_media();
         assert!(disk.is_dead());
+        let moved = |d: &SimDisk| (d.clock().now_ns(), d.stats().busy_ns, d.stats().reads);
+        let before = moved(&disk);
         let mut out = vec![0; SECTOR_SIZE];
         assert_eq!(
             disk.read(10, &mut out),
@@ -952,6 +901,8 @@ mod tests {
         // A dead drive never consumes crash-plan persist slots: only
         // the one pre-kill write counted.
         assert_eq!(disk.write_index, 1);
+        // Dead media is rejected at submission: no head travel, no wait.
+        assert_eq!(moved(&disk), before);
 
         disk.replace_media();
         assert!(!disk.is_dead());

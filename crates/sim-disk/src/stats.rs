@@ -120,8 +120,9 @@ obs::instruments! {
         stall_ns, Counter, "disk.stall_ns", "Busy time charged by an armed fail-slow latency fault (ns) — the \
             head held hostage by a sick drive, not by real work. Zero on healthy media.";
         queue_wait_ns, Counter, "disk.queue_wait_ns", "Time requests spent waiting in the device queue before service \
-            (ns). Only the asynchronous submit/complete path accumulates queue wait; it is **not** part \
-            of [`IoStats::busy_ns`] — a request waiting in the queue does not occupy the head.";
+            (ns): `max(busy, issue) - issue` for every request, queued or direct — a direct call \
+            issued while the head is still busy waits too. It is **not** part of \
+            [`IoStats::busy_ns`] — a request waiting in the queue does not occupy the head.";
         coalesced, Counter, "disk.coalesced_writes", "Number of pending writes merged into an adjacent pending write.";
     }
 }

@@ -40,7 +40,96 @@ fn req_strategy() -> impl Strategy<Value = Req> {
     ]
 }
 
+/// One step of a mixed direct / queued request script.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A [`BlockDevice`] call.
+    Direct(Req),
+    /// A queued write or read (`fill: None`) left for a later `Complete`.
+    Submit {
+        sector: u64,
+        sectors: u8,
+        fill: Option<u8>,
+    },
+    /// Services the queued request this salt picks, if any.
+    Complete(u64),
+    /// The virtual CPU runs this long before the next step.
+    Idle(u64),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        req_strategy().prop_map(Step::Direct),
+        (
+            0u64..DEV_SECTORS - 8,
+            1u8..8,
+            proptest::option::of(any::<u8>())
+        )
+            .prop_map(|(sector, sectors, fill)| Step::Submit {
+                sector,
+                sectors,
+                fill
+            }),
+        any::<u64>().prop_map(Step::Complete),
+        (0u64..5_000_000).prop_map(Step::Idle),
+    ]
+}
+
 proptest! {
+    /// Queue wait is charged the same way to every request, direct or
+    /// queued: `disk.queue_wait_ns` equals Σ(max(busy, issue) − issue)
+    /// replayed from the access trace, where `busy` is the previous
+    /// request's finish.
+    #[test]
+    fn queue_wait_is_the_traced_gap_between_issue_and_service(
+        steps in proptest::collection::vec(step_strategy(), 1..60),
+    ) {
+        let clock = Clock::new();
+        let mut disk = SimDisk::new(DiskGeometry::tiny_test(DEV_SECTORS), Arc::clone(&clock));
+        disk.trace_mut().enable();
+        let mut queued: Vec<u64> = Vec::new();
+        for step in &steps {
+            match step {
+                Step::Direct(Req::Write { sector, sectors, fill, sync }) => {
+                    let _ = disk.write(*sector, &vec![*fill; *sectors as usize * SECTOR_SIZE], *sync);
+                }
+                Step::Direct(Req::Read { sector, sectors }) => {
+                    let _ = disk.read(*sector, &mut vec![0u8; *sectors as usize * SECTOR_SIZE]);
+                }
+                Step::Direct(Req::Flush) => {
+                    disk.flush().unwrap();
+                    queued.clear();
+                }
+                Step::Submit { sector, sectors, fill } => {
+                    let len = *sectors as usize * SECTOR_SIZE;
+                    let id = match fill {
+                        Some(fill) => disk.submit_write(*sector, &vec![*fill; len]),
+                        None => disk.submit_read(*sector, len),
+                    };
+                    queued.push(id.unwrap());
+                }
+                Step::Complete(salt) => {
+                    if !queued.is_empty() {
+                        let id = queued.remove(*salt as usize % queued.len());
+                        disk.complete(id, false).unwrap();
+                    }
+                }
+                Step::Idle(ns) => {
+                    clock.advance_ns(*ns);
+                }
+            }
+        }
+        let mut busy = 0u64;
+        let mut wait = 0u64;
+        for r in disk.trace().records() {
+            let start = busy.max(r.issued_at_ns);
+            wait += start - r.issued_at_ns;
+            busy = start + r.service_ns;
+        }
+        prop_assert_eq!(disk.stats().queue_wait_ns, wait);
+        prop_assert_eq!(disk.busy_until_ns(), busy);
+    }
+
     /// SimDisk must store exactly what a trivial RAM disk stores, and its
     /// virtual clock must never move backwards.
     #[test]

@@ -126,15 +126,6 @@ impl ReplayReport {
         self.total_ops as f64 / (self.elapsed_ns as f64 / 1e9)
     }
 
-    /// Tenant `c`'s share of total bytes moved, in [0, 1].
-    pub fn bytes_share(&self, c: usize) -> f64 {
-        let total: u64 = self.per_tenant.iter().map(TenantSummary::bytes_total).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        self.per_tenant[c].bytes_total() as f64 / total as f64
-    }
-
     /// Tenants `a`'s and `b`'s bytes over the contended window, as a
     /// ratio (`a / b`; infinity when `b` moved nothing).
     pub fn contended_ratio(&self, a: usize, b: usize) -> f64 {

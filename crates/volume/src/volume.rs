@@ -160,12 +160,12 @@ fn xor_into(dst: &mut [u8], src: &[u8]) {
 
 /// One tracked async read in flight against a single spindle. The
 /// physical and logical addresses are kept so the claim can fall back
-/// to XOR reconstruction if the spindle is killed (operator command or
-/// health eviction) while the read is still queued.
-#[derive(Debug, Clone, Copy)]
+/// to XOR reconstruction once the spindle is killed (operator command
+/// or health eviction): the kill drops the spindle's `handle`.
+#[derive(Debug)]
 struct TrackedVolumeRead {
     spindle: usize,
-    inner: u64,
+    handle: Option<engine::ReadHandle>,
     sector: u64,
     logical: u64,
     len: usize,
@@ -628,6 +628,9 @@ impl StripedVolume {
         self.states[i] = SpindleState::Dead;
         self.spindles[i].disk_mut().kill_media();
         self.spindles[i].discard_queue();
+        for t in self.tracked_reads.values_mut().filter(|t| t.spindle == i) {
+            t.handle = None;
+        }
         if self.rebuild.as_ref().is_some_and(|r| r.spindle() == i) {
             // The replacement died mid-rebuild; wait for the next one.
             self.rebuild = None;
@@ -867,7 +870,7 @@ impl StripedVolume {
     /// each (see [`StripedVolume::xor_survivors`]).
     fn reconstruct_range(&mut self, target: usize, sector: u64, out: &mut [u8]) -> DiskResult<()> {
         self.xor_survivors(target, sector, out, |core, handle, tmp| {
-            core.finish_read(handle, sector, tmp)
+            core.finish_read(handle, tmp)
         })?;
         self.obs.reconstructions.inc();
         Ok(())
@@ -932,13 +935,13 @@ impl StripedVolume {
         out: &mut [u8],
     ) -> DiskResult<Landed> {
         let finished = match handle {
-            engine::ReadHandle::Pending(id)
+            engine::ReadHandle::Pending { id, .. }
                 if self.survivors_online(spindle) && self.spindles[spindle].hedge_overdue(id) =>
             {
                 self.hedged_race(spindle, id, sector, out)
             }
             handle => self.spindles[spindle]
-                .finish_read(handle, sector, out)
+                .finish_read(handle, out)
                 .map(|()| false),
         };
         match finished {
@@ -1170,7 +1173,7 @@ impl StripedVolume {
         let drained = self.xor_survivors(spindle, sector, &mut recon, |core, handle, tmp| {
             match handle {
                 engine::ReadHandle::Hit(data) => tmp.copy_from_slice(&data),
-                engine::ReadHandle::Pending(rid) => match core.drain_read(rid) {
+                engine::ReadHandle::Pending { id: rid, .. } => match core.drain_read(rid) {
                     Ok(done) => {
                         recon_finish = recon_finish.max(done.finish_ns);
                         tmp.copy_from_slice(done.data.as_deref().expect("read without data"));
@@ -1413,8 +1416,8 @@ impl StripedVolume {
         self.obs.reads.inc();
         self.obs.bytes_read.add(len as u64);
         self.obs.subrequests.inc();
-        let inner = self.spindles[sub.spindle]
-            .start_tracked_read(sub.sector, sub.bytes())
+        let handle = self.spindles[sub.spindle]
+            .start_read(sub.sector, sub.bytes())
             .ok()?;
         let token = self.next_read_token;
         self.next_read_token += 1;
@@ -1422,7 +1425,7 @@ impl StripedVolume {
             token,
             TrackedVolumeRead {
                 spindle: sub.spindle,
-                inner,
+                handle: Some(handle),
                 sector: sub.sector,
                 logical: sector,
                 len,
@@ -1432,21 +1435,23 @@ impl StripedVolume {
     }
 
     /// Completes a read started by [`StripedVolume::start_read_async`].
-    /// If the spindle was killed while the read was queued (operator
+    /// If the spindle was killed since the read started (operator
     /// command or health eviction — the engine's queue died with the
-    /// media), a parity volume serves the claim by XOR reconstruction
-    /// instead of dangling on a token that will never complete.
+    /// media, and the kill dropped the read's handle), a parity volume
+    /// serves the claim by XOR reconstruction, even once a replacement
+    /// is online again.
     pub fn finish_read_async(&mut self, token: u64) -> DiskResult<Vec<u8>> {
         let t = self
             .tracked_reads
             .remove(&token)
             .expect("finish_read_async: unknown token");
-        if self.states[t.spindle] == SpindleState::Online {
-            return self.spindles[t.spindle]
-                .finish_tracked_read(t.inner)
-                .map_err(|e| self.translate(t.spindle, e));
-        }
         let mut buf = vec![0u8; t.len];
+        if let Some(handle) = t.handle {
+            return match self.spindles[t.spindle].finish_read(handle, &mut buf) {
+                Ok(()) => Ok(buf),
+                Err(e) => Err(self.translate(t.spindle, e)),
+            };
+        }
         self.reconstruct_or_escape(t.spindle, t.sector, &mut buf, t.logical)?;
         self.obs.degraded_reads.inc();
         Ok(buf)

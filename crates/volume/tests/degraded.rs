@@ -162,6 +162,33 @@ fn rebuild_completes_and_restores_single_fault_tolerance() {
     assert_matches_mirror(&mut vol, &mut mirror, "with spindle 3 dead after rebuilding 1");
 }
 
+/// An async read claimed after its spindle was killed, replaced and
+/// rebuilt reconstructs: the kill dropped the queued read, and the
+/// spindle being online again does not bring it back.
+#[test]
+fn async_read_claimed_after_kill_replace_and_rebuild_reconstructs() {
+    for victim in 0..4usize {
+        let (mut vol, _clock) = parity_volume(4);
+        let mut mirror = RamDisk::new(vol.num_sectors());
+        mixed_writes(&mut vol, &mut mirror, 0x50);
+        let token = vol
+            .start_read_async(0, CHUNK_BYTES)
+            .expect("a single-chunk range maps to one spindle");
+        vol.kill_spindle(victim);
+        vol.replace_spindle(victim, RebuildPolicy::default()).unwrap();
+        while vol.rebuild_step().unwrap() != RebuildProgress::Completed {}
+        assert_eq!(vol.spindle_state(victim), SpindleState::Online);
+
+        let mut want = vec![0u8; CHUNK_BYTES];
+        mirror.read(0, &mut want).unwrap();
+        assert_eq!(
+            vol.finish_read_async(token).unwrap(),
+            want,
+            "async claim diverged after rebuilding spindle {victim}"
+        );
+    }
+}
+
 /// The idle gate defers rebuild steps while foreground work is queued
 /// and opens when the queues drain — the same host-driven pacing
 /// contract as the async cleaner.
