@@ -96,6 +96,13 @@ pub struct IoCompletion {
     pub data: Option<Vec<u8>>,
 }
 
+/// Where a request's bytes live while [`SimDisk`] serves it: the bytes a
+/// write puts down, or the buffer a read fills.
+enum Payload<'a> {
+    Write(&'a [u8]),
+    Read(&'a mut [u8]),
+}
+
 /// A disk with a seek + rotation + transfer cost model over a virtual clock.
 ///
 /// The device behaves as a single-server queue. Every request is serviced
@@ -497,11 +504,7 @@ impl SimDisk {
     /// Returns an id to pass to [`SimDisk::complete`]. Queued requests
     /// cost nothing until completed.
     pub fn submit_read(&mut self, sector: u64, bytes: usize) -> DiskResult<u64> {
-        if self.crashed {
-            return Err(DiskError::Crashed);
-        }
-        check_request(sector, bytes, self.geometry.num_sectors)?;
-        self.dead_check(sector)?;
+        self.admit(sector, bytes)?;
         Ok(self.push_pending(AccessKind::Read, sector, bytes as u64, None))
     }
 
@@ -511,12 +514,39 @@ impl SimDisk {
     /// services the request — **persistence order is completion order** —
     /// and a crash discards every still-queued submission.
     pub fn submit_write(&mut self, sector: u64, buf: &[u8]) -> DiskResult<u64> {
+        self.admit(sector, buf.len())?;
+        Ok(self.push_pending(AccessKind::Write, sector, buf.len() as u64, Some(buf.to_vec())))
+    }
+
+    /// Submission's checks, shared by both paths: a crashed disk, an
+    /// out-of-range request and dead media are all rejected before any
+    /// service.
+    fn admit(&mut self, sector: u64, bytes: usize) -> DiskResult<()> {
         if self.crashed {
             return Err(DiskError::Crashed);
         }
-        check_request(sector, buf.len(), self.geometry.num_sectors)?;
-        self.dead_check(sector)?;
-        Ok(self.push_pending(AccessKind::Write, sector, buf.len() as u64, Some(buf.to_vec())))
+        check_request(sector, bytes, self.geometry.num_sectors)?;
+        self.dead_check(sector)
+    }
+
+    /// A request submitted now, with the next io id.
+    fn request(
+        &mut self,
+        kind: AccessKind,
+        sector: u64,
+        bytes: u64,
+        data: Option<Vec<u8>>,
+    ) -> SubmittedIo {
+        let id = self.next_io_id;
+        self.next_io_id += 1;
+        SubmittedIo {
+            id,
+            kind,
+            sector,
+            bytes,
+            submitted_at_ns: self.clock.now_ns(),
+            data,
+        }
     }
 
     fn push_pending(
@@ -526,16 +556,9 @@ impl SimDisk {
         bytes: u64,
         data: Option<Vec<u8>>,
     ) -> u64 {
-        let id = self.next_io_id;
-        self.next_io_id += 1;
-        self.pending.push(SubmittedIo {
-            id,
-            kind,
-            sector,
-            bytes,
-            submitted_at_ns: self.clock.now_ns(),
-            data,
-        });
+        let req = self.request(kind, sector, bytes, data);
+        let id = req.id;
+        self.pending.push(req);
         id
     }
 
@@ -624,14 +647,35 @@ impl SimDisk {
     ///
     /// Panics if `id` is not a queued request.
     pub fn complete(&mut self, id: u64, sync: bool) -> DiskResult<IoCompletion> {
-        self.serve(id, sync, None)
+        // A crash discards the queue, so its ids are unknown from then on.
+        if self.crashed {
+            return Err(DiskError::Crashed);
+        }
+        let pos = self
+            .pending
+            .iter()
+            .position(|p| p.id == id)
+            .expect("complete: unknown io id");
+        let mut req = self.pending.remove(pos);
+        match req.data.take() {
+            Some(payload) => self.serve(&req, Payload::Write(&payload), sync, None),
+            None => {
+                let mut out = vec![0; req.bytes as usize];
+                let mut done = self.serve(&req, Payload::Read(&mut out), sync, None)?;
+                done.data = Some(out);
+                Ok(done)
+            }
+        }
     }
 
     /// The one service routine. Every request is serviced here exactly
     /// once — a scheduler's queued request when it calls
     /// [`SimDisk::complete`], a [`BlockDevice`] call's request the moment
     /// it is submitted. Synchronous versus asynchronous is only about who
-    /// waits: this routine never touches the clock.
+    /// waits: this routine never touches the clock. `payload` is where the
+    /// bytes live — the queue's copy, or the caller's own buffer for a
+    /// [`BlockDevice`] call, which therefore copies nothing twice; the
+    /// returned completion carries no data.
     ///
     /// Service starts when the device is free **and** the request has
     /// been submitted (`start = max(busy_until, submitted_at)`); the gap
@@ -647,25 +691,21 @@ impl SimDisk {
     /// instead of the platter. A read consumes its media-fault attempt,
     /// returns rotted bytes as rotted, and sees data the volatile cache
     /// still holds. The head travels even to an unreadable sector, so the
-    /// request is accounted before that error surfaces.
-    fn serve(&mut self, id: u64, sync: bool, hold: Option<usize>) -> DiskResult<IoCompletion> {
-        if self.crashed {
-            return Err(DiskError::Crashed);
-        }
-        let pos = self
-            .pending
-            .iter()
-            .position(|p| p.id == id)
-            .expect("complete: unknown io id");
-        let mut req = self.pending.remove(pos);
+    /// request is accounted before that error surfaces, and a failed
+    /// read leaves its buffer untouched.
+    fn serve(
+        &mut self,
+        req: &SubmittedIo,
+        payload: Payload<'_>,
+        sync: bool,
+        hold: Option<usize>,
+    ) -> DiskResult<IoCompletion> {
         let count = req.bytes / SECTOR_SIZE as u64;
-
-        let media = match req.kind {
-            AccessKind::Write => {
+        let media = match payload {
+            Payload::Write(data) => {
                 self.dead_check(req.sector)?;
-                if let Some(persisted) = self.crash_check(req.sector, req.bytes as usize) {
+                if let Some(persisted) = self.crash_check(req.sector, data.len()) {
                     // Power failed mid-request; the caller observes an error.
-                    let data = req.data.as_deref().expect("write without payload");
                     self.persist(req.sector, &data[..persisted]);
                     return Err(DiskError::Crashed);
                 }
@@ -673,7 +713,7 @@ impl SimDisk {
                 self.media_write_clear(req.sector, count);
                 Ok(Vec::new())
             }
-            AccessKind::Read => self.media_read_check(req.sector, count),
+            Payload::Read(_) => self.media_read_check(req.sector, count),
         };
 
         let start_ns = self.busy_until_ns.max(req.submitted_at_ns);
@@ -684,31 +724,26 @@ impl SimDisk {
         let finish_ns = start_ns + service_ns;
         self.busy_until_ns = finish_ns;
 
-        let data = match req.data.take() {
-            Some(payload) => {
-                match hold {
-                    // The drive acks (and is charged) now, but the payload
-                    // stays off the platter until it ages out of the
-                    // window or a flush drains it.
-                    Some(window) => {
-                        self.held.push_back((req.sector, payload));
-                        while self.held.len() > window {
-                            let (sector, data) = self.held.pop_front().expect("non-empty");
-                            self.persist(sector, &data);
-                        }
+        match (payload, &media) {
+            (Payload::Write(data), _) => match hold {
+                // The drive acks (and is charged) now, but the payload
+                // stays off the platter until it ages out of the window
+                // or a flush drains it.
+                Some(window) => {
+                    self.held.push_back((req.sector, data.to_vec()));
+                    while self.held.len() > window {
+                        let (sector, data) = self.held.pop_front().expect("non-empty");
+                        self.persist(sector, &data);
                     }
-                    None => self.persist(req.sector, &payload),
                 }
-                None
-            }
-            None => {
+                None => self.persist(req.sector, data),
+            },
+            (Payload::Read(out), Ok(rotted)) => {
                 let offset = req.sector as usize * SECTOR_SIZE;
-                let mut out = self.data[offset..offset + req.bytes as usize].to_vec();
-                if let Ok(rotted) = &media {
-                    // Bit-rot lives on the platter, so it applies before
-                    // the volatile-cache overlay: held data is pristine.
-                    self.apply_rot(req.sector, &mut out, rotted);
-                }
+                out.copy_from_slice(&self.data[offset..offset + out.len()]);
+                // Bit-rot lives on the platter, so it applies before the
+                // volatile-cache overlay: held data is pristine.
+                self.apply_rot(req.sector, out, rotted);
                 // Overlaid in FIFO order so later held writes win.
                 for (held_sector, held) in &self.held {
                     let held_start = *held_sector as usize * SECTOR_SIZE;
@@ -719,9 +754,9 @@ impl SimDisk {
                             .copy_from_slice(&held[lo - held_start..hi - held_start]);
                     }
                 }
-                Some(out)
             }
-        };
+            (Payload::Read(_), Err(_)) => {}
+        }
 
         self.obs.queue_wait_ns.add(wait_ns);
         self.obs.busy_ns.add(service_ns);
@@ -775,24 +810,32 @@ impl SimDisk {
             service_ns,
             wait_ns,
             sequential,
-            data,
+            data: None,
         })
     }
 
-    /// Serves a [`BlockDevice`] call's just-submitted request and, when
-    /// the caller waits (`sync`), advances the clock to its finish — past
-    /// a failed read too, whose head travel the caller sat through.
+    /// Submits a [`BlockDevice`] call's request and serves it at once,
+    /// straight from (or into) the caller's buffer; when the caller waits
+    /// (`sync`), advances the clock to its finish — past a failed read
+    /// too, whose head travel the caller sat through.
     fn serve_direct(
         &mut self,
-        id: u64,
+        sector: u64,
+        payload: Payload<'_>,
         sync: bool,
         hold: Option<usize>,
-    ) -> DiskResult<IoCompletion> {
-        let res = self.serve(id, sync, hold);
+    ) -> DiskResult<()> {
+        let (kind, bytes) = match &payload {
+            Payload::Write(data) => (AccessKind::Write, data.len()),
+            Payload::Read(out) => (AccessKind::Read, out.len()),
+        };
+        self.admit(sector, bytes)?;
+        let req = self.request(kind, sector, bytes as u64, None);
+        let res = self.serve(&req, payload, sync, hold);
         if sync && !matches!(res, Err(DiskError::Crashed)) {
             self.clock.advance_to_ns(self.busy_until_ns);
         }
-        res
+        res.map(|_| ())
     }
 
     /// Puts `data` on the platter at `sector`.
@@ -808,15 +851,11 @@ impl BlockDevice for SimDisk {
     }
 
     fn read(&mut self, sector: u64, buf: &mut [u8]) -> DiskResult<()> {
-        let id = self.submit_read(sector, buf.len())?;
         // Reads are always synchronous: the caller needs the data.
-        let done = self.serve_direct(id, true, None)?;
-        buf.copy_from_slice(done.data.as_deref().expect("read without data"));
-        Ok(())
+        self.serve_direct(sector, Payload::Read(buf), true, None)
     }
 
     fn write(&mut self, sector: u64, buf: &[u8], sync: bool) -> DiskResult<()> {
-        let id = self.submit_write(sector, buf)?;
         // Synchronous writes are force-unit-access: they persist at once,
         // without draining older held writes.
         let hold = match self.crash_plan {
@@ -826,7 +865,7 @@ impl BlockDevice for SimDisk {
             }) if !sync => Some(window),
             _ => None,
         };
-        self.serve_direct(id, sync, hold).map(|_| ())
+        self.serve_direct(sector, Payload::Write(buf), sync, hold)
     }
 
     fn flush(&mut self) -> DiskResult<()> {
