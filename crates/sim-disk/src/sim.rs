@@ -504,8 +504,7 @@ impl SimDisk {
     /// Returns an id to pass to [`SimDisk::complete`]. Queued requests
     /// cost nothing until completed.
     pub fn submit_read(&mut self, sector: u64, bytes: usize) -> DiskResult<u64> {
-        self.admit(sector, bytes)?;
-        Ok(self.push_pending(AccessKind::Read, sector, bytes as u64, None))
+        self.submit(AccessKind::Read, sector, bytes, None)
     }
 
     /// Queues a write of `buf` at `sector` without servicing it.
@@ -514,52 +513,36 @@ impl SimDisk {
     /// services the request — **persistence order is completion order** —
     /// and a crash discards every still-queued submission.
     pub fn submit_write(&mut self, sector: u64, buf: &[u8]) -> DiskResult<u64> {
-        self.admit(sector, buf.len())?;
-        Ok(self.push_pending(AccessKind::Write, sector, buf.len() as u64, Some(buf.to_vec())))
+        self.submit(AccessKind::Write, sector, buf.len(), Some(buf.to_vec()))
     }
 
-    /// Submission's checks, shared by both paths: a crashed disk, an
-    /// out-of-range request and dead media are all rejected before any
-    /// service.
-    fn admit(&mut self, sector: u64, bytes: usize) -> DiskResult<()> {
+    /// Queues a request — with its payload, or none for a read or a
+    /// [`BlockDevice`] call — after the checks both paths share: a
+    /// crashed disk, an out-of-range request and dead media are rejected
+    /// before any service.
+    fn submit(
+        &mut self,
+        kind: AccessKind,
+        sector: u64,
+        bytes: usize,
+        data: Option<Vec<u8>>,
+    ) -> DiskResult<u64> {
         if self.crashed {
             return Err(DiskError::Crashed);
         }
         check_request(sector, bytes, self.geometry.num_sectors)?;
-        self.dead_check(sector)
-    }
-
-    /// A request submitted now, with the next io id.
-    fn request(
-        &mut self,
-        kind: AccessKind,
-        sector: u64,
-        bytes: u64,
-        data: Option<Vec<u8>>,
-    ) -> SubmittedIo {
+        self.dead_check(sector)?;
         let id = self.next_io_id;
         self.next_io_id += 1;
-        SubmittedIo {
+        self.pending.push(SubmittedIo {
             id,
             kind,
             sector,
-            bytes,
+            bytes: bytes as u64,
             submitted_at_ns: self.clock.now_ns(),
             data,
-        }
-    }
-
-    fn push_pending(
-        &mut self,
-        kind: AccessKind,
-        sector: u64,
-        bytes: u64,
-        data: Option<Vec<u8>>,
-    ) -> u64 {
-        let req = self.request(kind, sector, bytes, data);
-        let id = req.id;
-        self.pending.push(req);
-        id
+        });
+        Ok(id)
     }
 
     /// The queued requests, in submission order.
@@ -661,9 +644,8 @@ impl SimDisk {
             Some(payload) => self.serve(&req, Payload::Write(&payload), sync, None),
             None => {
                 let mut out = vec![0; req.bytes as usize];
-                let mut done = self.serve(&req, Payload::Read(&mut out), sync, None)?;
-                done.data = Some(out);
-                Ok(done)
+                let done = self.serve(&req, Payload::Read(&mut out), sync, None)?;
+                Ok(IoCompletion { data: Some(out), ..done })
             }
         }
     }
@@ -672,10 +654,9 @@ impl SimDisk {
     /// once — a scheduler's queued request when it calls
     /// [`SimDisk::complete`], a [`BlockDevice`] call's request the moment
     /// it is submitted. Synchronous versus asynchronous is only about who
-    /// waits: this routine never touches the clock. `payload` is where the
-    /// bytes live — the queue's copy, or the caller's own buffer for a
-    /// [`BlockDevice`] call, which therefore copies nothing twice; the
-    /// returned completion carries no data.
+    /// waits: this routine never touches the clock. The bytes move
+    /// through `payload` (the queue's copy, or a [`BlockDevice`] caller's
+    /// own buffer), so the returned completion carries no data.
     ///
     /// Service starts when the device is free **and** the request has
     /// been submitted (`start = max(busy_until, submitted_at)`); the gap
@@ -690,9 +671,8 @@ impl SimDisk {
     /// of that many writes — its payload goes to the volatile cache
     /// instead of the platter. A read consumes its media-fault attempt,
     /// returns rotted bytes as rotted, and sees data the volatile cache
-    /// still holds. The head travels even to an unreadable sector, so the
-    /// request is accounted before that error surfaces, and a failed
-    /// read leaves its buffer untouched.
+    /// still holds; a failed one fills nothing. The head travels even to
+    /// an unreadable sector, so the request is accounted first.
     fn serve(
         &mut self,
         req: &SubmittedIo,
@@ -814,23 +794,17 @@ impl SimDisk {
         })
     }
 
-    /// Submits a [`BlockDevice`] call's request and serves it at once,
-    /// straight from (or into) the caller's buffer; when the caller waits
-    /// (`sync`), advances the clock to its finish — past a failed read
-    /// too, whose head travel the caller sat through.
+    /// Serves a [`BlockDevice`] call's just-submitted, payload-less
+    /// request straight from (or into) the caller's buffer and, when the
+    /// caller waits (`sync`), advances the clock to its finish — past a
+    /// failed read too, whose head travel the caller sat through.
     fn serve_direct(
         &mut self,
-        sector: u64,
         payload: Payload<'_>,
         sync: bool,
         hold: Option<usize>,
     ) -> DiskResult<()> {
-        let (kind, bytes) = match &payload {
-            Payload::Write(data) => (AccessKind::Write, data.len()),
-            Payload::Read(out) => (AccessKind::Read, out.len()),
-        };
-        self.admit(sector, bytes)?;
-        let req = self.request(kind, sector, bytes as u64, None);
+        let req = self.pending.pop().expect("serve_direct: nothing submitted");
         let res = self.serve(&req, payload, sync, hold);
         if sync && !matches!(res, Err(DiskError::Crashed)) {
             self.clock.advance_to_ns(self.busy_until_ns);
@@ -851,11 +825,13 @@ impl BlockDevice for SimDisk {
     }
 
     fn read(&mut self, sector: u64, buf: &mut [u8]) -> DiskResult<()> {
+        self.submit(AccessKind::Read, sector, buf.len(), None)?;
         // Reads are always synchronous: the caller needs the data.
-        self.serve_direct(sector, Payload::Read(buf), true, None)
+        self.serve_direct(Payload::Read(buf), true, None)
     }
 
     fn write(&mut self, sector: u64, buf: &[u8], sync: bool) -> DiskResult<()> {
+        self.submit(AccessKind::Write, sector, buf.len(), None)?;
         // Synchronous writes are force-unit-access: they persist at once,
         // without draining older held writes.
         let hold = match self.crash_plan {
@@ -865,7 +841,7 @@ impl BlockDevice for SimDisk {
             }) if !sync => Some(window),
             _ => None,
         };
-        self.serve_direct(sector, Payload::Write(buf), sync, hold)
+        self.serve_direct(Payload::Write(buf), sync, hold)
     }
 
     fn flush(&mut self) -> DiskResult<()> {
