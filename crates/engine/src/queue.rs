@@ -1011,6 +1011,12 @@ impl EngineCore {
         self.obs.queue_depth.set(0);
         Ok(())
     }
+
+    /// Whether every accepted write is durable now: the queue is first
+    /// pumped to the current virtual time, then the disk answers.
+    pub fn writes_durable(&mut self) -> bool {
+        self.pump().is_ok() && self.disk.writes_durable()
+    }
 }
 
 /// An in-flight read started with [`EngineCore::start_read`]: all a
@@ -1072,6 +1078,10 @@ impl BlockDevice for EngineDisk {
 
     fn flush(&mut self) -> DiskResult<()> {
         self.0.borrow_mut().flush_all()
+    }
+
+    fn writes_durable(&mut self) -> bool {
+        self.0.borrow_mut().writes_durable()
     }
 
     fn annotate(&mut self, label: &'static str) {

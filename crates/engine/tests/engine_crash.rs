@@ -20,6 +20,26 @@ fn engine() -> (std::rc::Rc<std::cell::RefCell<EngineCore>>, Arc<Clock>) {
     (core, clock)
 }
 
+/// The durability query through the engine: a queued write is not
+/// durable until the pumped queue has serviced it and its finish time
+/// has passed; asking never moves the clock.
+#[test]
+fn queued_writes_become_durable_once_serviced_by_now() {
+    use sim_disk::BlockDevice;
+    let (core, clock) = engine();
+    let mut dev = EngineDisk::new(Rc::clone(&core));
+    assert!(dev.writes_durable(), "an idle engine holds nothing");
+    dev.write(0, &[1; 4096], false).unwrap();
+    assert!(!dev.writes_durable(), "the write is still queued");
+    assert_eq!(clock.now_ns(), 0, "the query never waits");
+    clock.advance_ns(1_000_000_000);
+    assert!(dev.writes_durable(), "the pump serviced it a second ago");
+    assert_eq!(core.borrow().queue_len(), 0);
+    dev.write(64, &[2; 4096], false).unwrap();
+    dev.flush().unwrap();
+    assert!(dev.writes_durable());
+}
+
 #[test]
 fn lfs_round_trips_through_the_engine() {
     let (core, clock) = engine();

@@ -69,6 +69,9 @@ const REBUILD_DEAD_SPINDLE: usize = 1;
 /// Data chunk under the rebuild row's parity-segment policy: 8 KB.
 const REBUILD_CHUNK_BYTES: usize = 8 * 1024;
 
+/// The parked-checkpoint row's checkpoint interval, in virtual seconds.
+const PARKED_INTERVAL_SECS: f64 = 0.02;
+
 /// How a crash treats the triggering write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepMode {
@@ -220,6 +223,16 @@ impl Rig {
         events.iter().filter(|e| seg_end_mid_clean(e)).count()
     }
 
+    /// Whether the LFS holds a periodic checkpoint captured but not yet
+    /// committed.
+    fn checkpoint_parked(&self) -> bool {
+        match self {
+            Rig::Lfs(fs) => fs.checkpoint_parked(),
+            Rig::Striped(fs) => fs.checkpoint_parked(),
+            Rig::Ffs(_) => false,
+        }
+    }
+
     /// The LFS on a volume, for the hooks that only make sense there.
     fn striped(&mut self) -> &mut Lfs<VolumeDisk> {
         match self {
@@ -314,6 +327,9 @@ enum Guard {
     /// whose final chunk filled its segment: the state whose checkpoint
     /// once recorded a spent log position roll-forward could not leave.
     SegmentEndCheckpoint,
+    /// At least one crash index fell inside an op that began with a
+    /// periodic checkpoint captured but its region not yet written.
+    ParkedRegion,
 }
 
 /// One row of the sweep table: everything that distinguishes one
@@ -404,6 +420,9 @@ pub fn arms() -> Vec<Arm> {
         .with_segment_aligned_metadata()
         .with_seal_on_flush();
     let adaptive_cfg = small().with_cache_policy(CachePolicy::Adaptive);
+    // Periodic checkpoints every 20 virtual ms, several per phase
+    // between the script's syncs, each parked until the disk drains.
+    let parked_cfg = small().with_checkpoint_secs(PARKED_INTERVAL_SECS);
 
     vec![
         lfs.clone(),
@@ -472,6 +491,17 @@ pub fn arms() -> Vec<Arm> {
             remount: FsCfg::Lfs(adaptive_cfg),
             hook: Hook::WobbleBoundary,
             guard: Guard::BoundaryMoved,
+            ..lfs.clone()
+        },
+        // A periodic checkpoint only captures its region; a later op
+        // writes it once the disk has drained. A crash in between must
+        // recover from the previous region plus roll-forward.
+        Arm {
+            label: "lfs parked",
+            prefix: "lfs_parked",
+            format: FsCfg::Lfs(parked_cfg.clone()),
+            remount: FsCfg::Lfs(parked_cfg),
+            guard: Guard::ParkedRegion,
             ..lfs.clone()
         },
         Arm {
@@ -599,6 +629,7 @@ fn run_script(rig: &mut Rig, ops: &[Op], hook: Hook, model: &mut Model) -> Resul
         }
         let w0 = rig.disk_writes();
         let was_active = task_active(&task, rig);
+        let was_parked = rig.checkpoint_parked();
         match op {
             Op::Mkdir(path) => {
                 rig.fs().mkdir(path)?;
@@ -640,6 +671,9 @@ fn run_script(rig: &mut Rig, ops: &[Op], hook: Hook, model: &mut Model) -> Resul
         let w1 = rig.disk_writes();
         if w1 > w0 && (was_active || task_active(&task, rig)) {
             model.task_spans.push((w0, w1));
+        }
+        if w1 > w0 && was_parked {
+            model.parked_spans.push((w0, w1));
         }
     }
     if let Some((task, _)) = &mut task {
@@ -707,6 +741,7 @@ pub fn sweep(arm: &Arm, mode: SweepMode, spec: &SweepSpec) -> ModeOutcome {
 
     let mut out = ModeOutcome::default();
     let mut mid_task_points = 0u64;
+    let mut parked_points = 0u64;
     let mut max_partitions = 0u64;
     let mut idx = model.format_writes;
     while idx < model.total_writes {
@@ -717,6 +752,13 @@ pub fn sweep(arm: &Arm, mode: SweepMode, spec: &SweepSpec) -> ModeOutcome {
             .any(|&(lo, hi)| idx >= lo && idx < hi)
         {
             mid_task_points += 1;
+        }
+        if model
+            .parked_spans
+            .iter()
+            .any(|&(lo, hi)| idx >= lo && idx < hi)
+        {
+            parked_points += 1;
         }
         let mut rig = arm.open(None, Some(mode.plan(idx))).expect("format");
         // The crash surfaces as an error; the image is what matters.
@@ -802,6 +844,14 @@ pub fn sweep(arm: &Arm, mode: SweepMode, spec: &SweepSpec) -> ModeOutcome {
                     .into(),
             );
         }
+        Guard::ParkedRegion => guard(
+            parked_points > 0,
+            format!(
+                " is vacuous: no crash index landed while a periodic checkpoint was \
+                 parked ({} points swept)",
+                out.crash_points
+            ),
+        ),
         Guard::SegmentEndCheckpoint => guard(
             segment_end_checkpoints > 0,
             " is vacuous: no checkpoint inside a cleaner run filled its segment".into(),
@@ -883,6 +933,7 @@ mod tests {
             ("lfs_rebuild_4sp", Guard::MidTask),
             ("lfs_par_recovery_4sp", Guard::PartitionedRecovery),
             ("lfs_adaptive", Guard::BoundaryMoved),
+            ("lfs_parked", Guard::ParkedRegion),
         ] {
             assert_eq!(arm(prefix).guard, guard, "{prefix}");
         }

@@ -91,6 +91,9 @@ pub(super) struct Model {
     /// Device-write spans during which the arm's maintenance task had a
     /// run in progress (so a sweep can prove crash points landed inside).
     pub task_spans: Vec<(u64, u64)>,
+    /// Device-write spans `[lo, hi)` of the ops that began with a
+    /// periodic checkpoint parked: a crash there loses the parked region.
+    pub parked_spans: Vec<(u64, u64)>,
 }
 
 /// Create-or-overwrite: the trait's `write_file` refuses existing paths.

@@ -1,11 +1,36 @@
 //! Checkpointing and mounting (§4.4.1).
 //!
-//! A checkpoint writes all dirty state to the log (data, indirect blocks,
-//! inodes, the inode map, and the segment usage table) and then records
-//! the positions of the metadata structures in one of the two fixed
-//! checkpoint regions, alternating between them. "Crash recovery consists
-//! of nothing more than the normal file system mount code that uses the
-//! last checkpoint area to recover the file system state."
+//! A checkpoint writes all dirty state to the log and then records the
+//! positions of the metadata structures in one of the two fixed
+//! checkpoint regions, alternating between them. "Crash recovery
+//! consists of nothing more than the normal file system mount code that
+//! uses the last checkpoint area to recover the file system state."
+//!
+//! A checkpoint has two halves:
+//!
+//! 1. **Capture.** Flush all file data, indirect blocks, inodes and the
+//!    inode map, then the usage table (reflecting the final segment
+//!    states); encode the region from the resulting log position and
+//!    metadata addresses; record which segments are `CleanPending`.
+//!    Capture only issues asynchronous log writes.
+//! 2. **Commit.** Wait until everything the capture wrote is on the
+//!    platter (`BlockDevice::flush`), write the region synchronously to
+//!    the alternate slot, and only then promote the recorded segments to
+//!    clean: the committed region no longer references their old
+//!    contents, so a crash at any point finds either the old copies
+//!    intact (old region) or the relocated ones (new region).
+//!
+//! `sync`, `fsync` without roll-forward, cleaning commits, scrub, format
+//! and the mount's recovery take both halves back to back and wait for
+//! them. The periodic checkpoint is background work, as the paper has
+//! it: the call that crosses the interval only captures and *parks* the
+//! region; a later call commits it once the device reports every
+//! accepted write durable ([`BlockDevice::writes_durable`]), or — if the
+//! device never drains — blocking, when the next interval comes round.
+//! A crash before a parked region lands loses nothing roll-forward
+//! cannot replay: mount finds the previous region and the log tail. A
+//! blocking checkpoint replaces any parked region, since its own capture
+//! is newer.
 
 use std::sync::Arc;
 
@@ -19,73 +44,167 @@ use crate::layout::checkpoint::CheckpointRegion;
 use crate::layout::superblock::Superblock;
 use crate::layout::usage_block::SegState;
 use crate::log::{plan_chunk, LogPosition};
-use crate::types::BlockAddr;
+use crate::types::{BlockAddr, SegNo};
+
+/// Why a checkpoint was taken: the `cause=` of its `checkpoint` event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CpCause {
+    /// The interval timer; the only cause that parks.
+    Periodic,
+    /// `sync`, or an explicit [`Lfs::checkpoint`].
+    Sync,
+    /// `fsync` on a mount without roll-forward.
+    Fsync,
+    /// Committing cleaned (or scrubbed) segments.
+    Clean,
+    /// Format and recovery.
+    Mount,
+}
+
+impl CpCause {
+    fn name(self) -> &'static str {
+        match self {
+            CpCause::Periodic => "periodic",
+            CpCause::Sync => "sync",
+            CpCause::Fsync => "fsync",
+            CpCause::Clean => "clean",
+            CpCause::Mount => "mount",
+        }
+    }
+}
+
+/// A captured checkpoint whose region has not been written yet.
+pub(crate) struct Capture {
+    region: CheckpointRegion,
+    /// The segments `CleanPending` at capture: exactly the ones the
+    /// region's commit may promote.
+    pending: Vec<SegNo>,
+}
 
 impl<D: BlockDevice> Lfs<D> {
-    /// Takes a checkpoint: flushes everything and commits a new
-    /// checkpoint region.
+    /// Takes a checkpoint and waits for it: flushes everything and
+    /// commits a new checkpoint region.
     pub fn checkpoint(&mut self) -> FsResult<()> {
+        self.checkpoint_as(CpCause::Sync)
+    }
+
+    /// [`Lfs::checkpoint`] with the cause its event records. Replaces
+    /// any parked region.
+    pub(crate) fn checkpoint_as(&mut self, cause: CpCause) -> FsResult<()> {
+        self.parked = None;
+        self.as_maintenance(|fs| {
+            let cp = fs.capture()?;
+            fs.commit(cp, cause)
+        })
+    }
+
+    /// The periodic checkpoint: captures and parks the region without
+    /// waiting. A region still parked from the previous interval (the
+    /// device never drained) is committed first, blocking.
+    pub(crate) fn park_checkpoint(&mut self) -> FsResult<()> {
+        self.as_maintenance(|fs| {
+            if let Some(stale) = fs.parked.take() {
+                fs.commit(stale, CpCause::Periodic)?;
+            }
+            let cp = fs.capture()?;
+            fs.last_cp_ns = cp.region.timestamp_ns;
+            fs.obs.registry.event(
+                cp.region.timestamp_ns,
+                "checkpoint_parked",
+                format!(
+                    "serial={} seg={} offset={} pending={}",
+                    cp.region.serial,
+                    cp.region.cur_seg.0,
+                    cp.region.next_block,
+                    cp.pending.len()
+                ),
+            );
+            fs.parked = Some(cp);
+            Ok(())
+        })
+    }
+
+    /// Commits the parked region if the device has drained; otherwise
+    /// leaves it parked. Never waits on the device.
+    pub(crate) fn commit_parked_if_durable(&mut self) -> FsResult<()> {
+        if self.parked.is_none() || !self.dev.writes_durable() {
+            return Ok(());
+        }
+        let cp = self.parked.take().expect("checked above");
+        self.as_maintenance(|fs| fs.commit(cp, CpCause::Periodic))
+    }
+
+    /// Runs `f` with automatic write-back suppressed.
+    fn as_maintenance(&mut self, f: impl FnOnce(&mut Self) -> FsResult<()>) -> FsResult<()> {
         let was = std::mem::replace(&mut self.in_maintenance, true);
-        let result = self.checkpoint_inner();
+        let result = f(self);
         self.in_maintenance = was;
         result
     }
 
-    fn checkpoint_inner(&mut self) -> FsResult<()> {
+    /// The capture half: flush, encode, record the pending set.
+    fn capture(&mut self) -> FsResult<Capture> {
         // A degraded (read-only) file system must not write to the log.
         self.check_writable()?;
-        // 1. All file data, indirect blocks, inodes, and the inode map.
+        // All file data, indirect blocks, inodes, and the inode map...
         self.flush(true, false)?;
-
-        // 2. The usage table, reflecting the final segment states.
+        // ...then the usage table, reflecting the final segment states.
         self.flush(false, true)?;
+        Ok(Capture {
+            region: CheckpointRegion {
+                timestamp_ns: self.now(),
+                serial: self.cp_serial + 1,
+                seq: self.pos.seq,
+                cur_seg: self.pos.seg,
+                next_block: self.pos.offset,
+                partial: self.pos.partial,
+                next_free_ino: self.imap.next_free_hint(),
+                imap_addrs: self.imap.block_addrs().to_vec(),
+                usage_addrs: self.usage.block_addrs().to_vec(),
+            },
+            pending: self.usage.segments_in_state(SegState::CleanPending),
+        })
+    }
 
-        // 3. Everything must be on the platter before the region write.
+    /// The commit half: wait for the capture's writes, write the region
+    /// to the alternate slot, promote the recorded segments. A periodic
+    /// checkpoint is dated by its capture; any other by this commit,
+    /// when its caller's wait ends.
+    fn commit(&mut self, mut cp: Capture, cause: CpCause) -> FsResult<()> {
+        let captured_ns = cp.region.timestamp_ns;
+        // Everything the region points at must be on the platter first.
         self.dev.flush()?;
-
-        // 5. Commit: one synchronous write to the alternate fixed region.
         let now = self.now();
-        let cp = CheckpointRegion {
-            timestamp_ns: now,
-            serial: self.cp_serial + 1,
-            seq: self.pos.seq,
-            cur_seg: self.pos.seg,
-            next_block: self.pos.offset,
-            partial: self.pos.partial,
-            next_free_ino: self.imap.next_free_hint(),
-            imap_addrs: self.imap.block_addrs().to_vec(),
-            usage_addrs: self.usage.block_addrs().to_vec(),
-        };
+        if cause != CpCause::Periodic {
+            cp.region.timestamp_ns = now;
+            self.last_cp_ns = now;
+        }
         let region_bytes = (self.sb.cp_blocks * self.sb.block_size) as usize;
-        let bytes = cp.encode(region_bytes);
-        let region = if self.cp_use_b {
-            self.sb.cp_b
+        let bytes = cp.region.encode(region_bytes);
+        let (slot, name) = if self.cp_use_b {
+            (self.sb.cp_b, "B")
         } else {
-            self.sb.cp_a
+            (self.sb.cp_a, "A")
         };
         self.dev.annotate("checkpoint");
-        self.dev.write(self.sector_of(region), &bytes, true)?;
+        self.dev.write(self.sector_of(slot), &bytes, true)?;
         self.cp_use_b = !self.cp_use_b;
-        self.cp_serial += 1;
-        self.last_cp_ns = now;
+        self.cp_serial = cp.region.serial;
         self.obs.checkpoints.inc();
         self.obs.registry.event(
             now,
             "checkpoint",
             format!(
-                "serial={} region={} seg={} offset={}",
-                self.cp_serial,
-                if self.cp_use_b { "A" } else { "B" },
-                self.pos.seg.0,
-                self.pos.offset
+                "serial={} region={name} cause={} parked_ns={} seg={} offset={}",
+                cp.region.serial,
+                cause.name(),
+                now - captured_ns,
+                cp.region.cur_seg.0,
+                cp.region.next_block
             ),
         );
-
-        // 5. Only now may cleaned segments be reused: the just-committed
-        //    checkpoint no longer references their old contents, so a
-        //    crash at any point finds either the old copies intact (old
-        //    checkpoint) or the relocated ones (new checkpoint).
-        self.usage.commit_pending();
+        // Only now may the recorded cleaned segments be reused.
+        self.usage.commit_pending(&cp.pending);
         Ok(())
     }
 
@@ -177,7 +296,8 @@ impl<D: BlockDevice> Lfs<D> {
         // flush preceding this very checkpoint; promote it. Any *other*
         // segment still marked active is a stale mid-flush snapshot —
         // demote it to dirty so it can be cleaned.
-        fs.usage.commit_pending();
+        let pending = fs.usage.segments_in_state(SegState::CleanPending);
+        fs.usage.commit_pending(&pending);
         for i in 0..fs.sb.nsegments {
             let seg = crate::types::SegNo(i);
             if seg != cp.cur_seg && fs.usage.state(seg) == SegState::Active {

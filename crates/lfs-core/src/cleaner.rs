@@ -26,6 +26,7 @@ use sim_disk::{BlockDevice, CpuCost};
 use vfs::blockmap::{self, idx_dchild, IDX_DTOP, IDX_SINGLE};
 use vfs::{FsResult, Ino};
 
+use crate::checkpoint::CpCause;
 use crate::fs::{CachedInode, Lfs};
 use crate::layout::inode::inode_block;
 use crate::layout::summary::{self, BlockKind};
@@ -342,7 +343,7 @@ impl<D: BlockDevice> Lfs<D> {
             self.in_maintenance = true;
             self.dev.set_maintenance(true);
             let outcome = self.clean_pass();
-            let cp = outcome.is_ok().then(|| self.checkpoint());
+            let cp = outcome.is_ok().then(|| self.checkpoint_as(CpCause::Clean));
             self.dev.set_maintenance(false);
             self.in_maintenance = false;
             let outcome = outcome?;

@@ -30,6 +30,7 @@
 use sim_disk::BlockDevice;
 use vfs::{FsError, FsResult};
 
+use crate::checkpoint::CpCause;
 use crate::cleaner::{AsyncCleanerPolicy, CleanerRunMode, VictimReason};
 use crate::fs::Lfs;
 use crate::layout::summary::{ChunkCursor, ChunkSummary};
@@ -249,7 +250,7 @@ impl<D: BlockDevice> Lfs<D> {
                     // pending segments. The checkpoint is still
                     // maintenance I/O; re-tag around it.
                     self.dev.set_maintenance(true);
-                    let cp = self.checkpoint();
+                    let cp = self.checkpoint_as(CpCause::Clean);
                     self.dev.set_maintenance(false);
                     cp?;
                 }

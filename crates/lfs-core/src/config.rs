@@ -27,7 +27,10 @@ pub struct LfsConfig {
     /// write buffer and a scan-resistant read cache with a tuned
     /// boundary between them.
     pub cache_policy: CachePolicy,
-    /// Interval between automatic checkpoints, in virtual nanoseconds.
+    /// Interval between automatic (periodic) checkpoints, in virtual
+    /// nanoseconds, counted from one capture to the next. A periodic
+    /// checkpoint's region is written once the device has drained; one
+    /// still waiting a whole interval later is committed blocking.
     pub checkpoint_interval_ns: u64,
     /// Segment-cleaner configuration.
     pub cleaner: CleanerConfig,

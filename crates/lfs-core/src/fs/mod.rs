@@ -30,6 +30,7 @@ use vfs::names::NameIndex;
 use vfs::namespace::OpHists;
 use vfs::{FileKind, FsError, FsResult, Ino};
 
+use crate::checkpoint::{Capture, CpCause};
 use crate::config::LfsConfig;
 use crate::imap::Imap;
 use crate::layout::inode::{inode_block, Inode};
@@ -73,7 +74,12 @@ pub struct Lfs<D: BlockDevice> {
     pub(crate) cp_serial: u64,
     /// Next checkpoint goes to region B when true.
     pub(crate) cp_use_b: bool,
+    /// When the last checkpoint was taken — captured, for a periodic
+    /// one; the interval timer counts from here.
     pub(crate) last_cp_ns: u64,
+    /// A periodic checkpoint captured but not yet committed: its region
+    /// waits for the device to drain (see `checkpoint.rs`).
+    pub(crate) parked: Option<Capture>,
     pub(crate) obs: LfsObs,
     pub(crate) ops: OpHists,
     /// The name index directory lookups go through (this mount's only).
@@ -81,6 +87,9 @@ pub struct Lfs<D: BlockDevice> {
     /// Reentrancy guard: automatic write-back is suppressed inside
     /// flush/cleaner/checkpoint work.
     pub(crate) in_maintenance: bool,
+    /// Set while a flush runs, so the synchronous reads it issues itself
+    /// are counted as the flush's (`log.flush_sync_reads`).
+    flushing: bool,
     /// Segments kept in reserve so a checkpoint can always complete.
     pub(crate) reserve_segments: usize,
     /// Expected end-to-end CRC-32C of every device block this mount has
@@ -142,7 +151,7 @@ impl<D: BlockDevice> Lfs<D> {
             },
         );
         // The initial checkpoint makes the empty file system mountable.
-        fs.checkpoint()?;
+        fs.checkpoint_as(CpCause::Mount)?;
         Ok(fs)
     }
 
@@ -192,10 +201,12 @@ impl<D: BlockDevice> Lfs<D> {
             cp_serial: 0,
             cp_use_b: false,
             last_cp_ns: 0,
+            parked: None,
             obs: LfsObs::new(&registry),
             ops: OpHists::new(&registry),
             names: NameIndex::new(&registry),
             in_maintenance: false,
+            flushing: false,
             reserve_segments: reserve,
             block_crc: vec![None; total_blocks],
             read_only: false,
@@ -286,6 +297,12 @@ impl<D: BlockDevice> Lfs<D> {
         self.inodes.len()
     }
 
+    /// Whether a periodic checkpoint is captured but its region not yet
+    /// written: a crash now recovers from the previous region.
+    pub fn checkpoint_parked(&self) -> bool {
+        self.parked.is_some()
+    }
+
     /// Returns true if the file system has degraded to read-only.
     pub fn is_read_only(&self) -> bool {
         self.read_only
@@ -320,10 +337,16 @@ impl<D: BlockDevice> Lfs<D> {
     // Raw block I/O.
     // ------------------------------------------------------------------
 
-    /// Reads one block from disk (synchronous).
+    /// Reads one block from disk (synchronous). A read a flush issues
+    /// itself is counted, with the time it blocks the flush.
     pub(crate) fn read_block_raw(&mut self, addr: BlockAddr) -> FsResult<Vec<u8>> {
         let mut buf = vec![0u8; self.block_size()];
+        let start = self.now();
         self.dev.read(self.sector_of(addr), &mut buf)?;
+        if self.flushing {
+            self.obs.flush_sync_reads.inc();
+            self.obs.flush_read_wait_ns.add(self.now() - start);
+        }
         Ok(buf)
     }
 
@@ -641,10 +664,12 @@ impl<D: BlockDevice> Lfs<D> {
         cause: FlushCause,
     ) -> FsResult<()> {
         let was_maintenance = std::mem::replace(&mut self.in_maintenance, true);
+        let was_flushing = std::mem::replace(&mut self.flushing, true);
         let chunks_before = self.obs.chunks_written.get();
         let payload_before = self.payload_blocks_written();
         let result = self.flush_inner(include_imap, include_usage);
         self.in_maintenance = was_maintenance;
+        self.flushing = was_flushing;
         // Report payload bytes per chunk write so the manager can track
         // flush efficiency (how full each log write ran relative to a
         // segment) and tune the write-buffer boundary.
@@ -866,11 +891,14 @@ impl<D: BlockDevice> Lfs<D> {
         }
         let now = self.now();
 
-        // Periodic checkpoint (30 s in the paper).
+        // Periodic checkpoint (30 s in the paper), background work: this
+        // call only captures it; a later one commits it once the device
+        // has drained.
         if now.saturating_sub(self.last_cp_ns) >= self.cfg.checkpoint_interval_ns {
-            self.checkpoint()?;
+            self.park_checkpoint()?;
             return Ok(());
         }
+        self.commit_parked_if_durable()?;
 
         // Cache-driven write-back: cache full or dirty data too old.
         if let Some(trigger) = self.cache.writeback_trigger(now) {
@@ -929,7 +957,7 @@ impl<D: BlockDevice> Lfs<D> {
                     .is_empty()
             {
                 self.dev.set_maintenance(true);
-                let cp = self.checkpoint();
+                let cp = self.checkpoint_as(CpCause::Clean);
                 self.dev.set_maintenance(false);
                 cp?;
             }
@@ -979,7 +1007,7 @@ impl<D: BlockDevice> Lfs<D> {
         self.in_maintenance = false;
         result?;
         // Commit the relocations so cleaned segments become reusable.
-        self.checkpoint()?;
+        self.checkpoint_as(CpCause::Clean)?;
         Ok(())
     }
 

@@ -12,6 +12,7 @@ use vfs::namespace::{self, NodeStore};
 use vfs::{DirEntry, FileSystem, FsResult, FsStats, Ino, Metadata};
 
 use super::Lfs;
+use crate::checkpoint::CpCause;
 
 impl<D: BlockDevice> FileSystem for Lfs<D> {
     fn lookup(&mut self, path: &str) -> FsResult<Ino> {
@@ -83,7 +84,7 @@ impl<D: BlockDevice> FileSystem for Lfs<D> {
                 if !fs.cfg.roll_forward {
                     // Checkpoint-only recovery would never see a log
                     // flush: only a checkpoint makes the fsync durable.
-                    fs.checkpoint()?;
+                    fs.checkpoint_as(CpCause::Fsync)?;
                 } else {
                     // §4.3.5 "Sync request": the dirty blocks are pushed to disk.
                     // Flushing everything (not just this file) keeps the file's

@@ -59,6 +59,7 @@ use sim_disk::{read_batch, BlockDevice, DiskResult};
 use vfs::namespace::{self, Before, Finding, NodeStore};
 use vfs::{blockmap, FileKind, FsError, FsResult, Ino};
 
+use crate::checkpoint::CpCause;
 use crate::fs::{Lfs, NS_INODE_BLOCKS};
 use crate::layout::imap_block::ImapEntry;
 use crate::layout::inode::inode_block;
@@ -303,7 +304,7 @@ pub(crate) fn roll_forward<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
             seq: pos.seq + fs.sb.nsegments as u64 + 1,
         };
         // Make the recovered state durable and the recovery idempotent.
-        fs.checkpoint()?;
+        fs.checkpoint_as(CpCause::Mount)?;
     }
     let stale: Vec<String> =
         (touched.iter()).filter(|(_, b)| b.is_none()).map(|(ino, _)| ino.0.to_string()).collect();

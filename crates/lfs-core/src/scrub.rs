@@ -21,6 +21,7 @@
 use sim_disk::BlockDevice;
 use vfs::{FsError, FsResult, Ino};
 
+use crate::checkpoint::CpCause;
 use crate::cleaner::file_block_key;
 use crate::fs::Lfs;
 use crate::layout::summary::{self, BlockKind, ChainEnd, ChunkCursor};
@@ -69,7 +70,7 @@ impl<D: BlockDevice> Lfs<D> {
         self.in_maintenance = was;
         let report = result?;
         if report.relocated > 0 && !self.read_only {
-            self.checkpoint()?;
+            self.checkpoint_as(CpCause::Clean)?;
         }
         Ok(report)
     }

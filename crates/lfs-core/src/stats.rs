@@ -26,6 +26,10 @@ obs::instruments! {
         imap_blocks_written, Counter, "log.imap_blocks_written", "Inode-map blocks written to the log.";
         usage_blocks_written, Counter, "log.usage_blocks_written", "Usage-table blocks written to the log.";
         summary_blocks_written, Counter, "log.summary_blocks_written", "Summary blocks written (log overhead).";
+        flush_sync_reads, Counter, "log.flush_sync_reads", "Synchronous block reads a flush issued itself \
+            (indirect blocks and inodes it had to load to record new addresses).";
+        flush_read_wait_ns, Counter, "log.flush_read_wait_ns", "Virtual time flushes spent blocked on their \
+            own synchronous reads.";
         checkpoints, Counter, "log.checkpoints", "Checkpoints completed.";
         segments_cleaned, Counter, "cleaner.segments_cleaned", "Segments processed by the cleaner.";
         cleaner_blocks_copied, Counter, "cleaner.blocks_copied", "Live blocks the cleaner copied back into the cache.";

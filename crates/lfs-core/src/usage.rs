@@ -112,14 +112,15 @@ impl UsageTable {
             .collect()
     }
 
-    /// Promotes every [`SegState::CleanPending`] segment to clean.
-    /// Called when a checkpoint commits. Returns how many were promoted.
-    pub fn commit_pending(&mut self) -> usize {
+    /// Promotes those of `segs` still [`SegState::CleanPending`] to
+    /// clean — the set a checkpoint recorded when it was captured.
+    /// Called when that checkpoint commits. Returns how many were
+    /// promoted.
+    pub fn commit_pending(&mut self, segs: &[SegNo]) -> usize {
         let mut promoted = 0;
-        for entry in &mut self.entries {
-            if entry.state == SegState::CleanPending {
-                entry.state = SegState::Clean;
-                entry.live_bytes = 0;
+        for &seg in segs {
+            if self.state(seg) == SegState::CleanPending {
+                self.set_state(seg, SegState::Clean);
                 promoted += 1;
             }
         }
@@ -222,10 +223,13 @@ mod tests {
         t.set_state(SegNo(0), SegState::CleanPending);
         t.add_live(SegNo(0), 100, 1);
         t.set_state(SegNo(1), SegState::Dirty);
-        assert_eq!(t.commit_pending(), 1);
+        t.set_state(SegNo(2), SegState::CleanPending);
+        // Only the recorded set is promoted, and only while pending.
+        assert_eq!(t.commit_pending(&[SegNo(0), SegNo(1)]), 1);
         assert_eq!(t.state(SegNo(0)), SegState::Clean);
         assert_eq!(t.get(SegNo(0)).live_bytes, 0);
         assert_eq!(t.state(SegNo(1)), SegState::Dirty);
+        assert_eq!(t.state(SegNo(2)), SegState::CleanPending);
     }
 
     #[test]

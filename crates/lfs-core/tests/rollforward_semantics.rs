@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use lfs_core::{Lfs, LfsConfig};
-use sim_disk::{Clock, CrashPlan, DiskGeometry, SimDisk};
+use sim_disk::{BlockDevice, Clock, CrashPlan, DiskGeometry, SimDisk};
 use vfs::{FileSystem, FsError};
 
 const DISK_SECTORS: u64 = 16_384;
@@ -338,4 +338,64 @@ fn rename_whose_destination_update_is_lost_frees_the_file() {
         assert_fsck_clean(&mut fs, &what);
     }
     assert!(source_only > 0, "no crash point kept only the source update");
+}
+
+/// Checkpoint-only recovery (`roll_forward = false`) over a periodic
+/// checkpoint that is parked — captured, its region not yet written. A
+/// crash may lose exactly what the last *committed* region does not
+/// cover, and never a file an `fsync` returned for.
+#[test]
+fn without_roll_forward_a_parked_region_loses_only_uncommitted_changes() {
+    let mut cfg = LfsConfig::small_test().with_checkpoint_secs(1.0);
+    cfg.roll_forward = false;
+    let recover = |image: &[u8]| {
+        let geometry = DiskGeometry::tiny_test(DISK_SECTORS);
+        let disk = SimDisk::from_image(geometry, Clock::new(), image.to_vec());
+        let clock = disk.clock().clone();
+        Lfs::mount(disk, cfg.clone(), clock).expect("recovery mount")
+    };
+    let clock = Clock::new();
+    let disk = SimDisk::new(DiskGeometry::tiny_test(DISK_SECTORS), Arc::clone(&clock));
+    let mut fs = Lfs::format(disk, cfg.clone(), Arc::clone(&clock)).unwrap();
+    fs.write_file("/synced", b"sync").unwrap();
+    fs.sync().unwrap();
+    fs.write_file("/fsynced", b"fsync").unwrap();
+    let ino = fs.lookup("/fsynced").unwrap();
+    fs.fsync(ino).unwrap();
+    fs.write_file("/captured", b"capture").unwrap();
+    clock.advance_ns(1_000_000_000);
+    fs.lookup("/captured").unwrap();
+    assert!(fs.checkpoint_parked(), "the crossing call parks the region");
+    let parked_image = fs.device().image().to_vec();
+
+    let expect = |fs: &mut Lfs<SimDisk>, present: &[&str], lost: &[&str], what: &str| {
+        for path in present {
+            assert!(fs.read_file(path).is_ok(), "{what}: {path} lost");
+        }
+        for path in lost {
+            assert_eq!(fs.lookup(path), Err(FsError::NotFound), "{what}: {path}");
+        }
+        assert_fsck_clean(fs, what);
+    };
+    let mut crashed = recover(&parked_image);
+    expect(
+        &mut crashed,
+        &["/synced", "/fsynced"],
+        &["/captured"],
+        "crash while parked",
+    );
+
+    fs.write_file("/late", b"after the capture").unwrap();
+    while !fs.device_mut().writes_durable() {
+        clock.advance_ns(1_000_000);
+    }
+    fs.lookup("/late").unwrap();
+    assert!(!fs.checkpoint_parked(), "the region landed");
+    let mut crashed = recover(fs.device().image());
+    expect(
+        &mut crashed,
+        &["/synced", "/fsynced", "/captured"],
+        &["/late"],
+        "crash after the region landed",
+    );
 }

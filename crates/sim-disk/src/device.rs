@@ -90,6 +90,14 @@ pub trait BlockDevice {
     /// Blocks until all queued asynchronous writes have completed.
     fn flush(&mut self) -> DiskResult<()>;
 
+    /// Whether every write accepted so far is durable *now*: nothing is
+    /// queued, in service, or held in a volatile cache. Never blocks —
+    /// the virtual clock does not move — so a caller can poll it to learn
+    /// that a [`BlockDevice::flush`] would return at once. A queue-backed
+    /// device may first service what it would have finished by now. A
+    /// crashed device answers `false`.
+    fn writes_durable(&mut self) -> bool;
+
     /// Attaches a label to the next request, for access tracing.
     ///
     /// Devices without tracing ignore this; see

@@ -92,6 +92,11 @@ impl BlockDevice for RamDisk {
     fn flush(&mut self) -> DiskResult<()> {
         Ok(())
     }
+
+    /// Every write lands the moment it is issued.
+    fn writes_durable(&mut self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
@@ -121,6 +126,14 @@ mod tests {
             disk.finish_read_async(0),
             Err(DiskError::Unsupported("no asynchronous read path"))
         );
+    }
+
+    #[test]
+    fn every_write_is_durable_at_once() {
+        let mut disk = RamDisk::new(8);
+        assert!(disk.writes_durable());
+        disk.write(1, &[7; SECTOR_SIZE], false).unwrap();
+        assert!(disk.writes_durable());
     }
 
     #[test]

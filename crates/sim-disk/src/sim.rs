@@ -861,6 +861,16 @@ impl BlockDevice for SimDisk {
         Ok(())
     }
 
+    /// Durable once the queue is empty, the volatile cache holds nothing
+    /// and the busy horizon has passed: an asynchronous write persists
+    /// when it is serviced, but is only *finished* at its completion time.
+    fn writes_durable(&mut self) -> bool {
+        !self.crashed
+            && self.pending.is_empty()
+            && self.held.is_empty()
+            && self.busy_until_ns <= self.clock.now_ns()
+    }
+
     fn annotate(&mut self, label: &'static str) {
         self.next_label = label;
     }
@@ -964,6 +974,37 @@ mod tests {
         // Flushing again is free.
         disk.flush().unwrap();
         assert_eq!(clock.now_ns(), after_flush);
+    }
+
+    #[test]
+    fn writes_are_durable_once_the_busy_horizon_passes() {
+        let mut disk = small_disk();
+        let clock = Arc::clone(disk.clock());
+        assert!(disk.writes_durable(), "an idle disk holds nothing");
+        disk.write(0, &vec![0; SECTOR_SIZE * 8], false).unwrap();
+        assert!(!disk.writes_durable(), "the write is still in service");
+        assert_eq!(clock.now_ns(), 0, "the query never waits");
+        clock.advance_to_ns(disk.busy_until_ns());
+        assert!(disk.writes_durable());
+        // A queued submission is not durable until it is serviced.
+        let id = disk.submit_write(64, &[1; SECTOR_SIZE]).unwrap();
+        assert!(!disk.writes_durable());
+        disk.complete(id, false).unwrap();
+        clock.advance_to_ns(disk.busy_until_ns());
+        assert!(disk.writes_durable());
+    }
+
+    #[test]
+    fn writes_held_in_a_reorder_window_are_not_durable_until_flushed() {
+        let mut disk = small_disk();
+        let clock = Arc::clone(disk.clock());
+        disk.arm_crash(CrashPlan::reorder_at(u64::MAX, 4));
+        disk.write(30, &[1; SECTOR_SIZE], false).unwrap();
+        // However long we wait, the volatile cache still holds it.
+        clock.advance_ns(1_000_000_000);
+        assert!(!disk.writes_durable());
+        disk.flush().unwrap();
+        assert!(disk.writes_durable());
     }
 
     #[test]

@@ -16,10 +16,12 @@
 //!   chunk per spindle at the same physical offset) dedicates one
 //!   rotating spindle to the XOR of the other chunks, and the chunk is
 //!   sized so one full segment write covers a whole data row — the
-//!   volume computes parity straight from the write buffer without ever
-//!   reading old data (the log never pays the RAID-5 read-modify-write
-//!   tax). A smaller chunk under the same layout is classic RAID-5:
-//!   partial rows pay read-modify-write.
+//!   volume computes parity for it straight from the write buffer,
+//!   without reading old data. A partial-segment write covers only part
+//!   of a row and still pays RAID-5's read-modify-write (under
+//!   `seal_on_flush`, every flush's final partial chunk does). A smaller
+//!   chunk under the same layout is classic RAID-5: every write that is
+//!   not a whole row pays it.
 //!
 //! Parity layouts keep the **row-XOR invariant**: for every physical
 //! sector `p`, the XOR of sector `p` across all spindles is zero.

@@ -129,6 +129,10 @@ obs::instruments! {
         bytes_read, Counter, "volume.bytes_read", "Logical bytes read.";
         bytes_written, Counter, "volume.bytes_written", "Logical bytes written.";
         subrequests, Counter, "volume.subrequests", "Per-spindle pieces the logical requests split into.";
+        rmw_writes, Counter, "volume.rmw_writes", "Parity rows a write covered only partly, so their parity \
+            was read-modify-written (old parity and old data read first).";
+        rmw_read_bytes, Counter, "volume.rmw_read_bytes", "Bytes of old parity and old data read for \
+            read-modify-write.";
         degraded_reads, Counter, "volume.degraded_reads", "Logical reads that needed at least one XOR reconstruction.";
         reconstructions, Counter, "volume.reconstructions", "Per-piece XOR reconstructions (a degraded read may need several).";
         rebuild_steps, Counter, "volume.rebuild.steps", "Rebuild steps taken.";
@@ -1301,8 +1305,10 @@ impl StripedVolume {
                     xor_into(&mut parity, &buf[sub.offset..sub.offset + sub.bytes()]);
                 }
             } else {
+                self.obs.rmw_writes.inc();
                 let escape = base_sector + (subs[idxs[0]].offset / SECTOR_SIZE) as u64;
                 self.read_physical(p, row_base + lo, &mut parity, escape)?;
+                self.obs.rmw_read_bytes.add(parity.len() as u64);
                 let mut old = vec![0u8; (hi - lo) as usize * SECTOR_SIZE];
                 for &i in idxs {
                     let sub = &subs[i];
@@ -1310,6 +1316,7 @@ impl StripedVolume {
                     let escape = base_sector + (sub.offset / SECTOR_SIZE) as u64;
                     let old_piece = &mut old[a..a + sub.bytes()];
                     self.read_physical(sub.spindle, sub.sector, old_piece, escape)?;
+                    self.obs.rmw_read_bytes.add(sub.bytes() as u64);
                     xor_into(&mut parity[a..a + sub.bytes()], old_piece);
                     xor_into(
                         &mut parity[a..a + sub.bytes()],
@@ -1383,6 +1390,12 @@ impl StripedVolume {
         }
         self.update_balance();
         Ok(())
+    }
+
+    /// Whether every accepted write is durable now on every spindle
+    /// (each pumped to the current virtual time first). Never blocks.
+    pub fn writes_durable(&mut self) -> bool {
+        !self.crashed && self.spindles.iter_mut().all(EngineCore::writes_durable)
     }
 
     /// Marks subsequent submissions on every spindle as maintenance
@@ -1528,6 +1541,10 @@ impl BlockDevice for VolumeDisk {
 
     fn flush(&mut self) -> DiskResult<()> {
         self.0.borrow_mut().flush()
+    }
+
+    fn writes_durable(&mut self) -> bool {
+        self.0.borrow_mut().writes_durable()
     }
 
     fn annotate(&mut self, label: &'static str) {

@@ -141,7 +141,7 @@ fn one_spindle_rr_segment() {
     check(
         "rr_segment(1)",
         &vol,
-        &[9495185727015179057, 17230648938410387104],
+        &[9495185727015179057, 16610870763979150328],
     );
 }
 
@@ -171,7 +171,7 @@ fn three_spindle_interleave() {
             14438371737269369553,
             14841257891548284948,
             7824612864891420186,
-            13140750508206828367,
+            299358193844304275,
         ],
     );
 }
@@ -196,7 +196,7 @@ fn parity_full_row_writes() {
             55622354514608414,
             8575879184842997467,
             10595706686835266016,
-            5430828835458345343,
+            6629670379907453995,
         ],
     );
 }
@@ -230,7 +230,7 @@ fn parity_partial_row_writes() {
             4698090583770844091,
             2947784626825451468,
             7052961914747100388,
-            6347969383813449010,
+            3974456837928075250,
         ],
     );
 }
@@ -273,7 +273,7 @@ fn parity_degraded() {
             12703819889749969726,
             14306645622528790239,
             16586648558929851083,
-            135458321850305706,
+            10511378561226516793,
         ],
     );
 }
@@ -309,7 +309,7 @@ fn parity_mid_rebuild() {
             9748634405888309317,
             212446215324709388,
             1683177227916987625,
-            15576578868182613170,
+            9399233790788522207,
         ],
     );
 }
@@ -352,7 +352,7 @@ fn hedged_fail_slow_reads() {
             11663332120161446632,
             3829028025654664608,
             17032170912377353214,
-            13537168380498670833,
+            2183550262651589053,
         ],
     );
 }
@@ -391,7 +391,7 @@ fn health_eviction() {
             10784066510734574144,
             602001917842293688,
             15003304397935264998,
-            13641722527013780379,
+            14899032665001258933,
         ],
     );
 }
@@ -421,7 +421,7 @@ fn crash_mid_write() {
             14038967370462757910,
             5136220215766300623,
             7974936214036751749,
-            1247250807880318449,
+            5818441950744202856,
         ],
     );
 }

@@ -8,7 +8,7 @@ use engine::EngineConfig;
 use sim_disk::{
     BlockDevice, Clock, CrashPlan, DiskError, DiskGeometry, MediaFaultPlan, RamDisk, SECTOR_SIZE,
 };
-use volume::{StripePolicyKind, StripedVolume, VolumeConfig};
+use volume::{StripePolicyKind, StripedVolume, VolumeConfig, VolumeDisk};
 
 const SPINDLE_SECTORS: u64 = 4_096;
 const CHUNK_SECTORS: u64 = 8;
@@ -318,4 +318,45 @@ fn capacity_is_whole_stripe_units_times_spindles() {
             capacity: 8_192
         })
     );
+}
+
+/// Parity read-modify-write is counted per row: a write that covers a
+/// whole data row computes its parity from the buffer alone, one that
+/// covers part of a row first reads the old parity and old data.
+#[test]
+fn only_partial_row_writes_pay_read_modify_write() {
+    let (mut vol, _clock) = volume(4, StripePolicyKind::ParitySegment);
+    let count = |vol: &StripedVolume, name: &str| vol.obs().snapshot().counter(name);
+    vol.write(0, &patterned(1, 3 * CHUNK_SECTORS), false)
+        .unwrap();
+    assert_eq!(count(&vol, "volume.rmw_writes"), 0);
+    assert_eq!(count(&vol, "volume.rmw_read_bytes"), 0);
+    vol.write(3 * CHUNK_SECTORS, &patterned(2, CHUNK_SECTORS), false)
+        .unwrap();
+    assert_eq!(count(&vol, "volume.rmw_writes"), 1);
+    // One parity chunk and one old data chunk.
+    assert_eq!(count(&vol, "volume.rmw_read_bytes"), 2 * CHUNK_BYTES as u64);
+}
+
+/// The durability query on a 4-spindle volume: an asynchronous write is
+/// durable only once every spindle it touched has finished it by the
+/// current virtual time. Asking never moves the clock; a flush makes
+/// everything durable.
+#[test]
+fn writes_are_durable_once_every_spindle_has_drained() {
+    let (vol, clock) = volume(4, StripePolicyKind::ParitySegment);
+    let mut dev = VolumeDisk::new(vol.into_shared());
+    assert!(dev.writes_durable(), "an idle volume holds nothing");
+    dev.write(0, &patterned(1, 3 * CHUNK_SECTORS), false)
+        .unwrap();
+    let t0 = clock.now_ns();
+    assert!(!dev.writes_durable(), "four pieces are still queued");
+    assert_eq!(clock.now_ns(), t0, "the query never waits");
+    clock.advance_ns(1_000_000_000);
+    assert!(dev.writes_durable(), "a second later every spindle is idle");
+
+    dev.write(0, &patterned(2, CHUNK_SECTORS), false).unwrap();
+    assert!(!dev.writes_durable());
+    dev.flush().unwrap();
+    assert!(dev.writes_durable());
 }
