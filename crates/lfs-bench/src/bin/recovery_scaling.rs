@@ -3,11 +3,12 @@
 //! The paper bounds recovery *work*: a checkpoint read plus a log-tail
 //! replay, never a whole-volume scan. On a striped volume the follow-up
 //! question is whether recovery *time* shrinks with spindle count. The
-//! log tail is round-robin striped, so the roll-forward scan — summary
-//! sweep plus tail prefetch — can keep one read in flight per spindle
-//! while the merge stays serial and bit-identical to the sequential
-//! scan. Mount's repair reads only what the tail touched; here the whole
-//! workload is tail, so that is every inode, and its gather fans out too.
+//! log tail is round-robin striped, so the roll-forward scan — each tail
+//! segment read together with its predicted successors — can keep one
+//! read in flight per spindle while the merge stays serial and
+//! bit-identical to the sequential scan. Mount's repair reads only what
+//! the tail touched; here the whole workload is tail, so that is every
+//! inode, and its gather fans out too.
 //!
 //! Method: per (log size × spindle count) cell, build one crash image —
 //! format-time checkpoint only, then a workload flushed with fsync so
@@ -143,14 +144,13 @@ fn print_sweep(title: &str, cells: &[Cell], base_seq_ns: u64, lfs: bool) {
 fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let spindle_counts: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4, 8] };
-    // Smoke keeps only the large log: the 4-spindle claim needs its
-    // tail-dominates-sweep regime.
+    // Smoke keeps only the large log, which the 4-spindle claim is on.
     let sizes: Vec<(&str, WorkloadSpec)> = if smoke {
         vec![("large", WorkloadSpec::full())]
     } else {
-        // The small cell is informational: its ~12 MB tail sits in the
-        // sweep-dominated regime, so its speedups fall short of the
-        // large cell's — the time-vs-log-size axis of the claim.
+        // The small cell is informational: next to its ~12 MB tail the
+        // mount's serial parts weigh more, so its speedups fall short
+        // of the large cell's — the time-vs-log-size axis of the claim.
         vec![
             (
                 "small",
@@ -191,8 +191,7 @@ fn main() -> ExitCode {
         for cell in &cells {
             let speedup = base as f64 / cell.par.mount_ns as f64;
             // Only the large-log cells carry the claim; the small cells
-            // are the sweep-dominated end of the axis and stay
-            // informational.
+            // are the short-tail end of the axis and stay informational.
             if *size != "large" {
                 continue;
             }

@@ -466,10 +466,10 @@ pub fn arms() -> Vec<Arm> {
             ..cleaner(1)
         },
         // The striped crash runs again, but every remount recovers with
-        // `recovery_fanout = 0` (ask the device), so the roll-forward's
-        // summary sweep and tail prefetch run fanned out across the
-        // spindles. The parallel scan must be bit-equivalent to the
-        // sequential one.
+        // `recovery_fanout = 0` (ask the device), so the roll-forward
+        // reads each tail segment in a batch with its predicted
+        // successors, one read in flight per spindle. The fanned-out
+        // walk must be bit-equivalent to the sequential one.
         Arm {
             label: "lfs par-rec x4",
             prefix: "lfs_par_recovery_4sp",

@@ -46,9 +46,9 @@ impl WorkloadSpec {
     /// ceiling of a one-spindle volume, where segments can never be
     /// reclaimed (cleaned segments stay clean-pending until a
     /// checkpoint, and this log never checkpoints after format). The
-    /// tail has to dominate the summary sweep's fixed cost (one header
-    /// read per segment of the *whole* volume, overlapped across arms)
-    /// for the scaling assertions to have room.
+    /// tail has to dominate the mount's serial parts (checkpoint load,
+    /// repair, the post-recovery checkpoint) and the read-ahead past
+    /// the log's end for the scaling assertions to have room.
     pub fn full() -> Self {
         Self {
             dirs: 10,
@@ -69,7 +69,7 @@ fn lfs_cfg(fanout: usize) -> LfsConfig {
     cfg.max_inodes = 4096;
     // Align the log to the stripe so each segment is exactly one chunk:
     // a tail-segment read then lands on a single spindle and the
-    // prefetch window overlaps whole segments across arms (an unaligned
+    // read-ahead window overlaps whole segments across arms (an unaligned
     // segment straddles two chunks in a ~1 MB + ~12 KB split — the
     // async facade falls back to the synchronous path and recovery
     // serializes on the big half).

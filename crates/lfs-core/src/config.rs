@@ -96,10 +96,11 @@ pub struct LfsConfig {
     /// Recovery read fan-out: how many spindle partitions the recovery
     /// path (roll-forward, fsck's gather phase, scrub's gather phase)
     /// keeps in flight at once through the device's asynchronous read
-    /// facade.
+    /// facade. Roll-forward reads each tail segment it reaches together
+    /// with up to `recovery_fanout - 1` predicted successors.
     ///
-    /// `1` (the default) is strictly sequential — the recovery code
-    /// takes the same synchronous path it always has. `0` means "ask
+    /// `1` (the default) is strictly sequential: one read at a time,
+    /// nothing read ahead. `0` means "ask
     /// the device": the fan-out becomes [`BlockDevice::fanout`], i.e.
     /// the spindle count of a striped volume. Any other value is used
     /// as-is. The recovered state is bit-identical at every setting;

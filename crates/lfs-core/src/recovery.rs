@@ -31,24 +31,25 @@
 //!    recovery is idempotent and the log sequence jumps past any stale
 //!    tail.
 //!
-//! # Parallel recovery
+//! # Reading the tail
 //!
-//! With [`recovery_fanout`] above 1 the scan is partitioned by spindle:
-//! a gather phase reads every segment's first block (the summary-block
-//! sweep) and then the full image of every *candidate* tail segment —
-//! one whose first chunk is pinned to its own address and carries a
-//! sequence number the checkpointed position could reach — through the
-//! device's asynchronous read facade, so the per-spindle queues overlap
-//! in virtual time. A serial merge then walks exactly the sequential
-//! chain over the prefetched images: chunks are validated and applied
-//! in log order (within a segment by `(seq, partial)` continuity,
-//! across segments by the `next_seg` link and the successor's sequence
-//! number), so the recovered inode map, directory tree, and usage
-//! array are bit-identical to the sequential scan's. Read errors
-//! captured by the gather phase are surfaced only when the merge
-//! actually walks into the failed segment — segments off the chain can
-//! rot freely, exactly as under the sequential scan, which never reads
-//! them.
+//! The walk reads only the chain it can predict. When it reaches a
+//! segment whose image is not in hand, one batch reads that segment
+//! together with up to [`recovery_fanout`] − 1 predicted successors:
+//! the clean segments the writer would have linked to next, in the
+//! usage table as the checkpoint mount rebuilt it. On a striped volume
+//! consecutive segments sit on different spindles, so the batch keeps
+//! one read in flight per spindle through the device's asynchronous
+//! read facade. The merge stays serial: chunks are validated and
+//! applied in log order (within a segment by `(seq, partial)`
+//! continuity, across segments by the `next_seg` link and the
+//! successor's sequence number, read from the successor's own image),
+//! so the recovered inode map, directory tree, and usage array are
+//! bit-identical for every fan-out. A wrong prediction costs reads,
+//! never state. A read error is surfaced only when the walk follows a
+//! valid link into the failed segment; segments read ahead but off the
+//! chain can rot freely. At fan-out 1 nothing is read ahead: that is
+//! the sequential scan.
 //!
 //! [`recovery_fanout`]: crate::LfsConfig::recovery_fanout
 
@@ -68,133 +69,81 @@ use crate::layout::usage_block::SegState;
 use crate::log::LogPosition;
 use crate::types::{BlockAddr, SegNo, INODE_SIZE};
 
-/// The gather phase's haul: per-segment first-block headers from the
-/// sweep and full tail images of the candidate segments. Errors are
-/// held, not raised — the merge surfaces one only when it walks into
-/// the segment that failed, which is the only time the sequential scan
-/// would have issued the read at all.
+/// The tail walk's one read path. When the chain reaches a segment
+/// whose image is not in hand, one [`read_batch`] of at most `window`
+/// reads fetches it together with the segments the writer would have
+/// linked to next: repeated [`UsageTable::next_clean`] over the table
+/// the checkpoint mount rebuilt, which is how `emit_chunk` picks a
+/// successor, and between checkpoints a segment turns clean only when a
+/// checkpoint commits. Read errors are held: one surfaces only when the
+/// walk follows a valid link into that segment.
 ///
-/// The sequential scan (fan-out 1) is the *empty* prefetch: nothing was
-/// gathered, so every image and header the merge asks for is read
-/// synchronously at the moment it is needed.
+/// At `window = 1` nothing is read ahead: this is the sequential scan.
+///
+/// [`UsageTable::next_clean`]: crate::usage::UsageTable::next_clean
 #[derive(Default)]
-struct TailPrefetch {
-    headers: HashMap<SegNo, DiskResult<Vec<u8>>>,
+struct TailReader {
+    window: usize,
+    /// The images in hand, at most `window` of them.
     images: HashMap<SegNo, DiskResult<Vec<u8>>>,
-    /// Async reads issued by the gather (for `recovery.parallel_reads`).
+    /// Segments read ahead and not yet entered.
+    ahead: HashSet<SegNo>,
+    /// Read-ahead segments dropped before the walk entered them.
+    unused: u64,
+    /// Async reads issued by fanned-out batches (for
+    /// `recovery.parallel_reads`).
     overlapped: u64,
-    /// Spindles that served prefetched segments the merge actually
-    /// consumed (the non-vacuity signal for the equivalence tests).
+    /// Spindles that served the segments the walk entered, when reads
+    /// could overlap (the non-vacuity signal for the equivalence tests).
     partitions: HashSet<usize>,
 }
 
-impl TailPrefetch {
-    /// Blocks `[offset, seg_blocks)` of `seg` in one sequential
-    /// transfer (for the checkpointed segment this skips everything the
-    /// checkpoint already covers): the gathered image when there is
-    /// one, the synchronous read otherwise.
+impl TailReader {
+    /// Blocks `[offset, seg_blocks)` of `seg` (for the checkpointed
+    /// segment this skips everything the checkpoint already covers),
+    /// taken out of hand, or read with its predicted successors.
     fn image<D: BlockDevice>(&mut self, fs: &mut Lfs<D>, seg: SegNo, offset: u32) -> FsResult<Vec<u8>> {
-        let sector = fs.sector_of(fs.sb.seg_block(seg, offset));
-        match self.images.remove(&seg) {
-            Some(res) => {
-                self.partitions.insert(fs.dev.spindle_of(sector));
-                Ok(res?)
+        if let Some(res) = self.images.remove(&seg) {
+            return Ok(res?);
+        }
+        // Not in hand: whatever is still read ahead was a wrong guess.
+        self.unused += self.ahead.len() as u64;
+        self.ahead.clear();
+        self.images.clear();
+        let mut segs = vec![seg];
+        while segs.len() < self.window {
+            let last = segs[segs.len() - 1];
+            match fs.usage.next_clean(SegNo((last.0 + 1) % fs.sb.nsegments)) {
+                Some(next) if !segs.contains(&next) => segs.push(next),
+                _ => break,
             }
-            None => {
-                let seg_blocks = fs.superblock().seg_blocks as usize;
-                let mut image = vec![0u8; (seg_blocks - offset as usize) * fs.block_size()];
-                fs.dev.annotate("rollforward-read");
-                fs.dev.read(sector, &mut image)?;
-                Ok(image)
-            }
         }
-    }
-
-    /// The first block of `seg`, as read by the sweep.
-    fn header<D: BlockDevice>(&mut self, fs: &mut Lfs<D>, seg: SegNo) -> FsResult<Vec<u8>> {
-        match self.headers.remove(&seg) {
-            Some(res) => Ok(res?),
-            None => Ok(fs.read_block_raw(fs.sb.seg_block(seg, 0))?),
+        let bs = fs.block_size();
+        let seg_blocks = fs.superblock().seg_blocks as usize;
+        let reqs: Vec<(u64, usize)> = (segs.iter().enumerate())
+            .map(|(i, &s)| {
+                let from = if i == 0 { offset } else { 0 };
+                (fs.sector_of(fs.sb.seg_block(s, from)), (seg_blocks - from as usize) * bs)
+            })
+            .collect();
+        let (results, overlapped) = read_batch(&mut fs.dev, "rollforward-read", self.window, &reqs);
+        if self.window > 1 {
+            self.overlapped += overlapped;
         }
-    }
-}
-
-/// Fans the tail scan out across spindles: sweeps every segment's
-/// summary block, then prefetches the full image of each candidate
-/// tail segment, both through [`read_batch`] with at most `window`
-/// requests in flight.
-fn prefetch_tail<D: BlockDevice>(fs: &mut Lfs<D>, window: usize) -> TailPrefetch {
-    if window <= 1 {
-        return TailPrefetch::default();
-    }
-    let bs = fs.block_size();
-    let seg_blocks = fs.superblock().seg_blocks as usize;
-    let nsegments = fs.sb.nsegments;
-    let cp = fs.pos;
-
-    // Phase 1: the summary-block sweep. One block per segment, claimed
-    // in segment order; under segment round-robin the requests land on
-    // the spindles round-robin, so a window of one-per-spindle keeps
-    // every arm busy.
-    let head_reqs: Vec<(u64, usize)> = (0..nsegments)
-        .map(|s| (fs.sector_of(fs.sb.seg_block(SegNo(s), 0)), bs))
-        .collect();
-    let (head_results, sweep_overlapped) =
-        read_batch(&mut fs.dev, "recovery-sweep", window, &head_reqs);
-    let mut headers: HashMap<SegNo, DiskResult<Vec<u8>>> = HashMap::new();
-    for (s, res) in head_results.into_iter().enumerate() {
-        headers.insert(SegNo(s as u32), res);
+        let mut results = results.into_iter();
+        let first = results.next().expect("a batch answers every request");
+        self.ahead.extend(&segs[1..]);
+        self.images.extend(segs[1..].iter().copied().zip(results));
+        Ok(first?)
     }
 
-    // Phase 2: full tails of the candidates. A candidate's first chunk
-    // is pinned to its own address with `partial == 0` and a sequence
-    // number in `(cp.seq, cp.seq + nsegments]` — the only numbers a
-    // chain hop from the checkpoint can ever require, since the chain
-    // visits each segment at most once (a segment's first chunk has one
-    // fixed sequence number, and hops strictly increase it). The
-    // checkpointed segment's own unconsumed tail joins the batch.
-    let mut tail_reqs: Vec<(SegNo, u32)> = vec![(cp.seg, cp.offset)];
-    for s in 0..nsegments {
-        let seg = SegNo(s);
-        if seg == cp.seg {
-            continue;
+    /// The walk enters the segment at `pos`, whose image it took.
+    fn enter<D: BlockDevice>(&mut self, fs: &Lfs<D>, pos: LogPosition) {
+        self.ahead.remove(&pos.seg);
+        if self.window > 1 {
+            let sector = fs.sector_of(fs.sb.seg_block(pos.seg, pos.offset));
+            self.partitions.insert(fs.dev.spindle_of(sector));
         }
-        let Some(Ok(header)) = headers.get(&seg) else {
-            continue;
-        };
-        let Ok(head) = ChunkSummary::decode_header_prefix(header) else {
-            continue;
-        };
-        let first = fs.sb.seg_block(seg, 0);
-        if head.addr == first
-            && head.partial == 0
-            && head.seq > cp.seq
-            && head.seq <= cp.seq + nsegments as u64
-        {
-            tail_reqs.push((seg, 0));
-        }
-    }
-    let reqs: Vec<(u64, usize)> = tail_reqs
-        .iter()
-        .map(|&(seg, offset)| {
-            (
-                fs.sector_of(fs.sb.seg_block(seg, offset)),
-                (seg_blocks - offset as usize) * bs,
-            )
-        })
-        .collect();
-    let (tail_results, tail_overlapped) =
-        read_batch(&mut fs.dev, "rollforward-read", window, &reqs);
-    let mut images: HashMap<SegNo, DiskResult<Vec<u8>>> = HashMap::new();
-    for ((seg, _), res) in tail_reqs.into_iter().zip(tail_results) {
-        images.insert(seg, res);
-    }
-
-    TailPrefetch {
-        headers,
-        images,
-        overlapped: sweep_overlapped + tail_overlapped,
-        partitions: HashSet::new(),
     }
 }
 
@@ -209,8 +158,12 @@ pub(crate) fn roll_forward<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
     let bs = fs.block_size();
     let seg_blocks = fs.superblock().seg_blocks as usize;
     let fanout = sim_disk::effective_fanout(fs.cfg.recovery_fanout, &fs.dev);
-    let mut prefetch = prefetch_tail(fs, fanout);
+    let mut reader = TailReader {
+        window: fanout,
+        ..TailReader::default()
+    };
     let mut pos = fs.pos;
+    let mut image = reader.image(fs, pos.seg, pos.offset)?;
     let mut applied = 0u64;
     let mut inodes = 0u64;
     let mut touched = Touched::new();
@@ -221,9 +174,9 @@ pub(crate) fn roll_forward<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
     // Every position the walk starts from has room for a chunk: the
     // checkpointed one (mount checked it) and each segment start.
     'segments: loop {
+        reader.enter(fs, pos);
         let image_base = pos.offset as usize;
         let base = fs.sb.seg_block(pos.seg, 0);
-        let image = prefetch.image(fs, pos.seg, pos.offset)?;
 
         // Walk chunks from the current offset, applying each in log
         // order. A sealing chunk's `next_seg` link tells us where the
@@ -255,11 +208,19 @@ pub(crate) fn roll_forward<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
         }
 
         // Follow the chain link. A valid successor's first chunk must
-        // carry the next sequence number.
+        // carry the next sequence number. A successor that cannot be
+        // read whole is judged by its first block alone: a crash between
+        // a seal and the first write to the linked segment leaves a link
+        // the log never followed, and damage there must not fail the
+        // mount.
         if next_seg.is_some() && next_seg.0 < fs.sb.nsegments && next_seg != pos.seg {
             let first = fs.sb.seg_block(next_seg, 0);
-            let header = prefetch.header(fs, next_seg)?;
-            if let Ok(head) = ChunkSummary::decode_header_prefix(&header) {
+            let next = reader.image(fs, next_seg, 0);
+            let head = match &next {
+                Ok(image) => ChunkSummary::decode_header_prefix(&image[..bs]),
+                Err(_) => ChunkSummary::decode_header_prefix(&fs.read_block_raw(first)?),
+            };
+            if let Ok(head) = head {
                 if head.addr == first && head.seq == pos.seq + 1 && head.partial == 0 {
                     pos = LogPosition {
                         seg: next_seg,
@@ -267,6 +228,7 @@ pub(crate) fn roll_forward<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
                         partial: 0,
                         seq: pos.seq + 1,
                     };
+                    image = next?;
                     continue;
                 }
             }
@@ -274,8 +236,9 @@ pub(crate) fn roll_forward<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
         break;
     }
 
-    fs.obs.recovery_partitions.add(prefetch.partitions.len() as u64);
-    fs.obs.recovery_parallel_reads.add(prefetch.overlapped);
+    fs.obs.recovery_partitions.add(reader.partitions.len() as u64);
+    fs.obs.recovery_parallel_reads.add(reader.overlapped);
+    let ahead_unused = reader.unused + reader.ahead.len() as u64;
 
     // The registry is fresh at mount, so the counters start at zero and
     // `add` records exactly this recovery's work.
@@ -313,7 +276,8 @@ pub(crate) fn roll_forward<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
         "recovery",
         format!(
             "chunks={applied} inodes={inodes} touched={} dirs={dirs} \
-             findings={findings} stale=[{}] walk_ns={} repair_ns={} checkpoint_ns={}",
+             findings={findings} stale=[{}] ahead_unused={ahead_unused} walk_ns={} \
+             repair_ns={} checkpoint_ns={}",
             touched.len(),
             stale.join(","),
             walked - start,

@@ -26,7 +26,7 @@ use lfs_core::layout::imap_block::ImapEntry;
 use lfs_core::layout::usage_block::SegState;
 use lfs_core::{Lfs, LfsConfig, SegNo};
 use proptest::prelude::*;
-use sim_disk::{BlockDevice, Clock, DiskGeometry};
+use sim_disk::{BlockDevice, Clock, DiskGeometry, MediaFaultPlan, SECTOR_SIZE};
 use vfs::{FileKind, FileSystem, Ino};
 use volume::{StripedVolume, VolumeConfig, VolumeDisk};
 
@@ -51,23 +51,47 @@ fn volume_cfg(spindles: usize) -> VolumeConfig {
 }
 
 fn fresh(spindles: usize) -> Lfs<VolumeDisk> {
+    fresh_with(spindles, cfg(1))
+}
+
+fn fresh_with(spindles: usize, cfg: LfsConfig) -> Lfs<VolumeDisk> {
     let clock = Clock::new();
     let vol = StripedVolume::new(
         DiskGeometry::tiny_test(SPINDLE_SECTORS),
         Arc::clone(&clock),
         volume_cfg(spindles),
     );
-    Lfs::format(VolumeDisk::new(vol.into_shared()), cfg(1), clock).expect("format LFS")
+    Lfs::format(VolumeDisk::new(vol.into_shared()), cfg, clock).expect("format LFS")
 }
 
 fn remount(spindles: usize, images: Vec<Vec<u8>>, fanout: usize) -> Lfs<VolumeDisk> {
+    remount_with_latent(spindles, images, fanout, None)
+}
+
+/// [`remount`] with a latent read error armed at volume-logical sector
+/// `latent` first.
+fn remount_with_latent(
+    spindles: usize,
+    images: Vec<Vec<u8>>,
+    fanout: usize,
+    latent: Option<u64>,
+) -> Lfs<VolumeDisk> {
     let clock = Clock::new();
-    let vol = StripedVolume::from_images(
+    let mut vol = StripedVolume::from_images(
         DiskGeometry::tiny_test(SPINDLE_SECTORS),
         Arc::clone(&clock),
         volume_cfg(spindles),
         images,
     );
+    if let Some(logical) = latent {
+        // Segment round-robin: one segment-sized chunk per spindle in turn.
+        let chunk_sectors = (cfg(1).segment_bytes / SECTOR_SIZE) as u64;
+        let chunk = logical / chunk_sectors;
+        let spindle = (chunk % spindles as u64) as usize;
+        let physical = chunk / spindles as u64 * chunk_sectors + logical % chunk_sectors;
+        (vol.spindle_mut(spindle).disk_mut())
+            .inject_media_faults(MediaFaultPlan::new(11).latent(physical));
+    }
     Lfs::mount(VolumeDisk::new(vol.into_shared()), cfg(fanout), clock).expect("recovery mount")
 }
 
@@ -302,4 +326,111 @@ fn guaranteed_multi_segment_tail_partitions_across_spindles() {
     );
     assert_eq!(par.stats().recovery_partitions, spindles as u64);
     assert!(par.fsck().expect("fsck").is_clean());
+}
+
+/// The `ahead_unused=` count of the mount's `recovery` event: segments
+/// the tail walk read ahead and never entered.
+fn ahead_unused(fs: &Lfs<VolumeDisk>) -> u64 {
+    let events = fs.obs().events();
+    let recovery = events.iter().find(|e| e.kind == "recovery").expect("a recovery event");
+    let word = recovery.detail.split_whitespace().find_map(|w| w.strip_prefix("ahead_unused="));
+    word.expect("ahead_unused= in the recovery event").parse().expect("a count")
+}
+
+/// A fresh 4-spindle volume with three directories, checkpointed, and
+/// the segment the log is writing at that checkpoint.
+fn checkpointed_dirs(cfg: LfsConfig) -> (Lfs<VolumeDisk>, SegNo) {
+    let mut fs = fresh_with(4, cfg);
+    for dir in 1..4 {
+        apply(&mut fs, &Op::Mkdir { dir }, 0);
+    }
+    fs.sync().expect("checkpoint");
+    let active = fs.usage_table().segments_in_state(SegState::Active);
+    assert_eq!(active.len(), 1, "one open segment: {active:?}");
+    (fs, active[0])
+}
+
+/// The clean segment the writer links to after `seg`, by the usage
+/// table as it stands: what the tail walk predicts.
+fn successor(fs: &Lfs<VolumeDisk>, seg: SegNo) -> SegNo {
+    let table = fs.usage_table();
+    let after = SegNo((seg.0 + 1) % table.nsegments());
+    table.next_clean(after).expect("a clean segment")
+}
+
+/// The tail walk reads ahead the segments the writer would link to
+/// next, by the usage table the checkpoint recorded. Here that guess is
+/// wrong: after the checkpoint the predicted successor turns dirty, so
+/// the writer links past it. The walk follows the links it reads, so
+/// both mounts still recover the same state; the fanned-out one only
+/// read a segment it never entered.
+#[test]
+fn a_wrong_prediction_costs_reads_not_state() {
+    let (mut fs, active) = checkpointed_dirs(cfg(1));
+    let predicted = successor(&fs, active);
+    fs.usage_mut_for_test().set_state(predicted, SegState::Dirty);
+    for i in 0..48u8 {
+        let op = Op::Write { dir: i % 4, file: i, len: 3_000 };
+        apply(&mut fs, &op, 3 + i as usize);
+    }
+    fs.write_back().expect("write back");
+    fs.device_mut().flush().expect("device flush");
+    // The writer's own record of the hop out of the checkpointed segment.
+    let hop = format!("seg={} next=", active.0);
+    let events = fs.obs().events().into_iter();
+    let mut sealed = events.filter(|e| e.kind == "segment_sealed" && e.detail.starts_with(&hop));
+    let link = sealed.next_back().expect("the tail sealed the checkpointed segment").detail;
+    let next = link[hop.len()..].split_whitespace().next();
+    assert_ne!(next, Some(predicted.0.to_string().as_str()), "the writer linked to the guess");
+    let images = fs.into_device().into_images();
+
+    let mut seq = remount(4, images.clone(), 1);
+    let mut par = remount(4, images, 0);
+    assert_eq!(snapshot(&mut seq), snapshot(&mut par));
+    assert!(seq.stats().rollforward_chunks > 0, "no tail to walk");
+    assert_eq!(ahead_unused(&seq), 0, "fan-out 1 reads nothing ahead");
+    assert!(ahead_unused(&par) > 0, "the wrong guess was never read ahead");
+    assert!(par.fsck().expect("fsck").is_clean());
+}
+
+/// The number of reads a latent error failed, on any spindle.
+fn unreadable(fs: &Lfs<VolumeDisk>) -> u64 {
+    let snap = fs.obs().snapshot();
+    let spindle = |s| snap.counter(&format!("volume.spindle.{s}.faults.unreadable_reads"));
+    (0..4).map(spindle).sum()
+}
+
+/// Damage the walk reads but must not surface, after one small file
+/// written past the checkpoint. Without a seal the log ends inside the
+/// checkpointed segment, and the fanned-out walk reads ahead into the
+/// first block of the clean segment after it. With `seal_on_flush` the
+/// log ends on a link to a segment that holds no chunk (as after a
+/// crash between a seal and the first write there), and the hop reads
+/// that whole segment at every fan-out: a block past its first fails
+/// the read, and the hop is judged by the first block alone. Either
+/// way the walk never enters the damaged segment, so both mounts come
+/// up with the same state.
+#[test]
+fn read_errors_off_the_chain_stay_unsurfaced() {
+    for seal in [false, true] {
+        let cfg = if seal { cfg(1).with_seal_on_flush() } else { cfg(1) };
+        let (mut fs, active) = checkpointed_dirs(cfg);
+        apply(&mut fs, &Op::Write { dir: 1, file: 0, len: 600 }, 3);
+        fs.write_back().expect("write back");
+        fs.device_mut().flush().expect("device flush");
+        let open = fs.usage_table().segments_in_state(SegState::Active);
+        assert_eq!(open.len(), 1, "one open segment: {open:?}");
+        assert_eq!(open[0] != active, seal, "seal={seal}: the tail sealed only with the knob");
+        let (seg, block) = if seal { (open[0], 1) } else { (successor(&fs, active), 0) };
+        let sectors_per_block = (fs.block_size() / SECTOR_SIZE) as u64;
+        let latent = fs.superblock().seg_block(seg, block).0 as u64 * sectors_per_block;
+        let images = fs.into_device().into_images();
+
+        let mut seq = remount_with_latent(4, images.clone(), 1, Some(latent));
+        let mut par = remount_with_latent(4, images, 0, Some(latent));
+        assert_eq!(unreadable(&seq) > 0, seal, "seal={seal}: fan-out 1 reads only the link");
+        assert!(unreadable(&par) > 0, "seal={seal}: the damaged segment was never read");
+        assert_eq!(snapshot(&mut seq), snapshot(&mut par), "seal={seal}");
+        assert!(seq.stats().rollforward_chunks > 0, "seal={seal}: no tail to walk");
+    }
 }
