@@ -97,7 +97,9 @@ impl<D: BlockDevice> Ffs<D> {
                 .iter()
                 .map(|&(cg, tb)| (self.sector_of(self.sb.cg_base(cg) + 1 + tb), bs))
                 .collect();
+            self.dev.set_maintenance(true);
             let (results, _) = sim_disk::read_batch(&mut self.dev, "fsck-scan", fanout, &reqs);
+            self.dev.set_maintenance(false);
             Some(results.into_iter())
         } else {
             None
@@ -186,7 +188,9 @@ impl<D: BlockDevice> Ffs<D> {
             .iter()
             .map(|&(_, _, addr)| (self.sector_of(addr), bs))
             .collect();
+        self.dev.set_maintenance(true);
         let (results, _) = sim_disk::read_batch(&mut self.dev, "fsck-gather", window, &reqs);
+        self.dev.set_maintenance(false);
         for ((ino, idx, _), result) in targets.into_iter().zip(results) {
             if let Ok(data) = result {
                 self.cache

@@ -6,7 +6,11 @@
 //! data blocks, then indirect blocks (children before parents), then inode
 //! blocks, then (at checkpoints) inode-map and usage-table blocks — exactly
 //! the packing §4.1 describes, so that one burst of small file writes
-//! becomes one large sequential disk transfer.
+//! becomes one large sequential disk transfer. Recording the new
+//! addresses needs each dirty file's inode and indirect blocks; on a
+//! multi-spindle device the flush first gathers the ones not in memory,
+//! fanned out across the spindles (`gather.rs`), so the transfer does
+//! not stall on its own reads one miss at a time.
 //!
 //! Directories, path resolution and the file operations are not here:
 //! they are [`vfs::namespace`], shared with the FFS baseline. `file.rs`
@@ -705,6 +709,10 @@ impl<D: BlockDevice> Lfs<D> {
             })
             .chain(self.dirty_inos())
             .collect();
+        // Fetch the inode and indirect blocks those files' new addresses
+        // go into now, overlapped across spindles, rather than one
+        // synchronous miss at a time between chunk writes.
+        self.gather_for_flush(&owners);
         // Age separation: the cleaner's survivors go first, oldest first,
         // so cold data fills segments of its own and the fresh (hot)
         // data behind it dies together. With nothing relocated this is

@@ -126,7 +126,9 @@ impl TailReader {
                 (fs.sector_of(fs.sb.seg_block(s, from)), (seg_blocks - from as usize) * bs)
             })
             .collect();
+        fs.dev.set_maintenance(true);
         let (results, overlapped) = read_batch(&mut fs.dev, "rollforward-read", self.window, &reqs);
+        fs.dev.set_maintenance(false);
         if self.window > 1 {
             self.overlapped += overlapped;
         }

@@ -29,7 +29,9 @@ obs::instruments! {
         flush_sync_reads, Counter, "log.flush_sync_reads", "Synchronous block reads a flush issued itself \
             (indirect blocks and inodes it had to load to record new addresses).";
         flush_read_wait_ns, Counter, "log.flush_read_wait_ns", "Virtual time flushes spent blocked on their \
-            own synchronous reads.";
+            own reads: the synchronous ones and the gather's batches.";
+        flush_gathered_blocks, Counter, "log.flush_gathered_blocks", "Inode and indirect blocks a flush's \
+            gather fetched, fanned out across spindles, before its first chunk write.";
         checkpoints, Counter, "log.checkpoints", "Checkpoints completed.";
         segments_cleaned, Counter, "cleaner.segments_cleaned", "Segments processed by the cleaner.";
         cleaner_blocks_copied, Counter, "cleaner.blocks_copied", "Live blocks the cleaner copied back into the cache.";

@@ -167,9 +167,10 @@ pub trait BlockDevice {
 /// back to synchronous reads in place, making `window = 1` (or a plain
 /// disk) byte- and time-identical to a sequential read loop.
 ///
-/// The whole batch runs under the maintenance I/O class
-/// ([`BlockDevice::set_maintenance`]), which is off again on return: a
-/// fanned-out read is recovery, fsck or scrub work, never a client's.
+/// The batch leaves the I/O class alone: its reads are billed to
+/// whatever class the caller has set ([`BlockDevice::set_maintenance`]).
+/// Recovery, fsck and scrub tag themselves as maintenance around their
+/// batches; a flush's gather is billed like the flush's own writes.
 ///
 /// Returns the per-request results in request order, plus how many
 /// reads actually went through the asynchronous path.
@@ -180,7 +181,6 @@ pub fn read_batch<D: BlockDevice + ?Sized>(
     reqs: &[(u64, usize)],
 ) -> (Vec<DiskResult<Vec<u8>>>, u64) {
     let window = window.max(1);
-    dev.set_maintenance(true);
     let mut out: Vec<Option<DiskResult<Vec<u8>>>> = reqs.iter().map(|_| None).collect();
     let mut pending: std::collections::VecDeque<(usize, u64)> = std::collections::VecDeque::new();
     let mut overlapped = 0u64;
@@ -205,7 +205,6 @@ pub fn read_batch<D: BlockDevice + ?Sized>(
             out[idx] = Some(dev.finish_read_async(token));
         }
     }
-    dev.set_maintenance(false);
     (
         out.into_iter().map(|r| r.expect("read_batch slot")).collect(),
         overlapped,

@@ -18,10 +18,11 @@
 //!   sized so one full segment write covers a whole data row — the
 //!   volume computes parity for it straight from the write buffer,
 //!   without reading old data. A partial-segment write covers only part
-//!   of a row and still pays RAID-5's read-modify-write (under
-//!   `seal_on_flush`, every flush's final partial chunk does). A smaller
-//!   chunk under the same layout is classic RAID-5: every write that is
-//!   not a whole row pays it.
+//!   of a row and still reads before it writes — RAID-5's
+//!   read-modify-write, or a reconstruct-write of the row's uncovered
+//!   bytes when that reads less (under `seal_on_flush`, every flush's
+//!   final partial chunk does). A smaller chunk under the same layout is
+//!   classic RAID-5: every write that is not a whole row pays it.
 //!
 //! Parity layouts keep the **row-XOR invariant**: for every physical
 //! sector `p`, the XOR of sector `p` across all spindles is zero.

@@ -14,8 +14,8 @@
 //! * **One fan-out read.** [`StripedVolume::read`] splits the request,
 //!   starts every piece before finishing any — so the spindles service
 //!   their pieces in overlapped virtual time — and finishes every
-//!   started piece even when one fails. The read half of a parity
-//!   read-modify-write starts and finishes its pieces the same way.
+//!   started piece even when one fails. The read half of a partial-row
+//!   parity write starts and finishes its pieces the same way.
 //! * **One piece writer.** Data pieces and parity chunks go through
 //!   the same loop: asynchronous pieces only push out each spindle's
 //!   busy horizon, so horizons grow in parallel and the final flush
@@ -129,10 +129,13 @@ obs::instruments! {
         bytes_read, Counter, "volume.bytes_read", "Logical bytes read.";
         bytes_written, Counter, "volume.bytes_written", "Logical bytes written.";
         subrequests, Counter, "volume.subrequests", "Per-spindle pieces the logical requests split into.";
-        rmw_writes, Counter, "volume.rmw_writes", "Parity rows a write covered only partly, so their parity \
-            was read-modify-written (old parity and old data read first).";
-        rmw_read_bytes, Counter, "volume.rmw_read_bytes", "Bytes of old parity and old data read for \
-            read-modify-write.";
+        rmw_writes, Counter, "volume.rmw_writes", "Parity rows a write covered only partly whose parity \
+            was read-modify-written (old parity and the written pieces' old data read first).";
+        reconstruct_writes, Counter, "volume.reconstruct_writes", "Parity rows a write covered only partly \
+            whose parity was reconstruct-written (only the uncovered old data read first): the cheaper way \
+            by bytes read, taken while every spindle is online.";
+        rmw_read_bytes, Counter, "volume.rmw_read_bytes", "Bytes read to compute partial-row parity, by \
+            read-modify-write or reconstruct-write.";
         degraded_reads, Counter, "volume.degraded_reads", "Logical reads that needed at least one XOR reconstruction.";
         reconstructions, Counter, "volume.reconstructions", "Per-piece XOR reconstructions (a degraded read may need several).";
         rebuild_steps, Counter, "volume.rebuild.steps", "Rebuild steps taken.";
@@ -956,7 +959,8 @@ impl StripedVolume {
         }
     }
 
-    /// The read half of a parity read-modify-write: the *current
+    /// The read half of a partial-row parity write (read-modify-write or
+    /// reconstruct-write): the *current
     /// logical* content of physical range `[sector, sector + out.len())`
     /// on `spindle` — directly when it serves reads, by reconstruction
     /// when it is dead, rebuilding, or the direct read fails (escaping
@@ -1242,18 +1246,29 @@ impl StripedVolume {
     /// `(spindle, physical sector, bytes)`. Pieces are grouped by chunk
     /// row (under a parity policy no sub-request ever spans two rows —
     /// rotation breaks physical contiguity at every row boundary, so the
-    /// splitter cannot merge across one):
+    /// splitter cannot merge across one). Parity is computed over the
+    /// row's written span `[lo, hi)` — the physical range, relative to
+    /// the row, from the lowest to the highest written sector:
     ///
     /// - **Full row** (every data chunk covered whole — the normal case
     ///   for LFS segment writes under [`crate::ParitySegment`]): parity
     ///   is the XOR of the buffer pieces. *No old data is read.*
-    /// - **Partial row**: read-modify-write,
-    ///   `parity' = parity ⊕ Σ (old ⊕ new)` over the written pieces,
-    ///   with any unavailable old content reconstructed from the
-    ///   survivors ([`StripedVolume::read_physical`]).
+    /// - **Partial row**, the cheaper of two ways by bytes to read (a
+    ///   tie keeps read-modify-write):
+    ///   - *read-modify-write*, `parity' = parity ⊕ Σ (old ⊕ new)` over
+    ///     the written pieces: reads the old parity span and the old
+    ///     data of every written piece, with any unavailable old content
+    ///     reconstructed from the survivors
+    ///     ([`StripedVolume::read_physical`]);
+    ///   - *reconstruct-write*, `parity' = Σ new ⊕ Σ old-uncovered`:
+    ///     reads only the span's bytes the write leaves uncovered on
+    ///     each data spindle. It needs every spindle online — a dead or
+    ///     rebuilding one's bytes would have to be reconstructed through
+    ///     the very parity being replaced — so otherwise the row falls
+    ///     back to read-modify-write.
     ///
     /// Every row's parity is computed before any write is issued, so
-    /// RMW reads see pre-request state. A dead *parity* spindle leaves
+    /// the reads see pre-request state. A dead *parity* spindle leaves
     /// its rows unprotected (data writes through normally) until
     /// rebuild re-derives them. Empty under RAID-0.
     fn row_parity(
@@ -1278,6 +1293,7 @@ impl StripedVolume {
             );
             rows.entry(row).or_default().push(i);
         }
+        let all_online = self.states.iter().all(|st| *st == SpindleState::Online);
         let mut parity_pieces: Vec<(usize, u64, Vec<u8>)> = Vec::new();
         for (&row, idxs) in &rows {
             let p = self
@@ -1299,10 +1315,44 @@ impl StripedVolume {
                     .iter()
                     .all(|&i| subs[i].sector == row_base && subs[i].sectors == chunk);
             let mut parity = vec![0u8; (hi - lo) as usize * SECTOR_SIZE];
+            // Bytes each way would read: the parity span plus every
+            // written piece, or the span less each data spindle's piece.
+            let written: u64 = idxs.iter().map(|&i| subs[i].sectors).sum();
+            let rmw_sectors = (hi - lo) + written;
+            let rcw_sectors = dpr as u64 * (hi - lo) - written;
             if full_cover {
                 for &i in idxs {
                     let sub = &subs[i];
                     xor_into(&mut parity, &buf[sub.offset..sub.offset + sub.bytes()]);
+                }
+            } else if all_online && rcw_sectors < rmw_sectors {
+                self.obs.reconstruct_writes.inc();
+                let span = row_base + lo..row_base + hi;
+                for d in (0..n).filter(|&d| d != p) {
+                    // The span less this spindle's piece, if it has one:
+                    // `[span.start, a)` and `[b, span.end)`.
+                    let piece = idxs.iter().map(|&i| &subs[i]).find(|sub| sub.spindle == d);
+                    let (a, b) = piece.map_or((span.end, span.end), |sub| {
+                        (sub.sector, sub.sector + sub.sectors)
+                    });
+                    for (from, to) in [(span.start, a), (b, span.end)] {
+                        if from < to {
+                            let at = (from - span.start) as usize * SECTOR_SIZE;
+                            let out = &mut parity[at..at + (to - from) as usize * SECTOR_SIZE];
+                            let mut old = vec![0u8; out.len()];
+                            let escape = self.layout.to_logical(n, d, from);
+                            self.read_physical(d, from, &mut old, escape)?;
+                            self.obs.rmw_read_bytes.add(old.len() as u64);
+                            xor_into(out, &old);
+                        }
+                    }
+                    if let Some(sub) = piece {
+                        let at = (a - span.start) as usize * SECTOR_SIZE;
+                        xor_into(
+                            &mut parity[at..at + sub.bytes()],
+                            &buf[sub.offset..sub.offset + sub.bytes()],
+                        );
+                    }
                 }
             } else {
                 self.obs.rmw_writes.inc();

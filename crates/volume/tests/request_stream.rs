@@ -141,7 +141,7 @@ fn one_spindle_rr_segment() {
     check(
         "rr_segment(1)",
         &vol,
-        &[9495185727015179057, 16610870763979150328],
+        &[9495185727015179057, 13197588222561512498],
     );
 }
 
@@ -171,7 +171,7 @@ fn three_spindle_interleave() {
             14438371737269369553,
             14841257891548284948,
             7824612864891420186,
-            299358193844304275,
+            15679698257081117757,
         ],
     );
 }
@@ -196,7 +196,7 @@ fn parity_full_row_writes() {
             55622354514608414,
             8575879184842997467,
             10595706686835266016,
-            6629670379907453995,
+            10860344327843381201,
         ],
     );
 }
@@ -222,15 +222,19 @@ fn parity_partial_row_writes() {
         snap.counter("volume.reconstructions") > 0,
         "no RMW read fell back"
     );
+    assert!(
+        snap.counter("volume.rmw_writes") > 0 && snap.counter("volume.reconstruct_writes") > 0,
+        "partial rows did not take both parity paths"
+    );
     check(
         "parity partial rows",
         &vol,
         &[
-            11632067375957330532,
-            4698090583770844091,
-            2947784626825451468,
-            7052961914747100388,
-            3974456837928075250,
+            44821386041266300,
+            9413077200977398726,
+            17017109608069911731,
+            15754537250065786909,
+            10553225326463616866,
         ],
     );
 }
@@ -269,11 +273,11 @@ fn parity_degraded() {
         "parity degraded",
         &vol,
         &[
-            814439973600117542,
-            12703819889749969726,
-            14306645622528790239,
-            16586648558929851083,
-            10511378561226516793,
+            8018443510653960249,
+            12423891307266579036,
+            6274774921305407139,
+            11967095076092284332,
+            599926658771982731,
         ],
     );
 }
@@ -305,11 +309,11 @@ fn parity_mid_rebuild() {
         "parity mid-rebuild",
         &vol,
         &[
-            4568020716926045308,
-            9748634405888309317,
-            212446215324709388,
-            1683177227916987625,
-            9399233790788522207,
+            5533504135304764995,
+            275436496256527689,
+            9258498175648554525,
+            11118614632917097622,
+            939262817715870044,
         ],
     );
 }
@@ -348,11 +352,11 @@ fn hedged_fail_slow_reads() {
         "hedged fail-slow",
         &vol,
         &[
-            5586326652388332445,
-            11663332120161446632,
-            3829028025654664608,
-            17032170912377353214,
-            2183550262651589053,
+            9528632968581129119,
+            15207102091572246913,
+            16526768087934931178,
+            16118832529734233554,
+            10737788961307999853,
         ],
     );
 }
@@ -387,11 +391,11 @@ fn health_eviction() {
         "health eviction",
         &vol,
         &[
-            10099188484267754750,
-            10784066510734574144,
-            602001917842293688,
-            15003304397935264998,
-            14899032665001258933,
+            2647249503411525601,
+            1533823704532090450,
+            13664748722808222215,
+            223741452120743048,
+            6360375596638791148,
         ],
     );
 }
@@ -417,11 +421,11 @@ fn crash_mid_write() {
         "crash",
         &vol,
         &[
-            7226762877895799396,
-            14038967370462757910,
-            5136220215766300623,
-            7974936214036751749,
-            5818441950744202856,
+            9696043377518278152,
+            4051700735529427028,
+            11312854442801933662,
+            10218798618204197282,
+            2835589840806082080,
         ],
     );
 }

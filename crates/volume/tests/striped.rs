@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use engine::EngineConfig;
 use sim_disk::{
-    BlockDevice, Clock, CrashPlan, DiskError, DiskGeometry, MediaFaultPlan, RamDisk, SECTOR_SIZE,
+    AccessKind, BlockDevice, Clock, CrashPlan, DiskError, DiskGeometry, MediaFaultPlan, RamDisk,
+    SECTOR_SIZE,
 };
 use volume::{StripePolicyKind, StripedVolume, VolumeConfig, VolumeDisk};
 
@@ -336,6 +337,93 @@ fn only_partial_row_writes_pay_read_modify_write() {
     assert_eq!(count(&vol, "volume.rmw_writes"), 1);
     // One parity chunk and one old data chunk.
     assert_eq!(count(&vol, "volume.rmw_read_bytes"), 2 * CHUNK_BYTES as u64);
+}
+
+/// A write covering more than half a parity row computes the row's
+/// parity by reconstruct-write: it reads only the bytes of the row's
+/// written span it leaves uncovered — here the row's third chunk, and
+/// the two sector ranges beside a chunk-straddling write — never the
+/// old parity nor the old data it overwrites, and every byte reads back.
+#[test]
+fn a_mostly_covered_row_reads_only_its_uncovered_bytes() {
+    let (mut vol, _clock) = volume(4, StripePolicyKind::ParitySegment);
+    for i in 0..vol.spindle_count() {
+        vol.spindle_mut(i).disk_mut().trace_mut().enable();
+    }
+    let count = |vol: &StripedVolume, name: &str| vol.obs().snapshot().counter(name);
+    // Reads per spindle as (physical sector, sectors).
+    let reads = |vol: &StripedVolume| -> Vec<Vec<(u64, u64)>> {
+        (0..vol.spindle_count())
+            .map(|i| {
+                let trace = vol.spindle(i).disk().trace();
+                (trace.records().iter())
+                    .filter(|r| r.kind == AccessKind::Read)
+                    .map(|r| (r.sector, r.bytes / SECTOR_SIZE as u64))
+                    .collect()
+            })
+            .collect()
+    };
+    let mut mirror = RamDisk::new(vol.num_sectors());
+    let mut write = |vol: &mut StripedVolume, sector: u64, data: Vec<u8>| {
+        vol.write(sector, &data, false).unwrap();
+        mirror.write(sector, &data, false).unwrap();
+        vol.flush().unwrap();
+    };
+    let row = 3 * CHUNK_SECTORS;
+    write(&mut vol, 0, patterned(1, 4 * row));
+    assert_eq!(count(&vol, "volume.reconstruct_writes"), 0);
+    assert!(reads(&vol).iter().all(Vec::is_empty));
+
+    // Row 1 (parity on spindle 2, data on 0, 1, 3): its first two
+    // chunks whole. Only the third, on spindle 3, is read.
+    write(&mut vol, row, patterned(2, 2 * CHUNK_SECTORS));
+    assert_eq!(count(&vol, "volume.reconstruct_writes"), 1);
+    assert_eq!(count(&vol, "volume.rmw_writes"), 0);
+    assert_eq!(count(&vol, "volume.rmw_read_bytes"), CHUNK_BYTES as u64);
+    assert_eq!(
+        reads(&vol),
+        vec![vec![], vec![], vec![], vec![(CHUNK_SECTORS, CHUNK_SECTORS)]]
+    );
+
+    // Row 2 (parity on spindle 1): sectors 2..8 of its first chunk and
+    // 0..6 of its second — a span of one chunk, 12 of 24 sectors
+    // covered. Read-modify-write would read 20 sectors; reconstruct-
+    // write reads the 12 uncovered ones.
+    let base = 2 * CHUNK_SECTORS;
+    write(&mut vol, 2 * row + 2, patterned(3, 12));
+    assert_eq!(count(&vol, "volume.reconstruct_writes"), 2);
+    assert_eq!(count(&vol, "volume.rmw_writes"), 0);
+    assert_eq!(
+        count(&vol, "volume.rmw_read_bytes"),
+        (CHUNK_SECTORS + 12) * SECTOR_SIZE as u64
+    );
+    assert_eq!(
+        reads(&vol),
+        vec![
+            vec![(base, 2)],
+            vec![],
+            vec![(base + 6, 2)],
+            vec![(CHUNK_SECTORS, CHUNK_SECTORS), (base, CHUNK_SECTORS)],
+        ]
+    );
+
+    // Parity stayed exact: with any one spindle gone, every byte
+    // reconstructs.
+    let images = vol.into_images();
+    for dead in 0..4 {
+        let geometry = DiskGeometry::tiny_test(SPINDLE_SECTORS);
+        let cfg = VolumeConfig::parity_segment(4, 3 * CHUNK_BYTES);
+        let mut vol = StripedVolume::from_images(geometry, Clock::new(), cfg, images.clone());
+        vol.kill_spindle(dead);
+        let mut got = vec![0u8; 4 * row as usize * SECTOR_SIZE];
+        let mut want = got.clone();
+        vol.read(0, &mut got).unwrap();
+        mirror.read(0, &mut want).unwrap();
+        assert!(
+            got == want,
+            "spindle {dead} dead: a byte did not reconstruct"
+        );
+    }
 }
 
 /// The durability query on a 4-spindle volume: an asynchronous write is
