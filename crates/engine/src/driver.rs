@@ -1,23 +1,48 @@
-//! The one closed-loop host driver and the one maintenance offer rule.
+//! The one host loop and the one maintenance offer rule.
 //!
-//! Every multi-client workload in the workspace is the same loop: pick
-//! the client whose think time ends first, let background work use the
-//! time until then, advance the shared clock to the client's ready
-//! time, run and time its operation, schedule its next think.
-//! [`run_closed_loop`] is that loop; callers supply setup, a
-//! `think(client, op)` function, the operation, and optionally a
-//! [`Maintenance`] task (the LFS cleaner, a volume rebuild) to
-//! interleave — §4.3.4's "clean during idle periods", as a parameter.
+//! Every multi-client workload in the workspace is [`run_schedule`]
+//! over a [`Schedule`]: a trace replay hands it the trace's dependency
+//! graph, a closed-loop driver the program-order-only
+//! [`Schedule::closed_loop`], and either may pass a [`Maintenance`] task
+//! (the LFS cleaner, a volume rebuild) to interleave — §4.3.4's "clean
+//! during idle periods", as a parameter.
 //!
 //! The offer rule — ask the task whether it wants a step at the current
 //! queue depth, step it, give an in-flight read time to settle — lives
 //! in [`offer`] alone; hosts without a client loop (the crash sweep's
 //! per-op hook, `lfs-tools rebuild`) call it or [`drain`] directly.
 
-use sim_disk::Clock;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+use sim_disk::{Clock, DiskResult};
 use vfs::FsResult;
 
-use crate::multi::RequestEngine;
+use crate::qos::{FairShare, QosSpec};
+
+/// What a host loop needs from a request engine: the shared clock, lazy
+/// background progress, and client attribution.
+///
+/// Implemented by a shared [`EngineCore`](crate::EngineCore) (one
+/// spindle) and by multi-spindle volumes that fan each call out to every
+/// spindle, so the same loop drives both.
+pub trait RequestEngine {
+    /// The shared virtual clock.
+    fn clock(&self) -> Arc<Clock>;
+    /// Lazily services queued requests whose start time has passed.
+    fn pump(&self) -> DiskResult<()>;
+    /// Attributes subsequent submissions to `client` (`None` = system
+    /// work such as format or setup).
+    fn set_client(&self, client: Option<usize>);
+    /// Creates per-client queue-wait counters for clients `0..n`.
+    fn register_clients(&self, n: usize);
+    /// Total requests currently pending across the engine's queues — the
+    /// idle signal for idle-gated maintenance such as async cleaning.
+    fn queue_depth(&self) -> u64;
+    /// Installs (or clears) a per-client QoS spec on every queue the
+    /// engine schedules.
+    fn set_qos(&self, spec: Option<QosSpec>);
+}
 
 /// What one [`Maintenance::step`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,12 +153,135 @@ pub fn drain<Cx: ?Sized>(task: &mut dyn Maintenance<Cx>, cx: &mut Cx) -> FsResul
     Ok(steps)
 }
 
-/// The dispatched client's turn, handed to the operation closure.
+/// The records a host loop dispatches, in tie-break order, and the
+/// incremental set of those available. A record belongs to a client,
+/// waits for its predecessors — explicit edges plus program order
+/// within its client — and is ready `think_ns` after the last of them
+/// finished (after the loop started, if it has none). So a client has at
+/// most one available record, and a dispatch costs the client count.
+#[derive(Debug)]
+pub struct Schedule {
+    client: Vec<usize>,
+    think_ns: Vec<u64>,
+    preds: Vec<Vec<usize>>,
+    succs: Vec<Vec<usize>>,
+    /// Unfinished-predecessor count.
+    indegree: Vec<usize>,
+    /// Records with no unfinished predecessor that have not completed,
+    /// kept in step by [`Schedule::complete`]; empty once all have.
+    ready: BTreeSet<usize>,
+}
+
+impl Schedule {
+    /// A schedule of `(client, think_ns, explicit predecessors)` records,
+    /// in the order ties are broken. Predecessors are record positions;
+    /// the loop needs the graph acyclic ([`Schedule::levels`]).
+    pub fn new(records: impl IntoIterator<Item = (usize, u64, Vec<usize>)>) -> Schedule {
+        let (mut client, mut think_ns, mut preds) = (Vec::new(), Vec::new(), Vec::new());
+        let mut last_of_client = BTreeMap::new();
+        for (i, (c, think, mut deps)) in records.into_iter().enumerate() {
+            if let Some(prev) = last_of_client.insert(c, i) {
+                if !deps.contains(&prev) {
+                    deps.push(prev);
+                }
+            }
+            client.push(c);
+            think_ns.push(think);
+            preds.push(deps);
+        }
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); preds.len()];
+        for (i, ps) in preds.iter().enumerate() {
+            for &p in ps {
+                succs[p].push(i);
+            }
+        }
+        let indegree: Vec<usize> = preds.iter().map(Vec::len).collect();
+        let ready = (0..preds.len()).filter(|&i| indegree[i] == 0).collect();
+        Schedule {
+            client,
+            think_ns,
+            preds,
+            succs,
+            indegree,
+            ready,
+        }
+    }
+
+    /// The closed loop: `budgets[c]` operations of client `c`, the
+    /// `op`-th ready `think(c, op)` after the previous one finished, laid
+    /// out client-major so ties go to the lowest client id.
+    pub fn closed_loop(budgets: &[usize], think: impl Fn(usize, usize) -> u64) -> Schedule {
+        Schedule::new(
+            budgets
+                .iter()
+                .enumerate()
+                .flat_map(|(c, &n)| (0..n).map(move |op| (c, op)))
+                .map(|(c, op)| (c, think(c, op), Vec::new())),
+        )
+    }
+
+    /// Kahn's peel of the graph, on a copy of the counts: hands `level`
+    /// each maximal parallel process set of a fresh run in order,
+    /// ascending, and returns the first record a dependency cycle keeps
+    /// from ever becoming available, if there is one.
+    pub fn levels(&self, mut level: impl FnMut(&[usize])) -> Option<usize> {
+        let mut degree = self.indegree.clone();
+        let mut order: Vec<usize> = self.ready.iter().copied().collect();
+        let mut start = 0;
+        while start < order.len() {
+            let end = order.len();
+            order[start..end].sort_unstable();
+            level(&order[start..end]);
+            for k in start..end {
+                for &s in &self.succs[order[k]] {
+                    degree[s] -= 1;
+                    if degree[s] == 0 {
+                        order.push(s);
+                    }
+                }
+            }
+            start = end;
+        }
+        degree.iter().position(|&d| d > 0)
+    }
+
+    /// Predecessors of record `i`: explicit edges, then program order.
+    pub fn preds(&self, i: usize) -> &[usize] {
+        &self.preds[i]
+    }
+
+    /// Records whose predecessors have all completed and that have not
+    /// themselves completed — the current maximal parallel process set,
+    /// in ascending position.
+    pub fn available_set(&self) -> Vec<usize> {
+        self.ready.iter().copied().collect()
+    }
+
+    /// Marks available record `i` complete, unblocking its successors.
+    pub fn complete(&mut self, i: usize) {
+        let was_available = self.ready.remove(&i);
+        debug_assert!(was_available, "completing a blocked or completed record");
+        for &s in &self.succs[i] {
+            self.indegree[s] -= 1;
+            if self.indegree[s] == 0 {
+                self.ready.insert(s);
+            }
+        }
+    }
+}
+
+/// Op-level aging bound of the QoS pick: a ready record that has waited
+/// this long is dispatched next regardless of its tenant's share.
+const MAX_OP_WAIT_NS: u64 = 50_000_000;
+
+/// The dispatched record's turn, handed to the operation closure.
 pub struct Turn<'a> {
-    /// The dispatched client.
+    /// The record's client.
     pub client: usize,
     /// How many operations this client has already completed.
     pub op: usize,
+    /// The record's position in the schedule.
+    pub record: usize,
     clock: &'a Clock,
     start_ns: u64,
 }
@@ -145,82 +293,104 @@ impl Turn<'_> {
         self.start_ns = self.clock.now_ns();
     }
 
-    /// Virtual time since the timed window opened.
+    /// Virtual time since the timed window opened; at the end of the
+    /// operation, its latency.
     pub fn elapsed_ns(&self) -> u64 {
         self.clock.now_ns() - self.start_ns
     }
 }
 
-/// What [`run_closed_loop`] measured.
-#[derive(Debug, Clone)]
-pub struct LoopReport {
-    /// Virtual time at which the loop started.
-    pub start_ns: u64,
-    /// `(client, latency_ns)` of every operation, in dispatch order.
-    pub latencies: Vec<(usize, u64)>,
-    /// Steps the maintenance task took between dispatches.
-    pub maintenance_steps: u64,
+/// Picks from `candidates` (`(ready_ns, position)`, by position) at
+/// `now_ns`: earliest ready first, ties to the lowest position. With a
+/// QoS ledger, the record (one per client) of the tenant it picks among
+/// those ready by then (or, if none is, at the earliest ready time) —
+/// unless the oldest has waited [`MAX_OP_WAIT_NS`].
+fn pick(
+    candidates: &[(u64, usize)],
+    now_ns: u64,
+    fair: Option<&mut FairShare>,
+    client: &[usize],
+) -> (u64, usize) {
+    let oldest = *candidates.iter().min().expect("a record is available");
+    let now = now_ns.max(oldest.0);
+    match fair {
+        Some(fair) if now - oldest.0 < MAX_OP_WAIT_NS => {
+            let mut eligible = candidates.iter().filter(|&&(ready, _)| ready <= now);
+            let tenant = fair
+                .pick(eligible.clone().map(|&(_, i)| client[i]))
+                .expect("the oldest record is eligible");
+            *eligible
+                .find(|&&(_, i)| client[i] == tenant)
+                .expect("the picked tenant has an eligible record")
+        }
+        _ => oldest,
+    }
 }
 
-/// Runs `budgets[c]` operations for each closed-loop client `c`.
+/// Runs every record of the (acyclic) `schedule`. Each dispatch picks
+/// a record (with `fair`, the QoS pick, charged its latency), [`offer`]s
+/// `maintenance` the idle time until the record is ready (its I/O
+/// submitted as the paired client id), advances the clock to the ready
+/// time, pumps the engine, attributes submissions to the record's
+/// client, and runs and times `op`. Think time does not advance the
+/// clock, so clients overlap. Returns the maintenance steps taken.
 ///
-/// Each dispatch picks the earliest-ready client with budget left (ties
-/// go to the lowest id), [`offer`]s `maintenance` the idle time until
-/// then (its I/O submitted as the paired client id), advances the clock
-/// to the client's ready time, pumps the engine, attributes submissions
-/// to the client, runs and times `op`, and schedules the client's next
-/// operation `think(client, ops_done)` after its completion. Think time
-/// does not advance the shared clock, so clients overlap.
-pub fn run_closed_loop<Cx: ?Sized>(
+/// The first failed pump, maintenance step or operation ends the loop
+/// and is returned; a caller for which an operation's failure is an
+/// outcome (trace replay counts them) handles it inside `op`.
+pub fn run_schedule<Cx: ?Sized>(
     cx: &mut Cx,
     engine: &dyn RequestEngine,
-    budgets: &[usize],
-    think: impl Fn(usize, usize) -> u64,
+    schedule: &mut Schedule,
+    mut fair: Option<FairShare>,
     mut maintenance: Option<(&mut dyn Maintenance<Cx>, Option<usize>)>,
     mut op: impl FnMut(&mut Cx, &mut Turn<'_>) -> FsResult<()>,
-) -> FsResult<LoopReport> {
+) -> FsResult<u64> {
     let clock = engine.clock();
     let start_ns = clock.now_ns();
-    let mut next_ready: Vec<u64> = (0..budgets.len()).map(|c| start_ns + think(c, 0)).collect();
-    let mut done = vec![0usize; budgets.len()];
+    let mut finish_ns = vec![0; schedule.client.len()];
+    let mut done = vec![0usize; schedule.client.iter().max().map_or(0, |&c| c + 1)];
     let mut settled_at_ns = start_ns;
-    let total_ops: usize = budgets.iter().sum();
-    let mut report = LoopReport {
-        start_ns,
-        latencies: Vec::with_capacity(total_ops),
-        maintenance_steps: 0,
-    };
-    for _ in 0..total_ops {
-        let c = (0..budgets.len())
-            .filter(|&c| done[c] < budgets[c])
-            .min_by_key(|&c| (next_ready[c], c))
-            .expect("a client still has work");
+    let mut steps = 0;
+    let mut candidates = Vec::new();
+    while !schedule.ready.is_empty() {
+        candidates.clear();
+        candidates.extend(schedule.ready.iter().map(|&i| {
+            let horizon = schedule.preds[i].iter().map(|&p| finish_ns[p]).max();
+            (horizon.unwrap_or(start_ns) + schedule.think_ns[i], i)
+        }));
+        let (ready_ns, i) = pick(&candidates, clock.now_ns(), fair.as_mut(), &schedule.client);
         if let Some((task, client)) = &mut maintenance {
             let window = IdleWindow {
                 engine,
                 clock: &clock,
                 client: *client,
-                deadline_ns: next_ready[c],
+                deadline_ns: ready_ns,
                 settled_at_ns: &mut settled_at_ns,
             };
-            report.maintenance_steps += offer(&mut **task, cx, Some(window), u64::MAX)?;
+            steps += offer(&mut **task, cx, Some(window), u64::MAX)?;
         }
-        clock.advance_to_ns(next_ready[c]);
+        clock.advance_to_ns(ready_ns);
         engine.pump()?;
+        let c = schedule.client[i];
         engine.set_client(Some(c));
         let mut turn = Turn {
             client: c,
             op: done[c],
+            record: i,
             clock: &clock,
             start_ns: clock.now_ns(),
         };
         op(cx, &mut turn)?;
-        let after_ns = clock.now_ns();
-        report.latencies.push((c, after_ns - turn.start_ns));
+        if let Some(fair) = fair.as_mut() {
+            // Floored so zero-cost cached operations still use share.
+            fair.charge(c, turn.elapsed_ns().max(1_000));
+        }
+        finish_ns[i] = clock.now_ns();
         done[c] += 1;
-        next_ready[c] = after_ns + think(c, done[c]);
+        schedule.complete(i);
     }
-    Ok(report)
+    Ok(steps)
 }
 
 #[cfg(test)]
@@ -271,32 +441,47 @@ mod tests {
         }
     }
 
-    /// Runs the loop on a fresh engine sharing `task`'s clock; every
-    /// foreground op costs `op_ns`.
+    /// What [`run`] measured besides the log.
+    struct Ran {
+        /// `(client, latency_ns)` of every operation, in dispatch order.
+        latencies: Vec<(usize, u64)>,
+        maintenance_steps: u64,
+    }
+
+    /// Runs the closed-loop schedule on a fresh engine sharing `task`'s
+    /// clock; every foreground op costs `op_ns`.
     fn run(
         budgets: &[usize],
         think: impl Fn(usize, usize) -> u64,
         mut task: FakeTask,
         op_ns: u64,
-    ) -> (Log, LoopReport) {
+    ) -> (Log, Ran) {
         let clock = Arc::clone(&task.clock);
         let disk = SimDisk::new(DiskGeometry::tiny_test(1024), Arc::clone(&clock));
         let core = EngineCore::new(disk, EngineConfig::default()).into_shared();
         let mut log = Log::new();
-        let report = run_closed_loop(
+        let mut latencies = Vec::new();
+        let maintenance_steps = run_schedule(
             &mut log,
             &core,
-            budgets,
-            think,
+            &mut Schedule::closed_loop(budgets, think),
+            None,
             Some((&mut task, None)),
             |log, turn| {
                 log.push(('f', turn.client, clock.now_ns()));
                 clock.advance_ns(op_ns);
+                latencies.push((turn.client, turn.elapsed_ns()));
                 Ok(())
             },
         )
         .unwrap();
-        (log, report)
+        (
+            log,
+            Ran {
+                latencies,
+                maintenance_steps,
+            },
+        )
     }
 
     fn task(remaining: u64, step_ns: u64, settle: Option<u64>) -> FakeTask {
@@ -315,7 +500,6 @@ mod tests {
         let (log, report) = run(&[1, 1, 1], think, task(0, 0, None), 10);
         assert_eq!(log, [('f', 2, 50), ('f', 0, 100), ('f', 1, 110)]);
         assert_eq!(report.latencies, [(2, 10), (0, 10), (1, 10)]);
-        assert_eq!(report.start_ns, 0);
     }
 
     #[test]

@@ -21,13 +21,13 @@
 //!   pick to the tenant furthest behind its share, and a bounded-wait
 //!   (anti-starvation) check overrides both: an aged request preempts
 //!   any other choice.
-//! * [`driver`] — the one closed-loop host loop (earliest-ready client
-//!   first, virtual time advanced to its ready-time) and the one rule
-//!   for offering background [`Maintenance`] steps in the idle time
-//!   between dispatches.
+//! * [`driver`] — the one host loop ([`run_schedule`] over a
+//!   [`Schedule`]: a trace's graph, or a closed loop's program order)
+//!   and the one rule for offering background [`Maintenance`] steps in
+//!   the idle time between dispatches.
 //! * [`multi`], [`mix`] — N closed-loop clients running the `workload`
 //!   small-file generator (create, or an overwrite+read mix) against
-//!   one file system on that driver. Per-client latency histograms,
+//!   one file system on that loop. Per-client latency histograms,
 //!   queue-depth gauges, and pick-decision (`sched`) trace events land in
 //!   the file system's [`obs::Registry`].
 //!
@@ -40,11 +40,12 @@ pub mod multi;
 pub mod qos;
 pub mod queue;
 
-pub use driver::{drain, offer, run_closed_loop, IdleWindow, LoopReport, Maintenance, Step, Turn};
+pub use driver::{
+    drain, offer, run_schedule, IdleWindow, Maintenance, RequestEngine, Schedule, Step, Turn,
+};
 pub use mix::{run_overwrite_read_mix, MixConfig, MixReport};
 pub use multi::{
     jittered_think_ns, run_small_file_create, ClientSummary, MultiClientConfig, MultiReport,
-    RequestEngine,
 };
 pub use qos::{FairShare, QosClass, QosSpec, TenantQos};
 pub use queue::{EngineConfig, EngineCore, EngineDisk, ReadHandle, MAINT_OWNER};

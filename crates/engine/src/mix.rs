@@ -10,17 +10,17 @@
 //! flush every other client's working set while a scan-resistant cache
 //! confines to the probation pool.
 //!
-//! The event loop is [`run_closed_loop`], the same earliest-ready-client
-//! dispatch as the create driver, so virtual time remains deterministic
-//! and metrics JSON byte-identical across runs.
+//! The loop is [`run_schedule`] over a [`Schedule::closed_loop`], as
+//! for the create driver, so virtual time remains deterministic and
+//! metrics JSON byte-identical across runs.
 
 use obs::Registry;
 use vfs::{FileSystem, FsResult, Ino};
 use workload::payload;
 use workload::small_files::SmallFileSpec;
 
-use crate::driver::run_closed_loop;
-use crate::multi::{MultiReport, RequestEngine};
+use crate::driver::{run_schedule, RequestEngine, Schedule};
+use crate::multi::MultiReport;
 
 /// Parameters of an overwrite+read mix run.
 #[derive(Debug, Clone)]
@@ -139,7 +139,9 @@ fn op_hash(seed: u64, client: usize, op: usize, salt: u64) -> u64 {
     x
 }
 
-fn jittered_think_ns(seed: u64, client: usize, op: usize, mean: u64) -> u64 {
+/// `mean` ±25% like [`crate::jittered_think_ns`], but from [`op_hash`]
+/// (salt `0x7417`): the pinned cache-mix cells depend on this sequence.
+fn mix_think_ns(seed: u64, client: usize, op: usize, mean: u64) -> u64 {
     mean * (75 + op_hash(seed, client, op, 0x7417) % 51) / 100
 }
 
@@ -210,11 +212,15 @@ pub fn run_overwrite_read_mix<F: FileSystem>(
     let mut read_ops = 0u64;
     let mut write_ops = 0u64;
     let mut read_buf = vec![0u8; cfg.file_size.max(cfg.scan_chunk_bytes)];
-    let run = run_closed_loop(
+    let start_ns = clock.now_ns();
+    let mut latencies = Vec::with_capacity(budgets.iter().sum());
+    run_schedule(
         fs,
         core,
-        &budgets,
-        |c, op| jittered_think_ns(cfg.seed, c, op, cfg.think_ns),
+        &mut Schedule::closed_loop(&budgets, |c, op| {
+            mix_think_ns(cfg.seed, c, op, cfg.think_ns)
+        }),
+        None,
         None,
         |fs, turn| {
             let (c, op_index) = (turn.client, turn.op);
@@ -241,6 +247,7 @@ pub fn run_overwrite_read_mix<F: FileSystem>(
                 fs.read_at(scan_files[s], offset, &mut read_buf[..cfg.scan_chunk_bytes])?;
                 read_ops += 1;
             }
+            latencies.push((c, turn.elapsed_ns()));
             Ok(())
         },
     )?;
@@ -248,7 +255,8 @@ pub fn run_overwrite_read_mix<F: FileSystem>(
     core.set_client(None);
     fs.set_active_client(None);
     fs.sync()?;
-    let report = MultiReport::publish(registry, total_clients, &run, clock.now_ns());
+    let elapsed_ns = clock.now_ns() - start_ns;
+    let report = MultiReport::publish(registry, total_clients, &latencies, elapsed_ns);
     Ok(MixReport {
         multi: report,
         read_ops,

@@ -1,9 +1,9 @@
 //! The multi-client small-file create workload.
 //!
 //! N closed-loop clients share one file system mounted on an
-//! [`EngineDisk`](crate::EngineDisk), dispatched by
-//! [`run_closed_loop`]: each client thinks (a deterministic jittered
-//! delay that does *not* advance the shared clock — clients overlap),
+//! [`EngineDisk`](crate::EngineDisk), dispatched by [`run_schedule`]
+//! over a [`Schedule::closed_loop`]: each client thinks (a deterministic
+//! jittered delay that does *not* advance the shared clock — clients overlap),
 //! then creates its next file, which advances the clock by the
 //! operation's latency (CPU charges plus any synchronous disk waits).
 //!
@@ -12,70 +12,12 @@
 //! work against identically-sized directories, and throughput differences
 //! measure concurrency alone.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
-
 use obs::Registry;
-use sim_disk::{Clock, DiskResult};
 use vfs::{FileSystem, FsResult};
 use workload::small_files::SmallFileSpec;
 use workload::payload;
 
-use crate::driver::{run_closed_loop, LoopReport};
-use crate::qos::QosSpec;
-use crate::queue::EngineCore;
-
-/// What the multi-client event loop needs from a request engine: the
-/// shared clock, lazy background progress, and client attribution.
-///
-/// Implemented by a shared [`EngineCore`] (one spindle) and by
-/// multi-spindle volumes that fan each call out to every spindle, so
-/// the same event loop drives both.
-pub trait RequestEngine {
-    /// The shared virtual clock.
-    fn clock(&self) -> Arc<Clock>;
-    /// Lazily services queued requests whose start time has passed.
-    fn pump(&self) -> DiskResult<()>;
-    /// Attributes subsequent submissions to `client` (`None` = system
-    /// work such as format or setup).
-    fn set_client(&self, client: Option<usize>);
-    /// Creates per-client queue-wait counters for clients `0..n`.
-    fn register_clients(&self, n: usize);
-    /// Total requests currently pending across the engine's queues — the
-    /// idle signal for idle-gated maintenance such as async cleaning.
-    fn queue_depth(&self) -> u64;
-    /// Installs (or clears) a per-client QoS spec on every queue the
-    /// engine schedules. The default does nothing, so engines without a
-    /// QoS-aware queue keep compiling.
-    fn set_qos(&self, _spec: Option<QosSpec>) {}
-}
-
-impl RequestEngine for Rc<RefCell<EngineCore>> {
-    fn clock(&self) -> Arc<Clock> {
-        Arc::clone(self.borrow().clock())
-    }
-
-    fn pump(&self) -> DiskResult<()> {
-        self.borrow_mut().pump()
-    }
-
-    fn set_client(&self, client: Option<usize>) {
-        self.borrow_mut().set_client(client);
-    }
-
-    fn register_clients(&self, n: usize) {
-        self.borrow_mut().register_clients(n);
-    }
-
-    fn queue_depth(&self) -> u64 {
-        self.borrow().queue_len()
-    }
-
-    fn set_qos(&self, spec: Option<QosSpec>) {
-        self.borrow_mut().set_qos(spec);
-    }
-}
+use crate::driver::{run_schedule, RequestEngine, Schedule};
 
 /// Parameters of a multi-client small-file run.
 #[derive(Debug, Clone)]
@@ -113,7 +55,7 @@ impl MultiClientConfig {
 }
 
 /// One client's outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClientSummary {
     /// Client id.
     pub client: usize,
@@ -139,15 +81,15 @@ pub struct MultiReport {
 }
 
 impl MultiReport {
-    /// Folds a finished closed-loop `run` into a report, recording the
-    /// aggregate (`engine.op_ns`) and per-client (`engine.cNNN.op_ns`)
-    /// latency histograms plus the client-count and fairness gauges.
-    /// `end_ns` is the virtual time the measurement closed.
+    /// Folds a closed-loop run's `(client, latency_ns)` samples into a
+    /// report, recording the aggregate (`engine.op_ns`) and per-client
+    /// (`engine.cNNN.op_ns`) latency histograms plus the client-count
+    /// and fairness gauges.
     pub(crate) fn publish(
         registry: &Registry,
         clients: usize,
-        run: &LoopReport,
-        end_ns: u64,
+        latencies: &[(usize, u64)],
+        elapsed_ns: u64,
     ) -> MultiReport {
         let agg_hist = registry.hist("engine.op_ns");
         let client_hists: Vec<_> = (0..clients)
@@ -159,12 +101,10 @@ impl MultiReport {
         let mut per_client: Vec<ClientSummary> = (0..clients)
             .map(|client| ClientSummary {
                 client,
-                ops: 0,
-                total_latency_ns: 0,
-                max_latency_ns: 0,
+                ..ClientSummary::default()
             })
             .collect();
-        for &(c, latency_ns) in &run.latencies {
+        for &(c, latency_ns) in latencies {
             agg_hist.record(latency_ns);
             if let Some(h) = &client_hists[c] {
                 h.record(latency_ns);
@@ -175,8 +115,8 @@ impl MultiReport {
         }
         let report = MultiReport {
             clients,
-            total_ops: run.latencies.len() as u64,
-            elapsed_ns: end_ns - run.start_ns,
+            total_ops: latencies.len() as u64,
+            elapsed_ns,
             per_client,
         };
         registry.gauge("engine.clients").set(clients as u64);
@@ -215,9 +155,9 @@ impl MultiReport {
     }
 }
 
-/// Deterministic jittered think time: `mean` ±25%, keyed by
-/// `(seed, client, op)`. The closed-loop drivers in this crate and in
-/// `lfs-bench` all pace their clients with it.
+/// Deterministic jittered think time: `mean` ±25%, keyed by `(seed,
+/// client, op)` — the create, churn and degraded drivers' pacing (the
+/// mix driver has its own, `mix::mix_think_ns`).
 pub fn jittered_think_ns(seed: u64, client: usize, op: usize, mean: u64) -> u64 {
     let mut x = seed
         ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -234,7 +174,7 @@ pub fn jittered_think_ns(seed: u64, client: usize, op: usize, mean: u64) -> u64 
 /// (`engine.op_ns`), and a fairness gauge into `registry`.
 ///
 /// The file system must be mounted on a device backed by `core` — an
-/// [`crate::EngineDisk`] over a shared [`EngineCore`], or any other
+/// [`crate::EngineDisk`] over a shared [`crate::EngineCore`], or any other
 /// [`RequestEngine`] such as a striped volume (the loop pumps the
 /// engine and attributes submissions to the dispatched client).
 pub fn run_small_file_create<F: FileSystem>(
@@ -265,15 +205,20 @@ pub fn run_small_file_create<F: FileSystem>(
     }
     fs.sync()?;
 
-    let run = run_closed_loop(
+    let start_ns = clock.now_ns();
+    let mut latencies = Vec::with_capacity(cfg.clients * cfg.files_per_client);
+    run_schedule(
         fs,
         core,
-        &vec![cfg.files_per_client; cfg.clients],
-        |c, op| jittered_think_ns(cfg.seed, c, op, cfg.think_ns),
+        &mut Schedule::closed_loop(&vec![cfg.files_per_client; cfg.clients], |c, op| {
+            jittered_think_ns(cfg.seed, c, op, cfg.think_ns)
+        }),
+        None,
         None,
         |fs, turn| {
             fs.set_active_client(Some(turn.client as u32));
             fs.write_file(&specs[turn.client].path(turn.op), &payloads[turn.client])?;
+            latencies.push((turn.client, turn.elapsed_ns()));
             Ok(())
         },
     )?;
@@ -282,5 +227,7 @@ pub fn run_small_file_create<F: FileSystem>(
     core.set_client(None);
     fs.set_active_client(None);
     fs.sync()?;
-    Ok(MultiReport::publish(registry, cfg.clients, &run, clock.now_ns()))
+    let elapsed_ns = clock.now_ns() - start_ns;
+    let report = MultiReport::publish(registry, cfg.clients, &latencies, elapsed_ns);
+    Ok(report)
 }

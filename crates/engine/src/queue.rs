@@ -22,6 +22,7 @@ use sim_disk::{
     AccessKind, BlockDevice, Clock, DiskError, DiskResult, IoCompletion, SimDisk, SECTOR_SIZE,
 };
 
+use crate::driver::RequestEngine;
 use crate::qos::{FairShare, QosSpec};
 
 /// Tuning knobs for the request engine.
@@ -1037,6 +1038,32 @@ pub enum ReadHandle {
         /// Length in bytes.
         len: usize,
     },
+}
+
+impl RequestEngine for Rc<RefCell<EngineCore>> {
+    fn clock(&self) -> Arc<Clock> {
+        Arc::clone(self.borrow().clock())
+    }
+
+    fn pump(&self) -> DiskResult<()> {
+        self.borrow_mut().pump()
+    }
+
+    fn set_client(&self, client: Option<usize>) {
+        self.borrow_mut().set_client(client);
+    }
+
+    fn register_clients(&self, n: usize) {
+        self.borrow_mut().register_clients(n);
+    }
+
+    fn queue_depth(&self) -> u64 {
+        self.borrow().queue_len()
+    }
+
+    fn set_qos(&self, spec: Option<QosSpec>) {
+        self.borrow_mut().set_qos(spec);
+    }
 }
 
 /// A cheap [`BlockDevice`] handle onto a shared [`EngineCore`].

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use engine::{drain, jittered_think_ns, run_closed_loop, RequestEngine};
+use engine::{drain, jittered_think_ns, run_schedule, RequestEngine, Schedule};
 use lfs_core::{Lfs, LfsConfig};
 use sim_disk::{BlockDevice, Clock};
 use trace::replay::snapshot;
@@ -170,7 +170,11 @@ pub fn run_arm(
         before(&pump);
         outcomes.push((*name, run_phase(&mut fs, &pump, cfg, i).expect("measured phase")));
     }
-    let drain_steps = drain_rebuild(&mut fs, &pump).expect("drain rebuild");
+    // Finish an in-flight rebuild unpaced (the measured phases are over)
+    // and sync, leaving the volume healthy.
+    pump.set_client(None);
+    let drain_steps = drain(&mut pump.clone(), &mut fs).expect("drain rebuild");
+    fs.sync().expect("sync");
     let scrub_clean = fs.scrub().expect("scrub").is_clean();
     let digest = snapshot_digest(&snapshot(&mut fs).expect("namespace snapshot"));
 
@@ -231,11 +235,12 @@ fn fill<D: BlockDevice>(
 }
 
 /// Runs one measured phase: `ops_per_phase` read+overwrite operations
-/// dispatched by [`run_closed_loop`]. The volume's rebuild is the
-/// loop's maintenance task: while one is in progress it is offered a
-/// step before every foreground dispatch plus as many as fit in idle
-/// time, its idle gate seeing the live queue depth — exactly the async
-/// cleaner's contract. With no rebuild in progress it declines.
+/// dispatched by [`run_schedule`] over a closed-loop [`Schedule`]. The
+/// volume's rebuild is the loop's maintenance task: while one is in
+/// progress it is offered a step before every foreground dispatch plus
+/// as many as fit in idle time, its idle gate seeing the live queue
+/// depth — exactly the async cleaner's contract. With no rebuild in
+/// progress it declines.
 ///
 /// `phase` keys the payload epoch so each phase's overwrites really
 /// change bytes (parity must track them), and the final state is a
@@ -248,13 +253,17 @@ fn run_phase(
 ) -> FsResult<PhaseOutcome> {
     assert!(cfg.clients > 0, "at least one client");
     let ops_per_client = cfg.ops_per_phase / cfg.clients;
+    let mut latencies: Vec<u64> = Vec::with_capacity(cfg.clients * ops_per_client);
     let mut read_latencies: Vec<u64> = Vec::with_capacity(cfg.clients * ops_per_client);
     let mut rebuild = core.clone();
-    let run = run_closed_loop(
+    let start_ns = core.clock().now_ns();
+    let rebuild_steps = run_schedule(
         fs,
         core,
-        &vec![ops_per_client; cfg.clients],
-        |c, op| jittered_think_ns(cfg.seed, c, (phase << 16) | op, cfg.think_ns),
+        &mut Schedule::closed_loop(&vec![ops_per_client; cfg.clients], |c, op| {
+            jittered_think_ns(cfg.seed, c, (phase << 16) | op, cfg.think_ns)
+        }),
+        None,
         Some((&mut rebuild, None)),
         |fs, turn| {
             let (c, op) = (turn.client, turn.op);
@@ -279,12 +288,12 @@ fn run_phase(
                 written += fs.write_at(ino, written as u64, &body[written..])?;
             }
             core.set_client(None);
+            latencies.push(turn.elapsed_ns());
             Ok(())
         },
     )?;
 
-    let elapsed_ns = core.clock().now_ns() - run.start_ns;
-    let mut latencies: Vec<u64> = run.latencies.iter().map(|&(_, ns)| ns).collect();
+    let elapsed_ns = core.clock().now_ns() - start_ns;
     latencies.sort_unstable();
     read_latencies.sort_unstable();
     Ok(PhaseOutcome {
@@ -294,15 +303,6 @@ fn run_phase(
         p99_ns: percentile_ns(&latencies, 99.0),
         read_p50_ns: percentile_ns(&read_latencies, 50.0),
         read_p99_ns: percentile_ns(&read_latencies, 99.0),
-        rebuild_steps: run.maintenance_steps,
+        rebuild_steps,
     })
-}
-
-/// Drains an in-flight rebuild to completion (no idle gating — the
-/// measured phase is over) and syncs, leaving the volume healthy.
-fn drain_rebuild(fs: &mut Lfs<VolumeDisk>, core: &VolumeDisk) -> FsResult<u64> {
-    core.set_client(None);
-    let steps = drain(&mut core.clone(), fs)?;
-    fs.sync()?;
-    Ok(steps)
 }

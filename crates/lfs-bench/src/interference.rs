@@ -7,13 +7,13 @@
 //! keep reclaiming space for the log to survive. The driver extends the
 //! `mt_scaling` closed-loop client model with one extra dispatchable
 //! actor: when the file system's cleaner runs in async mode, the loop
-//! ([`engine::run_closed_loop`]) offers it steps as a [`CleanerTask`]
+//! ([`engine::run_schedule`]) offers it steps as a [`CleanerTask`]
 //! before the next foreground client becomes ready. Cleaner I/O therefore
 //! competes in the same request queues as the foreground clients, and
 //! per-operation foreground latencies — collected exactly, for precise
 //! percentiles — expose the interference.
 
-use engine::{drain, jittered_think_ns, run_closed_loop, Maintenance, RequestEngine, Step};
+use engine::{drain, jittered_think_ns, run_schedule, Maintenance, RequestEngine, Schedule, Step};
 use lfs_core::{CleanerStepOutcome, Lfs};
 use sim_disk::BlockDevice;
 use vfs::{FileSystem, FsResult};
@@ -99,11 +99,11 @@ impl<D: BlockDevice> Maintenance<Lfs<D>> for CleanerTask {
     }
 }
 
-/// The slot path overwritten by `client` on its `op`-th operation.
+/// `client`'s slot path on its `op`-th operation, cycling over its own.
 fn slot_path(cfg: &ChurnConfig, client: usize, op: usize) -> String {
-    let owned = cfg.total_slots.div_ceil(cfg.clients);
+    let owned = (cfg.total_slots - client).div_ceil(cfg.clients);
     let slot = client + (op % owned) * cfg.clients;
-    format!("/d{:02}/s{:04}", client, slot.min(cfg.total_slots - 1))
+    format!("/d{client:02}/s{slot:04}")
 }
 
 /// Exact percentile of an ascending-sorted latency sample: the sample
@@ -156,11 +156,15 @@ pub fn run_overwrite_churn<D: BlockDevice>(
     fs.sync()?;
 
     let mut cleaner = CleanerTask;
-    let run = run_closed_loop(
+    let start_ns = clock.now_ns();
+    let mut latencies = Vec::with_capacity(cfg.clients * cfg.ops_per_client);
+    let mut cleaner_steps = run_schedule(
         fs,
         core,
-        &vec![cfg.ops_per_client; cfg.clients],
-        |c, op| jittered_think_ns(cfg.seed, c, op, cfg.think_ns),
+        &mut Schedule::closed_loop(&vec![cfg.ops_per_client; cfg.clients], |c, op| {
+            jittered_think_ns(cfg.seed, c, op, cfg.think_ns)
+        }),
+        None,
         Some((&mut cleaner, Some(cfg.clients))),
         |fs, turn| {
             // Overwrite in place: truncate kills every old block (they become
@@ -172,6 +176,7 @@ pub fn run_overwrite_churn<D: BlockDevice>(
             while written < cfg.file_size {
                 written += fs.write_at(ino, written as u64, &payloads[c][written..])?;
             }
+            latencies.push(turn.elapsed_ns());
             Ok(())
         },
     )?;
@@ -180,13 +185,11 @@ pub fn run_overwrite_churn<D: BlockDevice>(
     // its relocations are committed, not parked), then drain every
     // queued write.
     core.set_client(None);
-    let mut cleaner_steps = run.maintenance_steps;
     cleaner_steps += drain(&mut cleaner, fs)?;
     fs.sync()?;
-    let elapsed_ns = clock.now_ns() - run.start_ns;
+    let elapsed_ns = clock.now_ns() - start_ns;
 
     let agg_hist = fs.obs().hist("interference.fg_op_ns");
-    let mut latencies: Vec<u64> = run.latencies.iter().map(|&(_, ns)| ns).collect();
     for &ns in &latencies {
         agg_hist.record(ns);
     }
@@ -203,6 +206,60 @@ pub fn run_overwrite_churn<D: BlockDevice>(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+    use std::rc::Rc;
+    use std::sync::Arc;
+
+    use engine::{EngineConfig, EngineCore, EngineDisk};
+    use lfs_core::{Lfs, LfsConfig};
+    use sim_disk::{Clock, DiskGeometry, SimDisk};
+
+    use super::{run_overwrite_churn, slot_path, ChurnConfig};
+
+    /// Ten slots over four clients: clients 0 and 1 own three each
+    /// (`s0000`, `s0004`, `s0008`; `s0001`, `s0005`, `s0009`), clients 2
+    /// and 3 two. Every client overwrites only its own files, so the
+    /// run completes.
+    #[test]
+    fn churn_cycles_over_each_clients_own_slots() {
+        let cfg = ChurnConfig {
+            clients: 4,
+            ops_per_client: 6,
+            total_slots: 10,
+            file_size: 1024,
+            think_ns: 1_000_000,
+            seed: 7,
+        };
+        let owned: Vec<BTreeSet<String>> = (0..cfg.clients)
+            .map(|c| {
+                (0..cfg.ops_per_client)
+                    .map(|op| slot_path(&cfg, c, op))
+                    .collect()
+            })
+            .collect();
+        for (c, paths) in owned.iter().enumerate() {
+            for path in paths {
+                let slot: usize = path[path.len() - 4..].parse().unwrap();
+                assert!(path.starts_with(&format!("/d{c:02}/")), "{path}");
+                assert_eq!(
+                    (slot % cfg.clients, slot < cfg.total_slots),
+                    (c, true),
+                    "{path}"
+                );
+            }
+        }
+        let counts: Vec<usize> = owned.iter().map(BTreeSet::len).collect();
+        assert_eq!(counts, [3, 3, 2, 2]);
+
+        let clock = Clock::new();
+        let disk = SimDisk::new(DiskGeometry::tiny_test(4096), Arc::clone(&clock));
+        let core = EngineCore::new(disk, EngineConfig::default()).into_shared();
+        let dev = EngineDisk::new(Rc::clone(&core));
+        let mut fs = Lfs::format(dev, LfsConfig::small_test(), clock).expect("format");
+        let outcome = run_overwrite_churn(&mut fs, &core, &cfg).expect("churn run");
+        assert_eq!(outcome.total_ops, 24);
+    }
+
     /// The two percentile helpers, pinned side by side on one sample so
     /// their difference is stated, not discovered.
     #[test]

@@ -3,9 +3,17 @@
 //! payload) and identical namespace digests. Everything is virtual
 //! time, so any divergence is a real nondeterminism bug, not noise.
 
+use std::rc::Rc;
+use std::sync::Arc;
+
+use engine::{EngineConfig, EngineCore, EngineDisk};
+use lfs_bench::interference::CleanerTask;
 use lfs_bench::trace_replay::{run_cell, FsKind};
 use lfs_bench::MetricsReport;
-use trace::{by_name, GenSpec};
+use lfs_core::{AsyncCleanerPolicy, CleanerRunMode, Lfs, LfsConfig};
+use sim_disk::{Clock, DiskGeometry, SimDisk};
+use trace::{by_name, replay, replay_with, snapshot, zipf_churn, GenSpec, ReplayConfig};
+use vfs::model::ModelFs;
 
 fn one_run() -> (String, Vec<u64>) {
     let trace = by_name("office", &GenSpec::small(4)).expect("office");
@@ -36,4 +44,62 @@ fn bench_json_is_byte_identical_across_runs() {
     ] {
         assert!(json_a.contains(key), "metrics JSON lost the '{key}' gauge");
     }
+}
+
+/// Trace replay hosts a maintenance task: a hot-file churn trace on an
+/// LFS whose disk only just holds it (768 sectors; at 704 even the
+/// synchronous cleaner runs out of space), with the async cleaner
+/// offered the idle time before every dispatch. The cleaner must step
+/// inside the replay, and the result must be consistent and equal to
+/// what the model reaches on the same trace.
+///
+/// This size also catches an async victim that an emergency pass
+/// cleaned, and the log reused, between two of the run's steps.
+#[test]
+fn replay_hosts_the_async_cleaner() {
+    const SECTORS: u64 = 768;
+    let spec = GenSpec {
+        clients: 3,
+        ops_per_client: 400,
+        working_set: 24,
+        max_file_size: 4096,
+        seed: 11,
+    };
+    let trace = zipf_churn(&spec);
+    let rig = || {
+        let clock = Clock::new();
+        let disk = SimDisk::new(DiskGeometry::tiny_test(SECTORS), Arc::clone(&clock));
+        let core = EngineCore::new(disk, EngineConfig::default()).into_shared();
+        (core, clock)
+    };
+
+    let (core, clock) = rig();
+    let mut cfg = LfsConfig::small_test();
+    cfg.cleaner.run_mode = CleanerRunMode::Async(AsyncCleanerPolicy::default());
+    let mut fs = Lfs::format(EngineDisk::new(Rc::clone(&core)), cfg, clock).expect("format");
+    let registry = fs.obs().clone();
+    let report = replay_with(
+        &mut fs,
+        &core,
+        &registry,
+        &trace,
+        &ReplayConfig::default(),
+        Some((&mut CleanerTask, None)),
+    )
+    .expect("valid trace");
+    assert_eq!(report.total_ops, trace.records.len() as u64);
+    assert_eq!(report.failed_ops, 0);
+    assert_eq!(report.dep_violations, 0);
+    assert!(report.dep_edges_checked > 0, "vacuous dependency audit");
+    let steps = registry.snapshot().counter("cleaner.async.steps");
+    assert!(steps > 0, "the cleaner never stepped inside the replay");
+    let fsck = fs.fsck().expect("fsck");
+    assert!(fsck.is_clean(), "LFS inconsistent after replay:\n{fsck}");
+
+    let (model_core, _) = rig();
+    let mut model = ModelFs::new();
+    let model_registry = obs::Registry::new();
+    let replay_cfg = ReplayConfig::default();
+    replay(&mut model, &model_core, &model_registry, &trace, &replay_cfg).expect("model");
+    assert_eq!(snapshot(&mut fs).unwrap(), snapshot(&mut model).unwrap());
 }

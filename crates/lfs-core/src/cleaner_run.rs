@@ -67,6 +67,9 @@ struct VictimProgress {
     entry_cursor: usize,
     live_blocks: u64,
     live_inodes: u64,
+    /// A synchronous pass cleaned the segment under the run; once the
+    /// log reuses it, its state (Dirty again) alone would not say so.
+    stale: bool,
 }
 
 /// The state of one incremental cleaning run, owned by [`Lfs`] between
@@ -278,11 +281,10 @@ impl<D: BlockDevice> Lfs<D> {
     /// One unit of run work.
     fn run_step(&mut self, run: &mut CleanerRun) -> FsResult<StepWork> {
         if let Some(mut v) = run.current.take() {
-            // A stale victim (its state changed under us — e.g. an
-            // emergency synchronous pass cleaned it) is abandoned; any
-            // in-flight read is claimed and discarded so no queue is
-            // left holding it.
-            if self.usage.state(v.seg) != SegState::Dirty {
+            // A stale victim (an emergency synchronous pass cleaned it
+            // under us) is abandoned; any in-flight read is claimed and
+            // discarded so no queue is left holding it.
+            if v.stale {
                 if let Some(p) = v.pending_read.take() {
                     let _ = self.dev.finish_read_async(p.token);
                 }
@@ -402,6 +404,7 @@ impl<D: BlockDevice> Lfs<D> {
             entry_cursor: 0,
             live_blocks: 0,
             live_inodes: 0,
+            stale: false,
         }
     }
 
@@ -440,6 +443,9 @@ impl<D: BlockDevice> Lfs<D> {
     pub fn clean_segment(&mut self, seg: SegNo) -> FsResult<(u64, u64)> {
         if self.usage.state(seg) != SegState::Dirty {
             return Err(FsError::Corrupt("cleaning a non-dirty segment"));
+        }
+        if let Some(current) = self.cleaner_run.as_mut().and_then(|r| r.current.as_mut()) {
+            current.stale |= current.seg == seg;
         }
         let mut v = self.start_victim(seg);
         self.dev.annotate("cleaner-read");

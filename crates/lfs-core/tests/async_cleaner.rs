@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use lfs_core::layout::usage_block::SegState;
 use lfs_core::{AsyncCleanerPolicy, CleanerRunMode, CleanerStepOutcome, Lfs, LfsConfig};
 use sim_disk::{Clock, DiskGeometry, SimDisk};
 use vfs::model::ModelFs;
@@ -306,4 +307,79 @@ fn idle_gate_defers_until_quiet() {
         fs.cleaner_wants_step(0),
         "gated cleaner must accept once the queue drains"
     );
+}
+
+/// A victim that a synchronous pass cleans under an async run, and that
+/// the log then reuses, is abandoned by the run: its image no longer
+/// describes the segment, and finishing it would mark a segment holding
+/// new live data clean (a replay test in `lfs-bench` shows fsck catching
+/// exactly that).
+#[test]
+fn a_victim_cleaned_and_reused_under_the_run_is_abandoned() {
+    // One step reads a whole victim; one summary entry is classified
+    // per step after that.
+    let clock = Clock::new();
+    let disk = SimDisk::new(DiskGeometry::tiny_test(2048), Arc::clone(&clock));
+    let mut cfg = LfsConfig::small_test();
+    cfg.cleaner.run_mode = CleanerRunMode::Async(
+        AsyncCleanerPolicy::default()
+            .with_watermarks(1 << 16, 1 << 17)
+            .with_step_caps(64, 1),
+    );
+    let mut fs = Lfs::format(disk, cfg, clock).unwrap();
+    let mut model = ModelFs::new();
+    // Three 6000-byte files overwritten and synced one by one: a few
+    // dirty segments, every one a candidate victim.
+    let overwrite = |fs: &mut Lfs<SimDisk>, model: &mut ModelFs, i: usize| {
+        let op = Op::Write {
+            slot: i % 3,
+            len: 6000,
+            fill: i as u8,
+        };
+        apply(fs, &op).unwrap();
+        apply(model, &op).unwrap();
+        fs.sync().unwrap();
+    };
+    for i in 0..9 {
+        overwrite(&mut fs, &mut model, i);
+    }
+
+    // Start a run and leave it midway through classifying its first
+    // victim's image.
+    for _ in 0..4 {
+        fs.cleaner_step().unwrap();
+    }
+    assert!(fs.cleaner_run_active());
+
+    // Clean every dirty segment synchronously (the victim among them),
+    // commit, then churn until each is dirty again with new contents.
+    let dirty: Vec<_> = fs.usage_table().segments_in_state(SegState::Dirty);
+    let usage = |fs: &Lfs<SimDisk>, s| fs.usage_table().get(s);
+    let written_at: Vec<u64> = dirty.iter().map(|&s| usage(&fs, s).last_write_ns).collect();
+    for &seg in &dirty {
+        fs.clean_segment(seg).unwrap();
+    }
+    fs.checkpoint().unwrap();
+    let reused = |fs: &Lfs<SimDisk>| {
+        let again = |(&s, &at): (&_, &u64)| {
+            usage(fs, s).state == SegState::Dirty && usage(fs, s).last_write_ns > at
+        };
+        dirty.iter().zip(&written_at).all(again)
+    };
+    let mut i = 9;
+    while !reused(&fs) {
+        assert!(i < 2000, "the log never reused every cleaned segment");
+        overwrite(&mut fs, &mut model, i);
+        i += 1;
+    }
+
+    while fs.cleaner_run_active() {
+        fs.cleaner_step().unwrap();
+    }
+    fs.sync().unwrap();
+    let aborted = fs.obs().snapshot().counter("cleaner.async.victims_aborted");
+    assert_eq!(aborted, 1, "the stale victim was finished, not abandoned");
+    let report = fs.fsck().unwrap();
+    assert!(report.is_clean(), "fsck after the run:\n{report}");
+    assert_mirror(&mut fs, &mut model, "after the run");
 }

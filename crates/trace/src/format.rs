@@ -47,7 +47,6 @@ use engine::{QosClass, QosSpec};
 use vfs::{FileSystem, FsError, FsResult};
 use workload::payload;
 
-use crate::graph::DepGraph;
 
 /// Current format version (the `v1` of the header line).
 pub const FORMAT_VERSION: u32 = 1;
@@ -536,7 +535,7 @@ impl Trace {
                 }
             }
         }
-        DepGraph::build(self).map(|_| ())
+        crate::graph::schedule(self).map(|_| ())
     }
 
     /// Serialises the trace in the `lfs-trace v1` grammar;

@@ -446,7 +446,6 @@ pub fn by_name(name: &str, spec: &GenSpec) -> Option<Trace> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::DepGraph;
 
     #[test]
     fn all_generators_emit_valid_round_tripping_traces() {
@@ -457,7 +456,7 @@ mod tests {
             assert_eq!(trace.clients, 3, "{name}");
             // Valid graph (build proves acyclicity) and exact text
             // round-trip.
-            DepGraph::build(&trace).unwrap_or_else(|e| panic!("{name}: {e}"));
+            crate::graph::schedule(&trace).unwrap_or_else(|e| panic!("{name}: {e}"));
             let reparsed = Trace::parse(&trace.to_text()).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(reparsed, trace, "{name}: round-trip changed the trace");
         }

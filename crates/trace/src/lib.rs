@@ -15,18 +15,19 @@
 //!   Parsing is total: malformed input yields a typed [`TraceError`],
 //!   never a panic, and dependency cycles are rejected up front.
 //! * [`graph`] — the dependency graph (explicit edges plus per-client
-//!   program order) and its maximal parallel process sets, following
+//!   program order) as the host loop's [`engine::Schedule`], its cycle
+//!   check and its maximal parallel process sets, following
 //!   `fs-bench`'s trace scheduler.
 //! * [`generate`] — deterministic generators for the paper's §4.3.5
 //!   office workload and three multi-tenant shapes: mail server
 //!   (cross-tenant fan-out), build farm (fan-out plus a link-step
 //!   fan-in), and Zipf-skewed hot-file churn (a latency probe under a
 //!   flood).
-//! * [`replay`](mod@replay) — a discrete-event dispatcher that replays a trace
-//!   through any [`engine::RequestEngine`]-backed file system on the
-//!   shared virtual clock, arbitrating the eligible set with the same
-//!   [`engine::FairShare`] ledger the disk queue uses when QoS is on,
-//!   and auditing every happens-before edge as it dispatches.
+//! * [`replay`](mod@replay) — replays a trace through any
+//!   [`engine::RequestEngine`]-backed file system with the one host loop
+//!   ([`engine::run_schedule`]; the disk queue's [`engine::FairShare`]
+//!   ledger picks when QoS is on; [`replay_with`] hosts a maintenance
+//!   task), and audits every happens-before edge it dispatched.
 
 pub mod format;
 pub mod generate;
@@ -35,7 +36,6 @@ pub mod replay;
 
 pub use format::{Trace, TraceError, TraceOp, TraceRecord, FORMAT_VERSION, MAX_CLIENTS};
 pub use generate::{build_farm, by_name, mail_server, office, zipf_churn, GenSpec, TRACE_NAMES};
-pub use graph::DepGraph;
 pub use replay::{
-    percentile_ns, replay, snapshot, ReplayConfig, ReplayReport, TenantSummary,
+    percentile_ns, replay, replay_with, snapshot, ReplayConfig, ReplayReport, TenantSummary,
 };

@@ -1,37 +1,32 @@
 //! The QoS-aware discrete-event replay driver.
 //!
-//! The driver walks the trace's dependency graph, keeping every tenant's
-//! next unblocked record as a candidate, and repeatedly dispatches one
-//! record on the shared virtual clock: advance to the record's ready
-//! time, pump the engine, attribute the operation to its tenant, apply
-//! it to the file system, and unblock its successors. A record's ready
-//! time is the latest finish among its happens-before predecessors
-//! (explicit edges and program order) plus its think time.
+//! Replay is the workspace's one host loop, [`engine::run_schedule`],
+//! over the trace's dependency graph ([`crate::graph::schedule`]): a
+//! record is ready its think time after the last of its happens-before
+//! predecessors (explicit edges and program order) finished.
+//! [`replay_with`] also hands the loop a [`Maintenance`] task (the async
+//! cleaner) to offer the idle time between dispatches.
 //!
-//! With QoS enabled the dispatcher arbitrates the eligible set with the
-//! same [`FairShare`] ledger the disk queue uses: an op-level aging
-//! bound first (no tenant waits forever), then latency class, then
-//! lowest weighted virtual service time — so a 4×-weight tenant is
-//! dispatched 4× as often while every tenant is backlogged, and the
-//! engine-side ledger keeps a latency tenant's disk requests ahead of a
-//! flooder's queued backlog. With QoS disabled the dispatcher is plain
+//! With QoS enabled the loop arbitrates the eligible set with the same
+//! [`FairShare`] ledger the disk queue uses: an op-level aging bound
+//! first (no tenant waits forever), then latency class, then lowest
+//! weighted virtual service time — so a 4×-weight tenant is dispatched
+//! 4× as often while every tenant is backlogged, and the engine-side
+//! ledger keeps a latency tenant's disk requests ahead of a flooder's
+//! queued backlog. With QoS disabled the pick is plain
 //! earliest-ready-first, the closed-loop benches' discipline.
 //!
-//! Every dispatch checks its happens-before edges against recorded
-//! finish times and counts them (`dep_edges_checked`), so an
-//! equivalence test can assert both "no edge violated" and "edges were
-//! actually exercised" (the vacuity guard).
+//! After the loop, every dispatched record's happens-before edges are
+//! checked against the recorded start and finish times and counted
+//! (`dep_edges_checked`), so an equivalence test can assert both "no
+//! edge violated" and "edges were actually exercised" (the vacuity
+//! guard).
 
-use engine::{FairShare, RequestEngine};
+use engine::{run_schedule, FairShare, Maintenance, RequestEngine};
 use obs::Registry;
 use vfs::{FileKind, FileSystem, FsResult};
 
 use crate::format::{Trace, TraceError, TraceOp};
-use crate::graph::DepGraph;
-
-/// Op-level aging bound: an eligible record that has waited this long
-/// is dispatched next regardless of QoS.
-const MAX_OP_WAIT_NS: u64 = 50_000_000;
 
 /// Replay knobs.
 #[derive(Debug, Clone, Default)]
@@ -50,7 +45,7 @@ impl ReplayConfig {
 }
 
 /// One tenant's replay outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantSummary {
     /// Tenant id.
     pub client: usize,
@@ -90,7 +85,7 @@ impl TenantSummary {
 }
 
 /// Outcome of one replay.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplayReport {
     /// Virtual time from replay start to the closing sync.
     pub elapsed_ns: u64,
@@ -164,54 +159,43 @@ pub fn replay<F: FileSystem + ?Sized>(
     trace: &Trace,
     cfg: &ReplayConfig,
 ) -> Result<ReplayReport, TraceError> {
-    let mut graph = DepGraph::build(trace)?;
-    let n = trace.records.len();
+    replay_with(fs, engine, registry, trace, cfg, None)
+}
+
+/// [`replay`], offering `maintenance` — a task and the client id its
+/// I/O is submitted as — the idle time before each dispatch. A failed
+/// operation is counted and the replay goes on; a failed pump or
+/// maintenance step ends the dispatch loop and counts as one failed op
+/// (the closing sync still runs; `total_ops` says how far it got).
+pub fn replay_with<F: FileSystem + ?Sized>(
+    fs: &mut F,
+    engine: &impl RequestEngine,
+    registry: &Registry,
+    trace: &Trace,
+    cfg: &ReplayConfig,
+    maintenance: Option<(&mut dyn Maintenance<F>, Option<usize>)>,
+) -> Result<ReplayReport, TraceError> {
+    let mut schedule = crate::graph::schedule(trace)?;
     let clock = engine.clock();
 
     engine.set_client(None);
     engine.register_clients(trace.clients);
     engine.set_qos(cfg.qos_enabled.then(|| trace.qos.clone()));
-    let mut fair = cfg.qos_enabled.then(|| FairShare::new(trace.qos.clone()));
-
-    let agg_hist = registry.hist("trace.op_ns");
-    let emit_hists = trace.clients <= obs::PER_CLIENT_INSTRUMENTS_MAX;
-    let tenant_hists: Vec<_> = (0..trace.clients)
-        .map(|c| emit_hists.then(|| registry.hist(&format!("trace.t{c:02}.op_ns"))))
-        .collect();
-    let tenant_ops: Vec<_> = (0..trace.clients)
-        .map(|c| registry.counter(&format!("trace.t{c:02}.ops")))
-        .collect();
-    let tenant_written: Vec<_> = (0..trace.clients)
-        .map(|c| registry.counter(&format!("trace.t{c:02}.bytes_written")))
-        .collect();
-    let tenant_read: Vec<_> = (0..trace.clients)
-        .map(|c| registry.counter(&format!("trace.t{c:02}.bytes_read")))
-        .collect();
+    let fair = cfg.qos_enabled.then(|| FairShare::new(trace.qos.clone()));
 
     let mut report = ReplayReport {
-        elapsed_ns: 0,
-        total_ops: 0,
-        failed_ops: 0,
-        dep_edges_checked: 0,
-        dep_violations: 0,
         contended_bytes: vec![0; trace.clients],
-        contended_ns: 0,
         per_tenant: (0..trace.clients)
             .map(|client| TenantSummary {
                 client,
-                ops: 0,
-                failed: 0,
-                bytes_written: 0,
-                bytes_read: 0,
-                total_latency_ns: 0,
-                max_latency_ns: 0,
-                latencies_ns: Vec::new(),
+                ..TenantSummary::default()
             })
             .collect(),
+        ..ReplayReport::default()
     };
-
     let start_ns = clock.now_ns();
-    let mut finish_ns: Vec<Option<u64>> = vec![None; n];
+    // When each record began and finished (never, if not dispatched).
+    let mut span_ns = vec![(u64::MAX, u64::MAX); trace.records.len()];
     // Records left per tenant — the contended window closes when the
     // first (non-empty) tenant drains.
     let mut left: Vec<usize> = vec![0; trace.clients];
@@ -219,106 +203,19 @@ pub fn replay<F: FileSystem + ?Sized>(
         left[r.client] += 1;
     }
     let mut contended_open = true;
-    while graph.remaining() > 0 {
-        let available = graph.available_set();
-        debug_assert!(!available.is_empty(), "valid graph with nothing available");
-        // A record's ready time: latest predecessor finish plus think.
-        let ready = |i: usize| -> u64 {
-            let dep_horizon = graph.preds[i]
-                .iter()
-                .map(|&p| finish_ns[p].expect("available record with unfinished pred"))
-                .max()
-                .unwrap_or(start_ns);
-            dep_horizon + trace.records[i].think_ns
-        };
-        let now = clock.now_ns();
-        let horizon = available.iter().map(|&i| ready(i)).min().expect("non-empty");
-        let now = now.max(horizon);
-        let eligible: Vec<usize> = available
-            .iter()
-            .copied()
-            .filter(|&i| ready(i) <= now)
-            .collect();
-
-        let picked = match fair.as_mut() {
-            Some(fair) => {
-                // Op-level aging first: QoS never starves a tenant.
-                let oldest = eligible
-                    .iter()
-                    .copied()
-                    .min_by_key(|&i| (ready(i), i))
-                    .expect("non-empty eligible set");
-                if now - ready(oldest) >= MAX_OP_WAIT_NS {
-                    oldest
-                } else {
-                    let tenant = fair
-                        .pick(eligible.iter().map(|&i| trace.records[i].client))
-                        .expect("non-empty eligible set");
-                    eligible
-                        .iter()
-                        .copied()
-                        .filter(|&i| trace.records[i].client == tenant)
-                        .min_by_key(|&i| (ready(i), i))
-                        .expect("picked tenant has an eligible record")
-                }
-            }
-            None => eligible
-                .into_iter()
-                .min_by_key(|&i| (ready(i), i))
-                .expect("non-empty eligible set"),
-        };
-
-        let record = &trace.records[picked];
-        let dispatch_ns = now.max(ready(picked));
-        clock.advance_to_ns(dispatch_ns);
-        let _ = engine.pump();
-        engine.set_client(Some(record.client));
-
-        let begin_ns = clock.now_ns();
-        // The happens-before audit: every predecessor must have finished
-        // by the time this record starts.
-        for &p in &graph.preds[picked] {
-            report.dep_edges_checked += 1;
-            if finish_ns[p].expect("checked pred unfinished") > begin_ns {
-                report.dep_violations += 1;
-            }
-        }
+    let run = run_schedule(fs, engine, &mut schedule, fair, maintenance, |fs, turn| {
+        let record = &trace.records[turn.record];
         let ok = record.op.apply(fs).is_ok();
-        let end_ns = clock.now_ns();
-        let latency_ns = end_ns - begin_ns;
-
         let t = &mut report.per_tenant[record.client];
         t.ops += 1;
-        if !ok {
-            t.failed += 1;
-            report.failed_ops += 1;
-        }
+        t.failed += u64::from(!ok);
         match &record.op {
             TraceOp::Write { len, .. } => t.bytes_written += *len as u64,
             TraceOp::Read { len, .. } => t.bytes_read += *len as u64,
             _ => {}
         }
-        t.total_latency_ns += latency_ns;
-        t.max_latency_ns = t.max_latency_ns.max(latency_ns);
+        let (latency_ns, end_ns) = (turn.elapsed_ns(), clock.now_ns());
         t.latencies_ns.push(latency_ns);
-        report.total_ops += 1;
-
-        agg_hist.record(latency_ns);
-        if let Some(h) = &tenant_hists[record.client] {
-            h.record(latency_ns);
-        }
-        tenant_ops[record.client].inc();
-        match &record.op {
-            TraceOp::Write { len, .. } => tenant_written[record.client].add(*len as u64),
-            TraceOp::Read { len, .. } => tenant_read[record.client].add(*len as u64),
-            _ => {}
-        }
-
-        if let Some(fair) = fair.as_mut() {
-            // Charge the tenant its service time (floored so zero-cost
-            // cached operations still consume fair share).
-            fair.charge(record.client, latency_ns.max(1_000));
-        }
         left[record.client] -= 1;
         if contended_open && left[record.client] == 0 {
             contended_open = false;
@@ -327,21 +224,51 @@ pub fn replay<F: FileSystem + ?Sized>(
                 report.contended_bytes[c] = t.bytes_total();
             }
         }
-        finish_ns[picked] = Some(end_ns);
-        graph.complete(picked);
+        span_ns[turn.record] = (end_ns - latency_ns, end_ns);
+        Ok(())
+    });
+
+    // The happens-before audit: every predecessor of a dispatched record
+    // must have finished by the time the record began.
+    for (i, &(begin, _)) in span_ns.iter().enumerate() {
+        if begin == u64::MAX {
+            continue;
+        }
+        for &p in schedule.preds(i) {
+            report.dep_edges_checked += 1;
+            report.dep_violations += u64::from(span_ns[p].1 > begin);
+        }
     }
 
     // Close the measurement: everything queued reaches the platter.
     engine.set_client(None);
-    report.failed_ops += u64::from(fs.sync().is_err());
+    let synced = fs.sync();
     engine.set_qos(None);
     report.elapsed_ns = clock.now_ns() - start_ns;
+    report.failed_ops = u64::from(run.is_err()) + u64::from(synced.is_err());
+    let agg_hist = registry.hist("trace.op_ns");
     for t in &mut report.per_tenant {
+        report.total_ops += t.ops;
+        report.failed_ops += t.failed;
         t.latencies_ns.sort_unstable();
+        t.total_latency_ns = t.latencies_ns.iter().sum();
+        t.max_latency_ns = t.latencies_ns.last().copied().unwrap_or(0);
+        let name = |what: &str| format!("trace.t{:02}.{what}", t.client);
+        registry.counter(&name("ops")).add(t.ops);
+        registry
+            .counter(&name("bytes_written"))
+            .add(t.bytes_written);
+        registry.counter(&name("bytes_read")).add(t.bytes_read);
+        let hist = (trace.clients <= obs::PER_CLIENT_INSTRUMENTS_MAX)
+            .then(|| registry.hist(&name("op_ns")));
+        for &ns in &t.latencies_ns {
+            agg_hist.record(ns);
+            if let Some(h) = &hist {
+                h.record(ns);
+            }
+        }
     }
-    registry
-        .gauge("trace.clients")
-        .set(trace.clients as u64);
+    registry.gauge("trace.clients").set(trace.clients as u64);
     registry
         .gauge("trace.dep_edges_checked")
         .set(report.dep_edges_checked);
@@ -396,7 +323,7 @@ fn fnv1a(data: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use crate::generate::{office, zipf_churn, GenSpec};
-    use engine::{EngineConfig, EngineCore};
+    use engine::{EngineConfig, EngineCore, Step};
     use sim_disk::{Clock, DiskGeometry, SimDisk};
     use std::sync::Arc;
     use vfs::model::ModelFs;
@@ -546,5 +473,85 @@ mod tests {
         // Same trace, different dispatch policies: determinate traces
         // end in the same place.
         assert_eq!(snapshot(&mut a).unwrap(), snapshot(&mut b).unwrap());
+    }
+
+    /// A task that always wants a step; each costs `step_ns` and may
+    /// leave a read in flight for `settle`. It logs `(start_ns, records
+    /// done)` per step — a record here is one `mkdir` under `/`.
+    struct FakeTask {
+        clock: Arc<Clock>,
+        step_ns: u64,
+        settle: Option<u64>,
+        log: Vec<(u64, usize)>,
+    }
+
+    impl Maintenance<ModelFs> for FakeTask {
+        fn wants_step(&self, _fs: &ModelFs, _queue_depth: u64) -> bool {
+            true
+        }
+        fn step(&mut self, fs: &mut ModelFs) -> FsResult<Step> {
+            self.log.push((self.clock.now_ns(), fs.readdir("/")?.len()));
+            self.clock.advance_ns(self.step_ns);
+            Ok(Step::Progress)
+        }
+        fn active(&self, _fs: &ModelFs) -> bool {
+            true
+        }
+        fn settle_ns(&self, _fs: &ModelFs) -> Option<u64> {
+            self.settle
+        }
+    }
+
+    /// Replays four `mkdir`s, each 100 ns after the previous one,
+    /// hosting a [`FakeTask`]; returns its log and the replay's span.
+    fn replay_hosting(step_ns: u64, settle: Option<u64>) -> (Vec<(u64, usize)>, u64) {
+        let text = "lfs-trace v1\nclients 1\n\
+                    op 0 c0 t100 after - mkdir /a\n\
+                    op 1 c0 t100 after - mkdir /b\n\
+                    op 2 c0 t100 after - mkdir /c\n\
+                    op 3 c0 t100 after - mkdir /d\n";
+        let trace = Trace::parse(text).unwrap();
+        let (mut fs, core, registry) = rig();
+        let mut task = FakeTask {
+            clock: core.clock(),
+            step_ns,
+            settle,
+            log: Vec::new(),
+        };
+        let cfg = ReplayConfig::default();
+        let report = replay_with(
+            &mut fs,
+            &core,
+            &registry,
+            &trace,
+            &cfg,
+            Some((&mut task, None)),
+        )
+        .unwrap();
+        assert_eq!(report.failed_ops, 0);
+        (task.log, report.elapsed_ns)
+    }
+
+    #[test]
+    fn replay_offers_stop_at_each_records_ready_time() {
+        // 25 ns steps fill each 100 ns gap exactly: four steps before
+        // every record, none started at or after its ready time, and no
+        // offer once the last record is dispatched.
+        let (log, elapsed_ns) = replay_hosting(25, None);
+        let expected: Vec<(u64, usize)> = (0..4)
+            .flat_map(|k| (0..4).map(move |s| (100 * k + 25 * s, k as usize)))
+            .collect();
+        assert_eq!(log, expected);
+        assert_eq!(elapsed_ns, 400, "every record ran at its ready time");
+    }
+
+    #[test]
+    fn a_replay_settle_never_delays_a_record() {
+        // Each step leaves a read needing 250 ns: the wait spends idle
+        // time only, so every record still runs at its ready time, and
+        // the next step waits until the read has had its 250 ns.
+        let (log, elapsed_ns) = replay_hosting(0, Some(250));
+        assert_eq!(log, [(0, 0), (250, 2)]);
+        assert_eq!(elapsed_ns, 400);
     }
 }
