@@ -213,6 +213,10 @@ pub struct EngineCore {
     qos: Option<FairShare>,
     decisions_traced: u64,
     depth_high_water: u64,
+    /// The access-trace label [`EngineCore::annotate`] set for the next
+    /// request a caller starts: handed to the disk with that request's
+    /// submission, dropped if the request needs none.
+    label: &'static str,
     obs: EngineObs,
 }
 
@@ -239,8 +243,16 @@ impl EngineCore {
             qos: None,
             decisions_traced: 0,
             depth_high_water: 0,
+            label: "",
             obs,
         }
+    }
+
+    /// Labels the next request a caller starts, for access tracing. The
+    /// label is stored with that request when it is submitted, so the
+    /// queued work serviced ahead of it keeps its own labels.
+    pub fn annotate(&mut self, label: &'static str) {
+        self.label = label;
     }
 
     /// Wraps the core for sharing between an [`EngineDisk`] (owned by the
@@ -755,6 +767,7 @@ impl EngineCore {
     /// write, coalesce with adjacent ones, and stall the submitter if the
     /// queue is over depth (backpressure).
     pub fn submit_async_write(&mut self, sector: u64, buf: &[u8]) -> DiskResult<()> {
+        let label = std::mem::take(&mut self.label);
         self.pump()?;
 
         // Write absorption: an identical-range queued write takes the new
@@ -788,6 +801,7 @@ impl EngineCore {
         }
         self.drain_overlapping(sector, buf.len())?;
 
+        self.disk.annotate(label);
         let id = self.disk.submit_write(sector, buf)?;
         self.note_submitted(id);
         if self.cfg.coalesce {
@@ -896,8 +910,10 @@ impl EngineCore {
     /// `start_sync_write` + `finish_write` performs exactly the request
     /// sequence of [`EngineCore::do_sync_write`].
     pub fn start_sync_write(&mut self, sector: u64, buf: &[u8]) -> DiskResult<u64> {
+        let label = std::mem::take(&mut self.label);
         self.pump()?;
         self.drain_overlapping(sector, buf.len())?;
+        self.disk.annotate(label);
         let id = self.disk.submit_write(sector, buf)?;
         self.note_submitted(id);
         self.awaited_writes.insert(id);
@@ -927,6 +943,7 @@ impl EngineCore {
     /// `start_read` + `finish_read` performs exactly the request
     /// sequence of [`EngineCore::do_read`].
     pub fn start_read(&mut self, sector: u64, len: usize) -> DiskResult<ReadHandle> {
+        let label = std::mem::take(&mut self.label);
         self.pump()?;
         let end = sector + (len / SECTOR_SIZE) as u64;
         let hit = self.disk.pending().iter().find(|p| {
@@ -940,6 +957,7 @@ impl EngineCore {
             return Ok(ReadHandle::Hit(data));
         }
         self.drain_overlapping(sector, len)?;
+        self.disk.annotate(label);
         let id = self.disk.submit_read(sector, len)?;
         self.note_submitted(id);
         Ok(ReadHandle::Pending { id, sector, len })
@@ -1112,7 +1130,7 @@ impl BlockDevice for EngineDisk {
     }
 
     fn annotate(&mut self, label: &'static str) {
-        self.0.borrow_mut().disk.annotate(label);
+        self.0.borrow_mut().annotate(label);
     }
 
     fn attach_obs(&mut self, registry: &Registry) {

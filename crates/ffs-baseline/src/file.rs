@@ -14,7 +14,7 @@ use mem_mgr::{BlockKey, Owner};
 use sim_disk::{BlockDevice, CpuCost, CpuModel};
 use vfs::blockmap::{self, idx_dchild, read_ptr, write_ptr, BlockPath, IDX_DTOP, IDX_SINGLE};
 use vfs::names::NameIndex;
-use vfs::namespace::{copy_cost, NodeStore, NodeView, OpHists};
+use vfs::namespace::{copy_cost, file_block, NodeStore, NodeView, OpHists};
 use vfs::{FileKind, FsError, FsResult, Ino};
 
 use crate::fs::{CachedInode, Ffs};
@@ -252,27 +252,51 @@ impl<D: BlockDevice> NodeStore for Ffs<D> {
     }
 
     /// FFS records no checksums: a loaded block is taken as read.
-    fn indirect_ptr(&mut self, ino: Ino, idx: u64, addr: u32, slot: usize) -> FsResult<u32> {
+    fn indirect_ptrs(
+        &mut self,
+        ino: Ino,
+        idx: u64,
+        addr: u32,
+        first: usize,
+        out: &mut [u32],
+    ) -> FsResult<()> {
         if self.ensure_indirect(ino, idx, addr, false, None)? == NIL {
-            return Ok(NIL);
+            out.fill(NIL);
+            return Ok(());
         }
-        Ok(self.indirect_get(ino, idx, slot))
+        let block = self.cache.get(BlockKey::file(ino, idx));
+        let block = block.expect("indirect block must be cached");
+        for (i, ptr) in out.iter_mut().enumerate() {
+            *ptr = read_ptr(block, first + i);
+        }
+        Ok(())
     }
 
-    fn file_block(&mut self, ino: Ino, bno: u64) -> FsResult<Option<Vec<u8>>> {
-        let key = BlockKey::file(ino, bno);
-        if let Some(data) = self.cache.get(key) {
-            return Ok(Some(data.to_vec()));
+    /// The misses are resolved through [`blockmap::map_blocks`], which
+    /// loads an indirect block before any data is read.
+    fn file_blocks(&mut self, ino: Ino, range: Range<u64>) -> FsResult<Vec<Option<Vec<u8>>>> {
+        let mut blocks = Vec::with_capacity((range.end - range.start) as usize);
+        let mut misses = Vec::new();
+        for bno in range.clone() {
+            let block = self.cache.get(BlockKey::file(ino, bno)).map(<[u8]>::to_vec);
+            if block.is_none() {
+                misses.push(bno);
+            }
+            blocks.push(block);
         }
-        let addr = blockmap::map_block(self, ino, bno)?;
-        if addr == NIL {
-            return Ok(None);
+        let addrs = blockmap::map_blocks(self, ino, &misses)?;
+        let bs = self.block_size();
+        for run in blockmap::runs(addrs) {
+            self.dev.annotate("file-data");
+            let mut bytes = vec![0u8; run.len * bs];
+            self.dev.read(self.sector_of(run.addr), &mut bytes)?;
+            for (&bno, block) in misses[run.at..].iter().zip(bytes.chunks_exact(bs)) {
+                self.cache
+                    .insert_clean(BlockKey::file(ino, bno), block.into());
+                blocks[(bno - range.start) as usize] = Some(block.to_vec());
+            }
         }
-        self.dev.annotate("file-data");
-        let data = self.read_block_raw(addr)?;
-        self.cache
-            .insert_clean(key, data.clone().into_boxed_slice());
-        Ok(Some(data))
+        Ok(blocks)
     }
 
     /// Allocates each block's permanent home as it is first written.
@@ -306,7 +330,7 @@ impl<D: BlockDevice> NodeStore for Ffs<D> {
                 let existing = if fresh {
                     None
                 } else {
-                    self.file_block(ino, bno)?
+                    file_block(self, ino, bno)?
                 };
                 let mut block = existing.unwrap_or_else(|| vec![0u8; bs as usize]);
                 block[within..within + n].copy_from_slice(&data[done..done + n]);
@@ -339,7 +363,7 @@ impl<D: BlockDevice> NodeStore for Ffs<D> {
             }
             if !new_size.is_multiple_of(bs) {
                 let bno = new_size / bs;
-                if let Some(mut block) = self.file_block(ino, bno)? {
+                if let Some(mut block) = file_block(self, ino, bno)? {
                     let keep = (new_size % bs) as usize;
                     block[keep..].fill(0);
                     let now = self.now();

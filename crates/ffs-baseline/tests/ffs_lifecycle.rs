@@ -84,15 +84,29 @@ fn sequential_allocation_gives_contiguous_layout() {
     let payload = vec![1u8; 20 * 512];
     fs.write_file("/seq", &payload).unwrap();
     fs.sync().unwrap();
-    // Reading it back sequentially after dropping caches should be
-    // mostly sequential disk I/O thanks to the allocation hint.
+    // Reading it back sequentially, one block per call, after dropping
+    // caches should be mostly sequential disk I/O thanks to the
+    // allocation hint.
     fs.drop_caches().unwrap();
     let before = fs.device().stats();
-    fs.read_file("/seq").unwrap();
+    let ino = fs.lookup("/seq").unwrap();
+    let mut block = vec![0u8; 512];
+    for bno in 0..20 {
+        assert_eq!(fs.read_at(ino, bno * 512, &mut block).unwrap(), 512);
+    }
     let delta = fs.device().stats().delta_since(&before);
     assert!(
         delta.sequential * 2 >= delta.total_requests(),
         "expected mostly sequential reads, got {delta}"
+    );
+    // Read whole, the contiguous blocks come back a run per request.
+    fs.drop_caches().unwrap();
+    let before = fs.device().stats();
+    assert_eq!(fs.read_file("/seq").unwrap(), payload);
+    let delta = fs.device().stats().delta_since(&before);
+    assert!(
+        delta.reads * 3 <= 20,
+        "expected a few long reads for 20 blocks, got {delta}"
     );
 }
 

@@ -13,9 +13,10 @@ use mem_mgr::{BlockKey, Owner};
 use sim_disk::{BlockDevice, CpuCost, CpuModel};
 use vfs::blockmap::{
     self, idx_dchild, read_ptr, write_ptr, BlockPath, IDX_DCHILD_BASE, IDX_DTOP, IDX_SINGLE,
+    NDIRECT,
 };
 use vfs::names::NameIndex;
-use vfs::namespace::{copy_cost, NodeStore, NodeView, OpHists};
+use vfs::namespace::{copy_cost, file_block, NodeStore, NodeView, OpHists};
 use vfs::{FileKind, FsError, FsResult, Ino};
 
 use super::{CachedInode, Lfs};
@@ -78,8 +79,77 @@ impl<D: BlockDevice> Lfs<D> {
         old
     }
 
+    /// `bnos` (ascending) paired with their current disk addresses.
+    fn resolved(&mut self, ino: Ino, bnos: &[u64]) -> FsResult<Vec<(u64, BlockAddr)>> {
+        let addrs = blockmap::map_blocks(self, ino, bnos)?;
+        Ok(bnos
+            .iter()
+            .zip(addrs)
+            .map(|(&bno, addr)| (bno, BlockAddr(addr)))
+            .collect())
+    }
+
+    /// Reads `targets` — `(block, address)` in block order, NIL for a
+    /// hole — with one device request per run of contiguous addresses
+    /// ([`blockmap::runs`]). One entry per target, `None` for a hole;
+    /// nothing is verified or cached here.
+    fn read_runs(&mut self, targets: &[(u64, BlockAddr)]) -> FsResult<Vec<Option<Vec<u8>>>> {
+        let bs = self.block_size();
+        let mut out = vec![None; targets.len()];
+        for run in blockmap::runs(targets.iter().map(|&(_, addr)| addr.0)) {
+            self.dev.annotate("file-data");
+            let bytes = self.read_blocks_raw(BlockAddr(run.addr), run.len)?;
+            self.obs.read_runs.inc();
+            self.obs.read_run_blocks.add(run.len as u64);
+            for (slot, block) in out[run.at..].iter_mut().zip(bytes.chunks_exact(bs)) {
+                *slot = Some(block.to_vec());
+            }
+        }
+        Ok(out)
+    }
+
+    /// Whether a range read with these misses (ascending) reads through
+    /// the file's single-indirect block, and if so the block and how
+    /// many of the misses — the last ones — it assumes right in front of
+    /// it. The flush writes each file's data blocks and then its
+    /// single-indirect block, so data the indirect block maps, flushed
+    /// with it and running to the end of the file, ends exactly where
+    /// the indirect block sits. That holds for the misses only if they
+    /// are every block from the first of them in the indirect block's
+    /// span to the file's last, and the block is worth reading only if
+    /// it is not cached.
+    fn read_through_plan(
+        &mut self,
+        ino: Ino,
+        missing: &[u64],
+    ) -> FsResult<Option<(BlockAddr, usize)>> {
+        let n = missing
+            .iter()
+            .rev()
+            .take_while(|&&bno| bno >= NDIRECT as u64)
+            .count();
+        if n == 0 {
+            return Ok(None);
+        }
+        let inode = self.inode(ino)?;
+        let nblocks = blockmap::blocks_for_size(inode.size, self.block_size());
+        let span_end = (NDIRECT + self.sb.ptrs_per_block()) as u64;
+        // Ascending and distinct, n of them from `first` to the file's
+        // last block: every block in between.
+        let through = missing[missing.len() - n..].first().is_some_and(|&first| {
+            first + n as u64 == nblocks
+                && missing.last() == Some(&(nblocks - 1))
+                && nblocks <= span_end
+                && inode.single.is_some()
+                && inode.single.0 as usize >= n
+                && !self.cache.contains(BlockKey::file(ino, IDX_SINGLE))
+        });
+        Ok(through.then_some((inode.single, n)))
+    }
+
     /// Resolves a file block index to its current disk address (NIL for a
     /// hole or a block that has never been flushed).
+    #[cfg(test)]
     pub(crate) fn map_block(&mut self, ino: Ino, bno: u64) -> FsResult<BlockAddr> {
         blockmap::map_block(self, ino, bno).map(BlockAddr)
     }
@@ -245,28 +315,86 @@ impl<D: BlockDevice> NodeStore for Lfs<D> {
     }
 
     /// Loading verifies the block against its recorded checksum.
-    fn indirect_ptr(&mut self, ino: Ino, idx: u64, addr: u32, slot: usize) -> FsResult<u32> {
+    fn indirect_ptrs(
+        &mut self,
+        ino: Ino,
+        idx: u64,
+        addr: u32,
+        first: usize,
+        out: &mut [u32],
+    ) -> FsResult<()> {
         if !self.ensure_indirect(ino, idx, BlockAddr(addr), false)? {
-            return Ok(blockmap::NIL);
+            out.fill(blockmap::NIL);
+            return Ok(());
         }
-        Ok(self.indirect_get(ino, idx, slot).0)
+        let block = self.cache.get(BlockKey::file(ino, idx));
+        let block = block.expect("indirect block must be cached");
+        for (i, ptr) in out.iter_mut().enumerate() {
+            *ptr = read_ptr(block, first + i);
+        }
+        Ok(())
     }
 
-    fn file_block(&mut self, ino: Ino, bno: u64) -> FsResult<Option<Vec<u8>>> {
-        let key = BlockKey::file(ino, bno);
-        if let Some(data) = self.cache.get(key) {
-            return Ok(Some(data.to_vec()));
+    /// The misses are resolved through [`blockmap::map_blocks`], which
+    /// loads an indirect block before any data is read — or, when they
+    /// end the file behind an uncached single-indirect block, read
+    /// *through* that block (`Lfs::read_through_plan`): one request
+    /// fetches them and the indirect block, whose pointers must then
+    /// name exactly the addresses assumed, or the assumed blocks are
+    /// dropped and fetched again where the pointers say. Either way the
+    /// indirect block is looked up once, after it is loaded, and every
+    /// block read is verified against its checksum before it is cached.
+    fn file_blocks(&mut self, ino: Ino, range: Range<u64>) -> FsResult<Vec<Option<Vec<u8>>>> {
+        let mut blocks = Vec::with_capacity((range.end - range.start) as usize);
+        let mut missing = Vec::new();
+        for bno in range.clone() {
+            let block = self.cache.get(BlockKey::file(ino, bno)).map(<[u8]>::to_vec);
+            if block.is_none() {
+                missing.push(bno);
+            }
+            blocks.push(block);
         }
-        let addr = self.map_block(ino, bno)?;
-        if addr.is_nil() {
-            return Ok(None);
+        if missing.is_empty() {
+            return Ok(blocks);
         }
-        self.dev.annotate("file-data");
-        let data = self.read_block_raw(addr)?;
-        self.verify_block("file data block", addr, &data)?;
-        self.cache
-            .insert_clean(key, data.clone().into_boxed_slice());
-        Ok(Some(data))
+        let through = self.read_through_plan(ino, &missing)?;
+        let (head, tail) = missing.split_at(missing.len() - through.map_or(0, |(_, n)| n));
+        let mut targets = self.resolved(ino, head)?;
+        if let Some((single, n)) = through {
+            targets.extend((0..n).map(|i| (tail[i], BlockAddr(single.0 - (n - i) as u32))));
+            // The indirect block itself, just past the file's end.
+            targets.push((range.end, single));
+        }
+        let mut data = self.read_runs(&targets)?;
+        if let Some((single, _)) = through {
+            targets.pop();
+            let block = data.pop().flatten().expect("the indirect block was read");
+            self.verify_block("indirect block", single, &block)?;
+            self.charge(CpuCost::MapBlock);
+            let key = BlockKey::file(ino, IDX_SINGLE);
+            self.cache.insert_clean(key, block.into_boxed_slice());
+            let block = self.cache.get(key).expect("just cached");
+            let assumed = targets[head.len()..]
+                .iter()
+                .all(|&(bno, addr)| read_ptr(block, (bno - NDIRECT as u64) as usize) == addr.0);
+            self.obs.read_through.inc();
+            if !assumed {
+                self.obs.read_through_misses.inc();
+                targets.truncate(head.len());
+                data.truncate(head.len());
+                let resolved = self.resolved(ino, tail)?;
+                data.extend(self.read_runs(&resolved)?);
+                targets.extend(resolved);
+            }
+        }
+        for ((bno, addr), block) in targets.into_iter().zip(data) {
+            let Some(block) = block else { continue };
+            self.verify_block("file data block", addr, &block)?;
+            self.cache
+                .insert_clean(BlockKey::file(ino, bno), block.clone().into_boxed_slice());
+            blocks[(bno - range.start) as usize] = Some(block);
+        }
+        Ok(blocks)
     }
 
     fn do_write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<usize> {
@@ -303,7 +431,7 @@ impl<D: BlockDevice> NodeStore for Lfs<D> {
                 self.cache.insert_dirty(key, block, now);
             } else {
                 // Read-modify-write (zero-filled for holes and beyond EOF).
-                let mut block = match self.file_block(ino, bno)? {
+                let mut block = match file_block(self, ino, bno)? {
                     Some(existing) => existing,
                     None => vec![0u8; bs as usize],
                 };
@@ -336,7 +464,7 @@ impl<D: BlockDevice> NodeStore for Lfs<D> {
             // Zero the now-partial tail block so extension re-reads zeros.
             if !new_size.is_multiple_of(bs) {
                 let bno = new_size / bs;
-                if let Some(mut block) = self.file_block(ino, bno)? {
+                if let Some(mut block) = file_block(self, ino, bno)? {
                     let keep = (new_size % bs) as usize;
                     block[keep..].fill(0);
                     let now = self.now();

@@ -3,10 +3,11 @@
 //! [`Lfs`] ties together the device, the file cache, the inode map, the
 //! segment usage table, and the log position. The central routine is
 //! `Lfs::flush`: it drains dirty blocks from the cache into log chunks —
-//! data blocks, then indirect blocks (children before parents), then inode
-//! blocks, then (at checkpoints) inode-map and usage-table blocks — exactly
-//! the packing §4.1 describes, so that one burst of small file writes
-//! becomes one large sequential disk transfer. Recording the new
+//! each file's data blocks followed by its indirect blocks (children
+//! before parents), then inode blocks, then (at checkpoints) inode-map
+//! and usage-table blocks — the packing §4.1 describes, so that one
+//! burst of small file writes becomes one large sequential disk
+//! transfer. Recording the new
 //! addresses needs each dirty file's inode and indirect blocks; on a
 //! multi-spindle device the flush first gathers the ones not in memory,
 //! fanned out across the spindles (`gather.rs`), so the transfer does
@@ -341,10 +342,16 @@ impl<D: BlockDevice> Lfs<D> {
     // Raw block I/O.
     // ------------------------------------------------------------------
 
-    /// Reads one block from disk (synchronous). A read a flush issues
-    /// itself is counted, with the time it blocks the flush.
+    /// Reads one block from disk (synchronous).
     pub(crate) fn read_block_raw(&mut self, addr: BlockAddr) -> FsResult<Vec<u8>> {
-        let mut buf = vec![0u8; self.block_size()];
+        self.read_blocks_raw(addr, 1)
+    }
+
+    /// Reads `count` consecutive blocks from `addr` with one synchronous
+    /// device request. A read a flush issues itself is counted, with the
+    /// time it blocks the flush.
+    pub(crate) fn read_blocks_raw(&mut self, addr: BlockAddr, count: usize) -> FsResult<Vec<u8>> {
+        let mut buf = vec![0u8; count * self.block_size()];
         let start = self.now();
         self.dev.read(self.sector_of(addr), &mut buf)?;
         if self.flushing {
@@ -729,7 +736,13 @@ impl<D: BlockDevice> Lfs<D> {
             .chain(owners.difference(&relocated).copied())
             .collect();
 
-        // Phase 1: data blocks, grouped by file, ascending block index.
+        // Phase 1, file by file: its data blocks in ascending block
+        // index, then its indirect blocks, children before parents (a
+        // parent's content embeds its children's new addresses) —
+        // descending cache index order guarantees this: double-children
+        // > double-top > single. So a file's single-indirect block lands
+        // right behind the data it maps, and a read of the file's tail
+        // can fetch both in one request (`Lfs::read_through_plan`).
         for &ino in &owners {
             let version = self.imap.get(ino)?.version;
             let keys: Vec<BlockKey> = self
@@ -757,14 +770,6 @@ impl<D: BlockDevice> Lfs<D> {
                 self.cache.mark_clean(key);
                 self.obs.data_blocks_written.inc();
             }
-        }
-
-        // Phase 2: indirect blocks, children before parents (a parent's
-        // content embeds its children's new addresses). Descending cache
-        // index order guarantees this: double-children > double-top >
-        // single.
-        for &ino in &owners {
-            let version = self.imap.get(ino)?.version;
             loop {
                 let key = self
                     .cache
@@ -797,7 +802,7 @@ impl<D: BlockDevice> Lfs<D> {
             }
         }
 
-        // Phase 3: inodes, packed into inode blocks.
+        // Phase 2: inodes, packed into inode blocks.
         let dirty_inos: Vec<Ino> = self.dirty_inos().collect();
         let per_block = self.sb.inodes_per_block() as usize;
         for group in dirty_inos.chunks(per_block) {
@@ -828,7 +833,7 @@ impl<D: BlockDevice> Lfs<D> {
             self.obs.inode_blocks_written.inc();
         }
 
-        // Phase 4: inode-map blocks (checkpoints only). Metadata blocks
+        // Phase 3: inode-map blocks (checkpoints only). Metadata blocks
         // are not counted as live bytes: the usage table is a cleaning
         // hint for *data*, and counting the table's own placement would
         // make its serialised form self-referential (the paper's "costly
@@ -850,7 +855,7 @@ impl<D: BlockDevice> Lfs<D> {
             }
         }
 
-        // Phase 5: the whole segment-usage table (checkpoints only).
+        // Phase 4: the whole segment-usage table (checkpoints only).
         // Like the inode map, the table's own blocks count zero live
         // bytes, so its serialised contents do not depend on their own
         // placement.

@@ -109,7 +109,7 @@ impl<D: BlockDevice> Lfs<D> {
 
         // Inode-map and usage-table blocks: checked for unique ownership
         // but not counted live (metadata placement is excluded from the
-        // usage hint; see the flush's phase 4/5).
+        // usage hint; see the flush's phases 3 and 4).
         for index in 0..self.imap.nblocks() {
             let addr = self.imap.block_addr(index);
             if addr.is_some() {

@@ -32,6 +32,14 @@ obs::instruments! {
             own reads: the synchronous ones and the gather's batches.";
         flush_gathered_blocks, Counter, "log.flush_gathered_blocks", "Inode and indirect blocks a flush's \
             gather fetched, fanned out across spindles, before its first chunk write.";
+        read_runs, Counter, "log.read_runs", "Device requests file reads issued: one per run of contiguous \
+            addresses among a read's cache misses.";
+        read_run_blocks, Counter, "log.read_run_blocks", "Blocks those requests fetched, read-through indirect \
+            blocks included.";
+        read_through, Counter, "log.read_through", "Reads that fetched a file's last blocks together with its \
+            uncached single-indirect block, behind which the flush lays them.";
+        read_through_misses, Counter, "log.read_through_misses", "Read-throughs whose indirect block did not \
+            point where assumed: the assumed blocks were dropped and read again where it points.";
         checkpoints, Counter, "log.checkpoints", "Checkpoints completed.";
         segments_cleaned, Counter, "cleaner.segments_cleaned", "Segments processed by the cleaner.";
         cleaner_blocks_copied, Counter, "cleaner.blocks_copied", "Live blocks the cleaner copied back into the cache.";

@@ -98,7 +98,9 @@ pub trait BlockDevice {
     /// crashed device answers `false`.
     fn writes_durable(&mut self) -> bool;
 
-    /// Attaches a label to the next request, for access tracing.
+    /// Attaches a label to the next request submitted, for access
+    /// tracing. The label is stored with that request, so it stays with
+    /// it however long it queues and whatever is serviced first.
     ///
     /// Devices without tracing ignore this; see
     /// [`SimDisk`](crate::SimDisk) for the tracing implementation.

@@ -27,6 +27,9 @@ pub struct SubmittedIo {
     sector: u64,
     bytes: u64,
     submitted_at_ns: u64,
+    /// Access-trace label, taken from [`BlockDevice::annotate`] at
+    /// submission.
+    label: &'static str,
     /// Payload for writes; `None` for reads.
     data: Option<Vec<u8>>,
 }
@@ -60,6 +63,11 @@ impl SubmittedIo {
     /// Virtual time at which the request entered the queue.
     pub fn submitted_at_ns(&self) -> u64 {
         self.submitted_at_ns
+    }
+
+    /// The access-trace label it was submitted with (`""` for none).
+    pub fn label(&self) -> &'static str {
+        self.label
     }
 
     /// The write payload (`None` for reads).
@@ -527,6 +535,7 @@ impl SimDisk {
         bytes: usize,
         data: Option<Vec<u8>>,
     ) -> DiskResult<u64> {
+        let label = std::mem::take(&mut self.next_label);
         if self.crashed {
             return Err(DiskError::Crashed);
         }
@@ -540,6 +549,7 @@ impl SimDisk {
             sector,
             bytes: bytes as u64,
             submitted_at_ns: self.clock.now_ns(),
+            label,
             data,
         });
         Ok(id)
@@ -764,7 +774,6 @@ impl SimDisk {
                 }
             }
         }
-        let label = std::mem::take(&mut self.next_label);
         self.trace.record(AccessRecord {
             kind: req.kind,
             sector: req.sector,
@@ -773,7 +782,7 @@ impl SimDisk {
             sequential,
             issued_at_ns: req.submitted_at_ns,
             service_ns,
-            label,
+            label: req.label,
         });
 
         // The head travelled and the attempt was accounted; only now

@@ -5,13 +5,16 @@
 //! double-indirect pointer. The paper keeps this format unchanged in LFS
 //! ("the format of inodes and indirect blocks is unchanged", §4.2.1), so the
 //! index arithmetic is shared here — and so is everything that only
-//! *reads* the tree: the resolver [`map_block`], the walk over all of a
-//! file's blocks [`visit_file_blocks`], and the plan of what a fanned-out
-//! maintenance pass should prefetch. They run over [`NodeStore`], whose
-//! [`NodeStore::indirect_ptr`] hook is where a file system loads (and, if
-//! it can, verifies) an indirect block. Changing a pointer stays with each
-//! file system: appending to a log and allocating in place are the two
-//! designs the paper compares.
+//! *reads* the tree: the resolvers [`map_block`] and [`map_blocks`], the
+//! walk over all of a file's blocks [`visit_file_blocks`], the rule by
+//! which a range read groups its misses into device requests [`runs`],
+//! and the plan of what a fanned-out maintenance pass should prefetch.
+//! They run over [`NodeStore`], whose [`NodeStore::indirect_ptrs`] hook
+//! is where a file system loads (and, if it can, verifies) an indirect
+//! block. Changing a pointer stays with each file system: appending to a
+//! log and allocating in place are the two designs the paper compares.
+
+use std::ops::Range;
 
 use crate::namespace::{NodeStore, NodeView};
 use crate::{FileKind, FsError, FsResult, Ino};
@@ -135,19 +138,102 @@ pub fn write_ptr(block: &mut [u8], slot: usize, addr: u32) {
     block[start..start + 4].copy_from_slice(&addr.to_le_bytes());
 }
 
+/// Pointer `slot` of an indirect block, through
+/// [`NodeStore::indirect_ptrs`].
+fn indirect_ptr<S: NodeStore>(
+    fs: &mut S,
+    ino: Ino,
+    idx: u64,
+    addr: u32,
+    slot: usize,
+) -> FsResult<u32> {
+    let mut ptr = [NIL];
+    fs.indirect_ptrs(ino, idx, addr, slot, &mut ptr)?;
+    Ok(ptr[0])
+}
+
+/// Pointers `slots` of an indirect block, through
+/// [`NodeStore::indirect_ptrs`].
+fn indirect_range<S: NodeStore>(
+    fs: &mut S,
+    ino: Ino,
+    idx: u64,
+    addr: u32,
+    slots: Range<usize>,
+) -> FsResult<Vec<u32>> {
+    let mut ptrs = vec![NIL; slots.len()];
+    fs.indirect_ptrs(ino, idx, addr, slots.start, &mut ptrs)?;
+    Ok(ptrs)
+}
+
 /// Resolves file block `bno` of `ino` to its current disk address
-/// ([`NIL`] for a hole).
+/// ([`NIL`] for a hole): [`map_blocks`] for one block.
 pub fn map_block<S: NodeStore>(fs: &mut S, ino: Ino, bno: u64) -> FsResult<u32> {
     let path = resolve(bno, fs.block_size() / 4).ok_or(FsError::FileTooLarge)?;
     let roots = fs.node(ino)?.roots;
     match path {
         BlockPath::Direct { slot } => Ok(roots.direct[slot]),
-        BlockPath::Single { slot } => fs.indirect_ptr(ino, IDX_SINGLE, roots.single, slot),
+        BlockPath::Single { slot } => indirect_ptr(fs, ino, IDX_SINGLE, roots.single, slot),
         BlockPath::Double { outer, inner } => {
-            let child = fs.indirect_ptr(ino, IDX_DTOP, roots.double, outer)?;
-            fs.indirect_ptr(ino, idx_dchild(outer as u32), child, inner)
+            let child = indirect_ptr(fs, ino, IDX_DTOP, roots.double, outer)?;
+            indirect_ptr(fs, ino, idx_dchild(outer as u32), child, inner)
         }
     }
+}
+
+/// Resolves file blocks `bnos` (ascending) of `ino` to their current
+/// disk addresses ([`NIL`] for a hole), looking each indirect block on
+/// the way up once: the single-indirect block for all the blocks it
+/// maps, the double-indirect top block for all its children, and each
+/// child for all the blocks it maps.
+pub fn map_blocks<S: NodeStore>(fs: &mut S, ino: Ino, bnos: &[u64]) -> FsResult<Vec<u32>> {
+    if bnos.is_empty() {
+        return Ok(Vec::new());
+    }
+    let ppb = fs.block_size() / 4;
+    let paths = bnos
+        .iter()
+        .map(|&bno| resolve(bno, ppb).ok_or(FsError::FileTooLarge))
+        .collect::<FsResult<Vec<_>>>()?;
+    let roots = fs.node(ino)?.roots;
+    // The children of the double-indirect top block the blocks go through.
+    let outer = |path: &BlockPath| match *path {
+        BlockPath::Double { outer, .. } => Some(outer),
+        _ => None,
+    };
+    let (first, last) = (
+        paths.iter().find_map(outer),
+        paths.iter().rev().find_map(outer),
+    );
+    let children = match (first, last) {
+        (Some(first), Some(last)) => {
+            indirect_range(fs, ino, IDX_DTOP, roots.double, first..last + 1)?
+        }
+        _ => Vec::new(),
+    };
+    let mut addrs = Vec::with_capacity(paths.len());
+    let mut rest = paths.as_slice();
+    while let Some(path) = rest.first() {
+        // The run of blocks whose pointers one holder keeps.
+        let holder = path.holder().0;
+        let n = rest.iter().take_while(|p| p.holder().0 == holder).count();
+        let (group, tail) = rest.split_at(n);
+        let slots = group[0].holder().1..group[n - 1].holder().1 + 1;
+        let ptrs = match *path {
+            BlockPath::Direct { .. } => &roots.direct[..],
+            BlockPath::Single { .. } => {
+                &indirect_range(fs, ino, IDX_SINGLE, roots.single, slots.clone())?[..]
+            }
+            BlockPath::Double { outer, .. } => {
+                let child = children[outer - first.expect("a double-indirect block")];
+                &indirect_range(fs, ino, idx_dchild(outer as u32), child, slots.clone())?[..]
+            }
+        };
+        let base = if holder.is_some() { slots.start } else { 0 };
+        addrs.extend(group.iter().map(|p| ptrs[p.holder().1 - base]));
+        rest = tail;
+    }
+    Ok(addrs)
 }
 
 /// The current disk address of the block `ino` caches under index `idx`
@@ -161,7 +247,8 @@ pub fn block_addr<S: NodeStore>(fs: &mut S, ino: Ino, idx: u64) -> FsResult<u32>
         IDX_SINGLE => Ok(roots.single),
         IDX_DTOP => Ok(roots.double),
         _ if roots.double == NIL => Ok(NIL),
-        _ => fs.indirect_ptr(
+        _ => indirect_ptr(
+            fs,
             ino,
             IDX_DTOP,
             roots.double,
@@ -210,13 +297,49 @@ pub fn visit_file_blocks<S: NodeStore>(
     if double != NIL {
         f(fs, IDX_DTOP, double);
         for outer in 0..ppb {
-            let child = fs.indirect_ptr(ino, IDX_DTOP, double, outer)?;
+            let child = indirect_ptr(fs, ino, IDX_DTOP, double, outer)?;
             if child != NIL {
                 f(fs, idx_dchild(outer as u32), child);
             }
         }
     }
     Ok(())
+}
+
+/// Blocks a range read fetches with one device request: `len` blocks
+/// from disk address `addr`, the ones at `at..at + len` of the list
+/// [`runs`] was given.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// Index of the run's first block in the list.
+    pub at: usize,
+    /// Disk address of the run's first block.
+    pub addr: u32,
+    /// Number of blocks.
+    pub len: usize,
+}
+
+/// The run rule both file systems read a block range by: `addrs`, the
+/// disk addresses of the blocks to fetch in block order, grouped into
+/// maximal runs of ascending consecutive addresses — each run is one
+/// device request. A [`NIL`] address is a hole: it is not fetched and
+/// ends the run before it.
+pub fn runs(addrs: impl IntoIterator<Item = u32>) -> Vec<Run> {
+    let mut out: Vec<Run> = Vec::new();
+    for (at, addr) in addrs.into_iter().enumerate() {
+        if addr == NIL {
+            continue;
+        }
+        match out.last_mut() {
+            Some(run)
+                if run.at + run.len == at && run.addr as u64 + run.len as u64 == addr as u64 =>
+            {
+                run.len += 1;
+            }
+            _ => out.push(Run { at, addr, len: 1 }),
+        }
+    }
+    out
 }
 
 /// One block a fanned-out maintenance pass should read ahead: the file,
@@ -342,6 +465,24 @@ mod tests {
         }
         assert!(IDX_SINGLE < IDX_DTOP && IDX_DTOP < idx_dchild(0));
         assert_eq!(last_child - IDX_DCHILD_BASE, PPB as u64 - 1);
+    }
+
+    #[test]
+    fn runs_join_only_ascending_adjacent_addresses() {
+        let run = |at, addr, len| Run { at, addr, len };
+        assert_eq!(runs([]), vec![]);
+        assert_eq!(
+            runs([40, 41, 42, 7, 8, 9, 11]),
+            vec![run(0, 40, 3), run(3, 7, 3), run(6, 11, 1)]
+        );
+        // A hole is skipped and splits the run; descending addresses
+        // never join; the last address does not wrap.
+        assert_eq!(runs([5, NIL, 6]), vec![run(0, 5, 1), run(2, 6, 1)]);
+        assert_eq!(runs([9, 8]), vec![run(0, 9, 1), run(1, 8, 1)]);
+        assert_eq!(
+            runs([NIL - 2, NIL - 1, 0]),
+            vec![run(0, NIL - 2, 2), run(2, 0, 1)]
+        );
     }
 
     #[test]

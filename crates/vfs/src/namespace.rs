@@ -121,15 +121,28 @@ pub trait NodeStore {
     /// operation returns, if the file system promises that.
     fn persist_dir_range(&mut self, dir: Ino, range: Range<u64>) -> FsResult<()>;
 
-    /// Pointer `slot` of the indirect block `ino` caches under index
-    /// `idx` and keeps at disk address `addr`; [`crate::blockmap::NIL`]
-    /// if there is no such block. A block that is not cached is loaded
-    /// first, checked as far as the file system can check it, and the
-    /// load charged — what [`crate::blockmap`] reads the tree through.
-    fn indirect_ptr(&mut self, ino: Ino, idx: u64, addr: u32, slot: usize) -> FsResult<u32>;
+    /// Fills `out` with the pointers from slot `first` on of the
+    /// indirect block `ino` caches under index `idx` and keeps at disk
+    /// address `addr`; all [`crate::blockmap::NIL`] if there is no such
+    /// block. A block that is not cached is loaded first, checked as far
+    /// as the file system can check it, and the load charged; then it is
+    /// looked up once — what [`crate::blockmap`] reads the tree through.
+    fn indirect_ptrs(
+        &mut self,
+        ino: Ino,
+        idx: u64,
+        addr: u32,
+        first: usize,
+        out: &mut [u32],
+    ) -> FsResult<()>;
 
-    /// One block of a file, read through the cache; `None` for a hole.
-    fn file_block(&mut self, ino: Ino, bno: u64) -> FsResult<Option<Vec<u8>>>;
+    /// Blocks `range` of a file, read through the cache: one entry per
+    /// block, `None` for a hole. Each block is looked up in the cache
+    /// once, in block order; the misses' addresses are all resolved
+    /// before any of them is read ([`crate::blockmap::map_blocks`]), and
+    /// each run of contiguous addresses is read with one device request
+    /// ([`crate::blockmap::runs`]).
+    fn file_blocks(&mut self, ino: Ino, range: Range<u64>) -> FsResult<Vec<Option<Vec<u8>>>>;
 
     /// Records that `ino` was just read.
     fn touch_atime(&mut self, ino: Ino) -> FsResult<()>;
@@ -154,6 +167,12 @@ pub trait NodeStore {
 /// The CPU cost of copying `bytes` bytes between buffers.
 pub fn copy_cost(bytes: usize) -> CpuCost {
     CpuCost::Instructions(CpuCost::CopyKb.instructions() * (bytes as u64).div_ceil(1024))
+}
+
+/// One block of a file through [`NodeStore::file_blocks`]; `None` for
+/// a hole.
+pub fn file_block<S: NodeStore>(fs: &mut S, ino: Ino, bno: u64) -> FsResult<Option<Vec<u8>>> {
+    Ok(fs.file_blocks(ino, bno..bno + 1)?.pop().flatten())
 }
 
 /// Runs `f` and records its virtual-clock duration in the histogram
@@ -261,10 +280,10 @@ fn read_entry<S: NodeStore>(
         return Ok(None);
     }
     let bs = fs.block_size() as u64;
+    let first = offset / bs;
     let mut bytes = Vec::with_capacity((end - offset) as usize);
-    for bno in offset / bs..end.div_ceil(bs) {
-        fs.cpu().charge(CpuCost::MapBlock);
-        let Some(block) = fs.file_block(dir, bno)? else {
+    for (bno, block) in (first..).zip(read_blocks(fs, dir, first..end.div_ceil(bs))?) {
+        let Some(block) = block else {
             return Ok(None);
         };
         let base = bno * bs;
@@ -1017,9 +1036,31 @@ pub fn audit_names<S: NodeStore>(fs: &mut S) -> Vec<String> {
     wrong
 }
 
-/// Copies a file's (or a directory's) bytes at `offset` into `buf`,
-/// block by block through the cache, zero-filling holes; stops at end
-/// of file. Returns the bytes read.
+/// Blocks `range` of `ino` through [`NodeStore::file_blocks`], after
+/// charging one block-map step per block.
+fn read_blocks<S: NodeStore>(
+    fs: &mut S,
+    ino: Ino,
+    range: Range<u64>,
+) -> FsResult<Vec<Option<Vec<u8>>>> {
+    for _ in range.clone() {
+        fs.cpu().charge(CpuCost::MapBlock);
+    }
+    fs.file_blocks(ino, range)
+}
+
+/// The most bytes one [`NodeStore::file_blocks`] call of a read asks
+/// for: a longer read asks for its range in pieces of this size, so
+/// the blocks it holds beside the caller's buffer, and its longest
+/// device request, stay bounded (the engine's longest coalesced write
+/// is the same 1 MB).
+const MAX_RANGE_BYTES: u64 = 1 << 20;
+
+/// Copies a file's (or a directory's) bytes at `offset` into `buf`
+/// through the cache, zero-filling holes; stops at end of file. The
+/// block range is asked for at once — up to [`MAX_RANGE_BYTES`] a
+/// call — so its misses are read in as few device requests as their
+/// addresses allow. Returns the bytes read.
 fn do_read<S: NodeStore>(fs: &mut S, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
     let size = fs.node(ino)?.size;
     if offset >= size {
@@ -1027,19 +1068,20 @@ fn do_read<S: NodeStore>(fs: &mut S, ino: Ino, offset: u64, buf: &mut [u8]) -> F
     }
     let bs = fs.block_size() as u64;
     let want = (buf.len() as u64).min(size - offset) as usize;
+    let (first, end) = (offset / bs, (offset + want as u64).div_ceil(bs));
+    let per_call = (MAX_RANGE_BYTES / bs).max(1);
     let mut done = 0usize;
-    while done < want {
-        let pos = offset + done as u64;
-        let bno = pos / bs;
-        let within = (pos % bs) as usize;
-        let n = (bs as usize - within).min(want - done);
-        fs.cpu().charge(CpuCost::MapBlock);
-        match fs.file_block(ino, bno)? {
-            Some(block) => buf[done..done + n].copy_from_slice(&block[within..within + n]),
-            None => buf[done..done + n].fill(0),
+    for start in (first..end).step_by(per_call as usize) {
+        for block in read_blocks(fs, ino, start..end.min(start + per_call))? {
+            let within = ((offset + done as u64) % bs) as usize;
+            let n = (bs as usize - within).min(want - done);
+            match block {
+                Some(block) => buf[done..done + n].copy_from_slice(&block[within..within + n]),
+                None => buf[done..done + n].fill(0),
+            }
+            fs.cpu().charge(copy_cost(n));
+            done += n;
         }
-        fs.cpu().charge(copy_cost(n));
-        done += n;
     }
     fs.touch_atime(ino)?;
     Ok(done)

@@ -171,29 +171,40 @@ impl NodeStore for FakeStore {
         Ok(())
     }
 
-    fn indirect_ptr(&mut self, ino: Ino, idx: u64, addr: u32, slot: usize) -> FsResult<u32> {
-        if addr == NIL {
-            return Ok(NIL);
+    fn indirect_ptrs(
+        &mut self,
+        ino: Ino,
+        idx: u64,
+        addr: u32,
+        first: usize,
+        out: &mut [u32],
+    ) -> FsResult<()> {
+        for (slot, ptr) in (first..).zip(out.iter_mut()) {
+            *ptr = match idx {
+                _ if addr == NIL => NIL,
+                IDX_SINGLE => self.addr(ino, NDIRECT + slot),
+                IDX_DTOP => self.addr(ino, 110 + slot),
+                child => {
+                    let outer = (child - blockmap::idx_dchild(0)) as usize;
+                    self.addr(ino, NDIRECT + PPB + outer * PPB + slot)
+                }
+            };
         }
-        Ok(match idx {
-            IDX_SINGLE => self.addr(ino, NDIRECT + slot),
-            IDX_DTOP => self.addr(ino, 110 + slot),
-            child => {
-                let outer = (child - blockmap::idx_dchild(0)) as usize;
-                self.addr(ino, NDIRECT + PPB + outer * PPB + slot)
-            }
-        })
+        Ok(())
     }
 
-    fn file_block(&mut self, ino: Ino, bno: u64) -> FsResult<Option<Vec<u8>>> {
+    fn file_blocks(&mut self, ino: Ino, range: Range<u64>) -> FsResult<Vec<Option<Vec<u8>>>> {
         let data = &self.nodes.get(&ino).ok_or(FsError::NotFound)?.data;
-        let start = bno as usize * BLOCK;
-        if start >= data.len() {
-            return Ok(None);
-        }
-        let mut block = data[start..data.len().min(start + BLOCK)].to_vec();
-        block.resize(BLOCK, 0);
-        Ok(Some(block))
+        Ok(range
+            .map(|bno| {
+                let start = bno as usize * BLOCK;
+                (start < data.len()).then(|| {
+                    let mut block = data[start..data.len().min(start + BLOCK)].to_vec();
+                    block.resize(BLOCK, 0);
+                    block
+                })
+            })
+            .collect())
     }
 
     fn touch_atime(&mut self, _ino: Ino) -> FsResult<()> {
@@ -433,6 +444,17 @@ fn the_walk_visits_what_the_resolver_resolves() {
     assert_eq!(blockmap::map_block(&mut fs, file, last), Ok(NIL));
     assert_eq!(
         blockmap::map_block(&mut fs, file, last + 1),
+        Err(FsError::FileTooLarge)
+    );
+    // A range resolves to what its blocks resolve to one by one, over
+    // every span, with gaps, and past the end.
+    let bnos: Vec<u64> = (0..=last).filter(|bno| bno % 7 != 3).collect();
+    let one_by_one: Vec<u32> = (bnos.iter())
+        .map(|&bno| blockmap::map_block(&mut fs, file, bno).unwrap())
+        .collect();
+    assert_eq!(blockmap::map_blocks(&mut fs, file, &bnos), Ok(one_by_one));
+    assert_eq!(
+        blockmap::map_blocks(&mut fs, file, &[5, last + 1]),
         Err(FsError::FileTooLarge)
     );
     assert_eq!(

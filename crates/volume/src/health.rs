@@ -77,6 +77,8 @@ pub const SUSPECT_AFTER: u32 = 3;
 pub const RECOVER_AFTER: u32 = 8;
 /// Observations before any verdict — the EWMA needs a baseline.
 pub const MIN_OBSERVATIONS: u64 = 8;
+/// Bytes of a read piece that make one observation: a 4 KB block.
+pub const SAMPLE_BYTES: u64 = 4096;
 
 /// How long the monitor tolerates a suspect before the drastic step.
 #[derive(Debug, Clone, Copy)]
@@ -182,6 +184,29 @@ impl HealthMonitor {
         let inflation =
             ((observed_ns as u128 * 1000) / (expected_ns.max(1) as u128)).min(u64::MAX as u128);
         self.ingest(i, inflation as u64, false)
+    }
+
+    /// Feeds one serviced *read* piece of `bytes` bytes on spindle `i`:
+    /// one [`HealthMonitor::observe`] per [`SAMPLE_BYTES`] it moves
+    /// (rounded up). A read's evidence is the data it moved, not how the
+    /// file system batched it — a spindle read as sixteen 4 KB pieces or
+    /// as one 64 KB piece is judged after the same number of blocks.
+    /// Returns the transitions, in order.
+    ///
+    /// A write piece stays one observation whatever its size: the log
+    /// batches its writes into segment-sized pieces by design, and one
+    /// observation per block would let a single flush decide an
+    /// eviction on its own.
+    pub fn observe_read(
+        &mut self,
+        i: usize,
+        observed_ns: u64,
+        expected_ns: u64,
+        bytes: u64,
+    ) -> Vec<HealthEvent> {
+        (0..bytes.div_ceil(SAMPLE_BYTES).max(1))
+            .filter_map(|_| self.observe(i, observed_ns, expected_ns))
+            .collect()
     }
 
     /// Feeds one media-error completion on spindle `i`. The error is
@@ -392,6 +417,50 @@ mod tests {
         for _ in 1..MIN_OBSERVATIONS {
             assert_eq!(mon.observe(0, SLOW, EXPECTED), None, "warmup restarted");
         }
+    }
+
+    #[test]
+    fn a_read_is_judged_by_its_blocks_not_its_batching() {
+        // The same 10x-slow spindle read as 16 x 4 KB pieces and as one
+        // 64 KB piece: the two monitors agree after every 64 KB, and
+        // evict after the same number of blocks.
+        let (mut small, mut large) = (monitor(1), monitor(1));
+        for _ in 0..MIN_OBSERVATIONS {
+            small.observe_read(0, EXPECTED, EXPECTED, SAMPLE_BYTES);
+        }
+        large.observe_read(0, EXPECTED, EXPECTED, MIN_OBSERVATIONS * SAMPLE_BYTES);
+        let slow = 10 * EXPECTED;
+        let (mut small_evicted, mut large_evicted) = (None, None);
+        for block in (16..=64).step_by(16) {
+            for _ in 0..16 {
+                let events = small.observe_read(0, slow, EXPECTED, SAMPLE_BYTES);
+                if events.contains(&HealthEvent::Evicted(0)) {
+                    small_evicted.get_or_insert(block);
+                }
+            }
+            let events = large.observe_read(0, slow, EXPECTED, 16 * SAMPLE_BYTES);
+            if events.contains(&HealthEvent::Evicted(0)) {
+                large_evicted.get_or_insert(block);
+            }
+            assert_eq!(small.state(0), large.state(0), "after {block} blocks");
+            assert_eq!(
+                small.ewma_inflation_millis(0),
+                large.ewma_inflation_millis(0)
+            );
+        }
+        assert_eq!(small_evicted, Some(16), "3 strikes to suspect, 3 to evict");
+        assert_eq!(large_evicted, small_evicted);
+        // One piece reports every transition it caused, in order.
+        let mut fresh = monitor(1);
+        fresh.observe_read(0, EXPECTED, EXPECTED, MIN_OBSERVATIONS * SAMPLE_BYTES);
+        assert_eq!(
+            fresh.observe_read(0, slow, EXPECTED, 16 * SAMPLE_BYTES),
+            vec![HealthEvent::Suspected(0), HealthEvent::Evicted(0)]
+        );
+        // A piece shorter than a block is still one observation.
+        let mut tiny = monitor(1);
+        tiny.observe_read(0, EXPECTED, EXPECTED, 512);
+        assert_eq!(tiny.ewma_inflation_millis(0), 1000);
     }
 
     #[test]

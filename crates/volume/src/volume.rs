@@ -238,6 +238,9 @@ pub struct StripedVolume {
     hot_spares: usize,
     /// Pacing for a rebuild the health monitor starts on its own.
     spare_rebuild_policy: RebuildPolicy,
+    /// The access-trace label for the next logical request (see
+    /// [`StripedVolume::annotate`]).
+    label: &'static str,
     obs: VolumeObs,
 }
 
@@ -337,6 +340,7 @@ impl StripedVolume {
             health: None,
             hot_spares: 0,
             spare_rebuild_policy: RebuildPolicy::default(),
+            label: "",
             obs,
         }
     }
@@ -573,9 +577,17 @@ impl StripedVolume {
     /// media signal, independent of queue depth and request shape) into
     /// the health monitor, queueing the spindle on `evict` when the
     /// verdict is eviction. Reads and writes carry the same signal, so
-    /// both paths feed it. Only a parity volume is watched: RAID-0 has
-    /// nowhere to evict to.
-    fn feed_health(&mut self, spindle: usize, sector: u64, bytes: u64, evict: &mut Vec<usize>) {
+    /// both paths feed it: a read piece once per block it moves, a write
+    /// piece once ([`HealthMonitor::observe_read`]). Only a parity
+    /// volume is watched: RAID-0 has nowhere to evict to.
+    fn feed_health(
+        &mut self,
+        spindle: usize,
+        sector: u64,
+        bytes: u64,
+        read: bool,
+        evict: &mut Vec<usize>,
+    ) {
         if !self.layout.parity || self.states[spindle] != SpindleState::Online {
             return;
         }
@@ -585,8 +597,15 @@ impl StripedVolume {
         let disk = self.spindles[spindle].disk();
         let start = disk.busy_until_ns().max(self.clock.now_ns());
         let svc = disk.estimate_service_ns(start, sector, bytes);
-        let event = monitor.observe(spindle, svc, disk.estimate_base_service_ns(sector, bytes));
-        self.apply_health_event(event, evict);
+        let base = disk.estimate_base_service_ns(sector, bytes);
+        let events = if read {
+            monitor.observe_read(spindle, svc, base, bytes)
+        } else {
+            monitor.observe(spindle, svc, base).into_iter().collect()
+        };
+        for event in events {
+            self.apply_health_event(Some(event), evict);
+        }
     }
 
     /// An error observation is inflation-neutral: it feeds the error
@@ -1011,6 +1030,7 @@ impl StripedVolume {
     /// decides are applied after the last piece lands, so no in-flight
     /// handle dangles on a killed spindle.
     pub fn read(&mut self, sector: u64, buf: &mut [u8]) -> DiskResult<()> {
+        let label = std::mem::take(&mut self.label);
         if self.crashed {
             return Err(DiskError::Crashed);
         }
@@ -1026,7 +1046,7 @@ impl StripedVolume {
             let piece = if !self.serves_reads(s) {
                 Piece::Missed(DiskError::Unreadable { sector: sub.sector })
             } else {
-                self.feed_health(s, sub.sector, bytes as u64, &mut evict);
+                self.feed_health(s, sub.sector, bytes as u64, true, &mut evict);
                 // The submission-side hedge: an overlapping queued
                 // request (a still-in-flight segment write, say) would
                 // stall this read *at submission* — the read-after-write
@@ -1038,6 +1058,7 @@ impl StripedVolume {
                 {
                     Piece::Steered
                 } else {
+                    self.spindles[s].annotate(label);
                     let piece = self.start_piece(s, sub.sector, bytes)?;
                     if let Piece::Missed(_) = piece {
                         self.observe_health_error(s, &mut evict);
@@ -1112,6 +1133,7 @@ impl StripedVolume {
     /// spindle is not written: the row's updated parity absorbs its
     /// content, so reads reconstruct the new data.
     pub fn write(&mut self, sector: u64, buf: &[u8], sync: bool) -> DiskResult<()> {
+        let label = std::mem::take(&mut self.label);
         if self.crashed {
             return Err(DiskError::Crashed);
         }
@@ -1137,7 +1159,7 @@ impl StripedVolume {
                 parity: true,
             });
             let pieces: Vec<WritePiece> = data.chain(parity).collect();
-            self.write_pieces(&pieces, sync)
+            self.write_pieces(&pieces, sync, label)
         });
         self.update_balance();
         result
@@ -1387,12 +1409,19 @@ impl StripedVolume {
     /// flush, so each piece feeds the health monitor; evictions are
     /// applied only once every piece has landed, since killing a
     /// spindle discards its queue. A failed piece aborts the write.
-    fn write_pieces(&mut self, pieces: &[WritePiece], sync: bool) -> DiskResult<()> {
+    /// Every piece carries the write's access-trace `label`.
+    fn write_pieces(
+        &mut self,
+        pieces: &[WritePiece],
+        sync: bool,
+        label: &'static str,
+    ) -> DiskResult<()> {
         let mut evict = Vec::new();
         let mut started = Vec::with_capacity(pieces.len());
         for p in pieces {
-            self.feed_health(p.spindle, p.sector, p.data.len() as u64, &mut evict);
+            self.feed_health(p.spindle, p.sector, p.data.len() as u64, false, &mut evict);
             let core = &mut self.spindles[p.spindle];
+            core.annotate(label);
             let submitted = if sync {
                 core.start_sync_write(p.sector, p.data)
                     .map(|id| started.push(id))
@@ -1479,9 +1508,11 @@ impl StripedVolume {
         self.obs.reads.inc();
         self.obs.bytes_read.add(len as u64);
         self.obs.subrequests.inc();
-        let handle = self.spindles[sub.spindle]
-            .start_read(sub.sector, sub.bytes())
-            .ok()?;
+        // Only now is the request this one: a `None` above leaves the
+        // label for the synchronous fallback.
+        let core = &mut self.spindles[sub.spindle];
+        core.annotate(std::mem::take(&mut self.label));
+        let handle = core.start_read(sub.sector, sub.bytes()).ok()?;
         let token = self.next_read_token;
         self.next_read_token += 1;
         self.tracked_reads.insert(
@@ -1533,11 +1564,11 @@ impl StripedVolume {
         Ok(())
     }
 
-    /// Labels the next traced access on every spindle.
+    /// Labels the next logical request, for access tracing: each of its
+    /// own pieces carries the label to its spindle, and no other
+    /// spindle sees it.
     pub fn annotate(&mut self, label: &'static str) {
-        for core in &mut self.spindles {
-            core.disk_mut().annotate(label);
-        }
+        self.label = label;
     }
 
 }

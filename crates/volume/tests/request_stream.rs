@@ -141,7 +141,7 @@ fn one_spindle_rr_segment() {
     check(
         "rr_segment(1)",
         &vol,
-        &[9495185727015179057, 13197588222561512498],
+        &[13999309868286106875, 13197588222561512498],
     );
 }
 
@@ -168,9 +168,9 @@ fn three_spindle_interleave() {
         "interleave(3)",
         &vol,
         &[
-            14438371737269369553,
-            14841257891548284948,
-            7824612864891420186,
+            18041937002838423867,
+            10789061319318069494,
+            11763459239800903440,
             15679698257081117757,
         ],
     );
@@ -192,10 +192,10 @@ fn parity_full_row_writes() {
         "parity full rows",
         &vol,
         &[
-            1596835630501111746,
-            55622354514608414,
-            8575879184842997467,
-            10595706686835266016,
+            264363182373678699,
+            2612576939323187937,
+            8082405160642298194,
+            11131161747856704817,
             10860344327843381201,
         ],
     );
@@ -230,10 +230,10 @@ fn parity_partial_row_writes() {
         "parity partial rows",
         &vol,
         &[
-            44821386041266300,
-            9413077200977398726,
-            17017109608069911731,
-            15754537250065786909,
+            468347656667957858,
+            10646052494502406471,
+            13026667837978468345,
+            10540368233504831776,
             10553225326463616866,
         ],
     );
@@ -273,10 +273,10 @@ fn parity_degraded() {
         "parity degraded",
         &vol,
         &[
-            8018443510653960249,
-            12423891307266579036,
-            6274774921305407139,
-            11967095076092284332,
+            17315133434218050934,
+            18360426024970368226,
+            4556805094620928096,
+            13486917582509280496,
             599926658771982731,
         ],
     );
@@ -309,10 +309,10 @@ fn parity_mid_rebuild() {
         "parity mid-rebuild",
         &vol,
         &[
-            5533504135304764995,
-            275436496256527689,
-            9258498175648554525,
-            11118614632917097622,
+            3434920944924386736,
+            6673635417104247809,
+            14360108293147714063,
+            5183811241764191222,
             939262817715870044,
         ],
     );
@@ -352,10 +352,10 @@ fn hedged_fail_slow_reads() {
         "hedged fail-slow",
         &vol,
         &[
-            9528632968581129119,
-            15207102091572246913,
-            16526768087934931178,
-            16118832529734233554,
+            16272837560759787073,
+            17784976495665517067,
+            16101242780221506215,
+            1569094498103889207,
             10737788961307999853,
         ],
     );
@@ -391,10 +391,10 @@ fn health_eviction() {
         "health eviction",
         &vol,
         &[
-            2647249503411525601,
-            1533823704532090450,
-            13664748722808222215,
-            223741452120743048,
+            579836053047325717,
+            11660782812650670372,
+            12863983024727623243,
+            10248855072081038078,
             6360375596638791148,
         ],
     );

@@ -448,3 +448,38 @@ fn writes_are_durable_once_every_spindle_has_drained() {
     dev.flush().unwrap();
     assert!(dev.writes_durable());
 }
+
+/// A request's access-trace label reaches exactly the spindles that
+/// serve its pieces: a later unlabelled request on another spindle
+/// stays unlabelled, and a write spanning spindles labels every piece.
+#[test]
+fn a_label_goes_only_to_the_spindles_of_its_request() {
+    let (mut vol, _clock) = volume(4, StripePolicyKind::Interleave);
+    for i in 0..4 {
+        vol.spindle_mut(i).disk_mut().trace_mut().enable();
+    }
+    let labels = |vol: &StripedVolume, i: usize| -> Vec<(AccessKind, &'static str)> {
+        let records = vol.spindle(i).disk().trace().records();
+        records.iter().map(|r| (r.kind, r.label)).collect()
+    };
+    // A read inside chunk 0 (spindle 0), then an unlabelled write to
+    // chunk 2 (spindle 2).
+    let mut buf = vec![0u8; CHUNK_BYTES];
+    vol.annotate("file-data");
+    vol.read(0, &mut buf).unwrap();
+    vol.write(2 * CHUNK_SECTORS, &patterned(1, CHUNK_SECTORS), true)
+        .unwrap();
+    assert_eq!(labels(&vol, 0), [(AccessKind::Read, "file-data")]);
+    assert_eq!(labels(&vol, 2), [(AccessKind::Write, "")]);
+    // A labelled write over chunks 1 and 3: both pieces carry it.
+    vol.annotate("log-chunk");
+    vol.write(CHUNK_SECTORS, &patterned(2, 3 * CHUNK_SECTORS), true)
+        .unwrap();
+    assert_eq!(labels(&vol, 1), [(AccessKind::Write, "log-chunk")]);
+    assert_eq!(labels(&vol, 3), [(AccessKind::Write, "log-chunk")]);
+    assert_eq!(
+        labels(&vol, 2),
+        [(AccessKind::Write, ""), (AccessKind::Write, "log-chunk")]
+    );
+    assert_eq!(labels(&vol, 0).len(), 1, "spindle 0 serves no piece of it");
+}

@@ -132,6 +132,89 @@ fn snapshot<F: FileSystem>(fs: &mut F) -> Vec<(String, FileKind, Vec<u8>)> {
     out
 }
 
+/// Random writes to three files — past their ends too, leaving holes —
+/// with syncs and cache drops between, and reads of random ranges: with
+/// 512-byte blocks the files reach the single- and double-indirect
+/// spans, and a range read of a file's tail may read through its
+/// single-indirect block.
+#[derive(Debug, Clone)]
+enum RangeOp {
+    Write {
+        file: usize,
+        offset: u32,
+        len: u16,
+        fill: u8,
+    },
+    Read {
+        file: usize,
+        offset: u32,
+        len: u32,
+    },
+    Sync,
+    DropCaches,
+}
+
+const RANGE_FILES: [&str; 3] = ["/r0", "/r1", "/r2"];
+
+fn range_op_strategy() -> impl Strategy<Value = RangeOp> {
+    let f = 0..RANGE_FILES.len();
+    prop_oneof![
+        (f.clone(), 0u32..90_000, 0u16..8192, any::<u8>()).prop_map(|(file, offset, len, fill)| {
+            RangeOp::Write {
+                file,
+                offset,
+                len,
+                fill,
+            }
+        }),
+        (f, 0u32..100_000, 0u32..40_000).prop_map(|(file, offset, len)| RangeOp::Read {
+            file,
+            offset,
+            len,
+        }),
+        Just(RangeOp::Sync),
+        Just(RangeOp::DropCaches),
+    ]
+}
+
+fn apply_range<F: FileSystem>(fs: &mut F, op: &RangeOp) -> Result<Vec<u8>, FsError> {
+    match *op {
+        RangeOp::Write {
+            file,
+            offset,
+            len,
+            fill,
+        } => {
+            let ino = fs.lookup(RANGE_FILES[file])?;
+            fs.write_at(ino, offset as u64, &vec![fill; len as usize])
+                .map(|n| (n as u32).to_le_bytes().to_vec())
+        }
+        RangeOp::Read { file, offset, len } => {
+            let ino = fs.lookup(RANGE_FILES[file])?;
+            let mut buf = vec![0u8; len as usize];
+            let n = fs.read_at(ino, offset as u64, &mut buf)?;
+            buf.truncate(n);
+            Ok(buf)
+        }
+        RangeOp::Sync => fs.sync().map(|_| Vec::new()),
+        RangeOp::DropCaches => fs.drop_caches().map(|_| Vec::new()),
+    }
+}
+
+/// Runs `ops` against `fs` and the model, comparing every result.
+fn ranges_match_the_model<F: FileSystem>(fs: &mut F, ops: &[RangeOp]) -> Result<(), TestCaseError> {
+    let mut model = ModelFs::new();
+    for path in RANGE_FILES {
+        prop_assert_eq!(model.create(path).is_ok(), fs.create(path).is_ok());
+    }
+    for (step, op) in ops.iter().enumerate() {
+        let expected = apply_range(&mut model, op);
+        let actual = apply_range(fs, op);
+        prop_assert_eq!(&expected, &actual, "step {} ({:?}) diverged", step, op);
+    }
+    Ok(())
+}
+
 fn lfs() -> Lfs<SimDisk> {
     let clock = Clock::new();
     let disk = SimDisk::new(DiskGeometry::tiny_test(32_768), Arc::clone(&clock));
@@ -180,6 +263,22 @@ proptest! {
             );
         }
         prop_assert_eq!(snapshot(&mut model), snapshot(&mut fs));
+        let report = fs.fsck().unwrap();
+        prop_assert!(report.is_clean(), "fsck: {}", report);
+    }
+
+    #[test]
+    fn lfs_range_reads_match_the_model(ops in proptest::collection::vec(range_op_strategy(), 1..40)) {
+        let mut fs = lfs();
+        ranges_match_the_model(&mut fs, &ops)?;
+        let report = fs.fsck().unwrap();
+        prop_assert!(report.is_clean(), "fsck: {}", report);
+    }
+
+    #[test]
+    fn ffs_range_reads_match_the_model(ops in proptest::collection::vec(range_op_strategy(), 1..40)) {
+        let mut fs = ffs();
+        ranges_match_the_model(&mut fs, &ops)?;
         let report = fs.fsck().unwrap();
         prop_assert!(report.is_clean(), "fsck: {}", report);
     }
