@@ -17,10 +17,11 @@
 //!   The queue has a depth knob with backpressure, cross-client write
 //!   coalescing (sector-adjacent pending writes merge into one
 //!   transfer), write absorption, and read-from-queue hits.
-//!   The head services the queue oldest-first; [`qos`] narrows the
-//!   pick to the tenant furthest behind its share, and a bounded-wait
-//!   (anti-starvation) check overrides both: an aged request preempts
-//!   any other choice.
+//!   The head serves requests someone is blocked on (reads, started
+//!   sync writes) before background write-back, oldest-first within
+//!   each class; [`qos`] narrows the pick to the tenant furthest behind
+//!   its share, and a bounded-wait (anti-starvation) check overrides
+//!   both: an aged request preempts any other choice in its class.
 //! * [`driver`] — the one host loop ([`run_schedule`] over a
 //!   [`Schedule`]: a trace's graph, or a closed loop's program order)
 //!   and the one rule for offering background [`Maintenance`] steps in

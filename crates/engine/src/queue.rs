@@ -6,11 +6,13 @@
 //! [`EngineDisk`] — a cheap handle onto the shared core — and every
 //! asynchronous write they issue lands in the queue, where adjacent
 //! writes coalesce into one transfer and a full queue pushes back on the
-//! writer. The head services the queue oldest-first — an installed QoS
-//! ledger narrows the candidates to the best tenant's requests, and the
-//! bounded-wait aging check overrides both. Synchronous requests wait
-//! (advance the virtual clock) until their own completion, competing
-//! with queued work under the same rule.
+//! writer. The head serves requests someone is blocked on — every read
+//! and every started sync write — before any background write; within
+//! each of the two classes it goes oldest-first, an installed QoS ledger
+//! narrows the candidates to the best tenant's requests, and the
+//! bounded-wait aging check overrides both. Background writes drain at
+//! every sync point (flush, a full queue, an overlapping submission), so
+//! a write-back waits for readers but never indefinitely.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -19,7 +21,8 @@ use std::sync::Arc;
 
 use obs::{Counter, Registry};
 use sim_disk::{
-    AccessKind, BlockDevice, Clock, DiskError, DiskResult, IoCompletion, SimDisk, SECTOR_SIZE,
+    AccessKind, BlockDevice, Clock, DiskError, DiskResult, IoCompletion, SimDisk, SubmittedIo,
+    SECTOR_SIZE,
 };
 
 use crate::driver::RequestEngine;
@@ -31,9 +34,11 @@ pub struct EngineConfig {
     /// Maximum pending requests before a submitter is stalled
     /// (backpressure).
     pub queue_depth: usize,
-    /// Bounded-wait guarantee: once the oldest pending request has waited
-    /// this long, it is serviced next regardless of QoS
-    /// (anti-starvation aging).
+    /// Bounded-wait guarantee: once the oldest request someone is
+    /// blocked on (a read or a started sync write) has waited this long,
+    /// it is serviced next regardless of QoS (anti-starvation aging).
+    /// Among background writes the same bound overrides QoS only: an
+    /// aged write-back never jumps a blocked request.
     pub max_wait_ns: u64,
     /// Whether adjacent pending writes coalesce into one transfer.
     pub coalesce: bool,
@@ -135,6 +140,12 @@ obs::instruments! {
         sched_decisions, Counter, "engine.sched_decisions", "Queue picks made.";
         aged_picks, Counter, "engine.aged_picks", "Picks forced by the bounded-wait aging guarantee.";
         qos_picks, Counter, "engine.qos_picks", "Picks the QoS ledger narrowed.";
+        waited_wait, Counter, "engine.waited.disk_wait_ns", "Queue wait of requests someone is blocked on \
+            (every read, every started sync write): the engine-queue share of a foreground stall.";
+        background_wait, Counter, "engine.background.disk_wait_ns", "Queue wait of background writes \
+            (write-back nobody waits on), which the pick rule serves after every waited request.";
+        max_waited_wait, Gauge, "engine.max_waited_wait_ns", "Longest queue wait any request someone \
+            is blocked on has seen.";
         retries, Counter, "engine.retries", "Reads retried after a media error.";
         retry_exhausted, Counter, "engine.retry_exhausted", "Reads that failed their whole retry budget.";
         hedges, Counter, "engine.hedges", "Reads whose predicted completion blew the hedge deadline — each \
@@ -172,6 +183,24 @@ const TRACE_DECISIONS: u64 = 64;
 /// recovery — and the cap keeps absurd `read_retries` settings from
 /// overflowing the shift or the clock.
 const MAX_BACKOFF_SHIFT: u32 = 20;
+
+/// True when someone is blocked on pending request `p`: every read
+/// (synchronous, or started through the async and batch facades) and
+/// every write started by [`EngineCore::start_sync_write`] (`awaited`).
+/// Everything else is background write-back.
+fn is_waited(awaited: &BTreeSet<u64>, p: &SubmittedIo) -> bool {
+    p.kind() == AccessKind::Read || awaited.contains(&p.id())
+}
+
+/// One queue pick: the request, its class, and the rule that chose it
+/// (`aged`, `qos`, or the class's plain oldest-first `waited` /
+/// `background`), which the `sched` trace event names.
+#[derive(Clone, Copy)]
+struct Pick {
+    id: u64,
+    waited: bool,
+    rule: &'static str,
+}
 
 /// The shared request-engine state: disk, queue, and accounting.
 pub struct EngineCore {
@@ -384,29 +413,44 @@ impl EngineCore {
 
     /// Chooses which pending request the head services at time `t`.
     ///
-    /// The oldest eligible request goes first (ties break on request
-    /// id, never on container order), so without QoS the queue is
-    /// first-come first-served. If the oldest has waited `max_wait_ns`
-    /// it is chosen unconditionally — the bounded-wait guarantee, which
-    /// QoS cannot defeat. Below the aging bound, an installed QoS
-    /// ledger narrows the candidate set to the best tenant's requests —
-    /// latency class first, then lowest weighted virtual time — and the
-    /// oldest of those is picked.
-    fn pick_id(&mut self, t: u64) -> (u64, bool) {
+    /// Requests someone is blocked on ([`is_waited`]) go before any
+    /// background write: the candidates are the eligible waited
+    /// requests, or the background writes when no waited one is
+    /// eligible. Within that class the oldest goes first (ties break on
+    /// request id, never on container order). If it has waited
+    /// `max_wait_ns` it is chosen unconditionally — the bounded-wait
+    /// guarantee, which QoS cannot defeat. Below the aging bound, an
+    /// installed QoS ledger narrows the candidates to the best tenant's
+    /// requests — latency class first, then lowest weighted virtual
+    /// time — and the oldest of those is picked. So an aged write-back
+    /// never jumps a read; background writes wait for blocked requests,
+    /// and every sync point (flush, a full queue, an overlapping
+    /// submission) still drains them.
+    fn pick_id(&mut self, t: u64) -> Pick {
         let pending = self.disk.pending();
-        let eligible = || pending.iter().filter(move |p| p.submitted_at_ns() <= t);
+        let awaited = &self.awaited_writes;
+        let waited = pending
+            .iter()
+            .any(|p| p.submitted_at_ns() <= t && is_waited(awaited, p));
+        let eligible = || {
+            pending
+                .iter()
+                .filter(move |p| p.submitted_at_ns() <= t && is_waited(awaited, p) == waited)
+        };
         let oldest = eligible()
             .min_by_key(|p| (p.submitted_at_ns(), p.id()))
             .expect("pick_id with no eligible request");
+        let pick = |id, rule| Pick { id, waited, rule };
         if t - oldest.submitted_at_ns() >= self.cfg.max_wait_ns {
-            return (oldest.id(), true);
+            self.obs.aged_picks.inc();
+            return pick(oldest.id(), "aged");
         }
         if let Some(fair) = self.qos.as_mut() {
             // Best client owner of each eligible request (a coalesced
             // request carries the best of its contributors); requests
             // with no foreground owner (system, maintenance) are only
-            // picked when no client request is eligible — aging keeps
-            // them from starving.
+            // picked when no client request in the class is eligible —
+            // aging keeps them from starving.
             let best_owner = eligible()
                 .flat_map(|p| self.owners.get(&p.id()).into_iter().flatten())
                 .filter(|&&c| c != MAINT_OWNER)
@@ -423,15 +467,16 @@ impl EngineCore {
                     .expect("the best owner owns an eligible request");
                 fair.pick(std::iter::once(owner));
                 self.obs.qos_picks.inc();
-                return (owned.id(), false);
+                return pick(owned.id(), "qos");
             }
         }
-        (oldest.id(), false)
+        pick(oldest.id(), if waited { "waited" } else { "background" })
     }
 
     /// Services request `id` and runs engine bookkeeping: decision
     /// trace, fairness attribution, and queue gauges.
-    fn complete_with_bookkeeping(&mut self, id: u64, sync: bool) -> DiskResult<IoCompletion> {
+    fn complete_with_bookkeeping(&mut self, pick: Pick, sync: bool) -> DiskResult<IoCompletion> {
+        let id = pick.id;
         let done = match self.disk.complete(id, sync) {
             Ok(done) => done,
             Err(e @ DiskError::Unreadable { .. }) => {
@@ -457,7 +502,8 @@ impl EngineCore {
                 done.finish_ns,
                 "sched",
                 format!(
-                    "policy=fcfs id={} kind={} sector={} bytes={} wait_ns={} seq={}",
+                    "rule={} id={} kind={} sector={} bytes={} wait_ns={} seq={}",
+                    pick.rule,
                     done.id,
                     done.kind,
                     done.sector,
@@ -487,6 +533,14 @@ impl EngineCore {
                 }
             }
         }
+        if pick.waited {
+            self.obs.waited_wait.add(done.wait_ns);
+            if done.wait_ns > self.obs.max_waited_wait.get() {
+                self.obs.max_waited_wait.set(done.wait_ns);
+            }
+        } else {
+            self.obs.background_wait.add(done.wait_ns);
+        }
         if done.wait_ns > self.obs.max_queue_wait.get() {
             self.obs.max_queue_wait.set(done.wait_ns);
         }
@@ -500,11 +554,8 @@ impl EngineCore {
     /// waiter and the queue moves on.
     fn service_one(&mut self) -> DiskResult<Option<IoCompletion>> {
         let t = self.pick_time().expect("service_one on an empty queue");
-        let (id, aged) = self.pick_id(t);
-        if aged {
-            self.obs.aged_picks.inc();
-        }
-        self.service_background(id)
+        let pick = self.pick_id(t);
+        self.service_background(pick)
     }
 
     /// Lazily progresses the device up to the current virtual time:
@@ -599,15 +650,12 @@ impl EngineCore {
                 break res?;
             }
             let t = self.pick_time().expect("claim of a request not in the queue");
-            let (picked, aged) = self.pick_id(t);
-            if aged {
-                self.obs.aged_picks.inc();
-            }
-            if picked == id {
+            let pick = self.pick_id(t);
+            if pick.id == id {
                 self.awaited_writes.remove(&id);
-                break self.complete_with_bookkeeping(picked, waited)?;
+                break self.complete_with_bookkeeping(pick, waited)?;
             }
-            self.service_background(picked)?;
+            self.service_background(pick)?;
         };
         if waited {
             self.clock.advance_to_ns(done.finish_ns);
@@ -618,22 +666,24 @@ impl EngineCore {
     /// Predicted virtual completion time of request `id`: if it was
     /// already serviced in the background, its actual finish; otherwise
     /// `max(busy_until, submitted_at)`, plus a service estimate for
-    /// every earlier-submitted request still in the queue (the backlog
-    /// the device must chew through first — `busy_until` only covers
-    /// work whose service has *started*), plus the request's own
-    /// estimate (each including any fail-slow penalty the media would
-    /// charge). QoS reordering makes the backlog term an
-    /// estimate, but aging bounds how far reality can drift from
-    /// submission order. Deterministic and non-mutating. `None` when
-    /// `id` is unknown or already failed.
+    /// every queued request the pick rule puts ahead of it — an
+    /// earlier-submitted request of its own class, and for a background
+    /// write every waited request too (the backlog the device must chew
+    /// through first — `busy_until` only covers work whose service has
+    /// *started*) — plus the request's own estimate (each including any
+    /// fail-slow penalty the media would charge). QoS reordering makes
+    /// the backlog term an estimate, but aging bounds how far reality
+    /// can drift from that order. Deterministic and non-mutating. `None`
+    /// when `id` is unknown or already failed.
     pub fn estimated_finish_ns(&self, id: u64) -> Option<u64> {
         if let Some(res) = self.unclaimed.get(&id) {
             return res.as_ref().ok().map(|done| done.finish_ns);
         }
         let p = self.disk.pending().iter().find(|p| p.id() == id)?;
+        let rank = |q: &SubmittedIo| (!is_waited(&self.awaited_writes, q), q.id());
         let mut start = self.disk.busy_until_ns().max(p.submitted_at_ns());
         for q in self.disk.pending() {
-            if q.id() < id {
+            if rank(q) < rank(p) {
                 start += self.disk.estimate_service_ns(start, q.sector(), q.bytes());
             }
         }
@@ -743,20 +793,20 @@ impl EngineCore {
         self.claim(id, false)
     }
 
-    /// Services `picked` on behalf of nobody: a completed read (or its
+    /// Services `pick` on behalf of nobody: a completed read (or its
     /// media error) or awaited sync write is stashed for its eventual
     /// waiter; other writes need no delivery. Only fatal errors (crash)
     /// propagate.
-    fn service_background(&mut self, picked: u64) -> DiskResult<Option<IoCompletion>> {
-        match self.complete_with_bookkeeping(picked, false) {
+    fn service_background(&mut self, pick: Pick) -> DiskResult<Option<IoCompletion>> {
+        match self.complete_with_bookkeeping(pick, false) {
             Ok(done) => {
-                if done.data.is_some() || self.awaited_writes.remove(&picked) {
-                    self.unclaimed.insert(picked, Ok(done.clone()));
+                if done.data.is_some() || self.awaited_writes.remove(&pick.id) {
+                    self.unclaimed.insert(pick.id, Ok(done.clone()));
                 }
                 Ok(Some(done))
             }
             Err(e @ DiskError::Unreadable { .. }) => {
-                self.unclaimed.insert(picked, Err(e));
+                self.unclaimed.insert(pick.id, Err(e));
                 Ok(None)
             }
             Err(e) => Err(e),

@@ -35,7 +35,7 @@ const FILE_SIZE: usize = 1024;
 const THINK_NS: u64 = 600_000;
 /// The engine's one pick order, as cell labels and table titles name it
 /// (pinned in `bench-baseline/`).
-const SCHED: &str = "fcfs";
+const SCHED: &str = "waited-first";
 
 struct Cell {
     clients: usize,

@@ -6,6 +6,12 @@
 //! against recorded constants. A change to how the volume splits,
 //! orders, hedges, reconstructs or writes its pieces moves a digest.
 //!
+//! Next to each spindle's ordered digest sits an order-insensitive one:
+//! the same spindle's requests — kind, sector, size and label, without
+//! the timing an order change moves — sorted, then digested. The queue's
+//! pick rule may reorder a spindle's requests and move only the ordered
+//! digest; the set each spindle serves is pinned by the sorted one.
+//!
 //! Every scenario also checks that it exercised the path it is named
 //! for, so a digest can never pin an empty or trivial stream.
 
@@ -58,11 +64,37 @@ fn digests(vol: &StripedVolume) -> Vec<u64> {
     out
 }
 
-fn check(name: &str, vol: &StripedVolume, want: &[u64]) {
+/// One digest per spindle of the requests it served, in sorted order:
+/// what each spindle serves, whatever order it serves it in.
+fn set_digests(vol: &StripedVolume) -> Vec<u64> {
+    (0..vol.spindle_count())
+        .map(|i| {
+            let mut lines: Vec<String> = vol
+                .spindle(i)
+                .disk()
+                .trace()
+                .records()
+                .iter()
+                .map(|r| format!("{} {} {} {}\n", r.kind, r.sector, r.bytes, r.label))
+                .collect();
+            lines.sort();
+            lines
+                .iter()
+                .fold(FNV_OFFSET, |h, line| fnv1a(line.as_bytes(), h))
+        })
+        .collect()
+}
+
+fn check(name: &str, vol: &StripedVolume, want_set: &[u64], want: &[u64]) {
     let traced: usize = (0..vol.spindle_count())
         .map(|i| vol.spindle(i).disk().trace().records().len())
         .sum();
     assert!(traced > 0, "{name}: no spindle serviced a request");
+    assert_eq!(
+        set_digests(vol),
+        want_set,
+        "{name}: the requests a spindle serves moved"
+    );
     assert_eq!(digests(vol), want, "{name}: the request stream moved");
 }
 
@@ -141,7 +173,8 @@ fn one_spindle_rr_segment() {
     check(
         "rr_segment(1)",
         &vol,
-        &[13999309868286106875, 13197588222561512498],
+        &[17769819127843501380],
+        &[13590826850971266626, 7164077107013695137],
     );
 }
 
@@ -168,10 +201,15 @@ fn three_spindle_interleave() {
         "interleave(3)",
         &vol,
         &[
-            18041937002838423867,
-            10789061319318069494,
-            11763459239800903440,
-            15679698257081117757,
+            11846986265108755003,
+            10852369637435783718,
+            2536233431222451475,
+        ],
+        &[
+            7128582060590093698,
+            14340208510716911680,
+            17099300314015230039,
+            2805295502097266640,
         ],
     );
 }
@@ -188,15 +226,24 @@ fn parity_full_row_writes() {
     vol.flush().unwrap();
     let snap = vol.obs().snapshot();
     assert_eq!(snap.counter("volume.degraded_reads"), 0);
+    // The sync rows go ahead of the queued async rows, so three of the
+    // reads find their range still queued and are answered from the
+    // queued payload: spindles 0 and 3 serve those reads from memory.
     check(
         "parity full rows",
         &vol,
         &[
-            264363182373678699,
-            2612576939323187937,
-            8082405160642298194,
-            11131161747856704817,
-            10860344327843381201,
+            13563590996717899330,
+            9576320952772792133,
+            16735918471488368695,
+            3471181967871509926,
+        ],
+        &[
+            17545422296366905989,
+            13864413464744554434,
+            17475281196137389721,
+            13401927920263519885,
+            14110686942423484918,
         ],
     );
 }
@@ -230,11 +277,17 @@ fn parity_partial_row_writes() {
         "parity partial rows",
         &vol,
         &[
-            468347656667957858,
-            10646052494502406471,
-            13026667837978468345,
-            10540368233504831776,
-            10553225326463616866,
+            3146550867583161645,
+            3953591621345474191,
+            4418754461142804561,
+            14108739846522602222,
+        ],
+        &[
+            17616644236955034888,
+            649906519564028772,
+            17611611931417454575,
+            9346907215960553058,
+            4585780240087057817,
         ],
     );
 }
@@ -273,11 +326,17 @@ fn parity_degraded() {
         "parity degraded",
         &vol,
         &[
-            17315133434218050934,
-            18360426024970368226,
-            4556805094620928096,
-            13486917582509280496,
-            599926658771982731,
+            6775096127603035485,
+            363857824292462795,
+            17214820288103112333,
+            14535117299589508411,
+        ],
+        &[
+            17026077293751634608,
+            16449025345858147303,
+            10675574837810664961,
+            7720023334032553292,
+            176560665707175264,
         ],
     );
 }
@@ -309,11 +368,17 @@ fn parity_mid_rebuild() {
         "parity mid-rebuild",
         &vol,
         &[
-            3434920944924386736,
-            6673635417104247809,
-            14360108293147714063,
-            5183811241764191222,
-            939262817715870044,
+            15155429807556542976,
+            7798555145499167692,
+            4969531490533552908,
+            6349433855701822810,
+        ],
+        &[
+            7386301604268465420,
+            14862653330963371557,
+            14719271880646019619,
+            10538135894192280536,
+            2039885531887706729,
         ],
     );
 }
@@ -352,11 +417,17 @@ fn hedged_fail_slow_reads() {
         "hedged fail-slow",
         &vol,
         &[
-            16272837560759787073,
-            17784976495665517067,
-            16101242780221506215,
-            1569094498103889207,
-            10737788961307999853,
+            10428048349418112623,
+            15776427513936326095,
+            7089429648722478215,
+            8280593297781507440,
+        ],
+        &[
+            17653389824146476827,
+            16290031191021825417,
+            15136617211666491583,
+            16646811949525599299,
+            9701127803676046162,
         ],
     );
 }
@@ -391,11 +462,17 @@ fn health_eviction() {
         "health eviction",
         &vol,
         &[
-            579836053047325717,
-            11660782812650670372,
-            12863983024727623243,
-            10248855072081038078,
-            6360375596638791148,
+            5637291714516117025,
+            3697701619356146443,
+            11487770633480184130,
+            3955462968503472215,
+        ],
+        &[
+            17717392754736396626,
+            14087835613772939322,
+            11910081561420302963,
+            9209830283608395392,
+            9790993028148319603,
         ],
     );
 }
@@ -417,15 +494,23 @@ fn crash_mid_write() {
     assert!(vol.has_crashed());
     let mut buf = vec![0u8; CHUNK_BYTES];
     assert_eq!(vol.read(0, &mut buf), Err(DiskError::Crashed));
+    // The crash lands at a count of writes, so which writes precede it
+    // follows the pick order: the set each spindle serves moves with it.
     check(
         "crash",
         &vol,
         &[
-            9696043377518278152,
-            4051700735529427028,
-            11312854442801933662,
-            10218798618204197282,
-            2835589840806082080,
+            8772816486153740188,
+            12736238658769705106,
+            15490533330041549245,
+            15358055366699380206,
+        ],
+        &[
+            8774099810897895551,
+            18192971268094307804,
+            15458698234242383805,
+            5374301587503956046,
+            5144347826002517762,
         ],
     );
 }
