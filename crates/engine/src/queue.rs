@@ -874,7 +874,9 @@ impl EngineCore {
 
     /// Merges queued write `id` with sector-adjacent queued writes (one
     /// merge in each direction), keeping the total transfer under
-    /// [`MAX_TRANSFER_BYTES`]. Returns the surviving id.
+    /// [`MAX_TRANSFER_BYTES`]. Returns the surviving id. A merge keeps
+    /// the front request's id, so a write someone will claim by id (one
+    /// in `awaited_writes`) is never taken as the back neighbour.
     fn try_coalesce(&mut self, mut id: u64) -> u64 {
         // Merge a front neighbour (ends where `id` starts).
         let me = self.pending_shape(id);
@@ -897,6 +899,7 @@ impl EngineCore {
         let back = self.disk.pending().iter().find_map(|p| {
             (p.id() != id
                 && p.kind() == AccessKind::Write
+                && !self.awaited_writes.contains(&p.id())
                 && p.sector() == me.1
                 && p.bytes() + me.2 <= MAX_TRANSFER_BYTES
                 && !self.crosses_stripe_boundary(me.0, p.end_sector()))

@@ -11,8 +11,8 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use engine::{EngineConfig, EngineCore, EngineDisk, RequestEngine};
-use lfs_core::{AsyncCleanerPolicy, CleanerRunMode, Lfs, LfsConfig};
+use engine::{drain, EngineConfig, EngineCore, EngineDisk, Maintenance, RequestEngine};
+use lfs_core::{AsyncCleanerPolicy, CleanerTask, Lfs, LfsConfig};
 use sim_disk::{Clock, DiskGeometry, SimDisk};
 use vfs::{FileSystem, FsError};
 
@@ -22,13 +22,12 @@ fn class_accounts_cover_every_device_byte() {
     let disk = SimDisk::new(DiskGeometry::tiny_test(4096), Arc::clone(&clock));
     let core = EngineCore::new(disk, EngineConfig::default()).into_shared();
     let dev = EngineDisk::new(Rc::clone(&core));
-    let mut cfg = LfsConfig::small_test();
-    cfg.cleaner.run_mode = CleanerRunMode::Async(
+    let mut fs = Lfs::format(dev, LfsConfig::small_test(), clock).unwrap();
+    let mut cleaner = CleanerTask::new(
         AsyncCleanerPolicy::default()
             .with_watermarks(1 << 16, 1 << 17)
             .with_step_caps(2, 4),
     );
-    let mut fs = Lfs::format(dev, cfg, clock).unwrap();
     let registry = fs.obs().clone();
     core.register_clients(1);
 
@@ -54,16 +53,14 @@ fn class_accounts_cover_every_device_byte() {
         }
         core.set_client(None);
         for _ in 0..8 {
-            if !fs.cleaner_wants_step(core.queue_depth()) {
+            if !cleaner.wants_step(&fs, core.queue_depth()) {
                 break;
             }
-            fs.cleaner_step().unwrap();
+            cleaner.step(&mut fs).unwrap();
         }
     }
     core.set_client(None);
-    while fs.cleaner_run_active() {
-        fs.cleaner_step().unwrap();
-    }
+    drain(&mut cleaner, &mut fs).unwrap();
     fs.sync().unwrap();
     assert_eq!(core.queue_depth(), 0, "sync left requests queued");
 

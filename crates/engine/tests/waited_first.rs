@@ -204,3 +204,37 @@ proptest! {
         }
     }
 }
+
+/// A later async write that ends where a started sync write begins
+/// coalesces only as the *back* of a merge, and a merge keeps the front
+/// id: merging the awaited write away would leave `finish_write`
+/// claiming an id no longer in the queue. The awaited write stays
+/// queued on its own, its claim completes, and both writes land.
+#[test]
+fn an_awaited_write_is_never_merged_away() {
+    let (mut core, clock) = rig(EngineConfig::default());
+    // Head busy: a long write-back in service, so the next writes queue.
+    core.submit_async_write(100, &vec![9u8; 64 * SECTOR_SIZE])
+        .unwrap();
+    clock.advance_to_ns(1_000);
+    core.pump().unwrap();
+    assert!(
+        core.disk().busy_until_ns() > clock.now_ns(),
+        "the head is not busy"
+    );
+    let awaited = core.start_sync_write(8, &[1u8; SECTOR_SIZE]).unwrap();
+    core.submit_async_write(7, &[2u8; SECTOR_SIZE]).unwrap();
+    core.finish_write(awaited).unwrap();
+    core.flush_all().unwrap();
+
+    let mut got = vec![0u8; 2 * SECTOR_SIZE];
+    core.do_read(7, &mut got).unwrap();
+    assert!(
+        got[..SECTOR_SIZE].iter().all(|&b| b == 2),
+        "the async write did not land"
+    );
+    assert!(
+        got[SECTOR_SIZE..].iter().all(|&b| b == 1),
+        "the awaited write did not land"
+    );
+}

@@ -13,12 +13,12 @@
 //!
 //! * `baseline` — a disk large enough that cleaning never activates:
 //!   the no-cleaner reference (asserted: zero segments cleaned).
-//! * `sync` — the original clean-on-threshold path: cleaning runs
-//!   inside whichever foreground operation crosses the threshold.
-//! * `aggr` — the async cleaner stepped whenever its watermarks ask,
-//!   regardless of foreground queue depth.
-//! * `idle` — the async cleaner additionally gated on engine queue
-//!   depth (the paper's "clean during idle periods").
+//! * `sync` — no cleaner task hosted: cleaning runs at the floor,
+//!   inside whichever foreground operation crosses it.
+//! * `aggr` — a hosted `CleanerTask` stepped whenever its watermarks
+//!   ask, regardless of foreground queue depth.
+//! * `idle` — the hosted task additionally gated on engine queue depth
+//!   (the paper's "clean during idle periods").
 //!
 //! In-binary assertions: (a) at 8 clients on one spindle, idle-gated
 //! cleaning keeps foreground p99 within 1.5x of the no-cleaner
@@ -37,7 +37,7 @@ use std::process::ExitCode;
 
 use lfs_bench::interference::{run_overwrite_churn, ChurnConfig, ChurnOutcome};
 use lfs_bench::{modern_lfs, print_table, volume_rig, MetricsReport, Row, Verdict};
-use lfs_core::{AsyncCleanerPolicy, CleanerRunMode, LfsConfig};
+use lfs_core::{AsyncCleanerPolicy, CleanerTask, LfsConfig};
 use volume::VolumeConfig;
 
 /// Size of every slot file.
@@ -88,12 +88,13 @@ impl Mode {
         }
     }
 
-    fn run_mode(self) -> CleanerRunMode {
+    /// The cleaner task the churn hosts, if any.
+    fn task(self) -> Option<CleanerTask> {
         let policy = AsyncCleanerPolicy::default().with_watermarks(9, 12);
         match self {
-            Mode::Baseline | Mode::Sync => CleanerRunMode::Sync,
-            Mode::AsyncAggr => CleanerRunMode::Async(policy),
-            Mode::AsyncIdle => CleanerRunMode::Async(policy.with_idle_gate(IDLE_GATE)),
+            Mode::Baseline | Mode::Sync => None,
+            Mode::AsyncAggr => Some(CleanerTask::new(policy)),
+            Mode::AsyncIdle => Some(CleanerTask::new(policy.with_idle_gate(IDLE_GATE))),
         }
     }
 }
@@ -104,7 +105,7 @@ struct Cell {
     outcome: ChurnOutcome,
     /// Fraction of engine-submitted bytes in the maintenance class.
     cleaner_share: f64,
-    emergency_passes: u64,
+    floor_passes: u64,
     offspindle_victims: u64,
 }
 
@@ -124,8 +125,7 @@ fn run_cell(
     metrics: &mut MetricsReport,
     verdict: &mut Verdict,
 ) -> Cell {
-    let mut cfg = LfsConfig::paper().with_cache_bytes(2 * 1024 * 1024);
-    cfg.cleaner.run_mode = mode.run_mode();
+    let cfg = LfsConfig::paper().with_cache_bytes(2 * 1024 * 1024);
     let total_sectors = if mode == Mode::Baseline {
         BASELINE_SECTORS
     } else {
@@ -147,7 +147,8 @@ fn run_cell(
         think_ns: THINK_NS,
         seed: SEED,
     };
-    let outcome = run_overwrite_churn(&mut fs, &pump, &ccfg).expect("churn run");
+    let outcome =
+        run_overwrite_churn(&mut fs, &pump, &ccfg, mode.task().as_mut()).expect("churn run");
     let fsck = fs.fsck().expect("fsck");
     assert!(fsck.is_clean(), "LFS inconsistent after run:\n{fsck}");
 
@@ -177,7 +178,7 @@ fn run_cell(
         ),
         Mode::Sync => verdict.guard(
             stats.segments_cleaned > 0 && async_steps == 0,
-            format!("{label}: sync mode must clean, and never through the incremental path"),
+            format!("{label}: with no task hosted the floor must clean, and no task step"),
         ),
         Mode::AsyncAggr | Mode::AsyncIdle => verdict.guard(
             stats.segments_cleaned > 0
@@ -205,7 +206,7 @@ fn run_cell(
         } else {
             maint as f64 / total_bytes as f64
         },
-        emergency_passes: stats.async_emergency_passes,
+        floor_passes: stats.floor_passes,
         offspindle_victims: stats.async_offspindle_victims,
     }
 }
@@ -222,7 +223,7 @@ fn print_sweep(title: &str, cells: &[Cell]) {
             Row::of("fg ops/s", cells, |c| format!("{:.2}", c.outcome.ops_per_sec())),
             Row::of("cleaner share %", cells, |c| format!("{:.1}", c.cleaner_share * 100.0)),
             Row::of("cleaner steps", cells, |c| c.outcome.cleaner_steps.to_string()),
-            Row::of("emergency passes", cells, |c| c.emergency_passes.to_string()),
+            Row::of("floor pass count", cells, |c| c.floor_passes.to_string()),
         ],
     );
 }

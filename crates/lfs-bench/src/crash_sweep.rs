@@ -37,13 +37,11 @@ use std::sync::Arc;
 
 use engine::{drain, offer, Maintenance};
 use ffs_baseline::{Ffs, FfsConfig};
-use lfs_core::{AsyncCleanerPolicy, CleanerRunMode, Lfs, LfsConfig};
+use lfs_core::{AsyncCleanerPolicy, CleanerTask, Lfs, LfsConfig};
 use mem_mgr::CachePolicy;
 use sim_disk::{Clock, CrashPlan, DiskGeometry, SimDisk};
 use vfs::{FileSystem, FsError};
 use volume::{RebuildPolicy, StripedVolume, VolumeConfig, VolumeDisk};
-
-use crate::interference::CleanerTask;
 
 mod model;
 use model::{check_recovery, script, upsert, Barrier, Model, Op, Version};
@@ -54,7 +52,7 @@ const DISK_SECTORS: u64 = 16_384;
 
 /// 2 MB volume for the async-cleaner rows: small enough that the
 /// incremental cleaner finds real victims during the scripted churn, so
-/// crash points land inside active [`lfs_core::CleanerRun`]s.
+/// crash points land inside active cleaner runs.
 const CLEANER_DISK_SECTORS: u64 = 4_096;
 
 /// Per-spindle capacity of the rebuild row's parity volume: small so
@@ -289,11 +287,22 @@ type HookTask = (Box<dyn Maintenance<Lfs<VolumeDisk>>>, u64);
 impl Hook {
     fn task(self, rig: &mut Rig) -> Option<HookTask> {
         match self {
-            Hook::Cleaner => Some((Box::new(CleanerTask), 4)),
+            Hook::Cleaner => Some((Box::new(CleanerTask::new(eager_cleaner_policy())), 4)),
             Hook::KillAndRebuild => Some((Box::new(rig.striped().device().clone()), 2)),
             Hook::None | Hook::WobbleBoundary => None,
         }
     }
+}
+
+/// The incremental cleaner always eager: watermarks far above any
+/// reachable clean count and minimal step caps, so the scripted churn
+/// keeps a cleaner run in flight for most of the workload and crash
+/// indices land in every mid-run state (relocations in cache, victims
+/// parked clean-pending, the committing checkpoint).
+fn eager_cleaner_policy() -> AsyncCleanerPolicy {
+    AsyncCleanerPolicy::default()
+        .with_watermarks(1 << 16, 1 << 17)
+        .with_step_caps(2, 4)
 }
 
 /// Small-step rebuild pacing: two rows per step, so rebuild writes
@@ -387,20 +396,7 @@ pub fn arms() -> Vec<Arm> {
         ..lfs.clone()
     };
 
-    // The incremental cleaner always eager: watermarks far above any
-    // reachable clean count and minimal step caps, so the scripted churn
-    // keeps a `CleanerRun` in flight for most of the workload and crash
-    // indices land in every mid-run state (relocations in cache, victims
-    // parked clean-pending, the committing checkpoint).
-    let mut cleaner_cfg = small();
-    cleaner_cfg.cleaner.run_mode = CleanerRunMode::Async(
-        AsyncCleanerPolicy::default()
-            .with_watermarks(1 << 16, 1 << 17)
-            .with_step_caps(2, 4),
-    );
     let cleaner = |spindles| Arm {
-        format: FsCfg::Lfs(cleaner_cfg.clone()),
-        remount: FsCfg::Lfs(cleaner_cfg.clone()),
         hook: Hook::Cleaner,
         guard: Guard::MidTask,
         ..striped(spindles, CLEANER_DISK_SECTORS)
@@ -408,7 +404,7 @@ pub fn arms() -> Vec<Arm> {
     // The same on 6 KB segments: the script's checkpoints then land on
     // segment ends while a cleaner run is in flight (its guard).
     let seg_end_bytes = 6 * 1024;
-    let seg_end_cfg = cleaner_cfg.clone().with_segment_bytes(seg_end_bytes);
+    let seg_end_cfg = small().with_segment_bytes(seg_end_bytes);
 
     // One segment covers exactly one parity row, so full-segment writes
     // take the no-read parity fast path; segment-aligned metadata and

@@ -6,15 +6,15 @@
 //! as in the paper's sustained-use scenario (§4.3) and the cleaner must
 //! keep reclaiming space for the log to survive. The driver extends the
 //! `mt_scaling` closed-loop client model with one extra dispatchable
-//! actor: when the file system's cleaner runs in async mode, the loop
-//! ([`engine::run_schedule`]) offers it steps as a [`CleanerTask`]
-//! before the next foreground client becomes ready. Cleaner I/O therefore
-//! competes in the same request queues as the foreground clients, and
-//! per-operation foreground latencies — collected exactly, for precise
-//! percentiles — expose the interference.
+//! actor: when the caller hosts a [`CleanerTask`], the loop
+//! ([`engine::run_schedule`]) offers it steps before the next foreground
+//! client becomes ready. Cleaner I/O therefore competes in the same
+//! request queues as the foreground clients, and per-operation
+//! foreground latencies — collected exactly, for precise percentiles —
+//! expose the interference.
 
-use engine::{drain, jittered_think_ns, run_schedule, Maintenance, RequestEngine, Schedule, Step};
-use lfs_core::{CleanerStepOutcome, Lfs};
+use engine::{drain, jittered_think_ns, run_schedule, Maintenance, RequestEngine, Schedule};
+use lfs_core::{CleanerTask, Lfs};
 use sim_disk::BlockDevice;
 use vfs::{FileSystem, FsResult};
 use workload::payload;
@@ -65,40 +65,6 @@ impl ChurnOutcome {
     }
 }
 
-/// Idle time granted to an in-flight cleaner segment read before the
-/// claiming step: roughly one policy-default read span (32 KB) at WREN
-/// IV sequential bandwidth, plus slack for the occasional seek.
-const CLEANER_READ_SERVICE_NS: u64 = 30_000_000;
-
-/// The LFS async cleaner as a host-loop maintenance task: its policy
-/// decides whether to take each offer (idle gating sees the live queue
-/// depth), and a step that leaves a segment read in flight asks for the
-/// read's service time to pass before the claiming step, so the read
-/// overlaps foreground work as a real async cleaner's would.
-pub struct CleanerTask;
-
-impl<D: BlockDevice> Maintenance<Lfs<D>> for CleanerTask {
-    fn wants_step(&self, fs: &Lfs<D>, queue_depth: u64) -> bool {
-        fs.cleaner_wants_step(queue_depth)
-    }
-
-    fn step(&mut self, fs: &mut Lfs<D>) -> FsResult<Step> {
-        Ok(match fs.cleaner_step()? {
-            CleanerStepOutcome::Idle => Step::Idle,
-            CleanerStepOutcome::Progress => Step::Progress,
-            CleanerStepOutcome::Completed => Step::Completed,
-        })
-    }
-
-    fn active(&self, fs: &Lfs<D>) -> bool {
-        fs.cleaner_run_active()
-    }
-
-    fn settle_ns(&self, fs: &Lfs<D>) -> Option<u64> {
-        fs.cleaner_read_pending().then_some(CLEANER_READ_SERVICE_NS)
-    }
-}
-
 /// `client`'s slot path on its `op`-th operation, cycling over its own.
 fn slot_path(cfg: &ChurnConfig, client: usize, op: usize) -> String {
     let owned = (cfg.total_slots - client).div_ceil(cfg.clients);
@@ -124,14 +90,16 @@ pub fn percentile_ns(sorted: &[u64], pct: f64) -> u64 {
 
 /// Runs the overwrite-churn workload: a fill phase creating every slot
 /// (system-attributed, unmeasured), then `clients * ops_per_client`
-/// measured overwrites dispatched earliest-ready-first, with the async
-/// cleaner offered steps as client id `cfg.clients` whenever its policy
-/// wants one (never, in sync mode). Ends by draining any in-progress
+/// measured overwrites dispatched earliest-ready-first, with `cleaner`
+/// (when given) offered steps as client id `cfg.clients` whenever its
+/// policy wants one. Without one, cleaning happens only at the floor,
+/// inside foreground operations. Ends by draining any in-progress
 /// cleaner run and syncing.
 pub fn run_overwrite_churn<D: BlockDevice>(
     fs: &mut Lfs<D>,
     core: &impl RequestEngine,
     cfg: &ChurnConfig,
+    mut cleaner: Option<&mut CleanerTask>,
 ) -> FsResult<ChurnOutcome> {
     assert!(cfg.clients > 0, "at least one client");
     assert!(cfg.total_slots >= cfg.clients, "a slot per client");
@@ -155,7 +123,6 @@ pub fn run_overwrite_churn<D: BlockDevice>(
     }
     fs.sync()?;
 
-    let mut cleaner = CleanerTask;
     let start_ns = clock.now_ns();
     let mut latencies = Vec::with_capacity(cfg.clients * cfg.ops_per_client);
     let mut cleaner_steps = run_schedule(
@@ -165,7 +132,9 @@ pub fn run_overwrite_churn<D: BlockDevice>(
             jittered_think_ns(cfg.seed, c, op, cfg.think_ns)
         }),
         None,
-        Some((&mut cleaner, Some(cfg.clients))),
+        cleaner
+            .as_deref_mut()
+            .map(|task| (task as &mut dyn Maintenance<Lfs<D>>, Some(cfg.clients))),
         |fs, turn| {
             // Overwrite in place: truncate kills every old block (they become
             // cleanable garbage), the rewrite appends fresh ones at the head.
@@ -185,7 +154,9 @@ pub fn run_overwrite_churn<D: BlockDevice>(
     // its relocations are committed, not parked), then drain every
     // queued write.
     core.set_client(None);
-    cleaner_steps += drain(&mut cleaner, fs)?;
+    if let Some(task) = cleaner {
+        cleaner_steps += drain(task, fs)?;
+    }
     fs.sync()?;
     let elapsed_ns = clock.now_ns() - start_ns;
 
@@ -256,7 +227,7 @@ mod tests {
         let core = EngineCore::new(disk, EngineConfig::default()).into_shared();
         let dev = EngineDisk::new(Rc::clone(&core));
         let mut fs = Lfs::format(dev, LfsConfig::small_test(), clock).expect("format");
-        let outcome = run_overwrite_churn(&mut fs, &core, &cfg).expect("churn run");
+        let outcome = run_overwrite_churn(&mut fs, &core, &cfg, None).expect("churn run");
         assert_eq!(outcome.total_ops, 24);
     }
 

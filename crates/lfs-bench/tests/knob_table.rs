@@ -1,6 +1,6 @@
 //! The committed knob table (`bench-baseline/KNOBS`) must stay in step
 //! with the source: every `pub` field of every `*Config` / `*Policy` /
-//! `*Spec` struct and every variant of the four policy enums has exactly
+//! `*Spec` struct and every variant of the three policy enums has exactly
 //! one line, every line names something that exists, and every
 //! justification cites a real `ROWS` binary, `BENCHMARK.json` workload
 //! or test file. Whether a cited row's numbers really move is checked
@@ -11,12 +11,7 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const ENUMS: [&str; 4] = [
-    "StripePolicyKind",
-    "CachePolicy",
-    "CleanerPolicy",
-    "CleanerRunMode",
-];
+const ENUMS: [&str; 3] = ["StripePolicyKind", "CachePolicy", "CleanerPolicy"];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in fs::read_dir(dir).expect("source dir") {

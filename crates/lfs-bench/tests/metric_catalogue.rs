@@ -67,7 +67,7 @@ fn exported_names() -> BTreeSet<String> {
         think_ns: 1_000_000,
         seed: 7,
     };
-    run_overwrite_churn(&mut fs, &pump, &churn).expect("churn run");
+    run_overwrite_churn(&mut fs, &pump, &churn, None).expect("churn run");
     // One limping spindle, read cold until the monitor changes its mind.
     pump.volume().borrow_mut().spindle_mut(1).disk_mut().inject_media_faults(
         MediaFaultPlan::new(1).fail_slow(FailSlowProfile::at(0).with_multiplier_pct(3000)),

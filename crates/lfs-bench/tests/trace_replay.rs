@@ -7,10 +7,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use engine::{EngineConfig, EngineCore, EngineDisk};
-use lfs_bench::interference::CleanerTask;
 use lfs_bench::trace_replay::{run_cell, FsKind};
 use lfs_bench::MetricsReport;
-use lfs_core::{AsyncCleanerPolicy, CleanerRunMode, Lfs, LfsConfig};
+use lfs_core::{AsyncCleanerPolicy, CleanerTask, Lfs, LfsConfig};
 use sim_disk::{Clock, DiskGeometry, SimDisk};
 use trace::{by_name, replay, replay_with, snapshot, zipf_churn, GenSpec, ReplayConfig};
 use vfs::model::ModelFs;
@@ -53,7 +52,7 @@ fn bench_json_is_byte_identical_across_runs() {
 /// inside the replay, and the result must be consistent and equal to
 /// what the model reaches on the same trace.
 ///
-/// This size also catches an async victim that an emergency pass
+/// This size also catches an async victim that a floor pass
 /// cleaned, and the log reused, between two of the run's steps.
 #[test]
 fn replay_hosts_the_async_cleaner() {
@@ -74,9 +73,8 @@ fn replay_hosts_the_async_cleaner() {
     };
 
     let (core, clock) = rig();
-    let mut cfg = LfsConfig::small_test();
-    cfg.cleaner.run_mode = CleanerRunMode::Async(AsyncCleanerPolicy::default());
-    let mut fs = Lfs::format(EngineDisk::new(Rc::clone(&core)), cfg, clock).expect("format");
+    let dev = EngineDisk::new(Rc::clone(&core));
+    let mut fs = Lfs::format(dev, LfsConfig::small_test(), clock).expect("format");
     let registry = fs.obs().clone();
     let report = replay_with(
         &mut fs,
@@ -84,7 +82,7 @@ fn replay_hosts_the_async_cleaner() {
         &registry,
         &trace,
         &ReplayConfig::default(),
-        Some((&mut CleanerTask, None)),
+        Some((&mut CleanerTask::new(AsyncCleanerPolicy::default()), None)),
     )
     .expect("valid trace");
     assert_eq!(report.total_ops, trace.records.len() as u64);

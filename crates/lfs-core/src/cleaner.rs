@@ -20,6 +20,15 @@
 //! contents, so a crash in between must find them intact. Cleaned
 //! segments are parked in [`SegState::CleanPending`] and promoted by
 //! [`Lfs::checkpoint`].
+//!
+//! Cleaning has the paper's two triggers. A foreground operation that
+//! leaves fewer than `reserve + 2` segments clean cleans inline before
+//! it returns ("when the number of clean segments drops below a
+//! threshold value"). A host with slack time ("at night or other times
+//! of slack usage") calls [`Lfs::clean_until`], or steps a
+//! [`crate::CleanerTask`] between its own operations so the threshold
+//! is rarely reached. No configuration switches between the two: the
+//! host decides by hosting the task or not.
 
 use mem_mgr::{BlockKey, Owner};
 use sim_disk::{BlockDevice, CpuCost};
@@ -53,22 +62,8 @@ pub enum CleanerPolicy {
     Oldest,
 }
 
-/// How cleaning is driven.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CleanerRunMode {
-    /// Clean synchronously inside foreground operations whenever the
-    /// clean-segment count drops below `activate_below_clean` (the
-    /// original clean-on-threshold path).
-    Sync,
-    /// Incremental: foreground operations never clean (beyond an
-    /// emergency floor that keeps the log from wedging); the host steps
-    /// a resumable [`crate::CleanerRun`] between operations via
-    /// [`crate::Lfs::cleaner_step`], typically as a dedicated engine
-    /// client so cleaning I/O competes in the same request queues.
-    Async(AsyncCleanerPolicy),
-}
-
-/// Aggressiveness policy for [`CleanerRunMode::Async`].
+/// Aggressiveness policy of a [`crate::CleanerTask`]: when its runs
+/// start and stop, and how much one step may do.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsyncCleanerPolicy {
     /// Start a cleaner run when clean + clean-pending segments drop
@@ -83,9 +78,9 @@ pub struct AsyncCleanerPolicy {
     pub max_step_read_blocks: usize,
     /// Maximum summary entries classified per step (CPU bound per step).
     pub max_step_entries: usize,
-    /// Idle-only gating: when set, [`crate::Lfs::cleaner_wants_step`]
-    /// reports `true` only while the engine queue depth is at or below
-    /// this bound (the paper's "clean during idle periods").
+    /// Idle-only gating: when set, the task wants a step only while the
+    /// engine queue depth is at or below this bound (the paper's "clean
+    /// during idle periods").
     pub idle_queue_depth: Option<u64>,
 }
 
@@ -133,29 +128,20 @@ const MAX_CANDIDATE_UTILIZATION: f64 = 0.98;
 pub struct CleanerConfig {
     /// Victim-selection policy.
     pub policy: CleanerPolicy,
-    /// Start cleaning when fewer than this many segments are clean
-    /// ("cleaning is activated when the number of clean segments drops
-    /// below a threshold value").
-    pub activate_below_clean: usize,
     /// Maximum segments processed per cleaning pass.
     pub segments_per_pass: usize,
     /// Use the §4.3.3 step-1 fast path (summary version number vs inode
     /// map) to classify blocks without walking inodes. Disabled only by
     /// the liveness-fastpath ablation; correctness does not depend on it.
     pub use_version_fastpath: bool,
-    /// Synchronous clean-on-threshold or incremental host-driven
-    /// cleaning; see [`CleanerRunMode`].
-    pub run_mode: CleanerRunMode,
 }
 
 impl Default for CleanerConfig {
     fn default() -> Self {
         Self {
             policy: CleanerPolicy::CostBenefit,
-            activate_below_clean: 4,
             segments_per_pass: 8,
             use_version_fastpath: true,
-            run_mode: CleanerRunMode::Sync,
         }
     }
 }
@@ -261,7 +247,7 @@ impl<D: BlockDevice> Lfs<D> {
     /// One cleaning pass drawing victims against a caller-managed budget
     /// (shared across several passes preceding one checkpoint, so the
     /// combined relocations still fit the available clean space).
-    pub fn clean_pass_with_budget(&mut self, budget: &mut u64) -> FsResult<CleanOutcome> {
+    pub(crate) fn clean_pass_with_budget(&mut self, budget: &mut u64) -> FsResult<CleanOutcome> {
         self.clean_pass_toward(budget, usize::MAX)
     }
 

@@ -1,12 +1,14 @@
 //! The incremental, resumable async cleaner (§4.3.4's "clean during
 //! idle periods", driven from outside).
 //!
-//! [`CleanerRun`] cleans in small steps a host event loop can
-//! interleave with foreground operations: each call to
-//! [`Lfs::cleaner_step`] performs one bounded unit of work — claim or
-//! issue one bounded segment read, classify a bounded number of summary
-//! entries, or commit the finished relocations with a checkpoint — and
-//! returns. The synchronous clean-on-threshold path is the same victim
+//! A [`CleanerTask`] is the cleaner a host loop steps between its
+//! foreground operations ([`engine::Maintenance`]): each step performs
+//! one bounded unit of a `CleanerRun` — claim or issue one bounded
+//! segment read, classify a bounded number of summary entries, or
+//! commit the finished relocations with a checkpoint — and returns. A
+//! host that steps no task still gets the threshold cleaning every
+//! foreground operation does at the floor; hosting the task is what
+//! makes cleaning asynchronous. The synchronous path is the same victim
 //! machinery driven inline: [`Lfs::clean_segment`] reads the victim in
 //! one transfer and classifies it without caps. Cleaner I/O is issued
 //! with the device's maintenance class on (see
@@ -27,11 +29,12 @@
 //! relocated contents. A crash at any step therefore finds either the
 //! old copies intact or the checkpoint that supersedes them.
 
+use engine::{Maintenance, Step};
 use sim_disk::BlockDevice;
 use vfs::{FsError, FsResult};
 
 use crate::checkpoint::CpCause;
-use crate::cleaner::{AsyncCleanerPolicy, CleanerRunMode, VictimReason};
+use crate::cleaner::{AsyncCleanerPolicy, VictimReason};
 use crate::fs::Lfs;
 use crate::layout::summary::{ChunkCursor, ChunkSummary};
 use crate::layout::usage_block::SegState;
@@ -75,7 +78,7 @@ struct VictimProgress {
 /// The state of one incremental cleaning run, owned by [`Lfs`] between
 /// steps.
 #[derive(Debug)]
-pub struct CleanerRun {
+pub(crate) struct CleanerRun {
     policy: AsyncCleanerPolicy,
     /// Remaining relocation budget (live bytes that still fit the clean
     /// segments available when the run started).
@@ -97,17 +100,48 @@ impl CleanerRun {
 
 }
 
-/// What one [`Lfs::cleaner_step`] call did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CleanerStepOutcome {
-    /// Nothing to do: sync mode, read-only, or watermarks satisfied with
-    /// no run active.
-    Idle,
-    /// One bounded unit of work was performed; the run continues.
-    Progress,
-    /// The run just ended. If it cleaned any segment, the committing
-    /// checkpoint has landed and the segments are reusable.
-    Completed,
+/// Idle time granted to an in-flight cleaner segment read before the
+/// claiming step: roughly one policy-default read span (32 KB) at WREN
+/// IV sequential bandwidth, plus slack for the occasional seek.
+const CLEANER_READ_SERVICE_NS: u64 = 30_000_000;
+
+/// The async cleaner as a host-loop maintenance task: its policy
+/// decides whether to take each offer (idle gating sees the live queue
+/// depth), and a step that leaves a segment read in flight asks for the
+/// read's service time to pass before the claiming step, so the read
+/// overlaps foreground work as a real async cleaner's would.
+///
+/// Hosting one is the whole switch between synchronous and async
+/// cleaning: the file system holds the run between steps, and a run
+/// keeps the policy it started with.
+#[derive(Debug, Clone)]
+pub struct CleanerTask {
+    policy: AsyncCleanerPolicy,
+}
+
+impl CleanerTask {
+    /// A task whose runs start, stop and pace themselves by `policy`.
+    pub fn new(policy: AsyncCleanerPolicy) -> Self {
+        Self { policy }
+    }
+}
+
+impl<D: BlockDevice> Maintenance<Lfs<D>> for CleanerTask {
+    fn wants_step(&self, fs: &Lfs<D>, queue_depth: u64) -> bool {
+        fs.cleaner_wants_step(&self.policy, queue_depth)
+    }
+
+    fn step(&mut self, fs: &mut Lfs<D>) -> FsResult<Step> {
+        fs.cleaner_step(&self.policy)
+    }
+
+    fn active(&self, fs: &Lfs<D>) -> bool {
+        fs.cleaner_run_active()
+    }
+
+    fn settle_ns(&self, fs: &Lfs<D>) -> Option<u64> {
+        fs.cleaner_read_pending().then_some(CLEANER_READ_SERVICE_NS)
+    }
 }
 
 /// Internal result of one unit of run work.
@@ -123,7 +157,7 @@ impl<D: BlockDevice> Lfs<D> {
         self.usage.clean_count() + self.usage.segments_in_state(SegState::CleanPending).len()
     }
 
-    /// The run-start threshold, floored safely above the emergency
+    /// The run-start threshold, floored safely above the threshold
     /// cleaning floor (`reserve + 2`) so a responsive host always cleans
     /// asynchronously before a foreground operation is forced to.
     fn effective_low(&self, policy: &AsyncCleanerPolicy) -> usize {
@@ -145,14 +179,14 @@ impl<D: BlockDevice> Lfs<D> {
     }
 
     /// Segments kept in reserve so a checkpoint can always complete —
-    /// the base of the emergency cleaning floor. Hosts size async
+    /// the base of the threshold cleaning floor. Hosts size async
     /// watermarks relative to this.
     pub fn reserve_segment_count(&self) -> usize {
         self.reserve_segments
     }
 
     /// True while an incremental cleaning run is in progress.
-    pub fn cleaner_run_active(&self) -> bool {
+    pub(crate) fn cleaner_run_active(&self) -> bool {
         self.cleaner_run.is_some()
     }
 
@@ -160,19 +194,16 @@ impl<D: BlockDevice> Lfs<D> {
     /// device's async read facade, still unclaimed. Hosts use this to
     /// spend idle time letting the disk service the read, so the
     /// claiming step finds it complete instead of waiting synchronously.
-    pub fn cleaner_read_pending(&self) -> bool {
+    pub(crate) fn cleaner_read_pending(&self) -> bool {
         let victim = self.cleaner_run.as_ref().and_then(|run| run.current.as_ref());
         victim.is_some_and(|v| v.pending_read.is_some())
     }
 
-    /// Whether the host should call [`Lfs::cleaner_step`] now.
-    /// `queue_depth` is the engine's pending-request count (pass 0 for
+    /// Whether a host should call [`Lfs::cleaner_step`] now.
+    /// `queue_depth` is the engine's pending-request count (0 for
     /// devices without a queue); an idle-gated policy declines while the
-    /// queue is deeper than its bound. Always false in sync mode.
-    pub fn cleaner_wants_step(&self, queue_depth: u64) -> bool {
-        let CleanerRunMode::Async(policy) = self.cfg.cleaner.run_mode else {
-            return false;
-        };
+    /// queue is deeper than its bound.
+    pub(crate) fn cleaner_wants_step(&self, policy: &AsyncCleanerPolicy, queue_depth: u64) -> bool {
         if self.read_only {
             return false;
         }
@@ -181,27 +212,25 @@ impl<D: BlockDevice> Lfs<D> {
                 return false;
             }
         }
-        self.cleaner_run.is_some() || self.run_should_start(&policy)
+        self.cleaner_run.is_some() || self.run_should_start(policy)
     }
 
     /// Performs one bounded unit of incremental cleaning: start a run if
     /// the low watermark is crossed, claim or issue one bounded segment
     /// read, classify a bounded number of summary entries, or — when the
     /// high watermark is reached or victims run out — commit the run's
-    /// relocations with a checkpoint. Returns [`CleanerStepOutcome::Idle`]
-    /// in sync mode, so hosts may call it unconditionally.
-    pub fn cleaner_step(&mut self) -> FsResult<CleanerStepOutcome> {
-        let CleanerRunMode::Async(policy) = self.cfg.cleaner.run_mode else {
-            return Ok(CleanerStepOutcome::Idle);
-        };
+    /// relocations with a checkpoint. A run starts with `policy` and
+    /// keeps it to its end. [`Step::Completed`] means the committing
+    /// checkpoint, if the run cleaned anything, has landed.
+    pub(crate) fn cleaner_step(&mut self, policy: &AsyncCleanerPolicy) -> FsResult<Step> {
         if self.read_only {
-            return Ok(CleanerStepOutcome::Idle);
+            return Ok(Step::Idle);
         }
         if self.cleaner_run.is_none() {
-            if !self.run_should_start(&policy) {
-                return Ok(CleanerStepOutcome::Idle);
+            if !self.run_should_start(policy) {
+                return Ok(Step::Idle);
             }
-            self.cleaner_run = Some(CleanerRun::new(policy, self.relocation_budget()));
+            self.cleaner_run = Some(CleanerRun::new(*policy, self.relocation_budget()));
             self.obs.async_runs_started.inc();
             self.obs.registry.event(
                 self.clock.now_ns(),
@@ -233,7 +262,7 @@ impl<D: BlockDevice> Lfs<D> {
                 // run's clean-pending segments waits for the single
                 // committing checkpoint when the run finishes. Skipped
                 // once the clean count reaches the checkpoint reserve —
-                // a direct flush bypasses the emergency commit-pending
+                // a direct flush bypasses the floor's commit-pending
                 // path, so down there the foreground write path (which
                 // has that escape hatch) must do the draining.
                 if self.cache.dirty_count() * 2 >= self.cache.capacity_blocks()
@@ -245,7 +274,7 @@ impl<D: BlockDevice> Lfs<D> {
                     fl?;
                 }
                 self.cleaner_run = Some(run);
-                Ok(CleanerStepOutcome::Progress)
+                Ok(Step::Progress)
             }
             Ok(StepWork::Finished) => {
                 if run.cleaned > 0 {
@@ -272,7 +301,7 @@ impl<D: BlockDevice> Lfs<D> {
                     "cleaner_run",
                     format!("finish cleaned={} clean={}", run.cleaned, self.usage.clean_count()),
                 );
-                Ok(CleanerStepOutcome::Completed)
+                Ok(Step::Completed)
             }
             Err(e) => Err(e),
         }
@@ -281,7 +310,7 @@ impl<D: BlockDevice> Lfs<D> {
     /// One unit of run work.
     fn run_step(&mut self, run: &mut CleanerRun) -> FsResult<StepWork> {
         if let Some(mut v) = run.current.take() {
-            // A stale victim (an emergency synchronous pass cleaned it
+            // A stale victim (a synchronous floor pass cleaned it
             // under us) is abandoned; any in-flight read is claimed and
             // discarded so no queue is left holding it.
             if v.stale {

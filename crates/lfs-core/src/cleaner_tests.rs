@@ -27,7 +27,6 @@ fn fs_with_policy(policy: impl Into<Option<CleanerPolicy>>) -> Lfs<SimDisk> {
     if let Some(policy) = policy.into() {
         cfg.cleaner.policy = policy;
     }
-    cfg.cleaner.activate_below_clean = 0;
     Lfs::format(disk, cfg, clock).unwrap()
 }
 

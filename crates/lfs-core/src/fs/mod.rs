@@ -106,13 +106,13 @@ pub struct Lfs<D: BlockDevice> {
     /// unrecoverable corruption was found, or the mount could not reload
     /// its metadata. Mutating operations fail with [`FsError::ReadOnly`].
     pub(crate) read_only: bool,
-    /// The incremental cleaning run in progress, when the cleaner runs
-    /// in [`crate::CleanerRunMode::Async`] and a host is stepping it.
+    /// The incremental cleaning run in progress, while a host steps a
+    /// [`crate::CleanerTask`].
     pub(crate) cleaner_run: Option<crate::cleaner_run::CleanerRun>,
     /// Damping for the async cleaner: the clean+pending count at which
     /// the last run completed without cleaning anything. While the count
     /// is unchanged, starting another run would spin fruitlessly, so
-    /// [`Lfs::cleaner_wants_step`] declines.
+    /// the task declines.
     pub(crate) cleaner_futile_at: Option<usize>,
     /// Files with blocks the cleaner re-dirtied and no user write since:
     /// survivors, hence probably cold. The next flush writes them ahead
@@ -943,47 +943,32 @@ impl<D: BlockDevice> Lfs<D> {
             }
         }
 
-        // Cleaner activation: clean-segment count below threshold. The
-        // floor covers the worst case of one full cache flush plus the
-        // checkpoint that commits the cleaner's relocations. In async
-        // mode the host-stepped run handles the normal watermarks, so
-        // foreground operations only clean at the emergency floor — the
-        // point below which the next flush could wedge the log.
-        let async_mode = matches!(self.cfg.cleaner.run_mode, crate::CleanerRunMode::Async(_));
-        let activate_below = if async_mode {
-            self.reserve_segments + 2
-        } else {
-            self.cfg
-                .cleaner
-                .activate_below_clean
-                .max(self.reserve_segments + 2)
-        };
-        if self.usage.clean_count() < activate_below {
-            // An in-progress async run may be sitting on fully-cleaned
-            // segments parked in CleanPending: committing them with a
-            // checkpoint is far cheaper than synchronous cleaning, so
-            // try that first.
-            if async_mode
-                && !self
-                    .usage
-                    .segments_in_state(SegState::CleanPending)
-                    .is_empty()
+        // Cleaner activation (§4.3.4): clean-segment count below the
+        // floor, which covers the worst case of one full cache flush
+        // plus the checkpoint that commits the cleaner's relocations.
+        // Segments already cleaned and parked CleanPending (by a hosted
+        // `CleanerTask` run, or a `clean_pass` not yet committed) are
+        // committed first: a checkpoint is far cheaper than cleaning.
+        let floor = self.reserve_segments + 2;
+        if self.usage.clean_count() < floor {
+            if !self
+                .usage
+                .segments_in_state(SegState::CleanPending)
+                .is_empty()
             {
                 self.dev.set_maintenance(true);
                 let cp = self.checkpoint_as(CpCause::Clean);
                 self.dev.set_maintenance(false);
                 cp?;
             }
-            if self.usage.clean_count() < activate_below {
-                if async_mode {
-                    self.obs.async_emergency_passes.inc();
-                }
+            if self.usage.clean_count() < floor {
+                self.obs.floor_passes.inc();
                 // Threshold cleaning is maintenance work even though a
                 // foreground operation triggered it: tag its device I/O
                 // so engine accounting bills the queue waits to the
                 // maintenance class rather than the unlucky client.
                 self.dev.set_maintenance(true);
-                let result = self.clean_threshold_passes(activate_below);
+                let result = self.clean_threshold_passes(floor);
                 self.dev.set_maintenance(false);
                 result?;
             }
@@ -996,12 +981,12 @@ impl<D: BlockDevice> Lfs<D> {
     /// The activation ends at the victim that brings clean + pending
     /// segments to its target, not at the end of that victim's pass: a
     /// foreground operation is waiting on it.
-    fn clean_threshold_passes(&mut self, activate_below: usize) -> FsResult<()> {
+    fn clean_threshold_passes(&mut self, floor: usize) -> FsResult<()> {
         // Several passes share one relocation budget and one
         // checkpoint: on small segments a per-pass checkpoint would
         // cost more log space than a pass reclaims.
         self.in_maintenance = true;
-        let target = activate_below + 2;
+        let target = floor + 2;
         let mut budget = self.relocation_budget();
         let mut result = Ok(());
         for _ in 0..4 {

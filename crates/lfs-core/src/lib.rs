@@ -57,8 +57,8 @@ pub mod types;
 pub mod usage;
 pub mod util;
 
-pub use cleaner::{AsyncCleanerPolicy, CleanerConfig, CleanerPolicy, CleanerRunMode};
-pub use cleaner_run::{CleanerRun, CleanerStepOutcome};
+pub use cleaner::{AsyncCleanerPolicy, CleanerConfig, CleanerPolicy};
+pub use cleaner_run::CleanerTask;
 pub use config::LfsConfig;
 pub use fs::Lfs;
 pub use fsck::FsckReport;

@@ -55,8 +55,9 @@ obs::instruments! {
             their segment state changed.";
         async_offspindle_victims, Counter, "cleaner.async.offspindle_victims", "Async victims selected off the \
             log head's spindle.";
-        async_emergency_passes, Counter, "cleaner.async.emergency_passes", "Emergency synchronous passes taken \
-            while in async mode (the host stepped too slowly and the log neared its floor).";
+        floor_passes, Counter, "cleaner.floor_passes", "Threshold activations: a foreground operation left fewer \
+            than reserve + 2 segments clean, even after committing clean-pending ones, and cleaned inline. With a \
+            hosted CleanerTask, the activations the task did not prevent.";
         rollforward_chunks, Counter, "recovery.rollforward_chunks", "Log chunks replayed by roll-forward at the \
             last mount.";
         rollforward_inodes, Counter, "recovery.rollforward_inodes", "Inodes recovered by roll-forward at the \

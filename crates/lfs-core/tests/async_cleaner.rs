@@ -1,4 +1,4 @@
-//! Async-cleaner correctness: the incremental [`Lfs::cleaner_step`]
+//! Async-cleaner correctness: a hosted [`CleanerTask`]'s incremental
 //! state machine interleaved with foreground operations at every
 //! granularity the policy allows.
 //!
@@ -11,10 +11,11 @@
 
 use std::sync::Arc;
 
+use engine::{drain, offer, Maintenance};
 use proptest::prelude::*;
 
 use lfs_core::layout::usage_block::SegState;
-use lfs_core::{AsyncCleanerPolicy, CleanerRunMode, CleanerStepOutcome, Lfs, LfsConfig};
+use lfs_core::{AsyncCleanerPolicy, CleanerTask, Lfs, LfsConfig};
 use sim_disk::{Clock, DiskGeometry, SimDisk};
 use vfs::model::ModelFs;
 use vfs::{FileSystem, FsError};
@@ -22,19 +23,23 @@ use vfs::{FileSystem, FsError};
 /// Distinct file slots the workload churns over.
 const SLOTS: usize = 6;
 
-/// An async-mode LFS on a tiny disk where cleaning is unavoidable, with
-/// watermarks far above the segment count (the cleaner always wants to
-/// run) and minimal step caps (every mid-victim state is visited).
-fn aggressive_fs(disk_sectors: u64) -> Lfs<SimDisk> {
+/// An LFS on a tiny disk where cleaning is unavoidable.
+fn small_fs(disk_sectors: u64) -> Lfs<SimDisk> {
     let clock = Clock::new();
     let disk = SimDisk::new(DiskGeometry::tiny_test(disk_sectors), Arc::clone(&clock));
-    let mut cfg = LfsConfig::small_test();
-    cfg.cleaner.run_mode = CleanerRunMode::Async(
-        AsyncCleanerPolicy::default()
-            .with_watermarks(1 << 16, 1 << 17)
-            .with_step_caps(2, 4),
-    );
-    Lfs::format(disk, cfg, clock).unwrap()
+    Lfs::format(disk, LfsConfig::small_test(), clock).unwrap()
+}
+
+/// Watermarks far above the segment count (the cleaner always wants to
+/// run).
+fn eager_policy() -> AsyncCleanerPolicy {
+    AsyncCleanerPolicy::default().with_watermarks(1 << 16, 1 << 17)
+}
+
+/// The eager policy with minimal step caps (every mid-victim state is
+/// visited).
+fn aggressive_task() -> CleanerTask {
+    CleanerTask::new(eager_policy().with_step_caps(2, 4))
 }
 
 /// One scripted foreground operation (or a burst of cleaner steps).
@@ -141,7 +146,8 @@ proptest! {
     fn interleaved_cleaning_never_corrupts(
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
-        let mut fs = aggressive_fs(4096); // 2 MB disk, 16 KB segments
+        let mut fs = small_fs(4096); // 2 MB disk, 16 KB segments
+        let mut task = aggressive_task();
         let mut model = ModelFs::new();
 
         for (i, op) in ops.iter().enumerate() {
@@ -157,21 +163,14 @@ proptest! {
             // Interleave cleaning at the finest granularity the op
             // stream asks for — including leaving a run mid-victim.
             if let Op::Steps { n } = op {
-                for _ in 0..*n {
-                    if !fs.cleaner_wants_step(0) {
-                        break;
-                    }
-                    fs.cleaner_step().unwrap();
-                }
+                offer(&mut task, &mut fs, None, *n as u64).unwrap();
             }
 
             assert_mirror(&mut fs, &mut model, &format!("after op {i} {op:?}"));
         }
 
         // Close out: drain the run, commit, and re-verify everything.
-        while fs.cleaner_run_active() {
-            fs.cleaner_step().unwrap();
-        }
+        drain(&mut task, &mut fs).unwrap();
         fs.sync().unwrap();
         let report = fs.fsck().unwrap();
         prop_assert!(report.is_clean(), "final fsck:\n{report}");
@@ -179,13 +178,11 @@ proptest! {
     }
 }
 
-/// Sustained churn with the cleaner driven between every operation
-/// actually cleans (the property test above must not be vacuous).
-#[test]
-fn aggressive_async_cleaner_cleans_under_churn() {
-    let mut fs = aggressive_fs(2048); // 1 MB disk
-    // Four 20 KB blobs: the churn working set overflows the 64 KB cache,
-    // so every overwrite pushes garbage onto the disk for the cleaner.
+/// Overwrites four 20 KB blobs 150 times on a 1 MB disk: the churn
+/// working set overflows the 64 KB cache, so every overwrite pushes
+/// garbage onto the disk for the cleaner. A hosted `task` is offered up
+/// to 12 steps after every overwrite and drained at the end.
+fn churn(fs: &mut Lfs<SimDisk>, mut task: Option<&mut CleanerTask>) {
     let blob = vec![0xA5u8; 20_000];
     for round in 0..150 {
         let path = format!("/blob{}", round % 4);
@@ -202,47 +199,65 @@ fn aggressive_async_cleaner_cleans_under_churn() {
             }
             Err(e) => panic!("round {round}: {e}"),
         }
-        for _ in 0..12 {
-            if !fs.cleaner_wants_step(0) {
-                break;
-            }
-            fs.cleaner_step().unwrap();
+        if let Some(task) = task.as_deref_mut() {
+            offer(task, fs, None, 12).unwrap();
         }
     }
-    while fs.cleaner_run_active() {
-        fs.cleaner_step().unwrap();
+    if let Some(task) = task {
+        drain(task, fs).unwrap();
     }
     fs.sync().unwrap();
+    let report = fs.fsck().unwrap();
+    assert!(report.is_clean(), "final fsck:\n{report}");
+}
+
+/// Sustained churn with the cleaner driven between every operation
+/// actually cleans (the property test above must not be vacuous).
+#[test]
+fn aggressive_async_cleaner_cleans_under_churn() {
+    let mut fs = small_fs(2048);
+    churn(&mut fs, Some(&mut aggressive_task()));
     let stats = fs.stats();
     assert!(
         stats.segments_cleaned > 0,
         "async cleaner never cleaned a segment"
     );
     assert!(stats.async_runs_completed > 0, "no async run ever completed");
-    let report = fs.fsck().unwrap();
-    assert!(report.is_clean(), "final fsck:\n{report}");
 }
 
-/// In sync mode the incremental API is inert: `cleaner_wants_step` is
-/// always false and `cleaner_step` reports `Idle`, so hosts may call
-/// both unconditionally.
+/// Whether cleaning is asynchronous is the host's choice: the same
+/// churn with no task cleans only at the floor, inside foreground
+/// operations; hosting a task moves the cleaning into its steps, and the
+/// floor is reached less often.
 #[test]
-fn sync_mode_keeps_incremental_api_inert() {
-    let clock = Clock::new();
-    let disk = SimDisk::new(DiskGeometry::tiny_test(2048), Arc::clone(&clock));
-    let mut fs = Lfs::format(disk, LfsConfig::small_test(), clock).unwrap();
-    fs.write_file("/f", &[1u8; 4000]).unwrap();
-    assert!(!fs.cleaner_wants_step(0));
-    assert_eq!(fs.cleaner_step().unwrap(), CleanerStepOutcome::Idle);
-    assert!(!fs.cleaner_run_active());
+fn the_host_decides_whether_cleaning_is_async() {
+    let mut unhosted = small_fs(2048);
+    churn(&mut unhosted, None);
+    let alone = unhosted.stats();
+    assert_eq!(alone.async_steps, 0, "nothing hosted, yet the task stepped");
+    assert!(alone.segments_cleaned > 0, "the floor never cleaned");
+    assert!(alone.floor_passes > 0, "the churn never reached the floor");
+
+    let mut hosted = small_fs(2048);
+    churn(&mut hosted, Some(&mut CleanerTask::new(AsyncCleanerPolicy::default())));
+    let with_task = hosted.stats();
+    assert!(with_task.async_steps > 0, "the hosted task never stepped");
+    assert!(with_task.async_runs_completed > 0, "the hosted task never finished a run");
+    assert!(
+        with_task.floor_passes < alone.floor_passes,
+        "the task prevented no floor pass ({} hosted, {} alone)",
+        with_task.floor_passes,
+        alone.floor_passes
+    );
 }
 
 /// A run that finds nothing to clean (all segments live) must not be
 /// restarted at the same segment population — otherwise a host that
-/// steps whenever `cleaner_wants_step` says yes would spin forever.
+/// steps whenever the task wants a step would spin forever.
 #[test]
 fn futile_runs_are_damped() {
-    let mut fs = aggressive_fs(2048);
+    let mut fs = small_fs(2048);
+    let mut task = aggressive_task();
     // Fill with live data only: nothing is garbage, so cleaning is
     // futile even though the clean count is far below the watermark.
     for i in 0..10 {
@@ -251,14 +266,14 @@ fn futile_runs_are_damped() {
     fs.sync().unwrap();
 
     let mut steps = 0u64;
-    while fs.cleaner_wants_step(0) {
-        fs.cleaner_step().unwrap();
+    while task.wants_step(&fs, 0) {
+        task.step(&mut fs).unwrap();
         steps += 1;
         assert!(steps < 10_000, "futile cleaning never settled");
     }
     assert!(steps > 0, "cleaner never even tried");
     assert!(
-        !fs.cleaner_wants_step(0),
+        !task.wants_step(&fs, 0),
         "a futile run at an unchanged segment population must damp the next"
     );
 
@@ -270,7 +285,7 @@ fn futile_runs_are_damped() {
     for i in 0..40 {
         fs.write_file(&format!("/fresh{i}"), &[0xEEu8; 6000]).unwrap();
         fs.sync().unwrap();
-        if fs.cleaner_wants_step(0) {
+        if task.wants_step(&fs, 0) {
             released = true;
             break;
         }
@@ -285,26 +300,19 @@ fn futile_runs_are_damped() {
 /// and releases it when the queue drains.
 #[test]
 fn idle_gate_defers_until_quiet() {
-    let clock = Clock::new();
-    let disk = SimDisk::new(DiskGeometry::tiny_test(2048), Arc::clone(&clock));
-    let mut cfg = LfsConfig::small_test();
-    cfg.cleaner.run_mode = CleanerRunMode::Async(
-        AsyncCleanerPolicy::default()
-            .with_watermarks(1 << 16, 1 << 17)
-            .with_idle_gate(2),
-    );
-    let mut fs = Lfs::format(disk, cfg, clock).unwrap();
+    let mut fs = small_fs(2048);
+    let task = CleanerTask::new(eager_policy().with_idle_gate(2));
     for i in 0..6 {
         fs.write_file(&format!("/f{i}"), &[i as u8; 5000]).unwrap();
     }
     fs.sync().unwrap();
 
     assert!(
-        !fs.cleaner_wants_step(10),
+        !task.wants_step(&fs, 10),
         "gated cleaner must decline while the queue is deep"
     );
     assert!(
-        fs.cleaner_wants_step(0),
+        task.wants_step(&fs, 0),
         "gated cleaner must accept once the queue drains"
     );
 }
@@ -318,15 +326,8 @@ fn idle_gate_defers_until_quiet() {
 fn a_victim_cleaned_and_reused_under_the_run_is_abandoned() {
     // One step reads a whole victim; one summary entry is classified
     // per step after that.
-    let clock = Clock::new();
-    let disk = SimDisk::new(DiskGeometry::tiny_test(2048), Arc::clone(&clock));
-    let mut cfg = LfsConfig::small_test();
-    cfg.cleaner.run_mode = CleanerRunMode::Async(
-        AsyncCleanerPolicy::default()
-            .with_watermarks(1 << 16, 1 << 17)
-            .with_step_caps(64, 1),
-    );
-    let mut fs = Lfs::format(disk, cfg, clock).unwrap();
+    let mut fs = small_fs(2048);
+    let mut task = CleanerTask::new(eager_policy().with_step_caps(64, 1));
     let mut model = ModelFs::new();
     // Three 6000-byte files overwritten and synced one by one: a few
     // dirty segments, every one a candidate victim.
@@ -347,9 +348,9 @@ fn a_victim_cleaned_and_reused_under_the_run_is_abandoned() {
     // Start a run and leave it midway through classifying its first
     // victim's image.
     for _ in 0..4 {
-        fs.cleaner_step().unwrap();
+        task.step(&mut fs).unwrap();
     }
-    assert!(fs.cleaner_run_active());
+    assert!(task.active(&fs));
 
     // Clean every dirty segment synchronously (the victim among them),
     // commit, then churn until each is dirty again with new contents.
@@ -373,9 +374,7 @@ fn a_victim_cleaned_and_reused_under_the_run_is_abandoned() {
         i += 1;
     }
 
-    while fs.cleaner_run_active() {
-        fs.cleaner_step().unwrap();
-    }
+    drain(&mut task, &mut fs).unwrap();
     fs.sync().unwrap();
     let aborted = fs.obs().snapshot().counter("cleaner.async.victims_aborted");
     assert_eq!(aborted, 1, "the stale victim was finished, not abandoned");

@@ -160,13 +160,10 @@ fn threshold_activation_stops_at_its_target_and_explicit_cleaning_does_not() {
     let disk = SimDisk::new(DiskGeometry::tiny_test(4096), Arc::clone(&clock));
     let cfg = LfsConfig::small_test();
     let per_pass = cfg.cleaner.segments_per_pass;
-    let mut fs = Lfs::format(disk, cfg.clone(), clock).unwrap();
+    let mut fs = Lfs::format(disk, cfg, clock).unwrap();
     // What `maybe_writeback` aims an activation at.
-    let activate_below = cfg
-        .cleaner
-        .activate_below_clean
-        .max(fs.reserve_segment_count() + 2);
-    let target = activate_below + 2;
+    let floor = fs.reserve_segment_count() + 2;
+    let target = floor + 2;
 
     // One short-lived, synced, segment-sized file per round: the log
     // fills with nearly empty dirty segments, so every victim is worth
@@ -214,10 +211,7 @@ fn threshold_activation_stops_at_its_target_and_explicit_cleaning_does_not() {
     // Explicit cleaning is not bounded by that target: a pass takes its
     // full complement, `clean_until` goes where it is told.
     let clean = fs.usage_table().clean_count();
-    assert!(
-        clean >= activate_below,
-        "the activation restored the reserve"
-    );
+    assert!(clean >= floor, "the activation restored the reserve");
     let outcome = fs.clean_pass().unwrap();
     assert_eq!(
         outcome.segments, per_pass,

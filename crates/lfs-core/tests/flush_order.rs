@@ -13,13 +13,11 @@ use lfs_core::{Lfs, LfsConfig};
 use sim_disk::{AccessKind, BlockDevice, Clock, DiskGeometry, SimDisk};
 use vfs::{FileSystem, Ino};
 
-/// A small-test file system whose cleaner only runs when told to.
-fn manual_fs() -> Lfs<SimDisk> {
+/// A small-test file system on a 2 MB disk.
+fn small_fs() -> Lfs<SimDisk> {
     let clock = Clock::new();
     let disk = SimDisk::new(DiskGeometry::tiny_test(4096), Arc::clone(&clock));
-    let mut cfg = LfsConfig::small_test();
-    cfg.cleaner.activate_below_clean = 0;
-    Lfs::format(disk, cfg, clock).unwrap()
+    Lfs::format(disk, LfsConfig::small_test(), clock).unwrap()
 }
 
 /// Runs one write-back and returns the data blocks it logged, in log
@@ -54,7 +52,7 @@ fn data_blocks_of_next_flush(fs: &mut Lfs<SimDisk>) -> Vec<(Ino, u32)> {
 
 #[test]
 fn fresh_data_is_written_in_ascending_ino_and_block_order() {
-    let mut fs = manual_fs();
+    let mut fs = small_fs();
     // Dirty the files in an order that is neither ino nor age order,
     // some of them twice, none of them ever touched by the cleaner.
     let bs = fs.block_size();
@@ -80,7 +78,7 @@ fn fresh_data_is_written_in_ascending_ino_and_block_order() {
 
 #[test]
 fn relocated_blocks_are_written_before_fresh_ones_oldest_first() {
-    let mut fs = manual_fs();
+    let mut fs = small_fs();
     let bs = fs.block_size();
     let blob = |tag: u8| vec![tag; 4 * bs];
     // Cold files interleaved with filler, so that deleting the filler

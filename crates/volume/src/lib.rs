@@ -28,5 +28,5 @@ pub mod volume;
 
 pub use health::{HealthEvent, HealthMonitor, HealthPolicy, HealthState};
 pub use policy::{StripeLayout, StripePolicyKind, SubRequest};
-pub use rebuild::{RebuildPolicy, RebuildProgress, RebuildRun, SpindleState};
+pub use rebuild::{RebuildPolicy, RebuildRun, SpindleState};
 pub use volume::{StripedVolume, VolumeConfig, VolumeDisk};

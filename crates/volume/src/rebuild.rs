@@ -38,8 +38,9 @@ pub enum SpindleState {
 /// only while every spindle queue is empty.
 #[derive(Debug, Clone, Copy)]
 pub struct RebuildPolicy {
-    /// Most chunk rows reconstructed per [`RebuildProgress`] step (the
-    /// step cap bounding how long the spindles are busy per step).
+    /// Most chunk rows reconstructed per
+    /// [`crate::StripedVolume::rebuild_step`] (the step cap bounding how
+    /// long the spindles are busy per step).
     pub max_step_rows: usize,
 }
 
@@ -55,20 +56,6 @@ impl RebuildPolicy {
         self.max_step_rows = rows;
         self
     }
-}
-
-/// What one [`crate::StripedVolume::rebuild_step`] call accomplished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RebuildProgress {
-    /// No rebuild is in progress.
-    Idle,
-    /// Reconstructed and wrote this many chunk rows; more remain.
-    Progress {
-        /// Rows copied in this step.
-        rows: u64,
-    },
-    /// The final rows landed; the spindle is back online.
-    Completed,
 }
 
 /// The in-flight rebuild of one replaced spindle: a cursor walking the

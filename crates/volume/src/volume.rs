@@ -50,7 +50,7 @@ use vfs::FsResult;
 
 use crate::health::{HealthEvent, HealthMonitor, HealthPolicy, HealthState};
 use crate::policy::{StripeLayout, StripePolicyKind, SubRequest};
-use crate::rebuild::{RebuildPolicy, RebuildProgress, RebuildRun, SpindleState};
+use crate::rebuild::{RebuildPolicy, RebuildRun, SpindleState};
 
 /// Parameters of a striped volume.
 #[derive(Debug, Clone)]
@@ -726,17 +726,19 @@ impl StripedVolume {
     /// the same engine queues foreground requests use. Every physical
     /// row — data or parity — is the XOR of the same row on the
     /// surviving spindles, so the rebuild needs no role bookkeeping.
-    pub fn rebuild_step(&mut self) -> DiskResult<RebuildProgress> {
+    /// [`Step::Idle`] when no rebuild is in progress, [`Step::Completed`]
+    /// when the final rows landed and the spindle is back online.
+    pub fn rebuild_step(&mut self) -> DiskResult<Step> {
         if self.crashed {
             return Err(DiskError::Crashed);
         }
         let Some(run) = self.rebuild.as_mut() else {
-            return Ok(RebuildProgress::Idle);
+            return Ok(Step::Idle);
         };
         let target = run.spindle();
         let (first, rows) = run.claim_step();
         if rows == 0 {
-            return Ok(RebuildProgress::Idle);
+            return Ok(Step::Idle);
         }
         let chunk = self.layout.chunk_sectors;
         self.set_maintenance(true);
@@ -777,9 +779,9 @@ impl StripedVolume {
                 format!("spindle {target} rebuilt, back online"),
             );
             self.update_balance();
-            return Ok(RebuildProgress::Completed);
+            return Ok(Step::Completed);
         }
-        Ok(RebuildProgress::Progress { rows })
+        Ok(Step::Progress)
     }
 
     /// Recomputes parity from the data chunks on every row, closing the
@@ -1675,11 +1677,7 @@ impl<Cx: ?Sized> Maintenance<Cx> for VolumeDisk {
     }
 
     fn step(&mut self, _cx: &mut Cx) -> FsResult<Step> {
-        Ok(match self.0.borrow_mut().rebuild_step()? {
-            RebuildProgress::Idle => Step::Idle,
-            RebuildProgress::Progress { .. } => Step::Progress,
-            RebuildProgress::Completed => Step::Completed,
-        })
+        Ok(self.0.borrow_mut().rebuild_step()?)
     }
 
     fn active(&self, _cx: &Cx) -> bool {

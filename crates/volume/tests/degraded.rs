@@ -5,11 +5,11 @@
 
 use std::sync::Arc;
 
-use engine::EngineConfig;
+use engine::{EngineConfig, Step};
 use sim_disk::{
     BlockDevice, Clock, DiskError, DiskGeometry, MediaFaultPlan, RamDisk, SECTOR_SIZE,
 };
-use volume::{RebuildPolicy, RebuildProgress, SpindleState, StripedVolume, VolumeConfig};
+use volume::{RebuildPolicy, SpindleState, StripedVolume, VolumeConfig};
 
 const SPINDLE_SECTORS: u64 = 4_096;
 const CHUNK_SECTORS: u64 = 8;
@@ -58,6 +58,11 @@ fn assert_matches_mirror(vol: &mut StripedVolume, mirror: &mut RamDisk, context:
         mirror.read(sector, &mut want).unwrap();
         assert_eq!(got, want, "read [{sector}, +{sectors}) diverged {context}");
     }
+}
+
+/// Stripe rows the volume's rebuilds have regenerated so far.
+fn rebuilt_rows(vol: &StripedVolume) -> u64 {
+    vol.obs().snapshot().counter("volume.rebuild.rows")
 }
 
 /// A dead spindle is invisible to reads: every byte reconstructs from
@@ -128,13 +133,13 @@ fn rebuild_completes_and_restores_single_fault_tolerance() {
 
     let mut steps = 0u64;
     loop {
-        match vol.rebuild_step().unwrap() {
-            RebuildProgress::Completed => break,
-            RebuildProgress::Progress { rows } => {
-                assert!(rows > 0);
-                steps += 1;
-            }
-            RebuildProgress::Idle => panic!("rebuild went idle before completing"),
+        let before = rebuilt_rows(&vol);
+        let step = vol.rebuild_step().unwrap();
+        assert!(rebuilt_rows(&vol) > before, "a step copied no rows");
+        match step {
+            Step::Completed => break,
+            Step::Progress => steps += 1,
+            Step::Idle => panic!("rebuild went idle before completing"),
         }
     }
     assert_eq!(vol.spindle_state(1), SpindleState::Online);
@@ -176,7 +181,7 @@ fn async_read_claimed_after_kill_replace_and_rebuild_reconstructs() {
             .expect("a single-chunk range maps to one spindle");
         vol.kill_spindle(victim);
         vol.replace_spindle(victim, RebuildPolicy::default()).unwrap();
-        while vol.rebuild_step().unwrap() != RebuildProgress::Completed {}
+        while vol.rebuild_step().unwrap() != Step::Completed {}
         assert_eq!(vol.spindle_state(victim), SpindleState::Online);
 
         let mut want = vec![0u8; CHUNK_BYTES];
@@ -211,11 +216,11 @@ fn rebuild_idle_gate_follows_the_queue_depth() {
     vol.flush().unwrap();
     assert!(vol.rebuild_wants_step(), "drained queues should reopen the gate");
 
+    let before = rebuilt_rows(&vol);
+    assert_eq!(vol.rebuild_step().unwrap(), Step::Progress);
     assert_eq!(
-        vol.rebuild_step().unwrap(),
-        RebuildProgress::Progress {
-            rows: RebuildPolicy::default().max_step_rows as u64
-        }
+        rebuilt_rows(&vol) - before,
+        RebuildPolicy::default().max_step_rows as u64
     );
     assert!(vol.rebuild().is_some());
     assert_matches_mirror(&mut vol, &mut mirror, "mid-rebuild");

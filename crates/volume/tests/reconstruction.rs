@@ -7,11 +7,12 @@
 //! spindle in turn.
 
 
+use engine::Step;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
 use sim_disk::{BlockDevice, Clock, DiskGeometry, RamDisk, SECTOR_SIZE};
-use volume::{RebuildPolicy, RebuildProgress, SpindleState, StripedVolume, VolumeConfig};
+use volume::{RebuildPolicy, SpindleState, StripedVolume, VolumeConfig};
 
 const SPINDLE_SECTORS: u64 = 1_024;
 const CHUNK_SECTORS: u64 = 8;
@@ -97,7 +98,7 @@ proptest! {
             RebuildPolicy::default().with_max_step_rows(64),
         )
         .unwrap();
-        while vol.rebuild_step().unwrap() != RebuildProgress::Completed {}
+        while vol.rebuild_step().unwrap() != Step::Completed {}
         prop_assert_eq!(vol.spindle_state(dead), SpindleState::Online);
 
         let mut got = vec![0u8; capacity as usize * SECTOR_SIZE];

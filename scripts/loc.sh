@@ -19,8 +19,8 @@
 #
 #   fields    `    pub <name>:` lines of every top-level
 #             `pub struct <X>{Config,Policy,Spec} {`
-#   <Enum>    variants of StripePolicyKind, CachePolicy, CleanerPolicy,
-#             CleanerRunMode (one-indent lines that open with a capital)
+#   <Enum>    variants of StripePolicyKind, CachePolicy, CleanerPolicy
+#             (one-indent lines that open with a capital)
 #   <Trait>   `fn` items of FileSystem, BlockDevice, NodeStore,
 #             RequestEngine
 #   instruments  `<field>, Counter|Gauge|Hist, "<name>", …` lines of the
@@ -33,17 +33,17 @@ if [ "${1:-}" = "--knobs" ]; then
     find crates/*/src src -name '*.rs' | grep -v -e '^crates/proptest/' -e '^crates/rand/' |
         LC_ALL=C sort | xargs awk '
     /^pub struct [A-Za-z0-9]*(Config|Policy|Spec) *\{/ { kind = "fields"; structs++; next }
-    /^pub enum (StripePolicyKind|CachePolicy|CleanerPolicy|CleanerRunMode) *\{/ { kind = $3; next }
+    /^pub enum (StripePolicyKind|CachePolicy|CleanerPolicy) *\{/ { kind = $3; next }
     /^pub trait (FileSystem|BlockDevice|NodeStore|RequestEngine)[ :<{]/ { kind = $3; sub(/[:<{].*/, "", kind); next }
     /^\}/ { kind = ""; next }
     kind == "fields" && /^    pub [a-z_0-9]+:/ { n[kind]++ }
-    kind ~ /Kind$|Policy$|Mode$/ && /^    [A-Z][A-Za-z0-9]*/ { n[kind]++ }
+    kind ~ /Kind$|Policy$/ && /^    [A-Z][A-Za-z0-9]*/ { n[kind]++ }
     kind ~ /^(FileSystem|BlockDevice|NodeStore|RequestEngine)$/ && /^    fn / { n[kind]++ }
     /^ +[a-z_0-9]+, (Counter|Gauge|Hist), "/ { n["instruments"]++ }
     END {
         printf "fields           %3d  (pub fields of %d *Config/*Policy/*Spec structs)\n", n["fields"], structs
-        split("StripePolicyKind CachePolicy CleanerPolicy CleanerRunMode FileSystem BlockDevice NodeStore RequestEngine", order, " ")
-        for (i = 1; i <= 8; i++) printf "%-16s %3d\n", order[i], n[order[i]]
+        split("StripePolicyKind CachePolicy CleanerPolicy FileSystem BlockDevice NodeStore RequestEngine", order, " ")
+        for (i = 1; i <= 7; i++) printf "%-16s %3d\n", order[i], n[order[i]]
         printf "instruments      %3d\n", n["instruments"]
     }'
     printf "KNOBS lines      %3d\n" "$(grep -c '^[A-Za-z]' bench-baseline/KNOBS)"

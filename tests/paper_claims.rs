@@ -176,8 +176,7 @@ fn fig4_random_write_behaviour() {
 #[test]
 fn fig5_cleaning_rate_decreases_with_utilization() {
     let rate_at = |keep_tenths: u32| -> f64 {
-        let mut cfg = LfsConfig::paper().with_cache_bytes(2 * 1024 * 1024);
-        cfg.cleaner.activate_below_clean = 0;
+        let cfg = LfsConfig::paper().with_cache_bytes(2 * 1024 * 1024);
         let clock = Clock::new();
         let disk = SimDisk::new(
             DiskGeometry::wren_iv().with_sectors(48 * 2048),
