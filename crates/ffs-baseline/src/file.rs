@@ -17,7 +17,7 @@ use vfs::names::NameIndex;
 use vfs::namespace::{copy_cost, file_block, NodeStore, NodeView, OpHists};
 use vfs::{FileKind, FsError, FsResult, Ino};
 
-use crate::fs::{CachedInode, Ffs};
+use crate::fs::Ffs;
 use crate::layout::{FfsAddr, FfsInode, NIL};
 
 impl<D: BlockDevice> Ffs<D> {
@@ -206,7 +206,7 @@ impl<D: BlockDevice> NodeStore for Ffs<D> {
 
     fn node(&mut self, ino: Ino) -> FsResult<NodeView> {
         self.ensure_inode(ino)?;
-        Ok(self.inodes[&ino].inode.view())
+        Ok(self.inodes.get(ino).expect("ensured").view())
     }
 
     fn set_nlink(&mut self, ino: Ino, nlink: u16) -> FsResult<()> {
@@ -218,12 +218,12 @@ impl<D: BlockDevice> NodeStore for Ffs<D> {
         let (parent_cg, _) = self.sb.ino_location(parent)?;
         let ino = self.alloc.alloc_inode(parent_cg)?;
         let inode = FfsInode::new(ino, kind, self.now());
-        self.inodes.insert(ino, CachedInode { inode, dirty: true });
+        self.inodes.insert(ino, inode, true);
         Ok(ino)
     }
 
     fn unalloc_node(&mut self, ino: Ino) {
-        self.inodes.remove(&ino);
+        self.inodes.remove(ino);
         let _ = self.alloc.free_inode(ino);
     }
 
@@ -390,7 +390,7 @@ impl<D: BlockDevice> NodeStore for Ffs<D> {
     /// unlink behaviour).
     fn destroy_node(&mut self, ino: Ino) -> FsResult<()> {
         self.do_truncate(ino, 0)?;
-        self.inodes.remove(&ino);
+        self.inodes.remove(ino);
         self.alloc.free_inode(ino)?;
         self.cache.remove_owner(Owner::File(ino));
         self.write_inode_to_table(ino, true)?;

@@ -1,9 +1,8 @@
 //! The mounted FFS volume: state, metadata I/O, and delayed write-back.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use mem_mgr::{BlockKey, CacheReport, MemConfig, MemMgr, Owner, WritebackPolicy};
+use mem_mgr::{BlockKey, CacheReport, InodeTable, MemConfig, MemMgr, Owner, WritebackPolicy};
 use sim_disk::{BlockDevice, Clock, CpuCost, CpuModel};
 use vfs::blockmap;
 use vfs::names::NameIndex;
@@ -16,13 +15,6 @@ use crate::layout::{FfsAddr, FfsInode, FfsSuperblock, INODE_SIZE, NIL};
 
 /// Metadata cache namespace: inode-table and bitmap blocks, by address.
 pub(crate) const NS_META: u32 = 1;
-
-/// An in-memory inode with its dirty flag.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedInode {
-    pub inode: FfsInode,
-    pub dirty: bool,
-}
 
 obs::instruments! {
     /// Registry-backed instruments: one counter per [`FfsStats`] field.
@@ -52,7 +44,8 @@ pub struct Ffs<D: BlockDevice> {
     pub(crate) cpu: CpuModel,
     pub(crate) cache: MemMgr,
     pub(crate) alloc: Allocator,
-    pub(crate) inodes: HashMap<Ino, CachedInode>,
+    /// The in-memory inode table, inside the cache's budget as in LFS.
+    pub(crate) inodes: InodeTable<FfsInode>,
     pub(crate) obs: FfsObs,
     /// Per-operation latency histograms, shared with LFS (same `op.*`
     /// names, so both export through one schema).
@@ -74,13 +67,8 @@ impl<D: BlockDevice> Ffs<D> {
         let root = fs.alloc.alloc_inode(0)?;
         debug_assert_eq!(root, Ino::ROOT);
         let now = fs.clock.now_ns();
-        fs.inodes.insert(
-            Ino::ROOT,
-            CachedInode {
-                inode: FfsInode::new(Ino::ROOT, FileKind::Directory, now),
-                dirty: true,
-            },
-        );
+        let root = FfsInode::new(Ino::ROOT, FileKind::Directory, now);
+        fs.inodes.insert(Ino::ROOT, root, true);
         fs.write_inode_to_table(Ino::ROOT, true)?;
         fs.flush_bitmaps(true)?;
         fs.mark_superblock(false)?;
@@ -145,7 +133,7 @@ impl<D: BlockDevice> Ffs<D> {
             cpu,
             cache,
             alloc,
-            inodes: HashMap::new(),
+            inodes: InodeTable::new(INODE_SIZE, &registry),
             obs: FfsObs::new(&registry),
             ops: OpHists::new(&registry),
             names: NameIndex::new(&registry),
@@ -162,9 +150,12 @@ impl<D: BlockDevice> Ffs<D> {
     }
 
     /// A point-in-time report of the memory manager: pool sizes,
-    /// traffic counters, and per-client residency attribution.
+    /// traffic counters, per-client residency attribution, and the
+    /// inode table it pays for.
     pub fn cache_report(&self) -> CacheReport {
-        self.cache.report()
+        let mut report = self.cache.report();
+        self.inodes.report_into(&self.cache, &mut report);
+        report
     }
 
     /// Replaces the CPU model (CPU-scaling experiments).
@@ -257,32 +248,31 @@ impl<D: BlockDevice> Ffs<D> {
     // ------------------------------------------------------------------
 
     pub(crate) fn ensure_inode(&mut self, ino: Ino) -> FsResult<()> {
-        if self.inodes.contains_key(&ino) {
+        if self.inodes.touch(ino) {
             return Ok(());
         }
         if !self.alloc.is_inode_allocated(ino) {
             return Err(FsError::NotFound);
         }
         let (block_addr, offset) = self.sb.inode_slot(ino)?;
+        if !self.cache.contains(BlockKey::meta(NS_META, block_addr as u64)) {
+            // fsck's scan, the only maintenance I/O, reads the inode
+            // table itself; a table miss is always foreground.
+            self.inodes.note_block_reads(1, false);
+        }
         let block = self.read_meta_block(block_addr)?;
         let inode = FfsInode::decode_slot(&block[offset..offset + INODE_SIZE])?
             .ok_or(FsError::Corrupt("allocated inode slot is empty"))?;
         if inode.ino != ino {
             return Err(FsError::Corrupt("FFS inode number mismatch"));
         }
-        self.inodes.insert(
-            ino,
-            CachedInode {
-                inode,
-                dirty: false,
-            },
-        );
+        self.inodes.insert(ino, inode, false);
         Ok(())
     }
 
     pub(crate) fn inode(&mut self, ino: Ino) -> FsResult<FfsInode> {
         self.ensure_inode(ino)?;
-        Ok(self.inodes[&ino].inode.clone())
+        Ok(self.inodes.get(ino).expect("ensured").clone())
     }
 
     pub(crate) fn with_inode_mut<R>(
@@ -291,17 +281,15 @@ impl<D: BlockDevice> Ffs<D> {
         f: impl FnOnce(&mut FfsInode) -> R,
     ) -> FsResult<R> {
         self.ensure_inode(ino)?;
-        let slot = self.inodes.get_mut(&ino).unwrap();
-        slot.dirty = true;
-        Ok(f(&mut slot.inode))
+        Ok(f(self.inodes.get_mut(ino).expect("ensured")))
     }
 
     /// Writes an inode into its fixed table slot. With `sync`, this is
     /// the synchronous metadata write of Figure 1.
     pub(crate) fn write_inode_to_table(&mut self, ino: Ino, sync: bool) -> FsResult<()> {
         let (block_addr, offset) = self.sb.inode_slot(ino)?;
-        let encoded = match self.inodes.get(&ino) {
-            Some(cached) => cached.inode.encode(),
+        let encoded = match self.inodes.get(ino) {
+            Some(inode) => inode.encode(),
             // A freed inode: zero its slot.
             None => vec![0u8; INODE_SIZE],
         };
@@ -318,9 +306,7 @@ impl<D: BlockDevice> Ffs<D> {
         } else {
             self.obs.delayed_inode_writes.inc();
         }
-        if let Some(cached) = self.inodes.get_mut(&ino) {
-            cached.dirty = false;
-        }
+        self.inodes.mark_clean(ino);
         Ok(())
     }
 
@@ -385,13 +371,7 @@ impl<D: BlockDevice> Ffs<D> {
 
         // Dirty inodes, grouped by inode-table block so co-located inodes
         // cost one write (as the real FFS buffer cache would).
-        let mut dirty_inos: Vec<Ino> = self
-            .inodes
-            .iter()
-            .filter(|(_, c)| c.dirty)
-            .map(|(&ino, _)| ino)
-            .collect();
-        dirty_inos.sort();
+        let dirty_inos: Vec<Ino> = self.inodes.dirty_inos().collect();
         let mut by_block: Vec<(FfsAddr, Vec<Ino>)> = Vec::new();
         for ino in dirty_inos {
             let (block_addr, _) = self.sb.inode_slot(ino)?;
@@ -404,7 +384,7 @@ impl<D: BlockDevice> Ffs<D> {
             let mut block = self.read_meta_block(block_addr)?;
             for &ino in &inos {
                 let (_, offset) = self.sb.inode_slot(ino)?;
-                let encoded = self.inodes[&ino].inode.encode();
+                let encoded = self.inodes.get(ino).expect("dirty inodes are resident").encode();
                 block[offset..offset + INODE_SIZE].copy_from_slice(&encoded);
             }
             self.cache.insert_clean(
@@ -415,9 +395,7 @@ impl<D: BlockDevice> Ffs<D> {
             self.dev.write(self.sector_of(block_addr), &block, false)?;
             self.obs.delayed_inode_writes.inc();
             for ino in inos {
-                if let Some(cached) = self.inodes.get_mut(&ino) {
-                    cached.dirty = false;
-                }
+                self.inodes.mark_clean(ino);
             }
         }
 
@@ -452,6 +430,7 @@ impl<D: BlockDevice> Ffs<D> {
         if self.cache.writeback_trigger(now).is_some() {
             self.flush_all()?;
         }
+        self.inodes.bound(&mut self.cache, now);
         Ok(())
     }
 }

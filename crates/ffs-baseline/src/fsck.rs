@@ -132,13 +132,7 @@ impl<D: BlockDevice> Ffs<D> {
             // alloc_inode scans; instead poke via load path: re-mark by
             // allocating the specific bit through the bitmap round trip.
             self.mark_inode_allocated(inode.ino);
-            self.inodes.insert(
-                inode.ino,
-                crate::fs::CachedInode {
-                    inode: inode.clone(),
-                    dirty: false,
-                },
-            );
+            self.inodes.insert(inode.ino, inode.clone(), false);
         }
         // With a fan-out, front-load the cache misses passes 2 and 3
         // are about to take: indirect blocks and directory data, read

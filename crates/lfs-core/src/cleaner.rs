@@ -36,7 +36,7 @@ use vfs::blockmap::{self, idx_dchild, IDX_DTOP, IDX_SINGLE};
 use vfs::{FsResult, Ino};
 
 use crate::checkpoint::CpCause;
-use crate::fs::{CachedInode, Lfs};
+use crate::fs::Lfs;
 use crate::layout::inode::inode_block;
 use crate::layout::summary::{self, BlockKind};
 use crate::layout::usage_block::SegState;
@@ -327,10 +327,10 @@ impl<D: BlockDevice> Lfs<D> {
                 return Ok(clean);
             }
             self.in_maintenance = true;
-            self.dev.set_maintenance(true);
+            self.set_maintenance_io(true);
             let outcome = self.clean_pass();
             let cp = outcome.is_ok().then(|| self.checkpoint_as(CpCause::Clean));
-            self.dev.set_maintenance(false);
+            self.set_maintenance_io(false);
             self.in_maintenance = false;
             let outcome = outcome?;
             cp.transpose()?;
@@ -416,12 +416,8 @@ impl<D: BlockDevice> Lfs<D> {
                         continue;
                     }
                     live += 1;
-                    match self.inodes.get_mut(&inode.ino) {
-                        Some(cached) => cached.dirty = true,
-                        None => {
-                            self.inodes
-                                .insert(inode.ino, CachedInode { inode, dirty: true });
-                        }
+                    if !self.inodes.mark_dirty(inode.ino) {
+                        self.inodes.insert(inode.ino, inode, true);
                     }
                 }
                 Ok((0, live))
@@ -480,12 +476,10 @@ impl<D: BlockDevice> Lfs<D> {
             if self.imap.get(ino)?.addr != addr {
                 continue;
             }
-            match self.inodes.get_mut(&ino) {
-                Some(cached) => {
-                    cached.dirty = true;
-                    recovered += 1;
-                }
-                None => lost += 1,
+            if self.inodes.mark_dirty(ino) {
+                recovered += 1;
+            } else {
+                lost += 1;
             }
         }
         Ok((recovered, lost))

@@ -19,7 +19,7 @@ use vfs::names::NameIndex;
 use vfs::namespace::{copy_cost, file_block, NodeStore, NodeView, OpHists};
 use vfs::{FileKind, FsError, FsResult, Ino};
 
-use super::{CachedInode, Lfs};
+use super::Lfs;
 use crate::layout::inode::Inode;
 use crate::types::BlockAddr;
 
@@ -268,7 +268,7 @@ impl<D: BlockDevice> NodeStore for Lfs<D> {
 
     fn node(&mut self, ino: Ino) -> FsResult<NodeView> {
         self.ensure_inode(ino)?;
-        Ok(self.inodes[&ino].inode.view())
+        Ok(self.inodes.get(ino).expect("ensured").view())
     }
 
     fn set_nlink(&mut self, ino: Ino, nlink: u16) -> FsResult<()> {
@@ -281,12 +281,12 @@ impl<D: BlockDevice> NodeStore for Lfs<D> {
         let now = self.now();
         let version = self.imap.get(ino)?.version;
         let inode = Inode::new(ino, kind, version, now);
-        self.inodes.insert(ino, CachedInode { inode, dirty: true });
+        self.inodes.insert(ino, inode, true);
         Ok(ino)
     }
 
     fn unalloc_node(&mut self, ino: Ino) {
-        self.inodes.remove(&ino);
+        self.inodes.remove(ino);
         let _ = self.imap.free(ino);
     }
 
@@ -499,7 +499,7 @@ impl<D: BlockDevice> NodeStore for Lfs<D> {
             self.retire(entry.addr, crate::types::INODE_SIZE as u64);
         }
         self.imap.free(ino)?;
-        self.inodes.remove(&ino);
+        self.inodes.remove(ino);
         self.cache.remove_owner(Owner::File(ino));
         Ok(())
     }

@@ -25,10 +25,12 @@ mod ops;
 #[cfg(test)]
 mod tests;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use mem_mgr::{BlockKey, CacheReport, FlushCause, MemConfig, MemMgr, Owner, WritebackTrigger};
+use mem_mgr::{
+    BlockKey, CacheReport, FlushCause, InodeTable, MemConfig, MemMgr, Owner, WritebackTrigger,
+};
 use sim_disk::{BlockDevice, Clock, CpuCost, CpuModel};
 use vfs::blockmap::{is_data_idx, IDX_DCHILD_BASE, IDX_DTOP, IDX_SINGLE};
 use vfs::names::NameIndex;
@@ -50,13 +52,6 @@ use crate::usage::UsageTable;
 /// Metadata cache namespace for inode blocks, keyed by disk address.
 pub(crate) const NS_INODE_BLOCKS: u32 = 1;
 
-/// An in-memory inode with its dirty flag.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedInode {
-    pub inode: Inode,
-    pub dirty: bool,
-}
-
 /// A mounted log-structured file system over a block device.
 ///
 /// Create one with [`Lfs::format`] (new volume) or [`Lfs::mount`]
@@ -71,10 +66,9 @@ pub struct Lfs<D: BlockDevice> {
     pub(crate) cache: MemMgr,
     pub(crate) imap: Imap,
     pub(crate) usage: UsageTable,
-    /// The in-memory inode table, ordered by ino: every walk of it
-    /// (flush order, the table bound's victims) is ascending, hence
-    /// the same in every process.
-    pub(crate) inodes: BTreeMap<Ino, CachedInode>,
+    /// The in-memory inode table, inside the cache's budget (DESIGN
+    /// §5.7).
+    pub(crate) inodes: InodeTable<Inode>,
     pub(crate) pos: LogPosition,
     pub(crate) cp_serial: u64,
     /// Next checkpoint goes to region B when true.
@@ -95,6 +89,8 @@ pub struct Lfs<D: BlockDevice> {
     /// Set while a flush runs, so the synchronous reads it issues itself
     /// are counted as the flush's (`log.flush_sync_reads`).
     flushing: bool,
+    /// The I/O class last set on the device: true while maintenance.
+    pub(crate) maintenance_io: bool,
     /// Segments kept in reserve so a checkpoint can always complete.
     pub(crate) reserve_segments: usize,
     /// Expected end-to-end CRC-32C of every device block this mount has
@@ -148,13 +144,7 @@ impl<D: BlockDevice> Lfs<D> {
         fs.imap.allocate_specific(Ino::ROOT)?;
         let now = fs.clock.now_ns();
         let root = Inode::new(Ino::ROOT, FileKind::Directory, 0, now);
-        fs.inodes.insert(
-            Ino::ROOT,
-            CachedInode {
-                inode: root,
-                dirty: true,
-            },
-        );
+        fs.inodes.insert(Ino::ROOT, root, true);
         // The initial checkpoint makes the empty file system mountable.
         fs.checkpoint_as(CpCause::Mount)?;
         Ok(fs)
@@ -196,7 +186,7 @@ impl<D: BlockDevice> Lfs<D> {
             cache,
             imap,
             usage,
-            inodes: BTreeMap::new(),
+            inodes: InodeTable::new(INODE_SIZE, &registry),
             pos: LogPosition {
                 seg: SegNo(0),
                 offset: 0,
@@ -212,6 +202,7 @@ impl<D: BlockDevice> Lfs<D> {
             names: NameIndex::new(&registry),
             in_maintenance: false,
             flushing: false,
+            maintenance_io: false,
             reserve_segments: reserve,
             block_crc: vec![None; total_blocks],
             read_only: false,
@@ -260,9 +251,12 @@ impl<D: BlockDevice> Lfs<D> {
 
     /// A point-in-time report of the memory manager: pool sizes, the
     /// write/read boundary, traffic counters, flush efficiency, and
-    /// per-client residency/hit attribution.
+    /// per-client residency/hit attribution, and the inode table it
+    /// pays for.
     pub fn cache_report(&self) -> CacheReport {
-        self.cache.report()
+        let mut report = self.cache.report();
+        self.inodes.report_into(&self.cache, &mut report);
+        report
     }
 
     /// Forces the memory manager's write-buffer target to `blocks`
@@ -326,6 +320,13 @@ impl<D: BlockDevice> Lfs<D> {
     /// Current virtual time.
     pub(crate) fn now(&self) -> u64 {
         self.clock.now_ns()
+    }
+
+    /// Sets the device's I/O class: maintenance (cleaning, checkpoints,
+    /// recovery, scrub) or foreground.
+    pub(crate) fn set_maintenance_io(&mut self, on: bool) {
+        self.maintenance_io = on;
+        self.dev.set_maintenance(on);
     }
 
     /// Charges CPU work to the virtual clock.
@@ -436,9 +437,12 @@ impl<D: BlockDevice> Lfs<D> {
     // Inode table.
     // ------------------------------------------------------------------
 
-    /// Ensures `ino` is loaded in the inode table.
+    /// Ensures `ino` is loaded in the inode table. A miss reads the
+    /// inode's block and keeps every other live inode in it too, at the
+    /// cold end of the table's recency order: one read serves a whole
+    /// flush's worth of neighbours.
     pub(crate) fn ensure_inode(&mut self, ino: Ino) -> FsResult<()> {
-        if self.inodes.contains_key(&ino) {
+        if self.inodes.touch(ino) {
             return Ok(());
         }
         let entry = self.imap.get(ino)?;
@@ -447,6 +451,10 @@ impl<D: BlockDevice> Lfs<D> {
         }
         if entry.addr.is_nil() {
             return Err(FsError::Corrupt("allocated inode was never written"));
+        }
+        let key = BlockKey::meta(NS_INODE_BLOCKS, entry.addr.0 as u64);
+        if !self.cache.contains(key) {
+            self.inodes.note_block_reads(1, self.maintenance_io);
         }
         let block = self.read_meta_block(NS_INODE_BLOCKS, entry.addr)?;
         let inode = inode_block::unpack_slot(&block, entry.slot as usize)?
@@ -457,20 +465,35 @@ impl<D: BlockDevice> Lfs<D> {
         if inode.version != entry.version {
             return Err(FsError::Corrupt("inode version mismatch"));
         }
-        self.inodes.insert(
-            ino,
-            CachedInode {
-                inode,
-                dirty: false,
-            },
-        );
+        self.inodes.insert(ino, inode, false);
+        self.fill_inodes(entry.addr, &block);
         Ok(())
+    }
+
+    /// Installs the inodes of the block at `addr` whose inode-map entry
+    /// still names that block, that slot and that version; a resident
+    /// copy is never overwritten.
+    fn fill_inodes(&mut self, addr: BlockAddr, block: &[u8]) {
+        for slot in 0..block.len() / INODE_SIZE {
+            let Ok(Some(inode)) = inode_block::unpack_slot(block, slot) else {
+                continue;
+            };
+            let live = self.imap.get(inode.ino).is_ok_and(|e| {
+                e.allocated
+                    && e.addr == addr
+                    && e.slot as usize == slot
+                    && e.version == inode.version
+            });
+            if live {
+                self.inodes.fill(inode.ino, inode);
+            }
+        }
     }
 
     /// Returns a copy of an inode.
     pub(crate) fn inode(&mut self, ino: Ino) -> FsResult<Inode> {
         self.ensure_inode(ino)?;
-        Ok(self.inodes[&ino].inode.clone())
+        Ok(self.inodes.get(ino).expect("ensured").clone())
     }
 
     /// Mutates an inode in place and marks it dirty.
@@ -480,17 +503,7 @@ impl<D: BlockDevice> Lfs<D> {
         f: impl FnOnce(&mut Inode) -> R,
     ) -> FsResult<R> {
         self.ensure_inode(ino)?;
-        let slot = self.inodes.get_mut(&ino).unwrap();
-        slot.dirty = true;
-        Ok(f(&mut slot.inode))
-    }
-
-    /// The inodes with unwritten changes, in ascending ino order.
-    fn dirty_inos(&self) -> impl Iterator<Item = Ino> + '_ {
-        self.inodes
-            .iter()
-            .filter(|(_, cached)| cached.dirty)
-            .map(|(&ino, _)| ino)
+        Ok(f(self.inodes.get_mut(ino).expect("ensured")))
     }
 
     // ------------------------------------------------------------------
@@ -714,7 +727,7 @@ impl<D: BlockDevice> Lfs<D> {
                 Owner::File(ino) => Some(ino),
                 Owner::Meta(_) => None,
             })
-            .chain(self.dirty_inos())
+            .chain(self.inodes.dirty_inos())
             .collect();
         // Fetch the inode and indirect blocks those files' new addresses
         // go into now, overlapped across spindles, rather than one
@@ -803,17 +816,18 @@ impl<D: BlockDevice> Lfs<D> {
         }
 
         // Phase 2: inodes, packed into inode blocks.
-        let dirty_inos: Vec<Ino> = self.dirty_inos().collect();
+        let dirty_inos: Vec<Ino> = self.inodes.dirty_inos().collect();
         let per_block = self.sb.inodes_per_block() as usize;
         for group in dirty_inos.chunks(per_block) {
             // Stamp each inode with its current imap version before
             // packing, so the on-disk copy self-identifies.
             for &ino in group {
                 let version = self.imap.get(ino)?.version;
-                let slot = self.inodes.get_mut(&ino).unwrap();
-                slot.inode.version = version;
+                self.inodes.get_mut(ino).expect("dirty inodes are resident").version = version;
             }
-            let inode_refs: Vec<&Inode> = group.iter().map(|ino| &self.inodes[ino].inode).collect();
+            let inode_refs: Vec<&Inode> = (group.iter())
+                .map(|&ino| self.inodes.get(ino).expect("dirty inodes are resident"))
+                .collect();
             let block = inode_block::pack(&inode_refs, self.block_size());
             let live = (group.len() * INODE_SIZE) as u64;
             let addr = self.chunk_add(&mut ctx, BlockKind::InodeBlock, 0, &block, live)?;
@@ -823,7 +837,7 @@ impl<D: BlockDevice> Lfs<D> {
                     self.retire(old.addr, INODE_SIZE as u64);
                 }
                 self.imap.set_location(ino, addr, slot as u16)?;
-                self.inodes.get_mut(&ino).unwrap().dirty = false;
+                self.inodes.mark_clean(ino);
             }
             // Keep the freshly written inode block readable without disk.
             self.cache.insert_clean(
@@ -922,26 +936,10 @@ impl<D: BlockDevice> Lfs<D> {
             self.flush_as(false, false, cause)?;
         }
 
-        // Bound the in-memory inode table: clean entries reload from the
-        // log via the inode map, so dropping them is free. The victims
-        // are the lowest-numbered clean inodes — which ones go decides
-        // the future read pattern (and thus every timing metric), so
-        // the choice must not vary from process to process; the table
-        // is ordered, so they are the first clean entries of a walk
-        // that stops as soon as it has enough.
-        let inode_cap = self.cache.capacity_blocks().max(1024);
-        if self.inodes.len() > inode_cap {
-            let victims: Vec<Ino> = self
-                .inodes
-                .iter()
-                .filter(|(_, cached)| !cached.dirty)
-                .map(|(&ino, _)| ino)
-                .take(self.inodes.len() - inode_cap)
-                .collect();
-            for ino in victims {
-                self.inodes.remove(&ino);
-            }
-        }
+        // Keep the inode table within the budget the write buffer does
+        // not claim, and charge what it holds to the cache.
+        let at = self.now();
+        self.inodes.bound(&mut self.cache, at);
 
         // Cleaner activation (§4.3.4): clean-segment count below the
         // floor, which covers the worst case of one full cache flush
@@ -956,9 +954,9 @@ impl<D: BlockDevice> Lfs<D> {
                 .segments_in_state(SegState::CleanPending)
                 .is_empty()
             {
-                self.dev.set_maintenance(true);
+                self.set_maintenance_io(true);
                 let cp = self.checkpoint_as(CpCause::Clean);
-                self.dev.set_maintenance(false);
+                self.set_maintenance_io(false);
                 cp?;
             }
             if self.usage.clean_count() < floor {
@@ -967,9 +965,9 @@ impl<D: BlockDevice> Lfs<D> {
                 // foreground operation triggered it: tag its device I/O
                 // so engine accounting bills the queue waits to the
                 // maintenance class rather than the unlucky client.
-                self.dev.set_maintenance(true);
+                self.set_maintenance_io(true);
                 let result = self.clean_threshold_passes(floor);
-                self.dev.set_maintenance(false);
+                self.set_maintenance_io(false);
                 result?;
             }
         }

@@ -114,7 +114,9 @@ impl<D: BlockDevice> FileSystem for Lfs<D> {
 
     fn drop_caches(&mut self) -> FsResult<()> {
         self.cache.drop_clean();
-        self.inodes.retain(|_, c| c.dirty);
+        self.inodes.drop_clean();
+        let now = self.now();
+        self.inodes.bound(&mut self.cache, now);
         self.names.clear();
         Ok(())
     }

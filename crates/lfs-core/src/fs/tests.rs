@@ -247,56 +247,116 @@ fn cached_meta_blocks_are_purged_on_segment_reuse() {
 }
 
 #[test]
-fn inode_table_bound_drops_exactly_the_lowest_clean_inodes() {
-    let clock = Clock::new();
-    let disk = SimDisk::new(DiskGeometry::tiny_test(32_768), Arc::clone(&clock));
-    let cfg = LfsConfig {
-        max_inodes: 2048,
-        ..LfsConfig::small_test()
-    };
-    let mut fs = Lfs::format(disk, cfg, clock).unwrap();
-    let cap = fs.cache.capacity_blocks().max(1024);
-    let inos: Vec<Ino> = (0..cap + 150)
-        .map(|i| fs.create(&format!("/f{i}")).unwrap())
-        .collect();
+fn inode_table_stays_within_its_allowance_and_drops_the_least_recent_clean_inodes() {
+    // The 64 KB cache leaves the table 32 blocks of 512 B: 128 inodes.
+    let mut fs = fresh();
+    let allowance = fs.inodes.allowance(&fs.cache);
+    assert_eq!(allowance, 128);
+    let mut inos = Vec::new();
+    for i in 0..300 {
+        fs.write_file(&format!("/f{i:03}"), b"x").unwrap();
+        inos.push(fs.lookup(&format!("/f{i:03}")).unwrap());
+        assert!(fs.inodes.len() <= allowance, "table at {} after op {i}", fs.inodes.len());
+    }
     fs.sync().unwrap();
+    assert!(fs.inodes.len() <= allowance);
 
-    // Load every inode the bound dropped on the way back in (nothing
-    // bounds the table until the next operation ends), then dirty a
-    // scattering of them, thickest among the low numbers the bound
-    // would otherwise take first.
-    for &ino in &inos {
+    // Use every inode in a scrambled order (a miss also fills its block's
+    // neighbours, but each is used afterwards), then dirty a few of the
+    // least recently used: dirty entries never go.
+    fs.inodes.drop_clean();
+    let order: Vec<Ino> = std::iter::once(Ino::ROOT)
+        .chain((0..inos.len()).map(|i| inos[i * 7 % inos.len()]))
+        .collect();
+    for &ino in &order {
         fs.ensure_inode(ino).unwrap();
     }
-    for (i, &ino) in inos.iter().enumerate() {
-        if i % 3 == 0 && i < 300 || i % 50 == 7 {
-            fs.with_inode_mut(ino, |inode| inode.mtime_ns += 1).unwrap();
-        }
+    let dirtied: Vec<Ino> = order.iter().copied().step_by(9).take(10).collect();
+    for &ino in &dirtied {
+        fs.with_inode_mut(ino, |inode| inode.mtime_ns += 1).unwrap();
     }
-    let before: Vec<(Ino, bool)> = fs.inodes.iter().map(|(&ino, c)| (ino, c.dirty)).collect();
-    assert!(before.len() > cap + 100);
-
-    // The definition the ordered walk replaces: collect every clean
-    // inode, sort, cut to the excess.
-    let mut victims: Vec<Ino> = before
-        .iter()
-        .filter(|(_, dirty)| !dirty)
-        .map(|&(ino, _)| ino)
+    let before = fs.inodes.len();
+    assert_eq!(before, order.len());
+    let excess = before - (allowance - allowance / 8);
+    let victims: Vec<Ino> = (order.iter().copied())
+        .filter(|ino| !dirtied.contains(ino))
+        .take(excess)
         .collect();
-    victims.sort();
-    victims.truncate(before.len() - cap);
-    assert_eq!(victims.len(), before.len() - cap);
 
     fs.maybe_writeback().unwrap();
 
-    let after: Vec<(Ino, bool)> = fs.inodes.iter().map(|(&ino, c)| (ino, c.dirty)).collect();
-    let expected: Vec<(Ino, bool)> = before
+    assert_eq!(fs.inodes.len(), before - excess);
+    assert!(fs.inodes.len() <= allowance);
+    for &ino in &order {
+        assert_eq!(fs.inodes.contains(ino), !victims.contains(&ino), "{ino}");
+    }
+    // No flush ran underneath: the dirtied inodes are still dirty.
+    assert!(dirtied.iter().all(|&ino| fs.inodes.is_dirty(ino)));
+    let snap = fs.obs().snapshot();
+    assert_eq!(snap.gauge("inodes.entries"), fs.inodes.len() as u64);
+    assert_eq!(
+        snap.gauge("cache.reserved_blocks"),
+        (fs.inodes.len() * INODE_SIZE).div_ceil(fs.block_size()) as u64
+    );
+    let detail = format!(
+        "allowance={allowance} entries={} evicted={excess}",
+        fs.inodes.len()
+    );
+    assert!(snap
+        .events
         .iter()
-        .copied()
-        .filter(|(ino, _)| !victims.contains(ino))
-        .collect();
-    // Exactly the victims went: every dirty inode is still there and
-    // still dirty (so no flush ran underneath the test either).
-    assert_eq!(after, expected);
-    assert_eq!(after.len(), cap);
+        .any(|e| e.kind == "inode_evict" && e.detail == detail));
+}
+
+#[test]
+fn a_miss_fills_only_the_live_neighbours_of_its_block() {
+    let mut fs = fresh();
+    for i in 0..12 {
+        fs.write_file(&format!("/f{i:02}"), b"x").unwrap();
+    }
+    fs.sync().unwrap();
+    // An inode block holding four files (512 B blocks hold four inodes).
+    let home = |fs: &Lfs<SimDisk>, ino: Ino| fs.imap.get(ino).unwrap().addr;
+    let files: Vec<Ino> = (0..12).map(|i| fs.lookup(&format!("/f{i:02}")).unwrap()).collect();
+    let addr = home(&fs, files[5]);
+    let group: Vec<Ino> = files.iter().copied().filter(|&ino| home(&fs, ino) == addr).collect();
+    let [first, moved, bumped, dirty] = group[..] else {
+        panic!("expected four files in one inode block, got {group:?}");
+    };
+
+    // `moved` is rewritten elsewhere; `bumped`'s version moves on (as a
+    // truncation to zero would); `dirty` has an unwritten change.
+    fs.with_inode_mut(moved, |inode| inode.mtime_ns += 1).unwrap();
+    fs.write_back().unwrap();
+    assert_ne!(home(&fs, moved), addr);
+    fs.imap.bump_version(bumped).unwrap();
+    fs.with_inode_mut(dirty, |inode| inode.mtime_ns = 4242).unwrap();
+    fs.drop_caches().unwrap();
+    assert_eq!(fs.inodes.len(), 1);
+
+    let reads = fs.obs().snapshot().counter("inodes.block_reads");
+    fs.ensure_inode(first).unwrap();
+    assert_eq!(fs.obs().snapshot().counter("inodes.block_reads"), reads + 1);
+    assert!(fs.inodes.contains(first));
+    assert!(!fs.inodes.contains(moved), "stale slot installed");
+    assert!(!fs.inodes.contains(bumped), "old version installed");
+    assert!(fs.inodes.is_dirty(dirty));
+    assert_eq!(fs.inodes.get(dirty).unwrap().mtime_ns, 4242);
+
+    // A rotten inode block still fails the miss with the same typed
+    // error, counted once, and installs nothing.
+    fs.drop_caches().unwrap();
+    let sector = fs.sector_of(addr);
+    fs.device_mut()
+        .inject_media_faults(sim_disk::MediaFaultPlan::new(3).rot(sector));
+    let detected = fs.stats().corruptions_detected;
+    assert_eq!(
+        fs.ensure_inode(first),
+        Err(FsError::Corruption {
+            what: "metadata block",
+            addr: addr.0 as u64
+        })
+    );
+    assert_eq!(fs.stats().corruptions_detected, detected + 1);
+    assert_eq!(fs.inodes.len(), 1);
 }

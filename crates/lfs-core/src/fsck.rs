@@ -81,7 +81,7 @@ impl<D: BlockDevice> Lfs<D> {
                             entry.addr, entry.slot
                         ));
                     }
-                } else if !fs.inodes.get(&ino).map(|c| c.dirty).unwrap_or(false) {
+                } else if !fs.inodes.is_dirty(ino) {
                     report
                         .errors
                         .push(format!("{ino}: allocated, never written, and not dirty"));

@@ -119,6 +119,7 @@ impl<D: BlockDevice> Lfs<D> {
             .collect();
         let wave = homes.iter().map(|&(_, key, addr, _)| (key, addr)).collect();
         let gathered = self.gather_wave(label, window, wave);
+        self.inodes.note_block_reads(gathered, self.maintenance_io);
         // Inodes whose block did not land stay on the serial path.
         let nodes = homes
             .into_iter()
@@ -144,7 +145,7 @@ impl<D: BlockDevice> Lfs<D> {
         }
         const LABEL: &str = "recovery-gather";
         let bs = self.block_size();
-        self.dev.set_maintenance(true);
+        self.set_maintenance_io(true);
         let (nodes, mut prefetched) = self.gather_inodes(LABEL, window, inos);
         let roots = keyed(blockmap::prefetch_roots(&nodes, bs));
         prefetched += self.gather_wave(LABEL, window, roots);
@@ -152,7 +153,7 @@ impl<D: BlockDevice> Lfs<D> {
             self.cache.peek(BlockKey::file(ino, idx))
         });
         prefetched += self.gather_wave(LABEL, window, keyed(wave));
-        self.dev.set_maintenance(false);
+        self.set_maintenance_io(false);
         self.obs.recovery_prefetched_blocks.add(prefetched);
     }
 
@@ -176,13 +177,12 @@ impl<D: BlockDevice> Lfs<D> {
         let start = self.now();
         let ppb = self.sb.ptrs_per_block();
         let missing: Vec<Ino> = (owners.iter())
-            .filter(|ino| !self.inodes.contains_key(ino))
+            .filter(|&&ino| !self.inodes.contains(ino))
             .copied()
             .collect();
         let (mut nodes, mut gathered) = self.gather_inodes(LABEL, window, &missing);
         nodes.extend(owners.iter().filter_map(|ino| {
-            let cached = self.inodes.get(ino)?;
-            Some((*ino, cached.inode.view()))
+            Some((*ino, self.inodes.get(*ino)?.view()))
         }));
 
         // Which pointer blocks each owner's dirty blocks need: the

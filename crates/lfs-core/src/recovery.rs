@@ -126,9 +126,9 @@ impl TailReader {
                 (fs.sector_of(fs.sb.seg_block(s, from)), (seg_blocks - from as usize) * bs)
             })
             .collect();
-        fs.dev.set_maintenance(true);
+        fs.set_maintenance_io(true);
         let (results, overlapped) = read_batch(&mut fs.dev, "rollforward-read", self.window, &reqs);
-        fs.dev.set_maintenance(false);
+        fs.set_maintenance_io(false);
         if self.window > 1 {
             self.overlapped += overlapped;
         }
@@ -363,7 +363,7 @@ fn touch<D: BlockDevice>(fs: &mut Lfs<D>, ino: Ino, touched: &mut Touched) -> Fs
     } else {
         Some(Before::default())
     };
-    fs.inodes.remove(&ino);
+    fs.inodes.remove(ino);
     fs.cache.remove_owner(Owner::File(ino));
     touched.insert(ino, before);
     Ok(())

@@ -100,9 +100,9 @@ impl<D: BlockDevice> Lfs<D> {
                 .iter()
                 .map(|&seg| (self.sector_of(self.sb.seg_block(seg, 0)), seg_blocks * bs))
                 .collect();
-            self.dev.set_maintenance(true);
+            self.set_maintenance_io(true);
             let (results, _) = sim_disk::read_batch(&mut self.dev, "scrub-read", fanout, &reqs);
-            self.dev.set_maintenance(false);
+            self.set_maintenance_io(false);
             images = results.into_iter().map(Some).collect();
         }
         for (i, seg) in victims.iter().enumerate() {

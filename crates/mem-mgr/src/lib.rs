@@ -22,6 +22,16 @@
 //!
 //! **Dirty blocks are never evicted** under either replacement policy.
 //!
+//! # One budget
+//!
+//! The budget also pays for memory held outside the block map: a
+//! **reservation** ([`MemMgr::reserve`]), made room for by evicting clean
+//! blocks only. Its user is the [`InodeTable`] both file systems keep:
+//! each resident inode charges its bytes, and the table may fill what
+//! the write buffer does not claim, dropping its least-recently-used
+//! clean entries past that. The write target and the cache-full trigger
+//! ignore the reservation, so it is paid for by the read side.
+//!
 //! # Replacement policies
 //!
 //! [`CachePolicy::SharedLru`] (the default) is the paper's cache: one
@@ -78,13 +88,15 @@
 
 mod config;
 mod ghost;
+mod inodes;
 mod key;
 mod manager;
 mod policy;
 mod report;
 
 pub use config::{CachePolicy, FlushCause, MemConfig};
+pub use inodes::InodeTable;
 pub use key::{BlockKey, Owner};
 pub use manager::MemMgr;
 pub use policy::{WritebackPolicy, WritebackTrigger, DIRTY_HIGH_WATER};
-pub use report::{CacheReport, CacheStats, ClientUsage};
+pub use report::{CacheReport, CacheStats, ClientUsage, InodeTableReport};

@@ -146,6 +146,12 @@ pub struct MemMgr {
     protected: List,
     block_size: usize,
     capacity_blocks: usize,
+    /// Blocks' worth of the budget held outside the block map (the
+    /// inode table's bytes, rounded up). Each [`MemMgr::reserve`] trims
+    /// the map to `capacity_blocks - reserved_blocks` while clean blocks
+    /// are left to evict; between calls, inserts may borrow the room,
+    /// so the blocks an operation loads are never evicted for it.
+    reserved_blocks: usize,
     config: MemConfig,
     /// Minimum `dirty_since_ns` over all dirty blocks (u64::MAX when
     /// none). Reset only when the dirty count hits zero — a
@@ -201,6 +207,7 @@ impl MemMgr {
             protected: List::new(),
             block_size,
             capacity_blocks,
+            reserved_blocks: 0,
             config,
             oldest_dirty_ns: u64::MAX,
             dirty_count: 0,
@@ -281,6 +288,43 @@ impl MemMgr {
     /// Current write-buffer boundary in blocks.
     pub fn write_target(&self) -> usize {
         self.write_target
+    }
+
+    /// The bytes a reservation may claim: the part of the budget the
+    /// write buffer does not, `capacity - write_target` blocks.
+    pub fn reservable_bytes(&self) -> usize {
+        (self.capacity_blocks - self.write_target) * self.block_size
+    }
+
+    /// Blocks' worth of the budget currently reserved.
+    pub fn reserved_blocks(&self) -> usize {
+        self.reserved_blocks
+    }
+
+    /// Holds `bytes` of the budget outside the block map, replacing the
+    /// previous reservation; at most [`MemMgr::reservable_bytes`] are
+    /// held, so the block map keeps room for the write buffer. Room is
+    /// made now, by evicting clean blocks only, never dirty ones; until
+    /// the next call, inserts may borrow it back (the owner calls this
+    /// at the end of each operation, so what an operation loads stays
+    /// cached while it runs). The write target and the
+    /// [`WritebackTrigger::CacheFull`] trigger do not change, so a
+    /// reservation is paid for by the read side and the write buffer
+    /// keeps its size.
+    pub fn reserve(&mut self, bytes: usize) {
+        self.reserved_blocks = (bytes.div_ceil(self.block_size))
+            .min(self.capacity_blocks - self.write_target);
+        while self.map.len() + self.reserved_blocks > self.capacity_blocks {
+            let victim = match self.config.policy {
+                CachePolicy::SharedLru => self.shared_victim(),
+                CachePolicy::Adaptive => self.adaptive_victim(),
+            };
+            match victim {
+                Some(idx) => self.evict_idx(idx),
+                None => break,
+            }
+        }
+        self.publish_gauges();
     }
 
     /// Misses that landed on a ghost entry so far.
@@ -386,6 +430,7 @@ impl MemMgr {
         self.obs.probation_blocks.set(prob);
         self.obs.protected_blocks.set(prot);
         self.obs.ghost_blocks.set(self.ghost.len() as u64);
+        self.obs.reserved_blocks.set(self.reserved_blocks as u64);
     }
 
     // ---- list plumbing -------------------------------------------------
@@ -519,6 +564,8 @@ impl MemMgr {
 
     /// Adaptive budget: clean blocks may borrow any memory the write
     /// buffer is not using, so only a true over-capacity state evicts.
+    /// The reservation is not counted here: it is made room for when it
+    /// is set ([`MemMgr::reserve`]).
     fn enforce_budget(&mut self) {
         while self.map.len() > self.capacity_blocks && self.clean_count() > 0 {
             match self.adaptive_victim() {
@@ -632,8 +679,9 @@ impl MemMgr {
     // ---- inserts -------------------------------------------------------
 
     /// Shared-LRU eviction: evict least-recently-used *clean* blocks
-    /// while at capacity; if everything is dirty, overflow (the CacheFull
-    /// trigger tells the FS to flush).
+    /// while at capacity; if everything is dirty, overflow (the
+    /// CacheFull trigger tells the FS to flush). The reservation is made
+    /// room for when it is set ([`MemMgr::reserve`]), not here.
     fn shared_evict_for_insert(&mut self) {
         while self.map.len() >= self.capacity_blocks {
             match self.shared_victim() {
@@ -952,6 +1000,8 @@ impl MemMgr {
             probation_blocks: probation,
             protected_blocks: protected,
             ghost_blocks: self.ghost.len(),
+            reserved_blocks: self.reserved_blocks,
+            inodes: None,
             stats: self.stats(),
             ghost_hits: self.ghost_hits(),
             promotions: self.obs.promotions.get(),
@@ -1190,6 +1240,41 @@ mod tests {
         );
         c.remove(k(1, 0));
         assert_eq!(c.writeback_trigger(u64::MAX), None);
+    }
+
+    #[test]
+    fn reservation_evicts_only_clean_and_leaves_the_write_side_alone() {
+        for mut c in [shared(16), adaptive(16)] {
+            let target = c.write_target();
+            for i in 0..6 {
+                c.insert_dirty(k(1, i), block(1), 10);
+            }
+            for i in 0..10 {
+                c.insert_clean(k(2, i), block(2));
+            }
+            let trigger = c.writeback_trigger(20);
+            // Three blocks' worth (rounded up): three clean blocks go.
+            c.reserve(2 * BS + 1);
+            assert_eq!(c.reserved_blocks(), 3);
+            assert_eq!(c.clean_count(), 7);
+            assert_eq!(c.stats().evictions, 3);
+            // More than the write buffer leaves is held as what it
+            // leaves: the block map keeps room for the write target.
+            c.reserve(16 * BS);
+            assert_eq!(c.reserved_blocks(), 16 - target);
+            assert_eq!(c.len(), target);
+            assert_eq!(c.dirty_count(), 6);
+            assert!((0..6).all(|i| c.is_dirty(k(1, i))));
+            assert_eq!(c.write_target(), target);
+            assert_eq!(c.writeback_trigger(20), trigger);
+            // Released, the budget is the block map's again.
+            c.reserve(0);
+            for i in 0..10 {
+                c.insert_clean(k(4, i), block(4));
+            }
+            assert_eq!(c.len(), 16);
+            assert_eq!(c.reservable_bytes(), (16 - target) * BS);
+        }
     }
 
     #[test]

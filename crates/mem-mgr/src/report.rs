@@ -19,6 +19,8 @@ obs::instruments! {
         probation_blocks, Gauge, "cache.probation_blocks", "Clean blocks on probation.";
         protected_blocks, Gauge, "cache.protected_blocks", "Clean blocks in the protected pool.";
         ghost_blocks, Gauge, "cache.ghost_blocks", "Ghost entries (evicted keys still remembered).";
+        reserved_blocks, Gauge, "cache.reserved_blocks", "Blocks' worth of the budget held outside the block map \
+            (the inode table).";
         flush_eff_millis, Gauge, "cache.flush_eff_millis", "Last flush efficiency: bytes per segment write, in \
             milli-units of the flush unit (1000 = perfectly full segments).";
     }
@@ -65,6 +67,21 @@ impl ClientUsage {
     }
 }
 
+/// An inode table's occupancy and misses, part of a [`CacheReport`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InodeTableReport {
+    /// Resident inodes.
+    pub entries: usize,
+    /// Inodes the table may hold.
+    pub allowance: usize,
+    /// Clean inodes dropped to stay within the allowance.
+    pub evictions: u64,
+    /// Inode blocks read from disk to load inodes, foreground I/O.
+    pub block_reads: u64,
+    /// The same under maintenance I/O.
+    pub block_reads_maint: u64,
+}
+
 /// A point-in-time report of the manager's pools, boundary, counters and
 /// per-client charges — what `lfs-tools --cache-stats` prints.
 #[derive(Debug, Clone)]
@@ -91,6 +108,11 @@ pub struct CacheReport {
     pub protected_blocks: usize,
     /// Ghost entries (evicted keys still remembered).
     pub ghost_blocks: usize,
+    /// Blocks' worth of the budget held outside the block map.
+    pub reserved_blocks: usize,
+    /// The inode table the reservation pays for, when the report comes
+    /// from a file system ([`crate::InodeTable::report_into`]).
+    pub inodes: Option<InodeTableReport>,
     /// Hit/miss/eviction counters.
     pub stats: CacheStats,
     /// Misses that landed on a ghost entry.
@@ -150,6 +172,13 @@ impl CacheReport {
             self.flush_eff_millis / 1000,
             self.flush_eff_millis % 1000
         ));
+        out.push_str(&format!("  reserved: {} blocks\n", self.reserved_blocks));
+        if let Some(t) = self.inodes {
+            out.push_str(&format!(
+                "  inode table: {} of {} entries, evictions={} block reads={} (+{} maintenance)\n",
+                t.entries, t.allowance, t.evictions, t.block_reads, t.block_reads_maint
+            ));
+        }
         if self.clients.is_empty() {
             out.push_str("  clients: (none attributed)\n");
         } else {

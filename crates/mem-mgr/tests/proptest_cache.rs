@@ -53,6 +53,10 @@ enum Op {
         hi: u8,
     },
     DropClean,
+    /// Hold `bytes` of the budget outside the block map.
+    Reserve {
+        bytes: u8,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -77,6 +81,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (1u8..5).prop_map(|ino| Op::RemoveOwner { ino }),
         (1u8..5, 0u8..12, 0u8..12).prop_map(|(ino, lo, hi)| Op::RemoveRange { ino, lo, hi }),
         Just(Op::DropClean),
+        (0u8..(MODEL_CAPACITY * BS) as u8).prop_map(|bytes| Op::Reserve { bytes }),
     ]
 }
 
@@ -110,6 +115,8 @@ struct Entry {
 struct Model {
     lru: Vec<Entry>,
     stats: CacheStats,
+    /// Blocks' worth of the budget held outside the block map.
+    reserved: usize,
     /// Earliest dirtying time since the cache last held no dirty block
     /// (the age trigger may fire early, never late).
     oldest_dirty_ns: Option<u64>,
@@ -162,16 +169,30 @@ impl Model {
         true
     }
 
-    fn insert(&mut self, key: BlockKey, fill: u8, dirty: bool, at: u64) {
-        // Room is made first — the coldest clean blocks go, dirty ones
-        // never — and only then is the key looked up.
-        while self.lru.len() >= MODEL_CAPACITY {
+    /// Evicts the coldest clean blocks while more than `limit` are
+    /// resident; dirty ones never go.
+    fn evict_above(&mut self, limit: usize) {
+        while self.lru.len() > limit {
             let Some(victim) = self.lru.iter().position(|e| !e.dirty) else {
                 break;
             };
             self.lru.remove(victim);
             self.stats.evictions += 1;
         }
+    }
+
+    /// At most what the write buffer leaves is reserved.
+    fn reserve(&mut self, bytes: usize) {
+        let write_target = (MODEL_CAPACITY as f64 * DIRTY_HIGH_WATER) as usize;
+        self.reserved = bytes.div_ceil(BS).min(MODEL_CAPACITY - write_target);
+        self.evict_above(MODEL_CAPACITY.saturating_sub(self.reserved));
+    }
+
+    fn insert(&mut self, key: BlockKey, fill: u8, dirty: bool, at: u64) {
+        // Room is made first — the coldest clean blocks go, dirty ones
+        // never — and only then is the key looked up. Inserts may
+        // borrow the reserved room; only `reserve` trims to it.
+        self.evict_above(MODEL_CAPACITY - 1);
         if let Some(old) = self.position(key) {
             self.lru.remove(old);
             self.settle();
@@ -210,6 +231,8 @@ impl Model {
         keys
     }
 
+    /// The reservation moves neither trigger: it is the same function
+    /// of the dirty blocks whatever is reserved.
     fn trigger(&self, now: u64) -> Option<WritebackTrigger> {
         let policy = WritebackPolicy::paper();
         let high_water = (MODEL_CAPACITY as f64 * DIRTY_HIGH_WATER) as usize;
@@ -230,11 +253,13 @@ proptest! {
 
     /// The cache must agree with the reference on everything a file
     /// system can observe: membership, dirtiness, contents, which clean
-    /// block each insert evicts, the counters, and the triggers.
+    /// block each insert or reservation evicts, the counters, and the
+    /// triggers — which a reservation never moves, nor the write target.
     #[test]
     fn agrees_with_reference_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
         let mut cache = cache(MODEL_CAPACITY);
         let mut model = Model::default();
+        let write_target = cache.write_target();
 
         for op in &ops {
             match *op {
@@ -277,7 +302,13 @@ proptest! {
                     cache.drop_clean();
                     model.retain(|e| e.dirty);
                 }
+                Op::Reserve { bytes } => {
+                    cache.reserve(bytes as usize);
+                    model.reserve(bytes as usize);
+                    prop_assert_eq!(cache.reserved_blocks(), model.reserved);
+                }
             }
+            prop_assert_eq!(cache.write_target(), write_target);
 
             // Same residents (so the same victims), same dirtiness, same
             // bytes. `peek` leaves recency and the counters alone.

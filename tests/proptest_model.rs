@@ -215,16 +215,37 @@ fn ranges_match_the_model<F: FileSystem>(fs: &mut F, ops: &[RangeOp]) -> Result<
     Ok(())
 }
 
+/// The test configurations' 64 KB cache, and an 8-block one: its
+/// inode table holds 8 inodes, fewer than the paths, so the table's
+/// bound and its block fill run under every op sequence.
+const CACHES: [usize; 2] = [64 * 1024, 4 * 1024];
+
 fn lfs() -> Lfs<SimDisk> {
+    lfs_with_cache(CACHES[0])
+}
+
+fn lfs_with_cache(cache_bytes: usize) -> Lfs<SimDisk> {
     let clock = Clock::new();
     let disk = SimDisk::new(DiskGeometry::tiny_test(32_768), Arc::clone(&clock));
-    Lfs::format(disk, LfsConfig::small_test(), clock).unwrap()
+    let cfg = LfsConfig {
+        cache_bytes,
+        ..LfsConfig::small_test()
+    };
+    Lfs::format(disk, cfg, clock).unwrap()
 }
 
 fn ffs() -> Ffs<SimDisk> {
+    ffs_with_cache(CACHES[0])
+}
+
+fn ffs_with_cache(cache_bytes: usize) -> Ffs<SimDisk> {
     let clock = Clock::new();
     let disk = SimDisk::new(DiskGeometry::tiny_test(32_768), Arc::clone(&clock));
-    Ffs::format(disk, FfsConfig::small_test(), clock).unwrap()
+    let cfg = FfsConfig {
+        cache_bytes,
+        ..FfsConfig::small_test()
+    };
+    Ffs::format(disk, cfg, clock).unwrap()
 }
 
 proptest! {
@@ -235,36 +256,40 @@ proptest! {
 
     #[test]
     fn lfs_matches_the_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
-        let mut model = ModelFs::new();
-        let mut fs = lfs();
-        for (step, op) in ops.iter().enumerate() {
-            let expected = apply(&mut model, op);
-            let actual = apply(&mut fs, op);
-            prop_assert_eq!(
-                &expected, &actual,
-                "step {} ({:?}) diverged", step, op
-            );
+        for cache_bytes in CACHES {
+            let mut model = ModelFs::new();
+            let mut fs = lfs_with_cache(cache_bytes);
+            for (step, op) in ops.iter().enumerate() {
+                let expected = apply(&mut model, op);
+                let actual = apply(&mut fs, op);
+                prop_assert_eq!(
+                    &expected, &actual,
+                    "cache {} B: step {} ({:?}) diverged", cache_bytes, step, op
+                );
+            }
+            prop_assert_eq!(snapshot(&mut model), snapshot(&mut fs));
+            let report = fs.fsck().unwrap();
+            prop_assert!(report.is_clean(), "cache {} B: fsck: {}", cache_bytes, report);
         }
-        prop_assert_eq!(snapshot(&mut model), snapshot(&mut fs));
-        let report = fs.fsck().unwrap();
-        prop_assert!(report.is_clean(), "fsck: {}", report);
     }
 
     #[test]
     fn ffs_matches_the_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
-        let mut model = ModelFs::new();
-        let mut fs = ffs();
-        for (step, op) in ops.iter().enumerate() {
-            let expected = apply(&mut model, op);
-            let actual = apply(&mut fs, op);
-            prop_assert_eq!(
-                &expected, &actual,
-                "step {} ({:?}) diverged", step, op
-            );
+        for cache_bytes in CACHES {
+            let mut model = ModelFs::new();
+            let mut fs = ffs_with_cache(cache_bytes);
+            for (step, op) in ops.iter().enumerate() {
+                let expected = apply(&mut model, op);
+                let actual = apply(&mut fs, op);
+                prop_assert_eq!(
+                    &expected, &actual,
+                    "cache {} B: step {} ({:?}) diverged", cache_bytes, step, op
+                );
+            }
+            prop_assert_eq!(snapshot(&mut model), snapshot(&mut fs));
+            let report = fs.fsck().unwrap();
+            prop_assert!(report.is_clean(), "cache {} B: fsck: {}", cache_bytes, report);
         }
-        prop_assert_eq!(snapshot(&mut model), snapshot(&mut fs));
-        let report = fs.fsck().unwrap();
-        prop_assert!(report.is_clean(), "fsck: {}", report);
     }
 
     #[test]
