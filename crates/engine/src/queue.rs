@@ -336,6 +336,11 @@ impl EngineCore {
         self.maintenance = on;
     }
 
+    /// Returns true while the maintenance I/O class is on.
+    pub fn maintenance(&self) -> bool {
+        self.maintenance
+    }
+
     /// Number of requests currently pending in the queue — the engine's
     /// idle signal for idle-gated maintenance.
     pub fn queue_len(&self) -> u64 {
@@ -1193,6 +1198,10 @@ impl BlockDevice for EngineDisk {
 
     fn set_maintenance(&mut self, on: bool) {
         self.0.borrow_mut().set_maintenance(on);
+    }
+
+    fn maintenance(&self) -> bool {
+        self.0.borrow().maintenance
     }
 
     /// The read is submitted to the queue and virtual time keeps moving

@@ -125,6 +125,7 @@ impl<D: BlockDevice> Ffs<D> {
         );
         cache.attach_obs(&registry);
         let alloc = Allocator::new(sb.clone());
+        let inodes = InodeTable::new(INODE_SIZE, &cache, &registry);
         Self {
             dev,
             sb,
@@ -133,7 +134,7 @@ impl<D: BlockDevice> Ffs<D> {
             cpu,
             cache,
             alloc,
-            inodes: InodeTable::new(INODE_SIZE, &registry),
+            inodes,
             obs: FfsObs::new(&registry),
             ops: OpHists::new(&registry),
             names: NameIndex::new(&registry),
@@ -259,6 +260,7 @@ impl<D: BlockDevice> Ffs<D> {
             // fsck's scan, the only maintenance I/O, reads the inode
             // table itself; a table miss is always foreground.
             self.inodes.note_block_reads(1, false);
+            self.inodes.note_disk_miss(ino, &mut self.cache);
         }
         let block = self.read_meta_block(block_addr)?;
         let inode = FfsInode::decode_slot(&block[offset..offset + INODE_SIZE])?

@@ -327,10 +327,10 @@ impl<D: BlockDevice> Lfs<D> {
                 return Ok(clean);
             }
             self.in_maintenance = true;
-            self.set_maintenance_io(true);
+            self.dev.set_maintenance(true);
             let outcome = self.clean_pass();
             let cp = outcome.is_ok().then(|| self.checkpoint_as(CpCause::Clean));
-            self.set_maintenance_io(false);
+            self.dev.set_maintenance(false);
             self.in_maintenance = false;
             let outcome = outcome?;
             cp.transpose()?;

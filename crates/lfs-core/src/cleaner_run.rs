@@ -246,9 +246,9 @@ impl<D: BlockDevice> Lfs<D> {
         self.obs.async_steps.inc();
         let mut run = self.cleaner_run.take().expect("run just ensured");
         let was_maintenance = std::mem::replace(&mut self.in_maintenance, true);
-        self.set_maintenance_io(true);
+        self.dev.set_maintenance(true);
         let work = self.run_step(&mut run);
-        self.set_maintenance_io(false);
+        self.dev.set_maintenance(false);
         self.in_maintenance = was_maintenance;
         match work {
             Ok(StepWork::Continue) => {
@@ -268,9 +268,9 @@ impl<D: BlockDevice> Lfs<D> {
                 if self.cache.dirty_count() * 2 >= self.cache.capacity_blocks()
                     && self.usage.clean_count() > self.reserve_segments
                 {
-                    self.set_maintenance_io(true);
+                    self.dev.set_maintenance(true);
                     let fl = self.flush(false, false);
-                    self.set_maintenance_io(false);
+                    self.dev.set_maintenance(false);
                     fl?;
                 }
                 self.cleaner_run = Some(run);
@@ -281,9 +281,9 @@ impl<D: BlockDevice> Lfs<D> {
                     // Commit: persist the relocations and promote the
                     // pending segments. The checkpoint is still
                     // maintenance I/O; re-tag around it.
-                    self.set_maintenance_io(true);
+                    self.dev.set_maintenance(true);
                     let cp = self.checkpoint_as(CpCause::Clean);
-                    self.set_maintenance_io(false);
+                    self.dev.set_maintenance(false);
                     cp?;
                 }
                 // Futility damping: a run that cleaned nothing (no

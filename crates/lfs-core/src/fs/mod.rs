@@ -89,8 +89,6 @@ pub struct Lfs<D: BlockDevice> {
     /// Set while a flush runs, so the synchronous reads it issues itself
     /// are counted as the flush's (`log.flush_sync_reads`).
     flushing: bool,
-    /// The I/O class last set on the device: true while maintenance.
-    pub(crate) maintenance_io: bool,
     /// Segments kept in reserve so a checkpoint can always complete.
     pub(crate) reserve_segments: usize,
     /// Expected end-to-end CRC-32C of every device block this mount has
@@ -177,6 +175,7 @@ impl<D: BlockDevice> Lfs<D> {
         let reserve = 2 + cfg.cache_bytes.div_ceil(seg_bytes as usize);
         let reserve = reserve.min(sb.nsegments as usize / 4).max(1);
         let total_blocks = (dev.capacity_bytes() / sb.block_size as u64) as usize;
+        let inodes = InodeTable::new(INODE_SIZE, &cache, &registry);
         let mut fs = Self {
             dev,
             sb,
@@ -186,7 +185,7 @@ impl<D: BlockDevice> Lfs<D> {
             cache,
             imap,
             usage,
-            inodes: InodeTable::new(INODE_SIZE, &registry),
+            inodes,
             pos: LogPosition {
                 seg: SegNo(0),
                 offset: 0,
@@ -202,7 +201,6 @@ impl<D: BlockDevice> Lfs<D> {
             names: NameIndex::new(&registry),
             in_maintenance: false,
             flushing: false,
-            maintenance_io: false,
             reserve_segments: reserve,
             block_crc: vec![None; total_blocks],
             read_only: false,
@@ -320,13 +318,6 @@ impl<D: BlockDevice> Lfs<D> {
     /// Current virtual time.
     pub(crate) fn now(&self) -> u64 {
         self.clock.now_ns()
-    }
-
-    /// Sets the device's I/O class: maintenance (cleaning, checkpoints,
-    /// recovery, scrub) or foreground.
-    pub(crate) fn set_maintenance_io(&mut self, on: bool) {
-        self.maintenance_io = on;
-        self.dev.set_maintenance(on);
     }
 
     /// Charges CPU work to the virtual clock.
@@ -454,7 +445,8 @@ impl<D: BlockDevice> Lfs<D> {
         }
         let key = BlockKey::meta(NS_INODE_BLOCKS, entry.addr.0 as u64);
         if !self.cache.contains(key) {
-            self.inodes.note_block_reads(1, self.maintenance_io);
+            self.inodes.note_block_reads(1, self.dev.maintenance());
+            self.inodes.note_disk_miss(ino, &mut self.cache);
         }
         let block = self.read_meta_block(NS_INODE_BLOCKS, entry.addr)?;
         let inode = inode_block::unpack_slot(&block, entry.slot as usize)?
@@ -954,9 +946,9 @@ impl<D: BlockDevice> Lfs<D> {
                 .segments_in_state(SegState::CleanPending)
                 .is_empty()
             {
-                self.set_maintenance_io(true);
+                self.dev.set_maintenance(true);
                 let cp = self.checkpoint_as(CpCause::Clean);
-                self.set_maintenance_io(false);
+                self.dev.set_maintenance(false);
                 cp?;
             }
             if self.usage.clean_count() < floor {
@@ -965,9 +957,9 @@ impl<D: BlockDevice> Lfs<D> {
                 // foreground operation triggered it: tag its device I/O
                 // so engine accounting bills the queue waits to the
                 // maintenance class rather than the unlucky client.
-                self.set_maintenance_io(true);
+                self.dev.set_maintenance(true);
                 let result = self.clean_threshold_passes(floor);
-                self.set_maintenance_io(false);
+                self.dev.set_maintenance(false);
                 result?;
             }
         }

@@ -119,7 +119,7 @@ impl<D: BlockDevice> Lfs<D> {
             .collect();
         let wave = homes.iter().map(|&(_, key, addr, _)| (key, addr)).collect();
         let gathered = self.gather_wave(label, window, wave);
-        self.inodes.note_block_reads(gathered, self.maintenance_io);
+        self.inodes.note_block_reads(gathered, self.dev.maintenance());
         // Inodes whose block did not land stay on the serial path.
         let nodes = homes
             .into_iter()
@@ -145,7 +145,7 @@ impl<D: BlockDevice> Lfs<D> {
         }
         const LABEL: &str = "recovery-gather";
         let bs = self.block_size();
-        self.set_maintenance_io(true);
+        self.dev.set_maintenance(true);
         let (nodes, mut prefetched) = self.gather_inodes(LABEL, window, inos);
         let roots = keyed(blockmap::prefetch_roots(&nodes, bs));
         prefetched += self.gather_wave(LABEL, window, roots);
@@ -153,7 +153,7 @@ impl<D: BlockDevice> Lfs<D> {
             self.cache.peek(BlockKey::file(ino, idx))
         });
         prefetched += self.gather_wave(LABEL, window, keyed(wave));
-        self.set_maintenance_io(false);
+        self.dev.set_maintenance(false);
         self.obs.recovery_prefetched_blocks.add(prefetched);
     }
 

@@ -126,9 +126,9 @@ impl TailReader {
                 (fs.sector_of(fs.sb.seg_block(s, from)), (seg_blocks - from as usize) * bs)
             })
             .collect();
-        fs.set_maintenance_io(true);
+        fs.dev.set_maintenance(true);
         let (results, overlapped) = read_batch(&mut fs.dev, "rollforward-read", self.window, &reqs);
-        fs.set_maintenance_io(false);
+        fs.dev.set_maintenance(false);
         if self.window > 1 {
             self.overlapped += overlapped;
         }

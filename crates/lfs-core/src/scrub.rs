@@ -100,9 +100,9 @@ impl<D: BlockDevice> Lfs<D> {
                 .iter()
                 .map(|&seg| (self.sector_of(self.sb.seg_block(seg, 0)), seg_blocks * bs))
                 .collect();
-            self.set_maintenance_io(true);
+            self.dev.set_maintenance(true);
             let (results, _) = sim_disk::read_batch(&mut self.dev, "scrub-read", fanout, &reqs);
-            self.set_maintenance_io(false);
+            self.dev.set_maintenance(false);
             images = results.into_iter().map(Some).collect();
         }
         for (i, seg) in victims.iter().enumerate() {

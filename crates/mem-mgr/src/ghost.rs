@@ -1,4 +1,5 @@
-//! The ghost list: keys of recently evicted clean blocks.
+//! The ghost list: keys of recently evicted clean blocks (or of inodes
+//! the inode table dropped).
 //!
 //! A ghost entry holds no data — just the key, the client the block was
 //! charged to, and a FIFO sequence number. A miss that lands on a ghost
@@ -7,20 +8,21 @@
 //! the read side's marginal-benefit signal.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 
 use crate::key::BlockKey;
 
 #[derive(Debug)]
-pub(crate) struct GhostList {
+pub(crate) struct GhostList<K = BlockKey> {
     /// key -> (fifo sequence, charged client)
-    map: HashMap<BlockKey, (u64, Option<u32>)>,
+    map: HashMap<K, (u64, Option<u32>)>,
     /// fifo sequence -> key, oldest first
-    order: BTreeMap<u64, BlockKey>,
+    order: BTreeMap<u64, K>,
     seq: u64,
     cap: usize,
 }
 
-impl GhostList {
+impl<K: Copy + Eq + Hash> GhostList<K> {
     pub(crate) fn new(cap: usize) -> Self {
         Self {
             map: HashMap::new(),
@@ -36,12 +38,12 @@ impl GhostList {
 
     /// Returns the charged client if `key` is a ghost. Does not consume
     /// the entry — that happens when the block is re-inserted.
-    pub(crate) fn lookup(&self, key: BlockKey) -> Option<Option<u32>> {
+    pub(crate) fn lookup(&self, key: K) -> Option<Option<u32>> {
         self.map.get(&key).map(|&(_, client)| client)
     }
 
     /// Records an eviction. Re-evicting a key refreshes its position.
-    pub(crate) fn insert(&mut self, key: BlockKey, client: Option<u32>) {
+    pub(crate) fn insert(&mut self, key: K, client: Option<u32>) {
         if let Some((old_seq, _)) = self.map.remove(&key) {
             self.order.remove(&old_seq);
         }
@@ -57,7 +59,7 @@ impl GhostList {
 
     /// Consumes a ghost entry (the block came back). Returns true if it
     /// was present.
-    pub(crate) fn remove(&mut self, key: BlockKey) -> bool {
+    pub(crate) fn remove(&mut self, key: K) -> bool {
         match self.map.remove(&key) {
             Some((seq, _)) => {
                 self.order.remove(&seq);
@@ -68,8 +70,8 @@ impl GhostList {
     }
 
     /// Drops every ghost whose key fails the predicate (owner purges).
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(BlockKey) -> bool) {
-        let dead: Vec<(u64, BlockKey)> = self
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(K) -> bool) {
+        let dead: Vec<(u64, K)> = self
             .map
             .iter()
             .filter(|(k, _)| !keep(**k))

@@ -8,12 +8,16 @@
 //! allowance [`InodeTable::bound`] drops its least-recently-used clean
 //! entries; a dirty entry stays until its file system writes it out.
 //! Recency is a per-entry stamp, so a hit costs one store and only an
-//! eviction batch pays for ordering.
+//! eviction batch pays for ordering. Dropped inodes are remembered on a
+//! ghost list: one read back from disk is a miss a larger read side
+//! would have served, and the manager's tuner counts it as such
+//! ([`MemMgr::note_reserved_ghost_hit`]).
 
 use std::collections::BTreeMap;
 
 use vfs::Ino;
 
+use crate::ghost::GhostList;
 use crate::{CacheReport, InodeTableReport, MemMgr};
 
 obs::instruments! {
@@ -22,6 +26,8 @@ obs::instruments! {
     pub(crate) struct TableObs {
         entries, Gauge, "inodes.entries", "Inodes resident in the table.";
         evictions, Counter, "inodes.evictions", "Clean inodes dropped to stay within the allowance.";
+        ghost_hits, Counter, "inodes.ghost_hits", "Inodes read back from disk soon after the table \
+            dropped them.";
         block_reads, Counter, "inodes.block_reads", "Inode blocks read from disk to load inodes, \
             foreground I/O class.";
         block_reads_maint, Counter, "inodes.block_reads_maint", "Inode blocks read from disk to load \
@@ -51,23 +57,28 @@ pub struct InodeTable<I> {
     hot: u64,
     /// Next fill stamp.
     cold: u64,
+    /// Inodes dropped recently, as many as the whole budget could hold.
+    ghost: GhostList<Ino>,
     entry_bytes: usize,
     obs: TableObs,
 }
 
 impl<I> InodeTable<I> {
-    /// An empty table charging `entry_bytes` per entry, its instruments
-    /// registered in `registry`.
+    /// An empty table charging `entry_bytes` per entry, its ghost list
+    /// sized by `cache`'s budget and its instruments registered in
+    /// `registry`.
     ///
     /// # Panics
     ///
     /// Panics if `entry_bytes` is zero.
-    pub fn new(entry_bytes: usize, registry: &obs::Registry) -> Self {
+    pub fn new(entry_bytes: usize, cache: &MemMgr, registry: &obs::Registry) -> Self {
         assert!(entry_bytes > 0, "an inode has a size");
+        let budget = cache.capacity_blocks() * cache.block_size();
         Self {
             entries: BTreeMap::new(),
             hot: HOT_BASE,
             cold: HOT_BASE - 1,
+            ghost: GhostList::new(budget / entry_bytes),
             entry_bytes,
             obs: TableObs::new(registry),
         }
@@ -122,6 +133,7 @@ impl<I> InodeTable<I> {
     /// Installs `ino` as the most recently used entry, replacing any
     /// resident copy.
     pub fn insert(&mut self, ino: Ino, inode: I, dirty: bool) {
+        self.ghost.remove(ino);
         let stamp = self.hot;
         self.hot += 1;
         self.entries.insert(
@@ -141,6 +153,7 @@ impl<I> InodeTable<I> {
         if self.entries.contains_key(&ino) {
             return false;
         }
+        self.ghost.remove(ino);
         let stamp = self.cold;
         self.cold -= 1;
         self.entries.insert(
@@ -169,6 +182,7 @@ impl<I> InodeTable<I> {
     /// Drops `ino` (freed, or made stale).
     pub fn remove(&mut self, ino: Ino) {
         self.entries.remove(&ino);
+        self.ghost.remove(ino);
     }
 
     /// The inodes with unwritten changes, in ascending order.
@@ -179,9 +193,11 @@ impl<I> InodeTable<I> {
             .map(|(&ino, _)| ino)
     }
 
-    /// Drops every clean entry (the benchmark "flush the caches" step).
+    /// Drops every clean entry and the ghost list (the benchmark "flush
+    /// the caches" step).
     pub fn drop_clean(&mut self) {
         self.entries.retain(|_, e| e.dirty);
+        self.ghost.clear();
     }
 
     /// Counts `blocks` inode blocks read from disk to load inodes, in
@@ -191,6 +207,17 @@ impl<I> InodeTable<I> {
             self.obs.block_reads_maint.add(blocks);
         } else {
             self.obs.block_reads.add(blocks);
+        }
+    }
+
+    /// Notes that loading `ino` has to read its inode block from disk.
+    /// If the table dropped `ino` recently, that read is a miss a larger
+    /// read side would have served: counted, and passed to `cache`'s
+    /// tuner.
+    pub fn note_disk_miss(&mut self, ino: Ino, cache: &mut MemMgr) {
+        if self.ghost.lookup(ino).is_some() {
+            self.obs.ghost_hits.inc();
+            cache.note_reserved_ghost_hit();
         }
     }
 
@@ -232,6 +259,7 @@ impl<I> InodeTable<I> {
                 }
                 for &(_, ino) in &clean[..excess] {
                     self.entries.remove(&ino);
+                    self.ghost.insert(ino, None);
                 }
                 self.obs.evictions.add(excess as u64);
                 self.obs.registry.event(
@@ -262,7 +290,7 @@ mod tests {
         let registry = obs::Registry::new();
         let mut cache = MemMgr::new(BS, 16, MemConfig::shared(WritebackPolicy::paper()));
         cache.attach_obs(&registry);
-        (InodeTable::new(32, &registry), cache, registry)
+        (InodeTable::new(32, &cache, &registry), cache, registry)
     }
 
     #[test]
@@ -292,6 +320,34 @@ mod tests {
             .find(|e| e.kind == "inode_evict")
             .unwrap();
         assert_eq!(event.detail, "allowance=8 entries=7 evicted=4");
+    }
+
+    #[test]
+    fn a_dropped_inode_read_back_is_read_side_evidence() {
+        let registry = obs::Registry::new();
+        let config = MemConfig::adaptive(WritebackPolicy::paper(), (4 * BS) as u64);
+        let mut cache = MemMgr::new(BS, 64, config);
+        cache.attach_obs(&registry);
+        let mut table = InodeTable::new(32, &cache, &registry);
+        // Write target 32 of 64 blocks: 64 entries allowed, a step is 2.
+        cache.set_boundary(32);
+        for i in 1..=80 {
+            table.insert(Ino(i), i, false);
+        }
+        table.bound(&mut cache, 0);
+        assert_eq!(table.len(), 56, "1..=24 dropped, least recent first");
+        // An inode never dropped is no evidence; a dropped one is, and a
+        // step's worth of them moves the boundary toward the read side.
+        table.note_disk_miss(Ino(500), &mut cache);
+        table.note_disk_miss(Ino(1), &mut cache);
+        assert_eq!(cache.write_target(), 32);
+        table.note_disk_miss(Ino(2), &mut cache);
+        assert_eq!(cache.write_target(), 30);
+        assert_eq!(registry.snapshot().counter("inodes.ghost_hits"), 2);
+        // Back in the table, an inode is no longer a ghost.
+        table.insert(Ino(3), 3, false);
+        table.note_disk_miss(Ino(3), &mut cache);
+        assert_eq!(registry.snapshot().counter("inodes.ghost_hits"), 2);
     }
 
     #[test]

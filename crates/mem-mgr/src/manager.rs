@@ -12,7 +12,8 @@ use crate::report::{CacheReport, CacheStats, ClientObs, ClientUsage, CoreObs};
 /// Sentinel index terminating the intrusive lists.
 const NIL: u32 = u32::MAX;
 
-/// Flush reports per tuning decision.
+/// Flush reports per tuning decision (a window also closes early once
+/// its ghost hits reach a step).
 const TUNE_WINDOW: u32 = 4;
 
 /// Which pool a resident block lives in. Under [`CachePolicy::SharedLru`]
@@ -327,6 +328,27 @@ impl MemMgr {
         self.publish_gauges();
     }
 
+    /// Counts a miss outside the block map that a larger read side
+    /// would have served: an inode the table dropped, read back from
+    /// disk. Under [`CachePolicy::Adaptive`] it is read-side evidence
+    /// for the tuner, as a ghost hit is.
+    pub fn note_reserved_ghost_hit(&mut self) {
+        if self.config.policy == CachePolicy::Adaptive {
+            self.note_ghost_evidence();
+        }
+    }
+
+    /// Adds one ghost hit to the tuning window. The window closes at
+    /// once when its ghost hits reach a step: the read side has shown it
+    /// would use a step more, and a phase that flushes rarely would
+    /// otherwise wait [`TUNE_WINDOW`] flushes for it.
+    fn note_ghost_evidence(&mut self) {
+        self.win_ghost_hits += 1;
+        if self.win_ghost_hits as usize >= self.step {
+            self.tune();
+        }
+    }
+
     /// Misses that landed on a ghost entry so far.
     pub fn ghost_hits(&self) -> u64 {
         self.obs.ghost_hits.get()
@@ -371,8 +393,8 @@ impl MemMgr {
         self.obs.misses.inc();
         let ghosted = self.config.policy == CachePolicy::Adaptive && self.ghost.lookup(key).is_some();
         if ghosted {
-            self.win_ghost_hits += 1;
             self.obs.ghost_hits.inc();
+            self.note_ghost_evidence();
         }
         if let Some(c) = self.active_client {
             let usage = self.clients.entry(c).or_default();
@@ -1172,6 +1194,35 @@ mod tests {
             c.note_flush((4 * BS) as u64, 1, FlushCause::Sync);
         }
         assert!(c.write_target() < grown, "ghost hits should shrink it");
+    }
+
+    #[test]
+    fn ghost_hits_close_a_window_without_waiting_for_flushes() {
+        let mut c = adaptive(64);
+        let start = c.write_target();
+        // A read-only phase: no flush is ever reported.
+        for i in 0..200 {
+            c.insert_clean(k(3, i), block(0));
+        }
+        for i in 0..200 {
+            c.get(k(3, i));
+        }
+        assert!(c.ghost_hits() >= 2, "the re-reads landed on ghosts");
+        assert!(c.write_target() < start, "the read side got its step");
+        // Misses outside the block map count the same way: a step (2
+        // blocks here) of them closes a window.
+        c.set_boundary(32);
+        c.note_reserved_ghost_hit();
+        assert_eq!(c.write_target(), 32);
+        c.note_reserved_ghost_hit();
+        assert_eq!(c.write_target(), 30);
+        // The shared LRU has no boundary to move.
+        let mut s = shared(64);
+        let fixed = s.write_target();
+        for _ in 0..64 {
+            s.note_reserved_ghost_hit();
+        }
+        assert_eq!(s.write_target(), fixed);
     }
 
     #[test]

@@ -124,6 +124,13 @@ pub trait BlockDevice {
     /// histograms never absorb cleaning cost. Plain devices ignore it.
     fn set_maintenance(&mut self, _on: bool) {}
 
+    /// Returns true while requests are marked maintenance I/O (see
+    /// [`BlockDevice::set_maintenance`]). Plain devices keep no class
+    /// and always answer false.
+    fn maintenance(&self) -> bool {
+        false
+    }
+
     /// Starts a non-blocking read of `len` bytes at `sector`, returning
     /// a token to pass to [`BlockDevice::finish_read_async`]. Devices
     /// without an asynchronous read path return `None` and the caller

@@ -1487,6 +1487,11 @@ impl StripedVolume {
         }
     }
 
+    /// Returns true while submissions are marked maintenance I/O.
+    pub fn maintenance(&self) -> bool {
+        self.spindles.first().is_some_and(EngineCore::maintenance)
+    }
+
     /// Total requests pending across every spindle's queue.
     pub fn queue_depth(&self) -> u64 {
         self.spindles.iter().map(|c| c.queue_len()).sum()
@@ -1642,6 +1647,10 @@ impl BlockDevice for VolumeDisk {
 
     fn set_maintenance(&mut self, on: bool) {
         self.0.borrow_mut().set_maintenance(on);
+    }
+
+    fn maintenance(&self) -> bool {
+        self.0.borrow().maintenance()
     }
 
     fn start_read_async(&mut self, sector: u64, len: usize) -> Option<u64> {
