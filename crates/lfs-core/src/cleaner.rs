@@ -28,7 +28,8 @@
 //! of slack usage") calls [`Lfs::clean_until`], or steps a
 //! [`crate::CleanerTask`] between its own operations so the threshold
 //! is rarely reached. No configuration switches between the two: the
-//! host decides by hosting the task or not.
+//! host decides by hosting the task or not. Whoever cleans, victims
+//! come one at a time from one pick, `Lfs::next_victim`.
 
 use mem_mgr::{BlockKey, Owner};
 use sim_disk::{BlockDevice, CpuCost};
@@ -170,8 +171,9 @@ pub(crate) struct VictimReason {
 }
 
 impl<D: BlockDevice> Lfs<D> {
-    /// Chooses up to `limit` victim segments according to the policy.
-    pub(crate) fn pick_victims(&self, limit: usize) -> Vec<SegNo> {
+    /// Every Dirty segment at or under the settable live fraction,
+    /// best-ranked first (ties keep segment order).
+    pub(crate) fn ranked_victims(&self) -> Vec<SegNo> {
         let now = self.now();
         let mut candidates: Vec<SegNo> = self
             .usage
@@ -195,8 +197,39 @@ impl<D: BlockDevice> Lfs<D> {
                 });
             }
         }
-        candidates.truncate(limit);
         candidates
+    }
+
+    /// The cleaner's one pick, taken one victim at a time by the floor,
+    /// [`Lfs::clean_pass`] and a hosted run: the best-ranked candidate
+    /// whose live bytes fit `budget`, which is charged for it. With
+    /// `off_spindle` (a run's, whose reads are asynchronous), the first
+    /// of the `segments_per_pass` best-ranked that fits and lies off
+    /// that spindle wins; an inline cleaner blocks on its read anyway.
+    pub(crate) fn next_victim(
+        &mut self,
+        budget: &mut u64,
+        off_spindle: Option<usize>,
+    ) -> Option<SegNo> {
+        let ranked = self.ranked_victims();
+        let live = |seg: SegNo| self.usage.get(seg).live_bytes as u64;
+        let off = off_spindle.and_then(|spindle| {
+            let window = ranked.iter().take(self.cfg.cleaner.segments_per_pass);
+            window
+                .copied()
+                .find(|&seg| live(seg) <= *budget && self.spindle_of_seg(seg) != spindle)
+        });
+        if off.is_some() {
+            self.obs.async_offspindle_victims.inc();
+        }
+        let seg = off.or_else(|| ranked.into_iter().find(|&seg| live(seg) <= *budget))?;
+        *budget -= live(seg);
+        Some(seg)
+    }
+
+    /// The spindle holding `seg`'s first block.
+    pub(crate) fn spindle_of_seg(&self, seg: SegNo) -> usize {
+        self.dev.spindle_of(self.sector_of(self.sb.seg_block(seg, 0)))
     }
 
     /// What the policy sees in `seg` at `now`: the inputs of its ranking
@@ -221,7 +254,8 @@ impl<D: BlockDevice> Lfs<D> {
         }
     }
 
-    /// Runs one cleaning pass over up to `segments_per_pass` victims.
+    /// Runs one cleaning pass: up to `segments_per_pass` victims from
+    /// `Lfs::next_victim`.
     ///
     /// Victims are additionally limited by a relocation budget: the live
     /// data they carry must fit in the clean segments currently available
@@ -232,7 +266,18 @@ impl<D: BlockDevice> Lfs<D> {
     /// segments reusable.
     pub fn clean_pass(&mut self) -> FsResult<CleanOutcome> {
         let mut budget = self.relocation_budget();
-        self.clean_pass_with_budget(&mut budget)
+        let per_pass = self.cfg.cleaner.segments_per_pass;
+        let (outcome, _) = self.clean_victims(&mut budget, |_, taken| taken < per_pass)?;
+        self.obs.cleaner_passes.inc();
+        self.obs.registry.event(
+            self.clock.now_ns(),
+            "cleaner_pass",
+            format!(
+                "segments={} live_blocks={} live_inodes={}",
+                outcome.segments, outcome.live_blocks, outcome.live_inodes
+            ),
+        );
+        Ok(outcome)
     }
 
     /// The default relocation budget: live bytes that can be rewritten
@@ -244,51 +289,26 @@ impl<D: BlockDevice> Lfs<D> {
             .saturating_mul(self.usage.seg_bytes())
     }
 
-    /// One cleaning pass drawing victims against a caller-managed budget
-    /// (shared across several passes preceding one checkpoint, so the
-    /// combined relocations still fit the available clean space).
-    pub(crate) fn clean_pass_with_budget(&mut self, budget: &mut u64) -> FsResult<CleanOutcome> {
-        self.clean_pass_toward(budget, usize::MAX)
-    }
-
-    /// [`Lfs::clean_pass_with_budget`] that takes no further victim once
-    /// clean + clean-pending segments have reached `target`. Only the
-    /// threshold activation passes a reachable target: it runs inside a
-    /// foreground operation, so every victim past the one that restores
-    /// the reserve is latency some client pays. Explicit cleaning
-    /// ([`Lfs::clean_pass`], [`Lfs::clean_until`]) cleans all it is
-    /// asked to.
-    pub(crate) fn clean_pass_toward(
+    /// Cleans victims from [`Lfs::next_victim`] inline while `more(self,
+    /// victims taken)` holds and one fits `budget`; returns them in order.
+    pub(crate) fn clean_victims(
         &mut self,
         budget: &mut u64,
-        target: usize,
-    ) -> FsResult<CleanOutcome> {
-        let victims = self.pick_victims(self.cfg.cleaner.segments_per_pass);
+        more: impl Fn(&Self, usize) -> bool,
+    ) -> FsResult<(CleanOutcome, Vec<SegNo>)> {
         let mut outcome = CleanOutcome::default();
-        for seg in victims {
-            if self.clean_and_pending() >= target {
+        let mut victims = Vec::new();
+        while more(self, victims.len()) {
+            let Some(seg) = self.next_victim(budget, None) else {
                 break;
-            }
-            let live = self.usage.get(seg).live_bytes as u64;
-            if live > *budget {
-                continue;
-            }
-            *budget -= live;
+            };
             let (blocks, inodes) = self.clean_segment(seg)?;
             outcome.segments += 1;
             outcome.live_blocks += blocks;
             outcome.live_inodes += inodes;
+            victims.push(seg);
         }
-        self.obs.cleaner_passes.inc();
-        self.obs.registry.event(
-            self.clock.now_ns(),
-            "cleaner_pass",
-            format!(
-                "segments={} live_blocks={} live_inodes={}",
-                outcome.segments, outcome.live_blocks, outcome.live_inodes
-            ),
-        );
-        Ok(outcome)
+        Ok((outcome, victims))
     }
 
     /// Cleans segments and checkpoints until at least `target` segments

@@ -5,12 +5,17 @@
 //! foreground operations ([`engine::Maintenance`]): each step performs
 //! one bounded unit of a `CleanerRun` — claim or issue one bounded
 //! segment read, classify a bounded number of summary entries, or
-//! commit the finished relocations with a checkpoint — and returns. A
-//! host that steps no task still gets the threshold cleaning every
-//! foreground operation does at the floor; hosting the task is what
-//! makes cleaning asynchronous. The synchronous path is the same victim
-//! machinery driven inline: [`Lfs::clean_segment`] reads the victim in
-//! one transfer and classifies it without caps. Cleaner I/O is issued
+//! commit the finished relocations with a checkpoint — and returns,
+//! paced by the stepping task's [`AsyncCleanerPolicy`]. A host that
+//! steps no task still gets the threshold cleaning every foreground
+//! operation does at the floor; hosting the task is what makes cleaning
+//! asynchronous. The synchronous path is the same victim machinery
+//! driven inline: [`Lfs::clean_segment`] reads the victim in one
+//! transfer and classifies it without caps.
+//!
+//! A run takes its victims from the pick every cleaner uses
+//! (`Lfs::next_victim`); two rules are its alone, the packing stop in
+//! `run_step` and the off-spindle preference. Cleaner I/O is issued
 //! with the device's maintenance class on (see
 //! [`BlockDevice::set_maintenance`]), so on an engine-backed device it
 //! competes in the same request queues as foreground clients while its
@@ -79,25 +84,12 @@ struct VictimProgress {
 /// steps.
 #[derive(Debug)]
 pub(crate) struct CleanerRun {
-    policy: AsyncCleanerPolicy,
     /// Remaining relocation budget (live bytes that still fit the clean
     /// segments available when the run started).
     budget: u64,
     current: Option<VictimProgress>,
     /// Victims fully cleaned by this run so far.
     cleaned: usize,
-}
-
-impl CleanerRun {
-    fn new(policy: AsyncCleanerPolicy, budget: u64) -> Self {
-        Self {
-            policy,
-            budget,
-            current: None,
-            cleaned: 0,
-        }
-    }
-
 }
 
 /// Idle time granted to an in-flight cleaner segment read before the
@@ -112,8 +104,8 @@ const CLEANER_READ_SERVICE_NS: u64 = 30_000_000;
 /// overlaps foreground work as a real async cleaner's would.
 ///
 /// Hosting one is the whole switch between synchronous and async
-/// cleaning: the file system holds the run between steps, and a run
-/// keeps the policy it started with.
+/// cleaning: the file system holds the run between steps, and each step
+/// paces it by the policy of the task that offers it.
 #[derive(Debug, Clone)]
 pub struct CleanerTask {
     policy: AsyncCleanerPolicy,
@@ -199,6 +191,17 @@ impl<D: BlockDevice> Lfs<D> {
         victim.is_some_and(|v| v.pending_read.is_some())
     }
 
+    /// The hosted run as a `cleaner_floor` event reports it.
+    pub(crate) fn cleaner_run_summary(&self) -> String {
+        match &self.cleaner_run {
+            None => "run=none".to_string(),
+            Some(run) => match &run.current {
+                Some(v) => format!("run=active run_victim={}", v.seg.0),
+                None => "run=active run_victim=-".to_string(),
+            },
+        }
+    }
+
     /// Whether a host should call [`Lfs::cleaner_step`] now.
     /// `queue_depth` is the engine's pending-request count (0 for
     /// devices without a queue); an idle-gated policy declines while the
@@ -219,8 +222,8 @@ impl<D: BlockDevice> Lfs<D> {
     /// the low watermark is crossed, claim or issue one bounded segment
     /// read, classify a bounded number of summary entries, or — when the
     /// high watermark is reached or victims run out — commit the run's
-    /// relocations with a checkpoint. A run starts with `policy` and
-    /// keeps it to its end. [`Step::Completed`] means the committing
+    /// relocations with a checkpoint, all paced by `policy` (the
+    /// stepping task's). [`Step::Completed`] means the committing
     /// checkpoint, if the run cleaned anything, has landed.
     pub(crate) fn cleaner_step(&mut self, policy: &AsyncCleanerPolicy) -> FsResult<Step> {
         if self.read_only {
@@ -230,16 +233,20 @@ impl<D: BlockDevice> Lfs<D> {
             if !self.run_should_start(policy) {
                 return Ok(Step::Idle);
             }
-            self.cleaner_run = Some(CleanerRun::new(*policy, self.relocation_budget()));
+            let budget = self.relocation_budget();
+            self.cleaner_run = Some(CleanerRun {
+                budget,
+                current: None,
+                cleaned: 0,
+            });
             self.obs.async_runs_started.inc();
             self.obs.registry.event(
                 self.clock.now_ns(),
                 "cleaner_run",
                 format!(
-                    "start clean={} pending={} budget={}",
+                    "start clean={} pending={} budget={budget}",
                     self.usage.clean_count(),
                     self.usage.segments_in_state(SegState::CleanPending).len(),
-                    self.cleaner_run.as_ref().unwrap().budget,
                 ),
             );
         }
@@ -247,7 +254,7 @@ impl<D: BlockDevice> Lfs<D> {
         let mut run = self.cleaner_run.take().expect("run just ensured");
         let was_maintenance = std::mem::replace(&mut self.in_maintenance, true);
         self.dev.set_maintenance(true);
-        let work = self.run_step(&mut run);
+        let work = self.run_step(&mut run, policy);
         self.dev.set_maintenance(false);
         self.in_maintenance = was_maintenance;
         match work {
@@ -287,9 +294,9 @@ impl<D: BlockDevice> Lfs<D> {
                     cp?;
                 }
                 // Futility damping: a run that cleaned nothing (no
-                // victim worth selecting — see the packing check in
-                // `pick_async_victim`) must not restart at the same
-                // segment population, or an eager host would spin.
+                // victim worth selecting, or the packing check in
+                // `run_step`) must not restart at the same segment
+                // population, or an eager host would spin.
                 self.cleaner_futile_at = if run.cleaned == 0 {
                     Some(self.clean_and_pending())
                 } else {
@@ -308,9 +315,13 @@ impl<D: BlockDevice> Lfs<D> {
     }
 
     /// One unit of run work.
-    fn run_step(&mut self, run: &mut CleanerRun) -> FsResult<StepWork> {
+    fn run_step(
+        &mut self,
+        run: &mut CleanerRun,
+        policy: &AsyncCleanerPolicy,
+    ) -> FsResult<StepWork> {
         if let Some(mut v) = run.current.take() {
-            // A stale victim (a synchronous floor pass cleaned it
+            // A stale victim (the floor or a `clean_pass` cleaned it
             // under us) is abandoned; any in-flight read is claimed and
             // discarded so no queue is left holding it.
             if v.stale {
@@ -321,11 +332,11 @@ impl<D: BlockDevice> Lfs<D> {
                 return Ok(StepWork::Continue);
             }
             if v.pending_read.is_some() || v.blocks_read < self.sb.seg_blocks as usize {
-                self.read_step(&mut v, &run.policy)?;
+                self.read_step(&mut v, policy.max_step_read_blocks.max(1))?;
                 run.current = Some(v);
                 return Ok(StepWork::Continue);
             }
-            if self.classify_step(&mut v, run.policy.max_step_entries.max(1))? {
+            if self.classify_step(&mut v, policy.max_step_entries.max(1))? {
                 self.finish_victim(&v);
                 run.cleaned += 1;
             } else {
@@ -333,12 +344,20 @@ impl<D: BlockDevice> Lfs<D> {
             }
             return Ok(StepWork::Continue);
         }
-        // Between victims: reach the high watermark and stop, or select
-        // the next victim within budget.
-        if self.clean_and_pending() >= self.effective_high(&run.policy) {
+        // Between victims: stop at the high watermark, or once the live
+        // data is packed — the segments in use hold at most one
+        // segment's slack, so every victim is compaction that reclaims
+        // nothing, a treadmill under an eager policy. The floor does not
+        // stop there: near the cap only compaction keeps the reserve.
+        let packed = self.usage.total_live_bytes().div_ceil(self.usage.seg_bytes()) as usize;
+        let used = (self.usage.nsegments() as usize).saturating_sub(self.clean_and_pending());
+        if self.clean_and_pending() >= self.effective_high(policy) || used <= packed + 1 {
             return Ok(StepWork::Finished);
         }
-        match self.pick_async_victim(run) {
+        // Its reads are asynchronous: one off the log head's spindle
+        // overlaps foreground writes instead of queueing behind them.
+        let off_spindle = (self.dev.fanout() > 1).then(|| self.spindle_of_seg(self.pos.seg));
+        match self.next_victim(&mut run.budget, off_spindle) {
             Some(seg) => {
                 run.current = Some(self.start_victim(seg));
                 Ok(StepWork::Continue)
@@ -347,10 +366,10 @@ impl<D: BlockDevice> Lfs<D> {
         }
     }
 
-    /// Claims the in-flight read span, or issues the next bounded one.
-    /// On devices without an async read path the span is read
-    /// synchronously (still bounded per step).
-    fn read_step(&mut self, v: &mut VictimProgress, policy: &AsyncCleanerPolicy) -> FsResult<()> {
+    /// Claims the in-flight read span, or issues the next one of at most
+    /// `max_blocks`. On devices without an async read path the span is
+    /// read synchronously (still bounded per step).
+    fn read_step(&mut self, v: &mut VictimProgress, max_blocks: usize) -> FsResult<()> {
         let bs = self.block_size();
         if let Some(p) = v.pending_read.take() {
             let data = self.dev.finish_read_async(p.token)?;
@@ -360,7 +379,7 @@ impl<D: BlockDevice> Lfs<D> {
             return Ok(());
         }
         let seg_blocks = self.sb.seg_blocks as usize;
-        let n = (seg_blocks - v.blocks_read).min(policy.max_step_read_blocks.max(1));
+        let n = (seg_blocks - v.blocks_read).min(max_blocks);
         let addr = BlockAddr(self.sb.seg_block(v.seg, 0).0 + v.blocks_read as u32);
         let sector = self.sector_of(addr);
         self.dev.annotate("cleaner-read");
@@ -484,44 +503,5 @@ impl<D: BlockDevice> Lfs<D> {
         let done = self.classify_step(&mut v, usize::MAX)?;
         debug_assert!(done, "an uncapped step walks the whole chain");
         Ok(self.finish_victim(&v))
-    }
-
-    /// Chooses the run's next victim within its remaining budget,
-    /// preferring (when the device has more than one spindle) a segment
-    /// on a spindle other than the log head's, so cleaner reads overlap
-    /// foreground writes instead of queueing behind them.
-    fn pick_async_victim(&mut self, run: &mut CleanerRun) -> Option<SegNo> {
-        // Packing check: cleaning can only gain segments while the live
-        // data occupies more segments than it strictly needs (plus one
-        // for the active tail). At optimal packing every "victim" is
-        // pure compaction — its relocated blocks recreate an equivalent
-        // partial segment, a treadmill that reclaims nothing and would
-        // run forever under an always-eager policy.
-        let seg_bytes = self.usage.seg_bytes();
-        let packed = self.usage.total_live_bytes().div_ceil(seg_bytes) as usize;
-        let used = (self.usage.nsegments() as usize).saturating_sub(self.clean_and_pending());
-        if used <= packed + 1 {
-            return None;
-        }
-        let candidates = self.pick_victims(self.cfg.cleaner.segments_per_pass.max(1));
-        let affordable: Vec<SegNo> = candidates
-            .into_iter()
-            .filter(|&seg| self.usage.get(seg).live_bytes as u64 <= run.budget)
-            .collect();
-        let spindle_of = |seg| self.dev.spindle_of(self.sector_of(self.sb.seg_block(seg, 0)));
-        let off_head = if self.dev.fanout() > 1 {
-            let head = spindle_of(self.pos.seg);
-            affordable.iter().copied().find(|&seg| spindle_of(seg) != head)
-        } else {
-            None
-        };
-        if off_head.is_some() {
-            self.obs.async_offspindle_victims.inc();
-        }
-        let chosen = off_head.or(affordable.first().copied());
-        if let Some(seg) = chosen {
-            run.budget -= self.usage.get(seg).live_bytes as u64;
-        }
-        chosen
     }
 }

@@ -54,7 +54,7 @@ fn stage(fs: &mut Lfs<SimDisk>, entries: &[(u32, u64, u64)]) {
 /// Victim list restricted to the staged segments (format itself leaves a
 /// dirty segment or two that would otherwise pollute the ranking).
 fn staged_victims(fs: &Lfs<SimDisk>, staged: &[u32], limit: usize) -> Vec<SegNo> {
-    fs.pick_victims(usize::MAX)
+    fs.ranked_victims()
         .into_iter()
         .filter(|seg| staged.contains(&seg.0))
         .take(limit)
@@ -142,9 +142,12 @@ fn budget_skips_victims_that_do_not_fit() {
         let mut fs = fs_with_policy(policy);
         stage(&mut fs, &[(1, 4_000, 1), (2, 6_000, 1), (3, 1_000, 1)]);
         // A budget that fits the two smallest staged victims (and whatever
-        // low-occupancy segment format itself left behind).
+        // low-occupancy segment format itself left behind): the pick
+        // passes over the one that does not fit and ends when none does.
         let mut budget = 5_500u64;
-        fs.clean_pass_with_budget(&mut budget).unwrap();
+        while let Some(seg) = fs.next_victim(&mut budget, None) {
+            fs.clean_segment(seg).unwrap();
+        }
         // The two staged victims within budget are pending; the over-budget
         // one stays dirty.
         let state = |seg| fs.usage_table().state(SegNo(seg));
@@ -160,7 +163,7 @@ fn active_segment_is_never_a_victim() {
         let mut fs = fs_with_policy(policy);
         let active = fs.pos.seg;
         stage(&mut fs, &[(5, 100, 1)]);
-        let victims = fs.pick_victims(100);
+        let victims = fs.ranked_victims();
         assert!(!victims.contains(&active), "{policy:?}");
     }
 }
@@ -174,8 +177,7 @@ fn cleaning_an_empty_dirty_segment_costs_one_read() {
         fs.sync().unwrap();
         fs.unlink("/dies").unwrap();
         fs.sync().unwrap();
-        let victims = fs.pick_victims(1);
-        let seg = victims[0];
+        let seg = fs.ranked_victims()[0];
         let (blocks, inodes) = fs.clean_segment(seg).unwrap();
         // Everything in it was dead: nothing to copy.
         assert_eq!((blocks, inodes), (0, 0), "{policy:?}");

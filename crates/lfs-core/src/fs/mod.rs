@@ -958,7 +958,7 @@ impl<D: BlockDevice> Lfs<D> {
                 // so engine accounting bills the queue waits to the
                 // maintenance class rather than the unlucky client.
                 self.dev.set_maintenance(true);
-                let result = self.clean_threshold_passes(floor);
+                let result = self.clean_at_floor(floor);
                 self.dev.set_maintenance(false);
                 result?;
             }
@@ -966,34 +966,26 @@ impl<D: BlockDevice> Lfs<D> {
         Ok(())
     }
 
-    /// The synchronous clean-on-threshold body: several passes sharing
-    /// one relocation budget, then the checkpoint that commits them.
-    /// The activation ends at the victim that brings clean + pending
-    /// segments to its target, not at the end of that victim's pass: a
-    /// foreground operation is waiting on it.
-    fn clean_threshold_passes(&mut self, floor: usize) -> FsResult<()> {
-        // Several passes share one relocation budget and one
-        // checkpoint: on small segments a per-pass checkpoint would
-        // cost more log space than a pass reclaims.
-        self.in_maintenance = true;
+    /// The synchronous clean-on-threshold body: victims against one
+    /// relocation budget until clean + pending segments reach `floor +
+    /// 2` (a foreground operation is waiting), then one checkpoint, since
+    /// on small segments one per victim costs more log than it reclaims.
+    fn clean_at_floor(&mut self, floor: usize) -> FsResult<()> {
         let target = floor + 2;
         let mut budget = self.relocation_budget();
-        let mut result = Ok(());
-        for _ in 0..4 {
-            match self.clean_pass_toward(&mut budget, target) {
-                Ok(outcome) if outcome.segments == 0 => break,
-                Ok(_) => {}
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-            if self.clean_and_pending() >= target {
-                break;
-            }
-        }
+        let detail = format!(
+            "clean={} pending={} target={target} budget={budget} {}",
+            self.usage.clean_count(),
+            self.usage.segments_in_state(SegState::CleanPending).len(),
+            self.cleaner_run_summary(),
+        );
+        self.in_maintenance = true;
+        let taken = self.clean_victims(&mut budget, |fs, _| fs.clean_and_pending() < target);
         self.in_maintenance = false;
-        result?;
+        let (_, victims) = taken?;
+        let victims: Vec<String> = victims.iter().map(|seg| seg.0.to_string()).collect();
+        let detail = format!("{detail} victims={}", victims.join(","));
+        self.obs.registry.event(self.clock.now_ns(), "cleaner_floor", detail);
         // Commit the relocations so cleaned segments become reusable.
         self.checkpoint_as(CpCause::Clean)?;
         Ok(())

@@ -45,7 +45,8 @@ obs::instruments! {
         cleaner_blocks_copied, Counter, "cleaner.blocks_copied", "Live blocks the cleaner copied back into the cache.";
         cleaner_inodes_copied, Counter, "cleaner.inodes_copied", "Live inodes the cleaner re-dirtied.";
         cleaner_bytes_read, Counter, "cleaner.bytes_read", "Bytes of whole-segment reads performed by the cleaner.";
-        cleaner_passes, Counter, "cleaner.passes", "Cleaner passes that ran.";
+        cleaner_passes, Counter, "cleaner.passes", "User-level clean_pass calls (clean_until makes one per \
+            round); the floor's activations are cleaner.floor_passes.";
         async_steps, Counter, "cleaner.async.steps", "Incremental async-cleaner steps executed.";
         async_runs_started, Counter, "cleaner.async.runs_started", "Async cleaner runs started (low watermark \
             crossed).";

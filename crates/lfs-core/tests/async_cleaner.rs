@@ -317,11 +317,13 @@ fn idle_gate_defers_until_quiet() {
     );
 }
 
-/// A victim that a synchronous pass cleans under an async run, and that
-/// the log then reuses, is abandoned by the run: its image no longer
-/// describes the segment, and finishing it would mark a segment holding
-/// new live data clean (a replay test in `lfs-bench` shows fsck catching
-/// exactly that).
+/// A victim that an inline cleaner (the floor or a `clean_pass`) cleans
+/// under an async run, and that the log then reuses, is abandoned by the
+/// run: its image no longer describes the segment, and finishing it
+/// would mark a segment holding new live data clean (a replay test in
+/// `lfs-bench` shows fsck catching exactly that). Every cleaner picks
+/// from one `next_victim`, but only a run holds its victim across steps,
+/// so the inline ones can still take it.
 #[test]
 fn a_victim_cleaned_and_reused_under_the_run_is_abandoned() {
     // One step reads a whole victim; one summary entry is classified

@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use lfs_core::layout::usage_block::SegState;
 use lfs_core::{CleanerPolicy, Lfs, LfsConfig};
 use sim_disk::{Clock, DiskGeometry, SimDisk};
 use vfs::FileSystem;
@@ -154,23 +155,17 @@ fn field(detail: &str, key: &str) -> usize {
         .unwrap()
 }
 
-#[test]
-fn threshold_activation_stops_at_its_target_and_explicit_cleaning_does_not() {
+/// A small-test file system churned up to its first threshold
+/// activation: one short-lived, synced, segment-sized file per round,
+/// so the log fills with nearly empty dirty segments, every victim is
+/// worth a whole segment and an activation needs only a few of them.
+fn churned_to_the_first_activation() -> Lfs<SimDisk> {
     let clock = Clock::new();
     let disk = SimDisk::new(DiskGeometry::tiny_test(4096), Arc::clone(&clock));
-    let cfg = LfsConfig::small_test();
-    let per_pass = cfg.cleaner.segments_per_pass;
-    let mut fs = Lfs::format(disk, cfg, clock).unwrap();
-    // What `maybe_writeback` aims an activation at.
-    let floor = fs.reserve_segment_count() + 2;
-    let target = floor + 2;
-
-    // One short-lived, synced, segment-sized file per round: the log
-    // fills with nearly empty dirty segments, so every victim is worth
-    // a whole segment and an activation needs only a few of them.
+    let mut fs = Lfs::format(disk, LfsConfig::small_test(), clock).unwrap();
     let blob = vec![0xEEu8; 15_000];
     let mut round = 0;
-    while fs.stats().segments_cleaned == 0 {
+    while fs.stats().floor_passes == 0 {
         assert!(round < 400, "the threshold never activated");
         fs.write_file(&format!("/f{round}"), &blob).unwrap();
         fs.sync().unwrap();
@@ -179,6 +174,16 @@ fn threshold_activation_stops_at_its_target_and_explicit_cleaning_does_not() {
         }
         round += 1;
     }
+    fs
+}
+
+#[test]
+fn threshold_activation_stops_at_its_target_and_explicit_cleaning_does_not() {
+    let mut fs = churned_to_the_first_activation();
+    let per_pass = LfsConfig::small_test().cleaner.segments_per_pass;
+    // What `maybe_writeback` aims an activation at.
+    let floor = fs.reserve_segment_count() + 2;
+    let target = floor + 2;
     let victims: Vec<String> = fs
         .obs()
         .events()
@@ -221,4 +226,98 @@ fn threshold_activation_stops_at_its_target_and_explicit_cleaning_does_not() {
     let asked = fs.usage_table().clean_count() + 2 * per_pass;
     assert!(fs.clean_until(asked).unwrap() >= asked);
     assert!(fs.fsck().unwrap().is_clean());
+}
+
+/// One threshold activation is one decision, and its event says what it
+/// saw and did: the level and budget it started from, the hosted run it
+/// found (none here) and its victims, the same ones the `victim` events
+/// name. The floor writes no `cleaner_pass` event: that kind is the
+/// user-level `Lfs::clean_pass`'s.
+#[test]
+fn a_floor_activation_leaves_one_decision_event() {
+    let fs = churned_to_the_first_activation();
+    let events = fs.obs().events();
+    let of = |kind: &str| -> Vec<String> {
+        let matching = events.iter().filter(|e| e.kind == kind);
+        matching.map(|e| e.detail.clone()).collect()
+    };
+    assert_eq!(of("cleaner_pass"), Vec::<String>::new(), "the floor wrote pass events");
+    let floors = of("cleaner_floor");
+    assert_eq!(floors.len(), 1, "one activation, one event: {floors:?}");
+    let detail = &floors[0];
+    let target = fs.reserve_segment_count() + 4;
+    assert_eq!(field(detail, "target"), target, "{detail}");
+    assert!(field(detail, "clean") + field(detail, "pending") < target, "{detail}");
+    assert!(field(detail, "budget") > 0, "{detail}");
+    assert!(detail.contains(" run=none "), "{detail}");
+    let victims: Vec<String> = of("victim")
+        .iter()
+        .map(|v| field(v, "seg").to_string())
+        .collect();
+    assert!(!victims.is_empty(), "the activation cleaned nothing");
+    assert!(detail.ends_with(&format!(" victims={}", victims.join(","))), "{detail}");
+}
+
+/// Compaction at the floor. Filled to the utilization cap, the live
+/// data is packed: every victim is mostly live and cleaning one gains a
+/// fraction of a segment. A hosted run stops there (cleaning for slack
+/// it does not need would be a treadmill), but the floor must go on —
+/// writes keep consuming clean segments and only compaction gives them
+/// back. A floor that stopped at the packing limit would drain the
+/// reserve until a write failed with `NoSpace`, as `ext_sustained_use`
+/// does at full size.
+#[test]
+fn the_floor_compacts_past_the_packing_limit() {
+    let clock = Clock::new();
+    // 24 segments: the cap leaves the live data within a segment or
+    // two of packed.
+    let disk = SimDisk::new(DiskGeometry::tiny_test(768), Arc::clone(&clock));
+    let mut cfg = LfsConfig::small_test();
+    // As `ext_sustained_use` does: past the default cap, into the
+    // region it protects, with the paper's policy.
+    cfg.max_utilization = 0.97;
+    cfg.cleaner.policy = CleanerPolicy::Greedy;
+    let mut fs = Lfs::format(disk, cfg, clock).unwrap();
+    let file = vec![0x3Cu8; 2048];
+    let mut nfiles = 0;
+    while fs.write_file(&format!("/f{nfiles}"), &file).is_ok() {
+        nfiles += 1;
+    }
+    // The write the cap refused may have left its file empty.
+    let _ = fs.unlink(&format!("/f{nfiles}"));
+    fs.sync().unwrap();
+
+    // What the hosted run's stop rule sees: the segments in use hold no
+    // more than one segment's slack beyond the live data's.
+    let packed = |fs: &Lfs<SimDisk>| {
+        let usage = fs.usage_table();
+        let live = usage.total_live_bytes().div_ceil(usage.seg_bytes()) as usize;
+        let pending = usage.segments_in_state(SegState::CleanPending).len();
+        usage.nsegments() as usize - usage.clean_count() - pending <= live + 1
+    };
+    let mut packed_activations = 0;
+    let mut rng = 0x2545F4914F6CDD1Du64;
+    for round in 0..200 {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        let path = format!("/f{}", rng as usize % nfiles);
+        let was_packed = packed(&fs);
+        let activations = fs.stats().floor_passes;
+        let ino = fs.lookup(&path).unwrap();
+        fs.truncate(ino, 0)
+            .unwrap_or_else(|e| panic!("round {round}: truncate: {e}"));
+        fs.write_at(ino, 0, &file)
+            .unwrap_or_else(|e| panic!("round {round}: write: {e}"));
+        if was_packed && fs.stats().floor_passes > activations {
+            packed_activations += 1;
+        }
+    }
+    assert!(
+        packed_activations > 0,
+        "no activation began at the packing limit: the test is vacuous"
+    );
+    fs.sync().unwrap();
+    let report = fs.fsck().unwrap();
+    assert!(report.is_clean(), "{report}");
 }
