@@ -6,8 +6,9 @@
 //! here) and an oldest-first baseline, under a sustained hot/cold churn
 //! on a small disk where the cleaner must run continuously. Two arms:
 //! the disk 40 % full, where any policy finds nearly empty victims and
-//! greedy's are the emptiest, and 60 % full, where the slack is smeared
-//! over mostly-live cold segments and the pick starts to matter.
+//! greedy's are the emptiest, and 55 % full, where the slack is smeared
+//! over mostly-live cold segments and the pick starts to matter (60 %
+//! is past what the space rule admits on this 23-segment log).
 //!
 //! The quality metric is **write amplification**: live blocks the cleaner
 //! copied per new data block written. Lower is better — it is disk
@@ -31,7 +32,7 @@ const POLICIES: [CleanerPolicy; 3] = [
 
 /// The two fill levels — 16 KB files on the 24 MB disk — and whether
 /// cost-benefit is claimed to beat greedy there.
-const ARMS: [(&str, usize, bool); 2] = [("40% full", 600, false), ("60% full", 900, true)];
+const ARMS: [(&str, usize, bool); 2] = [("40% full", 600, false), ("55% full", 840, true)];
 
 /// Live blocks the cleaner copied per new data block written.
 fn write_amp(stats: &LfsStats) -> f64 {

@@ -28,12 +28,13 @@ fn run(use_fastpath: bool, metrics: &mut MetricsReport) -> Row {
     let mut cfg = LfsConfig::paper();
     cfg.cleaner.use_version_fastpath = use_fastpath;
     cfg.cleaner.segments_per_pass = 4;
-    // The overwrite fill crosses the cleaning floor once in each arm
-    // (`cleaner.floor_passes` = 1): that one activation cleans 13 wholly
-    // dead segments, identically in both arms and before the measured
-    // loop, which then takes 9 passes for its 24 segments. The exported
-    // `cleaner.passes` (9) counts only those passes; `segments_cleaned`
-    // (37) counts both.
+    // The overwrite fill crosses the cleaning floor five times in each
+    // arm (`cleaner.floor_passes` = 5; the 15 MB cache's reserve is 18
+    // segments, so the floor is 20): those activations clean 24
+    // segments, identically in both arms and before the measured loop,
+    // which then takes 13 passes for its 24 segments. The exported
+    // `cleaner.passes` (13) counts only those passes; `segments_cleaned`
+    // (48) counts both.
     let mut fs = Lfs::format(disk, cfg, Arc::clone(&clock)).unwrap();
 
     // Create many small files, then overwrite them all in their entirety

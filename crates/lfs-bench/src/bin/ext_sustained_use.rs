@@ -15,7 +15,7 @@ use std::sync::Arc;
 use lfs_bench::{print_table, MetricsReport, Row};
 use lfs_core::{CleanerPolicy, Lfs, LfsConfig};
 use sim_disk::{Clock, DiskGeometry, SimDisk};
-use vfs::FileSystem;
+use vfs::{FileSystem, FsError};
 use workload::{payload, Stopwatch};
 
 struct Outcome {
@@ -25,7 +25,9 @@ struct Outcome {
     segments_cleaned: u64,
 }
 
-fn run(fullness: f64, metrics: &mut MetricsReport) -> Outcome {
+/// One fullness row, or `Err(live fraction)` where the space rule
+/// refused the fill before it reached `fullness`.
+fn run(fullness: f64, metrics: &mut MetricsReport) -> Result<Outcome, f64> {
     // 48 MB disk, 2 MB cache: small enough that the horizon stresses the
     // cleaner, large enough for hundreds of segments.
     let clock = Clock::new();
@@ -34,9 +36,6 @@ fn run(fullness: f64, metrics: &mut MetricsReport) -> Outcome {
         Arc::clone(&clock),
     );
     let mut cfg = LfsConfig::paper().with_cache_bytes(2 * 1024 * 1024);
-    // Probe beyond the default 88 % utilization cap: this experiment
-    // exists to map the danger zone the cap protects against.
-    cfg.max_utilization = 0.97;
     // §5.3's question is asked of the paper's cleaner, so this sweep
     // keeps the paper's policy; the churn below is uniform, so an
     // age-aware policy would have no skew to exploit anyway
@@ -44,8 +43,14 @@ fn run(fullness: f64, metrics: &mut MetricsReport) -> Outcome {
     cfg.cleaner.policy = CleanerPolicy::Greedy;
     let mut fs = Lfs::format(disk, cfg, Arc::clone(&clock)).unwrap();
 
-    // Fill to the target live fraction with 16 KB files.
+    // Fill to the target live fraction with 16 KB files, or until the
+    // space rule refuses one.
     let capacity = fs.superblock().log_capacity_bytes() as f64;
+    if fullness == 0.30 {
+        let limit = fs.space_rule().admit_bytes() as f64;
+        let segs = fs.superblock().nsegments;
+        println!("space rule, {segs} segments: {limit} B admitted, {:.1} % of the log", limit * 100.0 / capacity);
+    }
     let file_size = 16 * 1024usize;
     let nfiles = (capacity * fullness / file_size as f64) as usize;
     let data = payload(13, file_size);
@@ -54,7 +59,9 @@ fn run(fullness: f64, metrics: &mut MetricsReport) -> Outcome {
     }
     let path = |i: usize| format!("/d{:03}/f{i:05}", i / 200);
     for i in 0..nfiles {
-        fs.write_file(&path(i), &data).unwrap();
+        if let Err(FsError::NoSpace) = fs.write_file(&path(i), &data) {
+            return Err(fs.usage_table().total_live_bytes() as f64 / capacity);
+        }
     }
     fs.sync().unwrap();
 
@@ -87,20 +94,26 @@ fn run(fullness: f64, metrics: &mut MetricsReport) -> Outcome {
 
     let copied = fs.stats().cleaner_blocks_copied - copied_before;
     let written = fs.stats().data_blocks_written - data_before;
-    Outcome {
+    Ok(Outcome {
         overwrites_per_sec: rounds as f64 / secs,
         cleaner_share: (fs.stats().cleaner_bytes_read - cleaner_read_before) as f64
             / io.bytes_total() as f64,
         write_amp: copied as f64 / written.max(1) as f64,
         segments_cleaned: fs.stats().segments_cleaned - cleaned_before,
-    }
+    })
 }
 
 fn main() {
-    let mut rows = Vec::new();
+    let (mut rows, mut refused) = (Vec::new(), Vec::new());
     let mut metrics = MetricsReport::new("ext_sustained_use");
     for fullness in [0.30f64, 0.50, 0.65, 0.78, 0.85] {
-        let o = run(fullness, &mut metrics);
+        let o = match run(fullness, &mut metrics) {
+            Ok(o) => o,
+            Err(live) => {
+                refused.push(format!("{:.0}% full: refused at {:.1} % live", fullness * 100.0, live * 100.0));
+                continue;
+            }
+        };
         rows.push(Row::new(
             format!("{:.0}% full", fullness * 100.0),
             vec![
@@ -122,12 +135,15 @@ fn main() {
         ],
         &rows,
     );
+    for line in &refused {
+        println!("deviation: {line}");
+    }
     println!(
         "\npaper (SS5.3/SS6): segment utilization at cleaning time tracks disk\n\
          fullness under steady churn; throughput degrades as the cleaner must\n\
-         copy ever more live data per segment reclaimed. (The default\n\
-         LfsConfig caps live data at 88% of capacity to stay out of the\n\
-         collapse region; this run overrides the cap to map it.)"
+         copy ever more live data per segment reclaimed. (How full the log\n\
+         may get is the space rule's answer: a row asked for more than it\n\
+         admits is refused, not run.)"
     );
     metrics.emit();
 }

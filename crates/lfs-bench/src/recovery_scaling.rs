@@ -61,9 +61,14 @@ impl WorkloadSpec {
 /// The LFS configuration under test: paper geometry with checkpoints
 /// effectively disabled after format (so the whole workload is
 /// roll-forward tail) and a small inode map (so the serial
-/// checkpoint-load at mount stays a footnote next to the scan).
+/// checkpoint-load at mount stays a footnote next to the scan). The
+/// cache is 8 MB: the paper's 15 MB makes the space rule's reserve 16
+/// segments, and the rule would then refuse the large log on one
+/// spindle. Each directory's fsync writes its 4 MB either way, so the
+/// tail is the same.
 fn lfs_cfg(fanout: usize) -> LfsConfig {
     let mut cfg = LfsConfig::paper()
+        .with_cache_bytes(8 * 1024 * 1024)
         .with_checkpoint_secs(1e9)
         .with_recovery_fanout(fanout);
     cfg.max_inodes = 4096;

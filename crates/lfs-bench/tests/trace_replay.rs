@@ -46,8 +46,8 @@ fn bench_json_is_byte_identical_across_runs() {
 }
 
 /// Trace replay hosts a maintenance task: a hot-file churn trace on an
-/// LFS whose disk only just holds it (768 sectors; at 704 even the
-/// synchronous cleaner runs out of space), with the async cleaner
+/// LFS whose disk only just holds it (1,024 sectors; at 896 the space
+/// rule refuses writes the working set needs), with the async cleaner
 /// offered the idle time before every dispatch. The cleaner must step
 /// inside the replay, and the result must be consistent and equal to
 /// what the model reaches on the same trace.
@@ -56,7 +56,7 @@ fn bench_json_is_byte_identical_across_runs() {
 /// cleaned, and the log reused, between two of the run's steps.
 #[test]
 fn replay_hosts_the_async_cleaner() {
-    const SECTORS: u64 = 768;
+    const SECTORS: u64 = 1024;
     let spec = GenSpec {
         clients: 3,
         ops_per_client: 400,

@@ -224,7 +224,7 @@ impl<D: BlockDevice> Lfs<D> {
                 "configuration does not match on-disk geometry",
             ));
         }
-        let mut fs = Self::fresh(dev, sb, cfg, clock);
+        let mut fs = Self::fresh(dev, sb, cfg, clock)?;
 
         // Pick the newest valid checkpoint.
         let region_bytes = (fs.sb.cp_blocks * fs.sb.block_size) as usize;

@@ -22,7 +22,8 @@
 //! [`Lfs::checkpoint`].
 //!
 //! Cleaning has the paper's two triggers. A foreground operation that
-//! leaves fewer than `reserve + 2` segments clean cleans inline before
+//! leaves fewer segments clean than the space rule's floor
+//! ([`crate::SpaceRule`]) cleans inline before
 //! it returns ("when the number of clean segments drops below a
 //! threshold value"). A host with slack time ("at night or other times
 //! of slack usage") calls [`Lfs::clean_until`], or steps a
@@ -41,6 +42,7 @@ use crate::fs::Lfs;
 use crate::layout::inode::inode_block;
 use crate::layout::summary::{self, BlockKind};
 use crate::layout::usage_block::SegState;
+use crate::log::plan_chunk;
 use crate::types::{BlockAddr, SegNo};
 
 /// Victim-selection policy.
@@ -280,13 +282,33 @@ impl<D: BlockDevice> Lfs<D> {
         Ok(outcome)
     }
 
-    /// The default relocation budget: live bytes that can be rewritten
-    /// into the currently clean segments, keeping a two-segment margin
-    /// for checkpoint metadata.
+    /// The relocation budget: live bytes the next checkpoint can still
+    /// carry into the clean segments, by the space rule.
     pub(crate) fn relocation_budget(&self) -> u64 {
-        (self.usage.clean_count() as u64)
-            .saturating_sub(2)
-            .saturating_mul(self.usage.seg_bytes())
+        let (clean, open, unwritten) = self.log_room(true);
+        self.space.relocation_budget(clean, open, unwritten)
+    }
+
+    /// What the space rule weighs a relocation or a write against: the
+    /// clean segments, the payload blocks a chunk opened at the log head
+    /// would hold, and the blocks the next checkpoint writes before any
+    /// relocation (dirty cache blocks, dirty inodes' blocks, every
+    /// inode-map block in use and the whole usage table). Unless `exact`,
+    /// the last is bounded from above without a scan: every resident
+    /// inode and every inode-map block.
+    pub(crate) fn log_room(&self, exact: bool) -> (usize, usize, usize) {
+        let left = (self.sb.seg_blocks - self.pos.offset) as usize;
+        let open = plan_chunk(left, self.block_size()).map_or(0, |(_, cap)| cap);
+        let (inodes, imap) = if exact {
+            (self.inodes.dirty_inos().count(), self.imap.blocks_in_use())
+        } else {
+            (self.inodes.len(), self.imap.nblocks())
+        };
+        let unwritten = self.cache.dirty_count()
+            + inodes.div_ceil(self.sb.inodes_per_block() as usize)
+            + imap
+            + self.usage.nblocks();
+        (self.usage.clean_count(), open, unwritten)
     }
 
     /// Cleans victims from [`Lfs::next_victim`] inline while `more(self,

@@ -149,11 +149,11 @@ impl<D: BlockDevice> Lfs<D> {
         self.usage.clean_count() + self.usage.segments_in_state(SegState::CleanPending).len()
     }
 
-    /// The run-start threshold, floored safely above the threshold
-    /// cleaning floor (`reserve + 2`) so a responsive host always cleans
-    /// asynchronously before a foreground operation is forced to.
+    /// The run-start threshold, floored at the space rule's run floor,
+    /// above the threshold cleaning floor, so a responsive host always
+    /// cleans asynchronously before a foreground operation is forced to.
     fn effective_low(&self, policy: &AsyncCleanerPolicy) -> usize {
-        policy.low_watermark.max(self.reserve_segments + 3)
+        policy.low_watermark.max(self.space.run_floor())
     }
 
     /// Whether a new run should start: the clean-plus-pending level is
@@ -168,13 +168,6 @@ impl<D: BlockDevice> Lfs<D> {
     /// The run-stop threshold (hysteresis above the start threshold).
     fn effective_high(&self, policy: &AsyncCleanerPolicy) -> usize {
         policy.high_watermark.max(self.effective_low(policy) + 2)
-    }
-
-    /// Segments kept in reserve so a checkpoint can always complete —
-    /// the base of the threshold cleaning floor. Hosts size async
-    /// watermarks relative to this.
-    pub fn reserve_segment_count(&self) -> usize {
-        self.reserve_segments
     }
 
     /// True while an incremental cleaning run is in progress.
@@ -273,7 +266,7 @@ impl<D: BlockDevice> Lfs<D> {
                 // path, so down there the foreground write path (which
                 // has that escape hatch) must do the draining.
                 if self.cache.dirty_count() * 2 >= self.cache.capacity_blocks()
-                    && self.usage.clean_count() > self.reserve_segments
+                    && self.usage.clean_count() > self.space.reserve()
                 {
                     self.dev.set_maintenance(true);
                     let fl = self.flush(false, false);
@@ -347,8 +340,11 @@ impl<D: BlockDevice> Lfs<D> {
         // Between victims: stop at the high watermark, or once the live
         // data is packed — the segments in use hold at most one
         // segment's slack, so every victim is compaction that reclaims
-        // nothing, a treadmill under an eager policy. The floor does not
-        // stop there: near the cap only compaction keeps the reserve.
+        // nothing, a treadmill under an eager policy. The space rule
+        // keeps the floor away from that state (admission leaves the
+        // target plus one segment free), but a host's high watermark may
+        // ask for more clean segments than admission guarantees, and
+        // this stop is what ends such a run.
         let packed = self.usage.total_live_bytes().div_ceil(self.usage.seg_bytes()) as usize;
         let used = (self.usage.nsegments() as usize).saturating_sub(self.clean_and_pending());
         if self.clean_and_pending() >= self.effective_high(policy) || used <= packed + 1 {

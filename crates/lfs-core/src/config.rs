@@ -34,17 +34,6 @@ pub struct LfsConfig {
     pub checkpoint_interval_ns: u64,
     /// Segment-cleaner configuration.
     pub cleaner: CleanerConfig,
-    /// Cap on the fraction of log capacity that live data may occupy,
-    /// before the segment reserve comes off. §5.3's closing question —
-    /// "how full LFS can allow the disk to become and still keep the
-    /// cleaning cost down" — has a hard edge: above ~90 % the cleaner
-    /// reclaims less per pass than its own checkpoints consume and the
-    /// log wedges. Writes fail with `NoSpace` once live bytes would pass
-    /// `floor(log capacity × this) − (reserve + 1) segments`, the reserve
-    /// being 2 + the cache in segments (at most a quarter of the log):
-    /// 63 segments of 1 MB and a 2 MB cache stop at 0.88 × 66,060,288 −
-    /// 5 MiB = 52.9 MB, 78.8 % of a 64 MB disk, not at the cap itself.
-    pub max_utilization: f64,
     /// Whether mount attempts roll-forward past the last checkpoint
     /// (the paper's "ultimately LFS will recover" design, §4.4.1).
     /// Without it `fsync` forces a checkpoint instead of a log flush,
@@ -122,7 +111,6 @@ impl LfsConfig {
             cache_policy: CachePolicy::SharedLru,
             checkpoint_interval_ns: 30 * 1_000_000_000,
             cleaner: CleanerConfig::default(),
-            max_utilization: 0.88,
             roll_forward: true,
             segment_align_metadata: false,
             seal_on_flush: false,
@@ -142,7 +130,6 @@ impl LfsConfig {
             cache_policy: CachePolicy::SharedLru,
             checkpoint_interval_ns: 30 * 1_000_000_000,
             cleaner: CleanerConfig::default(),
-            max_utilization: 0.88,
             roll_forward: true,
             segment_align_metadata: false,
             seal_on_flush: false,

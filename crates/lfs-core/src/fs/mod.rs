@@ -45,6 +45,7 @@ use crate::layout::summary::BlockKind;
 use crate::layout::superblock::Superblock;
 use crate::layout::usage_block::SegState;
 use crate::log::{plan_chunk, ChunkBuilder, LogPosition};
+use crate::space::SpaceRule;
 use crate::stats::{LfsObs, LfsStats};
 use crate::types::{BlockAddr, SegNo, INODE_SIZE};
 use crate::usage::UsageTable;
@@ -89,8 +90,8 @@ pub struct Lfs<D: BlockDevice> {
     /// Set while a flush runs, so the synchronous reads it issues itself
     /// are counted as the flush's (`log.flush_sync_reads`).
     flushing: bool,
-    /// Segments kept in reserve so a checkpoint can always complete.
-    pub(crate) reserve_segments: usize,
+    /// How full the log may get: every headroom number (`space.rs`).
+    pub(crate) space: SpaceRule,
     /// Expected end-to-end CRC-32C of every device block this mount has
     /// written or replayed, indexed by [`BlockAddr`]. `None` means the
     /// block's checksum is unknown (never seen), so its reads cannot be
@@ -136,7 +137,7 @@ impl<D: BlockDevice> Lfs<D> {
         let sb_bytes = sb.encode();
         dev.annotate("superblock");
         dev.write(0, &sb_bytes, true)?;
-        let mut fs = Self::fresh(dev, sb, cfg, clock);
+        let mut fs = Self::fresh(dev, sb, cfg, clock)?;
 
         // Create the root directory.
         fs.imap.allocate_specific(Ino::ROOT)?;
@@ -148,8 +149,15 @@ impl<D: BlockDevice> Lfs<D> {
         Ok(fs)
     }
 
-    /// Builds the common in-memory state shared by format and mount.
-    pub(crate) fn fresh(mut dev: D, sb: Superblock, cfg: LfsConfig, clock: Arc<Clock>) -> Self {
+    /// Builds the common in-memory state shared by format and mount;
+    /// [`FsError::NoSpace`] on a volume too small for the space rule.
+    pub(crate) fn fresh(
+        mut dev: D,
+        sb: Superblock,
+        cfg: LfsConfig,
+        clock: Arc<Clock>,
+    ) -> FsResult<Self> {
+        let space = SpaceRule::derive(&sb, cfg.cache_blocks())?;
         let cpu = CpuModel::sun_4_260(Arc::clone(&clock));
         // One metrics registry covers the whole stack: the device and the
         // cache mount their registries in it so disk, cache, and
@@ -162,7 +170,7 @@ impl<D: BlockDevice> Lfs<D> {
         // segment-sized log writes.
         let mut cache = MemMgr::new(
             sb.block_size as usize,
-            (cfg.cache_bytes / sb.block_size as usize).max(8),
+            cfg.cache_blocks(),
             MemConfig::adaptive(cfg.writeback, seg_bytes).with_policy(cfg.cache_policy),
         );
         cache.attach_obs(&registry);
@@ -172,8 +180,6 @@ impl<D: BlockDevice> Lfs<D> {
             seg_bytes,
             sb.usage_entries_per_block() as usize,
         );
-        let reserve = 2 + cfg.cache_bytes.div_ceil(seg_bytes as usize);
-        let reserve = reserve.min(sb.nsegments as usize / 4).max(1);
         let total_blocks = (dev.capacity_bytes() / sb.block_size as u64) as usize;
         let inodes = InodeTable::new(INODE_SIZE, &cache, &registry);
         let mut fs = Self {
@@ -201,7 +207,7 @@ impl<D: BlockDevice> Lfs<D> {
             names: NameIndex::new(&registry),
             in_maintenance: false,
             flushing: false,
-            reserve_segments: reserve,
+            space,
             block_crc: vec![None; total_blocks],
             read_only: false,
             cleaner_run: None,
@@ -209,7 +215,7 @@ impl<D: BlockDevice> Lfs<D> {
             relocated: BTreeSet::new(),
         };
         fs.usage.set_state(SegNo(0), SegState::Active);
-        fs
+        Ok(fs)
     }
 
     /// Replaces the CPU model (e.g. for the CPU-scaling experiment).
@@ -298,6 +304,13 @@ impl<D: BlockDevice> Lfs<D> {
     /// written: a crash now recovers from the previous region.
     pub fn checkpoint_parked(&self) -> bool {
         self.parked.is_some()
+    }
+
+    /// How full this mount lets the log get: the reserve, the floor and
+    /// its target, the relocation margin, the hosted run's start level
+    /// and the admission limit (DESIGN §5.3).
+    pub fn space_rule(&self) -> &SpaceRule {
+        &self.space
     }
 
     /// Returns true if the file system has degraded to read-only.
@@ -934,12 +947,11 @@ impl<D: BlockDevice> Lfs<D> {
         self.inodes.bound(&mut self.cache, at);
 
         // Cleaner activation (§4.3.4): clean-segment count below the
-        // floor, which covers the worst case of one full cache flush
-        // plus the checkpoint that commits the cleaner's relocations.
-        // Segments already cleaned and parked CleanPending (by a hosted
-        // `CleanerTask` run, or a `clean_pass` not yet committed) are
-        // committed first: a checkpoint is far cheaper than cleaning.
-        let floor = self.reserve_segments + 2;
+        // space rule's floor. Segments already cleaned and parked
+        // CleanPending (by a hosted `CleanerTask` run, or a `clean_pass`
+        // not yet committed) are committed first: a checkpoint is far
+        // cheaper than cleaning.
+        let floor = self.space.floor();
         if self.usage.clean_count() < floor {
             if !self
                 .usage
@@ -958,7 +970,7 @@ impl<D: BlockDevice> Lfs<D> {
                 // so engine accounting bills the queue waits to the
                 // maintenance class rather than the unlucky client.
                 self.dev.set_maintenance(true);
-                let result = self.clean_at_floor(floor);
+                let result = self.clean_at_floor();
                 self.dev.set_maintenance(false);
                 result?;
             }
@@ -967,11 +979,12 @@ impl<D: BlockDevice> Lfs<D> {
     }
 
     /// The synchronous clean-on-threshold body: victims against one
-    /// relocation budget until clean + pending segments reach `floor +
-    /// 2` (a foreground operation is waiting), then one checkpoint, since
-    /// on small segments one per victim costs more log than it reclaims.
-    fn clean_at_floor(&mut self, floor: usize) -> FsResult<()> {
-        let target = floor + 2;
+    /// relocation budget until clean + pending segments reach the space
+    /// rule's target (a foreground operation is waiting), then one
+    /// checkpoint, since on small segments one per victim costs more log
+    /// than it reclaims.
+    fn clean_at_floor(&mut self) -> FsResult<()> {
+        let target = self.space.target();
         let mut budget = self.relocation_budget();
         let detail = format!(
             "clean={} pending={} target={target} budget={budget} {}",
@@ -983,27 +996,62 @@ impl<D: BlockDevice> Lfs<D> {
         let taken = self.clean_victims(&mut budget, |fs, _| fs.clean_and_pending() < target);
         self.in_maintenance = false;
         let (_, victims) = taken?;
-        let victims: Vec<String> = victims.iter().map(|seg| seg.0.to_string()).collect();
-        let detail = format!("{detail} victims={}", victims.join(","));
+        let names: Vec<String> = victims.iter().map(|seg| seg.0.to_string()).collect();
+        let detail = format!("{detail} victims={}", names.join(","));
         self.obs.registry.event(self.clock.now_ns(), "cleaner_floor", detail);
-        // Commit the relocations so cleaned segments become reusable.
-        self.checkpoint_as(CpCause::Clean)?;
+        // Commit the relocations so cleaned segments become reusable; with
+        // none, a checkpoint would only spend log.
+        if !victims.is_empty() {
+            self.checkpoint_as(CpCause::Clean)?;
+        }
         Ok(())
     }
 
-    /// Returns [`FsError::NoSpace`] unless roughly `incoming` more bytes
-    /// fit while preserving (a) the segment reserve a checkpoint needs
-    /// and (b) the utilization headroom the cleaner needs to keep
-    /// reclaiming more space per pass than its checkpoints consume.
-    pub(crate) fn check_space(&self, incoming: u64) -> FsResult<()> {
-        let seg_bytes = self.usage.seg_bytes();
-        let capacity = self.sb.log_capacity_bytes();
-        let reserve = self.reserve_segments as u64 * seg_bytes;
-        let cap = (capacity as f64 * self.cfg.max_utilization) as u64;
-        let budget = cap.saturating_sub(reserve + seg_bytes);
-        if self.usage.total_live_bytes() + incoming > budget {
-            return Err(FsError::NoSpace);
+    /// Returns [`FsError::NoSpace`] unless `incoming` more live bytes
+    /// fit the space rule ([`SpaceRule`]): the live data, counting what
+    /// the cache holds unflushed, stays within the admission limit, and
+    /// the log can take the next checkpoint and still keep the reserve.
+    /// A cached overwrite counts twice until written (its old copy
+    /// is still live) and a cleaned segment is not reusable until its
+    /// checkpoint, so before refusing, the cache is written back (with a
+    /// checkpoint, when cleaned segments wait for one), the floor cleans
+    /// if its target is not met, and the question is asked again. A refused write leaves the files as they were and the
+    /// mount writable.
+    pub(crate) fn check_space(&mut self, incoming: u64) -> FsResult<()> {
+        if !self.admits(incoming) {
+            if self.usage.segments_in_state(SegState::CleanPending).is_empty() {
+                self.flush_as(false, false, FlushCause::CachePressure)?;
+            } else {
+                self.checkpoint_as(CpCause::Clean)?;
+            }
+            if !self.admits(incoming) && self.clean_and_pending() < self.space.target() {
+                self.obs.floor_passes.inc();
+                self.dev.set_maintenance(true);
+                let result = self.clean_at_floor();
+                self.dev.set_maintenance(false);
+                result?;
+            }
         }
-        Ok(())
+        if self.admits(incoming) {
+            Ok(())
+        } else {
+            Err(FsError::NoSpace)
+        }
+    }
+
+    /// The live bytes `check_space` weighs: on disk, less what cleaned
+    /// segments awaiting their checkpoint still count (it was moved into
+    /// the cache), plus the cache's unflushed blocks. Cheap bounds first:
+    /// leaving out the moved bytes and bounding the unwritten blocks
+    /// from above can only refuse.
+    fn admits(&self, incoming: u64) -> bool {
+        let unflushed = self.cache.dirty_count() as u64 * self.sb.block_size as u64;
+        let live = self.usage.total_live_bytes() + unflushed;
+        if self.space.admits(live, incoming, self.log_room(false)) {
+            return true;
+        }
+        let pending = self.usage.segments_in_state(SegState::CleanPending);
+        let moved: u64 = pending.iter().map(|&seg| self.usage.get(seg).live_bytes as u64).sum();
+        self.space.admits(live - moved, incoming, self.log_room(true))
     }
 }

@@ -135,7 +135,7 @@ fn a_chunk_with_nowhere_to_link_is_refused_before_it_is_written() {
 
 #[test]
 fn check_space_reserves_segments() {
-    let fs = fresh();
+    let mut fs = fresh();
     let capacity = fs.sb.log_capacity_bytes();
     // Tiny requests fit.
     fs.check_space(1024).unwrap();
@@ -143,22 +143,50 @@ fn check_space_reserves_segments() {
     assert_eq!(fs.check_space(capacity), Err(FsError::NoSpace));
 }
 
-/// Benchmark finding 4 (`NoSpace` at 78 % of `hotcold_churn`'s 64 MB
-/// spindle under a 0.88 cap) is this arithmetic, not a leak: live bytes
-/// stop at the capped log capacity less the reserve plus one segment.
+/// The space rule at `hotcold_churn`'s geometry (63 × 1 MB segments, a
+/// 2 MB cache): the headroom numbers the benchmark has always run with,
+/// and an admission limit no lower than the old 0.88 cap's 52,890,173 B.
 #[test]
-fn check_space_ceiling_is_the_capped_log_less_reserve_plus_one_segment() {
+fn space_rule_at_the_benchmark_geometry() {
     let clock = Clock::new();
     let disk = SimDisk::new(DiskGeometry::tiny_test(131_072), Arc::clone(&clock));
     let cfg = LfsConfig::paper().with_cache_bytes(2 * 1024 * 1024);
-    let fs = Lfs::format(disk, cfg, clock).unwrap();
-    assert_eq!(fs.sb.log_capacity_bytes(), 66_060_288, "63 × 1 MB");
-    assert_eq!(fs.reserve_segments, 4);
-    let ceiling = (66_060_288f64 * 0.88) as u64 - 5 * (1 << 20);
-    assert_eq!(ceiling, 52_890_173, "78.8 % of 64 MiB");
-    let headroom = ceiling - fs.usage.total_live_bytes();
-    fs.check_space(headroom).unwrap();
+    let mut fs = Lfs::format(disk, cfg, clock).unwrap();
+    assert_eq!(fs.sb.nsegments, 63);
+    let rule = *fs.space_rule();
+    // 512 cache blocks + 16 inode blocks + 386 inode-map blocks + 1
+    // usage block over 254 payload blocks a segment.
+    assert_eq!(rule.reserve(), 4);
+    assert_eq!(rule.floor(), 6);
+    assert_eq!(rule.target(), 8);
+    assert_eq!(rule.relocation_margin(), 2);
+    assert_eq!(rule.run_floor(), 7);
+    // 54 segments of 254 payload blocks, a block and its inode per block.
+    assert_eq!(rule.admit_bytes(), 54 * 254 * 4096 * 4096 / (4096 + 128));
+    assert!(rule.admit_bytes() >= 52_890_173);
+    let headroom = rule.admit_bytes() - fs.usage.total_live_bytes();
+    fs.check_space(headroom - 4096).unwrap();
     assert_eq!(fs.check_space(headroom + 1), Err(FsError::NoSpace));
+}
+
+/// No quarter-of-the-log clamp: a volume whose log cannot hold the
+/// rule's target is refused at format, and one just large enough admits
+/// what the rule leaves.
+#[test]
+fn a_volume_too_small_for_the_rule_is_refused_at_format() {
+    let mut cfg = LfsConfig::small_test();
+    cfg.cache_bytes = 512 * 1024;
+    // 1,024 cache + 256 inode blocks, and 25 inode-map + 64 usage blocks
+    // on the larger volume, over 30 payload blocks a segment: a reserve
+    // of 46, a target of 50. The smaller volume has 39 segments.
+    let clock = Clock::new();
+    let disk = SimDisk::new(DiskGeometry::tiny_test(1280), Arc::clone(&clock));
+    assert_eq!(Lfs::format(disk, cfg.clone(), clock).err(), Some(FsError::NoSpace));
+    let clock = Clock::new();
+    let disk = SimDisk::new(DiskGeometry::tiny_test(65_536), Arc::clone(&clock));
+    let fs = Lfs::format(disk, cfg, clock).unwrap();
+    assert_eq!(fs.space_rule().reserve(), 46);
+    assert_eq!(fs.space_rule().target(), 50);
 }
 
 #[test]
@@ -212,18 +240,6 @@ fn destroy_file_returns_every_byte_to_the_usage_table() {
     // modulo the root dir having grown and shrunk back).
     assert_eq!(fs.usage.total_live_bytes(), live_before);
     let _ = ino;
-}
-
-#[test]
-fn reserve_scales_with_cache_and_is_bounded() {
-    let clock = Clock::new();
-    let disk = SimDisk::new(DiskGeometry::tiny_test(65_536), Arc::clone(&clock));
-    let mut cfg = LfsConfig::small_test();
-    cfg.cache_bytes = 512 * 1024; // 32 segments of cache.
-    let fs = Lfs::format(disk, cfg, clock).unwrap();
-    // Reserve covers the cache but is capped at a quarter of the disk.
-    assert!(fs.reserve_segments >= 2);
-    assert!(fs.reserve_segments <= fs.sb.nsegments as usize / 4);
 }
 
 #[test]

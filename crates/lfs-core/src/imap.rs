@@ -209,6 +209,13 @@ impl Imap {
         (0..self.dirty.len()).filter(|&i| self.dirty[i]).collect()
     }
 
+    /// Imap blocks a checkpoint may write: those dirty now or written
+    /// before (a relocation or an inode change can dirty any of them).
+    pub fn blocks_in_use(&self) -> usize {
+        let used = |i: &usize| self.dirty[*i] || self.block_addrs[*i].is_some();
+        (0..self.dirty.len()).filter(used).count()
+    }
+
     /// Returns true if any imap block is dirty.
     pub fn any_dirty(&self) -> bool {
         self.dirty.iter().any(|&d| d)

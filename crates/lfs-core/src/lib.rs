@@ -52,6 +52,7 @@ pub mod layout;
 pub mod log;
 pub mod recovery;
 pub mod scrub;
+pub mod space;
 pub mod stats;
 pub mod types;
 pub mod usage;
@@ -63,6 +64,7 @@ pub use config::LfsConfig;
 pub use fs::Lfs;
 pub use fsck::FsckReport;
 pub use scrub::ScrubReport;
+pub use space::SpaceRule;
 pub use stats::LfsStats;
 pub use types::{BlockAddr, SegNo};
 

@@ -182,7 +182,7 @@ fn threshold_activation_stops_at_its_target_and_explicit_cleaning_does_not() {
     let mut fs = churned_to_the_first_activation();
     let per_pass = LfsConfig::small_test().cleaner.segments_per_pass;
     // What `maybe_writeback` aims an activation at.
-    let floor = fs.reserve_segment_count() + 2;
+    let floor = fs.space_rule().floor();
     let target = floor + 2;
     let victims: Vec<String> = fs
         .obs()
@@ -245,7 +245,7 @@ fn a_floor_activation_leaves_one_decision_event() {
     let floors = of("cleaner_floor");
     assert_eq!(floors.len(), 1, "one activation, one event: {floors:?}");
     let detail = &floors[0];
-    let target = fs.reserve_segment_count() + 4;
+    let target = fs.space_rule().target();
     assert_eq!(field(detail, "target"), target, "{detail}");
     assert!(field(detail, "clean") + field(detail, "pending") < target, "{detail}");
     assert!(field(detail, "budget") > 0, "{detail}");
@@ -258,24 +258,27 @@ fn a_floor_activation_leaves_one_decision_event() {
     assert!(detail.ends_with(&format!(" victims={}", victims.join(","))), "{detail}");
 }
 
-/// Compaction at the floor. Filled to the utilization cap, the live
-/// data is packed: every victim is mostly live and cleaning one gains a
-/// fraction of a segment. A hosted run stops there (cleaning for slack
-/// it does not need would be a treadmill), but the floor must go on —
-/// writes keep consuming clean segments and only compaction gives them
-/// back. A floor that stopped at the packing limit would drain the
-/// reserve until a write failed with `NoSpace`, as `ext_sustained_use`
-/// does at full size.
+/// Compaction at the floor. Filled to the admission limit, the live
+/// data is dense: every victim is mostly live and cleaning one gains a
+/// fraction of a segment. The floor must go on cleaning there — writes
+/// keep consuming clean segments and only compaction gives them back —
+/// or the reserve drains until a write fails with `NoSpace`.
+///
+/// A hosted run stops at the packing limit (the segments in use hold at
+/// most one segment's slack beyond the live data). The space rule keeps
+/// every floor activation away from it: admission leaves the target plus
+/// one segment free, so at an activation at least `target + 3` segments
+/// are in use beyond the packed live data's count less three. The test
+/// checks that guarantee and that it is not vacuous: one activation ran
+/// with the live data within a segment of the admission limit.
 #[test]
 fn the_floor_compacts_past_the_packing_limit() {
     let clock = Clock::new();
-    // 24 segments: the cap leaves the live data within a segment or
-    // two of packed.
+    // 23 segments: the admission limit leaves the live data a few
+    // segments from packed.
     let disk = SimDisk::new(DiskGeometry::tiny_test(768), Arc::clone(&clock));
     let mut cfg = LfsConfig::small_test();
-    // As `ext_sustained_use` does: past the default cap, into the
-    // region it protects, with the paper's policy.
-    cfg.max_utilization = 0.97;
+    // As `ext_sustained_use` does: the paper's policy.
     cfg.cleaner.policy = CleanerPolicy::Greedy;
     let mut fs = Lfs::format(disk, cfg, clock).unwrap();
     let file = vec![0x3Cu8; 2048];
@@ -283,7 +286,7 @@ fn the_floor_compacts_past_the_packing_limit() {
     while fs.write_file(&format!("/f{nfiles}"), &file).is_ok() {
         nfiles += 1;
     }
-    // The write the cap refused may have left its file empty.
+    // The write the rule refused may have left its file empty.
     let _ = fs.unlink(&format!("/f{nfiles}"));
     fs.sync().unwrap();
 
@@ -295,27 +298,36 @@ fn the_floor_compacts_past_the_packing_limit() {
         let pending = usage.segments_in_state(SegState::CleanPending).len();
         usage.nsegments() as usize - usage.clean_count() - pending <= live + 1
     };
-    let mut packed_activations = 0;
+    // Live data as admission counts it: on disk, plus what the cache
+    // holds unflushed.
+    let near_limit = |fs: &Lfs<SimDisk>| {
+        let usage = fs.usage_table();
+        let unflushed = (fs.cache_report().dirty_blocks * fs.block_size()) as u64;
+        let live = usage.total_live_bytes() + unflushed;
+        live + usage.seg_bytes() >= fs.space_rule().admit_bytes()
+    };
+    let mut activations_near_limit = 0;
     let mut rng = 0x2545F4914F6CDD1Du64;
     for round in 0..200 {
         rng ^= rng << 13;
         rng ^= rng >> 7;
         rng ^= rng << 17;
         let path = format!("/f{}", rng as usize % nfiles);
-        let was_packed = packed(&fs);
+        let (was_packed, was_near) = (packed(&fs), near_limit(&fs));
         let activations = fs.stats().floor_passes;
         let ino = fs.lookup(&path).unwrap();
         fs.truncate(ino, 0)
             .unwrap_or_else(|e| panic!("round {round}: truncate: {e}"));
         fs.write_at(ino, 0, &file)
             .unwrap_or_else(|e| panic!("round {round}: write: {e}"));
-        if was_packed && fs.stats().floor_passes > activations {
-            packed_activations += 1;
+        if fs.stats().floor_passes > activations {
+            assert!(!was_packed, "round {round}: an activation began at the packing limit");
+            activations_near_limit += was_near as usize;
         }
     }
     assert!(
-        packed_activations > 0,
-        "no activation began at the packing limit: the test is vacuous"
+        activations_near_limit > 0,
+        "no activation ran within a segment of the admission limit: the test is vacuous"
     );
     fs.sync().unwrap();
     let report = fs.fsck().unwrap();

@@ -1,0 +1,301 @@
+//! The space rule's fence (DESIGN §5.3): churn on a small volume filled
+//! up to what the rule admits never turns the mount read-only, under
+//! every cleaner policy. A write the rule refuses fails with a typed
+//! `NoSpace` and leaves the mount writable; lookups, reads, truncates and
+//! unlinks never fail; no threshold activation comes up empty; fsck is
+//! clean at the end.
+//!
+//! `PROPTEST_CASES` sizes the proptest (a few cases by default, so the
+//! Tier-1 run stays short); the checked-in cases below each failed under
+//! the headroom rules the space rule replaced (the first only at a 0.97
+//! utilization cap): a floor activation with no victim, the drain that
+//! ends with the mount read-only.
+//! `probe_small_test_volumes` (ignored) is the 450-case sweep EXPERIMENTS
+//! reports: `cargo test --release -p lfs-core --test space_rule --
+//! --ignored --nocapture`.
+
+use std::sync::Arc;
+
+use lfs_core::{CleanerPolicy, Lfs, LfsConfig};
+use proptest::prelude::*;
+use sim_disk::{Clock, DiskGeometry, SimDisk};
+use vfs::{FileSystem, FsError};
+
+const POLICIES: [CleanerPolicy; 3] = [
+    CleanerPolicy::Greedy,
+    CleanerPolicy::CostBenefit,
+    CleanerPolicy::Oldest,
+];
+
+fn format(sectors: u64, cfg: LfsConfig) -> Lfs<SimDisk> {
+    let clock = Clock::new();
+    let disk = SimDisk::new(DiskGeometry::tiny_test(sectors), Arc::clone(&clock));
+    Lfs::format(disk, cfg, clock).expect("the volume is large enough for the rule")
+}
+
+/// Accepts `result` only if it succeeded or is a refusal: `NoSpace` (or
+/// `NoInodes`, a full inode map) with the mount still writable.
+fn refused_at_most<T>(
+    fs: &Lfs<SimDisk>,
+    what: &str,
+    result: vfs::FsResult<T>,
+) -> Result<bool, String> {
+    match result {
+        Ok(_) => Ok(true),
+        Err(FsError::NoSpace | FsError::NoInodes) if !fs.is_read_only() => Ok(false),
+        Err(e) => Err(format!("{what}: {e} (read-only: {})", fs.is_read_only())),
+    }
+}
+
+/// Writes files of `size` bytes until the live bytes reach `fill` or a
+/// create or write is refused; a file the refusal left partial is
+/// unlinked. Returns the number of whole files.
+fn fill(fs: &mut Lfs<SimDisk>, size: usize, fill: u64) -> Result<usize, String> {
+    let data = vec![0u8; size];
+    let mut n = 0;
+    while fs.usage_table().total_live_bytes() < fill {
+        let path = format!("/f{n}");
+        if !{
+            let r = fs.write_file(&path, &data);
+            refused_at_most(fs, "fill", r)?
+        } {
+            if fs.lookup(&path).is_ok() {
+                fs.unlink(&path)
+                    .map_err(|e| format!("unlink after refusal: {e}"))?;
+            }
+            break;
+        }
+        n += 1;
+    }
+    Ok(n)
+}
+
+/// What every operation must leave behind: a writable mount, and no
+/// threshold activation since `floors_before` without a victim.
+fn check(fs: &Lfs<SimDisk>, floors_before: u64, round: usize) -> Result<(), String> {
+    if fs.is_read_only() {
+        return Err(format!("round {round}: the mount went read-only"));
+    }
+    let new = (fs.stats().floor_passes - floors_before) as usize;
+    let events = fs.obs().events();
+    let floors = events.iter().filter(|e| e.kind == "cleaner_floor");
+    if let Some(empty) = floors
+        .rev()
+        .take(new)
+        .find(|e| e.detail.ends_with("victims="))
+    {
+        return Err(format!(
+            "round {round}: an activation took no victim: {}",
+            empty.detail
+        ));
+    }
+    Ok(())
+}
+
+/// `rounds` of random churn over files `/f0..`: whole-file overwrites
+/// (truncate, then write), and unless `overwrites_only`, one-block
+/// overwrites, unlink and re-create, and reads checked against what was
+/// last written whole.
+fn churn(
+    fs: &mut Lfs<SimDisk>,
+    nfiles: usize,
+    size: usize,
+    rounds: usize,
+    seed: u64,
+    overwrites_only: bool,
+) -> Result<(), String> {
+    // Per file: `None` while a refused re-create left it missing, else
+    // the content it holds when known, `(byte, len)`.
+    let mut model: Vec<Option<Option<(u8, usize)>>> = vec![Some(Some((0, size))); nfiles];
+    let mut rng = seed | 1;
+    let mut next = || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    for round in 0..rounds {
+        let (i, op, byte) = (next() as usize % nfiles, next() % if overwrites_only { 7 } else { 10 }, round as u8);
+        let path = format!("/f{i}");
+        let floors = fs.stats().floor_passes;
+        let data = vec![byte; size];
+        let Some(known) = model[i] else {
+            // Missing: re-create it.
+            let whole = {
+                let r = fs.write_file(&path, &data);
+                refused_at_most(fs, "re-create", r)?
+            };
+            if fs.lookup(&path).is_ok() {
+                model[i] = Some(whole.then_some((byte, size)));
+            }
+            check(fs, floors, round)?;
+            continue;
+        };
+        let ino = fs
+            .lookup(&path)
+            .map_err(|e| format!("round {round}: lookup {path}: {e}"))?;
+        match op {
+            0..=6 => {
+                fs.truncate(ino, 0)
+                    .map_err(|e| format!("round {round}: truncate: {e}"))?;
+                let whole = {
+                    let r = fs.write_at(ino, 0, &data);
+                    refused_at_most(fs, "write", r)?
+                };
+                model[i] = Some(Some(if whole { (byte, size) } else { (byte, 0) }));
+            }
+            7 => {
+                let len = known.map_or(0, |(_, len)| len);
+                let at = if len == 0 { 0 } else { next() as usize % len };
+                let block = &data[..fs.block_size().min(size)];
+                {
+                    let r = fs.write_at(ino, at as u64, block);
+                    refused_at_most(fs, "write", r)?
+                };
+                // The file now mixes two fills: no longer checked.
+                model[i] = Some(None);
+            }
+            8 => {
+                fs.unlink(&path)
+                    .map_err(|e| format!("round {round}: unlink: {e}"))?;
+                let whole = {
+                    let r = fs.write_file(&path, &data);
+                    refused_at_most(fs, "re-create", r)?
+                };
+                model[i] = fs
+                    .lookup(&path)
+                    .is_ok()
+                    .then_some(whole.then_some((byte, size)));
+            }
+            _ => {
+                let read = fs
+                    .read_file(&path)
+                    .map_err(|e| format!("round {round}: read: {e}"))?;
+                if known.is_some_and(|(b, len)| read != vec![b; len]) {
+                    return Err(format!("round {round}: {path} reads back wrong"));
+                }
+            }
+        }
+        check(fs, floors, round)?;
+    }
+    fs.sync().map_err(|e| format!("final sync: {e}"))?;
+    let report = fs.fsck().map_err(|e| format!("fsck: {e}"))?;
+    if !report.is_clean() {
+        return Err(format!("fsck:\n{report}"));
+    }
+    Ok(())
+}
+
+fn tier1_cases() -> u32 {
+    let cases = std::env::var("PROPTEST_CASES").ok();
+    cases.and_then(|v| v.parse().ok()).unwrap_or(6)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: tier1_cases(), ..ProptestConfig::default() })]
+
+    /// 24–96 segments of 8–32 KB, 512 B or 1 KB blocks, files of
+    /// 512 B–16 KB filled to half the admission limit or more (100 % is
+    /// "until refused"), every policy.
+    #[test]
+    fn churn_near_the_admission_limit_never_turns_a_mount_read_only(
+        nsegs in 24u64..=96,
+        kb_blocks in any::<bool>(),
+        seg_kb in 8usize..=32,
+        size in 512usize..=16_384,
+        policy in 0usize..3,
+        fill_pct in 50u64..=100,
+        seed in any::<u64>(),
+    ) {
+        let bs = if kb_blocks { 1024 } else { 512 };
+        let mut cfg = LfsConfig::small_test()
+            .with_block_size(bs)
+            .with_segment_bytes(seg_kb * 1024);
+        cfg.cleaner.policy = POLICIES[policy];
+        let sectors = (nsegs * (seg_kb as u64 * 1024) + 8 * bs as u64) / 512;
+        let mut fs = format(sectors, cfg);
+        let limit = fs.space_rule().admit_bytes();
+        let target = if fill_pct == 100 { u64::MAX } else { limit * fill_pct / 100 };
+        let nfiles = fill(&mut fs, size, target).map_err(TestCaseError::fail)?;
+        if nfiles == 0 {
+            return Ok(());
+        }
+        churn(&mut fs, nfiles, size, 300, seed, false).map_err(TestCaseError::fail)?;
+    }
+}
+
+/// A small-test volume filled with `size`-byte files to `fill_pct` of its
+/// log (or until refused), then 3,000 rounds of whole-file overwrites.
+fn checked_in_case(sectors: u64, policy: CleanerPolicy, size: usize, fill_pct: Option<u64>) {
+    let mut cfg = LfsConfig::small_test();
+    cfg.cleaner.policy = policy;
+    let mut fs = format(sectors, cfg);
+    let log = fs.superblock().log_capacity_bytes();
+    let target = fill_pct.map_or(u64::MAX, |pct| log * pct / 100);
+    let nfiles = fill(&mut fs, size, target).unwrap();
+    churn(&mut fs, nfiles, size, 3_000, 0x2545_F491_4F6C_DD1D, true).unwrap();
+}
+
+/// 63 segments, 4 KB files asked for 82 % of the log: under the old
+/// 0.97 utilization cap this went read-only after 2,960 activations in
+/// 984 overwrites.
+#[test]
+fn four_kb_files_at_82_percent_of_63_segments() {
+    checked_in_case(2048, CleanerPolicy::CostBenefit, 4096, Some(82));
+}
+
+/// 23 segments filled with 512 B files until refused, greedy.
+#[test]
+fn greedy_on_23_full_segments_of_512_byte_files() {
+    checked_in_case(768, CleanerPolicy::Greedy, 512, None);
+}
+
+/// 31 segments filled with 512 B files until refused, cost-benefit.
+#[test]
+fn cost_benefit_on_31_full_segments_of_512_byte_files() {
+    checked_in_case(1024, CleanerPolicy::CostBenefit, 512, None);
+}
+
+/// 47 segments filled with 16 KB files until refused, oldest first.
+#[test]
+fn oldest_on_47_full_segments_of_16_kb_files() {
+    checked_in_case(1536, CleanerPolicy::Oldest, 16_384, None);
+}
+
+/// The sweep EXPERIMENTS reports: 15 small-test volumes of 23–95
+/// segments × files of 512 B, 1, 2, 4 and 16 KB × filled to 40 % of the
+/// log or until refused × three policies, 3,000 whole-file overwrites
+/// each.
+#[test]
+#[ignore]
+fn probe_small_test_volumes() {
+    let mut failed = Vec::new();
+    for i in 0..15u64 {
+        let sectors = 768 + i * 2304 / 14;
+        for size in [512, 1024, 2048, 4096, 16_384] {
+            for fill_pct in [Some(40), None] {
+                for policy in POLICIES {
+                    let mut cfg = LfsConfig::small_test();
+                    cfg.cleaner.policy = policy;
+                    let mut fs = format(sectors, cfg);
+                    let log = fs.superblock().log_capacity_bytes();
+                    let target = fill_pct.map_or(u64::MAX, |pct| log * pct / 100);
+                    let outcome = fill(&mut fs, size, target).and_then(|n| {
+                        let live = fs.usage_table().total_live_bytes() * 100 / log;
+                        churn(&mut fs, n, size, 3_000, 0x2545_F491_4F6C_DD1D, true).map(|()| live)
+                    });
+                    let case = format!("{sectors} sectors, {size} B, {fill_pct:?}, {policy:?}");
+                    match outcome {
+                        Ok(live) => println!("ok   {case}: {live} % live"),
+                        Err(e) => {
+                            println!("FAIL {case}: {e}");
+                            failed.push(case);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    println!("{} of 450 cases failed", failed.len());
+    assert!(failed.is_empty(), "{failed:?}");
+}
