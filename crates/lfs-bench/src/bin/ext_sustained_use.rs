@@ -25,11 +25,9 @@ struct Outcome {
     segments_cleaned: u64,
 }
 
-/// One fullness row, or `Err(live fraction)` where the space rule
-/// refused the fill before it reached `fullness`.
-fn run(fullness: f64, metrics: &mut MetricsReport) -> Result<Outcome, f64> {
-    // 48 MB disk, 2 MB cache: small enough that the horizon stresses the
-    // cleaner, large enough for hundreds of segments.
+/// A fresh 48 MB disk (47 one-megabyte log segments) with a 2 MB cache:
+/// small enough that the horizon stresses the cleaner.
+fn format() -> (Lfs<SimDisk>, Arc<Clock>) {
     let clock = Clock::new();
     let disk = SimDisk::new(
         DiskGeometry::wren_iv().with_sectors(48 * 2048),
@@ -41,16 +39,17 @@ fn run(fullness: f64, metrics: &mut MetricsReport) -> Result<Outcome, f64> {
     // age-aware policy would have no skew to exploit anyway
     // (`abl_cleaner_policy` is the skewed comparison).
     cfg.cleaner.policy = CleanerPolicy::Greedy;
-    let mut fs = Lfs::format(disk, cfg, Arc::clone(&clock)).unwrap();
+    (Lfs::format(disk, cfg, Arc::clone(&clock)).unwrap(), clock)
+}
+
+/// One fullness row, or `Err(live fraction)` where the space rule
+/// refused the fill before it reached `fullness`.
+fn run(fullness: f64, metrics: &mut MetricsReport) -> Result<Outcome, f64> {
+    let (mut fs, clock) = format();
 
     // Fill to the target live fraction with 16 KB files, or until the
     // space rule refuses one.
     let capacity = fs.superblock().log_capacity_bytes() as f64;
-    if fullness == 0.30 {
-        let limit = fs.space_rule().admit_bytes() as f64;
-        let segs = fs.superblock().nsegments;
-        println!("space rule, {segs} segments: {limit} B admitted, {:.1} % of the log", limit * 100.0 / capacity);
-    }
     let file_size = 16 * 1024usize;
     let nfiles = (capacity * fullness / file_size as f64) as usize;
     let data = payload(13, file_size);
@@ -106,23 +105,24 @@ fn run(fullness: f64, metrics: &mut MetricsReport) -> Result<Outcome, f64> {
 fn main() {
     let (mut rows, mut refused) = (Vec::new(), Vec::new());
     let mut metrics = MetricsReport::new("ext_sustained_use");
+    let (fs, _) = format();
+    let (limit, segs) = (fs.space_rule().admit_bytes(), fs.superblock().nsegments);
+    let share = limit as f64 * 100.0 / fs.superblock().log_capacity_bytes() as f64;
+    println!("space rule, {segs} segments: {limit} B admitted, {share:.1} % of the log");
     for fullness in [0.30f64, 0.50, 0.65, 0.78, 0.85] {
-        let o = match run(fullness, &mut metrics) {
-            Ok(o) => o,
-            Err(live) => {
-                refused.push(format!("{:.0}% full: refused at {:.1} % live", fullness * 100.0, live * 100.0));
-                continue;
-            }
-        };
-        rows.push(Row::new(
-            format!("{:.0}% full", fullness * 100.0),
-            vec![
-                format!("{:.1}", o.overwrites_per_sec),
-                format!("{:.2}", o.write_amp),
-                format!("{:.0}%", o.cleaner_share * 100.0),
-                o.segments_cleaned.to_string(),
-            ],
-        ));
+        let row = format!("{:.0}% full", fullness * 100.0);
+        match run(fullness, &mut metrics) {
+            Ok(o) => rows.push(Row::new(
+                row,
+                vec![
+                    format!("{:.1}", o.overwrites_per_sec),
+                    format!("{:.2}", o.write_amp),
+                    format!("{:.0}%", o.cleaner_share * 100.0),
+                    o.segments_cleaned.to_string(),
+                ],
+            )),
+            Err(live) => refused.push(format!("{row}: refused at {:.1} % live", live * 100.0)),
+        }
     }
     print_table(
         "Extension: sustained overwrite churn vs disk fullness (3000 x 16 KB overwrites)",

@@ -285,28 +285,21 @@ impl<D: BlockDevice> Lfs<D> {
     /// The relocation budget: live bytes the next checkpoint can still
     /// carry into the clean segments, by the space rule.
     pub(crate) fn relocation_budget(&self) -> u64 {
-        let (clean, open, unwritten) = self.log_room(true);
-        self.space.relocation_budget(clean, open, unwritten)
+        self.space.relocation_budget(self.log_room())
     }
 
     /// What the space rule weighs a relocation or a write against: the
     /// clean segments, the payload blocks a chunk opened at the log head
     /// would hold, and the blocks the next checkpoint writes before any
     /// relocation (dirty cache blocks, dirty inodes' blocks, every
-    /// inode-map block in use and the whole usage table). Unless `exact`,
-    /// the last is bounded from above without a scan: every resident
-    /// inode and every inode-map block.
-    pub(crate) fn log_room(&self, exact: bool) -> (usize, usize, usize) {
+    /// inode-map block in use and the whole usage table).
+    pub(crate) fn log_room(&self) -> (usize, usize, usize) {
         let left = (self.sb.seg_blocks - self.pos.offset) as usize;
         let open = plan_chunk(left, self.block_size()).map_or(0, |(_, cap)| cap);
-        let (inodes, imap) = if exact {
-            (self.inodes.dirty_inos().count(), self.imap.blocks_in_use())
-        } else {
-            (self.inodes.len(), self.imap.nblocks())
-        };
+        let ipb = self.sb.inodes_per_block() as usize;
         let unwritten = self.cache.dirty_count()
-            + inodes.div_ceil(self.sb.inodes_per_block() as usize)
-            + imap
+            + self.inodes.dirty_count().div_ceil(ipb)
+            + self.imap.blocks_in_use()
             + self.usage.nblocks();
         (self.usage.clean_count(), open, unwritten)
     }

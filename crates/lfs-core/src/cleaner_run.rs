@@ -149,8 +149,8 @@ impl<D: BlockDevice> Lfs<D> {
         self.usage.clean_count() + self.usage.segments_in_state(SegState::CleanPending).len()
     }
 
-    /// The run-start threshold, floored at the space rule's run floor,
-    /// above the threshold cleaning floor, so a responsive host always
+    /// The run-start threshold, floored at the space rule's run floor
+    /// (the level foreground cleaning restores), so a responsive host
     /// cleans asynchronously before a foreground operation is forced to.
     fn effective_low(&self, policy: &AsyncCleanerPolicy) -> usize {
         policy.low_watermark.max(self.space.run_floor())

@@ -947,35 +947,34 @@ impl<D: BlockDevice> Lfs<D> {
         self.inodes.bound(&mut self.cache, at);
 
         // Cleaner activation (§4.3.4): clean-segment count below the
-        // space rule's floor. Segments already cleaned and parked
-        // CleanPending (by a hosted `CleanerTask` run, or a `clean_pass`
-        // not yet committed) are committed first: a checkpoint is far
-        // cheaper than cleaning.
-        let floor = self.space.floor();
-        if self.usage.clean_count() < floor {
-            if !self
-                .usage
-                .segments_in_state(SegState::CleanPending)
-                .is_empty()
-            {
-                self.dev.set_maintenance(true);
-                let cp = self.checkpoint_as(CpCause::Clean);
-                self.dev.set_maintenance(false);
-                cp?;
-            }
-            if self.usage.clean_count() < floor {
-                self.obs.floor_passes.inc();
-                // Threshold cleaning is maintenance work even though a
-                // foreground operation triggered it: tag its device I/O
-                // so engine accounting bills the queue waits to the
-                // maintenance class rather than the unlucky client.
-                self.dev.set_maintenance(true);
-                let result = self.clean_at_floor();
-                self.dev.set_maintenance(false);
-                result?;
-            }
+        // space rule's floor.
+        let below = |fs: &Self| fs.usage.clean_count() < fs.space.floor();
+        if below(self) {
+            self.clean_at_floor(below)?;
         }
         Ok(())
+    }
+
+    /// Threshold cleaning, tagged as maintenance work even though a
+    /// foreground operation triggered it, so engine accounting bills the
+    /// queue waits to the maintenance class rather than the unlucky
+    /// client: segments already cleaned and parked CleanPending (by a
+    /// hosted `CleanerTask` run, or a `clean_pass` not yet committed) are
+    /// committed first, a checkpoint being far cheaper than cleaning;
+    /// then, if `short` still holds, [`Lfs::clean_to_target`].
+    fn clean_at_floor(&mut self, short: impl Fn(&Self) -> bool) -> FsResult<()> {
+        self.dev.set_maintenance(true);
+        let pending = self.usage.segments_in_state(SegState::CleanPending);
+        let mut result = Ok(());
+        if !pending.is_empty() {
+            result = self.checkpoint_as(CpCause::Clean);
+        }
+        if result.is_ok() && short(self) {
+            self.obs.floor_passes.inc();
+            result = self.clean_to_target();
+        }
+        self.dev.set_maintenance(false);
+        result
     }
 
     /// The synchronous clean-on-threshold body: victims against one
@@ -983,7 +982,7 @@ impl<D: BlockDevice> Lfs<D> {
     /// rule's target (a foreground operation is waiting), then one
     /// checkpoint, since on small segments one per victim costs more log
     /// than it reclaims.
-    fn clean_at_floor(&mut self) -> FsResult<()> {
+    fn clean_to_target(&mut self) -> FsResult<()> {
         let target = self.space.target();
         let mut budget = self.relocation_budget();
         let detail = format!(
@@ -1011,47 +1010,36 @@ impl<D: BlockDevice> Lfs<D> {
     /// fit the space rule ([`SpaceRule`]): the live data, counting what
     /// the cache holds unflushed, stays within the admission limit, and
     /// the log can take the next checkpoint and still keep the reserve.
-    /// A cached overwrite counts twice until written (its old copy
-    /// is still live) and a cleaned segment is not reusable until its
-    /// checkpoint, so before refusing, the cache is written back (with a
-    /// checkpoint, when cleaned segments wait for one), the floor cleans
-    /// if its target is not met, and the question is asked again. A refused write leaves the files as they were and the
-    /// mount writable.
+    /// A cached overwrite counts twice until written (its old copy is
+    /// still live) and a cleaned segment is not reusable until its
+    /// checkpoint, so before refusing, the cache is written back (by the
+    /// checkpoint, when cleaned segments wait for one), the floor's
+    /// activation cleans if the write still does not fit and its target
+    /// is not met, and the question is asked again. A refused write
+    /// leaves the files as they were and the mount writable.
     pub(crate) fn check_space(&mut self, incoming: u64) -> FsResult<()> {
         if !self.admits(incoming) {
-            if self.usage.segments_in_state(SegState::CleanPending).is_empty() {
+            let pending = self.usage.segments_in_state(SegState::CleanPending);
+            if pending.is_empty() {
                 self.flush_as(false, false, FlushCause::CachePressure)?;
-            } else {
-                self.checkpoint_as(CpCause::Clean)?;
             }
-            if !self.admits(incoming) && self.clean_and_pending() < self.space.target() {
-                self.obs.floor_passes.inc();
-                self.dev.set_maintenance(true);
-                let result = self.clean_at_floor();
-                self.dev.set_maintenance(false);
-                result?;
-            }
+            let target = self.space.target();
+            self.clean_at_floor(|fs| !fs.admits(incoming) && fs.clean_and_pending() < target)?;
         }
-        if self.admits(incoming) {
-            Ok(())
-        } else {
-            Err(FsError::NoSpace)
-        }
+        self.admits(incoming).then_some(()).ok_or(FsError::NoSpace)
     }
 
     /// The live bytes `check_space` weighs: on disk, less what cleaned
     /// segments awaiting their checkpoint still count (it was moved into
-    /// the cache), plus the cache's unflushed blocks. Cheap bounds first:
-    /// leaving out the moved bytes and bounding the unwritten blocks
-    /// from above can only refuse.
+    /// the cache), plus the cache's unflushed blocks.
     fn admits(&self, incoming: u64) -> bool {
         let unflushed = self.cache.dirty_count() as u64 * self.sb.block_size as u64;
-        let live = self.usage.total_live_bytes() + unflushed;
-        if self.space.admits(live, incoming, self.log_room(false)) {
-            return true;
-        }
         let pending = self.usage.segments_in_state(SegState::CleanPending);
-        let moved: u64 = pending.iter().map(|&seg| self.usage.get(seg).live_bytes as u64).sum();
-        self.space.admits(live - moved, incoming, self.log_room(true))
+        let moved: u64 = pending
+            .iter()
+            .map(|&seg| self.usage.get(seg).live_bytes as u64)
+            .sum();
+        let live = self.usage.total_live_bytes() + unflushed - moved;
+        self.space.admits(live, incoming, self.log_room())
     }
 }

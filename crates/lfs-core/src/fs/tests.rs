@@ -160,7 +160,7 @@ fn space_rule_at_the_benchmark_geometry() {
     assert_eq!(rule.floor(), 6);
     assert_eq!(rule.target(), 8);
     assert_eq!(rule.relocation_margin(), 2);
-    assert_eq!(rule.run_floor(), 7);
+    assert_eq!(rule.run_floor(), 8);
     // 54 segments of 254 payload blocks, a block and its inode per block.
     assert_eq!(rule.admit_bytes(), 54 * 254 * 4096 * 4096 / (4096 + 128));
     assert!(rule.admit_bytes() >= 52_890_173);
@@ -181,7 +181,10 @@ fn a_volume_too_small_for_the_rule_is_refused_at_format() {
     // of 46, a target of 50. The smaller volume has 39 segments.
     let clock = Clock::new();
     let disk = SimDisk::new(DiskGeometry::tiny_test(1280), Arc::clone(&clock));
-    assert_eq!(Lfs::format(disk, cfg.clone(), clock).err(), Some(FsError::NoSpace));
+    assert_eq!(
+        Lfs::format(disk, cfg.clone(), clock).err(),
+        Some(FsError::NoSpace)
+    );
     let clock = Clock::new();
     let disk = SimDisk::new(DiskGeometry::tiny_test(65_536), Arc::clone(&clock));
     let fs = Lfs::format(disk, cfg, clock).unwrap();

@@ -29,6 +29,9 @@ pub struct Imap {
     /// Allocation scan hint.
     next_free: u32,
     live: u64,
+    /// Blocks dirtied or given a log address at least once: the first
+    /// dirtying or load of a block counts it.
+    in_use: usize,
 }
 
 impl Imap {
@@ -42,6 +45,7 @@ impl Imap {
             dirty: vec![false; nblocks],
             next_free: Ino::ROOT.0,
             live: 0,
+            in_use: 0,
         }
     }
 
@@ -93,8 +97,7 @@ impl Imap {
     }
 
     fn mark_dirty(&mut self, ino: Ino) {
-        let block = self.block_of(ino);
-        self.dirty[block] = true;
+        self.mark_block_dirty(self.block_of(ino));
     }
 
     /// Allocates a free inode number.
@@ -201,6 +204,7 @@ impl Imap {
 
     /// Marks an imap block dirty (cleaner relocation).
     pub fn mark_block_dirty(&mut self, index: usize) {
+        self.in_use += usize::from(!self.dirty[index] && self.block_addrs[index].is_nil());
         self.dirty[index] = true;
     }
 
@@ -212,8 +216,7 @@ impl Imap {
     /// Imap blocks a checkpoint may write: those dirty now or written
     /// before (a relocation or an inode change can dirty any of them).
     pub fn blocks_in_use(&self) -> usize {
-        let used = |i: &usize| self.dirty[*i] || self.block_addrs[*i].is_some();
-        (0..self.dirty.len()).filter(used).count()
+        self.in_use
     }
 
     /// Returns true if any imap block is dirty.
@@ -279,6 +282,8 @@ impl Imap {
             }
             self.entries[idx] = entry;
         }
+        let first = addr.is_some() && !self.dirty[index] && self.block_addrs[index].is_nil();
+        self.in_use += usize::from(first);
         self.block_addrs[index] = addr;
         self.dirty[index] = false;
         Ok(())
@@ -353,6 +358,9 @@ mod tests {
         assert_eq!(old, BlockAddr::NIL);
         assert_eq!(m.dirty_blocks(), vec![2]);
         assert_eq!(m.block_addr(0), BlockAddr(9));
+        // Blocks 0 and 2, each counted once however often dirtied.
+        m.mark_block_dirty(0);
+        assert_eq!(m.blocks_in_use(), 2);
         let _ = ino;
     }
 
@@ -370,6 +378,7 @@ mod tests {
         assert_eq!(fresh.live_count(), 1);
         assert!(!fresh.any_dirty());
         assert_eq!(fresh.block_addr(0), BlockAddr(42));
+        assert_eq!(fresh.blocks_in_use(), 1);
     }
 
     #[test]

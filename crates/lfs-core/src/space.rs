@@ -17,9 +17,12 @@
 //! - The **floor** is the reserve plus the two-segment **relocation
 //!   margin**. A foreground operation that leaves fewer clean segments
 //!   than the floor cleans before it returns, until clean plus
-//!   clean-pending segments reach the **target**, the floor plus two.
-//! - A hosted run may **start** one segment above the floor, so a
-//!   responsive host cleans before a foreground operation has to.
+//!   clean-pending segments reach the **target**, the floor plus two;
+//!   so does a write `check_space` would otherwise refuse.
+//! - A hosted run may **start** anywhere below the target, the level
+//!   foreground cleaning restores, so a responsive host cleans before a
+//!   foreground operation has to. (One segment above the floor would
+//!   not do: a single flush of several segments jumps that band.)
 //! - The floor's **relocation budget** is what its committing checkpoint
 //!   can still write: the clean segments' payload and the log head's,
 //!   less one block (the last chunk must find a clean segment to link
@@ -68,12 +71,17 @@ impl SpaceRule {
     /// blocks, or [`FsError::NoSpace`] if the volume is too small to
     /// admit any live data under it.
     pub fn derive(sb: &Superblock, cache_blocks: usize) -> FsResult<Self> {
-        let bs = sb.block_size as u64;
-        let (_, payload) = plan_chunk(sb.seg_blocks as usize, bs as usize).ok_or(FsError::NoSpace)?;
+        let (bs, seg_blocks) = (sb.block_size as usize, sb.seg_blocks as usize);
+        let (_, payload) = plan_chunk(seg_blocks, bs).ok_or(FsError::NoSpace)?;
         let flush = cache_blocks + cache_blocks.div_ceil(sb.inodes_per_block() as usize);
         let checkpoint = (sb.imap_blocks() + sb.usage_blocks()) as usize;
-        let (reserve, seg_bytes) = ((flush + checkpoint).div_ceil(payload), sb.seg_blocks as u64 * bs);
-        let mut rule = Self { block_size: bs, seg_bytes, payload, reserve, admit_bytes: 0 };
+        let mut rule = Self {
+            block_size: bs as u64,
+            seg_bytes: (seg_blocks * bs) as u64,
+            payload,
+            reserve: (flush + checkpoint).div_ceil(payload),
+            admit_bytes: 0,
+        };
         let packed = (sb.nsegments as usize).saturating_sub(rule.target() + 1) * payload;
         rule.admit_bytes = rule.moved_bytes(packed);
         (packed > 0).then_some(rule).ok_or(FsError::NoSpace)
@@ -102,9 +110,9 @@ impl SpaceRule {
     }
 
     /// Clean plus clean-pending segments below which a hosted run may
-    /// start, whatever its policy's low watermark.
+    /// start, whatever its policy's low watermark: the target.
     pub fn run_floor(&self) -> usize {
-        self.floor() + 1
+        self.target()
     }
 
     /// The most live bytes `check_space` admits.
@@ -129,11 +137,13 @@ impl SpaceRule {
     /// Live bytes a cleaner may relocate with `clean` segments clean,
     /// `open` payload blocks left at the log head and `unwritten` blocks
     /// already waiting for the next checkpoint (module doc).
-    pub(crate) fn relocation_budget(&self, clean: usize, open: usize, unwritten: usize) -> u64 {
-        let room = self.room(clean, open).saturating_sub(unwritten + self.payload);
+    pub(crate) fn relocation_budget(&self, room: (usize, usize, usize)) -> u64 {
+        let (clean, open, unwritten) = room;
+        let free = self.room(clean, open);
+        let spare = free.saturating_sub(unwritten + self.payload);
         let beyond_margin = clean.checked_sub(RELOCATION_MARGIN).filter(|&n| n > 0);
         let cap = beyond_margin.map_or(u64::MAX, |n| n as u64 * self.seg_bytes);
-        self.moved_bytes(room).min(cap)
+        self.moved_bytes(spare).min(cap)
     }
 
     /// Whether a write of `incoming` bytes is admitted on top of `live`
@@ -141,7 +151,8 @@ impl SpaceRule {
     /// [`SpaceRule::relocation_budget`] (module doc, invariant).
     pub(crate) fn admits(&self, live: u64, incoming: u64, room: (usize, usize, usize)) -> bool {
         let (clean, open, unwritten) = room;
-        let blocks = incoming.div_ceil(self.block_size) as usize + (self.reserve - 1) * self.payload;
+        let blocks =
+            incoming.div_ceil(self.block_size) as usize + (self.reserve - 1) * self.payload;
         live + incoming <= self.admit_bytes && unwritten + blocks <= self.room(clean, open)
     }
 }

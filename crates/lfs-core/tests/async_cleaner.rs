@@ -239,12 +239,7 @@ fn the_host_decides_whether_cleaning_is_async() {
     assert!(alone.floor_passes > 0, "the churn never reached the floor");
 
     let mut hosted = small_fs(2048);
-    // One overwrite's flush takes the clean count down by three segments
-    // here, past the rule's run floor straight to its floor; a task that
-    // starts above the floor's target runs before the floor has to.
-    let low = hosted.space_rule().target() + 2;
-    let policy = AsyncCleanerPolicy::default().with_watermarks(low, low + 2);
-    churn(&mut hosted, Some(&mut CleanerTask::new(policy)));
+    churn(&mut hosted, Some(&mut CleanerTask::new(AsyncCleanerPolicy::default())));
     let with_task = hosted.stats();
     assert!(with_task.async_steps > 0, "the hosted task never stepped");
     assert!(with_task.async_runs_completed > 0, "the hosted task never finished a run");

@@ -46,6 +46,12 @@ struct Entry<I> {
     stamp: u64,
 }
 
+/// Sets `entry`'s dirty bit, keeping `count` of the dirty entries.
+fn set_dirty<I>(count: &mut usize, entry: &mut Entry<I>, dirty: bool) {
+    *count = *count + usize::from(dirty) - usize::from(entry.dirty);
+    entry.dirty = dirty;
+}
+
 /// Inodes by number, each with a dirty bit and a recency stamp.
 ///
 /// Every walk (dirty inodes, eviction ties) is in ascending inode
@@ -53,6 +59,8 @@ struct Entry<I> {
 #[derive(Debug)]
 pub struct InodeTable<I> {
     entries: BTreeMap<Ino, Entry<I>>,
+    /// Entries whose dirty bit is set.
+    ndirty: usize,
     /// Next use stamp.
     hot: u64,
     /// Next fill stamp.
@@ -76,6 +84,7 @@ impl<I> InodeTable<I> {
         let budget = cache.capacity_blocks() * cache.block_size();
         Self {
             entries: BTreeMap::new(),
+            ndirty: 0,
             hot: HOT_BASE,
             cold: HOT_BASE - 1,
             ghost: GhostList::new(budget / entry_bytes),
@@ -120,7 +129,7 @@ impl<I> InodeTable<I> {
     /// The resident copy of `ino` for modification; marks it dirty.
     pub fn get_mut(&mut self, ino: Ino) -> Option<&mut I> {
         self.entries.get_mut(&ino).map(|e| {
-            e.dirty = true;
+            set_dirty(&mut self.ndirty, e, true);
             &mut e.inode
         })
     }
@@ -136,14 +145,15 @@ impl<I> InodeTable<I> {
         self.ghost.remove(ino);
         let stamp = self.hot;
         self.hot += 1;
-        self.entries.insert(
-            ino,
-            Entry {
-                inode,
-                dirty,
-                stamp,
-            },
-        );
+        let entry = Entry {
+            inode,
+            dirty,
+            stamp,
+        };
+        if let Some(old) = self.entries.insert(ino, entry) {
+            self.ndirty -= usize::from(old.dirty);
+        }
+        self.ndirty += usize::from(dirty);
     }
 
     /// Installs a clean `ino` read alongside another inode, at the cold
@@ -169,20 +179,29 @@ impl<I> InodeTable<I> {
 
     /// Marks a resident `ino` dirty. Returns false if it is not resident.
     pub fn mark_dirty(&mut self, ino: Ino) -> bool {
-        self.entries.get_mut(&ino).map(|e| e.dirty = true).is_some()
+        (self.entries.get_mut(&ino))
+            .map(|e| set_dirty(&mut self.ndirty, e, true))
+            .is_some()
     }
 
     /// Marks `ino` clean after its file system wrote it out.
     pub fn mark_clean(&mut self, ino: Ino) {
         if let Some(entry) = self.entries.get_mut(&ino) {
-            entry.dirty = false;
+            set_dirty(&mut self.ndirty, entry, false);
         }
     }
 
     /// Drops `ino` (freed, or made stale).
     pub fn remove(&mut self, ino: Ino) {
-        self.entries.remove(&ino);
+        if let Some(old) = self.entries.remove(&ino) {
+            self.ndirty -= usize::from(old.dirty);
+        }
         self.ghost.remove(ino);
+    }
+
+    /// Number of inodes with unwritten changes.
+    pub fn dirty_count(&self) -> usize {
+        self.ndirty
     }
 
     /// The inodes with unwritten changes, in ascending order.
@@ -310,6 +329,7 @@ mod tests {
         let left: Vec<u32> = table.entries.keys().map(|i| i.0).collect();
         assert_eq!(left, vec![1, 2, 3, 6, 8, 9, 10]);
         assert!(table.is_dirty(Ino(1)) && table.is_dirty(Ino(6)));
+        assert_eq!(table.dirty_count(), 2);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("inodes.evictions"), 4);
         assert_eq!(snap.gauge("inodes.entries"), 7);
