@@ -3,7 +3,7 @@
 //! The paper's §4 write-cost discussion prices cleaning in *bandwidth*:
 //! every byte the cleaner reads and copies forward is a byte the log
 //! cannot spend on new data. This bench measures the other half of the
-//! price — *latency*: the cleaner's segment-sized reads sit in the same
+//! price — *latency*: the cleaner's victim reads sit in the same
 //! device queues as foreground requests, so an aggressive cleaner
 //! inflates foreground tail latency even when bandwidth is plentiful.
 //!
@@ -318,9 +318,9 @@ fn main() -> ExitCode {
 
     println!(
         "\npaper (S4 write cost): cleaning's price is paid in bandwidth and \
-         latency; segment-sized cleaner transfers queue ahead of foreground \
-         requests unless cleaning is deferred to idle periods or steered to \
-         other spindles."
+         latency; cleaner transfers queue ahead of foreground requests \
+         unless cleaning is deferred to idle periods or steered to other \
+         spindles."
     );
     verdict.finish(metrics)
 }

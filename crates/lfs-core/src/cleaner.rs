@@ -4,14 +4,17 @@
 //! fragmented segments are compressed together to create space to write
 //! new segments". It runs in two phases:
 //!
-//! 1. **Identify & read**: read candidate segments, walk their summary
-//!    chunks, and classify every block live or dead. The fast path
-//!    (§4.3.3 step 1) compares the version number recorded in the summary
-//!    against the inode map — a mismatch means the file was deleted or
-//!    truncated, so the block is dead without touching the inode. The slow
-//!    path (step 2) maps the block through the inode and indirect blocks
-//!    and compares addresses. Live blocks are put in the file cache,
-//!    *dirty*.
+//! 1. **Identify & read**: walk a victim's summary chunks, reading
+//!    only their summary blocks, and judge every block live or dead. The
+//!    fast path (§4.3.3 step 1) compares the version number recorded in
+//!    the summary against the inode map — a mismatch means the file was
+//!    deleted or truncated, so the block is dead without touching the
+//!    inode. The slow path (step 2) maps the block through the inode and
+//!    indirect blocks and compares addresses. Only the blocks
+//!    classification looks at are then read, in runs of adjacent ones:
+//!    live file blocks and inode blocks. A dead block costs no transfer,
+//!    so an empty victim costs its summaries alone. Live blocks are put
+//!    in the file cache, *dirty*.
 //! 2. **Write**: the ordinary cache write-back code packs the relocated
 //!    blocks into new segments.
 //!
@@ -35,7 +38,7 @@
 use mem_mgr::{BlockKey, Owner};
 use sim_disk::{BlockDevice, CpuCost};
 use vfs::blockmap::{self, idx_dchild, IDX_DTOP, IDX_SINGLE};
-use vfs::{FsResult, Ino};
+use vfs::{FsError, FsResult, Ino};
 
 use crate::checkpoint::CpCause;
 use crate::fs::Lfs;
@@ -79,7 +82,8 @@ pub struct AsyncCleanerPolicy {
     /// cleaner's in-flight I/O cap, bounding how long one step can
     /// occupy the device ahead of a foreground request.
     pub max_step_read_blocks: usize,
-    /// Maximum summary entries classified per step (CPU bound per step).
+    /// Maximum summary entries judged or classified per step (CPU bound
+    /// per step).
     pub max_step_entries: usize,
     /// Idle-only gating: when set, the task wants a step only while the
     /// engine queue depth is at or below this bound (the paper's "clean
@@ -378,7 +382,33 @@ impl<D: BlockDevice> Lfs<D> {
         }
     }
 
-    /// Classifies one logged block and relocates it if live.
+    /// Whether classifying the logged block at `addr` looks at its
+    /// bytes, so the victim reader must fetch it: an inode block's
+    /// always, a file block's while it is live, an inode-map or usage
+    /// block's never (those are judged from the inode map alone). A file
+    /// block judged dead here stays dead, since no pointer ever returns
+    /// to an old address. The entry's CPU charge stays with
+    /// [`Lfs::clean_entry`].
+    pub(crate) fn entry_needs_bytes(
+        &mut self,
+        kind: BlockKind,
+        version: u32,
+        addr: BlockAddr,
+    ) -> FsResult<bool> {
+        match file_block_key(kind) {
+            Some(key) => {
+                // Fast path (§4.3.3 step 1): version mismatch = dead,
+                // without touching the inode or indirect blocks.
+                let version = self.cfg.cleaner.use_version_fastpath.then_some(version);
+                self.file_block_is_live(key, version, addr)
+            }
+            None => Ok(kind == BlockKind::InodeBlock),
+        }
+    }
+
+    /// Classifies one logged block and relocates it if live. `data` is
+    /// the block's bytes when [`Lfs::entry_needs_bytes`] asked for them,
+    /// and `None` for a file block it judged dead.
     ///
     /// `crc` is the block's end-to-end checksum from the summary entry:
     /// a live block whose disk bytes no longer match it is never copied
@@ -391,7 +421,7 @@ impl<D: BlockDevice> Lfs<D> {
         version: u32,
         crc: u32,
         addr: BlockAddr,
-        data: &[u8],
+        data: Option<&[u8]>,
     ) -> FsResult<(u64, u64)> {
         self.charge(CpuCost::MapBlock);
         match kind {
@@ -399,13 +429,14 @@ impl<D: BlockDevice> Lfs<D> {
             | BlockKind::IndSingle { ino }
             | BlockKind::IndDoubleTop { ino }
             | BlockKind::IndDoubleChild { ino, .. } => {
-                // Fast path (§4.3.3 step 1): version mismatch = dead,
-                // without touching the inode or indirect blocks.
-                let version = self.cfg.cleaner.use_version_fastpath.then_some(version);
-                let key = file_block_key(kind).expect("a file block kind");
-                if !self.file_block_is_live(key, version, addr)? {
+                let Some(data) = data else {
+                    return Ok((0, 0));
+                };
+                // Live when planned; the file may have moved on since.
+                if !self.entry_needs_bytes(kind, version, addr)? {
                     return Ok((0, 0));
                 }
+                let key = file_block_key(kind).expect("a file block kind");
                 let is_data = matches!(kind, BlockKind::Data { .. });
                 let now = self.now();
                 if self.cache.contains(key) {
@@ -429,6 +460,9 @@ impl<D: BlockDevice> Lfs<D> {
                 Ok((1, 0))
             }
             BlockKind::InodeBlock => {
+                let Some(data) = data else {
+                    return Err(FsError::Corrupt("inode block classified unread"));
+                };
                 if summary::block_checksum(data) != crc {
                     // Recover the inodes memory still holds; anything
                     // only the rotten block knew is lost.

@@ -4,14 +4,22 @@
 //! A [`CleanerTask`] is the cleaner a host loop steps between its
 //! foreground operations ([`engine::Maintenance`]): each step performs
 //! one bounded unit of a `CleanerRun` — claim or issue one bounded
-//! segment read, classify a bounded number of summary entries, or
-//! commit the finished relocations with a checkpoint — and returns,
+//! victim read, judge or classify a bounded number of summary entries,
+//! or commit the finished relocations with a checkpoint — and returns,
 //! paced by the stepping task's [`AsyncCleanerPolicy`]. A host that
 //! steps no task still gets the threshold cleaning every foreground
 //! operation does at the floor; hosting the task is what makes cleaning
-//! asynchronous. The synchronous path is the same victim machinery
-//! driven inline: [`Lfs::clean_segment`] reads the victim in one
-//! transfer and classifies it without caps.
+//! asynchronous. The synchronous path is the same victim reader driven
+//! inline, with no caps: [`Lfs::clean_segment`].
+//!
+//! The reader never reads a whole segment. Per chunk it reads the
+//! header block at the cursor, then the rest of the summary blocks its
+//! entry count needs ([`ChunkCursor::summary_span`]); judges each entry
+//! (`Lfs::entry_needs_bytes`); reads the wanted blocks in maximal runs
+//! of adjacent ones; then classifies. A block judged dead stays dead (no
+//! pointer returns to an old address, and a victim is not reused while
+//! it is cleaned), so the plan holds across a run's steps; a block
+//! judged live is judged again when it is classified.
 //!
 //! A run takes its victims from the pick every cleaner uses
 //! (`Lfs::next_victim`); two rules are its alone, the packing stop in
@@ -20,7 +28,7 @@
 //! [`BlockDevice::set_maintenance`]), so on an engine-backed device it
 //! competes in the same request queues as foreground clients while its
 //! queue waits land in `engine.maintenance.disk_wait_ns` rather than
-//! any client's account. Segment reads use the non-blocking
+//! any client's account. A run's reads use the non-blocking
 //! [`BlockDevice::start_read_async`] facade when the device offers one:
 //! a read issued in one step is claimed in a later step, so foreground
 //! traffic (especially on *other* spindles of a striped volume)
@@ -45,15 +53,28 @@ use crate::layout::summary::{ChunkCursor, ChunkSummary};
 use crate::layout::usage_block::SegState;
 use crate::types::{BlockAddr, SegNo};
 
-/// A segment read in flight between steps.
+/// A victim read in flight between steps.
 #[derive(Debug)]
 struct PendingRead {
     /// Device token from [`BlockDevice::start_read_async`].
     token: u64,
     /// First block of the span, relative to the segment base.
     block_off: usize,
-    /// Blocks in the span.
-    nblocks: usize,
+}
+
+/// The victim's chunk in hand: its summary, where its payload starts,
+/// and how far planning, reading and classification have come.
+#[derive(Debug)]
+struct ChunkInHand {
+    summary: ChunkSummary,
+    payload_start: usize,
+    /// Per entry judged so far: whether classification looks at its
+    /// block's bytes ([`Lfs::entry_needs_bytes`]).
+    wanted: Vec<bool>,
+    /// Entries whose wanted blocks are read or in flight.
+    read_to: usize,
+    /// Entries classified.
+    classified: usize,
 }
 
 /// Progress on the victim currently being cleaned.
@@ -62,17 +83,15 @@ struct VictimProgress {
     seg: SegNo,
     /// What the policy saw in the segment when cleaning of it began.
     reason: VictimReason,
-    /// The segment image, filled front-to-back by the read steps.
+    /// The segment's blocks at their own offsets; only summary areas
+    /// and wanted blocks are ever read into it.
     image: Vec<u8>,
-    /// Blocks of the image that are valid.
-    blocks_read: usize,
     pending_read: Option<PendingRead>,
-    /// Where the chunk walk stands in the image.
+    /// Where the chunk walk stands in the segment.
     cursor: ChunkCursor,
-    /// The chunk being classified (with its payload's block offset) and
-    /// how many of its entries are done.
-    chunk: Option<(ChunkSummary, usize)>,
-    entry_cursor: usize,
+    /// Blocks of the next chunk's summary area read or in flight.
+    summary_read: usize,
+    chunk: Option<ChunkInHand>,
     live_blocks: u64,
     live_inodes: u64,
     /// A synchronous pass cleaned the segment under the run; once the
@@ -92,14 +111,14 @@ pub(crate) struct CleanerRun {
     cleaned: usize,
 }
 
-/// Idle time granted to an in-flight cleaner segment read before the
+/// Idle time granted to an in-flight victim read before the
 /// claiming step: roughly one policy-default read span (32 KB) at WREN
 /// IV sequential bandwidth, plus slack for the occasional seek.
 const CLEANER_READ_SERVICE_NS: u64 = 30_000_000;
 
 /// The async cleaner as a host-loop maintenance task: its policy
 /// decides whether to take each offer (idle gating sees the live queue
-/// depth), and a step that leaves a segment read in flight asks for the
+/// depth), and a step that leaves a victim read in flight asks for the
 /// read's service time to pass before the claiming step, so the read
 /// overlaps foreground work as a real async cleaner's would.
 ///
@@ -175,7 +194,7 @@ impl<D: BlockDevice> Lfs<D> {
         self.cleaner_run.is_some()
     }
 
-    /// True while the active run has a segment read, issued through the
+    /// True while the active run has a victim read, issued through the
     /// device's async read facade, still unclaimed. Hosts use this to
     /// spend idle time letting the disk service the read, so the
     /// claiming step finds it complete instead of waiting synchronously.
@@ -324,12 +343,9 @@ impl<D: BlockDevice> Lfs<D> {
                 self.obs.async_victims_aborted.inc();
                 return Ok(StepWork::Continue);
             }
-            if v.pending_read.is_some() || v.blocks_read < self.sb.seg_blocks as usize {
-                self.read_step(&mut v, policy.max_step_read_blocks.max(1))?;
-                run.current = Some(v);
-                return Ok(StepWork::Continue);
-            }
-            if self.classify_step(&mut v, policy.max_step_entries.max(1))? {
+            let (max_blocks, max_entries) =
+                (policy.max_step_read_blocks.max(1), policy.max_step_entries.max(1));
+            if self.victim_step(&mut v, max_blocks, max_entries, true)? {
                 self.finish_victim(&v);
                 run.cleaned += 1;
             } else {
@@ -362,78 +378,118 @@ impl<D: BlockDevice> Lfs<D> {
         }
     }
 
-    /// Claims the in-flight read span, or issues the next one of at most
-    /// `max_blocks`. On devices without an async read path the span is
-    /// read synchronously (still bounded per step).
-    fn read_step(&mut self, v: &mut VictimProgress, max_blocks: usize) -> FsResult<()> {
+    /// The one victim reader, one unit of work at a time: claim the
+    /// read in flight; or issue the next read of at most `max_blocks`
+    /// (the next chunk's summary area, or a run of adjacent wanted
+    /// blocks), through the async facade when `overlap` and the device
+    /// has one; or judge or classify up to `max_entries` summary
+    /// entries. A chunk is walked from its summary alone, every entry is
+    /// judged ([`Lfs::entry_needs_bytes`]), then only the wanted blocks
+    /// are read and the entries classified. Returns true once the chain
+    /// has ended and every chunk of it is classified.
+    fn victim_step(
+        &mut self,
+        v: &mut VictimProgress,
+        max_blocks: usize,
+        max_entries: usize,
+        overlap: bool,
+    ) -> FsResult<bool> {
         let bs = self.block_size();
         if let Some(p) = v.pending_read.take() {
             let data = self.dev.finish_read_async(p.token)?;
-            v.image[p.block_off * bs..p.block_off * bs + data.len()].copy_from_slice(&data);
-            v.blocks_read = p.block_off + p.nblocks;
+            v.image[p.block_off * bs..][..data.len()].copy_from_slice(&data);
             self.obs.cleaner_bytes_read.add(data.len() as u64);
-            return Ok(());
+            return Ok(false);
         }
-        let seg_blocks = self.sb.seg_blocks as usize;
-        let n = (seg_blocks - v.blocks_read).min(max_blocks);
-        let addr = BlockAddr(self.sb.seg_block(v.seg, 0).0 + v.blocks_read as u32);
-        let sector = self.sector_of(addr);
-        self.dev.annotate("cleaner-read");
-        match self.dev.start_read_async(sector, n * bs) {
-            Some(token) => {
-                v.pending_read = Some(PendingRead {
-                    token,
-                    block_off: v.blocks_read,
-                    nblocks: n,
-                });
+        let Some(chunk) = v.chunk.as_mut() else {
+            let at = v.cursor.offset();
+            let header = (v.summary_read > 0).then(|| &v.image[at * bs..(at + 1) * bs]);
+            let span = v.cursor.summary_span(header);
+            if v.summary_read < span {
+                let n = (span - v.summary_read).min(max_blocks);
+                self.victim_read(v, at + v.summary_read, n, overlap)?;
+                v.summary_read += n;
+                return Ok(false);
             }
-            None => {
-                let mut buf = vec![0u8; n * bs];
-                self.dev.read(sector, &mut buf)?;
-                v.image[v.blocks_read * bs..(v.blocks_read + n) * bs].copy_from_slice(&buf);
-                v.blocks_read += n;
-                self.obs.cleaner_bytes_read.add(buf.len() as u64);
-            }
-        }
-        Ok(())
-    }
-
-    /// Classifies up to `max_entries` summary entries of the fully-read
-    /// victim image, resuming the chunk walk where the previous step
-    /// stopped. Returns true when the walk is complete.
-    fn classify_step(&mut self, v: &mut VictimProgress, max_entries: usize) -> FsResult<bool> {
-        let bs = self.block_size();
-        let base = self.sb.seg_block(v.seg, 0);
-        let mut processed = 0usize;
-        while processed < max_entries {
-            if v.chunk.is_none() {
-                match v.cursor.next_chunk(&v.image[v.cursor.offset() * bs..]) {
-                    Ok(next) => v.chunk = Some(next),
-                    Err(_) => return Ok(true),
+            return Ok(match v.cursor.next_chunk(&v.image[at * bs..]) {
+                Ok((summary, payload_start)) => {
+                    v.summary_read = 0;
+                    v.chunk = Some(ChunkInHand {
+                        wanted: Vec::with_capacity(summary.entries.len()),
+                        summary,
+                        payload_start,
+                        read_to: 0,
+                        classified: 0,
+                    });
+                    false
                 }
+                Err(_) => true,
+            });
+        };
+        let base = self.sb.seg_block(v.seg, 0);
+        let addr = |i: usize| BlockAddr(base.0 + (chunk.payload_start + i) as u32);
+        let entries = &chunk.summary.entries;
+        if chunk.wanted.len() < entries.len() {
+            let end = entries.len().min(chunk.wanted.len().saturating_add(max_entries));
+            for (i, entry) in entries.iter().enumerate().take(end).skip(chunk.wanted.len()) {
+                let wanted = self.entry_needs_bytes(entry.kind, entry.version, addr(i))?;
+                chunk.wanted.push(wanted);
             }
-            let (summary, payload_start) = v.chunk.as_ref().expect("chunk just ensured");
-            while v.entry_cursor < summary.entries.len() && processed < max_entries {
-                let entry = &summary.entries[v.entry_cursor];
-                let block_off = payload_start + v.entry_cursor;
-                let addr = BlockAddr(base.0 + block_off as u32);
-                let data = &v.image[block_off * bs..(block_off + 1) * bs];
-                let (blocks, inodes) =
-                    self.clean_entry(entry.kind, entry.version, entry.crc, addr, data)?;
-                v.live_blocks += blocks;
-                v.live_inodes += inodes;
-                v.entry_cursor += 1;
-                processed += 1;
-            }
-            if v.entry_cursor == summary.entries.len() {
-                v.chunk = None;
-                v.entry_cursor = 0;
-            }
+            return Ok(false);
+        }
+        if let Some(start) = (chunk.read_to..entries.len()).find(|&i| chunk.wanted[i]) {
+            let run = chunk.wanted[start..].iter().take(max_blocks);
+            let n = run.take_while(|&&wanted| wanted).count();
+            chunk.read_to = start + n;
+            let off = chunk.payload_start + start;
+            self.victim_read(v, off, n, overlap)?;
+            return Ok(false);
+        }
+        chunk.read_to = entries.len();
+        let end = entries.len().min(chunk.classified.saturating_add(max_entries));
+        for (i, entry) in entries.iter().enumerate().take(end).skip(chunk.classified) {
+            let block_off = chunk.payload_start + i;
+            let data = chunk.wanted[i].then(|| &v.image[block_off * bs..(block_off + 1) * bs]);
+            let (blocks, inodes) =
+                self.clean_entry(entry.kind, entry.version, entry.crc, addr(i), data)?;
+            v.live_blocks += blocks;
+            v.live_inodes += inodes;
+        }
+        chunk.classified = end;
+        if end == entries.len() {
+            v.chunk = None;
         }
         Ok(false)
     }
 
-    /// A victim whose image is still to be read.
+    /// Reads `n` blocks of the victim from segment block `off` into its
+    /// image, or leaves the read in flight when `overlap` and the device
+    /// has an async read path.
+    fn victim_read(
+        &mut self,
+        v: &mut VictimProgress,
+        off: usize,
+        n: usize,
+        overlap: bool,
+    ) -> FsResult<()> {
+        let bs = self.block_size();
+        let sector = self.sector_of(BlockAddr(self.sb.seg_block(v.seg, 0).0 + off as u32));
+        self.dev.annotate("cleaner-read");
+        if overlap {
+            if let Some(token) = self.dev.start_read_async(sector, n * bs) {
+                v.pending_read = Some(PendingRead {
+                    token,
+                    block_off: off,
+                });
+                return Ok(());
+            }
+        }
+        self.dev.read(sector, &mut v.image[off * bs..(off + n) * bs])?;
+        self.obs.cleaner_bytes_read.add((n * bs) as u64);
+        Ok(())
+    }
+
+    /// A victim whose chain is still to be read.
     fn start_victim(&self, seg: SegNo) -> VictimProgress {
         let bs = self.block_size();
         let seg_blocks = self.sb.seg_blocks as usize;
@@ -441,11 +497,10 @@ impl<D: BlockDevice> Lfs<D> {
             seg,
             reason: self.victim_reason(seg, self.now()),
             image: vec![0u8; seg_blocks * bs],
-            blocks_read: 0,
             pending_read: None,
             cursor: ChunkCursor::new(self.sb.seg_block(seg, 0), seg_blocks, bs),
+            summary_read: 0,
             chunk: None,
-            entry_cursor: 0,
             live_blocks: 0,
             live_inodes: 0,
             stale: false,
@@ -481,9 +536,9 @@ impl<D: BlockDevice> Lfs<D> {
 
     /// Cleans one segment to completion, inline: phase 1 of §4.3.2
     /// (identify live blocks and read them into the cache, dirty). The
-    /// synchronous cleaner is the incremental one with the victim read
-    /// in a single transfer and no per-step caps. Returns
-    /// `(blocks, inodes)` copied.
+    /// synchronous cleaner is the incremental one's victim reader with
+    /// no per-step caps, waiting on each read. Returns `(blocks,
+    /// inodes)` copied.
     pub fn clean_segment(&mut self, seg: SegNo) -> FsResult<(u64, u64)> {
         if self.usage.state(seg) != SegState::Dirty {
             return Err(FsError::Corrupt("cleaning a non-dirty segment"));
@@ -492,12 +547,21 @@ impl<D: BlockDevice> Lfs<D> {
             current.stale |= current.seg == seg;
         }
         let mut v = self.start_victim(seg);
-        self.dev.annotate("cleaner-read");
-        self.dev
-            .read(self.sector_of(self.sb.seg_block(seg, 0)), &mut v.image)?;
-        self.obs.cleaner_bytes_read.add(v.image.len() as u64);
-        let done = self.classify_step(&mut v, usize::MAX)?;
-        debug_assert!(done, "an uncapped step walks the whole chain");
+        while !self.victim_step(&mut v, usize::MAX, usize::MAX, false)? {}
         Ok(self.finish_victim(&v))
+    }
+}
+
+#[cfg(test)]
+impl<D: BlockDevice> Lfs<D> {
+    /// Starts a hosted run whose first victim is `seg`, as if the pick
+    /// had chosen it, so a test can step the run through a known victim.
+    pub(crate) fn start_run_at(&mut self, seg: SegNo) {
+        let victim = self.start_victim(seg);
+        self.cleaner_run = Some(CleanerRun {
+            budget: 0,
+            current: Some(victim),
+            cleaned: 0,
+        });
     }
 }

@@ -366,6 +366,25 @@ impl ChunkCursor {
         self.offset
     }
 
+    /// Blocks from [`offset`](Self::offset) on that a reader must hold
+    /// before [`next_chunk`](Self::next_chunk) can judge the chunk
+    /// there: 0 once the segment has no room for another chunk, 1 while
+    /// the caller has only `None`, and from the `header` block on, the
+    /// summary blocks its entry count needs, within the segment. A
+    /// reader that fetches exactly these blocks walks the chain without
+    /// any payload; the entry count is only a hint until `next_chunk`
+    /// validates it.
+    pub fn summary_span(&self, header: Option<&[u8]>) -> usize {
+        if self.offset + 1 >= self.seg_blocks {
+            return 0;
+        }
+        let Some(header) = header else { return 1 };
+        ChunkSummary::decode_header_prefix(header).map_or(1, |prefix| {
+            ChunkSummary::summary_blocks(prefix.nentries as usize, self.block_size)
+                .clamp(1, self.seg_blocks - self.offset)
+        })
+    }
+
     /// Validates the chunk whose summary starts at `bytes` (the segment
     /// contents from block [`offset`](Self::offset) on) and steps past
     /// it. Yields the summary and the in-segment block offset of its
@@ -534,6 +553,28 @@ mod tests {
         place(&mut image, 12, ChunkSummary { partial: 2, ..sample() });
         assert_eq!(cursor.next_chunk(&image[12 * 512..]), Err(ChainEnd::Ended));
         assert_eq!(cursor.offset(), 12, "a refused chunk is not stepped over");
+    }
+
+    #[test]
+    fn cursor_names_the_summary_blocks_a_reader_must_fetch() {
+        // One entry more than a summary block holds: two summary blocks.
+        let n = ChunkSummary::max_entries(1, 512) + 1;
+        let entries = vec![sample().entries[0]; n];
+        let mut image = vec![0u8; 64 * 512];
+        place(&mut image, 0, ChunkSummary { partial: 0, entries, ..sample() });
+        let mut cursor = ChunkCursor::new(BlockAddr(320), 64, 512);
+        // The header block first, then every summary block it needs...
+        assert_eq!(cursor.summary_span(None), 1);
+        assert_eq!(cursor.summary_span(Some(&image[..512])), 2);
+        // ...and those alone validate the chunk: no payload is read.
+        let (chunk, payload) = cursor.next_chunk(&image[..2 * 512]).unwrap();
+        assert_eq!((chunk.entries.len(), payload), (n, 2));
+        // Bytes that are no header ask for no more than themselves.
+        let next = &image[cursor.offset() * 512..][..512];
+        assert_eq!(cursor.summary_span(Some(next)), 1);
+        // A segment with no room left for a chunk asks for nothing.
+        let end = ChunkCursor::resume_at(BlockAddr(320), 64, 512, 63, 42, 1);
+        assert_eq!(end.summary_span(None), 0);
     }
 
     /// Found by `chunk_cursor_bounds_forged_headers`: the hand-written

@@ -44,7 +44,8 @@ obs::instruments! {
         segments_cleaned, Counter, "cleaner.segments_cleaned", "Segments processed by the cleaner.";
         cleaner_blocks_copied, Counter, "cleaner.blocks_copied", "Live blocks the cleaner copied back into the cache.";
         cleaner_inodes_copied, Counter, "cleaner.inodes_copied", "Live inodes the cleaner re-dirtied.";
-        cleaner_bytes_read, Counter, "cleaner.bytes_read", "Bytes of whole-segment reads performed by the cleaner.";
+        cleaner_bytes_read, Counter, "cleaner.bytes_read", "Bytes the cleaner read from its victims: each chunk's \
+            summary blocks, then only the blocks classification looks at (live file blocks and inode blocks).";
         cleaner_passes, Counter, "cleaner.passes", "User-level clean_pass calls (clean_until makes one per \
             round); the floor's activations are cleaner.floor_passes.";
         async_steps, Counter, "cleaner.async.steps", "Incremental async-cleaner steps executed.";
