@@ -27,14 +27,12 @@ fn run(use_fastpath: bool, metrics: &mut MetricsReport) -> Row {
     );
     let mut cfg = LfsConfig::paper();
     cfg.cleaner.use_version_fastpath = use_fastpath;
-    cfg.cleaner.segments_per_pass = 4;
     // The overwrite fill crosses the cleaning floor five times in each
     // arm (`cleaner.floor_passes` = 5; the 15 MB cache's reserve is 18
     // segments, so the floor is 20): those activations clean 24
     // segments, identically in both arms and before the measured loop,
-    // which then takes 13 passes for its 24 segments. The exported
-    // `cleaner.passes` (13) counts only those passes; `segments_cleaned`
-    // (48) counts both.
+    // which cleans at least 24 more. The exported `segments_cleaned`
+    // counts both.
     let mut fs = Lfs::format(disk, cfg, Arc::clone(&clock)).unwrap();
 
     // Create many small files, then overwrite them all in their entirety
@@ -67,15 +65,17 @@ fn run(use_fastpath: bool, metrics: &mut MetricsReport) -> Row {
     // Clean a batch of segments and measure the cost.
     let reads_before = fs.device().stats().reads;
     let watch = Stopwatch::start(Arc::clone(&clock));
-    let mut cleaned = 0usize;
-    while cleaned < 24 {
-        let outcome = fs.clean_pass().unwrap();
-        if outcome.segments == 0 {
+    let first = fs.stats().segments_cleaned;
+    let cleaned = |fs: &Lfs<SimDisk>| (fs.stats().segments_cleaned - first) as usize;
+    while cleaned(&fs) < 24 {
+        let victims = cleaned(&fs);
+        let clean = fs.usage_table().clean_count();
+        fs.clean_until(clean + 4).unwrap();
+        if cleaned(&fs) == victims {
             break;
         }
-        cleaned += outcome.segments;
-        fs.checkpoint().unwrap();
     }
+    let cleaned = cleaned(&fs);
     let secs = watch.elapsed_secs();
     let extra_reads = fs.device().stats().reads - reads_before;
     let report = fs.fsck().unwrap();

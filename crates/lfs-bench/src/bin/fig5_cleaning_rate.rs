@@ -47,24 +47,24 @@ fn measure(keep_tenths: u32, metrics: &mut MetricsReport) -> (f64, f64) {
     let mean_util: f64 =
         dirty.iter().map(|&s| usage.utilization(s)).sum::<f64>() / dirty.len() as f64;
 
-    // Measure: clean a fixed batch of segments, tracking virtual time and
-    // the *net* clean space generated — cleaning consumes new segments to
-    // rewrite the live data it copies, so a nearly full segment yields
-    // almost nothing.
+    // Measure: clean about 40 victims, eight more clean segments asked
+    // of `clean_until` at a time, tracking virtual time and the *net*
+    // clean space generated — cleaning consumes new segments to rewrite
+    // the live data it copies, so a nearly full segment yields almost
+    // nothing. Each of its rounds commits with a checkpoint, so the
+    // relocated data is written out: the paper's rate includes the
+    // copying cost, not just the reads.
     let seg_bytes = fs.usage_table().seg_bytes();
     let clean_before = fs.usage_table().clean_count() as i64;
-    let to_clean = 40usize;
+    let first = fs.stats().segments_cleaned;
     let watch = Stopwatch::start(Arc::clone(&clock));
-    let mut cleaned = 0usize;
-    while cleaned < to_clean {
-        let outcome = fs.clean_pass().unwrap();
-        if outcome.segments == 0 {
+    while fs.stats().segments_cleaned - first < 40 {
+        let victims = fs.stats().segments_cleaned;
+        let clean = fs.usage_table().clean_count();
+        fs.clean_until(clean + 8).unwrap();
+        if fs.stats().segments_cleaned == victims {
             break;
         }
-        cleaned += outcome.segments;
-        // Commit so the relocated data is written out — the paper's rate
-        // includes the copying cost, not just the reads.
-        fs.checkpoint().unwrap();
     }
     fs.device_mut().flush().unwrap();
     let secs = watch.elapsed_secs();

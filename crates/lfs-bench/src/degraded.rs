@@ -23,12 +23,12 @@ use std::sync::Arc;
 use engine::{drain, jittered_think_ns, run_schedule, RequestEngine, Schedule};
 use lfs_core::{Lfs, LfsConfig};
 use sim_disk::{BlockDevice, Clock};
+use trace::percentile_ns;
 use trace::replay::snapshot;
 use vfs::{FileSystem, FsResult};
 use volume::VolumeDisk;
 use workload::payload;
 
-use crate::interference::percentile_ns;
 use crate::modern_lfs;
 use crate::trace_replay::snapshot_digest;
 

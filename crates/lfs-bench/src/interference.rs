@@ -72,22 +72,6 @@ fn slot_path(cfg: &ChurnConfig, client: usize, op: usize) -> String {
     format!("/d{client:02}/s{slot:04}")
 }
 
-/// Exact percentile of an ascending-sorted latency sample: the sample
-/// at index `round((n - 1) · pct / 100)` — the closest order statistic
-/// to the interpolated position, deterministic, no histogram bucketing
-/// error. **Not** nearest-rank: [`trace::percentile_ns`] reads index
-/// `ceil(n · pct / 100) - 1`, which can sit one sample below this one
-/// (the median of ten samples: 4, here 5) or one above (their p91: 9,
-/// here 8). The pinned p50/p99 cells of each bench depend on the helper
-/// it uses.
-pub fn percentile_ns(sorted: &[u64], pct: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() - 1) as f64 * pct / 100.0).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 /// Runs the overwrite-churn workload: a fill phase creating every slot
 /// (system-attributed, unmeasured), then `clients * ops_per_client`
 /// measured overwrites dispatched earliest-ready-first, with `cleaner`
@@ -168,8 +152,8 @@ pub fn run_overwrite_churn<D: BlockDevice>(
     Ok(ChurnOutcome {
         total_ops: latencies.len() as u64,
         elapsed_ns,
-        p50_ns: percentile_ns(&latencies, 50.0),
-        p99_ns: percentile_ns(&latencies, 99.0),
+        p50_ns: trace::percentile_ns(&latencies, 50.0),
+        p99_ns: trace::percentile_ns(&latencies, 99.0),
         max_ns: *latencies.last().unwrap_or(&0),
         cleaner_steps,
     })
@@ -229,21 +213,5 @@ mod tests {
         let mut fs = Lfs::format(dev, LfsConfig::small_test(), clock).expect("format");
         let outcome = run_overwrite_churn(&mut fs, &core, &cfg, None).expect("churn run");
         assert_eq!(outcome.total_ops, 24);
-    }
-
-    /// The two percentile helpers, pinned side by side on one sample so
-    /// their difference is stated, not discovered.
-    #[test]
-    fn percentile_helpers_differ_where_stated() {
-        let sorted: Vec<u64> = (1..=10).map(|i| i * 10).collect();
-        let both = |pct| (super::percentile_ns(&sorted, pct), trace::percentile_ns(&sorted, pct));
-        assert_eq!(both(0.0), (10, 10));
-        assert_eq!(both(25.0), (30, 30));
-        assert_eq!(both(50.0), (60, 50), "round(4.5) = index 5; ceil(5.0) = rank 5 = index 4");
-        assert_eq!(both(75.0), (80, 80));
-        assert_eq!(both(90.0), (90, 90));
-        assert_eq!(both(99.0), (100, 100));
-        assert_eq!(both(100.0), (100, 100));
-        assert_eq!(both(91.0), (90, 100), "round(8.19) = index 8; ceil(9.1) = rank 10 = index 9");
     }
 }

@@ -24,16 +24,19 @@
 //! segments are parked in [`SegState::CleanPending`] and promoted by
 //! [`Lfs::checkpoint`].
 //!
-//! Cleaning has the paper's two triggers. A foreground operation that
-//! leaves fewer segments clean than the space rule's floor
-//! ([`crate::SpaceRule`]) cleans inline before
-//! it returns ("when the number of clean segments drops below a
-//! threshold value"). A host with slack time ("at night or other times
-//! of slack usage") calls [`Lfs::clean_until`], or steps a
-//! [`crate::CleanerTask`] between its own operations so the threshold
-//! is rarely reached. No configuration switches between the two: the
-//! host decides by hosting the task or not. Whoever cleans, victims
-//! come one at a time from one pick, `Lfs::next_victim`.
+//! Cleaning has the paper's two triggers and one mechanism, a cleaning
+//! run (`crate::cleaner_run`), with four drivers. A foreground operation
+//! that leaves fewer segments clean than the space rule's floor
+//! ([`crate::SpaceRule`]) runs one inline to the rule's target before it
+//! returns ("when the number of clean segments drops below a threshold
+//! value"). A host with slack time ("at night or other times of slack
+//! usage") calls [`Lfs::clean_until`], which runs one inline to the
+//! level it is given and checkpoints, again while the clean count rises;
+//! or it steps a [`crate::CleanerTask`] between its own operations so
+//! the threshold is rarely reached; [`Lfs::clean_segment`] cleans one
+//! named victim. No configuration switches between them: the host
+//! decides by hosting the task or not. Whoever cleans, victims come one
+//! at a time from one pick, `Lfs::next_victim`.
 
 use mem_mgr::{BlockKey, Owner};
 use sim_disk::{BlockDevice, CpuCost};
@@ -130,13 +133,15 @@ impl AsyncCleanerPolicy {
 /// file-system-settable fraction of live blocks").
 const MAX_CANDIDATE_UTILIZATION: f64 = 0.98;
 
+/// How many of the best-ranked candidates a hosted run looks through for
+/// one off the log head's spindle.
+const OFF_SPINDLE_WINDOW: usize = 8;
+
 /// Cleaner tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CleanerConfig {
     /// Victim-selection policy.
     pub policy: CleanerPolicy,
-    /// Maximum segments processed per cleaning pass.
-    pub segments_per_pass: usize,
     /// Use the §4.3.3 step-1 fast path (summary version number vs inode
     /// map) to classify blocks without walking inodes. Disabled only by
     /// the liveness-fastpath ablation; correctness does not depend on it.
@@ -147,21 +152,9 @@ impl Default for CleanerConfig {
     fn default() -> Self {
         Self {
             policy: CleanerPolicy::CostBenefit,
-            segments_per_pass: 8,
             use_version_fastpath: true,
         }
     }
-}
-
-/// Outcome of one cleaning pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CleanOutcome {
-    /// Segments processed.
-    pub segments: usize,
-    /// Live blocks copied back into the cache.
-    pub live_blocks: u64,
-    /// Live inodes re-dirtied.
-    pub live_inodes: u64,
 }
 
 /// Why a segment was picked: what the policy saw when cleaning of it
@@ -206,12 +199,12 @@ impl<D: BlockDevice> Lfs<D> {
         candidates
     }
 
-    /// The cleaner's one pick, taken one victim at a time by the floor,
-    /// [`Lfs::clean_pass`] and a hosted run: the best-ranked candidate
-    /// whose live bytes fit `budget`, which is charged for it. With
-    /// `off_spindle` (a run's, whose reads are asynchronous), the first
-    /// of the `segments_per_pass` best-ranked that fits and lies off
-    /// that spindle wins; an inline cleaner blocks on its read anyway.
+    /// The cleaner's one pick, taken one victim at a time by every
+    /// cleaning run: the best-ranked candidate whose live bytes fit
+    /// `budget`, which is charged for it. With `off_spindle` (a hosted
+    /// run's, whose reads are asynchronous), the first of the
+    /// `OFF_SPINDLE_WINDOW` best-ranked that fits and lies off that
+    /// spindle wins; an inline run blocks on its read anyway.
     pub(crate) fn next_victim(
         &mut self,
         budget: &mut u64,
@@ -220,7 +213,7 @@ impl<D: BlockDevice> Lfs<D> {
         let ranked = self.ranked_victims();
         let live = |seg: SegNo| self.usage.get(seg).live_bytes as u64;
         let off = off_spindle.and_then(|spindle| {
-            let window = ranked.iter().take(self.cfg.cleaner.segments_per_pass);
+            let window = ranked.iter().take(OFF_SPINDLE_WINDOW);
             window
                 .copied()
                 .find(|&seg| live(seg) <= *budget && self.spindle_of_seg(seg) != spindle)
@@ -260,32 +253,6 @@ impl<D: BlockDevice> Lfs<D> {
         }
     }
 
-    /// Runs one cleaning pass: up to `segments_per_pass` victims from
-    /// `Lfs::next_victim`.
-    ///
-    /// Victims are additionally limited by a relocation budget: the live
-    /// data they carry must fit in the clean segments currently available
-    /// (minus a margin for metadata), or the checkpoint that commits the
-    /// relocations could itself run out of space.
-    ///
-    /// The caller must follow up with a checkpoint to make the cleaned
-    /// segments reusable.
-    pub fn clean_pass(&mut self) -> FsResult<CleanOutcome> {
-        let mut budget = self.relocation_budget();
-        let per_pass = self.cfg.cleaner.segments_per_pass;
-        let (outcome, _) = self.clean_victims(&mut budget, |_, taken| taken < per_pass)?;
-        self.obs.cleaner_passes.inc();
-        self.obs.registry.event(
-            self.clock.now_ns(),
-            "cleaner_pass",
-            format!(
-                "segments={} live_blocks={} live_inodes={}",
-                outcome.segments, outcome.live_blocks, outcome.live_inodes
-            ),
-        );
-        Ok(outcome)
-    }
-
     /// The relocation budget: live bytes the next checkpoint can still
     /// carry into the clean segments, by the space rule.
     pub(crate) fn relocation_budget(&self) -> u64 {
@@ -308,32 +275,12 @@ impl<D: BlockDevice> Lfs<D> {
         (self.usage.clean_count(), open, unwritten)
     }
 
-    /// Cleans victims from [`Lfs::next_victim`] inline while `more(self,
-    /// victims taken)` holds and one fits `budget`; returns them in order.
-    pub(crate) fn clean_victims(
-        &mut self,
-        budget: &mut u64,
-        more: impl Fn(&Self, usize) -> bool,
-    ) -> FsResult<(CleanOutcome, Vec<SegNo>)> {
-        let mut outcome = CleanOutcome::default();
-        let mut victims = Vec::new();
-        while more(self, victims.len()) {
-            let Some(seg) = self.next_victim(budget, None) else {
-                break;
-            };
-            let (blocks, inodes) = self.clean_segment(seg)?;
-            outcome.segments += 1;
-            outcome.live_blocks += blocks;
-            outcome.live_inodes += inodes;
-            victims.push(seg);
-        }
-        Ok((outcome, victims))
-    }
-
-    /// Cleans segments and checkpoints until at least `target` segments
-    /// are clean (or no progress can be made). The user-level cleaning
-    /// interface of §4.3.4 ("cleaning to be initialized at night or other
-    /// times of slack usage"). Returns the number of clean segments.
+    /// Cleans until at least `target` segments are clean, or the clean
+    /// count stops rising: the user-level cleaning interface of §4.3.4
+    /// ("cleaning to be initialized at night or other times of slack
+    /// usage"). Each round is one inline cleaning run to `target` (it
+    /// adopts a hosted run in progress) and one checkpoint. Returns the
+    /// number of clean segments.
     ///
     /// # Examples
     ///
@@ -365,18 +312,16 @@ impl<D: BlockDevice> Lfs<D> {
             if clean >= target {
                 return Ok(clean);
             }
-            self.in_maintenance = true;
             self.dev.set_maintenance(true);
-            let outcome = self.clean_pass();
-            let cp = outcome.is_ok().then(|| self.checkpoint_as(CpCause::Clean));
+            let round = self.clean_inline(target);
+            let cp = round.is_ok().then(|| self.checkpoint_as(CpCause::Clean));
             self.dev.set_maintenance(false);
-            self.in_maintenance = false;
-            let outcome = outcome?;
+            round?;
             cp.transpose()?;
             // Stop on no progress: either nothing was cleanable, or
             // compaction is only churning its own output (every victim's
             // free space went right back into rewriting its live data).
-            if outcome.segments == 0 || self.usage.clean_count() <= clean {
+            if self.usage.clean_count() <= clean {
                 return Ok(self.usage.clean_count());
             }
         }

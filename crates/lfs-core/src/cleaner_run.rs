@@ -1,16 +1,30 @@
-//! The incremental, resumable async cleaner (§4.3.4's "clean during
-//! idle periods", driven from outside).
+//! The cleaning run, the one loop every cleaner drives (§4.3.4), and
+//! the task that steps it during idle periods.
 //!
-//! A [`CleanerTask`] is the cleaner a host loop steps between its
-//! foreground operations ([`engine::Maintenance`]): each step performs
-//! one bounded unit of a `CleanerRun` — claim or issue one bounded
-//! victim read, judge or classify a bounded number of summary entries,
-//! or commit the finished relocations with a checkpoint — and returns,
-//! paced by the stepping task's [`AsyncCleanerPolicy`]. A host that
-//! steps no task still gets the threshold cleaning every foreground
-//! operation does at the floor; hosting the task is what makes cleaning
-//! asynchronous. The synchronous path is the same victim reader driven
-//! inline, with no caps: [`Lfs::clean_segment`].
+//! A `CleanerRun` takes victims one at a time against one relocation
+//! budget until clean plus clean-pending segments reach its stop level,
+//! then its driver commits the relocations with one checkpoint. Four
+//! callers drive it:
+//!
+//! - the floor runs one inline to the space rule's target inside the
+//!   foreground operation that crossed it;
+//! - [`Lfs::clean_until`] runs one inline to the level it is given;
+//! - a hosted [`CleanerTask`] steps one between a host loop's
+//!   foreground operations ([`engine::Maintenance`]): each step performs
+//!   one bounded unit — claim or issue one bounded victim read, judge or
+//!   classify a bounded number of summary entries, or commit with a
+//!   checkpoint — paced by the stepping task's [`AsyncCleanerPolicy`];
+//! - [`Lfs::clean_segment`] cleans one named victim with the same
+//!   reader.
+//!
+//! An inline run takes no step caps and waits on its reads. An inline
+//! caller that finds a hosted run in progress adopts it (`clean_inline`):
+//! it finishes the run's current victim, whose reads are already paid,
+//! re-derives the budget less what that victim carries, and stops at its
+//! own level; the run ends there. So no victim is ever read twice or
+//! abandoned. A host that steps no task still gets the threshold
+//! cleaning every foreground operation does at the floor; hosting the
+//! task is what makes cleaning asynchronous.
 //!
 //! The reader never reads a whole segment. Per chunk it reads the
 //! header block at the cursor, then the rest of the summary blocks its
@@ -22,24 +36,24 @@
 //! judged live is judged again when it is classified.
 //!
 //! A run takes its victims from the pick every cleaner uses
-//! (`Lfs::next_victim`); two rules are its alone, the packing stop in
-//! `run_step` and the off-spindle preference. Cleaner I/O is issued
-//! with the device's maintenance class on (see
+//! (`Lfs::next_victim`); three rules in `run_step` are a hosted run's
+//! alone: the packing stop, the off-spindle preference, and the cut of
+//! its budget to what the log can carry now. Cleaner I/O is issued with
+//! the device's maintenance class on (see
 //! [`BlockDevice::set_maintenance`]), so on an engine-backed device it
 //! competes in the same request queues as foreground clients while its
 //! queue waits land in `engine.maintenance.disk_wait_ns` rather than
-//! any client's account. A run's reads use the non-blocking
+//! any client's account. A hosted run's reads use the non-blocking
 //! [`BlockDevice::start_read_async`] facade when the device offers one:
 //! a read issued in one step is claimed in a later step, so foreground
 //! traffic (especially on *other* spindles of a striped volume)
 //! advances virtual time underneath it and the claim often costs no
 //! additional time at all.
 //!
-//! The crash-safety protocol is unchanged from the synchronous cleaner:
-//! a victim becomes [`SegState::CleanPending`] only after every live
-//! block has been re-dirtied in the cache, and pending segments are
-//! promoted to clean only by the checkpoint that also persists their
-//! relocated contents. A crash at any step therefore finds either the
+//! Every driver keeps one crash-safety protocol: a victim becomes
+//! [`SegState::CleanPending`] only after every live block has been
+//! re-dirtied in the cache, and pending segments are promoted to clean
+//! only by the checkpoint that also persists their relocated contents. A crash at any step therefore finds either the
 //! old copies intact or the checkpoint that supersedes them.
 
 use engine::{Maintenance, Step};
@@ -94,18 +108,18 @@ struct VictimProgress {
     chunk: Option<ChunkInHand>,
     live_blocks: u64,
     live_inodes: u64,
-    /// A synchronous pass cleaned the segment under the run; once the
-    /// log reuses it, its state (Dirty again) alone would not say so.
-    stale: bool,
 }
 
-/// The state of one incremental cleaning run, owned by [`Lfs`] between
-/// steps.
+/// The state of one cleaning run: held by [`Lfs`] between a hosted
+/// task's steps, or driven to its end inline.
 #[derive(Debug)]
 pub(crate) struct CleanerRun {
     /// Remaining relocation budget (live bytes that still fit the clean
     /// segments available when the run started).
     budget: u64,
+    /// The clean-plus-pending level at which the run stops between
+    /// victims.
+    stop: usize,
     current: Option<VictimProgress>,
     /// Victims fully cleaned by this run so far.
     cleaned: usize,
@@ -158,6 +172,8 @@ impl<D: BlockDevice> Maintenance<Lfs<D>> for CleanerTask {
 /// Internal result of one unit of run work.
 enum StepWork {
     Continue,
+    /// The victim in hand went clean-pending.
+    Cleaned(SegNo),
     Finished,
 }
 
@@ -231,11 +247,11 @@ impl<D: BlockDevice> Lfs<D> {
     }
 
     /// Performs one bounded unit of incremental cleaning: start a run if
-    /// the low watermark is crossed, claim or issue one bounded segment
-    /// read, classify a bounded number of summary entries, or — when the
-    /// high watermark is reached or victims run out — commit the run's
-    /// relocations with a checkpoint, all paced by `policy` (the
-    /// stepping task's). [`Step::Completed`] means the committing
+    /// the level is under the start threshold, claim or issue one bounded
+    /// segment read, classify a bounded number of summary entries, or —
+    /// when the high watermark is reached or victims run out — commit
+    /// the run's relocations with a checkpoint, all paced by `policy`
+    /// (the stepping task's). [`Step::Completed`] means the committing
     /// checkpoint, if the run cleaned anything, has landed.
     pub(crate) fn cleaner_step(&mut self, policy: &AsyncCleanerPolicy) -> FsResult<Step> {
         if self.read_only {
@@ -248,6 +264,7 @@ impl<D: BlockDevice> Lfs<D> {
             let budget = self.relocation_budget();
             self.cleaner_run = Some(CleanerRun {
                 budget,
+                stop: self.effective_high(policy),
                 current: None,
                 cleaned: 0,
             });
@@ -266,11 +283,11 @@ impl<D: BlockDevice> Lfs<D> {
         let mut run = self.cleaner_run.take().expect("run just ensured");
         let was_maintenance = std::mem::replace(&mut self.in_maintenance, true);
         self.dev.set_maintenance(true);
-        let work = self.run_step(&mut run, policy);
+        let work = self.run_step(&mut run, Some(policy));
         self.dev.set_maintenance(false);
         self.in_maintenance = was_maintenance;
         match work {
-            Ok(StepWork::Continue) => {
+            Ok(StepWork::Continue | StepWork::Cleaned(_)) => {
                 // Prepay write-back debt: once the cache is half dirty
                 // (the run's re-dirtied live blocks plus foreground
                 // writes), drain it from the cleaner's own time slice.
@@ -326,49 +343,58 @@ impl<D: BlockDevice> Lfs<D> {
         }
     }
 
-    /// One unit of run work.
+    /// One unit of run work. A hosted run (`hosted` is the stepping
+    /// task's policy) works within the policy's step caps through the
+    /// async read facade; an inline run (`None`) takes no caps and waits
+    /// on its reads, so it finishes a victim in one step.
     fn run_step(
         &mut self,
         run: &mut CleanerRun,
-        policy: &AsyncCleanerPolicy,
+        hosted: Option<&AsyncCleanerPolicy>,
     ) -> FsResult<StepWork> {
         if let Some(mut v) = run.current.take() {
-            // A stale victim (the floor or a `clean_pass` cleaned it
-            // under us) is abandoned; any in-flight read is claimed and
-            // discarded so no queue is left holding it.
-            if v.stale {
-                if let Some(p) = v.pending_read.take() {
-                    let _ = self.dev.finish_read_async(p.token);
+            let (max_blocks, max_entries) = hosted.map_or((usize::MAX, usize::MAX), |policy| {
+                (policy.max_step_read_blocks.max(1), policy.max_step_entries.max(1))
+            });
+            loop {
+                if self.victim_step(&mut v, max_blocks, max_entries, hosted.is_some())? {
+                    self.finish_victim(&v);
+                    run.cleaned += 1;
+                    return Ok(StepWork::Cleaned(v.seg));
                 }
-                self.obs.async_victims_aborted.inc();
-                return Ok(StepWork::Continue);
+                if hosted.is_some() {
+                    run.current = Some(v);
+                    return Ok(StepWork::Continue);
+                }
             }
-            let (max_blocks, max_entries) =
-                (policy.max_step_read_blocks.max(1), policy.max_step_entries.max(1));
-            if self.victim_step(&mut v, max_blocks, max_entries, true)? {
-                self.finish_victim(&v);
-                run.cleaned += 1;
-            } else {
-                run.current = Some(v);
-            }
-            return Ok(StepWork::Continue);
         }
-        // Between victims: stop at the high watermark, or once the live
-        // data is packed — the segments in use hold at most one
-        // segment's slack, so every victim is compaction that reclaims
-        // nothing, a treadmill under an eager policy. The space rule
-        // keeps the floor away from that state (admission leaves the
-        // target plus one segment free), but a host's high watermark may
-        // ask for more clean segments than admission guarantees, and
-        // this stop is what ends such a run.
-        let packed = self.usage.total_live_bytes().div_ceil(self.usage.seg_bytes()) as usize;
-        let used = (self.usage.nsegments() as usize).saturating_sub(self.clean_and_pending());
-        if self.clean_and_pending() >= self.effective_high(policy) || used <= packed + 1 {
+        // Between victims: stop at the run's level. A hosted run also
+        // stops once the live data is packed — the segments in use hold
+        // at most one segment's slack, so every victim is compaction
+        // that reclaims nothing, a treadmill under an eager policy. The
+        // space rule keeps the floor away from that state (admission
+        // leaves the target plus one segment free), but a host's high
+        // watermark may ask for more clean segments than admission
+        // guarantees, and this stop is what ends such a run.
+        let packed = |fs: &Self| {
+            let packed = fs.usage.total_live_bytes().div_ceil(fs.usage.seg_bytes()) as usize;
+            (fs.usage.nsegments() as usize).saturating_sub(fs.clean_and_pending()) <= packed + 1
+        };
+        if self.clean_and_pending() >= run.stop || (hosted.is_some() && packed(self)) {
             return Ok(StepWork::Finished);
         }
-        // Its reads are asynchronous: one off the log head's spindle
-        // overlaps foreground writes instead of queueing behind them.
-        let off_spindle = (self.dev.fanout() > 1).then(|| self.spindle_of_seg(self.pos.seg));
+        // A hosted run's reads are asynchronous: one off the log head's
+        // spindle overlaps foreground writes instead of queueing behind
+        // them. An inline run blocks on its reads anyway.
+        let off_spindle = hosted
+            .filter(|_| self.dev.fanout() > 1)
+            .map(|_| self.spindle_of_seg(self.pos.seg));
+        // Foreground writes between a hosted run's steps spend the clean
+        // segments its budget was derived from: it never relocates more
+        // than the next checkpoint can still carry.
+        if hosted.is_some() {
+            run.budget = run.budget.min(self.relocation_budget());
+        }
         match self.next_victim(&mut run.budget, off_spindle) {
             Some(seg) => {
                 run.current = Some(self.start_victim(seg));
@@ -503,7 +529,6 @@ impl<D: BlockDevice> Lfs<D> {
             chunk: None,
             live_blocks: 0,
             live_inodes: 0,
-            stale: false,
         }
     }
 
@@ -534,20 +559,63 @@ impl<D: BlockDevice> Lfs<D> {
         (v.live_blocks, v.live_inodes)
     }
 
+    /// Runs cleaning inline until clean plus pending segments reach
+    /// `stop`, victims permitting: no step caps, waited reads, no packing
+    /// stop, no off-spindle pick. A hosted run in progress is adopted
+    /// rather than raced: its current victim, whose reads are paid, is
+    /// finished first, the budget is re-derived less what that victim
+    /// still carries, and the run stops at `stop`. Either way the run is
+    /// over on return and the caller commits it. Returns the budget the
+    /// run went on with and the victims it cleaned, in order.
+    pub(crate) fn clean_inline(&mut self, stop: usize) -> FsResult<(u64, Vec<SegNo>)> {
+        let budget = self.relocation_budget();
+        let mut run = match self.cleaner_run.take() {
+            Some(mut run) => {
+                let carried = run.current.as_ref().map(|v| self.usage.get(v.seg).live_bytes as u64);
+                run.budget = budget.saturating_sub(carried.unwrap_or(0));
+                run.stop = stop;
+                run
+            }
+            None => CleanerRun {
+                budget,
+                stop,
+                current: None,
+                cleaned: 0,
+            },
+        };
+        let budget = run.budget;
+        let was_maintenance = std::mem::replace(&mut self.in_maintenance, true);
+        let mut victims = Vec::new();
+        let done = loop {
+            match self.run_step(&mut run, None) {
+                Ok(StepWork::Continue) => {}
+                Ok(StepWork::Cleaned(seg)) => victims.push(seg),
+                Ok(StepWork::Finished) => break Ok((budget, victims)),
+                Err(e) => break Err(e),
+            }
+        };
+        self.in_maintenance = was_maintenance;
+        done
+    }
+
     /// Cleans one segment to completion, inline: phase 1 of §4.3.2
     /// (identify live blocks and read them into the cache, dirty). The
     /// synchronous cleaner is the incremental one's victim reader with
-    /// no per-step caps, waiting on each read. Returns `(blocks,
-    /// inodes)` copied.
+    /// no per-step caps, waiting on each read; the hosted run's current
+    /// victim is finished in place, and the run's checkpoint commits it.
+    /// Returns `(blocks, inodes)` copied.
     pub fn clean_segment(&mut self, seg: SegNo) -> FsResult<(u64, u64)> {
         if self.usage.state(seg) != SegState::Dirty {
             return Err(FsError::Corrupt("cleaning a non-dirty segment"));
         }
-        if let Some(current) = self.cleaner_run.as_mut().and_then(|r| r.current.as_mut()) {
-            current.stale |= current.seg == seg;
-        }
-        let mut v = self.start_victim(seg);
+        let run = self.cleaner_run.as_mut();
+        let hosted = run.and_then(|run| run.current.take_if(|v| v.seg == seg));
+        let from_run = hosted.is_some();
+        let mut v = hosted.unwrap_or_else(|| self.start_victim(seg));
         while !self.victim_step(&mut v, usize::MAX, usize::MAX, false)? {}
+        if let Some(run) = self.cleaner_run.as_mut().filter(|_| from_run) {
+            run.cleaned += 1;
+        }
         Ok(self.finish_victim(&v))
     }
 }
@@ -560,6 +628,7 @@ impl<D: BlockDevice> Lfs<D> {
         let victim = self.start_victim(seg);
         self.cleaner_run = Some(CleanerRun {
             budget: 0,
+            stop: 0,
             current: Some(victim),
             cleaned: 0,
         });

@@ -369,3 +369,34 @@ fn the_victim_reader_reads_summaries_and_wanted_blocks_exactly() {
         }
     }
 }
+
+#[test]
+fn clean_segment_finishes_the_hosted_runs_victim_in_place() {
+    let (mut inline, seg, _) = quarter_live_victim();
+    let before = inline.stats().cleaner_bytes_read;
+    inline.clean_segment(seg).unwrap();
+    let once = inline.stats().cleaner_bytes_read - before;
+
+    // A hosted run into the same victim: a read claimed, the next in
+    // flight.
+    let (mut fs, _, kept) = quarter_live_victim();
+    let before = fs.stats().cleaner_bytes_read;
+    fs.start_run_at(seg);
+    let mut task = CleanerTask::new(AsyncCleanerPolicy::default().with_step_caps(2, 3));
+    while fs.stats().cleaner_bytes_read == before || !fs.cleaner_read_pending() {
+        task.step(&mut fs).unwrap();
+        assert_eq!(fs.usage_table().state(seg), SegState::Dirty, "the run finished its victim");
+    }
+    fs.clean_segment(seg).unwrap();
+    assert_eq!(fs.stats().cleaner_bytes_read - before, once, "a block was read twice");
+    assert_eq!(fs.cleaner_run_summary(), "run=active run_victim=-");
+
+    // The run counts the victim as its own: its checkpoint commits it.
+    engine::drain(&mut task, &mut fs).unwrap();
+    assert_eq!(fs.usage_table().state(seg), SegState::Clean);
+    let bs = fs.block_size();
+    for path in &kept {
+        let i: u8 = path[2..].parse().unwrap();
+        assert_eq!(fs.read_file(path).unwrap(), vec![i; bs], "{path}");
+    }
+}

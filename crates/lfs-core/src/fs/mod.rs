@@ -959,8 +959,8 @@ impl<D: BlockDevice> Lfs<D> {
     /// foreground operation triggered it, so engine accounting bills the
     /// queue waits to the maintenance class rather than the unlucky
     /// client: segments already cleaned and parked CleanPending (by a
-    /// hosted `CleanerTask` run, or a `clean_pass` not yet committed) are
-    /// committed first, a checkpoint being far cheaper than cleaning;
+    /// hosted `CleanerTask` run, or a `clean_segment` not yet committed)
+    /// are committed first, a checkpoint being far cheaper than cleaning;
     /// then, if `short` still holds, [`Lfs::clean_to_target`].
     fn clean_at_floor(&mut self, short: impl Fn(&Self) -> bool) -> FsResult<()> {
         self.dev.set_maintenance(true);
@@ -977,26 +977,24 @@ impl<D: BlockDevice> Lfs<D> {
         result
     }
 
-    /// The synchronous clean-on-threshold body: victims against one
-    /// relocation budget until clean + pending segments reach the space
-    /// rule's target (a foreground operation is waiting), then one
-    /// checkpoint, since on small segments one per victim costs more log
-    /// than it reclaims.
+    /// The synchronous clean-on-threshold body: one inline cleaning run
+    /// ([`Lfs::clean_inline`], adopting a hosted run in progress) until
+    /// clean + pending segments reach the space rule's target (a
+    /// foreground operation is waiting), then one checkpoint, since on
+    /// small segments one per victim costs more log than it reclaims.
     fn clean_to_target(&mut self) -> FsResult<()> {
         let target = self.space.target();
-        let mut budget = self.relocation_budget();
-        let detail = format!(
-            "clean={} pending={} target={target} budget={budget} {}",
+        let (clean, pending, hosted) = (
             self.usage.clean_count(),
             self.usage.segments_in_state(SegState::CleanPending).len(),
             self.cleaner_run_summary(),
         );
-        self.in_maintenance = true;
-        let taken = self.clean_victims(&mut budget, |fs, _| fs.clean_and_pending() < target);
-        self.in_maintenance = false;
-        let (_, victims) = taken?;
+        let (budget, victims) = self.clean_inline(target)?;
         let names: Vec<String> = victims.iter().map(|seg| seg.0.to_string()).collect();
-        let detail = format!("{detail} victims={}", names.join(","));
+        let detail = format!(
+            "clean={clean} pending={pending} target={target} budget={budget} {hosted} victims={}",
+            names.join(",")
+        );
         self.obs.registry.event(self.clock.now_ns(), "cleaner_floor", detail);
         // Commit the relocations so cleaned segments become reusable; with
         // none, a checkpoint would only spend log.

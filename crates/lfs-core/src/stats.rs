@@ -46,15 +46,13 @@ obs::instruments! {
         cleaner_inodes_copied, Counter, "cleaner.inodes_copied", "Live inodes the cleaner re-dirtied.";
         cleaner_bytes_read, Counter, "cleaner.bytes_read", "Bytes the cleaner read from its victims: each chunk's \
             summary blocks, then only the blocks classification looks at (live file blocks and inode blocks).";
-        cleaner_passes, Counter, "cleaner.passes", "User-level clean_pass calls (clean_until makes one per \
-            round); the floor's activations are cleaner.floor_passes.";
         async_steps, Counter, "cleaner.async.steps", "Incremental async-cleaner steps executed.";
-        async_runs_started, Counter, "cleaner.async.runs_started", "Async cleaner runs started (low watermark \
-            crossed).";
-        async_runs_completed, Counter, "cleaner.async.runs_completed", "Async cleaner runs that reached the high \
-            watermark or ran dry.";
-        async_victims_aborted, Counter, "cleaner.async.victims_aborted", "Victims abandoned mid-run because \
-            their segment state changed.";
+        async_runs_started, Counter, "cleaner.async.runs_started", "Async cleaner runs started: clean plus \
+            clean-pending segments fell below the larger of the task's low watermark and the space rule's run \
+            floor.";
+        async_runs_completed, Counter, "cleaner.async.runs_completed", "Async cleaner runs a hosted task ended: \
+            at the high watermark, with the live data packed, or dry. A run the floor or clean_until adopts ends \
+            there and is not counted.";
         async_offspindle_victims, Counter, "cleaner.async.offspindle_victims", "Async victims selected off the \
             log head's spindle.";
         floor_passes, Counter, "cleaner.floor_passes", "Threshold activations: a foreground operation left fewer \

@@ -15,7 +15,7 @@ use engine::{drain, offer, Maintenance};
 use proptest::prelude::*;
 
 use lfs_core::layout::usage_block::SegState;
-use lfs_core::{AsyncCleanerPolicy, CleanerTask, Lfs, LfsConfig};
+use lfs_core::{AsyncCleanerPolicy, BlockAddr, CleanerTask, Lfs, LfsConfig, SegNo};
 use sim_disk::{Clock, DiskGeometry, SimDisk};
 use vfs::model::ModelFs;
 use vfs::{FileSystem, FsError};
@@ -317,70 +317,127 @@ fn idle_gate_defers_until_quiet() {
     );
 }
 
-/// A victim that an inline cleaner (the floor or a `clean_pass`) cleans
-/// under an async run, and that the log then reuses, is abandoned by the
-/// run: its image no longer describes the segment, and finishing it
-/// would mark a segment holding new live data clean (a replay test in
-/// `lfs-bench` shows fsck catching exactly that). Every cleaner picks
-/// from one `next_victim`, but only a run holds its victim across steps,
-/// so the inline ones can still take it.
-#[test]
-fn a_victim_cleaned_and_reused_under_the_run_is_abandoned() {
-    // One step reads a whole victim; one summary entry is classified
-    // per step after that.
+/// Three 6000-byte files overwritten and synced nine times on a 1 MB
+/// disk: a few dirty segments, every one a candidate victim.
+fn overwritten_nine_times() -> (Lfs<SimDisk>, ModelFs) {
     let mut fs = small_fs(2048);
-    let mut task = CleanerTask::new(eager_policy().with_step_caps(64, 1));
     let mut model = ModelFs::new();
-    // Three 6000-byte files overwritten and synced one by one: a few
-    // dirty segments, every one a candidate victim.
-    let overwrite = |fs: &mut Lfs<SimDisk>, model: &mut ModelFs, i: usize| {
-        let op = Op::Write {
-            slot: i % 3,
-            len: 6000,
-            fill: i as u8,
-        };
-        apply(fs, &op).unwrap();
-        apply(model, &op).unwrap();
-        fs.sync().unwrap();
-    };
     for i in 0..9 {
         overwrite(&mut fs, &mut model, i);
     }
+    (fs, model)
+}
 
-    // Start a run and leave it midway through classifying its first
-    // victim's image.
-    for _ in 0..4 {
+/// Overwrites slot `i % 3` with 6000 bytes of `i` and syncs.
+fn overwrite(fs: &mut Lfs<SimDisk>, model: &mut ModelFs, i: usize) {
+    let op = Op::Write {
+        slot: i % 3,
+        len: 6000,
+        fill: i as u8,
+    };
+    apply(fs, &op).unwrap();
+    apply(model, &op).unwrap();
+    fs.sync().unwrap();
+}
+
+/// Bytes the cleaner read from `seg`, by the device trace.
+fn cleaner_bytes_from(fs: &Lfs<SimDisk>, seg: SegNo) -> u64 {
+    let reads = fs.device().trace().records().iter().filter(|r| r.label == "cleaner-read");
+    reads.filter(|r| segment_at(fs, r.sector) == seg).map(|r| r.bytes).sum()
+}
+
+/// The segment holding `sector`.
+fn segment_at(fs: &Lfs<SimDisk>, sector: u64) -> SegNo {
+    let addr = sector / (fs.block_size() / sim_disk::SECTOR_SIZE) as u64;
+    fs.superblock().seg_of(BlockAddr(addr as u32)).expect("a log sector").0
+}
+
+/// A floor activation that finds a hosted run midway through a victim
+/// adopts the run: it finishes that victim first, from the reads the run
+/// already paid for, and commits it with its own victims. Nothing is
+/// read twice and nothing is abandoned.
+#[test]
+fn the_floor_finishes_the_hosted_runs_victim() {
+    // One step reads up to 64 blocks; one summary entry is judged or
+    // classified per step.
+    let (mut fs, mut model) = overwritten_nine_times();
+    let mut task = CleanerTask::new(eager_policy().with_step_caps(64, 1));
+    fs.device_mut().trace_mut().enable();
+    let bytes_before = fs.stats().cleaner_bytes_read;
+    let mut steps = 0;
+    let first_read = |fs: &Lfs<SimDisk>| {
+        let reads = fs.device().trace().records().iter();
+        let mut reads = reads.filter(|r| r.label == "cleaner-read");
+        reads.next().map(|r| segment_at(fs, r.sector))
+    };
+    while first_read(&fs).is_none() {
         task.step(&mut fs).unwrap();
+        steps += 1;
+        assert!(steps < 10, "the run never read a victim");
+    }
+    let victim = first_read(&fs).unwrap();
+
+    // What reading the victim costs: its summary blocks and the blocks
+    // classification looks at, read inline on a twin with the same
+    // history.
+    let (mut twin, _) = overwritten_nine_times();
+    let twin_before = twin.stats().cleaner_bytes_read;
+    twin.clean_segment(victim).unwrap();
+    let victim_bytes = twin.stats().cleaner_bytes_read - twin_before;
+
+    // Step into the victim's classification: every read is done, not
+    // every entry is classified.
+    while cleaner_bytes_from(&fs, victim) < victim_bytes {
+        task.step(&mut fs).unwrap();
+        steps += 1;
+        assert!(steps < 1_000, "the run never finished reading its victim");
     }
     assert!(task.active(&fs));
+    assert_eq!(fs.usage_table().state(victim), SegState::Dirty);
 
-    // Clean every dirty segment synchronously (the victim among them),
-    // commit, then churn until each is dirty again with new contents.
-    let dirty: Vec<_> = fs.usage_table().segments_in_state(SegState::Dirty);
-    let usage = |fs: &Lfs<SimDisk>, s| fs.usage_table().get(s);
-    let written_at: Vec<u64> = dirty.iter().map(|&s| usage(&fs, s).last_write_ns).collect();
-    for &seg in &dirty {
-        fs.clean_segment(seg).unwrap();
-    }
-    fs.checkpoint().unwrap();
-    let reused = |fs: &Lfs<SimDisk>| {
-        let again = |(&s, &at): (&_, &u64)| {
-            usage(fs, s).state == SegState::Dirty && usage(fs, s).last_write_ns > at
-        };
-        dirty.iter().zip(&written_at).all(again)
-    };
+    // Churn until the floor activates.
     let mut i = 9;
-    while !reused(&fs) {
-        assert!(i < 2000, "the log never reused every cleaned segment");
+    while fs.stats().floor_passes == 0 {
+        assert!(i < 2_000, "the churn never reached the floor");
         overwrite(&mut fs, &mut model, i);
         i += 1;
     }
+    let floors: Vec<String> = fs
+        .obs()
+        .events()
+        .into_iter()
+        .filter(|e| e.kind == "cleaner_floor")
+        .map(|e| e.detail)
+        .collect();
+    assert_eq!(floors.len(), 1, "{floors:?}");
+    let detail = &floors[0];
+    assert!(
+        detail.contains(&format!(" run=active run_victim={} ", victim.0)),
+        "{detail}"
+    );
+    let victims = detail.rsplit_once(" victims=").expect("a victim list").1;
+    let victims: Vec<SegNo> = victims.split(',').map(|v| SegNo(v.parse().unwrap())).collect();
+    assert_eq!(victims.first(), Some(&victim), "{detail}");
+    assert!(!task.active(&fs), "the adopted run outlived the activation");
+
+    // The victim was cleaned once and read once: the cleaner read its
+    // summaries and wanted blocks, plus the floor's other victims.
+    let cleaned = fs.obs().events().into_iter().filter(|e| e.kind == "victim");
+    let seg = format!("seg={} ", victim.0);
+    assert_eq!(cleaned.filter(|e| e.detail.starts_with(&seg)).count(), 1);
+    assert_eq!(cleaner_bytes_from(&fs, victim), victim_bytes);
+    let others: u64 = victims[1..].iter().map(|&s| cleaner_bytes_from(&fs, s)).sum();
+    assert_eq!(
+        fs.stats().cleaner_bytes_read - bytes_before,
+        victim_bytes + others,
+        "the cleaner read beyond the victim and the floor's victims"
+    );
 
     drain(&mut task, &mut fs).unwrap();
     fs.sync().unwrap();
-    let aborted = fs.obs().snapshot().counter("cleaner.async.victims_aborted");
-    assert_eq!(aborted, 1, "the stale victim was finished, not abandoned");
+    let clock = Arc::clone(fs.clock());
+    let mut fs = Lfs::mount(fs.into_device(), LfsConfig::small_test(), clock).unwrap();
     let report = fs.fsck().unwrap();
-    assert!(report.is_clean(), "fsck after the run:\n{report}");
-    assert_mirror(&mut fs, &mut model, "after the run");
+    assert!(report.is_clean(), "fsck after remount:\n{report}");
+    assert_mirror(&mut fs, &mut model, "after remount");
 }

@@ -180,19 +180,16 @@ fn churned_to_the_first_activation() -> Lfs<SimDisk> {
 #[test]
 fn threshold_activation_stops_at_its_target_and_explicit_cleaning_does_not() {
     let mut fs = churned_to_the_first_activation();
-    let per_pass = LfsConfig::small_test().cleaner.segments_per_pass;
     // What `maybe_writeback` aims an activation at.
     let floor = fs.space_rule().floor();
     let target = floor + 2;
-    let victims: Vec<String> = fs
-        .obs()
-        .events()
-        .into_iter()
-        .filter(|e| e.kind == "victim")
-        .map(|e| e.detail)
-        .collect();
-    assert!(!victims.is_empty(), "an activation records its victims");
-    for detail in &victims {
+    let victims = |fs: &Lfs<SimDisk>| -> Vec<String> {
+        let events = fs.obs().events().into_iter();
+        events.filter(|e| e.kind == "victim").map(|e| e.detail).collect()
+    };
+    let floor_victims = victims(&fs);
+    assert!(!floor_victims.is_empty(), "an activation records its victims");
+    for detail in &floor_victims {
         // Counted after the victim went pending, so before it the level
         // was one lower.
         let level = field(detail, "clean") + field(detail, "pending");
@@ -201,38 +198,32 @@ fn threshold_activation_stops_at_its_target_and_explicit_cleaning_does_not() {
             "a victim was cleaned with the target {target} already reached: {detail}"
         );
     }
-    let last = victims.last().unwrap();
+    let last = floor_victims.last().unwrap();
     assert_eq!(
         field(last, "clean") + field(last, "pending"),
         target,
         "the activation ends at the victim that reaches its target: {last}"
     );
-    assert!(
-        victims.len() < per_pass,
-        "on empty victims the target is less than one pass away, saw {} victims",
-        victims.len()
-    );
 
-    // Explicit cleaning is not bounded by that target: a pass takes its
-    // full complement, `clean_until` goes where it is told.
+    // Explicit cleaning is not bounded by that target: `clean_until`'s
+    // run goes where it is told, past the floor's target.
     let clean = fs.usage_table().clean_count();
     assert!(clean >= floor, "the activation restored the reserve");
-    let outcome = fs.clean_pass().unwrap();
-    assert_eq!(
-        outcome.segments, per_pass,
-        "a pass cleans all it is asked to"
-    );
-    fs.checkpoint().unwrap();
-    let asked = fs.usage_table().clean_count() + 2 * per_pass;
+    let asked = clean + 16;
     assert!(fs.clean_until(asked).unwrap() >= asked);
+    let explicit = victims(&fs).split_off(floor_victims.len());
+    let last = explicit.last().expect("clean_until took victims");
+    assert!(
+        field(last, "clean") + field(last, "pending") > target,
+        "clean_until stopped at the floor's target: {last}"
+    );
     assert!(fs.fsck().unwrap().is_clean());
 }
 
 /// One threshold activation is one decision, and its event says what it
 /// saw and did: the level and budget it started from, the hosted run it
 /// found (none here) and its victims, the same ones the `victim` events
-/// name. The floor writes no `cleaner_pass` event: that kind is the
-/// user-level `Lfs::clean_pass`'s.
+/// name.
 #[test]
 fn a_floor_activation_leaves_one_decision_event() {
     let fs = churned_to_the_first_activation();
@@ -241,7 +232,6 @@ fn a_floor_activation_leaves_one_decision_event() {
         let matching = events.iter().filter(|e| e.kind == kind);
         matching.map(|e| e.detail.clone()).collect()
     };
-    assert_eq!(of("cleaner_pass"), Vec::<String>::new(), "the floor wrote pass events");
     let floors = of("cleaner_floor");
     assert_eq!(floors.len(), 1, "one activation, one event: {floors:?}");
     let detail = &floors[0];

@@ -1,6 +1,6 @@
 //! The order in which the segment writer emits file data: fresh data in
 //! ascending (ino, block) order — the layout every pinned number was
-//! measured on — and, after a cleaning pass, the cleaner's survivors
+//! measured on — and, after a cleaning run, the cleaner's survivors
 //! ahead of it, oldest first, so cold and hot data stop sharing
 //! segments. Read off the log itself: the `log-chunk` writes of one
 //! flush, in device order, decoded with the summary decoder.
@@ -20,20 +20,22 @@ fn small_fs() -> Lfs<SimDisk> {
     Lfs::format(disk, LfsConfig::small_test(), clock).unwrap()
 }
 
-/// Runs one write-back and returns the data blocks it logged, in log
+/// Runs `work` and returns the data blocks its first write-back logged
+/// (every chunk written before the first checkpoint region), in log
 /// order.
-fn data_blocks_of_next_flush(fs: &mut Lfs<SimDisk>) -> Vec<(Ino, u32)> {
+fn data_blocks_of_first_flush(
+    fs: &mut Lfs<SimDisk>,
+    work: impl FnOnce(&mut Lfs<SimDisk>),
+) -> Vec<(Ino, u32)> {
     fs.device_mut().trace_mut().clear();
     fs.device_mut().trace_mut().enable();
-    fs.write_back().unwrap();
+    work(fs);
     fs.device_mut().flush().unwrap();
     fs.device_mut().trace_mut().disable();
-    let chunks: Vec<(u64, usize)> = fs
-        .device()
-        .trace()
-        .records()
-        .iter()
-        .filter(|r| r.kind == AccessKind::Write && r.label == "log-chunk")
+    let writes = fs.device().trace().records().iter().filter(|r| r.kind == AccessKind::Write);
+    let chunks: Vec<(u64, usize)> = writes
+        .take_while(|r| r.label != "checkpoint")
+        .filter(|r| r.label == "log-chunk")
         .map(|r| (r.sector, r.bytes as usize))
         .collect();
     let mut blocks = Vec::new();
@@ -63,7 +65,7 @@ fn fresh_data_is_written_in_ascending_ino_and_block_order() {
         fs.clock().advance_ns(1_000_000);
         fs.write_at(inos[i], 0, &vec![i as u8; 3 * bs]).unwrap();
     }
-    let blocks = data_blocks_of_next_flush(&mut fs);
+    let blocks = data_blocks_of_first_flush(&mut fs, |fs| fs.write_back().unwrap());
     assert!(
         blocks.len() >= 8 * 3,
         "the flush must carry every file's blocks, saw {blocks:?}"
@@ -103,13 +105,10 @@ fn relocated_blocks_are_written_before_fresh_ones_oldest_first() {
     }
     fs.sync().unwrap();
 
-    fs.clock().advance_ns(50_000_000);
-    let outcome = fs.clean_pass().unwrap();
-    assert!(outcome.live_blocks > 0, "the pass must relocate something");
-
-    // Fresh traffic before the flush: new files, and a user write to
-    // one survivor, which makes it fresh again — with an ino in the
-    // middle of the survivors', so plain ino order would interleave it.
+    // Fresh traffic before the cleaning run's flush: new files, and a
+    // user write to one survivor, which makes it fresh again — with an
+    // ino in the middle of the survivors', so plain ino order would
+    // interleave it.
     fs.clock().advance_ns(5_000_000);
     // (The creates rewrite the root directory, so it is fresh too.)
     let mut fresh = BTreeSet::from([Ino::ROOT]);
@@ -125,14 +124,20 @@ fn relocated_blocks_are_written_before_fresh_ones_oldest_first() {
         "the script needs a fresh file's ino below a survivor's to tell the orders apart"
     );
 
-    let blocks = data_blocks_of_next_flush(&mut fs);
+    fs.clock().advance_ns(50_000_000);
+    let copied = fs.stats().cleaner_blocks_copied;
+    let blocks = data_blocks_of_first_flush(&mut fs, |fs| {
+        fs.clean_until(usize::MAX).unwrap();
+    });
+    let copied = fs.stats().cleaner_blocks_copied - copied;
+    assert!(copied > 0, "the run must relocate something");
     let first_fresh = blocks
         .iter()
         .position(|(ino, _)| fresh.contains(ino))
         .expect("the flush carries fresh blocks");
     let (relocated, rest) = blocks.split_at(first_fresh);
     assert!(
-        relocated.len() as u64 >= outcome.live_blocks.min(4),
+        relocated.len() as u64 >= copied.min(4),
         "relocated blocks lead the flush: {blocks:?}"
     );
     assert!(

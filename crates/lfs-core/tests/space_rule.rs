@@ -1,9 +1,11 @@
 //! The space rule's fence (DESIGN §5.3): churn on a small volume filled
 //! up to what the rule admits never turns the mount read-only, under
-//! every cleaner policy. A write the rule refuses fails with a typed
-//! `NoSpace` and leaves the mount writable; lookups, reads, truncates and
-//! unlinks never fail; no threshold activation comes up empty; fsck is
-//! clean at the end.
+//! every cleaner policy, with or without a hosted cleaner task stepped
+//! between operations (whose run a threshold activation then adopts). A
+//! write the rule refuses fails with a typed `NoSpace` and leaves the
+//! mount writable; lookups, reads, truncates, unlinks and cleaner steps
+//! never fail; no threshold activation comes up empty; fsck is clean at
+//! the end.
 //!
 //! `PROPTEST_CASES` sizes the proptest (a few cases by default, so the
 //! Tier-1 run stays short); the checked-in cases below each failed under
@@ -16,7 +18,8 @@
 
 use std::sync::Arc;
 
-use lfs_core::{CleanerPolicy, Lfs, LfsConfig};
+use engine::{drain, offer};
+use lfs_core::{AsyncCleanerPolicy, CleanerPolicy, CleanerTask, Lfs, LfsConfig};
 use proptest::prelude::*;
 use sim_disk::{Clock, DiskGeometry, SimDisk};
 use vfs::{FileSystem, FsError};
@@ -92,10 +95,14 @@ fn check(fs: &Lfs<SimDisk>, floors_before: u64, round: usize) -> Result<(), Stri
     Ok(())
 }
 
+/// Cleaner steps a hosted task is offered after each churn operation.
+const STEPS_PER_OP: u64 = 4;
+
 /// `rounds` of random churn over files `/f0..`: whole-file overwrites
 /// (truncate, then write), and unless `overwrites_only`, one-block
 /// overwrites, unlink and re-create, and reads checked against what was
-/// last written whole.
+/// last written whole. A hosted `task` is offered `STEPS_PER_OP` steps
+/// after every operation and drained at the end.
 fn churn(
     fs: &mut Lfs<SimDisk>,
     nfiles: usize,
@@ -103,6 +110,7 @@ fn churn(
     rounds: usize,
     seed: u64,
     overwrites_only: bool,
+    mut task: Option<CleanerTask>,
 ) -> Result<(), String> {
     // Per file: `None` while a refused re-create left it missing, else
     // the content it holds when known, `(byte, len)`.
@@ -129,6 +137,7 @@ fn churn(
                 model[i] = Some(whole.then_some((byte, size)));
             }
             check(fs, floors, round)?;
+            step(fs, task.as_mut(), round)?;
             continue;
         };
         let ino = fs
@@ -177,6 +186,10 @@ fn churn(
             }
         }
         check(fs, floors, round)?;
+        step(fs, task.as_mut(), round)?;
+    }
+    if let Some(task) = task.as_mut() {
+        drain(task, fs).map_err(|e| format!("final drain: {e}"))?;
     }
     fs.sync().map_err(|e| format!("final sync: {e}"))?;
     let report = fs.fsck().map_err(|e| format!("fsck: {e}"))?;
@@ -184,6 +197,34 @@ fn churn(
         return Err(format!("fsck:\n{report}"));
     }
     Ok(())
+}
+
+/// Offers a hosted `task` its steps after churn round `round`; a step
+/// never fails and leaves the mount writable.
+fn step(fs: &mut Lfs<SimDisk>, task: Option<&mut CleanerTask>, round: usize) -> Result<(), String> {
+    let Some(task) = task else {
+        return Ok(());
+    };
+    let stepped = offer(task, fs, None, STEPS_PER_OP);
+    stepped.map_err(|e| format!("round {round}: cleaner step: {e}"))?;
+    if fs.is_read_only() {
+        return Err(format!("round {round}: a cleaner step turned the mount read-only"));
+    }
+    Ok(())
+}
+
+/// The hosted cleaner a case draws: none (`0`), the default policy
+/// (`1`), or the eager one — watermarks far above any segment count —
+/// with step caps of `caps` blocks read and entries judged.
+fn hosted_task(kind: usize, caps: (usize, usize)) -> Option<CleanerTask> {
+    let policy = match kind {
+        0 => return None,
+        1 => AsyncCleanerPolicy::default(),
+        _ => AsyncCleanerPolicy::default()
+            .with_watermarks(1 << 16, 1 << 17)
+            .with_step_caps(caps.0, caps.1),
+    };
+    Some(CleanerTask::new(policy))
 }
 
 fn tier1_cases() -> u32 {
@@ -196,7 +237,8 @@ proptest! {
 
     /// 24–96 segments of 8–32 KB, 512 B or 1 KB blocks, files of
     /// 512 B–16 KB filled to half the admission limit or more (100 % is
-    /// "until refused"), every policy.
+    /// "until refused"), every policy, and no hosted task, a default one
+    /// or an eager one with step caps of 1–64 blocks and 1–32 entries.
     #[test]
     fn churn_near_the_admission_limit_never_turns_a_mount_read_only(
         nsegs in 24u64..=96,
@@ -206,6 +248,8 @@ proptest! {
         policy in 0usize..3,
         fill_pct in 50u64..=100,
         seed in any::<u64>(),
+        hosted in 0usize..3,
+        caps in (1usize..=64, 1usize..=32),
     ) {
         let bs = if kb_blocks { 1024 } else { 512 };
         let mut cfg = LfsConfig::small_test()
@@ -220,7 +264,8 @@ proptest! {
         if nfiles == 0 {
             return Ok(());
         }
-        churn(&mut fs, nfiles, size, 300, seed, false).map_err(TestCaseError::fail)?;
+        let task = hosted_task(hosted, caps);
+        churn(&mut fs, nfiles, size, 300, seed, false, task).map_err(TestCaseError::fail)?;
     }
 }
 
@@ -233,7 +278,7 @@ fn checked_in_case(sectors: u64, policy: CleanerPolicy, size: usize, fill_pct: O
     let log = fs.superblock().log_capacity_bytes();
     let target = fill_pct.map_or(u64::MAX, |pct| log * pct / 100);
     let nfiles = fill(&mut fs, size, target).unwrap();
-    churn(&mut fs, nfiles, size, 3_000, 0x2545_F491_4F6C_DD1D, true).unwrap();
+    churn(&mut fs, nfiles, size, 3_000, 0x2545_F491_4F6C_DD1D, true, None).unwrap();
 }
 
 /// 63 segments, 4 KB files asked for 82 % of the log: under the old
@@ -282,7 +327,7 @@ fn probe_small_test_volumes() {
                     let target = fill_pct.map_or(u64::MAX, |pct| log * pct / 100);
                     let outcome = fill(&mut fs, size, target).and_then(|n| {
                         let live = fs.usage_table().total_live_bytes() * 100 / log;
-                        churn(&mut fs, n, size, 3_000, 0x2545_F491_4F6C_DD1D, true).map(|()| live)
+                        churn(&mut fs, n, size, 3_000, 0x2545_F491_4F6C_DD1D, true, None).map(|()| live)
                     });
                     let case = format!("{sectors} sectors, {size} B, {fill_pct:?}, {policy:?}");
                     match outcome {

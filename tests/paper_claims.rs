@@ -202,12 +202,7 @@ fn fig5_cleaning_rate_decreases_with_utilization() {
 
         let clean_before = fs.usage_table().clean_count();
         let watch = Stopwatch::start(Arc::clone(&clock));
-        for _ in 0..4 {
-            if fs.clean_pass().unwrap().segments == 0 {
-                break;
-            }
-            fs.checkpoint().unwrap();
-        }
+        fs.clean_until(clean_before + 8).unwrap();
         let net = fs.usage_table().clean_count().saturating_sub(clean_before);
         (net as u64 * fs.usage_table().seg_bytes()) as f64 / watch.elapsed_secs()
     };
