@@ -654,7 +654,15 @@ impl EngineCore {
             if let Some(res) = self.unclaimed.remove(&id) {
                 break res?;
             }
-            let t = self.pick_time().expect("claim of a request not in the queue");
+            let Some(t) = self.pick_time() else {
+                // A crash loses the queue with it: a request submitted
+                // before it has nothing left to claim.
+                assert!(
+                    self.disk.has_crashed(),
+                    "claim of a request not in the queue"
+                );
+                return Err(DiskError::Crashed);
+            };
             let pick = self.pick_id(t);
             if pick.id == id {
                 self.awaited_writes.remove(&id);

@@ -326,6 +326,7 @@ impl<D: BlockDevice> Lfs<D> {
         } else if fs.cfg.roll_forward {
             crate::recovery::roll_forward(&mut fs)?;
         }
+        fs.readahead.armed = true;
         Ok(fs)
     }
 }

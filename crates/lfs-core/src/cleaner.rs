@@ -38,6 +38,8 @@
 //! decides by hosting the task or not. Whoever cleans, victims come one
 //! at a time from one pick, `Lfs::next_victim`.
 
+use std::cmp::Reverse;
+
 use mem_mgr::{BlockKey, Owner};
 use sim_disk::{BlockDevice, CpuCost};
 use vfs::blockmap::{self, idx_dchild, IDX_DTOP, IDX_SINGLE};
@@ -205,10 +207,19 @@ impl<D: BlockDevice> Lfs<D> {
     /// run's, whose reads are asynchronous), the first of the
     /// `OFF_SPINDLE_WINDOW` best-ranked that fits and lies off that
     /// spindle wins; an inline run blocks on its read anyway.
+    ///
+    /// With `owed`, an inline run's pick, the checkpoint that commits
+    /// the run is counted against its victims: the best-ranked fitting
+    /// candidate that frees more payload than `owed` blocks
+    /// (`SpaceRule::frees`), else the fitting one that frees the most,
+    /// if it frees any. Otherwise a policy that ranks full segments
+    /// first (oldest-first) can take one victim per activation whose
+    /// checkpoint costs what it frees, and the clean count never rises.
     pub(crate) fn next_victim(
         &mut self,
         budget: &mut u64,
         off_spindle: Option<usize>,
+        owed: Option<usize>,
     ) -> Option<SegNo> {
         let ranked = self.ranked_victims();
         let live = |seg: SegNo| self.usage.get(seg).live_bytes as u64;
@@ -221,9 +232,25 @@ impl<D: BlockDevice> Lfs<D> {
         if off.is_some() {
             self.obs.async_offspindle_victims.inc();
         }
-        let seg = off.or_else(|| ranked.into_iter().find(|&seg| live(seg) <= *budget))?;
+        let mut fits = ranked.into_iter().filter(|&seg| live(seg) <= *budget);
+        let frees = |seg: SegNo| self.space.frees(live(seg));
+        let seg = off.or_else(|| match owed {
+            None => fits.next(),
+            Some(owed) => {
+                let fits: Vec<SegNo> = fits.collect();
+                let paying = fits.iter().copied().find(|&seg| frees(seg) > owed as i64);
+                let most = || fits.iter().copied().min_by_key(|&seg| Reverse(frees(seg)));
+                paying.or_else(|| most().filter(|&seg| frees(seg) > 0))
+            }
+        })?;
         *budget -= live(seg);
         Some(seg)
+    }
+
+    /// Blocks a checkpoint writes whatever it commits: every inode-map
+    /// block in use and the whole usage table.
+    pub(crate) fn checkpoint_blocks(&self) -> usize {
+        self.imap.blocks_in_use() + self.usage.nblocks()
     }
 
     /// The spindle holding `seg`'s first block.

@@ -38,7 +38,9 @@
 //! A run takes its victims from the pick every cleaner uses
 //! (`Lfs::next_victim`); three rules in `run_step` are a hosted run's
 //! alone: the packing stop, the off-spindle preference, and the cut of
-//! its budget to what the log can carry now. Cleaner I/O is issued with
+//! its budget to what the log can carry now. One is an inline run's: its
+//! first victim must free more than the checkpoint that commits the run
+//! writes. Cleaner I/O is issued with
 //! the device's maintenance class on (see
 //! [`BlockDevice::set_maintenance`]), so on an engine-backed device it
 //! competes in the same request queues as foreground clients while its
@@ -395,7 +397,16 @@ impl<D: BlockDevice> Lfs<D> {
         if hosted.is_some() {
             run.budget = run.budget.min(self.relocation_budget());
         }
-        match self.next_victim(&mut run.budget, off_spindle) {
+        // An inline run's first victim pays for the checkpoint that
+        // commits the run (`Lfs::next_victim`).
+        let owed = hosted.is_none().then(|| {
+            if run.cleaned == 0 {
+                self.checkpoint_blocks()
+            } else {
+                0
+            }
+        });
+        match self.next_victim(&mut run.budget, off_spindle, owed) {
             Some(seg) => {
                 run.current = Some(self.start_victim(seg));
                 Ok(StepWork::Continue)

@@ -149,7 +149,7 @@ fn budget_skips_victims_that_do_not_fit() {
         // low-occupancy segment format itself left behind): the pick
         // passes over the one that does not fit and ends when none does.
         let mut budget = 5_500u64;
-        while let Some(seg) = fs.next_victim(&mut budget, None) {
+        while let Some(seg) = fs.next_victim(&mut budget, None, None) {
             fs.clean_segment(seg).unwrap();
         }
         // The two staged victims within budget are pending; the over-budget

@@ -355,6 +355,7 @@ impl<D: BlockDevice> NodeStore for Lfs<D> {
             blocks.push(block);
         }
         if missing.is_empty() {
+            self.note_file_read(ino, range);
             return Ok(blocks);
         }
         let through = self.read_through_plan(ino, &missing)?;
@@ -394,6 +395,7 @@ impl<D: BlockDevice> NodeStore for Lfs<D> {
                 .insert_clean(BlockKey::file(ino, bno), block.clone().into_boxed_slice());
             blocks[(bno - range.start) as usize] = Some(block);
         }
+        self.note_file_read(ino, range);
         Ok(blocks)
     }
 

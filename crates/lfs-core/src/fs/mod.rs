@@ -45,6 +45,7 @@ use crate::layout::summary::BlockKind;
 use crate::layout::superblock::Superblock;
 use crate::layout::usage_block::SegState;
 use crate::log::{plan_chunk, ChunkBuilder, LogPosition};
+use crate::readahead::ReadAhead;
 use crate::space::SpaceRule;
 use crate::stats::{LfsObs, LfsStats};
 use crate::types::{BlockAddr, SegNo, INODE_SIZE};
@@ -113,6 +114,8 @@ pub struct Lfs<D: BlockDevice> {
     /// survivors, hence probably cold. The next flush writes them ahead
     /// of fresh data so the two do not share segments.
     pub(crate) relocated: BTreeSet<Ino>,
+    /// Prefetched blocks for foreground reads (`readahead.rs`).
+    pub(crate) readahead: ReadAhead,
 }
 
 /// In-progress chunk state during a flush.
@@ -146,6 +149,7 @@ impl<D: BlockDevice> Lfs<D> {
         fs.inodes.insert(Ino::ROOT, root, true);
         // The initial checkpoint makes the empty file system mountable.
         fs.checkpoint_as(CpCause::Mount)?;
+        fs.readahead.armed = true;
         Ok(fs)
     }
 
@@ -213,6 +217,7 @@ impl<D: BlockDevice> Lfs<D> {
             cleaner_run: None,
             cleaner_futile_at: None,
             relocated: BTreeSet::new(),
+            readahead: ReadAhead::new(&registry),
         };
         fs.usage.set_state(SegNo(0), SegState::Active);
         Ok(fs)
@@ -281,7 +286,10 @@ impl<D: BlockDevice> Lfs<D> {
     }
 
     /// Unmounts without syncing and returns the device (crash testing).
-    pub fn into_device(self) -> D {
+    /// Prefetches still in flight are claimed, so the device holds no
+    /// read nobody will collect.
+    pub fn into_device(mut self) -> D {
+        self.readahead_clear("unmount");
         self.dev
     }
 
@@ -353,10 +361,16 @@ impl<D: BlockDevice> Lfs<D> {
     }
 
     /// Reads `count` consecutive blocks from `addr` with one synchronous
-    /// device request. A read a flush issues itself is counted, with the
+    /// device request — or, for a file operation, through the read-ahead
+    /// ring (`readahead.rs`), which may serve some of them and so split
+    /// the request. A read a flush issues itself is counted, with the
     /// time it blocks the flush.
     pub(crate) fn read_blocks_raw(&mut self, addr: BlockAddr, count: usize) -> FsResult<Vec<u8>> {
         let mut buf = vec![0u8; count * self.block_size()];
+        if self.reads_ahead() {
+            self.read_foreground(addr, &mut buf)?;
+            return Ok(buf);
+        }
         let start = self.now();
         self.dev.read(self.sector_of(addr), &mut buf)?;
         if self.flushing {
@@ -655,9 +669,12 @@ impl<D: BlockDevice> Lfs<D> {
             "segment_sealed",
             format!("seg={} next={} seq={}", cur.0, next.0, self.pos.seq + 1),
         );
-        // Purge address-keyed metadata cache entries for the reused
-        // region: block addresses are being recycled.
-        let base = self.sb.seg_block(next, 0).0 as u64;
+        // Purge address-keyed metadata cache entries and prefetched
+        // blocks for the reused region: block addresses are being
+        // recycled.
+        let base = self.sb.seg_block(next, 0).0;
+        self.readahead_forget(next, base..base + self.sb.seg_blocks);
+        let base = base as u64;
         self.cache.remove_owner_index_range(
             Owner::Meta(NS_INODE_BLOCKS),
             base,

@@ -113,6 +113,7 @@ impl<D: BlockDevice> FileSystem for Lfs<D> {
     }
 
     fn drop_caches(&mut self) -> FsResult<()> {
+        self.readahead_clear("drop_caches");
         self.cache.drop_clean();
         self.inodes.drop_clean();
         let now = self.now();

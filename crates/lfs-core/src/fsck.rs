@@ -47,6 +47,14 @@ impl<D: BlockDevice> Lfs<D> {
     /// # Ok::<(), vfs::FsError>(())
     /// ```
     pub fn fsck(&mut self) -> FsResult<FsckReport> {
+        // A check reads what it must, not ahead of any reader.
+        let armed = std::mem::replace(&mut self.readahead.armed, false);
+        let report = self.fsck_inner();
+        self.readahead.armed = armed;
+        report
+    }
+
+    fn fsck_inner(&mut self) -> FsResult<FsckReport> {
         // Gather phase: with a recovery fan-out configured, prefetch
         // the metadata the verify phases below will read — fanned out
         // across spindles through the async read facade. The verify

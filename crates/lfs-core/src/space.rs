@@ -29,7 +29,10 @@
 //!   to), less what that checkpoint writes anyway, less one segment for
 //!   the inode and indirect blocks relocation dirties, at `block + inode`
 //!   bytes a live block; above the margin, no more than the clean
-//!   segments beyond it.
+//!   segments beyond it. What a victim frees (`SpaceRule::frees`) is its
+//!   payload less that move, and the floor's first victim must free
+//!   more than its checkpoint writes (`Lfs::next_victim`), or each
+//!   activation can cost as much log as it reclaims.
 //!
 //! **Invariant.** `check_space` admits a create or write only while
 //! (a) the live bytes, counting what the cache holds unflushed, fit
@@ -125,6 +128,14 @@ impl SpaceRule {
     fn moved_bytes(&self, blocks: usize) -> u64 {
         let bs = self.block_size;
         blocks as u64 * bs * bs / (bs + INODE_SIZE as u64)
+    }
+
+    /// Payload blocks cleaning a segment with `live` bytes frees, net of
+    /// moving them (a moved block also rewrites its file's inode).
+    pub(crate) fn frees(&self, live: u64) -> i64 {
+        let bs = self.block_size;
+        let moved = (live * (bs + INODE_SIZE as u64)).div_ceil(bs * bs);
+        self.payload as i64 - moved as i64
     }
 
     /// Payload blocks the log can take before a chunk would fill its

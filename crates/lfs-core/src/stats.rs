@@ -32,8 +32,8 @@ obs::instruments! {
             own reads: the synchronous ones and the gather's batches.";
         flush_gathered_blocks, Counter, "log.flush_gathered_blocks", "Inode and indirect blocks a flush's \
             gather fetched, fanned out across spindles, before its first chunk write.";
-        read_runs, Counter, "log.read_runs", "Device requests file reads issued: one per run of contiguous \
-            addresses among a read's cache misses.";
+        read_runs, Counter, "log.read_runs", "Runs of contiguous addresses among file reads' cache misses: one \
+            device request each, less what the read-ahead ring serves.";
         read_run_blocks, Counter, "log.read_run_blocks", "Blocks those requests fetched, read-through indirect \
             blocks included.";
         read_through, Counter, "log.read_through", "Reads that fetched a file's last blocks together with its \

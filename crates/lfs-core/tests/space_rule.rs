@@ -251,22 +251,87 @@ proptest! {
         hosted in 0usize..3,
         caps in (1usize..=64, 1usize..=32),
     ) {
-        let bs = if kb_blocks { 1024 } else { 512 };
-        let mut cfg = LfsConfig::small_test()
-            .with_block_size(bs)
-            .with_segment_bytes(seg_kb * 1024);
-        cfg.cleaner.policy = POLICIES[policy];
-        let sectors = (nsegs * (seg_kb as u64 * 1024) + 8 * bs as u64) / 512;
-        let mut fs = format(sectors, cfg);
-        let limit = fs.space_rule().admit_bytes();
-        let target = if fill_pct == 100 { u64::MAX } else { limit * fill_pct / 100 };
-        let nfiles = fill(&mut fs, size, target).map_err(TestCaseError::fail)?;
-        if nfiles == 0 {
-            return Ok(());
-        }
-        let task = hosted_task(hosted, caps);
-        churn(&mut fs, nfiles, size, 300, seed, false, task).map_err(TestCaseError::fail)?;
+        let draw = Draw { nsegs, kb_blocks, seg_kb, size, policy, fill_pct, seed, hosted, caps };
+        drawn_case(draw).map_err(TestCaseError::fail)?;
     }
+}
+
+/// One draw of the proptest above.
+#[derive(Debug, Clone, Copy)]
+struct Draw {
+    nsegs: u64,
+    kb_blocks: bool,
+    seg_kb: usize,
+    size: usize,
+    policy: usize,
+    fill_pct: u64,
+    seed: u64,
+    hosted: usize,
+    caps: (usize, usize),
+}
+
+/// Formats the volume `d` describes, fills it and churns it 300 rounds.
+fn drawn_case(d: Draw) -> Result<(), String> {
+    let bs = if d.kb_blocks { 1024 } else { 512 };
+    let mut cfg = LfsConfig::small_test()
+        .with_block_size(bs)
+        .with_segment_bytes(d.seg_kb * 1024);
+    cfg.cleaner.policy = POLICIES[d.policy];
+    let sectors = (d.nsegs * (d.seg_kb as u64 * 1024) + 8 * bs as u64) / 512;
+    let mut fs = format(sectors, cfg);
+    let limit = fs.space_rule().admit_bytes();
+    let target = if d.fill_pct == 100 {
+        u64::MAX
+    } else {
+        limit * d.fill_pct / 100
+    };
+    let nfiles = fill(&mut fs, d.size, target)?;
+    if nfiles == 0 {
+        return Ok(());
+    }
+    let task = hosted_task(d.hosted, d.caps);
+    churn(&mut fs, nfiles, d.size, 300, d.seed, false, task)
+}
+
+/// The first draw that failed `PROPTEST_SHIM_SEED=1 PROPTEST_CASES=300`
+/// (case 224): Oldest on 86 segments of 28 KB, 1 KB blocks, 3,346 B
+/// files filled until refused, no hosted task. At round 290 a floor
+/// activation at clean 2 took no victim: one-victim activations whose
+/// checkpoint cost what their victim freed had drained the relocation
+/// budget below every segment's live bytes.
+#[test]
+fn oldest_on_86_segments_of_28_kb_drains_no_budget() {
+    let draw = Draw {
+        nsegs: 86,
+        kb_blocks: true,
+        seg_kb: 28,
+        size: 3346,
+        policy: 2,
+        fill_pct: 100,
+        seed: 1,
+        hosted: 0,
+        caps: (15, 24),
+    };
+    drawn_case(draw).unwrap();
+}
+
+/// The same leak at `PROPTEST_SHIM_SEED=2` (case 178): Oldest on 92
+/// segments of 25 KB, 1 KB blocks, 3,172 B files filled until refused,
+/// no hosted task; an activation at clean 2 took no victim at round 214.
+#[test]
+fn oldest_on_92_segments_of_25_kb_drains_no_budget() {
+    let draw = Draw {
+        nsegs: 92,
+        kb_blocks: true,
+        seg_kb: 25,
+        size: 3172,
+        policy: 2,
+        fill_pct: 100,
+        seed: 16_478_290_147_226_075_109,
+        hosted: 0,
+        caps: (46, 1),
+    };
+    drawn_case(draw).unwrap();
 }
 
 /// A small-test volume filled with `size`-byte files to `fill_pct` of its
