@@ -98,7 +98,7 @@ impl<D: BlockDevice> Ffs<D> {
                 .map(|&(cg, tb)| (self.sector_of(self.sb.cg_base(cg) + 1 + tb), bs))
                 .collect();
             self.dev.set_maintenance(true);
-            let (results, _) = sim_disk::read_batch(&mut self.dev, "fsck-scan", fanout, &reqs);
+            let results = sim_disk::read_batch(&mut self.dev, "fsck-scan", fanout, &reqs);
             self.dev.set_maintenance(false);
             Some(results.into_iter())
         } else {
@@ -183,7 +183,7 @@ impl<D: BlockDevice> Ffs<D> {
             .map(|&(_, _, addr)| (self.sector_of(addr), bs))
             .collect();
         self.dev.set_maintenance(true);
-        let (results, _) = sim_disk::read_batch(&mut self.dev, "fsck-gather", window, &reqs);
+        let results = sim_disk::read_batch(&mut self.dev, "fsck-gather", window, &reqs);
         self.dev.set_maintenance(false);
         for ((ino, idx, _), result) in targets.into_iter().zip(results) {
             if let Ok(data) = result {

@@ -26,14 +26,15 @@
 //! cleaning every foreground operation does at the floor; hosting the
 //! task is what makes cleaning asynchronous.
 //!
-//! The reader never reads a whole segment. Per chunk it reads the
-//! header block at the cursor, then the rest of the summary blocks its
-//! entry count needs ([`ChunkCursor::summary_span`]); judges each entry
-//! (`Lfs::entry_needs_bytes`); reads the wanted blocks in maximal runs
-//! of adjacent ones; then classifies. A block judged dead stays dead (no
-//! pointer returns to an old address, and a victim is not reused while
-//! it is cleaned), so the plan holds across a run's steps; a block
-//! judged live is judged again when it is classified.
+//! A victim is read through the log reader (`log_reader.rs`), which
+//! never reads a whole segment: per chunk the header block, the rest of
+//! the summary span, then the blocks the cleaner's predicate wants
+//! (`Lfs::entry_needs_bytes`), in maximal runs of adjacent ones; the
+//! cleaner then classifies the chunk. A block judged dead stays dead
+//! (no pointer returns to an old address, and a victim is not reused
+//! while it is cleaned), so the plan holds across a run's steps; a block
+//! judged live is judged again when it is classified. A failed read
+//! fails the victim.
 //!
 //! A run takes its victims from the pick every cleaner uses
 //! (`Lfs::next_victim`); three rules in `run_step` are a hosted run's
@@ -65,33 +66,10 @@ use vfs::{FsError, FsResult};
 use crate::checkpoint::CpCause;
 use crate::cleaner::{AsyncCleanerPolicy, VictimReason};
 use crate::fs::Lfs;
-use crate::layout::summary::{ChunkCursor, ChunkSummary};
+use crate::layout::summary::SummaryEntry;
 use crate::layout::usage_block::SegState;
+use crate::log_reader::{LogReader, StepCaps};
 use crate::types::{BlockAddr, SegNo};
-
-/// A victim read in flight between steps.
-#[derive(Debug)]
-struct PendingRead {
-    /// Device token from [`BlockDevice::start_read_async`].
-    token: u64,
-    /// First block of the span, relative to the segment base.
-    block_off: usize,
-}
-
-/// The victim's chunk in hand: its summary, where its payload starts,
-/// and how far planning, reading and classification have come.
-#[derive(Debug)]
-struct ChunkInHand {
-    summary: ChunkSummary,
-    payload_start: usize,
-    /// Per entry judged so far: whether classification looks at its
-    /// block's bytes ([`Lfs::entry_needs_bytes`]).
-    wanted: Vec<bool>,
-    /// Entries whose wanted blocks are read or in flight.
-    read_to: usize,
-    /// Entries classified.
-    classified: usize,
-}
 
 /// Progress on the victim currently being cleaned.
 #[derive(Debug)]
@@ -99,15 +77,10 @@ struct VictimProgress {
     seg: SegNo,
     /// What the policy saw in the segment when cleaning of it began.
     reason: VictimReason,
-    /// The segment's blocks at their own offsets; only summary areas
-    /// and wanted blocks are ever read into it.
-    image: Vec<u8>,
-    pending_read: Option<PendingRead>,
-    /// Where the chunk walk stands in the segment.
-    cursor: ChunkCursor,
-    /// Blocks of the next chunk's summary area read or in flight.
-    summary_read: usize,
-    chunk: Option<ChunkInHand>,
+    /// The victim's chain, read summaries first, then wanted blocks.
+    reader: LogReader,
+    /// Entries of the reader's front chunk classified.
+    classified: usize,
     live_blocks: u64,
     live_inodes: u64,
 }
@@ -218,7 +191,7 @@ impl<D: BlockDevice> Lfs<D> {
     /// claiming step finds it complete instead of waiting synchronously.
     pub(crate) fn cleaner_read_pending(&self) -> bool {
         let victim = self.cleaner_run.as_ref().and_then(|run| run.current.as_ref());
-        victim.is_some_and(|v| v.pending_read.is_some())
+        victim.is_some_and(|v| v.reader.read_pending())
     }
 
     /// The hosted run as a `cleaner_floor` event reports it.
@@ -355,11 +328,13 @@ impl<D: BlockDevice> Lfs<D> {
         hosted: Option<&AsyncCleanerPolicy>,
     ) -> FsResult<StepWork> {
         if let Some(mut v) = run.current.take() {
-            let (max_blocks, max_entries) = hosted.map_or((usize::MAX, usize::MAX), |policy| {
-                (policy.max_step_read_blocks.max(1), policy.max_step_entries.max(1))
+            let caps = hosted.map_or(StepCaps::WHOLE, |policy| StepCaps {
+                max_blocks: policy.max_step_read_blocks.max(1),
+                max_entries: policy.max_step_entries.max(1),
+                overlap: true,
             });
             loop {
-                if self.victim_step(&mut v, max_blocks, max_entries, hosted.is_some())? {
+                if self.victim_step(&mut v, caps)? {
                     self.finish_victim(&v);
                     run.cleaned += 1;
                     return Ok(StepWork::Cleaned(v.seg));
@@ -415,129 +390,53 @@ impl<D: BlockDevice> Lfs<D> {
         }
     }
 
-    /// The one victim reader, one unit of work at a time: claim the
-    /// read in flight; or issue the next read of at most `max_blocks`
-    /// (the next chunk's summary area, or a run of adjacent wanted
-    /// blocks), through the async facade when `overlap` and the device
-    /// has one; or judge or classify up to `max_entries` summary
-    /// entries. A chunk is walked from its summary alone, every entry is
-    /// judged ([`Lfs::entry_needs_bytes`]), then only the wanted blocks
-    /// are read and the entries classified. Returns true once the chain
-    /// has ended and every chunk of it is classified.
-    fn victim_step(
-        &mut self,
-        v: &mut VictimProgress,
-        max_blocks: usize,
-        max_entries: usize,
-        overlap: bool,
-    ) -> FsResult<bool> {
-        let bs = self.block_size();
-        if let Some(p) = v.pending_read.take() {
-            let data = self.dev.finish_read_async(p.token)?;
-            v.image[p.block_off * bs..][..data.len()].copy_from_slice(&data);
-            self.obs.cleaner_bytes_read.add(data.len() as u64);
-            return Ok(false);
-        }
-        let Some(chunk) = v.chunk.as_mut() else {
-            let at = v.cursor.offset();
-            let header = (v.summary_read > 0).then(|| &v.image[at * bs..(at + 1) * bs]);
-            let span = v.cursor.summary_span(header);
-            if v.summary_read < span {
-                let n = (span - v.summary_read).min(max_blocks);
-                self.victim_read(v, at + v.summary_read, n, overlap)?;
-                v.summary_read += n;
-                return Ok(false);
+    /// One unit of work on the victim: a step of its [`LogReader`]
+    /// (claim or issue a read, judge entries with
+    /// [`Lfs::entry_needs_bytes`], or validate the next chunk), or, once
+    /// a chunk's wanted blocks are in hand, classify up to the caps'
+    /// entries of it. A failed read fails the victim. Returns true once
+    /// the chain has ended and every chunk of it is classified.
+    fn victim_step(&mut self, v: &mut VictimProgress, caps: StepCaps) -> FsResult<bool> {
+        if v.reader.ready.is_empty() {
+            let want = |fs: &mut Self, entry: &SummaryEntry, addr| {
+                fs.entry_needs_bytes(entry.kind, entry.version, addr)
+            };
+            let landed = v.reader.step(self, caps, want)?;
+            self.obs.cleaner_bytes_read.add(landed);
+            if let Some((.., err)) = v.reader.failure.take() {
+                return Err(err.into());
             }
-            return Ok(match v.cursor.next_chunk(&v.image[at * bs..]) {
-                Ok((summary, payload_start)) => {
-                    v.summary_read = 0;
-                    v.chunk = Some(ChunkInHand {
-                        wanted: Vec::with_capacity(summary.entries.len()),
-                        summary,
-                        payload_start,
-                        read_to: 0,
-                        classified: 0,
-                    });
-                    false
-                }
-                Err(_) => true,
-            });
+        }
+        let Some(chunk) = v.reader.ready.front() else {
+            return Ok(v.reader.end.is_some());
         };
         let base = self.sb.seg_block(v.seg, 0);
-        let addr = |i: usize| BlockAddr(base.0 + (chunk.payload_start + i) as u32);
         let entries = &chunk.summary.entries;
-        if chunk.wanted.len() < entries.len() {
-            let end = entries.len().min(chunk.wanted.len().saturating_add(max_entries));
-            for (i, entry) in entries.iter().enumerate().take(end).skip(chunk.wanted.len()) {
-                let wanted = self.entry_needs_bytes(entry.kind, entry.version, addr(i))?;
-                chunk.wanted.push(wanted);
-            }
-            return Ok(false);
-        }
-        if let Some(start) = (chunk.read_to..entries.len()).find(|&i| chunk.wanted[i]) {
-            let run = chunk.wanted[start..].iter().take(max_blocks);
-            let n = run.take_while(|&&wanted| wanted).count();
-            chunk.read_to = start + n;
-            let off = chunk.payload_start + start;
-            self.victim_read(v, off, n, overlap)?;
-            return Ok(false);
-        }
-        chunk.read_to = entries.len();
-        let end = entries.len().min(chunk.classified.saturating_add(max_entries));
-        for (i, entry) in entries.iter().enumerate().take(end).skip(chunk.classified) {
+        let end = entries.len().min(v.classified.saturating_add(caps.max_entries));
+        for (i, entry) in entries.iter().enumerate().take(end).skip(v.classified) {
             let block_off = chunk.payload_start + i;
-            let data = chunk.wanted[i].then(|| &v.image[block_off * bs..(block_off + 1) * bs]);
+            let addr = BlockAddr(base.0 + block_off as u32);
+            let data = chunk.wanted[i].then(|| v.reader.blocks(block_off, 1));
             let (blocks, inodes) =
-                self.clean_entry(entry.kind, entry.version, entry.crc, addr(i), data)?;
+                self.clean_entry(entry.kind, entry.version, entry.crc, addr, data)?;
             v.live_blocks += blocks;
             v.live_inodes += inodes;
         }
-        chunk.classified = end;
+        v.classified = end;
         if end == entries.len() {
-            v.chunk = None;
+            v.reader.ready.pop_front();
+            v.classified = 0;
         }
         Ok(false)
     }
 
-    /// Reads `n` blocks of the victim from segment block `off` into its
-    /// image, or leaves the read in flight when `overlap` and the device
-    /// has an async read path.
-    fn victim_read(
-        &mut self,
-        v: &mut VictimProgress,
-        off: usize,
-        n: usize,
-        overlap: bool,
-    ) -> FsResult<()> {
-        let bs = self.block_size();
-        let sector = self.sector_of(BlockAddr(self.sb.seg_block(v.seg, 0).0 + off as u32));
-        self.dev.annotate("cleaner-read");
-        if overlap {
-            if let Some(token) = self.dev.start_read_async(sector, n * bs) {
-                v.pending_read = Some(PendingRead {
-                    token,
-                    block_off: off,
-                });
-                return Ok(());
-            }
-        }
-        self.dev.read(sector, &mut v.image[off * bs..(off + n) * bs])?;
-        self.obs.cleaner_bytes_read.add((n * bs) as u64);
-        Ok(())
-    }
-
     /// A victim whose chain is still to be read.
     fn start_victim(&self, seg: SegNo) -> VictimProgress {
-        let bs = self.block_size();
-        let seg_blocks = self.sb.seg_blocks as usize;
         VictimProgress {
             seg,
             reason: self.victim_reason(seg, self.now()),
-            image: vec![0u8; seg_blocks * bs],
-            pending_read: None,
-            cursor: ChunkCursor::new(self.sb.seg_block(seg, 0), seg_blocks, bs),
-            summary_read: 0,
-            chunk: None,
+            reader: LogReader::new(self, seg, None, "cleaner-read"),
+            classified: 0,
             live_blocks: 0,
             live_inodes: 0,
         }
@@ -623,7 +522,7 @@ impl<D: BlockDevice> Lfs<D> {
         let hosted = run.and_then(|run| run.current.take_if(|v| v.seg == seg));
         let from_run = hosted.is_some();
         let mut v = hosted.unwrap_or_else(|| self.start_victim(seg));
-        while !self.victim_step(&mut v, usize::MAX, usize::MAX, false)? {}
+        while !self.victim_step(&mut v, StepCaps::WHOLE)? {}
         if let Some(run) = self.cleaner_run.as_mut().filter(|_| from_run) {
             run.cleaned += 1;
         }

@@ -82,11 +82,12 @@ pub struct LfsConfig {
     /// costs segment-tail fragmentation (which the cleaner reclaims)
     /// without buying anything.
     pub seal_on_flush: bool,
-    /// Recovery read fan-out: how many spindle partitions the recovery
-    /// path (roll-forward, fsck's gather phase, scrub's gather phase)
-    /// keeps in flight at once through the device's asynchronous read
-    /// facade. Roll-forward reads each tail segment it reaches together
-    /// with up to `recovery_fanout - 1` predicted successors.
+    /// Recovery read fan-out: how many log readers roll-forward and
+    /// scrub keep in flight at once, each with one read through the
+    /// device's asynchronous read facade (and how many reads fsck's
+    /// gather phase keeps in flight). Roll-forward's readers are the
+    /// segment the walk is in and up to `recovery_fanout - 1` predicted
+    /// successors; scrub's are the next segments it walks.
     ///
     /// `1` (the default) is strictly sequential: one read at a time,
     /// nothing read ahead. `0` means "ask

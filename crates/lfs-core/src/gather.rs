@@ -76,7 +76,7 @@ impl<D: BlockDevice> Lfs<D> {
             .iter()
             .map(|&(_, addr)| (self.sector_of(addr), bs))
             .collect();
-        let (results, _) = read_batch(&mut self.dev, label, window, &reqs);
+        let results = read_batch(&mut self.dev, label, window, &reqs);
         let mut inserted = 0u64;
         for ((key, addr), result) in targets.into_iter().zip(results) {
             let Ok(data) = result else {

@@ -117,7 +117,7 @@ impl SummaryEntry {
     }
 }
 
-/// The unvalidated leading fields of a chunk header (successor scans).
+/// The unvalidated leading fields of a chunk header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkHeaderPrefix {
     /// Disk address the header claims to live at.
@@ -210,9 +210,10 @@ impl ChunkSummary {
     /// Decodes only the header fields from the first summary block,
     /// without requiring (or checksumming) the entry list.
     ///
-    /// Used by recovery's successor scan, which reads just one block per
-    /// segment. Callers must treat the result as a hint and re-validate
-    /// with [`ChunkSummary::decode`] before applying anything.
+    /// Used to size a summary span from its first block, and to tell
+    /// whether a header claims a chain's next link. Callers must treat
+    /// the result as a hint and re-validate with [`ChunkSummary::decode`]
+    /// before applying anything.
     pub fn decode_header_prefix(bytes: &[u8]) -> FsResult<ChunkHeaderPrefix> {
         let mut r = ByteReader::new(bytes);
         let magic = r.u32().ok_or(FsError::Corrupt("summary truncated"))?;
@@ -383,6 +384,24 @@ impl ChunkCursor {
             ChunkSummary::summary_blocks(prefix.nentries as usize, self.block_size)
                 .clamp(1, self.seg_blocks - self.offset)
         })
+    }
+
+    /// Whether `header`, the block at [`offset`](Self::offset), claims
+    /// to be the chain's next chunk: its prefix names this address and
+    /// the `(seq, partial)` the walk expects. A claim, not a check (the
+    /// checksums are [`next_chunk`](Self::next_chunk)'s), so a reader
+    /// that cannot read the rest of a summary can still tell whether
+    /// the chain would run into it.
+    pub fn claims(&self, header: &[u8]) -> bool {
+        let Ok(prefix) = ChunkSummary::decode_header_prefix(header) else {
+            return false;
+        };
+        let here = u32::try_from(self.offset).ok().and_then(|off| self.base.0.checked_add(off));
+        let linked = match self.expect {
+            None => prefix.partial == 0,
+            Some(expect) => (prefix.seq, prefix.partial) == expect,
+        };
+        self.offset + 1 < self.seg_blocks && here == Some(prefix.addr.0) && linked
     }
 
     /// Validates the chunk whose summary starts at `bytes` (the segment

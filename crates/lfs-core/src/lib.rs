@@ -50,6 +50,7 @@ mod gather;
 pub mod imap;
 pub mod layout;
 pub mod log;
+mod log_reader;
 mod readahead;
 pub mod recovery;
 pub mod scrub;

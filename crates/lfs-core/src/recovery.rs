@@ -7,12 +7,13 @@
 //! implemented here:
 //!
 //! 1. Starting at the checkpointed log position, walk the chunk chain:
-//!    within a segment [`ChunkCursor`] validates chunks by `(seq, partial)`
-//!    continuity and the self-address stamped in the (CRC-covered) header —
-//!    so a displaced byte-exact copy of a valid chunk can never be applied —
-//!    and this module adds a CRC over their payload (torn writes stop the
-//!    walk); across segments, the successor is the segment whose first
-//!    chunk carries the next sequence number at the right address.
+//!    within a segment [`ChunkCursor`] validates chunks by `(seq,
+//!    partial)` continuity and the self-address stamped in the
+//!    (CRC-covered) header — so a displaced byte-exact copy of a valid
+//!    chunk can never be applied — and this module adds a CRC over their
+//!    payload (torn writes stop the walk); across segments, the successor
+//!    is the segment whose first chunk carries the next sequence number at
+//!    the right address.
 //! 2. Re-apply metadata: inode blocks found in the tail update the inode
 //!    map (data blocks need no action — the inodes written in the same
 //!    flush point at them); newer inode-map blocks are reloaded wholesale.
@@ -33,30 +34,34 @@
 //!
 //! # Reading the tail
 //!
-//! The walk reads only the chain it can predict. When it reaches a
-//! segment whose image is not in hand, one batch reads that segment
-//! together with up to [`recovery_fanout`] − 1 predicted successors:
-//! the clean segments the writer would have linked to next, in the
-//! usage table as the checkpoint mount rebuilt it. On a striped volume
-//! consecutive segments sit on different spindles, so the batch keeps
-//! one read in flight per spindle through the device's asynchronous
-//! read facade. The merge stays serial: chunks are validated and
-//! applied in log order (within a segment by `(seq, partial)`
-//! continuity, across segments by the `next_seg` link and the
-//! successor's sequence number, read from the successor's own image),
+//! The walk reads the tail through the log reader (`log_reader.rs`),
+//! chunk by chunk: each chunk's header block, the rest of its summary
+//! span, then its payload, and past the chain's last chunk only the
+//! summary that ends it. It never reads a whole segment. A ring of up
+//! to [`recovery_fanout`] readers runs ahead of the walk: the walk's own
+//! segment and the clean segments the writer would have linked to next,
+//! in the usage table as the checkpoint mount rebuilt it. On a striped
+//! volume consecutive segments sit on different spindles, so the ring
+//! keeps one read in flight per spindle through the device's async read
+//! facade. The merge stays serial: chunks are validated and applied in
+//! log order (within a segment by `(seq, partial)` continuity, across
+//! segments by the `next_seg` link and the successor's sequence number),
 //! so the recovered inode map, directory tree, and usage array are
 //! bit-identical for every fan-out. A wrong prediction costs reads,
-//! never state. A read error is surfaced only when the walk follows a
-//! valid link into the failed segment; segments read ahead but off the
-//! chain can rot freely. At fan-out 1 nothing is read ahead: that is
-//! the sequential scan.
+//! never state. A failed read surfaces only where the walk runs into
+//! it: in a chunk whose summary validated, or in a summary whose header
+//! is unreadable or claims to be the chain's next chunk. Damage past the
+//! log's end, and in segments read ahead but off the chain, is never
+//! surfaced. At fan-out 1 the ring is the walk's reader alone, its reads
+//! waited on: that is the sequential scan.
 //!
+//! [`ChunkCursor`]: crate::layout::summary::ChunkCursor
 //! [`recovery_fanout`]: crate::LfsConfig::recovery_fanout
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use mem_mgr::{BlockKey, Owner};
-use sim_disk::{read_batch, BlockDevice, DiskResult};
+use sim_disk::BlockDevice;
 use vfs::namespace::{self, Before, Finding, NodeStore};
 use vfs::{blockmap, FileKind, FsError, FsResult, Ino};
 
@@ -64,88 +69,51 @@ use crate::checkpoint::CpCause;
 use crate::fs::{Lfs, NS_INODE_BLOCKS};
 use crate::layout::imap_block::ImapEntry;
 use crate::layout::inode::inode_block;
-use crate::layout::summary::{self, BlockKind, ChunkCursor, ChunkSummary};
+use crate::layout::summary::{self, BlockKind, ChunkSummary};
 use crate::layout::usage_block::SegState;
 use crate::log::LogPosition;
+use crate::log_reader::{LogReader, ReaderRing};
 use crate::types::{BlockAddr, SegNo, INODE_SIZE};
 
-/// The tail walk's one read path. When the chain reaches a segment
-/// whose image is not in hand, one [`read_batch`] of at most `window`
-/// reads fetches it together with the segments the writer would have
-/// linked to next: repeated [`UsageTable::next_clean`] over the table
-/// the checkpoint mount rebuilt, which is how `emit_chunk` picks a
-/// successor, and between checkpoints a segment turns clean only when a
-/// checkpoint commits. Read errors are held: one surfaces only when the
-/// walk follows a valid link into that segment.
-///
-/// At `window = 1` nothing is read ahead: this is the sequential scan.
-///
-/// [`UsageTable::next_clean`]: crate::usage::UsageTable::next_clean
-#[derive(Default)]
-struct TailReader {
-    window: usize,
-    /// The images in hand, at most `window` of them.
-    images: HashMap<SegNo, DiskResult<Vec<u8>>>,
-    /// Segments read ahead and not yet entered.
-    ahead: HashSet<SegNo>,
-    /// Read-ahead segments dropped before the walk entered them.
-    unused: u64,
-    /// Async reads issued by fanned-out batches (for
-    /// `recovery.parallel_reads`).
-    overlapped: u64,
-    /// Spindles that served the segments the walk entered, when reads
-    /// could overlap (the non-vacuity signal for the equivalence tests).
-    partitions: HashSet<usize>,
+/// What a ring reader is labelled with in device traces.
+const LABEL: &str = "rollforward-read";
+
+/// Steps `ring` until the walk's reader has a chunk ready (`true`) or
+/// its chain has ended (`false`). A failed read surfaces unless it lies
+/// past the chain's end.
+fn next_chunk<D: BlockDevice>(ring: &mut ReaderRing, fs: &mut Lfs<D>) -> FsResult<bool> {
+    loop {
+        let head = ring.head();
+        if !head.ready.is_empty() || head.end.is_some() {
+            return Ok(!head.ready.is_empty());
+        }
+        let past_end = head.failed_past_end();
+        match head.failure.take() {
+            Some((.., err)) if !past_end => return Err(err.into()),
+            Some(_) => {}
+            None => ring.step(fs),
+        }
+    }
 }
 
-impl TailReader {
-    /// Blocks `[offset, seg_blocks)` of `seg` (for the checkpointed
-    /// segment this skips everything the checkpoint already covers),
-    /// taken out of hand, or read with its predicted successors.
-    fn image<D: BlockDevice>(&mut self, fs: &mut Lfs<D>, seg: SegNo, offset: u32) -> FsResult<Vec<u8>> {
-        if let Some(res) = self.images.remove(&seg) {
-            return Ok(res?);
-        }
-        // Not in hand: whatever is still read ahead was a wrong guess.
-        self.unused += self.ahead.len() as u64;
-        self.ahead.clear();
-        self.images.clear();
-        let mut segs = vec![seg];
-        while segs.len() < self.window {
-            let last = segs[segs.len() - 1];
-            match fs.usage.next_clean(SegNo((last.0 + 1) % fs.sb.nsegments)) {
-                Some(next) if !segs.contains(&next) => segs.push(next),
-                _ => break,
-            }
-        }
-        let bs = fs.block_size();
-        let seg_blocks = fs.superblock().seg_blocks as usize;
-        let reqs: Vec<(u64, usize)> = (segs.iter().enumerate())
-            .map(|(i, &s)| {
-                let from = if i == 0 { offset } else { 0 };
-                (fs.sector_of(fs.sb.seg_block(s, from)), (seg_blocks - from as usize) * bs)
-            })
-            .collect();
-        fs.dev.set_maintenance(true);
-        let (results, overlapped) = read_batch(&mut fs.dev, "rollforward-read", self.window, &reqs);
-        fs.dev.set_maintenance(false);
-        if self.window > 1 {
-            self.overlapped += overlapped;
-        }
-        let mut results = results.into_iter();
-        let first = results.next().expect("a batch answers every request");
-        self.ahead.extend(&segs[1..]);
-        self.images.extend(segs[1..].iter().copied().zip(results));
-        Ok(first?)
-    }
-
-    /// The walk enters the segment at `pos`, whose image it took.
-    fn enter<D: BlockDevice>(&mut self, fs: &Lfs<D>, pos: LogPosition) {
-        self.ahead.remove(&pos.seg);
-        if self.window > 1 {
-            let sector = fs.sector_of(fs.sb.seg_block(pos.seg, pos.offset));
-            self.partitions.insert(fs.dev.spindle_of(sector));
-        }
+/// Fills `ring` behind its last reader with the segments the writer
+/// would have linked to next: repeated [`UsageTable::next_clean`] over
+/// the table the checkpoint mount rebuilt, which is how `emit_chunk`
+/// picks a successor (between checkpoints a segment turns clean only
+/// when a checkpoint commits). The head's chain carries `seq`, so the
+/// k-th reader behind it expects `seq + k`.
+///
+/// [`UsageTable::next_clean`]: crate::usage::UsageTable::next_clean
+fn predict<D: BlockDevice>(ring: &mut ReaderRing, fs: &Lfs<D>, seq: u64) {
+    while ring.has_room() {
+        let last = ring.readers.back().expect("a ring with a reader").seg;
+        let next = fs.usage.next_clean(SegNo((last.0 + 1) % fs.sb.nsegments));
+        let Some(seg) = next.filter(|&n| ring.readers.iter().all(|r| r.seg != n)) else {
+            break;
+        };
+        let seq = seq + ring.readers.len() as u64;
+        let from = LogPosition { seg, offset: 0, partial: 0, seq };
+        ring.readers.push_back(LogReader::new(fs, seg, Some(from), LABEL));
     }
 }
 
@@ -157,90 +125,88 @@ type Touched = BTreeMap<Ino, Option<Before>>;
 /// Runs roll-forward recovery on a freshly checkpoint-mounted file system.
 pub(crate) fn roll_forward<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
     let start = fs.now();
-    let bs = fs.block_size();
-    let seg_blocks = fs.superblock().seg_blocks as usize;
     let fanout = sim_disk::effective_fanout(fs.cfg.recovery_fanout, &fs.dev);
-    let mut reader = TailReader {
-        window: fanout,
-        ..TailReader::default()
-    };
     let mut pos = fs.pos;
-    let mut image = reader.image(fs, pos.seg, pos.offset)?;
+    let mut ring = ReaderRing::new(fanout);
+    ring.readers.push_back(LogReader::new(fs, pos.seg, Some(pos), LABEL));
+    predict(&mut ring, fs, pos.seq);
     let mut applied = 0u64;
     let mut inodes = 0u64;
+    let mut unused = 0u64;
     let mut touched = Touched::new();
     // Segments touched by the recovered tail (must not be reused before
     // the post-recovery checkpoint).
     let mut tail_segments: Vec<SegNo> = Vec::new();
+    // Spindles that served the segments the walk entered, when reads
+    // could overlap (the non-vacuity signal for the equivalence tests).
+    let mut partitions = HashSet::new();
 
     // Every position the walk starts from has room for a chunk: the
     // checkpointed one (mount checked it) and each segment start.
     'segments: loop {
-        reader.enter(fs, pos);
-        let image_base = pos.offset as usize;
+        if fanout > 1 {
+            let sector = fs.sector_of(fs.sb.seg_block(pos.seg, pos.offset));
+            partitions.insert(fs.dev.spindle_of(sector));
+        }
         let base = fs.sb.seg_block(pos.seg, 0);
 
-        // Walk chunks from the current offset, applying each in log
-        // order. A sealing chunk's `next_seg` link tells us where the
-        // log continues (§4.3.1's linked list of segments), so recovery
-        // only reads the tail.
-        let mut cursor =
-            ChunkCursor::resume_at(base, seg_blocks, bs, image_base, pos.seq, pos.partial);
+        // Apply each chunk in log order. A sealing chunk's `next_seg`
+        // link tells us where the log continues (§4.3.1's linked list of
+        // segments), so recovery only reads the tail.
         let mut next_seg = SegNo::NIL;
-        while let Ok((chunk, payload_start)) =
-            cursor.next_chunk(&image[(cursor.offset() - image_base) * bs..])
-        {
-            let off = (payload_start - image_base) * bs;
-            let payload = &image[off..off + chunk.entries.len() * bs];
-            if summary::data_checksum(payload) != chunk.data_crc {
+        while next_chunk(&mut ring, fs)? {
+            let head = ring.head();
+            let chunk = head.ready.front().expect("a ready chunk");
+            let payload = head.blocks(chunk.payload_start, chunk.summary.entries.len());
+            if summary::data_checksum(payload) != chunk.summary.data_crc {
                 // Torn write: the log ends here.
                 break 'segments;
             }
-            let payload_start = payload_start as u32;
-            inodes += apply_chunk(fs, &chunk, base, payload_start, payload, &mut touched)?;
+            let payload_start = chunk.payload_start as u32;
+            inodes += apply_chunk(fs, &chunk.summary, base, payload_start, payload, &mut touched)?;
             if tail_segments.last() != Some(&pos.seg) {
                 tail_segments.push(pos.seg);
             }
             // A tail segment is as old as its last chunk.
-            fs.usage.add_live(pos.seg, 0, chunk.timestamp_ns);
-            pos.offset = payload_start + chunk.entries.len() as u32;
-            pos.partial = chunk.partial.wrapping_add(1);
+            fs.usage.add_live(pos.seg, 0, chunk.summary.timestamp_ns);
+            pos.offset = payload_start + chunk.summary.entries.len() as u32;
+            pos.partial = chunk.summary.partial.wrapping_add(1);
             applied += 1;
-            next_seg = chunk.next_seg;
+            next_seg = chunk.summary.next_seg;
+            head.ready.pop_front();
         }
 
-        // Follow the chain link. A valid successor's first chunk must
-        // carry the next sequence number. A successor that cannot be
-        // read whole is judged by its first block alone: a crash between
-        // a seal and the first write to the linked segment leaves a link
-        // the log never followed, and damage there must not fail the
-        // mount.
+        // Follow the chain link into the successor's reader: the one
+        // behind the head when the prediction held, else a fresh one.
+        // The walk enters the successor only if its first chunk carries
+        // the next sequence number at the segment's first block. A crash
+        // between a seal and the first write to the linked segment
+        // leaves a link the log never followed, and damage there past
+        // the header must not fail the mount.
         if next_seg.is_some() && next_seg.0 < fs.sb.nsegments && next_seg != pos.seg {
-            let first = fs.sb.seg_block(next_seg, 0);
-            let next = reader.image(fs, next_seg, 0);
-            let head = match &next {
-                Ok(image) => ChunkSummary::decode_header_prefix(&image[..bs]),
-                Err(_) => ChunkSummary::decode_header_prefix(&fs.read_block_raw(first)?),
-            };
-            if let Ok(head) = head {
-                if head.addr == first && head.seq == pos.seq + 1 && head.partial == 0 {
-                    pos = LogPosition {
-                        seg: next_seg,
-                        offset: 0,
-                        partial: 0,
-                        seq: pos.seq + 1,
-                    };
-                    image = next?;
-                    continue;
-                }
+            let seq = pos.seq + 1;
+            let next = LogPosition { seg: next_seg, offset: 0, partial: 0, seq };
+            if ring.readers.get(1).map(|r| r.seg) != Some(next_seg) {
+                unused += ring.drop_readers(fs, 1..);
+                ring.readers.push_back(LogReader::new(fs, next_seg, Some(next), LABEL));
+            }
+            ring.drop_readers(fs, ..1);
+            predict(&mut ring, fs, seq);
+            if next_chunk(&mut ring, fs)? {
+                pos = next;
+                continue;
             }
         }
         break;
     }
+    unused += ring.drop_readers(fs, 1..);
+    ring.drop_readers(fs, ..);
+    let read_bytes = ring.read_bytes();
 
-    fs.obs.recovery_partitions.add(reader.partitions.len() as u64);
-    fs.obs.recovery_parallel_reads.add(reader.overlapped);
-    let ahead_unused = reader.unused + reader.ahead.len() as u64;
+    fs.obs.recovery_partitions.add(partitions.len() as u64);
+    if fanout > 1 {
+        fs.obs.recovery_parallel_reads.add(ring.overlapped);
+    }
 
     // The registry is fresh at mount, so the counters start at zero and
     // `add` records exactly this recovery's work.
@@ -278,8 +244,8 @@ pub(crate) fn roll_forward<D: BlockDevice>(fs: &mut Lfs<D>) -> FsResult<()> {
         "recovery",
         format!(
             "chunks={applied} inodes={inodes} touched={} dirs={dirs} \
-             findings={findings} stale=[{}] ahead_unused={ahead_unused} walk_ns={} \
-             repair_ns={} checkpoint_ns={}",
+             findings={findings} stale=[{}] ahead_unused={unused} read_bytes={read_bytes} \
+             walk_ns={} repair_ns={} checkpoint_ns={}",
             touched.len(),
             stale.join(","),
             walked - start,

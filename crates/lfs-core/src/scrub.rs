@@ -16,7 +16,15 @@
 //! recorded, so subsequent reads through the normal paths are verified
 //! too (blocks written before this mount are otherwise unknown).
 //!
+//! Each segment's chain is read through the log reader
+//! (`log_reader.rs`): summaries and payloads, never a whole segment, and
+//! nothing past the chain's end but the summary that ends it. A ring of
+//! `recovery_fanout` readers reads the next segments while one is
+//! verified. A failed read is retried block by block over its run alone.
+//!
 //! `lfs-tools verify` runs exactly this pass against an offline image.
+
+use std::collections::BTreeSet;
 
 use sim_disk::BlockDevice;
 use vfs::{FsError, FsResult, Ino};
@@ -24,8 +32,9 @@ use vfs::{FsError, FsResult, Ino};
 use crate::checkpoint::CpCause;
 use crate::cleaner::file_block_key;
 use crate::fs::Lfs;
-use crate::layout::summary::{self, BlockKind, ChainEnd, ChunkCursor};
+use crate::layout::summary::{self, BlockKind, ChainEnd};
 use crate::layout::usage_block::SegState;
+use crate::log_reader::{LogReader, ReaderRing};
 use crate::types::{BlockAddr, SegNo};
 
 /// How many times the scrubber re-reads a block that failed, to ride out
@@ -83,32 +92,25 @@ impl<D: BlockDevice> Lfs<D> {
                 matches!(self.usage.state(seg), SegState::Dirty | SegState::Active)
             })
             .collect();
-        // Gather phase: with a recovery fan-out configured, the
-        // whole-segment images are read up front through the async
-        // facade, overlapping across spindles. The verify/repair phase
-        // below then runs serially over the prefetched bytes in the
-        // same ascending segment order; an image the gather could not
-        // read falls back to the identical per-block retry path, so
-        // every outcome (report, salvage, read-only degradation)
-        // matches the sequential walk's.
+        // With a recovery fan-out configured, the ring reads the next
+        // segments' chains while this one is verified, overlapping across
+        // spindles. Verification and repair stay serial, in ascending
+        // segment order, and retry a failed read in place, so every
+        // outcome (report, salvage, read-only degradation) matches the
+        // sequential walk's.
         let fanout = sim_disk::effective_fanout(self.cfg.recovery_fanout, &self.dev);
-        let mut images: Vec<Option<sim_disk::DiskResult<Vec<u8>>>> = Vec::new();
-        if fanout > 1 {
-            let bs = self.block_size();
-            let seg_blocks = self.sb.seg_blocks as usize;
-            let reqs: Vec<(u64, usize)> = victims
-                .iter()
-                .map(|&seg| (self.sector_of(self.sb.seg_block(seg, 0)), seg_blocks * bs))
-                .collect();
-            self.dev.set_maintenance(true);
-            let (results, _) = sim_disk::read_batch(&mut self.dev, "scrub-read", fanout, &reqs);
-            self.dev.set_maintenance(false);
-            images = results.into_iter().map(Some).collect();
+        let mut ring = ReaderRing::new(fanout);
+        let mut queued = victims.iter();
+        let mut read_bytes = 0;
+        for _ in &victims {
+            while ring.has_room() {
+                let Some(&seg) = queued.next() else { break };
+                ring.readers.push_back(LogReader::new(self, seg, None, "scrub-read"));
+            }
+            read_bytes += self.scrub_segment(&mut ring, &mut report)?;
+            ring.drop_readers(self, ..1);
         }
-        for (i, seg) in victims.iter().enumerate() {
-            let prefetched = images.get_mut(i).and_then(Option::take);
-            self.scrub_segment(*seg, prefetched, &mut report)?;
-        }
+        read_bytes += ring.read_bytes();
         self.obs.scrub_segments.add(report.segments);
         self.obs.scrub_blocks_verified.add(report.blocks_verified);
         self.obs.scrub_bad_blocks.add(report.bad_blocks);
@@ -118,7 +120,8 @@ impl<D: BlockDevice> Lfs<D> {
             self.now(),
             "scrub",
             format!(
-                "segments={} verified={} bad={} relocated={} unrecoverable={} unreadable_chunks={}",
+                "segments={} verified={} bad={} relocated={} unrecoverable={} unreadable_chunks={} \
+                 read_bytes={read_bytes}",
                 report.segments,
                 report.blocks_verified,
                 report.bad_blocks,
@@ -133,98 +136,69 @@ impl<D: BlockDevice> Lfs<D> {
         Ok(report)
     }
 
-    /// Scrubs one segment's chunk chain. `prefetched` carries the
-    /// gather phase's whole-segment read when the fanned-out scrub is
-    /// active; `None` reads synchronously in place.
-    fn scrub_segment(
-        &mut self,
-        seg: SegNo,
-        prefetched: Option<sim_disk::DiskResult<Vec<u8>>>,
-        report: &mut ScrubReport,
-    ) -> FsResult<()> {
+    /// Scrubs the chunk chain of the ring's head segment. A read that
+    /// fails is retried block by block over its run alone; a block that
+    /// still fails is bad if live, and a summary area with such a block
+    /// ends the walk of the segment as an unreadable chunk. Returns the
+    /// bytes the retries read.
+    fn scrub_segment(&mut self, ring: &mut ReaderRing, report: &mut ScrubReport) -> FsResult<u64> {
         report.segments += 1;
-        let bs = self.block_size();
-        let seg_blocks = self.sb.seg_blocks as usize;
+        let seg = ring.head().seg;
         let base = self.sb.seg_block(seg, 0);
-
-        // Read the whole segment in one sequential transfer when the
-        // media cooperates; fall back to per-block reads (with retries)
-        // so one latent sector does not hide the rest of the segment.
-        let whole = match prefetched {
-            Some(result) => result,
-            None => {
-                let mut image = vec![0u8; seg_blocks * bs];
-                self.dev.annotate("scrub-read");
-                self.dev
-                    .read(self.sector_of(base), &mut image)
-                    .map(|_| image)
-            }
-        };
-        let blocks: Vec<Option<Vec<u8>>> = match whole {
-            Ok(image) => image.chunks(bs).map(|c| Some(c.to_vec())).collect(),
-            Err(_) => (0..seg_blocks)
-                .map(|b| self.read_block_retry(BlockAddr(base.0 + b as u32)))
-                .collect(),
-        };
-
-        let mut cursor = ChunkCursor::new(base, seg_blocks, bs);
+        let bs = self.block_size();
+        let mut retried = 0;
+        // Blocks no retry could read.
+        let mut lost = BTreeSet::new();
         loop {
-            // Reassemble the summary area from consecutive readable
-            // blocks; the decoder takes only what it needs.
-            let mut buf: Vec<u8> = Vec::new();
-            let mut readable = cursor.offset();
-            while readable < seg_blocks {
-                let Some(data) = blocks[readable].as_ref() else { break };
-                buf.extend_from_slice(data);
-                readable += 1;
-            }
-            let (chunk, payload_start) = match cursor.next_chunk(&buf) {
-                Ok(next) => next,
-                Err(end) => {
-                    if end == ChainEnd::Undecodable && readable < seg_blocks {
-                        // The summary area itself is unreadable: the rest of
-                        // this segment's chain cannot even be enumerated.
-                        report.unreadable_chunks += 1;
+            let head = ring.head();
+            if let Some(chunk) = head.ready.front() {
+                for (i, entry) in chunk.summary.entries.iter().enumerate() {
+                    let block_off = chunk.payload_start + i;
+                    let addr = BlockAddr(base.0 + block_off as u32);
+                    report.blocks_verified += 1;
+                    let data = head.blocks(block_off, 1);
+                    if !lost.contains(&block_off) && summary::block_checksum(data) == entry.crc {
+                        // Known-good: make future reads of it verified.
+                        self.record_block_crc(addr, entry.crc);
+                        continue;
                     }
-                    break;
+                    if !self.scrub_is_live(entry.kind, entry.version, addr)? {
+                        continue; // Dead blocks may rot in peace.
+                    }
+                    report.bad_blocks += 1;
+                    self.obs.registry.event(
+                        self.now(),
+                        "scrub",
+                        format!("bad live block addr={} seg={}", addr.0, seg.0),
+                    );
+                    self.scrub_recover(entry.kind, addr, report)?;
                 }
-            };
-            for (i, entry) in chunk.entries.iter().enumerate() {
-                let block_off = payload_start + i;
-                let addr = BlockAddr(base.0 + block_off as u32);
-                report.blocks_verified += 1;
-                let good = matches!(
-                    blocks[block_off].as_deref(),
-                    Some(data) if summary::block_checksum(data) == entry.crc
-                );
-                if good {
-                    // Known-good: make future reads of it verified.
-                    self.record_block_crc(addr, entry.crc);
-                    continue;
-                }
-                if !self.scrub_is_live(entry.kind, entry.version, addr)? {
-                    continue; // Dead blocks may rot in peace.
-                }
-                report.bad_blocks += 1;
-                self.obs.registry.event(
-                    self.now(),
-                    "scrub",
-                    format!("bad live block addr={} seg={}", addr.0, seg.0),
-                );
-                self.scrub_recover(entry.kind, addr, report)?;
+                head.ready.pop_front();
+                continue;
             }
-        }
-        Ok(())
-    }
-
-    /// One block read with bounded retries (transient media errors).
-    fn read_block_retry(&mut self, addr: BlockAddr) -> Option<Vec<u8>> {
-        for _ in 0..SCRUB_READ_RETRIES {
-            if let Ok(data) = self.read_block_raw(addr) {
-                return Some(data);
+            if let Some((at, blocks, _)) = head.failure.take() {
+                // Retry block by block, riding out transient errors.
+                for off in at..at + blocks {
+                    let addr = BlockAddr(base.0 + off as u32);
+                    match (0..SCRUB_READ_RETRIES).find_map(|_| self.read_block_raw(addr).ok()) {
+                        Some(data) => ring.head().fill(off, &data),
+                        None => _ = lost.insert(off),
+                    }
+                }
+                retried += ((blocks - lost.range(at..at + blocks).count()) * bs) as u64;
+                continue;
             }
+            if let Some(end) = head.end {
+                // A summary area with a lost block cannot be decoded:
+                // the rest of this segment's chain cannot even be
+                // enumerated.
+                if end == ChainEnd::Undecodable && lost.range(head.offset()..).next().is_some() {
+                    report.unreadable_chunks += 1;
+                }
+                return Ok(retried);
+            }
+            ring.step(self);
         }
-        None
     }
 
     /// Is the logged block at `addr` still referenced? Never touches

@@ -64,10 +64,10 @@ obs::instruments! {
             last mount.";
         recovery_partitions, Counter, "recovery.partitions", "Spindle partitions that did recovery work at the \
             last parallel roll-forward (0 when recovery ran sequentially).";
-        recovery_parallel_reads, Counter, "recovery.parallel_reads", "Whole-segment reads the last fanned-out \
-            roll-forward issued through the asynchronous read facade (overlapped across spindles); 0 at \
-            fan-out 1, and 0 where a segment spans several stripe chunks, whose reads fall back to the \
-            synchronous path.";
+        recovery_parallel_reads, Counter, "recovery.parallel_reads", "Chunk reads (headers, summary \
+            spans, payloads) the last fanned-out roll-forward's log readers issued through the asynchronous \
+            read facade (overlapped across spindles); 0 at fan-out 1, and 0 for a read that spans several \
+            stripe chunks, which falls back to the synchronous path.";
         recovery_prefetched_blocks, Counter, "recovery.prefetched_blocks", "Metadata blocks the recovery gather \
             phase prefetched into the cache ahead of the serial repair passes.";
         verified_reads, Counter, "integrity.verified_reads", "Log reads verified against their per-block checksum.";

@@ -1,9 +1,10 @@
 //! Media-fault equivalence for the fanned-out maintenance scans.
 //!
-//! `fsck` and `scrub` gained a gather phase that prefetches metadata /
-//! segment images across spindles when a recovery fan-out is
-//! configured. The contract: the gather only changes *when* blocks are
-//! read, never what the serial verify phase concludes. This table
+//! When a recovery fan-out is configured, `fsck` prefetches metadata
+//! across spindles, and `scrub` reads the next segments' chunk chains
+//! through a ring of log readers while it verifies one. The contract:
+//! the fan-out only changes *when* blocks are read, never what the
+//! serial verify phase concludes. This table
 //! drives both maintenance passes over identical 4-spindle images with
 //! identical injected media faults — latent sector errors and silent
 //! rot, on live inode blocks and on chunk summary headers — once

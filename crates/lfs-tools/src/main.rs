@@ -44,9 +44,9 @@
 //! (when one is armed), and its observed/model service-time inflation.
 //!
 //! `--parallel N` sets the maintenance fan-out: mount-time roll-forward
-//! and the fsck / verify gather phases keep up to N reads in flight
-//! (`--parallel 0` asks the device — one per spindle of a striped
-//! array). The default, 1, is the classic sequential scan. The fan-out
+//! and verify keep up to N log readers in flight, and fsck's gather
+//! phase up to N reads (`--parallel 0` asks the device — one per
+//! spindle of a striped array). The default, 1, is the classic sequential scan. The fan-out
 //! only overlaps reads; every verdict is identical to the sequential
 //! one.
 //!

@@ -178,31 +178,27 @@ pub trait BlockDevice {
 ///
 /// The batch leaves the I/O class alone: its reads are billed to
 /// whatever class the caller has set ([`BlockDevice::set_maintenance`]).
-/// Recovery, fsck and scrub tag themselves as maintenance around their
-/// batches; a flush's gather is billed like the flush's own writes.
+/// fsck and the mount's metadata gather tag themselves as maintenance
+/// around their batches; a flush's gather is billed like the flush's
+/// own writes.
 ///
-/// Returns the per-request results in request order, plus how many
-/// reads actually went through the asynchronous path.
+/// Returns the per-request results in request order.
 pub fn read_batch<D: BlockDevice + ?Sized>(
     dev: &mut D,
     label: &'static str,
     window: usize,
     reqs: &[(u64, usize)],
-) -> (Vec<DiskResult<Vec<u8>>>, u64) {
+) -> Vec<DiskResult<Vec<u8>>> {
     let window = window.max(1);
     let mut out: Vec<Option<DiskResult<Vec<u8>>>> = reqs.iter().map(|_| None).collect();
     let mut pending: std::collections::VecDeque<(usize, u64)> = std::collections::VecDeque::new();
-    let mut overlapped = 0u64;
     let mut next = 0usize;
     while next < reqs.len() || !pending.is_empty() {
         while next < reqs.len() && pending.len() < window {
             let (sector, len) = reqs[next];
             dev.annotate(label);
             match dev.start_read_async(sector, len) {
-                Some(token) => {
-                    pending.push_back((next, token));
-                    overlapped += 1;
-                }
+                Some(token) => pending.push_back((next, token)),
                 None => {
                     let mut buf = vec![0u8; len];
                     out[next] = Some(dev.read(sector, &mut buf).map(|_| buf));
@@ -214,10 +210,7 @@ pub fn read_batch<D: BlockDevice + ?Sized>(
             out[idx] = Some(dev.finish_read_async(token));
         }
     }
-    (
-        out.into_iter().map(|r| r.expect("read_batch slot")).collect(),
-        overlapped,
-    )
+    out.into_iter().map(|r| r.expect("read_batch slot")).collect()
 }
 
 /// The read window a fanned-out maintenance pass uses: the configured
