@@ -708,8 +708,8 @@ impl EngineCore {
     /// [`EngineConfig::hedge_deadline_ns`]. Each overdue report counts
     /// one `engine.hedges` — the owner is expected to race a redundant
     /// path and drain the original via [`EngineCore::drain_read`]. Never
-    /// fires when hedging is disabled, and never changes the queue, so
-    /// the aging and QoS guarantees are untouched.
+    /// fires when hedging is disabled or the read has landed by now, and
+    /// never changes the queue, so aging and QoS are untouched.
     pub fn hedge_overdue(&mut self, id: u64) -> bool {
         let Some(deadline) = self.cfg.hedge_deadline_ns else {
             return false;
@@ -728,7 +728,7 @@ impl EngineCore {
         let Some(finish) = self.estimated_finish_ns(id) else {
             return false;
         };
-        let overdue = finish.saturating_sub(submitted) > deadline;
+        let overdue = finish > self.clock.now_ns() && finish.saturating_sub(submitted) > deadline;
         if overdue {
             self.obs.hedges.inc();
             self.obs.registry.event(

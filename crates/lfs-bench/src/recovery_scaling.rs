@@ -75,9 +75,8 @@ fn lfs_cfg(fanout: usize) -> LfsConfig {
     // Align the log to the stripe so each segment is exactly one chunk:
     // a tail-segment read then lands on a single spindle and the
     // read-ahead window overlaps whole segments across arms (an unaligned
-    // segment straddles two chunks in a ~1 MB + ~12 KB split — the
-    // async facade falls back to the synchronous path and recovery
-    // serializes on the big half).
+    // segment straddles two chunks in a ~1 MB + ~12 KB split, and
+    // recovery serializes on the big half).
     cfg.segment_align_metadata = true;
     cfg
 }

@@ -51,7 +51,7 @@
 //! a read issued in one step is claimed in a later step, so foreground
 //! traffic (especially on *other* spindles of a striped volume)
 //! advances virtual time underneath it and the claim often costs no
-//! additional time at all.
+//! additional time at all; a striped volume's token may span spindles.
 //!
 //! Every driver keeps one crash-safety protocol: a victim becomes
 //! [`SegState::CleanPending`] only after every live block has been

@@ -66,8 +66,7 @@ obs::instruments! {
             last parallel roll-forward (0 when recovery ran sequentially).";
         recovery_parallel_reads, Counter, "recovery.parallel_reads", "Chunk reads (headers, summary \
             spans, payloads) the last fanned-out roll-forward's log readers issued through the asynchronous \
-            read facade (overlapped across spindles); 0 at fan-out 1, and 0 for a read that spans several \
-            stripe chunks, which falls back to the synchronous path.";
+            read facade (overlapped across spindles); 0 at fan-out 1.";
         recovery_prefetched_blocks, Counter, "recovery.prefetched_blocks", "Metadata blocks the recovery gather \
             phase prefetched into the cache ahead of the serial repair passes.";
         verified_reads, Counter, "integrity.verified_reads", "Log reads verified against their per-block checksum.";

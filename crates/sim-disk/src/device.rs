@@ -132,11 +132,11 @@ pub trait BlockDevice {
     }
 
     /// Starts a non-blocking read of `len` bytes at `sector`, returning
-    /// a token to pass to [`BlockDevice::finish_read_async`]. Devices
-    /// without an asynchronous read path return `None` and the caller
-    /// falls back to the synchronous [`BlockDevice::read`]; queue-backed
-    /// devices submit the read and let virtual time advance under other
-    /// traffic before the caller claims it.
+    /// a token to pass to [`BlockDevice::finish_read_async`]. `None`
+    /// means a device with no request queue, or a crashed one; the
+    /// caller falls back to the synchronous [`BlockDevice::read`]. A
+    /// queue-backed device submits any range and lets virtual time
+    /// advance under other traffic before the caller claims it.
     fn start_read_async(&mut self, _sector: u64, _len: usize) -> Option<u64> {
         None
     }

@@ -11,11 +11,11 @@
 //!
 //! Each piece mechanic exists once, for every layout:
 //!
-//! * **One fan-out read.** [`StripedVolume::read`] splits the request,
-//!   starts every piece before finishing any — so the spindles service
-//!   their pieces in overlapped virtual time — and finishes every
-//!   started piece even when one fails. The read half of a partial-row
-//!   parity write starts and finishes its pieces the same way.
+//! * **One fan-out read.** Every read splits the request, starts every
+//!   piece before finishing any — so spindles overlap in virtual time —
+//!   then finishes, hedges or reconstructs every piece even when one
+//!   fails; [`StripedVolume::start_read_async`] holds it between the two.
+//!   The read half of a partial-row parity write does the same.
 //! * **One piece writer.** Data pieces and parity chunks go through
 //!   the same loop: asynchronous pieces only push out each spindle's
 //!   busy horizon, so horizons grow in parallel and the final flush
@@ -165,17 +165,14 @@ fn xor_into(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// One tracked async read in flight against a single spindle. The
-/// physical and logical addresses are kept so the claim can fall back
-/// to XOR reconstruction once the spindle is killed (operator command
-/// or health eviction): the kill drops the spindle's `handle`.
-#[derive(Debug)]
-struct TrackedVolumeRead {
-    spindle: usize,
-    handle: Option<engine::ReadHandle>,
+/// A logical read between its start and its finish: each sub-request
+/// with its [`Piece`], and the health evictions its start queued.
+struct VolumeRead {
+    /// First logical sector and length in bytes.
     sector: u64,
-    logical: u64,
     len: usize,
+    pieces: Vec<(SubRequest, Piece)>,
+    evict: Vec<usize>,
 }
 
 /// A read piece between its start and its finish.
@@ -223,8 +220,8 @@ pub struct StripedVolume {
     /// Set once any spindle reports [`DiskError::Crashed`]; all
     /// subsequent volume operations fail fast — one power supply.
     crashed: bool,
-    /// Volume token → in-flight tracked async read.
-    tracked_reads: std::collections::BTreeMap<u64, TrackedVolumeRead>,
+    /// Token → asynchronous read started and not yet claimed.
+    held_reads: BTreeMap<u64, VolumeRead>,
     next_read_token: u64,
     /// Per-spindle availability (all [`SpindleState::Online`] until
     /// [`StripedVolume::kill_spindle`]).
@@ -333,7 +330,7 @@ impl StripedVolume {
             num_sectors,
             global_writes,
             crashed: false,
-            tracked_reads: std::collections::BTreeMap::new(),
+            held_reads: BTreeMap::new(),
             next_read_token: 1,
             states,
             rebuild: None,
@@ -654,8 +651,13 @@ impl StripedVolume {
         self.states[i] = SpindleState::Dead;
         self.spindles[i].disk_mut().kill_media();
         self.spindles[i].discard_queue();
-        for t in self.tracked_reads.values_mut().filter(|t| t.spindle == i) {
-            t.handle = None;
+        // Held pieces on it lost their queue: their claim reconstructs.
+        for read in self.held_reads.values_mut() {
+            for (sub, piece) in &mut read.pieces {
+                if sub.spindle == i && matches!(piece, Piece::Direct(_)) {
+                    *piece = Piece::Missed(DiskError::Unreadable { sector: sub.sector });
+                }
+            }
         }
         if self.rebuild.as_ref().is_some_and(|r| r.spindle() == i) {
             // The replacement died mid-rebuild; wait for the next one.
@@ -954,7 +956,8 @@ impl StripedVolume {
     /// Finishes a piece's direct read into `out`. The hedge hook: a
     /// queued read whose predicted latency blows the deadline is raced
     /// against reconstruction ([`StripedVolume::hedged_race`]) when the
-    /// piece can be reconstructed at all. A crash latches and aborts.
+    /// piece can be reconstructed at all, unless it landed before the
+    /// claim. A crash latches and aborts.
     fn finish_piece(
         &mut self,
         spindle: usize,
@@ -1012,38 +1015,35 @@ impl StripedVolume {
         self.reconstruct_or_escape(spindle, sector, out, escape)
     }
 
-    /// Reads `buf.len()` bytes at logical `sector`: split, then the one
-    /// fan-out for every layout. Every piece is started before any is
-    /// finished, so spindles overlap; the first failing piece (in
-    /// logical order) decides the error, and every started piece is
-    /// still finished so no queue is left holding a read. Only a crash
-    /// ends the read early.
-    ///
-    /// A piece its spindle cannot serve — dead or rebuilding, or its
-    /// direct read unreadable — is XOR-reconstructed from the survivors
-    /// under parity; under RAID-0 its error, in logical terms, is the
-    /// piece's. Under parity, with a hedge deadline armed
-    /// ([`EngineConfig::hedge_deadline_ns`]), a piece whose predicted
-    /// latency blows the budget is raced against reconstruction or,
-    /// when the stall is a queued overlapping request, steered to
-    /// reconstruction at submission;
-    /// with health monitoring armed every piece feeds its spindle's
-    /// predicted service time into the [`HealthMonitor`] — evictions it
-    /// decides are applied after the last piece lands, so no in-flight
-    /// handle dangles on a killed spindle.
+    /// Reads `buf.len()` bytes at logical `sector`: the one read's start
+    /// and finish halves at once. Under parity a piece its spindle cannot
+    /// serve is XOR-reconstructed, an overdue one hedged
+    /// ([`EngineConfig::hedge_deadline_ns`]); under RAID-0 its error, in
+    /// logical terms, is the read's.
     pub fn read(&mut self, sector: u64, buf: &mut [u8]) -> DiskResult<()> {
+        let read = self.start_volume_read(sector, buf.len())?;
+        self.finish_volume_read(read, buf)
+    }
+
+    /// The start half of every read: splits the range and starts every
+    /// piece. A piece on a dead or rebuilding spindle is left missed;
+    /// every other one feeds the [`HealthMonitor`], and one a queued
+    /// overlapping request would stall past the hedge deadline is
+    /// steered to reconstruction. Evictions wait for the finish, so no
+    /// started handle dangles on a killed spindle.
+    fn start_volume_read(&mut self, sector: u64, len: usize) -> DiskResult<VolumeRead> {
         let label = std::mem::take(&mut self.label);
         if self.crashed {
             return Err(DiskError::Crashed);
         }
-        let count = check_request(sector, buf.len(), self.num_sectors)?;
+        let count = check_request(sector, len, self.num_sectors)?;
         let subs = self.split(sector, count);
         self.obs.reads.inc();
-        self.obs.bytes_read.add(buf.len() as u64);
+        self.obs.bytes_read.add(len as u64);
         self.obs.subrequests.add(subs.len() as u64);
         let mut evict = Vec::new();
         let mut pieces = Vec::with_capacity(subs.len());
-        for sub in &subs {
+        for sub in subs {
             let (s, bytes) = (sub.spindle, sub.bytes());
             let piece = if !self.serves_reads(s) {
                 Piece::Missed(DiskError::Unreadable { sector: sub.sector })
@@ -1068,11 +1068,21 @@ impl StripedVolume {
                     piece
                 }
             };
-            pieces.push(piece);
+            pieces.push((sub, piece));
         }
+        Ok(VolumeRead { sector, len, pieces, evict })
+    }
+
+    /// The finish half of every read: finishes, hedges or reconstructs
+    /// each piece in logical order into `buf`. The first failing piece
+    /// decides the error, yet every piece is finished so no queue is left
+    /// holding a read; only a crash ends it early. Then it counts a
+    /// degraded read and applies the start's evictions.
+    fn finish_volume_read(&mut self, read: VolumeRead, buf: &mut [u8]) -> DiskResult<()> {
+        let VolumeRead { sector, pieces, mut evict, .. } = read;
         let mut degraded = false;
         let mut first_err = None;
-        for (sub, piece) in subs.iter().zip(pieces) {
+        for (sub, piece) in pieces {
             let s = sub.spindle;
             let logical = sector + (sub.offset / SECTOR_SIZE) as u64;
             let out = &mut buf[sub.offset..sub.offset + sub.bytes()];
@@ -1497,64 +1507,26 @@ impl StripedVolume {
         self.spindles.iter().map(|c| c.queue_len()).sum()
     }
 
-    /// Starts a tracked non-blocking read if the logical range maps to a
-    /// single spindle (always true for ranges inside one segment under
-    /// segment round-robin). Multi-spindle ranges return `None` and the
-    /// caller falls back to the synchronous fan-out read.
+    /// The start half of [`StripedVolume::read`], held under the returned
+    /// token. `None` only for a crashed volume or an invalid range.
     pub fn start_read_async(&mut self, sector: u64, len: usize) -> Option<u64> {
-        if self.crashed {
-            return None;
-        }
-        let count = check_request(sector, len, self.num_sectors).ok()?;
-        let subs = self.split(sector, count);
-        let [sub] = subs.as_slice() else { return None };
-        if self.states[sub.spindle] != SpindleState::Online {
-            // Degraded: fall back to the reconstructing fan-out read.
-            return None;
-        }
-        self.obs.reads.inc();
-        self.obs.bytes_read.add(len as u64);
-        self.obs.subrequests.inc();
-        // Only now is the request this one: a `None` above leaves the
-        // label for the synchronous fallback.
-        let core = &mut self.spindles[sub.spindle];
-        core.annotate(std::mem::take(&mut self.label));
-        let handle = core.start_read(sub.sector, sub.bytes()).ok()?;
+        let read = self.start_volume_read(sector, len).ok()?;
         let token = self.next_read_token;
         self.next_read_token += 1;
-        self.tracked_reads.insert(
-            token,
-            TrackedVolumeRead {
-                spindle: sub.spindle,
-                handle: Some(handle),
-                sector: sub.sector,
-                logical: sector,
-                len,
-            },
-        );
+        self.held_reads.insert(token, read);
         Some(token)
     }
 
-    /// Completes a read started by [`StripedVolume::start_read_async`].
-    /// If the spindle was killed since the read started (operator
-    /// command or health eviction — the engine's queue died with the
-    /// media, and the kill dropped the read's handle), a parity volume
-    /// serves the claim by XOR reconstruction, even once a replacement
-    /// is online again.
+    /// Claims a read started by [`StripedVolume::start_read_async`]: the
+    /// finish half of [`StripedVolume::read`]. A piece on a spindle
+    /// killed since the start is reconstructed.
     pub fn finish_read_async(&mut self, token: u64) -> DiskResult<Vec<u8>> {
-        let t = self
-            .tracked_reads
+        let read = self
+            .held_reads
             .remove(&token)
             .expect("finish_read_async: unknown token");
-        let mut buf = vec![0u8; t.len];
-        if let Some(handle) = t.handle {
-            return match self.spindles[t.spindle].finish_read(handle, &mut buf) {
-                Ok(()) => Ok(buf),
-                Err(e) => Err(self.translate(t.spindle, e)),
-            };
-        }
-        self.reconstruct_or_escape(t.spindle, t.sector, &mut buf, t.logical)?;
-        self.obs.degraded_reads.inc();
+        let mut buf = vec![0u8; read.len];
+        self.finish_volume_read(read, &mut buf)?;
         Ok(buf)
     }
 

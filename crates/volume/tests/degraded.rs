@@ -178,7 +178,7 @@ fn async_read_claimed_after_kill_replace_and_rebuild_reconstructs() {
         mixed_writes(&mut vol, &mut mirror, 0x50);
         let token = vol
             .start_read_async(0, CHUNK_BYTES)
-            .expect("a single-chunk range maps to one spindle");
+            .expect("a live volume starts every valid range");
         vol.kill_spindle(victim);
         vol.replace_spindle(victim, RebuildPolicy::default()).unwrap();
         while vol.rebuild_step().unwrap() != Step::Completed {}

@@ -258,8 +258,45 @@ fn eviction_without_a_spare_leaves_the_volume_degraded_but_serving() {
     read_all(&mut vol, &mut mirror, "after the manual rebuild");
 }
 
-/// A tracked async read claimed after its spindle was killed falls back
-/// to reconstruction instead of dangling on a discarded engine token.
+/// A held read is hedged like a synchronous one: a token on the slow
+/// spindle claimed at once races reconstruction, while one claimed after
+/// its read landed is taken as it is — no race, and no survivor serves
+/// a request for it.
+#[test]
+fn a_held_read_is_hedged_unless_it_landed_before_its_claim() {
+    let mut want = vec![0u8; CHUNK_BYTES];
+    // Logical chunk 1 lives on the slow spindle.
+    for late in [false, true] {
+        let (mut vol, clock, mut mirror) = filled_volume(Some(HEDGE_DEADLINE_NS));
+        mirror.read(CHUNK_SECTORS, &mut want).unwrap();
+        arm_fail_slow(&mut vol, SLOW_SPINDLE, 3000);
+        let requests = |vol: &StripedVolume| -> Vec<u64> {
+            (0..4)
+                .map(|s| vol.spindle(s).disk().stats().total_requests())
+                .collect()
+        };
+        let before = requests(&vol);
+        let token = vol.start_read_async(CHUNK_SECTORS, CHUNK_BYTES).unwrap();
+        if late {
+            clock.advance_ns(1_000_000_000);
+        }
+        assert_eq!(vol.finish_read_async(token).unwrap(), want, "late claim: {late}");
+        let hedged = vol.obs().snapshot().counter("volume.hedged_reads");
+        let after = requests(&vol);
+        assert_eq!(after[SLOW_SPINDLE], before[SLOW_SPINDLE] + 1);
+        let survivors_served = (0..4).filter(|&s| s != SLOW_SPINDLE && after[s] > before[s]);
+        if late {
+            assert_eq!(hedged, 0, "a landed read started a race");
+            assert_eq!(survivors_served.count(), 0, "a landed read made survivors read");
+        } else {
+            assert_eq!(hedged, 1, "a held read on the slow spindle was not hedged");
+            assert_eq!(survivors_served.count(), 3, "the race did not read every survivor");
+        }
+    }
+}
+
+/// A held read claimed after its spindle was killed reconstructs its
+/// piece instead of dangling on a discarded engine token.
 #[test]
 fn async_read_claims_survive_a_mid_flight_spindle_kill() {
     let mut reconstructed_claims = 0;
@@ -268,7 +305,7 @@ fn async_read_claims_survive_a_mid_flight_spindle_kill() {
         let before = vol.obs().snapshot().counter("volume.degraded_reads");
         let token = vol
             .start_read_async(8, CHUNK_BYTES)
-            .expect("a single-chunk range maps to one spindle");
+            .expect("a live volume starts every valid range");
         vol.kill_spindle(victim);
         let got = vol.finish_read_async(token).unwrap();
         let mut want = vec![0u8; CHUNK_BYTES];

@@ -1,7 +1,8 @@
 //! Property tests for hedged reconstruction reads: whatever the request
 //! shapes, whichever single spindle limps, and however aggressive the
 //! hedge deadline, a parity volume returns exactly the bytes a healthy
-//! flat disk would — and on a healthy volume the hedge never fires.
+//! flat disk would — read at once or held as a token across the stall —
+//! and on a healthy volume the hedge never fires.
 
 use std::sync::Arc;
 
@@ -68,11 +69,34 @@ proptest! {
             mirror.write(sector, &buf, sync).unwrap();
         }
         vol.flush().unwrap();
+        // Every read is also held across the stall: started on healthy
+        // media, claimed once the spindle limps.
+        let held: Vec<u64> = reads
+            .iter()
+            .map(|&(sector, sectors)| {
+                vol.start_read_async(sector, sectors as usize * SECTOR_SIZE)
+                    .expect("a live volume starts every valid range")
+            })
+            .collect();
         vol.spindle_mut(slow_spindle).disk_mut().inject_media_faults(
             MediaFaultPlan::new(0xBEEF).fail_slow(
                 FailSlowProfile::at(0).with_multiplier_pct(multiplier_x * 100),
             ),
         );
+        for (&(sector, sectors), token) in reads.iter().zip(held) {
+            let mut want = vec![0u8; sectors as usize * SECTOR_SIZE];
+            mirror.read(sector, &mut want).unwrap();
+            prop_assert_eq!(
+                vol.finish_read_async(token).unwrap(),
+                want,
+                "held read [{}, +{}) diverged (slow spindle {}, {}x, deadline {} ms)",
+                sector,
+                sectors,
+                slow_spindle,
+                multiplier_x,
+                deadline_ms
+            );
+        }
         for (sector, sectors) in reads {
             let mut got = vec![0u8; sectors as usize * SECTOR_SIZE];
             let mut want = vec![0u8; sectors as usize * SECTOR_SIZE];

@@ -1,6 +1,7 @@
 //! Property tests: on a parity volume, the loss of *any single spindle*
 //! is invisible — arbitrary request shapes read back byte-identical to
-//! a flat mirror before, during, and after degraded operation, and a
+//! a flat mirror before, during, and after degraded operation (held
+//! across the kill as tokens, too), and a
 //! completed online rebuild restores the volume exactly; and the
 //! parity partial-row writes leave behind (read-modify-written or
 //! reconstruct-written, whichever reads less) covers the loss of each
@@ -72,14 +73,36 @@ proptest! {
         let mut mirror = RamDisk::new(vol.num_sectors());
         apply_writes(&mut vol, &mut mirror, &healthy_writes, 0x11);
 
+        // Every read is also held across the kill: started on the
+        // healthy volume, claimed once its spindle is dead.
+        let capacity = vol.num_sectors();
+        let clamp = |&(sector, count): &(u64, u64)| {
+            let sector = sector % capacity;
+            (sector, count.min(capacity - sector))
+        };
+        let held: Vec<(u64, u64, u64)> = reads
+            .iter()
+            .map(clamp)
+            .map(|(sector, count)| {
+                let token = vol.start_read_async(sector, count as usize * SECTOR_SIZE);
+                (sector, count, token.expect("a live volume starts every valid range"))
+            })
+            .collect();
+
         // Kill any one spindle, then keep writing while degraded.
         vol.kill_spindle(dead);
+        for (sector, count, token) in held {
+            let mut want = vec![0u8; count as usize * SECTOR_SIZE];
+            mirror.read(sector, &mut want).unwrap();
+            prop_assert_eq!(
+                vol.finish_read_async(token).unwrap(), want,
+                "held read [{}, +{}) diverged ({} spindles, {} killed under it)",
+                sector, count, spindles, dead
+            );
+        }
         apply_writes(&mut vol, &mut mirror, &degraded_writes, 0x77);
 
-        let capacity = vol.num_sectors();
-        for &(sector, count) in &reads {
-            let sector = sector % capacity;
-            let count = count.min(capacity - sector);
+        for (sector, count) in reads.iter().map(clamp) {
             let mut got = vec![0u8; count as usize * SECTOR_SIZE];
             let mut want = got.clone();
             vol.read(sector, &mut got).unwrap();

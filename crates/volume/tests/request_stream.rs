@@ -136,15 +136,15 @@ fn read_all(vol: &mut StripedVolume, reads: &[(u64, u64)]) {
     }
 }
 
-/// Tracked async reads claimed around a write, as the cleaner issues them.
+/// Held reads claimed around a write, as the cleaner issues them.
 fn async_reads(vol: &mut StripedVolume, ranges: &[(u64, u64)]) {
     let tokens: Vec<u64> = ranges
         .iter()
-        .filter_map(|&(sector, sectors)| {
+        .map(|&(sector, sectors)| {
             vol.start_read_async(sector, sectors as usize * SECTOR_SIZE)
+                .expect("a live volume starts every valid range")
         })
         .collect();
-    assert!(!tokens.is_empty(), "no range mapped to a single spindle");
     vol.write(400, &patterned(0x77, 4), false).unwrap();
     for token in tokens {
         vol.finish_read_async(token).unwrap();
@@ -183,7 +183,9 @@ fn three_spindle_interleave() {
     let mut vol = traced(VolumeConfig::interleave(3, 4096));
     write_all(&mut vol, &MIXED_WRITES, 0x20);
     read_all(&mut vol, &MIXED_READS);
-    async_reads(&mut vol, &[(8, 8), (32, 4)]);
+    // The last range crosses from chunk 2 into chunk 3: one token, two
+    // spindles.
+    async_reads(&mut vol, &[(8, 8), (32, 4), (20, 8)]);
     vol.flush().unwrap();
     // A latent sector fails its piece at completion; the other pieces
     // still land and the error comes back in logical terms.
@@ -201,15 +203,15 @@ fn three_spindle_interleave() {
         "interleave(3)",
         &vol,
         &[
-            11846986265108755003,
+            4082910551753569953,
             10852369637435783718,
-            2536233431222451475,
+            13059346457517923595,
         ],
         &[
-            7128582060590093698,
-            14340208510716911680,
-            17099300314015230039,
-            2805295502097266640,
+            10496420486480692188,
+            1410949480116363587,
+            18074415312857266465,
+            15898416441445957527,
         ],
     );
 }
@@ -222,7 +224,8 @@ fn parity_full_row_writes() {
         .collect();
     write_all(&mut vol, &rows, 0x30);
     read_all(&mut vol, &[(0, 3 * ROW_SECTORS), (ROW_SECTORS + 4, 30)]);
-    async_reads(&mut vol, &[(8, 8), (ROW_SECTORS, 8)]);
+    // The last range crosses from chunk 3 into chunk 4.
+    async_reads(&mut vol, &[(8, 8), (ROW_SECTORS, 8), (ROW_SECTORS + 4, 8)]);
     vol.flush().unwrap();
     let snap = vol.obs().snapshot();
     assert_eq!(snap.counter("volume.degraded_reads"), 0);
@@ -233,17 +236,17 @@ fn parity_full_row_writes() {
         "parity full rows",
         &vol,
         &[
-            13563590996717899330,
-            9576320952772792133,
+            3046622017421422423,
+            79097856231403543,
             16735918471488368695,
             3471181967871509926,
         ],
         &[
-            17545422296366905989,
-            13864413464744554434,
-            17475281196137389721,
-            13401927920263519885,
-            14110686942423484918,
+            5645563476834451120,
+            3687094757746384348,
+            9954248137330403170,
+            2310403227556319133,
+            11548736651552711722,
         ],
     );
 }

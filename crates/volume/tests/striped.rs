@@ -483,3 +483,48 @@ fn a_label_goes_only_to_the_spindles_of_its_request() {
     );
     assert_eq!(labels(&vol, 0).len(), 1, "spindle 0 serves no piece of it");
 }
+
+/// A range crossing stripe chunks is one token, on RAID-0 and on
+/// parity alike: its claim returns the bytes the mirror and the
+/// synchronous read return, and its pieces run on their spindles at
+/// once — the claim waits less than the spindles' busy time summed.
+#[test]
+fn a_range_crossing_chunks_is_one_token_whose_pieces_overlap() {
+    for (kind, spindles) in [
+        (StripePolicyKind::Interleave, 3),
+        (StripePolicyKind::ParitySegment, 4),
+    ] {
+        let (mut vol, clock) = volume(spindles, kind);
+        let mut mirror = RamDisk::new(vol.num_sectors());
+        let data = patterned(0x6B, 4 * CHUNK_SECTORS);
+        vol.write(0, &data, true).unwrap();
+        mirror.write(0, &data, true).unwrap();
+        vol.flush().unwrap();
+
+        // Sectors 4..20: the tail of chunk 0, chunk 1, the head of chunk 2.
+        let (sector, sectors) = (CHUNK_SECTORS / 2, 2 * CHUNK_SECTORS);
+        let busy = |vol: &StripedVolume| -> Vec<u64> {
+            (0..spindles)
+                .map(|i| vol.spindle(i).disk().stats().busy_ns)
+                .collect()
+        };
+        let (t0, busy0) = (clock.now_ns(), busy(&vol));
+        let token = vol
+            .start_read_async(sector, sectors as usize * SECTOR_SIZE)
+            .unwrap_or_else(|| panic!("{kind}: a range crossing chunks got no token"));
+        let got = vol.finish_read_async(token).unwrap();
+        let waited = clock.now_ns() - t0;
+        let busy_sum: u64 = busy(&vol).iter().zip(&busy0).map(|(b, b0)| b - b0).sum();
+
+        let mut want = vec![0u8; sectors as usize * SECTOR_SIZE];
+        mirror.read(sector, &mut want).unwrap();
+        assert_eq!(got, want, "{kind}: the claim diverged from the mirror");
+        let mut sync = vec![0u8; want.len()];
+        vol.read(sector, &mut sync).unwrap();
+        assert_eq!(got, sync, "{kind}: the claim diverged from the synchronous read");
+        assert!(
+            waited < busy_sum,
+            "{kind}: the pieces did not overlap: waited {waited} ns, spindles busy {busy_sum} ns"
+        );
+    }
+}
